@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_VERSION ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all build test race fuzz chaos vet fmt lint lint-repolint lint-extra ci bench bench-go bench-sweep bench-replay
+.PHONY: all build test race fuzz chaos vet fmt lint lint-repolint lint-extra ci bench bench-go
 
 all: build
 
@@ -27,8 +27,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeShardResult$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sim/shardcache -run '^$$' -fuzz '^FuzzDiskEntryCorruption$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace/replay -run '^$$' -fuzz '^FuzzTraceDiskCorruption$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tiercache -run '^$$' -fuzz '^FuzzDiskEntryCorruption$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the seeded fault-injection soak suite race-instrumented: the
 # golden grid through a 3-backend dispatcher under transient faults must
@@ -38,7 +37,7 @@ fuzz:
 # construction — a failure is a bug, not noise.
 chaos:
 	$(GO) test -race -v -run '^TestSoak' ./internal/sim/dispatch/chaos
-	$(GO) test -race -run 'Corruption|Corrupt' ./internal/sim/shardcache ./internal/sim/dispatch/chaos
+	$(GO) test -race -run 'TestWall|Corrupt' ./internal/tiercache ./internal/sim/dispatch/chaos
 
 vet:
 	$(GO) vet ./...
@@ -73,21 +72,11 @@ lint-extra:
 
 ci: fmt vet lint build test
 
-# bench emits the machine-readable benchmark report consumed for
-# BENCH_*.json trajectory tracking (throughput sweep + engine calibration),
-# and prints the Go micro-benchmarks for the hot paths.
-bench: bench-go bench-sweep
-
-# bench-replay regenerates the replay-vs-generate snapshot: the 72-shard
-# multi-observer grid timed generate / cold-replay / warm-replay, with the
-# bit-identity of all three reports asserted in-process.
-bench-replay:
-	$(GO) run ./cmd/rebalance-bench -replay-bench -seeds 4 -insts 2000000 -reps 5 -out BENCH_results_pr10_replay.json
-	@echo "wrote BENCH_results_pr10_replay.json"
+# bench runs the repository benchmark declared in BENCHMARK.json: the
+# bench/ harness's five sweep workloads, end to end and layer by layer.
+# bench-go prints the Go micro-benchmarks for the hot paths.
+bench:
+	$(GO) run ./bench
 
 bench-go:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
-
-bench-sweep:
-	$(GO) run ./cmd/rebalance-bench -seeds 4 -insts 2000000 -calibrate 4000000 -out BENCH_results.json
-	@echo "wrote BENCH_results.json"

@@ -1,9 +1,9 @@
-// Command rebalance-bench is the parallel sweep and benchmark harness,
-// built as a thin client of the declarative run layer (internal/sim): it
-// submits a Spec for the {workload x seed x predictor-config} grid to a
-// sim.Session, reshapes the sim/v1 report into the rebalance-bench/v1
-// record consumed for BENCH_*.json trajectory tracking, and measures the
-// compiled engine against the retained tree-walk reference.
+// Command rebalance-bench is the parallel sweep client, built as a thin
+// client of the declarative run layer (internal/sim): it submits a Spec
+// for the {workload x seed x predictor-config} grid to a sim.Session and
+// reshapes the sim/v1 report into the rebalance-bench/v1 record the CI
+// smokes compare. Performance measurement lives in the bench/ harness
+// (`go run ./bench`), not here.
 //
 // With -backends the sweep's shard grid is dispatched to remote simd
 // worker processes (started with `simd -worker`) instead of the local
@@ -29,20 +29,16 @@
 // With -trace-entries or -trace-dir the local pool materializes each
 // (workload, seed) coordinate's instruction stream once and replays it
 // through every other observer configuration of that coordinate (see
-// internal/trace/replay); -trace-dir persists the traces across runs. With
-// -replay-bench the process instead measures what that buys: a fixed
-// 9-configuration multi-observer grid timed generate-per-shard versus cold
-// and warm replay, emitted as a replay-bench/v1 snapshot
-// (BENCH_results_pr10_replay.json is one of these).
+// internal/trace/replay); -trace-dir persists the traces across runs.
 //
 // Usage:
 //
 //	rebalance-bench [-workloads comd-lite,xalan-lite] [-seeds 4]
 //	                [-synth "bias=0.6,0.8,0.95;hot=0.25,0.75"]
-//	                [-insts 2000000] [-workers N] [-calibrate 2000000]
+//	                [-insts 2000000] [-workers N]
 //	                [-backends http://host1:8080,http://host2:8080]
 //	                [-coordinator http://front:8080] [-tenant bench]
-//	                [-trace-entries 64] [-trace-dir DIR] [-replay-bench]
+//	                [-trace-entries 64] [-trace-dir DIR]
 //	                [-out report.json]
 package main
 
@@ -61,7 +57,6 @@ import (
 	"rebalance/internal/sim"
 	"rebalance/internal/sim/dispatch"
 	"rebalance/internal/stats"
-	"rebalance/internal/trace"
 	"rebalance/internal/trace/replay"
 	"rebalance/internal/workload"
 	"rebalance/internal/workload/synth"
@@ -94,22 +89,6 @@ type benchAggregate struct {
 	MeanMInstsPS float64 `json:"mean_minsts_per_sec"`
 }
 
-// calibration reports the compiled-versus-reference engine comparison,
-// measured in this same run on this same machine.
-type calibration struct {
-	Insts                int64   `json:"insts"`
-	ReferenceMInstsPS    float64 `json:"reference_minsts_per_sec"`
-	CompiledMInstsPS     float64 `json:"compiled_minsts_per_sec"`
-	CompiledParMInstsPS  float64 `json:"compiled_parallel_minsts_per_sec"`
-	Speedup              float64 `json:"speedup"`
-	SpeedupParallel      float64 `json:"speedup_parallel"`
-	PredictorsPerShard   int     `json:"predictors"`
-	CalibrationWorkload  string  `json:"workload"`
-	ReferenceElapsedNS   int64   `json:"reference_elapsed_ns"`
-	CompiledElapsedNS    int64   `json:"compiled_elapsed_ns"`
-	CompiledParElapsedNS int64   `json:"compiled_parallel_elapsed_ns"`
-}
-
 type report struct {
 	Schema    string `json:"schema"`
 	GoVersion string `json:"go_version"`
@@ -126,7 +105,7 @@ type report struct {
 	Shards        []benchShard `json:"shards"`
 	// FailedShards lists grid cells abandoned after exhausting retries —
 	// only ever non-empty under -allow-partial, and absent from clean
-	// runs so historical BENCH_*.json records are unchanged.
+	// runs.
 	FailedShards  []sim.FailedShard `json:"failed_shards,omitempty"`
 	Aggregates    []benchAggregate  `json:"aggregates"`
 	TotalInsts    int64             `json:"total_insts"`
@@ -134,8 +113,7 @@ type report struct {
 	SweepMInstsPS float64           `json:"sweep_minsts_per_sec"`
 	// PerWorkerMInstsPS is the sweep rate divided by the local pool size;
 	// 0 (omitted) for dispatched runs, where the divisor is meaningless.
-	PerWorkerMInstsPS float64      `json:"per_worker_minsts_per_sec,omitempty"`
-	Calibration       *calibration `json:"calibration,omitempty"`
+	PerWorkerMInstsPS float64 `json:"per_worker_minsts_per_sec,omitempty"`
 }
 
 func main() {
@@ -145,7 +123,6 @@ func main() {
 		seedsFlag     = flag.Int("seeds", 4, "seeds per {workload, predictor} pair")
 		instsFlag     = flag.Int64("insts", 2_000_000, "dynamic instructions per shard")
 		workersFlag   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines")
-		calibFlag     = flag.Int64("calibrate", 2_000_000, "instructions for the engine calibration run (0 disables)")
 		backendsFlag  = flag.String("backends", "", "comma-separated simd worker URLs; dispatch shards remotely instead of running locally")
 		coordFlag     = flag.String("coordinator", "", "simd coordinator URL; submit the sweep asynchronously to its /v1/sweeps API and poll for the result")
 		tenantFlag    = flag.String("tenant", "bench", "tenant name submitted with -coordinator sweeps")
@@ -153,21 +130,10 @@ func main() {
 		hedgeFlag     = flag.Bool("hedge", false, "with -backends, duplicate straggling shards onto a second healthy worker after a latency-derived delay; first result wins")
 		traceEntsFlag = flag.Int("trace-entries", 0, "materialized trace store for the local pool: max in-memory traces (0 disables replay; -trace-dir alone enables it with the default bound)")
 		traceDirFlag  = flag.String("trace-dir", "", "persist materialized traces under this directory (implies replay; survives restarts)")
-		replayFlag    = flag.Bool("replay-bench", false, "run the replay-vs-generate benchmark instead of a sweep: a 9-configuration multi-observer grid timed three ways, emitted as a replay-bench/v1 snapshot")
-		repsFlag      = flag.Int("reps", 3, "with -replay-bench, repetitions per timed pass; walls report the minimum")
 		outFlag       = flag.String("out", "", "write the JSON report to this file (default stdout)")
 	)
 	flag.Parse()
-	var err error
-	if *replayFlag {
-		if *backendsFlag != "" || *coordFlag != "" {
-			err = fmt.Errorf("-replay-bench runs locally: the trace store is a per-process tier, so -backends/-coordinator would measure the wrong process")
-		} else {
-			err = runReplayBench(*workloadsFlag, *seedsFlag, *instsFlag, *workersFlag, *repsFlag, *traceEntsFlag, *traceDirFlag, *outFlag)
-		}
-	} else {
-		err = run(*workloadsFlag, *synthFlag, *seedsFlag, *instsFlag, *workersFlag, *calibFlag, *backendsFlag, *coordFlag, *tenantFlag, *partialFlag, *hedgeFlag, *traceEntsFlag, *traceDirFlag, *outFlag)
-	}
+	err := run(*workloadsFlag, *synthFlag, *seedsFlag, *instsFlag, *workersFlag, *backendsFlag, *coordFlag, *tenantFlag, *partialFlag, *hedgeFlag, *traceEntsFlag, *traceDirFlag, *outFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rebalance-bench:", err)
 		os.Exit(1)
@@ -194,7 +160,7 @@ func parseWorkloads(csv string) ([]string, error) {
 	return names, nil
 }
 
-func run(workloadsCSV, synthCSV string, seeds int, insts int64, workers int, calibInsts int64, backendsCSV, coordinator, tenant string, allowPartial, hedge bool, traceEntries int, traceDir, out string) error {
+func run(workloadsCSV, synthCSV string, seeds int, insts int64, workers int, backendsCSV, coordinator, tenant string, allowPartial, hedge bool, traceEntries int, traceDir, out string) error {
 	if seeds < 1 || insts < 1 || workers < 1 {
 		return fmt.Errorf("seeds, insts, and workers must be positive")
 	}
@@ -287,23 +253,6 @@ func run(workloadsCSV, synthCSV string, seeds int, insts int64, workers int, cal
 	if err != nil {
 		return err
 	}
-	if calibInsts > 0 {
-		var c *trace.Compiled
-		if len(names) > 0 {
-			c, err = sess.Compiled(names[0])
-		} else {
-			c, err = sess.CompiledSynth(&synthSets[0])
-		}
-		if err != nil {
-			return err
-		}
-		cal, err := calibrate(c, calibInsts)
-		if err != nil {
-			return err
-		}
-		rep.Calibration = cal
-	}
-
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -429,66 +378,4 @@ func buildReport(simRep *sim.Report, dispatched bool) (*report, error) {
 		rep.PerWorkerMInstsPS = rep.SweepMInstsPS / float64(rep.Workers)
 	}
 	return rep, nil
-}
-
-// calibrate measures the three engine configurations — reference tree-walk,
-// compiled serial-batch, compiled with the parallelized nine-predictor
-// simulation — over the same workload, seed, and instruction budget.
-func calibrate(c *trace.Compiled, insts int64) (*calibration, error) {
-	nine := func() *bpred.Sim { return bpred.NewSim(bpred.StandardConfigs()...) }
-
-	refSim := nine()
-	refExec := trace.NewExecutor(c.Program(), 1)
-	refExec.Attach(refSim)
-	refStart := time.Now()
-	if err := refExec.RunReference(insts); err != nil {
-		return nil, err
-	}
-	refElapsed := time.Since(refStart)
-	refInsts := refExec.Emitted()
-
-	serSim := nine()
-	serExec := trace.NewCompiledExecutor(c, 1)
-	serExec.Attach(serSim)
-	serStart := time.Now()
-	if err := serExec.Run(insts); err != nil {
-		return nil, err
-	}
-	serElapsed := time.Since(serStart)
-	serInsts := serExec.Emitted()
-
-	parSim := nine().Parallelize()
-	defer parSim.Close()
-	parExec := trace.NewCompiledExecutor(c, 1)
-	parExec.Attach(parSim)
-	parStart := time.Now()
-	if err := parExec.Run(insts); err != nil {
-		return nil, err
-	}
-	parSim.Results() // include draining the final round
-	parElapsed := time.Since(parStart)
-	parInsts := parExec.Emitted()
-
-	cal := &calibration{
-		Insts:                insts,
-		PredictorsPerShard:   bpred.NumStandardConfigs(),
-		CalibrationWorkload:  c.Program().Name,
-		ReferenceElapsedNS:   refElapsed.Nanoseconds(),
-		CompiledElapsedNS:    serElapsed.Nanoseconds(),
-		CompiledParElapsedNS: parElapsed.Nanoseconds(),
-	}
-	if refElapsed > 0 {
-		cal.ReferenceMInstsPS = float64(refInsts) / refElapsed.Seconds() / 1e6
-	}
-	if serElapsed > 0 {
-		cal.CompiledMInstsPS = float64(serInsts) / serElapsed.Seconds() / 1e6
-	}
-	if parElapsed > 0 {
-		cal.CompiledParMInstsPS = float64(parInsts) / parElapsed.Seconds() / 1e6
-	}
-	if cal.ReferenceMInstsPS > 0 {
-		cal.Speedup = cal.CompiledMInstsPS / cal.ReferenceMInstsPS
-		cal.SpeedupParallel = cal.CompiledParMInstsPS / cal.ReferenceMInstsPS
-	}
-	return cal, nil
 }

@@ -41,8 +41,8 @@ func TestParseWorkloads(t *testing.T) {
 }
 
 // TestReportGolden pins the rebalance-bench/v1 JSON schema built on the
-// sim layer, so drift breaks CI instead of silently corrupting
-// BENCH_*.json trajectories. Regenerate with -update after a deliberate
+// sim layer, so drift breaks CI instead of silently corrupting what the
+// CI smokes compare. Regenerate with -update after a deliberate
 // change.
 func TestReportGolden(t *testing.T) {
 	sess := sim.NewSession(2)
@@ -151,10 +151,10 @@ func TestBackendsDispatchMatchesLocal(t *testing.T) {
 	dir := t.TempDir()
 	localOut := filepath.Join(dir, "local.json")
 	remoteOut := filepath.Join(dir, "remote.json")
-	if err := run("comd-lite", "", 2, 20_000, 2, 0, "", "", "bench", false, false, 0, "", localOut); err != nil {
+	if err := run("comd-lite", "", 2, 20_000, 2, "", "", "bench", false, false, 0, "", localOut); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("comd-lite", "", 2, 20_000, 2, 0, w1.URL+","+w2.URL, "", "bench", false, false, 0, "", remoteOut); err != nil {
+	if err := run("comd-lite", "", 2, 20_000, 2, w1.URL+","+w2.URL, "", "bench", false, false, 0, "", remoteOut); err != nil {
 		t.Fatal(err)
 	}
 	local, remote := normalize(localOut), normalize(remoteOut)
@@ -309,13 +309,13 @@ func TestSynthSweepDispatchedAndDeterministic(t *testing.T) {
 		"cold2":      filepath.Join(dir, "cold2.json"),
 		"dispatched": filepath.Join(dir, "dispatched.json"),
 	}
-	if err := run("", grid, 2, 20_000, 2, 0, "", "", "bench", false, false, 0, "", paths["cold1"]); err != nil {
+	if err := run("", grid, 2, 20_000, 2, "", "", "bench", false, false, 0, "", paths["cold1"]); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", grid, 2, 20_000, 2, 0, "", "", "bench", false, false, 0, "", paths["cold2"]); err != nil {
+	if err := run("", grid, 2, 20_000, 2, "", "", "bench", false, false, 0, "", paths["cold2"]); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", grid, 2, 20_000, 2, 0, w1.URL+","+w2.URL, "", "bench", false, false, 0, "", paths["dispatched"]); err != nil {
+	if err := run("", grid, 2, 20_000, 2, w1.URL+","+w2.URL, "", "bench", false, false, 0, "", paths["dispatched"]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -376,7 +376,7 @@ func TestAllowPartialDegradedSweep(t *testing.T) {
 
 	dir := t.TempDir()
 	out := filepath.Join(dir, "partial.json")
-	if err := run("comd-lite", "", 2, 20_000, 2, 0, backends, "", "bench", true, false, 0, "", out); err != nil {
+	if err := run("comd-lite", "", 2, 20_000, 2, backends, "", "bench", true, false, 0, "", out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -413,13 +413,13 @@ func TestAllowPartialDegradedSweep(t *testing.T) {
 	}
 
 	// All-or-nothing remains the default contract.
-	if err := run("comd-lite", "", 2, 20_000, 2, 0, backends, "", "bench", false, false, 0, "", filepath.Join(dir, "strict.json")); err == nil {
+	if err := run("comd-lite", "", 2, 20_000, 2, backends, "", "bench", false, false, 0, "", filepath.Join(dir, "strict.json")); err == nil {
 		t.Fatal("sweep with a permanently failing cell succeeded without -allow-partial")
 	}
 }
 
 func TestHedgeNeedsBackends(t *testing.T) {
-	err := run("comd-lite", "", 1, 1000, 1, 0, "", "", "bench", false, true, 0, "", filepath.Join(t.TempDir(), "x.json"))
+	err := run("comd-lite", "", 1, 1000, 1, "", "", "bench", false, true, 0, "", filepath.Join(t.TempDir(), "x.json"))
 	if err == nil || !strings.Contains(err.Error(), "-backends") {
 		t.Fatalf("run with -hedge and no -backends = %v, want refusal", err)
 	}

@@ -27,24 +27,33 @@ func cachedServer(t *testing.T, worker bool) (*httptest.Server, *shardcache.Cach
 	return srv, cache
 }
 
+// cacheStatsResp is the "cache" block of GET /v1/stats.
 type cacheStatsResp struct {
 	Enabled bool             `json:"enabled"`
 	Stats   shardcache.Stats `json:"stats"`
 }
 
+// getCacheStats fetches /v1/stats and returns its shard-cache block.
+func getCacheStats(t *testing.T, srv *httptest.Server) cacheStatsResp {
+	t.Helper()
+	var got struct {
+		Cache cacheStatsResp `json:"cache"`
+	}
+	getJSON(t, srv.URL+"/v1/stats", &got)
+	return got.Cache
+}
+
 func TestCacheStatsDisabled(t *testing.T) {
 	srv := testServer(t) // no cache configured
-	var got cacheStatsResp
-	getJSON(t, srv.URL+"/v1/cache/stats", &got)
-	if got.Enabled {
+	if got := getCacheStats(t, srv); got.Enabled {
 		t.Errorf("cache reported enabled on a cacheless session: %+v", got)
 	}
 }
 
 // TestWorkerShardCacheWarmPass drives the worker protocol twice with one
 // shard spec: the second response must be served from the cache (marked
-// "cached", byte-identical result) and /v1/cache/stats must account for
-// the hit — the exact loop the CI cache smoke runs across processes.
+// "cached", byte-identical result) and /v1/stats must account for the
+// hit — the exact loop the CI cache smoke runs across processes.
 func TestWorkerShardCacheWarmPass(t *testing.T) {
 	srv, _ := cachedServer(t, true)
 	spec := `{"workload":"comd-lite","seed":3,"insts":20000,"observer":{"kind":"bbl"}}`
@@ -77,8 +86,7 @@ func TestWorkerShardCacheWarmPass(t *testing.T) {
 		t.Errorf("cached result differs from cold result:\ncold: %s\nwarm: %s", cold["result"], warm["result"])
 	}
 
-	var stats cacheStatsResp
-	getJSON(t, srv.URL+"/v1/cache/stats", &stats)
+	stats := getCacheStats(t, srv)
 	if !stats.Enabled {
 		t.Fatal("cache stats report disabled")
 	}

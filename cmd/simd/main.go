@@ -37,12 +37,11 @@
 //	GET    /v1/sweeps/{id}/result  the final report; 409 until the sweep is terminal (coordinator mode only)
 //	DELETE /v1/sweeps/{id}      cancel a queued or running sweep (coordinator mode only)
 //	POST   /v1/shards           execute one ShardSpec, respond with the shard record
-//	GET    /v1/stats            unified counters: shard cache, dispatcher, sweep queues
+//	GET    /v1/stats            unified counters: shard cache, trace store, dispatcher, sweep queues
 //	GET    /v1/workloads        enumerate the workload registry
 //	GET    /v1/predictors       enumerate the predictor-config registry with costs
 //	GET    /v1/observers        enumerate the observer-kind registry
 //	GET    /v1/synth            the synth/v1 parameter grammar version and canonical defaults
-//	GET    /v1/cache/stats      shard result cache counters (hits/misses/evictions/bytes)
 //	GET    /healthz             liveness probe
 //
 // Every 4xx/5xx response carries the same JSON envelope:
@@ -105,6 +104,7 @@ import (
 	"rebalance/internal/sim/dispatch"
 	"rebalance/internal/sim/shardcache"
 	"rebalance/internal/sim/sweep"
+	"rebalance/internal/tiercache"
 	"rebalance/internal/trace/replay"
 	"rebalance/internal/wire"
 	"rebalance/internal/workload"
@@ -263,11 +263,8 @@ type serverConfig struct {
 func newServer(cfg serverConfig) http.Handler {
 	sess := cfg.sess
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/cache/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, cacheSection(sess))
-	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		out := map[string]any{"cache": cacheSection(sess), "traces": traceSection(sess)}
+		out := map[string]any{"cache": statsSection(sess.Cache()), "traces": statsSection(sess.TraceStore())}
 		if cfg.dispatcher != nil {
 			out["dispatch"] = cfg.dispatcher.Stats()
 		}
@@ -350,25 +347,15 @@ func newServer(cfg serverConfig) http.Handler {
 	return envelope(mux)
 }
 
-// cacheSection is the shard-cache stats block /v1/cache/stats serves and
-// /v1/stats embeds.
-func cacheSection(sess *sim.Session) map[string]any {
-	cache := sess.Cache()
-	if cache == nil {
-		return map[string]any{"enabled": false, "stats": shardcache.Stats{}}
+// statsSection is one tiered cache's block of /v1/stats — the shard result
+// cache ("cache") or the materialized-trace store ("traces"): whether the
+// tier is configured, and its hit/miss/eviction counters and resident
+// bytes, the gauges the CI smokes cross-check against shard counts.
+func statsSection[V any](c *tiercache.Cache[V]) map[string]any {
+	if c == nil {
+		return map[string]any{"enabled": false, "stats": tiercache.Stats{}}
 	}
-	return map[string]any{"enabled": true, "stats": cache.Stats()}
-}
-
-// traceSection is the materialized-trace-store stats block /v1/stats
-// embeds: generation hit/miss counters and resident bytes, the gauges the
-// replay CI smoke cross-checks against shard counts.
-func traceSection(sess *sim.Session) map[string]any {
-	traces := sess.TraceStore()
-	if traces == nil {
-		return map[string]any{"enabled": false, "stats": replay.Stats{}}
-	}
-	return map[string]any{"enabled": true, "stats": traces.Stats()}
+	return map[string]any{"enabled": true, "stats": c.Stats()}
 }
 
 // sweepView is the GET /v1/sweeps/{id} body: the status snapshot plus the

@@ -73,3 +73,11 @@ func TestMergecontract(t *testing.T) {
 func TestCtxpoll(t *testing.T) {
 	runFixture(t, checks.Ctxpoll, "ctxpoll", "rebalance/internal/sim/dispatch")
 }
+
+// TestCtxpollTiercachePackage pins the tiered cache's enrolment: its
+// singleflight re-entry loop is the one infinite loop in the package, and
+// a follower that never looked at its context would wait out a leader it
+// no longer cares about.
+func TestCtxpollTiercachePackage(t *testing.T) {
+	runFixture(t, checks.Ctxpoll, "ctxpoll_tiercache", "rebalance/internal/tiercache")
+}

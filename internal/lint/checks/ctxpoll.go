@@ -7,14 +7,16 @@ import (
 )
 
 // ctxpollUnder are the subtrees whose loops sit on the cancellation
-// path: the executor, the whole sim stack (session, dispatch, sweep,
-// shardcache), and the binaries that drive them. The contract since
-// PR 3 is that cancelling a run's context aborts it in ~100ms; an
-// unbounded loop that never observes a context breaks that bound for
-// every caller above it.
+// path: the executor, the whole sim stack (session, dispatch, sweep),
+// the tiered cache both of its stores instantiate (a singleflight
+// follower waits in Lead's re-entry loop), and the binaries that drive
+// them. The contract since PR 3 is that cancelling a run's context
+// aborts it in ~100ms; an unbounded loop that never observes a context
+// breaks that bound for every caller above it.
 var ctxpollUnder = []string{
 	module + "/internal/trace",
 	module + "/internal/sim",
+	module + "/internal/tiercache",
 	module + "/cmd",
 }
 

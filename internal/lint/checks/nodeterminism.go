@@ -9,8 +9,10 @@ import (
 
 // deterministicExact are packages whose outputs feed goldens, cache
 // keys, or wire artifacts and must be bit-reproducible (matched
-// exactly: internal/sim's subpackages — dispatch, sweep, shardcache —
-// are timing-driven by design and exempt).
+// exactly: internal/sim's subpackages dispatch and sweep are
+// timing-driven by design and exempt; shardcache is a bare
+// instantiation of tiercache, which is listed — its disk entries are
+// artifacts later runs replay).
 var deterministicExact = []string{
 	module + "/internal/trace",
 	module + "/internal/trace/replay",
@@ -23,6 +25,7 @@ var deterministicExact = []string{
 	module + "/internal/btb",
 	module + "/internal/icache",
 	module + "/internal/sim",
+	module + "/internal/tiercache",
 }
 
 // deterministicUnder are subtree roots that are determinism-critical

@@ -9,7 +9,7 @@ import (
 )
 
 // benchSweepSpec is a scaled-down multi-observer sweep in the shape of the
-// -replay-bench grid: nine observer configurations over every (workload,
+// bench harness's mixed9 grid: nine observer configurations over every (workload,
 // seed) coordinate, so each coordinate's stream is consumed nine times and
 // the generate-versus-replay difference is what a real mixed sweep sees.
 func benchSweepSpec(insts int64) *Spec {

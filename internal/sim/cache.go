@@ -7,7 +7,7 @@ import (
 	"fmt"
 
 	"rebalance/internal/sim/shardcache"
-	"rebalance/internal/trace"
+	"rebalance/internal/trace/replay"
 )
 
 // cacheKeyVersion prefixes every canonical shard key. Bump it whenever
@@ -78,7 +78,7 @@ func ShardCacheKey(sp ShardSpec, cfg ObserverConfig) string {
 // and single RunShard calls alike — through the given result cache: a
 // shard whose canonical key is cached is served from the stored wire
 // record instead of recomputed, and concurrent identical shards are
-// deduplicated to one compute (shardcache.Do). A nil c (the default)
+// deduplicated to one compute (see ResolveShard). A nil c (the default)
 // disables caching. Set before the first Run; the field is not
 // synchronized against concurrent Runs.
 func (s *Session) SetCache(c *shardcache.Cache) { s.cache = c }
@@ -86,61 +86,64 @@ func (s *Session) SetCache(c *shardcache.Cache) { s.cache = c }
 // Cache returns the session's result cache, or nil.
 func (s *Session) Cache() *shardcache.Cache { return s.cache }
 
-// cachedShard executes one shard through the session's cache. The cache
-// stores the shard's encoded wire record; a hit decodes it back through
-// the same DecodeShard path remote results take, so a cached shard is
-// bit-identical (up to timing fields and the Cached mark) to a cold one.
-// The leader of a cold compute returns its in-process result directly.
-func (s *Session) cachedShard(ctx context.Context, c *trace.Compiled, job *shardJob, norm *Spec) (Shard, error) {
-	if s.cache == nil {
-		return s.execShard(ctx, c, job, norm)
-	}
-	spec := ShardSpec{
-		Workload: job.workload,
-		Synth:    job.synth,
-		Seed:     job.seed,
-		Insts:    norm.Insts,
-		Engine:   norm.Engine,
-		Observer: job.cfg.Spec(),
-	}
-	key := ShardCacheKey(spec, job.cfg)
-	// A cached record that no longer decodes (e.g. an entry written by an
-	// incompatible build) must degrade to a recompute, never fail the run:
-	// drop the entry and go through Do again, so the recompute keeps the
-	// singleflight dedup and repopulates the cache. A second decode
-	// failure means the cache is being poisoned faster than we can clear
-	// it (a shared disk dir and a writer on different semantics) — compute
-	// directly and leave the cache out of it.
-	for attempt := 0; ; attempt++ {
-		var computed *Shard
-		data, hit, err := s.cache.Do(ctx, key, func() ([]byte, error) {
-			sh, err := s.execShard(ctx, c, job, norm)
-			if err != nil {
-				return nil, err
-			}
-			computed = &sh
-			return EncodeShard(sh)
-		})
+// SetTraceStore routes every shard this session computes through the
+// given materialized-trace store: the first group of a (workload, seed,
+// insts) coordinate generates the instruction stream once and records it;
+// every other shard of the coordinate — other observers, other engines,
+// concurrent or later — replays the recorded buffer instead of
+// regenerating it (see Session.stream for why the two are bit-identical).
+// A nil st (the default) disables replay. Set before the first Run; the
+// field is not synchronized against concurrent Runs.
+//
+// The trace store composes with the shard result cache (SetCache): the
+// result cache short-circuits whole shards, and only the shards it misses
+// reach the trace store. A multi-observer sweep with both warm costs no
+// generation at all.
+func (s *Session) SetTraceStore(st *replay.Store) { s.traces = st }
+
+// TraceStore returns the session's materialized-trace store, or nil.
+func (s *Session) TraceStore() *replay.Store { return s.traces }
+
+// ResolveShard is the result-cache protocol, the one copy the session's
+// group executor and the dispatcher share. It serves the shard stored
+// under key (hit; decoded through the same DecodeShard path remote results
+// take, so a cached shard is bit-identical, up to timing fields and the
+// Cached mark, to a cold one) or elects the caller to compute it, handing
+// back land, which the caller must call exactly once with the outcome: a
+// computed shard is written back as its canonical cold record (Cached
+// stripped, so stored bytes are identical whichever tier produced them),
+// a failure releases the key. Concurrent callers for one key are
+// deduplicated to one compute (the cache's singleflight), the followers
+// served as hits; err is only ever the follower's own cancelled context.
+//
+// A stored record that no longer decodes (e.g. written by an incompatible
+// build) must degrade to a recompute, never fail the run: the entry is
+// dropped and the key re-entered. A second decode failure means the cache
+// is being poisoned faster than it can be cleared (a shared disk dir and a
+// writer on different semantics) — the caller then computes with the cache
+// left out of it. An encoding failure leaves the cache unpopulated; the
+// computed shard is still good.
+func ResolveShard(ctx context.Context, cache *shardcache.Cache, key string, spec ShardSpec, cfg ObserverConfig) (sh Shard, hit bool, land func(Shard, error), err error) {
+	for attempt := 0; attempt < 2; attempt++ {
+		data, hit, finish, err := cache.Lead(ctx, key)
 		if err != nil {
-			if computed != nil {
-				// The simulation succeeded; only encoding for the cache
-				// failed. The shard is still good — serve it and leave the
-				// cache unpopulated.
-				return *computed, nil
-			}
-			return Shard{}, err
+			return Shard{}, false, nil, err
 		}
-		if computed != nil {
-			return *computed, nil
+		if !hit {
+			return Shard{}, false, func(sh Shard, err error) {
+				var data []byte
+				if err == nil {
+					sh.Cached = false
+					data, err = EncodeShard(sh)
+				}
+				finish(data, err)
+			}, nil
 		}
-		sh, err := DecodeShard(data, spec, job.cfg)
-		if err == nil {
-			sh.Cached = hit
-			return sh, nil
+		if sh, err := DecodeShard(data, spec, cfg); err == nil {
+			sh.Cached = true
+			return sh, true, nil, nil
 		}
-		s.cache.Remove(key)
-		if attempt > 0 {
-			return s.execShard(ctx, c, job, norm)
-		}
+		cache.Remove(key)
 	}
+	return Shard{}, false, func(Shard, error) {}, nil
 }

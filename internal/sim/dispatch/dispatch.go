@@ -109,8 +109,9 @@ type Options struct {
 	// Cache, when non-nil, is consulted by content address before a shard
 	// spends a backend slot, and results fetched from backends are written
 	// back — so a coordinator re-running overlapping grids stops re-paying
-	// workers for shards it has already seen. Cached shards are returned
-	// with Cached set. Sharing one cache between the Dispatcher and a
+	// workers for shards it has already seen, and concurrent sweeps asking
+	// for one shard share a single fetch. Cached shards are returned with
+	// Cached set. Sharing one cache between the Dispatcher and a
 	// LocalBackend's session is safe for correctness (writes are
 	// idempotent for a key), but each layer counts its own lookups, so a
 	// cold shard then records a miss at both; give the layers separate
@@ -334,33 +335,36 @@ func (d *Dispatcher) attemptTimeout(spec sim.ShardSpec) time.Duration {
 	}
 }
 
-// runOne executes one shard with the per-shard retry/failover policy,
-// returning the backend attempts consumed alongside the outcome. A
-// dispatcher-wide slot is held only while a backend call is in flight —
-// never across a backoff sleep — so one shard retrying against a flaky
-// backend cannot stall others that could run on healthy idle backends.
-// With a cache configured, the shard's content address is consulted
-// before any slot is taken, and a fetched result is written back.
+// runOne executes one shard, returning the backend attempts consumed
+// alongside the outcome. With a cache configured, the shard's content
+// address is resolved first (sim.ResolveShard) — a hit costs no slot and no
+// attempt — and a fetched result is written back. Only the winning result
+// of a hedged attempt reaches the write-back, so a hedge never writes
+// twice.
 func (d *Dispatcher) runOne(ctx context.Context, spec sim.ShardSpec) (sim.Shard, int, error) {
-	var cacheKey string
-	if d.opts.Cache != nil {
-		cfg, err := spec.Config()
-		if err != nil {
-			// The spec is unrunnable on any backend; same no-retry exit the
-			// attempt loop would take.
-			return sim.Shard{}, 0, err
-		}
-		cacheKey = sim.ShardCacheKey(spec, cfg)
-		if data, ok := d.opts.Cache.Get(cacheKey); ok {
-			if sh, err := sim.DecodeShard(data, spec, cfg); err == nil {
-				sh.Cached = true
-				return sh, 0, nil
-			}
-			// The stored record no longer decodes; drop it and fall through
-			// to a real backend attempt.
-			d.opts.Cache.Remove(cacheKey)
-		}
+	if d.opts.Cache == nil {
+		return d.runAttempts(ctx, spec)
 	}
+	cfg, err := spec.Config()
+	if err != nil {
+		// The spec is unrunnable on any backend; same no-retry exit the
+		// attempt loop would take.
+		return sim.Shard{}, 0, err
+	}
+	sh, hit, land, err := sim.ResolveShard(ctx, d.opts.Cache, sim.ShardCacheKey(spec, cfg), spec, cfg)
+	if err != nil || hit {
+		return sh, 0, err
+	}
+	sh, attempts, err := d.runAttempts(ctx, spec)
+	land(sh, err)
+	return sh, attempts, err
+}
+
+// runAttempts is the per-shard retry/failover policy. A dispatcher-wide
+// slot is held only while a backend call is in flight — never across a
+// backoff sleep — so one shard retrying against a flaky backend cannot
+// stall others that could run on healthy idle backends.
+func (d *Dispatcher) runAttempts(ctx context.Context, spec sim.ShardSpec) (sim.Shard, int, error) {
 	var lastErr error
 	var lastBackend *backendState
 	for attempt := 0; attempt < d.opts.Attempts; attempt++ {
@@ -380,18 +384,6 @@ func (d *Dispatcher) runOne(ctx context.Context, spec sim.ShardSpec) (sim.Shard,
 		}
 		sh, bs, err := d.raceAttempt(ctx, spec, lastBackend)
 		if err == nil {
-			if d.opts.Cache != nil {
-				// Write back the canonical cold record: strip the serving
-				// backend's own cache mark so stored bytes are identical
-				// whichever tier produced them. Only the winning result of
-				// a hedged attempt reaches this point, so a hedge never
-				// writes twice.
-				cold := sh
-				cold.Cached = false
-				if enc, err := sim.EncodeShard(cold); err == nil {
-					d.opts.Cache.Put(cacheKey, enc)
-				}
-			}
 			return sh, attempt + 1, nil
 		}
 		if ctx.Err() != nil {

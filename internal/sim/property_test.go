@@ -95,7 +95,7 @@ func TestResultProperties(t *testing.T) {
 			decoded := make([]Result, len(seeds))
 			for i, seed := range seeds {
 				job := shardJob{workload: "comd-lite", cfg: cfg, seed: seed}
-				sh, err := runShard(context.Background(), c, &job, spec)
+				sh, err := sess.runJob(context.Background(), c, &job, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestMergeRejectsMismatchedResults(t *testing.T) {
 	results := make([]Result, len(configs))
 	for i, cfg := range configs {
 		job := shardJob{workload: "comd-lite", cfg: cfg, seed: 5}
-		sh, err := runShard(context.Background(), c, &job, spec)
+		sh, err := sess.runJob(context.Background(), c, &job, spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rebalance/internal/sim/shardcache"
+	"rebalance/internal/trace"
 	"rebalance/internal/trace/replay"
 	"rebalance/internal/workload/synth"
 )
@@ -77,11 +78,11 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 	// engine.
 	traces := map[string]*replay.Trace{}
 	for _, engine := range []string{EngineCompiled, EngineReference} {
-		tr, err := recordTrace(ctx, c, seed, &Spec{Insts: insts, Engine: engine})
-		if err != nil {
+		rec := replay.NewRecorder()
+		if _, err := generate(ctx, c, seed, &Spec{Insts: insts, Engine: engine}, []trace.Observer{rec}); err != nil {
 			t.Fatal(err)
 		}
-		traces[engine] = tr
+		traces[engine] = rec.Trace()
 	}
 	if !bytes.Equal(replay.Encode(traces[EngineCompiled]), replay.Encode(traces[EngineReference])) {
 		t.Fatal("recorded streams differ between engines; the engine-free trace key is unsound")
@@ -92,7 +93,7 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 		for _, cfg := range cfgs {
 			t.Run(engine+"/"+cfg.Key(), func(t *testing.T) {
 				job := &shardJob{workload: "comd-lite", cfg: cfg, seed: seed}
-				generated, err := runShard(ctx, c, job, norm)
+				generated, err := sess.runJob(ctx, c, job, norm)
 				if err != nil {
 					t.Fatal(err)
 				}

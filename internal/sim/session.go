@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -131,15 +130,6 @@ func (s *Session) compile(key string, isSynth bool, build func() (*program.Progr
 	return e.c, e.err
 }
 
-// shardJob is one unit of the {workload x observer-config x seed} grid.
-// synth is non-nil (and canonical) for inline synthetic workloads.
-type shardJob struct {
-	workload string
-	synth    *synth.Params
-	cfg      ObserverConfig
-	seed     uint64
-}
-
 // Run validates and executes the spec, returning the sim/v1 report. Shard
 // order in the report is deterministic (workload-major, then observer
 // configuration, then seed) regardless of scheduling. The context is
@@ -198,10 +188,17 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	start := time.Now() //repolint:allow nodeterminism Report.WallNS wall-clock timing field, excluded from goldens
 	var shards []Shard
 	var failures []ShardFailure
+	// Workers reports the local pool concurrency, which the plan bounds (a
+	// trace store folds the grid into one unit per coordinate); a
+	// dispatched run's concurrency belongs to the runner, so the field is
+	// 0 there rather than a fabricated figure.
+	workers := 0
 	if s.runner != nil {
 		shards, failures, err = s.runDispatched(ctx, norm, jobs)
 	} else {
-		shards, failures, err = s.runLocal(ctx, norm, jobs, compiled)
+		groups := s.plan(jobs)
+		workers = min(s.workers, len(groups))
+		shards, failures, err = s.runLocal(ctx, norm, jobs, groups, workers, compiled)
 	}
 	if err != nil {
 		return nil, err
@@ -216,13 +213,6 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 		failed[f.Index] = true
 	}
 
-	// Workers reports the local pool concurrency; a dispatched run's
-	// concurrency belongs to the runner, so the field is 0 there rather
-	// than a fabricated figure.
-	workers := min(s.workers, len(jobs))
-	if s.runner != nil {
-		workers = 0
-	}
 	rep := &Report{
 		Schema:  SchemaV1,
 		Spec:    norm,
@@ -286,28 +276,31 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	return rep, nil
 }
 
-// runLocal executes the shard grid on the session's in-process worker
-// pool — the default runner. Results land index-aligned with jobs; the
-// context is polled both between shards and, at region granularity,
-// inside each executing shard, so cancellation returns promptly and the
-// session remains reusable afterwards. With AllowPartial, shard errors
-// other than cancellation degrade to ShardFailure entries instead of
-// failing the run — unless every shard failed, which stays an error.
-func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, compiled map[string]*trace.Compiled) ([]Shard, []ShardFailure, error) {
+// runLocal executes the planned shard grid on the session's in-process
+// worker pool — the default runner. Each pool worker takes one group at a
+// time; results land index-aligned with jobs. The context is polled both
+// between groups and, at region granularity, inside each executing one, so
+// cancellation returns promptly and the session remains reusable
+// afterwards. With AllowPartial, shard errors other than cancellation
+// degrade to ShardFailure entries instead of failing the run — unless
+// every shard failed, which stays an error.
+func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, groups [][]int, workers int, compiled map[string]*trace.Compiled) ([]Shard, []ShardFailure, error) {
 	shards := make([]Shard, len(jobs))
 	errs := make([]error, len(jobs))
 	next := make(chan []int)
 	var wg sync.WaitGroup
-	workers := s.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for group := range next {
-				s.runGroup(ctx, compiled, jobs, group, norm, shards, errs)
+				if err := ctx.Err(); err != nil {
+					for _, i := range group {
+						errs[i] = err
+					}
+					continue
+				}
+				s.runGroup(ctx, compiled[jobs[group[0]].workload], norm, jobs, group, shards, errs)
 				for _, i := range group {
 					// Deliver each outcome to the context's progress hook (a
 					// no-op without one); ShardDone filters cancellations.
@@ -316,45 +309,7 @@ func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, com
 			}
 		}()
 	}
-	// Scheduling granularity is a choice only — results stay index-aligned
-	// with jobs, so the report is order-independent. Without a trace store
-	// every shard is its own unit. With one, the grid is grouped by trace
-	// coordinate (workload, seed): all of a coordinate's shards become one
-	// unit that materializes the stream once and replays it through every
-	// observer in a single pass — the stream-once, observe-many schedule.
-	var feed [][]int
-	if s.traces == nil {
-		feed = make([][]int, len(jobs))
-		for i := range jobs {
-			feed[i] = []int{i}
-		}
-	} else {
-		order := make([]int, len(jobs))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			ja, jb := &jobs[order[a]], &jobs[order[b]]
-			if ja.workload != jb.workload {
-				return ja.workload < jb.workload
-			}
-			return ja.seed < jb.seed
-		})
-		for start := 0; start < len(order); {
-			lead := &jobs[order[start]]
-			end := start + 1
-			for end < len(order) {
-				j := &jobs[order[end]]
-				if j.workload != lead.workload || j.seed != lead.seed {
-					break
-				}
-				end++
-			}
-			feed = append(feed, order[start:end:end])
-			start = end
-		}
-	}
-	for _, group := range feed {
+	for _, group := range groups {
 		next <- group
 	}
 	close(next)
@@ -390,15 +345,8 @@ func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, com
 // an ordinary run failure otherwise.
 func (s *Session) runDispatched(ctx context.Context, norm *Spec, jobs []shardJob) ([]Shard, []ShardFailure, error) {
 	specs := make([]ShardSpec, len(jobs))
-	for i, job := range jobs {
-		specs[i] = ShardSpec{
-			Workload: job.workload,
-			Synth:    job.synth,
-			Seed:     job.seed,
-			Insts:    norm.Insts,
-			Engine:   norm.Engine,
-			Observer: job.cfg.Spec(),
-		}
+	for i := range jobs {
+		specs[i] = jobs[i].spec(norm)
 	}
 	shards, err := s.runner.RunShards(ctx, specs)
 	var failures []ShardFailure
@@ -435,47 +383,4 @@ func (s *Session) runDispatched(ctx context.Context, norm *Spec, jobs []shardJob
 		}
 	}
 	return shards, failures, nil
-}
-
-// runShard drives one observer configuration over one seeded stream with a
-// fresh executor and a fresh power-on observer instance, so shards are
-// order-independent and the grid is deterministic up to timing fields.
-func runShard(ctx context.Context, c *trace.Compiled, job *shardJob, spec *Spec) (Shard, error) {
-	obs := job.cfg.NewObserver(c.Program())
-	if cl, ok := obs.(interface{ Close() }); ok {
-		// Release observer-owned goroutines even when the run errors
-		// mid-stream.
-		defer cl.Close()
-	}
-	var e *trace.Executor
-	start := time.Now() //repolint:allow nodeterminism shard elapsed_ns timing field, excluded from goldens
-	var err error
-	if spec.Engine == EngineReference {
-		e = trace.NewExecutor(c.Program(), job.seed)
-	} else {
-		e = trace.NewCompiledExecutor(c, job.seed)
-	}
-	e.SetContext(ctx)
-	e.Attach(obs)
-	if spec.Engine == EngineReference {
-		err = e.RunReference(spec.Insts)
-	} else {
-		err = e.Run(spec.Insts)
-	}
-	if err != nil {
-		return Shard{}, err
-	}
-	elapsed := time.Since(start) //repolint:allow nodeterminism shard elapsed_ns timing field, excluded from goldens
-	res, err := obs.Finish()
-	if err != nil {
-		return Shard{}, err
-	}
-	return Shard{
-		Workload:  job.workload,
-		Seed:      job.seed,
-		Observer:  job.cfg.Key(),
-		Insts:     e.Emitted(),
-		ElapsedNS: elapsed.Nanoseconds(),
-		Result:    res,
-	}, nil
 }

@@ -179,6 +179,11 @@ func (s *Session) RunShard(ctx context.Context, spec ShardSpec) (Shard, error) {
 	if norm.Engine == "" {
 		norm.Engine = EngineCompiled
 	}
-	job := shardJob{workload: spec.Workload, synth: spec.Synth, cfg: cfg, seed: spec.Seed}
-	return s.cachedShard(ctx, c, &job, norm)
+	// A one-job plan: the same group executor the pool runs, with a group
+	// of one.
+	jobs := []shardJob{{workload: spec.Workload, synth: spec.Synth, cfg: cfg, seed: spec.Seed}}
+	var sh [1]Shard
+	var errs [1]error
+	s.runGroup(ctx, c, norm, jobs, []int{0}, sh[:], errs[:])
+	return sh[0], errs[0]
 }

@@ -1,94 +1,26 @@
-// Package shardcache is a content-addressed result cache for shard
-// execution. Shard results are deterministic for their canonical key (see
+// Package shardcache is the content-addressed result cache for shard
+// execution: internal/tiercache instantiated over opaque bytes. Shard
+// results are deterministic for their canonical key (see
 // sim.ShardSpec.CacheKey), self-describing, and byte-exactly
 // round-trippable over the wire contract, which is what makes caching the
 // encoded wire record safe: serving a cached entry is indistinguishable —
-// up to timing fields — from recomputing the shard.
-//
-// The cache is two-tiered. The memory tier is an LRU bounded by entry
-// count and payload bytes. The optional disk tier keeps one file per key,
-// written atomically (temp file + rename) and guarded by a content
-// checksum, so a torn or corrupted file degrades to a miss instead of
-// poisoning a run. Values are opaque bytes; the caller owns encoding and
-// decoding, so the package depends only on the standard library and sits
-// below both the sim session and the dispatch layer.
-//
-// Do provides singleflight-style in-flight deduplication: N concurrent
-// requests for one key cost exactly one compute, with the followers
-// served from the leader's result. That is the serving-shape win — a
-// characterization sweep re-requesting a hot {workload x seed x config}
-// grid does the work once per key no matter how the requests interleave.
+// up to timing fields — from recomputing the shard. The caller owns
+// encoding and decoding, so the package sits below both the sim session
+// and the dispatch layer.
 package shardcache
 
-import (
-	"container/list"
-	"context"
-	"crypto/sha256"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
+import "rebalance/internal/tiercache"
+
+// Options, Stats and Cache are the tiered cache's, fixed to encoded shard
+// records under the identity codec (tiercache.Bytes). A zero MaxEntries selects 4096 and a zero MaxBytes 256 MiB (a
+// shard record is a few KB).
+type (
+	Options = tiercache.Options
+	Stats   = tiercache.Stats
+	Cache   = tiercache.Cache[[]byte]
 )
 
-// Options tune a Cache. The zero value selects the defaults noted on each
-// field.
-type Options struct {
-	// MaxEntries bounds the memory tier's entry count (default 4096).
-	MaxEntries int
-	// MaxBytes bounds the memory tier's total payload bytes (default
-	// 256 MiB). A single value larger than the bound bypasses the memory
-	// tier but is still written to disk.
-	MaxBytes int64
-	// Dir enables the disk tier: one file per key under this directory,
-	// created if needed. Empty disables the tier. The disk tier is not
-	// size-bounded — entries are only removed when they go corrupt or a
-	// higher layer calls Remove — so point it at storage sized for the
-	// key universe being served (a shard record is a few KB).
-	Dir string
-}
-
-// Stats is a snapshot of the cache's counters. Hits counts every request
-// served without a fresh compute — memory, disk, and singleflight
-// followers alike; DiskHits is the subset promoted from the disk tier.
-type Stats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	DiskHits  int64 `json:"disk_hits"`
-}
-
-// Cache is a bounded, two-tier, singleflight-deduplicating byte cache.
-// Safe for concurrent use.
-type Cache struct {
-	opts Options
-
-	mu       sync.Mutex
-	lru      *list.List // front = most recently used; element values are *entry
-	byKey    map[string]*list.Element
-	bytes    int64
-	inflight map[string]*flight
-	stats    Stats
-}
-
-type entry struct {
-	key string
-	val []byte
-}
-
-// flight is one in-progress compute; followers block on done and read
-// val/err, which the leader sets before closing the channel.
-type flight struct {
-	done chan struct{}
-	val  []byte
-	err  error
-}
-
-// New returns a cache with the given options. The disk directory, if any,
-// is created eagerly so a misconfigured path fails at startup rather than
-// as silent per-entry write errors.
+// New returns a result cache with the given options, defaults applied.
 func New(opts Options) (*Cache, error) {
 	if opts.MaxEntries <= 0 {
 		opts.MaxEntries = 4096
@@ -96,268 +28,5 @@ func New(opts Options) (*Cache, error) {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = 256 << 20
 	}
-	if opts.Dir != "" {
-		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("shardcache: creating %s: %w", opts.Dir, err)
-		}
-		// Sweep temp files orphaned by a crash mid-write; completed
-		// entries were renamed into place and are untouched.
-		if ents, err := os.ReadDir(opts.Dir); err == nil {
-			for _, e := range ents {
-				if strings.HasSuffix(e.Name(), ".tmp") {
-					_ = os.Remove(filepath.Join(opts.Dir, e.Name()))
-				}
-			}
-		}
-	}
-	return &Cache{
-		opts:     opts,
-		lru:      list.New(),
-		byKey:    map[string]*list.Element{},
-		inflight: map[string]*flight{},
-	}, nil
-}
-
-// validKey guards the disk tier against keys that could escape Dir or
-// collide with temp files. Canonical shard keys (version prefix + hex
-// digest) always pass.
-func validKey(key string) bool {
-	return key != "" && !strings.ContainsAny(key, "/\\") && key != "." && key != ".." && !strings.HasSuffix(key, ".tmp")
-}
-
-// Get returns the cached value for key, consulting memory then disk. A
-// disk hit is promoted into the memory tier.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	if val, ok := c.memGetLocked(key); ok {
-		c.stats.Hits++
-		c.mu.Unlock()
-		return val, true
-	}
-	c.mu.Unlock()
-	if val, ok := c.readDisk(key); ok {
-		c.mu.Lock()
-		c.stats.Hits++
-		c.stats.DiskHits++
-		c.insertLocked(key, val)
-		c.mu.Unlock()
-		return val, true
-	}
-	c.mu.Lock()
-	c.stats.Misses++
-	c.mu.Unlock()
-	return nil, false
-}
-
-// Put stores a value computed elsewhere (e.g. fetched from a remote
-// worker) in both tiers. Re-putting an existing key replaces its value.
-func (c *Cache) Put(key string, val []byte) {
-	c.mu.Lock()
-	c.insertLocked(key, val)
-	c.mu.Unlock()
-	c.writeDisk(key, val)
-}
-
-// Remove drops key from both tiers — the recovery path for an entry whose
-// payload fails to decode at a higher layer.
-func (c *Cache) Remove(key string) {
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.removeLocked(el, false)
-	}
-	c.mu.Unlock()
-	if c.opts.Dir != "" && validKey(key) {
-		_ = os.Remove(filepath.Join(c.opts.Dir, key))
-	}
-}
-
-// Do returns the cached value for key, computing it at most once across
-// concurrent callers: the first caller (the leader) checks the disk tier
-// and then runs compute; followers arriving while the leader is in flight
-// block and share its result. hit reports whether the value was served
-// without running compute in this call.
-//
-// Callers stay independent: a follower waits under its own ctx and
-// returns ctx.Err() promptly when it is cancelled, and a leader's
-// failure (including its own cancelled context) is never adopted by
-// followers — they re-enter and one of them leads a fresh compute under
-// its own context. A compute error is returned only to the caller whose
-// compute it was, and nothing is cached for it.
-func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for {
-		c.mu.Lock()
-		if val, ok := c.memGetLocked(key); ok {
-			c.stats.Hits++
-			c.mu.Unlock()
-			return val, true, nil
-		}
-		if f, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-			if f.err != nil {
-				// The leader failed on its own terms — possibly its own
-				// cancelled context, which says nothing about this caller's
-				// request. Re-enter: either a newer leader's result shows
-				// up, or this caller becomes the leader itself.
-				continue
-			}
-			c.mu.Lock()
-			c.stats.Hits++
-			c.mu.Unlock()
-			return f.val, true, nil
-		}
-		f := &flight{done: make(chan struct{})}
-		c.inflight[key] = f
-		c.mu.Unlock()
-
-		val, fromDisk := c.readDisk(key)
-		if !fromDisk {
-			val, err = compute()
-		}
-
-		c.mu.Lock()
-		delete(c.inflight, key)
-		if err == nil {
-			if fromDisk {
-				c.stats.Hits++
-				c.stats.DiskHits++
-			} else {
-				c.stats.Misses++
-			}
-			c.insertLocked(key, val)
-		} else {
-			c.stats.Misses++
-		}
-		c.mu.Unlock()
-		f.val, f.err = val, err
-		close(f.done)
-		if err != nil {
-			return nil, false, err
-		}
-		if !fromDisk {
-			c.writeDisk(key, val)
-		}
-		return val, fromDisk, nil
-	}
-}
-
-// Stats returns a snapshot of the cache counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Entries = c.lru.Len()
-	s.Bytes = c.bytes
-	return s
-}
-
-// memGetLocked looks key up in the memory tier, refreshing its recency.
-func (c *Cache) memGetLocked(key string) ([]byte, bool) {
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*entry).val, true
-}
-
-// insertLocked adds or replaces key in the memory tier and evicts from
-// the cold end until the bounds hold again. An oversized value is not
-// admitted (it would evict the whole tier for one entry).
-func (c *Cache) insertLocked(key string, val []byte) {
-	if int64(len(val)) > c.opts.MaxBytes {
-		// Not admissible — and if the key is resident, its now-stale value
-		// must go too, or Get would keep serving the superseded bytes.
-		if el, ok := c.byKey[key]; ok {
-			c.removeLocked(el, false)
-		}
-		return
-	}
-	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*entry)
-		c.bytes += int64(len(val)) - int64(len(e.val))
-		e.val = val
-		c.lru.MoveToFront(el)
-	} else {
-		c.byKey[key] = c.lru.PushFront(&entry{key: key, val: val})
-		c.bytes += int64(len(val))
-	}
-	for c.lru.Len() > c.opts.MaxEntries || c.bytes > c.opts.MaxBytes {
-		oldest := c.lru.Back()
-		if oldest == nil || oldest == c.lru.Front() {
-			break
-		}
-		c.removeLocked(oldest, true)
-	}
-}
-
-func (c *Cache) removeLocked(el *list.Element, evicted bool) {
-	e := el.Value.(*entry)
-	c.lru.Remove(el)
-	delete(c.byKey, e.key)
-	c.bytes -= int64(len(e.val))
-	if evicted {
-		c.stats.Evictions++
-	}
-}
-
-// Disk tier file format: sha256(payload) followed by the payload. The
-// checksum turns any torn write, truncation, or bit rot into a miss.
-const diskSumLen = sha256.Size
-
-// readDisk loads and verifies key's file; a corrupt entry is deleted and
-// reported as a miss.
-func (c *Cache) readDisk(key string) ([]byte, bool) {
-	if c.opts.Dir == "" || !validKey(key) {
-		return nil, false
-	}
-	path := filepath.Join(c.opts.Dir, key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	if len(data) < diskSumLen {
-		_ = os.Remove(path)
-		return nil, false
-	}
-	payload := data[diskSumLen:]
-	if sha256.Sum256(payload) != [diskSumLen]byte(data[:diskSumLen]) {
-		_ = os.Remove(path)
-		return nil, false
-	}
-	return payload, true
-}
-
-// writeDisk stores key's value atomically: write a temp file in the same
-// directory, then rename over the final name, so readers only ever see a
-// complete file. Write failures are silent — the disk tier is an
-// accelerator, never a correctness dependency.
-func (c *Cache) writeDisk(key string, val []byte) {
-	if c.opts.Dir == "" || !validKey(key) {
-		return
-	}
-	tmp, err := os.CreateTemp(c.opts.Dir, key+"-*.tmp")
-	if err != nil {
-		return
-	}
-	sum := sha256.Sum256(val)
-	_, werr := tmp.Write(sum[:])
-	if werr == nil {
-		_, werr = tmp.Write(val)
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(c.opts.Dir, key)); err != nil {
-		_ = os.Remove(tmp.Name())
-	}
+	return tiercache.New[[]byte](tiercache.Bytes{}, opts)
 }

@@ -11,10 +11,10 @@
 //     "batches never mix serial and parallel sections" contract.
 //   - Recorder: a trace.Observer that captures a generation pass into a
 //     Trace.
-//   - Store: a content-addressed, two-tier (LRU memory + checksummed disk),
-//     singleflight-deduplicating cache of Traces, mirroring the shardcache
-//     design one level down: shardcache memoizes finished observer results,
-//     the trace store memoizes the stream they observe.
+//   - Store: internal/tiercache instantiated over Traces — the same
+//     two-tier, singleflight-deduplicating cache shardcache is, one level
+//     down: shardcache memoizes finished observer results, the trace store
+//     memoizes the stream they observe.
 //
 // Replaying a Trace through an observer is bit-equivalent to attaching the
 // observer to a live executor: both engines emit identical streams for a
@@ -118,8 +118,8 @@ func (r *Recorder) Trace() *Trace {
 
 // Deliver replays the trace through the given observers: per-instruction
 // Observe calls for plain observers, program-order batches of at most
-// batchSize for observers that implement trace.BatchObserver — the same
-// promotion rule as Executor.Attach. Batches are cut at phase boundaries
+// batchSize for observers that implement trace.BatchObserver — the
+// promotion rule Executor.Attach applies (trace.AsBatch). Batches are cut at phase boundaries
 // (never mixing serial and parallel instructions) and the delivered slices
 // alias the trace, so observers must not retain or mutate them — the same
 // contract live batches carry. The context is polled between batches,
@@ -134,11 +134,7 @@ func Deliver(ctx context.Context, t *Trace, batchSize int, obs ...trace.Observer
 	}
 	batched := make([]trace.BatchObserver, len(obs))
 	for i, o := range obs {
-		if bo, ok := o.(trace.BatchObserver); ok {
-			batched[i] = bo
-		} else {
-			batched[i] = perInst{o}
-		}
+		batched[i] = trace.AsBatch(o)
 	}
 	start := 0
 	for _, end := range t.runs {
@@ -160,14 +156,4 @@ func Deliver(ctx context.Context, t *Trace, batchSize int, obs ...trace.Observer
 		}
 	}
 	return nil
-}
-
-// perInst adapts a per-instruction observer to the batch interface, the
-// replay-side twin of the executor's batchAdapter.
-type perInst struct{ o trace.Observer }
-
-func (a perInst) ObserveBatch(batch []isa.Inst) {
-	for i := range batch {
-		a.o.Observe(batch[i])
-	}
 }

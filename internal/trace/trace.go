@@ -59,14 +59,15 @@ func (f ObserverFunc) ObserveBatch(batch []isa.Inst) {
 	}
 }
 
-// batchAdapter lifts a per-instruction Observer into the batch interface so
-// the compiled engine can drive observers that predate batching.
-type batchAdapter struct{ o Observer }
-
-func (a batchAdapter) ObserveBatch(batch []isa.Inst) {
-	for i := range batch {
-		a.o.Observe(batch[i])
+// AsBatch returns o's batch interface: o itself when it implements
+// BatchObserver, otherwise a per-instruction loop over o.Observe. It is the
+// one promotion rule for every delivery path — Executor.Attach and
+// replay.Deliver — so an observer sees the same calls live and replayed.
+func AsBatch(o Observer) BatchObserver {
+	if bo, ok := o.(BatchObserver); ok {
+		return bo
 	}
+	return ObserverFunc(o.Observe)
 }
 
 // BatchSize is the capacity of the executor's emission buffer. The buffer is
@@ -151,11 +152,7 @@ func NewCompiledExecutor(c *Compiled, seed uint64) *Executor {
 func (e *Executor) Attach(obs ...Observer) {
 	for _, o := range obs {
 		e.observers = append(e.observers, o)
-		if bo, ok := o.(BatchObserver); ok {
-			e.batchObs = append(e.batchObs, bo)
-		} else {
-			e.batchObs = append(e.batchObs, batchAdapter{o})
-		}
+		e.batchObs = append(e.batchObs, AsBatch(o))
 	}
 }
 
