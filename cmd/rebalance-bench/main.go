@@ -217,11 +217,7 @@ func run(workloadsCSV, synthCSV string, seeds int, insts int64, workers int, bac
 		if err != nil {
 			return err
 		}
-		d, err := dispatch.New(backends, dispatch.Options{
-			MaxInFlight:  workers,
-			AllowPartial: allowPartial,
-			Hedge:        hedge,
-		})
+		d, err := dispatch.New(backends, dispatch.Options{MaxInFlight: workers, Hedge: hedge})
 		if err != nil {
 			return err
 		}

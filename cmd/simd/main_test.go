@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"rebalance/internal/sim"
+	"rebalance/internal/sim/dispatch"
 	"rebalance/internal/sim/sweep"
 	"rebalance/internal/workload/synth"
 )
@@ -485,4 +487,116 @@ func TestRunAllowPartialRoundTrip(t *testing.T) {
 	if strings.Contains(string(raw), "failed_shards") {
 		t.Error("clean run leaks a failed_shards key")
 	}
+}
+
+// partialCoordinator stands up a coordinator whose dispatcher is built
+// exactly as main builds it for -backends, over one healthy worker and
+// one that permanently rejects every shard (400: not retried, not blamed,
+// so it keeps being picked). The healthy worker holds its first shard
+// until the rejecting one has been hit, so a grid of two or more shards
+// is guaranteed both a survivor and a casualty.
+func partialCoordinator(t *testing.T) *httptest.Server {
+	t.Helper()
+	rejected := make(chan struct{})
+	var once sync.Once
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		once.Do(func() { close(rejected) })
+		writeError(w, http.StatusBadRequest, errors.New("scripted permanent rejection"))
+	}))
+	t.Cleanup(bad.Close)
+	worker := dispatch.WorkerHandler(sim.NewSession(2), 0)
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-rejected:
+		case <-time.After(10 * time.Second):
+		}
+		worker.ServeHTTP(w, r)
+	}))
+	t.Cleanup(healthy.Close)
+
+	backends, err := dispatch.ParseBackends(healthy.URL+","+bad.URL, dispatch.DefaultClient())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dispatch.New(backends, dispatch.Options{MaxInFlight: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := sim.NewSession(2)
+	sess.SetRunner(d)
+	coord, err := sweep.New(sweep.Options{Run: sess.Run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000, coord: coord, dispatcher: d}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestDispatchedRunHonoursAllowPartial: the abort-vs-degrade policy lives
+// in the spec alone, so a coordinator dispatching to -backends degrades a
+// request that asks for it — on the synchronous and the async surface —
+// into a 200 report whose shards and failed_shards partition the grid.
+func TestDispatchedRunHonoursAllowPartial(t *testing.T) {
+	const spec = `{
+		"workloads": ["comd-lite"],
+		"seed_count": 4,
+		"insts": 20000,
+		"observers": [{"kind": "bbl"}],
+		"allow_partial": true
+	}`
+	check := func(t *testing.T, resp *http.Response) {
+		t.Helper()
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s; a dispatched run must honour the spec's allow_partial", resp.StatusCode, raw)
+		}
+		rep, err := sim.DecodeReport(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Shards) == 0 || len(rep.FailedShards) == 0 {
+			t.Fatalf("%d shards, %d failed_shards; want a degraded report with both", len(rep.Shards), len(rep.FailedShards))
+		}
+		seen := map[uint64]bool{}
+		for _, sh := range rep.Shards {
+			seen[sh.Seed] = true
+		}
+		for _, f := range rep.FailedShards {
+			if seen[f.Seed] {
+				t.Errorf("seed %d is both a shard and a failed shard", f.Seed)
+			}
+			seen[f.Seed] = true
+			if !strings.Contains(f.Error, "scripted permanent rejection") {
+				t.Errorf("failed shard %+v does not carry the worker's answer", f)
+			}
+		}
+		if len(seen) != 4 || len(rep.Shards)+len(rep.FailedShards) != 4 {
+			t.Errorf("shards + failed_shards cover seeds %v; want a partition of the 4-shard grid", seen)
+		}
+	}
+	t.Run("runs", func(t *testing.T) {
+		srv := partialCoordinator(t)
+		check(t, doReq(t, http.MethodPost, srv.URL+"/v1/runs", spec))
+	})
+	t.Run("sweeps", func(t *testing.T) {
+		srv := partialCoordinator(t)
+		resp := doReq(t, http.MethodPost, srv.URL+"/v1/sweeps?tenant=alice", spec)
+		var st struct {
+			ID string `json:"id"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: status %d, decode %v", resp.StatusCode, err)
+		}
+		resp.Body.Close()
+		if final := pollSweep(t, srv.URL, st.ID); string(final["state"]) != `"done"` {
+			t.Fatalf("sweep landed %s: %s", final["state"], final["error"])
+		}
+		check(t, doReq(t, http.MethodGet, srv.URL+"/v1/sweeps/"+st.ID+"/result", ""))
+	})
 }

@@ -387,14 +387,6 @@ var standardFactories = []func() Predictor{
 	func() Predictor { return NewWithLoop(NewTAGESmall()) },
 }
 
-// NumStandardConfigs is the number of Figure 5 predictor configurations.
-func NumStandardConfigs() int { return len(standardFactories) }
-
-// StandardConfig returns a fresh (power-on state) instance of the i-th
-// Figure 5 configuration; sweep shards use it to build only the predictor
-// they drive.
-func StandardConfig(i int) Predictor { return standardFactories[i]() }
-
 // StandardConfigs returns fresh instances of the nine Figure 5 predictor
 // configurations, in the figure's order.
 func StandardConfigs() []Predictor {

@@ -387,27 +387,3 @@ func DecodeResult(data []byte) (*Result, error) {
 		UsedSectors: w.UsedSectors, TotalSectors: w.TotalSectors,
 	}, nil
 }
-
-// StandardSizeConfigs returns the nine Figure 8 configurations:
-// {8, 16, 32}KB x {2, 4, 8}-way with 64B lines.
-func StandardSizeConfigs() []*Cache {
-	var out []*Cache
-	for _, kb := range []int{8, 16, 32} {
-		for _, ways := range []int{2, 4, 8} {
-			out = append(out, New(kb*1024, 64, ways))
-		}
-	}
-	return out
-}
-
-// StandardLineConfigs returns the nine Figure 9 configurations:
-// 16KB with {32, 64, 128}B lines x {2, 4, 8}-way.
-func StandardLineConfigs() []*Cache {
-	var out []*Cache
-	for _, lb := range []int{32, 64, 128} {
-		for _, ways := range []int{2, 4, 8} {
-			out = append(out, New(16*1024, lb, ways))
-		}
-	}
-	return out
-}

@@ -261,16 +261,11 @@ type Backend struct {
 	inj   *Injector
 }
 
-// Wrap decorates b with the injector's fault plan. When b supports cheap
-// revival probes (dispatch.Prober), the wrapper does too: probes fail
-// during flap-down windows and otherwise forward, so a flapping backend
-// is re-admitted only when its window is up.
+// Wrap decorates b with the injector's fault plan. Revival probes fail
+// during flap-down windows and otherwise forward to b, so a flapping
+// backend is re-admitted only when its window is up.
 func Wrap(b dispatch.Backend, inj *Injector) dispatch.Backend {
-	cb := &Backend{inner: b, inj: inj}
-	if p, ok := b.(dispatch.Prober); ok {
-		return &probingBackend{Backend: cb, p: p}
-	}
-	return cb
+	return &Backend{inner: b, inj: inj}
 }
 
 // Name implements dispatch.Backend, keeping the inner name so dispatcher
@@ -309,21 +304,15 @@ func (b *Backend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, 
 	return b.inner.RunShard(ctx, spec)
 }
 
-// probingBackend adds Probe forwarding to a wrapped Prober backend.
-type probingBackend struct {
-	*Backend
-	p dispatch.Prober
-}
-
-// Probe implements dispatch.Prober. It deliberately consumes no call
+// Probe implements dispatch.Backend. It deliberately consumes no call
 // index: probes fire at scheduler-dependent times, and letting them
 // advance the counter would make the shard fault plan depend on probe
 // timing.
-func (b *probingBackend) Probe(ctx context.Context) error {
+func (b *Backend) Probe(ctx context.Context) error {
 	if b.inj.flappedDown() {
 		return errors.New("chaos: backend down (flap window)")
 	}
-	return b.p.Probe(ctx)
+	return b.inner.Probe(ctx)
 }
 
 // maxChaosBody bounds the response bytes Transport buffers when mutating

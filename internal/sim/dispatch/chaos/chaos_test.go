@@ -6,17 +6,23 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rebalance/internal/sim"
-	"rebalance/internal/sim/dispatch"
 	"rebalance/internal/sim/dispatch/chaos"
 )
 
-// okBackend answers every shard; chaos wrappers supply the failures.
-type okBackend struct{ name string }
+// okBackend answers every shard and probe; chaos wrappers supply the
+// failures.
+type okBackend struct {
+	name   string
+	probes atomic.Int64
+}
 
 func (b *okBackend) Name() string { return b.name }
+
+func (b *okBackend) Probe(context.Context) error { b.probes.Add(1); return nil }
 
 func (b *okBackend) RunShard(_ context.Context, spec sim.ShardSpec) (sim.Shard, error) {
 	return sim.Shard{Workload: spec.Workload, Seed: spec.Seed, Observer: spec.Observer.Kind, Insts: spec.Insts}, nil
@@ -205,17 +211,30 @@ func TestCorruptDirDeterministic(t *testing.T) {
 	}
 }
 
-// TestWrapForwardsProber checks that wrapping preserves (only) the inner
-// backend's probe capability, and that probes fail during flap windows.
+// TestWrapForwardsProber checks that a wrapped backend's probes reach
+// the inner backend, and fail — without reaching it or consuming a call
+// index — during flap windows.
 func TestWrapForwardsProber(t *testing.T) {
-	inj, err := chaos.New(chaos.Schedule{})
+	inj, err := chaos.New(chaos.Schedule{FlapPeriod: 2}) // calls 0-1 up, 2-3 down
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := chaos.Wrap(&okBackend{name: "x"}, inj).(dispatch.Prober); ok {
-		t.Fatal("wrapping a plain backend invented a Probe method")
+	inner := &okBackend{name: "x"}
+	b := chaos.Wrap(inner, inj)
+	ctx := context.Background()
+	if err := b.Probe(ctx); err != nil || inner.probes.Load() != 1 {
+		t.Fatalf("Probe in an up window = %v after %d inner probes, want it forwarded", err, inner.probes.Load())
 	}
-	if _, ok := chaos.Wrap(dispatch.NewHTTPBackend("http://127.0.0.1:0", nil), inj).(dispatch.Prober); !ok {
-		t.Fatal("wrapping an HTTP backend lost its Probe method")
+	spec := sim.ShardSpec{Workload: "w", Seed: 1, Insts: 1, Observer: sim.ObserverSpec{Kind: "bbl"}}
+	for i := 0; i < 2; i++ {
+		if _, err := b.RunShard(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Probe(ctx); err == nil || inner.probes.Load() != 1 {
+		t.Fatalf("Probe in a down window = %v after %d inner probes, want a flap failure", err, inner.probes.Load())
+	}
+	if got := inj.Calls(); got != 2 {
+		t.Errorf("injector drew %d call indices, want 2: probes must not advance the fault plan", got)
 	}
 }

@@ -35,16 +35,12 @@ type Backend interface {
 	// Name identifies the backend in errors (e.g. "local" or the worker's
 	// base URL).
 	Name() string
-}
-
-// Prober is an optional Backend capability: a cheap liveness check that
-// costs no shard attempt. When a dead backend's revival cooldown expires,
-// the Dispatcher probes it asynchronously (one probe at a time) instead
-// of sacrificing a real shard attempt on a possibly-still-dead worker;
-// only a successful probe readmits it to scheduling. Backends without
-// Probe fall back to the single-shard probe. Probe must be safe for use
-// from a background goroutine and should answer within probeTimeout.
-type Prober interface {
+	// Probe is a cheap liveness check that costs no shard attempt. When a
+	// dead backend's revival cooldown expires, the Dispatcher probes it
+	// asynchronously (one probe at a time); only a successful probe
+	// readmits it to scheduling, so revival never spends a real shard on
+	// a possibly-still-dead worker. Probe must be safe for use from a
+	// background goroutine and should answer within probeTimeout.
 	Probe(ctx context.Context) error
 }
 
@@ -65,6 +61,9 @@ func (b *LocalBackend) Name() string { return "local" }
 func (b *LocalBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
 	return b.Sess.RunShard(ctx, spec)
 }
+
+// Probe implements Backend: this process is always up.
+func (b *LocalBackend) Probe(context.Context) error { return nil }
 
 // Options tune a Dispatcher. The zero value selects the defaults noted on
 // each field.
@@ -95,9 +94,9 @@ type Options struct {
 	// says nothing about the worker's health.
 	FailThreshold int
 	// ReviveAfter is how long a dead backend sits out before it is
-	// probed again (default 15s). Only one shard probes at a time, so a
-	// still-dead worker costs one attempt per cooldown, not a burst. A
-	// failed probe restarts the clock; a success fully revives it. This
+	// probed again (default 15s). One probe runs at a time and costs no
+	// shard, so a still-dead worker costs one health check per cooldown.
+	// A failed probe restarts the clock; a success fully revives it. This
 	// is what lets a restarted worker rejoin a long-lived coordinator.
 	ReviveAfter time.Duration
 	// AttemptTimeout bounds a single backend call, so a hung (not dead)
@@ -117,14 +116,6 @@ type Options struct {
 	// cold shard then records a miss at both; give the layers separate
 	// caches when per-layer hit rates matter.
 	Cache *shardcache.Cache
-	// AllowPartial degrades exhausted shards instead of failing the run:
-	// when a shard burns its whole attempt budget (or hits an error no
-	// backend can fix, like a worker-rejected spec), RunShards keeps
-	// executing the rest of the grid and returns the completed shards
-	// together with a *sim.PartialError enumerating the abandoned
-	// indices. The default (false) keeps the all-or-nothing contract: the
-	// first exhausted shard aborts the run. Cancellation always aborts.
-	AllowPartial bool
 	// Hedge duplicates straggling shard attempts onto a second healthy
 	// backend: when a backend call outlives the hedge delay, the same
 	// shard is issued to a different live backend, the first result wins,
@@ -132,9 +123,11 @@ type Options struct {
 	// deterministic and content-addressed — the winner is bit-identical
 	// whichever backend produced it — and hedges never double-count
 	// blame (a cancelled loser is not a backend failure) or cache writes
-	// (only the winning result is written back). A hedge takes a normal
-	// in-flight slot and is skipped when the pool is saturated, so
-	// hedging never amplifies load on an overloaded dispatcher.
+	// (only the winning result is written back). A hedge rides its
+	// primary's in-flight slot rather than taking one of its own, so a
+	// backlog cannot switch tail-cutting off; the price is load: with
+	// every primary straggling, up to 2 x MaxInFlight backend calls run
+	// at once (at most one hedge per attempt).
 	Hedge bool
 	// HedgeDelay fixes the straggler threshold; > 0 implies Hedge. When
 	// zero with Hedge set, the delay is derived from observed attempt
@@ -153,7 +146,7 @@ type Stats struct {
 	Hedges    int64
 	HedgeWins int64
 	// Probes counts asynchronous revival probes launched on dead
-	// backends that implement Prober.
+	// backends.
 	Probes int64
 }
 
@@ -190,13 +183,9 @@ type backendState struct {
 	// deadSince is when fails crossed the threshold (or the last failed
 	// revival probe); zero while live.
 	deadSince time.Time
-	// probing marks an in-flight single-shard revival probe (backends
-	// without Probe), so an expired cooldown admits exactly one shard
-	// instead of a burst.
-	probing bool
 	// asyncProbe marks an in-flight background Probe call — the
-	// single-prober invariant for Prober backends. Kept separate from
-	// probing because settle (a shard outcome) must never clear it.
+	// single-prober invariant. Only probe itself clears it; settle (a
+	// shard outcome) never does.
 	asyncProbe bool
 }
 
@@ -228,22 +217,19 @@ func New(backends []Backend, opts Options) (*Dispatcher, error) {
 	return d, nil
 }
 
-// RunShards implements sim.ShardRunner: it executes every spec and returns
-// the shards index-aligned with the input. By default the first shard to
-// exhaust its attempts (or a cancelled context) aborts the run; in-flight
-// shards are cancelled and the error is returned once every worker has
-// exited. With Options.AllowPartial, exhausted shards do not abort: the
-// rest of the grid keeps executing and RunShards returns the completed
-// shards together with a *sim.PartialError enumerating the abandoned
-// indices (their positions in the shard slice are zero-valued).
-// Cancellation aborts either way.
+// RunShards implements sim.ShardRunner: it executes every spec and
+// reports what happened, leaving the abort-vs-degrade decision to the
+// caller. It never cancels the grid itself: a shard that exhausts its
+// attempts (or hits an error no backend can fix) is abandoned, the rest
+// keep executing, and the index-aligned shards come back together with a
+// *sim.PartialError naming every abandoned index (those positions are
+// zero-valued). A caller that wants the first failure to abort cancels ctx
+// from its sim.WithShardDone hook, as a strict sim.Session does. A
+// context error wins over any failure: the grid was not run to the end.
 func (d *Dispatcher) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Shard, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	shards := make([]sim.Shard, len(specs))
 	errs := make([]error, len(specs))
 	attempts := make([]int, len(specs))
@@ -267,59 +253,41 @@ func (d *Dispatcher) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]si
 					errs[i] = ctx.Err()
 					continue
 				}
-				shards[i], attempts[i], errs[i] = d.runOne(ctx, specs[i])
+				sh, n, err := d.runOne(ctx, specs[i])
+				if err != nil && !isCancel(err) {
+					err = fmt.Errorf("dispatch: shard {%s %s seed %d}: %w",
+						specs[i].Workload, specs[i].Observer.Kind, specs[i].Seed, err)
+				}
+				shards[i], attempts[i], errs[i] = sh, n, err
 				// Deliver the outcome to the caller's progress hook (a
 				// no-op without one); sim.ShardDone filters cancellations,
-				// so an aborting run does not report skipped shards.
-				sim.ShardDone(ctx, shards[i], errs[i])
-				if errs[i] != nil && !d.opts.AllowPartial {
-					cancel() // abort the rest promptly
-				}
+				// so a cancelled run does not report skipped shards.
+				sim.ShardDone(ctx, sh, err)
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Report the most informative error: a real shard failure over the
-	// cancellations it caused.
-	var ctxErr error
 	var failures []sim.ShardFailure
 	for i, err := range errs {
-		if err == nil {
-			continue
+		switch {
+		case err == nil:
+		case isCancel(err):
+			return nil, err
+		default:
+			failures = append(failures, sim.ShardFailure{Index: i, Attempts: attempts[i], Err: err})
 		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if ctxErr == nil {
-				ctxErr = err
-			}
-			continue
-		}
-		failures = append(failures, sim.ShardFailure{
-			Index:    i,
-			Attempts: attempts[i],
-			Err: fmt.Errorf("dispatch: shard {%s %s seed %d}: %w",
-				specs[i].Workload, specs[i].Observer.Kind, specs[i].Seed, err),
-		})
-	}
-	if !d.opts.AllowPartial {
-		if len(failures) > 0 {
-			return nil, failures[0].Err
-		}
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-		return shards, nil
-	}
-	// Partial mode never self-cancels, so a context error here is the
-	// caller's cancellation — that still aborts.
-	if ctxErr != nil {
-		return nil, ctxErr
 	}
 	if len(failures) == 0 {
 		return shards, nil
 	}
-	sort.Slice(failures, func(a, b int) bool { return failures[a].Index < failures[b].Index })
 	return shards, &sim.PartialError{Failures: failures}
+}
+
+// isCancel reports whether err is a context error — a judgment on the
+// run, not on the shard or the backend that was executing it.
+func isCancel(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // attemptTimeout resolves the per-attempt deadline for a shard: the
@@ -429,10 +397,12 @@ type attemptResult struct {
 // first success wins and cancels the other call; the loser settles its
 // backend's health on its own goroutine (a hedge cancellation is never
 // blamed) and its result is discarded, so hedges never double-count blame
-// or cache writes. Each call holds its own dispatcher-wide slot, acquired
-// blocking for the primary and non-blocking for the hedge: a saturated
-// pool skips the hedge rather than adding load. Returns the backend whose
-// outcome was used (nil when none was eligible).
+// or cache writes. The primary holds a dispatcher-wide slot until it
+// returns; a hedge rides that slot rather than taking its own, so the
+// bound is "at most MaxInFlight primaries, each with at most one hedge"
+// (a cancelled loser still winding down is not counted) and a backlog
+// cannot starve hedging. Returns the backend whose outcome was used (nil
+// when none was live).
 func (d *Dispatcher) raceAttempt(ctx context.Context, spec sim.ShardSpec, avoid *backendState) (sim.Shard, *backendState, error) {
 	// Take a dispatcher-wide slot for the primary, so concurrent RunShards
 	// calls cannot multiply the in-flight bound.
@@ -441,7 +411,12 @@ func (d *Dispatcher) raceAttempt(ctx context.Context, spec sim.ShardSpec, avoid 
 	case <-ctx.Done():
 		return sim.Shard{}, nil, ctx.Err()
 	}
+	// A retry avoids the backend that just failed when any other live one
+	// exists — the failover choice; alone, retrying on it beats giving up.
 	primary := d.pick(avoid)
+	if primary == nil && avoid != nil {
+		primary = d.pick(nil)
+	}
 	if primary == nil {
 		<-d.sem
 		return sim.Shard{}, nil, fmt.Errorf("all %d backends dead", len(d.backends))
@@ -481,24 +456,16 @@ func (d *Dispatcher) raceAttempt(ctx context.Context, spec sim.ShardSpec, avoid 
 			return sim.Shard{}, res.bs, res.err
 		case <-hedgec:
 			hedgec = nil // at most one hedge per attempt
-			// A hedge needs a free slot right now and a *different* live
-			// backend — a saturated pool or a lone healthy worker means a
-			// duplicate would add load without cutting tail latency.
-			select {
-			case d.sem <- struct{}{}:
-			default:
-				continue
-			}
-			hb := d.pickLive(primary)
+			// A hedge needs a *different* live backend: duplicating a shard
+			// onto the worker already running it cuts no tail latency.
+			hb := d.pick(primary)
 			if hb == nil {
-				<-d.sem
 				continue
 			}
 			d.hedges.Add(1)
 			launched++
 			go func() {
 				sh, err := d.callOn(actx, hb, spec)
-				<-d.sem
 				resc <- attemptResult{sh: sh, bs: hb, err: err, hedge: true}
 			}()
 		}
@@ -572,45 +539,26 @@ func (d *Dispatcher) hedgeDelay() (time.Duration, bool) {
 	return delay, true
 }
 
-// eligible reports whether the backend may receive work: live, or — for
-// backends without a cheap Probe — dead long enough (ReviveAfter) that it
-// deserves a single-shard probe. Dead Prober backends are never eligible:
-// they revive only through maybeProbe's asynchronous health check, so
-// revival never sacrifices a real shard attempt. Callers hold d.mu.
-func (d *Dispatcher) eligible(bs *backendState) bool {
-	if bs.fails < d.opts.FailThreshold {
-		return true
-	}
-	if _, ok := bs.b.(Prober); ok {
-		return false
-	}
-	return !bs.probing && time.Since(bs.deadSince) >= d.opts.ReviveAfter
-}
-
-// maybeProbe launches one asynchronous revival probe on a dead Prober
-// backend whose cooldown expired. The asyncProbe flag is the single-prober
+// maybeProbe launches one asynchronous revival probe on a dead backend
+// whose cooldown expired. The asyncProbe flag is the single-prober
 // invariant: at most one probe per backend is in flight, and only probe
 // itself clears the flag — a shard settling concurrently cannot. Caller
 // holds d.mu; the probe runs on its own goroutine with its own timeout so
 // scheduling never blocks on a health check.
 func (d *Dispatcher) maybeProbe(bs *backendState) {
-	if bs.fails < d.opts.FailThreshold || bs.asyncProbe {
-		return
-	}
-	p, ok := bs.b.(Prober)
-	if !ok || time.Since(bs.deadSince) < d.opts.ReviveAfter {
+	if bs.fails < d.opts.FailThreshold || bs.asyncProbe || time.Since(bs.deadSince) < d.opts.ReviveAfter {
 		return
 	}
 	bs.asyncProbe = true
 	d.probes.Add(1)
-	go d.probe(bs, p)
+	go d.probe(bs)
 }
 
 // probe runs one revival probe to completion and applies the verdict: a
 // success fully revives the backend; a failure restarts its dead period.
-func (d *Dispatcher) probe(bs *backendState, p Prober) {
+func (d *Dispatcher) probe(bs *backendState) {
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-	err := p.Probe(ctx)
+	err := bs.b.Probe(ctx)
 	cancel()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -627,49 +575,18 @@ func (d *Dispatcher) probe(bs *backendState, p Prober) {
 	}
 }
 
-// pick selects the eligible backend with the fewest in-flight shards,
-// reserving a slot on it. A non-Prober backend whose dead period expired
-// competes like a live one, so revival probes happen even when other
-// backends are idle; dead Prober backends instead get an asynchronous
-// health check launched here. A retry avoids the backend that just failed
-// (avoid) when any other eligible backend exists — the failover choice.
-// When nothing is eligible, pick returns nil.
+// pick selects the live backend with the fewest in-flight shards other
+// than avoid, reserving a slot on it; nil when there is none. Dead
+// backends never receive work — they revive only through the asynchronous
+// health check launched here once their cooldown expires, so revival
+// never sacrifices a real shard attempt.
 func (d *Dispatcher) pick(avoid *backendState) *backendState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var best *backendState
 	for _, bs := range d.backends {
 		d.maybeProbe(bs)
-		if bs == avoid || !d.eligible(bs) {
-			continue
-		}
-		if best == nil || bs.inflight < best.inflight {
-			best = bs
-		}
-	}
-	if best == nil && avoid != nil && d.eligible(avoid) {
-		// avoid is the only option; retrying on it beats giving up.
-		best = avoid
-	}
-	if best != nil {
-		best.inflight++
-		if best.fails >= d.opts.FailThreshold {
-			best.probing = true // this shard is the revival probe
-		}
-	}
-	return best
-}
-
-// pickLive selects the least-loaded live backend other than exclude — the
-// hedge target. Unlike pick it never admits a dead backend (a hedge is a
-// tail-latency cut, not a revival probe) and never falls back to exclude:
-// duplicating a shard onto the backend already running it is pointless.
-func (d *Dispatcher) pickLive(exclude *backendState) *backendState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var best *backendState
-	for _, bs := range d.backends {
-		if bs == exclude || bs.fails >= d.opts.FailThreshold {
+		if bs == avoid || bs.fails >= d.opts.FailThreshold {
 			continue
 		}
 		if best == nil || bs.inflight < best.inflight {
@@ -690,7 +607,6 @@ func (d *Dispatcher) settle(bs *backendState, ok, blame bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	bs.inflight--
-	bs.probing = false
 	switch {
 	case ok:
 		bs.fails = 0

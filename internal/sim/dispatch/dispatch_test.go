@@ -43,6 +43,8 @@ type fakeBackend struct {
 
 func (f *fakeBackend) Name() string { return f.name }
 
+func (f *fakeBackend) Probe(context.Context) error { return nil }
+
 func (f *fakeBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
 	n := f.calls.Add(1)
 	if f.block {
@@ -245,8 +247,8 @@ func TestInvalidSpecDoesNotMarkBackendsDead(t *testing.T) {
 }
 
 // TestDeadBackendRevives: after ReviveAfter a dead backend is probed
-// again, and a successful probe fully revives it — a restarted worker
-// rejoins a long-lived coordinator.
+// (asynchronously, at the next pick), and a successful probe fully
+// revives it — a restarted worker rejoins a long-lived coordinator.
 func TestDeadBackendRevives(t *testing.T) {
 	flaky := &fakeBackend{name: "flaky", failFirst: 3} // dead after 3, healthy after restart
 	steady := &fakeBackend{name: "steady"}
@@ -271,8 +273,16 @@ func TestDeadBackendRevives(t *testing.T) {
 	if _, err := d.RunShards(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
+	// The probe's verdict lands on its own goroutine.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(d.Healthy()) != 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if healthy := d.Healthy(); len(healthy) != 2 {
 		t.Errorf("recovered backend was never revived: healthy = %v", healthy)
+	}
+	if stats := d.Stats(); stats.Probes == 0 {
+		t.Errorf("stats = %+v; revival must come from a probe", stats)
 	}
 }
 
@@ -283,14 +293,22 @@ type countingBackend struct {
 
 func (c *countingBackend) Name() string { return "counting" }
 
-func (c *countingBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
-	n := c.cur.Add(1)
+func (c *countingBackend) Probe(context.Context) error { return nil }
+
+// enterGauge counts one more call in flight and folds the new level into
+// peak; the caller decrements cur when the call ends.
+func enterGauge(cur, peak *atomic.Int64) {
+	n := cur.Add(1)
 	for {
-		p := c.peak.Load()
-		if n <= p || c.peak.CompareAndSwap(p, n) {
+		p := peak.Load()
+		if n <= p || peak.CompareAndSwap(p, n) {
 			break
 		}
 	}
+}
+
+func (c *countingBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+	enterGauge(&c.cur, &c.peak)
 	time.Sleep(5 * time.Millisecond)
 	c.cur.Add(-1)
 	return sim.Shard{Workload: spec.Workload, Seed: spec.Seed, Observer: "bbl", Insts: spec.Insts}, nil

@@ -104,7 +104,7 @@ func (b *HTTPBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Sha
 // it in both modes; any 200 answer means the process is up.
 const HealthzPath = "/healthz"
 
-// Probe implements Prober: a GET of the worker's health endpoint. It costs
+// Probe implements Backend: a GET of the worker's health endpoint. It costs
 // no shard attempt, so a dead worker is re-checked cheaply instead of
 // being handed a real shard it will probably fail.
 func (b *HTTPBackend) Probe(ctx context.Context) error {

@@ -137,6 +137,8 @@ type countingWrapper struct {
 
 func (c *countingWrapper) Name() string { return c.inner.Name() }
 
+func (c *countingWrapper) Probe(ctx context.Context) error { return c.inner.Probe(ctx) }
+
 func (c *countingWrapper) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
 	c.calls.Add(1)
 	return c.inner.RunShard(ctx, spec)

@@ -1,8 +1,8 @@
 package dispatch_test
 
 // Unit tests for the robustness machinery: full-jitter backoff, partial
-// (AllowPartial) grids, hedged straggler attempts, and probe-based
-// revival of dead backends.
+// grids (the runner reports, a sim.Session decides), hedged straggler
+// attempts, and probe-based revival of dead backends.
 
 import (
 	"context"
@@ -58,6 +58,8 @@ type seedFailBackend struct {
 
 func (b *seedFailBackend) Name() string { return b.name }
 
+func (b *seedFailBackend) Probe(context.Context) error { return nil }
+
 func (b *seedFailBackend) RunShard(_ context.Context, spec sim.ShardSpec) (sim.Shard, error) {
 	b.calls.Add(1)
 	if spec.Seed == b.failSeed {
@@ -71,7 +73,6 @@ func TestAllowPartialReturnsPartialError(t *testing.T) {
 	b := &seedFailBackend{name: "b", failSeed: 2}
 	opts := fastOpts()
 	opts.Attempts = 3
-	opts.AllowPartial = true
 	opts.FailThreshold = 100 // the scripted failures must not kill the backends
 	d, err := dispatch.New([]dispatch.Backend{a, b}, opts)
 	if err != nil {
@@ -109,6 +110,10 @@ func TestAllowPartialReturnsPartialError(t *testing.T) {
 	}
 }
 
+// TestWithoutAllowPartialFailureStillAborts is aimed at the layer that
+// owns the rule: the dispatcher only reports, and a strict Session.Run
+// over a failing dispatcher is all-or-nothing — a plain error naming the
+// shard, no report, and no PartialError leaking out.
 func TestWithoutAllowPartialFailureStillAborts(t *testing.T) {
 	a := &seedFailBackend{name: "a", failSeed: 2}
 	opts := fastOpts()
@@ -117,20 +122,29 @@ func TestWithoutAllowPartialFailureStillAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1), testSpec(2)})
-	if err == nil || shards != nil {
-		t.Fatalf("RunShards = (%v, %v), want the historical all-or-nothing failure", shards, err)
+	sess := sim.NewSession(1)
+	sess.SetRunner(d)
+	rep, err := sess.Run(context.Background(), &sim.Spec{
+		Workloads: []string{"comd-lite"},
+		SeedCount: 2,
+		Insts:     5_000,
+		Observers: []sim.ObserverSpec{{Kind: "bbl"}},
+	})
+	if err == nil || rep != nil {
+		t.Fatalf("Run = (%v, %v), want the all-or-nothing failure", rep, err)
+	}
+	if !strings.Contains(err.Error(), "scripted permanent failure for seed 2") {
+		t.Errorf("err = %v, want the failing shard's terminal error", err)
 	}
 	var pe *sim.PartialError
 	if errors.As(err, &pe) {
-		t.Fatalf("err = %v; a non-partial dispatcher must not leak PartialError", err)
+		t.Fatalf("err = %v; a strict run must not leak PartialError", err)
 	}
 }
 
 func TestAllowPartialCancellationStillAborts(t *testing.T) {
 	blocked := &fakeBackend{name: "blocked", block: true}
 	opts := fastOpts()
-	opts.AllowPartial = true
 	opts.AttemptTimeout = -1 // no per-attempt bound: only cancellation can end this
 	d, err := dispatch.New([]dispatch.Backend{blocked}, opts)
 	if err != nil {
@@ -143,7 +157,7 @@ func TestAllowPartialCancellationStillAborts(t *testing.T) {
 	}()
 	_, err = d.RunShards(ctx, []sim.ShardSpec{testSpec(1), testSpec(2)})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled; cancellation must abort even under AllowPartial", err)
+		t.Fatalf("err = %v, want context.Canceled; a context error wins over any partial outcome", err)
 	}
 }
 
@@ -155,6 +169,8 @@ type slowBackend struct {
 }
 
 func (b *slowBackend) Name() string { return b.name }
+
+func (b *slowBackend) Probe(context.Context) error { return nil }
 
 func (b *slowBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
 	b.calls.Add(1)
@@ -223,27 +239,55 @@ func TestHedgeNeedsASecondBackend(t *testing.T) {
 	}
 }
 
-// TestHedgeSkippedWhenPoolSaturated: hedges take normal in-flight slots
-// and must not queue for one — a saturated dispatcher skips the hedge
-// rather than amplifying load.
-func TestHedgeSkippedWhenPoolSaturated(t *testing.T) {
+// gaugedBackend tracks, across every backend sharing one gauge, how many
+// RunShard calls are in flight and the peak.
+type gaugedBackend struct {
+	dispatch.Backend
+	cur, peak *atomic.Int64
+}
+
+func (g gaugedBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+	enterGauge(g.cur, g.peak)
+	defer g.cur.Add(-1)
+	return g.Backend.RunShard(ctx, spec)
+}
+
+// TestHedgeFiresWhenPoolSaturated: a hedge rides its primary's in-flight
+// slot, so a saturated pool — one slot, held by the straggling primary,
+// with a backlog queued behind it — still cuts the tail. Every shard is
+// hedged exactly once, the hedge wins, the cancelled straggler is not
+// blamed, and the load bound holds: never more than 2 x MaxInFlight
+// backend calls at once.
+func TestHedgeFiresWhenPoolSaturated(t *testing.T) {
+	var cur, peak atomic.Int64
 	slow := &slowBackend{name: "slow", delay: 60 * time.Millisecond}
 	fast := &fakeBackend{name: "fast"}
 	opts := fastOpts()
 	opts.MaxInFlight = 1 // the primary holds the only slot
 	opts.HedgeDelay = time.Millisecond
-	d, err := dispatch.New([]dispatch.Backend{slow, fast}, opts)
+	// Ties break by slice order, so every primary lands on "slow".
+	d, err := dispatch.New([]dispatch.Backend{
+		gaugedBackend{slow, &cur, &peak},
+		gaugedBackend{fast, &cur, &peak},
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1)}); err != nil {
+	specs := []sim.ShardSpec{testSpec(1), testSpec(2), testSpec(3)}
+	if _, err := d.RunShards(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
-	if stats := d.Stats(); stats.Hedges != 0 {
-		t.Errorf("stats = %+v; a full slot pool must skip the hedge", stats)
+	if stats := d.Stats(); stats.Hedges != 3 || stats.HedgeWins != 3 {
+		t.Errorf("stats = %+v, want one winning hedge per shard despite the full slot pool", stats)
 	}
-	if got := fast.calls.Load(); got != 0 {
-		t.Errorf("hedge backend saw %d calls with a saturated pool", got)
+	if got := fast.calls.Load(); got != 3 {
+		t.Errorf("hedge backend saw %d calls, want 3", got)
+	}
+	if healthy := d.Healthy(); len(healthy) != 2 {
+		t.Errorf("healthy = %v; the straggler lost races, it did not fail", healthy)
+	}
+	if p := peak.Load(); p > 2*int64(opts.MaxInFlight) {
+		t.Errorf("saw %d backend calls in flight, want at most 2 x MaxInFlight = %d", p, 2*opts.MaxInFlight)
 	}
 }
 
@@ -294,7 +338,7 @@ func (b *probeBackend) RunShard(_ context.Context, spec sim.ShardSpec) (sim.Shar
 	}
 	if !b.probeOK.Load() {
 		// A shard reached a dead probe-capable backend before any probe
-		// succeeded: the single-shard sacrifice the Prober path must
+		// succeeded: the single-shard sacrifice probe-only revival must
 		// never pay.
 		b.sacrificed.Store(true)
 	}
@@ -302,13 +346,7 @@ func (b *probeBackend) RunShard(_ context.Context, spec sim.ShardSpec) (sim.Shar
 }
 
 func (b *probeBackend) Probe(context.Context) error {
-	cur := b.inProbe.Add(1)
-	for {
-		peak := b.probePeak.Load()
-		if cur <= peak || b.probePeak.CompareAndSwap(peak, cur) {
-			break
-		}
-	}
+	enterGauge(&b.inProbe, &b.probePeak)
 	if b.probeDelay > 0 {
 		time.Sleep(b.probeDelay)
 	}

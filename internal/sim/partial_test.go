@@ -1,9 +1,9 @@
 package sim
 
-// Tests for partial-result degradation at the session layer: how a
-// *PartialError from a partial-capable runner becomes failed_shards
-// entries in the report, which runs are allowed to degrade, and the wire
-// shape of the result.
+// Tests for the session's failure policy: how the *PartialError a runner
+// reports becomes failed_shards entries in the report, which runs are
+// allowed to degrade, how a strict run aborts, and the wire shape of the
+// result.
 
 import (
 	"bytes"
@@ -12,7 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"rebalance/internal/analysis"
+	"rebalance/internal/program"
+	"rebalance/internal/registry"
 )
 
 // scriptedRunner replays a fixed RunShards outcome and records the specs
@@ -209,5 +214,96 @@ func TestPartialErrorMessage(t *testing.T) {
 	}}
 	if got := pe.Error(); got != "sim: 2 shards failed (first: no live backend)" {
 		t.Fatalf("Error() = %q", got)
+	}
+}
+
+// TestPartialErrorUnwraps: errors.Is sees through a PartialError to every
+// failure underneath, so a bare RunShards caller can still match causes.
+func TestPartialErrorUnwraps(t *testing.T) {
+	pe := &PartialError{Failures: []ShardFailure{
+		{Index: 0, Attempts: 3, Err: errors.New("worker down")},
+		{Index: 4, Attempts: 1, Err: fmt.Errorf("%w: bad shard", ErrInvalidSpec)},
+	}}
+	if !errors.Is(pe, ErrInvalidSpec) {
+		t.Fatal("errors.Is does not reach the second failure's cause")
+	}
+	if errors.Is(pe, context.Canceled) {
+		t.Fatal("errors.Is matched a cause no failure carries")
+	}
+}
+
+// failFinishes is how many upcoming Finish calls of the "fail-finish"
+// observer kind fail; the rest behave like bbl.
+var failFinishes atomic.Int64
+
+type failFinishShard struct{ *bblShard }
+
+func (s failFinishShard) Finish() (Result, error) {
+	if failFinishes.Add(-1) >= 0 {
+		return nil, errors.New("scripted finish failure")
+	}
+	return s.bblShard.Finish()
+}
+
+// registerFailFinish makes the "fail-finish" kind nameable for the length
+// of one test, in a registry of its own: the registry-driven property
+// tests must keep seeing exactly the production kinds.
+func registerFailFinish(t *testing.T) {
+	saved := obsRegistry
+	t.Cleanup(func() { obsRegistry = saved })
+	obsRegistry = registry.New[ObserverFactory]("observer kind")
+	RegisterObserver("fail-finish", analysisFactory("fail-finish", func(*program.Program) ShardObserver {
+		return failFinishShard{&bblShard{bbl: analysis.NewBBL()}}
+	}, func() Result { return &analysis.BBLResult{} },
+		func(data []byte) (Result, error) { return analysis.DecodeBBLResult(data) }))
+}
+
+// TestLocalFailurePolicy drives the session's one failure policy over the
+// local pool with a real failing shard: one worker, the first of four
+// shards fails. A strict run aborts early — the chained ShardDone hook
+// cancels the grid, so the caller's hook sees the failure and nothing
+// after it — while an AllowPartial run finishes the grid and degrades.
+func TestLocalFailurePolicy(t *testing.T) {
+	registerFailFinish(t)
+	for _, allowPartial := range []bool{false, true} {
+		t.Run(fmt.Sprintf("allow_partial=%v", allowPartial), func(t *testing.T) {
+			failFinishes.Store(1)
+			var outcomes, failures atomic.Int64
+			ctx := WithShardDone(context.Background(), func(_ Shard, err error) {
+				outcomes.Add(1)
+				if err != nil {
+					failures.Add(1)
+				}
+			})
+			rep, err := NewSession(1).Run(ctx, &Spec{
+				Workloads:    []string{"comd-lite"},
+				SeedCount:    4,
+				Insts:        5_000,
+				Observers:    []ObserverSpec{{Kind: "fail-finish"}},
+				AllowPartial: allowPartial,
+			})
+			if failures.Load() != 1 {
+				t.Errorf("hook saw %d failures, want 1", failures.Load())
+			}
+			if !allowPartial {
+				want := "sim: shard {comd-lite fail-finish seed 1}: scripted finish failure"
+				if rep != nil || err == nil || err.Error() != want {
+					t.Fatalf("Run = (%v, %v), want a nil report and %q", rep, err, want)
+				}
+				if got := outcomes.Load(); got != 1 {
+					t.Errorf("hook saw %d outcomes; a strict run must abort the grid at the first failure", got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Shards) != 3 || len(rep.FailedShards) != 1 || rep.FailedShards[0].Seed != 1 || rep.FailedShards[0].Attempts != 1 {
+				t.Fatalf("%d shards, failed_shards %+v; want seeds 2-4 surviving and seed 1 abandoned after 1 attempt", len(rep.Shards), rep.FailedShards)
+			}
+			if got := outcomes.Load(); got != 4 {
+				t.Errorf("hook saw %d outcomes, want the whole 4-shard grid", got)
+			}
+		})
 	}
 }

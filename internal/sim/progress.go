@@ -6,11 +6,12 @@ import (
 )
 
 // ShardDoneFunc observes one shard of a run reaching a terminal outcome:
-// computed, served from a cache, or — under AllowPartial — abandoned with
-// a terminal error. It receives the completed shard (zero-valued when err
-// is non-nil) and must be safe for concurrent calls: the session's local
-// pool and the dispatch layer both deliver completions from multiple
-// worker goroutines at once.
+// computed, served from a cache, or abandoned with a terminal error (in
+// a strict run the first such outcome is the last one delivered: the
+// session cancels the rest of the grid). It receives the completed shard
+// (zero-valued when err is non-nil) and must be safe for concurrent
+// calls: the session's local pool and the dispatch layer both deliver
+// completions from multiple worker goroutines at once.
 type ShardDoneFunc func(sh Shard, err error)
 
 // shardDoneKey is the context key WithShardDone stores the hook under.
@@ -41,10 +42,16 @@ func WithShardDone(ctx context.Context, fn ShardDoneFunc) context.Context {
 // cancelled shard was skipped, not completed — and must deliver each
 // shard's outcome exactly once.
 func ShardDone(ctx context.Context, sh Shard, err error) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if isCancel(err) {
 		return
 	}
 	if fn, ok := ctx.Value(shardDoneKey{}).(ShardDoneFunc); ok {
 		fn(sh, err)
 	}
+}
+
+// isCancel reports whether err is a context error: a judgment on the run,
+// not on the shard, so it always aborts and is never a shard outcome.
+func isCancel(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rebalance/internal/program"
@@ -186,54 +187,47 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 		}
 	}
 	start := time.Now() //repolint:allow nodeterminism Report.WallNS wall-clock timing field, excluded from goldens
-	var shards []Shard
-	var failures []ShardFailure
 	// Workers reports the local pool concurrency, which the plan bounds (a
 	// trace store folds the grid into one unit per coordinate); a
 	// dispatched run's concurrency belongs to the runner, so the field is
 	// 0 there rather than a fabricated figure.
 	workers := 0
-	if s.runner != nil {
-		shards, failures, err = s.runDispatched(ctx, norm, jobs)
-	} else {
+	run := func(ctx context.Context) ([]Shard, error) { return s.runDispatched(ctx, norm, jobs) }
+	if s.runner == nil {
 		groups := s.plan(jobs)
 		workers = min(s.workers, len(groups))
-		shards, failures, err = s.runLocal(ctx, norm, jobs, groups, workers, compiled)
+		run = func(ctx context.Context) ([]Shard, error) {
+			return s.runLocal(ctx, norm, jobs, groups, workers, compiled)
+		}
 	}
+	// failed holds the grid indices whose execution was abandoned (only
+	// ever non-empty under AllowPartial); those positions in shards are
+	// zero-valued and excluded from the report and the merge.
+	shards, failed, err := decide(ctx, norm, jobs, run)
 	if err != nil {
 		return nil, err
 	}
 	wall := time.Since(start) //repolint:allow nodeterminism Report.WallNS wall-clock timing field, excluded from goldens
-
-	// failed marks the grid indices whose execution was abandoned (only
-	// ever non-empty under AllowPartial); those positions in shards are
-	// zero-valued and excluded from the report and the merge.
-	failed := make(map[int]bool, len(failures))
-	for _, f := range failures {
-		failed[f.Index] = true
-	}
 
 	rep := &Report{
 		Schema:  SchemaV1,
 		Spec:    norm,
 		Workers: workers,
 		WallNS:  wall.Nanoseconds(),
+		Shards:  shards,
 	}
-	if len(failures) == 0 {
-		rep.Shards = shards
-	} else {
-		rep.Shards = make([]Shard, 0, len(shards)-len(failures))
+	if len(failed) > 0 {
+		rep.Shards = make([]Shard, 0, len(shards)-len(failed))
 		for i := range shards {
-			if !failed[i] {
+			f, bad := failed[i]
+			if !bad {
 				rep.Shards = append(rep.Shards, shards[i])
+				continue
 			}
-		}
-		for _, f := range failures {
-			job := &jobs[f.Index]
 			rep.FailedShards = append(rep.FailedShards, FailedShard{
-				Workload: job.workload,
-				Seed:     job.seed,
-				Observer: job.cfg.Key(),
+				Workload: jobs[i].workload,
+				Seed:     jobs[i].seed,
+				Observer: jobs[i].cfg.Key(),
 				Attempts: f.Attempts,
 				Error:    f.Err.Error(),
 			})
@@ -254,7 +248,7 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 			acc := cfg.NewResult()
 			merged := 0
 			for range norm.Seeds {
-				if !failed[si] {
+				if _, bad := failed[si]; !bad {
 					if err := acc.Merge(shards[si].Result); err != nil {
 						return nil, fmt.Errorf("sim: merging %s/%s: %w", w, cfg.Key(), err)
 					}
@@ -276,15 +270,74 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	return rep, nil
 }
 
+// decide runs the grid and applies the run's failure policy — the one
+// place abort-vs-degrade is decided. Runners only report: run returns the
+// index-aligned shards and, for abandoned indices, a *PartialError. A
+// strict run (the default) chains its own ShardDone hook in front of the
+// caller's and cancels the grid on the first failure it sees, then fails
+// with that error. Under AllowPartial the grid runs to the end and the
+// abandoned indices come back keyed by grid index — unless every shard
+// failed, which stays an error: an empty report is not a degraded one.
+// Cancellation aborts either way. What a runner hands back is
+// cross-checked against the grid that was sent: one shard per job,
+// identity fields matching.
+func decide(ctx context.Context, norm *Spec, jobs []shardJob, run func(context.Context) ([]Shard, error)) ([]Shard, map[int]ShardFailure, error) {
+	var abort atomic.Pointer[error]
+	rctx := ctx
+	if !norm.AllowPartial {
+		cctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		rctx = WithShardDone(cctx, func(sh Shard, err error) {
+			if err != nil && abort.CompareAndSwap(nil, &err) {
+				cancel()
+			}
+			ShardDone(ctx, sh, err)
+		})
+	}
+	shards, err := run(rctx)
+	if first := abort.Load(); first != nil {
+		return nil, nil, *first
+	}
+	var pe *PartialError
+	if err != nil && (!norm.AllowPartial || !errors.As(err, &pe)) {
+		return nil, nil, err
+	}
+	if len(shards) != len(jobs) {
+		return nil, nil, fmt.Errorf("sim: runner returned %d shards for %d jobs", len(shards), len(jobs))
+	}
+	var failed map[int]ShardFailure
+	if pe != nil {
+		failed = make(map[int]ShardFailure, len(pe.Failures))
+		for _, f := range pe.Failures {
+			if f.Index < 0 || f.Index >= len(jobs) {
+				return nil, nil, fmt.Errorf("sim: runner reported failure for shard %d of %d", f.Index, len(jobs))
+			}
+			failed[f.Index] = f
+		}
+		if len(failed) == len(jobs) {
+			return nil, nil, fmt.Errorf("sim: all %d shards failed: %w", len(jobs), err)
+		}
+	}
+	for i := range shards {
+		if _, bad := failed[i]; bad {
+			continue
+		}
+		if shards[i].Workload != jobs[i].workload || shards[i].Seed != jobs[i].seed || shards[i].Observer != jobs[i].cfg.Key() {
+			return nil, nil, fmt.Errorf("sim: runner shard %d is {%s %s seed %d}, want {%s %s seed %d}",
+				i, shards[i].Workload, shards[i].Observer, shards[i].Seed,
+				jobs[i].workload, jobs[i].cfg.Key(), jobs[i].seed)
+		}
+	}
+	return shards, failed, nil
+}
+
 // runLocal executes the planned shard grid on the session's in-process
-// worker pool — the default runner. Each pool worker takes one group at a
-// time; results land index-aligned with jobs. The context is polled both
-// between groups and, at region granularity, inside each executing one, so
-// cancellation returns promptly and the session remains reusable
-// afterwards. With AllowPartial, shard errors other than cancellation
-// degrade to ShardFailure entries instead of failing the run — unless
-// every shard failed, which stays an error.
-func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, groups [][]int, workers int, compiled map[string]*trace.Compiled) ([]Shard, []ShardFailure, error) {
+// worker pool — the default runner, reporting in the ShardRunner shape.
+// Each pool worker takes one group at a time; results land index-aligned
+// with jobs. The context is polled both between groups and, at region
+// granularity, inside each executing one, so cancellation returns
+// promptly and the session remains reusable afterwards.
+func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, groups [][]int, workers int, compiled map[string]*trace.Compiled) ([]Shard, error) {
 	shards := make([]Shard, len(jobs))
 	errs := make([]error, len(jobs))
 	next := make(chan []int)
@@ -302,6 +355,10 @@ func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, gro
 				}
 				s.runGroup(ctx, compiled[jobs[group[0]].workload], norm, jobs, group, shards, errs)
 				for _, i := range group {
+					if errs[i] != nil && !isCancel(errs[i]) {
+						errs[i] = fmt.Errorf("sim: shard {%s %s seed %d}: %w",
+							jobs[i].workload, jobs[i].cfg.Key(), jobs[i].seed, errs[i])
+					}
 					// Deliver each outcome to the context's progress hook (a
 					// no-op without one); ShardDone filters cancellations.
 					ShardDone(ctx, shards[i], errs[i])
@@ -317,70 +374,27 @@ func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, gro
 
 	var failures []ShardFailure
 	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		// Cancellation is a judgment on the run, not the shard; it always
-		// aborts, partial or not.
-		if norm.AllowPartial && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		switch {
+		case err == nil:
+		case isCancel(err):
+			return nil, err
+		default:
 			failures = append(failures, ShardFailure{Index: i, Attempts: 1, Err: err})
-			continue
 		}
-		return nil, nil, fmt.Errorf("sim: shard {%s %s seed %d}: %w",
-			jobs[i].workload, jobs[i].cfg.Key(), jobs[i].seed, err)
 	}
-	if len(failures) == len(jobs) {
-		return nil, nil, fmt.Errorf("sim: all %d shards failed (first: %v)", len(jobs), failures[0].Err)
+	if len(failures) == 0 {
+		return shards, nil
 	}
-	return shards, failures, nil
+	return shards, &PartialError{Failures: failures}
 }
 
 // runDispatched hands the shard grid to the configured runner (the
-// dispatch layer) and cross-checks that what came back is the grid that
-// was sent: one shard per job, identity fields matching. Remote results
-// were already decoded to concrete types by the backend, so the merge
-// phase cannot tell them from local ones. A *PartialError from a
-// partial-capable runner is accepted — the abandoned indices become
-// ShardFailure entries — but only when the spec set AllowPartial; it is
-// an ordinary run failure otherwise.
-func (s *Session) runDispatched(ctx context.Context, norm *Spec, jobs []shardJob) ([]Shard, []ShardFailure, error) {
+// dispatch layer). Remote results were already decoded to concrete types
+// by the backend, so the merge phase cannot tell them from local ones.
+func (s *Session) runDispatched(ctx context.Context, norm *Spec, jobs []shardJob) ([]Shard, error) {
 	specs := make([]ShardSpec, len(jobs))
 	for i := range jobs {
 		specs[i] = jobs[i].spec(norm)
 	}
-	shards, err := s.runner.RunShards(ctx, specs)
-	var failures []ShardFailure
-	if err != nil {
-		var pe *PartialError
-		if !norm.AllowPartial || !errors.As(err, &pe) {
-			return nil, nil, err
-		}
-		failures = pe.Failures
-		if len(failures) >= len(jobs) {
-			return nil, nil, fmt.Errorf("sim: all %d shards failed: %w", len(jobs), err)
-		}
-		for _, f := range failures {
-			if f.Index < 0 || f.Index >= len(jobs) {
-				return nil, nil, fmt.Errorf("sim: runner reported failure for shard %d of %d", f.Index, len(jobs))
-			}
-		}
-	}
-	if len(shards) != len(jobs) {
-		return nil, nil, fmt.Errorf("sim: runner returned %d shards for %d jobs", len(shards), len(jobs))
-	}
-	failed := make(map[int]bool, len(failures))
-	for _, f := range failures {
-		failed[f.Index] = true
-	}
-	for i := range shards {
-		if failed[i] {
-			continue
-		}
-		if shards[i].Workload != jobs[i].workload || shards[i].Seed != jobs[i].seed || shards[i].Observer != jobs[i].cfg.Key() {
-			return nil, nil, fmt.Errorf("sim: runner shard %d is {%s %s seed %d}, want {%s %s seed %d}",
-				i, shards[i].Workload, shards[i].Observer, shards[i].Seed,
-				jobs[i].workload, jobs[i].cfg.Key(), jobs[i].seed)
-		}
-	}
-	return shards, failures, nil
+	return s.runner.RunShards(ctx, specs)
 }

@@ -116,18 +116,16 @@ func DecodeShard(data []byte, spec ShardSpec, cfg ObserverConfig) (Shard, error)
 	}, nil
 }
 
-// ShardRunner executes an expanded shard grid and returns the shards in
-// the same order. The Session's built-in runner is its in-process worker
-// pool; SetRunner swaps in the dispatch layer's Dispatcher, which spreads
-// the same grid across local and remote backends. Implementations must
-// return either one Shard per spec (index-aligned) or an error.
-//
-// A partial-capable runner (the Dispatcher with AllowPartial) may instead
-// return the shards it completed alongside a *PartialError enumerating
-// the abandoned indices; the failed positions in the shard slice are
-// zero-valued. A Session accepts that shape only when the spec it is
-// running sets AllowPartial — otherwise a PartialError fails the run like
-// any other error.
+// ShardRunner executes an expanded shard grid and reports what happened,
+// index-aligned with the input. The Session's built-in runner is its
+// in-process worker pool; SetRunner swaps in the dispatch layer's
+// Dispatcher, which spreads the same grid across local and remote
+// backends. A runner holds no failure policy: it runs every shard it can,
+// delivers each outcome to the context's ShardDone hook, and returns the
+// shards together with a *PartialError naming the indices it had to
+// abandon (zero-valued in the shard slice) — or a context error when the
+// run was cancelled. Whether a failure aborts or degrades the run is the
+// Session's decision (Spec.AllowPartial), taken in one place.
 type ShardRunner interface {
 	RunShards(ctx context.Context, shards []ShardSpec) ([]Shard, error)
 }
@@ -141,9 +139,9 @@ type ShardFailure struct {
 	Err      error
 }
 
-// PartialError is the error shape of a degraded grid: returned by a
-// partial-capable ShardRunner together with the completed shards. The
-// failures are in ascending index order.
+// PartialError is the one per-index failure shape: what a ShardRunner
+// returns, together with the shards it completed, when it abandoned some
+// of the grid. The failures are in ascending index order.
 type PartialError struct {
 	Failures []ShardFailure
 }
@@ -154,6 +152,17 @@ func (e *PartialError) Error() string {
 		return fmt.Sprintf("sim: 1 shard failed: %v", e.Failures[0].Err)
 	}
 	return fmt.Sprintf("sim: %d shards failed (first: %v)", len(e.Failures), e.Failures[0].Err)
+}
+
+// Unwrap exposes each failure's terminal error, so errors.Is and
+// errors.As see through a PartialError to what went wrong underneath
+// (ErrInvalidSpec, a worker's status error, ...).
+func (e *PartialError) Unwrap() []error {
+	errs := make([]error, len(e.Failures))
+	for i := range e.Failures {
+		errs[i] = e.Failures[i].Err
+	}
+	return errs
 }
 
 // RunShard validates and executes a single shard on this process, using

@@ -44,26 +44,6 @@ func TestGetPutRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLRUEvictionByEntries(t *testing.T) {
-	c := mustNew(t, Options{MaxEntries: 3})
-	for i := 0; i < 3; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
-	}
-	c.Get("k0") // refresh k0: k1 is now the coldest
-	c.Put("k3", []byte{3})
-	if _, ok := c.Get("k1"); ok {
-		t.Error("coldest entry k1 survived eviction")
-	}
-	for _, k := range []string{"k0", "k2", "k3"} {
-		if _, ok := c.Get(k); !ok {
-			t.Errorf("entry %s was evicted, want k1", k)
-		}
-	}
-	if s := c.Stats(); s.Evictions != 1 || s.Entries != 3 {
-		t.Errorf("stats = %+v, want 1 eviction / 3 entries", s)
-	}
-}
-
 func TestLRUEvictionByBytes(t *testing.T) {
 	c := mustNew(t, Options{MaxBytes: 10})
 	c.Put("a", []byte("aaaa")) // 4 bytes

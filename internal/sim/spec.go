@@ -68,13 +68,14 @@ type Spec struct {
 	Observers []ObserverSpec `json:"observers"`
 	// AllowPartial degrades shard failures instead of failing the run:
 	// a shard whose execution is abandoned (locally errored, or — through
-	// a partial-capable runner — exhausted its retry budget) is recorded
-	// as a structured entry in the report's failed_shards list, its seed
-	// is excluded from the merge, and every other shard is byte-identical
-	// to an all-or-nothing run. The default (false) keeps the historical
-	// contract: any shard failure fails the whole run. A run in which
-	// every shard failed is an error even with AllowPartial — there is
-	// nothing to degrade to.
+	// the dispatch layer — exhausted its retry budget) is recorded as a
+	// structured entry in the report's failed_shards list, its seed is
+	// excluded from the merge, and every other shard is byte-identical to
+	// an all-or-nothing run. The default (false) is strict: the first
+	// shard failure cancels the rest of the grid and fails the whole run.
+	// A run in which every shard failed is an error even with
+	// AllowPartial — there is nothing to degrade to. This field is the
+	// only place the policy lives; runners just report.
 	AllowPartial bool `json:"allow_partial,omitempty"`
 }
 

@@ -244,15 +244,3 @@ func TestStoreRejectsPathEscapingKeys(t *testing.T) {
 		t.Errorf("invalid key wrote disk file %q", e.Name())
 	}
 }
-
-func TestStoreSweepsOrphanedTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	orphan := filepath.Join(dir, "tr1-x-123.tmp")
-	if err := os.WriteFile(orphan, []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mustStore(t, Options{Dir: dir})
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatal("orphaned temp file survived store startup")
-	}
-}
