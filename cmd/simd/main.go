@@ -384,17 +384,11 @@ func tenantOf(r *http.Request) string {
 // client polls). Admission failures map to 429 + Retry-After; invalid
 // specs to 400 before they ever occupy a queue slot.
 func handleSweepSubmit(w http.ResponseWriter, r *http.Request, coord *sweep.Coordinator, maxInsts int64) {
-	body := http.MaxBytesReader(w, r.Body, maxSpecBytes)
-	var spec sim.Spec
-	if err := wire.StrictDecode(body, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+	spec := decodeSpec(w, r, maxInsts)
+	if spec == nil {
 		return
 	}
-	if maxInsts > 0 && spec.Insts > maxInsts {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("per-shard budget %d exceeds server limit %d", spec.Insts, maxInsts))
-		return
-	}
-	st, err := coord.Submit(tenantOf(r), &spec)
+	st, err := coord.Submit(tenantOf(r), spec)
 	switch {
 	case errors.Is(err, sim.ErrInvalidSpec):
 		writeError(w, http.StatusBadRequest, err)
@@ -436,18 +430,29 @@ func handleSweepResult(w http.ResponseWriter, r *http.Request, coord *sweep.Coor
 	}
 }
 
-func handleRun(w http.ResponseWriter, r *http.Request, sess *sim.Session, maxInsts int64) {
-	body := http.MaxBytesReader(w, r.Body, maxSpecBytes)
+// decodeSpec reads a request's sim.Spec for both submit endpoints: a
+// bounded body, strictly decoded, with the per-shard budget held to
+// -max-insts. On failure it has already written the 400 envelope and
+// returns nil.
+func decodeSpec(w http.ResponseWriter, r *http.Request, maxInsts int64) *sim.Spec {
 	var spec sim.Spec
-	if err := wire.StrictDecode(body, &spec); err != nil {
+	if err := wire.StrictDecode(http.MaxBytesReader(w, r.Body, maxSpecBytes), &spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
-		return
+		return nil
 	}
 	if maxInsts > 0 && spec.Insts > maxInsts {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("per-shard budget %d exceeds server limit %d", spec.Insts, maxInsts))
+		return nil
+	}
+	return &spec
+}
+
+func handleRun(w http.ResponseWriter, r *http.Request, sess *sim.Session, maxInsts int64) {
+	spec := decodeSpec(w, r, maxInsts)
+	if spec == nil {
 		return
 	}
-	rep, err := sess.Run(r.Context(), &spec)
+	rep, err := sess.Run(r.Context(), spec)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, sim.ErrInvalidSpec) {

@@ -8,6 +8,12 @@
 // Each analyzer is a trace.Observer, so any subset can share a single pass
 // over a workload's instruction stream. All analyzers separate serial from
 // parallel code sections, the paper's distinguishing methodological choice.
+//
+// Observers only accumulate: an analyzer's surface is its constructor,
+// Observe, ObserveBatch and Result. Every figure value is derived once, by
+// an exported method on the mergeable *Result type, and EncodeJSON fills
+// the wire from those same methods — so a test asserts on exactly the
+// number a report carries.
 package analysis
 
 // Phase selects which code sections a metric aggregates over.
@@ -43,19 +49,35 @@ func (p Phase) String() string {
 // Phases lists the aggregation phases in figure order.
 var Phases = [NumPhases]Phase{Total, Serial, Parallel}
 
-// PhaseVals holds one metric's value for each aggregation phase.
-type PhaseVals struct {
-	Total, Serial, Parallel float64
+// phaseIdx is the counter index of an instruction's code section: results
+// keep every counter as a [serial, parallel] pair.
+func phaseIdx(serial bool) int {
+	if serial {
+		return 0
+	}
+	return 1
 }
 
-// Get returns the value for the given phase.
-func (v PhaseVals) Get(p Phase) float64 {
+// phaseRange maps a Phase to the counter indices it spans.
+func phaseRange(p Phase) []int {
 	switch p {
 	case Serial:
-		return v.Serial
+		return []int{0}
 	case Parallel:
-		return v.Parallel
+		return []int{1}
 	default:
-		return v.Total
+		return []int{0, 1}
+	}
+}
+
+// over sums a [serial, parallel] counter pair over the phase.
+func over(v [2]int64, p Phase) int64 {
+	switch p {
+	case Serial:
+		return v[0]
+	case Parallel:
+		return v[1]
+	default:
+		return v[0] + v[1]
 	}
 }

@@ -24,9 +24,9 @@ func TestPhaseHelpers(t *testing.T) {
 	if got := Phase(9).String(); got != "phase?" {
 		t.Errorf("out-of-range phase String() = %q", got)
 	}
-	v := PhaseVals{Total: 1, Serial: 2, Parallel: 3}
-	if v.Get(Total) != 1 || v.Get(Serial) != 2 || v.Get(Parallel) != 3 {
-		t.Errorf("PhaseVals.Get mismatch: %+v", v)
+	pair := [2]int64{2, 3}
+	if over(pair, Total) != 5 || over(pair, Serial) != 2 || over(pair, Parallel) != 3 {
+		t.Errorf("over(%v) = %d/%d/%d, want 5/2/3", pair, over(pair, Total), over(pair, Serial), over(pair, Parallel))
 	}
 }
 
@@ -50,31 +50,22 @@ func TestBranchMixCounts(t *testing.T) {
 	batched.ObserveBatch(stream)
 
 	for _, a := range []*BranchMix{single, batched} {
-		if a.Insts(Total) != 7 || a.Insts(Serial) != 3 || a.Insts(Parallel) != 4 {
-			t.Fatalf("insts = %d/%d/%d", a.Insts(Total), a.Insts(Serial), a.Insts(Parallel))
+		r := a.Result()
+		if r.InstCount(Total) != 7 || r.InstCount(Serial) != 3 || r.InstCount(Parallel) != 4 {
+			t.Fatalf("insts = %d/%d/%d", r.InstCount(Total), r.InstCount(Serial), r.InstCount(Parallel))
 		}
-		if a.Count(Serial, isa.KindCondDirect) != 1 || a.Count(Parallel, isa.KindCondDirect) != 0 {
+		if r.Count(Serial, isa.KindCondDirect) != 1 || r.Count(Parallel, isa.KindCondDirect) != 0 {
 			t.Error("cond-direct miscounted")
 		}
-		if !close2(a.Fraction(Total, isa.KindOther), 3.0/7) {
-			t.Errorf("other fraction = %v", a.Fraction(Total, isa.KindOther))
+		if !close2(r.KindPct(Total, isa.KindOther), 100*3.0/7) {
+			t.Errorf("other pct = %v", r.KindPct(Total, isa.KindOther))
 		}
 		// Branches: cond + indirect call + return + syscall = 4 of 7.
-		if !close2(a.BranchFraction(Total), 4.0/7) {
-			t.Errorf("branch fraction = %v", a.BranchFraction(Total))
+		if !close2(r.BranchPct(Total), 100*4.0/7) {
+			t.Errorf("branch pct = %v", r.BranchPct(Total))
 		}
-		// Indirect share of branches: the indirect call, 1 of 4
-		// (returns are indirect control flow but not in the paper's
-		// indirect-jump/call population).
-		if !close2(a.IndirectFractionOfBranches(Total), 1.0/4) {
-			t.Errorf("indirect fraction = %v", a.IndirectFractionOfBranches(Total))
-		}
-		rep := a.Report()
-		if rep.Insts != [NumPhases]int64{7, 3, 4} {
-			t.Errorf("report insts = %v", rep.Insts)
-		}
-		if !close2(rep.BranchPct[0], 100*4.0/7) {
-			t.Errorf("report branch pct = %v", rep.BranchPct[0])
+		if !close2(r.BranchPct(Serial), 100*1.0/3) {
+			t.Errorf("serial branch pct = %v", r.BranchPct(Serial))
 		}
 	}
 
@@ -89,8 +80,18 @@ func TestBranchMixCounts(t *testing.T) {
 	if err := r.Merge(&BiasResult{}); err == nil || !strings.Contains(err.Error(), "cannot merge") {
 		t.Errorf("cross-type merge err = %v", err)
 	}
-	if a := NewBranchMix(); a.Fraction(Total, isa.KindOther) != 0 || a.BranchFraction(Total) != 0 || a.IndirectFractionOfBranches(Total) != 0 {
-		t.Error("empty analyzer fractions not zero")
+	if e := NewBranchMix().Result(); e.KindPct(Total, isa.KindOther) != 0 || e.BranchPct(Total) != 0 {
+		t.Error("empty result percentages not zero")
+	}
+
+	// A share is (100*c)/n, the form the goldens pin, not 100*(c/n): for
+	// c=1024, n=53313 the two differ in the last ulp, and the literal is
+	// what report_v1.golden.json carries for those counters.
+	d := &MixResult{Insts: [2]int64{53313, 0}}
+	d.Kinds[0][isa.KindCall] = 1024
+	c, n := float64(1024), float64(53313)
+	if got := d.KindPct(Total, isa.KindCall); got != 1.9207322791814379 || got != 100*c/n || got == 100*(c/n) {
+		t.Errorf("KindPct = %v, want (100*c)/n = %v and not 100*(c/n) = %v", got, 100*c/n, 100*(c/n))
 	}
 }
 
@@ -110,32 +111,34 @@ func TestBiasSites(t *testing.T) {
 	a.Observe(inst(0x300, 3, isa.KindIndirectBranch, true, 0x100, false))
 	a.Observe(inst(0x304, 4, isa.KindOther, false, 0, false))
 
-	if a.Sites() != 2 {
-		t.Fatalf("sites = %d, want 2", a.Sites())
+	r := a.Result()
+	if len(r.Sites) != 2 {
+		t.Fatalf("sites = %d, want 2", len(r.Sites))
 	}
-	h := a.Histogram(Total)
+	h := r.Histogram(Total)
 	if !close2(h.Fraction(9), 10.0/14) || !close2(h.Fraction(2), 4.0/14) {
 		t.Errorf("histogram buckets: top %v (want %v), 20-30%% %v (want %v)",
 			h.Fraction(9), 10.0/14, h.Fraction(2), 4.0/14)
 	}
-	if !close2(a.BiasedFraction(Total), 10.0/14) {
-		t.Errorf("biased fraction = %v", a.BiasedFraction(Total))
+	// The biased share is the two extreme buckets.
+	if got := h.Fraction(0) + h.Fraction(9); !close2(got, 10.0/14) {
+		t.Errorf("biased fraction = %v", got)
 	}
-	if !close2(a.BiasedFraction(Parallel), 0) {
-		t.Errorf("parallel biased fraction = %v", a.BiasedFraction(Parallel))
+	if hp := r.Histogram(Parallel); !close2(hp.Fraction(0)+hp.Fraction(9), 0) || !close2(hp.Fraction(2), 1) {
+		t.Errorf("parallel histogram: extremes %v, 20-30%% %v", hp.Fraction(0)+hp.Fraction(9), hp.Fraction(2))
 	}
-	back, fwd := a.TakenDirection(Total)
+	back, fwd := r.TakenDirection(Total)
 	if back != 9 || fwd != 1 {
 		t.Errorf("taken direction = %d/%d, want 9 backward 1 forward", back, fwd)
 	}
-	if !close2(a.BackwardFraction(Total), 0.9) {
-		t.Errorf("backward fraction = %v", a.BackwardFraction(Total))
+	if back, fwd := r.TakenDirection(Parallel); back != 0 || fwd != 1 {
+		t.Errorf("parallel taken direction = %d/%d, want 0 backward 1 forward", back, fwd)
 	}
-	if !close2(a.TakenFraction(Total), 10.0/14) {
-		t.Errorf("taken fraction = %v", a.TakenFraction(Total))
+	if r.Conds != [2]int64{10, 4} {
+		t.Errorf("conds = %v, want [10 4]", r.Conds)
 	}
-	if NewBias().BackwardFraction(Total) != 0 || NewBias().TakenFraction(Total) != 0 {
-		t.Error("empty analyzer fractions not zero")
+	if back, fwd := NewBias().Result().TakenDirection(Total); back != 0 || fwd != 0 {
+		t.Error("empty result directions not zero")
 	}
 
 	// Merging a result into a zero result reproduces the analyzer's own
@@ -189,21 +192,18 @@ func TestBBLAccounting(t *testing.T) {
 	}
 	a.ObserveBatch(stream)
 
-	if got := a.Blocks(Total); got != 2 {
+	res := a.Result()
+	if got := res.Blocks(Total); got != 2 {
 		t.Fatalf("blocks = %d, want 2", got)
 	}
-	if got := a.AvgBlockBytes(Total); !close2(got, 9) {
+	if got := res.AvgBlockBytes(Total); !close2(got, 9) {
 		t.Errorf("avg block bytes = %v, want 9", got)
 	}
-	if got := a.AvgTakenDistance(Total); !close2(got, 18) {
+	if got := res.AvgTakenDistance(Total); !close2(got, 18) {
 		t.Errorf("avg taken distance = %v, want 18", got)
 	}
-	if got := a.AvgBlockBytes(Parallel); got != 0 {
+	if got := res.AvgBlockBytes(Parallel); got != 0 {
 		t.Errorf("parallel avg = %v, want 0 (no parallel blocks)", got)
-	}
-	rep := a.Report()
-	if !close2(rep.AvgBlockB[0], 9) || !close2(rep.AvgTakenDistB[0], 18) {
-		t.Errorf("report = %+v", rep)
 	}
 
 	// The result snapshot carries exact sums; merging two halves equals
@@ -243,16 +243,17 @@ func TestFootprintAccounting(t *testing.T) {
 	}
 	batched.ObserveBatch(stream)
 	for _, a := range []*Footprint{single, batched} {
-		if got := a.TouchedBytes(Total); got != 96 {
+		r := a.Result(4096)
+		if got := r.DynamicBytes(Total, 1); got != 96 {
 			t.Errorf("touched = %d, want 96", got)
 		}
-		if got := a.DynamicBytes(Total, 0.90); got != 32 {
+		if got := r.DynamicBytes(Total, 0.90); got != 32 {
 			t.Errorf("dyn90 = %d, want the one hot chunk", got)
 		}
-		if got := a.DynamicBytes(Total, 0.99); got != 64 {
+		if got := r.DynamicBytes(Total, 0.99); got != 64 {
 			t.Errorf("dyn99 = %d, want hot+warm", got)
 		}
-		if got := a.TouchedBytes(Serial); got != 32 {
+		if got := r.DynamicBytes(Serial, 1); got != 32 {
 			t.Errorf("serial touched = %d, want 32", got)
 		}
 	}
@@ -261,7 +262,7 @@ func TestFootprintAccounting(t *testing.T) {
 	// instruction at 0x103e counts once, in chunk 0x1020/32.
 	s := NewFootprint()
 	s.Observe(inst(0x103e, 4, isa.KindOther, false, 0, true))
-	if got := s.TouchedBytes(Total); got != 32 {
+	if got := s.Result(0).DynamicBytes(Total, 1); got != 32 {
 		t.Errorf("straddling inst touched %d bytes of accounting, want 32", got)
 	}
 

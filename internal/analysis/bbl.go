@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rebalance/internal/isa"
-	"rebalance/internal/stats"
 	"rebalance/internal/wire"
 )
 
@@ -15,8 +14,7 @@ import (
 // average distance in bytes between consecutive *taken* branches — the
 // length of the sequential fetch runs the I-cache sees.
 type BBL struct {
-	blockLen [2]stats.Mean // per phase, bytes per basic block
-	takenGap [2]stats.Mean // per phase, bytes between taken branches
+	res BBLResult
 
 	curBlock [2]int64 // bytes accumulated in the current block per phase
 	curRun   [2]int64 // bytes accumulated since the last taken branch
@@ -45,65 +43,27 @@ func (a *BBL) observeOne(in *isa.Inst) {
 		return
 	}
 	// Any branch instruction terminates the basic block.
-	a.blockLen[p].Add(float64(a.curBlock[p]))
+	a.res.BlockSum[p] += float64(a.curBlock[p])
+	a.res.BlockN[p]++
 	a.curBlock[p] = 0
 	if in.Taken {
-		a.takenGap[p].Add(float64(a.curRun[p]))
+		a.res.GapSum[p] += float64(a.curRun[p])
+		a.res.GapN[p]++
 		a.curRun[p] = 0
 	}
 }
 
-func combine(ms *[2]stats.Mean, p Phase) float64 {
-	idx := phaseRange(p)
-	var sum float64
-	var n int64
-	for _, i := range idx {
-		sum += ms[i].Value() * float64(ms[i].N())
-		n += ms[i].N()
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+// Result snapshots the analyzer's accumulators. A partial block or run
+// still open at the end of the stream is not counted.
+func (a *BBL) Result() *BBLResult {
+	r := a.res
+	return &r
 }
 
-// AvgBlockBytes returns the mean dynamic basic-block length in bytes.
-func (a *BBL) AvgBlockBytes(p Phase) float64 { return combine(&a.blockLen, p) }
-
-// AvgTakenDistance returns the mean distance in bytes between consecutive
-// taken branches.
-func (a *BBL) AvgTakenDistance(p Phase) float64 { return combine(&a.takenGap, p) }
-
-// Blocks returns the number of dynamic basic blocks observed in the phase.
-func (a *BBL) Blocks(p Phase) int64 {
-	var n int64
-	for _, i := range phaseRange(p) {
-		n += a.blockLen[i].N()
-	}
-	return n
-}
-
-// BBLReport is the Figure 4 artifact for one workload.
-type BBLReport struct {
-	// AvgBlockB[phase] is the mean basic-block length in bytes.
-	AvgBlockB [NumPhases]float64
-	// AvgTakenDistB[phase] is the mean distance between taken branches.
-	AvgTakenDistB [NumPhases]float64
-}
-
-// Report summarizes the analyzer into a BBLReport.
-func (a *BBL) Report() BBLReport {
-	var r BBLReport
-	for i, p := range Phases {
-		r.AvgBlockB[i] = a.AvgBlockBytes(p)
-		r.AvgTakenDistB[i] = a.AvgTakenDistance(p)
-	}
-	return r
-}
-
-// BBLResult is the mergeable snapshot behind a BBLReport: exact sums and
-// counts of dynamic basic-block lengths and taken-branch gaps per phase
-// (0 serial, 1 parallel). It implements the sim result contract.
+// BBLResult is the mergeable Figure 4 record: exact sums and counts of
+// dynamic basic-block lengths and taken-branch gaps per phase (0 serial,
+// 1 parallel). The sums are whole bytes, so shards merge exactly. It
+// implements the sim result contract.
 type BBLResult struct {
 	BlockSum [2]float64
 	BlockN   [2]int64
@@ -111,15 +71,28 @@ type BBLResult struct {
 	GapN     [2]int64
 }
 
-// Result snapshots the analyzer's accumulators. As in Report, a partial
-// block or run still open at the end of the stream is not counted.
-func (a *BBL) Result() *BBLResult {
-	r := &BBLResult{}
-	for i := 0; i < 2; i++ {
-		r.BlockSum[i], r.BlockN[i] = a.blockLen[i].Sum(), a.blockLen[i].N()
-		r.GapSum[i], r.GapN[i] = a.takenGap[i].Sum(), a.takenGap[i].N()
+// Blocks returns the number of dynamic basic blocks in the phase.
+func (r *BBLResult) Blocks(p Phase) int64 { return over(r.BlockN, p) }
+
+// AvgBlockBytes returns the mean dynamic basic-block length in bytes.
+func (r *BBLResult) AvgBlockBytes(p Phase) float64 { return avgOver(r.BlockSum, r.BlockN, p) }
+
+// AvgTakenDistance returns the mean distance in bytes between consecutive
+// taken branches.
+func (r *BBLResult) AvgTakenDistance(p Phase) float64 { return avgOver(r.GapSum, r.GapN, p) }
+
+// avgOver is the mean of a (sum, count) accumulator pair over the phase.
+func avgOver(sum [2]float64, n [2]int64, p Phase) float64 {
+	var s float64
+	var c int64
+	for _, i := range phaseRange(p) {
+		s += sum[i]
+		c += n[i]
 	}
-	return r
+	if c == 0 {
+		return 0
+	}
+	return s / float64(c)
 }
 
 // Merge folds another *BBLResult's sums into r.
@@ -135,19 +108,6 @@ func (r *BBLResult) Merge(other any) error {
 		r.GapN[i] += o.GapN[i]
 	}
 	return nil
-}
-
-func avgOver(sum [2]float64, n [2]int64, idx []int) float64 {
-	var s float64
-	var c int64
-	for _, i := range idx {
-		s += sum[i]
-		c += n[i]
-	}
-	if c == 0 {
-		return 0
-	}
-	return s / float64(c)
 }
 
 // bblWire is the canonical JSON shape of a BBLResult: the Figure 4
@@ -176,12 +136,9 @@ func (r *BBLResult) EncodeJSON() ([]byte, error) {
 	var out bblWire
 	out.Counters = bblCounters{BlockSum: r.BlockSum, BlockN: r.BlockN, GapSum: r.GapSum, GapN: r.GapN}
 	for pi, p := range Phases {
-		idx := phaseRange(p)
-		for _, i := range idx {
-			out.Blocks[pi] += r.BlockN[i]
-		}
-		out.AvgBlockB[pi] = avgOver(r.BlockSum, r.BlockN, idx)
-		out.AvgTakenDistB[pi] = avgOver(r.GapSum, r.GapN, idx)
+		out.Blocks[pi] = r.Blocks(p)
+		out.AvgBlockB[pi] = r.AvgBlockBytes(p)
+		out.AvgTakenDistB[pi] = r.AvgTakenDistance(p)
 	}
 	return json.Marshal(&out)
 }

@@ -20,19 +20,14 @@ import (
 type Bias struct {
 	// Per-site counters, grown on demand; index is the site identity
 	// derived from the branch PC (sites are unique PCs).
-	exec  map[isa.Addr]*siteBias
+	exec  map[isa.Addr]*SiteBias
 	dirs  [2][isa.NumDirections]int64 // per phase, conditional branches only
 	conds [2]int64                    // dynamic conditional branches per phase
 }
 
-type siteBias struct {
-	exec  [2]int64 // per phase
-	taken [2]int64
-}
-
 // NewBias returns a fresh direction-bias analyzer.
 func NewBias() *Bias {
-	return &Bias{exec: make(map[isa.Addr]*siteBias)}
+	return &Bias{exec: make(map[isa.Addr]*SiteBias)}
 }
 
 // Observe implements trace.Observer.
@@ -54,127 +49,15 @@ func (a *Bias) observeOne(in *isa.Inst) {
 	p := phaseIdx(in.Serial)
 	s := a.exec[in.PC]
 	if s == nil {
-		s = &siteBias{}
+		s = &SiteBias{}
 		a.exec[in.PC] = s
 	}
-	s.exec[p]++
+	s.Exec[p]++
 	a.conds[p]++
 	if in.Taken {
-		s.taken[p]++
+		s.Taken[p]++
 	}
 	a.dirs[p][in.BranchDirection()]++
-}
-
-// phaseRange maps a Phase to the internal per-phase indices it spans.
-func phaseRange(p Phase) []int {
-	switch p {
-	case Serial:
-		return []int{0}
-	case Parallel:
-		return []int{1}
-	default:
-		return []int{0, 1}
-	}
-}
-
-// Histogram returns the Figure 2 distribution for the phase: a 10-bucket
-// histogram of dynamic conditional branches by their site's taken rate.
-func (a *Bias) Histogram(p Phase) *stats.Histogram {
-	h := stats.NewHistogram(10)
-	idx := phaseRange(p)
-	for _, s := range a.exec { //repolint:allow nodeterminism per-site histogram increments commute
-		var exec, taken int64
-		for _, i := range idx {
-			exec += s.exec[i]
-			taken += s.taken[i]
-		}
-		if exec == 0 {
-			continue
-		}
-		h.Add(float64(taken)/float64(exec), exec)
-	}
-	return h
-}
-
-// BiasedFraction returns the share of dynamic conditional branches whose
-// site is decided in one direction at least 90% of the time — the paper's
-// headline "80% to 90% of branches are dominantly taken or not taken".
-func (a *Bias) BiasedFraction(p Phase) float64 {
-	h := a.Histogram(p)
-	return h.Fraction(0) + h.Fraction(h.Buckets()-1)
-}
-
-// TakenDirection returns the counts of taken conditional branches by
-// direction for the phase: backward and forward (Table I).
-func (a *Bias) TakenDirection(p Phase) (backward, forward int64) {
-	for _, i := range phaseRange(p) {
-		backward += a.dirs[i][isa.DirTakenBackward]
-		forward += a.dirs[i][isa.DirTakenForward]
-	}
-	return backward, forward
-}
-
-// BackwardFraction returns backward taken branches as a fraction of all
-// taken conditional branches in the phase (Table I's "backward" column).
-func (a *Bias) BackwardFraction(p Phase) float64 {
-	b, f := a.TakenDirection(p)
-	if b+f == 0 {
-		return 0
-	}
-	return float64(b) / float64(b+f)
-}
-
-// TakenFraction returns the fraction of dynamic conditional branches that
-// were taken in the phase.
-func (a *Bias) TakenFraction(p Phase) float64 {
-	var conds, taken int64
-	for _, i := range phaseRange(p) {
-		conds += a.conds[i]
-		taken += a.dirs[i][isa.DirTakenBackward] + a.dirs[i][isa.DirTakenForward]
-	}
-	if conds == 0 {
-		return 0
-	}
-	return float64(taken) / float64(conds)
-}
-
-// Sites returns the number of distinct conditional branch sites observed.
-func (a *Bias) Sites() int { return len(a.exec) }
-
-// BiasReport is the Figure 2 + Table I artifact for one workload.
-type BiasReport struct {
-	// Buckets[phase][b] is the percentage of dynamic conditional branches
-	// whose site taken-rate falls in bucket b (ten 10%-wide buckets).
-	Buckets [NumPhases][10]float64
-	// BiasedPct is the percentage of branches in the extreme buckets
-	// (taken <10% or >90% of the time).
-	BiasedPct [NumPhases]float64
-	// BackwardPct and ForwardPct split taken conditional branches by
-	// direction (Table I).
-	BackwardPct [NumPhases]float64
-	ForwardPct  [NumPhases]float64
-	// TakenPct is the percentage of conditional branches taken.
-	TakenPct [NumPhases]float64
-}
-
-// Report summarizes the analyzer into a BiasReport.
-func (a *Bias) Report() BiasReport {
-	var r BiasReport
-	for i, p := range Phases {
-		h := a.Histogram(p)
-		for b := 0; b < 10; b++ {
-			r.Buckets[i][b] = 100 * h.Fraction(b)
-		}
-		r.BiasedPct[i] = 100 * a.BiasedFraction(p)
-		bf := a.BackwardFraction(p)
-		b, f := a.TakenDirection(p)
-		if b+f > 0 {
-			r.BackwardPct[i] = 100 * bf
-			r.ForwardPct[i] = 100 * (1 - bf)
-		}
-		r.TakenPct[i] = 100 * a.TakenFraction(p)
-	}
-	return r
 }
 
 // SiteBias is one conditional branch site's execution and taken counts per
@@ -184,7 +67,7 @@ type SiteBias struct {
 	Taken [2]int64
 }
 
-// BiasResult is the mergeable snapshot behind a BiasReport: per-site
+// BiasResult is the mergeable Figure 2 + Table I record: per-site
 // direction counters keyed by branch PC. Sites are code addresses, so
 // shards of the same workload merge site-by-site. It implements the sim
 // result contract.
@@ -198,7 +81,7 @@ type BiasResult struct {
 func (a *Bias) Result() *BiasResult {
 	r := &BiasResult{Sites: make(map[isa.Addr]SiteBias, len(a.exec)), Dirs: a.dirs, Conds: a.conds}
 	for pc, s := range a.exec { //repolint:allow nodeterminism map-to-map deep copy, no ordered output
-		r.Sites[pc] = SiteBias{Exec: s.exec, Taken: s.taken}
+		r.Sites[pc] = *s
 	}
 	return r
 }
@@ -229,21 +112,30 @@ func (r *BiasResult) Merge(other any) error {
 	return nil
 }
 
-// histogram builds the Figure 2 distribution over the given phase indices.
-func (r *BiasResult) histogram(idx []int) *stats.Histogram {
+// Histogram returns the Figure 2 distribution for the phase: a 10-bucket
+// histogram of dynamic conditional branches by their site's taken rate.
+// Its two extreme buckets are the paper's headline "80% to 90% of branches
+// are dominantly taken or not taken".
+func (r *BiasResult) Histogram(p Phase) *stats.Histogram {
 	h := stats.NewHistogram(10)
 	for _, s := range r.Sites { //repolint:allow nodeterminism per-site histogram increments commute
-		var exec, taken int64
-		for _, i := range idx {
-			exec += s.Exec[i]
-			taken += s.Taken[i]
-		}
+		exec := over(s.Exec, p)
 		if exec == 0 {
 			continue
 		}
-		h.Add(float64(taken)/float64(exec), exec)
+		h.Add(float64(over(s.Taken, p))/float64(exec), exec)
 	}
 	return h
+}
+
+// TakenDirection returns the counts of taken conditional branches by
+// direction for the phase: backward and forward (Table I).
+func (r *BiasResult) TakenDirection(p Phase) (backward, forward int64) {
+	for _, i := range phaseRange(p) {
+		backward += r.Dirs[i][isa.DirTakenBackward]
+		forward += r.Dirs[i][isa.DirTakenForward]
+	}
+	return backward, forward
 }
 
 // biasWire is the canonical JSON shape of a BiasResult: the Figure 2 +
@@ -289,23 +181,17 @@ func (r *BiasResult) EncodeJSON() ([]byte, error) {
 	})
 	out.Sites = len(r.Sites)
 	for pi, p := range Phases {
-		idx := phaseRange(p)
-		h := r.histogram(idx)
+		h := r.Histogram(p)
 		for b := 0; b < 10; b++ {
 			out.Buckets[pi][b] = 100 * h.Fraction(b)
 		}
 		out.BiasedPct[pi] = 100 * (h.Fraction(0) + h.Fraction(h.Buckets()-1))
-		var conds, back, fwd int64
-		for _, i := range idx {
-			conds += r.Conds[i]
-			back += r.Dirs[i][isa.DirTakenBackward]
-			fwd += r.Dirs[i][isa.DirTakenForward]
-		}
+		back, fwd := r.TakenDirection(p)
 		if back+fwd > 0 {
 			out.BackwardPct[pi] = 100 * float64(back) / float64(back+fwd)
 			out.ForwardPct[pi] = 100 * float64(fwd) / float64(back+fwd)
 		}
-		if conds > 0 {
+		if conds := over(r.Conds, p); conds > 0 {
 			out.TakenPct[pi] = 100 * float64(back+fwd) / float64(conds)
 		}
 	}

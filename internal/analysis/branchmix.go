@@ -12,28 +12,17 @@ import (
 // instruction and classifies the control-flow instructions by kind, split
 // by serial/parallel code section.
 type BranchMix struct {
-	// insts[phase] is the dynamic instruction count per phase
-	// (phase index: 0 serial, 1 parallel).
-	insts [2]int64
-	// kinds[phase][kind] is the dynamic count of each instruction kind.
-	kinds [2][isa.NumKinds]int64
+	res MixResult
 }
 
 // NewBranchMix returns a fresh branch-mix analyzer.
 func NewBranchMix() *BranchMix { return &BranchMix{} }
 
-func phaseIdx(serial bool) int {
-	if serial {
-		return 0
-	}
-	return 1
-}
-
 // Observe implements trace.Observer.
 func (a *BranchMix) Observe(in isa.Inst) {
 	p := phaseIdx(in.Serial)
-	a.insts[p]++
-	a.kinds[p][in.Kind]++
+	a.res.Insts[p]++
+	a.res.Kinds[p][in.Kind]++
 }
 
 // ObserveBatch implements trace.BatchObserver.
@@ -41,119 +30,60 @@ func (a *BranchMix) ObserveBatch(batch []isa.Inst) {
 	for i := range batch {
 		in := &batch[i]
 		p := phaseIdx(in.Serial)
-		a.insts[p]++
-		a.kinds[p][in.Kind]++
+		a.res.Insts[p]++
+		a.res.Kinds[p][in.Kind]++
 	}
 }
 
-// Insts returns the dynamic instruction count for the phase.
-func (a *BranchMix) Insts(p Phase) int64 {
-	switch p {
-	case Serial:
-		return a.insts[0]
-	case Parallel:
-		return a.insts[1]
-	default:
-		return a.insts[0] + a.insts[1]
-	}
+// Result snapshots the analyzer's counters.
+func (a *BranchMix) Result() *MixResult {
+	r := a.res
+	return &r
 }
 
-// Count returns the dynamic count of the kind in the phase.
-func (a *BranchMix) Count(p Phase, k isa.Kind) int64 {
-	switch p {
-	case Serial:
-		return a.kinds[0][k]
-	case Parallel:
-		return a.kinds[1][k]
-	default:
-		return a.kinds[0][k] + a.kinds[1][k]
-	}
-}
-
-// Fraction returns the kind's share of all dynamic instructions in the
-// phase, as the percentage axis of Figure 1 uses.
-func (a *BranchMix) Fraction(p Phase, k isa.Kind) float64 {
-	n := a.Insts(p)
-	if n == 0 {
-		return 0
-	}
-	return float64(a.Count(p, k)) / float64(n)
-}
-
-// BranchFraction returns the share of all dynamic instructions that are
-// control-flow instructions of any kind (the bar heights of Figure 1).
-func (a *BranchMix) BranchFraction(p Phase) float64 {
-	n := a.Insts(p)
-	if n == 0 {
-		return 0
-	}
-	var b int64
-	for k := 0; k < isa.NumKinds; k++ {
-		if isa.Kind(k).IsBranch() {
-			b += a.Count(p, isa.Kind(k))
-		}
-	}
-	return float64(b) / float64(n)
-}
-
-// IndirectFractionOfBranches returns indirect jumps and calls as a share of
-// all branch instructions (the paper reports <0.5% on average, up to 2.5%
-// for CoEVP).
-func (a *BranchMix) IndirectFractionOfBranches(p Phase) float64 {
-	var b, ind int64
-	for k := 0; k < isa.NumKinds; k++ {
-		kind := isa.Kind(k)
-		if !kind.IsBranch() {
-			continue
-		}
-		c := a.Count(p, kind)
-		b += c
-		if kind == isa.KindIndirectBranch || kind == isa.KindIndirectCall {
-			ind += c
-		}
-	}
-	if b == 0 {
-		return 0
-	}
-	return float64(ind) / float64(b)
-}
-
-// MixReport is the Figure 1 artifact for one workload: per phase, the share
-// of total instructions contributed by each branch kind.
-type MixReport struct {
-	// Insts is the dynamic instruction count per phase.
-	Insts [NumPhases]int64
-	// Share[phase][kind] is that kind's percentage of the phase's
-	// instructions (0..100).
-	Share [NumPhases][isa.NumKinds]float64
-	// BranchPct is the total branch percentage per phase.
-	BranchPct [NumPhases]float64
-}
-
-// Report summarizes the analyzer into a MixReport.
-func (a *BranchMix) Report() MixReport {
-	var r MixReport
-	for i, p := range Phases {
-		r.Insts[i] = a.Insts(p)
-		r.BranchPct[i] = 100 * a.BranchFraction(p)
-		for k := 0; k < isa.NumKinds; k++ {
-			r.Share[i][k] = 100 * a.Fraction(p, isa.Kind(k))
-		}
-	}
-	return r
-}
-
-// MixResult is the mergeable counter snapshot behind a MixReport: dynamic
-// instruction and per-kind counts per phase (0 serial, 1 parallel). It
-// implements the sim result contract (Merge, EncodeJSON).
+// MixResult is the mergeable Figure 1 record: dynamic instruction and
+// per-kind counts per phase (0 serial, 1 parallel). It implements the sim
+// result contract (Merge, EncodeJSON).
 type MixResult struct {
 	Insts [2]int64
 	Kinds [2][isa.NumKinds]int64
 }
 
-// Result snapshots the analyzer's counters.
-func (a *BranchMix) Result() *MixResult {
-	return &MixResult{Insts: a.insts, Kinds: a.kinds}
+// InstCount returns the dynamic instruction count for the phase.
+func (r *MixResult) InstCount(p Phase) int64 { return over(r.Insts, p) }
+
+// Count returns the dynamic count of the kind in the phase.
+func (r *MixResult) Count(p Phase, k isa.Kind) int64 {
+	return over([2]int64{r.Kinds[0][k], r.Kinds[1][k]}, p)
+}
+
+// pct returns c as a percentage of n, 0 for an empty phase. The product is
+// taken before the quotient: (100*c)/n and 100*(c/n) differ in the last
+// ulp, and this is the form the committed goldens carry.
+func pct(c, n int64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return 100 * float64(c) / float64(n)
+}
+
+// KindPct returns the kind's percentage share (0..100) of all dynamic
+// instructions in the phase, as the percentage axis of Figure 1 uses.
+func (r *MixResult) KindPct(p Phase, k isa.Kind) float64 {
+	return pct(r.Count(p, k), r.InstCount(p))
+}
+
+// BranchPct returns the percentage of all dynamic instructions in the
+// phase that are control-flow instructions of any kind (the bar heights of
+// Figure 1).
+func (r *MixResult) BranchPct(p Phase) float64 {
+	var branches int64
+	for k := 0; k < isa.NumKinds; k++ {
+		if isa.Kind(k).IsBranch() {
+			branches += r.Count(p, isa.Kind(k))
+		}
+	}
+	return pct(branches, r.InstCount(p))
 }
 
 // Merge folds another *MixResult's counters into r.
@@ -169,15 +99,6 @@ func (r *MixResult) Merge(other any) error {
 		}
 	}
 	return nil
-}
-
-// phaseInsts sums r.Insts over the phase's internal indices.
-func (r *MixResult) phaseInsts(idx []int) int64 {
-	var n int64
-	for _, i := range idx {
-		n += r.Insts[i]
-	}
-	return n
 }
 
 // mixWire is the canonical JSON shape of a MixResult: the Figure 1
@@ -200,32 +121,24 @@ type mixCounters struct {
 // EncodeJSON renders the Figure 1 artifact: per aggregation phase (total,
 // serial, parallel), the dynamic instruction count, each kind's percentage
 // share, and the total branch percentage, plus the raw counters remote
-// coordinators decode and merge.
+// coordinators decode and merge. A result that saw no instruction carries
+// no kind rows.
 func (r *MixResult) EncodeJSON() ([]byte, error) {
 	var out mixWire
 	out.Counters = mixCounters{Insts: r.Insts, Kinds: r.Kinds}
-	out.KindPct = make(map[string][NumPhases]float64, isa.NumKinds)
 	for pi, p := range Phases {
-		idx := phaseRange(p)
-		n := r.phaseInsts(idx)
-		out.Insts[pi] = n
-		if n == 0 {
-			continue
-		}
-		var branches int64
+		out.Insts[pi] = r.InstCount(p)
+		out.BranchPct[pi] = r.BranchPct(p)
+	}
+	out.KindPct = make(map[string][NumPhases]float64, isa.NumKinds)
+	if r.Insts != [2]int64{} {
 		for k := 0; k < isa.NumKinds; k++ {
-			var c int64
-			for _, i := range idx {
-				c += r.Kinds[i][k]
+			var pcts [NumPhases]float64
+			for pi, p := range Phases {
+				pcts[pi] = r.KindPct(p, isa.Kind(k))
 			}
-			if isa.Kind(k).IsBranch() {
-				branches += c
-			}
-			pcts := out.KindPct[isa.Kind(k).String()]
-			pcts[pi] = 100 * float64(c) / float64(n)
 			out.KindPct[isa.Kind(k).String()] = pcts
 		}
-		out.BranchPct[pi] = 100 * float64(branches) / float64(n)
 	}
 	return json.Marshal(&out)
 }

@@ -65,57 +65,9 @@ func (a *Footprint) ObserveBatch(batch []isa.Inst) {
 	}
 }
 
-// items flattens the phase's chunk map into weighted items.
-func (a *Footprint) items(p Phase) []stats.WeightedItem {
-	merged := make(map[uint64]int64)
-	for _, i := range phaseRange(p) {
-		for c, w := range a.chunks[i] { //repolint:allow nodeterminism order-insensitive fold (commutative integer adds per key)
-			merged[c] += w
-		}
-	}
-	out := make([]stats.WeightedItem, 0, len(merged))
-	for _, w := range merged { //repolint:allow nodeterminism coverage depends only on the weight multiset
-		out = append(out, stats.WeightedItem{Size: footprintGranularity, Weight: w})
-	}
-	return out
-}
-
-// DynamicBytes returns the smallest number of bytes of code that covers the
-// given fraction of the phase's dynamic instructions (Figure 3 plots this
-// for coverage = 0.99).
-func (a *Footprint) DynamicBytes(p Phase, coverage float64) int64 {
-	return stats.FootprintForCoverage(a.items(p), coverage)
-}
-
-// TouchedBytes returns the total bytes of code executed at least once in
-// the phase — the dynamic (touched) footprint.
-func (a *Footprint) TouchedBytes(p Phase) int64 {
-	return a.DynamicBytes(p, 1.0)
-}
-
-// FootprintReport is the Figure 3 artifact for one workload.
-type FootprintReport struct {
-	// StaticKB is the program's static code footprint.
-	StaticKB float64
-	// Dyn99KB[phase] is the memory needed for 99% of dynamic instructions.
-	Dyn99KB [NumPhases]float64
-	// TouchedKB[phase] is the memory executed at least once.
-	TouchedKB [NumPhases]float64
-}
-
-// Report summarizes the analyzer; staticBytes is the program's text size.
-func (a *Footprint) Report(staticBytes int64) FootprintReport {
-	r := FootprintReport{StaticKB: float64(staticBytes) / 1024}
-	for i, p := range Phases {
-		r.Dyn99KB[i] = float64(a.DynamicBytes(p, 0.99)) / 1024
-		r.TouchedKB[i] = float64(a.TouchedBytes(p)) / 1024
-	}
-	return r
-}
-
-// FootprintResult is the mergeable snapshot behind a FootprintReport: the
-// per-phase chunk heat maps plus the program's static text size. Chunks are
-// code addresses, so shards of the same workload merge chunk-by-chunk. It
+// FootprintResult is the mergeable Figure 3 record: the per-phase chunk
+// heat maps plus the program's static text size. Chunks are code
+// addresses, so shards of the same workload merge chunk-by-chunk. It
 // implements the sim result contract.
 type FootprintResult struct {
 	StaticBytes int64
@@ -158,11 +110,13 @@ func (r *FootprintResult) Merge(other any) error {
 	return nil
 }
 
-// bytesFor computes the smallest code footprint covering the fraction of
-// dynamic instructions over the given phase indices.
-func (r *FootprintResult) bytesFor(idx []int, coverage float64) int64 {
+// DynamicBytes returns the smallest number of bytes of code that covers the
+// given fraction of the phase's dynamic instructions: Figure 3 plots
+// coverage 0.99, and coverage 1 is the touched footprint (code executed at
+// least once).
+func (r *FootprintResult) DynamicBytes(p Phase, coverage float64) int64 {
 	merged := make(map[uint64]int64)
-	for _, i := range idx {
+	for _, i := range phaseRange(p) {
 		for c, w := range r.Chunks[i] { //repolint:allow nodeterminism order-insensitive fold (commutative integer adds per key)
 			merged[c] += w
 		}
@@ -215,9 +169,8 @@ func (r *FootprintResult) EncodeJSON() ([]byte, error) {
 	}
 	out.StaticKB = float64(r.StaticBytes) / 1024
 	for pi, p := range Phases {
-		idx := phaseRange(p)
-		out.Dyn99KB[pi] = float64(r.bytesFor(idx, 0.99)) / 1024
-		out.TouchedKB[pi] = float64(r.bytesFor(idx, 1.0)) / 1024
+		out.Dyn99KB[pi] = float64(r.DynamicBytes(p, 0.99)) / 1024
+		out.TouchedKB[pi] = float64(r.DynamicBytes(p, 1.0)) / 1024
 	}
 	return json.Marshal(&out)
 }

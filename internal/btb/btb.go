@@ -61,15 +61,6 @@ func New(entries, ways int) *BTB {
 	return b
 }
 
-// Name describes the configuration as the Figure 7 legend does.
-func (b *BTB) Name() string { return b.res.Name }
-
-// Entries returns the total entry count.
-func (b *BTB) Entries() int { return b.res.Entries }
-
-// Ways returns the associativity.
-func (b *BTB) Ways() int { return b.res.Ways }
-
 // index computes the set index from the branch address: the paper's
 // "simple modulo indexing".
 func (b *BTB) index(pc isa.Addr) int {
@@ -132,39 +123,10 @@ func (b *BTB) observeOne(in *isa.Inst) {
 	b.data[victim] = entry{valid: true, tag: tag, target: in.Target, lru: b.clock}
 }
 
-// MPKI returns BTB misses per kilo-instruction over the whole stream.
-func (b *BTB) MPKI() float64 { return b.res.MPKI() }
-
-// MPKISerial returns MPKI over serial sections.
-func (b *BTB) MPKISerial() float64 { return b.res.MPKISerial() }
-
-// MPKIParallel returns MPKI over parallel sections.
-func (b *BTB) MPKIParallel() float64 { return b.res.MPKIParallel() }
-
-// MissRate returns misses per taken-branch lookup.
-func (b *BTB) MissRate() float64 { return b.res.MissRate() }
-
-// Lookups returns the number of taken-branch probes.
-func (b *BTB) Lookups() int64 { return b.res.Lookups[0] + b.res.Lookups[1] }
-
-// Misses returns the number of BTB misses.
-func (b *BTB) Misses() int64 { return b.res.Misses[0] + b.res.Misses[1] }
-
 // Result snapshots the run's counters as a mergeable, encodable record.
 func (b *BTB) Result() *Result {
 	r := b.res
 	return &r
-}
-
-// Reset clears contents and counters.
-func (b *BTB) Reset() {
-	for i := range b.data {
-		b.data[i] = entry{}
-	}
-	b.clock = 0
-	b.res.Insts = [2]int64{}
-	b.res.Lookups = [2]int64{}
-	b.res.Misses = [2]int64{}
 }
 
 // Result holds one BTB configuration's counters over a stream: dynamic
@@ -278,16 +240,4 @@ func DecodeResult(data []byte) (*Result, error) {
 		Lookups: w.Lookups,
 		Misses:  w.Misses,
 	}, nil
-}
-
-// StandardConfigs returns the nine Figure 7 configurations: {256, 512, 1K}
-// entries x {2, 4, 8} ways.
-func StandardConfigs() []*BTB {
-	var out []*BTB
-	for _, entries := range []int{256, 512, 1024} {
-		for _, ways := range []int{2, 4, 8} {
-			out = append(out, New(entries, ways))
-		}
-	}
-	return out
 }

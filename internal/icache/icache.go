@@ -78,18 +78,6 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	return c
 }
 
-// Name describes the configuration as the figures' legends do.
-func (c *Cache) Name() string { return c.res.Name }
-
-// SizeBytes returns the cache capacity.
-func (c *Cache) SizeBytes() int { return c.res.SizeBytes }
-
-// LineBytes returns the line width.
-func (c *Cache) LineBytes() int { return c.res.LineBytes }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.res.Ways }
-
 // Observe implements trace.Observer.
 func (c *Cache) Observe(in isa.Inst) {
 	c.observeOne(&in)
@@ -165,7 +153,7 @@ func (c *Cache) access(lineAddr uint64, phase int) *line {
 			victim = base + w
 		}
 	}
-	c.retire(&c.lines[victim])
+	c.res.retire(&c.lines[victim])
 	c.lines[victim] = line{valid: true, tag: tag, lru: c.clock}
 	return &c.lines[victim]
 }
@@ -186,13 +174,13 @@ func (c *Cache) markUse(l *line, pc uint64, size int) {
 	}
 }
 
-// retire folds a victim line's usage into the usefulness accumulators.
-func (c *Cache) retire(l *line) {
+// retire folds a line's usage since fill into the usefulness accumulators.
+func (r *Result) retire(l *line) {
 	if !l.valid {
 		return
 	}
-	c.res.TotalSectors += int64(c.res.LineBytes / sectorBytes)
-	c.res.UsedSectors += int64(popcount16(l.used))
+	r.TotalSectors += int64(r.LineBytes / sectorBytes)
+	r.UsedSectors += int64(popcount16(l.used))
 }
 
 func popcount16(x uint16) int {
@@ -204,59 +192,15 @@ func popcount16(x uint16) int {
 	return n
 }
 
-// Finish retires all resident lines so usefulness covers the whole run.
-// Call once after the trace ends; further observation is undefined.
-func (c *Cache) Finish() {
-	for i := range c.lines {
-		c.retire(&c.lines[i])
-		c.lines[i].valid = false
-	}
-}
-
-// MPKI returns I-cache misses per kilo-instruction over the whole stream.
-func (c *Cache) MPKI() float64 { return c.res.MPKI() }
-
-// MPKISerial returns MPKI over serial sections.
-func (c *Cache) MPKISerial() float64 { return c.res.MPKISerial() }
-
-// MPKIParallel returns MPKI over parallel sections.
-func (c *Cache) MPKIParallel() float64 { return c.res.MPKIParallel() }
-
-// MissRate returns misses per cache access.
-func (c *Cache) MissRate() float64 { return c.res.MissRate() }
-
-// Accesses returns the number of cache probes (sequential extraction within
-// a line does not probe).
-func (c *Cache) Accesses() int64 { return c.res.Accesses[0] + c.res.Accesses[1] }
-
-// Misses returns the total misses.
-func (c *Cache) Misses() int64 { return c.res.Misses[0] + c.res.Misses[1] }
-
-// Usefulness returns the average fraction of distinct line bytes consumed
-// between fill and eviction, at 8-byte-sector granularity. Call Finish
-// first to include still-resident lines.
-func (c *Cache) Usefulness() float64 { return c.res.Usefulness() }
-
 // Result snapshots the run's counters as a mergeable, encodable record.
-// Call Finish first so the usefulness metric covers still-resident lines.
+// Lines still resident count toward usefulness as if retired now, so the
+// metric covers the whole run; the cache itself is left untouched.
 func (c *Cache) Result() *Result {
 	r := c.res
-	return &r
-}
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
 	for i := range c.lines {
-		c.lines[i] = line{}
+		r.retire(&c.lines[i])
 	}
-	c.clock = 0
-	c.lastLine = 0
-	c.lastPtr = nil
-	c.res.Insts = [2]int64{}
-	c.res.Accesses = [2]int64{}
-	c.res.Misses = [2]int64{}
-	c.res.UsedSectors = 0
-	c.res.TotalSectors = 0
+	return &r
 }
 
 // Result holds one cache configuration's counters over a stream. It merges

@@ -17,8 +17,13 @@ func TestObserveCountersAndUsefulness(t *testing.T) {
 	for pc := isa.Addr(0); pc < 64; pc += 4 {
 		c.Observe(inst(pc, true))
 	}
-	c.Finish()
+	// Result is the only exit: it counts the still-resident line itself
+	// (one 64B line = 8 sectors, all consumed), with no Finish step to
+	// forget, and it leaves the cache as it was.
 	r := c.Result()
+	if again := c.Result(); *again != *r {
+		t.Errorf("second Result() = %+v, first %+v", again, r)
+	}
 	if r.Insts[0] != 16 || r.Insts[1] != 0 {
 		t.Errorf("insts = %v, want [16 0]", r.Insts)
 	}
@@ -28,9 +33,8 @@ func TestObserveCountersAndUsefulness(t *testing.T) {
 	if r.Accesses[0] == 0 {
 		t.Error("no accesses recorded")
 	}
-	// The whole line was consumed before Finish retired it.
-	if r.TotalSectors == 0 || r.UsedSectors != r.TotalSectors {
-		t.Errorf("usefulness sectors = %d/%d, want a fully-used line", r.UsedSectors, r.TotalSectors)
+	if r.UsedSectors != 8 || r.TotalSectors != 8 {
+		t.Errorf("usefulness sectors = %d/%d, want 8/8: the resident line, fully used", r.UsedSectors, r.TotalSectors)
 	}
 	if r.Usefulness() != 1 {
 		t.Errorf("usefulness = %v, want 1", r.Usefulness())
@@ -76,7 +80,6 @@ func TestDecodeRoundTrip(t *testing.T) {
 	for pc := isa.Addr(0); pc < 20_000; pc += 4 {
 		c.Observe(inst(pc, pc%128 == 0))
 	}
-	c.Finish()
 	r := c.Result()
 	enc, err := r.EncodeJSON()
 	if err != nil {
@@ -116,7 +119,6 @@ func TestMergeAfterDecodeEqualsInProcessMerge(t *testing.T) {
 		for pc := base; pc < base+10_000; pc += 4 {
 			c.Observe(inst(pc, true))
 		}
-		c.Finish()
 		return c.Result()
 	}
 	a, b := mk(0), mk(1<<20)

@@ -72,16 +72,6 @@ func (k Kind) IsBranch() bool { return k != KindOther }
 // the population studied in Figure 2 and Table I.
 func (k Kind) IsConditional() bool { return k == KindCondDirect }
 
-// IsIndirect reports whether the instruction's target comes from a register
-// or memory rather than the instruction encoding.
-func (k Kind) IsIndirect() bool {
-	return k == KindIndirectBranch || k == KindIndirectCall || k == KindReturn
-}
-
-// NeedsBTB reports whether a taken instance of this kind needs a branch
-// target buffer entry to deliver its target in the fetch stage.
-func (k Kind) NeedsBTB() bool { return k.IsBranch() }
-
 // Inst is one dynamic instruction as observed by the instrumentation layer.
 //
 // For non-branch instructions only PC, Size, and Phase are meaningful.
@@ -111,13 +101,6 @@ func (in *Inst) NextPC() Addr {
 	}
 	return in.PC + Addr(in.Size)
 }
-
-// FallThrough returns the address immediately after the instruction.
-func (in *Inst) FallThrough() Addr { return in.PC + Addr(in.Size) }
-
-// IsBackward reports whether a taken branch jumps to a lower address.
-// The paper's Table I splits taken branches into backward and forward.
-func (in *Inst) IsBackward() bool { return in.Taken && in.Target < in.PC }
 
 // Direction labels the resolved direction of a branch for misprediction
 // breakdowns (Figure 6).

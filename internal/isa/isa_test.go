@@ -12,16 +12,15 @@ var kindProps = []struct {
 	name        string
 	branch      bool
 	conditional bool
-	indirect    bool
 }{
-	{KindOther, "other", false, false, false},
-	{KindCondDirect, "cond-direct", true, true, false},
-	{KindUncondDirect, "uncond-direct", true, false, false},
-	{KindIndirectBranch, "indirect-branch", true, false, true},
-	{KindCall, "call", true, false, false},
-	{KindIndirectCall, "indirect-call", true, false, true},
-	{KindReturn, "return", true, false, true},
-	{KindSyscall, "syscall", true, false, false},
+	{KindOther, "other", false, false},
+	{KindCondDirect, "cond-direct", true, true},
+	{KindUncondDirect, "uncond-direct", true, false},
+	{KindIndirectBranch, "indirect-branch", true, false},
+	{KindCall, "call", true, false},
+	{KindIndirectCall, "indirect-call", true, false},
+	{KindReturn, "return", true, false},
+	{KindSyscall, "syscall", true, false},
 }
 
 func TestKindPredicates(t *testing.T) {
@@ -42,14 +41,6 @@ func TestKindPredicates(t *testing.T) {
 		}
 		if got := tc.kind.IsConditional(); got != tc.conditional {
 			t.Errorf("%v.IsConditional() = %v, want %v", tc.kind, got, tc.conditional)
-		}
-		if got := tc.kind.IsIndirect(); got != tc.indirect {
-			t.Errorf("%v.IsIndirect() = %v, want %v", tc.kind, got, tc.indirect)
-		}
-		// The paper's BTB accounting: every taken control-flow
-		// instruction needs a BTB entry, non-branches never do.
-		if got := tc.kind.NeedsBTB(); got != tc.branch {
-			t.Errorf("%v.NeedsBTB() = %v, want %v", tc.kind, got, tc.branch)
 		}
 	}
 }
@@ -76,9 +67,6 @@ func TestNextPCAndFallThrough(t *testing.T) {
 		if got := tc.in.NextPC(); got != tc.next {
 			t.Errorf("%s: NextPC() = %#x, want %#x", tc.name, got, tc.next)
 		}
-		if got, want := tc.in.FallThrough(), tc.in.PC+Addr(tc.in.Size); got != want {
-			t.Errorf("%s: FallThrough() = %#x, want %#x", tc.name, got, want)
-		}
 	}
 }
 
@@ -87,21 +75,17 @@ func TestBranchDirection(t *testing.T) {
 		name string
 		in   Inst
 		dir  Direction
-		back bool
 	}{
-		{"not taken", Inst{PC: 0x1000, Kind: KindCondDirect, Taken: false, Target: 0x200}, DirNotTaken, false},
-		{"taken backward", Inst{PC: 0x1000, Kind: KindCondDirect, Taken: true, Target: 0xf00}, DirTakenBackward, true},
-		{"taken forward", Inst{PC: 0x1000, Kind: KindCondDirect, Taken: true, Target: 0x1100}, DirTakenForward, false},
+		{"not taken", Inst{PC: 0x1000, Kind: KindCondDirect, Taken: false, Target: 0x200}, DirNotTaken},
+		{"taken backward", Inst{PC: 0x1000, Kind: KindCondDirect, Taken: true, Target: 0xf00}, DirTakenBackward},
+		{"taken forward", Inst{PC: 0x1000, Kind: KindCondDirect, Taken: true, Target: 0x1100}, DirTakenForward},
 		// A taken branch to its own address is "forward" (not lower):
 		// the boundary case Table I's split depends on.
-		{"self target", Inst{PC: 0x1000, Kind: KindUncondDirect, Taken: true, Target: 0x1000}, DirTakenForward, false},
+		{"self target", Inst{PC: 0x1000, Kind: KindUncondDirect, Taken: true, Target: 0x1000}, DirTakenForward},
 	}
 	for _, tc := range cases {
 		if got := tc.in.BranchDirection(); got != tc.dir {
 			t.Errorf("%s: BranchDirection() = %v, want %v", tc.name, got, tc.dir)
-		}
-		if got := tc.in.IsBackward(); got != tc.back {
-			t.Errorf("%s: IsBackward() = %v, want %v", tc.name, got, tc.back)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package program
 
-import (
-	"math/bits"
-
-	"rebalance/internal/rng"
-)
+import "rebalance/internal/rng"
 
 // Behavior decides the outcome of a conditional branch site at each dynamic
 // execution. Implementations must be pure functions of their inputs so that
@@ -208,30 +204,4 @@ func (m PhasedIters) Mean() float64 {
 		s += c
 	}
 	return float64(s) / float64(len(m.Counts))
-}
-
-// HistoryHash compresses a global history register into n bits; shared by
-// behaviours and diagnostics that need a stable folding of history.
-func HistoryHash(hist uint64, n uint) uint64 {
-	if n == 0 || n >= 64 {
-		return hist
-	}
-	folded := hist
-	for shift := n; shift < 64; shift *= 2 {
-		folded ^= folded >> shift
-		if shift > 32 {
-			break
-		}
-	}
-	return folded & ((1 << n) - 1)
-}
-
-// PopcountBias returns the fraction of set bits in x's low n bits; a helper
-// for tests validating behaviour constructions.
-func PopcountBias(x uint64, n uint) float64 {
-	if n == 0 {
-		return 0
-	}
-	mask := uint64(1)<<n - 1
-	return float64(bits.OnesCount64(x&mask)) / float64(n)
 }

@@ -205,9 +205,6 @@ func NewBlock(sizes []uint8) *Block {
 	return &Block{Sizes: sizes, TotalBytes: total}
 }
 
-// NumInsts returns the number of instructions in the block.
-func (b *Block) NumInsts() int { return len(b.Sizes) }
-
 // Branch is a static branch site: one control-flow instruction.
 type Branch struct {
 	// ID is the dense site identifier assigned by Layout.

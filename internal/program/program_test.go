@@ -273,8 +273,8 @@ func TestStaticCounts(t *testing.T) {
 
 func TestBlockAccounting(t *testing.T) {
 	b := NewBlock([]uint8{2, 7, 4})
-	if b.NumInsts() != 3 || b.TotalBytes != 13 {
-		t.Errorf("NumInsts/TotalBytes = %d/%d, want 3/13", b.NumInsts(), b.TotalBytes)
+	if len(b.Sizes) != 3 || b.TotalBytes != 13 {
+		t.Errorf("insts/TotalBytes = %d/%d, want 3/13", len(b.Sizes), b.TotalBytes)
 	}
 }
 
@@ -384,23 +384,5 @@ func TestBehaviors(t *testing.T) {
 	noisy := MixedBehavior{Base: base, NoiseP: 1, NoiseTaken: 0}
 	if noisy.Next(5, 0, r) {
 		t.Error("all-noise mixed behavior ignored the noise coin")
-	}
-}
-
-func TestHistoryHelpers(t *testing.T) {
-	if got := HistoryHash(0xdeadbeef, 0); got != 0xdeadbeef {
-		t.Errorf("HistoryHash n=0 = %#x, want identity", got)
-	}
-	if got := HistoryHash(0xdeadbeef, 64); got != 0xdeadbeef {
-		t.Errorf("HistoryHash n=64 = %#x, want identity", got)
-	}
-	if got := HistoryHash(0xffffffffffffffff, 8); got >= 1<<8 {
-		t.Errorf("HistoryHash n=8 = %#x, want < 256", got)
-	}
-	if got := PopcountBias(0b1011, 4); got != 0.75 {
-		t.Errorf("PopcountBias = %v, want 0.75", got)
-	}
-	if got := PopcountBias(0xff, 0); got != 0 {
-		t.Errorf("PopcountBias n=0 = %v, want 0", got)
 	}
 }

@@ -169,12 +169,3 @@ func (r *RNG) Choice(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Fork derives an independent generator whose stream is a pure function of
-// this generator's current state and the given label. Forking lets one
-// workload seed many independent sub-streams (one per branch site, say)
-// without the sub-streams aliasing each other.
-func (r *RNG) Fork(label uint64) *RNG {
-	base := r.Uint64() ^ rotl(label, 32) ^ 0x9e3779b97f4a7c15
-	return New(base)
-}

@@ -62,18 +62,8 @@ func DecodeReport(data []byte) (*Report, error) {
 		if cfg == nil {
 			return nil, fmt.Errorf("sim: decoding report: shard %d names observer %q, not in the report's spec", i, sh.Observer)
 		}
-		res, err := cfg.Decode(sh.Result)
-		if err != nil {
+		if rep.Shards[i], err = sh.shard(cfg); err != nil {
 			return nil, fmt.Errorf("sim: decoding report: shard {%s %s seed %d}: %w", sh.Workload, sh.Observer, sh.Seed, err)
-		}
-		rep.Shards[i] = Shard{
-			Workload:  sh.Workload,
-			Seed:      sh.Seed,
-			Observer:  sh.Observer,
-			Insts:     sh.Insts,
-			ElapsedNS: sh.ElapsedNS,
-			Cached:    sh.Cached,
-			Result:    res,
 		}
 	}
 	rep.Merged = make([]Merged, len(w.Merged))

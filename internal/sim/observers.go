@@ -11,6 +11,7 @@ import (
 	"rebalance/internal/icache"
 	"rebalance/internal/isa"
 	"rebalance/internal/program"
+	"rebalance/internal/trace"
 	"rebalance/internal/wire"
 )
 
@@ -29,22 +30,42 @@ func init() {
 	RegisterObserver("btb", btbFactory)
 	RegisterObserver("icache", icacheFactory)
 	RegisterObserver("branch-mix", analysisFactory("branch-mix", func(*program.Program) ShardObserver {
-		return &mixShard{mix: analysis.NewBranchMix()}
+		mix := analysis.NewBranchMix()
+		return shard{mix, func() Result { return mix.Result() }}
 	}, func() Result { return &analysis.MixResult{} },
 		func(data []byte) (Result, error) { return analysis.DecodeMixResult(data) }))
 	RegisterObserver("bias", analysisFactory("bias", func(*program.Program) ShardObserver {
-		return &biasShard{bias: analysis.NewBias()}
+		bias := analysis.NewBias()
+		return shard{bias, func() Result { return bias.Result() }}
 	}, func() Result { return &analysis.BiasResult{} },
 		func(data []byte) (Result, error) { return analysis.DecodeBiasResult(data) }))
 	RegisterObserver("footprint", analysisFactory("footprint", func(p *program.Program) ShardObserver {
-		return &fpShard{fp: analysis.NewFootprint(), static: p.TextSize}
+		fp := analysis.NewFootprint()
+		return shard{fp, func() Result { return fp.Result(p.TextSize) }}
 	}, func() Result { return &analysis.FootprintResult{} },
 		func(data []byte) (Result, error) { return analysis.DecodeFootprintResult(data) }))
 	RegisterObserver("bbl", analysisFactory("bbl", func(*program.Program) ShardObserver {
-		return &bblShard{bbl: analysis.NewBBL()}
+		bbl := analysis.NewBBL()
+		return shard{bbl, func() Result { return bbl.Result() }}
 	}, func() Result { return &analysis.BBLResult{} },
 		func(data []byte) (Result, error) { return analysis.DecodeBBLResult(data) }))
 }
+
+// streamObserver is the stream-facing half of every live observer:
+// simulators and analysis collectors all take the stream both ways.
+type streamObserver interface {
+	trace.Observer
+	trace.BatchObserver
+}
+
+// shard is the one adapter from a live observer to a ShardObserver: the
+// stream goes straight to the observer, and Finish takes its result.
+type shard struct {
+	streamObserver
+	result func() Result
+}
+
+func (s shard) Finish() (Result, error) { return s.result(), nil }
 
 // --- bpred ---
 
@@ -92,7 +113,8 @@ func (c bpredCfg) NewObserver(*program.Program) ShardObserver {
 	if err != nil {
 		panic(err) // name was validated at expansion
 	}
-	return &bpredShard{sim: bpred.NewSim(p)}
+	sim := bpred.NewSim(p)
+	return shard{sim, func() Result { return &sim.Results()[0] }}
 }
 
 func (c bpredCfg) NewResult() Result { return &bpred.Result{} }
@@ -110,16 +132,6 @@ func (c bpredCfg) Decode(data json.RawMessage) (Result, error) {
 		return nil, fmt.Errorf("sim: decoded bpred result for %q, want %q", r.Name, c.name)
 	}
 	return r, nil
-}
-
-type bpredShard struct{ sim *bpred.Sim }
-
-func (b *bpredShard) Observe(in isa.Inst)           { b.sim.Observe(in) }
-func (b *bpredShard) ObserveBatch(batch []isa.Inst) { b.sim.ObserveBatch(batch) }
-
-func (b *bpredShard) Finish() (Result, error) {
-	rs := b.sim.Results()
-	return &rs[0], nil
 }
 
 type bpredGroupCfg struct {
@@ -183,6 +195,8 @@ func (c bpredGroupCfg) Decode(data json.RawMessage) (Result, error) {
 	return out, nil
 }
 
+// bpredGroupShard keeps its own type: a parallelized group owns worker
+// goroutines, so it also offers Close.
 type bpredGroupShard struct{ sim *bpred.Sim }
 
 func (b *bpredGroupShard) Observe(in isa.Inst)           { b.sim.Observe(in) }
@@ -238,7 +252,8 @@ type btbCfg struct{ g btbGeometry }
 func (c btbCfg) Key() string { return fmt.Sprintf("btb/%dx%d", c.g.Entries, c.g.Ways) }
 
 func (c btbCfg) NewObserver(*program.Program) ShardObserver {
-	return &btbShard{b: btb.New(c.g.Entries, c.g.Ways)}
+	b := btb.New(c.g.Entries, c.g.Ways)
+	return shard{b, func() Result { return b.Result() }}
 }
 
 func (c btbCfg) NewResult() Result { return &btb.Result{} }
@@ -257,12 +272,6 @@ func (c btbCfg) Decode(data json.RawMessage) (Result, error) {
 	}
 	return r, nil
 }
-
-type btbShard struct{ b *btb.BTB }
-
-func (s *btbShard) Observe(in isa.Inst)           { s.b.Observe(in) }
-func (s *btbShard) ObserveBatch(batch []isa.Inst) { s.b.ObserveBatch(batch) }
-func (s *btbShard) Finish() (Result, error)       { return s.b.Result(), nil }
 
 // --- icache ---
 
@@ -310,7 +319,8 @@ func (c icacheCfg) Key() string {
 }
 
 func (c icacheCfg) NewObserver(*program.Program) ShardObserver {
-	return &icacheShard{c: icache.New(c.g.SizeKB*1024, c.g.LineBytes, c.g.Ways)}
+	ic := icache.New(c.g.SizeKB*1024, c.g.LineBytes, c.g.Ways)
+	return shard{ic, func() Result { return ic.Result() }}
 }
 
 func (c icacheCfg) NewResult() Result { return &icache.Result{} }
@@ -328,16 +338,6 @@ func (c icacheCfg) Decode(data json.RawMessage) (Result, error) {
 		return nil, fmt.Errorf("sim: decoded icache result for %s, want %s", r.Name, c.Key())
 	}
 	return r, nil
-}
-
-type icacheShard struct{ c *icache.Cache }
-
-func (s *icacheShard) Observe(in isa.Inst)           { s.c.Observe(in) }
-func (s *icacheShard) ObserveBatch(batch []isa.Inst) { s.c.ObserveBatch(batch) }
-
-func (s *icacheShard) Finish() (Result, error) {
-	s.c.Finish() // retire resident lines so usefulness covers the run
-	return s.c.Result(), nil
 }
 
 // --- analysis collectors ---
@@ -366,30 +366,3 @@ func (c analysisCfg) NewResult() Result                            { return c.ne
 func (c analysisCfg) Spec() ObserverSpec                           { return ObserverSpec{Kind: c.key} }
 
 func (c analysisCfg) Decode(data json.RawMessage) (Result, error) { return c.decode(data) }
-
-type mixShard struct{ mix *analysis.BranchMix }
-
-func (s *mixShard) Observe(in isa.Inst)           { s.mix.Observe(in) }
-func (s *mixShard) ObserveBatch(batch []isa.Inst) { s.mix.ObserveBatch(batch) }
-func (s *mixShard) Finish() (Result, error)       { return s.mix.Result(), nil }
-
-type biasShard struct{ bias *analysis.Bias }
-
-func (s *biasShard) Observe(in isa.Inst)           { s.bias.Observe(in) }
-func (s *biasShard) ObserveBatch(batch []isa.Inst) { s.bias.ObserveBatch(batch) }
-func (s *biasShard) Finish() (Result, error)       { return s.bias.Result(), nil }
-
-type fpShard struct {
-	fp     *analysis.Footprint
-	static int64
-}
-
-func (s *fpShard) Observe(in isa.Inst)           { s.fp.Observe(in) }
-func (s *fpShard) ObserveBatch(batch []isa.Inst) { s.fp.ObserveBatch(batch) }
-func (s *fpShard) Finish() (Result, error)       { return s.fp.Result(s.static), nil }
-
-type bblShard struct{ bbl *analysis.BBL }
-
-func (s *bblShard) Observe(in isa.Inst)           { s.bbl.Observe(in) }
-func (s *bblShard) ObserveBatch(batch []isa.Inst) { s.bbl.ObserveBatch(batch) }
-func (s *bblShard) Finish() (Result, error)       { return s.bbl.Result(), nil }

@@ -236,13 +236,13 @@ func TestPartialErrorUnwraps(t *testing.T) {
 // observer kind fail; the rest behave like bbl.
 var failFinishes atomic.Int64
 
-type failFinishShard struct{ *bblShard }
+type failFinishShard struct{ shard }
 
 func (s failFinishShard) Finish() (Result, error) {
 	if failFinishes.Add(-1) >= 0 {
 		return nil, errors.New("scripted finish failure")
 	}
-	return s.bblShard.Finish()
+	return s.shard.Finish()
 }
 
 // registerFailFinish makes the "fail-finish" kind nameable for the length
@@ -253,7 +253,8 @@ func registerFailFinish(t *testing.T) {
 	t.Cleanup(func() { obsRegistry = saved })
 	obsRegistry = registry.New[ObserverFactory]("observer kind")
 	RegisterObserver("fail-finish", analysisFactory("fail-finish", func(*program.Program) ShardObserver {
-		return failFinishShard{&bblShard{bbl: analysis.NewBBL()}}
+		bbl := analysis.NewBBL()
+		return failFinishShard{shard{bbl, func() Result { return bbl.Result() }}}
 	}, func() Result { return &analysis.BBLResult{} },
 		func(data []byte) (Result, error) { return analysis.DecodeBBLResult(data) }))
 }

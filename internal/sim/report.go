@@ -88,6 +88,24 @@ type shardWire struct {
 	Result    json.RawMessage `json:"result"`
 }
 
+// shard is the one wire-to-Shard conversion: the embedded result decodes
+// through cfg, the configuration the record's observer key names.
+func (w shardWire) shard(cfg ObserverConfig) (Shard, error) {
+	res, err := cfg.Decode(w.Result)
+	if err != nil {
+		return Shard{}, err
+	}
+	return Shard{
+		Workload:  w.Workload,
+		Seed:      w.Seed,
+		Observer:  w.Observer,
+		Insts:     w.Insts,
+		ElapsedNS: w.ElapsedNS,
+		Cached:    w.Cached,
+		Result:    res,
+	}, nil
+}
+
 type mergedWire struct {
 	Workload string          `json:"workload"`
 	Observer string          `json:"observer"`

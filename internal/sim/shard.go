@@ -101,19 +101,11 @@ func DecodeShard(data []byte, spec ShardSpec, cfg ObserverConfig) (Shard, error)
 		return Shard{}, fmt.Errorf("sim: shard {%s %s seed %d} emitted %d < budget %d",
 			w.Workload, w.Observer, w.Seed, w.Insts, spec.Insts)
 	}
-	res, err := cfg.Decode(w.Result)
+	sh, err := w.shard(cfg)
 	if err != nil {
 		return Shard{}, fmt.Errorf("sim: decoding shard {%s %s seed %d} result: %w", w.Workload, w.Observer, w.Seed, err)
 	}
-	return Shard{
-		Workload:  w.Workload,
-		Seed:      w.Seed,
-		Observer:  w.Observer,
-		Insts:     w.Insts,
-		ElapsedNS: w.ElapsedNS,
-		Cached:    w.Cached,
-		Result:    res,
-	}, nil
+	return sh, nil
 }
 
 // ShardRunner executes an expanded shard grid and reports what happened,

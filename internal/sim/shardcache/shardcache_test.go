@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,51 +17,6 @@ func mustNew(t *testing.T, opts Options) *Cache {
 		t.Fatal(err)
 	}
 	return c
-}
-
-func TestGetPutRoundTrip(t *testing.T) {
-	c := mustNew(t, Options{})
-	if _, ok := c.Get("k1"); ok {
-		t.Fatal("empty cache reported a hit")
-	}
-	c.Put("k1", []byte("v1"))
-	got, ok := c.Get("k1")
-	if !ok || string(got) != "v1" {
-		t.Fatalf("Get(k1) = %q, %v", got, ok)
-	}
-	c.Put("k1", []byte("v1-replaced"))
-	got, _ = c.Get("k1")
-	if string(got) != "v1-replaced" {
-		t.Fatalf("replaced value not served: %q", got)
-	}
-	s := c.Stats()
-	if s.Hits != 2 || s.Misses != 1 || s.Entries != 1 {
-		t.Errorf("stats = %+v, want 2 hits / 1 miss / 1 entry", s)
-	}
-	if s.Bytes != int64(len("v1-replaced")) {
-		t.Errorf("bytes = %d after replacement, want %d", s.Bytes, len("v1-replaced"))
-	}
-}
-
-func TestLRUEvictionByBytes(t *testing.T) {
-	c := mustNew(t, Options{MaxBytes: 10})
-	c.Put("a", []byte("aaaa")) // 4 bytes
-	c.Put("b", []byte("bbbb")) // 8 bytes
-	c.Put("c", []byte("cccc")) // 12 -> evict a
-	if _, ok := c.Get("a"); ok {
-		t.Error("oldest entry survived byte-bound eviction")
-	}
-	if s := c.Stats(); s.Bytes > 10 {
-		t.Errorf("bytes = %d exceeds bound 10", s.Bytes)
-	}
-	// An oversized value must not wipe the tier to admit itself.
-	c.Put("huge", make([]byte, 64))
-	if _, ok := c.Get("b"); !ok {
-		t.Error("oversized value evicted resident entries")
-	}
-	if _, ok := c.Get("huge"); ok {
-		t.Error("oversized value was admitted to the memory tier")
-	}
 }
 
 func TestDiskTierRoundTrip(t *testing.T) {
@@ -122,43 +76,6 @@ func TestCorruptDiskEntryIsAMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-func TestOrphanedTempFilesSweptAtStartup(t *testing.T) {
-	dir := t.TempDir()
-	mustNew(t, Options{Dir: dir}).Put("keep", []byte("v"))
-	if err := os.WriteFile(filepath.Join(dir, "keep-12345.tmp"), []byte("torn"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	mustNew(t, Options{Dir: dir}) // restart: crash leftovers are swept
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 || ents[0].Name() != "keep" {
-		names := make([]string, len(ents))
-		for i, e := range ents {
-			names[i] = e.Name()
-		}
-		t.Errorf("dir after restart = %v, want only the completed entry", names)
-	}
-}
-
-func TestHostileKeysSkipDisk(t *testing.T) {
-	dir := t.TempDir()
-	c := mustNew(t, Options{Dir: dir})
-	for _, key := range []string{"", ".", "..", "a/b", `a\b`, "x.tmp"} {
-		c.Put(key, []byte("v"))
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			if strings.Contains(e.Name(), "v") || e.Name() == key {
-				t.Errorf("hostile key %q reached the disk tier as %q", key, e.Name())
-			}
-		}
-	}
 }
 
 func TestDoSingleflight(t *testing.T) {

@@ -46,8 +46,7 @@ type Result interface {
 // so goroutines are released even when a run errors mid-stream.
 type ShardObserver interface {
 	trace.Observer
-	// Finish seals the observation (e.g. retiring resident cache lines)
-	// and returns the shard's result.
+	// Finish seals the observation and returns the shard's result.
 	Finish() (Result, error)
 }
 

@@ -1,60 +1,14 @@
 // Package stats provides the small statistical toolkit shared by the
-// characterization analyzers and the experiment drivers: running means,
+// characterization analyzers and the experiment drivers: arithmetic means,
 // histograms with fixed bucket boundaries (Figure 2 uses ten 10%-wide
-// buckets), weighted footprint percentiles (Figure 3 uses the smallest
-// memory holding 99% of dynamic instructions), and geometric means for
-// normalized timing results.
+// buckets), and weighted footprint percentiles (Figure 3 uses the smallest
+// memory holding 99% of dynamic instructions).
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Mean accumulates a running arithmetic mean without storing samples.
-type Mean struct {
-	n   int64
-	sum float64
-}
-
-// Add adds one sample.
-func (m *Mean) Add(x float64) { m.n++; m.sum += x }
-
-// AddN adds a sample with integer weight n.
-func (m *Mean) AddN(x float64, n int64) { m.n += n; m.sum += x * float64(n) }
-
-// N returns the number of samples seen.
-func (m *Mean) N() int64 { return m.n }
-
-// Sum returns the running sum of all samples; together with N it lets
-// means from independent shards be merged exactly.
-func (m *Mean) Sum() float64 { return m.sum }
-
-// Value returns the mean, or 0 when no samples were added.
-func (m *Mean) Value() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
-
-// Geomean returns the geometric mean of xs, ignoring non-positive entries.
-// It returns 0 if no positive entries exist. Normalized execution times in
-// Figure 10 are averaged geometrically, the standard practice for ratios.
-func Geomean(xs []float64) float64 {
-	sumLog, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sumLog += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sumLog / float64(n))
-}
 
 // Average returns the arithmetic mean of xs, or 0 for an empty slice.
 func Average(xs []float64) float64 {
@@ -103,39 +57,12 @@ func (h *Histogram) Add(v float64, weight int64) {
 // Buckets returns the number of buckets.
 func (h *Histogram) Buckets() int { return len(h.counts) }
 
-// Count returns the raw weight in bucket i.
-func (h *Histogram) Count(i int) int64 { return h.counts[i] }
-
-// Total returns the total weight added.
-func (h *Histogram) Total() int64 { return h.total }
-
 // Fraction returns bucket i's share of the total weight (0 if empty).
 func (h *Histogram) Fraction(i int) float64 {
 	if h.total == 0 {
 		return 0
 	}
 	return float64(h.counts[i]) / float64(h.total)
-}
-
-// Fractions returns every bucket's share of the total weight.
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.Fraction(i)
-	}
-	return out
-}
-
-// Merge adds other's buckets into h. Both histograms must have the same
-// bucket count.
-func (h *Histogram) Merge(other *Histogram) {
-	if len(h.counts) != len(other.counts) {
-		panic("stats: merging histograms with different bucket counts")
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
 }
 
 // WeightedItem is a value with an associated weight, used for footprint
@@ -183,24 +110,4 @@ func FootprintForCoverage(items []WeightedItem, coverage float64) int64 {
 		}
 	}
 	return accSize
-}
-
-// Ratio formats a/b as a percentage string for reports; returns "n/a" when
-// b is zero.
-func Ratio(a, b float64) string {
-	if b == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f%%", 100*a/b)
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -122,9 +122,6 @@ type Compiled struct {
 // Program returns the source program.
 func (c *Compiled) Program() *program.Program { return c.prog }
 
-// NumOps returns the size of the compiled op array (diagnostics).
-func (c *Compiled) NumOps() int { return len(c.ops) }
-
 // Compile validates and lowers a laid-out program. The returned Compiled is
 // read-only and shareable across goroutines.
 func Compile(p *program.Program) (*Compiled, error) {

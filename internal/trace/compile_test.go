@@ -120,30 +120,20 @@ func TestCompiledMatchesReference(t *testing.T) {
 				t.Errorf("%s/%#x: predictor results differ:\nreference: %+v\ncompiled:  %+v",
 					name, seed, ref.sim.Results(), cmp.sim.Results())
 			}
-			if ref.btb.Lookups() != cmp.btb.Lookups() || ref.btb.Misses() != cmp.btb.Misses() {
-				t.Errorf("%s/%#x: BTB differs: reference %d/%d, compiled %d/%d",
-					name, seed, ref.btb.Misses(), ref.btb.Lookups(), cmp.btb.Misses(), cmp.btb.Lookups())
-			}
-			ref.ic.Finish()
-			cmp.ic.Finish()
-			if ref.ic.Accesses() != cmp.ic.Accesses() || ref.ic.Misses() != cmp.ic.Misses() ||
-				ref.ic.Usefulness() != cmp.ic.Usefulness() {
-				t.Errorf("%s/%#x: icache differs: reference %d/%d/%.4f, compiled %d/%d/%.4f",
-					name, seed,
-					ref.ic.Misses(), ref.ic.Accesses(), ref.ic.Usefulness(),
-					cmp.ic.Misses(), cmp.ic.Accesses(), cmp.ic.Usefulness())
-			}
-			if !reflect.DeepEqual(ref.mix.Report(), cmp.mix.Report()) {
-				t.Errorf("%s/%#x: branch-mix reports differ", name, seed)
-			}
-			if !reflect.DeepEqual(ref.bias.Report(), cmp.bias.Report()) {
-				t.Errorf("%s/%#x: bias reports differ", name, seed)
-			}
-			if !reflect.DeepEqual(ref.fp.Report(prog.TextSize), cmp.fp.Report(prog.TextSize)) {
-				t.Errorf("%s/%#x: footprint reports differ", name, seed)
-			}
-			if !reflect.DeepEqual(ref.bbl.Report(), cmp.bbl.Report()) {
-				t.Errorf("%s/%#x: BBL reports differ", name, seed)
+			for _, r := range []struct {
+				what     string
+				ref, cmp any
+			}{
+				{"BTB", ref.btb.Result(), cmp.btb.Result()},
+				{"icache", ref.ic.Result(), cmp.ic.Result()},
+				{"branch-mix", ref.mix.Result(), cmp.mix.Result()},
+				{"bias", ref.bias.Result(), cmp.bias.Result()},
+				{"footprint", ref.fp.Result(prog.TextSize), cmp.fp.Result(prog.TextSize)},
+				{"BBL", ref.bbl.Result(), cmp.bbl.Result()},
+			} {
+				if !reflect.DeepEqual(r.ref, r.cmp) {
+					t.Errorf("%s/%#x: %s results differ:\nreference: %+v\ncompiled:  %+v", name, seed, r.what, r.ref, r.cmp)
+				}
 			}
 		}
 	}

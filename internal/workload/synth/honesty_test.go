@@ -34,7 +34,8 @@ func TestBiasMixtureHonesty(t *testing.T) {
 		if err := trace.Run(MustBuild(p), 1, honestyInsts, bias); err != nil {
 			t.Fatal(err)
 		}
-		got := bias.BiasedFraction(analysis.Total)
+		h := bias.Result().Histogram(analysis.Total)
+		got := h.Fraction(0) + h.Fraction(h.Buckets()-1)
 		if got < bf-tol || got > bf+tol {
 			t.Errorf("biased_frac %v: measured %.3f outside +/-%v", bf, got, tol)
 		}
@@ -59,7 +60,7 @@ func TestBlockLenHonesty(t *testing.T) {
 		if err := trace.Run(MustBuild(p), 1, honestyInsts, bbl); err != nil {
 			t.Fatal(err)
 		}
-		got := bbl.AvgBlockBytes(analysis.Total)
+		got := bbl.Result().AvgBlockBytes(analysis.Total)
 		expect := float64(l+1) * bytesPerInst
 		if got < 0.7*expect || got > 1.4*expect {
 			t.Errorf("block_len %d: measured %.1fB per block, expected within [0.7, 1.4]x%.1fB", l, got, expect)
@@ -85,7 +86,7 @@ func TestFootprintHonesty(t *testing.T) {
 		if err := trace.Run(prog, 1, honestyInsts, fp); err != nil {
 			t.Fatal(err)
 		}
-		dyn99[hf] = fp.DynamicBytes(analysis.Total, 0.99)
+		dyn99[hf] = fp.Result(prog.TextSize).DynamicBytes(analysis.Total, 0.99)
 		if hf == 1.0 {
 			static1 = prog.TextSize
 		}
@@ -111,24 +112,22 @@ func TestStreamCoverage(t *testing.T) {
 		{Name: "coverage-periodic"},
 		{Name: "coverage-weighted", Dispatch: DispatchWeighted, Funcs: 3, HotFrac: 1},
 	} {
-		mix := analysis.NewBranchMix()
-		if err := trace.Run(MustBuild(p), 1, 300_000, mix); err != nil {
+		obs := analysis.NewBranchMix()
+		if err := trace.Run(MustBuild(p), 1, 300_000, obs); err != nil {
 			t.Fatal(err)
 		}
-		if mix.Insts(analysis.Serial) == 0 || mix.Insts(analysis.Parallel) == 0 {
+		mix := obs.Result()
+		if mix.InstCount(analysis.Serial) == 0 || mix.InstCount(analysis.Parallel) == 0 {
 			t.Errorf("%s: missing a phase (serial=%d parallel=%d)",
-				p.Name, mix.Insts(analysis.Serial), mix.Insts(analysis.Parallel))
+				p.Name, mix.InstCount(analysis.Serial), mix.InstCount(analysis.Parallel))
 		}
 		for k := 0; k < isa.NumKinds; k++ {
 			if mix.Count(analysis.Total, isa.Kind(k)) == 0 {
 				t.Errorf("%s: emitted no %v instructions", p.Name, isa.Kind(k))
 			}
 		}
-		if bf := mix.BranchFraction(analysis.Total); bf < 0.02 || bf > 0.45 {
-			t.Errorf("%s: branch fraction %.3f outside plausible range", p.Name, bf)
-		}
-		if ind := mix.IndirectFractionOfBranches(analysis.Total); ind <= 0 {
-			t.Errorf("%s: no indirect branch mass", p.Name)
+		if bp := mix.BranchPct(analysis.Total); bp < 2 || bp > 45 {
+			t.Errorf("%s: branch share %.1f%% outside plausible range", p.Name, bp)
 		}
 	}
 }

@@ -37,17 +37,17 @@ func TestBuildAll(t *testing.T) {
 func TestStreamCoverage(t *testing.T) {
 	var kinds [isa.NumKinds]int64
 	for _, name := range workload.Names() {
-		mix := analysis.NewBranchMix()
-		if err := trace.Run(workload.MustBuild(name), 1, 300_000, mix); err != nil {
+		obs := analysis.NewBranchMix()
+		if err := trace.Run(workload.MustBuild(name), 1, 300_000, obs); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if mix.Insts(analysis.Serial) == 0 || mix.Insts(analysis.Parallel) == 0 {
+		mix := obs.Result()
+		if mix.InstCount(analysis.Serial) == 0 || mix.InstCount(analysis.Parallel) == 0 {
 			t.Errorf("%s: missing a phase (serial=%d parallel=%d)",
-				name, mix.Insts(analysis.Serial), mix.Insts(analysis.Parallel))
+				name, mix.InstCount(analysis.Serial), mix.InstCount(analysis.Parallel))
 		}
-		bf := mix.BranchFraction(analysis.Total)
-		if bf < 0.02 || bf > 0.45 {
-			t.Errorf("%s: branch fraction %.3f outside plausible range", name, bf)
+		if bp := mix.BranchPct(analysis.Total); bp < 2 || bp > 45 {
+			t.Errorf("%s: branch share %.1f%% outside plausible range", name, bp)
 		}
 		for k := 0; k < isa.NumKinds; k++ {
 			kinds[k] += mix.Count(analysis.Total, isa.Kind(k))
