@@ -64,11 +64,15 @@ import (
 
 // benchShard is the JSON record for one completed shard.
 type benchShard struct {
-	Workload     string  `json:"workload"`
-	Seed         uint64  `json:"seed"`
-	Predictor    string  `json:"predictor"`
-	CostBits     int     `json:"cost_bits"`
-	Insts        int64   `json:"insts"`
+	Workload  string `json:"workload"`
+	Seed      uint64 `json:"seed"`
+	Predictor string `json:"predictor"`
+	CostBits  int    `json:"cost_bits"`
+	Insts     int64  `json:"insts"`
+	// ElapsedNS and MInstsPerSec describe the pass the shard rode, not a
+	// private run: the predictors of a (workload, seed) coordinate share one
+	// walk of its stream, so they all report that walk's time and rate. The
+	// sweep-level rates below are the ones that add up.
 	ElapsedNS    int64   `json:"elapsed_ns"`
 	MInstsPerSec float64 `json:"minsts_per_sec"`
 	MPKI         float64 `json:"mpki"`
@@ -81,11 +85,13 @@ type benchShard struct {
 // the mean-of-MPKIs (matching how multi-run figures are averaged) and the
 // count-merged MPKI (exact pooled counters via the sim result merge).
 type benchAggregate struct {
-	Workload     string  `json:"workload"`
-	Predictor    string  `json:"predictor"`
-	Seeds        int     `json:"seeds"`
-	MeanMPKI     float64 `json:"mean_mpki"`
-	MergedMPKI   float64 `json:"merged_mpki"`
+	Workload   string  `json:"workload"`
+	Predictor  string  `json:"predictor"`
+	Seeds      int     `json:"seeds"`
+	MeanMPKI   float64 `json:"mean_mpki"`
+	MergedMPKI float64 `json:"merged_mpki"`
+	// MeanMInstsPS averages the shards' pass rates (see benchShard): how
+	// fast the passes this predictor rode went, not its own cost.
 	MeanMInstsPS float64 `json:"mean_minsts_per_sec"`
 }
 
@@ -111,8 +117,10 @@ type report struct {
 	TotalInsts    int64             `json:"total_insts"`
 	WallNS        int64             `json:"wall_ns"`
 	SweepMInstsPS float64           `json:"sweep_minsts_per_sec"`
-	// PerWorkerMInstsPS is the sweep rate divided by the local pool size;
-	// 0 (omitted) for dispatched runs, where the divisor is meaningless.
+	// PerWorkerMInstsPS is the sweep rate divided by the local pool as the
+	// plan sized it (Workers: at most one worker per scheduling unit, which
+	// can be fewer than -workers asked for); 0 (omitted) for dispatched
+	// runs, where the divisor is meaningless.
 	PerWorkerMInstsPS float64 `json:"per_worker_minsts_per_sec,omitempty"`
 }
 

@@ -182,6 +182,34 @@ func TestBackendsDispatchMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestPerWorkerRateOnOneCoordinate: the per-worker rate divides by the pool
+// the plan sized, not by the -workers request. A one-seed, one-workload
+// sweep is a single stream coordinate, which the plan cuts into one chunk
+// per worker, so the pool — and the divisor — is all four; the rate is the
+// sweep rate over that and never zero.
+func TestPerWorkerRateOnOneCoordinate(t *testing.T) {
+	simRep, err := sim.NewSession(4).Run(context.Background(), &sim.Spec{
+		Workloads: []string{"comd-lite"},
+		SeedCount: 1,
+		Insts:     20_000,
+		Observers: []sim.ObserverSpec{{Kind: "bpred"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := buildReport(simRep, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Workers != 4 {
+		t.Errorf("1-coordinate x 9-config sweep on 4 workers reports a pool of %d, want 4", rep.Workers)
+	}
+	if rep.PerWorkerMInstsPS <= 0 || rep.PerWorkerMInstsPS != rep.SweepMInstsPS/float64(simRep.Workers) {
+		t.Errorf("per_worker_minsts_per_sec = %v, want sweep rate %v over the plan's %d workers",
+			rep.PerWorkerMInstsPS, rep.SweepMInstsPS, simRep.Workers)
+	}
+}
+
 // TestAggregateConsistency checks the merged MPKI comes from exact pooled
 // counters: with a single seed, mean and merged MPKI must coincide.
 func TestAggregateConsistency(t *testing.T) {

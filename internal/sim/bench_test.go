@@ -10,7 +10,7 @@ import (
 
 // benchSweepSpec is a scaled-down multi-observer sweep in the shape of the
 // bench harness's mixed9 grid: nine observer configurations over every (workload,
-// seed) coordinate, so each coordinate's stream is consumed nine times and
+// seed) coordinate, so each coordinate's stream has nine consumers and
 // the generate-versus-replay difference is what a real mixed sweep sees.
 func benchSweepSpec(insts int64) *Spec {
 	return &Spec{
@@ -28,10 +28,11 @@ func benchSweepSpec(insts int64) *Spec {
 }
 
 // BenchmarkReplayVsGenerate times the same 36-shard multi-observer sweep
-// three ways: regenerating the stream for every shard, replaying through a
-// cold trace store (one generation per coordinate), and replaying through
-// a warm one (no generations at all). The warm/generate ratio is the
-// stream-once win the trace store exists for.
+// three ways: a live executor per coordinate (no store), replaying through
+// a cold trace store (the same generation per coordinate, plus recording),
+// and replaying through a warm one (no generations at all). The
+// warm/generate ratio is what a store still buys a later run now that the
+// plan streams once per coordinate on its own.
 func BenchmarkReplayVsGenerate(b *testing.B) {
 	const insts = 200_000
 	spec := benchSweepSpec(insts)
@@ -79,5 +80,51 @@ func BenchmarkReplayVsGenerate(b *testing.B) {
 		for b.Loop() {
 			run(b, sess)
 		}
+	})
+}
+
+// benchRun times Session.Run over spec and reports the wall per
+// instruction-observation (every shard observes its whole stream, so a
+// sweep's observations are its TotalInsts): the figure the plan moves, by
+// sharing one generation pass and one branch compaction per coordinate.
+func benchRun(b *testing.B, sess *Session, spec *Spec) {
+	b.Helper()
+	ctx := context.Background()
+	if _, err := sess.Run(ctx, spec); err != nil {
+		b.Fatal(err) // compiles the workloads outside the timed loop
+	}
+	var observed int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := sess.Run(ctx, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		observed += rep.TotalInsts
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(observed), "ns/inst-obs")
+}
+
+// BenchmarkRunFig5Grid is the bench harness's fig5-generate sweep scaled to
+// `make bench-go`: the 72-shard Figure-5 grid (2 workloads x 4 seeds x the
+// nine predictor configurations) on a storeless, cacheless 2-worker session.
+func BenchmarkRunFig5Grid(b *testing.B) {
+	benchRun(b, NewSession(2), &Spec{
+		Workloads: []string{"comd-lite", "xalan-lite"},
+		SeedCount: 4,
+		Insts:     200_000,
+		Observers: []ObserverSpec{{Kind: "bpred"}},
+	})
+}
+
+// BenchmarkRunOneCoordinateGrid is the plan's other regime: one coordinate
+// under the nine standard icache geometries on a 4-worker session, where
+// the coordinate is cut into four chunks so every worker has one.
+func BenchmarkRunOneCoordinateGrid(b *testing.B) {
+	benchRun(b, NewSession(4), &Spec{
+		Workloads: []string{"comd-lite"},
+		SeedCount: 1,
+		Insts:     200_000,
+		Observers: []ObserverSpec{{Kind: "icache"}},
 	})
 }

@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"rebalance/internal/isa"
+	"rebalance/internal/program"
 )
 
 // awaitGoroutines polls until the goroutine count drops back to the
@@ -94,5 +98,97 @@ func TestRunShardCancellation(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("cancelled shard returned after %v", elapsed)
+	}
+}
+
+// cancelAfterCfg is a test-only configuration whose observer cancels the
+// run's context once it has seen a set number of instructions — a
+// cancellation that is mid-stream by construction, on either engine — and
+// records that the group executor closed it.
+type cancelAfterCfg struct {
+	after  int64
+	cancel context.CancelFunc
+	closed *atomic.Bool
+}
+
+func (c cancelAfterCfg) Key() string        { return "cancel-test-after" }
+func (c cancelAfterCfg) NewResult() Result  { return nil }
+func (c cancelAfterCfg) Spec() ObserverSpec { return ObserverSpec{Kind: "cancel-test-after"} }
+func (c cancelAfterCfg) Decode(json.RawMessage) (Result, error) {
+	return nil, errors.New("cancel-test: no wire form")
+}
+func (c cancelAfterCfg) NewObserver(*program.Program) ShardObserver {
+	return &cancelAfterObs{cancelAfterCfg: c, left: c.after}
+}
+
+type cancelAfterObs struct {
+	cancelAfterCfg
+	left int64
+}
+
+func (o *cancelAfterObs) Observe(isa.Inst)          { o.saw(1) }
+func (o *cancelAfterObs) ObserveBatch(b []isa.Inst) { o.saw(int64(len(b))) }
+func (o *cancelAfterObs) Close()                    { o.closed.Store(true) }
+
+func (o *cancelAfterObs) saw(n int64) {
+	if o.left -= n; o.left <= 0 {
+		o.cancel()
+	}
+}
+
+func (o *cancelAfterObs) Finish() (Result, error) {
+	return nil, errors.New("cancel-test: a cancelled pass was finished")
+}
+
+// TestFusedGroupCancellation: a group cancelled mid-stream — two plain
+// bpred members fused into one Sim, a parallelized bpred group that owns
+// worker goroutines, and the member that pulls the plug — reports the
+// context error for every member, closes every Close-able observer, and
+// leaks no goroutine. The budget is one no machine finishes, so only the
+// cancellation can end the pass.
+func TestFusedGroupCancellation(t *testing.T) {
+	cfgs, err := expandObservers([]ObserverSpec{
+		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small"]}`)},
+		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tournament-small"],"parallel":true}`)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(1)
+	c, err := sess.Compiled("comd-lite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{EngineCompiled, EngineReference} {
+		t.Run(engine, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var closed atomic.Bool
+			members := append(cfgs[:len(cfgs):len(cfgs)], cancelAfterCfg{after: 100_000, cancel: cancel, closed: &closed})
+			jobs := make([]shardJob, len(members))
+			group := make([]int, len(members))
+			for i, cfg := range members {
+				jobs[i] = shardJob{workload: "comd-lite", cfg: cfg, seed: 1}
+				group[i] = i
+			}
+			shards := make([]Shard, len(jobs))
+			errs := make([]error, len(jobs))
+			sess.runGroup(ctx, c, &Spec{Insts: 2_000_000_000_000, Engine: engine}, jobs, group, shards, errs)
+			for i := range jobs {
+				if !errors.Is(errs[i], context.Canceled) {
+					t.Errorf("member %s: err = %v, want context.Canceled", members[i].Key(), errs[i])
+				}
+				if shards[i].Result != nil {
+					t.Errorf("member %s of a cancelled group carries a result", members[i].Key())
+				}
+			}
+			if !closed.Load() {
+				t.Error("the cancelled group did not close its Close-able observer")
+			}
+			if n := awaitGoroutines(before, 5*time.Second); n > before {
+				t.Errorf("goroutines leaked after the cancelled group: %d before, %d after", before, n)
+			}
+		})
 	}
 }

@@ -35,22 +35,17 @@ func (j *shardJob) spec(norm *Spec) ShardSpec {
 
 // plan partitions the grid into the local pool's scheduling units, as
 // index groups into jobs. The choice is granularity only — results stay
-// index-aligned with jobs, so the report is plan-independent. Without a
-// trace store every shard is its own group: regenerating a stream per
-// shard is the only cost model there is, and single shards balance the
-// pool best. With one, all shards of a (workload, seed) coordinate form
-// one group, so the coordinate's stream is fetched once and every observer
-// rides a single delivery pass — the stream-once, observe-many schedule.
+// index-aligned with jobs, so the report is plan-independent. There is one
+// rule, with or without a trace store: the shards of a (workload, seed)
+// coordinate form one unit, so the coordinate's stream is produced once —
+// one live executor, or one store fetch — and every observer rides that
+// single pass, the stream-once, observe-many schedule. When that leaves
+// fewer units than workers, each coordinate's members are cut, in grid
+// order, into ceil(workers/coordinates) contiguous chunks (at most one per
+// member): a chunk re-produces its coordinate's stream, which idle cores
+// pay for in parallel, and contiguity keeps a coordinate's plain bpred
+// configurations together for runGroup to fuse.
 func (s *Session) plan(jobs []shardJob) [][]int {
-	if s.traces == nil {
-		idx := make([]int, len(jobs))
-		groups := make([][]int, len(jobs))
-		for i := range jobs {
-			idx[i] = i
-			groups[i] = idx[i : i+1 : i+1]
-		}
-		return groups
-	}
 	type coord struct {
 		workload string
 		seed     uint64
@@ -67,15 +62,23 @@ func (s *Session) plan(jobs []shardJob) [][]int {
 		}
 		groups[g] = append(groups[g], i)
 	}
-	return groups
+	if len(groups) >= s.workers {
+		return groups
+	}
+	var units [][]int
+	for _, g := range groups {
+		n := min((s.workers+len(groups)-1)/len(groups), len(g))
+		for k := 0; k < n; k++ {
+			units = append(units, g[k*len(g)/n:(k+1)*len(g)/n])
+		}
+	}
+	return units
 }
 
 // pendingShard is a group member the result cache did not serve: its
-// grid index, its fresh power-on observer, and the cache write-back it
-// owes (nil without a cache).
+// grid index and the cache write-back it owes (nil without a cache).
 type pendingShard struct {
 	idx  int
-	obs  ShardObserver
 	land func(Shard, error)
 }
 
@@ -83,10 +86,12 @@ type pendingShard struct {
 // computes — pooled grid cells and single RunShard calls alike — is a
 // member of a group that shares one trace coordinate, and runs here. Each
 // member is first resolved against the result cache; the coordinate's
-// stream is then opened once (see stream) and fed to a fresh observer per
-// unresolved member in a single pass, so shards are order-independent and
-// the grid is deterministic up to timing fields. Results and errors land
-// index-aligned in shards/errs; computed shards are written back.
+// stream is then opened once (see stream) and fed, in a single pass, to the
+// fresh observers of the unresolved members only — one each, except that
+// the plain bpred members share a simulator (see groupObservers). Shards
+// are therefore order-independent and the grid is deterministic up to
+// timing fields. Results and errors land index-aligned in shards/errs;
+// computed shards are written back, each under its own key.
 func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, norm *Spec, jobs []shardJob, group []int, shards []Shard, errs []error) {
 	pending := make([]pendingShard, 0, len(group))
 	if s.cache == nil {
@@ -124,12 +129,13 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, norm *Spec, j
 		return
 	}
 
-	obs := make([]trace.Observer, len(pending))
+	cfgs := make([]ObserverConfig, len(pending))
 	for k := range pending {
-		p := &pending[k]
-		p.obs = jobs[p.idx].cfg.NewObserver(c.Program())
-		obs[k] = p.obs
-		if cl, ok := p.obs.(interface{ Close() }); ok {
+		cfgs[k] = jobs[pending[k].idx].cfg
+	}
+	obs, finish := groupObservers(cfgs, c.Program())
+	for _, o := range obs {
+		if cl, ok := o.(interface{ Close() }); ok {
 			// Release observer-owned goroutines even when the pass errors
 			// mid-stream.
 			defer cl.Close()
@@ -138,13 +144,13 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, norm *Spec, j
 	// The pass is shared, so every shard of the group reports the same
 	// instruction count and elapsed time: the one walk that fed them all.
 	insts, elapsed, err := s.stream(ctx, c, &jobs[pending[0].idx], norm, obs)
-	for _, p := range pending {
+	for k, p := range pending {
 		job := &jobs[p.idx]
 		var sh Shard
 		perr := err
 		if perr == nil {
 			var res Result
-			if res, perr = p.obs.Finish(); perr == nil {
+			if res, perr = finish[k](); perr == nil {
 				sh = Shard{
 					Workload:  job.workload,
 					Seed:      job.seed,
@@ -164,7 +170,8 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, norm *Spec, j
 
 // stream is the seam every computed shard's instructions come through: it
 // produces the coordinate's stream once and feeds it to obs in a single
-// pass. Without a trace store that is a live executor. With one, the
+// pass. Without a trace store that is a live executor, which hands each
+// batch to every observer while it is still cache-hot. With one, the
 // stream is the store's materialized trace — recorded by a live pass on
 // first use, at most once across concurrent groups (the store's
 // singleflight) — replayed through replay.Deliver. The two are

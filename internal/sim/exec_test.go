@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -21,44 +22,114 @@ func (s *Session) runJob(ctx context.Context, c *trace.Compiled, job *shardJob, 
 	return sh[0], errs[0]
 }
 
+// gridOf expands spec the way Session.Run does, for tests that drive plan
+// or runGroup over a real grid.
+func gridOf(t *testing.T, spec *Spec) (*Spec, []shardJob) {
+	t.Helper()
+	norm, err := spec.normalized(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs, err := expandObservers(norm.Observers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return norm, gridJobs(norm, configs, nil)
+}
+
 // cachedShard is the name TestEncodeFailureServesComputedShard (pinned
 // unmodified across the executor unification) drives runJob under.
 func (s *Session) cachedShard(ctx context.Context, c *trace.Compiled, job *shardJob, norm *Spec) (Shard, error) {
 	return s.runJob(ctx, c, job, norm)
 }
 
-// TestWorkersFollowThePlan: the pool — and Report.Workers — is sized by
-// the plan's scheduling units, not the raw shard count. A trace store
-// folds this 2-coordinate, 16-shard grid into two groups, so a 16-worker
-// session runs (and reports) two workers; without a store every shard is
-// its own unit and the session's full width is used.
+// TestWorkersFollowThePlan: plan has one rule — a unit per (workload, seed)
+// coordinate, and when that leaves workers idle, ceil(workers/coordinates)
+// contiguous chunks per coordinate, at most one per member — and the pool,
+// and Report.Workers, are sized by the units it yields, not by the raw
+// shard count. A trace store changes where a unit's stream comes from,
+// never the plan; and the plan changes scheduling, never the report.
 func TestWorkersFollowThePlan(t *testing.T) {
-	spec := &Spec{
-		Workloads: []string{"comd-lite"},
-		Seeds:     []uint64{1, 2},
-		Insts:     5_000,
-		Observers: fullObserverSpecs(),
+	// The mixed nine: three plain bpred configs (the fusable members) among
+	// six of four other kinds.
+	observers := benchSweepSpec(0).Observers
+	grid := func(workloads []string, seeds ...uint64) *Spec {
+		return &Spec{Workloads: workloads, Seeds: seeds, Insts: 5_000, Observers: observers}
 	}
-	sess := newReplaySession(t, 16, replay.Options{})
-	rep, err := sess.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	eight := grid([]string{"comd-lite", "xalan-lite"}, 1, 2, 3, 4)
+	two := grid([]string{"comd-lite"}, 1, 2)
+	one := grid([]string{"comd-lite"}, 1)
+	single := &Spec{Workloads: []string{"comd-lite"}, Seeds: []uint64{1}, Insts: 5_000, Observers: []ObserverSpec{{Kind: "bbl"}}}
+	cases := []struct {
+		name    string
+		spec    *Spec
+		workers int
+		units   int
+	}{
+		{"8 coordinates x 9 configs, 2 workers", eight, 2, 8},
+		{"8 coordinates x 9 configs, 4 workers", eight, 4, 8},
+		{"1 coordinate x 9 configs, 4 workers", one, 4, 4},
+		{"2 coordinates x 9 configs, 16 workers", two, 16, 16}, // ceil(16/2) = 8 chunks of each coordinate's 9
+		{"1 coordinate x 9 configs, 16 workers", one, 16, 9},   // capped by members
+		{"RunShard's one-job grid, 16 workers", single, 16, 1},
 	}
-	if len(rep.Shards) < 16 {
-		t.Fatalf("grid has %d shards, need at least 16 for the bound to bind", len(rep.Shards))
-	}
-	if rep.Workers != 2 {
-		t.Errorf("replay run over 2 coordinates reports %d workers, want 2", rep.Workers)
-	}
-	plain, err := NewSession(16).Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Workers != 16 {
-		t.Errorf("storeless run reports %d workers, want the session's 16", plain.Workers)
-	}
-	if string(renderGolden(t, rep)) != string(renderGolden(t, plain)) {
-		t.Error("grouped and per-shard plans produced different reports")
+	rendered := map[*Spec]string{}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, jobs := gridOf(t, tc.spec)
+			plain, stored := NewSession(tc.workers), newReplaySession(t, tc.workers, replay.Options{})
+			units := plain.plan(jobs)
+			if len(units) != tc.units {
+				t.Fatalf("plan yields %d units, want %d", len(units), tc.units)
+			}
+			if got := stored.plan(jobs); !reflect.DeepEqual(got, units) {
+				t.Errorf("a trace store changed the plan:\nstoreless: %v\nstore:     %v", units, got)
+			}
+			// The units partition the grid, each within one coordinate and in
+			// grid order, so a coordinate's bpred configs stay adjacent.
+			seen := make([]bool, len(jobs))
+			for _, u := range units {
+				lastBpred := -1
+				for k, i := range u {
+					if seen[i] {
+						t.Fatalf("shard %d is in two units", i)
+					}
+					seen[i] = true
+					if jobs[i].workload != jobs[u[0]].workload || jobs[i].seed != jobs[u[0]].seed {
+						t.Errorf("unit %v spans coordinates", u)
+					}
+					if k > 0 && i <= u[k-1] {
+						t.Errorf("unit %v is not in grid order", u)
+					}
+					if _, ok := jobs[i].cfg.(bpredCfg); ok {
+						if lastBpred >= 0 && lastBpred != k-1 {
+							t.Errorf("unit %v separates its bpred configs", u)
+						}
+						lastBpred = k
+					}
+				}
+			}
+			for i, ok := range seen {
+				if !ok {
+					t.Fatalf("shard %d is in no unit", i)
+				}
+			}
+
+			for name, sess := range map[string]*Session{"storeless": plain, "store": stored} {
+				rep, err := sess.Run(context.Background(), tc.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := min(tc.workers, tc.units); rep.Workers != want {
+					t.Errorf("%s run reports %d workers, want min(%d workers, %d units)", name, rep.Workers, tc.workers, tc.units)
+				}
+				got := string(renderGolden(t, rep))
+				if prev, ok := rendered[tc.spec]; ok && prev != got {
+					t.Errorf("%s run's report differs from the same grid's under another plan", name)
+				}
+				rendered[tc.spec] = got
+			}
+		})
 	}
 }
 
@@ -69,52 +140,109 @@ func TestWorkersFollowThePlan(t *testing.T) {
 // distinct shard exactly once: whichever run leads a key, the other is
 // served by its flight or its write-back. (Leading several keys at once is
 // why runGroup takes them in ascending key order rather than grid order.)
+// A group leads several keys with or without a trace store — cache on,
+// store off is simd's default — so both session shapes are driven.
 func TestOverlappingGroupsComputeOnce(t *testing.T) {
 	forward := []ObserverSpec{{Kind: "bbl"}, {Kind: "bias"}, {Kind: "branch-mix"}, {Kind: "footprint"}}
 	backward := []ObserverSpec{forward[3], forward[2], forward[1], forward[0]}
 	spec := func(obs []ObserverSpec) *Spec {
 		return &Spec{Workloads: []string{"comd-lite"}, Seeds: []uint64{1, 2}, Insts: 30_000, Observers: obs}
 	}
-	for round := 0; round < 10; round++ {
-		sess := newReplaySession(t, 2, replay.Options{})
-		cache, err := shardcache.New(shardcache.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess.SetCache(cache)
-		reps := make([]*Report, 2)
-		errs := make([]error, 2)
-		var wg sync.WaitGroup
-		for i, obs := range [][]ObserverSpec{forward, backward} {
-			wg.Add(1)
-			go func(i int, sp *Spec) {
-				defer wg.Done()
-				reps[i], errs[i] = sess.Run(context.Background(), sp)
-			}(i, spec(obs))
-		}
-		wg.Wait()
-		for _, err := range errs {
+	sessions := map[string]func() *Session{
+		"cache+store": func() *Session { return newReplaySession(t, 2, replay.Options{}) },
+		"cache-only":  func() *Session { return NewSession(2) },
+	}
+	for name, newSession := range sessions {
+		for round := 0; round < 10; round++ {
+			sess := newSession()
+			cache, err := shardcache.New(shardcache.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		results := map[string]string{}
-		for _, rep := range reps {
-			for _, sh := range rep.Shards {
-				enc, err := sh.Result.EncodeJSON()
+			sess.SetCache(cache)
+			reps := make([]*Report, 2)
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			for i, obs := range [][]ObserverSpec{forward, backward} {
+				wg.Add(1)
+				go func(i int, sp *Spec) {
+					defer wg.Done()
+					reps[i], errs[i] = sess.Run(context.Background(), sp)
+				}(i, spec(obs))
+			}
+			wg.Wait()
+			for _, err := range errs {
 				if err != nil {
 					t.Fatal(err)
 				}
-				id := fmt.Sprintf("%s/%d", sh.Observer, sh.Seed)
-				if prev, ok := results[id]; ok && prev != string(enc) {
-					t.Errorf("shard %s differs between the two runs", id)
+			}
+			results := map[string]string{}
+			for _, rep := range reps {
+				for _, sh := range rep.Shards {
+					id := fmt.Sprintf("%s/%d", sh.Observer, sh.Seed)
+					enc := encode(t, sh.Result)
+					if prev, ok := results[id]; ok && prev != enc {
+						t.Errorf("%s: shard %s differs between the two runs", name, id)
+					}
+					results[id] = enc
 				}
-				results[id] = string(enc)
+			}
+			if st := cache.Stats(); int(st.Misses) != len(results) || int(st.Hits) != len(results) {
+				t.Errorf("%s round %d: %d misses / %d hits for %d distinct shards requested twice; want each computed once and served once",
+					name, round, st.Misses, st.Hits, len(results))
 			}
 		}
-		if st := cache.Stats(); int(st.Misses) != len(results) || int(st.Hits) != len(results) {
-			t.Errorf("round %d: %d misses / %d hits for %d distinct shards requested twice; want each computed once and served once",
-				round, st.Misses, st.Hits, len(results))
+	}
+}
+
+// TestPartialHitGroupComputesOnlyItsMisses: a group that is partly
+// result-cache hits feeds the stream to — and fuses — only its misses. Four
+// of a coordinate's nine bpred shards are pre-filled; the grid run must
+// serve those four as Cached, compute and write back exactly the other
+// five, and report all nine byte-equal to shards executed alone.
+func TestPartialHitGroupComputesOnlyItsMisses(t *testing.T) {
+	ctx := context.Background()
+	spec := &Spec{Workloads: []string{"comd-lite"}, Seeds: []uint64{1}, Insts: 30_000, Observers: []ObserverSpec{{Kind: "bpred"}}}
+	norm, jobs := gridOf(t, spec)
+	if len(jobs) != 9 {
+		t.Fatalf("default bpred grid has %d configs, want the nine of Figure 5", len(jobs))
+	}
+
+	// One worker, so the coordinate is one group of nine.
+	sess := newCachedSession(t, 1, "")
+	c, err := sess.Compiled("comd-lite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefilled := map[int]bool{1: true, 3: true, 4: true, 7: true}
+	for i := range prefilled {
+		if _, err := sess.runJob(ctx, c, &jobs[i], norm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := sess.Cache().Stats()
+	rep, err := sess.Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Workers != 1 {
+		t.Fatalf("run reports %d workers; the test needs the coordinate in one group", rep.Workers)
+	}
+	after := sess.Cache().Stats()
+	if hits, misses, landed := after.Hits-before.Hits, after.Misses-before.Misses, after.Entries-before.Entries; hits != 4 || misses != 5 || landed != 5 {
+		t.Errorf("grid run: %d hits, %d misses, %d write-backs; want 4, 5, 5", hits, misses, landed)
+	}
+	bare := NewSession(1)
+	for i, sh := range rep.Shards {
+		if sh.Cached != prefilled[i] {
+			t.Errorf("shard %s: Cached = %v, want %v", sh.Observer, sh.Cached, prefilled[i])
+		}
+		alone, err := bare.runJob(ctx, c, &jobs[i], norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := encode(t, sh.Result), encode(t, alone.Result); got != want {
+			t.Errorf("shard %s differs from the same shard executed alone:\n got: %s\nwant: %s", sh.Observer, got, want)
 		}
 	}
 }

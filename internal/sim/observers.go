@@ -67,14 +67,52 @@ type shard struct {
 
 func (s shard) Finish() (Result, error) { return s.result(), nil }
 
+// groupObservers builds the fresh power-on observers of one group's pending
+// members, cfgs[k] being member k's configuration: feed is what the
+// coordinate's stream is delivered to, and finish[k] takes member k's
+// result once the pass is over. feed can be shorter than cfgs, because the
+// members that are plain bpred configurations share one multi-predictor
+// bpred.Sim — the paper's several-configurations-one-pintool shape. Each
+// batch's conditional branches are then compacted once and walked
+// predictor-major, where a Sim per member would re-scan the batch for each.
+// Predictors share no state, so a member's element of Results() is
+// bit-identical to what a private one-predictor Sim would report; the
+// shards stay separate results under separate keys.
+func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed []trace.Observer, finish []func() (Result, error)) {
+	finish = make([]func() (Result, error), len(cfgs))
+	var names []string // the plain bpred members, and where each sits in cfgs
+	var at []int
+	for k, cfg := range cfgs {
+		if c, ok := cfg.(bpredCfg); ok {
+			names, at = append(names, c.name), append(at, k)
+			continue
+		}
+		obs := cfg.NewObserver(p)
+		feed = append(feed, obs)
+		finish[k] = obs.Finish
+	}
+	if len(names) > 0 {
+		sim := bpredSim(names...)
+		feed = append(feed, sim)
+		for i, k := range at {
+			finish[k] = func() (Result, error) { return &sim.Results()[i], nil }
+		}
+	}
+	return feed, finish
+}
+
 // --- bpred ---
 
-// bpredOptions selects predictor configurations by registry name. With
-// Grouped false (default) every configuration becomes its own shard axis —
-// the sweep-grid shape rebalance-bench uses. With Grouped true all
-// configurations share one pass over each stream (the paper's
-// several-pintools-one-run shape); Parallel additionally fans the grouped
-// simulation out to one worker goroutine per predictor (implies Grouped).
+// bpredOptions selects predictor configurations by registry name. The two
+// flags choose the report shape and the fan-out, not whether predictors
+// share a pass — the executor shares one among a coordinate's plain
+// configurations on its own (see groupObservers). With Grouped false
+// (default) every configuration is its own shard: separately keyed, cached,
+// dispatched and reported, the sweep-grid shape rebalance-bench uses. With
+// Grouped true the configurations are one shard whose result is the array
+// of theirs (the paper's several-pintools-one-run shape, as one cache and
+// dispatch unit); Parallel additionally fans that shard's simulation out to
+// one worker goroutine per predictor (implies Grouped).
 type bpredOptions struct {
 	Configs  []string `json:"configs"`
 	Grouped  bool     `json:"grouped"`
@@ -109,12 +147,22 @@ type bpredCfg struct{ name string }
 func (c bpredCfg) Key() string { return "bpred/" + c.name }
 
 func (c bpredCfg) NewObserver(*program.Program) ShardObserver {
-	p, err := bpred.NewByName(c.name)
-	if err != nil {
-		panic(err) // name was validated at expansion
-	}
-	sim := bpred.NewSim(p)
+	sim := bpredSim(c.name)
 	return shard{sim, func() Result { return &sim.Results()[0] }}
+}
+
+// bpredSim returns a fresh simulator over the named registered
+// configurations, in order.
+func bpredSim(names ...string) *bpred.Sim {
+	preds := make([]bpred.Predictor, len(names))
+	for i, name := range names {
+		p, err := bpred.NewByName(name)
+		if err != nil {
+			panic(err) // name was validated at expansion
+		}
+		preds[i] = p
+	}
+	return bpred.NewSim(preds...)
 }
 
 func (c bpredCfg) NewResult() Result { return &bpred.Result{} }
@@ -142,15 +190,7 @@ type bpredGroupCfg struct {
 func (c bpredGroupCfg) Key() string { return "bpred/" + strings.Join(c.names, "+") }
 
 func (c bpredGroupCfg) NewObserver(*program.Program) ShardObserver {
-	preds := make([]bpred.Predictor, len(c.names))
-	for i, name := range c.names {
-		p, err := bpred.NewByName(name)
-		if err != nil {
-			panic(err) // name was validated at expansion
-		}
-		preds[i] = p
-	}
-	s := bpred.NewSim(preds...)
+	s := bpredSim(c.names...)
 	if c.parallel {
 		s.Parallelize()
 	}

@@ -26,11 +26,13 @@ func newReplaySession(t *testing.T, workers int, opts replay.Options) *Session {
 	return sess
 }
 
-// replayPropertySpecs covers every registered observer kind, plus the
-// grouped and parallel bpred shapes, with small configurations. The test
-// below fails if a future kind registers without being added here.
-func replayPropertySpecs() []ObserverSpec {
-	return []ObserverSpec{
+// replayPropertyConfigs covers every registered observer kind, plus the
+// grouped and parallel bpred shapes, with small configurations; two plain
+// bpred configurations, so a group of them all has members to fuse. It
+// fails the test if a future kind registers without being added here.
+func replayPropertyConfigs(t *testing.T) []ObserverConfig {
+	t.Helper()
+	specs := []ObserverSpec{
 		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small"]}`)},
 		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tournament-small"],"grouped":true}`)},
 		{Kind: "bpred", Options: json.RawMessage(`{"configs":["tage-small","tournament-small"],"parallel":true}`)},
@@ -41,6 +43,20 @@ func replayPropertySpecs() []ObserverSpec {
 		{Kind: "footprint"},
 		{Kind: "bbl"},
 	}
+	covered := map[string]bool{}
+	for _, sp := range specs {
+		covered[sp.Kind] = true
+	}
+	for _, kind := range ObserverKinds() {
+		if !covered[kind] {
+			t.Fatalf("registered observer kind %q is not covered by the replay and group property tests; add a spec for it", kind)
+		}
+	}
+	cfgs, err := expandObservers(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfgs
 }
 
 // TestReplayedResultsBitIdenticalAcrossRegistry is the registry-driven
@@ -50,20 +66,7 @@ func replayPropertySpecs() []ObserverSpec {
 // to one computed on the live generation path, across replay batch sizes
 // 1/7/4096 and traces recorded under both engines.
 func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
-	specs := replayPropertySpecs()
-	covered := map[string]bool{}
-	for _, sp := range specs {
-		covered[sp.Kind] = true
-	}
-	for _, kind := range ObserverKinds() {
-		if !covered[kind] {
-			t.Fatalf("registered observer kind %q is not covered by the replay property test; add a spec for it", kind)
-		}
-	}
-	cfgs, err := expandObservers(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfgs := replayPropertyConfigs(t)
 
 	sess := NewSession(1)
 	c, err := sess.Compiled("comd-lite")
@@ -124,6 +127,55 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 					}()
 				}
 			})
+		}
+	}
+}
+
+// TestGroupedShardsBitIdenticalToAlone is the property behind the plan's
+// one rule: for every registered observer kind plus the grouped and
+// parallel bpred shapes, a shard executed as a member of its coordinate's
+// group — one shared pass, its plain bpred members fused into one
+// multi-predictor Sim — is byte-identical to the same shard executed alone.
+// Both engines (the reference engine drives the fused Sim through the
+// per-instruction Observe path, the compiled one through ObserveBatch), on
+// a live executor and on a replayed trace.
+func TestGroupedShardsBitIdenticalToAlone(t *testing.T) {
+	cfgs := replayPropertyConfigs(t)
+	ctx := context.Background()
+	bare := NewSession(1)
+	c, err := bare.Compiled("comd-lite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]shardJob, len(cfgs))
+	group := make([]int, len(cfgs))
+	for i, cfg := range cfgs {
+		jobs[i] = shardJob{workload: "comd-lite", cfg: cfg, seed: 3}
+		group[i] = i
+	}
+	for _, engine := range []string{EngineCompiled, EngineReference} {
+		norm := &Spec{Insts: 20_000, Engine: engine}
+		alone := make([]string, len(jobs))
+		for i := range jobs {
+			sh, err := bare.runJob(ctx, c, &jobs[i], norm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alone[i] = encode(t, sh.Result)
+		}
+		for name, sess := range map[string]*Session{"live": bare, "replayed": newReplaySession(t, 1, replay.Options{})} {
+			shards := make([]Shard, len(jobs))
+			errs := make([]error, len(jobs))
+			sess.runGroup(ctx, c, norm, jobs, group, shards, errs)
+			for i := range jobs {
+				if errs[i] != nil {
+					t.Fatalf("%s/%s/%s: %v", engine, name, cfgs[i].Key(), errs[i])
+				}
+				if got := encode(t, shards[i].Result); got != alone[i] {
+					t.Errorf("%s/%s/%s: grouped shard differs from the shard executed alone\ngrouped: %s\nalone:   %s",
+						engine, name, cfgs[i].Key(), got, alone[i])
+				}
+			}
 		}
 	}
 }

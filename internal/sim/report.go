@@ -57,6 +57,13 @@ type FailedShard struct {
 // computed for this run; everything else about it — counters, result
 // encoding, identity — is bit-identical to a cold shard, so consumers may
 // treat the mark like a timing field.
+//
+// ElapsedNS (and any rate derived from it with Insts) describes the pass
+// the shard rode, not a private run: the shards of a (workload, seed)
+// coordinate share one walk of its stream — live or replayed — and each
+// reports that walk's duration, so per-shard times overlap and do not sum
+// to the sweep's wall. A cached shard carries the time of the pass that
+// first computed it.
 type Shard struct {
 	Workload  string
 	Seed      uint64

@@ -156,14 +156,7 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 		synthByName[norm.Synth[i].Name] = &norm.Synth[i]
 	}
 
-	var jobs []shardJob
-	for _, w := range norm.Workloads {
-		for _, cfg := range configs {
-			for _, seed := range norm.Seeds {
-				jobs = append(jobs, shardJob{workload: w, synth: synthByName[w], cfg: cfg, seed: seed})
-			}
-		}
-	}
+	jobs := gridJobs(norm, configs, synthByName)
 
 	// Compile before starting the wall clock, so WallNS (and the derived
 	// sweep throughput) measures execution, not a cold compile cache.
@@ -188,7 +181,7 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	}
 	start := time.Now() //repolint:allow nodeterminism Report.WallNS wall-clock timing field, excluded from goldens
 	// Workers reports the local pool concurrency, which the plan bounds (a
-	// trace store folds the grid into one unit per coordinate); a
+	// grid of fewer units than session workers cannot use them all); a
 	// dispatched run's concurrency belongs to the runner, so the field is
 	// 0 there rather than a fabricated figure.
 	workers := 0
@@ -268,6 +261,21 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// gridJobs expands a normalized spec into its shard grid — workload-major,
+// then observer configuration, then seed: the order the report, the merge
+// and every runner's index alignment share.
+func gridJobs(norm *Spec, configs []ObserverConfig, synthByName map[string]*synth.Params) []shardJob {
+	jobs := make([]shardJob, 0, len(norm.Workloads)*len(configs)*len(norm.Seeds))
+	for _, w := range norm.Workloads {
+		for _, cfg := range configs {
+			for _, seed := range norm.Seeds {
+				jobs = append(jobs, shardJob{workload: w, synth: synthByName[w], cfg: cfg, seed: seed})
+			}
+		}
+	}
+	return jobs
 }
 
 // decide runs the grid and applies the run's failure policy — the one

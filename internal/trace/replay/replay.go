@@ -1,10 +1,11 @@
 // Package replay materializes the dynamic instruction stream so one
 // generation pass can feed many observers — the stream-once, observe-many
 // refactor. A multi-observer sweep expands every (workload, seed) into one
-// shard per observer configuration, and each shard regenerates the exact
-// same stream; since streams are deterministic per (workload|synth-params,
-// seed, insts) coordinate, the stream is a cacheable value. This package
-// provides the three pieces:
+// shard per observer configuration; shards that do not run in one group —
+// a worker handed them one by one, a later run — would each regenerate the
+// exact same stream. Since streams are deterministic per
+// (workload|synth-params, seed, insts) coordinate, the stream is a
+// cacheable value. This package provides the three pieces:
 //
 //   - Trace: one materialized stream, a flat []isa.Inst with its phase-run
 //     boundaries precomputed so replay can honor the executor's
