@@ -35,9 +35,8 @@ type sweepStatus struct {
 // runCoordinatorSweep executes one sweep through a simd coordinator's
 // async API: submit the spec under the tenant, poll the sweep's progress
 // at the given interval, and fetch and decode the final report once the
-// sweep lands. The decoded report carries the same concrete result types
-// a local sim.Session.Run produces, so the caller reshapes it
-// identically. Cancellation of ctx abandons the poll loop and attempts a
+// sweep lands. The decoded report re-marshals to the bytes the coordinator
+// served. Cancellation of ctx abandons the sweep and attempts a
 // best-effort DELETE so the coordinator stops working on a sweep nobody
 // will collect.
 func runCoordinatorSweep(ctx context.Context, base, tenant string, spec *sim.Spec, poll time.Duration) (*sim.Report, error) {
@@ -62,17 +61,26 @@ func runCoordinatorSweep(ctx context.Context, base, tenant string, spec *sim.Spe
 		st.ID, st.Progress.TotalShards, base, tenant)
 
 	statusURL := base + "/v1/sweeps/" + st.ID
+	rep, err := awaitSweep(ctx, statusURL, st.ID, poll)
+	if err != nil && ctx.Err() != nil {
+		// Nobody will collect the result; ask the coordinator to stop. ctx
+		// is already dead, so the DELETE gets its own bounded one: a dead
+		// coordinator must not hang the exit.
+		dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, _, _ = coordDo(dctx, http.MethodDelete, statusURL, nil)
+		return nil, ctx.Err()
+	}
+	return rep, err
+}
+
+// awaitSweep polls the sweep at statusURL until it is terminal and returns
+// the report of a done one.
+func awaitSweep(ctx context.Context, statusURL, id string, poll time.Duration) (*sim.Report, error) {
 	lastDone := -1
 	for {
 		select {
 		case <-ctx.Done():
-			// Nobody will collect the result; ask the coordinator to stop.
-			req, err := http.NewRequest(http.MethodDelete, statusURL, nil)
-			if err == nil {
-				if resp, err := http.DefaultClient.Do(req); err == nil {
-					resp.Body.Close()
-				}
-			}
 			return nil, ctx.Err()
 		case <-time.After(poll):
 		}
@@ -81,16 +89,16 @@ func runCoordinatorSweep(ctx context.Context, base, tenant string, spec *sim.Spe
 			return nil, err
 		}
 		if status != http.StatusOK {
-			return nil, coordError("polling sweep "+st.ID, status, data)
+			return nil, coordError("polling sweep "+id, status, data)
 		}
-		st = sweepStatus{}
+		var st sweepStatus
 		if err := wire.StrictUnmarshal(data, &st); err != nil {
 			return nil, fmt.Errorf("decoding sweep status: %w", err)
 		}
 		if st.Progress.DoneShards != lastDone {
 			lastDone = st.Progress.DoneShards
 			fmt.Fprintf(os.Stderr, "rebalance-bench: sweep %s: %s, %d/%d shards (%d cached)\n",
-				st.ID, st.State, st.Progress.DoneShards, st.Progress.TotalShards, st.Progress.CachedShards)
+				id, st.State, st.Progress.DoneShards, st.Progress.TotalShards, st.Progress.CachedShards)
 		}
 		switch st.State {
 		case sweep.StateDone:
@@ -99,11 +107,11 @@ func runCoordinatorSweep(ctx context.Context, base, tenant string, spec *sim.Spe
 				return nil, err
 			}
 			if status != http.StatusOK {
-				return nil, coordError("fetching sweep "+st.ID+" result", status, data)
+				return nil, coordError("fetching sweep "+id+" result", status, data)
 			}
 			return sim.DecodeReport(data)
 		case sweep.StateFailed, sweep.StateCancelled:
-			return nil, fmt.Errorf("sweep %s landed %s: %s", st.ID, st.State, st.Error)
+			return nil, fmt.Errorf("sweep %s landed %s: %s", id, st.State, st.Error)
 		}
 	}
 }
@@ -138,15 +146,5 @@ func coordDo(ctx context.Context, method, u string, body []byte) ([]byte, int, e
 // coordError shapes a non-2xx coordinator response into an error, using
 // the JSON error envelope's message when the body carries one.
 func coordError(doing string, status int, body []byte) error {
-	// simd's envelope is exactly {"error", "code"}; any other body shape
-	// fails the strict decode and is surfaced raw.
-	var e struct {
-		Error string `json:"error"`
-		Code  int    `json:"code"`
-	}
-	msg := strings.TrimSpace(string(body))
-	if wire.StrictUnmarshal(body, &e) == nil && e.Error != "" {
-		msg = e.Error
-	}
-	return fmt.Errorf("%s: coordinator status %d: %s", doing, status, msg)
+	return fmt.Errorf("%s: coordinator status %d: %s", doing, status, wire.ErrorMessage(body))
 }

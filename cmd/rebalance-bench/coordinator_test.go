@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,12 +14,22 @@ import (
 	"rebalance/internal/sim"
 )
 
+// fakeCoord is the fake coordinator's server plus what it saw: status
+// polls and DELETEs. onPoll, when set, runs inside every status poll
+// before it is answered.
+type fakeCoord struct {
+	*httptest.Server
+	polls, deletes atomic.Int32
+	onPoll         func()
+}
+
 // fakeCoordinator serves the subset of the simd sweep API the client
 // needs: submit returns an ID, the status endpoint reports running for a
-// few polls before landing done, and the result endpoint serves a real
-// marshalled report. Faking the server (rather than standing up simd)
-// keeps this a test of the client's protocol handling alone.
-func fakeCoordinator(t *testing.T, rep *sim.Report, pollsUntilDone int32) (*httptest.Server, *atomic.Int32) {
+// few polls before landing done, the result endpoint serves a real
+// marshalled report, and DELETE is counted. Faking the server (rather than
+// standing up simd) keeps this a test of the client's protocol handling
+// alone.
+func fakeCoordinator(t *testing.T, rep *sim.Report, pollsUntilDone int32) *fakeCoord {
 	t.Helper()
 	enc, err := json.Marshal(rep)
 	if err != nil {
@@ -26,7 +37,7 @@ func fakeCoordinator(t *testing.T, rep *sim.Report, pollsUntilDone int32) (*http
 	}
 	const id = "sw-000001-0123456789ab"
 	total := len(rep.Shards)
-	var polls atomic.Int32
+	fc := &fakeCoord{}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
 		if got := r.URL.Query().Get("tenant"); got != "bench-test" {
@@ -44,7 +55,10 @@ func fakeCoordinator(t *testing.T, rep *sim.Report, pollsUntilDone int32) (*http
 		})
 	})
 	mux.HandleFunc("GET /v1/sweeps/"+id, func(w http.ResponseWriter, r *http.Request) {
-		n := polls.Add(1)
+		n := fc.polls.Add(1)
+		if fc.onPoll != nil {
+			fc.onPoll()
+		}
 		state, done := "running", int(n)
 		if n >= pollsUntilDone {
 			state, done = "done", total
@@ -56,7 +70,7 @@ func fakeCoordinator(t *testing.T, rep *sim.Report, pollsUntilDone int32) (*http
 		})
 	})
 	mux.HandleFunc("GET /v1/sweeps/"+id+"/result", func(w http.ResponseWriter, r *http.Request) {
-		if polls.Load() < pollsUntilDone {
+		if fc.polls.Load() < pollsUntilDone {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusConflict)
 			json.NewEncoder(w).Encode(map[string]any{"error": "not terminal", "code": 409})
@@ -65,62 +79,82 @@ func fakeCoordinator(t *testing.T, rep *sim.Report, pollsUntilDone int32) (*http
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(enc)
 	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv, &polls
+	mux.HandleFunc("DELETE /v1/sweeps/"+id, func(w http.ResponseWriter, r *http.Request) {
+		fc.deletes.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(map[string]any{"id": id, "tenant": "bench-test", "state": "cancelled"})
+	})
+	fc.Server = httptest.NewServer(mux)
+	t.Cleanup(fc.Close)
+	return fc
+}
+
+// coordSpec is the small sweep the coordinator tests submit.
+func coordSpec() *sim.Spec {
+	return &sim.Spec{
+		Workloads: []string{"comd-lite"},
+		SeedCount: 2,
+		Insts:     30_000,
+		Observers: []sim.ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small"]}`)}},
+	}
 }
 
 // TestRunCoordinatorSweep: the client submits, polls until done, fetches
-// the result, and the decoded report reshapes into the same bench record
-// a local run of the same sim report produces.
+// the result, and hands back the coordinator's report unchanged — it
+// re-marshals to the bytes the coordinator served.
 func TestRunCoordinatorSweep(t *testing.T) {
-	sess := sim.NewSession(2)
-	simRep, err := sess.Run(context.Background(), &sim.Spec{
-		Workloads: []string{"comd-lite"},
-		SeedCount: 2,
-		Insts:     30_000,
-		Observers: []sim.ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small"]}`)}},
-	})
+	simRep, err := sim.NewSession(2).Run(context.Background(), coordSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, polls := fakeCoordinator(t, simRep, 3)
+	coord := fakeCoordinator(t, simRep, 3)
 
-	got, err := runCoordinatorSweep(context.Background(), srv.URL, "bench-test", &sim.Spec{
-		Workloads: []string{"comd-lite"},
-		SeedCount: 2,
-		Insts:     30_000,
-		Observers: []sim.ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small"]}`)}},
-	}, time.Millisecond)
+	got, err := runCoordinatorSweep(context.Background(), coord.URL, "bench-test", coordSpec(), time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if polls.Load() < 3 {
-		t.Errorf("client fetched the result after %d polls, before the sweep was done", polls.Load())
+	if n := coord.polls.Load(); n < 3 {
+		t.Errorf("client fetched the result after %d polls, before the sweep was done", n)
 	}
-
-	// The decoded report must reshape exactly like the original.
-	fromCoord, err := buildReport(got, true)
+	if n := coord.deletes.Load(); n != 0 {
+		t.Errorf("client sent %d DELETEs for a sweep it collected", n)
+	}
+	a, err := json.Marshal(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := buildReport(simRep, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := json.Marshal(fromCoord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(local)
+	b, err := json.Marshal(simRep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Errorf("coordinator-fetched report reshapes differently:\n got: %s\nwant: %s", a, b)
+		t.Errorf("coordinator-fetched report is not the served one:\n got: %s\nwant: %s", a, b)
 	}
-	if !fromCoord.Dispatched {
-		t.Error("coordinator run not marked dispatched")
+}
+
+// TestRunCoordinatorSweepCancel: cancelling the client mid-poll (Ctrl-C)
+// abandons the sweep with context.Canceled and tells the coordinator to
+// stop working on it — exactly one DELETE, sent although the client's own
+// context is already dead.
+func TestRunCoordinatorSweepCancel(t *testing.T) {
+	simRep, err := sim.NewSession(2).Run(context.Background(), coordSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := fakeCoordinator(t, simRep, 1<<30) // never lands
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	coord.onPoll = func() {
+		if coord.polls.Load() == 2 {
+			cancel()
+		}
+	}
+	rep, err := runCoordinatorSweep(ctx, coord.URL, "bench-test", coordSpec(), time.Millisecond)
+	if rep != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep returned (%v, %v), want context.Canceled", rep, err)
+	}
+	if n := coord.deletes.Load(); n != 1 {
+		t.Errorf("coordinator saw %d DELETEs for the abandoned sweep, want exactly 1", n)
 	}
 }
 

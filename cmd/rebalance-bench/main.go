@@ -1,15 +1,22 @@
-// Command rebalance-bench is the parallel sweep client, built as a thin
-// client of the declarative run layer (internal/sim): it submits a Spec
-// for the {workload x seed x predictor-config} grid to a sim.Session and
-// reshapes the sim/v1 report into the rebalance-bench/v1 record the CI
-// smokes compare. Performance measurement lives in the bench/ harness
-// (`go run ./bench`), not here.
+// Command rebalance-bench is the command-line sweep client, a thin client
+// of the declarative run layer (internal/sim): its flags build one sim.Spec
+// for the {workload x seed x predictor-config} grid, one of three executors
+// answers it with a *sim.Report, and that report is written out as the
+// sim/v1 document — the same document simd's POST /v1/runs and
+// GET /v1/sweeps/{id}/result serve, which sim.DecodeReport reads back and
+// re-marshals byte for byte. Performance measurement lives in the bench/
+// harness (`go run ./bench`), not here.
+//
+// By default the grid runs on this process's local pool (`workers` in the
+// report is the pool the plan sized).
 //
 // With -backends the sweep's shard grid is dispatched to remote simd
 // worker processes (started with `simd -worker`) instead of the local
 // pool: shards fan out with bounded in-flight, retry with backoff, and
-// failover, and the merged report is bit-identical (up to timing fields)
-// to the same sweep run locally.
+// failover, and the report is bit-identical (up to the fields
+// (*sim.Report).Stripped clears) to the same sweep run locally. A
+// dispatched report carries `workers: 0`: the concurrency belongs to the
+// backends.
 //
 // With -synth the sweep additionally (or, when -workloads is omitted,
 // exclusively) covers a grid of synthetic scenarios: ';'-separated knob
@@ -22,14 +29,9 @@
 // With -coordinator the sweep is submitted asynchronously to a simd
 // coordinator's /v1/sweeps API instead of executing anywhere in this
 // process: the client submits the spec (tagged with -tenant), polls the
-// sweep's progress, fetches the final report when it lands, and reshapes
-// it exactly as if it had run the sweep itself — the report is
-// byte-identical up to timing fields, by the coordinator's contract.
-//
-// With -trace-entries or -trace-dir the local pool materializes each
-// (workload, seed) coordinate's instruction stream once and replays it
-// through every other observer configuration of that coordinate (see
-// internal/trace/replay); -trace-dir persists the traces across runs.
+// sweep's progress, fetches the final report when it lands and writes it
+// out unchanged. SIGINT/SIGTERM cancels a local or dispatched sweep, and
+// asks the coordinator to cancel a submitted one.
 //
 // Usage:
 //
@@ -38,8 +40,7 @@
 //	                [-insts 2000000] [-workers N]
 //	                [-backends http://host1:8080,http://host2:8080]
 //	                [-coordinator http://front:8080] [-tenant bench]
-//	                [-trace-entries 64] [-trace-dir DIR]
-//	                [-out report.json]
+//	                [-allow-partial] [-hedge] [-out report.json]
 package main
 
 import (
@@ -48,81 +49,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
-	"sort"
 	"strings"
+	"syscall"
 	"time"
 
-	"rebalance/internal/bpred"
 	"rebalance/internal/sim"
 	"rebalance/internal/sim/dispatch"
-	"rebalance/internal/stats"
-	"rebalance/internal/trace/replay"
 	"rebalance/internal/workload"
 	"rebalance/internal/workload/synth"
 )
-
-// benchShard is the JSON record for one completed shard.
-type benchShard struct {
-	Workload  string `json:"workload"`
-	Seed      uint64 `json:"seed"`
-	Predictor string `json:"predictor"`
-	CostBits  int    `json:"cost_bits"`
-	Insts     int64  `json:"insts"`
-	// ElapsedNS and MInstsPerSec describe the pass the shard rode, not a
-	// private run: the predictors of a (workload, seed) coordinate share one
-	// walk of its stream, so they all report that walk's time and rate. The
-	// sweep-level rates below are the ones that add up.
-	ElapsedNS    int64   `json:"elapsed_ns"`
-	MInstsPerSec float64 `json:"minsts_per_sec"`
-	MPKI         float64 `json:"mpki"`
-	MPKISerial   float64 `json:"mpki_serial"`
-	MPKIParallel float64 `json:"mpki_parallel"`
-	MissRate     float64 `json:"miss_rate"`
-}
-
-// benchAggregate folds one predictor's shards (all seeds) on one workload:
-// the mean-of-MPKIs (matching how multi-run figures are averaged) and the
-// count-merged MPKI (exact pooled counters via the sim result merge).
-type benchAggregate struct {
-	Workload   string  `json:"workload"`
-	Predictor  string  `json:"predictor"`
-	Seeds      int     `json:"seeds"`
-	MeanMPKI   float64 `json:"mean_mpki"`
-	MergedMPKI float64 `json:"merged_mpki"`
-	// MeanMInstsPS averages the shards' pass rates (see benchShard): how
-	// fast the passes this predictor rode went, not its own cost.
-	MeanMInstsPS float64 `json:"mean_minsts_per_sec"`
-}
-
-type report struct {
-	Schema    string `json:"schema"`
-	GoVersion string `json:"go_version"`
-	// GOMAXPROCS and Workers describe this process's local pool. A
-	// dispatched run's concurrency lives on the workers, so Workers is 0
-	// there and Dispatched labels the run explicitly — per-worker rates
-	// must never be derived from a zero worker count.
-	GOMAXPROCS    int          `json:"gomaxprocs"`
-	Workers       int          `json:"workers"`
-	Dispatched    bool         `json:"dispatched,omitempty"`
-	InstsPerShard int64        `json:"insts_per_shard"`
-	Workloads     []string     `json:"workloads"`
-	Seeds         int          `json:"seeds"`
-	Shards        []benchShard `json:"shards"`
-	// FailedShards lists grid cells abandoned after exhausting retries —
-	// only ever non-empty under -allow-partial, and absent from clean
-	// runs.
-	FailedShards  []sim.FailedShard `json:"failed_shards,omitempty"`
-	Aggregates    []benchAggregate  `json:"aggregates"`
-	TotalInsts    int64             `json:"total_insts"`
-	WallNS        int64             `json:"wall_ns"`
-	SweepMInstsPS float64           `json:"sweep_minsts_per_sec"`
-	// PerWorkerMInstsPS is the sweep rate divided by the local pool as the
-	// plan sized it (Workers: at most one worker per scheduling unit, which
-	// can be fewer than -workers asked for); 0 (omitted) for dispatched
-	// runs, where the divisor is meaningless.
-	PerWorkerMInstsPS float64 `json:"per_worker_minsts_per_sec,omitempty"`
-}
 
 func main() {
 	var (
@@ -136,12 +73,12 @@ func main() {
 		tenantFlag    = flag.String("tenant", "bench", "tenant name submitted with -coordinator sweeps")
 		partialFlag   = flag.Bool("allow-partial", false, "degrade instead of failing when shards exhaust their retries: completed shards are reported, abandoned ones become failed_shards entries")
 		hedgeFlag     = flag.Bool("hedge", false, "with -backends, duplicate straggling shards onto a second healthy worker after a latency-derived delay; first result wins")
-		traceEntsFlag = flag.Int("trace-entries", 0, "materialized trace store for the local pool: max in-memory traces (0 disables replay; -trace-dir alone enables it with the default bound)")
-		traceDirFlag  = flag.String("trace-dir", "", "persist materialized traces under this directory (implies replay; survives restarts)")
 		outFlag       = flag.String("out", "", "write the JSON report to this file (default stdout)")
 	)
 	flag.Parse()
-	err := run(*workloadsFlag, *synthFlag, *seedsFlag, *instsFlag, *workersFlag, *backendsFlag, *coordFlag, *tenantFlag, *partialFlag, *hedgeFlag, *traceEntsFlag, *traceDirFlag, *outFlag)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err := run(ctx, *workloadsFlag, *synthFlag, *seedsFlag, *instsFlag, *workersFlag, *backendsFlag, *coordFlag, *tenantFlag, *partialFlag, *hedgeFlag, *outFlag)
+	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rebalance-bench:", err)
 		os.Exit(1)
@@ -168,15 +105,15 @@ func parseWorkloads(csv string) ([]string, error) {
 	return names, nil
 }
 
-func run(workloadsCSV, synthCSV string, seeds int, insts int64, workers int, backendsCSV, coordinator, tenant string, allowPartial, hedge bool, traceEntries int, traceDir, out string) error {
+// run builds the sweep's Spec from the flag values, executes it on the
+// selected executor, and writes the resulting report as indented sim/v1
+// JSON to out (stdout when empty).
+func run(ctx context.Context, workloadsCSV, synthCSV string, seeds int, insts int64, workers int, backendsCSV, coordinator, tenant string, allowPartial, hedge bool, out string) error {
 	if seeds < 1 || insts < 1 || workers < 1 {
 		return fmt.Errorf("seeds, insts, and workers must be positive")
 	}
 	if hedge && backendsCSV == "" {
 		return fmt.Errorf("-hedge needs -backends: a local pool has no second worker to duplicate stragglers onto")
-	}
-	if (traceEntries > 0 || traceDir != "") && (backendsCSV != "" || coordinator != "") {
-		return fmt.Errorf("-trace-entries/-trace-dir apply to the local pool: a dispatched sweep's traces live on its workers")
 	}
 	if coordinator != "" && backendsCSV != "" {
 		return fmt.Errorf("-coordinator and -backends are mutually exclusive: the coordinator owns its own worker fleet")
@@ -212,25 +149,6 @@ func run(workloadsCSV, synthCSV string, seeds int, insts int64, workers int, bac
 	// The whole sweep is one declarative Spec: the grid of every
 	// registered predictor configuration over every workload (registered
 	// and synthetic) and seed.
-	sess := sim.NewSession(workers)
-	if traceEntries > 0 || traceDir != "" {
-		traces, err := replay.New(replay.Options{MaxEntries: traceEntries, Dir: traceDir})
-		if err != nil {
-			return err
-		}
-		sess.SetTraceStore(traces)
-	}
-	if backendsCSV != "" {
-		backends, err := dispatch.ParseBackends(backendsCSV, dispatch.DefaultClient())
-		if err != nil {
-			return err
-		}
-		d, err := dispatch.New(backends, dispatch.Options{MaxInFlight: workers, Hedge: hedge})
-		if err != nil {
-			return err
-		}
-		sess.SetRunner(d)
-	}
 	spec := &sim.Spec{
 		Workloads:    specWorkloads,
 		Synth:        synthSets,
@@ -239,24 +157,32 @@ func run(workloadsCSV, synthCSV string, seeds int, insts int64, workers int, bac
 		Observers:    []sim.ObserverSpec{{Kind: "bpred"}},
 		AllowPartial: allowPartial,
 	}
-	var simRep *sim.Report
+	var rep *sim.Report
 	if coordinator != "" {
-		simRep, err = runCoordinatorSweep(context.Background(), coordinator, tenant, spec, 200*time.Millisecond)
+		rep, err = runCoordinatorSweep(ctx, coordinator, tenant, spec, 200*time.Millisecond)
 	} else {
-		simRep, err = sess.Run(context.Background(), spec)
+		sess := sim.NewSession(workers)
+		if backendsCSV != "" {
+			backends, err := dispatch.ParseBackends(backendsCSV, dispatch.DefaultClient())
+			if err != nil {
+				return err
+			}
+			d, err := dispatch.New(backends, dispatch.Options{MaxInFlight: workers, Hedge: hedge})
+			if err != nil {
+				return err
+			}
+			sess.SetRunner(d)
+		}
+		rep, err = sess.Run(ctx, spec)
 	}
 	if err != nil {
 		return err
 	}
-	if n := len(simRep.FailedShards); n > 0 {
-		fmt.Fprintf(os.Stderr, "rebalance-bench: warning: degraded sweep: %d of %d shards abandoned after retries; aggregates cover survivors only\n",
-			n, n+len(simRep.Shards))
+	if n := len(rep.FailedShards); n > 0 {
+		fmt.Fprintf(os.Stderr, "rebalance-bench: warning: degraded sweep: %d of %d shards abandoned after retries; merged results cover survivors only\n",
+			n, n+len(rep.Shards))
 	}
 
-	rep, err := buildReport(simRep, backendsCSV != "" || coordinator != "")
-	if err != nil {
-		return err
-	}
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -267,119 +193,4 @@ func run(workloadsCSV, synthCSV string, seeds int, insts int64, workers int, bac
 		return err
 	}
 	return os.WriteFile(out, enc, 0o644)
-}
-
-// buildReport reshapes a sim/v1 report of bpred shards into the
-// rebalance-bench/v1 record. dispatched marks a sweep that ran on remote
-// backends (-backends), where simRep.Workers is 0 by contract.
-func buildReport(simRep *sim.Report, dispatched bool) (*report, error) {
-	shards := make([]benchShard, 0, len(simRep.Shards))
-	for i := range simRep.Shards {
-		sh := &simRep.Shards[i]
-		r, ok := sh.Result.(*bpred.Result)
-		if !ok {
-			return nil, fmt.Errorf("shard %s/%s: unexpected result type %T", sh.Workload, sh.Observer, sh.Result)
-		}
-		b := benchShard{
-			Workload:     sh.Workload,
-			Seed:         sh.Seed,
-			Predictor:    r.Name,
-			CostBits:     r.CostBits,
-			Insts:        sh.Insts,
-			ElapsedNS:    sh.ElapsedNS,
-			MPKI:         r.MPKI(),
-			MPKISerial:   r.MPKISerial(),
-			MPKIParallel: r.MPKIParallel(),
-			MissRate:     r.MissRate(),
-		}
-		if sh.ElapsedNS > 0 {
-			b.MInstsPerSec = float64(b.Insts) / (float64(sh.ElapsedNS) / 1e9) / 1e6
-		}
-		shards = append(shards, b)
-	}
-	sort.Slice(shards, func(i, j int) bool {
-		a, b := &shards[i], &shards[j]
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		if a.Predictor != b.Predictor {
-			return a.Predictor < b.Predictor
-		}
-		return a.Seed < b.Seed
-	})
-
-	// Exact pooled counters come from the sim layer's merge.
-	mergedMPKI := map[[2]string]float64{}
-	for i := range simRep.Merged {
-		m := &simRep.Merged[i]
-		if r, ok := m.Result.(*bpred.Result); ok {
-			mergedMPKI[[2]string{m.Workload, r.Name}] = r.MPKI()
-		}
-	}
-
-	type accum struct {
-		mpkis []float64
-		rates []float64
-	}
-	order := [][2]string{}
-	acc := map[[2]string]*accum{}
-	for i := range shards {
-		s := &shards[i]
-		k := [2]string{s.Workload, s.Predictor}
-		a := acc[k]
-		if a == nil {
-			a = &accum{}
-			acc[k] = a
-			order = append(order, k)
-		}
-		a.mpkis = append(a.mpkis, s.MPKI)
-		a.rates = append(a.rates, s.MInstsPerSec)
-	}
-	aggs := make([]benchAggregate, 0, len(order))
-	for _, k := range order {
-		a := acc[k]
-		aggs = append(aggs, benchAggregate{
-			Workload:     k[0],
-			Predictor:    k[1],
-			Seeds:        len(a.mpkis),
-			MeanMPKI:     stats.Average(a.mpkis),
-			MergedMPKI:   mergedMPKI[k],
-			MeanMInstsPS: stats.Average(a.rates),
-		})
-	}
-
-	// Workers describes this process's pool. A dispatched sweep ran
-	// elsewhere — on remote workers, or (through a coordinator) on another
-	// process entirely, whose report may carry its own pool size — so the
-	// field is 0 by the documented contract, never a borrowed figure.
-	workers := simRep.Workers
-	if dispatched {
-		workers = 0
-	}
-	rep := &report{
-		Schema:        "rebalance-bench/v1",
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Workers:       workers,
-		Dispatched:    dispatched,
-		InstsPerShard: simRep.Spec.Insts,
-		Workloads:     simRep.Spec.Workloads,
-		Seeds:         len(simRep.Spec.Seeds),
-		Shards:        shards,
-		FailedShards:  simRep.FailedShards,
-		Aggregates:    aggs,
-		TotalInsts:    simRep.TotalInsts,
-		WallNS:        simRep.WallNS,
-	}
-	if simRep.WallNS > 0 {
-		rep.SweepMInstsPS = float64(rep.TotalInsts) / (float64(simRep.WallNS) / 1e9) / 1e6
-	}
-	// Per-worker throughput only exists for a local pool: a dispatched
-	// run reports Workers == 0, and dividing by it would be a zero
-	// divisor (or, with a stale fallback, nonsense attributed to this
-	// process).
-	if !dispatched && rep.Workers > 0 {
-		rep.PerWorkerMInstsPS = rep.SweepMInstsPS / float64(rep.Workers)
-	}
-	return rep, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +16,51 @@ import (
 	"rebalance/internal/sim/dispatch"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
+// runSweep runs the client with the given flag values, writing to a fresh
+// file, and returns the file's bytes and the report they decode to.
+func runSweep(t *testing.T, workloadsCSV, synthCSV, backendsCSV, coordinator string, allowPartial bool) ([]byte, *sim.Report) {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "report.json")
+	if err := run(context.Background(), workloadsCSV, synthCSV, 2, 20_000, 2, backendsCSV, coordinator, "bench-test", allowPartial, false, out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sim.DecodeReport(data)
+	if err != nil {
+		t.Fatalf("written file is not a sim/v1 report: %v", err)
+	}
+	return data, rep
+}
+
+// render marshals a report the way run writes it.
+func render(t *testing.T, rep *sim.Report) string {
+	t.Helper()
+	enc, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(enc) + "\n"
+}
+
+// twoWorkers stands up two in-process simd workers and returns their URLs
+// as a -backends value.
+func twoWorkers(t *testing.T, wrap func(http.Handler) http.Handler) string {
+	t.Helper()
+	var urls []string
+	for i := 0; i < 2; i++ {
+		h := dispatch.WorkerHandler(sim.NewSession(1), 0)
+		if wrap != nil {
+			h = wrap(h)
+		}
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	return strings.Join(urls, ",")
+}
 
 func TestParseWorkloads(t *testing.T) {
 	good, err := parseWorkloads(" comd-lite , xalan-lite ")
@@ -40,200 +83,64 @@ func TestParseWorkloads(t *testing.T) {
 	}
 }
 
-// TestReportGolden pins the rebalance-bench/v1 JSON schema built on the
-// sim layer, so drift breaks CI instead of silently corrupting what the
-// CI smokes compare. Regenerate with -update after a deliberate
-// change.
+// TestReportGolden pins what the client writes: the sim/v1 document
+// itself, not a reshaping of it. The file round-trips through
+// sim.DecodeReport byte for byte, covers the full bpred grid, and equals
+// what Session.Run answers for the Spec the flags describe.
 func TestReportGolden(t *testing.T) {
-	sess := sim.NewSession(2)
-	simRep, err := sess.Run(context.Background(), &sim.Spec{
-		Workloads: []string{"comd-lite", "xalan-lite"},
-		SeedCount: 2,
-		Insts:     30_000,
-		Observers: []sim.ObserverSpec{{Kind: "bpred"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := buildReport(simRep, false)
-	if err != nil {
-		t.Fatal(err)
+	data, rep := runSweep(t, "comd-lite,xalan-lite", "", "", "", false)
+	if rep.Schema != sim.SchemaV1 {
+		t.Errorf("schema %q, want %q", rep.Schema, sim.SchemaV1)
 	}
 	// 2 workloads x 2 seeds x 9 standard configs.
-	if want := 2 * 2 * 9; len(rep.Shards) != want {
-		t.Fatalf("got %d shards, want %d", len(rep.Shards), want)
+	if len(rep.Shards) != 2*2*9 || len(rep.Merged) != 2*9 {
+		t.Fatalf("got %d shards / %d merged, want 36 / 18", len(rep.Shards), len(rep.Merged))
 	}
-	if want := 2 * 9; len(rep.Aggregates) != want {
-		t.Fatalf("got %d aggregates, want %d", len(rep.Aggregates), want)
-	}
-
-	// Zero environment- and timing-dependent fields; the rest is
-	// deterministic.
-	rep.GoVersion = ""
-	rep.GOMAXPROCS = 0
-	rep.Workers = 0
-	rep.WallNS = 0
-	rep.SweepMInstsPS = 0
-	rep.PerWorkerMInstsPS = 0
-	for i := range rep.Shards {
-		rep.Shards[i].ElapsedNS = 0
-		rep.Shards[i].MInstsPerSec = 0
-	}
-	for i := range rep.Aggregates {
-		rep.Aggregates[i].MeanMInstsPS = 0
-	}
-	got, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-
-	golden := filepath.Join("testdata", "bench_v1.golden.json")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./cmd/rebalance-bench -run TestReportGolden -update` to create it)", err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("rebalance-bench/v1 report drifted from golden file %s;\nif deliberate, regenerate with -update.\ngot:\n%s", golden, got)
-	}
-}
-
-// TestBackendsDispatchMatchesLocal runs the same small sweep locally and
-// dispatched across two in-process simd workers (-backends path) and
-// checks the reports agree on every deterministic field.
-func TestBackendsDispatchMatchesLocal(t *testing.T) {
-	w1 := httptest.NewServer(dispatch.WorkerHandler(sim.NewSession(1), 0))
-	defer w1.Close()
-	w2 := httptest.NewServer(dispatch.WorkerHandler(sim.NewSession(1), 0))
-	defer w2.Close()
-
-	readReport := func(path string) report {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	normalize := func(path string) []byte {
-		t.Helper()
-		rep := readReport(path)
-		rep.GoVersion = ""
-		rep.GOMAXPROCS = 0
-		rep.Workers = 0
-		rep.Dispatched = false
-		rep.WallNS = 0
-		rep.SweepMInstsPS = 0
-		rep.PerWorkerMInstsPS = 0
-		for i := range rep.Shards {
-			rep.Shards[i].ElapsedNS = 0
-			rep.Shards[i].MInstsPerSec = 0
-		}
-		for i := range rep.Aggregates {
-			rep.Aggregates[i].MeanMInstsPS = 0
-		}
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+	if got := render(t, rep); got != string(data) {
+		t.Errorf("written report does not round-trip through DecodeReport:\n got: %s\nwant: %s", got, data)
 	}
 
-	dir := t.TempDir()
-	localOut := filepath.Join(dir, "local.json")
-	remoteOut := filepath.Join(dir, "remote.json")
-	if err := run("comd-lite", "", 2, 20_000, 2, "", "", "bench", false, false, 0, "", localOut); err != nil {
-		t.Fatal(err)
-	}
-	if err := run("comd-lite", "", 2, 20_000, 2, w1.URL+","+w2.URL, "", "bench", false, false, 0, "", remoteOut); err != nil {
-		t.Fatal(err)
-	}
-	local, remote := normalize(localOut), normalize(remoteOut)
-	if string(local) != string(remote) {
-		t.Errorf("dispatched sweep differs from local sweep:\nlocal:\n%s\nremote:\n%s", local, remote)
-	}
-
-	// The dispatched-run labeling satellite: a dispatched report says so
-	// explicitly, carries no local worker count, and never fabricates a
-	// per-worker rate from the zero; the local report derives one from its
-	// real pool.
-	localRep, remoteRep := readReport(localOut), readReport(remoteOut)
-	if localRep.Dispatched {
-		t.Error("local sweep labeled dispatched")
-	}
-	if localRep.Workers < 1 || localRep.PerWorkerMInstsPS <= 0 {
-		t.Errorf("local sweep: workers=%d per_worker=%v, want a real pool rate", localRep.Workers, localRep.PerWorkerMInstsPS)
-	}
-	if !remoteRep.Dispatched {
-		t.Error("dispatched sweep not labeled dispatched")
-	}
-	if remoteRep.Workers != 0 || remoteRep.PerWorkerMInstsPS != 0 {
-		t.Errorf("dispatched sweep: workers=%d per_worker=%v, want 0/0 (the concurrency belongs to the backends)",
-			remoteRep.Workers, remoteRep.PerWorkerMInstsPS)
-	}
-}
-
-// TestPerWorkerRateOnOneCoordinate: the per-worker rate divides by the pool
-// the plan sized, not by the -workers request. A one-seed, one-workload
-// sweep is a single stream coordinate, which the plan cuts into one chunk
-// per worker, so the pool — and the divisor — is all four; the rate is the
-// sweep rate over that and never zero.
-func TestPerWorkerRateOnOneCoordinate(t *testing.T) {
-	simRep, err := sim.NewSession(4).Run(context.Background(), &sim.Spec{
-		Workloads: []string{"comd-lite"},
-		SeedCount: 1,
+	direct, err := sim.NewSession(2).Run(context.Background(), &sim.Spec{
+		Workloads: []string{"comd-lite", "xalan-lite"},
+		SeedCount: 2,
 		Insts:     20_000,
 		Observers: []sim.ObserverSpec{{Kind: "bpred"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := buildReport(simRep, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Workers != 4 {
-		t.Errorf("1-coordinate x 9-config sweep on 4 workers reports a pool of %d, want 4", rep.Workers)
-	}
-	if rep.PerWorkerMInstsPS <= 0 || rep.PerWorkerMInstsPS != rep.SweepMInstsPS/float64(simRep.Workers) {
-		t.Errorf("per_worker_minsts_per_sec = %v, want sweep rate %v over the plan's %d workers",
-			rep.PerWorkerMInstsPS, rep.SweepMInstsPS, simRep.Workers)
+	if got, want := render(t, rep.Stripped()), render(t, direct.Stripped()); got != want {
+		t.Errorf("client report differs from Session.Run of the same spec:\n got: %s\nwant: %s", got, want)
 	}
 }
 
-// TestAggregateConsistency checks the merged MPKI comes from exact pooled
-// counters: with a single seed, mean and merged MPKI must coincide.
-func TestAggregateConsistency(t *testing.T) {
-	sess := sim.NewSession(2)
-	simRep, err := sess.Run(context.Background(), &sim.Spec{
-		Workloads: []string{"comd-lite"},
-		SeedCount: 1,
-		Insts:     20_000,
-		Observers: []sim.ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-big"]}`)}},
-	})
+// TestBackendsDispatchMatchesLocal runs the same small sweep on all three
+// executors — the local pool, two in-process simd workers (-backends) and
+// a coordinator (-coordinator) — and checks the written reports agree on
+// every deterministic field. A dispatched run is the one with workers: 0.
+func TestBackendsDispatchMatchesLocal(t *testing.T) {
+	_, local := runSweep(t, "comd-lite", "", "", "", false)
+	_, remote := runSweep(t, "comd-lite", "", twoWorkers(t, nil), "", false)
+	want := render(t, local.Stripped())
+	if got := render(t, remote.Stripped()); got != want {
+		t.Errorf("dispatched sweep differs from local sweep:\nlocal:\n%s\nremote:\n%s", want, got)
+	}
+	if local.Workers < 1 {
+		t.Errorf("local sweep reports a pool of %d", local.Workers)
+	}
+	if remote.Workers != 0 {
+		t.Errorf("dispatched sweep reports workers=%d, want 0 (the concurrency belongs to the backends)", remote.Workers)
+	}
+
+	// The coordinator answers with its own run of the same spec.
+	coordRep, err := sim.NewSession(2).Run(context.Background(), local.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := buildReport(simRep, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range rep.Aggregates {
-		if a.Seeds != 1 {
-			t.Errorf("%s/%s: %d seeds, want 1", a.Workload, a.Predictor, a.Seeds)
-		}
-		if a.MeanMPKI != a.MergedMPKI {
-			t.Errorf("%s/%s: single-seed mean %v != merged %v", a.Workload, a.Predictor, a.MeanMPKI, a.MergedMPKI)
-		}
+	coord := fakeCoordinator(t, coordRep, 2)
+	_, viaCoord := runSweep(t, "comd-lite", "", "", coord.URL, false)
+	if got := render(t, viaCoord.Stripped()); got != want {
+		t.Errorf("coordinator sweep differs from local sweep:\nlocal:\n%s\ncoordinator:\n%s", want, got)
 	}
 }
 
@@ -294,74 +201,22 @@ func TestParseSynthGrid(t *testing.T) {
 // fresh processes' worth of state (fresh sessions) and once dispatched to
 // in-process simd workers — all byte-identical on deterministic fields.
 func TestSynthSweepDispatchedAndDeterministic(t *testing.T) {
-	w1 := httptest.NewServer(dispatch.WorkerHandler(sim.NewSession(1), 0))
-	defer w1.Close()
-	w2 := httptest.NewServer(dispatch.WorkerHandler(sim.NewSession(1), 0))
-	defer w2.Close()
-
-	normalize := func(path string) []byte {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatal(err)
-		}
-		rep.GoVersion = ""
-		rep.GOMAXPROCS = 0
-		rep.Workers = 0
-		rep.Dispatched = false
-		rep.WallNS = 0
-		rep.SweepMInstsPS = 0
-		rep.PerWorkerMInstsPS = 0
-		for i := range rep.Shards {
-			rep.Shards[i].ElapsedNS = 0
-			rep.Shards[i].MInstsPerSec = 0
-		}
-		for i := range rep.Aggregates {
-			rep.Aggregates[i].MeanMInstsPS = 0
-		}
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
 	const grid = "bias=0.6,0.8,0.95"
-	dir := t.TempDir()
-	paths := map[string]string{
-		"cold1":      filepath.Join(dir, "cold1.json"),
-		"cold2":      filepath.Join(dir, "cold2.json"),
-		"dispatched": filepath.Join(dir, "dispatched.json"),
-	}
-	if err := run("", grid, 2, 20_000, 2, "", "", "bench", false, false, 0, "", paths["cold1"]); err != nil {
-		t.Fatal(err)
-	}
-	if err := run("", grid, 2, 20_000, 2, "", "", "bench", false, false, 0, "", paths["cold2"]); err != nil {
-		t.Fatal(err)
-	}
-	if err := run("", grid, 2, 20_000, 2, w1.URL+","+w2.URL, "", "bench", false, false, 0, "", paths["dispatched"]); err != nil {
-		t.Fatal(err)
-	}
+	_, cold1 := runSweep(t, "", grid, "", "", false)
+	_, cold2 := runSweep(t, "", grid, "", "", false)
+	_, dispatched := runSweep(t, "", grid, twoWorkers(t, nil), "", false)
 
-	cold1 := normalize(paths["cold1"])
-	var rep report
-	if err := json.Unmarshal(cold1, &rep); err != nil {
-		t.Fatal(err)
+	if want := 3 * 2 * 9; len(cold1.Shards) != want {
+		t.Fatalf("synth sweep has %d shards, want %d (3 scenarios x 2 seeds x 9 predictors)", len(cold1.Shards), want)
 	}
-	if want := 3 * 2 * 9; len(rep.Shards) != want {
-		t.Fatalf("synth sweep has %d shards, want %d (3 scenarios x 2 seeds x 9 predictors)", len(rep.Shards), want)
+	if w := cold1.Spec.Workloads; len(w) != 3 || !strings.HasPrefix(w[0], "synth-") {
+		t.Fatalf("sweep workloads = %v, want the synth grid only", w)
 	}
-	if len(rep.Workloads) != 3 || !strings.HasPrefix(rep.Workloads[0], "synth-") {
-		t.Fatalf("sweep workloads = %v, want the synth grid only", rep.Workloads)
-	}
-	if string(cold1) != string(normalize(paths["cold2"])) {
+	want := render(t, cold1.Stripped())
+	if render(t, cold2.Stripped()) != want {
 		t.Error("two cold synth sweeps differ on deterministic fields")
 	}
-	if string(cold1) != string(normalize(paths["dispatched"])) {
+	if render(t, dispatched.Stripped()) != want {
 		t.Error("dispatched synth sweep differs from local sweep on deterministic fields")
 	}
 }
@@ -376,7 +231,7 @@ func TestParseSynthGridRejectsRepeatedAxis(t *testing.T) {
 // two workers that deterministically reject every seed-2 shard (with a
 // 400, so the rejection is never retried and never blamed). The degraded
 // sweep must report exactly the seed-1 survivors, list the seed-2 cells
-// as failed_shards, and aggregate over one seed — while the same sweep
+// as failed_shards, and merge over one seed — while the same sweep
 // without -allow-partial stays all-or-nothing and fails.
 func TestAllowPartialDegradedSweep(t *testing.T) {
 	rejectSeed2 := func(inner http.Handler) http.Handler {
@@ -396,25 +251,9 @@ func TestAllowPartialDegradedSweep(t *testing.T) {
 			inner.ServeHTTP(w, r)
 		})
 	}
-	w1 := httptest.NewServer(rejectSeed2(dispatch.WorkerHandler(sim.NewSession(1), 0)))
-	defer w1.Close()
-	w2 := httptest.NewServer(rejectSeed2(dispatch.WorkerHandler(sim.NewSession(1), 0)))
-	defer w2.Close()
-	backends := w1.URL + "," + w2.URL
+	backends := twoWorkers(t, rejectSeed2)
 
-	dir := t.TempDir()
-	out := filepath.Join(dir, "partial.json")
-	if err := run("comd-lite", "", 2, 20_000, 2, backends, "", "bench", true, false, 0, "", out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
+	_, rep := runSweep(t, "comd-lite", "", backends, "", true)
 	if want := 1 * 1 * 9; len(rep.Shards) != want {
 		t.Fatalf("degraded sweep has %d shards, want %d seed-1 survivors", len(rep.Shards), want)
 	}
@@ -434,20 +273,20 @@ func TestAllowPartialDegradedSweep(t *testing.T) {
 			t.Errorf("failed shard error = %q, want the worker's own message", f.Error)
 		}
 	}
-	for _, a := range rep.Aggregates {
-		if a.Seeds != 1 {
-			t.Errorf("%s/%s aggregates %d seeds, want 1 (survivors only)", a.Workload, a.Predictor, a.Seeds)
+	for _, m := range rep.Merged {
+		if m.Seeds != 1 {
+			t.Errorf("%s/%s merges %d seeds, want 1 (survivors only)", m.Workload, m.Observer, m.Seeds)
 		}
 	}
 
 	// All-or-nothing remains the default contract.
-	if err := run("comd-lite", "", 2, 20_000, 2, backends, "", "bench", false, false, 0, "", filepath.Join(dir, "strict.json")); err == nil {
+	if err := run(context.Background(), "comd-lite", "", 2, 20_000, 2, backends, "", "bench", false, false, filepath.Join(t.TempDir(), "strict.json")); err == nil {
 		t.Fatal("sweep with a permanently failing cell succeeded without -allow-partial")
 	}
 }
 
 func TestHedgeNeedsBackends(t *testing.T) {
-	err := run("comd-lite", "", 1, 1000, 1, "", "", "bench", false, true, 0, "", filepath.Join(t.TempDir(), "x.json"))
+	err := run(context.Background(), "comd-lite", "", 1, 1000, 1, "", "", "bench", false, true, filepath.Join(t.TempDir(), "x.json"))
 	if err == nil || !strings.Contains(err.Error(), "-backends") {
 		t.Fatalf("run with -hedge and no -backends = %v, want refusal", err)
 	}

@@ -32,7 +32,7 @@ const maxSynthGrid = 64
 //	trips=8:12,40       innermost trip-count phases, ':'-separated
 var synthAxes = map[string]func(*synth.Params, string) error{
 	"bias": func(p *synth.Params, v string) error {
-		f, err := parseFrac(v)
+		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return err
 		}
@@ -45,7 +45,7 @@ var synthAxes = map[string]func(*synth.Params, string) error{
 		return nil
 	},
 	"taken": func(p *synth.Params, v string) error {
-		f, err := parseFrac(v)
+		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return err
 		}
@@ -78,7 +78,7 @@ var synthAxes = map[string]func(*synth.Params, string) error{
 		return err
 	},
 	"hot": func(p *synth.Params, v string) error {
-		f, err := parseFrac(v)
+		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return err
 		}
@@ -106,14 +106,6 @@ var synthAxes = map[string]func(*synth.Params, string) error{
 		p.TripCounts = trips
 		return nil
 	},
-}
-
-func parseFrac(v string) (float64, error) {
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, err
-	}
-	return f, nil
 }
 
 // synthAxisKeys lists the grid keys for error messages, derived from the

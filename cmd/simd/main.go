@@ -289,7 +289,7 @@ func newServer(cfg serverConfig) http.Handler {
 			id := r.PathValue("id")
 			st, ok := cfg.coord.Get(id)
 			if !ok {
-				writeError(w, http.StatusNotFound, fmt.Errorf("no sweep %q", id))
+				wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no sweep %q", id))
 				return
 			}
 			partial, _ := cfg.coord.Partial(id)
@@ -303,11 +303,11 @@ func newServer(cfg serverConfig) http.Handler {
 			st, err := cfg.coord.Cancel(id)
 			switch {
 			case errors.Is(err, sweep.ErrNotFound):
-				writeError(w, http.StatusNotFound, fmt.Errorf("no sweep %q", id))
+				wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no sweep %q", id))
 			case errors.Is(err, sweep.ErrTerminal):
-				writeError(w, http.StatusConflict, fmt.Errorf("sweep %q is already %s", id, st.State))
+				wire.WriteError(w, http.StatusConflict, fmt.Errorf("sweep %q is already %s", id, st.State))
 			case err != nil:
-				writeError(w, http.StatusInternalServerError, err)
+				wire.WriteError(w, http.StatusInternalServerError, err)
 			default:
 				writeJSON(w, http.StatusOK, st)
 			}
@@ -391,14 +391,14 @@ func handleSweepSubmit(w http.ResponseWriter, r *http.Request, coord *sweep.Coor
 	st, err := coord.Submit(tenantOf(r), spec)
 	switch {
 	case errors.Is(err, sim.ErrInvalidSpec):
-		writeError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 	case errors.Is(err, sweep.ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
+		wire.WriteError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, sweep.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
+		wire.WriteError(w, http.StatusServiceUnavailable, err)
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+		wire.WriteError(w, http.StatusInternalServerError, err)
 	default:
 		writeJSON(w, http.StatusAccepted, st)
 	}
@@ -415,10 +415,10 @@ func handleSweepResult(w http.ResponseWriter, r *http.Request, coord *sweep.Coor
 	case err == nil:
 		writeJSON(w, http.StatusOK, rep)
 	case errors.Is(err, sweep.ErrNotFound):
-		writeError(w, http.StatusNotFound, fmt.Errorf("no sweep %q", id))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no sweep %q", id))
 	case errors.Is(err, sweep.ErrNotTerminal):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusConflict, fmt.Errorf("sweep %q has not finished", id))
+		wire.WriteError(w, http.StatusConflict, fmt.Errorf("sweep %q has not finished", id))
 	default:
 		// Terminal without a report: cancelled is the resource being gone,
 		// anything else is the sweep's own failure.
@@ -426,7 +426,7 @@ func handleSweepResult(w http.ResponseWriter, r *http.Request, coord *sweep.Coor
 		if st, ok := coord.Get(id); ok && st.State == sweep.StateCancelled {
 			status = http.StatusGone
 		}
-		writeError(w, status, err)
+		wire.WriteError(w, status, err)
 	}
 }
 
@@ -437,11 +437,11 @@ func handleSweepResult(w http.ResponseWriter, r *http.Request, coord *sweep.Coor
 func decodeSpec(w http.ResponseWriter, r *http.Request, maxInsts int64) *sim.Spec {
 	var spec sim.Spec
 	if err := wire.StrictDecode(http.MaxBytesReader(w, r.Body, maxSpecBytes), &spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
 		return nil
 	}
 	if maxInsts > 0 && spec.Insts > maxInsts {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("per-shard budget %d exceeds server limit %d", spec.Insts, maxInsts))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("per-shard budget %d exceeds server limit %d", spec.Insts, maxInsts))
 		return nil
 	}
 	return &spec
@@ -458,7 +458,7 @@ func handleRun(w http.ResponseWriter, r *http.Request, sess *sim.Session, maxIns
 		if errors.Is(err, sim.ErrInvalidSpec) {
 			status = http.StatusBadRequest
 		}
-		writeError(w, status, err)
+		wire.WriteError(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
@@ -469,7 +469,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	// produce a 500 instead of a truncated 200.
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		wire.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -477,18 +477,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// writeError is the error envelope every simd 4xx/5xx carries: the
-// message plus a code field mirroring the HTTP status, so clients that
-// only surface the decoded body still see the class of failure.
-func writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "code": status})
-}
-
 // envelope wraps a handler so error responses produced outside our own
-// writeError — ServeMux's plain-text 404s and 405s, MaxBytesReader's
-// 413s — carry the same JSON envelope as everything else. Any 4xx/5xx
+// wire.WriteError calls — ServeMux's plain-text 404s and 405s,
+// MaxBytesReader's 413s — carry the same JSON envelope as everything else. Any 4xx/5xx
 // whose Content-Type is not already JSON has its body replaced with
 // {"error": <status text>, "code": N}; headers the original handler set
 // (Allow on a 405, for instance) pass through untouched.
@@ -511,10 +502,7 @@ func (w *envelopeWriter) WriteHeader(status int) {
 	w.wroteHeader = true
 	if status >= 400 && !strings.Contains(w.Header().Get("Content-Type"), "application/json") {
 		w.intercepted = true
-		w.Header().Set("Content-Type", "application/json")
-		w.ResponseWriter.WriteHeader(status)
-		enc, _ := json.Marshal(map[string]any{"error": http.StatusText(status), "code": status})
-		_, _ = w.ResponseWriter.Write(append(enc, '\n'))
+		wire.WriteError(w.ResponseWriter, status, errors.New(http.StatusText(status)))
 		return
 	}
 	w.ResponseWriter.WriteHeader(status)

@@ -16,6 +16,7 @@ import (
 	"rebalance/internal/sim"
 	"rebalance/internal/sim/dispatch"
 	"rebalance/internal/sim/sweep"
+	"rebalance/internal/wire"
 	"rebalance/internal/workload/synth"
 )
 
@@ -501,7 +502,7 @@ func partialCoordinator(t *testing.T) *httptest.Server {
 	var once sync.Once
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		once.Do(func() { close(rejected) })
-		writeError(w, http.StatusBadRequest, errors.New("scripted permanent rejection"))
+		wire.WriteError(w, http.StatusBadRequest, errors.New("scripted permanent rejection"))
 	}))
 	t.Cleanup(bad.Close)
 	worker := dispatch.WorkerHandler(sim.NewSession(2), 0)

@@ -85,31 +85,15 @@ func pollSweep(t *testing.T, base, id string) map[string]json.RawMessage {
 	return nil
 }
 
-// normalizeReport zeroes the documented timing/provenance fields of a
-// sim/v1 report's JSON so async and sync runs compare byte-for-byte:
-// wall_ns, per-shard elapsed_ns, workers, and cached marks.
+// normalizeReport strips a served sim/v1 report of its run-dependent
+// fields so async and sync runs compare byte-for-byte.
 func normalizeReport(t *testing.T, raw []byte) string {
 	t.Helper()
-	var rep map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	rep["wall_ns"] = json.RawMessage("0")
-	rep["workers"] = json.RawMessage("0")
-	var shards []map[string]json.RawMessage
-	if err := json.Unmarshal(rep["shards"], &shards); err != nil {
-		t.Fatal(err)
-	}
-	for _, sh := range shards {
-		sh["elapsed_ns"] = json.RawMessage("0")
-		delete(sh, "cached")
-	}
-	enc, err := json.Marshal(shards)
+	rep, err := sim.DecodeReport(raw)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("body does not decode as a sim/v1 report: %v", err)
 	}
-	rep["shards"] = enc
-	out, err := json.Marshal(rep)
+	out, err := json.Marshal(rep.Stripped())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +158,6 @@ func TestSweepAsyncMatchesSyncRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fetched report must decode through the typed client path.
-	if _, err := sim.DecodeReport(asyncRaw); err != nil {
-		t.Fatalf("result does not decode as a sim/v1 report: %v", err)
-	}
-
 	syncResp := doReq(t, http.MethodPost, srv.URL+"/v1/runs", spec)
 	if syncResp.StatusCode != http.StatusOK {
 		t.Fatalf("sync run: status %d", syncResp.StatusCode)

@@ -17,6 +17,7 @@ package icache
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 
 	"rebalance/internal/isa"
 	"rebalance/internal/wire"
@@ -180,16 +181,7 @@ func (r *Result) retire(l *line) {
 		return
 	}
 	r.TotalSectors += int64(r.LineBytes / sectorBytes)
-	r.UsedSectors += int64(popcount16(l.used))
-}
-
-func popcount16(x uint16) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	r.UsedSectors += int64(bits.OnesCount16(l.used))
 }
 
 // Result snapshots the run's counters as a mergeable, encodable record.

@@ -13,8 +13,6 @@
 // meant to be.
 package rng
 
-import "math"
-
 // RNG is a deterministic xoshiro256** pseudo-random number generator.
 // The zero value is not valid; construct with New.
 type RNG struct {
@@ -127,22 +125,6 @@ func (r *RNG) Range(lo, hi int) int {
 		panic("rng: Range with hi < lo")
 	}
 	return lo + r.Intn(hi-lo+1)
-}
-
-// Geometric returns a sample from a geometric distribution with mean m
-// (number of trials until first success, >= 1). For m <= 1 it returns 1.
-func (r *RNG) Geometric(m float64) int {
-	if m <= 1 {
-		return 1
-	}
-	p := 1 / m
-	u := r.Float64()
-	// Inverse CDF of the geometric distribution on {1, 2, ...}.
-	n := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // Choice returns an index in [0, len(weights)) with probability proportional

@@ -35,17 +35,11 @@ func goldenRunSpec() *Spec {
 	}
 }
 
-// renderGolden marshals a report the way the golden file does: timing
-// fields and the cache provenance mark zeroed, everything else untouched.
+// renderGolden marshals a report the way the golden file does: stripped
+// of its run-dependent fields, everything else untouched.
 func renderGolden(t *testing.T, rep *Report) []byte {
 	t.Helper()
-	rep.WallNS = 0
-	rep.Workers = 0
-	for i := range rep.Shards {
-		rep.Shards[i].ElapsedNS = 0
-		rep.Shards[i].Cached = false
-	}
-	got, err := json.MarshalIndent(rep, "", "  ")
+	got, err := json.MarshalIndent(rep.Stripped(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,13 +21,14 @@ type reportWire struct {
 }
 
 // DecodeReport parses a sim/v1 report produced by another process — the
-// body of a simd /v1/runs or /v1/sweeps/{id}/result response — back into
-// a typed Report. Every embedded result is decoded to its concrete type
-// through the observer configuration the report's own normalized spec
-// names for it, so the round trip is exact: re-marshalling the decoded
-// report yields byte-identical JSON, and its results merge like the
-// in-process originals. This is what lets an async client (rebalance-bench
-// -coordinator) reshape a fetched report exactly as if it had run the
+// body of a simd /v1/runs or /v1/sweeps/{id}/result response, or the file
+// rebalance-bench wrote — back into a typed Report. Every embedded result
+// is decoded to its concrete type through the observer configuration the
+// report's own normalized spec names for it, so the round trip is exact:
+// re-marshalling the decoded report (with the writer's indentation)
+// yields byte-identical JSON, and its results merge like the in-process
+// originals. This is what lets an async client (rebalance-bench
+// -coordinator) hand on a fetched report exactly as if it had run the
 // sweep itself.
 func DecodeReport(data []byte) (*Report, error) {
 	var w reportWire

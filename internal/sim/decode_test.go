@@ -9,7 +9,7 @@ import (
 
 // TestDecodeReportRoundTrip: a marshalled sim/v1 report decodes back to a
 // typed Report whose re-marshalling is byte-identical — the contract the
-// async client loop (submit → poll → fetch → reshape) stands on.
+// async client loop (submit → poll → fetch → write out) stands on.
 func TestDecodeReportRoundTrip(t *testing.T) {
 	sess := NewSession(2)
 	rep, err := sess.Run(context.Background(), &Spec{
@@ -102,18 +102,7 @@ func TestShardDoneHook(t *testing.T) {
 		t.Errorf("hook saw %d done, %d failed; want %d done, 0 failed", done, failed, want)
 	}
 
-	norm := func(r *Report) string {
-		r.WallNS = 0
-		for i := range r.Shards {
-			r.Shards[i].ElapsedNS = 0
-		}
-		enc, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(enc)
-	}
-	if norm(bare) != norm(hooked) {
+	if string(renderGolden(t, bare)) != string(renderGolden(t, hooked)) {
 		t.Error("progress hook changed report bytes")
 	}
 }

@@ -91,13 +91,7 @@ func runGrid(t *testing.T, d *dispatch.Dispatcher, allowPartial bool) *sim.Repor
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.WallNS = 0
-	rep.Workers = 0
-	for i := range rep.Shards {
-		rep.Shards[i].ElapsedNS = 0
-		rep.Shards[i].Cached = false
-	}
-	return rep
+	return rep.Stripped()
 }
 
 func render(t *testing.T, rep *sim.Report) []byte {

@@ -388,13 +388,7 @@ func runGoldenDispatched(t *testing.T, backends []dispatch.Backend, opts dispatc
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.WallNS = 0
-	rep.Workers = 0
-	for i := range rep.Shards {
-		rep.Shards[i].ElapsedNS = 0
-		rep.Shards[i].Cached = false
-	}
-	got, err := json.MarshalIndent(rep, "", "  ")
+	got, err := json.MarshalIndent(rep.Stripped(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,17 +80,7 @@ func (b *HTTPBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Sha
 		return sim.Shard{}, fmt.Errorf("reading worker response: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		// simd's error envelope is exactly {"error", "code"}; anything
-		// else (a proxy's HTML, a foreign server) fails the strict
-		// decode and surfaces as the raw body.
-		var e struct {
-			Error string `json:"error"`
-			Code  int    `json:"code"`
-		}
-		msg := strings.TrimSpace(string(data))
-		if wire.StrictUnmarshal(data, &e) == nil && e.Error != "" {
-			msg = e.Error
-		}
+		msg := wire.ErrorMessage(data)
 		if resp.StatusCode == http.StatusBadRequest {
 			// The worker judged the spec invalid; retrying cannot help.
 			return sim.Shard{}, fmt.Errorf("%w: worker %s rejected shard: %s", sim.ErrInvalidSpec, b.base, msg)
@@ -139,16 +129,16 @@ func WorkerHandler(sess *sim.Session, maxInsts int64) http.Handler {
 			// the spec. It must NOT be a 400: the coordinator maps 400 to
 			// sim.ErrInvalidSpec and permanently fails the shard, whereas a
 			// 500 is retried and failed over like any backend fault.
-			writeShardError(w, http.StatusInternalServerError, fmt.Errorf("reading shard spec: %w", err))
+			wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("reading shard spec: %w", err))
 			return
 		}
 		spec, err := sim.DecodeShardSpec(body)
 		if err != nil {
-			writeShardError(w, http.StatusBadRequest, err)
+			wire.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		if maxInsts > 0 && spec.Insts > maxInsts {
-			writeShardError(w, http.StatusBadRequest,
+			wire.WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("%w: per-shard budget %d exceeds worker limit %d", sim.ErrInvalidSpec, spec.Insts, maxInsts))
 			return
 		}
@@ -158,12 +148,12 @@ func WorkerHandler(sess *sim.Session, maxInsts int64) http.Handler {
 			if errors.Is(err, sim.ErrInvalidSpec) {
 				status = http.StatusBadRequest
 			}
-			writeShardError(w, status, err)
+			wire.WriteError(w, status, err)
 			return
 		}
 		enc, err := sim.EncodeShard(sh)
 		if err != nil {
-			writeShardError(w, http.StatusInternalServerError, err)
+			wire.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -176,15 +166,6 @@ func WorkerHandler(sess *sim.Session, maxInsts int64) http.Handler {
 		_, _ = w.Write([]byte("ok\n"))
 	})
 	return mux
-}
-
-func writeShardError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// The code field mirrors the status line for clients that surface the
-	// decoded body alone; RunShard's decoder ignores unknown fields, so
-	// older coordinators are unaffected.
-	_ = json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "code": status})
 }
 
 // ParseBackends builds HTTP backends from a comma-separated URL list (the

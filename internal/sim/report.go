@@ -40,6 +40,25 @@ type Report struct {
 	WallNS     int64    `json:"wall_ns"`
 }
 
+// Stripped returns a copy of the report with the fields that legitimately
+// vary between runs of one spec cleared: the wall time, the pool size (0
+// for a dispatched run, sized by the host otherwise), and every shard's
+// elapsed time and cache mark. Two runs of one spec are bit-identical —
+// local, dispatched, cached, replayed — exactly when their stripped
+// copies marshal to the same bytes.
+func (r *Report) Stripped() *Report {
+	out := *r
+	out.WallNS = 0
+	out.Workers = 0
+	out.Shards = make([]Shard, len(r.Shards))
+	for i, sh := range r.Shards {
+		sh.ElapsedNS = 0
+		sh.Cached = false
+		out.Shards[i] = sh
+	}
+	return &out
+}
+
 // FailedShard is the structured record of one abandoned grid cell: the
 // shard's identity, the attempts spent on it, and the terminal error. It
 // is data, not a timing field — consumers deciding whether a degraded

@@ -53,9 +53,6 @@ func NewSession(workers int) *Session {
 	return &Session{workers: workers, compiled: map[string]*compileEntry{}}
 }
 
-// Workers returns the session's shard concurrency.
-func (s *Session) Workers() int { return s.workers }
-
 // SetMaxShards bounds how many {workload x seed x observer-config} shards
 // one Run may expand to (0 = unlimited, the default). Serving front-ends
 // set it so a single request cannot allocate an unbounded grid; the limit

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -76,148 +75,6 @@ func TestCorruptDiskEntryIsAMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-func TestDoSingleflight(t *testing.T) {
-	c := mustNew(t, Options{})
-	var computes atomic.Int64
-	release := make(chan struct{})
-	started := make(chan struct{})
-
-	const followers = 7
-	results := make([][]byte, followers+1)
-	errs := make([]error, followers+1)
-	hits := make([]bool, followers+1)
-	var wg sync.WaitGroup
-	run := func(i int) {
-		defer wg.Done()
-		results[i], hits[i], errs[i] = c.Do(context.Background(), "key", func() ([]byte, error) {
-			computes.Add(1)
-			close(started)
-			<-release
-			return []byte("value"), nil
-		})
-	}
-	wg.Add(1)
-	go run(0)
-	<-started // the leader is inside compute; everyone else must wait on it
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go run(i)
-	}
-	close(release)
-	wg.Wait()
-
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("compute ran %d times for one key, want exactly 1", n)
-	}
-	nHits := 0
-	for i := range results {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if string(results[i]) != "value" {
-			t.Errorf("caller %d got %q", i, results[i])
-		}
-		if hits[i] {
-			nHits++
-		}
-	}
-	if nHits != followers {
-		t.Errorf("%d callers reported a hit, want %d (everyone but the leader)", nHits, followers)
-	}
-	s := c.Stats()
-	if s.Misses != 1 || s.Hits != followers {
-		t.Errorf("stats = %+v, want 1 miss / %d hits", s, followers)
-	}
-}
-
-func TestDoErrorNotCached(t *testing.T) {
-	c := mustNew(t, Options{Dir: t.TempDir()})
-	boom := fmt.Errorf("boom")
-	if _, _, err := c.Do(context.Background(), "key", func() ([]byte, error) { return nil, boom }); err != boom {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	// The failure must not have been cached in either tier.
-	var computes atomic.Int64
-	val, hit, err := c.Do(context.Background(), "key", func() ([]byte, error) {
-		computes.Add(1)
-		return []byte("ok"), nil
-	})
-	if err != nil || hit || string(val) != "ok" || computes.Load() != 1 {
-		t.Fatalf("recompute after error: val=%q hit=%v err=%v computes=%d", val, hit, err, computes.Load())
-	}
-}
-
-// TestDoFollowerHonorsOwnContext: a follower blocked on an in-flight
-// compute must return promptly when its own context is cancelled, not
-// sit out the leader's compute.
-func TestDoFollowerHonorsOwnContext(t *testing.T) {
-	c := mustNew(t, Options{})
-	release := make(chan struct{})
-	started := make(chan struct{})
-	go func() {
-		_, _, _ = c.Do(context.Background(), "key", func() ([]byte, error) {
-			close(started)
-			<-release
-			return []byte("v"), nil
-		})
-	}()
-	<-started
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := c.Do(ctx, "key", func() ([]byte, error) { return []byte("v"), nil })
-		done <- err
-	}()
-	cancel()
-	if err := <-done; err != context.Canceled {
-		t.Fatalf("follower returned %v, want its own context.Canceled", err)
-	}
-	close(release) // leader completes normally afterwards
-}
-
-// TestDoFollowerSurvivesLeaderFailure: a leader's error — e.g. its own
-// cancelled context aborting the compute — must not poison followers;
-// the follower re-enters and computes under its own context.
-func TestDoFollowerSurvivesLeaderFailure(t *testing.T) {
-	c := mustNew(t, Options{})
-	leaderStarted := make(chan struct{})
-	leaderFail := make(chan struct{})
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, _, err := c.Do(context.Background(), "key", func() ([]byte, error) {
-			close(leaderStarted)
-			<-leaderFail
-			return nil, context.Canceled // the leader's request was cancelled
-		})
-		leaderDone <- err
-	}()
-	<-leaderStarted
-
-	var followerComputes atomic.Int64
-	followerDone := make(chan struct{})
-	var val []byte
-	var hit bool
-	var err error
-	go func() {
-		defer close(followerDone)
-		val, hit, err = c.Do(context.Background(), "key", func() ([]byte, error) {
-			followerComputes.Add(1)
-			return []byte("recovered"), nil
-		})
-	}()
-	close(leaderFail)
-	if lerr := <-leaderDone; lerr != context.Canceled {
-		t.Fatalf("leader error = %v", lerr)
-	}
-	<-followerDone
-	if err != nil || string(val) != "recovered" {
-		t.Fatalf("follower adopted the leader's failure: val=%q hit=%v err=%v", val, hit, err)
-	}
-	if followerComputes.Load() != 1 {
-		t.Errorf("follower computes = %d, want 1", followerComputes.Load())
-	}
 }
 
 // TestOversizedReplacementEvictsStaleValue: replacing a resident entry

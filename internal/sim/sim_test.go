@@ -372,17 +372,7 @@ func TestReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Zero the timing fields; everything else is deterministic.
-	rep.WallNS = 0
-	rep.Workers = 0
-	for i := range rep.Shards {
-		rep.Shards[i].ElapsedNS = 0
-	}
-	got, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
+	got := renderGolden(t, rep)
 
 	golden := filepath.Join("testdata", "report_v1.golden.json")
 	if *update {

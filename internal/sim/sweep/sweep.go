@@ -25,8 +25,10 @@
 //     kept for polling, but only MaxRetained of them and only for Retain;
 //     beyond either bound the oldest-finished are evicted. Queued and
 //     running sweeps are never evicted — only the terminal list is
-//     subject to retention — so a long-lived coordinator's memory stays
-//     proportional to its configured bounds, not its uptime.
+//     subject to retention — and a tenant's own entry goes with its last
+//     retained sweep, so a long-lived coordinator's memory stays
+//     proportional to its configured bounds, not its uptime or the number
+//     of tenant names it has ever seen.
 //
 // Execution itself is delegated to a RunFunc — in production
 // sim.Session.Run, optionally routed through a shared dispatch.Dispatcher
@@ -151,7 +153,9 @@ type Status struct {
 }
 
 // TenantStats are one tenant's gauges (queued, running) and cumulative
-// outcome counters.
+// outcome counters. A tenant is listed while it has a sweep queued,
+// running or retained; once its last retained sweep is evicted its entry
+// is dropped, and the counters restart from zero if the name comes back.
 type TenantStats struct {
 	Queued    int   `json:"queued"`
 	Running   int   `json:"running"`
@@ -208,9 +212,12 @@ type tenantQueue struct {
 	charged bool
 	active  bool // member of Coordinator.active
 	running int
-	done    int64
-	failed  int64
-	canc    int64
+	// retained counts the tenant's sweeps on the retention list; with an
+	// empty queue and nothing running, zero means the entry can go.
+	retained int
+	done     int64
+	failed   int64
+	canc     int64
 }
 
 // Coordinator is the async job service. All methods are safe for
@@ -659,6 +666,7 @@ func (c *Coordinator) finishLocked(j *job, tq *tenantQueue, st State, err error,
 		tq.canc++
 	}
 	c.done = append(c.done, j)
+	tq.retained++
 	j.pmu.Lock()
 	j.partial = nil
 	j.pmu.Unlock()
@@ -667,7 +675,9 @@ func (c *Coordinator) finishLocked(j *job, tq *tenantQueue, st State, err error,
 // evictLocked enforces retention over the terminal list: beyond
 // MaxRetained, or past the Retain TTL, the oldest-finished sweeps are
 // forgotten. Only terminal sweeps are ever in the list, so a queued or
-// running sweep is structurally unevictable.
+// running sweep is structurally unevictable. A tenant goes with its last
+// retained sweep unless it still has work queued or running, so the tenant
+// table is bounded by the same limits as the sweeps.
 func (c *Coordinator) evictLocked() {
 	now := c.opts.Now()
 	for len(c.done) > 0 {
@@ -678,6 +688,11 @@ func (c *Coordinator) evictLocked() {
 		if len(c.done) > c.opts.MaxRetained || now.Sub(j.finished) > c.opts.Retain {
 			delete(c.sweeps, j.id)
 			c.done = c.done[1:]
+			tq := c.tenants[j.tenant]
+			tq.retained--
+			if tq.retained == 0 && len(tq.queue) == 0 && tq.running == 0 {
+				delete(c.tenants, j.tenant)
+			}
 			continue
 		}
 		break

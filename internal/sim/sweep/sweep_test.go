@@ -88,13 +88,7 @@ func TestLifecycleRealRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	norm := func(r *sim.Report) string {
-		cp := *r
-		cp.WallNS = 0
-		cp.Shards = append([]sim.Shard(nil), r.Shards...)
-		for i := range cp.Shards {
-			cp.Shards[i].ElapsedNS = 0
-		}
-		enc, err := json.Marshal(&cp)
+		enc, err := json.Marshal(r.Stripped())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,6 +430,59 @@ func TestListAndStats(t *testing.T) {
 	st := c.Stats()
 	if st.Tenants["a"].Done != 2 || st.Tenants["b"].Done != 1 {
 		t.Errorf("stats %+v", st.Tenants)
+	}
+}
+
+// TestTenantTableBounded pins the tenant table's resource bound: a tenant
+// is dropped with its last retained sweep, so a client inventing a new
+// tenant name per submit cannot grow the table (or /v1/stats) past the
+// retention limit plus the work in hand.
+func TestTenantTableBounded(t *testing.T) {
+	const retained = 4
+	c, err := New(Options{
+		MaxRetained: retained,
+		Run: func(context.Context, *sim.Spec) (*sim.Report, error) {
+			return &sim.Report{Schema: sim.SchemaV1}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	observe := func() Stats {
+		st := c.Stats()
+		if bound := retained + st.Queued + st.Running; len(st.Tenants) > bound {
+			t.Fatalf("%d tenants tracked with %d queued, %d running, %d retained: want <= %d",
+				len(st.Tenants), st.Queued, st.Running, st.Retained, bound)
+		}
+		return st
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := c.Submit(fmt.Sprintf("tenant-%d", i), specN(1)); err != nil {
+			t.Fatal(err)
+		}
+		observe()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st := observe(); st.Queued+st.Running > 0; st = observe() {
+		if time.Now().After(deadline) {
+			t.Fatalf("sweeps never drained: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := observe(); len(st.Tenants) != retained || st.Retained != retained {
+		t.Errorf("drained coordinator tracks %d tenants over %d retained sweeps, want %d of each", len(st.Tenants), st.Retained, retained)
+	}
+
+	// A dropped tenant that comes back starts from zero.
+	st, err := c.Submit("tenant-0", specN(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, st.ID, StateDone)
+	if got := observe().Tenants["tenant-0"]; got.Done != 1 {
+		t.Errorf("returning tenant's counters = %+v, want a fresh entry with done=1", got)
 	}
 }
 

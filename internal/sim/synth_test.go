@@ -124,16 +124,7 @@ func TestSynthReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.WallNS = 0
-	rep.Workers = 0
-	for i := range rep.Shards {
-		rep.Shards[i].ElapsedNS = 0
-	}
-	got, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
+	got := renderGolden(t, rep)
 
 	golden := filepath.Join("testdata", "synth_report_v1.golden.json")
 	if *update {

@@ -1,26 +1,13 @@
 // Package stats provides the small statistical toolkit shared by the
-// characterization analyzers and the experiment drivers: arithmetic means,
-// histograms with fixed bucket boundaries (Figure 2 uses ten 10%-wide
-// buckets), and weighted footprint percentiles (Figure 3 uses the smallest
-// memory holding 99% of dynamic instructions).
+// characterization analyzers: histograms with fixed bucket boundaries
+// (Figure 2 uses ten 10%-wide buckets) and weighted footprint percentiles
+// (Figure 3 uses the smallest memory holding 99% of dynamic instructions).
 package stats
 
 import (
 	"math"
 	"sort"
 )
-
-// Average returns the arithmetic mean of xs, or 0 for an empty slice.
-func Average(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
 
 // Histogram is a fixed-boundary bucket histogram over [0, 1].
 // Bucket i of k spans [i/k, (i+1)/k), with the final bucket closed at 1.

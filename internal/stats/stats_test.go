@@ -55,12 +55,3 @@ func TestFootprintForCoverage(t *testing.T) {
 		t.Errorf("zero total weight = %d, want 0", got)
 	}
 }
-
-func TestAverageRatioClamp(t *testing.T) {
-	if got := Average([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Average = %v", got)
-	}
-	if got := Average(nil); got != 0 {
-		t.Errorf("Average(nil) = %v", got)
-	}
-}

@@ -1,9 +1,9 @@
-// Package wire holds the one JSON helper every result decoder shares:
-// strict unmarshalling. Result artifacts travel between processes (the
-// dispatch layer folds shards produced by remote simd workers), so a
-// decoder must reject unknown fields and trailing garbage — a mangled or
-// mis-routed artifact has to fail loudly instead of silently dropping
-// counters.
+// Package wire holds the JSON conventions every process boundary shares:
+// strict unmarshalling and the error envelope. Result artifacts travel
+// between processes (the dispatch layer folds shards produced by remote
+// simd workers), so a decoder must reject unknown fields and trailing
+// garbage — a mangled or mis-routed artifact has to fail loudly instead of
+// silently dropping counters.
 package wire
 
 import (
@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"strings"
 )
 
 // StrictUnmarshal decodes exactly one JSON document into v, rejecting
@@ -45,4 +47,31 @@ func StrictDecode(r io.Reader, v any) error {
 		return fmt.Errorf("trailing data after JSON value")
 	}
 	return nil
+}
+
+// errorEnvelope is the body of every 4xx/5xx the services answer with:
+// the message plus a code mirroring the HTTP status, so clients that only
+// surface the decoded body still see the class of failure.
+type errorEnvelope struct {
+	Code  int    `json:"code"`
+	Error string `json:"error"`
+}
+
+// WriteError answers a request with status and err's message in the error
+// envelope.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(errorEnvelope{Code: status, Error: err.Error()})
+}
+
+// ErrorMessage extracts the message of a non-2xx response body: the
+// envelope's error field when the body is exactly an envelope, else the
+// trimmed raw body (a proxy's HTML, a foreign server).
+func ErrorMessage(body []byte) string {
+	var e errorEnvelope
+	if StrictUnmarshal(body, &e) == nil && e.Error != "" {
+		return e.Error
+	}
+	return strings.TrimSpace(string(body))
 }

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"errors"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -59,5 +61,28 @@ func TestStrictUnmarshalNeverPanics(t *testing.T) {
 	for _, in := range []string{"null", "[]", `"str"`, "{", "}", "\x00\xff", "123"} {
 		var p payload
 		_ = StrictUnmarshal([]byte(in), &p) // must not panic
+	}
+}
+
+// TestErrorEnvelope pins the envelope's bytes (every service's 4xx/5xx
+// body, compared verbatim by clients and CI) and the reader's fallback:
+// an exact envelope yields its message, anything else the raw body.
+func TestErrorEnvelope(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteError(rec, 429, errors.New(`tenant "a" queue full`))
+	const want = `{"code":429,"error":"tenant \"a\" queue full"}` + "\n"
+	if rec.Code != 429 || rec.Body.String() != want || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("WriteError wrote %d %q (%s), want 429 %q as JSON", rec.Code, rec.Body, rec.Header().Get("Content-Type"), want)
+	}
+	for body, want := range map[string]string{
+		want:                              `tenant "a" queue full`,
+		`{"error": "no code field"}`:      "no code field",
+		`{"error":"x","code":1,"z":2}`:    `{"error":"x","code":1,"z":2}`,
+		" <html>502 Bad Gateway</html>\n": "<html>502 Bad Gateway</html>",
+		`{"error":""}`:                    `{"error":""}`,
+	} {
+		if got := ErrorMessage([]byte(body)); got != want {
+			t.Errorf("ErrorMessage(%q) = %q, want %q", body, got, want)
+		}
 	}
 }
