@@ -3,12 +3,12 @@ GO ?= go
 # Pinned external linters, run through `go run` so no tool binaries are
 # vendored; bumping a version is a one-line diff. Both need the network
 # on first run, so lint-extra skips them (loudly) when the module proxy
-# is unreachable — offline dev boxes still get repolint, CI gets all
-# three.
+# is unreachable — offline dev boxes still get the analyzer wall, CI gets
+# all three.
 STATICCHECK_VERSION ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_VERSION ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all build test race fuzz chaos vet fmt lint lint-repolint lint-extra ci bench bench-go
+.PHONY: all build test race fuzz chaos vet fmt lint lint-wall lint-extra ci bench bench-go
 
 all: build
 
@@ -48,12 +48,12 @@ fmt:
 # lint is the static-analysis wall (DESIGN.md "Static-analysis wall"):
 # the in-repo analyzer suite plus pinned staticcheck and govulncheck.
 # Any diagnostic fails the target.
-lint: lint-repolint lint-extra
+lint: lint-wall lint-extra
 
-# The repo's own analyzers (internal/lint/checks), run standalone; the
-# same binary answers `go vet -vettool` with identical diagnostics.
-lint-repolint:
-	$(GO) run ./cmd/repolint ./...
+# The repo's own analyzers (internal/lint/checks) have one driver, a
+# tier-1 test: `make test` already runs it, this target runs it alone.
+lint-wall:
+	$(GO) test -run '^TestRepoClean$$' ./internal/lint/checks
 
 lint-extra:
 	@for tool in "$(STATICCHECK_VERSION)" "$(GOVULNCHECK_VERSION)"; do \
@@ -70,7 +70,9 @@ lint-extra:
 		fi; \
 	done
 
-ci: fmt vet lint build test
+# test runs the analyzer wall with everything else, so ci adds only the
+# external linters.
+ci: fmt vet lint-extra build test
 
 # bench runs the repository benchmark declared in BENCHMARK.json: the
 # bench/ harness's five sweep workloads, end to end and layer by layer.

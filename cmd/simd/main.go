@@ -37,7 +37,7 @@
 //	GET    /v1/sweeps/{id}/result  the final report; 409 until the sweep is terminal (coordinator mode only)
 //	DELETE /v1/sweeps/{id}      cancel a queued or running sweep (coordinator mode only)
 //	POST   /v1/shards           execute one ShardSpec, respond with the shard record
-//	GET    /v1/stats            unified counters: shard cache, trace store, dispatcher, sweep queues
+//	GET    /v1/stats            unified counters: shard cache, trace store, dispatcher (hedges, hedge_wins, probes, healthy backends), sweep queues
 //	GET    /v1/workloads        enumerate the workload registry
 //	GET    /v1/predictors       enumerate the predictor-config registry with costs
 //	GET    /v1/observers        enumerate the observer-kind registry
@@ -46,6 +46,10 @@
 //
 // Every 4xx/5xx response carries the same JSON envelope:
 // {"error": "...", "code": N} with the code mirroring the HTTP status.
+//
+// Every shard runs the compiled engine: a Spec's or ShardSpec's "engine"
+// may be omitted or "compiled", and anything else is a 400 — the tree-walk
+// reference engine is the tests' oracle, not a request option.
 //
 // Synthetic workloads need no registration: a Spec (or ShardSpec) carries
 // synth/v1 parameter sets inline, and both run endpoints build the exact

@@ -205,16 +205,10 @@ func TestWorkerMode(t *testing.T) {
 		`{"workload": "no-such", "seed": 1, "insts": 1000, "observer": {"kind": "bbl"}}`,
 		`{"workload": "comd-lite", "seed": 1, "insts": 1000, "observer": {"kind": "bpred"}}`,  // expands to 9 configs
 		`{"workload": "comd-lite", "seed": 1, "insts": 5000000, "observer": {"kind": "bbl"}}`, // over -max-insts
+		`{"workload": "comd-lite", "seed": 1, "insts": 1000, "engine": "reference", "observer": {"kind": "bbl"}}`,
 		`{`,
 	} {
-		resp, err := http.Post(srv.URL+"/v1/shards", "application/json", strings.NewReader(bad))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("bad shard %s: status %d, want 400", bad, resp.StatusCode)
-		}
+		decodeEnvelope(t, doReq(t, http.MethodPost, srv.URL+"/v1/shards", bad), http.StatusBadRequest)
 	}
 
 	// The coordinator endpoint is withheld in worker mode.
@@ -323,26 +317,14 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"duplicate workload", `{"workloads": ["comd-lite", "comd-lite"], "insts": 1000, "observers": [{"kind": "bbl"}]}`},
 		{"unknown workload", `{"workloads": ["no-such"], "insts": 1000, "observers": [{"kind": "bbl"}]}`},
 		{"unknown observer", `{"workloads": ["comd-lite"], "insts": 1000, "observers": [{"kind": "no-such"}]}`},
+		{"reference engine", `{"workloads": ["comd-lite"], "insts": 1000, "engine": "reference", "observers": [{"kind": "bbl"}]}`},
 		{"budget over server limit", `{"workloads": ["comd-lite"], "insts": 100000000, "observers": [{"kind": "bbl"}]}`},
 		{"seed_count over shard limit", `{"workloads": ["comd-lite"], "seed_count": 1000000000, "insts": 1000, "observers": [{"kind": "bbl"}]}`},
 		{"grid over shard limit", `{"workloads": ["comd-lite", "xalan-lite"], "seed_count": 200, "insts": 1000, "observers": [{"kind": "bbl"}]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("status %d, want 400", resp.StatusCode)
-			}
-			var e struct {
-				Error string `json:"error"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
-				t.Errorf("error body not JSON with error field: %v", err)
-			}
+			decodeEnvelope(t, doReq(t, http.MethodPost, srv.URL+"/v1/runs", tc.body), http.StatusBadRequest)
 		})
 	}
 }

@@ -201,6 +201,7 @@ func TestSweepSubmitRejections(t *testing.T) {
 		"unknown field":    `{"workloadz": ["comd-lite"]}`,
 		"no observers":     `{"workloads": ["comd-lite"], "insts": 1000, "observers": []}`,
 		"unknown workload": `{"workloads": ["no-such"], "insts": 1000, "observers": [{"kind": "bbl"}]}`,
+		"reference engine": `{"workloads": ["comd-lite"], "insts": 1000, "engine": "reference", "observers": [{"kind": "bbl"}]}`,
 		"over max-insts":   `{"workloads": ["comd-lite"], "insts": 100000000, "observers": [{"kind": "bbl"}]}`,
 		"over max-shards":  `{"workloads": ["comd-lite"], "seed_count": 1000, "insts": 1000, "observers": [{"kind": "bbl"}]}`,
 	} {
@@ -357,7 +358,8 @@ func TestSweepLifecycleEndpoints(t *testing.T) {
 
 // TestStatsEndpoint checks the unified /v1/stats shape: the cache block
 // always present, the sweeps block present in coordinator mode with
-// per-tenant gauges, and no dispatch block without -backends.
+// per-tenant gauges, and the dispatch block — exactly hedges, hedge_wins,
+// probes, healthy — with -backends only.
 func TestStatsEndpoint(t *testing.T) {
 	srv := testServer(t)
 	spec := `{"workloads": ["comd-lite"], "insts": 5000, "observers": [{"kind": "bbl"}]}`
@@ -392,6 +394,29 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if sw.Tenants["statseer"].Done != 1 {
 		t.Errorf("tenant gauges %+v, want statseer done=1", sw.Tenants)
+	}
+
+	// With -backends the dispatch block is there, in the wire's dialect:
+	// exactly these snake_case keys, healthy listing both workers.
+	getJSON(t, partialCoordinator(t).URL+"/v1/stats", &stats)
+	var disp map[string]json.RawMessage
+	if err := json.Unmarshal(stats["dispatch"], &disp); err != nil {
+		t.Fatalf("dispatch block %s: %v", stats["dispatch"], err)
+	}
+	for _, key := range []string{"hedges", "hedge_wins", "probes", "healthy"} {
+		if _, ok := disp[key]; !ok {
+			t.Errorf("dispatch block %s misses %q", stats["dispatch"], key)
+		}
+		delete(disp, key)
+	}
+	if len(disp) != 0 {
+		t.Errorf("dispatch block carries unexpected keys %v", disp)
+	}
+	var healthy struct {
+		Healthy []string `json:"healthy"`
+	}
+	if err := json.Unmarshal(stats["dispatch"], &healthy); err != nil || len(healthy.Healthy) != 2 {
+		t.Errorf("dispatch.healthy = %v (err %v), want both backends", healthy.Healthy, err)
 	}
 }
 

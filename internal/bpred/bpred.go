@@ -23,8 +23,6 @@ type Predictor interface {
 	// CostBits returns the hardware storage cost in bits, per the Table II
 	// formulas.
 	CostBits() int
-	// Reset restores the power-on state.
-	Reset()
 }
 
 // counter2 is a 2-bit saturating counter; values 0..3, taken when >= 2.
@@ -93,13 +91,6 @@ func (b *Bimodal) Name() string { return b.name }
 // CostBits implements Predictor: 2 bits per entry.
 func (b *Bimodal) CostBits() int { return 2 * len(b.tab) }
 
-// Reset implements Predictor.
-func (b *Bimodal) Reset() {
-	for i := range b.tab {
-		b.tab[i] = 0
-	}
-}
-
 // Gshare is McFarling's gshare: one global table of 2-bit counters indexed
 // by the branch address XORed with the global history register (Table II:
 // cost 2^(m+1) bits for history length m).
@@ -142,14 +133,6 @@ func (g *Gshare) Name() string { return g.name }
 
 // CostBits implements Predictor: 2^(m+1) bits (2 bits x 2^m entries).
 func (g *Gshare) CostBits() int { return 2 * len(g.tab) }
-
-// Reset implements Predictor.
-func (g *Gshare) Reset() {
-	g.hist = 0
-	for i := range g.tab {
-		g.tab[i] = 0
-	}
-}
 
 func b2u(b bool) uint64 {
 	if b {

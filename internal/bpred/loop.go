@@ -123,13 +123,6 @@ func (l *LoopPredictor) Update(pc isa.Addr, actualTaken bool) {
 	e.currentIt = 0
 }
 
-// Reset restores power-on state.
-func (l *LoopPredictor) Reset() {
-	for i := range l.entries {
-		l.entries[i] = loopEntry{}
-	}
-}
-
 // WithLoop augments a base predictor with a loop predictor: when the loop
 // predictor is confident for a branch, its prediction overrides the base.
 // Both components always train. This is the paper's "L-" configuration
@@ -160,9 +153,3 @@ func (w *WithLoop) Name() string { return "L-" + w.base.Name() }
 
 // CostBits implements Predictor.
 func (w *WithLoop) CostBits() int { return w.base.CostBits() + w.loop.CostBits() }
-
-// Reset implements Predictor.
-func (w *WithLoop) Reset() {
-	w.base.Reset()
-	w.loop.Reset()
-}

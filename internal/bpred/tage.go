@@ -90,8 +90,6 @@ func (f *folded) update(newBit, oldBit uint64) {
 	f.comp = c & f.mask
 }
 
-func (f *folded) reset() { f.comp = 0 }
-
 // tageSpec describes one tagged table.
 type tageSpec struct {
 	HistLen int
@@ -366,27 +364,4 @@ func (t *TAGE) CostBits() int {
 		bits += len(tb.tag) * (int(tb.tagBits) + 3 + 2)
 	}
 	return bits
-}
-
-// Reset implements Predictor.
-func (t *TAGE) Reset() {
-	t.base.Reset()
-	t.pathHist = 0
-	t.ghistPos = 0
-	t.useAltOnNA = 0
-	t.lfsr = 0xACE1
-	t.accesses = 0
-	for i := range t.ghist {
-		t.ghist[i] = 0
-	}
-	for _, tb := range t.tables {
-		for i := range tb.tag {
-			tb.tag[i] = 0
-			tb.ctr[i] = 0
-			tb.useful[i] = 0
-		}
-		tb.foldIdx.reset()
-		tb.foldTag1.reset()
-		tb.foldTag2.reset()
-	}
 }

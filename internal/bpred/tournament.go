@@ -87,18 +87,3 @@ func (t *Tournament) Name() string { return t.name }
 func (t *Tournament) CostBits() int {
 	return (1<<t.n)*(int(t.m)+2) + (1 << (t.m + 2))
 }
-
-// Reset implements Predictor.
-func (t *Tournament) Reset() {
-	t.ghist = 0
-	for i := range t.localHist {
-		t.localHist[i] = 0
-		t.localCtr[i] = 0
-	}
-	for i := range t.globalCtr {
-		t.globalCtr[i] = 0
-	}
-	for i := range t.choiceCtr {
-		t.choiceCtr[i] = 0
-	}
-}

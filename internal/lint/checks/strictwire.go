@@ -1,7 +1,6 @@
 package checks
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"reflect"
@@ -116,9 +115,7 @@ func isWireStructType(t types.Type) (*types.Struct, bool) {
 	return nil, false
 }
 
-// checkKeyedWireLit flags unkeyed composite literals of wire structs
-// and attaches the mechanical fix (prefix each element with its field
-// name) that cmd/repolint -fix applies.
+// checkKeyedWireLit flags unkeyed composite literals of wire structs.
 func checkKeyedWireLit(pass *lint.Pass, lit *ast.CompositeLit) {
 	t := pass.Info.TypeOf(lit)
 	if t == nil || len(lit.Elts) == 0 {
@@ -131,20 +128,5 @@ func checkKeyedWireLit(pass *lint.Pass, lit *ast.CompositeLit) {
 	if !ok || len(lit.Elts) != st.NumFields() {
 		return
 	}
-	var edits []lint.TextEdit
-	for i, e := range lit.Elts {
-		edits = append(edits, lint.TextEdit{
-			Pos:     e.Pos(),
-			End:     e.Pos(),
-			NewText: []byte(st.Field(i).Name() + ": "),
-		})
-	}
-	pass.Report(lint.Diagnostic{
-		Pos:     lit.Pos(),
-		Message: fmt.Sprintf("unkeyed composite literal of wire struct %s: positional fields silently reorder when the struct grows; key every field", t),
-		Fixes: []lint.SuggestedFix{{
-			Message: "key each field by name",
-			Edits:   edits,
-		}},
-	})
+	pass.Reportf(lit.Pos(), "unkeyed composite literal of wire struct %s: positional fields silently reorder when the struct grows; key every field", t)
 }

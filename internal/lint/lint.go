@@ -1,10 +1,11 @@
 // Package lint is a small, dependency-free static-analysis framework in
 // the spirit of golang.org/x/tools/go/analysis, specialized to this
 // repository's invariants. Each Analyzer inspects one type-checked
-// package and reports Diagnostics; cmd/repolint compiles the suite into
-// a single binary (standalone or as a `go vet -vettool`), and the
-// analysistest-style harness in linttest.go runs every analyzer against
-// annotated sources under internal/lint/checks/testdata.
+// package and reports Diagnostics. The suite has one driver:
+// checks.TestRepoClean runs every analyzer over every module package
+// inside `go test ./...`, and the analysistest-style harness in
+// linttest.go runs each analyzer against annotated sources under
+// internal/lint/checks/testdata.
 //
 // Intentional violations are allowlisted in place with an annotation
 // comment on the offending line or the line directly above:
@@ -33,27 +34,11 @@ type Analyzer struct {
 	Run  func(*Pass) error
 }
 
-// TextEdit replaces the source range [Pos, End) with NewText. Pos == End
-// inserts.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
-}
-
-// SuggestedFix is a mechanical rewrite that resolves a diagnostic;
-// cmd/repolint -fix applies them.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
 // Diagnostic is one reported violation.
 type Diagnostic struct {
 	Pos      token.Pos
 	Message  string
 	Analyzer string
-	Fixes    []SuggestedFix
 }
 
 // Pass carries one type-checked package through one analyzer.

@@ -115,9 +115,6 @@ func (b MixedBehavior) Next(count uint64, hist uint64, r *rng.RNG) bool {
 type IterModel interface {
 	// Next returns the trip count (>= 1) for the loop's count-th execution.
 	Next(count uint64, r *rng.RNG) int
-	// Mean returns the expected trip count, used by the synthesizer to
-	// size instruction budgets.
-	Mean() float64
 }
 
 // FixedIters always returns N iterations: the loop-branch-predictor-friendly
@@ -134,14 +131,6 @@ func (m FixedIters) Next(_ uint64, _ *rng.RNG) int {
 		return 1
 	}
 	return m.N
-}
-
-// Mean implements IterModel.
-func (m FixedIters) Mean() float64 {
-	if m.N < 1 {
-		return 1
-	}
-	return float64(m.N)
 }
 
 // UniformIters draws the trip count uniformly from [Lo, Hi]: the loop BP
@@ -162,18 +151,6 @@ func (m UniformIters) Next(_ uint64, r *rng.RNG) int {
 	return r.Range(lo, hi)
 }
 
-// Mean implements IterModel.
-func (m UniformIters) Mean() float64 {
-	lo, hi := m.Lo, m.Hi
-	if lo < 1 {
-		lo = 1
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return float64(lo+hi) / 2
-}
-
 // PhasedIters cycles deterministically through a list of trip counts, one
 // per loop execution. A loop BP re-trains quickly on each phase; history
 // predictors with long histories can also capture short cycles.
@@ -189,19 +166,4 @@ func (m PhasedIters) Next(count uint64, _ *rng.RNG) int {
 		return 1
 	}
 	return n
-}
-
-// Mean implements IterModel.
-func (m PhasedIters) Mean() float64 {
-	if len(m.Counts) == 0 {
-		return 1
-	}
-	s := 0
-	for _, c := range m.Counts {
-		if c < 1 {
-			c = 1
-		}
-		s += c
-	}
-	return float64(s) / float64(len(m.Counts))
 }

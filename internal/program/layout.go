@@ -234,40 +234,3 @@ func WalkNodes(n Node, fn func(Node)) {
 		}
 	}
 }
-
-// StaticStats summarizes the laid-out program's static code properties.
-type StaticStats struct {
-	// TextBytes is the total static footprint including alignment padding.
-	TextBytes int64
-	// Blocks is the number of straight-line blocks.
-	Blocks int
-	// BranchSites is the number of static branch instructions.
-	BranchSites int
-	// Insts is the total static instruction count.
-	Insts int64
-}
-
-// Static computes static statistics for a laid-out program. Every branch
-// site (including the skip-jumps and case-jumps synthesized during layout)
-// is exactly one instruction, so the static instruction count is the sum of
-// straight-block instructions plus the number of branch sites.
-func Static(p *Program) StaticStats {
-	s := StaticStats{
-		TextBytes:   p.TextSize,
-		BranchSites: p.NumSites,
-		Blocks:      p.NumBlocks,
-		Insts:       int64(p.NumSites),
-	}
-	count := func(n Node) {
-		if v, ok := n.(*Straight); ok {
-			s.Insts += int64(len(v.Block.Sizes))
-		}
-	}
-	for _, f := range p.Funcs {
-		WalkNodes(f.Body, count)
-	}
-	for _, r := range p.Regions {
-		WalkNodes(r.Body, count)
-	}
-	return s
-}

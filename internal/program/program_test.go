@@ -255,22 +255,6 @@ func TestValidateCatchesViolations(t *testing.T) {
 	}
 }
 
-func TestStaticCounts(t *testing.T) {
-	p := mustLayout(t, tiny(), 1)
-	s := Static(p)
-	if s.TextBytes != p.TextSize {
-		t.Errorf("TextBytes = %d, want %d", s.TextBytes, p.TextSize)
-	}
-	if s.BranchSites != p.NumSites || s.Blocks != p.NumBlocks {
-		t.Errorf("sites/blocks = %d/%d, want %d/%d", s.BranchSites, s.Blocks, p.NumSites, p.NumBlocks)
-	}
-	// Straight-block instructions: 3+2+2+2+1+1+1+1 = 13 across the 8
-	// blocks, plus one instruction per branch site.
-	if want := int64(13 + p.NumSites); s.Insts != want {
-		t.Errorf("Insts = %d, want %d", s.Insts, want)
-	}
-}
-
 func TestBlockAccounting(t *testing.T) {
 	b := NewBlock([]uint8{2, 7, 4})
 	if len(b.Sizes) != 3 || b.TotalBytes != 13 {
@@ -287,12 +271,6 @@ func TestIterModels(t *testing.T) {
 	if got := (FixedIters{N: -3}).Next(0, r); got != 1 {
 		t.Errorf("FixedIters with non-positive N: Next = %d, want clamp to 1", got)
 	}
-	if got := (FixedIters{N: 7}).Mean(); got != 7 {
-		t.Errorf("FixedIters.Mean = %v", got)
-	}
-	if got := (FixedIters{N: 0}).Mean(); got != 1 {
-		t.Errorf("FixedIters zero Mean = %v, want 1", got)
-	}
 
 	u := UniformIters{Lo: 3, Hi: 9}
 	for i := 0; i < 1000; i++ {
@@ -300,11 +278,8 @@ func TestIterModels(t *testing.T) {
 			t.Fatalf("UniformIters.Next = %d outside [3, 9]", n)
 		}
 	}
-	if got := u.Mean(); got != 6 {
-		t.Errorf("UniformIters.Mean = %v, want 6", got)
-	}
-	if got := (UniformIters{Lo: -2, Hi: 0}).Mean(); got != 1 {
-		t.Errorf("degenerate UniformIters.Mean = %v, want clamp to 1", got)
+	if got := (UniformIters{Lo: -2, Hi: 0}).Next(0, r); got != 1 {
+		t.Errorf("degenerate UniformIters.Next = %d, want clamp to 1", got)
 	}
 
 	ph := PhasedIters{Counts: []int{4, 8, 0}}
@@ -313,12 +288,6 @@ func TestIterModels(t *testing.T) {
 		if got := ph.Next(uint64(i), r); got != w {
 			t.Errorf("PhasedIters.Next(%d) = %d, want %d", i, got, w)
 		}
-	}
-	if got := ph.Mean(); got != (4+8+1)/3.0 {
-		t.Errorf("PhasedIters.Mean = %v", got)
-	}
-	if got := (PhasedIters{}).Mean(); got != 1 {
-		t.Errorf("empty PhasedIters.Mean = %v, want 1", got)
 	}
 }
 

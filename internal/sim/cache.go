@@ -89,11 +89,11 @@ func (s *Session) Cache() *shardcache.Cache { return s.cache }
 // SetTraceStore routes every shard this session computes through the
 // given materialized-trace store: the first group of a (workload, seed,
 // insts) coordinate generates the instruction stream once and records it;
-// every other shard of the coordinate — other observers, other engines,
-// concurrent or later — replays the recorded buffer instead of
-// regenerating it (see Session.stream for why the two are bit-identical).
-// A nil st (the default) disables replay. Set before the first Run; the
-// field is not synchronized against concurrent Runs.
+// every other shard of the coordinate — other observers, concurrent or
+// later — replays the recorded buffer instead of regenerating it (see
+// Session.stream for why the two are bit-identical). A nil st (the
+// default) disables replay. Set before the first Run; the field is not
+// synchronized against concurrent Runs.
 //
 // The trace store composes with the shard result cache (SetCache): the
 // result cache short-circuits whole shards, and only the shards it misses

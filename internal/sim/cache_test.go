@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -253,7 +254,7 @@ func (badEncResult) EncodeJSON() ([]byte, error) { return nil, errBadEnc }
 // TestEncodeFailureServesComputedShard: when the simulation succeeds but
 // the result cannot be encoded for the cache, the shard is still served
 // (uncached) instead of failing the run. The contract-violating config
-// is driven through cachedShard directly — it must not enter the global
+// is driven through runJob directly — it must not enter the global
 // observer registry, whose property tests rightly require a working
 // wire algebra from every registered kind.
 func TestEncodeFailureServesComputedShard(t *testing.T) {
@@ -266,13 +267,12 @@ func TestEncodeFailureServesComputedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := shardJob{workload: "comd-lite", cfg: badEncCfg{inner: inner[0]}, seed: 9}
-	norm := &Spec{Insts: 10_000, Engine: EngineCompiled}
-	sh, err := sess.cachedShard(context.Background(), compiled, &job, norm)
+	const insts = 10_000
+	sh, err := sess.runJob(context.Background(), compiled, cellOf("comd-lite", badEncCfg{inner: inner[0]}, 9, insts))
 	if err != nil {
 		t.Fatalf("encode failure killed the run: %v", err)
 	}
-	if sh.Cached || sh.Result == nil || sh.Insts < norm.Insts {
+	if sh.Cached || sh.Result == nil || sh.Insts < insts {
 		t.Errorf("served shard incomplete: %+v", sh)
 	}
 	if s := sess.Cache().Stats(); s.Entries != 0 {
@@ -320,7 +320,6 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		"workload": func(sp *ShardSpec) { sp.Workload = "xalan-lite" },
 		"seed":     func(sp *ShardSpec) { sp.Seed = 2 },
 		"insts":    func(sp *ShardSpec) { sp.Insts = 20_000 },
-		"engine":   func(sp *ShardSpec) { sp.Engine = EngineReference },
 		"observer": func(sp *ShardSpec) {
 			sp.Observer.Options = json.RawMessage(`{"configs":["tage-small"]}`)
 		},
@@ -332,10 +331,19 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		}
 	}
 
-	// Invalid specs report ErrInvalidSpec rather than a bogus key.
-	bad := base()
-	bad.Workload = "no-such"
-	if _, err := bad.CacheKey(); err == nil {
-		t.Error("invalid spec produced a key")
+	// Invalid specs report ErrInvalidSpec rather than a bogus key — the
+	// tests' reference oracle included: it is no engine a shard can name.
+	for name, mut := range map[string]func(*ShardSpec){
+		"workload": func(sp *ShardSpec) { sp.Workload = "no-such" },
+		"engine":   func(sp *ShardSpec) { sp.Engine = "reference" },
+	} {
+		bad := base()
+		mut(&bad)
+		if _, err := bad.Config(); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("invalid %s: Config err = %v, want ErrInvalidSpec", name, err)
+		}
+		if _, err := bad.CacheKey(); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("invalid %s produced a key (err = %v)", name, err)
+		}
 	}
 }

@@ -103,8 +103,8 @@ func TestRunShardCancellation(t *testing.T) {
 
 // cancelAfterCfg is a test-only configuration whose observer cancels the
 // run's context once it has seen a set number of instructions — a
-// cancellation that is mid-stream by construction, on either engine — and
-// records that the group executor closed it.
+// cancellation that is mid-stream by construction — and records that the
+// group executor closed it.
 type cancelAfterCfg struct {
 	after  int64
 	cancel context.CancelFunc
@@ -159,36 +159,35 @@ func TestFusedGroupCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{EngineCompiled, EngineReference} {
-		t.Run(engine, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var closed atomic.Bool
-			members := append(cfgs[:len(cfgs):len(cfgs)], cancelAfterCfg{after: 100_000, cancel: cancel, closed: &closed})
-			jobs := make([]shardJob, len(members))
-			group := make([]int, len(members))
-			for i, cfg := range members {
-				jobs[i] = shardJob{workload: "comd-lite", cfg: cfg, seed: 1}
-				group[i] = i
+	// One leg, named for the one engine a session runs.
+	t.Run(EngineCompiled, func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var closed atomic.Bool
+		members := append(cfgs[:len(cfgs):len(cfgs)], cancelAfterCfg{after: 100_000, cancel: cancel, closed: &closed})
+		cells := make([]gridCell, len(members))
+		group := make([]int, len(members))
+		for i, cfg := range members {
+			cells[i] = cellOf("comd-lite", cfg, 1, 2_000_000_000_000)
+			group[i] = i
+		}
+		shards := make([]Shard, len(cells))
+		errs := make([]error, len(cells))
+		sess.runGroup(ctx, c, cells, group, shards, errs)
+		for i := range cells {
+			if !errors.Is(errs[i], context.Canceled) {
+				t.Errorf("member %s: err = %v, want context.Canceled", members[i].Key(), errs[i])
 			}
-			shards := make([]Shard, len(jobs))
-			errs := make([]error, len(jobs))
-			sess.runGroup(ctx, c, &Spec{Insts: 2_000_000_000_000, Engine: engine}, jobs, group, shards, errs)
-			for i := range jobs {
-				if !errors.Is(errs[i], context.Canceled) {
-					t.Errorf("member %s: err = %v, want context.Canceled", members[i].Key(), errs[i])
-				}
-				if shards[i].Result != nil {
-					t.Errorf("member %s of a cancelled group carries a result", members[i].Key())
-				}
+			if shards[i].Result != nil {
+				t.Errorf("member %s of a cancelled group carries a result", members[i].Key())
 			}
-			if !closed.Load() {
-				t.Error("the cancelled group did not close its Close-able observer")
-			}
-			if n := awaitGoroutines(before, 5*time.Second); n > before {
-				t.Errorf("goroutines leaked after the cancelled group: %d before, %d after", before, n)
-			}
-		})
-	}
+		}
+		if !closed.Load() {
+			t.Error("the cancelled group did not close its Close-able observer")
+		}
+		if n := awaitGoroutines(before, 5*time.Second); n > before {
+			t.Errorf("goroutines leaked after the cancelled group: %d before, %d after", before, n)
+		}
+	})
 }

@@ -137,17 +137,21 @@ type Options struct {
 	HedgeDelay time.Duration
 }
 
-// Stats are cumulative counters over a Dispatcher's lifetime — the
-// observability hook chaos and hedging tests (and logging coordinators)
-// read.
+// Stats is a snapshot of a Dispatcher: counters cumulative over its
+// lifetime, plus which backends are live right now. It is the dispatch
+// block of simd's GET /v1/stats, and what chaos and hedging tests read.
 type Stats struct {
 	// Hedges counts hedge attempts launched; HedgeWins counts shards
 	// whose winning result came from the hedge rather than the primary.
-	Hedges    int64
-	HedgeWins int64
+	Hedges    int64 `json:"hedges"`
+	HedgeWins int64 `json:"hedge_wins"`
 	// Probes counts asynchronous revival probes launched on dead
 	// backends.
-	Probes int64
+	Probes int64 `json:"probes"`
+	// Healthy names the backends currently considered live (see
+	// Dispatcher.Healthy) — the first thing "why was this sweep slow"
+	// needs.
+	Healthy []string `json:"healthy"`
 }
 
 // Dispatcher schedules shard grids over a fixed set of backends. It
@@ -256,7 +260,7 @@ func (d *Dispatcher) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]si
 				sh, n, err := d.runOne(ctx, specs[i])
 				if err != nil && !isCancel(err) {
 					err = fmt.Errorf("dispatch: shard {%s %s seed %d}: %w",
-						specs[i].Workload, specs[i].Observer.Kind, specs[i].Seed, err)
+						specs[i].Workload, cellName(&specs[i]), specs[i].Seed, err)
 				}
 				shards[i], attempts[i], errs[i] = sh, n, err
 				// Deliver the outcome to the caller's progress hook (a
@@ -282,6 +286,18 @@ func (d *Dispatcher) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]si
 		return shards, nil
 	}
 	return shards, &sim.PartialError{Failures: failures}
+}
+
+// cellName names a failed shard's grid cell the way the local pool and
+// FailedShard.Observer do — by configuration key ("bpred/gshare-big"), so
+// the failures of a one-kind grid stay distinguishable — falling back to
+// the bare kind when the spec itself is what is invalid. Failure path
+// only: Config re-expands the observer.
+func cellName(spec *sim.ShardSpec) string {
+	if cfg, err := spec.Config(); err == nil {
+		return cfg.Key()
+	}
+	return spec.Observer.Kind
 }
 
 // isCancel reports whether err is a context error — a judgment on the
@@ -619,21 +635,23 @@ func (d *Dispatcher) settle(bs *backendState, ok, blame bool) {
 	}
 }
 
-// Stats returns a snapshot of the dispatcher's cumulative counters.
+// Stats returns a snapshot of the dispatcher's counters and backend
+// health.
 func (d *Dispatcher) Stats() Stats {
 	return Stats{
 		Hedges:    d.hedges.Load(),
 		HedgeWins: d.hedgeWins.Load(),
 		Probes:    d.probes.Load(),
+		Healthy:   d.Healthy(),
 	}
 }
 
-// Healthy returns the names of the backends currently considered live —
-// a diagnostic for coordinators that want to log failover events.
+// Healthy returns the names of the backends currently considered live,
+// in configuration order (empty, never nil, when all are dead).
 func (d *Dispatcher) Healthy() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var out []string
+	out := make([]string, 0, len(d.backends))
 	for _, bs := range d.backends {
 		if bs.fails < d.opts.FailThreshold {
 			out = append(out, bs.b.Name())

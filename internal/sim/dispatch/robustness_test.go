@@ -6,6 +6,7 @@ package dispatch_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -139,6 +140,60 @@ func TestWithoutAllowPartialFailureStillAborts(t *testing.T) {
 	var pe *sim.PartialError
 	if errors.As(err, &pe) {
 		t.Fatalf("err = %v; a strict run must not leak PartialError", err)
+	}
+}
+
+// cellFailBackend runs shards on a real session, except the one grid
+// cell — named by configuration key — it is scripted to fail.
+type cellFailBackend struct {
+	dispatch.LocalBackend
+	failKey string
+}
+
+func (b *cellFailBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+	if cfg, err := spec.Config(); err == nil && cfg.Key() == b.failKey {
+		return sim.Shard{}, errors.New("scripted permanent failure")
+	}
+	return b.LocalBackend.RunShard(ctx, spec)
+}
+
+// TestDispatchedFailureNamesTheCell: on a one-kind grid (the Figure-5
+// shape: every cell is a bpred) the observer kind names nothing, so a
+// dispatched failure names its cell by configuration key, as the local
+// pool and FailedShard.Observer do — in the degraded report's record and
+// in the strict run's error alike.
+func TestDispatchedFailureNamesTheCell(t *testing.T) {
+	const failKey = "bpred/tage-small"
+	b := &cellFailBackend{LocalBackend: dispatch.LocalBackend{Sess: sim.NewSession(1)}, failKey: failKey}
+	opts := fastOpts()
+	opts.FailThreshold = 100 // the scripted failures must not kill the backend
+	d, err := dispatch.New([]dispatch.Backend{b}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := sim.NewSession(1)
+	sess.SetRunner(d)
+	spec := sim.Spec{
+		Workloads: []string{"comd-lite"},
+		Insts:     5_000,
+		Observers: []sim.ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small","tournament-small"]}`)}},
+	}
+
+	_, err = sess.Run(context.Background(), &spec)
+	if err == nil || !strings.Contains(err.Error(), failKey) {
+		t.Errorf("strict run err = %v, want it to name cell %s", err, failKey)
+	}
+
+	spec.AllowPartial = true
+	rep, err := sess.Run(context.Background(), &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Shards) != 2 || len(rep.FailedShards) != 1 {
+		t.Fatalf("%d shards, %d failed_shards; want 2 and 1", len(rep.Shards), len(rep.FailedShards))
+	}
+	if f := rep.FailedShards[0]; f.Observer != failKey || !strings.Contains(f.Error, failKey) {
+		t.Errorf("failed shard %+v; want observer and error text to name cell %s", f, failKey)
 	}
 }
 

@@ -8,34 +8,20 @@ import (
 
 	"rebalance/internal/trace"
 	"rebalance/internal/trace/replay"
-	"rebalance/internal/workload/synth"
 )
 
-// shardJob is one unit of the {workload x observer-config x seed} grid.
-// synth is non-nil (and canonical) for inline synthetic workloads.
-type shardJob struct {
-	workload string
-	synth    *synth.Params
-	cfg      ObserverConfig
-	seed     uint64
-}
-
-// spec re-describes the job as the portable ShardSpec it denotes under
-// the run's normalized budget and engine.
-func (j *shardJob) spec(norm *Spec) ShardSpec {
-	return ShardSpec{
-		Workload: j.workload,
-		Synth:    j.synth,
-		Seed:     j.seed,
-		Insts:    norm.Insts,
-		Engine:   norm.Engine,
-		Observer: j.cfg.Spec(),
-	}
+// gridCell is one unit of the {workload x observer-config x seed} grid:
+// the portable ShardSpec it dispatches as (Synth non-nil for inline
+// synthetic workloads, Observer the configuration's canonical
+// re-description) and the expanded configuration that observes it.
+type gridCell struct {
+	spec ShardSpec
+	cfg  ObserverConfig
 }
 
 // plan partitions the grid into the local pool's scheduling units, as
-// index groups into jobs. The choice is granularity only — results stay
-// index-aligned with jobs, so the report is plan-independent. There is one
+// index groups into cells. The choice is granularity only — results stay
+// index-aligned with cells, so the report is plan-independent. There is one
 // rule, with or without a trace store: the shards of a (workload, seed)
 // coordinate form one unit, so the coordinate's stream is produced once —
 // one live executor, or one store fetch — and every observer rides that
@@ -45,15 +31,15 @@ func (j *shardJob) spec(norm *Spec) ShardSpec {
 // member): a chunk re-produces its coordinate's stream, which idle cores
 // pay for in parallel, and contiguity keeps a coordinate's plain bpred
 // configurations together for runGroup to fuse.
-func (s *Session) plan(jobs []shardJob) [][]int {
+func (s *Session) plan(cells []gridCell) [][]int {
 	type coord struct {
 		workload string
 		seed     uint64
 	}
 	var groups [][]int
 	at := map[coord]int{}
-	for i := range jobs {
-		k := coord{jobs[i].workload, jobs[i].seed}
+	for i := range cells {
+		k := coord{cells[i].spec.Workload, cells[i].spec.Seed}
 		g, ok := at[k]
 		if !ok {
 			g = len(groups)
@@ -92,7 +78,7 @@ type pendingShard struct {
 // are therefore order-independent and the grid is deterministic up to
 // timing fields. Results and errors land index-aligned in shards/errs;
 // computed shards are written back, each under its own key.
-func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, norm *Spec, jobs []shardJob, group []int, shards []Shard, errs []error) {
+func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridCell, group []int, shards []Shard, errs []error) {
 	pending := make([]pendingShard, 0, len(group))
 	if s.cache == nil {
 		for _, i := range group {
@@ -100,21 +86,19 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, norm *Spec, j
 		}
 	} else {
 		type keyed struct {
-			idx  int
-			spec ShardSpec
-			key  string
+			idx int
+			key string
 		}
 		ks := make([]keyed, len(group))
 		for k, i := range group {
-			spec := jobs[i].spec(norm)
-			ks[k] = keyed{i, spec, ShardCacheKey(spec, jobs[i].cfg)}
+			ks[k] = keyed{i, ShardCacheKey(cells[i].spec, cells[i].cfg)}
 		}
 		// A group may lead several keys at once; ascending key order is the
 		// cache's rule for that (two runs over overlapping grids then cannot
 		// wait on each other).
 		slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
 		for _, k := range ks {
-			sh, hit, land, err := ResolveShard(ctx, s.cache, k.key, k.spec, jobs[k.idx].cfg)
+			sh, hit, land, err := ResolveShard(ctx, s.cache, k.key, cells[k.idx].spec, cells[k.idx].cfg)
 			switch {
 			case err != nil:
 				errs[k.idx] = err
@@ -131,7 +115,7 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, norm *Spec, j
 
 	cfgs := make([]ObserverConfig, len(pending))
 	for k := range pending {
-		cfgs[k] = jobs[pending[k].idx].cfg
+		cfgs[k] = cells[pending[k].idx].cfg
 	}
 	obs, finish := groupObservers(cfgs, c.Program())
 	for _, o := range obs {
@@ -143,18 +127,18 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, norm *Spec, j
 	}
 	// The pass is shared, so every shard of the group reports the same
 	// instruction count and elapsed time: the one walk that fed them all.
-	insts, elapsed, err := s.stream(ctx, c, &jobs[pending[0].idx], norm, obs)
+	insts, elapsed, err := s.stream(ctx, c, &cells[pending[0].idx].spec, obs)
 	for k, p := range pending {
-		job := &jobs[p.idx]
+		cell := &cells[p.idx]
 		var sh Shard
 		perr := err
 		if perr == nil {
 			var res Result
 			if res, perr = finish[k](); perr == nil {
 				sh = Shard{
-					Workload:  job.workload,
-					Seed:      job.seed,
-					Observer:  job.cfg.Key(),
+					Workload:  cell.spec.Workload,
+					Seed:      cell.spec.Seed,
+					Observer:  cell.cfg.Key(),
 					Insts:     insts,
 					ElapsedNS: elapsed.Nanoseconds(),
 					Result:    res,
@@ -178,18 +162,18 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, norm *Spec, j
 // bit-equivalent: streams are deterministic per coordinate, observer
 // results are batch-boundary invariant, and replay preserves phase
 // boundaries. elapsed covers the observed pass only, not a trace fetch.
-func (s *Session) stream(ctx context.Context, c *trace.Compiled, job *shardJob, norm *Spec, obs []trace.Observer) (insts int64, elapsed time.Duration, err error) {
+func (s *Session) stream(ctx context.Context, c *trace.Compiled, spec *ShardSpec, obs []trace.Observer) (insts int64, elapsed time.Duration, err error) {
 	if s.traces == nil {
 		start := time.Now() //repolint:allow nodeterminism shard elapsed_ns timing field, excluded from goldens
-		insts, err = generate(ctx, c, job.seed, norm, obs)
+		insts, err = generate(ctx, c, spec, obs)
 		return insts, time.Since(start), err //repolint:allow nodeterminism shard elapsed_ns timing field, excluded from goldens
 	}
-	tr, _, err := s.traces.Do(ctx, traceKey(job.workload, job.synth, job.seed, norm.Insts), func() (*replay.Trace, error) {
+	tr, _, err := s.traces.Do(ctx, traceKey(spec.Workload, spec.Synth, spec.Seed, spec.Insts), func() (*replay.Trace, error) {
 		// The recorder sees exactly what a live run's observers would:
 		// every emitted instruction in program order.
 		rec := replay.NewRecorder()
-		rec.Reserve(int(norm.Insts))
-		if _, err := generate(ctx, c, job.seed, norm, []trace.Observer{rec}); err != nil {
+		rec.Reserve(int(spec.Insts))
+		if _, err := generate(ctx, c, spec, []trace.Observer{rec}); err != nil {
 			return nil, err
 		}
 		return rec.Trace(), nil
@@ -202,24 +186,13 @@ func (s *Session) stream(ctx context.Context, c *trace.Compiled, job *shardJob, 
 	return int64(tr.Len()), time.Since(start), err //repolint:allow nodeterminism shard elapsed_ns timing field, excluded from goldens
 }
 
-// generate runs one live generation pass for a coordinate on the spec's
-// engine, with a fresh executor, and returns the instructions emitted.
-// The context is polled at region granularity.
-func generate(ctx context.Context, c *trace.Compiled, seed uint64, norm *Spec, obs []trace.Observer) (int64, error) {
-	reference := norm.Engine == EngineReference
-	var e *trace.Executor
-	if reference {
-		e = trace.NewExecutor(c.Program(), seed)
-	} else {
-		e = trace.NewCompiledExecutor(c, seed)
-	}
+// generate runs one live generation pass for the spec's coordinate, with
+// a fresh compiled executor, and returns the instructions emitted. The
+// context is polled at region granularity.
+func generate(ctx context.Context, c *trace.Compiled, spec *ShardSpec, obs []trace.Observer) (int64, error) {
+	e := trace.NewCompiledExecutor(c, spec.Seed)
 	e.SetContext(ctx)
 	e.Attach(obs...)
-	var err error
-	if reference {
-		err = e.RunReference(norm.Insts)
-	} else {
-		err = e.Run(norm.Insts)
-	}
+	err := e.Run(spec.Insts)
 	return e.Emitted(), err
 }

@@ -12,19 +12,26 @@ import (
 	"rebalance/internal/trace/replay"
 )
 
-// runJob runs one job as a group of one on s — the tests' direct line
+// cellOf is the grid cell Session.Run builds for one shard of a registered
+// workload under cfg, which need not come from the observer registry.
+func cellOf(workload string, cfg ObserverConfig, seed uint64, insts int64) gridCell {
+	norm := &Spec{Workloads: []string{workload}, Seeds: []uint64{seed}, Insts: insts, Engine: EngineCompiled}
+	return gridCells(norm, []ObserverConfig{cfg}, nil)[0]
+}
+
+// runJob runs one cell as a group of one on s — the tests' direct line
 // into the group executor, for configurations that must stay out of the
 // observer registry and for driving a bare (cacheless, storeless) session.
-func (s *Session) runJob(ctx context.Context, c *trace.Compiled, job *shardJob, norm *Spec) (Shard, error) {
+func (s *Session) runJob(ctx context.Context, c *trace.Compiled, cell gridCell) (Shard, error) {
 	var sh [1]Shard
 	var errs [1]error
-	s.runGroup(ctx, c, norm, []shardJob{*job}, []int{0}, sh[:], errs[:])
+	s.runGroup(ctx, c, []gridCell{cell}, []int{0}, sh[:], errs[:])
 	return sh[0], errs[0]
 }
 
 // gridOf expands spec the way Session.Run does, for tests that drive plan
 // or runGroup over a real grid.
-func gridOf(t *testing.T, spec *Spec) (*Spec, []shardJob) {
+func gridOf(t *testing.T, spec *Spec) []gridCell {
 	t.Helper()
 	norm, err := spec.normalized(0)
 	if err != nil {
@@ -34,13 +41,7 @@ func gridOf(t *testing.T, spec *Spec) (*Spec, []shardJob) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return norm, gridJobs(norm, configs, nil)
-}
-
-// cachedShard is the name TestEncodeFailureServesComputedShard (pinned
-// unmodified across the executor unification) drives runJob under.
-func (s *Session) cachedShard(ctx context.Context, c *trace.Compiled, job *shardJob, norm *Spec) (Shard, error) {
-	return s.runJob(ctx, c, job, norm)
+	return gridCells(norm, configs, nil)
 }
 
 // TestWorkersFollowThePlan: plan has one rule — a unit per (workload, seed)
@@ -76,7 +77,7 @@ func TestWorkersFollowThePlan(t *testing.T) {
 	rendered := map[*Spec]string{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, jobs := gridOf(t, tc.spec)
+			jobs := gridOf(t, tc.spec)
 			plain, stored := NewSession(tc.workers), newReplaySession(t, tc.workers, replay.Options{})
 			units := plain.plan(jobs)
 			if len(units) != tc.units {
@@ -95,7 +96,7 @@ func TestWorkersFollowThePlan(t *testing.T) {
 						t.Fatalf("shard %d is in two units", i)
 					}
 					seen[i] = true
-					if jobs[i].workload != jobs[u[0]].workload || jobs[i].seed != jobs[u[0]].seed {
+					if jobs[i].spec.Workload != jobs[u[0]].spec.Workload || jobs[i].spec.Seed != jobs[u[0]].spec.Seed {
 						t.Errorf("unit %v spans coordinates", u)
 					}
 					if k > 0 && i <= u[k-1] {
@@ -203,7 +204,7 @@ func TestOverlappingGroupsComputeOnce(t *testing.T) {
 func TestPartialHitGroupComputesOnlyItsMisses(t *testing.T) {
 	ctx := context.Background()
 	spec := &Spec{Workloads: []string{"comd-lite"}, Seeds: []uint64{1}, Insts: 30_000, Observers: []ObserverSpec{{Kind: "bpred"}}}
-	norm, jobs := gridOf(t, spec)
+	jobs := gridOf(t, spec)
 	if len(jobs) != 9 {
 		t.Fatalf("default bpred grid has %d configs, want the nine of Figure 5", len(jobs))
 	}
@@ -216,7 +217,7 @@ func TestPartialHitGroupComputesOnlyItsMisses(t *testing.T) {
 	}
 	prefilled := map[int]bool{1: true, 3: true, 4: true, 7: true}
 	for i := range prefilled {
-		if _, err := sess.runJob(ctx, c, &jobs[i], norm); err != nil {
+		if _, err := sess.runJob(ctx, c, jobs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,7 +238,7 @@ func TestPartialHitGroupComputesOnlyItsMisses(t *testing.T) {
 		if sh.Cached != prefilled[i] {
 			t.Errorf("shard %s: Cached = %v, want %v", sh.Observer, sh.Cached, prefilled[i])
 		}
-		alone, err := bare.runJob(ctx, c, &jobs[i], norm)
+		alone, err := bare.runJob(ctx, c, jobs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

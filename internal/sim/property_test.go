@@ -76,7 +76,6 @@ func TestResultProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &Spec{Insts: 6_000, Engine: EngineCompiled}
 
 	for _, cfg := range configs {
 		cfg := cfg
@@ -94,8 +93,7 @@ func TestResultProperties(t *testing.T) {
 			results := make([]Result, len(seeds))
 			decoded := make([]Result, len(seeds))
 			for i, seed := range seeds {
-				job := shardJob{workload: "comd-lite", cfg: cfg, seed: seed}
-				sh, err := sess.runJob(context.Background(), c, &job, spec)
+				sh, err := sess.runJob(context.Background(), c, cellOf("comd-lite", cfg, seed, 6_000))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,11 +156,9 @@ func TestMergeRejectsMismatchedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &Spec{Insts: 3_000, Engine: EngineCompiled}
 	results := make([]Result, len(configs))
 	for i, cfg := range configs {
-		job := shardJob{workload: "comd-lite", cfg: cfg, seed: 5}
-		sh, err := sess.runJob(context.Background(), c, &job, spec)
+		sh, err := sess.runJob(context.Background(), c, cellOf("comd-lite", cfg, 5, 3_000))
 		if err != nil {
 			t.Fatal(err)
 		}

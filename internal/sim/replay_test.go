@@ -64,7 +64,8 @@ func replayPropertyConfigs(t *testing.T) []ObserverConfig {
 // registered observer kind — including grouped and parallel bpred — a
 // result computed by replaying the materialized stream is byte-identical
 // to one computed on the live generation path, across replay batch sizes
-// 1/7/4096 and traces recorded under both engines.
+// 1/7/4096 and two recordings of the stream: the session's own and the
+// reference oracle's.
 func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 	cfgs := replayPropertyConfigs(t)
 
@@ -76,27 +77,27 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 	ctx := context.Background()
 	const seed, insts = 3, 20_000
 
-	// Both engines emit one stream per coordinate; the recorded traces
-	// must be byte-identical, which is what lets the trace key omit the
-	// engine.
-	traces := map[string]*replay.Trace{}
-	for _, engine := range []string{EngineCompiled, EngineReference} {
-		rec := replay.NewRecorder()
-		if _, err := generate(ctx, c, seed, &Spec{Insts: insts, Engine: engine}, []trace.Observer{rec}); err != nil {
-			t.Fatal(err)
-		}
-		traces[engine] = rec.Trace()
+	// "compiled" is what the session records (generate); "reference" is the
+	// oracle's recording of the same coordinate, driven directly — the
+	// tree-walk engine is no request option. The two must be byte-identical.
+	compiled, reference := replay.NewRecorder(), replay.NewRecorder()
+	if _, err := generate(ctx, c, &ShardSpec{Seed: seed, Insts: insts}, []trace.Observer{compiled}); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(replay.Encode(traces[EngineCompiled]), replay.Encode(traces[EngineReference])) {
-		t.Fatal("recorded streams differ between engines; the engine-free trace key is unsound")
+	oracle := trace.NewExecutor(c.Program(), seed)
+	oracle.Attach(reference)
+	if err := oracle.RunReference(insts); err != nil {
+		t.Fatal(err)
+	}
+	traces := map[string]*replay.Trace{"compiled": compiled.Trace(), "reference": reference.Trace()}
+	if !bytes.Equal(replay.Encode(traces["compiled"]), replay.Encode(traces["reference"])) {
+		t.Fatal("the session's recording differs from the reference oracle's")
 	}
 
-	for _, engine := range []string{EngineCompiled, EngineReference} {
-		norm := &Spec{Insts: insts, Engine: engine}
+	for _, recording := range []string{"compiled", "reference"} {
 		for _, cfg := range cfgs {
-			t.Run(engine+"/"+cfg.Key(), func(t *testing.T) {
-				job := &shardJob{workload: "comd-lite", cfg: cfg, seed: seed}
-				generated, err := sess.runJob(ctx, c, job, norm)
+			t.Run(recording+"/"+cfg.Key(), func(t *testing.T) {
+				generated, err := sess.runJob(ctx, c, cellOf("comd-lite", cfg, seed, insts))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,7 +111,7 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 						if cl, ok := obs.(interface{ Close() }); ok {
 							defer cl.Close()
 						}
-						if err := replay.Deliver(ctx, traces[engine], batchSize, obs); err != nil {
+						if err := replay.Deliver(ctx, traces[recording], batchSize, obs); err != nil {
 							t.Fatal(err)
 						}
 						res, err := obs.Finish()
@@ -135,10 +136,8 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 // one rule: for every registered observer kind plus the grouped and
 // parallel bpred shapes, a shard executed as a member of its coordinate's
 // group — one shared pass, its plain bpred members fused into one
-// multi-predictor Sim — is byte-identical to the same shard executed alone.
-// Both engines (the reference engine drives the fused Sim through the
-// per-instruction Observe path, the compiled one through ObserveBatch), on
-// a live executor and on a replayed trace.
+// multi-predictor Sim — is byte-identical to the same shard executed alone,
+// on a live executor and on a replayed trace.
 func TestGroupedShardsBitIdenticalToAlone(t *testing.T) {
 	cfgs := replayPropertyConfigs(t)
 	ctx := context.Background()
@@ -147,34 +146,29 @@ func TestGroupedShardsBitIdenticalToAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]shardJob, len(cfgs))
+	cells := make([]gridCell, len(cfgs))
 	group := make([]int, len(cfgs))
+	alone := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
-		jobs[i] = shardJob{workload: "comd-lite", cfg: cfg, seed: 3}
+		cells[i] = cellOf("comd-lite", cfg, 3, 20_000)
 		group[i] = i
-	}
-	for _, engine := range []string{EngineCompiled, EngineReference} {
-		norm := &Spec{Insts: 20_000, Engine: engine}
-		alone := make([]string, len(jobs))
-		for i := range jobs {
-			sh, err := bare.runJob(ctx, c, &jobs[i], norm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			alone[i] = encode(t, sh.Result)
+		sh, err := bare.runJob(ctx, c, cells[i])
+		if err != nil {
+			t.Fatal(err)
 		}
-		for name, sess := range map[string]*Session{"live": bare, "replayed": newReplaySession(t, 1, replay.Options{})} {
-			shards := make([]Shard, len(jobs))
-			errs := make([]error, len(jobs))
-			sess.runGroup(ctx, c, norm, jobs, group, shards, errs)
-			for i := range jobs {
-				if errs[i] != nil {
-					t.Fatalf("%s/%s/%s: %v", engine, name, cfgs[i].Key(), errs[i])
-				}
-				if got := encode(t, shards[i].Result); got != alone[i] {
-					t.Errorf("%s/%s/%s: grouped shard differs from the shard executed alone\ngrouped: %s\nalone:   %s",
-						engine, name, cfgs[i].Key(), got, alone[i])
-				}
+		alone[i] = encode(t, sh.Result)
+	}
+	for name, sess := range map[string]*Session{"live": bare, "replayed": newReplaySession(t, 1, replay.Options{})} {
+		shards := make([]Shard, len(cells))
+		errs := make([]error, len(cells))
+		sess.runGroup(ctx, c, cells, group, shards, errs)
+		for i := range cells {
+			if errs[i] != nil {
+				t.Fatalf("%s/%s: %v", name, cfgs[i].Key(), errs[i])
+			}
+			if got := encode(t, shards[i].Result); got != alone[i] {
+				t.Errorf("%s/%s: grouped shard differs from the shard executed alone\ngrouped: %s\nalone:   %s",
+					name, cfgs[i].Key(), got, alone[i])
 			}
 		}
 	}
@@ -390,12 +384,7 @@ func TestTraceKey(t *testing.T) {
 		t.Fatalf("trace key %q is not a versioned sha256 digest", baseKey)
 	}
 
-	// The key ignores exactly the axes that do not change the stream.
-	engine := base
-	engine.Engine = EngineReference
-	if key(t, engine) != baseKey {
-		t.Error("engine changed the trace key; both engines emit the same stream")
-	}
+	// The key ignores the axis that does not change the stream.
 	observer := base
 	observer.Observer = ObserverSpec{Kind: "branch-mix"}
 	if key(t, observer) != baseKey {

@@ -153,7 +153,7 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 		synthByName[norm.Synth[i].Name] = &norm.Synth[i]
 	}
 
-	jobs := gridJobs(norm, configs, synthByName)
+	cells := gridCells(norm, configs, synthByName)
 
 	// Compile before starting the wall clock, so WallNS (and the derived
 	// sweep throughput) measures execution, not a cold compile cache.
@@ -182,18 +182,18 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	// dispatched run's concurrency belongs to the runner, so the field is
 	// 0 there rather than a fabricated figure.
 	workers := 0
-	run := func(ctx context.Context) ([]Shard, error) { return s.runDispatched(ctx, norm, jobs) }
+	run := func(ctx context.Context) ([]Shard, error) { return s.runDispatched(ctx, cells) }
 	if s.runner == nil {
-		groups := s.plan(jobs)
+		groups := s.plan(cells)
 		workers = min(s.workers, len(groups))
 		run = func(ctx context.Context) ([]Shard, error) {
-			return s.runLocal(ctx, norm, jobs, groups, workers, compiled)
+			return s.runLocal(ctx, cells, groups, workers, compiled)
 		}
 	}
 	// failed holds the grid indices whose execution was abandoned (only
 	// ever non-empty under AllowPartial); those positions in shards are
 	// zero-valued and excluded from the report and the merge.
-	shards, failed, err := decide(ctx, norm, jobs, run)
+	shards, failed, err := decide(ctx, norm, cells, run)
 	if err != nil {
 		return nil, err
 	}
@@ -215,9 +215,9 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 				continue
 			}
 			rep.FailedShards = append(rep.FailedShards, FailedShard{
-				Workload: jobs[i].workload,
-				Seed:     jobs[i].seed,
-				Observer: jobs[i].cfg.Key(),
+				Workload: cells[i].spec.Workload,
+				Seed:     cells[i].spec.Seed,
+				Observer: cells[i].cfg.Key(),
 				Attempts: f.Attempts,
 				Error:    f.Err.Error(),
 			})
@@ -260,19 +260,28 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	return rep, nil
 }
 
-// gridJobs expands a normalized spec into its shard grid — workload-major,
+// gridCells expands a normalized spec into its shard grid — workload-major,
 // then observer configuration, then seed: the order the report, the merge
-// and every runner's index alignment share.
-func gridJobs(norm *Spec, configs []ObserverConfig, synthByName map[string]*synth.Params) []shardJob {
-	jobs := make([]shardJob, 0, len(norm.Workloads)*len(configs)*len(norm.Seeds))
+// and every runner's index alignment share. Each cell is built once, as
+// the ShardSpec every path (cache key, trace key, dispatch) reads.
+func gridCells(norm *Spec, configs []ObserverConfig, synthByName map[string]*synth.Params) []gridCell {
+	cells := make([]gridCell, 0, len(norm.Workloads)*len(configs)*len(norm.Seeds))
 	for _, w := range norm.Workloads {
 		for _, cfg := range configs {
+			spec := ShardSpec{
+				Workload: w,
+				Synth:    synthByName[w],
+				Insts:    norm.Insts,
+				Engine:   norm.Engine,
+				Observer: cfg.Spec(),
+			}
 			for _, seed := range norm.Seeds {
-				jobs = append(jobs, shardJob{workload: w, synth: synthByName[w], cfg: cfg, seed: seed})
+				spec.Seed = seed
+				cells = append(cells, gridCell{spec: spec, cfg: cfg})
 			}
 		}
 	}
-	return jobs
+	return cells
 }
 
 // decide runs the grid and applies the run's failure policy — the one
@@ -284,9 +293,9 @@ func gridJobs(norm *Spec, configs []ObserverConfig, synthByName map[string]*synt
 // abandoned indices come back keyed by grid index — unless every shard
 // failed, which stays an error: an empty report is not a degraded one.
 // Cancellation aborts either way. What a runner hands back is
-// cross-checked against the grid that was sent: one shard per job,
+// cross-checked against the grid that was sent: one shard per cell,
 // identity fields matching.
-func decide(ctx context.Context, norm *Spec, jobs []shardJob, run func(context.Context) ([]Shard, error)) ([]Shard, map[int]ShardFailure, error) {
+func decide(ctx context.Context, norm *Spec, cells []gridCell, run func(context.Context) ([]Shard, error)) ([]Shard, map[int]ShardFailure, error) {
 	var abort atomic.Pointer[error]
 	rctx := ctx
 	if !norm.AllowPartial {
@@ -307,30 +316,31 @@ func decide(ctx context.Context, norm *Spec, jobs []shardJob, run func(context.C
 	if err != nil && (!norm.AllowPartial || !errors.As(err, &pe)) {
 		return nil, nil, err
 	}
-	if len(shards) != len(jobs) {
-		return nil, nil, fmt.Errorf("sim: runner returned %d shards for %d jobs", len(shards), len(jobs))
+	if len(shards) != len(cells) {
+		return nil, nil, fmt.Errorf("sim: runner returned %d shards for %d jobs", len(shards), len(cells))
 	}
 	var failed map[int]ShardFailure
 	if pe != nil {
 		failed = make(map[int]ShardFailure, len(pe.Failures))
 		for _, f := range pe.Failures {
-			if f.Index < 0 || f.Index >= len(jobs) {
-				return nil, nil, fmt.Errorf("sim: runner reported failure for shard %d of %d", f.Index, len(jobs))
+			if f.Index < 0 || f.Index >= len(cells) {
+				return nil, nil, fmt.Errorf("sim: runner reported failure for shard %d of %d", f.Index, len(cells))
 			}
 			failed[f.Index] = f
 		}
-		if len(failed) == len(jobs) {
-			return nil, nil, fmt.Errorf("sim: all %d shards failed: %w", len(jobs), err)
+		if len(failed) == len(cells) {
+			return nil, nil, fmt.Errorf("sim: all %d shards failed: %w", len(cells), err)
 		}
 	}
 	for i := range shards {
 		if _, bad := failed[i]; bad {
 			continue
 		}
-		if shards[i].Workload != jobs[i].workload || shards[i].Seed != jobs[i].seed || shards[i].Observer != jobs[i].cfg.Key() {
+		want := &cells[i]
+		if shards[i].Workload != want.spec.Workload || shards[i].Seed != want.spec.Seed || shards[i].Observer != want.cfg.Key() {
 			return nil, nil, fmt.Errorf("sim: runner shard %d is {%s %s seed %d}, want {%s %s seed %d}",
 				i, shards[i].Workload, shards[i].Observer, shards[i].Seed,
-				jobs[i].workload, jobs[i].cfg.Key(), jobs[i].seed)
+				want.spec.Workload, want.cfg.Key(), want.spec.Seed)
 		}
 	}
 	return shards, failed, nil
@@ -339,12 +349,12 @@ func decide(ctx context.Context, norm *Spec, jobs []shardJob, run func(context.C
 // runLocal executes the planned shard grid on the session's in-process
 // worker pool — the default runner, reporting in the ShardRunner shape.
 // Each pool worker takes one group at a time; results land index-aligned
-// with jobs. The context is polled both between groups and, at region
+// with cells. The context is polled both between groups and, at region
 // granularity, inside each executing one, so cancellation returns
 // promptly and the session remains reusable afterwards.
-func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, groups [][]int, workers int, compiled map[string]*trace.Compiled) ([]Shard, error) {
-	shards := make([]Shard, len(jobs))
-	errs := make([]error, len(jobs))
+func (s *Session) runLocal(ctx context.Context, cells []gridCell, groups [][]int, workers int, compiled map[string]*trace.Compiled) ([]Shard, error) {
+	shards := make([]Shard, len(cells))
+	errs := make([]error, len(cells))
 	next := make(chan []int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -358,11 +368,11 @@ func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, gro
 					}
 					continue
 				}
-				s.runGroup(ctx, compiled[jobs[group[0]].workload], norm, jobs, group, shards, errs)
+				s.runGroup(ctx, compiled[cells[group[0]].spec.Workload], cells, group, shards, errs)
 				for _, i := range group {
 					if errs[i] != nil && !isCancel(errs[i]) {
 						errs[i] = fmt.Errorf("sim: shard {%s %s seed %d}: %w",
-							jobs[i].workload, jobs[i].cfg.Key(), jobs[i].seed, errs[i])
+							cells[i].spec.Workload, cells[i].cfg.Key(), cells[i].spec.Seed, errs[i])
 					}
 					// Deliver each outcome to the context's progress hook (a
 					// no-op without one); ShardDone filters cancellations.
@@ -396,10 +406,10 @@ func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, gro
 // runDispatched hands the shard grid to the configured runner (the
 // dispatch layer). Remote results were already decoded to concrete types
 // by the backend, so the merge phase cannot tell them from local ones.
-func (s *Session) runDispatched(ctx context.Context, norm *Spec, jobs []shardJob) ([]Shard, error) {
-	specs := make([]ShardSpec, len(jobs))
-	for i := range jobs {
-		specs[i] = jobs[i].spec(norm)
+func (s *Session) runDispatched(ctx context.Context, cells []gridCell) ([]Shard, error) {
+	specs := make([]ShardSpec, len(cells))
+	for i := range cells {
+		specs[i] = cells[i].spec
 	}
 	return s.runner.RunShards(ctx, specs)
 }

@@ -53,8 +53,8 @@ func (sp *ShardSpec) Config() (ObserverConfig, error) {
 	if sp.Insts < 1 {
 		return nil, fmt.Errorf("%w: non-positive instruction budget %d", ErrInvalidSpec, sp.Insts)
 	}
-	if e := sp.Engine; e != "" && e != EngineCompiled && e != EngineReference {
-		return nil, fmt.Errorf("%w: unknown engine %q (have %q, %q)", ErrInvalidSpec, e, EngineCompiled, EngineReference)
+	if err := checkEngine(sp.Engine); err != nil {
+		return nil, err
 	}
 	cfgs, err := expandObservers([]ObserverSpec{sp.Observer})
 	if err != nil {
@@ -176,15 +176,11 @@ func (s *Session) RunShard(ctx context.Context, spec ShardSpec) (Shard, error) {
 	if err != nil {
 		return Shard{}, err
 	}
-	norm := &Spec{Insts: spec.Insts, Engine: spec.Engine}
-	if norm.Engine == "" {
-		norm.Engine = EngineCompiled
-	}
-	// A one-job plan: the same group executor the pool runs, with a group
+	// A one-cell plan: the same group executor the pool runs, with a group
 	// of one.
-	jobs := []shardJob{{workload: spec.Workload, synth: spec.Synth, cfg: cfg, seed: spec.Seed}}
+	cells := []gridCell{{spec: spec, cfg: cfg}}
 	var sh [1]Shard
 	var errs [1]error
-	s.runGroup(ctx, c, norm, jobs, []int{0}, sh[:], errs[:])
+	s.runGroup(ctx, c, cells, []int{0}, sh[:], errs[:])
 	return sh[0], errs[0]
 }

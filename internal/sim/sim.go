@@ -1,5 +1,5 @@
 // Package sim is the declarative run layer: a Spec names workloads, seeds,
-// an instruction budget, an engine, and a typed observer set; a Session
+// an instruction budget, and a typed observer set; a Session
 // validates it, compiles each workload once (cached for the session's
 // lifetime), fans {workload x seed x observer-config} shards across a
 // worker pool, and merges the shards into a versioned sim/v1 Report.

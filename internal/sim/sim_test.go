@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 	"rebalance/internal/isa"
 	"rebalance/internal/program"
 	"rebalance/internal/trace"
+	"rebalance/internal/trace/replay"
 	"rebalance/internal/workload"
 )
 
@@ -57,6 +59,7 @@ func TestSpecValidation(t *testing.T) {
 		{"seed_count bomb", func(s *Spec) { s.SeedCount = 1 << 40 }, "expansion limit"},
 		{"zero insts", func(s *Spec) { s.Insts = 0 }, "instruction budget"},
 		{"bad engine", func(s *Spec) { s.Engine = "warp" }, "unknown engine"},
+		{"reference engine", func(s *Spec) { s.Engine = "reference" }, "unknown engine"},
 		{"no observers", func(s *Spec) { s.Observers = nil }, "no observers"},
 		{"unknown kind", func(s *Spec) { s.Observers = []ObserverSpec{{Kind: "no-such"}} }, "unknown observer kind"},
 		{"unknown predictor", func(s *Spec) {
@@ -83,6 +86,9 @@ func TestSpecValidation(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got %v", tc.want, err)
+			}
+			if verr := spec.Validate(); !errors.Is(verr, ErrInvalidSpec) || !errors.Is(err, ErrInvalidSpec) {
+				t.Errorf("Validate err = %v, Run err = %v; want both ErrInvalidSpec", verr, err)
 			}
 		})
 	}
@@ -152,34 +158,6 @@ func TestSessionCompiledCache(t *testing.T) {
 	}
 	if _, err := sess.Compiled("no-such"); err == nil {
 		t.Error("unknown workload compiled without error")
-	}
-}
-
-// TestEngineEquivalence checks the reference engine produces byte-identical
-// observer results to the compiled engine through the Session API.
-func TestEngineEquivalence(t *testing.T) {
-	sess := NewSession(2)
-	mk := func(engine string) *Report {
-		rep, err := sess.Run(context.Background(), &Spec{
-			Workloads: []string{"xalan-lite"},
-			Seeds:     []uint64{7},
-			Insts:     40_000,
-			Engine:    engine,
-			Observers: fullObserverSpecs(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	comp, ref := mk(EngineCompiled), mk(EngineReference)
-	for i := range comp.Shards {
-		a, _ := comp.Shards[i].Result.EncodeJSON()
-		b, _ := ref.Shards[i].Result.EncodeJSON()
-		if string(a) != string(b) {
-			t.Errorf("%s: engines disagree:\ncompiled:  %s\nreference: %s",
-				comp.Shards[i].Observer, a, b)
-		}
 	}
 }
 
@@ -279,10 +257,11 @@ func TestParallelSimClosedOnRunError(t *testing.T) {
 	}
 }
 
-// TestBatchSizeInvariance is the satellite coverage: every observer kind's
-// result must be bit-identical across batch sizes 1, 7, and 4096, and
-// match the per-instruction reference engine. Batch boundaries are an
-// engine implementation detail; any drift is a correctness bug.
+// TestBatchSizeInvariance: every observer kind's result must be
+// bit-identical across delivery batch sizes 1, 7, and 4096, and match the
+// per-instruction reference engine — the sim-level pin that each kind's
+// Observe and ObserveBatch agree. Batch boundaries are a delivery detail;
+// any drift is a correctness bug.
 func TestBatchSizeInvariance(t *testing.T) {
 	specs := []ObserverSpec{
 		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small","L-tournament-small"],"grouped":true}`)},
@@ -293,7 +272,12 @@ func TestBatchSizeInvariance(t *testing.T) {
 		{Kind: "footprint"},
 		{Kind: "bbl"},
 	}
+	cfgs, err := expandObservers(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const insts = 120_000
+	ctx := context.Background()
 	for _, name := range []string{"comd-lite", "xalan-lite"} {
 		prog, err := workload.Build(name)
 		if err != nil {
@@ -304,49 +288,47 @@ func TestBatchSizeInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// collect runs every observer config in one pass with the given
-		// batch size (0 = reference engine) and returns key -> encoded
-		// result.
-		collect := func(batchSize int) map[string]string {
-			cfgs, err := expandObservers(specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := trace.NewCompiledExecutor(c, 17)
-			if batchSize > 0 {
-				e.SetBatchSize(batchSize)
-			}
-			obs := make([]ShardObserver, len(cfgs))
+		// collect hands fresh observers of every config to one pass of the
+		// stream and returns key -> encoded result.
+		collect := func(pass func(obs []trace.Observer) error) map[string]string {
+			shard := make([]ShardObserver, len(cfgs))
+			obs := make([]trace.Observer, len(cfgs))
 			for i, cfg := range cfgs {
-				obs[i] = cfg.NewObserver(prog)
-				e.Attach(obs[i])
+				shard[i] = cfg.NewObserver(prog)
+				obs[i] = shard[i]
 			}
-			if batchSize > 0 {
-				err = e.Run(insts)
-			} else {
-				err = e.RunReference(insts)
-			}
-			if err != nil {
+			if err := pass(obs); err != nil {
 				t.Fatal(err)
 			}
 			out := map[string]string{}
 			for i, cfg := range cfgs {
-				res, err := obs[i].Finish()
+				res, err := shard[i].Finish()
 				if err != nil {
 					t.Fatal(err)
 				}
-				enc, err := res.EncodeJSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				out[cfg.Key()] = string(enc)
+				out[cfg.Key()] = encode(t, res)
 			}
 			return out
 		}
 
-		want := collect(0) // reference engine: batch-free ground truth
+		// The reference engine is the batch-free ground truth: one Observe
+		// call per instruction.
+		want := collect(func(obs []trace.Observer) error {
+			e := trace.NewCompiledExecutor(c, 17)
+			e.Attach(obs...)
+			return e.RunReference(insts)
+		})
+		rec := replay.NewRecorder()
+		e := trace.NewCompiledExecutor(c, 17)
+		e.Attach(rec)
+		if err := e.Run(insts); err != nil {
+			t.Fatal(err)
+		}
+		tr := rec.Trace()
 		for _, bs := range []int{1, 7, trace.BatchSize} {
-			got := collect(bs)
+			got := collect(func(obs []trace.Observer) error {
+				return replay.Deliver(ctx, tr, bs, obs...)
+			})
 			for key, w := range want {
 				if got[key] != w {
 					t.Errorf("%s: %s: batch size %d drifts from reference:\n got: %s\nwant: %s",

@@ -22,15 +22,21 @@ var ErrInvalidSpec = errors.New("sim: invalid spec")
 // statistically useful sweep; explicit seed lists are unaffected.
 const maxSeedExpansion = 1 << 16
 
-// Engine names for Spec.Engine.
-const (
-	// EngineCompiled is the production flat threaded-code engine with
-	// batched observation (trace.Executor.Run).
-	EngineCompiled = "compiled"
-	// EngineReference is the retained tree-walk engine with
-	// per-instruction observation (trace.Executor.RunReference).
-	EngineReference = "reference"
-)
+// EngineCompiled is the one value Spec.Engine and ShardSpec.Engine accept
+// besides "": the production flat threaded-code engine with batched
+// observation (trace.Executor.Run). The retained tree-walk engine
+// (trace.Executor.RunReference) is the in-test oracle, not a request
+// option.
+const EngineCompiled = "compiled"
+
+// checkEngine rejects every engine name but EngineCompiled and its
+// omitted spelling.
+func checkEngine(e string) error {
+	if e != "" && e != EngineCompiled {
+		return fmt.Errorf("%w: unknown engine %q (have %q)", ErrInvalidSpec, e, EngineCompiled)
+	}
+	return nil
+}
 
 // Spec declaratively describes one run: which workload streams to emit,
 // with which seeds and instruction budget, on which engine, watched by
@@ -60,8 +66,8 @@ type Spec struct {
 	// at the first region boundary past the budget (see trace.Run), so
 	// shards overshoot by at most one region.
 	Insts int64 `json:"insts"`
-	// Engine selects the execution engine: EngineCompiled (default) or
-	// EngineReference.
+	// Engine is EngineCompiled or empty (the same thing); the normalized
+	// echo and the canonical keys always spell it out.
 	Engine string `json:"engine,omitempty"`
 	// Observers is the typed observer set; each entry expands through the
 	// observer registry into one or more shard configurations.
@@ -181,12 +187,10 @@ func (s *Spec) normalized(maxSeeds int) (*Spec, error) {
 	if out.Insts < 1 {
 		return nil, fmt.Errorf("%w: non-positive instruction budget %d", ErrInvalidSpec, out.Insts)
 	}
-	if out.Engine == "" {
-		out.Engine = EngineCompiled
+	if err := checkEngine(out.Engine); err != nil {
+		return nil, err
 	}
-	if out.Engine != EngineCompiled && out.Engine != EngineReference {
-		return nil, fmt.Errorf("%w: unknown engine %q (have %q, %q)", ErrInvalidSpec, out.Engine, EngineCompiled, EngineReference)
-	}
+	out.Engine = EngineCompiled
 	if len(out.Observers) == 0 {
 		return nil, fmt.Errorf("%w: no observers", ErrInvalidSpec)
 	}

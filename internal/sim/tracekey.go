@@ -19,10 +19,7 @@ const traceKeyVersion = "tr1"
 // traceCoord is the canonicalized trace coordinate: everything that
 // determines the emitted instruction stream, and nothing else. The
 // observer is deliberately absent — the stream does not depend on who
-// watches it, which is the entire point of stream-once/observe-many. The
-// engine is deliberately absent too: both engines emit bit-identical
-// streams for a coordinate (the compiled/reference equivalence tests pin
-// this), so a trace generated under either engine serves shards of both.
+// watches it, which is the entire point of stream-once/observe-many.
 type traceCoord struct {
 	Workload string        `json:"workload"`
 	Synth    *synth.Params `json:"synth,omitempty"`
@@ -32,10 +29,10 @@ type traceCoord struct {
 
 // TraceKey returns the shard's trace coordinate content address: a
 // versioned hash of the canonicalized {workload, synth-params, seed,
-// insts}. Every shard of one (workload, seed) sweep — any observer, any
-// engine — maps to the same key, which is what lets the trace store serve
-// a 9-observer grid with one generation per coordinate. Invalid specs
-// report ErrInvalidSpec.
+// insts}. Every shard of one (workload, seed) sweep, whatever its observer,
+// maps to the same key, which is what lets the trace store serve a
+// 9-observer grid with one generation per coordinate. Invalid specs report
+// ErrInvalidSpec.
 func (sp ShardSpec) TraceKey() (string, error) {
 	if _, err := sp.Config(); err != nil {
 		return "", err

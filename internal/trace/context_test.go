@@ -6,8 +6,10 @@ package trace
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"rebalance/internal/isa"
 	"rebalance/internal/workload"
 )
 
@@ -58,6 +60,43 @@ func TestSetContextValueOnlyRunCompletes(t *testing.T) {
 	}
 	if e.Emitted() < 10_000 {
 		t.Errorf("emitted %d < budget", e.Emitted())
+	}
+}
+
+// cancelAfter cancels a context once it has observed n instructions.
+type cancelAfter struct {
+	left   int
+	cancel context.CancelFunc
+}
+
+func (o *cancelAfter) Observe(isa.Inst) {
+	if o.left--; o.left == 0 {
+		o.cancel()
+	}
+}
+
+// TestCancelledRunStops: both engines poll the armed context at region
+// granularity, so a run cancelled mid-stream returns the context's error
+// long before a budget no machine finishes.
+func TestCancelledRunStops(t *testing.T) {
+	c := compileTestWorkload(t)
+	for name, run := range map[string]func(*Executor, int64) error{
+		"compiled":  (*Executor).Run,
+		"reference": (*Executor).RunReference,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			e := NewCompiledExecutor(c, 1)
+			e.SetContext(ctx)
+			e.Attach(&cancelAfter{left: 50_000, cancel: cancel})
+			if err := run(e, 2_000_000_000_000); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if e.Emitted() < 50_000 || e.Emitted() > 10_000_000 {
+				t.Errorf("cancelled run emitted %d instructions, want a prompt stop after 50000", e.Emitted())
+			}
+		})
 	}
 }
 

@@ -68,10 +68,6 @@ func NewTrace(insts []isa.Inst) *Trace {
 // Len returns the number of instructions in the trace.
 func (t *Trace) Len() int { return len(t.insts) }
 
-// Insts returns the trace's instruction slice. It is shared, not copied —
-// callers must treat it as read-only.
-func (t *Trace) Insts() []isa.Inst { return t.insts }
-
 // MemBytes returns the trace's approximate resident size, the unit of the
 // Store's memory-tier byte accounting.
 func (t *Trace) MemBytes() int64 {

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"rebalance/internal/isa"
@@ -36,42 +34,6 @@ func tinyTrace(tag byte, n int) *Trace {
 }
 
 func sameTrace(a, b *Trace) bool { return reflect.DeepEqual(a.insts, b.insts) }
-
-func TestStoreDoSingleflight(t *testing.T) {
-	s := mustStore(t, Options{})
-	const key = "tr1-flight"
-	var generated atomic.Int64
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	results := make([]*Trace, 8)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tr, _, err := s.Do(context.Background(), key, func() (*Trace, error) {
-				generated.Add(1)
-				<-release
-				return tinyTrace(1, 64), nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			results[i] = tr
-		}(i)
-	}
-	// Whatever the interleaving — followers riding the leader's flight, or
-	// late arrivals hitting the memory tier — one generation serves all.
-	close(release)
-	wg.Wait()
-	if n := generated.Load(); n != 1 {
-		t.Fatalf("%d generations for one key under concurrency, want exactly 1", n)
-	}
-	for i, tr := range results {
-		if tr != results[0] {
-			t.Fatalf("caller %d got a different trace instance; singleflight must share the leader's", i)
-		}
-	}
-}
 
 func TestStoreLRUBounds(t *testing.T) {
 	s := mustStore(t, Options{MaxEntries: 2})
@@ -141,79 +103,6 @@ func TestStoreDiskWarmRestart(t *testing.T) {
 	st := second.Stats()
 	if st.DiskHits != 1 || st.Misses != 0 {
 		t.Fatalf("warm-restart stats = %+v, want 1 disk hit and 0 misses", st)
-	}
-}
-
-func TestStoreGenerateErrorNotCached(t *testing.T) {
-	s := mustStore(t, Options{Dir: t.TempDir()})
-	boom := errors.New("boom")
-	_, _, err := s.Do(context.Background(), "tr1-err", func() (*Trace, error) { return nil, boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("Do = %v, want the generation error", err)
-	}
-	want := tinyTrace(9, 32)
-	tr, hit, err := s.Do(context.Background(), "tr1-err", func() (*Trace, error) { return want, nil })
-	if err != nil || hit || !sameTrace(tr, want) {
-		t.Fatalf("Do after a failed generation = (hit=%v, err=%v), want a fresh successful generation", hit, err)
-	}
-}
-
-func TestStoreFollowerOutlivesLeaderFailure(t *testing.T) {
-	s := mustStore(t, Options{})
-	const key = "tr1-leaderfail"
-	leaderIn := make(chan struct{})
-	leaderGo := make(chan struct{})
-	var leaderErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _, leaderErr = s.Do(context.Background(), key, func() (*Trace, error) {
-			close(leaderIn)
-			<-leaderGo
-			return nil, errors.New("leader failed")
-		})
-	}()
-	<-leaderIn
-	want := tinyTrace(3, 16)
-	done := make(chan struct{})
-	var tr *Trace
-	var hit bool
-	var err error
-	go func() {
-		defer close(done)
-		tr, hit, err = s.Do(context.Background(), key, func() (*Trace, error) { return want, nil })
-	}()
-	close(leaderGo)
-	<-done
-	wg.Wait()
-	if leaderErr == nil {
-		t.Fatal("leader's own failure was swallowed")
-	}
-	if err != nil || hit || !sameTrace(tr, want) {
-		t.Fatalf("follower after leader failure = (hit=%v, err=%v), want its own fresh generation", hit, err)
-	}
-}
-
-func TestStoreFollowerCancellation(t *testing.T) {
-	s := mustStore(t, Options{})
-	const key = "tr1-cancel"
-	leaderIn := make(chan struct{})
-	leaderGo := make(chan struct{})
-	go func() {
-		_, _, _ = s.Do(context.Background(), key, func() (*Trace, error) {
-			close(leaderIn)
-			<-leaderGo
-			return tinyTrace(0, 8), nil
-		})
-	}()
-	<-leaderIn
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := s.Do(ctx, key, func() (*Trace, error) { return tinyTrace(0, 8), nil })
-	close(leaderGo)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled follower = %v, want context.Canceled", err)
 	}
 }
 

@@ -190,19 +190,6 @@ func (e *Executor) cancelled() bool {
 	return false
 }
 
-// SetBatchSize overrides the compiled engine's emission buffer capacity for
-// this executor (default BatchSize). Observer results are invariant to
-// batch boundaries — the batch-size invariance tests pin this down — so the
-// knob exists for tests and for latency-sensitive streaming consumers, not
-// for correctness. Call between runs, not while a run is in flight; panics
-// on a non-positive size.
-func (e *Executor) SetBatchSize(n int) {
-	if n <= 0 {
-		panic(fmt.Sprintf("trace: non-positive batch size %d", n))
-	}
-	e.batch = make([]isa.Inst, 0, n)
-}
-
 // Run emits approximately target dynamic instructions by cycling through
 // the program's region schedule, using the compiled engine. Emission stops
 // at the first region boundary after the target is reached, so the stream
