@@ -1,11 +1,9 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -74,16 +72,11 @@ func runCoordinatorSweep(ctx context.Context, base, tenant string, spec *sim.Spe
 	return rep, err
 }
 
-// awaitSweep polls the sweep at statusURL until it is terminal and returns
-// the report of a done one.
+// awaitSweep polls the sweep at statusURL — at once, then every poll —
+// until it is terminal, and returns the report of a done one.
 func awaitSweep(ctx context.Context, statusURL, id string, poll time.Duration) (*sim.Report, error) {
 	lastDone := -1
 	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(poll):
-		}
 		data, status, err := coordDo(ctx, http.MethodGet, statusURL, nil)
 		if err != nil {
 			return nil, err
@@ -113,34 +106,18 @@ func awaitSweep(ctx context.Context, statusURL, id string, poll time.Duration) (
 		case sweep.StateFailed, sweep.StateCancelled:
 			return nil, fmt.Errorf("sweep %s landed %s: %s", id, st.State, st.Error)
 		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(poll):
+		}
 	}
 }
 
-// coordDo issues one coordinator request and returns the body and status.
-// Transport errors are returned as-is; HTTP-level failures are the
+// coordDo is one coordinator round trip. HTTP-level failures are the
 // caller's to map with coordError, which understands the error envelope.
 func coordDo(ctx context.Context, method, u string, body []byte) ([]byte, int, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
-	if err != nil {
-		return nil, 0, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxCoordRespBytes))
-	if err != nil {
-		return nil, 0, fmt.Errorf("reading coordinator response: %w", err)
-	}
-	return data, resp.StatusCode, nil
+	return wire.Do(ctx, http.DefaultClient, method, u, body, maxCoordRespBytes)
 }
 
 // coordError shapes a non-2xx coordinator response into an error, using

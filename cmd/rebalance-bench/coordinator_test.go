@@ -132,6 +132,22 @@ func TestRunCoordinatorSweep(t *testing.T) {
 	}
 }
 
+// TestRunCoordinatorSweepPollsFirst: the first status read is immediate —
+// the interval is waited only between polls — so a sweep the coordinator
+// has already landed (a cached rerun) costs no poll interval at all.
+func TestRunCoordinatorSweepPollsFirst(t *testing.T) {
+	simRep, err := sim.NewSession(2).Run(context.Background(), coordSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := fakeCoordinator(t, simRep, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := runCoordinatorSweep(ctx, coord.URL, "bench-test", coordSpec(), time.Hour); err != nil {
+		t.Fatalf("sweep done at the first poll returned %v; the client waited out an interval first", err)
+	}
+}
+
 // TestRunCoordinatorSweepCancel: cancelling the client mid-poll (Ctrl-C)
 // abandons the sweep with context.Canceled and tells the coordinator to
 // stop working on it — exactly one DELETE, sent although the client's own

@@ -8,6 +8,7 @@ import (
 
 	"rebalance/internal/sim/shardcache"
 	"rebalance/internal/trace/replay"
+	"rebalance/internal/workload/synth"
 )
 
 // cacheKeyVersion prefixes every canonical shard key. Bump it whenever
@@ -47,31 +48,43 @@ func (sp ShardSpec) CacheKey() (string, error) {
 func ShardCacheKey(sp ShardSpec, cfg ObserverConfig) string {
 	canon := ShardSpec{
 		Workload: sp.Workload,
+		Synth:    canonSynth(sp.Synth),
 		Seed:     sp.Seed,
 		Insts:    sp.Insts,
 		Engine:   sp.Engine,
 		Observer: cfg.Spec(),
 	}
-	if sp.Synth != nil {
-		c, err := sp.Synth.Canonical()
-		if err != nil {
-			// Config validated the spec (the contract of this entry
-			// point), so the params canonicalize.
-			panic(fmt.Sprintf("sim: canonicalizing synth params for cache key: %v", err))
-		}
-		canon.Synth = &c
-	}
 	if canon.Engine == "" {
 		canon.Engine = EngineCompiled
 	}
+	return contentKey(cacheKeyVersion, canon)
+}
+
+// contentKey is the one content-address recipe, shared by the sc2- shard
+// keys and the tr1- trace keys: the version, then the SHA-256 of the
+// canonical form's JSON.
+func contentKey(version string, canon any) string {
 	data, err := json.Marshal(canon)
 	if err != nil {
-		// The canonical spec is plain data assembled above; it cannot fail
-		// to marshal.
-		panic(fmt.Sprintf("sim: marshalling canonical shard spec: %v", err))
+		// A canonical form is plain data its caller just assembled; it
+		// cannot fail to marshal.
+		panic(fmt.Sprintf("sim: marshalling canonical %s form: %v", version, err))
 	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%s-%x", cacheKeyVersion, sum)
+	return fmt.Sprintf("%s-%x", version, sha256.Sum256(data))
+}
+
+// canonSynth canonicalizes the inline scenario of an already-validated
+// spec (the contract of both key entry points) for its key's canonical
+// form; nil, a registered workload, stays nil.
+func canonSynth(p *synth.Params) *synth.Params {
+	if p == nil {
+		return nil
+	}
+	c, err := p.Canonical()
+	if err != nil {
+		panic(fmt.Sprintf("sim: canonicalizing validated synth params: %v", err))
+	}
+	return &c
 }
 
 // SetCache routes every shard this session executes — locally pooled runs

@@ -172,14 +172,13 @@ func TestFusedGroupCancellation(t *testing.T) {
 			cells[i] = cellOf("comd-lite", cfg, 1, 2_000_000_000_000)
 			group[i] = i
 		}
-		shards := make([]Shard, len(cells))
-		errs := make([]error, len(cells))
-		sess.runGroup(ctx, c, cells, group, shards, errs)
+		out := make([]Outcome, len(cells))
+		sess.runGroup(ctx, c, cells, group, out)
 		for i := range cells {
-			if !errors.Is(errs[i], context.Canceled) {
-				t.Errorf("member %s: err = %v, want context.Canceled", members[i].Key(), errs[i])
+			if !errors.Is(out[i].Err, context.Canceled) {
+				t.Errorf("member %s: err = %v, want context.Canceled", members[i].Key(), out[i].Err)
 			}
-			if shards[i].Result != nil {
+			if out[i].Shard.Result != nil {
 				t.Errorf("member %s of a cancelled group carries a result", members[i].Key())
 			}
 		}

@@ -5,7 +5,11 @@
 // and HTTPBackend speaks the simd worker protocol (POST /v1/shards). The
 // Dispatcher partitions a grid across N backends with bounded in-flight
 // shards, per-shard retry with exponential backoff, and failover to the
-// remaining backends when one dies mid-run.
+// remaining backends when one dies mid-run. It is a sim.ShardRunner and
+// only reports: one sim.Outcome per spec — a shard it had to abandon is a
+// value in that grid, with the attempts spent and the terminal error —
+// over the same grid loop (sim.RunUnits) the session's local pool runs.
+// Abort-versus-degrade is the Session's decision.
 //
 // Because every shard is deterministic for its {workload, seed,
 // observer-config, insts, engine} and results land index-aligned with the
@@ -221,71 +225,30 @@ func New(backends []Backend, opts Options) (*Dispatcher, error) {
 	return d, nil
 }
 
-// RunShards implements sim.ShardRunner: it executes every spec and
-// reports what happened, leaving the abort-vs-degrade decision to the
-// caller. It never cancels the grid itself: a shard that exhausts its
-// attempts (or hits an error no backend can fix) is abandoned, the rest
-// keep executing, and the index-aligned shards come back together with a
-// *sim.PartialError naming every abandoned index (those positions are
-// zero-valued). A caller that wants the first failure to abort cancels ctx
-// from its sim.WithShardDone hook, as a strict sim.Session does. A
-// context error wins over any failure: the grid was not run to the end.
-func (d *Dispatcher) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Shard, error) {
-	if len(specs) == 0 {
-		return nil, nil
+// RunShards implements sim.ShardRunner: sim.RunUnits over one-shard units,
+// MaxInFlight at a time, each an outcome of runOne. It never cancels the
+// grid itself: a shard that exhausts its attempts (or hits an error no
+// backend can fix) is abandoned — its outcome carries the attempts spent
+// and the terminal error, named "dispatch: shard {...}" — and the rest keep
+// executing; every outcome is delivered to the context's sim.ShardDone
+// hook. A caller that wants the first failure to abort cancels ctx from
+// that hook, as a strict sim.Session does. The returned error is ctx's
+// own, when it ended before the grid did.
+func (d *Dispatcher) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
+	units := make([][]int, len(specs))
+	for i := range units {
+		units[i] = []int{i}
 	}
-	shards := make([]sim.Shard, len(specs))
-	errs := make([]error, len(specs))
-	attempts := make([]int, len(specs))
-	next := make(chan int, len(specs))
-	for i := range specs {
-		next <- i
-	}
-	close(next)
-
-	workers := d.opts.MaxInFlight
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					errs[i] = ctx.Err()
-					continue
-				}
-				sh, n, err := d.runOne(ctx, specs[i])
-				if err != nil && !isCancel(err) {
-					err = fmt.Errorf("dispatch: shard {%s %s seed %d}: %w",
-						specs[i].Workload, cellName(&specs[i]), specs[i].Seed, err)
-				}
-				shards[i], attempts[i], errs[i] = sh, n, err
-				// Deliver the outcome to the caller's progress hook (a
-				// no-op without one); sim.ShardDone filters cancellations,
-				// so a cancelled run does not report skipped shards.
-				sim.ShardDone(ctx, sh, err)
-			}
-		}()
-	}
-	wg.Wait()
-
-	var failures []sim.ShardFailure
-	for i, err := range errs {
-		switch {
-		case err == nil:
-		case isCancel(err):
-			return nil, err
-		default:
-			failures = append(failures, sim.ShardFailure{Index: i, Attempts: attempts[i], Err: err})
+	return sim.RunUnits(ctx, len(specs), d.opts.MaxInFlight, units, func(unit []int, out []sim.Outcome) {
+		i := unit[0]
+		sh, n, err := d.runOne(ctx, specs[i])
+		if err != nil {
+			err = fmt.Errorf("dispatch: shard {%s %s seed %d}: %w",
+				specs[i].Workload, cellName(&specs[i]), specs[i].Seed, err)
 		}
-	}
-	if len(failures) == 0 {
-		return shards, nil
-	}
-	return shards, &sim.PartialError{Failures: failures}
+		out[i] = sim.Outcome{Shard: sh, Attempts: n, Err: err}
+		sim.ShardDone(ctx, sh, err)
+	})
 }
 
 // cellName names a failed shard's grid cell the way the local pool and
@@ -298,12 +261,6 @@ func cellName(spec *sim.ShardSpec) string {
 		return cfg.Key()
 	}
 	return spec.Observer.Kind
-}
-
-// isCancel reports whether err is a context error — a judgment on the
-// run, not on the shard or the backend that was executing it.
-func isCancel(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // attemptTimeout resolves the per-attempt deadline for a shard: the
@@ -495,14 +452,20 @@ func (d *Dispatcher) raceAttempt(ctx context.Context, spec sim.ShardSpec, avoid 
 func (d *Dispatcher) callOn(actx context.Context, bs *backendState, spec sim.ShardSpec) (sim.Shard, error) {
 	// Bound the call so a hung worker becomes a retryable failure the
 	// failover machinery handles, instead of wedging the run.
-	cctx := actx
-	if to := d.attemptTimeout(spec); to > 0 {
+	cctx, to := actx, d.attemptTimeout(spec)
+	if to > 0 {
 		var cancel context.CancelFunc
 		cctx, cancel = context.WithTimeout(actx, to)
 		defer cancel()
 	}
 	start := time.Now()
 	sh, err := bs.b.RunShard(cctx, spec)
+	if err != nil && cctx.Err() != nil && actx.Err() == nil {
+		// The attempt's own deadline fired. That is this shard's failure,
+		// so the backend's context.DeadlineExceeded must not travel up the
+		// chain looking like a cancelled run.
+		err = fmt.Errorf("attempt timed out after %v", to)
+	}
 	// Only failures attributable to the backend count toward its health:
 	// a cancelled run, a lost hedge race, or an unrunnable shard says
 	// nothing about the worker. An attempt timeout (cctx expired, actx

@@ -60,6 +60,23 @@ func (f *fakeBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Sha
 	return sim.Shard{Workload: spec.Workload, Seed: spec.Seed, Observer: "bbl", Insts: spec.Insts}, nil
 }
 
+// runShards flattens d.RunShards to the shape most tests want: the shards
+// and the run's error, or else the first failed outcome's.
+func runShards(ctx context.Context, d *dispatch.Dispatcher, specs []sim.ShardSpec) ([]sim.Shard, error) {
+	out, err := d.RunShards(ctx, specs)
+	if err != nil {
+		return nil, err
+	}
+	shards := make([]sim.Shard, len(out))
+	for i := range out {
+		shards[i] = out[i].Shard
+		if err == nil {
+			err = out[i].Err
+		}
+	}
+	return shards, err
+}
+
 func fastOpts() dispatch.Options {
 	return dispatch.Options{Backoff: time.Millisecond}
 }
@@ -72,7 +89,7 @@ func TestRetrySameBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1)})
+	shards, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +114,7 @@ func TestFailoverToLiveBackend(t *testing.T) {
 	for i := range specs {
 		specs[i] = testSpec(uint64(i + 1))
 	}
-	shards, err := d.RunShards(context.Background(), specs)
+	shards, err := runShards(context.Background(), d, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +140,7 @@ func TestAllBackendsDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1), testSpec(2)})
+	_, err = runShards(context.Background(), d, []sim.ShardSpec{testSpec(1), testSpec(2)})
 	if err == nil {
 		t.Fatal("want error when every backend is dead")
 	}
@@ -138,7 +155,7 @@ func TestInvalidSpecNotRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1)})
+	_, err = runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)})
 	if !errors.Is(err, sim.ErrInvalidSpec) {
 		t.Fatalf("want ErrInvalidSpec, got %v", err)
 	}
@@ -164,7 +181,7 @@ func TestCancellationReleasesWorkers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(50*time.Millisecond, cancel)
 	start := time.Now()
-	_, err = d.RunShards(ctx, specs)
+	_, err = runShards(ctx, d, specs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -193,7 +210,7 @@ func TestHungBackendFailsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	shards, err := d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1), testSpec(2)})
+	shards, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1), testSpec(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +237,7 @@ func TestCancellationDoesNotMarkBackendsDead(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(20*time.Millisecond, cancel)
-	if _, err := d.RunShards(ctx, specs); !errors.Is(err, context.Canceled) {
+	if _, err := runShards(ctx, d, specs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if healthy := d.Healthy(); len(healthy) != 1 {
@@ -237,7 +254,7 @@ func TestInvalidSpecDoesNotMarkBackendsDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1)}); !errors.Is(err, sim.ErrInvalidSpec) {
+		if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)}); !errors.Is(err, sim.ErrInvalidSpec) {
 			t.Fatalf("want ErrInvalidSpec, got %v", err)
 		}
 	}
@@ -263,14 +280,14 @@ func TestDeadBackendRevives(t *testing.T) {
 	for i := range specs {
 		specs[i] = testSpec(uint64(i + 1))
 	}
-	if _, err := d.RunShards(context.Background(), specs); err != nil {
+	if _, err := runShards(context.Background(), d, specs); err != nil {
 		t.Fatal(err)
 	}
 	if healthy := d.Healthy(); len(healthy) != 1 || healthy[0] != "steady" {
 		t.Fatalf("flaky backend not dead yet: healthy = %v", healthy)
 	}
 	time.Sleep(60 * time.Millisecond) // past ReviveAfter: next run probes it
-	if _, err := d.RunShards(context.Background(), specs); err != nil {
+	if _, err := runShards(context.Background(), d, specs); err != nil {
 		t.Fatal(err)
 	}
 	// The probe's verdict lands on its own goroutine.
@@ -331,7 +348,7 @@ func TestMaxInFlightIsDispatcherWide(t *testing.T) {
 			for i := range specs {
 				specs[i] = testSpec(uint64(g*100 + i + 1))
 			}
-			if _, err := d.RunShards(context.Background(), specs); err != nil {
+			if _, err := runShards(context.Background(), d, specs); err != nil {
 				t.Error(err)
 			}
 		}(g)
@@ -519,7 +536,7 @@ func TestDispatcherConcurrentRunShards(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			specs := []sim.ShardSpec{testSpec(uint64(g + 1)), testSpec(uint64(g + 100))}
-			shards, err := d.RunShards(context.Background(), specs)
+			shards, err := runShards(context.Background(), d, specs)
 			if err == nil && len(shards) != 2 {
 				err = fmt.Errorf("got %d shards", len(shards))
 			}

@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -65,27 +64,17 @@ func (b *HTTPBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Sha
 	if err != nil {
 		return sim.Shard{}, fmt.Errorf("dispatch: marshalling shard spec: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+ShardsPath, bytes.NewReader(body))
+	data, status, err := wire.Do(ctx, b.client, http.MethodPost, b.base+ShardsPath, body, maxShardRespBytes)
 	if err != nil {
 		return sim.Shard{}, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := b.client.Do(req)
-	if err != nil {
-		return sim.Shard{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxShardRespBytes))
-	if err != nil {
-		return sim.Shard{}, fmt.Errorf("reading worker response: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
+	if status != http.StatusOK {
 		msg := wire.ErrorMessage(data)
-		if resp.StatusCode == http.StatusBadRequest {
+		if status == http.StatusBadRequest {
 			// The worker judged the spec invalid; retrying cannot help.
 			return sim.Shard{}, fmt.Errorf("%w: worker %s rejected shard: %s", sim.ErrInvalidSpec, b.base, msg)
 		}
-		return sim.Shard{}, fmt.Errorf("worker %s: status %d: %s", b.base, resp.StatusCode, msg)
+		return sim.Shard{}, fmt.Errorf("worker %s: status %d: %s", b.base, status, msg)
 	}
 	return sim.DecodeShard(data, spec, cfg)
 }
@@ -98,20 +87,11 @@ const HealthzPath = "/healthz"
 // no shard attempt, so a dead worker is re-checked cheaply instead of
 // being handed a real shard it will probably fail.
 func (b *HTTPBackend) Probe(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+HealthzPath, nil)
-	if err != nil {
-		return err
+	_, status, err := wire.Do(ctx, b.client, http.MethodGet, b.base+HealthzPath, nil, 1<<10)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("worker %s: healthz status %d", b.base, status)
 	}
-	resp, err := b.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("worker %s: healthz status %d", b.base, resp.StatusCode)
-	}
-	return nil
+	return err
 }
 
 // WorkerHandler serves the worker protocol over sess: POST /v1/shards

@@ -72,7 +72,7 @@ func TestWorker400NotRetriedNotBlamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1)}); !errors.Is(err, sim.ErrInvalidSpec) {
+		if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)}); !errors.Is(err, sim.ErrInvalidSpec) {
 			t.Fatalf("want ErrInvalidSpec, got %v", err)
 		}
 	}
@@ -94,7 +94,7 @@ func TestWorker5xxRetriedAndBlamed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1)})
+			_, err = runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)})
 			if err == nil || errors.Is(err, sim.ErrInvalidSpec) {
 				t.Fatalf("want a retryable backend error, got %v", err)
 			}
@@ -162,7 +162,7 @@ func TestDispatcherCacheServesRepeats(t *testing.T) {
 	}
 	specs := []sim.ShardSpec{testSpec(1), testSpec(2), testSpec(3)}
 
-	cold, err := d.RunShards(context.Background(), specs)
+	cold, err := runShards(context.Background(), d, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestDispatcherCacheServesRepeats(t *testing.T) {
 	if coldCalls != int64(len(specs)) {
 		t.Fatalf("cold pass made %d backend calls, want %d", coldCalls, len(specs))
 	}
-	warm, err := d.RunShards(context.Background(), specs)
+	warm, err := runShards(context.Background(), d, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestDispatcherCacheInvalidSpecStillFailsFast(t *testing.T) {
 	}
 	bad := testSpec(1)
 	bad.Workload = "no-such"
-	if _, err := d.RunShards(context.Background(), []sim.ShardSpec{bad}); !errors.Is(err, sim.ErrInvalidSpec) {
+	if _, err := runShards(context.Background(), d, []sim.ShardSpec{bad}); !errors.Is(err, sim.ErrInvalidSpec) {
 		t.Fatalf("want ErrInvalidSpec, got %v", err)
 	}
 	if b.calls.Load() != 0 {

@@ -38,7 +38,7 @@ func TestBackoffConsultsInjectedRand(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1)}); err != nil {
+	if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := draws.Load(); got != 2 {
@@ -80,33 +80,25 @@ func TestAllowPartialReturnsPartialError(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := []sim.ShardSpec{testSpec(1), testSpec(2), testSpec(3), testSpec(4)}
-	shards, err := d.RunShards(context.Background(), specs)
-	var pe *sim.PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *sim.PartialError", err)
+	out, err := d.RunShards(context.Background(), specs)
+	if err != nil {
+		t.Fatalf("RunShards = %v; a failed shard is an outcome, not the run's error", err)
 	}
-	if len(pe.Failures) != 1 {
-		t.Fatalf("failures = %+v, want exactly the seed-2 shard", pe.Failures)
+	if len(out) != 4 {
+		t.Fatalf("got %d outcomes, want 4 (index-aligned with the grid)", len(out))
 	}
-	f := pe.Failures[0]
-	if f.Index != 1 || f.Attempts != 3 {
-		t.Errorf("failure = {index %d, attempts %d}, want {index 1, attempts 3}", f.Index, f.Attempts)
-	}
-	if f.Err == nil || !strings.Contains(f.Err.Error(), "scripted permanent failure") {
-		t.Errorf("failure does not carry the terminal backend error: %+v", f)
-	}
-	if len(shards) != 4 {
-		t.Fatalf("got %d shards, want 4 (index-aligned with the grid)", len(shards))
-	}
-	for i, sh := range shards {
+	for i, o := range out {
 		if i == 1 {
-			if sh.Workload != "" {
-				t.Errorf("failed position 1 holds a shard: %+v", sh)
+			if o.Attempts != 3 || o.Err == nil || !strings.Contains(o.Err.Error(), "scripted permanent failure") {
+				t.Errorf("outcome 1 = {attempts %d, err %v}, want 3 attempts and the terminal backend error", o.Attempts, o.Err)
+			}
+			if o.Shard.Workload != "" {
+				t.Errorf("failed position 1 holds a shard: %+v", o.Shard)
 			}
 			continue
 		}
-		if sh.Seed != specs[i].Seed {
-			t.Errorf("shard %d has seed %d, want %d", i, sh.Seed, specs[i].Seed)
+		if o.Err != nil || o.Shard.Seed != specs[i].Seed {
+			t.Errorf("outcome %d = {seed %d, err %v}, want seed %d", i, o.Shard.Seed, o.Err, specs[i].Seed)
 		}
 	}
 }
@@ -114,7 +106,7 @@ func TestAllowPartialReturnsPartialError(t *testing.T) {
 // TestWithoutAllowPartialFailureStillAborts is aimed at the layer that
 // owns the rule: the dispatcher only reports, and a strict Session.Run
 // over a failing dispatcher is all-or-nothing — a plain error naming the
-// shard, no report, and no PartialError leaking out.
+// shard and no report.
 func TestWithoutAllowPartialFailureStillAborts(t *testing.T) {
 	a := &seedFailBackend{name: "a", failSeed: 2}
 	opts := fastOpts()
@@ -136,10 +128,6 @@ func TestWithoutAllowPartialFailureStillAborts(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "scripted permanent failure for seed 2") {
 		t.Errorf("err = %v, want the failing shard's terminal error", err)
-	}
-	var pe *sim.PartialError
-	if errors.As(err, &pe) {
-		t.Fatalf("err = %v; a strict run must not leak PartialError", err)
 	}
 }
 
@@ -197,6 +185,77 @@ func TestDispatchedFailureNamesTheCell(t *testing.T) {
 	}
 }
 
+// hangSeedBackend runs shards on a real session, except that one seed
+// hangs until its context ends — a hung, not dead, worker.
+type hangSeedBackend struct {
+	dispatch.LocalBackend
+	hangSeed uint64
+}
+
+func (b *hangSeedBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+	if spec.Seed == b.hangSeed {
+		<-ctx.Done()
+		return sim.Shard{}, ctx.Err()
+	}
+	return b.LocalBackend.RunShard(ctx, spec)
+}
+
+// TestAttemptTimeoutFailsTheShard: a shard that exhausts its attempts on
+// a hung worker failed — the run was not cancelled, although the backend's
+// error is context.DeadlineExceeded. An AllowPartial run degrades around
+// it; a strict run fails with it, named, and the caller's hook hears of it.
+func TestAttemptTimeoutFailsTheShard(t *testing.T) {
+	b := &hangSeedBackend{LocalBackend: dispatch.LocalBackend{Sess: sim.NewSession(1)}, hangSeed: 2}
+	opts := fastOpts()
+	opts.Attempts = 2
+	opts.AttemptTimeout = 20 * time.Millisecond
+	opts.FailThreshold = 100 // the timeouts must not kill the only backend
+	d, err := dispatch.New([]dispatch.Backend{b}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := sim.NewSession(1)
+	sess.SetRunner(d)
+	spec := sim.Spec{
+		Workloads:    []string{"comd-lite"},
+		SeedCount:    3,
+		Insts:        5_000,
+		Observers:    []sim.ObserverSpec{{Kind: "bbl"}},
+		AllowPartial: true,
+	}
+	const cell = "dispatch: shard {comd-lite bbl seed 2}"
+
+	rep, err := sess.Run(context.Background(), &spec)
+	if err != nil {
+		t.Fatalf("Run = %v; an attempt timeout must degrade an allow_partial run, not abort it", err)
+	}
+	if len(rep.Shards) != 2 || len(rep.FailedShards) != 1 {
+		t.Fatalf("%d shards, failed_shards %+v; want 2 and 1", len(rep.Shards), rep.FailedShards)
+	}
+	f := rep.FailedShards[0]
+	if f.Seed != 2 || f.Observer != "bbl" || f.Attempts != 2 || !strings.Contains(f.Error, "timed out") || !strings.Contains(f.Error, cell) {
+		t.Errorf("failed shard = %+v, want {seed 2, bbl, 2 attempts} timed out and named %q", f, cell)
+	}
+
+	spec.AllowPartial = false
+	var mu sync.Mutex
+	var failures []error
+	ctx := sim.WithShardDone(context.Background(), func(_ sim.Shard, err error) {
+		if err != nil {
+			mu.Lock()
+			failures = append(failures, err)
+			mu.Unlock()
+		}
+	})
+	_, err = sess.Run(ctx, &spec)
+	if err == nil || !strings.Contains(err.Error(), cell) || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("strict Run = %v, want a failure naming %q that is not a context error", err, cell)
+	}
+	if len(failures) != 1 || failures[0] != err {
+		t.Errorf("hook saw failures %v, want exactly the run's error", failures)
+	}
+}
+
 func TestAllowPartialCancellationStillAborts(t *testing.T) {
 	blocked := &fakeBackend{name: "blocked", block: true}
 	opts := fastOpts()
@@ -210,7 +269,7 @@ func TestAllowPartialCancellationStillAborts(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, err = d.RunShards(ctx, []sim.ShardSpec{testSpec(1), testSpec(2)})
+	_, err = runShards(ctx, d, []sim.ShardSpec{testSpec(1), testSpec(2)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled; a context error wins over any partial outcome", err)
 	}
@@ -254,7 +313,7 @@ func TestHedgeWinsWithoutBlame(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	shards, err := d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1)})
+	shards, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +342,7 @@ func TestHedgeNeedsASecondBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1)}); err != nil {
+	if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if stats := d.Stats(); stats.Hedges != 0 {
@@ -329,7 +388,7 @@ func TestHedgeFiresWhenPoolSaturated(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := []sim.ShardSpec{testSpec(1), testSpec(2), testSpec(3)}
-	if _, err := d.RunShards(context.Background(), specs); err != nil {
+	if _, err := runShards(context.Background(), d, specs); err != nil {
 		t.Fatal(err)
 	}
 	if stats := d.Stats(); stats.Hedges != 3 || stats.HedgeWins != 3 {
@@ -359,7 +418,7 @@ func TestDerivedHedgeDelayNeedsSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1)}); err != nil {
+	if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if stats := d.Stats(); stats.Hedges != 0 {
@@ -431,7 +490,7 @@ func TestProbeRevivalWithoutSacrifice(t *testing.T) {
 	// Drive shards until a's three scripted failures mark it dead; every
 	// shard still completes via failover to b.
 	for seed := uint64(1); a.calls.Load() < 3; seed++ {
-		if _, err := d.RunShards(ctx, []sim.ShardSpec{testSpec(seed)}); err != nil {
+		if _, err := runShards(ctx, d, []sim.ShardSpec{testSpec(seed)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -442,7 +501,7 @@ func TestProbeRevivalWithoutSacrifice(t *testing.T) {
 	// a stays dead (probes fail) while work keeps flowing: no shard may
 	// reach it, however many cooldowns expire.
 	for seed := uint64(100); seed < 120; seed++ {
-		if _, err := d.RunShards(ctx, []sim.ShardSpec{testSpec(seed)}); err != nil {
+		if _, err := runShards(ctx, d, []sim.ShardSpec{testSpec(seed)}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(time.Millisecond)
@@ -457,7 +516,7 @@ func TestProbeRevivalWithoutSacrifice(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for a.calls.Load() == 3 && time.Now().Before(deadline) {
 		seed := uint64(1000 + a.probes.Load())
-		if _, err := d.RunShards(ctx, []sim.ShardSpec{testSpec(seed), testSpec(seed + 5000)}); err != nil {
+		if _, err := runShards(ctx, d, []sim.ShardSpec{testSpec(seed), testSpec(seed + 5000)}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(time.Millisecond)
@@ -491,7 +550,7 @@ func TestSingleProberInvariant(t *testing.T) {
 	}
 	ctx := context.Background()
 	// Kill a.
-	if _, err := d.RunShards(ctx, []sim.ShardSpec{testSpec(1)}); err != nil {
+	if _, err := runShards(ctx, d, []sim.ShardSpec{testSpec(1)}); err != nil {
 		t.Fatal(err)
 	}
 	// Hammer the dispatcher from many goroutines while probes crawl.
@@ -502,7 +561,7 @@ func TestSingleProberInvariant(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				specs := []sim.ShardSpec{testSpec(uint64(g*1000 + i + 10))}
-				if _, err := d.RunShards(ctx, specs); err != nil {
+				if _, err := runShards(ctx, d, specs); err != nil {
 					t.Error(err)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"rebalance/internal/trace"
@@ -61,6 +62,40 @@ func (s *Session) plan(cells []gridCell) [][]int {
 	return units
 }
 
+// RunUnits is the one grid loop, shared by the session's local pool and
+// the dispatch layer: at most workers goroutines take units (index groups
+// into an n-cell grid) off a pre-filled queue and hand each to exec, which
+// records every member's fate at its index of out. ctx is checked between
+// units, and cancellation is decided once, here, from ctx itself and never
+// from an outcome's error chain: if ctx ended, that is the run's error and
+// the outcomes are dropped; otherwise every failure is a value in out.
+func RunUnits(ctx context.Context, n, workers int, units [][]int, exec func(unit []int, out []Outcome)) ([]Outcome, error) {
+	out := make([]Outcome, n)
+	next := make(chan []int, len(units))
+	for _, u := range units {
+		next <- u
+	}
+	close(next)
+	var wg sync.WaitGroup
+	for w := min(workers, len(units)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for unit := range next {
+				if ctx.Err() != nil {
+					return
+				}
+				exec(unit, out)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // pendingShard is a group member the result cache did not serve: its
 // grid index and the cache write-back it owes (nil without a cache).
 type pendingShard struct {
@@ -76,9 +111,9 @@ type pendingShard struct {
 // fresh observers of the unresolved members only — one each, except that
 // the plain bpred members share a simulator (see groupObservers). Shards
 // are therefore order-independent and the grid is deterministic up to
-// timing fields. Results and errors land index-aligned in shards/errs;
+// timing fields. Each member's outcome lands at its grid index in out;
 // computed shards are written back, each under its own key.
-func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridCell, group []int, shards []Shard, errs []error) {
+func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridCell, group []int, out []Outcome) {
 	pending := make([]pendingShard, 0, len(group))
 	if s.cache == nil {
 		for _, i := range group {
@@ -99,14 +134,11 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridC
 		slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
 		for _, k := range ks {
 			sh, hit, land, err := ResolveShard(ctx, s.cache, k.key, cells[k.idx].spec, cells[k.idx].cfg)
-			switch {
-			case err != nil:
-				errs[k.idx] = err
-			case hit:
-				shards[k.idx] = sh
-			default:
+			if err == nil && !hit {
 				pending = append(pending, pendingShard{idx: k.idx, land: land})
+				continue
 			}
+			out[k.idx] = Outcome{Shard: sh, Err: err}
 		}
 	}
 	if len(pending) == 0 {
@@ -145,7 +177,7 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridC
 				}
 			}
 		}
-		shards[p.idx], errs[p.idx] = sh, perr
+		out[p.idx] = Outcome{Shard: sh, Attempts: 1, Err: perr}
 		if p.land != nil {
 			p.land(sh, perr)
 		}

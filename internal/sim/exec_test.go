@@ -23,10 +23,9 @@ func cellOf(workload string, cfg ObserverConfig, seed uint64, insts int64) gridC
 // into the group executor, for configurations that must stay out of the
 // observer registry and for driving a bare (cacheless, storeless) session.
 func (s *Session) runJob(ctx context.Context, c *trace.Compiled, cell gridCell) (Shard, error) {
-	var sh [1]Shard
-	var errs [1]error
-	s.runGroup(ctx, c, []gridCell{cell}, []int{0}, sh[:], errs[:])
-	return sh[0], errs[0]
+	var out [1]Outcome
+	s.runGroup(ctx, c, []gridCell{cell}, []int{0}, out[:])
+	return out[0].Shard, out[0].Err
 }
 
 // gridOf expands spec the way Session.Run does, for tests that drive plan

@@ -1,9 +1,9 @@
 package sim
 
-// Tests for the session's failure policy: how the *PartialError a runner
-// reports becomes failed_shards entries in the report, which runs are
-// allowed to degrade, how a strict run aborts, and the wire shape of the
-// result.
+// Tests for the session's failure policy: how the failed Outcomes a runner
+// reports become failed_shards entries in the report, which runs are
+// allowed to degrade, how a strict run aborts, what a runner may not hand
+// back, and the wire shape of the result.
 
 import (
 	"bytes"
@@ -20,17 +20,26 @@ import (
 	"rebalance/internal/registry"
 )
 
-// scriptedRunner replays a fixed RunShards outcome and records the specs
-// it was handed.
+// scriptedRunner answers RunShards with fixed outcomes, one scripted per
+// spec, and records the specs it was handed.
 type scriptedRunner struct {
-	shards []Shard
-	err    error
-	specs  []ShardSpec
+	out   []Outcome
+	specs []ShardSpec
 }
 
-func (r *scriptedRunner) RunShards(_ context.Context, specs []ShardSpec) ([]Shard, error) {
+func (r *scriptedRunner) RunShards(_ context.Context, specs []ShardSpec) ([]Outcome, error) {
 	r.specs = specs
-	return r.shards, r.err
+	return r.out, nil
+}
+
+// runScripted runs partialSpec(allowPartial) through a runner scripted with
+// out.
+func runScripted(allowPartial bool, out ...Outcome) (*Report, *scriptedRunner, error) {
+	r := &scriptedRunner{out: out}
+	sess := NewSession(2)
+	sess.SetRunner(r)
+	rep, err := sess.Run(context.Background(), partialSpec(allowPartial))
+	return rep, r, err
 }
 
 // partialSpec is a 1 workload x 2 seeds x 1 observer grid: two shards,
@@ -63,13 +72,8 @@ func TestPartialRunBuildsFailedShards(t *testing.T) {
 		t.Fatalf("grid is %d shards, want 2", len(full))
 	}
 	scriptErr := errors.New("backend ate it")
-	r := &scriptedRunner{
-		shards: []Shard{full[0], {}}, // seed-2 position abandoned
-		err:    &PartialError{Failures: []ShardFailure{{Index: 1, Attempts: 4, Err: scriptErr}}},
-	}
-	sess := NewSession(2)
-	sess.SetRunner(r)
-	rep, err := sess.Run(context.Background(), partialSpec(true))
+	// The seed-2 cell is abandoned after 4 attempts.
+	rep, r, err := runScripted(true, Outcome{Shard: full[0], Attempts: 1}, Outcome{Attempts: 4, Err: scriptErr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,46 +102,67 @@ func TestPartialRunBuildsFailedShards(t *testing.T) {
 
 func TestPartialErrorRequiresAllowPartial(t *testing.T) {
 	full := localShards(t, partialSpec(false))
-	r := &scriptedRunner{
-		shards: []Shard{full[0], {}},
-		err:    &PartialError{Failures: []ShardFailure{{Index: 1, Attempts: 2, Err: errors.New("down")}}},
-	}
-	sess := NewSession(2)
-	sess.SetRunner(r)
-	_, err := sess.Run(context.Background(), partialSpec(false))
-	var pe *PartialError
-	if err == nil || !errors.As(err, &pe) {
-		t.Fatalf("Run = %v; without AllowPartial the runner's partial outcome must fail the run", err)
+	down := errors.New("down")
+	// The scripted runner delivers nothing to ShardDone, so this is the
+	// strict policy's second leg: the failed outcome itself fails the run.
+	_, _, err := runScripted(false, Outcome{Shard: full[0], Attempts: 1}, Outcome{Attempts: 2, Err: down})
+	if !errors.Is(err, down) {
+		t.Fatalf("Run = %v; without AllowPartial a failed outcome must fail the run with its error", err)
 	}
 }
 
 func TestPartialAllFailedIsAFailedRun(t *testing.T) {
-	r := &scriptedRunner{
-		shards: []Shard{{}, {}},
-		err: &PartialError{Failures: []ShardFailure{
-			{Index: 0, Attempts: 1, Err: errors.New("down")},
-			{Index: 1, Attempts: 1, Err: errors.New("down")},
-		}},
-	}
-	sess := NewSession(2)
-	sess.SetRunner(r)
-	_, err := sess.Run(context.Background(), partialSpec(true))
-	if err == nil || !strings.Contains(err.Error(), "all 2 shards failed") {
-		t.Fatalf("Run = %v, want the all-failed refusal; an empty report is not a degraded one", err)
+	down := errors.New("down")
+	_, _, err := runScripted(true, Outcome{Attempts: 1, Err: down}, Outcome{Attempts: 1, Err: errors.New("also down")})
+	if err == nil || !strings.Contains(err.Error(), "all 2 shards failed") || !errors.Is(err, down) {
+		t.Fatalf("Run = %v, want the all-failed refusal wrapping the first failure; an empty report is not a degraded one", err)
 	}
 }
 
-func TestPartialRejectsOutOfRangeIndex(t *testing.T) {
+// TestRunnerOutcomeCountMismatch: outcomes are index-aligned with the grid
+// by construction, so the one way a runner can misalign them is by count —
+// an error under either policy, never an index panic in the report loop.
+func TestRunnerOutcomeCountMismatch(t *testing.T) {
 	full := localShards(t, partialSpec(false))
-	r := &scriptedRunner{
-		shards: []Shard{full[0], full[1]},
-		err:    &PartialError{Failures: []ShardFailure{{Index: 7, Attempts: 1, Err: errors.New("down")}}},
+	for _, allowPartial := range []bool{false, true} {
+		for _, out := range [][]Outcome{nil, {{Shard: full[0]}}, {{Shard: full[0]}, {Shard: full[1]}, {Shard: full[1]}}} {
+			_, _, err := runScripted(allowPartial, out...)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d outcomes for 2 shards", len(out))) {
+				t.Errorf("allow_partial=%v, %d outcomes: Run = %v, want the count rejection", allowPartial, len(out), err)
+			}
+		}
 	}
-	sess := NewSession(2)
-	sess.SetRunner(r)
-	_, err := sess.Run(context.Background(), partialSpec(true))
-	if err == nil || !strings.Contains(err.Error(), "shard 7 of 2") {
-		t.Fatalf("Run = %v, want the out-of-range index rejection", err)
+}
+
+// TestRunnerOutcomeIdentityMismatch: a completed outcome must be the shard
+// its cell asked for — here the runner answers both cells with seed 1.
+func TestRunnerOutcomeIdentityMismatch(t *testing.T) {
+	full := localShards(t, partialSpec(false))
+	_, _, err := runScripted(true, Outcome{Shard: full[0]}, Outcome{Shard: full[0]})
+	if err == nil || !strings.Contains(err.Error(), "runner shard 1 is {comd-lite bbl seed 1}, want {comd-lite bbl seed 2}") {
+		t.Fatalf("Run = %v, want the identity rejection", err)
+	}
+}
+
+// TestRunUnitsCancelledMidGrid: cancellation is read off the run's own
+// context, between units — the unit that was executing finishes, no
+// further unit starts, and the context's error is the run's, whatever the
+// outcomes recorded so far say.
+func TestRunUnitsCancelledMidGrid(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran []int
+	out, err := RunUnits(ctx, 4, 1, [][]int{{0}, {1}, {2, 3}}, func(unit []int, out []Outcome) {
+		ran = append(ran, unit...)
+		if unit[0] == 1 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("RunUnits = (%v, %v), want no outcomes and context.Canceled", out, err)
+	}
+	if len(ran) != 2 {
+		t.Fatalf("units ran over cells %v, want only 0 and 1", ran)
 	}
 }
 
@@ -203,32 +228,6 @@ func TestSpecAllowPartialRoundTrips(t *testing.T) {
 	}
 	if bytes.Contains(data, []byte("allow_partial")) {
 		t.Fatalf("spec JSON = %s leaks allow_partial when off", data)
-	}
-}
-
-// TestPartialErrorMessage pins the error prose front-ends print.
-func TestPartialErrorMessage(t *testing.T) {
-	pe := &PartialError{Failures: []ShardFailure{
-		{Index: 3, Attempts: 5, Err: fmt.Errorf("no live backend")},
-		{Index: 9, Attempts: 5, Err: fmt.Errorf("also down")},
-	}}
-	if got := pe.Error(); got != "sim: 2 shards failed (first: no live backend)" {
-		t.Fatalf("Error() = %q", got)
-	}
-}
-
-// TestPartialErrorUnwraps: errors.Is sees through a PartialError to every
-// failure underneath, so a bare RunShards caller can still match causes.
-func TestPartialErrorUnwraps(t *testing.T) {
-	pe := &PartialError{Failures: []ShardFailure{
-		{Index: 0, Attempts: 3, Err: errors.New("worker down")},
-		{Index: 4, Attempts: 1, Err: fmt.Errorf("%w: bad shard", ErrInvalidSpec)},
-	}}
-	if !errors.Is(pe, ErrInvalidSpec) {
-		t.Fatal("errors.Is does not reach the second failure's cause")
-	}
-	if errors.Is(pe, context.Canceled) {
-		t.Fatal("errors.Is matched a cause no failure carries")
 	}
 }
 

@@ -38,20 +38,16 @@ func WithShardDone(ctx context.Context, fn ShardDoneFunc) context.Context {
 // ShardDone invokes ctx's shard-completion hook, if any. It is exported
 // for ShardRunner implementations (the dispatch layer) that execute
 // shards outside the session's local pool; the session calls it for local
-// shards itself. Callers must not deliver cancellation errors — a
-// cancelled shard was skipped, not completed — and must deliver each
-// shard's outcome exactly once.
+// shards itself. Callers deliver each shard's outcome exactly once. An
+// outcome that is a context error is dropped here: the pass was cancelled
+// and the shard skipped, not completed. That is a filter on what progress
+// reports, not a verdict on the run — RunUnits reads that off the run's
+// own context.
 func ShardDone(ctx context.Context, sh Shard, err error) {
-	if isCancel(err) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return
 	}
 	if fn, ok := ctx.Value(shardDoneKey{}).(ShardDoneFunc); ok {
 		fn(sh, err)
 	}
-}
-
-// isCancel reports whether err is a context error: a judgment on the run,
-// not on the shard, so it always aborts and is never a shard outcome.
-func isCancel(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

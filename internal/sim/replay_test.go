@@ -159,14 +159,13 @@ func TestGroupedShardsBitIdenticalToAlone(t *testing.T) {
 		alone[i] = encode(t, sh.Result)
 	}
 	for name, sess := range map[string]*Session{"live": bare, "replayed": newReplaySession(t, 1, replay.Options{})} {
-		shards := make([]Shard, len(cells))
-		errs := make([]error, len(cells))
-		sess.runGroup(ctx, c, cells, group, shards, errs)
+		out := make([]Outcome, len(cells))
+		sess.runGroup(ctx, c, cells, group, out)
 		for i := range cells {
-			if errs[i] != nil {
-				t.Fatalf("%s/%s: %v", name, cfgs[i].Key(), errs[i])
+			if out[i].Err != nil {
+				t.Fatalf("%s/%s: %v", name, cfgs[i].Key(), out[i].Err)
 			}
-			if got := encode(t, shards[i].Result); got != alone[i] {
+			if got := encode(t, out[i].Shard.Result); got != alone[i] {
 				t.Errorf("%s/%s: grouped shard differs from the shard executed alone\ngrouped: %s\nalone:   %s",
 					name, cfgs[i].Key(), got, alone[i])
 			}

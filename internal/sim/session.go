@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -182,64 +181,68 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	// dispatched run's concurrency belongs to the runner, so the field is
 	// 0 there rather than a fabricated figure.
 	workers := 0
-	run := func(ctx context.Context) ([]Shard, error) { return s.runDispatched(ctx, cells) }
+	run := func(ctx context.Context) ([]Outcome, error) { return s.runDispatched(ctx, cells) }
 	if s.runner == nil {
 		groups := s.plan(cells)
 		workers = min(s.workers, len(groups))
-		run = func(ctx context.Context) ([]Shard, error) {
-			return s.runLocal(ctx, cells, groups, workers, compiled)
+		run = func(ctx context.Context) ([]Outcome, error) {
+			return RunUnits(ctx, len(cells), workers, groups, func(group []int, out []Outcome) {
+				s.runGroup(ctx, compiled[cells[group[0]].spec.Workload], cells, group, out)
+				// Name each failure by its cell and deliver every outcome to
+				// the context's progress hook (a no-op without one; ShardDone
+				// drops the members of a cancelled pass).
+				for _, i := range group {
+					if out[i].Err != nil {
+						out[i].Err = fmt.Errorf("sim: shard {%s %s seed %d}: %w",
+							cells[i].spec.Workload, cells[i].cfg.Key(), cells[i].spec.Seed, out[i].Err)
+					}
+					ShardDone(ctx, out[i].Shard, out[i].Err)
+				}
+			})
 		}
 	}
-	// failed holds the grid indices whose execution was abandoned (only
-	// ever non-empty under AllowPartial); those positions in shards are
-	// zero-valued and excluded from the report and the merge.
-	shards, failed, err := decide(ctx, norm, cells, run)
+	out, err := decide(ctx, norm, cells, run)
 	if err != nil {
 		return nil, err
 	}
 	wall := time.Since(start) //repolint:allow nodeterminism Report.WallNS wall-clock timing field, excluded from goldens
 
+	// A cell with an Err is only ever present under AllowPartial: it is
+	// recorded in failed_shards and excluded from the report and the merge.
 	rep := &Report{
 		Schema:  SchemaV1,
 		Spec:    norm,
 		Workers: workers,
 		WallNS:  wall.Nanoseconds(),
-		Shards:  shards,
+		Shards:  make([]Shard, 0, len(out)),
 	}
-	if len(failed) > 0 {
-		rep.Shards = make([]Shard, 0, len(shards)-len(failed))
-		for i := range shards {
-			f, bad := failed[i]
-			if !bad {
-				rep.Shards = append(rep.Shards, shards[i])
-				continue
-			}
+	for i := range out {
+		if err := out[i].Err; err != nil {
 			rep.FailedShards = append(rep.FailedShards, FailedShard{
 				Workload: cells[i].spec.Workload,
 				Seed:     cells[i].spec.Seed,
 				Observer: cells[i].cfg.Key(),
-				Attempts: f.Attempts,
-				Error:    f.Err.Error(),
+				Attempts: out[i].Attempts,
+				Error:    err.Error(),
 			})
+			continue
 		}
-	}
-	for i := range rep.Shards {
-		rep.TotalInsts += rep.Shards[i].Insts
+		rep.Shards = append(rep.Shards, out[i].Shard)
+		rep.TotalInsts += out[i].Shard.Insts
 	}
 
 	// Merge each configuration's per-seed shards, in seed order, into one
-	// result per {workload, observer-config}. Shards are laid out
-	// seed-minor, so each merge group is a contiguous run of the aligned
-	// slice; failed seeds are skipped, and a group with no survivors gets
-	// no merged entry.
+	// result per {workload, observer-config}. The grid is laid out
+	// seed-minor, so each merge group is a contiguous run of out; failed
+	// seeds are skipped, and a group with no survivors gets no merged entry.
 	si := 0
 	for _, w := range norm.Workloads {
 		for _, cfg := range configs {
 			acc := cfg.NewResult()
 			merged := 0
 			for range norm.Seeds {
-				if _, bad := failed[si]; !bad {
-					if err := acc.Merge(shards[si].Result); err != nil {
+				if out[si].Err == nil {
+					if err := acc.Merge(out[si].Shard.Result); err != nil {
 						return nil, fmt.Errorf("sim: merging %s/%s: %w", w, cfg.Key(), err)
 					}
 					merged++
@@ -285,17 +288,17 @@ func gridCells(norm *Spec, configs []ObserverConfig, synthByName map[string]*syn
 }
 
 // decide runs the grid and applies the run's failure policy — the one
-// place abort-vs-degrade is decided. Runners only report: run returns the
-// index-aligned shards and, for abandoned indices, a *PartialError. A
-// strict run (the default) chains its own ShardDone hook in front of the
-// caller's and cancels the grid on the first failure it sees, then fails
-// with that error. Under AllowPartial the grid runs to the end and the
-// abandoned indices come back keyed by grid index — unless every shard
+// place abort-vs-degrade is decided. Runners only report: run returns one
+// Outcome per cell. A strict run (the default) chains its own ShardDone
+// hook in front of the caller's and cancels the grid on the first failure
+// it sees, then fails with that error (or, from a runner that delivered
+// nothing, with the first failed outcome's). Under AllowPartial the grid
+// runs to the end and failures stay in the outcomes — unless every shard
 // failed, which stays an error: an empty report is not a degraded one.
 // Cancellation aborts either way. What a runner hands back is
-// cross-checked against the grid that was sent: one shard per cell,
+// cross-checked against the grid that was sent: one outcome per cell,
 // identity fields matching.
-func decide(ctx context.Context, norm *Spec, cells []gridCell, run func(context.Context) ([]Shard, error)) ([]Shard, map[int]ShardFailure, error) {
+func decide(ctx context.Context, norm *Spec, cells []gridCell, run func(context.Context) ([]Outcome, error)) ([]Outcome, error) {
 	var abort atomic.Pointer[error]
 	rctx := ctx
 	if !norm.AllowPartial {
@@ -308,105 +311,45 @@ func decide(ctx context.Context, norm *Spec, cells []gridCell, run func(context.
 			ShardDone(ctx, sh, err)
 		})
 	}
-	shards, err := run(rctx)
+	out, err := run(rctx)
 	if first := abort.Load(); first != nil {
-		return nil, nil, *first
+		return nil, *first
 	}
-	var pe *PartialError
-	if err != nil && (!norm.AllowPartial || !errors.As(err, &pe)) {
-		return nil, nil, err
+	if err != nil {
+		return nil, err
 	}
-	if len(shards) != len(cells) {
-		return nil, nil, fmt.Errorf("sim: runner returned %d shards for %d jobs", len(shards), len(cells))
+	if len(out) != len(cells) {
+		return nil, fmt.Errorf("sim: runner returned %d outcomes for %d shards", len(out), len(cells))
 	}
-	var failed map[int]ShardFailure
-	if pe != nil {
-		failed = make(map[int]ShardFailure, len(pe.Failures))
-		for _, f := range pe.Failures {
-			if f.Index < 0 || f.Index >= len(cells) {
-				return nil, nil, fmt.Errorf("sim: runner reported failure for shard %d of %d", f.Index, len(cells))
+	var firstErr error
+	failed := 0
+	for i := range out {
+		if err := out[i].Err; err != nil {
+			if !norm.AllowPartial {
+				return nil, err
 			}
-			failed[f.Index] = f
-		}
-		if len(failed) == len(cells) {
-			return nil, nil, fmt.Errorf("sim: all %d shards failed: %w", len(cells), err)
-		}
-	}
-	for i := range shards {
-		if _, bad := failed[i]; bad {
+			failed++
+			if firstErr == nil {
+				firstErr = err
+			}
 			continue
 		}
-		want := &cells[i]
-		if shards[i].Workload != want.spec.Workload || shards[i].Seed != want.spec.Seed || shards[i].Observer != want.cfg.Key() {
-			return nil, nil, fmt.Errorf("sim: runner shard %d is {%s %s seed %d}, want {%s %s seed %d}",
-				i, shards[i].Workload, shards[i].Observer, shards[i].Seed,
-				want.spec.Workload, want.cfg.Key(), want.spec.Seed)
+		sh, want := &out[i].Shard, &cells[i]
+		if sh.Workload != want.spec.Workload || sh.Seed != want.spec.Seed || sh.Observer != want.cfg.Key() {
+			return nil, fmt.Errorf("sim: runner shard %d is {%s %s seed %d}, want {%s %s seed %d}",
+				i, sh.Workload, sh.Observer, sh.Seed, want.spec.Workload, want.cfg.Key(), want.spec.Seed)
 		}
 	}
-	return shards, failed, nil
-}
-
-// runLocal executes the planned shard grid on the session's in-process
-// worker pool — the default runner, reporting in the ShardRunner shape.
-// Each pool worker takes one group at a time; results land index-aligned
-// with cells. The context is polled both between groups and, at region
-// granularity, inside each executing one, so cancellation returns
-// promptly and the session remains reusable afterwards.
-func (s *Session) runLocal(ctx context.Context, cells []gridCell, groups [][]int, workers int, compiled map[string]*trace.Compiled) ([]Shard, error) {
-	shards := make([]Shard, len(cells))
-	errs := make([]error, len(cells))
-	next := make(chan []int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for group := range next {
-				if err := ctx.Err(); err != nil {
-					for _, i := range group {
-						errs[i] = err
-					}
-					continue
-				}
-				s.runGroup(ctx, compiled[cells[group[0]].spec.Workload], cells, group, shards, errs)
-				for _, i := range group {
-					if errs[i] != nil && !isCancel(errs[i]) {
-						errs[i] = fmt.Errorf("sim: shard {%s %s seed %d}: %w",
-							cells[i].spec.Workload, cells[i].cfg.Key(), cells[i].spec.Seed, errs[i])
-					}
-					// Deliver each outcome to the context's progress hook (a
-					// no-op without one); ShardDone filters cancellations.
-					ShardDone(ctx, shards[i], errs[i])
-				}
-			}
-		}()
+	if failed == len(cells) {
+		return nil, fmt.Errorf("sim: all %d shards failed: %w", len(cells), firstErr)
 	}
-	for _, group := range groups {
-		next <- group
-	}
-	close(next)
-	wg.Wait()
-
-	var failures []ShardFailure
-	for i, err := range errs {
-		switch {
-		case err == nil:
-		case isCancel(err):
-			return nil, err
-		default:
-			failures = append(failures, ShardFailure{Index: i, Attempts: 1, Err: err})
-		}
-	}
-	if len(failures) == 0 {
-		return shards, nil
-	}
-	return shards, &PartialError{Failures: failures}
+	return out, nil
 }
 
 // runDispatched hands the shard grid to the configured runner (the
 // dispatch layer). Remote results were already decoded to concrete types
 // by the backend, so the merge phase cannot tell them from local ones.
-func (s *Session) runDispatched(ctx context.Context, cells []gridCell) ([]Shard, error) {
+func (s *Session) runDispatched(ctx context.Context, cells []gridCell) ([]Outcome, error) {
 	specs := make([]ShardSpec, len(cells))
 	for i := range cells {
 		specs[i] = cells[i].spec

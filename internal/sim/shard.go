@@ -6,7 +6,6 @@ import (
 
 	"rebalance/internal/trace"
 	"rebalance/internal/wire"
-	"rebalance/internal/workload"
 	"rebalance/internal/workload/synth"
 )
 
@@ -33,22 +32,8 @@ func (sp *ShardSpec) Config() (ObserverConfig, error) {
 	if sp == nil {
 		return nil, fmt.Errorf("%w: nil shard spec", ErrInvalidSpec)
 	}
-	if sp.Workload == "" {
-		return nil, fmt.Errorf("%w: no workload", ErrInvalidSpec)
-	}
-	if sp.Synth != nil {
-		c, err := sp.Synth.Canonical()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
-		}
-		if c.Name != sp.Workload {
-			return nil, fmt.Errorf("%w: shard workload %q does not match its synth params name %q", ErrInvalidSpec, sp.Workload, c.Name)
-		}
-		if workload.Has(c.Name) {
-			return nil, fmt.Errorf("%w: synth workload %q collides with a registered workload (ambiguous addressing)", ErrInvalidSpec, c.Name)
-		}
-	} else if !workload.Has(sp.Workload) {
-		return nil, fmt.Errorf("%w: unknown workload %q (have %v)", ErrInvalidSpec, sp.Workload, workload.Names())
+	if _, err := checkWorkload(sp.Workload, sp.Synth); err != nil {
+		return nil, err
 	}
 	if sp.Insts < 1 {
 		return nil, fmt.Errorf("%w: non-positive instruction budget %d", ErrInvalidSpec, sp.Insts)
@@ -108,53 +93,26 @@ func DecodeShard(data []byte, spec ShardSpec, cfg ObserverConfig) (Shard, error)
 	return sh, nil
 }
 
-// ShardRunner executes an expanded shard grid and reports what happened,
-// index-aligned with the input. The Session's built-in runner is its
-// in-process worker pool; SetRunner swaps in the dispatch layer's
-// Dispatcher, which spreads the same grid across local and remote
-// backends. A runner holds no failure policy: it runs every shard it can,
-// delivers each outcome to the context's ShardDone hook, and returns the
-// shards together with a *PartialError naming the indices it had to
-// abandon (zero-valued in the shard slice) — or a context error when the
-// run was cancelled. Whether a failure aborts or degrades the run is the
-// Session's decision (Spec.AllowPartial), taken in one place.
-type ShardRunner interface {
-	RunShards(ctx context.Context, shards []ShardSpec) ([]Shard, error)
-}
-
-// ShardFailure records one grid cell whose execution was abandoned:
-// its position in the submitted spec slice, the attempts spent before
-// giving up, and the terminal error.
-type ShardFailure struct {
-	Index    int
+// Outcome is the one shape of a grid cell's fate: the completed shard, or
+// the terminal error that abandoned it (Shard is then zero-valued), with
+// the attempts spent either way (0 for a result-cache hit).
+type Outcome struct {
+	Shard    Shard
 	Attempts int
 	Err      error
 }
 
-// PartialError is the one per-index failure shape: what a ShardRunner
-// returns, together with the shards it completed, when it abandoned some
-// of the grid. The failures are in ascending index order.
-type PartialError struct {
-	Failures []ShardFailure
-}
-
-// Error implements error.
-func (e *PartialError) Error() string {
-	if len(e.Failures) == 1 {
-		return fmt.Sprintf("sim: 1 shard failed: %v", e.Failures[0].Err)
-	}
-	return fmt.Sprintf("sim: %d shards failed (first: %v)", len(e.Failures), e.Failures[0].Err)
-}
-
-// Unwrap exposes each failure's terminal error, so errors.Is and
-// errors.As see through a PartialError to what went wrong underneath
-// (ErrInvalidSpec, a worker's status error, ...).
-func (e *PartialError) Unwrap() []error {
-	errs := make([]error, len(e.Failures))
-	for i := range e.Failures {
-		errs[i] = e.Failures[i].Err
-	}
-	return errs
+// ShardRunner executes an expanded shard grid and reports what happened:
+// one Outcome per spec, index-aligned. The Session's built-in runner is
+// RunUnits over its planned groups; SetRunner swaps in the dispatch
+// layer's Dispatcher, which spreads the same grid across local and remote
+// backends. A runner holds no failure policy: it runs every shard it can,
+// delivers each outcome to the context's ShardDone hook, and records a
+// failure as that cell's Err. The returned error is only ever "ctx ended
+// before the grid did". Whether a failure aborts or degrades the run is
+// the Session's decision (Spec.AllowPartial), taken in one place.
+type ShardRunner interface {
+	RunShards(ctx context.Context, shards []ShardSpec) ([]Outcome, error)
 }
 
 // RunShard validates and executes a single shard on this process, using
@@ -178,9 +136,7 @@ func (s *Session) RunShard(ctx context.Context, spec ShardSpec) (Shard, error) {
 	}
 	// A one-cell plan: the same group executor the pool runs, with a group
 	// of one.
-	cells := []gridCell{{spec: spec, cfg: cfg}}
-	var sh [1]Shard
-	var errs [1]error
-	s.runGroup(ctx, c, cells, []int{0}, sh[:], errs[:])
-	return sh[0], errs[0]
+	var out [1]Outcome
+	s.runGroup(ctx, c, []gridCell{{spec: spec, cfg: cfg}}, []int{0}, out[:])
+	return out[0].Shard, out[0].Err
 }

@@ -38,6 +38,33 @@ func checkEngine(e string) error {
 	return nil
 }
 
+// checkWorkload is the one workload-identity check, shared by Spec and
+// ShardSpec validation: name must be non-empty and resolve either to the
+// inline scenario p — which must canonicalize, carry that name, and not
+// shadow a registered workload — or, with p nil, to a registered workload.
+// It returns p's canonical form; every failure wraps ErrInvalidSpec.
+func checkWorkload(name string, p *synth.Params) (*synth.Params, error) {
+	switch {
+	case name == "":
+		return nil, fmt.Errorf("%w: empty workload name", ErrInvalidSpec)
+	case p == nil && !workload.Has(name):
+		return nil, fmt.Errorf("%w: unknown workload %q (have %v; an inline synth scenario travels as synth params)", ErrInvalidSpec, name, workload.Names())
+	case p == nil:
+		return nil, nil
+	}
+	c, err := p.Canonical()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
+	}
+	if c.Name != name {
+		return nil, fmt.Errorf("%w: workload %q does not match its synth params name %q", ErrInvalidSpec, name, c.Name)
+	}
+	if workload.Has(name) {
+		return nil, fmt.Errorf("%w: synth workload %q collides with a registered workload (ambiguous addressing)", ErrInvalidSpec, name)
+	}
+	return &c, nil
+}
+
 // Spec declaratively describes one run: which workload streams to emit,
 // with which seeds and instruction budget, on which engine, watched by
 // which observer configurations. Every name resolves through a registry
@@ -113,37 +140,31 @@ func (s *Spec) normalized(maxSeeds int) (*Spec, error) {
 	if len(out.Workloads) == 0 {
 		return nil, fmt.Errorf("%w: no workloads", ErrInvalidSpec)
 	}
-	// Canonicalize the inline synth scenarios first, so the workload
-	// list below can resolve their names. The canonical forms replace
-	// the request's spellings: the normalized spec a Report echoes is
-	// the scenario's identity.
-	synthNames := map[string]bool{}
+	// Resolve every workload name, against the inline scenario of that
+	// name when there is one. The canonical forms replace the request's
+	// spellings: the normalized spec a Report echoes is the scenario's
+	// identity.
+	synthByName := map[string]*synth.Params{}
 	for i := range out.Synth {
-		c, err := out.Synth[i].Canonical()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
+		p := &out.Synth[i]
+		if synthByName[p.Name] != nil {
+			return nil, fmt.Errorf("%w: duplicate synth workload %q", ErrInvalidSpec, p.Name)
 		}
-		if workload.Has(c.Name) {
-			return nil, fmt.Errorf("%w: synth workload %q collides with a registered workload (ambiguous addressing)", ErrInvalidSpec, c.Name)
-		}
-		if synthNames[c.Name] {
-			return nil, fmt.Errorf("%w: duplicate synth workload %q", ErrInvalidSpec, c.Name)
-		}
-		synthNames[c.Name] = true
-		out.Synth[i] = c
+		synthByName[p.Name] = p
 	}
 	seenW := map[string]bool{}
 	for _, w := range out.Workloads {
-		if w == "" {
-			return nil, fmt.Errorf("%w: empty workload name", ErrInvalidSpec)
-		}
-		if !workload.Has(w) && !synthNames[w] {
-			return nil, fmt.Errorf("%w: unknown workload %q (have %v; inline synth scenarios must be defined in the synth field)", ErrInvalidSpec, w, workload.Names())
+		c, err := checkWorkload(w, synthByName[w])
+		if err != nil {
+			return nil, err
 		}
 		if seenW[w] {
 			return nil, fmt.Errorf("%w: duplicate workload %q", ErrInvalidSpec, w)
 		}
 		seenW[w] = true
+		if c != nil {
+			*synthByName[w] = *c
+		}
 	}
 	for i := range out.Synth {
 		if !seenW[out.Synth[i].Name] {

@@ -23,7 +23,9 @@
 //
 //   - Bounded retention. Terminal sweeps (done, failed, cancelled) are
 //     kept for polling, but only MaxRetained of them and only for Retain;
-//     beyond either bound the oldest-finished are evicted. Queued and
+//     beyond either bound the oldest-finished are evicted — lazily, by
+//     every call that could see them and after every finished run, so no
+//     timer is involved and an expired sweep is never visible. Queued and
 //     running sweeps are never evicted — only the terminal list is
 //     subject to retention — and a tenant's own entry goes with its last
 //     retained sweep, so a long-lived coordinator's memory stays
@@ -513,37 +515,21 @@ func (c *Coordinator) kick() {
 }
 
 // scheduler is the dispatch loop: woken on every submit, completion, and
-// cancellation (plus a retention tick), it starts queued sweeps under the
-// DRR policy while capacity allows.
+// cancellation, it starts queued sweeps under the DRR policy while
+// capacity allows.
 func (c *Coordinator) scheduler() {
 	defer c.wg.Done()
-	tick := time.NewTicker(c.retentionTick())
-	defer tick.Stop()
 	for {
 		select {
 		case <-c.baseCtx.Done():
 			return
 		case <-c.wake:
-		case <-tick.C:
 		}
 		c.mu.Lock()
 		c.evictLocked()
 		c.dispatchLocked()
 		c.mu.Unlock()
 	}
-}
-
-// retentionTick is how often the scheduler sweeps expired terminal jobs
-// even with no traffic waking it.
-func (c *Coordinator) retentionTick() time.Duration {
-	t := c.opts.Retain / 4
-	if t < 10*time.Millisecond {
-		t = 10 * time.Millisecond
-	}
-	if t > time.Minute {
-		t = time.Minute
-	}
-	return t
 }
 
 // dispatchLocked runs the deficit round-robin over the active tenants:

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rebalance/internal/workload/synth"
@@ -343,11 +345,17 @@ func TestSynthShardRoundTrip(t *testing.T) {
 	}
 }
 
+// familySeq numbers the synth families this package's tests register.
+var familySeq atomic.Int64
+
 // TestSynthFamilyRegistrationRejectsInlineParams: registering a synth
 // family makes its name a registered workload; inline params reusing the
 // name become ambiguous addressing and must be rejected.
 func TestSynthFamilyRegistrationRejectsInlineParams(t *testing.T) {
-	const name = "sim-test-synth-family"
+	// The workload registry is process-global and has no unregister, so the
+	// name is unique per invocation: go test -count=N re-runs this test in
+	// one process.
+	name := fmt.Sprintf("sim-test-synth-family-%d", familySeq.Add(1))
 	synth.RegisterFamily(name, synth.Params{})
 
 	// By name alone the family runs like any registered workload.

@@ -1,12 +1,6 @@
 package sim
 
-import (
-	"crypto/sha256"
-	"encoding/json"
-	"fmt"
-
-	"rebalance/internal/workload/synth"
-)
+import "rebalance/internal/workload/synth"
 
 // traceKeyVersion prefixes every canonical trace-coordinate key. Bump it
 // whenever the coordinate's canonical form or the stream semantics of the
@@ -43,22 +37,5 @@ func (sp ShardSpec) TraceKey() (string, error) {
 // traceKey is TraceKey for pre-validated coordinates (the session's
 // internal path, where the spec was validated at normalization).
 func traceKey(workload string, sp *synth.Params, seed uint64, insts int64) string {
-	coord := traceCoord{Workload: workload, Seed: seed, Insts: insts}
-	if sp != nil {
-		c, err := sp.Canonical()
-		if err != nil {
-			// Callers validated the spec (the contract of this entry
-			// point), so the params canonicalize.
-			panic(fmt.Sprintf("sim: canonicalizing synth params for trace key: %v", err))
-		}
-		coord.Synth = &c
-	}
-	data, err := json.Marshal(coord)
-	if err != nil {
-		// The coordinate is plain data assembled above; it cannot fail to
-		// marshal.
-		panic(fmt.Sprintf("sim: marshalling trace coordinate: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%s-%x", traceKeyVersion, sum)
+	return contentKey(traceKeyVersion, traceCoord{Workload: workload, Synth: canonSynth(sp), Seed: seed, Insts: insts})
 }

@@ -3,9 +3,6 @@ package replay
 import (
 	"context"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -34,35 +31,6 @@ func tinyTrace(tag byte, n int) *Trace {
 }
 
 func sameTrace(a, b *Trace) bool { return reflect.DeepEqual(a.insts, b.insts) }
-
-func TestStoreLRUBounds(t *testing.T) {
-	s := mustStore(t, Options{MaxEntries: 2})
-	for i := 0; i < 3; i++ {
-		s.Put(fmt.Sprintf("tr1-%d", i), tinyTrace(byte(i), 16))
-	}
-	st := s.Stats()
-	if st.Entries != 2 || st.Evictions != 1 {
-		t.Fatalf("stats after overflow = %+v, want 2 entries and 1 eviction", st)
-	}
-	if _, ok := s.Get("tr1-0"); ok {
-		t.Fatal("oldest entry survived past MaxEntries")
-	}
-	if _, ok := s.Get("tr1-2"); !ok {
-		t.Fatal("newest entry was evicted")
-	}
-}
-
-func TestStoreByteBoundEviction(t *testing.T) {
-	one := tinyTrace(0, 100).MemBytes()
-	s := mustStore(t, Options{MaxBytes: 2*one + 1})
-	s.Put("tr1-a", tinyTrace(0, 100))
-	s.Put("tr1-b", tinyTrace(1, 100))
-	s.Put("tr1-c", tinyTrace(2, 100))
-	st := s.Stats()
-	if st.Entries != 2 || st.Bytes > 2*one+1 {
-		t.Fatalf("stats after byte overflow = %+v, want 2 entries within the byte bound", st)
-	}
-}
 
 func TestStoreOversizedTraceBypassesMemory(t *testing.T) {
 	dir := t.TempDir()
@@ -103,33 +71,5 @@ func TestStoreDiskWarmRestart(t *testing.T) {
 	st := second.Stats()
 	if st.DiskHits != 1 || st.Misses != 0 {
 		t.Fatalf("warm-restart stats = %+v, want 1 disk hit and 0 misses", st)
-	}
-}
-
-func TestStoreRemove(t *testing.T) {
-	dir := t.TempDir()
-	s := mustStore(t, Options{Dir: dir})
-	s.Put("tr1-gone", tinyTrace(4, 16))
-	s.Remove("tr1-gone")
-	if _, ok := s.Get("tr1-gone"); ok {
-		t.Fatal("removed key still served from memory")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "tr1-gone")); !os.IsNotExist(err) {
-		t.Fatal("removed key's disk file survived")
-	}
-}
-
-func TestStoreRejectsPathEscapingKeys(t *testing.T) {
-	dir := t.TempDir()
-	s := mustStore(t, Options{Dir: dir})
-	for _, key := range []string{"", ".", "..", "a/b", `a\b`, "x.tmp"} {
-		s.Put(key, tinyTrace(0, 4))
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		t.Errorf("invalid key wrote disk file %q", e.Name())
 	}
 }

@@ -8,6 +8,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -63,6 +64,34 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(errorEnvelope{Code: status, Error: err.Error()})
+}
+
+// Do is the one JSON round trip every client shares: body (nil for none)
+// goes out as application/json, and the response comes back as its status
+// and at most limit bytes of its body. Transport errors are returned as
+// they are; what a status means is the caller's to say.
+func Do(ctx context.Context, client *http.Client, method, url string, body []byte, limit int64) ([]byte, int, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return nil, 0, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	if err != nil {
+		return nil, 0, fmt.Errorf("reading response body: %w", err)
+	}
+	return data, resp.StatusCode, nil
 }
 
 // ErrorMessage extracts the message of a non-2xx response body: the

@@ -2,8 +2,10 @@ package synth
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rebalance/internal/isa"
@@ -187,12 +189,18 @@ func TestAssignKindsErrorDiffusion(t *testing.T) {
 	}
 }
 
+// familySeq numbers the families this package's tests register.
+var familySeq atomic.Int64
+
 // TestRegisterFamily pins the workload-registry contract for synth
 // families: a family registers under its name, appended after the
 // built-ins in Names() (registration order), builds through the plain
 // workload path, and a duplicate registration panics naming the family.
 func TestRegisterFamily(t *testing.T) {
-	const name = "synth-test-family"
+	// The workload registry is process-global and has no unregister, so the
+	// name is unique per invocation: go test -count=N re-runs this test in
+	// one process.
+	name := fmt.Sprintf("synth-test-family-%d", familySeq.Add(1))
 	before := workload.Names()
 	RegisterFamily(name, Params{BiasedFrac: 0.8, CorrelatedFrac: 0.15, NoisyFrac: 0.05})
 
