@@ -21,13 +21,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs the wire-surface fuzzers for a short budget (CI uses the same
+# fuzz runs the wire- and disk-surface fuzzers for a short budget (CI uses the same
 # targets); FUZZTIME=5m for a longer local session.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeShardResult$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tiercache -run '^$$' -fuzz '^FuzzDiskEntryCorruption$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/replay -run '^$$' -fuzz '^FuzzTraceDiskCorruption$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/replay -run '^$$' -fuzz '^FuzzDecodeDeliver$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the seeded fault-injection soak suite race-instrumented: the
 # golden grid through a 3-backend dispatcher under transient faults must

@@ -135,7 +135,7 @@ func main() {
 		cacheEntsFlag = flag.Int("cache-entries", 4096, "shard result cache: max in-memory entries (0 disables the cache)")
 		cacheByteFlag = flag.Int64("cache-bytes", 256<<20, "shard result cache: max in-memory payload bytes")
 		cacheDirFlag  = flag.String("cache-dir", "", "shard result cache: directory for the persistent disk tier (empty = memory only)")
-		traceEntsFlag = flag.Int("trace-entries", 0, "materialized trace store: max in-memory traces (0 disables replay; -trace-dir alone enables it with the default bound)")
+		traceEntsFlag = flag.Int("trace-entries", 0, "materialized trace store: max in-memory traces, ≈ 2.5 B/inst each under a fixed 1 GiB total (0 disables replay; -trace-dir alone enables it with the default of 64)")
 		traceDirFlag  = flag.String("trace-dir", "", "materialized trace store: directory for the persistent disk tier (empty = memory only)")
 	)
 	flag.Parse()

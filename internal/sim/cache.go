@@ -103,9 +103,12 @@ func (s *Session) Cache() *shardcache.Cache { return s.cache }
 // given materialized-trace store: the first group of a (workload, seed,
 // insts) coordinate generates the instruction stream once and records it;
 // every other shard of the coordinate — other observers, concurrent or
-// later — replays the recorded buffer instead of regenerating it (see
-// Session.stream for why the two are bit-identical). A nil st (the
-// default) disables replay. Set before the first Run; the field is not
+// later — replays the recording instead of regenerating it (see
+// Session.stream for why the two are bit-identical). The recording is the
+// stream's trr1 encoding, ≈ 2.5 bytes per instruction resident, decoded a
+// batch at a time while it replays — so a replay costs about what a
+// generation pass does and saves the executor's work, not memory traffic.
+// A nil st (the default) disables replay. Set before the first Run; the field is not
 // synchronized against concurrent Runs.
 //
 // The trace store composes with the shard result cache (SetCache): the

@@ -7,11 +7,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"rebalance/internal/sim/shardcache"
 	"rebalance/internal/trace"
 	"rebalance/internal/trace/replay"
+	"rebalance/internal/workload"
 	"rebalance/internal/workload/synth"
 )
 
@@ -315,6 +317,74 @@ func TestReplayRunShardWorkerPath(t *testing.T) {
 	st := sess.TraceStore().Stats()
 	if st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("worker-path stats = %+v, want 1 generation and 1 replay for two observers of one coordinate", st)
+	}
+}
+
+// shippedWorkloads is the workload registry as the process starts, before
+// any test registers a scenario of its own.
+var shippedWorkloads = workload.Names()
+
+// TestTraceStoreHoldsStreamsAtTrr1Size pins the admission arithmetic of the
+// default store: a recorded coordinate is resident at its trr1 size — at
+// most 4 bytes per instruction, Session.stream's Reserve included — so a
+// coordinate at simd's default -max-insts (100M, ≤ 400 MB) fits under the
+// default 1 GiB byte bound instead of being generated, refused on insert
+// and generated again by every shard that wants it. The store charges
+// exactly what its traces hold (capacity, not length), so an over-Reserve
+// cannot hide from the bound.
+func TestTraceStoreHoldsStreamsAtTrr1Size(t *testing.T) {
+	const insts = 200_000
+	var specs []ShardSpec
+	for _, w := range shippedWorkloads {
+		specs = append(specs, ShardSpec{Workload: w, Seed: 1, Insts: insts, Observer: ObserverSpec{Kind: "bbl"}})
+	}
+	specs = append(specs, ShardSpec{
+		Workload: "resident-synth", Synth: &synth.Params{Name: "resident-synth", BlockLen: 1}, // the branchiest stream synth builds
+		Seed: 1, Insts: insts, Observer: ObserverSpec{Kind: "bbl"},
+	})
+	sess := newReplaySession(t, 1, replay.Options{})
+	var held int64
+	for _, sp := range specs {
+		if _, err := sess.RunShard(context.Background(), sp); err != nil {
+			t.Fatal(err)
+		}
+		key, err := sp.TraceKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, ok := sess.TraceStore().Get(key)
+		if !ok {
+			t.Fatalf("%s: recorded coordinate was not admitted to the memory tier", sp.Workload)
+		}
+		if perInst := float64(tr.MemBytes()) / float64(tr.Len()); perInst > 4 {
+			t.Errorf("%s: %.2f resident bytes per instruction, want <= 4", sp.Workload, perInst)
+		}
+		held += tr.MemBytes()
+	}
+	if st := sess.TraceStore().Stats(); st.Entries != len(specs) || st.Bytes != held {
+		t.Errorf("store stats %+v, want %d entries charged the %d bytes their traces hold", st, len(specs), held)
+	}
+}
+
+// TestColdReplayAllocatesTheStreamNotItsExpansion bounds what recording
+// costs in a machine-independent unit: one cold shard through a fresh
+// store allocates the trr1 records and one delivery batch, not 32 bytes
+// per instruction of expanded stream.
+func TestColdReplayAllocatesTheStreamNotItsExpansion(t *testing.T) {
+	const insts = 200_000
+	sess := newReplaySession(t, 1, replay.Options{})
+	if _, err := sess.Compiled("comd-lite"); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sh, err := sess.RunShard(context.Background(), ShardSpec{Workload: "comd-lite", Seed: 1, Insts: insts, Observer: ObserverSpec{Kind: "bbl"}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perInst := float64(after.TotalAlloc-before.TotalAlloc) / float64(sh.Insts); perInst > 8 {
+		t.Errorf("a cold replayed shard allocated %.1f bytes per instruction, want <= 8", perInst)
 	}
 }
 

@@ -34,7 +34,8 @@ import (
 // charge in bytes. Encode and Decode are the disk tier's payload format;
 // Decode must reject anything Encode could not have produced, because a
 // payload that passes its checksum but fails Decode is treated as a
-// corrupt entry (deleted, reported as a miss).
+// corrupt entry (deleted, reported as a miss). The decoded value may retain
+// data: the cache hands Decode a buffer it never touches again.
 type Codec[V any] interface {
 	Size(v V) int64
 	Encode(v V) []byte

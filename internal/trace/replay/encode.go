@@ -7,12 +7,13 @@ import (
 	"rebalance/internal/isa"
 )
 
-// Disk encoding of a Trace ("trr1"). The format exploits the stream's
-// structure instead of serializing isa.Inst structs verbatim: most
-// instructions follow their predecessor sequentially (PC == previous
-// NextPC), so their address is implicit, and branch targets cluster near
-// their branch, so they delta-encode small. A 2M-instruction stream
-// encodes to roughly 2.5 bytes per instruction versus 32 in memory.
+// The trr1 encoding of a stream — a Trace's resident form and, behind a
+// header, its disk form. The format exploits the stream's structure
+// instead of serializing isa.Inst structs verbatim: most instructions
+// follow their predecessor sequentially (PC == previous NextPC), so their
+// address is implicit, and branch targets cluster near their branch, so
+// they delta-encode small. A generated stream costs roughly 2.2 bytes per
+// instruction against the 32 of an isa.Inst.
 //
 // Layout:
 //
@@ -46,107 +47,123 @@ const (
 	kindMask   = 0x07
 )
 
-// Encode renders the trace in the trr1 format.
-func Encode(t *Trace) []byte {
-	// Pre-size for the common shape: ~2.5 bytes/inst plus header slack.
-	buf := make([]byte, 0, len(encMagic)+binary.MaxVarintLen64+len(t.insts)*3)
-	buf = append(buf, encMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(t.insts)))
-	var prevNext isa.Addr
-	for i := range t.insts {
-		in := &t.insts[i]
-		flags := byte(in.Kind) & kindMask
-		if in.Taken {
-			flags |= flagTaken
-		}
-		if in.Serial {
-			flags |= flagSerial
-		}
-		seq := i > 0 && in.PC == prevNext
-		if seq {
-			flags |= flagSeqPC
-		}
-		buf = append(buf, flags, in.Size)
-		if !seq {
-			buf = binary.AppendUvarint(buf, uint64(in.PC))
-		}
-		if in.Kind.IsBranch() {
-			buf = binary.AppendVarint(buf, int64(in.Target)-int64(in.PC))
-		}
-		prevNext = in.NextPC()
-	}
-	return buf
+// reader is a position in a trr1 body: the one interpreter of instruction
+// records, behind both Decode's validation and Deliver's expansion.
+type reader struct {
+	body []byte   // the records not yet read
+	i, n int      // the next instruction's index, and the stream's count
+	next isa.Addr // NextPC of instruction i-1
 }
 
-// Decode parses a trr1 payload back into a Trace. Any structural
+// fill decodes records into buf and returns how many: it stops when buf
+// is full, when the stream's count is reached, or before the first record
+// whose Serial flag differs from buf[0]'s — a batch never mixes phases.
+// Every record passes the format's validity rules before it is returned.
+func (r *reader) fill(buf []isa.Inst) (int, error) {
+	body, next := r.body, r.next
+	limit := min(len(buf), r.n-r.i)
+	var phase byte // the batch's Serial flag, taken from its first record
+	k, p := 0, 0
+	for k < limit {
+		if len(body)-p < 2 {
+			return k, fmt.Errorf("replay: truncated at instruction %d", r.i+k)
+		}
+		flags, size := body[p], body[p+1]
+		if k == 0 {
+			phase = flags & flagSerial
+		} else if flags&flagSerial != phase {
+			break
+		}
+		p += 2
+		if flags&^(kindMask|flagTaken|flagSerial|flagSeqPC) != 0 {
+			return k, fmt.Errorf("replay: reserved flag bits set at instruction %d", r.i+k)
+		}
+		kind := isa.Kind(flags & kindMask)
+		if int(kind) >= isa.NumKinds {
+			return k, fmt.Errorf("replay: invalid kind %d at instruction %d", kind, r.i+k)
+		}
+		if size == 0 {
+			return k, fmt.Errorf("replay: zero size at instruction %d", r.i+k)
+		}
+		in := &buf[k]
+		*in = isa.Inst{PC: next, Size: size, Kind: kind, Taken: flags&flagTaken != 0, Serial: phase != 0}
+		if flags&flagSeqPC == 0 {
+			pc, w := binary.Uvarint(body[p:])
+			if w <= 0 {
+				return k, fmt.Errorf("replay: bad PC at instruction %d", r.i+k)
+			}
+			p += w
+			in.PC = isa.Addr(pc)
+		} else if r.i+k == 0 {
+			return k, fmt.Errorf("replay: first instruction marked sequential")
+		}
+		if kind.IsBranch() {
+			delta, w := binary.Varint(body[p:])
+			if w <= 0 {
+				return k, fmt.Errorf("replay: bad target at instruction %d", r.i+k)
+			}
+			p += w
+			in.Target = isa.Addr(int64(in.PC) + delta)
+		} else if in.Taken {
+			return k, fmt.Errorf("replay: non-branch marked taken at instruction %d", r.i+k)
+		}
+		next = in.NextPC()
+		k++
+		// Most records are what follows a block's entry: sequential
+		// non-branches of the same phase — one flags value, two bytes, no
+		// varint, and no rule left to check but the size. (Never the
+		// stream's first record: that one came through the rules above.)
+		plain := flagSeqPC | phase
+		for ; k < limit && len(body)-p >= 2 && body[p] == plain && body[p+1] != 0; k++ {
+			buf[k] = isa.Inst{PC: next, Size: body[p+1], Serial: phase != 0}
+			next += isa.Addr(body[p+1])
+			p += 2
+		}
+	}
+	r.body, r.next, r.i = body[p:], next, r.i+k
+	return k, nil
+}
+
+// Encode renders the trace as a trr1 payload: the header and one copy of
+// the resident records.
+func Encode(t *Trace) []byte {
+	buf := make([]byte, 0, len(encMagic)+binary.MaxVarintLen64+len(t.body))
+	buf = append(buf, encMagic...)
+	buf = binary.AppendUvarint(buf, uint64(t.n))
+	return append(buf, t.body...)
+}
+
+// Decode validates a trr1 payload and returns the Trace over it; the Trace
+// keeps data, so the caller must not modify it afterwards. Any structural
 // violation — wrong magic, truncation, reserved bits, invalid kind, zero
-// size, non-branch carrying branch state, or trailing bytes — is an error.
+// size, non-branch carrying branch state, or trailing bytes — is an error:
+// the whole payload is walked once, by the reader Deliver uses, before a
+// Trace exists to replay.
 func Decode(data []byte) (*Trace, error) {
 	if len(data) < len(encMagic) || string(data[:len(encMagic)]) != encMagic {
 		return nil, fmt.Errorf("replay: bad trace magic")
 	}
-	data = data[len(encMagic):]
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
+	body := data[len(encMagic):]
+	count, w := binary.Uvarint(body)
+	if w <= 0 {
 		return nil, fmt.Errorf("replay: bad instruction count")
 	}
-	data = data[n:]
-	// Bound the allocation by what the payload could possibly hold: every
-	// instruction costs at least two bytes, so a hostile count cannot
-	// force a huge allocation from a tiny payload.
-	if count > uint64(len(data))/2 {
+	body = body[w:]
+	// Every instruction costs at least two bytes, so a count the payload
+	// cannot hold is rejected before anything is sized by it.
+	if count > uint64(len(body))/2 {
 		return nil, fmt.Errorf("replay: instruction count %d exceeds payload", count)
 	}
-	insts := make([]isa.Inst, count)
-	var prevNext isa.Addr
-	for i := range insts {
-		if len(data) < 2 {
-			return nil, fmt.Errorf("replay: truncated at instruction %d", i)
+	t := &Trace{n: int(count), body: body}
+	var scratch [256]isa.Inst
+	r := t.reader()
+	for r.i < r.n {
+		if _, err := r.fill(scratch[:]); err != nil {
+			return nil, err
 		}
-		flags, size := data[0], data[1]
-		data = data[2:]
-		if flags&^(kindMask|flagTaken|flagSerial|flagSeqPC) != 0 {
-			return nil, fmt.Errorf("replay: reserved flag bits set at instruction %d", i)
-		}
-		kind := isa.Kind(flags & kindMask)
-		if int(kind) >= isa.NumKinds {
-			return nil, fmt.Errorf("replay: invalid kind %d at instruction %d", kind, i)
-		}
-		if size == 0 {
-			return nil, fmt.Errorf("replay: zero size at instruction %d", i)
-		}
-		in := &insts[i]
-		in.Kind = kind
-		in.Size = size
-		in.Taken = flags&flagTaken != 0
-		in.Serial = flags&flagSerial != 0
-		if flags&flagSeqPC != 0 {
-			if i == 0 {
-				return nil, fmt.Errorf("replay: first instruction marked sequential")
-			}
-			in.PC = prevNext
-		} else {
-			pc, n := binary.Uvarint(data)
-			if n <= 0 {
-				return nil, fmt.Errorf("replay: bad PC at instruction %d", i)
-			}
-			data = data[n:]
-			in.PC = isa.Addr(pc)
-		}
-		if kind.IsBranch() {
-			delta, n := binary.Varint(data)
-			if n <= 0 {
-				return nil, fmt.Errorf("replay: bad target at instruction %d", i)
-			}
-			data = data[n:]
-			in.Target = isa.Addr(int64(in.PC) + delta)
-		} else if in.Taken {
-			return nil, fmt.Errorf("replay: non-branch marked taken at instruction %d", i)
-		}
-		prevNext = in.NextPC()
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("replay: %d trailing bytes after %d instructions", len(data), count)
+	if len(r.body) != 0 {
+		return nil, fmt.Errorf("replay: %d trailing bytes after %d instructions", len(r.body), count)
 	}
-	return NewTrace(insts), nil
+	return t, nil
 }

@@ -1,8 +1,10 @@
 package replay
 
 import (
+	"bytes"
 	"context"
-	"reflect"
+	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,32 +36,83 @@ func handStream() []isa.Inst {
 	}
 }
 
-// recordWorkload materializes a real generated stream: the named workload
-// compiled and run for target instructions on the compiled engine.
-func recordWorkload(t testing.TB, name string, seed uint64, target int64) *Trace {
+// phaseStream is sequential filler whose phase flips after each of the
+// given run lengths: phase changes wherever a test needs them, inside a
+// replay batch or exactly on its edge.
+func phaseStream(runs ...int) []isa.Inst {
+	var insts []isa.Inst
+	pc := isa.Addr(0x1000)
+	for r, n := range runs {
+		for i := 0; i < n; i++ {
+			insts = append(insts, isa.Inst{PC: pc, Size: 4, Kind: isa.KindOther, Serial: r%2 == 0})
+			pc += 4
+		}
+	}
+	return insts
+}
+
+// recordInsts materializes a hand-built stream the way every Trace is
+// built: through a Recorder.
+func recordInsts(insts []isa.Inst) *Trace {
+	rec := NewRecorder()
+	rec.ObserveBatch(insts)
+	return rec.Trace()
+}
+
+// recordLive materializes a real generated stream — the named workload
+// compiled and run for target instructions on the compiled engine — and
+// returns it beside the per-instruction sequence a live observer of the
+// same run saw.
+func recordLive(t testing.TB, name string, seed uint64, target int64) (*Trace, []isa.Inst) {
 	t.Helper()
 	p, err := workload.Build(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var live []isa.Inst
 	rec := NewRecorder()
-	if err := trace.Run(p, seed, target, rec); err != nil {
+	if err := trace.Run(p, seed, target, trace.ObserverFunc(func(in isa.Inst) { live = append(live, in) }), rec); err != nil {
 		t.Fatal(err)
 	}
-	return rec.Trace()
+	return rec.Trace(), live
+}
+
+func recordWorkload(t testing.TB, name string, seed uint64, target int64) *Trace {
+	t.Helper()
+	tr, _ := recordLive(t, name, seed, target)
+	return tr
+}
+
+// delivered replays tr at the given batch size and returns each batch's
+// length, whether any batch mixed phases, and the concatenated stream.
+func delivered(t testing.TB, tr *Trace, size int) *batchRecorder {
+	t.Helper()
+	rec := &batchRecorder{}
+	if err := Deliver(context.Background(), tr, size, rec); err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
+	_, workloadInsts := recordLive(t, "comd-lite", 1, 50_000)
 	for _, tc := range []struct {
 		name  string
 		insts []isa.Inst
 	}{
 		{"hand", handStream()},
 		{"empty", nil},
-		{"workload", recordWorkload(t, "comd-lite", 1, 50_000).insts},
+		{"workload", workloadInsts},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			enc := Encode(NewTrace(tc.insts))
+			tr := recordInsts(tc.insts)
+			enc := Encode(tr)
+			// The resident form is the disk form: the payload is a header
+			// in front of the very bytes the trace holds.
+			header := binary.AppendUvarint([]byte(encMagic), uint64(len(tc.insts)))
+			if !bytes.Equal(enc[:len(header)], header) || !bytes.Equal(enc[len(header):], tr.body) {
+				t.Fatal("Encode is not the trr1 header followed by the resident records")
+			}
 			got, err := Decode(enc)
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
@@ -67,21 +120,22 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if got.Len() != len(tc.insts) {
 				t.Fatalf("decoded %d instructions, want %d", got.Len(), len(tc.insts))
 			}
-			for i := range tc.insts {
-				if got.insts[i] != tc.insts[i] {
-					t.Fatalf("instruction %d = %+v, want %+v", i, got.insts[i], tc.insts[i])
+			for _, size := range []int{1, 7, 4096} {
+				want, redelivered := delivered(t, tr, size), delivered(t, got, size)
+				if !slices.Equal(redelivered.all, tc.insts) {
+					t.Fatalf("batchSize %d: decoded trace delivers a different stream than was recorded", size)
 				}
-			}
-			if !reflect.DeepEqual(got.runs, NewTrace(tc.insts).runs) {
-				t.Fatalf("phase runs %v, want %v", got.runs, NewTrace(tc.insts).runs)
+				if !slices.Equal(redelivered.lens, want.lens) {
+					t.Fatalf("batchSize %d: batches %v after the round trip, %v before", size, redelivered.lens, want.lens)
+				}
 			}
 		})
 	}
 }
 
 // TestEncodeIsCompact pins the codec's reason to exist: a real stream must
-// encode far below its in-memory footprint (the budget the disk tier and
-// any future trace shipping pay).
+// encode far below the 32 bytes per instruction of its expanded form (the
+// budget both store tiers and any future trace shipping pay).
 func TestEncodeIsCompact(t *testing.T) {
 	tr := recordWorkload(t, "comd-lite", 1, 100_000)
 	enc := Encode(tr)
@@ -91,10 +145,16 @@ func TestEncodeIsCompact(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsStructuralViolations(t *testing.T) {
-	valid := Encode(NewTrace(handStream()))
+// structuralViolations is one payload per rule of the strict decoder, with
+// a word its error must mention.
+func structuralViolations() []struct {
+	name string
+	data []byte
+	want string
+} {
+	valid := Encode(recordInsts(handStream()))
 	mutate := func(f func([]byte) []byte) []byte { return f(append([]byte(nil), valid...)) }
-	cases := []struct {
+	return []struct {
 		name string
 		data []byte
 		want string
@@ -110,7 +170,10 @@ func TestDecodeRejectsStructuralViolations(t *testing.T) {
 		{"reserved flags", append([]byte("trr1"), 1, 0x80, 4, 5), "reserved flag"},
 		{"non-branch taken", append([]byte("trr1"), 1, flagTaken, 4, 5), "marked taken"},
 	}
-	for _, tc := range cases {
+}
+
+func TestDecodeRejectsStructuralViolations(t *testing.T) {
+	for _, tc := range structuralViolations() {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Decode(tc.data)
 			if err == nil {
@@ -121,6 +184,43 @@ func TestDecodeRejectsStructuralViolations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDecodeDeliver: whatever payload the strict decoder accepts replays —
+// exactly Len() instructions, no error, no panic, in batches no longer
+// than asked and never mixing phases. Decode is the only gate between a
+// checksum-valid file and Deliver, so everything Deliver relies on has to
+// be established there.
+func FuzzDecodeDeliver(f *testing.F) {
+	f.Add(Encode(recordInsts(handStream())), 7)
+	f.Add(Encode(recordWorkload(f, "xalan-lite", 2, 500)), 64)
+	for _, tc := range structuralViolations() {
+		f.Add(tc.data, 3)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, size int) {
+		tr, err := Decode(data)
+		if err != nil {
+			return
+		}
+		size = 1 + (size&0xffff)%5000
+		rec := delivered(t, tr, size)
+		if len(rec.all) != tr.Len() {
+			t.Fatalf("delivered %d instructions from a trace of %d", len(rec.all), tr.Len())
+		}
+		if rec.mixed {
+			t.Fatal("a delivered batch mixed serial and parallel instructions")
+		}
+		for _, n := range rec.lens {
+			if n < 1 || n > size {
+				t.Fatalf("delivered a %d-instruction batch at batchSize %d", n, size)
+			}
+		}
+		// The Recorder's domain is the decoder's: re-recording what was
+		// delivered loses nothing.
+		if again := delivered(t, recordInsts(rec.all), size); !slices.Equal(again.all, rec.all) {
+			t.Fatal("re-recording the delivered stream changed it")
+		}
+	})
 }
 
 // batchRecorder is a batch observer that keeps each delivered batch's
@@ -142,23 +242,48 @@ func (b *batchRecorder) ObserveBatch(batch []isa.Inst) {
 	b.all = append(b.all, batch...)
 }
 
+// greedyCuts is the batching rule stated over the flat stream: as many
+// instructions as fit in size, ending before the first phase change.
+func greedyCuts(insts []isa.Inst, size int) []int {
+	var lens []int
+	for start := 0; start < len(insts); {
+		n := 1
+		for n < size && start+n < len(insts) && insts[start+n].Serial == insts[start].Serial {
+			n++
+		}
+		lens = append(lens, n)
+		start += n
+	}
+	return lens
+}
+
 func TestDeliverBatchesRespectPhaseBoundaries(t *testing.T) {
-	tr := recordWorkload(t, "comd-lite", 3, 30_000)
-	for _, size := range []int{1, 7, 4096} {
-		rec := &batchRecorder{}
-		if err := Deliver(context.Background(), tr, size, rec); err != nil {
-			t.Fatal(err)
-		}
-		if rec.mixed {
-			t.Fatalf("batchSize %d: a delivered batch mixed serial and parallel instructions", size)
-		}
-		for _, n := range rec.lens {
-			if n < 1 || n > size {
-				t.Fatalf("batchSize %d: delivered a %d-instruction batch", size, n)
+	generated, live := recordLive(t, "comd-lite", 3, 30_000)
+	// Phase changes on batch edges (7, 14, 4096, 8192) and inside batches
+	// (15, 28), and a run longer than any batch.
+	edges := phaseStream(7, 7, 1, 13, 4068, 4096, 9000)
+	alternating := phaseStream(1, 1, 1, 1, 1, 1, 1, 1, 1)
+	for _, tc := range []struct {
+		name string
+		tr   *Trace
+		want []isa.Inst
+	}{
+		{"workload", generated, live},
+		{"hand", recordInsts(handStream()), handStream()},
+		{"edges", recordInsts(edges), edges},
+		{"alternating", recordInsts(alternating), alternating},
+	} {
+		for _, size := range []int{1, 7, 4096} {
+			rec := delivered(t, tc.tr, size)
+			if rec.mixed {
+				t.Fatalf("%s, batchSize %d: a delivered batch mixed serial and parallel instructions", tc.name, size)
 			}
-		}
-		if !reflect.DeepEqual(rec.all, tr.insts) {
-			t.Fatalf("batchSize %d: delivered stream differs from the trace", size)
+			if !slices.Equal(rec.lens, greedyCuts(tc.want, size)) {
+				t.Fatalf("%s, batchSize %d: batch lengths differ from full batches cut only at phase changes", tc.name, size)
+			}
+			if !slices.Equal(rec.all, tc.want) {
+				t.Fatalf("%s, batchSize %d: delivered stream differs from the recorded one", tc.name, size)
+			}
 		}
 	}
 }
@@ -167,22 +292,13 @@ func TestDeliverBatchesRespectPhaseBoundaries(t *testing.T) {
 // check: an observer fed by Deliver must see the exact per-instruction
 // sequence a live executor run delivers, whatever the replay batch size.
 func TestDeliverMatchesLiveObservation(t *testing.T) {
-	p, err := workload.Build("xalan-lite")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var live []isa.Inst
-	rec := NewRecorder()
-	if err := trace.Run(p, 7, 40_000, trace.ObserverFunc(func(in isa.Inst) { live = append(live, in) }), rec); err != nil {
-		t.Fatal(err)
-	}
-	tr := rec.Trace()
+	tr, live := recordLive(t, "xalan-lite", 7, 40_000)
 	for _, size := range []int{1, 7, 4096} {
 		var replayed []isa.Inst
 		if err := Deliver(context.Background(), tr, size, trace.ObserverFunc(func(in isa.Inst) { replayed = append(replayed, in) })); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(replayed, live) {
+		if !slices.Equal(replayed, live) {
 			t.Fatalf("batchSize %d: replayed per-instruction sequence differs from the live run", size)
 		}
 	}
@@ -228,7 +344,7 @@ func TestRecorderCapturesBothEngines(t *testing.T) {
 	if int64(ct.Len()) != e.Emitted() {
 		t.Fatalf("compiled recorder captured %d instructions, executor emitted %d", ct.Len(), e.Emitted())
 	}
-	if !reflect.DeepEqual(ct.insts, rt.insts) {
+	if ct.Len() != rt.Len() || !bytes.Equal(ct.body, rt.body) {
 		t.Fatal("recorded streams differ across engines; the trace key's engine-independence rests on them being identical")
 	}
 }

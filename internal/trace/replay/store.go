@@ -4,13 +4,14 @@ import "rebalance/internal/tiercache"
 
 // Options, Stats and Store are the tiered cache's (internal/tiercache),
 // fixed to materialized traces keyed by the canonical trace coordinate
-// (see sim.ShardSpec.TraceKey): the memory tier holds ready-to-replay
-// *Trace values charged at Trace.MemBytes, the disk tier their trr1
-// encodings. A cached Trace is immutable and may be replayed by any number
+// (see sim.ShardSpec.TraceKey): the memory tier holds *Trace values
+// charged at Trace.MemBytes, the disk tier the same trr1 records behind a
+// header. A cached Trace is immutable and may be replayed by any number
 // of goroutines at once. The defaults are sized for traces, which are
 // orders of magnitude larger than shard results — a 2M-instruction trace
-// is ~64 MiB resident and a few MiB on disk: a zero MaxEntries selects 64
-// and a zero MaxBytes 1 GiB.
+// is ≈ 5 MiB in either tier, so the entry bound is the one that usually
+// binds, and a 100M-instruction one ≈ 250 MiB, still admissible: a zero
+// MaxEntries selects 64 and a zero MaxBytes 1 GiB.
 type (
 	Options = tiercache.Options
 	Stats   = tiercache.Stats
@@ -30,7 +31,8 @@ func New(opts Options) (*Store, error) {
 
 // traceCodec stores traces as trr1 payloads; Decode is strict, so a file
 // that passes its checksum but is not a well-formed trr1 stream is a
-// self-deleting miss rather than a wrong replay.
+// self-deleting miss rather than a wrong replay. A disk hit's Trace is the
+// file's bytes, validated in place.
 type traceCodec struct{}
 
 func (traceCodec) Size(t *Trace) int64                { return t.MemBytes() }

@@ -1,9 +1,9 @@
 package replay
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
 	"rebalance/internal/isa"
@@ -27,10 +27,11 @@ func tinyTrace(tag byte, n int) *Trace {
 		insts[i] = isa.Inst{PC: pc, Size: 4, Kind: isa.KindOther, Serial: i%2 == 0}
 		pc += 4
 	}
-	return NewTrace(insts)
+	return recordInsts(insts)
 }
 
-func sameTrace(a, b *Trace) bool { return reflect.DeepEqual(a.insts, b.insts) }
+// sameTrace compares two traces by what they are: their trr1 payloads.
+func sameTrace(a, b *Trace) bool { return bytes.Equal(Encode(a), Encode(b)) }
 
 func TestStoreOversizedTraceBypassesMemory(t *testing.T) {
 	dir := t.TempDir()
