@@ -6,7 +6,20 @@ import (
 	"testing"
 
 	"rebalance/internal/isa"
+	"rebalance/internal/trace"
 )
+
+// observe delivers a hand-built stream to a lane consumer one instruction
+// at a time; observeBatch delivers it as one batch, which must not mix
+// phases.
+func observe(c trace.LaneConsumer, stream ...isa.Inst) {
+	f := trace.NewFeed(c)
+	for _, in := range stream {
+		f.Observe(in)
+	}
+}
+
+func observeBatch(c trace.LaneConsumer, batch []isa.Inst) { trace.NewFeed(c).ObserveBatch(batch) }
 
 // inst is a shorthand constructor for hand-built streams.
 func inst(pc isa.Addr, size uint8, kind isa.Kind, taken bool, target isa.Addr, serial bool) isa.Inst {
@@ -31,8 +44,8 @@ func TestPhaseHelpers(t *testing.T) {
 }
 
 // TestBranchMixCounts drives a hand-built stream with known per-kind and
-// per-phase counts through both observation paths and checks every
-// derived Figure 1 statistic.
+// per-phase counts through the feed, per instruction and per batch, and
+// checks every derived Figure 1 statistic.
 func TestBranchMixCounts(t *testing.T) {
 	stream := []isa.Inst{
 		inst(0x100, 4, isa.KindOther, false, 0, true),
@@ -44,10 +57,9 @@ func TestBranchMixCounts(t *testing.T) {
 		inst(0x207, 2, isa.KindSyscall, true, 0x209, false),
 	}
 	single, batched := NewBranchMix(), NewBranchMix()
-	for _, in := range stream {
-		single.Observe(in)
-	}
-	batched.ObserveBatch(stream)
+	observe(single, stream...)
+	observeBatch(batched, stream[:3]) // the serial section
+	observeBatch(batched, stream[3:]) // the parallel one
 
 	for _, a := range []*BranchMix{single, batched} {
 		r := a.Result()
@@ -101,15 +113,15 @@ func TestBiasSites(t *testing.T) {
 	a := NewBias()
 	// Site A (serial): taken 9 of 10, all backward — top bucket.
 	for i := 0; i < 10; i++ {
-		a.Observe(inst(0x100, 2, isa.KindCondDirect, i < 9, 0x80, true))
+		observe(a, inst(0x100, 2, isa.KindCondDirect, i < 9, 0x80, true))
 	}
 	// Site B (parallel): taken 1 of 4, forward — bucket 2 (25%).
 	for i := 0; i < 4; i++ {
-		a.Observe(inst(0x200, 2, isa.KindCondDirect, i == 0, 0x300, false))
+		observe(a, inst(0x200, 2, isa.KindCondDirect, i == 0, 0x300, false))
 	}
 	// Non-conditional instructions are ignored entirely.
-	a.Observe(inst(0x300, 3, isa.KindIndirectBranch, true, 0x100, false))
-	a.Observe(inst(0x304, 4, isa.KindOther, false, 0, false))
+	observe(a, inst(0x300, 3, isa.KindIndirectBranch, true, 0x100, false))
+	observe(a, inst(0x304, 4, isa.KindOther, false, 0, false))
 
 	r := a.Result()
 	if len(r.Sites) != 2 {
@@ -162,9 +174,9 @@ func TestBiasSites(t *testing.T) {
 		t.Error("cross-type merge accepted")
 	}
 
-	// Observe and ObserveBatch agree.
+	// A batch counts like its instructions one at a time.
 	b := NewBias()
-	b.ObserveBatch([]isa.Inst{
+	observeBatch(b, []isa.Inst{
 		inst(0x100, 2, isa.KindCondDirect, true, 0x80, true),
 		inst(0x100, 2, isa.KindCondDirect, false, 0x80, true),
 	})
@@ -190,7 +202,7 @@ func TestBBLAccounting(t *testing.T) {
 		// A trailing partial block that must not be counted.
 		inst(0x100, 4, isa.KindOther, false, 0, true),
 	}
-	a.ObserveBatch(stream)
+	observeBatch(a, stream)
 
 	res := a.Result()
 	if got := res.Blocks(Total); got != 2 {
@@ -209,8 +221,8 @@ func TestBBLAccounting(t *testing.T) {
 	// The result snapshot carries exact sums; merging two halves equals
 	// observing the whole.
 	b1, b2 := NewBBL(), NewBBL()
-	b1.ObserveBatch(stream[:3])
-	b2.ObserveBatch(stream[3:5])
+	observeBatch(b1, stream[:3])
+	observeBatch(b2, stream[3:5])
 	r := b1.Result()
 	if err := r.Merge(b2.Result()); err != nil {
 		t.Fatal(err)

@@ -23,33 +23,27 @@ type BBL struct {
 // NewBBL returns a fresh basic-block analyzer.
 func NewBBL() *BBL { return &BBL{} }
 
-// Observe implements trace.Observer.
-func (a *BBL) Observe(in isa.Inst) {
-	a.observeOne(&in)
-}
-
-// ObserveBatch implements trace.BatchObserver.
-func (a *BBL) ObserveBatch(batch []isa.Inst) {
-	for i := range batch {
-		a.observeOne(&batch[i])
-	}
-}
-
-func (a *BBL) observeOne(in *isa.Inst) {
-	p := phaseIdx(in.Serial)
-	a.curBlock[p] += int64(in.Size)
-	a.curRun[p] += int64(in.Size)
-	if !in.Kind.IsBranch() {
-		return
-	}
-	// Any branch instruction terminates the basic block.
-	a.res.BlockSum[p] += float64(a.curBlock[p])
-	a.res.BlockN[p]++
-	a.curBlock[p] = 0
-	if in.Taken {
-		a.res.GapSum[p] += float64(a.curRun[p])
-		a.res.GapN[p]++
-		a.curRun[p] = 0
+// ConsumeLane implements trace.LaneConsumer: a run's bytes extend the open
+// block and the open taken-branch gap, and the branch that ends it closes
+// them.
+func (a *BBL) ConsumeLane(l *isa.Lane) {
+	p := l.Phase
+	for i := range l.Runs {
+		r := &l.Runs[i]
+		a.curBlock[p] += int64(r.Bytes)
+		a.curRun[p] += int64(r.Bytes)
+		if !r.Kind.IsBranch() {
+			continue
+		}
+		// Any branch instruction terminates the basic block.
+		a.res.BlockSum[p] += float64(a.curBlock[p])
+		a.res.BlockN[p]++
+		a.curBlock[p] = 0
+		if r.Taken {
+			a.res.GapSum[p] += float64(a.curRun[p])
+			a.res.GapN[p]++
+			a.curRun[p] = 0
+		}
 	}
 }
 

@@ -30,34 +30,27 @@ func NewBias() *Bias {
 	return &Bias{exec: make(map[isa.Addr]*SiteBias)}
 }
 
-// Observe implements trace.Observer.
-func (a *Bias) Observe(in isa.Inst) {
-	a.observeOne(&in)
-}
-
-// ObserveBatch implements trace.BatchObserver.
-func (a *Bias) ObserveBatch(batch []isa.Inst) {
-	for i := range batch {
-		a.observeOne(&batch[i])
+// ConsumeLane implements trace.LaneConsumer: only the runs that end in a
+// conditional branch count.
+func (a *Bias) ConsumeLane(l *isa.Lane) {
+	p := l.Phase
+	for i := range l.Runs {
+		r := &l.Runs[i]
+		if !r.Kind.IsConditional() {
+			continue
+		}
+		s := a.exec[r.PC]
+		if s == nil {
+			s = &SiteBias{}
+			a.exec[r.PC] = s
+		}
+		s.Exec[p]++
+		a.conds[p]++
+		if r.Taken {
+			s.Taken[p]++
+		}
+		a.dirs[p][r.BranchDirection()]++
 	}
-}
-
-func (a *Bias) observeOne(in *isa.Inst) {
-	if !in.Kind.IsConditional() {
-		return
-	}
-	p := phaseIdx(in.Serial)
-	s := a.exec[in.PC]
-	if s == nil {
-		s = &SiteBias{}
-		a.exec[in.PC] = s
-	}
-	s.Exec[p]++
-	a.conds[p]++
-	if in.Taken {
-		s.Taken[p]++
-	}
-	a.dirs[p][in.BranchDirection()]++
 }
 
 // SiteBias is one conditional branch site's execution and taken counts per

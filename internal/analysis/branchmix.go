@@ -18,20 +18,15 @@ type BranchMix struct {
 // NewBranchMix returns a fresh branch-mix analyzer.
 func NewBranchMix() *BranchMix { return &BranchMix{} }
 
-// Observe implements trace.Observer.
-func (a *BranchMix) Observe(in isa.Inst) {
-	p := phaseIdx(in.Serial)
-	a.res.Insts[p]++
-	a.res.Kinds[p][in.Kind]++
-}
-
-// ObserveBatch implements trace.BatchObserver.
-func (a *BranchMix) ObserveBatch(batch []isa.Inst) {
-	for i := range batch {
-		in := &batch[i]
-		p := phaseIdx(in.Serial)
-		a.res.Insts[p]++
-		a.res.Kinds[p][in.Kind]++
+// ConsumeLane implements trace.LaneConsumer. A run's last instruction has
+// the run's kind (KindOther when no branch ended it) and every instruction
+// before it is a non-branch.
+func (a *BranchMix) ConsumeLane(l *isa.Lane) {
+	p := l.Phase
+	a.res.Insts[p] += int64(l.Insts)
+	a.res.Kinds[p][isa.KindOther] += int64(l.Insts - len(l.Runs))
+	for i := range l.Runs {
+		a.res.Kinds[p][l.Runs[i].Kind]++
 	}
 }
 

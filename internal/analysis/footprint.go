@@ -22,6 +22,10 @@ const footprintGranularity = 32
 // smallest memory that covers a given fraction (the paper uses 99%) of all
 // dynamic instructions. The static footprint comes from the program image
 // (program.Program.TextSize), not from this observer.
+//
+// Footprint is the one analyzer that consumes instructions, not fetch runs:
+// it counts instructions per 32-byte chunk, and a run's byte range does not
+// say how its instructions divide among the chunks it covers.
 type Footprint struct {
 	chunks [2]map[uint64]int64 // per phase: chunk index -> dynamic insts
 }

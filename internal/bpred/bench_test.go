@@ -33,10 +33,10 @@ func synthBatch() []isa.Inst {
 // prediction simulation; b.N counts dynamic instructions.
 func BenchmarkSimNinePredictors(b *testing.B) {
 	batch := synthBatch()
-	sim := bpred.NewSim(bpred.StandardConfigs()...)
+	feed := trace.NewFeed(bpred.NewSim(bpred.StandardConfigs()...))
 	b.ResetTimer()
 	for fed := 0; fed < b.N; fed += len(batch) {
-		sim.ObserveBatch(batch)
+		feed.ObserveBatch(batch)
 	}
 }
 
@@ -61,7 +61,7 @@ func BenchmarkTAGEAccess(b *testing.B) {
 func BenchmarkSimStream(b *testing.B) {
 	prog := workload.MustBuild("comd-lite")
 	e := trace.NewExecutor(prog, 1)
-	e.Attach(bpred.NewSim(bpred.StandardConfigs()...))
+	e.Attach(trace.NewFeed(bpred.NewSim(bpred.StandardConfigs()...)))
 	b.ResetTimer()
 	if err := e.Run(int64(b.N)); err != nil {
 		b.Fatal(err)

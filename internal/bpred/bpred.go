@@ -8,7 +8,9 @@
 // the branch and then trains on the actual outcome, which is the standard
 // methodology for pintool-based branch-predictor studies (and the paper's).
 // Only conditional branches reach the predictor; unconditional control flow
-// is always taken and is the BTB's problem (package btb).
+// is always taken and is the BTB's problem (package btb). Sim, which drives
+// predictors over a stream, is a trace.LaneConsumer for that reason: it reads
+// the fetch runs that end in a conditional branch, not instructions.
 package bpred
 
 import "rebalance/internal/isa"

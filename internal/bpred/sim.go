@@ -84,11 +84,13 @@ func (r *Result) MissRate() float64 {
 
 // Sim drives one or more predictors over a single instruction stream, the
 // way the paper's branch-prediction pintool evaluates several configurations
-// in one instrumented run. It implements both trace.Observer and
-// trace.BatchObserver; the batch path compacts each batch's conditional
-// branches once and then runs predictor-major, so the stream-filtering and
-// phase bookkeeping cost is paid per batch instead of per predictor per
-// instruction, and each predictor's tables stay hot across the whole batch.
+// in one instrumented run. It is a trace.LaneConsumer: each lane's
+// conditional runs are compacted once and then walked predictor-major, so
+// the filtering and phase bookkeeping is paid per batch instead of per
+// predictor, and each predictor's tables stay hot across the whole batch.
+// Every predictor sees the same Access sequence, in the same order, however
+// the stream was cut into batches (predictors share no state with each
+// other).
 type Sim struct {
 	preds   []Predictor
 	results []Result
@@ -107,7 +109,7 @@ type Sim struct {
 	cur  int
 }
 
-// condRec is one conditional branch extracted from a batch.
+// condRec is one conditional branch extracted from a lane.
 type condRec struct {
 	pc    isa.Addr
 	taken bool
@@ -125,18 +127,15 @@ func NewSim(preds ...Predictor) *Sim {
 	return s
 }
 
-// Parallelize switches the batch path to one worker goroutine per predictor
+// Parallelize switches the simulator to one worker goroutine per predictor
 // and returns s. The predictors are mutually independent, so each worker
 // replays exactly the Access sequence its predictor would see on the serial
 // path — results stay bit-identical — while the batch pipelines: the
-// executor compacts and emits batch N+1 while the workers are still chewing
-// batch N. This is the capability the per-instruction Observer interface
-// cannot offer (a virtual call per instruction cannot be fanned out), and it
-// is opt-in because the sweep harness already saturates cores with one
-// executor per shard.
+// executor emits and the feed scans batch N+1 while the workers are still
+// chewing batch N. It is opt-in because the sweep harness already saturates
+// cores with one executor per coordinate.
 //
-// Call Close when done to stop the workers. Do not mix Observe and
-// ObserveBatch on a parallelized simulator.
+// Call Close when done to stop the workers.
 func (s *Sim) Parallelize() *Sim {
 	if s.par {
 		return s
@@ -148,12 +147,7 @@ func (s *Sim) Parallelize() *Sim {
 		s.jobs[i] = ch
 		go func(pred Predictor, r *Result, ch chan []condRec) {
 			for recs := range ch {
-				for j := range recs {
-					rec := &recs[j]
-					if pred.Access(rec.pc, rec.taken) != rec.taken {
-						r.Miss[rec.phase][rec.dir]++
-					}
-				}
+				access(pred, r, recs)
 				s.wg.Done()
 			}
 		}(s.preds[i], &s.results[i], ch)
@@ -162,8 +156,8 @@ func (s *Sim) Parallelize() *Sim {
 }
 
 // Close drains any in-flight round and stops the parallel workers. The
-// simulator must not observe instructions afterwards; Results remains
-// valid. Close on a serial simulator is a no-op.
+// simulator must not consume lanes afterwards; Results remains valid. Close
+// on a serial simulator is a no-op.
 func (s *Sim) Close() {
 	if !s.par {
 		return
@@ -183,91 +177,48 @@ func (s *Sim) drain() {
 	}
 }
 
-// Observe implements trace.Observer.
-func (s *Sim) Observe(in isa.Inst) {
-	p := 0
-	if !in.Serial {
-		p = 1
-	}
-	s.insts[p]++
-	if !in.Kind.IsConditional() {
-		return
-	}
-	dir := in.BranchDirection()
-	for i, pred := range s.preds {
-		predicted := pred.Access(in.PC, in.Taken)
-		s.results[i].Branches[p]++
-		if predicted != in.Taken {
-			s.results[i].Miss[p][dir]++
+// access runs one predictor over a lane's conditional branches.
+func access(pred Predictor, r *Result, recs []condRec) {
+	for j := range recs {
+		rec := &recs[j]
+		if pred.Access(rec.pc, rec.taken) != rec.taken {
+			r.Miss[rec.phase][rec.dir]++
 		}
 	}
 }
 
-// ObserveBatch implements trace.BatchObserver. Results are bit-identical to
-// the per-instruction path: each predictor sees the same Access sequence, in
-// the same order, regardless of batch boundaries or predictor-major
-// iteration (predictors share no state with each other).
-func (s *Sim) ObserveBatch(batch []isa.Inst) {
+// ConsumeLane implements trace.LaneConsumer. On a parallelized simulator two
+// record buffers alternate: while the workers consume round N the caller
+// compacts round N+1, and the only synchronization is one WaitGroup cycle
+// per batch.
+func (s *Sim) ConsumeLane(l *isa.Lane) {
+	buf := &s.recs
 	if s.par {
-		s.observeBatchParallel(batch)
-		return
+		buf = &s.pbuf[s.cur]
 	}
-	recs, nCond := s.compact(batch, s.recs)
-	s.recs = recs // keep grown capacity for the next batch
-	if len(recs) == 0 {
-		return
-	}
-	for i, pred := range s.preds {
-		r := &s.results[i]
-		r.Branches[0] += nCond[0]
-		r.Branches[1] += nCond[1]
-		for j := range recs {
-			rec := &recs[j]
-			if pred.Access(rec.pc, rec.taken) != rec.taken {
-				r.Miss[rec.phase][rec.dir]++
-			}
+	p := l.Phase
+	s.insts[p] += int64(l.Insts)
+	recs := (*buf)[:0]
+	for i := range l.Runs {
+		if r := &l.Runs[i]; r.Kind.IsConditional() {
+			recs = append(recs, condRec{pc: r.PC, taken: r.Taken, phase: uint8(p), dir: uint8(r.BranchDirection())})
 		}
 	}
-}
-
-// compact extracts a batch's conditional branches into buf (reused across
-// batches), counting instructions and conditionals per phase. Both batch
-// paths share it, so serial and parallel modes cannot drift apart.
-func (s *Sim) compact(batch []isa.Inst, buf []condRec) ([]condRec, [2]int64) {
-	recs := buf[:0]
-	var nCond [2]int64
-	for i := range batch {
-		in := &batch[i]
-		p := 0
-		if !in.Serial {
-			p = 1
-		}
-		s.insts[p]++
-		if !in.Kind.IsConditional() {
-			continue
-		}
-		nCond[p]++
-		recs = append(recs, condRec{pc: in.PC, taken: in.Taken, phase: uint8(p), dir: uint8(in.BranchDirection())})
-	}
-	return recs, nCond
-}
-
-// observeBatchParallel compacts on the caller's goroutine, then hands the
-// shared record slice to every predictor worker. Two record buffers
-// alternate: while workers consume round N, the caller compacts round N+1;
-// the only synchronization is one WaitGroup cycle per batch.
-func (s *Sim) observeBatchParallel(batch []isa.Inst) {
-	recs, nCond := s.compact(batch, s.pbuf[s.cur])
-	s.pbuf[s.cur] = recs
+	*buf = recs // keep grown capacity for the next batch
 	// Wait for the previous round so the workers are idle: after this,
 	// touching Branches and reusing the other buffer is race-free.
-	s.wg.Wait()
+	s.drain()
 	if len(recs) == 0 {
 		return
 	}
 	for i := range s.results {
-		s.results[i].Branches[0] += nCond[0]
-		s.results[i].Branches[1] += nCond[1]
+		s.results[i].Branches[p] += int64(len(recs))
+	}
+	if !s.par {
+		for i, pred := range s.preds {
+			access(pred, &s.results[i], recs)
+		}
+		return
 	}
 	s.wg.Add(len(s.jobs))
 	for _, ch := range s.jobs {

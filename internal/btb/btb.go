@@ -6,7 +6,9 @@
 //
 // Following the paper, only branches resolved taken are allocated: not-taken
 // branches continue fetching from the next sequential instruction and need
-// no entry.
+// no entry. The simulator therefore consumes fetch runs (trace.LaneConsumer),
+// not instructions: it acts on the runs that end in a taken branch and only
+// counts the rest.
 package btb
 
 import (
@@ -69,42 +71,31 @@ func (b *BTB) index(pc isa.Addr) int {
 
 func (b *BTB) tag(pc isa.Addr) uint64 { return uint64(pc) >> 2 }
 
-// Observe implements trace.Observer: every instruction counts toward MPKI;
-// taken branches probe and allocate.
-func (b *BTB) Observe(in isa.Inst) {
-	b.observeOne(&in)
-}
-
-// ObserveBatch implements trace.BatchObserver; the loop body is shared with
-// the per-instruction path, but dispatch, the instruction copy, and the
-// phase decode happen once per batch element instead of once per virtual
-// call.
-func (b *BTB) ObserveBatch(batch []isa.Inst) {
-	for i := range batch {
-		b.observeOne(&batch[i])
+// ConsumeLane implements trace.LaneConsumer: every instruction counts toward
+// MPKI; the runs that end in a taken branch probe and allocate.
+func (b *BTB) ConsumeLane(l *isa.Lane) {
+	p := l.Phase
+	b.res.Insts[p] += int64(l.Insts)
+	for i := range l.Runs {
+		if r := &l.Runs[i]; r.Taken {
+			b.probe(r.PC, r.Target, p)
+		}
 	}
 }
 
-func (b *BTB) observeOne(in *isa.Inst) {
-	p := 0
-	if !in.Serial {
-		p = 1
-	}
-	b.res.Insts[p]++
-	if !in.Kind.IsBranch() || !in.Taken {
-		return
-	}
+// probe looks up the taken branch at pc, allocating its entry on a miss.
+func (b *BTB) probe(pc, target isa.Addr, p int) {
 	b.res.Lookups[p]++
 	b.clock++
 	ways := b.res.Ways
-	set := b.index(in.PC)
-	tag := b.tag(in.PC)
+	set := b.index(pc)
+	tag := b.tag(pc)
 	base := set * ways
 	for w := 0; w < ways; w++ {
 		e := &b.data[base+w]
 		if e.valid && e.tag == tag {
 			e.lru = b.clock
-			e.target = in.Target
+			e.target = target
 			return // hit
 		}
 	}
@@ -120,7 +111,7 @@ func (b *BTB) observeOne(in *isa.Inst) {
 			victim = base + w
 		}
 	}
-	b.data[victim] = entry{valid: true, tag: tag, target: in.Target, lru: b.clock}
+	b.data[victim] = entry{valid: true, tag: tag, target: target, lru: b.clock}
 }
 
 // Result snapshots the run's counters as a mergeable, encodable record.

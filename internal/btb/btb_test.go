@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rebalance/internal/isa"
+	"rebalance/internal/trace"
 )
 
 // takenBranch is a taken direct branch at pc, the only instruction class
@@ -15,10 +16,11 @@ func takenBranch(pc isa.Addr, serial bool) isa.Inst {
 
 func TestObserveCountersAndRepeatHit(t *testing.T) {
 	b := New(256, 2)
+	feed := trace.NewFeed(b)
 	// First sight of a target misses; a repeat of the same PC hits.
-	b.Observe(takenBranch(0x1000, true))
-	b.Observe(takenBranch(0x1000, true))
-	b.Observe(isa.Inst{PC: 0x2000, Size: 4, Kind: isa.KindOther, Serial: false})
+	feed.Observe(takenBranch(0x1000, true))
+	feed.Observe(takenBranch(0x1000, true))
+	feed.Observe(isa.Inst{PC: 0x2000, Size: 4, Kind: isa.KindOther, Serial: false})
 	r := b.Result()
 	if r.Insts[0] != 2 || r.Insts[1] != 1 {
 		t.Errorf("insts = %v, want [2 1]", r.Insts)
@@ -70,8 +72,9 @@ func TestResultMerge(t *testing.T) {
 // what lets remote shards fold without re-deriving.
 func TestDecodeRoundTrip(t *testing.T) {
 	b := New(512, 4)
+	feed := trace.NewFeed(b)
 	for pc := isa.Addr(0); pc < 100*64; pc += 64 {
-		b.Observe(takenBranch(pc, pc%128 == 0))
+		feed.Observe(takenBranch(pc, pc%128 == 0))
 	}
 	r := b.Result()
 	enc, err := r.EncodeJSON()
@@ -109,8 +112,9 @@ func TestDecodeRejectsMangledArtifacts(t *testing.T) {
 func TestMergeAfterDecodeEqualsInProcessMerge(t *testing.T) {
 	mk := func(seedPC isa.Addr) *Result {
 		b := New(256, 2)
+		feed := trace.NewFeed(b)
 		for pc := seedPC; pc < seedPC+50*32; pc += 32 {
-			b.Observe(takenBranch(pc, true))
+			feed.Observe(takenBranch(pc, true))
 		}
 		return b.Result()
 	}

@@ -12,6 +12,13 @@
 // "usefulness": the fraction of distinct bytes of a line actually consumed
 // between fill and eviction (the paper reports 71% for HPC at 128B lines
 // versus 33% for SPEC CPU INT).
+//
+// Between two redirects fetch is a contiguous byte range, so the simulator
+// consumes fetch runs (trace.LaneConsumer) and walks each run's lines; on
+// every accepted geometry the counters are bit-identical to modelling the
+// run one instruction at a time. Lines narrower than 16 bytes are refused:
+// a 15-byte instruction could span three of them, which the two-line
+// straddle of the per-instruction model never described.
 package icache
 
 import (
@@ -48,6 +55,10 @@ type Cache struct {
 // sectorBytes is the granularity of usefulness tracking.
 const sectorBytes = 8
 
+// maxInstBytes is the longest instruction of the stream model (isa.Inst.Size
+// is 1..15, as on x86).
+const maxInstBytes = 15
+
 // GeometryError reports why a geometry is invalid, or nil if it is usable.
 func GeometryError(sizeBytes, lineBytes, ways int) error {
 	if sizeBytes <= 0 || lineBytes <= 0 || ways <= 0 {
@@ -55,6 +66,9 @@ func GeometryError(sizeBytes, lineBytes, ways int) error {
 	}
 	if lineBytes%sectorBytes != 0 || lineBytes > 16*sectorBytes {
 		return fmt.Errorf("icache: line width %dB unsupported", lineBytes)
+	}
+	if lineBytes <= maxInstBytes {
+		return fmt.Errorf("icache: line width %dB unsupported: an instruction is up to %d bytes and may span at most two lines", lineBytes, maxInstBytes)
 	}
 	nLines := sizeBytes / lineBytes
 	if nLines == 0 || nLines%ways != 0 {
@@ -79,50 +93,35 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	return c
 }
 
-// Observe implements trace.Observer.
-func (c *Cache) Observe(in isa.Inst) {
-	c.observeOne(&in)
-}
-
-// ObserveBatch implements trace.BatchObserver, sharing the fetch model with
-// the per-instruction path while avoiding per-instruction interface
-// dispatch and struct copies.
-func (c *Cache) ObserveBatch(batch []isa.Inst) {
-	for i := range batch {
-		c.observeOne(&batch[i])
-	}
-}
-
-func (c *Cache) observeOne(in *isa.Inst) {
-	p := 0
-	if !in.Serial {
-		p = 1
-	}
-	c.res.Insts[p]++
-
+// ConsumeLane implements trace.LaneConsumer. A run is a contiguous byte
+// range, so fetch walks its lines in order: a line is probed when it is not
+// the one fetch is already extracting from, and the sectors the range covers
+// in it are marked consumed. A run that ends in a taken branch redirects
+// fetch: the next run probes the cache even if the target happens to land in
+// the same line. This is the per-instruction fetch model — probe on a new
+// line, probe the second line of a straddling instruction — with the line
+// and sector arithmetic paid per line instead of per instruction.
+func (c *Cache) ConsumeLane(l *isa.Lane) {
+	p := l.Phase
+	c.res.Insts[p] += int64(l.Insts)
 	lineBytes := uint64(c.res.LineBytes)
-	lineAddr := uint64(in.PC) / lineBytes
-	// Sequential extraction within the current line costs no access.
-	if lineAddr+1 != c.lastLine {
-		c.lastPtr = c.access(lineAddr, p)
-		c.lastLine = lineAddr + 1
-	}
-	c.markUse(c.lastPtr, uint64(in.PC), int(in.Size))
-
-	// An instruction can straddle into the next line; fetching it requires
-	// that line too.
-	endAddr := uint64(in.PC) + uint64(in.Size) - 1
-	if endLine := endAddr / lineBytes; endLine != lineAddr {
-		c.lastPtr = c.access(endLine, p)
-		c.lastLine = endLine + 1
-		c.markUse(c.lastPtr, endLine*lineBytes, int(endAddr%lineBytes)+1)
-	}
-
-	// A taken branch redirects fetch: the next access probes the cache
-	// even if the target happens to land in the same line.
-	if in.Kind.IsBranch() && in.Taken {
-		c.lastLine = 0
-		c.lastPtr = nil
+	for i := range l.Runs {
+		r := &l.Runs[i]
+		lo, hi := uint64(r.Start), uint64(r.Start)+uint64(r.Bytes)
+		ln := lo / lineBytes
+		for base := ln * lineBytes; lo < hi; ln, base = ln+1, base+lineBytes {
+			if ln+1 != c.lastLine {
+				c.lastPtr = c.access(ln, p)
+				c.lastLine = ln + 1
+			}
+			end := min(hi, base+lineBytes)
+			first, last := (lo-base)/sectorBytes, (end-1-base)/sectorBytes
+			c.lastPtr.used |= uint16(uint32(1)<<(last+1) - uint32(1)<<first)
+			lo = end
+		}
+		if r.Taken {
+			c.lastLine, c.lastPtr = 0, nil
+		}
 	}
 }
 
@@ -157,22 +156,6 @@ func (c *Cache) access(lineAddr uint64, phase int) *line {
 	c.res.retire(&c.lines[victim])
 	c.lines[victim] = line{valid: true, tag: tag, lru: c.clock}
 	return &c.lines[victim]
-}
-
-// markUse records consumed sectors for the usefulness metric.
-func (c *Cache) markUse(l *line, pc uint64, size int) {
-	if l == nil || !l.valid {
-		return
-	}
-	off := int(pc % uint64(c.res.LineBytes))
-	first := off / sectorBytes
-	last := (off + size - 1) / sectorBytes
-	if last >= c.res.LineBytes/sectorBytes {
-		last = c.res.LineBytes/sectorBytes - 1
-	}
-	for s := first; s <= last; s++ {
-		l.used |= 1 << s
-	}
 }
 
 // retire folds a line's usage since fill into the usefulness accumulators.

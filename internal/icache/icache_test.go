@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rebalance/internal/isa"
+	"rebalance/internal/trace"
 )
 
 func inst(pc isa.Addr, serial bool) isa.Inst {
@@ -13,9 +14,10 @@ func inst(pc isa.Addr, serial bool) isa.Inst {
 
 func TestObserveCountersAndUsefulness(t *testing.T) {
 	c := New(8*1024, 64, 2)
+	feed := trace.NewFeed(c)
 	// Walk one 64B line: one access (miss) then re-references that hit.
 	for pc := isa.Addr(0); pc < 64; pc += 4 {
-		c.Observe(inst(pc, true))
+		feed.Observe(inst(pc, true))
 	}
 	// Result is the only exit: it counts the still-resident line itself
 	// (one 64B line = 8 sectors, all consumed), with no Finish step to
@@ -77,8 +79,9 @@ func TestResultMerge(t *testing.T) {
 // sector counters the usefulness metric merges on.
 func TestDecodeRoundTrip(t *testing.T) {
 	c := New(8*1024, 64, 2)
+	feed := trace.NewFeed(c)
 	for pc := isa.Addr(0); pc < 20_000; pc += 4 {
-		c.Observe(inst(pc, pc%128 == 0))
+		feed.Observe(inst(pc, pc%128 == 0))
 	}
 	r := c.Result()
 	enc, err := r.EncodeJSON()
@@ -116,8 +119,9 @@ func TestDecodeRejectsMangledArtifacts(t *testing.T) {
 func TestMergeAfterDecodeEqualsInProcessMerge(t *testing.T) {
 	mk := func(base isa.Addr) *Result {
 		c := New(8*1024, 64, 2)
+		feed := trace.NewFeed(c)
 		for pc := base; pc < base+10_000; pc += 4 {
-			c.Observe(inst(pc, true))
+			feed.Observe(inst(pc, true))
 		}
 		return c.Result()
 	}

@@ -134,12 +134,48 @@ func (d Direction) String() string {
 }
 
 // BranchDirection classifies a resolved branch instance.
-func (in *Inst) BranchDirection() Direction {
-	if !in.Taken {
+func (in *Inst) BranchDirection() Direction { return direction(in.PC, in.Target, in.Taken) }
+
+func direction(pc, target Addr, taken bool) Direction {
+	if !taken {
 		return DirNotTaken
 	}
-	if in.Target < in.PC {
+	if target < pc {
 		return DirTakenBackward
 	}
 	return DirTakenForward
+}
+
+// Run is one fetch run: a maximal span of a batch at contiguous addresses,
+// described by its byte range and its last instruction. A run ends at the
+// first control-flow instruction (taken or not), before an instruction that
+// does not start where its predecessor ended (a region restart or change
+// redirects fetch without a branch), or with the batch. The event-driven
+// observers draw figures of these spans and the branches that end them, so
+// they read runs, not instructions.
+type Run struct {
+	// Start is the first instruction's address; the run covers the bytes
+	// [Start, Start+Bytes) in Insts instructions.
+	Start Addr
+	// PC, Target, Kind and Taken are the last instruction's. Kind is
+	// KindOther, and Taken false, when no branch ended the run.
+	PC, Target   Addr
+	Bytes, Insts uint32
+	Kind         Kind
+	Taken        bool
+}
+
+// BranchDirection classifies the branch that ended the run.
+func (r *Run) BranchDirection() Direction { return direction(r.PC, r.Target, r.Taken) }
+
+// Lane is one batch reduced to its fetch runs, in program order. A batch
+// never mixes serial and parallel sections, so the phase is the lane's. The
+// lane is reused for the next batch: consumers must not retain Runs.
+type Lane struct {
+	Runs []Run
+	// Insts is the number of instructions in the batch.
+	Insts int
+	// Phase is the batch's code section as a counter index: 0 serial, 1
+	// parallel, the order every result keeps its counters in.
+	Phase int
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"rebalance/internal/trace"
 	"rebalance/internal/trace/replay"
 )
 
@@ -127,4 +128,40 @@ func BenchmarkRunOneCoordinateGrid(b *testing.B) {
 		Insts:     200_000,
 		Observers: []ObserverSpec{{Kind: "icache"}},
 	})
+}
+
+// BenchmarkMixed9Pass is one coordinate's pass as runGroup makes it: the
+// nine mixed9 configurations built by groupObservers and fed one recorded
+// stream. ns/inst is the whole pass — delivery, the scan and nine
+// consumptions — per instruction of the stream, the layer figure behind the
+// two mixed9 replay workloads.
+func BenchmarkMixed9Pass(b *testing.B) {
+	cfgs, err := expandObservers(benchSweepSpec(1).Observers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, name := range []string{"comd-lite", "xalan-lite"} {
+		b.Run(name, func(b *testing.B) {
+			c, err := NewSession(1).Compiled(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec := replay.NewRecorder()
+			if _, err := generate(ctx, c, &ShardSpec{Seed: 1, Insts: 2_000_000}, []trace.Observer{rec}); err != nil {
+				b.Fatal(err)
+			}
+			tr := rec.Trace()
+			var insts int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				feed, _ := groupObservers(cfgs, c.Program())
+				if err := replay.Deliver(ctx, tr, trace.BatchSize, feed...); err != nil {
+					b.Fatal(err)
+				}
+				insts += int64(tr.Len())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+		})
+	}
 }

@@ -108,11 +108,12 @@ type pendingShard struct {
 // member of a group that shares one trace coordinate, and runs here. Each
 // member is first resolved against the result cache; the coordinate's
 // stream is then opened once (see stream) and fed, in a single pass, to the
-// fresh observers of the unresolved members only — one each, except that
-// the plain bpred members share a simulator (see groupObservers). Shards
-// are therefore order-independent and the grid is deterministic up to
-// timing fields. Each member's outcome lands at its grid index in out;
-// computed shards are written back, each under its own key.
+// fresh observers of the unresolved members only — their lane consumers
+// behind one feed, so each batch is scanned once, and the plain bpred
+// members sharing a simulator (see groupObservers). Shards are therefore
+// order-independent and the grid is deterministic up to timing fields. Each
+// member's outcome lands at its grid index in out; computed shards are
+// written back, each under its own key.
 func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridCell, group []int, out []Outcome) {
 	pending := make([]pendingShard, 0, len(group))
 	if s.cache == nil {

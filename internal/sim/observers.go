@@ -9,7 +9,6 @@ import (
 	"rebalance/internal/bpred"
 	"rebalance/internal/btb"
 	"rebalance/internal/icache"
-	"rebalance/internal/isa"
 	"rebalance/internal/program"
 	"rebalance/internal/trace"
 	"rebalance/internal/wire"
@@ -31,12 +30,12 @@ func init() {
 	RegisterObserver("icache", icacheFactory)
 	RegisterObserver("branch-mix", analysisFactory("branch-mix", func(*program.Program) ShardObserver {
 		mix := analysis.NewBranchMix()
-		return shard{mix, func() Result { return mix.Result() }}
+		return newLaneShard(mix, func() Result { return mix.Result() })
 	}, func() Result { return &analysis.MixResult{} },
 		func(data []byte) (Result, error) { return analysis.DecodeMixResult(data) }))
 	RegisterObserver("bias", analysisFactory("bias", func(*program.Program) ShardObserver {
 		bias := analysis.NewBias()
-		return shard{bias, func() Result { return bias.Result() }}
+		return newLaneShard(bias, func() Result { return bias.Result() })
 	}, func() Result { return &analysis.BiasResult{} },
 		func(data []byte) (Result, error) { return analysis.DecodeBiasResult(data) }))
 	RegisterObserver("footprint", analysisFactory("footprint", func(p *program.Program) ShardObserver {
@@ -46,20 +45,20 @@ func init() {
 		func(data []byte) (Result, error) { return analysis.DecodeFootprintResult(data) }))
 	RegisterObserver("bbl", analysisFactory("bbl", func(*program.Program) ShardObserver {
 		bbl := analysis.NewBBL()
-		return shard{bbl, func() Result { return bbl.Result() }}
+		return newLaneShard(bbl, func() Result { return bbl.Result() })
 	}, func() Result { return &analysis.BBLResult{} },
 		func(data []byte) (Result, error) { return analysis.DecodeBBLResult(data) }))
 }
 
-// streamObserver is the stream-facing half of every live observer:
-// simulators and analysis collectors all take the stream both ways.
+// streamObserver is the stream-facing half of a live observer.
 type streamObserver interface {
 	trace.Observer
 	trace.BatchObserver
 }
 
-// shard is the one adapter from a live observer to a ShardObserver: the
-// stream goes straight to the observer, and Finish takes its result.
+// shard is the adapter from an instruction consumer (footprint, the one
+// kind that is not a lane consumer) to a ShardObserver: the stream goes
+// straight to the observer, and Finish takes its result.
 type shard struct {
 	streamObserver
 	result func() Result
@@ -67,19 +66,35 @@ type shard struct {
 
 func (s shard) Finish() (Result, error) { return s.result(), nil }
 
+// laneShard is a lane consumer's lone ShardObserver — what RunShard and
+// bench/ get: a feed with one consumer, so the stream costs it one scan plus
+// its consumption. Close comes with the feed.
+type laneShard struct {
+	*trace.Feed
+	consumer trace.LaneConsumer
+	result   func() Result
+}
+
+func newLaneShard(c trace.LaneConsumer, result func() Result) laneShard {
+	return laneShard{trace.NewFeed(c), c, result}
+}
+
+func (s laneShard) Finish() (Result, error) { return s.result(), nil }
+
 // groupObservers builds the fresh power-on observers of one group's pending
 // members, cfgs[k] being member k's configuration: feed is what the
 // coordinate's stream is delivered to, and finish[k] takes member k's
-// result once the pass is over. feed can be shorter than cfgs, because the
-// members that are plain bpred configurations share one multi-predictor
-// bpred.Sim — the paper's several-configurations-one-pintool shape. Each
-// batch's conditional branches are then compacted once and walked
-// predictor-major, where a Sim per member would re-scan the batch for each.
-// Predictors share no state, so a member's element of Results() is
-// bit-identical to what a private one-predictor Sim would report; the
-// shards stay separate results under separate keys.
+// result once the pass is over. feed is shorter than cfgs: every lane
+// consumer of the group is regrouped behind one trace.Feed, so each batch is
+// scanned into fetch runs once however many configurations ride it, and the
+// plain bpred members further share one multi-predictor bpred.Sim — the
+// paper's several-configurations-one-pintool shape — which compacts the
+// lane's conditional branches once and walks them predictor-major. Consumers
+// and predictors share no state, so a member's result is bit-identical to a
+// lone NewObserver's; the shards stay separate results under separate keys.
 func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed []trace.Observer, finish []func() (Result, error)) {
 	finish = make([]func() (Result, error), len(cfgs))
+	var lanes []trace.LaneConsumer
 	var names []string // the plain bpred members, and where each sits in cfgs
 	var at []int
 	for k, cfg := range cfgs {
@@ -88,15 +103,22 @@ func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed []trace.Obs
 			continue
 		}
 		obs := cfg.NewObserver(p)
-		feed = append(feed, obs)
 		finish[k] = obs.Finish
+		if ls, ok := obs.(laneShard); ok {
+			lanes = append(lanes, ls.consumer)
+		} else {
+			feed = append(feed, obs)
+		}
 	}
 	if len(names) > 0 {
 		sim := bpredSim(names...)
-		feed = append(feed, sim)
+		lanes = append(lanes, sim)
 		for i, k := range at {
 			finish[k] = func() (Result, error) { return &sim.Results()[i], nil }
 		}
+	}
+	if len(lanes) > 0 {
+		feed = append(feed, trace.NewFeed(lanes...))
 	}
 	return feed, finish
 }
@@ -148,7 +170,7 @@ func (c bpredCfg) Key() string { return "bpred/" + c.name }
 
 func (c bpredCfg) NewObserver(*program.Program) ShardObserver {
 	sim := bpredSim(c.name)
-	return shard{sim, func() Result { return &sim.Results()[0] }}
+	return newLaneShard(sim, func() Result { return &sim.Results()[0] })
 }
 
 // bpredSim returns a fresh simulator over the named registered
@@ -189,12 +211,21 @@ type bpredGroupCfg struct {
 
 func (c bpredGroupCfg) Key() string { return "bpred/" + strings.Join(c.names, "+") }
 
+// A parallelized simulator owns worker goroutines; the feed it sits behind
+// closes it.
 func (c bpredGroupCfg) NewObserver(*program.Program) ShardObserver {
-	s := bpredSim(c.names...)
+	sim := bpredSim(c.names...)
 	if c.parallel {
-		s.Parallelize()
+		sim.Parallelize()
 	}
-	return &bpredGroupShard{sim: s}
+	return newLaneShard(sim, func() Result {
+		rs := sim.Results()
+		out := &GroupResult{Results: make([]Result, len(rs))}
+		for i := range rs {
+			out.Results[i] = &rs[i]
+		}
+		return out
+	})
 }
 
 func (c bpredGroupCfg) NewResult() Result {
@@ -231,23 +262,6 @@ func (c bpredGroupCfg) Decode(data json.RawMessage) (Result, error) {
 			return nil, fmt.Errorf("sim: bpred group member %d is %q, want %q", i, r.Name, c.names[i])
 		}
 		out.Results[i] = r
-	}
-	return out, nil
-}
-
-// bpredGroupShard keeps its own type: a parallelized group owns worker
-// goroutines, so it also offers Close.
-type bpredGroupShard struct{ sim *bpred.Sim }
-
-func (b *bpredGroupShard) Observe(in isa.Inst)           { b.sim.Observe(in) }
-func (b *bpredGroupShard) ObserveBatch(batch []isa.Inst) { b.sim.ObserveBatch(batch) }
-func (b *bpredGroupShard) Close()                        { b.sim.Close() }
-
-func (b *bpredGroupShard) Finish() (Result, error) {
-	rs := b.sim.Results()
-	out := &GroupResult{Results: make([]Result, len(rs))}
-	for i := range rs {
-		out.Results[i] = &rs[i]
 	}
 	return out, nil
 }
@@ -293,7 +307,7 @@ func (c btbCfg) Key() string { return fmt.Sprintf("btb/%dx%d", c.g.Entries, c.g.
 
 func (c btbCfg) NewObserver(*program.Program) ShardObserver {
 	b := btb.New(c.g.Entries, c.g.Ways)
-	return shard{b, func() Result { return b.Result() }}
+	return newLaneShard(b, func() Result { return b.Result() })
 }
 
 func (c btbCfg) NewResult() Result { return &btb.Result{} }
@@ -360,7 +374,7 @@ func (c icacheCfg) Key() string {
 
 func (c icacheCfg) NewObserver(*program.Program) ShardObserver {
 	ic := icache.New(c.g.SizeKB*1024, c.g.LineBytes, c.g.Ways)
-	return shard{ic, func() Result { return ic.Result() }}
+	return newLaneShard(ic, func() Result { return ic.Result() })
 }
 
 func (c icacheCfg) NewResult() Result { return &icache.Result{} }

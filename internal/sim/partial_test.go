@@ -235,13 +235,13 @@ func TestSpecAllowPartialRoundTrips(t *testing.T) {
 // observer kind fail; the rest behave like bbl.
 var failFinishes atomic.Int64
 
-type failFinishShard struct{ shard }
+type failFinishShard struct{ laneShard }
 
 func (s failFinishShard) Finish() (Result, error) {
 	if failFinishes.Add(-1) >= 0 {
 		return nil, errors.New("scripted finish failure")
 	}
-	return s.shard.Finish()
+	return s.laneShard.Finish()
 }
 
 // registerFailFinish makes the "fail-finish" kind nameable for the length
@@ -253,7 +253,7 @@ func registerFailFinish(t *testing.T) {
 	obsRegistry = registry.New[ObserverFactory]("observer kind")
 	RegisterObserver("fail-finish", analysisFactory("fail-finish", func(*program.Program) ShardObserver {
 		bbl := analysis.NewBBL()
-		return failFinishShard{shard{bbl, func() Result { return bbl.Result() }}}
+		return failFinishShard{newLaneShard(bbl, func() Result { return bbl.Result() })}
 	}, func() Result { return &analysis.BBLResult{} },
 		func(data []byte) (Result, error) { return analysis.DecodeBBLResult(data) }))
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rebalance/internal/bpred"
+	"rebalance/internal/isa"
 	"rebalance/internal/trace"
 	"rebalance/internal/workload"
 )
@@ -23,7 +24,7 @@ func BenchmarkExecutorEmit(b *testing.B) {
 		sim := bpred.NewSim(bpred.StandardConfigs()...).Parallelize()
 		defer sim.Close()
 		e := trace.NewCompiledExecutor(c, 1)
-		e.Attach(sim)
+		e.Attach(trace.NewFeed(sim))
 		b.ResetTimer()
 		if err := e.Run(int64(b.N)); err != nil {
 			b.Fatal(err)
@@ -32,7 +33,7 @@ func BenchmarkExecutorEmit(b *testing.B) {
 	})
 	b.Run("compiled-serial", func(b *testing.B) {
 		e := trace.NewCompiledExecutor(c, 1)
-		e.Attach(bpred.NewSim(bpred.StandardConfigs()...))
+		e.Attach(trace.NewFeed(bpred.NewSim(bpred.StandardConfigs()...)))
 		b.ResetTimer()
 		if err := e.Run(int64(b.N)); err != nil {
 			b.Fatal(err)
@@ -40,7 +41,7 @@ func BenchmarkExecutorEmit(b *testing.B) {
 	})
 	b.Run("reference", func(b *testing.B) {
 		e := trace.NewExecutor(prog, 1)
-		e.Attach(bpred.NewSim(bpred.StandardConfigs()...))
+		e.Attach(trace.NewFeed(bpred.NewSim(bpred.StandardConfigs()...)))
 		b.ResetTimer()
 		if err := e.RunReference(int64(b.N)); err != nil {
 			b.Fatal(err)
@@ -71,4 +72,27 @@ func BenchmarkExecutorEmitBare(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+}
+
+// BenchmarkScan prices the one pass that reduces instructions to fetch runs
+// (b.N counts instructions, so ns/op is ns/inst) and reports how many runs
+// an instruction becomes — the factor by which the lane consumers' work
+// shrinks.
+func BenchmarkScan(b *testing.B) {
+	for _, name := range []string{"comd-lite", "xalan-lite"} {
+		b.Run(name, func(b *testing.B) {
+			_, batches := grabStream(b, name, 400_000)
+			var runs []isa.Run
+			var insts, nruns int
+			b.ResetTimer()
+			for insts < b.N {
+				for _, batch := range batches {
+					runs = trace.Scan(batch, runs)
+					insts, nruns = insts+len(batch), nruns+len(runs)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+			b.ReportMetric(float64(nruns)/float64(insts), "runs/inst")
+		})
+	}
 }

@@ -82,7 +82,7 @@ func newObserverSet() *observerSet {
 }
 
 func (o *observerSet) attach(e *trace.Executor) {
-	e.Attach(o.hash, o.sim, o.btb, o.ic, o.mix, o.bias, o.fp, o.bbl)
+	e.Attach(o.hash, trace.NewFeed(o.sim, o.btb, o.ic, o.mix, o.bias, o.bbl), o.fp)
 }
 
 // TestCompiledMatchesReference proves the tentpole's correctness claim: the
@@ -141,7 +141,8 @@ func TestCompiledMatchesReference(t *testing.T) {
 
 // TestParallelSimEquivalence checks that the parallelized nine-predictor
 // simulation produces bit-identical results to both the serial batch path
-// and the per-instruction reference path.
+// and the per-instruction reference engine, whose every instruction reaches
+// the simulator as a one-run lane.
 func TestParallelSimEquivalence(t *testing.T) {
 	const target = 300_000
 	for _, name := range workload.Names() {
@@ -149,21 +150,21 @@ func TestParallelSimEquivalence(t *testing.T) {
 
 		ref := bpred.NewSim(bpred.StandardConfigs()...)
 		re := trace.NewExecutor(prog, 21)
-		re.Attach(ref)
+		re.Attach(trace.NewFeed(ref))
 		if err := re.RunReference(target); err != nil {
 			t.Fatal(err)
 		}
 
 		ser := bpred.NewSim(bpred.StandardConfigs()...)
 		se := trace.NewExecutor(prog, 21)
-		se.Attach(ser)
+		se.Attach(trace.NewFeed(ser))
 		if err := se.Run(target); err != nil {
 			t.Fatal(err)
 		}
 
 		par := bpred.NewSim(bpred.StandardConfigs()...).Parallelize()
 		pe := trace.NewExecutor(prog, 21)
-		pe.Attach(par)
+		pe.Attach(trace.NewFeed(par))
 		if err := pe.Run(target); err != nil {
 			t.Fatal(err)
 		}

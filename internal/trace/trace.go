@@ -3,7 +3,10 @@
 // the paper's methodology. Observers are the analysis routines (package
 // analysis) and hardware-structure simulators (packages bpred, btb, icache);
 // several observers can share one pass over the stream, just as several
-// pintool analysis callbacks share one instrumented run.
+// pintool analysis callbacks share one instrumented run. All of them but the
+// footprint collector act on control-flow events and the byte ranges between
+// them, so they sit behind a Feed (lane.go), which reduces each batch once to
+// its fetch runs.
 //
 // The executor has two execution engines over the same program model:
 //

@@ -31,7 +31,7 @@ func TestBiasMixtureHonesty(t *testing.T) {
 			NoisyFrac:      (1 - bf) / 3,
 		}
 		bias := analysis.NewBias()
-		if err := trace.Run(MustBuild(p), 1, honestyInsts, bias); err != nil {
+		if err := trace.Run(MustBuild(p), 1, honestyInsts, trace.NewFeed(bias)); err != nil {
 			t.Fatal(err)
 		}
 		h := bias.Result().Histogram(analysis.Total)
@@ -57,7 +57,7 @@ func TestBlockLenHonesty(t *testing.T) {
 	for _, l := range []int{2, 8, 24} {
 		p := Params{Name: fmt.Sprintf("honesty-len%d", l), BlockLen: l}
 		bbl := analysis.NewBBL()
-		if err := trace.Run(MustBuild(p), 1, honestyInsts, bbl); err != nil {
+		if err := trace.Run(MustBuild(p), 1, honestyInsts, trace.NewFeed(bbl)); err != nil {
 			t.Fatal(err)
 		}
 		got := bbl.Result().AvgBlockBytes(analysis.Total)
@@ -113,7 +113,7 @@ func TestStreamCoverage(t *testing.T) {
 		{Name: "coverage-weighted", Dispatch: DispatchWeighted, Funcs: 3, HotFrac: 1},
 	} {
 		obs := analysis.NewBranchMix()
-		if err := trace.Run(MustBuild(p), 1, 300_000, obs); err != nil {
+		if err := trace.Run(MustBuild(p), 1, 300_000, trace.NewFeed(obs)); err != nil {
 			t.Fatal(err)
 		}
 		mix := obs.Result()
@@ -152,7 +152,7 @@ func TestCorrelatedMixtureSeparatesPredictors(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := bpred.NewSim(g, ta)
-		if err := trace.Run(MustBuild(p), 1, honestyInsts, sim); err != nil {
+		if err := trace.Run(MustBuild(p), 1, honestyInsts, trace.NewFeed(sim)); err != nil {
 			t.Fatal(err)
 		}
 		rs := sim.Results()

@@ -38,7 +38,7 @@ func TestStreamCoverage(t *testing.T) {
 	var kinds [isa.NumKinds]int64
 	for _, name := range workload.Names() {
 		obs := analysis.NewBranchMix()
-		if err := trace.Run(workload.MustBuild(name), 1, 300_000, obs); err != nil {
+		if err := trace.Run(workload.MustBuild(name), 1, 300_000, trace.NewFeed(obs)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		mix := obs.Result()
