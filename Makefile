@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_VERSION ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all build test race fuzz chaos vet fmt lint lint-wall lint-extra ci bench bench-go
+.PHONY: all build test race fuzz chaos vet fmt lint lint-wall lint-extra ci bench bench-go bench-go-smoke
 
 all: build
 
@@ -76,13 +76,18 @@ lint-extra:
 
 # test runs the analyzer wall with everything else, so ci adds only the
 # external linters.
-ci: fmt vet lint-extra build test
+ci: fmt vet lint-extra build test bench-go-smoke
 
 # bench runs the repository benchmark declared in BENCHMARK.json: the
 # bench/ harness's five sweep workloads, end to end and layer by layer.
-# bench-go prints the Go micro-benchmarks for the hot paths.
+# bench-go prints the Go micro-benchmarks for the hot paths; bench-go-smoke
+# runs each for one iteration (seconds in all), so CI notices one that no
+# longer builds or fails — the numbers of a single iteration mean nothing.
 bench:
 	$(GO) run ./bench
 
 bench-go:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
+
+bench-go-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...

@@ -56,14 +56,20 @@ func BenchmarkTAGEAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkSimStream runs the nine predictors over a real workload stream
-// via the compiled executor, the configuration the sweep harness uses.
+// BenchmarkSimStream runs the nine predictors over each built-in workload's
+// stream via the compiled executor, the configuration the sweep harness uses
+// (the fig5-generate pass); b.N counts dynamic instructions, so ns/inst is
+// generation, the scan and the simulation together.
 func BenchmarkSimStream(b *testing.B) {
-	prog := workload.MustBuild("comd-lite")
-	e := trace.NewExecutor(prog, 1)
-	e.Attach(trace.NewFeed(bpred.NewSim(bpred.StandardConfigs()...)))
-	b.ResetTimer()
-	if err := e.Run(int64(b.N)); err != nil {
-		b.Fatal(err)
+	for _, name := range []string{"comd-lite", "xalan-lite"} {
+		b.Run(name, func(b *testing.B) {
+			e := trace.NewExecutor(workload.MustBuild(name), 1)
+			e.Attach(trace.NewFeed(bpred.NewSim(bpred.StandardConfigs()...)))
+			b.ResetTimer()
+			if err := e.Run(int64(b.N)); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inst")
+		})
 	}
 }

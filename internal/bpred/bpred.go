@@ -13,7 +13,11 @@
 // the fetch runs that end in a conditional branch, not instructions.
 package bpred
 
-import "rebalance/internal/isa"
+import (
+	"fmt"
+
+	"rebalance/internal/isa"
+)
 
 // Predictor is a conditional-branch direction predictor.
 type Predictor interface {
@@ -135,6 +139,9 @@ func (g *Gshare) Name() string { return g.name }
 
 // CostBits implements Predictor: 2^(m+1) bits (2 bits x 2^m entries).
 func (g *Gshare) CostBits() int { return 2 * len(g.tab) }
+
+// geometry names everything that shapes a gshare's state (see NewSim).
+func (g *Gshare) geometry() string { return fmt.Sprintf("gshare/%d", g.histBits) }
 
 func b2u(b bool) uint64 {
 	if b {

@@ -13,6 +13,7 @@ import "rebalance/internal/isa"
 type LoopPredictor struct {
 	entries []loopEntry
 	ways    int
+	setMask uint64 // sets-1; the set count is a power of two
 }
 
 type loopEntry struct {
@@ -28,9 +29,17 @@ type loopEntry struct {
 // loopTagBits is the partial tag width of a loop predictor entry.
 const loopTagBits = 14
 
-// NewLoopPredictor returns the paper's 64-entry, 4-way loop predictor.
+// NewLoopPredictor returns the paper's 64-entry, 4-way loop predictor. It
+// takes no parameters, so every power-on loop table is the same function of
+// the branch sequence (Sim relies on that to walk one for all "L-"
+// configurations).
 func NewLoopPredictor() *LoopPredictor {
-	return &LoopPredictor{entries: make([]loopEntry, 64), ways: 4}
+	const entries, ways = 64, 4
+	sets := entries / ways
+	if sets&(sets-1) != 0 {
+		panic("bpred: loop predictor set count must be a power of two")
+	}
+	return &LoopPredictor{entries: make([]loopEntry, entries), ways: ways, setMask: uint64(sets - 1)}
 }
 
 // entryCost is the per-entry storage in bits: tag(14) + trip(16) +
@@ -41,63 +50,45 @@ const loopEntryCostBits = loopTagBits + 16 + 16 + 16 + 2 + 2
 // CostBits returns the loop predictor's storage cost in bits.
 func (l *LoopPredictor) CostBits() int { return len(l.entries) * loopEntryCostBits }
 
-// lookup finds the entry for pc, or the replacement victim if absent.
-func (l *LoopPredictor) lookup(pc isa.Addr) (idx int, hit bool) {
-	sets := len(l.entries) / l.ways
-	set := int(pcIndexBits(pc)) % sets
-	tag := uint16(pcIndexBits(pc) >> 4 & (1<<loopTagBits - 1))
-	for w := 0; w < l.ways; w++ {
-		i := set*l.ways + w
-		e := &l.entries[i]
-		if e.valid && e.tag == tag {
-			return i, true
+// Access returns the loop predictor's say on the branch at pc — when
+// confident is false the base predictor's decision stands — and then trains
+// on the actual outcome. The set is searched once: the prediction is read
+// from, and the training applied to, the entry that search found.
+func (l *LoopPredictor) Access(pc isa.Addr, actualTaken bool) (taken, confident bool) {
+	bits := pcIndexBits(pc)
+	set := l.entries[int(bits&l.setMask)*l.ways:][:l.ways]
+	tag := uint16(bits >> 4 & (1<<loopTagBits - 1))
+	for w := range set {
+		if e := &set[w]; e.valid && e.tag == tag {
+			// Predict taken while the learned trip count has not been
+			// reached; at iteration tripCount the branch exits (not taken).
+			taken, confident = e.currentIt < e.tripCount, e.confidence >= 2 && e.tripCount != 0
+			e.train(actualTaken)
+			return taken, confident
 		}
 	}
-	victim := set * l.ways
-	for w := 0; w < l.ways; w++ {
-		i := set*l.ways + w
-		if !l.entries[i].valid {
-			return i, false
+	// Allocate only on a not-taken outcome of a branch we have seen taken: a
+	// loop exit candidate. Allocating on every branch would thrash the tiny
+	// table; allocating on not-taken outcomes finds back-edges at their
+	// first exit. The victim is the first invalid way, else the youngest.
+	if !actualTaken {
+		victim := &set[0]
+		for w := range set {
+			if !set[w].valid {
+				victim = &set[w]
+				break
+			}
+			if set[w].age < victim.age {
+				victim = &set[w]
+			}
 		}
-		if l.entries[i].age < l.entries[victim].age {
-			victim = i
-		}
+		*victim = loopEntry{tag: tag, valid: true}
 	}
-	return victim, false
+	return false, false
 }
 
-// Predict returns (predictedTaken, confident). When confident is false the
-// base predictor's decision stands.
-func (l *LoopPredictor) Predict(pc isa.Addr) (taken, confident bool) {
-	i, hit := l.lookup(pc)
-	if !hit {
-		return false, false
-	}
-	e := &l.entries[i]
-	if e.confidence < 2 || e.tripCount == 0 {
-		return false, false
-	}
-	// Predict taken while the learned trip count has not been reached;
-	// at iteration tripCount the branch exits (not taken).
-	return e.currentIt < e.tripCount, true
-}
-
-// Update trains the loop predictor with the branch's actual outcome.
-func (l *LoopPredictor) Update(pc isa.Addr, actualTaken bool) {
-	i, hit := l.lookup(pc)
-	e := &l.entries[i]
-	if !hit {
-		// Allocate only on a not-taken outcome of a branch we have seen
-		// taken: a loop exit candidate. Allocating on every branch would
-		// thrash the tiny table; allocating on not-taken outcomes finds
-		// back-edges at their first exit.
-		if actualTaken {
-			return
-		}
-		tag := uint16(pcIndexBits(pc) >> 4 & (1<<loopTagBits - 1))
-		*e = loopEntry{tag: tag, valid: true}
-		return
-	}
+// train updates a matching entry with the branch's actual outcome.
+func (e *loopEntry) train(actualTaken bool) {
 	if actualTaken {
 		e.currentIt++
 		if e.currentIt == 0 { // overflow: not a countable loop
@@ -139,10 +130,8 @@ func NewWithLoop(base Predictor) *WithLoop {
 
 // Access implements Predictor.
 func (w *WithLoop) Access(pc isa.Addr, taken bool) bool {
-	loopPred, confident := w.loop.Predict(pc)
 	basePred := w.base.Access(pc, taken)
-	w.loop.Update(pc, taken)
-	if confident {
+	if loopPred, confident := w.loop.Access(pc, taken); confident {
 		return loopPred
 	}
 	return basePred

@@ -82,75 +82,148 @@ func (r *Result) MissRate() float64 {
 	return float64(r.Mispredicts()) / float64(b)
 }
 
-// Sim drives one or more predictors over a single instruction stream, the
-// way the paper's branch-prediction pintool evaluates several configurations
-// in one instrumented run. It is a trace.LaneConsumer: each lane's
-// conditional runs are compacted once and then walked predictor-major, so
-// the filtering and phase bookkeeping is paid per batch instead of per
-// predictor, and each predictor's tables stay hot across the whole batch.
-// Every predictor sees the same Access sequence, in the same order, however
-// the stream was cut into batches (predictors share no state with each
-// other).
+// Sim drives one or more predictor configurations over a single instruction
+// stream, the way the paper's branch-prediction pintool evaluates several in
+// one instrumented run. It is a trace.LaneConsumer: each lane's conditional
+// runs are compacted once and then walked component-major, so the filtering
+// and phase bookkeeping is paid per batch instead of per predictor and each
+// component's tables stay hot across the whole batch.
+//
+// What is walked is a component, not a configuration. A predictor's state is
+// a function of its geometry and the (pc, taken) sequence alone, and every
+// configuration of one Sim sees the same sequence — so the base of
+// L-gshare-small is bit for bit the plain gshare-small beside it, and every
+// "L-" loop table is bit for bit every other. A batch walks each distinct
+// base once and the one loop table once, each writing a prediction byte per
+// record, and a configuration's miss counters are composed from those bytes
+// the way WithLoop.Access composes one branch: Figure 5's nine configurations
+// are six base walks, one loop walk and nine counting loops, and
+// configurations with nothing in common take the same path and share
+// nothing. Each configuration counts what a lone power-on instance driven
+// through Predictor.Access would, however the stream was cut into batches.
 type Sim struct {
-	preds   []Predictor
+	cfgs    []simCfg
+	comps   []component // the distinct bases, then the loop table if any overlay
 	results []Result
 	insts   [2]int64
 
-	// recs is the reusable per-batch compaction of conditional branches.
-	recs []condRec
+	// recs alternate as the per-batch compaction of conditional branches;
+	// pending is the round the components have been (or, parallelized, are
+	// being) walked over and compose has not yet counted.
+	recs         [2][]condRec
+	cur          int
+	pending      []condRec
+	pendingPhase int
 
 	// Parallel-mode state (see Parallelize): one worker goroutine per
-	// predictor, fed the shared compacted record slice, double-buffered so
-	// the executor emits batch N+1 while the predictors consume batch N.
-	par  bool
+	// component, fed the shared compacted record slice; jobs is nil on a
+	// serial simulator and wg counts the walks of the round in flight.
 	jobs []chan []condRec
 	wg   sync.WaitGroup
-	pbuf [2][]condRec
-	cur  int
+}
+
+// simCfg is one configuration resolved to its components.
+type simCfg struct {
+	base int  // index into Sim.comps
+	loop bool // overlaid by the loop table, the last of Sim.comps
+}
+
+// component is one distinct piece of predictor state and its predictions for
+// the pending round: 0/1 from a base; from the loop table 0 when it is not
+// confident, else 2|taken.
+type component struct {
+	base Predictor      // nil for the loop table
+	loop *LoopPredictor // nil for a base
+	out  []uint8
 }
 
 // condRec is one conditional branch extracted from a lane.
 type condRec struct {
 	pc    isa.Addr
-	taken bool
-	phase uint8
+	taken uint8 // 0/1, comparable with a prediction byte
 	dir   uint8
 }
 
-// NewSim returns a simulator for the given predictor configurations.
+// NewSim returns a simulator for the given configurations, which it takes
+// over: they must be fresh power-on instances, and one whose state another's
+// walk stands for is never accessed.
+//
+// Two bases are one component only if they report equal geometry() — the
+// built-in algorithms do, keyed on every parameter that shapes their state
+// and on nothing else. Identity is never taken from Name(): two different
+// predictors under one name are walked separately, and a Predictor
+// implementation Sim does not know is always its own component. Loop tables
+// have no parameters (NewLoopPredictor), so all overlays share the first.
 func NewSim(preds ...Predictor) *Sim {
-	s := &Sim{preds: preds, results: make([]Result, len(preds))}
+	s := &Sim{cfgs: make([]simCfg, len(preds)), results: make([]Result, len(preds))}
+	index := map[any]int{} // geometry, or the position of a base that reports none
+	var loop *LoopPredictor
 	for i, p := range preds {
 		s.results[i].Name = p.Name()
 		s.results[i].CostBits = p.CostBits()
+		if w, ok := p.(*WithLoop); ok {
+			p, s.cfgs[i].loop = w.base, true
+			if loop == nil {
+				loop = w.loop
+			}
+		}
+		key := any(i)
+		if g, ok := p.(interface{ geometry() string }); ok {
+			key = g.geometry()
+		}
+		at, ok := index[key]
+		if !ok {
+			at, index[key] = len(s.comps), len(s.comps)
+			s.comps = append(s.comps, component{base: p})
+		}
+		s.cfgs[i].base = at
+	}
+	if loop != nil {
+		s.comps = append(s.comps, component{loop: loop})
 	}
 	return s
 }
 
-// Parallelize switches the simulator to one worker goroutine per predictor
-// and returns s. The predictors are mutually independent, so each worker
-// replays exactly the Access sequence its predictor would see on the serial
+// walk runs the component over a round's conditional branches.
+func (c *component) walk(recs []condRec) {
+	out := c.out[:0]
+	for j := range recs {
+		pc, taken := recs[j].pc, recs[j].taken != 0
+		if c.loop == nil {
+			out = append(out, uint8(b2u(c.base.Access(pc, taken))))
+		} else if pred, confident := c.loop.Access(pc, taken); confident {
+			out = append(out, 2|uint8(b2u(pred)))
+		} else {
+			out = append(out, 0)
+		}
+	}
+	c.out = out
+}
+
+// Parallelize switches the simulator to one worker goroutine per component
+// and returns s. A component's state is a function of the branch sequence
+// alone, so each worker replays exactly the Access sequence of the serial
 // path — results stay bit-identical — while the batch pipelines: the
 // executor emits and the feed scans batch N+1 while the workers are still
-// chewing batch N. It is opt-in because the sweep harness already saturates
-// cores with one executor per coordinate.
+// chewing batch N, whose counters are composed once the round has drained.
+// It is opt-in because the sweep harness already saturates cores with one
+// executor per coordinate.
 //
 // Call Close when done to stop the workers.
 func (s *Sim) Parallelize() *Sim {
-	if s.par {
+	if s.jobs != nil {
 		return s
 	}
-	s.par = true
-	s.jobs = make([]chan []condRec, len(s.preds))
-	for i := range s.preds {
+	s.jobs = make([]chan []condRec, len(s.comps))
+	for i := range s.comps {
 		ch := make(chan []condRec, 1)
 		s.jobs[i] = ch
-		go func(pred Predictor, r *Result, ch chan []condRec) {
+		go func(c *component, ch chan []condRec) {
 			for recs := range ch {
-				access(pred, r, recs)
+				c.walk(recs)
 				s.wg.Done()
 			}
-		}(s.preds[i], &s.results[i], ch)
+		}(&s.comps[i], ch)
 	}
 	return s
 }
@@ -159,72 +232,74 @@ func (s *Sim) Parallelize() *Sim {
 // simulator must not consume lanes afterwards; Results remains valid. Close
 // on a serial simulator is a no-op.
 func (s *Sim) Close() {
-	if !s.par {
-		return
-	}
-	s.wg.Wait()
+	s.drain()
 	for _, ch := range s.jobs {
 		close(ch)
 	}
 	s.jobs = nil
-	s.par = false
 }
 
-// drain waits for the in-flight parallel round, if any.
+// drain waits for the in-flight parallel round, if any, and composes the
+// pending round's predictions into every configuration's counters: the base's
+// prediction, overridden where the configuration has the overlay and the loop
+// table was confident.
 func (s *Sim) drain() {
-	if s.par {
-		s.wg.Wait()
-	}
-}
-
-// access runs one predictor over a lane's conditional branches.
-func access(pred Predictor, r *Result, recs []condRec) {
-	for j := range recs {
-		rec := &recs[j]
-		if pred.Access(rec.pc, rec.taken) != rec.taken {
-			r.Miss[rec.phase][rec.dir]++
+	s.wg.Wait()
+	recs, p := s.pending, s.pendingPhase
+	s.pending = nil
+	for i, c := range s.cfgs {
+		base, loop := s.comps[c.base].out, []uint8(nil)
+		if c.loop {
+			loop = s.comps[len(s.comps)-1].out
+		}
+		var miss [4]int64 // by direction, padded so the index needs no bounds check
+		for j := range recs {
+			pred := base[j]
+			if loop != nil && loop[j] != 0 {
+				pred = loop[j] & 1
+			}
+			miss[recs[j].dir&3] += int64(pred ^ recs[j].taken)
+		}
+		r := &s.results[i]
+		r.Branches[p] += int64(len(recs))
+		for d := range r.Miss[p] {
+			r.Miss[p][d] += miss[d]
 		}
 	}
 }
 
-// ConsumeLane implements trace.LaneConsumer. On a parallelized simulator two
-// record buffers alternate: while the workers consume round N the caller
-// compacts round N+1, and the only synchronization is one WaitGroup cycle
-// per batch.
+// ConsumeLane implements trace.LaneConsumer: compact, walk each component,
+// compose. On a parallelized simulator the walk is the workers' and the
+// compose waits for the next call (or Results, or Close): while they consume
+// round N the caller compacts round N+1 into the other record buffer, and the
+// only synchronization is one WaitGroup cycle per batch.
 func (s *Sim) ConsumeLane(l *isa.Lane) {
-	buf := &s.recs
-	if s.par {
-		buf = &s.pbuf[s.cur]
-	}
-	p := l.Phase
-	s.insts[p] += int64(l.Insts)
-	recs := (*buf)[:0]
+	s.insts[l.Phase] += int64(l.Insts)
+	recs := s.recs[s.cur][:0]
 	for i := range l.Runs {
 		if r := &l.Runs[i]; r.Kind.IsConditional() {
-			recs = append(recs, condRec{pc: r.PC, taken: r.Taken, phase: uint8(p), dir: uint8(r.BranchDirection())})
+			recs = append(recs, condRec{pc: r.PC, taken: uint8(b2u(r.Taken)), dir: uint8(r.BranchDirection())})
 		}
 	}
-	*buf = recs // keep grown capacity for the next batch
-	// Wait for the previous round so the workers are idle: after this,
-	// touching Branches and reusing the other buffer is race-free.
+	s.recs[s.cur] = recs // keep grown capacity for the next batch
+	// Settle the previous round: after this the workers are idle, so handing
+	// them new records and reusing the other buffer next time is race-free.
 	s.drain()
 	if len(recs) == 0 {
 		return
 	}
-	for i := range s.results {
-		s.results[i].Branches[p] += int64(len(recs))
-	}
-	if !s.par {
-		for i, pred := range s.preds {
-			access(pred, &s.results[i], recs)
+	s.pending, s.pendingPhase, s.cur = recs, l.Phase, s.cur^1
+	if s.jobs != nil {
+		s.wg.Add(len(s.jobs))
+		for _, ch := range s.jobs {
+			ch <- recs
 		}
 		return
 	}
-	s.wg.Add(len(s.jobs))
-	for _, ch := range s.jobs {
-		ch <- recs
+	for i := range s.comps {
+		s.comps[i].walk(recs)
 	}
-	s.cur ^= 1
+	s.drain()
 }
 
 // Merge accumulates another *Result's counters into r, folding per-seed

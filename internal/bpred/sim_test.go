@@ -1,0 +1,223 @@
+package bpred
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"rebalance/internal/isa"
+	"rebalance/internal/trace"
+	"rebalance/internal/workload"
+)
+
+// recordStream returns the first n instructions of a built-in workload.
+func recordStream(t *testing.T, name string, n int64) []isa.Inst {
+	t.Helper()
+	var stream []isa.Inst
+	grab := trace.ObserverFunc(func(in isa.Inst) { stream = append(stream, in) })
+	if err := trace.Run(workload.MustBuild(name), 3, n, grab); err != nil {
+		t.Fatal(err)
+	}
+	return stream
+}
+
+// deliver feeds the stream to the simulator in batches of at most size, cut
+// also at every phase change, as the executor and replay cut theirs.
+func deliver(s *Sim, stream []isa.Inst, size int) {
+	feed := trace.NewFeed(s)
+	for len(stream) > 0 {
+		n := 1
+		for n < len(stream) && n < size && stream[n].Serial == stream[0].Serial {
+			n++
+		}
+		feed.ObserveBatch(stream[:n])
+		stream = stream[n:]
+	}
+}
+
+// loneResults is the executable specification Sim is held to: every
+// configuration a lone instance, driven branch by branch through
+// Predictor.Access (for an "L-" configuration, WithLoop.Access).
+func loneResults(stream []isa.Inst, preds ...Predictor) []Result {
+	res := make([]Result, len(preds))
+	for i, p := range preds {
+		r := &res[i]
+		r.Name, r.CostBits = p.Name(), p.CostBits()
+		for j := range stream {
+			in := &stream[j]
+			ph := 1
+			if in.Serial {
+				ph = 0
+			}
+			r.Insts[ph]++
+			if in.Kind.IsConditional() {
+				r.Branches[ph]++
+				if p.Access(in.PC, in.Taken) != in.Taken {
+					r.Miss[ph][in.BranchDirection()]++
+				}
+			}
+		}
+	}
+	return res
+}
+
+func byName(t *testing.T, names ...string) []Predictor {
+	t.Helper()
+	preds := make([]Predictor, len(names))
+	for i, name := range names {
+		p, err := NewByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds[i] = p
+	}
+	return preds
+}
+
+// TestSimMatchesLonePredictors: whatever a Sim's configurations share — all
+// of Figure 5, an overlay with no plain base beside it, two overlays, a base
+// before and after its overlay, one name twice — every configuration's
+// counters equal a lone instance's, however the stream is cut.
+func TestSimMatchesLonePredictors(t *testing.T) {
+	subsets := [][]string{
+		ConfigNames(),
+		{"L-gshare-small"},
+		{"L-gshare-small", "L-tage-small"},
+		{"tage-small", "L-tage-small"},
+		{"L-tournament-small", "tournament-small"},
+		{"gshare-small", "gshare-small", "L-gshare-small", "L-gshare-small"},
+		{"gshare-big", "tournament-big", "tage-big"},
+	}
+	for _, wl := range []string{"comd-lite", "xalan-lite"} {
+		stream := recordStream(t, wl, 40_000)
+		for _, names := range subsets {
+			want := loneResults(stream, byName(t, names...)...)
+			for _, size := range []int{1, 7, trace.BatchSize} {
+				s := NewSim(byName(t, names...)...)
+				deliver(s, stream, size)
+				if got := s.Results(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %v, batch size %d:\n got %+v\nwant %+v", wl, names, size, got, want)
+				}
+			}
+		}
+	}
+}
+
+// counted counts the accesses that reach a built-in predictor without hiding
+// its geometry from Sim.
+type counted struct {
+	Predictor
+	n *int
+}
+
+func (c counted) Access(pc isa.Addr, taken bool) bool {
+	*c.n++
+	return c.Predictor.Access(pc, taken)
+}
+
+func (c counted) geometry() string {
+	return c.Predictor.(interface{ geometry() string }).geometry()
+}
+
+// TestSimWalksEachComponentOnce: over the nine Figure-5 configurations a
+// batch costs six base walks and one loop walk — each plain configuration's
+// instance sees every conditional branch exactly once, and the overlays' own
+// bases and all loop tables but the first are never touched.
+func TestSimWalksEachComponentOnce(t *testing.T) {
+	var n [9]int
+	var preds []Predictor
+	var overlays []*WithLoop
+	for i, p := range StandardConfigs() {
+		if w, ok := p.(*WithLoop); ok {
+			w.base = counted{w.base, &n[i]}
+			overlays = append(overlays, w)
+		} else {
+			p = counted{p, &n[i]}
+		}
+		preds = append(preds, p)
+	}
+	s := NewSim(preds...)
+	if len(s.comps) != 7 || s.comps[6].loop != overlays[0].loop {
+		t.Fatalf("nine configurations resolve to %d components, want six bases and the first loop table", len(s.comps))
+	}
+	stream := recordStream(t, "xalan-lite", 20_000)
+	deliver(s, stream, 512)
+	branches := s.Results()[0].Branches
+	conds := int(branches[0] + branches[1])
+	if conds == 0 {
+		t.Fatal("stream has no conditional branches")
+	}
+	if want := [9]int{conds, conds, conds, conds, conds, conds}; n != want {
+		t.Errorf("accesses per configuration's base = %v, want %v", n, want)
+	}
+	powerOn := NewLoopPredictor()
+	if reflect.DeepEqual(overlays[0].loop, powerOn) {
+		t.Error("the shared loop table was never trained")
+	}
+	for _, w := range overlays[1:] {
+		if !reflect.DeepEqual(w.loop, powerOn) {
+			t.Errorf("%s: its own loop table was walked beside the shared one", w.Name())
+		}
+	}
+}
+
+// alwaysTaken is a Predictor Sim knows nothing about.
+type alwaysTaken struct{}
+
+func (alwaysTaken) Access(isa.Addr, bool) bool { return true }
+func (alwaysTaken) Name() string               { return "same" }
+func (alwaysTaken) CostBits() int              { return 0 }
+
+// TestSimIdentityIsGeometryNotName: predictors that share a name but not a
+// geometry — or whose type Sim does not know — are walked separately; ones
+// that share a geometry under different names are one component. Either way
+// each configuration reports what its lone instance would.
+func TestSimIdentityIsGeometryNotName(t *testing.T) {
+	build := func() []Predictor {
+		return []Predictor{
+			NewGshare("same", 6), NewGshare("same", 13), NewTournament("same", 10, 8),
+			NewWithLoop(NewGshare("same", 6)), alwaysTaken{}, alwaysTaken{},
+			NewGshare("other", 13), NewBimodal("same", 10),
+		}
+	}
+	s := NewSim(build()...)
+	// gshare/6 (also the overlay's base), gshare/13 (also "other"),
+	// tournament, two alwaysTaken, bimodal, and the loop table.
+	if len(s.comps) != 7 {
+		t.Errorf("resolved to %d components, want 7", len(s.comps))
+	}
+	stream := recordStream(t, "comd-lite", 30_000)
+	deliver(s, stream, 100)
+	want := loneResults(stream, build()...)
+	if got := s.Results(); !reflect.DeepEqual(got, want) {
+		t.Errorf("got %+v\nwant %+v", got, want)
+	}
+	if want[0] == want[1] {
+		t.Error("the two gshares under one name are indistinguishable on this stream: the test shows nothing")
+	}
+}
+
+// TestSimParallelUnderRace drives the parallelized nine-configuration Sim —
+// one worker per component, round N+1 compacted while round N is walked,
+// counters composed after the drain — with Results taken mid-stream and
+// after Close. Run under -race (CI and `make race` do).
+func TestSimParallelUnderRace(t *testing.T) {
+	stream := recordStream(t, "xalan-lite", 40_000)
+	half := len(stream) / 2
+	for _, size := range []int{1, 33, trace.BatchSize} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			s := NewSim(StandardConfigs()...).Parallelize()
+			defer s.Close()
+			deliver(s, stream[:half], size)
+			if got, want := s.Results(), loneResults(stream[:half], StandardConfigs()...); !reflect.DeepEqual(got, want) {
+				t.Fatalf("mid-stream:\n got %+v\nwant %+v", got, want)
+			}
+			deliver(s, stream[half:], size)
+			s.Close()
+			s.Close() // a second Close is a no-op
+			if got, want := s.Results(), loneResults(stream, StandardConfigs()...); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after Close:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}

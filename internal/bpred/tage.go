@@ -18,6 +18,7 @@ import (
 // history lengths 4 and 16 and roughly 3x fewer entries per table.
 type TAGE struct {
 	name string
+	geom string // the constructor's base size and table specs
 
 	base   *Bimodal
 	tables []*tageTable
@@ -103,6 +104,7 @@ type tageSpec struct {
 func NewTAGE(name string, baseLog uint, specs []tageSpec) *TAGE {
 	t := &TAGE{
 		name: name,
+		geom: fmt.Sprint("tage/", baseLog, specs),
 		base: NewBimodal(name+"-base", baseLog),
 		lfsr: 0xACE1,
 	}
@@ -365,3 +367,7 @@ func (t *TAGE) CostBits() int {
 	}
 	return bits
 }
+
+// geometry names everything that shapes a TAGE's state (see NewSim); the
+// LFSR seed is a constant.
+func (t *TAGE) geometry() string { return t.geom }

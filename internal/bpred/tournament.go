@@ -1,6 +1,10 @@
 package bpred
 
-import "rebalance/internal/isa"
+import (
+	"fmt"
+
+	"rebalance/internal/isa"
+)
 
 // Tournament is the Alpha 21264-style hybrid predictor the paper evaluates:
 // a local component (a per-branch history table feeding local prediction
@@ -87,3 +91,6 @@ func (t *Tournament) Name() string { return t.name }
 func (t *Tournament) CostBits() int {
 	return (1<<t.n)*(int(t.m)+2) + (1 << (t.m + 2))
 }
+
+// geometry names everything that shapes a tournament's state (see NewSim).
+func (t *Tournament) geometry() string { return fmt.Sprintf("tournament/%d/%d", t.n, t.m) }

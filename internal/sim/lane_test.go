@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rebalance/internal/analysis"
+	"rebalance/internal/bpred"
 	"rebalance/internal/btb"
 	"rebalance/internal/icache"
 	"rebalance/internal/isa"
@@ -48,20 +49,17 @@ func newLanePairs() []lanePair {
 	mix, mixM := analysis.NewBranchMix(), &mixModel{}
 	bbl, bblM := analysis.NewBBL(), &bblModel{}
 	bias, biasM := analysis.NewBias(), &biasModel{}
-	names := []string{"gshare-small", "tage-small", "L-tournament-small"}
+	// All nine Figure-5 configurations, so the Sim under test shares bases
+	// and the loop table while each model predictor stands alone.
+	names := bpred.ConfigNames()
 	sim, simM := bpredSim(names...), newBpredModel(names...)
 	return append(ps,
 		lanePair{"branch-mix", mix, mixM, func() Result { return mix.Result() }, func() Result { return &mixM.res }},
 		lanePair{"bbl", bbl, bblM, func() Result { return bbl.Result() }, func() Result { return &bblM.res }},
 		lanePair{"bias", bias, biasM, func() Result { return bias.Result() }, func() Result { return &biasM.res }},
 		lanePair{"bpred", sim, simM,
-			func() Result {
-				rs := sim.Results()
-				return &GroupResult{Results: []Result{&rs[0], &rs[1], &rs[2]}}
-			},
-			func() Result {
-				return &GroupResult{Results: []Result{&simM.res[0], &simM.res[1], &simM.res[2]}}
-			}},
+			func() Result { return bpredGroup(sim.Results()) },
+			func() Result { return bpredGroup(simM.res) }},
 	)
 }
 

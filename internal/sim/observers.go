@@ -89,9 +89,13 @@ func (s laneShard) Finish() (Result, error) { return s.result(), nil }
 // scanned into fetch runs once however many configurations ride it, and the
 // plain bpred members further share one multi-predictor bpred.Sim — the
 // paper's several-configurations-one-pintool shape — which compacts the
-// lane's conditional branches once and walks them predictor-major. Consumers
-// and predictors share no state, so a member's result is bit-identical to a
-// lone NewObserver's; the shards stay separate results under separate keys.
+// lane's conditional branches once and walks each distinct component (base
+// predictor, the one loop table) once. Lane consumers share no state with one
+// another, and a predictor component's state is a function of its geometry
+// and the branch sequence alone, so the one walked for several members is
+// the one each would have walked alone: a member's result is bit-identical
+// to a lone NewObserver's; the shards stay separate results under separate
+// keys.
 func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed []trace.Observer, finish []func() (Result, error)) {
 	finish = make([]func() (Result, error), len(cfgs))
 	var lanes []trace.LaneConsumer
@@ -134,7 +138,9 @@ func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed []trace.Obs
 // Grouped true the configurations are one shard whose result is the array
 // of theirs (the paper's several-pintools-one-run shape, as one cache and
 // dispatch unit); Parallel additionally fans that shard's simulation out to
-// one worker goroutine per predictor (implies Grouped).
+// one worker goroutine per component — each distinct base predictor and the
+// shared loop table, seven for Figure 5's nine configurations (implies
+// Grouped).
 type bpredOptions struct {
 	Configs  []string `json:"configs"`
 	Grouped  bool     `json:"grouped"`
@@ -218,14 +224,16 @@ func (c bpredGroupCfg) NewObserver(*program.Program) ShardObserver {
 	if c.parallel {
 		sim.Parallelize()
 	}
-	return newLaneShard(sim, func() Result {
-		rs := sim.Results()
-		out := &GroupResult{Results: make([]Result, len(rs))}
-		for i := range rs {
-			out.Results[i] = &rs[i]
-		}
-		return out
-	})
+	return newLaneShard(sim, func() Result { return bpredGroup(sim.Results()) })
+}
+
+// bpredGroup is the grouped shard's result: the array of its predictors'.
+func bpredGroup(rs []bpred.Result) *GroupResult {
+	out := &GroupResult{Results: make([]Result, len(rs))}
+	for i := range rs {
+		out.Results[i] = &rs[i]
+	}
+	return out
 }
 
 func (c bpredGroupCfg) NewResult() Result {
