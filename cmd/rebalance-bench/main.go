@@ -12,8 +12,9 @@
 //
 // With -backends the sweep's shard grid is dispatched to remote simd
 // worker processes (started with `simd -worker`) instead of the local
-// pool: shards fan out with bounded in-flight, retry with backoff, and
-// failover, and the report is bit-identical (up to the fields
+// pool: the grid is planned into units (a coordinate's shards, one worker
+// call each), at most -workers units are in flight, a unit's failed
+// members retry with backoff and failover, and the report is bit-identical (up to the fields
 // (*sim.Report).Stripped clears) to the same sweep run locally. A
 // dispatched report carries `workers: 0`: the concurrency belongs to the
 // backends.
@@ -67,12 +68,12 @@ func main() {
 		synthFlag     = flag.String("synth", "", "synthetic-scenario grid: ';'-separated axes of ','-separated values, e.g. \"bias=0.6,0.8,0.95;hot=0.25,0.75\"")
 		seedsFlag     = flag.Int("seeds", 4, "seeds per {workload, predictor} pair")
 		instsFlag     = flag.Int64("insts", 2_000_000, "dynamic instructions per shard")
-		workersFlag   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines")
+		workersFlag   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines: local pool size, units in flight with -backends")
 		backendsFlag  = flag.String("backends", "", "comma-separated simd worker URLs; dispatch shards remotely instead of running locally")
 		coordFlag     = flag.String("coordinator", "", "simd coordinator URL; submit the sweep asynchronously to its /v1/sweeps API and poll for the result")
 		tenantFlag    = flag.String("tenant", "bench", "tenant name submitted with -coordinator sweeps")
 		partialFlag   = flag.Bool("allow-partial", false, "degrade instead of failing when shards exhaust their retries: completed shards are reported, abandoned ones become failed_shards entries")
-		hedgeFlag     = flag.Bool("hedge", false, "with -backends, duplicate straggling shards onto a second healthy worker after a latency-derived delay; first result wins")
+		hedgeFlag     = flag.Bool("hedge", false, "with -backends, duplicate straggling units onto a second healthy worker after a latency-derived delay; first result wins")
 		outFlag       = flag.String("out", "", "write the JSON report to this file (default stdout)")
 	)
 	flag.Parse()

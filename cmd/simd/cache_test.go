@@ -58,22 +58,7 @@ func TestWorkerShardCacheWarmPass(t *testing.T) {
 	srv, _ := cachedServer(t, true)
 	spec := `{"workload":"comd-lite","seed":3,"insts":20000,"observer":{"kind":"bbl"}}`
 
-	post := func() map[string]json.RawMessage {
-		t.Helper()
-		resp, err := http.Post(srv.URL+"/v1/shards", "application/json", bytes.NewReader([]byte(spec)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		var sh map[string]json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&sh); err != nil {
-			t.Fatal(err)
-		}
-		return sh
-	}
+	post := func() map[string]json.RawMessage { return postShard(t, srv.URL, spec) }
 
 	cold, warm := post(), post()
 	if _, ok := cold["cached"]; ok {

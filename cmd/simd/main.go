@@ -5,10 +5,12 @@
 // the ROADMAP's production-scale target builds on.
 //
 // The process is also the worker half of the dispatch layer: POST
-// /v1/shards runs a single shard of an expanded grid and returns its wire
-// record, which a coordinator (another simd, rebalance-bench -backends, or
-// any sim.Session routed through a dispatch.Dispatcher) decodes and folds
-// into the same bit-identical Report an all-local run produces. -worker
+// /v1/shards runs one unit of an expanded grid — an array of shard specs,
+// streamed once per trace coordinate for all its members — and returns one
+// wire record per member, which a coordinator (another simd,
+// rebalance-bench -backends, or any sim.Session routed through a
+// dispatch.Dispatcher) decodes and folds into the same bit-identical
+// Report an all-local run produces. -worker
 // trims the surface to exactly that role: the run and sweep endpoints are
 // withheld so a fleet worker cannot be used as an accidental coordinator.
 //
@@ -36,7 +38,7 @@
 //	GET    /v1/sweeps/{id}      sweep status: state, progress, shards landed so far (coordinator mode only)
 //	GET    /v1/sweeps/{id}/result  the final report; 409 until the sweep is terminal (coordinator mode only)
 //	DELETE /v1/sweeps/{id}      cancel a queued or running sweep (coordinator mode only)
-//	POST   /v1/shards           execute one ShardSpec, respond with the shard record
+//	POST   /v1/shards           execute one unit (an array of ShardSpecs), respond with one record per member
 //	GET    /v1/stats            unified counters: shard cache, trace store, dispatcher (hedges, hedge_wins, probes, healthy backends), sweep queues
 //	GET    /v1/workloads        enumerate the workload registry
 //	GET    /v1/predictors       enumerate the predictor-config registry with costs
@@ -123,7 +125,7 @@ func main() {
 	var (
 		addrFlag      = flag.String("addr", ":8080", "listen address")
 		workerFlag    = flag.Bool("worker", false, "worker mode: serve only the shard protocol (no /v1/runs, no /v1/sweeps)")
-		workersFlag   = flag.Int("workers", runtime.GOMAXPROCS(0), "shard worker goroutines per run")
+		workersFlag   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines per run: local pool size, units in flight with -backends")
 		maxInstsFlag  = flag.Int64("max-insts", 100_000_000, "reject specs with a larger per-shard instruction budget (0 = unlimited)")
 		maxShardsFlag = flag.Int("max-shards", 4096, "reject specs expanding to more shards than this (0 = unlimited)")
 		drainFlag     = flag.Duration("drain", 30*time.Second, "in-flight drain budget on SIGINT/SIGTERM")
@@ -131,7 +133,7 @@ func main() {
 		maxRunFlag    = flag.Int("max-running", 2, "sweep coordinator: max concurrently executing sweeps")
 		retainFlag    = flag.Duration("retain", 15*time.Minute, "sweep coordinator: how long finished sweeps stay pollable")
 		backendsFlag  = flag.String("backends", "", "comma-separated simd worker URLs; dispatch shard grids to them instead of the local pool")
-		hedgeFlag     = flag.Bool("hedge", false, "with -backends, duplicate straggling shards onto a second healthy worker; first result wins")
+		hedgeFlag     = flag.Bool("hedge", false, "with -backends, duplicate straggling units onto a second healthy worker; first result wins")
 		cacheEntsFlag = flag.Int("cache-entries", 4096, "shard result cache: max in-memory entries (0 disables the cache)")
 		cacheByteFlag = flag.Int64("cache-bytes", 256<<20, "shard result cache: max in-memory payload bytes")
 		cacheDirFlag  = flag.String("cache-dir", "", "shard result cache: directory for the persistent disk tier (empty = memory only)")

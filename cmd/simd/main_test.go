@@ -175,13 +175,9 @@ func TestWorkerMode(t *testing.T) {
 		"workload": "comd-lite", "seed": 3, "insts": 20000,
 		"observer": {"kind": "bpred", "options": {"configs": ["gshare-small"]}}
 	}`
-	resp, err := http.Post(srv.URL+"/v1/shards", "application/json", strings.NewReader(shard))
+	raw, err := json.Marshal(postShard(t, srv.URL, shard))
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/shards: status %d", resp.StatusCode)
 	}
 	var rec struct {
 		Workload string          `json:"workload"`
@@ -190,7 +186,7 @@ func TestWorkerMode(t *testing.T) {
 		Insts    int64           `json:"insts"`
 		Result   json.RawMessage `json:"result"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
+	if err := json.Unmarshal(raw, &rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Workload != "comd-lite" || rec.Seed != 3 || rec.Observer != "bpred/gshare-small" {
@@ -200,19 +196,28 @@ func TestWorkerMode(t *testing.T) {
 		t.Errorf("shard record incomplete: insts=%d, %d result bytes", rec.Insts, len(rec.Result))
 	}
 
-	// Invalid shard specs are 400s the dispatcher will not retry.
+	// An invalid shard spec is an "invalid" member record the dispatcher
+	// will not retry; its array still answers 200.
 	for _, bad := range []string{
 		`{"workload": "no-such", "seed": 1, "insts": 1000, "observer": {"kind": "bbl"}}`,
-		`{"workload": "comd-lite", "seed": 1, "insts": 1000, "observer": {"kind": "bpred"}}`,  // expands to 9 configs
-		`{"workload": "comd-lite", "seed": 1, "insts": 5000000, "observer": {"kind": "bbl"}}`, // over -max-insts
+		`{"workload": "comd-lite", "seed": 1, "insts": 1000, "observer": {"kind": "bpred"}}`, // expands to 9 configs
 		`{"workload": "comd-lite", "seed": 1, "insts": 1000, "engine": "reference", "observer": {"kind": "bbl"}}`,
-		`{`,
+	} {
+		if rec := postShard(t, srv.URL, bad); string(rec["invalid"]) != "true" || len(rec["error"]) == 0 || len(rec) != 2 {
+			t.Errorf("invalid member %s answered %v, want an {error, invalid: true} record", bad, rec)
+		}
+	}
+	// A body that is not an array of shard specs — the retired lone object
+	// included — or that asks for more than -max-insts is a 400 for the
+	// request.
+	for _, bad := range []string{`{`, `[{]`, shard,
+		`[{"workload": "comd-lite", "seed": 1, "insts": 5000000, "observer": {"kind": "bbl"}}]`,
 	} {
 		decodeEnvelope(t, doReq(t, http.MethodPost, srv.URL+"/v1/shards", bad), http.StatusBadRequest)
 	}
 
 	// The coordinator endpoint is withheld in worker mode.
-	resp, err = http.Post(srv.URL+"/v1/runs", "application/json",
+	resp, err := http.Post(srv.URL+"/v1/runs", "application/json",
 		strings.NewReader(`{"workloads":["comd-lite"],"insts":1000,"observers":[{"kind":"bbl"}]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -410,14 +415,9 @@ func TestSynthEndpointAndRun(t *testing.T) {
 		"insts": 10000,
 		"observer": {"kind": "bias"}
 	}`
-	resp3, err := http.Post(srv.URL+"/v1/shards", "application/json", strings.NewReader(shardSpec))
+	body, err := json.Marshal(postShard(t, srv.URL, shardSpec))
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer resp3.Body.Close()
-	body, _ := io.ReadAll(resp3.Body)
-	if resp3.StatusCode != http.StatusOK {
-		t.Fatalf("synth shard: status %d: %s", resp3.StatusCode, body)
 	}
 	var shard struct {
 		Workload string `json:"workload"`

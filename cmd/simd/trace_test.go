@@ -33,21 +33,26 @@ type traceStatsResp struct {
 	Stats   replay.Stats `json:"stats"`
 }
 
+// postShard posts spec to the worker protocol as a one-member array and
+// returns the member's record: the shard, or its {"error", "invalid"}.
 func postShard(t *testing.T, url, spec string) map[string]json.RawMessage {
 	t.Helper()
-	resp, err := http.Post(url+"/v1/shards", "application/json", bytes.NewReader([]byte(spec)))
+	resp, err := http.Post(url+"/v1/shards", "application/json", bytes.NewReader([]byte("["+spec+"]")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+		t.Fatalf("POST /v1/shards: status %d", resp.StatusCode)
 	}
-	var sh map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&sh); err != nil {
+	var recs []map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
 		t.Fatal(err)
 	}
-	return sh
+	if len(recs) != 1 {
+		t.Fatalf("POST /v1/shards answered %d records for one member", len(recs))
+	}
+	return recs[0]
 }
 
 func traceStats(t *testing.T, url string) traceStatsResp {

@@ -88,9 +88,9 @@ func canonSynth(p *synth.Params) *synth.Params {
 }
 
 // SetCache routes every shard this session executes — locally pooled runs
-// and single RunShard calls alike — through the given result cache: a
-// shard whose canonical key is cached is served from the stored wire
-// record instead of recomputed, and concurrent identical shards are
+// and arrays off the worker protocol alike — through the given result
+// cache: a shard whose canonical key is cached is served from the stored
+// wire record instead of recomputed, and concurrent identical shards are
 // deduplicated to one compute (see ResolveShard). A nil c (the default)
 // disables caching. Set before the first Run; the field is not
 // synchronized against concurrent Runs.

@@ -96,6 +96,16 @@ func (p *PoisonKey) matches(spec sim.ShardSpec) bool {
 	return p.Observer == "" || p.Observer == spec.Observer.Kind
 }
 
+// poisoned reports whether the schedule fails spec permanently.
+func (in *Injector) poisoned(spec sim.ShardSpec) bool {
+	for i := range in.sched.Poison {
+		if in.sched.Poison[i].matches(spec) {
+			return true
+		}
+	}
+	return false
+}
+
 // Validate checks the schedule's ranges: probabilities in [0, 1], a
 // coherent latency span, non-negative flap period, named poison entries.
 func (s *Schedule) Validate() error {
@@ -272,36 +282,57 @@ func Wrap(b dispatch.Backend, inj *Injector) dispatch.Backend {
 // diagnostics (Healthy, error text) stay recognizable.
 func (b *Backend) Name() string { return b.inner.Name() }
 
-// RunShard implements dispatch.Backend.
-func (b *Backend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+// RunShards implements dispatch.Backend. One call draws one fault set: a
+// call-level fault fails the call — every member — as the dead, hung or
+// garbled worker it imitates would; a poisoned member fails alone, on every
+// call, while its unit-mates run.
+func (b *Backend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
 	idx, f := b.inj.call()
-	for i := range b.inj.sched.Poison {
-		if b.inj.sched.Poison[i].matches(spec) {
-			return sim.Shard{}, fmt.Errorf("chaos: poisoned shard {%s %s seed %d}",
-				spec.Workload, spec.Observer.Kind, spec.Seed)
-		}
-	}
+	var fault error
 	switch {
 	case f.down:
-		return sim.Shard{}, fmt.Errorf("chaos: backend down (flap window, call %d)", idx)
+		fault = fmt.Errorf("chaos: backend down (flap window, call %d)", idx)
 	case f.hang:
 		<-ctx.Done()
-		return sim.Shard{}, ctx.Err()
+		return nil, ctx.Err()
 	case f.drop:
-		return sim.Shard{}, fmt.Errorf("chaos: connection dropped (call %d)", idx)
+		fault = fmt.Errorf("chaos: connection dropped (call %d)", idx)
 	case f.fivexx:
-		return sim.Shard{}, fmt.Errorf("chaos: injected status 503 (call %d)", idx)
+		fault = fmt.Errorf("chaos: injected status 503 (call %d)", idx)
 	case f.corrupt:
-		return sim.Shard{}, fmt.Errorf("chaos: corrupted response payload (call %d)", idx)
+		fault = fmt.Errorf("chaos: corrupted response payload (call %d)", idx)
 	case f.truncate:
-		return sim.Shard{}, fmt.Errorf("chaos: truncated response payload (call %d)", idx)
+		fault = fmt.Errorf("chaos: truncated response payload (call %d)", idx)
+	}
+	out := make([]sim.Outcome, len(specs))
+	var send []sim.ShardSpec
+	var at []int // send[k] is specs[at[k]]
+	for i, spec := range specs {
+		switch {
+		case b.inj.poisoned(spec):
+			out[i].Err = fmt.Errorf("chaos: poisoned shard {%s %s seed %d}", spec.Workload, spec.Observer.Kind, spec.Seed)
+		case fault != nil:
+			out[i].Err = fault
+		default:
+			send, at = append(send, spec), append(at, i)
+		}
+	}
+	if len(send) == 0 {
+		return out, nil
 	}
 	if f.latency > 0 {
 		if err := sleepCtx(ctx, f.latency); err != nil {
-			return sim.Shard{}, err
+			return nil, err
 		}
 	}
-	return b.inner.RunShard(ctx, spec)
+	res, err := b.inner.RunShards(ctx, send)
+	if err != nil {
+		return nil, err
+	}
+	for k, i := range at {
+		out[i] = res[k]
+	}
+	return out, nil
 }
 
 // Probe implements dispatch.Backend. It deliberately consumes no call

@@ -24,8 +24,12 @@ func (b *okBackend) Name() string { return b.name }
 
 func (b *okBackend) Probe(context.Context) error { b.probes.Add(1); return nil }
 
-func (b *okBackend) RunShard(_ context.Context, spec sim.ShardSpec) (sim.Shard, error) {
-	return sim.Shard{Workload: spec.Workload, Seed: spec.Seed, Observer: spec.Observer.Kind, Insts: spec.Insts}, nil
+func (b *okBackend) RunShards(_ context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
+	out := make([]sim.Outcome, len(specs))
+	for i, spec := range specs {
+		out[i].Shard = sim.Shard{Workload: spec.Workload, Seed: spec.Seed, Observer: spec.Observer.Kind, Insts: spec.Insts}
+	}
+	return out, nil
 }
 
 func TestScheduleValidate(t *testing.T) {
@@ -93,7 +97,7 @@ func TestFaultPlanDeterministic(t *testing.T) {
 		b := chaos.Wrap(&okBackend{name: "x"}, inj)
 		var outs []string
 		for i := 0; i < 300; i++ {
-			_, err := b.RunShard(context.Background(), spec)
+			_, err := sim.RunOne(context.Background(), b, spec)
 			if err == nil {
 				outs = append(outs, "ok")
 			} else {
@@ -140,7 +144,7 @@ func TestPoisonMatching(t *testing.T) {
 		{sim.ShardSpec{Workload: "b", Seed: 2, Observer: sim.ObserverSpec{Kind: "bias"}}, false}, // narrowed
 	}
 	for _, tc := range cases {
-		_, err := b.RunShard(context.Background(), tc.spec)
+		_, err := sim.RunOne(context.Background(), b, tc.spec)
 		got := err != nil && strings.Contains(err.Error(), "poisoned")
 		if got != tc.poisoned {
 			t.Errorf("shard {%s %s seed %d}: poisoned = %v, want %v (err %v)",
@@ -227,7 +231,7 @@ func TestWrapForwardsProber(t *testing.T) {
 	}
 	spec := sim.ShardSpec{Workload: "w", Seed: 1, Insts: 1, Observer: sim.ObserverSpec{Kind: "bbl"}}
 	for i := 0; i < 2; i++ {
-		if _, err := b.RunShard(ctx, spec); err != nil {
+		if _, err := sim.RunOne(ctx, b, spec); err != nil {
 			t.Fatal(err)
 		}
 	}

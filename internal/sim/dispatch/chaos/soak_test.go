@@ -153,8 +153,10 @@ func TestSoakBackendFaults(t *testing.T) {
 			for _, inj := range injs {
 				calls += inj.Calls()
 			}
-			if calls < 32 {
-				t.Errorf("injectors saw only %d calls across 32 shards; chaos was not in the path", calls)
+			// Four coordinates cut for six slots: eight units, a call each
+			// before any retry.
+			if calls < 8 {
+				t.Errorf("injectors saw only %d calls across 8 units; chaos was not in the path", calls)
 			}
 		})
 	}

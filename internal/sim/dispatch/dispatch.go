@@ -1,10 +1,12 @@
 // Package dispatch spreads an expanded shard grid across pluggable
 // execution backends — the missing half of the sim layer's "remote shards
-// fold without re-deriving" promise. A Backend runs one ShardSpec and
-// returns its Shard; LocalBackend wraps a sim.Session's in-process pool,
-// and HTTPBackend speaks the simd worker protocol (POST /v1/shards). The
-// Dispatcher partitions a grid across N backends with bounded in-flight
-// shards, per-shard retry with exponential backoff, and failover to the
+// fold without re-deriving" promise. A Backend is a sim.ShardRunner with a
+// name and a liveness probe: LocalBackend is a sim.Session, and HTTPBackend
+// speaks the simd worker protocol (POST /v1/shards). The Dispatcher plans a
+// grid into units with the session's own plan (sim.PlanShards: a trace
+// coordinate's shards travel together, so a worker streams the coordinate
+// once for all of them), runs a bounded number of units at once, retries a
+// unit's failed members with exponential backoff, and fails over to the
 // remaining backends when one dies mid-run. It is a sim.ShardRunner and
 // only reports: one sim.Outcome per spec — a shard it had to abandon is a
 // value in that grid, with the attempts spent and the terminal error —
@@ -19,10 +21,12 @@
 package dispatch
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,10 +36,16 @@ import (
 	"rebalance/internal/sim/shardcache"
 )
 
-// Backend executes one shard. Implementations must be safe for concurrent
-// RunShard calls: the Dispatcher issues up to its in-flight bound at once.
+// Backend executes units of a grid — the shards the Dispatcher sends it in
+// one call — under the sim.ShardRunner contract: one outcome per spec,
+// index-aligned; a failure of the call itself (transport, a malformed
+// answer) is every member's Err; the returned error is ctx's, whenever ctx
+// ended first, and nothing else. The Dispatcher owns the grid, so a Backend
+// neither names failures by cell nor delivers to sim.ShardDone, and the
+// Attempts it reports are ignored. Implementations must be safe for
+// concurrent RunShards calls: up to the in-flight bound are issued at once.
 type Backend interface {
-	RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error)
+	sim.ShardRunner
 	// Name identifies the backend in errors (e.g. "local" or the worker's
 	// base URL).
 	Name() string
@@ -52,8 +62,8 @@ type Backend interface {
 // endpoint cannot pin a backend in the probing state indefinitely.
 const probeTimeout = 5 * time.Second
 
-// LocalBackend runs shards on this process through a sim.Session,
-// reusing its compiled-program cache.
+// LocalBackend runs units on this process: it is the sim.Session (its pool,
+// its compiled-program cache) under a Backend's name.
 type LocalBackend struct {
 	Sess *sim.Session
 }
@@ -61,9 +71,9 @@ type LocalBackend struct {
 // Name implements Backend.
 func (b *LocalBackend) Name() string { return "local" }
 
-// RunShard implements Backend.
-func (b *LocalBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
-	return b.Sess.RunShard(ctx, spec)
+// RunShards implements Backend.
+func (b *LocalBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
+	return b.Sess.RunShards(ctx, specs)
 }
 
 // Probe implements Backend: this process is always up.
@@ -225,29 +235,26 @@ func New(backends []Backend, opts Options) (*Dispatcher, error) {
 	return d, nil
 }
 
-// RunShards implements sim.ShardRunner: sim.RunUnits over one-shard units,
-// MaxInFlight at a time, each an outcome of runOne. It never cancels the
-// grid itself: a shard that exhausts its attempts (or hits an error no
-// backend can fix) is abandoned — its outcome carries the attempts spent
-// and the terminal error, named "dispatch: shard {...}" — and the rest keep
-// executing; every outcome is delivered to the context's sim.ShardDone
-// hook. A caller that wants the first failure to abort cancels ctx from
-// that hook, as a strict sim.Session does. The returned error is ctx's
-// own, when it ended before the grid did.
+// RunShards implements sim.ShardRunner: sim.RunUnits over the units
+// sim.PlanShards cuts the grid into for MaxInFlight slots, each run by
+// runOne. It never cancels the grid itself: a shard that exhausts its
+// attempts (or hits an error no backend can fix) is abandoned — its outcome
+// carries the attempts spent and the terminal error, named "dispatch: shard
+// {...}" — and the rest keep executing; a unit's outcomes are delivered
+// together to the context's sim.ShardDone hook. A caller that wants the
+// first failure to abort cancels ctx from that hook, as a strict sim.Session
+// does. The returned error is ctx's own, when it ended before the grid did.
 func (d *Dispatcher) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
-	units := make([][]int, len(specs))
-	for i := range units {
-		units[i] = []int{i}
-	}
+	units := sim.PlanShards(specs, d.opts.MaxInFlight)
 	return sim.RunUnits(ctx, len(specs), d.opts.MaxInFlight, units, func(unit []int, out []sim.Outcome) {
-		i := unit[0]
-		sh, n, err := d.runOne(ctx, specs[i])
-		if err != nil {
-			err = fmt.Errorf("dispatch: shard {%s %s seed %d}: %w",
-				specs[i].Workload, cellName(&specs[i]), specs[i].Seed, err)
+		d.runOne(ctx, specs, unit, out)
+		for _, i := range unit {
+			if out[i].Err != nil {
+				out[i].Err = fmt.Errorf("dispatch: shard {%s %s seed %d}: %w",
+					specs[i].Workload, cellName(&specs[i]), specs[i].Seed, out[i].Err)
+			}
+			sim.ShardDone(ctx, out[i].Shard, out[i].Err)
 		}
-		out[i] = sim.Outcome{Shard: sh, Attempts: n, Err: err}
-		sim.ShardDone(ctx, sh, err)
 	})
 }
 
@@ -263,89 +270,125 @@ func cellName(spec *sim.ShardSpec) string {
 	return spec.Observer.Kind
 }
 
-// attemptTimeout resolves the per-attempt deadline for a shard: the
-// configured bound, a budget-derived default, or none (negative option).
-func (d *Dispatcher) attemptTimeout(spec sim.ShardSpec) time.Duration {
+// attemptTimeout resolves the deadline of one backend call carrying insts
+// instructions of budget in all: the configured bound, a budget-derived
+// default, or none (negative option).
+func (d *Dispatcher) attemptTimeout(insts int64) time.Duration {
 	switch {
 	case d.opts.AttemptTimeout > 0:
 		return d.opts.AttemptTimeout
 	case d.opts.AttemptTimeout < 0:
 		return 0
 	default:
-		return 30*time.Second + time.Duration(spec.Insts)*time.Microsecond
+		return 30*time.Second + time.Duration(insts)*time.Microsecond
 	}
 }
 
-// runOne executes one shard, returning the backend attempts consumed
-// alongside the outcome. With a cache configured, the shard's content
-// address is resolved first (sim.ResolveShard) — a hit costs no slot and no
-// attempt — and a fetched result is written back. Only the winning result
-// of a hedged attempt reaches the write-back, so a hedge never writes
-// twice.
-func (d *Dispatcher) runOne(ctx context.Context, spec sim.ShardSpec) (sim.Shard, int, error) {
+// runOne executes one unit, recording each member's outcome at its grid
+// index in out. With a cache configured, every member's content address is
+// resolved first (sim.ResolveShard, in ascending key order — the cache's
+// rule for leading several keys at once): a hit costs no slot and no
+// attempt, an unrunnable spec fails alone, only the misses travel, and each
+// is written back once, whichever side of a hedge answered it.
+func (d *Dispatcher) runOne(ctx context.Context, specs []sim.ShardSpec, unit []int, out []sim.Outcome) {
 	if d.opts.Cache == nil {
-		return d.runAttempts(ctx, spec)
+		d.runAttempts(ctx, specs, unit, out)
+		return
 	}
-	cfg, err := spec.Config()
-	if err != nil {
-		// The spec is unrunnable on any backend; same no-retry exit the
-		// attempt loop would take.
-		return sim.Shard{}, 0, err
+	type lead struct {
+		idx int
+		key string
+		cfg sim.ObserverConfig
 	}
-	sh, hit, land, err := sim.ResolveShard(ctx, d.opts.Cache, sim.ShardCacheKey(spec, cfg), spec, cfg)
-	if err != nil || hit {
-		return sh, 0, err
+	leads := make([]lead, 0, len(unit))
+	for _, i := range unit {
+		cfg, err := specs[i].Config()
+		if err != nil {
+			out[i].Err = err // the no-retry exit the attempt loop would take
+			continue
+		}
+		leads = append(leads, lead{i, sim.ShardCacheKey(specs[i], cfg), cfg})
 	}
-	sh, attempts, err := d.runAttempts(ctx, spec)
-	land(sh, err)
-	return sh, attempts, err
+	slices.SortFunc(leads, func(a, b lead) int { return cmp.Compare(a.key, b.key) })
+	var pending []int
+	var lands []func(sim.Shard, error)
+	for _, l := range leads {
+		sh, hit, land, err := sim.ResolveShard(ctx, d.opts.Cache, l.key, specs[l.idx], l.cfg)
+		if err == nil && !hit {
+			pending, lands = append(pending, l.idx), append(lands, land)
+			continue
+		}
+		out[l.idx] = sim.Outcome{Shard: sh, Err: err}
+	}
+	d.runAttempts(ctx, specs, pending, out)
+	for k, i := range pending {
+		lands[k](out[i].Shard, out[i].Err)
+	}
 }
 
-// runAttempts is the per-shard retry/failover policy. A dispatcher-wide
-// slot is held only while a backend call is in flight — never across a
-// backoff sleep — so one shard retrying against a flaky backend cannot
-// stall others that could run on healthy idle backends.
-func (d *Dispatcher) runAttempts(ctx context.Context, spec sim.ShardSpec) (sim.Shard, int, error) {
-	var lastErr error
+// runAttempts is the per-unit retry/failover policy: every attempt sends
+// the members still pending as one backend call, a member that succeeded
+// (or was judged unrunnable) is finished, and only the members that failed
+// retryably ride the next one — so Attempts counts the calls a member rode
+// in. A dispatcher-wide slot is held only while a backend call is in flight
+// — never across a backoff sleep — so one unit retrying against a flaky
+// backend cannot stall others that could run on healthy idle backends.
+func (d *Dispatcher) runAttempts(ctx context.Context, specs []sim.ShardSpec, pending []int, out []sim.Outcome) {
 	var lastBackend *backendState
-	for attempt := 0; attempt < d.opts.Attempts; attempt++ {
+	for attempt := 0; len(pending) > 0; attempt++ {
+		if attempt == d.opts.Attempts {
+			for _, i := range pending {
+				out[i].Err = fmt.Errorf("shard failed after %d attempts: %w", attempt, out[i].Err)
+			}
+			return
+		}
 		if attempt > 0 {
 			// Full-jitter backoff before every retry: the cap doubles per
 			// attempt and the sleep is drawn uniformly from [0, cap), so
-			// shards that failed together spread out instead of hammering
+			// units that failed together spread out instead of hammering
 			// a recovering worker in lockstep. Context-aware so a
 			// cancelled run does not sit in a sleep.
 			capDelay := d.opts.Backoff << (attempt - 1)
 			delay := time.Duration(d.rand() * float64(capDelay))
 			select {
 			case <-ctx.Done():
-				return sim.Shard{}, attempt, ctx.Err()
+				for _, i := range pending {
+					out[i].Err = ctx.Err()
+				}
+				return
 			case <-time.After(delay):
 			}
 		}
-		sh, bs, err := d.raceAttempt(ctx, spec, lastBackend)
-		if err == nil {
-			return sh, attempt + 1, nil
+		send := make([]sim.ShardSpec, len(pending))
+		for k, i := range pending {
+			send[k] = specs[i]
 		}
-		if ctx.Err() != nil {
-			return sim.Shard{}, attempt + 1, ctx.Err()
-		}
-		if errors.Is(err, sim.ErrInvalidSpec) {
-			// The shard itself is unrunnable; retrying elsewhere cannot
-			// help.
-			return sim.Shard{}, attempt + 1, err
-		}
-		if bs == nil {
-			// Nothing eligible to run on.
-			if lastErr == nil {
-				return sim.Shard{}, attempt + 1, err
+		res, bs, err := d.raceAttempt(ctx, send, lastBackend)
+		var retry []int
+		for k, i := range pending {
+			last := out[i].Err
+			out[i].Attempts++
+			switch {
+			case err == nil && res[k].Err == nil:
+				out[i].Shard, out[i].Err = res[k].Shard, nil
+			case ctx.Err() != nil:
+				out[i].Err = ctx.Err()
+			case err != nil && last == nil:
+				// Nothing eligible to run on.
+				out[i].Err = err
+			case err != nil:
+				out[i].Err = fmt.Errorf("%w (last error: %v)", err, last)
+			case errors.Is(res[k].Err, sim.ErrInvalidSpec):
+				// The shard itself is unrunnable; retrying elsewhere cannot
+				// help.
+				out[i].Err = res[k].Err
+			default:
+				out[i].Err = fmt.Errorf("backend %s: %w", bs.b.Name(), res[k].Err)
+				retry = append(retry, i)
 			}
-			return sim.Shard{}, attempt + 1, fmt.Errorf("%w (last error: %v)", err, lastErr)
 		}
-		lastErr = fmt.Errorf("backend %s: %w", bs.b.Name(), err)
-		lastBackend = bs
+		pending, lastBackend = retry, bs
 	}
-	return sim.Shard{}, d.opts.Attempts, fmt.Errorf("shard failed after %d attempts: %w", d.opts.Attempts, lastErr)
 }
 
 // rand returns one uniform [0,1) draw from the configured jitter source.
@@ -356,33 +399,34 @@ func (d *Dispatcher) rand() float64 {
 	return rand.Float64()
 }
 
-// attemptResult is one backend call's outcome inside a raceAttempt.
+// attemptResult is one backend call's answer inside a raceAttempt: one
+// outcome per member sent.
 type attemptResult struct {
-	sh    sim.Shard
+	res   []sim.Outcome
 	bs    *backendState
-	err   error
 	hedge bool
 }
 
-// raceAttempt makes one logical attempt at the shard: a primary backend
-// call, plus — when hedging is enabled and the primary outlives the hedge
-// delay — a duplicate of the same shard on a second live backend. The
-// first success wins and cancels the other call; the loser settles its
-// backend's health on its own goroutine (a hedge cancellation is never
-// blamed) and its result is discarded, so hedges never double-count blame
-// or cache writes. The primary holds a dispatcher-wide slot until it
-// returns; a hedge rides that slot rather than taking its own, so the
-// bound is "at most MaxInFlight primaries, each with at most one hedge"
-// (a cancelled loser still winding down is not counted) and a backlog
-// cannot starve hedging. Returns the backend whose outcome was used (nil
-// when none was live).
-func (d *Dispatcher) raceAttempt(ctx context.Context, spec sim.ShardSpec, avoid *backendState) (sim.Shard, *backendState, error) {
+// raceAttempt makes one logical attempt at the members in send: a primary
+// backend call, plus — when hedging is enabled and the primary outlives the
+// hedge delay — a duplicate of the same members on a second live backend. A
+// member that succeeded on either side is done; the answer that completes
+// them all wins and cancels the other call, whose backend settles its
+// health on its own goroutine (a hedge cancellation is never blamed) and
+// whose answer is discarded. The primary holds a dispatcher-wide slot until
+// it returns; a hedge rides that slot rather than taking its own, so the
+// bound is "at most MaxInFlight primaries, each with at most one hedge" (a
+// cancelled loser still winding down is not counted) and a backlog cannot
+// starve hedging. Returns one outcome per member and the backend that
+// answered last, or the error that kept any call from being made (ctx
+// ended waiting for a slot; no backend live).
+func (d *Dispatcher) raceAttempt(ctx context.Context, send []sim.ShardSpec, avoid *backendState) ([]sim.Outcome, *backendState, error) {
 	// Take a dispatcher-wide slot for the primary, so concurrent RunShards
 	// calls cannot multiply the in-flight bound.
 	select {
 	case d.sem <- struct{}{}:
 	case <-ctx.Done():
-		return sim.Shard{}, nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 	// A retry avoids the backend that just failed when any other live one
 	// exists — the failover choice; alone, retrying on it beats giving up.
@@ -392,16 +436,16 @@ func (d *Dispatcher) raceAttempt(ctx context.Context, spec sim.ShardSpec, avoid 
 	}
 	if primary == nil {
 		<-d.sem
-		return sim.Shard{}, nil, fmt.Errorf("all %d backends dead", len(d.backends))
+		return nil, nil, fmt.Errorf("all %d backends dead", len(d.backends))
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	resc := make(chan attemptResult, 2) // buffered: a loser never blocks
 	go func() {
-		sh, err := d.callOn(actx, primary, spec)
+		res := d.callOn(actx, primary, send)
 		<-d.sem
-		resc <- attemptResult{sh: sh, bs: primary, err: err}
+		resc <- attemptResult{res: res, bs: primary}
 	}()
 
 	var hedgec <-chan time.Time
@@ -411,25 +455,35 @@ func (d *Dispatcher) raceAttempt(ctx context.Context, spec sim.ShardSpec, avoid 
 		hedgec = timer.C
 	}
 
+	var merged []sim.Outcome
 	launched := 1
 	for {
 		select {
 		case res := <-resc:
 			launched--
-			if res.err == nil {
+			if merged == nil {
+				merged = res.res
+			}
+			failed := false
+			for k := range merged {
+				if merged[k].Err != nil {
+					merged[k] = res.res[k]
+					failed = failed || merged[k].Err != nil
+				}
+			}
+			if failed && launched > 0 {
+				continue // the other call is still racing; wait for it
+			}
+			if !failed {
 				cancel() // the loser, if any, aborts promptly
 				if res.hedge {
 					d.hedgeWins.Add(1)
 				}
-				return res.sh, res.bs, nil
 			}
-			if launched > 0 {
-				continue // the other call is still racing; wait for it
-			}
-			return sim.Shard{}, res.bs, res.err
+			return merged, res.bs, nil
 		case <-hedgec:
 			hedgec = nil // at most one hedge per attempt
-			// A hedge needs a *different* live backend: duplicating a shard
+			// A hedge needs a *different* live backend: duplicating a unit
 			// onto the worker already running it cuts no tail latency.
 			hb := d.pick(primary)
 			if hb == nil {
@@ -438,45 +492,64 @@ func (d *Dispatcher) raceAttempt(ctx context.Context, spec sim.ShardSpec, avoid 
 			d.hedges.Add(1)
 			launched++
 			go func() {
-				sh, err := d.callOn(actx, hb, spec)
-				resc <- attemptResult{sh: sh, bs: hb, err: err, hedge: true}
+				resc <- attemptResult{res: d.callOn(actx, hb, send), bs: hb, hedge: true}
 			}()
 		}
 	}
 }
 
-// callOn runs one backend call and settles that backend's health. actx is
-// the attempt's cancellable context: blame is judged against it, so a call
-// cancelled because the run ended or the other side of a hedge won is
-// never a backend failure.
-func (d *Dispatcher) callOn(actx context.Context, bs *backendState, spec sim.ShardSpec) (sim.Shard, error) {
+// callOn runs one backend call and settles that backend's health, once for
+// the call however many members it carried. actx is the attempt's
+// cancellable context: blame is judged against it, so a call cancelled
+// because the run ended or the other side of a hedge won is never a backend
+// failure. A call that fails as a whole — the backend's own error, or an
+// answer of the wrong length — fails every member.
+func (d *Dispatcher) callOn(actx context.Context, bs *backendState, send []sim.ShardSpec) []sim.Outcome {
 	// Bound the call so a hung worker becomes a retryable failure the
 	// failover machinery handles, instead of wedging the run.
-	cctx, to := actx, d.attemptTimeout(spec)
+	var insts int64
+	for i := range send {
+		insts += send[i].Insts
+	}
+	cctx, to := actx, d.attemptTimeout(insts)
 	if to > 0 {
 		var cancel context.CancelFunc
 		cctx, cancel = context.WithTimeout(actx, to)
 		defer cancel()
 	}
 	start := time.Now()
-	sh, err := bs.b.RunShard(cctx, spec)
-	if err != nil && cctx.Err() != nil && actx.Err() == nil {
-		// The attempt's own deadline fired. That is this shard's failure,
+	res, err := bs.b.RunShards(cctx, send)
+	switch {
+	case err != nil && cctx.Err() != nil && actx.Err() == nil:
+		// The attempt's own deadline fired. That is these shards' failure,
 		// so the backend's context.DeadlineExceeded must not travel up the
 		// chain looking like a cancelled run.
 		err = fmt.Errorf("attempt timed out after %v", to)
+	case err == nil && len(res) != len(send):
+		err = fmt.Errorf("backend answered %d outcomes for %d shards", len(res), len(send))
+	}
+	if err != nil {
+		res = make([]sim.Outcome, len(send))
+		for k := range res {
+			res[k].Err = err
+		}
 	}
 	// Only failures attributable to the backend count toward its health:
 	// a cancelled run, a lost hedge race, or an unrunnable shard says
 	// nothing about the worker. An attempt timeout (cctx expired, actx
 	// did not) does blame the backend — that is exactly the hung-worker
 	// case.
-	blame := err != nil && actx.Err() == nil && !errors.Is(err, sim.ErrInvalidSpec)
-	d.settle(bs, err == nil, blame)
-	if err == nil {
+	ok, blame := true, false
+	for k := range res {
+		if err := res[k].Err; err != nil {
+			ok, blame = false, blame || !errors.Is(err, sim.ErrInvalidSpec)
+		}
+	}
+	d.settle(bs, ok, blame && actx.Err() == nil)
+	if ok {
 		d.observeLatency(time.Since(start))
 	}
-	return sh, err
+	return res
 }
 
 // observeLatency records one successful attempt's latency in the sliding

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,22 +16,41 @@ import (
 	"rebalance/internal/wire"
 )
 
-// ShardsPath is the worker protocol endpoint: a worker accepts a
-// sim.ShardSpec as a JSON POST body and responds with the shard's wire
-// record (the same shape as a sim/v1 report's shard entries).
+// ShardsPath is the worker protocol endpoint: a worker accepts a JSON array
+// of sim.ShardSpecs — one unit — as a POST body and answers 200 with an
+// index-aligned array of member records: the shard's wire record (the same
+// shape as a sim/v1 report's shard entries), or {"error", "invalid"} for a
+// member that failed.
 //
-// Failure semantics: 400 with a JSON {"error": ...} body means the shard
-// spec itself is invalid — the coordinator maps it to sim.ErrInvalidSpec
-// and does not retry, because no backend can run it. Any other non-200
-// status, a transport error, or a response that fails to decode counts as
-// a backend failure: the Dispatcher retries the shard with backoff,
-// preferring a different backend, and marks the worker dead after
-// consecutive failures.
+// Failure semantics, per member: "invalid": true means the shard spec
+// itself is unrunnable — the coordinator maps it to sim.ErrInvalidSpec and
+// does not retry it, because no backend can run it; any other member error
+// is the worker's failure for that shard alone. Per call: 400 (a body that
+// is not an array of shard specs, or a budget over the worker's limit — a
+// unit's members share one) and 413 (a body over the worker's size limit)
+// are the request's fault — every member fails with sim.ErrInvalidSpec,
+// unretried, the worker not blamed. Any other non-200 status, a transport
+// error, or an answer that is not exactly one well-formed record per member
+// — wrong length, a record that does not decode or answers another shard —
+// counts as a backend failure for every member sent: the Dispatcher retries
+// them with backoff, preferring a different backend, and marks the worker
+// dead after consecutive failures.
 const ShardsPath = "/v1/shards"
 
 // maxShardRespBytes bounds worker responses; a shard record is a few KB
-// even with footprint chunk maps, so anything larger is a broken worker.
+// even with footprint chunk maps and a unit is a coordinate's worth of
+// them, so anything larger is a broken worker.
 const maxShardRespBytes = 16 << 20
+
+// maxShardSpecBytes bounds the request body a worker reads: a shard spec is
+// a few hundred bytes (a few KB with an inline synth scenario).
+const maxShardSpecBytes = 1 << 20
+
+// memberError is the record of a member that failed, in place of its shard.
+type memberError struct {
+	Error   string `json:"error"`
+	Invalid bool   `json:"invalid,omitempty"`
+}
 
 // HTTPBackend runs shards on a remote simd worker process.
 type HTTPBackend struct {
@@ -51,32 +71,104 @@ func NewHTTPBackend(base string, client *http.Client) *HTTPBackend {
 // Name implements Backend.
 func (b *HTTPBackend) Name() string { return b.base }
 
-// RunShard implements Backend: POST the spec, decode the shard, verify it
-// answers this spec. The embedded result is decoded to its concrete type
-// through the spec's observer configuration, so the caller merges it
-// exactly like a locally-produced shard.
-func (b *HTTPBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
-	cfg, err := spec.Config()
-	if err != nil {
-		return sim.Shard{}, err
+// RunShards implements Backend: POST the specs as one array, decode the
+// answer record by record, verify each answers its spec. A spec that does
+// not expand fails alone and is not sent. Embedded results are decoded to
+// their concrete types through each spec's observer configuration, so the
+// caller merges them exactly like locally-produced shards.
+func (b *HTTPBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
+	out := make([]sim.Outcome, len(specs))
+	send := make([]sim.ShardSpec, 0, len(specs))
+	cfgs := make([]sim.ObserverConfig, 0, len(specs))
+	at := make([]int, 0, len(specs)) // send[k] is specs[at[k]]
+	for i := range specs {
+		cfg, err := specs[i].Config()
+		if err != nil {
+			out[i].Err = err
+			continue
+		}
+		send, cfgs, at = append(send, specs[i]), append(cfgs, cfg), append(at, i)
 	}
-	body, err := json.Marshal(spec)
+	if len(send) == 0 {
+		return out, nil
+	}
+	res, err := b.post(ctx, send, cfgs)
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	for k, i := range at {
+		if err != nil {
+			out[i].Err = err
+		} else {
+			out[i] = res[k]
+		}
+	}
+	return out, nil
+}
+
+// post is one round trip of the worker protocol; its error fails the call,
+// every member sent.
+func (b *HTTPBackend) post(ctx context.Context, send []sim.ShardSpec, cfgs []sim.ObserverConfig) ([]sim.Outcome, error) {
+	body, err := json.Marshal(send)
 	if err != nil {
-		return sim.Shard{}, fmt.Errorf("dispatch: marshalling shard spec: %w", err)
+		return nil, fmt.Errorf("dispatch: marshalling shard specs: %w", err)
 	}
 	data, status, err := wire.Do(ctx, b.client, http.MethodPost, b.base+ShardsPath, body, maxShardRespBytes)
 	if err != nil {
-		return sim.Shard{}, err
+		return nil, err
 	}
-	if status != http.StatusOK {
-		msg := wire.ErrorMessage(data)
-		if status == http.StatusBadRequest {
-			// The worker judged the spec invalid; retrying cannot help.
-			return sim.Shard{}, fmt.Errorf("%w: worker %s rejected shard: %s", sim.ErrInvalidSpec, b.base, msg)
+	switch status {
+	case http.StatusOK:
+		res, err := decodeAnswer(data, send, cfgs)
+		if err != nil {
+			return nil, fmt.Errorf("worker %s: %w", b.base, err)
 		}
-		return sim.Shard{}, fmt.Errorf("worker %s: status %d: %s", b.base, status, msg)
+		return res, nil
+	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		// The worker judged the request itself unservable; retrying cannot
+		// help.
+		return nil, fmt.Errorf("%w: worker %s rejected shards: %s", sim.ErrInvalidSpec, b.base, wire.ErrorMessage(data))
+	default:
+		return nil, fmt.Errorf("worker %s: status %d: %s", b.base, status, wire.ErrorMessage(data))
 	}
-	return sim.DecodeShard(data, spec, cfg)
+}
+
+// decodeAnswer reads a worker's 200 body against the specs it answers: one
+// outcome per spec — the shard asked for, or the member's own failure — or
+// the error of an answer that is not exactly that (wrong length, a record
+// that is neither, a shard answering another spec), which is the worker's
+// failure and never a member's.
+func decodeAnswer(data []byte, specs []sim.ShardSpec, cfgs []sim.ObserverConfig) ([]sim.Outcome, error) {
+	var recs []json.RawMessage
+	if err := wire.StrictUnmarshal(data, &recs); err != nil {
+		return nil, fmt.Errorf("decoding answer: %w", err)
+	}
+	if len(recs) != len(specs) {
+		return nil, fmt.Errorf("answered %d records for %d shards", len(recs), len(specs))
+	}
+	out := make([]sim.Outcome, len(recs))
+	for k, rec := range recs {
+		sh, err := sim.DecodeShard(rec, specs[k], cfgs[k])
+		if err == nil {
+			out[k].Shard = sh
+			continue
+		}
+		var me memberError
+		if wire.StrictUnmarshal(rec, &me) != nil || me.Error == "" {
+			return nil, err
+		}
+		out[k].Err = errors.New(me.Error)
+		if me.Invalid {
+			out[k].Err = fmt.Errorf("%w: worker rejected shard: %s", sim.ErrInvalidSpec, me.Error)
+		}
+	}
+	return out, nil
+}
+
+// RunShard is sim.RunOne on the backend, the spelling bench/ compiles
+// against.
+func (b *HTTPBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+	return sim.RunOne(ctx, b, spec)
 }
 
 // HealthzPath is the worker liveness endpoint Probe hits. cmd/simd serves
@@ -94,50 +186,60 @@ func (b *HTTPBackend) Probe(ctx context.Context) error {
 	return err
 }
 
-// WorkerHandler serves the worker protocol over sess: POST /v1/shards
-// runs one shard on the session's pool and compiled-program cache.
-// cmd/simd mounts it in both modes; tests drive it through httptest to
-// stand up in-process workers. maxInsts > 0 rejects shards with a larger
-// instruction budget, mirroring the coordinator endpoint's guard.
+// WorkerHandler serves the worker protocol over sess: POST /v1/shards runs
+// one unit — an array of shard specs — on the session's pool and
+// compiled-program cache, as sess.RunShards plans it. cmd/simd mounts it in
+// both modes; tests drive it through httptest to stand up in-process
+// workers. maxInsts > 0 rejects arrays holding a larger instruction budget,
+// mirroring the coordinator endpoint's guard.
 func WorkerHandler(sess *sim.Session, maxInsts int64) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+ShardsPath, func(w http.ResponseWriter, r *http.Request) {
-		const maxShardSpecBytes = 1 << 20
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxShardSpecBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxShardSpecBytes))
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			wire.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("shard array exceeds the worker's %d-byte request limit", tooBig.Limit))
+			return
+		}
 		if err != nil {
 			// A failed body read is a transport problem, not a judgment on
-			// the spec. It must NOT be a 400: the coordinator maps 400 to
-			// sim.ErrInvalidSpec and permanently fails the shard, whereas a
+			// the specs. It must NOT be a 400: the coordinator maps 400 to
+			// sim.ErrInvalidSpec and permanently fails the shards, whereas a
 			// 500 is retried and failed over like any backend fault.
-			wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("reading shard spec: %w", err))
+			wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("reading shard array: %w", err))
 			return
 		}
-		spec, err := sim.DecodeShardSpec(body)
-		if err != nil {
-			wire.WriteError(w, http.StatusBadRequest, err)
+		var specs []sim.ShardSpec
+		if err := wire.StrictUnmarshal(body, &specs); err != nil {
+			wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("%w: decoding shard array: %v", sim.ErrInvalidSpec, err))
 			return
 		}
-		if maxInsts > 0 && spec.Insts > maxInsts {
-			wire.WriteError(w, http.StatusBadRequest,
-				fmt.Errorf("%w: per-shard budget %d exceeds worker limit %d", sim.ErrInvalidSpec, spec.Insts, maxInsts))
-			return
-		}
-		sh, err := sess.RunShard(r.Context(), *spec)
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, sim.ErrInvalidSpec) {
-				status = http.StatusBadRequest
+		for i := range specs {
+			if maxInsts > 0 && specs[i].Insts > maxInsts {
+				wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("%w: member %d: per-shard budget %d exceeds worker limit %d",
+					sim.ErrInvalidSpec, i, specs[i].Insts, maxInsts))
+				return
 			}
-			wire.WriteError(w, status, err)
-			return
 		}
-		enc, err := sim.EncodeShard(sh)
+		// RunShards expands each member: an invalid one fails alone.
+		out, err := sess.RunShards(r.Context(), specs)
 		if err != nil {
 			wire.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
+		recs := make([][]byte, len(out))
+		for i := range out {
+			err := out[i].Err
+			if err == nil {
+				recs[i], err = sim.EncodeShard(out[i].Shard)
+			}
+			if err != nil {
+				// A string and a bool cannot fail to marshal.
+				recs[i], _ = json.Marshal(memberError{Error: err.Error(), Invalid: errors.Is(err, sim.ErrInvalidSpec)})
+			}
+		}
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(enc)
+		_, _ = w.Write(append(append([]byte{'['}, bytes.Join(recs, []byte{','})...), ']'))
 	})
 	// Serve the liveness endpoint here too, so every mounted worker —
 	// including in-process test workers — answers revival probes.

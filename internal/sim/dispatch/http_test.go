@@ -2,11 +2,13 @@ package dispatch_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,9 +35,10 @@ func stubWorker(t *testing.T, status int, body string) (*httptest.Server, *atomi
 }
 
 // TestWorkerStatusBlameMapping is the satellite regression test: a
-// worker's 400 must decode back to sim.ErrInvalidSpec on the client so
-// the never-retry rule holds across the wire, while 500/503 must stay
-// ordinary retryable backend failures.
+// worker's 400 — and its 413, the other verdict on the request itself —
+// must decode back to sim.ErrInvalidSpec on the client so the never-retry
+// rule holds across the wire, while 500/503 must stay ordinary retryable
+// backend failures.
 func TestWorkerStatusBlameMapping(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -45,6 +48,7 @@ func TestWorkerStatusBlameMapping(t *testing.T) {
 	}{
 		{"400 json error", http.StatusBadRequest, `{"error":"sim: invalid spec: no workload"}`, true},
 		{"400 opaque body", http.StatusBadRequest, `not json at all`, true},
+		{"413", http.StatusRequestEntityTooLarge, `{"error":"shard array exceeds the worker's 1048576-byte request limit"}`, true},
 		{"500", http.StatusInternalServerError, `{"error":"executor exploded"}`, false},
 		{"503", http.StatusServiceUnavailable, `overloaded`, false},
 	}
@@ -63,24 +67,26 @@ func TestWorkerStatusBlameMapping(t *testing.T) {
 }
 
 // TestWorker400NotRetriedNotBlamed drives the stub through a full
-// Dispatcher: a 400 response is never retried and leaves the backend
-// healthy — rejecting unrunnable shards is the worker doing its job.
+// Dispatcher: a 400 or 413 response is never retried and leaves the backend
+// healthy — rejecting an unservable request is the worker doing its job.
 func TestWorker400NotRetriedNotBlamed(t *testing.T) {
-	srv, calls := stubWorker(t, http.StatusBadRequest, `{"error":"sim: invalid spec: bad shard"}`)
-	d, err := dispatch.New([]dispatch.Backend{dispatch.NewHTTPBackend(srv.URL, nil)}, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)}); !errors.Is(err, sim.ErrInvalidSpec) {
-			t.Fatalf("want ErrInvalidSpec, got %v", err)
+	for _, status := range []int{http.StatusBadRequest, http.StatusRequestEntityTooLarge} {
+		srv, calls := stubWorker(t, status, `{"error":"sim: invalid spec: bad shard"}`)
+		d, err := dispatch.New([]dispatch.Backend{dispatch.NewHTTPBackend(srv.URL, nil)}, fastOpts())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := calls.Load(); got != 4 {
-		t.Errorf("worker saw %d requests for 4 runs, want 4 (no retries)", got)
-	}
-	if healthy := d.Healthy(); len(healthy) != 1 {
-		t.Errorf("400 responses marked the worker dead: healthy = %v", healthy)
+		for i := 0; i < 4; i++ {
+			if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)}); !errors.Is(err, sim.ErrInvalidSpec) {
+				t.Fatalf("status %d: want ErrInvalidSpec, got %v", status, err)
+			}
+		}
+		if got := calls.Load(); got != 4 {
+			t.Errorf("worker saw %d requests for 4 runs answered %d, want 4 (no retries)", got, status)
+		}
+		if healthy := d.Healthy(); len(healthy) != 1 {
+			t.Errorf("%d responses marked the worker dead: healthy = %v", status, healthy)
+		}
 	}
 }
 
@@ -125,11 +131,61 @@ func TestWorkerBodyReadErrorIsRetryable(t *testing.T) {
 	}
 }
 
+// TestWorkerOversizeBodyIs413: a body over the worker's limit is refused as
+// such — 413, naming the limit — not cut at the limit and answered 400 with
+// the syntax error the cut produced.
+func TestWorkerOversizeBodyIs413(t *testing.T) {
+	h := dispatch.WorkerHandler(sim.NewSession(1), 0)
+	spec, err := json.Marshal(testSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A well-formed array of valid members, just too many of them.
+	body := "[" + strings.Repeat(string(spec)+",", (1<<20)/len(spec)+1) + string(spec) + "]"
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, dispatch.ShardsPath, strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "1048576-byte") {
+		t.Errorf("oversize body answered %d %s, want 413 naming the 1048576-byte limit", rec.Code, rec.Body)
+	}
+}
+
+// TestWorkerKeepsCoordinatesApart: two members posted together that share
+// workload and seed but not budget are two passes on the worker — each
+// record reports at least its own budget and equals the shard posted alone.
+func TestWorkerKeepsCoordinatesApart(t *testing.T) {
+	b := dispatch.NewHTTPBackend(newWorker(t).URL, nil)
+	short, long := testSpec(1), testSpec(1)
+	long.Insts = 40_000
+	specs := []sim.ShardSpec{short, long, short}
+	out, err := b.RunShards(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range out {
+		if o.Err != nil {
+			t.Fatalf("member %d: %v", i, o.Err)
+		}
+		alone, err := b.RunShard(context.Background(), specs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err1 := o.Shard.Result.EncodeJSON()
+		want, err2 := alone.Result.EncodeJSON()
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if o.Shard.Insts < specs[i].Insts || o.Shard.Insts != alone.Insts || string(got) != string(want) {
+			t.Errorf("member %d (budget %d): %d insts, result %s; posted alone: %d insts, result %s",
+				i, specs[i].Insts, o.Shard.Insts, got, alone.Insts, want)
+		}
+	}
+}
+
 type errReader struct{}
 
 func (errReader) Read([]byte) (int, error) { return 0, fmt.Errorf("connection reset") }
 
-// countingWrapper counts RunShard calls that reach the wrapped backend.
+// countingWrapper counts the calls that reach the wrapped backend.
 type countingWrapper struct {
 	inner dispatch.Backend
 	calls atomic.Int64
@@ -139,9 +195,9 @@ func (c *countingWrapper) Name() string { return c.inner.Name() }
 
 func (c *countingWrapper) Probe(ctx context.Context) error { return c.inner.Probe(ctx) }
 
-func (c *countingWrapper) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+func (c *countingWrapper) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
 	c.calls.Add(1)
-	return c.inner.RunShard(ctx, spec)
+	return c.inner.RunShards(ctx, specs)
 }
 
 // TestDispatcherCacheServesRepeats: with Options.Cache set, a repeated

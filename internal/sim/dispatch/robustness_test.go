@@ -61,7 +61,11 @@ func (b *seedFailBackend) Name() string { return b.name }
 
 func (b *seedFailBackend) Probe(context.Context) error { return nil }
 
-func (b *seedFailBackend) RunShard(_ context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+func (b *seedFailBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
+	return eachShard(ctx, specs, b.runShard)
+}
+
+func (b *seedFailBackend) runShard(_ context.Context, spec sim.ShardSpec) (sim.Shard, error) {
 	b.calls.Add(1)
 	if spec.Seed == b.failSeed {
 		return sim.Shard{}, fmt.Errorf("%s: scripted permanent failure for seed %d", b.name, spec.Seed)
@@ -138,11 +142,13 @@ type cellFailBackend struct {
 	failKey string
 }
 
-func (b *cellFailBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
-	if cfg, err := spec.Config(); err == nil && cfg.Key() == b.failKey {
-		return sim.Shard{}, errors.New("scripted permanent failure")
-	}
-	return b.LocalBackend.RunShard(ctx, spec)
+func (b *cellFailBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
+	return eachShard(ctx, specs, func(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+		if cfg, err := spec.Config(); err == nil && cfg.Key() == b.failKey {
+			return sim.Shard{}, errors.New("scripted permanent failure")
+		}
+		return sim.RunOne(ctx, &b.LocalBackend, spec)
+	})
 }
 
 // TestDispatchedFailureNamesTheCell: on a one-kind grid (the Figure-5
@@ -192,12 +198,14 @@ type hangSeedBackend struct {
 	hangSeed uint64
 }
 
-func (b *hangSeedBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
-	if spec.Seed == b.hangSeed {
-		<-ctx.Done()
-		return sim.Shard{}, ctx.Err()
-	}
-	return b.LocalBackend.RunShard(ctx, spec)
+func (b *hangSeedBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
+	return eachShard(ctx, specs, func(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+		if spec.Seed == b.hangSeed {
+			<-ctx.Done()
+			return sim.Shard{}, ctx.Err()
+		}
+		return sim.RunOne(ctx, &b.LocalBackend, spec)
+	})
 }
 
 // TestAttemptTimeoutFailsTheShard: a shard that exhausts its attempts on
@@ -286,7 +294,11 @@ func (b *slowBackend) Name() string { return b.name }
 
 func (b *slowBackend) Probe(context.Context) error { return nil }
 
-func (b *slowBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+func (b *slowBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
+	return eachShard(ctx, specs, b.runShard)
+}
+
+func (b *slowBackend) runShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
 	b.calls.Add(1)
 	select {
 	case <-ctx.Done():
@@ -354,16 +366,16 @@ func TestHedgeNeedsASecondBackend(t *testing.T) {
 }
 
 // gaugedBackend tracks, across every backend sharing one gauge, how many
-// RunShard calls are in flight and the peak.
+// backend calls are in flight and the peak.
 type gaugedBackend struct {
 	dispatch.Backend
 	cur, peak *atomic.Int64
 }
 
-func (g gaugedBackend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+func (g gaugedBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
 	enterGauge(g.cur, g.peak)
 	defer g.cur.Add(-1)
-	return g.Backend.RunShard(ctx, spec)
+	return g.Backend.RunShards(ctx, specs)
 }
 
 // TestHedgeFiresWhenPoolSaturated: a hedge rides its primary's in-flight
@@ -426,7 +438,7 @@ func TestDerivedHedgeDelayNeedsSamples(t *testing.T) {
 	}
 }
 
-// probeBackend scripts a probe-capable backend: RunShard fails its first
+// probeBackend scripts a probe-capable backend: a shard fails its first
 // failFirst calls, and the test controls when probes succeed. It records
 // whether a shard was ever dispatched to it between death and a
 // successful probe — the sacrifice the probe path exists to avoid.
@@ -445,7 +457,11 @@ type probeBackend struct {
 
 func (b *probeBackend) Name() string { return b.name }
 
-func (b *probeBackend) RunShard(_ context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+func (b *probeBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
+	return eachShard(ctx, specs, b.runShard)
+}
+
+func (b *probeBackend) runShard(_ context.Context, spec sim.ShardSpec) (sim.Shard, error) {
 	n := b.calls.Add(1)
 	if n <= b.failFirst {
 		return sim.Shard{}, fmt.Errorf("%s: scripted failure %d", b.name, n)

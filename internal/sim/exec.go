@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"rebalance/internal/trace"
 	"rebalance/internal/trace/replay"
+	"rebalance/internal/workload/synth"
 )
 
 // gridCell is one unit of the {workload x observer-config x seed} grid:
@@ -20,27 +22,46 @@ type gridCell struct {
 	cfg  ObserverConfig
 }
 
-// plan partitions the grid into the local pool's scheduling units, as
-// index groups into cells. The choice is granularity only — results stay
-// index-aligned with cells, so the report is plan-independent. There is one
-// rule, with or without a trace store: the shards of a (workload, seed)
-// coordinate form one unit, so the coordinate's stream is produced once —
-// one live executor, or one store fetch — and every observer rides that
-// single pass, the stream-once, observe-many schedule. When that leaves
-// fewer units than workers, each coordinate's members are cut, in grid
-// order, into ceil(workers/coordinates) contiguous chunks (at most one per
-// member): a chunk re-produces its coordinate's stream, which idle cores
-// pay for in parallel, and contiguity keeps a coordinate's plain bpred
-// configurations together for runGroup to fuse.
-func (s *Session) plan(cells []gridCell) [][]int {
+// PlanShards partitions a shard grid into scheduling units, as index groups
+// into specs — the one plan, run by whoever owns a whole grid: a Session
+// over its local pool (slots = workers) and the dispatch layer over its
+// backends (slots = units in flight). The choice is granularity only —
+// results stay index-aligned with specs, so the report is plan-independent.
+// There is one rule, with or without a trace store: the shards of a trace
+// coordinate (workload, canonical synth scenario, seed, budget — the tr1-
+// key's fields, since an array off the wire need not come from one Spec)
+// form one unit, so the coordinate's stream is produced once — one live
+// executor, or one store fetch — and every observer rides that single pass,
+// the stream-once, observe-many schedule. When that leaves fewer units than
+// slots, each coordinate's members are cut, in grid order, into
+// ceil(slots/coordinates) contiguous chunks (at most one per member): a
+// chunk re-produces its coordinate's stream, which idle cores pay for in
+// parallel, and contiguity keeps a coordinate's plain bpred configurations
+// together for runGroup to fuse. slots < 1 never cuts. A scenario that does
+// not canonicalize is invalid wherever it runs: a coordinate of its own.
+func PlanShards(specs []ShardSpec, slots int) [][]int {
 	type coord struct {
-		workload string
-		seed     uint64
+		workload, synth string
+		seed            uint64
+		insts           int64
 	}
 	var groups [][]int
 	at := map[coord]int{}
-	for i := range cells {
-		k := coord{cells[i].spec.Workload, cells[i].spec.Seed}
+	canon := map[*synth.Params]string{} // one Spec's cells share their scenario
+	for i := range specs {
+		sp := &specs[i]
+		k := coord{workload: sp.Workload, seed: sp.Seed, insts: sp.Insts}
+		if sp.Synth != nil {
+			c, ok := canon[sp.Synth]
+			if !ok {
+				c = fmt.Sprintf("invalid#%d", i)
+				if data, err := sp.Synth.CanonicalJSON(); err == nil {
+					c = string(data)
+				}
+				canon[sp.Synth] = c
+			}
+			k.synth = c
+		}
 		g, ok := at[k]
 		if !ok {
 			g = len(groups)
@@ -49,12 +70,12 @@ func (s *Session) plan(cells []gridCell) [][]int {
 		}
 		groups[g] = append(groups[g], i)
 	}
-	if len(groups) >= s.workers {
+	if len(groups) >= slots {
 		return groups
 	}
 	var units [][]int
 	for _, g := range groups {
-		n := min((s.workers+len(groups)-1)/len(groups), len(g))
+		n := min((slots+len(groups)-1)/len(groups), len(g))
 		for k := 0; k < n; k++ {
 			units = append(units, g[k*len(g)/n:(k+1)*len(g)/n])
 		}
@@ -104,7 +125,7 @@ type pendingShard struct {
 }
 
 // runGroup is the one shard execution path: every shard the session
-// computes — pooled grid cells and single RunShard calls alike — is a
+// computes — pooled grid cells and worker-protocol members alike — is a
 // member of a group that shares one trace coordinate, and runs here. Each
 // member is first resolved against the result cache; the coordinate's
 // stream is then opened once (see stream) and fed, in a single pass, to the

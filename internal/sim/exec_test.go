@@ -2,14 +2,15 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
 	"rebalance/internal/sim/shardcache"
 	"rebalance/internal/trace"
 	"rebalance/internal/trace/replay"
+	"rebalance/internal/workload/synth"
 )
 
 // cellOf is the grid cell Session.Run builds for one shard of a registered
@@ -43,12 +44,22 @@ func gridOf(t *testing.T, spec *Spec) []gridCell {
 	return gridCells(norm, configs, nil)
 }
 
+// specsOf is the portable half of a grid, what PlanShards and a runner see.
+func specsOf(cells []gridCell) []ShardSpec {
+	specs := make([]ShardSpec, len(cells))
+	for i := range cells {
+		specs[i] = cells[i].spec
+	}
+	return specs
+}
+
 // TestWorkersFollowThePlan: plan has one rule — a unit per (workload, seed)
 // coordinate, and when that leaves workers idle, ceil(workers/coordinates)
 // contiguous chunks per coordinate, at most one per member — and the pool,
 // and Report.Workers, are sized by the units it yields, not by the raw
-// shard count. A trace store changes where a unit's stream comes from,
-// never the plan; and the plan changes scheduling, never the report.
+// shard count. The plan is a function of the grid and the slot count alone
+// (a trace store changes where a unit's stream comes from, and has no way
+// to reach the plan); and the plan changes scheduling, never the report.
 func TestWorkersFollowThePlan(t *testing.T) {
 	// The mixed nine: three plain bpred configs (the fusable members) among
 	// six of four other kinds.
@@ -78,12 +89,9 @@ func TestWorkersFollowThePlan(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			jobs := gridOf(t, tc.spec)
 			plain, stored := NewSession(tc.workers), newReplaySession(t, tc.workers, replay.Options{})
-			units := plain.plan(jobs)
+			units := PlanShards(specsOf(jobs), tc.workers)
 			if len(units) != tc.units {
 				t.Fatalf("plan yields %d units, want %d", len(units), tc.units)
-			}
-			if got := stored.plan(jobs); !reflect.DeepEqual(got, units) {
-				t.Errorf("a trace store changed the plan:\nstoreless: %v\nstore:     %v", units, got)
 			}
 			// The units partition the grid, each within one coordinate and in
 			// grid order, so a coordinate's bpred configs stay adjacent.
@@ -244,5 +252,64 @@ func TestPartialHitGroupComputesOnlyItsMisses(t *testing.T) {
 		if got, want := encode(t, sh.Result), encode(t, alone.Result); got != want {
 			t.Errorf("shard %s differs from the same shard executed alone:\n got: %s\nwant: %s", sh.Observer, got, want)
 		}
+	}
+}
+
+// TestRunShardsKeepsCoordinatesApart: an array off the wire need not come
+// from one Spec, so two members may share workload and seed and still name
+// different streams — another budget, or another scenario under the same
+// name. Each distinct coordinate is its own pass: every shard reports at
+// least its own budget and equals the same spec executed alone, an invalid
+// member fails alone, and the members that do share a coordinate still ride
+// one pass (one trace-store miss per coordinate).
+func TestRunShardsKeepsCoordinatesApart(t *testing.T) {
+	ctx := context.Background()
+	flat, steep := synth.Params{Name: "twin", Bias: 0.9}, synth.Params{Name: "twin", Bias: 0.99}
+	obs := func(kind string) ObserverSpec { return ObserverSpec{Kind: kind} }
+	specs := []ShardSpec{
+		{Workload: "comd-lite", Seed: 1, Insts: 5_000, Observer: obs("bbl")},
+		{Workload: "comd-lite", Seed: 1, Insts: 40_000, Observer: obs("bbl")},
+		{Workload: "comd-lite", Seed: 1, Insts: 5_000, Observer: obs("branch-mix")},
+		{Workload: "twin", Synth: &flat, Seed: 1, Insts: 5_000, Observer: obs("bias")},
+		{Workload: "twin", Synth: &steep, Seed: 1, Insts: 5_000, Observer: obs("bias")},
+		{Workload: "no-such", Seed: 1, Insts: 5_000, Observer: obs("bbl")},
+		{Workload: "comd-lite", Seed: 1, Insts: 40_000, Observer: obs("branch-mix")},
+	}
+	if units := PlanShards(specs, 0); len(units) != 5 {
+		t.Fatalf("plan groups the array into %d units, want 5 (four coordinates and the unrunnable member's): %v", len(units), units)
+	}
+	sess := newReplaySession(t, 2, replay.Options{})
+	out, err := sess.RunShards(ctx, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(specs) {
+		t.Fatalf("%d outcomes for %d specs", len(out), len(specs))
+	}
+	alone := NewSession(1)
+	for i, spec := range specs {
+		if spec.Workload == "no-such" {
+			if !errors.Is(out[i].Err, ErrInvalidSpec) {
+				t.Errorf("member %d: err = %v, want ErrInvalidSpec", i, out[i].Err)
+			}
+			continue
+		}
+		if out[i].Err != nil {
+			t.Fatalf("member %d: %v", i, out[i].Err)
+		}
+		want, err := alone.RunShard(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out[i].Shard; got.Insts < spec.Insts || got.Insts != want.Insts || encode(t, got.Result) != encode(t, want.Result) {
+			t.Errorf("member %d {%s %s insts %d}: %d insts, result %s;\nalone: %d insts, result %s",
+				i, spec.Workload, spec.Observer.Kind, spec.Insts, got.Insts, encode(t, got.Result), want.Insts, encode(t, want.Result))
+		}
+	}
+	if encode(t, out[3].Shard.Result) == encode(t, out[4].Shard.Result) {
+		t.Error("two scenarios under one name produced one result; they were fused into one pass")
+	}
+	if st := sess.TraceStore().Stats(); st.Misses != 4 || st.Hits != 0 {
+		t.Errorf("trace store saw %d misses, %d hits; want one pass per distinct coordinate (4) and none shared twice", st.Misses, st.Hits)
 	}
 }

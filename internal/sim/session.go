@@ -175,15 +175,21 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 			compiled[w] = c
 		}
 	}
+	specs := make([]ShardSpec, len(cells))
+	for i := range cells {
+		specs[i] = cells[i].spec
+	}
 	start := time.Now() //repolint:allow nodeterminism Report.WallNS wall-clock timing field, excluded from goldens
 	// Workers reports the local pool concurrency, which the plan bounds (a
 	// grid of fewer units than session workers cannot use them all); a
 	// dispatched run's concurrency belongs to the runner, so the field is
-	// 0 there rather than a fabricated figure.
+	// 0 there rather than a fabricated figure. Remote results were already
+	// decoded to concrete types by the backend, so the merge phase cannot
+	// tell them from local ones.
 	workers := 0
-	run := func(ctx context.Context) ([]Outcome, error) { return s.runDispatched(ctx, cells) }
+	run := func(ctx context.Context) ([]Outcome, error) { return s.runner.RunShards(ctx, specs) }
 	if s.runner == nil {
-		groups := s.plan(cells)
+		groups := PlanShards(specs, s.workers)
 		workers = min(s.workers, len(groups))
 		run = func(ctx context.Context) ([]Outcome, error) {
 			return RunUnits(ctx, len(cells), workers, groups, func(group []int, out []Outcome) {
@@ -344,15 +350,4 @@ func decide(ctx context.Context, norm *Spec, cells []gridCell, run func(context.
 		return nil, fmt.Errorf("sim: all %d shards failed: %w", len(cells), firstErr)
 	}
 	return out, nil
-}
-
-// runDispatched hands the shard grid to the configured runner (the
-// dispatch layer). Remote results were already decoded to concrete types
-// by the backend, so the merge phase cannot tell them from local ones.
-func (s *Session) runDispatched(ctx context.Context, cells []gridCell) ([]Outcome, error) {
-	specs := make([]ShardSpec, len(cells))
-	for i := range cells {
-		specs[i] = cells[i].spec
-	}
-	return s.runner.RunShards(ctx, specs)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"rebalance/internal/trace"
 	"rebalance/internal/wire"
@@ -14,9 +15,10 @@ import (
 // per-shard instruction budget and engine, and an ObserverSpec that
 // expands to exactly one configuration. A synthetic workload carries its
 // synth/v1 parameter set inline, so the spec stays self-contained: a
-// remote worker rebuilds the exact same program from the wire bytes. It
-// is the request body of the simd worker protocol (POST /v1/shards) and
-// the unit the dispatch layer schedules, retries, and fails over.
+// remote worker rebuilds the exact same program from the wire bytes. An
+// array of them is the request body of the simd worker protocol (POST
+// /v1/shards): the unit the dispatch layer schedules and fails over,
+// retrying the members that failed.
 type ShardSpec struct {
 	Workload string        `json:"workload"`
 	Synth    *synth.Params `json:"synth,omitempty"`
@@ -64,8 +66,9 @@ func DecodeShardSpec(data []byte) (*ShardSpec, error) {
 	return &sp, nil
 }
 
-// EncodeShard renders one shard as its wire record — the response body of
-// the worker protocol, identical to the shard entries of a sim/v1 report.
+// EncodeShard renders one shard as its wire record — a member of the
+// worker protocol's answer, identical to the shard entries of a sim/v1
+// report.
 func EncodeShard(sh Shard) ([]byte, error) { return sh.MarshalJSON() }
 
 // DecodeShard parses a shard wire record produced by EncodeShard (possibly
@@ -104,39 +107,86 @@ type Outcome struct {
 
 // ShardRunner executes an expanded shard grid and reports what happened:
 // one Outcome per spec, index-aligned. The Session's built-in runner is
-// RunUnits over its planned groups; SetRunner swaps in the dispatch
-// layer's Dispatcher, which spreads the same grid across local and remote
-// backends. A runner holds no failure policy: it runs every shard it can,
-// delivers each outcome to the context's ShardDone hook, and records a
-// failure as that cell's Err. The returned error is only ever "ctx ended
-// before the grid did". Whether a failure aborts or degrades the run is
-// the Session's decision (Spec.AllowPartial), taken in one place.
+// RunUnits over its planned units; SetRunner swaps in the dispatch
+// layer's Dispatcher, which plans the same grid the same way (PlanShards)
+// and sends each unit to a local or remote backend — itself a ShardRunner,
+// Session.RunShards at the far end. A runner holds no failure policy: it
+// runs every shard it can and records a failure as that cell's Err. The
+// returned error is only ever "ctx ended before the grid did". Whether a
+// failure aborts or degrades the run is the Session's decision
+// (Spec.AllowPartial), taken in one place. The runner a Session hands its
+// grid to owns it: it names each failure by its cell and delivers each
+// outcome to the context's ShardDone hook; a runner beneath it does
+// neither.
 type ShardRunner interface {
 	RunShards(ctx context.Context, shards []ShardSpec) ([]Outcome, error)
 }
 
-// RunShard validates and executes a single shard on this process, using
-// the session's compiled-program cache. It is the execution half of the
-// worker protocol: cmd/simd's POST /v1/shards handler and the dispatch
-// layer's LocalBackend are both thin wrappers around it. The context is
-// polled during execution, so a cancelled shard aborts promptly.
-func (s *Session) RunShard(ctx context.Context, spec ShardSpec) (Shard, error) {
-	cfg, err := spec.Config()
+// RunShards is the session as a ShardRunner, the execution half of the
+// worker protocol (cmd/simd's POST /v1/shards, the dispatch layer's
+// LocalBackend). Each spec is expanded — an invalid member fails alone with
+// ErrInvalidSpec — and the rest run on the session pool grouped by trace
+// coordinate, uncut: whoever owns the whole grid planned it, and cutting an
+// arriving unit again would have each of a busy worker's concurrent units
+// regenerate its stream workers times. Being a runner beneath the grid's
+// owner, the session neither names its failures nor delivers to ShardDone
+// here (a LocalBackend under a Dispatcher would otherwise do both twice).
+// The context is polled during execution, so a cancelled array aborts
+// promptly.
+func (s *Session) RunShards(ctx context.Context, specs []ShardSpec) ([]Outcome, error) {
+	cells := make([]gridCell, len(specs))
+	invalid := make([]error, len(specs))
+	for i := range specs {
+		cells[i].spec = specs[i]
+		cells[i].cfg, invalid[i] = specs[i].Config()
+	}
+	groups := PlanShards(specs, 0)
+	for g := range groups {
+		groups[g] = slices.DeleteFunc(groups[g], func(i int) bool { return cells[i].cfg == nil })
+	}
+	out, err := RunUnits(ctx, len(specs), s.workers, groups, func(group []int, out []Outcome) {
+		if len(group) == 0 {
+			return
+		}
+		spec := &cells[group[0]].spec
+		var c *trace.Compiled
+		var err error
+		if spec.Synth != nil {
+			c, err = s.CompiledSynth(spec.Synth)
+		} else {
+			c, err = s.Compiled(spec.Workload)
+		}
+		if err != nil {
+			for _, i := range group {
+				out[i].Err = err
+			}
+			return
+		}
+		s.runGroup(ctx, c, cells, group, out)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, err := range invalid {
+		if err != nil {
+			out[i].Err = err
+		}
+	}
+	return out, nil
+}
+
+// RunOne is r.RunShards for a single spec: its shard, or whichever error —
+// the call's or the member's — kept it from completing.
+func RunOne(ctx context.Context, r ShardRunner, spec ShardSpec) (Shard, error) {
+	out, err := r.RunShards(ctx, []ShardSpec{spec})
 	if err != nil {
 		return Shard{}, err
 	}
-	var c *trace.Compiled
-	if spec.Synth != nil {
-		c, err = s.CompiledSynth(spec.Synth)
-	} else {
-		c, err = s.Compiled(spec.Workload)
-	}
-	if err != nil {
-		return Shard{}, err
-	}
-	// A one-cell plan: the same group executor the pool runs, with a group
-	// of one.
-	var out [1]Outcome
-	s.runGroup(ctx, c, []gridCell{{spec: spec, cfg: cfg}}, []int{0}, out[:])
 	return out[0].Shard, out[0].Err
+}
+
+// RunShard is RunOne on the session, the spelling bench/ and single-shard
+// tests use.
+func (s *Session) RunShard(ctx context.Context, spec ShardSpec) (Shard, error) {
+	return RunOne(ctx, s, spec)
 }
