@@ -21,9 +21,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs the wire- and disk-surface fuzzers and the lane-consumer
-# differential for a short budget (CI uses the same targets); FUZZTIME=5m for
-# a longer local session.
+# fuzz runs the wire- and disk-surface fuzzers and the two lane
+# differentials — the consumers against their per-instruction models, and
+# (in FuzzDecodeDeliver) the trr1 lane decoder against its instruction model
+# — for a short budget (CI uses the same targets); FUZZTIME=5m for a longer
+# local session.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime $(FUZZTIME)

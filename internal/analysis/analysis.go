@@ -6,15 +6,15 @@
 // taken-branch distance (Figure 4).
 //
 // Any subset of the analyzers can share a single pass over a workload's
-// instruction stream. BranchMix, Bias and BBL draw figures of control-flow
-// events and the byte ranges between them, so they consume fetch runs
-// (trace.LaneConsumer, behind a trace.Feed); Footprint counts instructions
-// per chunk and stays a trace.Observer. All analyzers separate serial from
-// parallel code sections, the paper's distinguishing methodological choice.
+// instruction stream. All four consume lanes (trace.LaneConsumer, behind a
+// trace.Feed): BranchMix, Bias and BBL draw figures of control-flow events
+// and the byte ranges between them, so they read the fetch runs; Footprint
+// counts instructions per chunk, so it also walks the lane's instruction
+// sizes. All analyzers separate serial from parallel code sections, the
+// paper's distinguishing methodological choice.
 //
 // Observers only accumulate: an analyzer's surface is its constructor, its
-// consumer method (ConsumeLane; Footprint's Observe and ObserveBatch) and
-// Result. Every figure value is derived once, by an exported method on the
+// one consumer method (ConsumeLane) and Result. Every figure value is derived once, by an exported method on the
 // mergeable *Result type, and EncodeJSON fills the wire from those same
 // methods — so a test asserts on exactly the number a report carries.
 package analysis

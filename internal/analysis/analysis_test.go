@@ -235,8 +235,9 @@ func TestBBLAccounting(t *testing.T) {
 	}
 }
 
-// TestFootprintAccounting checks chunk accounting, the batch path's
-// run-coalescing equivalence, and coverage monotonicity.
+// TestFootprintAccounting checks chunk accounting, that coalescing a lane's
+// instructions per chunk equals counting them one by one, and coverage
+// monotonicity.
 func TestFootprintAccounting(t *testing.T) {
 	// A hot 32-byte chunk (90 insts), a warm one (9), a cold one (1).
 	var stream []isa.Inst
@@ -250,10 +251,9 @@ func TestFootprintAccounting(t *testing.T) {
 	add(0x1080, 1, false)
 
 	single, batched := NewFootprint(), NewFootprint()
-	for _, in := range stream {
-		single.Observe(in)
-	}
-	batched.ObserveBatch(stream)
+	observe(single, stream...)
+	observeBatch(batched, stream[:90]) // the serial section
+	observeBatch(batched, stream[90:]) // the parallel one
 	for _, a := range []*Footprint{single, batched} {
 		r := a.Result(4096)
 		if got := r.DynamicBytes(Total, 1); got != 96 {
@@ -273,7 +273,7 @@ func TestFootprintAccounting(t *testing.T) {
 	// An instruction's chunk is its first byte's chunk: a straddling
 	// instruction at 0x103e counts once, in chunk 0x1020/32.
 	s := NewFootprint()
-	s.Observe(inst(0x103e, 4, isa.KindOther, false, 0, true))
+	observe(s, inst(0x103e, 4, isa.KindOther, false, 0, true))
 	if got := s.Result(0).DynamicBytes(Total, 1); got != 32 {
 		t.Errorf("straddling inst touched %d bytes of accounting, want 32", got)
 	}

@@ -23,9 +23,9 @@ const footprintGranularity = 32
 // dynamic instructions. The static footprint comes from the program image
 // (program.Program.TextSize), not from this observer.
 //
-// Footprint is the one analyzer that consumes instructions, not fetch runs:
-// it counts instructions per 32-byte chunk, and a run's byte range does not
-// say how its instructions divide among the chunks it covers.
+// Footprint counts instructions per 32-byte chunk, and a run's byte range
+// alone does not say how its instructions divide among the chunks it covers:
+// it is the one consumer that walks a lane's per-instruction sizes.
 type Footprint struct {
 	chunks [2]map[uint64]int64 // per phase: chunk index -> dynamic insts
 }
@@ -35,37 +35,34 @@ func NewFootprint() *Footprint {
 	return &Footprint{chunks: [2]map[uint64]int64{make(map[uint64]int64), make(map[uint64]int64)}}
 }
 
-// Observe implements trace.Observer.
-func (a *Footprint) Observe(in isa.Inst) {
-	p := phaseIdx(in.Serial)
-	// An instruction may straddle a chunk boundary; credit its first byte's
-	// chunk, which keeps accounting single-increment and is accurate to one
-	// chunk.
-	a.chunks[p][uint64(in.PC)/footprintGranularity]++
-}
-
-// ObserveBatch implements trace.BatchObserver. Sequential instructions land
-// in the same chunk, so runs are coalesced into a single map update; the
-// resulting counts are identical to the per-instruction path.
-func (a *Footprint) ObserveBatch(batch []isa.Inst) {
-	var curChunk uint64
-	var curPhase int
-	var run int64
-	for i := range batch {
-		in := &batch[i]
-		p := phaseIdx(in.Serial)
-		ch := uint64(in.PC) / footprintGranularity
-		if run > 0 && ch == curChunk && p == curPhase {
-			run++
-			continue
+// ConsumeLane implements trace.LaneConsumer: it steps through each run by
+// its instruction sizes and credits every instruction to its first byte's
+// chunk — an instruction may straddle a chunk boundary, and crediting one
+// chunk keeps accounting single-increment and accurate to one chunk.
+// Consecutive instructions mostly land in the same chunk, so they are
+// coalesced into a single map update.
+func (a *Footprint) ConsumeLane(l *isa.Lane) {
+	chunks := a.chunks[l.Phase]
+	sizes := l.Sizes
+	var cur uint64
+	var n int64
+	for i := range l.Runs {
+		r := &l.Runs[i]
+		pc := uint64(r.Start)
+		for _, sz := range sizes[:r.Insts] {
+			if ch := pc / footprintGranularity; ch != cur {
+				if n > 0 {
+					chunks[cur] += n
+				}
+				cur, n = ch, 0
+			}
+			n++
+			pc += uint64(sz)
 		}
-		if run > 0 {
-			a.chunks[curPhase][curChunk] += run
-		}
-		curChunk, curPhase, run = ch, p, 1
+		sizes = sizes[r.Insts:]
 	}
-	if run > 0 {
-		a.chunks[curPhase][curChunk] += run
+	if n > 0 {
+		chunks[cur] += n
 	}
 }
 

@@ -146,13 +146,13 @@ func direction(pc, target Addr, taken bool) Direction {
 	return DirTakenForward
 }
 
-// Run is one fetch run: a maximal span of a batch at contiguous addresses,
+// Run is one fetch run: a span of a batch at contiguous addresses,
 // described by its byte range and its last instruction. A run ends at the
 // first control-flow instruction (taken or not), before an instruction that
 // does not start where its predecessor ended (a region restart or change
-// redirects fetch without a branch), or with the batch. The event-driven
-// observers draw figures of these spans and the branches that end them, so
-// they read runs, not instructions.
+// redirects fetch without a branch), with the batch, or sooner where its
+// source cut it (see Lane). The event-driven observers draw figures of these
+// spans and the branches that end them, so they read runs, not instructions.
 type Run struct {
 	// Start is the first instruction's address; the run covers the bytes
 	// [Start, Start+Bytes) in Insts instructions.
@@ -168,12 +168,20 @@ type Run struct {
 // BranchDirection classifies the branch that ended the run.
 func (r *Run) BranchDirection() Direction { return direction(r.PC, r.Target, r.Taken) }
 
-// Lane is one batch reduced to its fetch runs, in program order. A batch
-// never mixes serial and parallel sections, so the phase is the lane's. The
-// lane is reused for the next batch: consumers must not retain Runs.
+// Lane is one batch as its fetch runs, in program order, and what a stream
+// source produces: the executor renders lanes and trr1 decodes to them. With
+// Sizes it is lossless — trace.Expand rebuilds the instructions. A batch
+// never mixes serial and parallel sections, so the phase is the lane's. A
+// source may end a run early (at a block edge, or where a batch was cut), so
+// two adjacent runs can be contiguous with no branch between them; every run
+// still ends at its first branch. The lane is shared by its consumers and
+// reused for the next batch: they must not retain or modify Runs or Sizes.
 type Lane struct {
 	Runs []Run
-	// Insts is the number of instructions in the batch.
+	// Sizes holds every instruction's size in bytes, run after run: the
+	// first Runs[0].Insts entries are Runs[0]'s and sum to its Bytes.
+	Sizes []uint8
+	// Insts is the number of instructions in the batch, len(Sizes).
 	Insts int
 	// Phase is the batch's code section as a counter index: 0 serial, 1
 	// parallel, the order every result keeps its counters in.

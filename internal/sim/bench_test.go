@@ -132,9 +132,9 @@ func BenchmarkRunOneCoordinateGrid(b *testing.B) {
 
 // BenchmarkMixed9Pass is one coordinate's pass as runGroup makes it: the
 // nine mixed9 configurations built by groupObservers and fed one recorded
-// stream. ns/inst is the whole pass — delivery, the scan and nine
-// consumptions — per instruction of the stream, the layer figure behind the
-// two mixed9 replay workloads.
+// stream. ns/inst is the whole pass — the lane decode and nine consumptions
+// — per instruction of the stream, the layer figure behind the two mixed9
+// replay workloads.
 func BenchmarkMixed9Pass(b *testing.B) {
 	cfgs, err := expandObservers(benchSweepSpec(1).Observers)
 	if err != nil {
@@ -148,7 +148,7 @@ func BenchmarkMixed9Pass(b *testing.B) {
 				b.Fatal(err)
 			}
 			rec := replay.NewRecorder()
-			if _, err := generate(ctx, c, &ShardSpec{Seed: 1, Insts: 2_000_000}, []trace.Observer{rec}); err != nil {
+			if _, err := generate(ctx, c, &ShardSpec{Seed: 1, Insts: 2_000_000}, rec); err != nil {
 				b.Fatal(err)
 			}
 			tr := rec.Trace()
@@ -156,7 +156,7 @@ func BenchmarkMixed9Pass(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				feed, _ := groupObservers(cfgs, c.Program())
-				if err := replay.Deliver(ctx, tr, trace.BatchSize, feed...); err != nil {
+				if err := replay.Deliver(ctx, tr, trace.BatchSize, feed); err != nil {
 					b.Fatal(err)
 				}
 				insts += int64(tr.Len())

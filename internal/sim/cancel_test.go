@@ -126,9 +126,9 @@ type cancelAfterObs struct {
 	left int64
 }
 
-func (o *cancelAfterObs) Observe(isa.Inst)          { o.saw(1) }
-func (o *cancelAfterObs) ObserveBatch(b []isa.Inst) { o.saw(int64(len(b))) }
-func (o *cancelAfterObs) Close()                    { o.closed.Store(true) }
+func (o *cancelAfterObs) Observe(isa.Inst)        { o.saw(1) }
+func (o *cancelAfterObs) ConsumeLane(l *isa.Lane) { o.saw(int64(l.Insts)) }
+func (o *cancelAfterObs) Close()                  { o.closed.Store(true) }
 
 func (o *cancelAfterObs) saw(n int64) {
 	if o.left -= n; o.left <= 0 {

@@ -129,12 +129,11 @@ type pendingShard struct {
 // member of a group that shares one trace coordinate, and runs here. Each
 // member is first resolved against the result cache; the coordinate's
 // stream is then opened once (see stream) and fed, in a single pass, to the
-// fresh observers of the unresolved members only — their lane consumers
-// behind one feed, so each batch is scanned once, and the plain bpred
-// members sharing a simulator (see groupObservers). Shards are therefore
-// order-independent and the grid is deterministic up to timing fields. Each
-// member's outcome lands at its grid index in out; computed shards are
-// written back, each under its own key.
+// fresh observers of the unresolved members only — lane consumers behind one
+// feed, the plain bpred members sharing a simulator (see groupObservers).
+// Shards are therefore order-independent and the grid is deterministic up to
+// timing fields. Each member's outcome lands at its grid index in out;
+// computed shards are written back, each under its own key.
 func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridCell, group []int, out []Outcome) {
 	pending := make([]pendingShard, 0, len(group))
 	if s.cache == nil {
@@ -171,17 +170,12 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridC
 	for k := range pending {
 		cfgs[k] = cells[pending[k].idx].cfg
 	}
-	obs, finish := groupObservers(cfgs, c.Program())
-	for _, o := range obs {
-		if cl, ok := o.(interface{ Close() }); ok {
-			// Release observer-owned goroutines even when the pass errors
-			// mid-stream.
-			defer cl.Close()
-		}
-	}
+	feed, finish := groupObservers(cfgs, c.Program())
+	// Release observer-owned goroutines even when the pass errors mid-stream.
+	defer feed.Close()
 	// The pass is shared, so every shard of the group reports the same
 	// instruction count and elapsed time: the one walk that fed them all.
-	insts, elapsed, err := s.stream(ctx, c, &cells[pending[0].idx].spec, obs)
+	insts, elapsed, err := s.stream(ctx, c, &cells[pending[0].idx].spec, feed)
 	for k, p := range pending {
 		cell := &cells[p.idx]
 		var sh Shard
@@ -207,16 +201,16 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridC
 }
 
 // stream is the seam every computed shard's instructions come through: it
-// produces the coordinate's stream once and feeds it to obs in a single
-// pass. Without a trace store that is a live executor, which hands each
-// batch to every observer while it is still cache-hot. With one, the
-// stream is the store's materialized trace — recorded by a live pass on
-// first use, at most once across concurrent groups (the store's
-// singleflight) — replayed through replay.Deliver. The two are
-// bit-equivalent: streams are deterministic per coordinate, observer
-// results are batch-boundary invariant, and replay preserves phase
-// boundaries. elapsed covers the observed pass only, not a trace fetch.
-func (s *Session) stream(ctx context.Context, c *trace.Compiled, spec *ShardSpec, obs []trace.Observer) (insts int64, elapsed time.Duration, err error) {
+// produces the coordinate's stream once, as lanes, and feeds it to obs in a
+// single pass. Without a trace store that is a live executor, which hands
+// each lane to obs as it is rendered. With one, the stream is the store's
+// materialized trace — recorded from the lanes of a live pass on first use,
+// at most once across concurrent groups (the store's singleflight) —
+// decoded back into lanes by replay.Deliver. The two are bit-equivalent:
+// streams are deterministic per coordinate, observer results do not depend
+// on where lanes and runs are cut, and replay preserves phase boundaries.
+// elapsed covers the observed pass only, not a trace fetch.
+func (s *Session) stream(ctx context.Context, c *trace.Compiled, spec *ShardSpec, obs trace.Observer) (insts int64, elapsed time.Duration, err error) {
 	if s.traces == nil {
 		start := time.Now() //repolint:allow nodeterminism shard elapsed_ns timing field, excluded from goldens
 		insts, err = generate(ctx, c, spec, obs)
@@ -224,10 +218,10 @@ func (s *Session) stream(ctx context.Context, c *trace.Compiled, spec *ShardSpec
 	}
 	tr, _, err := s.traces.Do(ctx, traceKey(spec.Workload, spec.Synth, spec.Seed, spec.Insts), func() (*replay.Trace, error) {
 		// The recorder sees exactly what a live run's observers would:
-		// every emitted instruction in program order.
+		// every emitted lane in program order.
 		rec := replay.NewRecorder()
 		rec.Reserve(int(spec.Insts))
-		if _, err := generate(ctx, c, spec, []trace.Observer{rec}); err != nil {
+		if _, err := generate(ctx, c, spec, rec); err != nil {
 			return nil, err
 		}
 		return rec.Trace(), nil
@@ -236,17 +230,17 @@ func (s *Session) stream(ctx context.Context, c *trace.Compiled, spec *ShardSpec
 		return 0, 0, err
 	}
 	start := time.Now() //repolint:allow nodeterminism shard elapsed_ns timing field, excluded from goldens
-	err = replay.Deliver(ctx, tr, trace.BatchSize, obs...)
+	err = replay.Deliver(ctx, tr, trace.BatchSize, obs)
 	return int64(tr.Len()), time.Since(start), err //repolint:allow nodeterminism shard elapsed_ns timing field, excluded from goldens
 }
 
 // generate runs one live generation pass for the spec's coordinate, with
 // a fresh compiled executor, and returns the instructions emitted. The
 // context is polled at region granularity.
-func generate(ctx context.Context, c *trace.Compiled, spec *ShardSpec, obs []trace.Observer) (int64, error) {
+func generate(ctx context.Context, c *trace.Compiled, spec *ShardSpec, obs trace.Observer) (int64, error) {
 	e := trace.NewCompiledExecutor(c, spec.Seed)
 	e.SetContext(ctx)
-	e.Attach(obs...)
+	e.Attach(obs)
 	err := e.Run(spec.Insts)
 	return e.Emitted(), err
 }

@@ -30,7 +30,7 @@ type lanePair struct {
 	got, want func() Result
 }
 
-// newLanePairs returns a fresh pair per lane-consuming kind. The I-cache
+// newLanePairs returns a fresh pair per observer kind. The I-cache
 // geometries span the narrowest accepted line (16B, where a 15-byte
 // instruction straddles a line and a sector at once), a width that is not a
 // power of two, and the widest.
@@ -49,6 +49,7 @@ func newLanePairs() []lanePair {
 	mix, mixM := analysis.NewBranchMix(), &mixModel{}
 	bbl, bblM := analysis.NewBBL(), &bblModel{}
 	bias, biasM := analysis.NewBias(), &biasModel{}
+	fp, fpM := analysis.NewFootprint(), &footprintModel{}
 	// All nine Figure-5 configurations, so the Sim under test shares bases
 	// and the loop table while each model predictor stands alone.
 	names := bpred.ConfigNames()
@@ -57,6 +58,9 @@ func newLanePairs() []lanePair {
 		lanePair{"branch-mix", mix, mixM, func() Result { return mix.Result() }, func() Result { return &mixM.res }},
 		lanePair{"bbl", bbl, bblM, func() Result { return bbl.Result() }, func() Result { return &bblM.res }},
 		lanePair{"bias", bias, biasM, func() Result { return bias.Result() }, func() Result { return &biasM.res }},
+		lanePair{"footprint", fp, fpM,
+			func() Result { return fp.Result(0) },
+			func() Result { return &analysis.FootprintResult{Chunks: fpM.chunks} }},
 		lanePair{"bpred", sim, simM,
 			func() Result { return bpredGroup(sim.Results()) },
 			func() Result { return bpredGroup(simM.res) }},
@@ -311,32 +315,73 @@ func FuzzLaneMatchesPerInstruction(f *testing.F) {
 	})
 }
 
-// TestGroupScansOncePerBatch: the nine lane-consuming members of a mixed9
-// coordinate sit behind one feed, so the group's stream has exactly one
-// observer and each delivered batch is scanned once; footprint, the
-// instruction consumer, rides beside it.
+// lanesOnly stands between a stream source and a group's feed: lanes pass
+// through, and an instruction — which the feed would have to scan, and the
+// source would have had to expand — fails the test.
+type lanesOnly struct {
+	t    *testing.T
+	feed *trace.Feed
+}
+
+func (o lanesOnly) Observe(isa.Inst)        { o.t.Error("the source delivered an instruction") }
+func (o lanesOnly) ObserveBatch([]isa.Inst) { o.t.Error("the source delivered an instruction batch") }
+func (o lanesOnly) ConsumeLane(l *isa.Lane) { o.feed.ConsumeLane(l) }
+
+// TestGroupScansOncePerBatch, restated now that sources produce lanes: the
+// nine members of a mixed9 coordinate and footprint stream to one feed, and
+// a production pass — storeless, through a cold store (record, then deliver)
+// and through a warm one — hands that feed lanes only, so nothing is scanned
+// or expanded; every member still reports what it reports alone.
 func TestGroupScansOncePerBatch(t *testing.T) {
-	cfgs, err := expandObservers(benchSweepSpec(1).Observers)
+	cfgs, err := expandObservers(append(benchSweepSpec(1).Observers, ObserverSpec{Kind: "footprint"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cfgs) != 9 {
-		t.Fatalf("mixed9 expands to %d configurations", len(cfgs))
+	if len(cfgs) != 10 {
+		t.Fatalf("mixed9 and footprint expand to %d configurations", len(cfgs))
 	}
-	prog := workload.MustBuild("comd-lite")
-	feed, finish := groupObservers(cfgs, prog)
-	if len(feed) != 1 || len(finish) != 9 {
-		t.Fatalf("a nine-member lane group streams to %d observers with %d results, want 1 and 9", len(feed), len(finish))
-	}
-	if _, ok := feed[0].(*trace.Feed); !ok {
-		t.Fatalf("the group's one observer is a %T, want *trace.Feed", feed[0])
-	}
-	fp, err := expandObservers([]ObserverSpec{{Kind: "footprint"}})
+	ctx := context.Background()
+	spec := ShardSpec{Workload: "comd-lite", Seed: 4, Insts: 30_000}
+	alone := NewSession(1)
+	c, err := alone.Compiled(spec.Workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if feed, _ := groupObservers(append(cfgs, fp...), prog); len(feed) != 2 {
-		t.Errorf("nine lane members and footprint stream to %d observers, want 2", len(feed))
+	want := make([][]byte, len(cfgs))
+	for k, cfg := range cfgs {
+		sh, err := alone.runJob(ctx, c, cellOf(spec.Workload, cfg, spec.Seed, spec.Insts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[k], err = sh.Result.EncodeJSON(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replaying := newReplaySession(t, 1, replay.Options{})
+	for _, pass := range []struct {
+		name string
+		sess *Session
+	}{{"storeless", alone}, {"store-cold", replaying}, {"store-warm", replaying}} {
+		feed, finish := groupObservers(cfgs, c.Program())
+		if len(finish) != len(cfgs) {
+			t.Fatalf("%d results for %d members", len(finish), len(cfgs))
+		}
+		insts, _, err := pass.sess.stream(ctx, c, &spec, lanesOnly{t, feed})
+		if err != nil || insts < spec.Insts {
+			t.Fatalf("%s: streamed %d instructions, err %v", pass.name, insts, err)
+		}
+		for k, cfg := range cfgs {
+			res, err := finish[k]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := res.EncodeJSON(); err != nil || !bytes.Equal(got, want[k]) {
+				t.Errorf("%s: %s fed lanes in the group reports %s (err %v), alone %s", pass.name, cfg.Key(), got, err, want[k])
+			}
+		}
+	}
+	if st := replaying.TraceStore().Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("the two store passes made %d misses and %d hits, want the cold one and the warm one", st.Misses, st.Hits)
 	}
 }
 

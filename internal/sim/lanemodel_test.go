@@ -177,6 +177,18 @@ func (b *btbModel) Observe(in isa.Inst) {
 	*victim = modelEntry{valid: true, tag: tag, lru: b.clock}
 }
 
+// footprintModel is the Figure 3 pintool per instruction: each one credits
+// the 32-byte chunk its first byte lies in.
+type footprintModel struct{ chunks [2]map[uint64]int64 }
+
+func (a *footprintModel) Observe(in isa.Inst) {
+	p := phaseOf(&in)
+	if a.chunks[p] == nil {
+		a.chunks[p] = map[uint64]int64{}
+	}
+	a.chunks[p][uint64(in.PC)/32]++
+}
+
 // mixModel is the Figure 1 pintool per instruction.
 type mixModel struct{ res analysis.MixResult }
 

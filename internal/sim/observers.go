@@ -40,7 +40,7 @@ func init() {
 		func(data []byte) (Result, error) { return analysis.DecodeBiasResult(data) }))
 	RegisterObserver("footprint", analysisFactory("footprint", func(p *program.Program) ShardObserver {
 		fp := analysis.NewFootprint()
-		return shard{fp, func() Result { return fp.Result(p.TextSize) }}
+		return newLaneShard(fp, func() Result { return fp.Result(p.TextSize) })
 	}, func() Result { return &analysis.FootprintResult{} },
 		func(data []byte) (Result, error) { return analysis.DecodeFootprintResult(data) }))
 	RegisterObserver("bbl", analysisFactory("bbl", func(*program.Program) ShardObserver {
@@ -50,53 +50,35 @@ func init() {
 		func(data []byte) (Result, error) { return analysis.DecodeBBLResult(data) }))
 }
 
-// streamObserver is the stream-facing half of a live observer.
-type streamObserver interface {
-	trace.Observer
-	trace.BatchObserver
-}
-
-// shard is the adapter from an instruction consumer (footprint, the one
-// kind that is not a lane consumer) to a ShardObserver: the stream goes
-// straight to the observer, and Finish takes its result.
-type shard struct {
-	streamObserver
+// laneShard is a lane consumer's lone ShardObserver — what RunShard and
+// bench/ get: a feed with one consumer, which takes a source's lanes and
+// scans what arrives as instructions. Close comes with the feed.
+type laneShard struct {
+	*trace.Feed
 	result func() Result
 }
 
-func (s shard) Finish() (Result, error) { return s.result(), nil }
-
-// laneShard is a lane consumer's lone ShardObserver — what RunShard and
-// bench/ get: a feed with one consumer, so the stream costs it one scan plus
-// its consumption. Close comes with the feed.
-type laneShard struct {
-	*trace.Feed
-	consumer trace.LaneConsumer
-	result   func() Result
-}
-
 func newLaneShard(c trace.LaneConsumer, result func() Result) laneShard {
-	return laneShard{trace.NewFeed(c), c, result}
+	return laneShard{trace.NewFeed(c), result}
 }
 
 func (s laneShard) Finish() (Result, error) { return s.result(), nil }
 
 // groupObservers builds the fresh power-on observers of one group's pending
 // members, cfgs[k] being member k's configuration: feed is what the
-// coordinate's stream is delivered to, and finish[k] takes member k's
-// result once the pass is over. feed is shorter than cfgs: every lane
-// consumer of the group is regrouped behind one trace.Feed, so each batch is
-// scanned into fetch runs once however many configurations ride it, and the
-// plain bpred members further share one multi-predictor bpred.Sim — the
-// paper's several-configurations-one-pintool shape — which compacts the
-// lane's conditional branches once and walks each distinct component (base
+// coordinate's stream is delivered to — one lane consumer, so nothing is
+// scanned or expanded on the way — and finish[k] takes member k's result
+// once the pass is over.
+// The plain bpred members share one multi-predictor bpred.Sim — the paper's
+// several-configurations-one-pintool shape — which compacts the lane's
+// conditional branches once and walks each distinct component (base
 // predictor, the one loop table) once. Lane consumers share no state with one
 // another, and a predictor component's state is a function of its geometry
 // and the branch sequence alone, so the one walked for several members is
 // the one each would have walked alone: a member's result is bit-identical
 // to a lone NewObserver's; the shards stay separate results under separate
-// keys.
-func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed []trace.Observer, finish []func() (Result, error)) {
+// keys. Closing the feed closes every member that owns goroutines.
+func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed *trace.Feed, finish []func() (Result, error)) {
 	finish = make([]func() (Result, error), len(cfgs))
 	var lanes []trace.LaneConsumer
 	var names []string // the plain bpred members, and where each sits in cfgs
@@ -108,11 +90,7 @@ func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed []trace.Obs
 		}
 		obs := cfg.NewObserver(p)
 		finish[k] = obs.Finish
-		if ls, ok := obs.(laneShard); ok {
-			lanes = append(lanes, ls.consumer)
-		} else {
-			feed = append(feed, obs)
-		}
+		lanes = append(lanes, obs)
 	}
 	if len(names) > 0 {
 		sim := bpredSim(names...)
@@ -121,10 +99,7 @@ func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed []trace.Obs
 			finish[k] = func() (Result, error) { return &sim.Results()[i], nil }
 		}
 	}
-	if len(lanes) > 0 {
-		feed = append(feed, trace.NewFeed(lanes...))
-	}
-	return feed, finish
+	return trace.NewFeed(lanes...), finish
 }
 
 // --- bpred ---

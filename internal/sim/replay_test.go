@@ -83,7 +83,7 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 	// oracle's recording of the same coordinate, driven directly — the
 	// tree-walk engine is no request option. The two must be byte-identical.
 	compiled, reference := replay.NewRecorder(), replay.NewRecorder()
-	if _, err := generate(ctx, c, &ShardSpec{Seed: seed, Insts: insts}, []trace.Observer{compiled}); err != nil {
+	if _, err := generate(ctx, c, &ShardSpec{Seed: seed, Insts: insts}, compiled); err != nil {
 		t.Fatal(err)
 	}
 	oracle := trace.NewExecutor(c.Program(), seed)
@@ -385,6 +385,27 @@ func TestColdReplayAllocatesTheStreamNotItsExpansion(t *testing.T) {
 	}
 	if perInst := float64(after.TotalAlloc-before.TotalAlloc) / float64(sh.Insts); perInst > 8 {
 		t.Errorf("a cold replayed shard allocated %.1f bytes per instruction, want <= 8", perInst)
+	}
+}
+
+// TestStorelessShardAllocatesNoInstructionBatch is the same kind of bound
+// for the generated path: a storeless shard whose observer consumes lanes
+// allocates less, all told — executor, lane, observer, shard — than the
+// 128 KiB a single batch of expanded instructions would take.
+func TestStorelessShardAllocatesNoInstructionBatch(t *testing.T) {
+	sess := NewSession(1)
+	if _, err := sess.Compiled("comd-lite"); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := sess.RunShard(context.Background(), ShardSpec{Workload: "comd-lite", Seed: 1, Insts: 200_000, Observer: ObserverSpec{Kind: "branch-mix"}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(trace.BatchSize*32); got >= limit {
+		t.Errorf("a storeless branch-mix shard allocated %d bytes, want less than one instruction batch (%d)", got, limit)
 	}
 }
 

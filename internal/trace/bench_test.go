@@ -49,22 +49,31 @@ func BenchmarkExecutorEmit(b *testing.B) {
 	})
 }
 
-// BenchmarkExecutorEmitBare isolates the emission pipeline itself: no
-// observers beyond a trivial batch consumer, so the numbers bound how fast
-// each engine can produce the stream.
+// BenchmarkExecutorEmitBare isolates the emission pipeline itself, into
+// consumers that do nothing, so the numbers bound how fast each engine can
+// produce the stream: compiled/lanes is the production path (lanes rendered
+// and handed over), compiled/insts the same lanes plus the one Expand an
+// instruction observer costs — what bench/'s trace.generate_ns_per_inst
+// prices — and reference the tree walk with no observer to dispatch to.
 func BenchmarkExecutorEmitBare(b *testing.B) {
 	prog := workload.MustBuild("comd-lite")
 	c, err := trace.Compile(prog)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("compiled", func(b *testing.B) {
-		e := trace.NewCompiledExecutor(c, 1)
-		b.ResetTimer()
-		if err := e.Run(int64(b.N)); err != nil {
-			b.Fatal(err)
-		}
-	})
+	for _, sink := range []struct {
+		name string
+		obs  trace.Observer
+	}{{"compiled/lanes", nopLanes{}}, {"compiled/insts", batchFunc(func([]isa.Inst) {})}} {
+		b.Run(sink.name, func(b *testing.B) {
+			e := trace.NewCompiledExecutor(c, 1)
+			e.Attach(sink.obs)
+			b.ResetTimer()
+			if err := e.Run(int64(b.N)); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 	b.Run("reference", func(b *testing.B) {
 		e := trace.NewExecutor(prog, 1)
 		b.ResetTimer()
@@ -73,6 +82,11 @@ func BenchmarkExecutorEmitBare(b *testing.B) {
 		}
 	})
 }
+
+type nopLanes struct{}
+
+func (nopLanes) Observe(isa.Inst)      {}
+func (nopLanes) ConsumeLane(*isa.Lane) {}
 
 // BenchmarkScan prices the one pass that reduces instructions to fetch runs
 // (b.N counts instructions, so ns/op is ns/inst) and reports how many runs

@@ -6,9 +6,9 @@
 // Observe call per observer. Compile lowers a validated program.Program once
 // into a flat op array that the executor drives with a tight loop:
 //
-//   - straight-line blocks are pre-rendered into ready-made []isa.Inst
-//     slices (one per phase variant) that emission memcpys into the batch
-//     buffer;
+//   - straight-line blocks are pre-rendered into their lane form — start
+//     address, byte length, instruction sizes — so emitting one extends the
+//     open fetch run or opens the next, and copies only its sizes;
 //   - loops become a trip-count op plus a back-edge op with an explicit
 //     branch-back index, with per-loop iteration state in a dense slot
 //     array;
@@ -41,7 +41,7 @@ type opcode uint8
 const (
 	// opHalt ends a region body.
 	opHalt opcode = iota
-	// opBlock emits pre-rendered block a; skip = fall through.
+	// opBlock emits rendered block a into the lane; skip = fall through.
 	opBlock
 	// opLoop computes the trip count for loop slot a using iter model b;
 	// skip jumps past the matching opLoopBack.
@@ -83,11 +83,12 @@ type op struct {
 	target isa.Addr
 }
 
-// renderedBlock caches a straight block's instruction run, pre-built per
-// phase so emission is a bounds-checked copy. Variant 0 is parallel
-// (Serial=false), variant 1 serial.
+// renderedBlock is a straight block as the lane sees it: the bytes
+// [addr, addr+bytes) in len(sizes) instructions, the last one at lastPC.
 type renderedBlock struct {
-	insts [2][]isa.Inst
+	addr, lastPC isa.Addr
+	bytes        uint32
+	sizes        []uint8
 }
 
 // indirectMeta is the dispatch table of one indirect call site.
@@ -207,19 +208,15 @@ func (cc *compiler) emit(o op) int32 {
 
 func (cc *compiler) here() int32 { return int32(len(cc.out.ops)) }
 
-// renderBlock pre-builds both phase variants of a straight block.
+// renderBlock pre-computes a straight block's lane form.
 func (cc *compiler) renderBlock(b *program.Block) int32 {
-	var rb renderedBlock
-	for variant := 0; variant < 2; variant++ {
-		insts := make([]isa.Inst, len(b.Sizes))
-		pc := b.Addr
-		for i, sz := range b.Sizes {
-			insts[i] = isa.Inst{PC: pc, Size: sz, Kind: isa.KindOther, Serial: variant == 1}
-			pc += isa.Addr(sz)
-		}
-		rb.insts[variant] = insts
-	}
-	cc.out.blocks = append(cc.out.blocks, rb)
+	last := b.Sizes[len(b.Sizes)-1] // Validate rejected empty blocks
+	cc.out.blocks = append(cc.out.blocks, renderedBlock{
+		addr:   b.Addr,
+		lastPC: b.Addr + isa.Addr(b.TotalBytes) - isa.Addr(last),
+		bytes:  uint32(b.TotalBytes),
+		sizes:  b.Sizes,
+	})
 	return int32(len(cc.out.blocks) - 1)
 }
 
@@ -303,36 +300,71 @@ func (cc *compiler) node(n program.Node) {
 	}
 }
 
-// appendInst buffers one instruction, flushing when the batch fills.
-func (e *Executor) appendInst(in isa.Inst) {
-	if len(e.batch) == cap(e.batch) {
+// runEndingAt returns the lane's open run — the last one, when no branch
+// has ended it — if it ends at addr, and nil otherwise.
+func (e *Executor) runEndingAt(addr isa.Addr) *isa.Run {
+	if e.open {
+		if r := &e.lane.Runs[len(e.lane.Runs)-1]; r.Start+isa.Addr(r.Bytes) == addr {
+			return r
+		}
+	}
+	return nil
+}
+
+// appendRun adds a branchless span to the lane: it extends the open run
+// when it starts where that run ends, and otherwise opens one (the open run,
+// if any, just ends there — a run need not be maximal). The caller has made
+// sure the lane has room.
+func (e *Executor) appendRun(addr, lastPC isa.Addr, bytes uint32, sizes []uint8) {
+	if r := e.runEndingAt(addr); r != nil {
+		r.PC, r.Bytes, r.Insts = lastPC, r.Bytes+bytes, r.Insts+uint32(len(sizes))
+	} else {
+		e.lane.Runs = append(e.lane.Runs, isa.Run{Start: addr, PC: lastPC, Bytes: bytes, Insts: uint32(len(sizes))})
+		e.open = true
+	}
+	e.lane.Sizes = append(e.lane.Sizes, sizes...)
+	e.emitted += int64(len(sizes))
+}
+
+// emitRendered adds a whole block to the lane, flushing first when it does
+// not fit, so a lane never passes BatchSize instructions. A block longer than
+// a batch is cut at instruction boundaries into full lanes and a rest.
+func (e *Executor) emitRendered(rb *renderedBlock) {
+	if len(e.lane.Sizes)+len(rb.sizes) <= BatchSize {
+		e.appendRun(rb.addr, rb.lastPC, rb.bytes, rb.sizes)
+		return
+	}
+	e.flush()
+	addr, sizes := rb.addr, rb.sizes
+	for len(sizes) > BatchSize { //repolint:allow ctxpoll bounded: drains one block, a batch per iteration
+		var bytes uint32
+		for _, sz := range sizes[:BatchSize] {
+			bytes += uint32(sz)
+		}
+		e.appendRun(addr, addr+isa.Addr(bytes)-isa.Addr(sizes[BatchSize-1]), bytes, sizes[:BatchSize])
+		e.flush()
+		addr, sizes = addr+isa.Addr(bytes), sizes[BatchSize:]
+	}
+	e.appendRun(addr, rb.lastPC, uint32(rb.addr+isa.Addr(rb.bytes)-addr), sizes)
+}
+
+// emitBranchBatch ends the lane's open run with a resolved branch — or
+// gives it a one-instruction run — and updates history and site counts
+// exactly as the reference engine's emitBranch does.
+func (e *Executor) emitBranchBatch(br *program.Branch, taken bool, target isa.Addr) {
+	if len(e.lane.Sizes) == BatchSize {
 		e.flush()
 	}
-	e.batch = append(e.batch, in)
-	e.emitted++
-}
-
-// emitRendered copies a pre-rendered block into the batch buffer.
-func (e *Executor) emitRendered(rb *renderedBlock) {
-	src := rb.insts[e.serialIdx]
-	for { //repolint:allow ctxpoll bounded: drains one pre-rendered block (<= one batch per iteration)
-		if len(e.batch) == cap(e.batch) {
-			e.flush()
-		}
-		n := copy(e.batch[len(e.batch):cap(e.batch)], src)
-		e.batch = e.batch[:len(e.batch)+n]
-		e.emitted += int64(n)
-		if n == len(src) {
-			return
-		}
-		src = src[n:]
+	if r := e.runEndingAt(br.PC); r != nil {
+		r.PC, r.Bytes, r.Insts = br.PC, r.Bytes+uint32(br.Size), r.Insts+1
+		r.Kind, r.Taken, r.Target = br.Kind, taken, target
+	} else {
+		e.lane.Runs = append(e.lane.Runs, isa.Run{
+			Start: br.PC, PC: br.PC, Target: target, Bytes: uint32(br.Size), Insts: 1, Kind: br.Kind, Taken: taken})
 	}
-}
-
-// emitBranchBatch buffers a resolved branch and updates history and site
-// counts exactly as the reference engine's emitBranch does.
-func (e *Executor) emitBranchBatch(br *program.Branch, taken bool, target isa.Addr) {
-	e.appendInst(isa.Inst{PC: br.PC, Size: br.Size, Kind: br.Kind, Taken: taken, Target: target, Serial: e.serial})
+	e.open = false
+	e.lane.Sizes = append(e.lane.Sizes, br.Size)
+	e.emitted++
 	if br.Kind == isa.KindCondDirect {
 		e.hist <<= 1
 		if taken {

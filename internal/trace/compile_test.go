@@ -82,7 +82,7 @@ func newObserverSet() *observerSet {
 }
 
 func (o *observerSet) attach(e *trace.Executor) {
-	e.Attach(o.hash, trace.NewFeed(o.sim, o.btb, o.ic, o.mix, o.bias, o.bbl), o.fp)
+	e.Attach(o.hash, trace.NewFeed(o.sim, o.btb, o.ic, o.mix, o.bias, o.bbl, o.fp))
 }
 
 // TestCompiledMatchesReference proves the tentpole's correctness claim: the

@@ -1,8 +1,9 @@
 package trace
 
-// In-package tests for SetContext's never-fires fast path: whether the
-// executor arms per-region polling is an internal decision (e.ctx), so
-// the assertions live inside the package.
+// In-package tests for what only the package can see: SetContext's
+// never-fires fast path — whether the executor arms per-region polling is an
+// internal decision (e.ctx) — and, on the lane path, whether the executor
+// ever expanded a lane or a feed ever scanned a batch.
 
 import (
 	"context"
@@ -113,3 +114,44 @@ func compileTestWorkload(t *testing.T) *Compiled {
 	}
 	return c
 }
+
+// TestLaneConsumersAreHandedTheLaneItself is the white-box half of "a
+// production pass builds no instruction": with only lane consumers attached
+// — a feed, as the session attaches — the executor never allocates its
+// expansion buffer, and the feed, handed lanes, never scans: its own lane
+// stays untouched. One instruction observer beside them brings both back.
+func TestLaneConsumersAreHandedTheLaneItself(t *testing.T) {
+	var insts int
+	count := laneFunc(func(l *isa.Lane) { insts += l.Insts })
+	feed := NewFeed(count)
+	e := NewCompiledExecutor(compileTestWorkload(t), 1)
+	e.Attach(feed)
+	if err := e.Run(50_000); err != nil {
+		t.Fatal(err)
+	}
+	if int64(insts) != e.Emitted() {
+		t.Fatalf("the feed's consumer saw %d instructions, the executor emitted %d", insts, e.Emitted())
+	}
+	if e.batch != nil {
+		t.Error("an executor with only lane consumers attached allocated its expansion buffer")
+	}
+	if feed.lane.Runs != nil || feed.lane.Sizes != nil {
+		t.Error("a feed handed lanes scanned a batch of its own")
+	}
+
+	e = NewCompiledExecutor(compileTestWorkload(t), 1)
+	e.Attach(feed, ObserverFunc(func(isa.Inst) {}))
+	if err := e.Run(50_000); err != nil {
+		t.Fatal(err)
+	}
+	if e.batch == nil {
+		t.Error("an instruction observer was attached and no lane was expanded for it")
+	}
+	if feed.lane.Runs != nil {
+		t.Error("the feed scanned although the executor handed it lanes")
+	}
+}
+
+type laneFunc func(l *isa.Lane)
+
+func (f laneFunc) ConsumeLane(l *isa.Lane) { f(l) }

@@ -48,25 +48,33 @@ const (
 )
 
 // reader is a position in a trr1 body: the one interpreter of instruction
-// records, behind both Decode's validation and Deliver's expansion.
+// records, behind both Decode's validation and Deliver's lanes.
 type reader struct {
 	body []byte   // the records not yet read
 	i, n int      // the next instruction's index, and the stream's count
 	next isa.Addr // NextPC of instruction i-1
 }
 
-// fill decodes records into buf and returns how many: it stops when buf
-// is full, when the stream's count is reached, or before the first record
-// whose Serial flag differs from buf[0]'s — a batch never mixes phases.
-// Every record passes the format's validity rules before it is returned.
-func (r *reader) fill(buf []isa.Inst) (int, error) {
+// fill decodes records into the lane, replacing its contents: it stops at
+// limit instructions, when the stream's count is reached, or before the
+// first record whose Serial flag differs from the lane's first — a lane
+// never mixes phases. A record extends the open run when it starts where
+// that run ends and opens one otherwise, and a branch record ends it. Every
+// record passes the format's validity rules before it is returned.
+func (r *reader) fill(l *isa.Lane, limit int) error {
 	body, next := r.body, r.next
-	limit := min(len(buf), r.n-r.i)
-	var phase byte // the batch's Serial flag, taken from its first record
+	limit = min(limit, r.n-r.i)
+	if cap(l.Sizes) < limit {
+		l.Sizes = make([]uint8, limit)
+	}
+	// sizes[k] is the lane's instruction k's.
+	runs, sizes := l.Runs[:0], l.Sizes[:limit]
+	var phase byte // the lane's Serial flag, taken from its first record
+	open := false  // the last run has not met its branch
 	k, p := 0, 0
 	for k < limit {
 		if len(body)-p < 2 {
-			return k, fmt.Errorf("replay: truncated at instruction %d", r.i+k)
+			return fmt.Errorf("replay: truncated at instruction %d", r.i+k)
 		}
 		flags, size := body[p], body[p+1]
 		if k == 0 {
@@ -76,52 +84,79 @@ func (r *reader) fill(buf []isa.Inst) (int, error) {
 		}
 		p += 2
 		if flags&^(kindMask|flagTaken|flagSerial|flagSeqPC) != 0 {
-			return k, fmt.Errorf("replay: reserved flag bits set at instruction %d", r.i+k)
+			return fmt.Errorf("replay: reserved flag bits set at instruction %d", r.i+k)
 		}
 		kind := isa.Kind(flags & kindMask)
 		if int(kind) >= isa.NumKinds {
-			return k, fmt.Errorf("replay: invalid kind %d at instruction %d", kind, r.i+k)
+			return fmt.Errorf("replay: invalid kind %d at instruction %d", kind, r.i+k)
 		}
 		if size == 0 {
-			return k, fmt.Errorf("replay: zero size at instruction %d", r.i+k)
+			return fmt.Errorf("replay: zero size at instruction %d", r.i+k)
 		}
-		in := &buf[k]
-		*in = isa.Inst{PC: next, Size: size, Kind: kind, Taken: flags&flagTaken != 0, Serial: phase != 0}
+		pc := next
 		if flags&flagSeqPC == 0 {
-			pc, w := binary.Uvarint(body[p:])
+			v, w := binary.Uvarint(body[p:])
 			if w <= 0 {
-				return k, fmt.Errorf("replay: bad PC at instruction %d", r.i+k)
+				return fmt.Errorf("replay: bad PC at instruction %d", r.i+k)
 			}
 			p += w
-			in.PC = isa.Addr(pc)
+			pc = isa.Addr(v)
 		} else if r.i+k == 0 {
-			return k, fmt.Errorf("replay: first instruction marked sequential")
+			return fmt.Errorf("replay: first instruction marked sequential")
 		}
-		if kind.IsBranch() {
+		// An open run ends at next: its last instruction is no branch.
+		if open && pc == next {
+			run := &runs[len(runs)-1]
+			run.PC, run.Bytes, run.Insts = pc, run.Bytes+uint32(size), run.Insts+1
+		} else {
+			runs = append(runs, isa.Run{Start: pc, PC: pc, Bytes: uint32(size), Insts: 1})
+		}
+		sizes[k] = size
+		next = pc + isa.Addr(size)
+		open = !kind.IsBranch()
+		if !open {
 			delta, w := binary.Varint(body[p:])
 			if w <= 0 {
-				return k, fmt.Errorf("replay: bad target at instruction %d", r.i+k)
+				return fmt.Errorf("replay: bad target at instruction %d", r.i+k)
 			}
 			p += w
-			in.Target = isa.Addr(int64(in.PC) + delta)
-		} else if in.Taken {
-			return k, fmt.Errorf("replay: non-branch marked taken at instruction %d", r.i+k)
+			run := &runs[len(runs)-1]
+			run.Kind, run.Taken, run.Target = kind, flags&flagTaken != 0, isa.Addr(int64(pc)+delta)
+			if run.Taken {
+				next = run.Target
+			}
+		} else if flags&flagTaken != 0 {
+			return fmt.Errorf("replay: non-branch marked taken at instruction %d", r.i+k)
 		}
-		next = in.NextPC()
 		k++
 		// Most records are what follows a block's entry: sequential
 		// non-branches of the same phase — one flags value, two bytes, no
-		// varint, and no rule left to check but the size. (Never the
-		// stream's first record: that one came through the rules above.)
-		plain := flagSeqPC | phase
+		// varint, and no rule left to check but the size. They extend the
+		// open run, or open one at next after a branch. (Never the stream's
+		// first record: that one came through the rules above.)
+		plain, from := flagSeqPC|phase, k
+		var bytes uint32
 		for ; k < limit && len(body)-p >= 2 && body[p] == plain && body[p+1] != 0; k++ {
-			buf[k] = isa.Inst{PC: next, Size: body[p+1], Serial: phase != 0}
-			next += isa.Addr(body[p+1])
+			sizes[k] = body[p+1]
+			bytes += uint32(body[p+1])
 			p += 2
 		}
+		if k > from {
+			if !open {
+				runs = append(runs, isa.Run{Start: next})
+				open = true
+			}
+			run := &runs[len(runs)-1]
+			next += isa.Addr(bytes)
+			run.PC, run.Bytes, run.Insts = next-isa.Addr(sizes[k-1]), run.Bytes+bytes, run.Insts+uint32(k-from)
+		}
+	}
+	l.Runs, l.Sizes, l.Insts, l.Phase = runs, sizes[:k], k, 1
+	if phase != 0 {
+		l.Phase = 0
 	}
 	r.body, r.next, r.i = body[p:], next, r.i+k
-	return k, nil
+	return nil
 }
 
 // Encode renders the trace as a trr1 payload: the header and one copy of
@@ -155,10 +190,10 @@ func Decode(data []byte) (*Trace, error) {
 		return nil, fmt.Errorf("replay: instruction count %d exceeds payload", count)
 	}
 	t := &Trace{n: int(count), body: body}
-	var scratch [256]isa.Inst
+	var scratch isa.Lane
 	r := t.reader()
 	for r.i < r.n {
-		if _, err := r.fill(scratch[:]); err != nil {
+		if err := r.fill(&scratch, 256); err != nil {
 			return nil, err
 		}
 	}

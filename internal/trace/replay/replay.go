@@ -9,20 +9,25 @@
 //
 //   - Trace: one materialized stream, held as its trr1 records (see
 //     encode.go) — the bytes the disk tier stores, ≈ 2.2 per instruction —
-//     and expanded into isa.Inst batches only while it is delivered.
-//   - Recorder: a trace.Observer that captures a generation pass into a
-//     Trace by encoding each batch as it arrives.
+//     and decoded into lanes (isa.Lane: fetch runs plus instruction sizes)
+//     only while it is delivered.
+//   - Recorder: a trace.LaneConsumer that captures a generation pass into a
+//     Trace by encoding each lane as it arrives.
 //   - Store: internal/tiercache instantiated over Traces — the same
 //     two-tier, singleflight-deduplicating cache shardcache is, one level
 //     down: shardcache memoizes finished observer results, the trace store
 //     memoizes the stream they observe.
 //
+// Neither direction builds an isa.Inst; only an observer that is not a
+// trace.LaneConsumer makes Deliver expand each lane into a batch.
+//
 // Replaying a Trace through an observer is bit-equivalent to attaching the
 // observer to a live executor: both engines emit identical streams for a
 // coordinate (the engine-equivalence tests pin this), observer results are
-// invariant to batch boundaries (the batch-size invariance tests pin
-// that), and Deliver ends a batch where the phase changes, so every
-// invariant an observer may rely on survives materialization.
+// invariant to where batches and runs are cut (the batch-size invariance
+// and lane differential tests pin that), and Deliver ends a batch where the
+// phase changes, so every invariant an observer may rely on survives
+// materialization.
 package replay
 
 import (
@@ -54,15 +59,16 @@ func (t *Trace) MemBytes() int64 { return int64(cap(t.body)) }
 func (t *Trace) reader() reader { return reader{body: t.body, n: t.n} }
 
 // Recorder captures a generation pass into a Trace. Attach it to an
-// executor like any other observer; it receives batches natively on the
-// compiled path and per-instruction calls on the reference path, and
-// either way appends exactly the emitted stream's trr1 records in program
-// order. Its domain is trr1's, which is the executor's: a non-branch
+// executor like any other observer; it receives lanes on the compiled path
+// and per-instruction calls on the reference path, and either way appends
+// exactly the emitted stream's trr1 records in program order, however the
+// stream was cut. Its domain is trr1's, which is the executor's: a non-branch
 // carries no Taken or Target, Kind fits three bits and Size is non-zero.
 type Recorder struct {
 	n    int
 	body []byte
-	next isa.Addr // NextPC of the last recorded instruction
+	next isa.Addr    // NextPC of the last recorded instruction
+	feed *trace.Feed // Observe's adapter from an instruction to a lane
 }
 
 // NewRecorder returns an empty recorder.
@@ -83,43 +89,65 @@ func (r *Recorder) Reserve(n int) {
 	r.body = grown
 }
 
-// Observe implements trace.Observer.
-func (r *Recorder) Observe(in isa.Inst) { r.ObserveBatch([]isa.Inst{in}) }
+// Observe implements trace.Observer, for the reference engine: the
+// instruction as a one-run lane.
+func (r *Recorder) Observe(in isa.Inst) {
+	if r.feed == nil {
+		r.feed = trace.NewFeed(r)
+	}
+	r.feed.Observe(in)
+}
 
-// ObserveBatch implements trace.BatchObserver: the trr1 encoder. The batch
-// is cache-hot from the executor and only its records are written out.
-func (r *Recorder) ObserveBatch(batch []isa.Inst) {
+// ConsumeLane implements trace.LaneConsumer: the trr1 encoder. A run is one
+// record that may carry its address, then a two-byte record per further
+// instruction, the last one — if a branch ended the run — with its outcome.
+func (r *Recorder) ConsumeLane(l *isa.Lane) {
 	body, next, n := r.body, r.next, r.n
-	for i := range batch {
-		in := &batch[i]
-		phase := byte(0)
-		if in.Serial {
-			phase = flagSerial
+	phase := byte(0)
+	if l.Phase == 0 {
+		phase = flagSerial
+	}
+	sizes := l.Sizes
+	for i := range l.Runs {
+		run := &l.Runs[i]
+		plain := sizes[:run.Insts]
+		sizes = sizes[run.Insts:]
+		branch := run.Kind != isa.KindOther
+		var brSize uint8
+		if branch {
+			brSize, plain = plain[len(plain)-1], plain[:len(plain)-1]
 		}
-		seq := n != 0 && in.PC == next
-		n++
-		if seq && in.Kind == isa.KindOther {
-			body = append(body, flagSeqPC|phase, in.Size)
-			next += isa.Addr(in.Size)
+		seq := n != 0 && run.Start == next
+		n += int(run.Insts)
+		if len(plain) > 0 {
+			if seq {
+				body = append(body, flagSeqPC|phase, plain[0])
+			} else {
+				body = append(body, phase, plain[0])
+				body = binary.AppendUvarint(body, uint64(run.Start))
+			}
+			for _, sz := range plain[1:] {
+				body = append(body, flagSeqPC|phase, sz)
+			}
+			seq = true
+		}
+		next = run.Start + isa.Addr(run.Bytes)
+		if !branch {
 			continue
 		}
-		flags := byte(in.Kind)&kindMask | phase
+		flags := byte(run.Kind)&kindMask | phase
 		if seq {
 			flags |= flagSeqPC
 		}
-		next = in.PC + isa.Addr(in.Size)
-		branch := flags&kindMask != 0
-		if branch && in.Taken {
+		if run.Taken {
 			flags |= flagTaken
-			next = in.Target
+			next = run.Target
 		}
-		body = append(body, flags, in.Size)
+		body = append(body, flags, brSize)
 		if !seq {
-			body = binary.AppendUvarint(body, uint64(in.PC))
+			body = binary.AppendUvarint(body, uint64(run.PC))
 		}
-		if branch {
-			body = binary.AppendVarint(body, int64(in.Target)-int64(in.PC))
-		}
+		body = binary.AppendVarint(body, int64(run.Target)-int64(run.PC))
 	}
 	r.body, r.next, r.n = body, next, n
 }
@@ -132,16 +160,16 @@ func (r *Recorder) Trace() *Trace {
 	return t
 }
 
-// Deliver replays the trace through the given observers: per-instruction
-// Observe calls for plain observers, program-order batches of at most
-// batchSize for observers that implement trace.BatchObserver — the
-// promotion rule Executor.Attach applies (trace.AsBatch). Each batch is
-// decoded into one buffer reused for the whole replay and ends where the
-// phase changes (never mixing serial and parallel instructions), so
-// observers must not retain or mutate it — the same contract live batches
-// carry. The context is polled between batches, matching the executor's
-// region-granularity cancellation; a nil ctx (or one that cannot be
-// cancelled) disables polling.
+// Deliver replays the trace through the given observers, by the rule
+// Executor.Attach applies: an observer that implements trace.LaneConsumer
+// receives each decoded lane itself; the rest share one trace.Expand of it,
+// promoted to batches by trace.AsBatch. A lane holds at most batchSize
+// instructions and ends where the phase changes (never mixing serial and
+// parallel instructions); it and its expansion are reused for the whole
+// replay, so observers must not retain or mutate them — the same contract
+// live lanes and batches carry. The context is polled between lanes,
+// matching the executor's region-granularity cancellation; a nil ctx (or one
+// that cannot be cancelled) disables polling.
 func Deliver(ctx context.Context, t *Trace, batchSize int, obs ...trace.Observer) error {
 	if batchSize <= 0 {
 		batchSize = trace.BatchSize
@@ -149,23 +177,34 @@ func Deliver(ctx context.Context, t *Trace, batchSize int, obs ...trace.Observer
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
 	}
-	batched := make([]trace.BatchObserver, len(obs))
-	for i, o := range obs {
-		batched[i] = trace.AsBatch(o)
+	var lanes []trace.LaneConsumer
+	var batched []trace.BatchObserver
+	for _, o := range obs {
+		if lc, ok := o.(trace.LaneConsumer); ok {
+			lanes = append(lanes, lc)
+		} else {
+			batched = append(batched, trace.AsBatch(o))
+		}
 	}
-	buf := make([]isa.Inst, min(batchSize, t.n))
+	var lane isa.Lane
+	var buf []isa.Inst // the lane expanded, only if batched is non-empty
 	for r := t.reader(); r.i < r.n; {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		n, err := r.fill(buf)
-		if err != nil {
+		if err := r.fill(&lane, batchSize); err != nil {
 			return err
 		}
-		for _, bo := range batched {
-			bo.ObserveBatch(buf[:n])
+		for _, lc := range lanes {
+			lc.ConsumeLane(&lane)
+		}
+		if len(batched) > 0 {
+			buf = trace.Expand(&lane, buf)
+			for _, bo := range batched {
+				bo.ObserveBatch(buf)
+			}
 		}
 	}
 	return nil

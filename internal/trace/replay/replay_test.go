@@ -52,10 +52,12 @@ func phaseStream(runs ...int) []isa.Inst {
 }
 
 // recordInsts materializes a hand-built stream the way every Trace is
-// built: through a Recorder.
+// built: through a Recorder, here one instruction at a time.
 func recordInsts(insts []isa.Inst) *Trace {
 	rec := NewRecorder()
-	rec.ObserveBatch(insts)
+	for _, in := range insts {
+		rec.Observe(in)
+	}
 	return rec.Trace()
 }
 
@@ -186,23 +188,28 @@ func TestDecodeRejectsStructuralViolations(t *testing.T) {
 	}
 }
 
-// FuzzDecodeDeliver: whatever payload the strict decoder accepts replays —
-// exactly Len() instructions, no error, no panic, in batches no longer
-// than asked and never mixing phases. Decode is the only gate between a
-// checksum-valid file and Deliver, so everything Deliver relies on has to
-// be established there.
+// FuzzDecodeDeliver: the lane decoder and the per-instruction trr1 model
+// (model_test.go) agree on every payload — both reject it, or both deliver
+// the same stream in lanes that hold their invariants — and whatever payload
+// the strict decoder accepts replays: exactly Len() instructions, no error,
+// no panic, in batches no longer than asked and never mixing phases. Decode
+// is the only gate between a checksum-valid file and Deliver, so everything
+// Deliver relies on has to be established there.
 func FuzzDecodeDeliver(f *testing.F) {
 	f.Add(Encode(recordInsts(handStream())), 7)
 	f.Add(Encode(recordWorkload(f, "xalan-lite", 2, 500)), 64)
 	for _, tc := range structuralViolations() {
 		f.Add(tc.data, 3)
 	}
+	// An explicit PC that continues the open run, and one that does not.
+	f.Add(append([]byte("trr1"), 3, 0, 4, 0x10, 0, 4, 0x14, 0, 4, 0x30), 2)
 	f.Fuzz(func(t *testing.T, data []byte, size int) {
+		size = 1 + (size&0xffff)%5000
+		decodeBoth(t, data, size)
 		tr, err := Decode(data)
 		if err != nil {
 			return
 		}
-		size = 1 + (size&0xffff)%5000
 		rec := delivered(t, tr, size)
 		if len(rec.all) != tr.Len() {
 			t.Fatalf("delivered %d instructions from a trace of %d", len(rec.all), tr.Len())

@@ -3,17 +3,20 @@
 // the paper's methodology. Observers are the analysis routines (package
 // analysis) and hardware-structure simulators (packages bpred, btb, icache);
 // several observers can share one pass over the stream, just as several
-// pintool analysis callbacks share one instrumented run. All of them but the
-// footprint collector act on control-flow events and the byte ranges between
-// them, so they sit behind a Feed (lane.go), which reduces each batch once to
-// its fetch runs.
+// pintool analysis callbacks share one instrumented run. All of them act on
+// control-flow events and the byte ranges between them (the footprint
+// collector also on the instruction sizes within a range), so the unit of
+// the stream is the lane (isa.Lane): a batch as its fetch runs plus every
+// instruction's size. Lane consumers sit behind a Feed (lane.go).
 //
 // The executor has two execution engines over the same program model:
 //
 //   - Run compiles the structured program once into a flat threaded-code op
-//     array (see compile.go) and drives it with a tight loop, delivering
-//     instructions to observers in batches of up to BatchSize. This is the
-//     production path.
+//     array (see compile.go) and drives it with a tight loop that renders
+//     lanes of up to BatchSize instructions directly — a block extends the
+//     open run or opens one, a branch ends it — for the attached
+//     LaneConsumers; an observer that is not one gets a shared Expand of
+//     each lane as a batch. This is the production path.
 //   - RunReference walks the program tree recursively and delivers every
 //     instruction through a virtual per-instruction Observe call. It is the
 //     retained reference implementation: slower, but structurally identical
@@ -44,7 +47,8 @@ type Observer interface {
 // BatchObserver consumes the dynamic instruction stream in program-order
 // batches. Batches hold at most BatchSize instructions, never mix serial and
 // parallel sections (the executor flushes at region boundaries), and the
-// slice is reused after the call returns — observers must not retain it.
+// slice is reused after the call returns — observers must not retain it. On
+// the compiled path and in replay a batch is the Expand of a lane.
 type BatchObserver interface {
 	ObserveBatch(batch []isa.Inst)
 }
@@ -65,7 +69,8 @@ func (f ObserverFunc) ObserveBatch(batch []isa.Inst) {
 // AsBatch returns o's batch interface: o itself when it implements
 // BatchObserver, otherwise a per-instruction loop over o.Observe. It is the
 // one promotion rule for every delivery path — Executor.Attach and
-// replay.Deliver — so an observer sees the same calls live and replayed.
+// replay.Deliver, for the observers that are not LaneConsumers — so an
+// observer sees the same calls live and replayed.
 func AsBatch(o Observer) BatchObserver {
 	if bo, ok := o.(BatchObserver); ok {
 		return bo
@@ -73,9 +78,10 @@ func AsBatch(o Observer) BatchObserver {
 	return ObserverFunc(o.Observe)
 }
 
-// BatchSize is the capacity of the executor's emission buffer. The buffer is
-// flushed to batch observers when full, at region boundaries, and when a
-// run's instruction budget is exhausted.
+// BatchSize bounds the instructions in one lane of the executor, and so in
+// one expanded batch. The lane is flushed before a block that would pass the
+// bound, at region boundaries, and when a run's instruction budget is
+// exhausted.
 const BatchSize = 4096
 
 // maxCallDepth bounds the synthetic call stack; the structured program
@@ -87,7 +93,6 @@ type Executor struct {
 	prog      *program.Program
 	seed      uint64
 	observers []Observer
-	batchObs  []BatchObserver
 
 	// Per-branch-site private RNG streams, created lazily. Keyed by the
 	// dense site ID so the stream a site sees is independent of every
@@ -104,7 +109,8 @@ type Executor struct {
 	emitted int64
 	// budget is the emission target for the current Run.
 	budget int64
-	// serial tags instructions with the current phase.
+	// serial tags instructions with the current phase (reference engine;
+	// the compiled engine sets its lane's Phase).
 	serial bool
 	// stack holds return addresses for calls in flight (reference engine).
 	stack []isa.Addr
@@ -114,11 +120,14 @@ type Executor struct {
 	ctx context.Context
 
 	// Compiled-engine state.
-	compiled  *Compiled
-	batch     []isa.Inst // emission buffer, cap BatchSize
-	serialIdx int        // selects the pre-rendered block variant
-	loopLeft  []int64    // per compiled-loop-slot remaining iterations
-	frames    []frame    // call frames in flight
+	compiled *Compiled
+	laneObs  []LaneConsumer  // attached observers that take the lane itself
+	batchObs []BatchObserver // the rest: they share one Expand per flush
+	lane     isa.Lane        // emission buffer, at most BatchSize instructions
+	open     bool            // the lane's last run has not met its branch
+	batch    []isa.Inst      // the lane expanded, only if batchObs is non-empty
+	loopLeft []int64         // per compiled-loop-slot remaining iterations
+	frames   []frame         // call frames in flight
 }
 
 // frame is one call in flight in the compiled engine.
@@ -149,13 +158,18 @@ func NewCompiledExecutor(c *Compiled, seed uint64) *Executor {
 	return e
 }
 
-// Attach registers observers for subsequent runs. Observers that also
-// implement BatchObserver receive batches natively on the compiled path;
-// the rest are adapted with a per-instruction loop.
+// Attach registers observers for subsequent runs. On the compiled path an
+// observer that implements LaneConsumer receives the lanes themselves; the
+// rest receive each lane expanded to a batch, natively if they implement
+// BatchObserver and through a per-instruction loop otherwise.
 func (e *Executor) Attach(obs ...Observer) {
 	for _, o := range obs {
 		e.observers = append(e.observers, o)
-		e.batchObs = append(e.batchObs, AsBatch(o))
+		if lc, ok := o.(LaneConsumer); ok {
+			e.laneObs = append(e.laneObs, lc)
+		} else {
+			e.batchObs = append(e.batchObs, AsBatch(o))
+		}
 	}
 }
 
@@ -218,8 +232,11 @@ func (e *Executor) Run(target int64) error {
 	if len(e.loopLeft) < e.compiled.numLoops {
 		e.loopLeft = make([]int64, e.compiled.numLoops)
 	}
-	if e.batch == nil {
-		e.batch = make([]isa.Inst, 0, BatchSize)
+	if e.lane.Sizes == nil {
+		// A lane holds one run per 7 to 10 instructions on the built-in
+		// workloads; a branchier stream grows Runs by appending.
+		e.lane.Sizes = make([]uint8, 0, BatchSize)
+		e.lane.Runs = make([]isa.Run, 0, BatchSize/8)
 	}
 	e.budget = e.emitted + target
 	for e.emitted < e.budget && e.err == nil {
@@ -227,10 +244,9 @@ func (e *Executor) Run(target int64) error {
 			if e.emitted >= e.budget || e.err != nil {
 				break
 			}
-			e.serial = r.Serial
-			e.serialIdx = 0
+			e.lane.Phase = 1
 			if r.Serial {
-				e.serialIdx = 1
+				e.lane.Phase = 0
 			}
 			for w := 0; w < r.Weight; w++ {
 				if e.cancelled() {
@@ -241,7 +257,7 @@ func (e *Executor) Run(target int64) error {
 					break
 				}
 			}
-			// Region boundary: flush so batches never mix phases.
+			// Region boundary: flush so lanes never mix phases.
 			e.flush()
 		}
 	}
@@ -249,16 +265,23 @@ func (e *Executor) Run(target int64) error {
 	return e.err
 }
 
-// flush delivers the buffered batch to every batch observer and resets the
-// buffer.
+// flush delivers the buffered lane — to the lane consumers as it is, to the
+// batch observers expanded once — and resets it. An open run ends with it.
 func (e *Executor) flush() {
-	if len(e.batch) == 0 {
+	if len(e.lane.Sizes) == 0 {
 		return
 	}
-	for _, o := range e.batchObs {
-		o.ObserveBatch(e.batch)
+	e.lane.Insts = len(e.lane.Sizes)
+	for _, c := range e.laneObs {
+		c.ConsumeLane(&e.lane)
 	}
-	e.batch = e.batch[:0]
+	if len(e.batchObs) > 0 {
+		e.batch = Expand(&e.lane, e.batch)
+		for _, o := range e.batchObs {
+			o.ObserveBatch(e.batch)
+		}
+	}
+	e.lane.Runs, e.lane.Sizes, e.open = e.lane.Runs[:0], e.lane.Sizes[:0], false
 }
 
 // RunReference emits approximately target dynamic instructions with the

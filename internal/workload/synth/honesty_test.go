@@ -83,7 +83,7 @@ func TestFootprintHonesty(t *testing.T) {
 		p := Params{Name: fmt.Sprintf("honesty-hot%v", hf), HotFrac: hf, Funcs: 16}
 		prog := MustBuild(p)
 		fp := analysis.NewFootprint()
-		if err := trace.Run(prog, 1, honestyInsts, fp); err != nil {
+		if err := trace.Run(prog, 1, honestyInsts, trace.NewFeed(fp)); err != nil {
 			t.Fatal(err)
 		}
 		dyn99[hf] = fp.Result(prog.TextSize).DynamicBytes(analysis.Total, 0.99)
