@@ -8,12 +8,17 @@ GO ?= go
 STATICCHECK_VERSION ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_VERSION ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all build test race fuzz chaos vet fmt lint lint-wall lint-extra ci bench bench-go bench-go-smoke
+.PHONY: all build loc test race fuzz chaos vet fmt lint lint-wall lint-extra ci bench bench-go bench-go-smoke
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# loc prints the non-test Go line count under internal/ + cmd/: the figure
+# ROADMAP's deletion ledger and every CHANGES.md entry quote.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l | tr -d ' '
 
 test:
 	$(GO) test ./...
@@ -40,8 +45,9 @@ fuzz:
 # golden grid through a 3-backend dispatcher under transient faults must
 # be bit-identical to the committed golden, a poisoned grid under
 # -allow-partial must degrade to exactly the expected survivors, and a
-# corrupted disk cache must heal by recompute. Deterministic by
-# construction — a failure is a bug, not noise.
+# corrupted disk tier of the dispatching session's result cache must heal
+# by recompute. Deterministic by construction — a failure is a bug, not
+# noise.
 chaos:
 	$(GO) test -race -v -run '^TestSoak' ./internal/sim/dispatch/chaos
 	$(GO) test -race -run 'TestWall|Corrupt' ./internal/tiercache ./internal/sim/dispatch/chaos

@@ -25,10 +25,11 @@
 // sweeps stay pollable for -retain. The tenant is named by the ?tenant=
 // query parameter or X-Tenant header ("default" when absent).
 //
-// With -backends the coordinator's shard grids are dispatched to remote
-// simd workers instead of the local pool, sharing one dispatcher — and
-// one shard cache — across all sweeps and runs, so concurrent tenants
-// sweeping overlapping grids deduplicate each other's work.
+// With -backends the coordinator's shard grids are computed on remote simd
+// workers instead of the local pool, sharing one dispatcher across all
+// sweeps and runs; the session resolves every grid against its one shard
+// cache first, so concurrent tenants sweeping overlapping grids
+// deduplicate each other's work and only misses travel.
 //
 // Endpoints:
 //
@@ -149,10 +150,8 @@ func main() {
 	}
 	sess := sim.NewSession(*workersFlag)
 	sess.SetMaxShards(*maxShardsFlag)
-	var cache *shardcache.Cache
 	if *cacheEntsFlag > 0 {
-		var err error
-		cache, err = shardcache.New(shardcache.Options{
+		cache, err := shardcache.New(shardcache.Options{
 			MaxEntries: *cacheEntsFlag,
 			MaxBytes:   *cacheByteFlag,
 			Dir:        *cacheDirFlag,
@@ -178,14 +177,14 @@ func main() {
 		if err != nil {
 			log.Fatalf("simd: %v", err)
 		}
-		// The dispatcher shares the process's shard cache: a dispatched
-		// run's results are cached (and served) by the same content
-		// addresses the local path uses, so sweeps from different tenants
-		// deduplicate through one tier.
+		// The session resolves every grid against the process's shard cache
+		// before its runner sees a unit, so a dispatched run's results are
+		// cached (and served) by the same content addresses the local path
+		// uses, and sweeps from different tenants deduplicate through one
+		// tier. The dispatcher only computes the misses.
 		d, err := dispatch.New(backends, dispatch.Options{
 			MaxInFlight: *workersFlag,
 			Hedge:       *hedgeFlag,
-			Cache:       cache,
 		})
 		if err != nil {
 			log.Fatalf("simd: %v", err)

@@ -87,13 +87,19 @@ func canonSynth(p *synth.Params) *synth.Params {
 	return &c
 }
 
-// SetCache routes every shard this session executes — locally pooled runs
-// and arrays off the worker protocol alike — through the given result
-// cache: a shard whose canonical key is cached is served from the stored
-// wire record instead of recomputed, and concurrent identical shards are
-// deduplicated to one compute (see ResolveShard). A nil c (the default)
-// disables caching. Set before the first Run; the field is not
-// synchronized against concurrent Runs.
+// SetCache routes every shard this session resolves — the grids it runs,
+// on its local pool or through its runner, and arrays off the worker
+// protocol alike — through the given result cache: a shard whose canonical
+// key is cached is served from the stored wire record instead of computed,
+// and concurrent identical shards are deduplicated to one compute (see
+// resolveShard). A nil c (the default) disables caching. Set before the
+// first Run; the field is not synchronized against concurrent Runs.
+//
+// A cache serves the grid's owner: a runner beneath a caching session must
+// not share that session's cache. The session leads a miss's key until its
+// runner answers, so a second session beneath it (a LocalBackend's) asking
+// the same cache for that key waits on its own caller's lead until the
+// attempt deadline fails it. Give a worker its own cache, or none.
 func (s *Session) SetCache(c *shardcache.Cache) { s.cache = c }
 
 // Cache returns the session's result cache, or nil.
@@ -120,8 +126,8 @@ func (s *Session) SetTraceStore(st *replay.Store) { s.traces = st }
 // TraceStore returns the session's materialized-trace store, or nil.
 func (s *Session) TraceStore() *replay.Store { return s.traces }
 
-// ResolveShard is the result-cache protocol, the one copy the session's
-// group executor and the dispatcher share. It serves the shard stored
+// resolveShard is the result-cache protocol for one key, behind resolve's
+// unit loop. It serves the shard stored
 // under key (hit; decoded through the same DecodeShard path remote results
 // take, so a cached shard is bit-identical, up to timing fields and the
 // Cached mark, to a cold one) or elects the caller to compute it, handing
@@ -139,7 +145,7 @@ func (s *Session) TraceStore() *replay.Store { return s.traces }
 // writer on different semantics) — the caller then computes with the cache
 // left out of it. An encoding failure leaves the cache unpopulated; the
 // computed shard is still good.
-func ResolveShard(ctx context.Context, cache *shardcache.Cache, key string, spec ShardSpec, cfg ObserverConfig) (sh Shard, hit bool, land func(Shard, error), err error) {
+func resolveShard(ctx context.Context, cache *shardcache.Cache, key string, spec ShardSpec, cfg ObserverConfig) (sh Shard, hit bool, land func(Shard, error), err error) {
 	for attempt := 0; attempt < 2; attempt++ {
 		data, hit, finish, err := cache.Lead(ctx, key)
 		if err != nil {

@@ -76,16 +76,19 @@ func soakOpts() dispatch.Options {
 	}
 }
 
-// runGrid runs the golden spec through a Session routed over d and
-// normalizes the report's timing fields the way the golden file does.
-func runGrid(t *testing.T, d *dispatch.Dispatcher, allowPartial bool) *sim.Report {
+// runGrid runs the golden spec through a Session routed over d — with as
+// many workers as the dispatcher has slots, and the given result cache
+// (nil for none) — and normalizes the report's timing fields the way the
+// golden file does.
+func runGrid(t *testing.T, d *dispatch.Dispatcher, cache *shardcache.Cache, allowPartial bool) *sim.Report {
 	t.Helper()
 	spec, err := sim.DecodeSpec([]byte(goldenSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.AllowPartial = allowPartial
-	sess := sim.NewSession(2)
+	sess := sim.NewSession(soakOpts().MaxInFlight)
+	sess.SetCache(cache)
 	sess.SetRunner(d)
 	rep, err := sess.Run(context.Background(), spec)
 	if err != nil {
@@ -145,7 +148,7 @@ func TestSoakBackendFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := render(t, runGrid(t, d, false))
+			got := render(t, runGrid(t, d, nil, false))
 			if want := readGolden(t); string(got) != string(want) {
 				t.Errorf("report under %q faults differs from the golden;\ngot:\n%s", sc.name, got)
 			}
@@ -189,7 +192,7 @@ func TestSoakTransportFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := render(t, runGrid(t, d, false))
+	got := render(t, runGrid(t, d, nil, false))
 	if want := readGolden(t); string(got) != string(want) {
 		t.Errorf("report under transport faults differs from the golden;\ngot:\n%s", got)
 	}
@@ -264,7 +267,7 @@ func TestSoakPoisonAllowPartial(t *testing.T) {
 		return d
 	}
 
-	rep := runGrid(t, build(), true)
+	rep := runGrid(t, build(), nil, true)
 	order, byID := goldenShards(t)
 
 	// Expected partition: survivors are every golden cell except
@@ -341,7 +344,7 @@ func TestSoakPoisonAllowPartial(t *testing.T) {
 			r.FailedShards[i].Error = ""
 		}
 	}
-	rep2 := runGrid(t, build(), true)
+	rep2 := runGrid(t, build(), nil, true)
 	blankErrors(rep)
 	blankErrors(rep2)
 	if first, again := render(t, rep), render(t, rep2); string(first) != string(again) {
@@ -350,7 +353,8 @@ func TestSoakPoisonAllowPartial(t *testing.T) {
 }
 
 // TestSoakCorruptDiskTier attacks the third tier: a dispatched run
-// populates the shard cache's disk directory, every entry is then
+// populates the disk directory of the front session's shard cache, every
+// entry is then
 // deterministically corrupted (bit flips and truncations), and a fresh
 // cache over the same directory must degrade every lookup to a
 // miss-and-recompute — the rerun report stays bit-identical to the
@@ -359,16 +363,14 @@ func TestSoakCorruptDiskTier(t *testing.T) {
 	dir := t.TempDir()
 	run := func(c *shardcache.Cache) []byte {
 		w1, w2 := newWorker(t), newWorker(t)
-		opts := soakOpts()
-		opts.Cache = c
 		d, err := dispatch.New([]dispatch.Backend{
 			dispatch.NewHTTPBackend(w1.URL, nil),
 			dispatch.NewHTTPBackend(w2.URL, nil),
-		}, opts)
+		}, soakOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return render(t, runGrid(t, d, false))
+		return render(t, runGrid(t, d, c, false))
 	}
 
 	c1, err := shardcache.New(shardcache.Options{Dir: dir})
@@ -425,7 +427,7 @@ func TestSoakHedgedStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := render(t, runGrid(t, d, false))
+	got := render(t, runGrid(t, d, nil, false))
 	if want := readGolden(t); string(got) != string(want) {
 		t.Errorf("hedged report differs from the golden;\ngot:\n%s", got)
 	}

@@ -1,17 +1,18 @@
-// Package dispatch spreads an expanded shard grid across pluggable
-// execution backends — the missing half of the sim layer's "remote shards
-// fold without re-deriving" promise. A Backend is a sim.ShardRunner with a
-// name and a liveness probe: LocalBackend is a sim.Session, and HTTPBackend
-// speaks the simd worker protocol (POST /v1/shards). The Dispatcher plans a
-// grid into units with the session's own plan (sim.PlanShards: a trace
-// coordinate's shards travel together, so a worker streams the coordinate
-// once for all of them), runs a bounded number of units at once, retries a
-// unit's failed members with exponential backoff, and fails over to the
-// remaining backends when one dies mid-run. It is a sim.ShardRunner and
-// only reports: one sim.Outcome per spec — a shard it had to abandon is a
-// value in that grid, with the attempts spent and the terminal error —
-// over the same grid loop (sim.RunUnits) the session's local pool runs.
-// Abort-versus-degrade is the Session's decision.
+// Package dispatch runs units of a shard grid on pluggable execution
+// backends — the missing half of the sim layer's "remote shards fold
+// without re-deriving" promise. A Backend is a sim.ShardRunner with a name
+// and a liveness probe: LocalBackend is a sim.Session, and HTTPBackend
+// speaks the simd worker protocol (POST /v1/shards). The Dispatcher is one
+// unit's retry policy: a sim.Session routed through it (SetRunner) plans
+// its grid, resolves it against its result cache and hands each unit's
+// misses — a trace coordinate's shards, so a worker streams the coordinate
+// once for all of them — to Dispatcher.RunShards as one call, which sends
+// them to a backend under a dispatcher-wide in-flight bound, re-sends the
+// members that failed retryably with exponential backoff, fails over to
+// the remaining backends when one dies, and hedges stragglers. It only
+// reports: one sim.Outcome per spec — a shard it had to abandon is a value,
+// with the attempts spent and the terminal error. Naming failures,
+// progress and abort-versus-degrade are the Session's.
 //
 // Because every shard is deterministic for its {workload, seed,
 // observer-config, insts, engine} and results land index-aligned with the
@@ -21,28 +22,25 @@
 package dispatch
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rebalance/internal/sim"
-	"rebalance/internal/sim/shardcache"
 )
 
-// Backend executes units of a grid — the shards the Dispatcher sends it in
-// one call — under the sim.ShardRunner contract: one outcome per spec,
-// index-aligned; a failure of the call itself (transport, a malformed
-// answer) is every member's Err; the returned error is ctx's, whenever ctx
-// ended first, and nothing else. The Dispatcher owns the grid, so a Backend
-// neither names failures by cell nor delivers to sim.ShardDone, and the
-// Attempts it reports are ignored. Implementations must be safe for
+// Backend executes units — the shards the Dispatcher sends it in one call —
+// under the sim.ShardRunner contract: one outcome per spec, index-aligned;
+// a failure of the call itself (transport, a malformed answer) is every
+// member's Err; the returned error is ctx's, whenever ctx ended first, and
+// nothing else. The session above the Dispatcher owns the grid, so a
+// Backend neither names failures by cell nor delivers to sim.ShardDone, and
+// the Attempts it reports are ignored. Implementations must be safe for
 // concurrent RunShards calls: up to the in-flight bound are issued at once.
 type Backend interface {
 	sim.ShardRunner
@@ -82,13 +80,15 @@ func (b *LocalBackend) Probe(context.Context) error { return nil }
 // Options tune a Dispatcher. The zero value selects the defaults noted on
 // each field.
 type Options struct {
-	// MaxInFlight bounds the shards executing at once across all
-	// backends, dispatcher-wide: concurrent RunShards calls share one
-	// slot pool (default 2 per backend).
+	// MaxInFlight caps the backend calls executing at once across all
+	// backends and every run sharing this dispatcher (default 2 per
+	// backend). It is only that cross-run cap: how a grid is cut and how
+	// many of its units are in flight is the routed session's workers
+	// alone, so a session with fewer workers than this leaves slots idle.
 	MaxInFlight int
 	// Attempts is the per-shard attempt budget, first try included
-	// (default 3). Attempts after a failure prefer a different backend —
-	// the failover path.
+	// (default 3): the calls a member may ride in. Attempts after a
+	// failure prefer a different backend — the failover path.
 	Attempts int
 	// Backoff is the cap on the delay before a shard's second attempt,
 	// doubling per subsequent attempt (default 100ms). The actual sleep
@@ -119,29 +119,18 @@ type Options struct {
 	// instruction — over an order of magnitude above real shard rates);
 	// negative disables the bound entirely.
 	AttemptTimeout time.Duration
-	// Cache, when non-nil, is consulted by content address before a shard
-	// spends a backend slot, and results fetched from backends are written
-	// back — so a coordinator re-running overlapping grids stops re-paying
-	// workers for shards it has already seen, and concurrent sweeps asking
-	// for one shard share a single fetch. Cached shards are returned with
-	// Cached set. Sharing one cache between the Dispatcher and a
-	// LocalBackend's session is safe for correctness (writes are
-	// idempotent for a key), but each layer counts its own lookups, so a
-	// cold shard then records a miss at both; give the layers separate
-	// caches when per-layer hit rates matter.
-	Cache *shardcache.Cache
 	// Hedge duplicates straggling shard attempts onto a second healthy
 	// backend: when a backend call outlives the hedge delay, the same
-	// shard is issued to a different live backend, the first result wins,
-	// and the loser is cancelled. Safe because shard results are
+	// shards are issued to a different live backend, the first result
+	// wins, and the loser is cancelled. Safe because shard results are
 	// deterministic and content-addressed — the winner is bit-identical
 	// whichever backend produced it — and hedges never double-count
-	// blame (a cancelled loser is not a backend failure) or cache writes
-	// (only the winning result is written back). A hedge rides its
-	// primary's in-flight slot rather than taking one of its own, so a
-	// backlog cannot switch tail-cutting off; the price is load: with
-	// every primary straggling, up to 2 x MaxInFlight backend calls run
-	// at once (at most one hedge per attempt).
+	// blame (a cancelled loser is not a backend failure) or outcomes
+	// (each member gets one, which the session writes back once). A hedge
+	// rides its primary's in-flight slot rather than taking one of its
+	// own, so a backlog cannot switch tail-cutting off; the price is
+	// load: with every primary straggling, up to 2 x MaxInFlight backend
+	// calls run at once (at most one hedge per attempt).
 	Hedge bool
 	// HedgeDelay fixes the straggler threshold; > 0 implies Hedge. When
 	// zero with Hedge set, the delay is derived from observed attempt
@@ -168,11 +157,11 @@ type Stats struct {
 	Healthy []string `json:"healthy"`
 }
 
-// Dispatcher schedules shard grids over a fixed set of backends. It
-// implements sim.ShardRunner, so a sim.Session routes through it via
-// SetRunner. Safe for concurrent RunShards calls; backend health is
-// shared across them, which is what lets a serving coordinator stop
-// hammering a worker that died.
+// Dispatcher runs units over a fixed set of backends. It implements
+// sim.ShardRunner, so a sim.Session routes through it via SetRunner. Safe
+// for concurrent RunShards calls — a session issues one per unit in
+// flight; backend health is shared across them, which is what lets a
+// serving coordinator stop hammering a worker that died.
 type Dispatcher struct {
 	backends []*backendState
 	opts     Options
@@ -235,39 +224,23 @@ func New(backends []Backend, opts Options) (*Dispatcher, error) {
 	return d, nil
 }
 
-// RunShards implements sim.ShardRunner: sim.RunUnits over the units
-// sim.PlanShards cuts the grid into for MaxInFlight slots, each run by
-// runOne. It never cancels the grid itself: a shard that exhausts its
-// attempts (or hits an error no backend can fix) is abandoned — its outcome
-// carries the attempts spent and the terminal error, named "dispatch: shard
-// {...}" — and the rest keep executing; a unit's outcomes are delivered
-// together to the context's sim.ShardDone hook. A caller that wants the
-// first failure to abort cancels ctx from that hook, as a strict sim.Session
-// does. The returned error is ctx's own, when it ended before the grid did.
+// RunShards implements sim.ShardRunner: the specs are one unit, run through
+// the retry/failover policy. It never gives up on the unit as a whole: a
+// member that exhausts its attempts (or hits an error no backend can fix)
+// is abandoned — its outcome carries the attempts spent and the terminal
+// error — and the rest keep executing. The returned error is ctx's own,
+// when it ended before the unit did.
 func (d *Dispatcher) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
-	units := sim.PlanShards(specs, d.opts.MaxInFlight)
-	return sim.RunUnits(ctx, len(specs), d.opts.MaxInFlight, units, func(unit []int, out []sim.Outcome) {
-		d.runOne(ctx, specs, unit, out)
-		for _, i := range unit {
-			if out[i].Err != nil {
-				out[i].Err = fmt.Errorf("dispatch: shard {%s %s seed %d}: %w",
-					specs[i].Workload, cellName(&specs[i]), specs[i].Seed, out[i].Err)
-			}
-			sim.ShardDone(ctx, out[i].Shard, out[i].Err)
-		}
-	})
-}
-
-// cellName names a failed shard's grid cell the way the local pool and
-// FailedShard.Observer do — by configuration key ("bpred/gshare-big"), so
-// the failures of a one-kind grid stay distinguishable — falling back to
-// the bare kind when the spec itself is what is invalid. Failure path
-// only: Config re-expands the observer.
-func cellName(spec *sim.ShardSpec) string {
-	if cfg, err := spec.Config(); err == nil {
-		return cfg.Key()
+	out := make([]sim.Outcome, len(specs))
+	pending := make([]int, len(specs))
+	for i := range pending {
+		pending[i] = i
 	}
-	return spec.Observer.Kind
+	d.runAttempts(ctx, specs, pending, out)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // attemptTimeout resolves the deadline of one backend call carrying insts
@@ -281,48 +254,6 @@ func (d *Dispatcher) attemptTimeout(insts int64) time.Duration {
 		return 0
 	default:
 		return 30*time.Second + time.Duration(insts)*time.Microsecond
-	}
-}
-
-// runOne executes one unit, recording each member's outcome at its grid
-// index in out. With a cache configured, every member's content address is
-// resolved first (sim.ResolveShard, in ascending key order — the cache's
-// rule for leading several keys at once): a hit costs no slot and no
-// attempt, an unrunnable spec fails alone, only the misses travel, and each
-// is written back once, whichever side of a hedge answered it.
-func (d *Dispatcher) runOne(ctx context.Context, specs []sim.ShardSpec, unit []int, out []sim.Outcome) {
-	if d.opts.Cache == nil {
-		d.runAttempts(ctx, specs, unit, out)
-		return
-	}
-	type lead struct {
-		idx int
-		key string
-		cfg sim.ObserverConfig
-	}
-	leads := make([]lead, 0, len(unit))
-	for _, i := range unit {
-		cfg, err := specs[i].Config()
-		if err != nil {
-			out[i].Err = err // the no-retry exit the attempt loop would take
-			continue
-		}
-		leads = append(leads, lead{i, sim.ShardCacheKey(specs[i], cfg), cfg})
-	}
-	slices.SortFunc(leads, func(a, b lead) int { return cmp.Compare(a.key, b.key) })
-	var pending []int
-	var lands []func(sim.Shard, error)
-	for _, l := range leads {
-		sh, hit, land, err := sim.ResolveShard(ctx, d.opts.Cache, l.key, specs[l.idx], l.cfg)
-		if err == nil && !hit {
-			pending, lands = append(pending, l.idx), append(lands, land)
-			continue
-		}
-		out[l.idx] = sim.Outcome{Shard: sh, Err: err}
-	}
-	d.runAttempts(ctx, specs, pending, out)
-	for k, i := range pending {
-		lands[k](out[i].Shard, out[i].Err)
 	}
 }
 

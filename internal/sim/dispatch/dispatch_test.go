@@ -123,22 +123,20 @@ func TestFailoverToLiveBackend(t *testing.T) {
 	dead := &fakeBackend{name: "dead", permErr: errors.New("connection refused")}
 	live := &fakeBackend{name: "live"}
 	opts := fastOpts()
-	opts.MaxInFlight = 1 // sequential, so the dead backend's call count is exact
+	opts.MaxInFlight = 1
 	d, err := dispatch.New([]dispatch.Backend{dead, live}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := make([]sim.ShardSpec, 8)
-	for i := range specs {
-		specs[i] = testSpec(uint64(i + 1))
-	}
-	shards, err := runShards(context.Background(), d, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range shards {
-		if shards[i].Seed != uint64(i+1) {
-			t.Errorf("shard %d has seed %d", i, shards[i].Seed)
+	// Eight one-shard units, one after another, so the dead backend's call
+	// count is exact.
+	for seed := uint64(1); seed <= 8; seed++ {
+		sh, err := sim.RunOne(context.Background(), d, testSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh.Seed != seed {
+			t.Errorf("unit of seed %d answered seed %d", seed, sh.Seed)
 		}
 	}
 	// The dead backend is marked dead after FailThreshold consecutive
@@ -288,26 +286,27 @@ func TestDeadBackendRevives(t *testing.T) {
 	flaky := &fakeBackend{name: "flaky", failFirst: 3} // dead after 3, healthy after restart
 	steady := &fakeBackend{name: "steady"}
 	opts := fastOpts()
-	opts.MaxInFlight = 1 // sequential, so the dead-marking point is exact
+	opts.MaxInFlight = 1
 	opts.ReviveAfter = 50 * time.Millisecond
 	d, err := dispatch.New([]dispatch.Backend{flaky, steady}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := make([]sim.ShardSpec, 8)
-	for i := range specs {
-		specs[i] = testSpec(uint64(i + 1))
+	// Eight one-shard units, one after another, so the dead-marking point
+	// is exact.
+	runEight := func() {
+		for seed := uint64(1); seed <= 8; seed++ {
+			if _, err := sim.RunOne(context.Background(), d, testSpec(seed)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if _, err := runShards(context.Background(), d, specs); err != nil {
-		t.Fatal(err)
-	}
+	runEight()
 	if healthy := d.Healthy(); len(healthy) != 1 || healthy[0] != "steady" {
 		t.Fatalf("flaky backend not dead yet: healthy = %v", healthy)
 	}
 	time.Sleep(60 * time.Millisecond) // past ReviveAfter: next run probes it
-	if _, err := runShards(context.Background(), d, specs); err != nil {
-		t.Fatal(err)
-	}
+	runEight()
 	// The probe's verdict lands on its own goroutine.
 	deadline := time.Now().Add(5 * time.Second)
 	for len(d.Healthy()) != 2 && time.Now().Before(deadline) {
@@ -415,20 +414,27 @@ func newWorkerServer(t testing.TB, sess *sim.Session) *httptest.Server {
 }
 
 // runGoldenDispatched runs the golden spec through a Session routed over
-// the given backends and renders the report exactly as the golden file
-// does (timing and worker-count fields zeroed).
+// the given backends, with as many workers as opts has slots (see
+// runGolden).
 func runGoldenDispatched(t *testing.T, backends []dispatch.Backend, opts dispatch.Options) []byte {
+	t.Helper()
+	d, err := dispatch.New(backends, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := sim.NewSession(opts.MaxInFlight)
+	sess.SetRunner(d)
+	return runGolden(t, sess)
+}
+
+// runGolden runs the golden spec on sess and renders the report exactly as
+// the golden file does (timing and worker-count fields zeroed).
+func runGolden(t *testing.T, sess *sim.Session) []byte {
 	t.Helper()
 	spec, err := sim.DecodeSpec([]byte(goldenSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := dispatch.New(backends, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := sim.NewSession(2)
-	sess.SetRunner(d)
 	rep, err := sess.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)

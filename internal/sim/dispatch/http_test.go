@@ -181,6 +181,42 @@ func TestWorkerKeepsCoordinatesApart(t *testing.T) {
 	}
 }
 
+// TestWorkerServesADuplicateMemberOnce: an array off the wire may name one
+// shard twice. A caching worker computes it once — one cache miss — and
+// answers both members with the same record, well inside the request's
+// deadline, instead of leading the key a second time and waiting on itself
+// until the deadline ends the request.
+func TestWorkerServesADuplicateMemberOnce(t *testing.T) {
+	cache, err := shardcache.New(shardcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := sim.NewSession(1)
+	sess.SetCache(cache)
+	body, err := json.Marshal([]sim.ShardSpec{testSpec(1), testSpec(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, dispatch.ShardsPath, strings.NewReader(string(body))).WithContext(ctx)
+	dispatch.WorkerHandler(sess, 0).ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("worker answered %d %s, want 200", rec.Code, rec.Body)
+	}
+	var recs []json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &recs); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || string(recs[0]) != string(recs[1]) || !strings.Contains(string(recs[0]), `"result"`) {
+		t.Errorf("answer = %s, want two equal shard records", rec.Body)
+	}
+	if s := cache.Stats(); s.Misses != 1 {
+		t.Errorf("cache stats = %+v, want the shard led (and computed) once", s)
+	}
+}
+
 type errReader struct{}
 
 func (errReader) Read([]byte) (int, error) { return 0, fmt.Errorf("connection reset") }
@@ -200,48 +236,58 @@ func (c *countingWrapper) RunShards(ctx context.Context, specs []sim.ShardSpec) 
 	return c.inner.RunShards(ctx, specs)
 }
 
-// TestDispatcherCacheServesRepeats: with Options.Cache set, a repeated
-// grid costs zero backend calls on the second pass, shards come back
-// marked Cached, and the results are byte-identical to the first pass.
-func TestDispatcherCacheServesRepeats(t *testing.T) {
-	w := newWorker(t)
-	cb := &countingWrapper{inner: dispatch.NewHTTPBackend(w.URL, nil)}
+// cachedFront is a front session over d with its own result cache — the
+// shape of simd -backends: the session resolves, the dispatcher computes
+// the misses.
+func cachedFront(t *testing.T, d *dispatch.Dispatcher, workers int) (*sim.Session, *shardcache.Cache) {
+	t.Helper()
 	cache, err := shardcache.New(shardcache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := fastOpts()
-	opts.Cache = cache
-	d, err := dispatch.New([]dispatch.Backend{cb}, opts)
+	sess := sim.NewSession(workers)
+	sess.SetCache(cache)
+	sess.SetRunner(d)
+	return sess, cache
+}
+
+// TestDispatcherCacheServesRepeats: with the cache on the front session, a
+// repeated grid costs zero backend calls on the second pass, shards come
+// back marked Cached, and the results are byte-identical to the first pass.
+func TestDispatcherCacheServesRepeats(t *testing.T) {
+	w := newWorker(t)
+	cb := &countingWrapper{inner: dispatch.NewHTTPBackend(w.URL, nil)}
+	d, err := dispatch.New([]dispatch.Backend{cb}, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := []sim.ShardSpec{testSpec(1), testSpec(2), testSpec(3)}
+	sess, cache := cachedFront(t, d, 2)
+	spec := &sim.Spec{Workloads: []string{"comd-lite"}, SeedCount: 3, Insts: 5_000, Observers: []sim.ObserverSpec{{Kind: "bbl"}}}
 
-	cold, err := runShards(context.Background(), d, specs)
+	cold, err := sess.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldCalls := cb.calls.Load()
-	if coldCalls != int64(len(specs)) {
-		t.Fatalf("cold pass made %d backend calls, want %d", coldCalls, len(specs))
+	if coldCalls != 3 {
+		t.Fatalf("cold pass made %d backend calls, want one per coordinate (3)", coldCalls)
 	}
-	warm, err := runShards(context.Background(), d, specs)
+	warm, err := sess.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := cb.calls.Load(); got != coldCalls {
 		t.Errorf("warm pass reached the backend %d more times, want 0", got-coldCalls)
 	}
-	for i := range warm {
-		if !warm[i].Cached {
+	for i := range warm.Shards {
+		if !warm.Shards[i].Cached {
 			t.Errorf("warm shard %d not marked cached", i)
 		}
-		if cold[i].Cached {
+		if cold.Shards[i].Cached {
 			t.Errorf("cold shard %d marked cached", i)
 		}
-		a, err1 := cold[i].Result.EncodeJSON()
-		b, err2 := warm[i].Result.EncodeJSON()
+		a, err1 := cold.Shards[i].Result.EncodeJSON()
+		b, err2 := warm.Shards[i].Result.EncodeJSON()
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -249,28 +295,22 @@ func TestDispatcherCacheServesRepeats(t *testing.T) {
 			t.Errorf("shard %d: cached result differs from backend result", i)
 		}
 	}
-	if s := cache.Stats(); s.Hits < int64(len(specs)) || s.Misses < int64(len(specs)) {
-		t.Errorf("cache stats = %+v, want >= %d hits and misses", s, len(specs))
+	if s := cache.Stats(); s.Hits < 3 || s.Misses < 3 {
+		t.Errorf("cache stats = %+v, want >= 3 hits and misses", s)
 	}
 }
 
 // TestDispatcherCacheInvalidSpecStillFailsFast: the cache path must not
 // swallow the ErrInvalidSpec contract.
 func TestDispatcherCacheInvalidSpecStillFailsFast(t *testing.T) {
-	cache, err := shardcache.New(shardcache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := &fakeBackend{name: "never"}
-	opts := fastOpts()
-	opts.Cache = cache
-	d, err := dispatch.New([]dispatch.Backend{b}, opts)
+	d, err := dispatch.New([]dispatch.Backend{b}, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := testSpec(1)
-	bad.Workload = "no-such"
-	if _, err := runShards(context.Background(), d, []sim.ShardSpec{bad}); !errors.Is(err, sim.ErrInvalidSpec) {
+	sess, _ := cachedFront(t, d, 1)
+	bad := &sim.Spec{Workloads: []string{"no-such"}, Insts: 5_000, Observers: []sim.ObserverSpec{{Kind: "bbl"}}}
+	if _, err := sess.Run(context.Background(), bad); !errors.Is(err, sim.ErrInvalidSpec) {
 		t.Fatalf("want ErrInvalidSpec, got %v", err)
 	}
 	if b.calls.Load() != 0 {
@@ -279,19 +319,19 @@ func TestDispatcherCacheInvalidSpecStillFailsFast(t *testing.T) {
 }
 
 // TestDispatcherCacheGoldenIdentical reruns the golden grid through a
-// cache-backed dispatcher twice; both passes must render the repository
-// golden bytes (the Cached marks are normalized like timing fields).
+// cache-backed front session over a dispatcher twice; both passes must
+// render the repository golden bytes (the Cached marks are normalized like
+// timing fields).
 func TestDispatcherCacheGoldenIdentical(t *testing.T) {
 	w := newWorker(t)
-	cache, err := shardcache.New(shardcache.Options{})
+	d, err := dispatch.New([]dispatch.Backend{dispatch.NewHTTPBackend(w.URL, nil)}, dispatch.Options{MaxInFlight: 4, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := []dispatch.Backend{dispatch.NewHTTPBackend(w.URL, nil)}
-	opts := dispatch.Options{MaxInFlight: 4, Backoff: time.Millisecond, Cache: cache}
+	sess, cache := cachedFront(t, d, 4)
 	want := readGolden(t)
 	for pass, label := range []string{"cold", "warm"} {
-		got := runGoldenDispatched(t, backends, opts)
+		got := runGolden(t, sess)
 		if string(got) != string(want) {
 			t.Errorf("%s cache-backed dispatch differs from the all-local golden;\ngot:\n%s", label, got)
 		}

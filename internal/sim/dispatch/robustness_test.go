@@ -231,7 +231,7 @@ func TestAttemptTimeoutFailsTheShard(t *testing.T) {
 		Observers:    []sim.ObserverSpec{{Kind: "bbl"}},
 		AllowPartial: true,
 	}
-	const cell = "dispatch: shard {comd-lite bbl seed 2}"
+	const cell = "sim: shard {comd-lite bbl seed 2}"
 
 	rep, err := sess.Run(context.Background(), &spec)
 	if err != nil {
@@ -379,11 +379,10 @@ func (g gaugedBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]
 }
 
 // TestHedgeFiresWhenPoolSaturated: a hedge rides its primary's in-flight
-// slot, so a saturated pool — one slot, held by the straggling primary,
-// with a backlog queued behind it — still cuts the tail. Every shard is
-// hedged exactly once, the hedge wins, the cancelled straggler is not
-// blamed, and the load bound holds: never more than 2 x MaxInFlight
-// backend calls at once.
+// slot, so a saturated pool — one slot, held by the straggling primary —
+// still cuts the tail. Every unit is hedged exactly once, the hedge wins,
+// the cancelled straggler is not blamed, and the load bound holds: never
+// more than 2 x MaxInFlight backend calls at once.
 func TestHedgeFiresWhenPoolSaturated(t *testing.T) {
 	var cur, peak atomic.Int64
 	slow := &slowBackend{name: "slow", delay: 60 * time.Millisecond}
@@ -399,9 +398,11 @@ func TestHedgeFiresWhenPoolSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := []sim.ShardSpec{testSpec(1), testSpec(2), testSpec(3)}
-	if _, err := runShards(context.Background(), d, specs); err != nil {
-		t.Fatal(err)
+	// Three one-shard units, one after another.
+	for seed := uint64(1); seed <= 3; seed++ {
+		if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(seed)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if stats := d.Stats(); stats.Hedges != 3 || stats.HedgeWins != 3 {
 		t.Errorf("stats = %+v, want one winning hedge per shard despite the full slot pool", stats)

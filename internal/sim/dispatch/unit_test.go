@@ -1,9 +1,10 @@
 package dispatch_test
 
-// The unit protocol: the dispatcher plans a grid into units (a trace
-// coordinate's shards, cut only when coordinates < slots), sends each unit
-// as one backend call, finishes the members that answered and re-sends only
-// the ones that failed retryably.
+// The unit protocol: the front session plans a grid into units (a trace
+// coordinate's shards, cut only when coordinates < slots) and hands each
+// unit's cache misses to the dispatcher as one call, which sends them as one
+// backend call, finishes the members that answered and re-sends only the
+// ones that failed retryably.
 
 import (
 	"bytes"
@@ -100,11 +101,12 @@ func stripped(t testing.TB, rep *sim.Report) string {
 	return string(enc)
 }
 
-// TestCleanGridCallsEqualUnits: a clean sweep makes exactly one backend
-// call per planned unit — 8 for the 72-shard mixed9 grid (its coordinates),
-// 4 when one coordinate's nine configurations meet four slots (the cut
-// rule) — and the dispatched report equals the local one up to timing,
-// whether the backend is the session itself or a worker across HTTP.
+// TestCleanGridCallsEqualUnits: a clean sweep through a session whose
+// workers match the dispatcher's slots makes exactly one backend call per
+// planned unit — 8 for the 72-shard mixed9 grid (its coordinates), 4 when
+// one coordinate's nine configurations meet four slots (the cut rule) — and
+// the dispatched report equals the local one up to timing, whether the
+// backend is a session of its own or a worker across HTTP.
 func TestCleanGridCallsEqualUnits(t *testing.T) {
 	one := mixed9Spec(5_000)
 	one.Workloads, one.SeedCount = one.Workloads[:1], 1
@@ -133,7 +135,7 @@ func TestCleanGridCallsEqualUnits(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sess := sim.NewSession(2)
+				sess := sim.NewSession(tc.inFlight)
 				sess.SetRunner(d)
 				rep, err := sess.Run(context.Background(), tc.spec)
 				if err != nil {
@@ -406,7 +408,7 @@ func TestAttemptTimeoutFailsTheUnit(t *testing.T) {
 	}
 	for i, kind := range []string{"bbl", "branch-mix", "bias"} {
 		f := rep.FailedShards[i]
-		cell := fmt.Sprintf("dispatch: shard {comd-lite %s seed 2}", kind)
+		cell := fmt.Sprintf("sim: shard {comd-lite %s seed 2}", kind)
 		if f.Seed != 2 || f.Observer != kind || f.Attempts != 2 || !strings.Contains(f.Error, "timed out") || !strings.Contains(f.Error, cell) {
 			t.Errorf("failed_shards[%d] = %+v, want {seed 2, %s, 2 attempts} timed out and named %q", i, f, kind, cell)
 		}
@@ -432,8 +434,8 @@ func (b *delayedBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) (
 }
 
 // TestHedgedUnitWritesBackOnce: a straggling unit is hedged as a whole, the
-// duplicate's answer completes every member, and each is written back to
-// the dispatcher's cache exactly once — nine leads, nine entries — so a
+// duplicate's answer completes every member, and the front session writes
+// each back to its cache exactly once — nine leads, nine entries — so a
 // rerun costs no backend call.
 func TestHedgedUnitWritesBackOnce(t *testing.T) {
 	cache, err := shardcache.New(shardcache.Options{})
@@ -445,20 +447,23 @@ func TestHedgedUnitWritesBackOnce(t *testing.T) {
 	opts := fastOpts()
 	opts.MaxInFlight = 1
 	opts.HedgeDelay = 5 * time.Millisecond
-	opts.Cache = cache
 	// Ties break by slice order, so the unit's primary is the straggler.
 	d, err := dispatch.New([]dispatch.Backend{slow, fast}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := mixed9Members(t, "comd-lite", 1, 5_000)
-	cold, err := d.RunShards(context.Background(), specs)
+	sess := sim.NewSession(1) // one slot: the coordinate is one unit of nine
+	sess.SetCache(cache)
+	sess.SetRunner(d)
+	spec := mixed9Spec(5_000)
+	spec.Workloads, spec.SeedCount = spec.Workloads[:1], 1
+	cold, err := sess.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, o := range cold {
-		if o.Err != nil || o.Attempts != 1 || o.Shard.Cached {
-			t.Errorf("member %d: {attempts %d, cached %v, err %v}, want one hedged attempt", i, o.Attempts, o.Shard.Cached, o.Err)
+	for _, sh := range cold.Shards {
+		if sh.Cached {
+			t.Errorf("cold shard %s marked cached", sh.Observer)
 		}
 	}
 	if st := d.Stats(); st.Hedges != 1 || st.HedgeWins != 1 || fast.calls.Load() != 1 {
@@ -467,16 +472,33 @@ func TestHedgedUnitWritesBackOnce(t *testing.T) {
 	if st := cache.Stats(); st.Misses != 9 || st.Entries != 9 {
 		t.Errorf("cache stats = %+v, want each of the 9 members led once and stored once", st)
 	}
-	warm, err := d.RunShards(context.Background(), specs)
+	warm, err := sess.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, o := range warm {
-		if o.Err != nil || o.Attempts != 0 || !o.Shard.Cached {
-			t.Errorf("warm member %d: {attempts %d, cached %v, err %v}, want a cache hit", i, o.Attempts, o.Shard.Cached, o.Err)
+	for _, sh := range warm.Shards {
+		if !sh.Cached {
+			t.Errorf("warm shard %s not served from the cache", sh.Observer)
 		}
 	}
 	if got := fast.calls.Load(); got != 1 {
 		t.Errorf("warm pass reached a backend (%d calls in all)", got)
+	}
+	if stripped(t, cold) != stripped(t, warm) {
+		t.Error("warm report differs from the cold one beyond timing fields")
+	}
+	// Beneath the session: the hedge rides its primary's attempt, so every
+	// member of the hedged unit spends one attempt from the budget, not two.
+	outs, err := d.RunShards(context.Background(), mixed9Members(t, "comd-lite", 1, 5_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outs {
+		if o.Err != nil || o.Attempts != 1 {
+			t.Errorf("member %d: {attempts %d, err %v}, want one hedged attempt", i, o.Attempts, o.Err)
+		}
+	}
+	if st := d.Stats(); st.Hedges != 2 || st.HedgeWins != 2 || fast.calls.Load() != 2 {
+		t.Errorf("stats = %+v, %d calls on the hedge backend; want the direct unit hedged whole too", st, fast.calls.Load())
 	}
 }

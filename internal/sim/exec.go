@@ -22,11 +22,12 @@ type gridCell struct {
 	cfg  ObserverConfig
 }
 
-// PlanShards partitions a shard grid into scheduling units, as index groups
-// into specs — the one plan, run by whoever owns a whole grid: a Session
-// over its local pool (slots = workers) and the dispatch layer over its
-// backends (slots = units in flight). The choice is granularity only —
-// results stay index-aligned with specs, so the report is plan-independent.
+// planShards partitions a shard grid into scheduling units, as index groups
+// into cells — the one plan, made by the session that owns the grid
+// (slots = its workers, whether the units then run on its local pool or go
+// to its runner one call each) and, uncut, by Session.RunShards for an
+// arriving array. The choice is granularity only — results stay
+// index-aligned with cells, so the report is plan-independent.
 // There is one rule, with or without a trace store: the shards of a trace
 // coordinate (workload, canonical synth scenario, seed, budget — the tr1-
 // key's fields, since an array off the wire need not come from one Spec)
@@ -39,7 +40,7 @@ type gridCell struct {
 // parallel, and contiguity keeps a coordinate's plain bpred configurations
 // together for runGroup to fuse. slots < 1 never cuts. A scenario that does
 // not canonicalize is invalid wherever it runs: a coordinate of its own.
-func PlanShards(specs []ShardSpec, slots int) [][]int {
+func planShards(cells []gridCell, slots int) [][]int {
 	type coord struct {
 		workload, synth string
 		seed            uint64
@@ -48,8 +49,8 @@ func PlanShards(specs []ShardSpec, slots int) [][]int {
 	var groups [][]int
 	at := map[coord]int{}
 	canon := map[*synth.Params]string{} // one Spec's cells share their scenario
-	for i := range specs {
-		sp := &specs[i]
+	for i := range cells {
+		sp := &cells[i].spec
 		k := coord{workload: sp.Workload, seed: sp.Seed, insts: sp.Insts}
 		if sp.Synth != nil {
 			c, ok := canon[sp.Synth]
@@ -83,15 +84,15 @@ func PlanShards(specs []ShardSpec, slots int) [][]int {
 	return units
 }
 
-// RunUnits is the one grid loop, shared by the session's local pool and
-// the dispatch layer: at most workers goroutines take units (index groups
-// into an n-cell grid) off a pre-filled queue and hand each to exec, which
-// records every member's fate at its index of out. ctx is checked between
-// units, and cancellation is decided once, here, from ctx itself and never
-// from an outcome's error chain: if ctx ended, that is the run's error and
-// the outcomes are dropped; otherwise every failure is a value in out.
-func RunUnits(ctx context.Context, n, workers int, units [][]int, exec func(unit []int, out []Outcome)) ([]Outcome, error) {
-	out := make([]Outcome, n)
+// runUnits is the one grid loop, shared by Session.Run and
+// Session.RunShards: at most workers goroutines take units (index groups
+// into the grid out is aligned with) off a pre-filled queue and hand each
+// to exec, which records every member's fate at its index of out. ctx is
+// checked between units, and cancellation is decided once, here, from ctx
+// itself and never from an outcome's error chain: if ctx ended, that is the
+// run's error and the outcomes are dropped; otherwise every failure is a
+// value in out, which is returned.
+func runUnits(ctx context.Context, out []Outcome, workers int, units [][]int, exec func(unit []int, out []Outcome)) ([]Outcome, error) {
 	next := make(chan []int, len(units))
 	for _, u := range units {
 		next <- u
@@ -117,67 +118,113 @@ func RunUnits(ctx context.Context, n, workers int, units [][]int, exec func(unit
 	return out, nil
 }
 
-// pendingShard is a group member the result cache did not serve: its
-// grid index and the cache write-back it owes (nil without a cache).
-type pendingShard struct {
-	idx  int
-	land func(Shard, error)
+// resolve is the one result-cache step, taken by every unit of a grid the
+// session owns and of an array it is sent: each member is resolved under
+// its sc2- key (resolveShard) in ascending key order — a unit may lead
+// several keys at once, and that order is the cache's rule for it, so two
+// runs over overlapping grids cannot wait on each other. Hits are served
+// into out, compute runs on the misses alone, and each computed miss is
+// written back once. A member whose key equals the one before it is not
+// led again — a second lead would wait on the first for good, and an array
+// off the wire may name one shard twice — but takes that member's outcome.
+// Without a cache every member is a miss.
+func (s *Session) resolve(ctx context.Context, cells []gridCell, unit []int, out []Outcome, compute func(ctx context.Context, cells []gridCell, miss []int, out []Outcome)) {
+	type keyed struct {
+		idx int
+		key string
+	}
+	miss := unit
+	var ks []keyed
+	var lands []func(Shard, error)
+	if s.cache != nil {
+		ks = make([]keyed, len(unit))
+		for k, i := range unit {
+			ks[k] = keyed{i, ShardCacheKey(cells[i].spec, cells[i].cfg)}
+		}
+		slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+		miss = make([]int, 0, len(unit))
+		for k, m := range ks {
+			if k > 0 && m.key == ks[k-1].key {
+				continue
+			}
+			sh, hit, land, err := resolveShard(ctx, s.cache, m.key, cells[m.idx].spec, cells[m.idx].cfg)
+			if err == nil && !hit {
+				miss, lands = append(miss, m.idx), append(lands, land)
+				continue
+			}
+			out[m.idx] = Outcome{Shard: sh, Err: err}
+		}
+	}
+	if len(miss) > 0 {
+		compute(ctx, cells, miss, out)
+	}
+	for k, land := range lands {
+		land(out[miss[k]].Shard, out[miss[k]].Err)
+	}
+	for k := 1; k < len(ks); k++ {
+		if ks[k].key == ks[k-1].key {
+			out[ks[k].idx] = out[ks[k-1].idx]
+		}
+	}
+}
+
+// runLocal computes a unit's misses on this process: its coordinate's
+// compiled program (the session's compile cache), then runGroup.
+func (s *Session) runLocal(ctx context.Context, cells []gridCell, miss []int, out []Outcome) {
+	sp := &cells[miss[0]].spec
+	c, err := s.compiledFor(sp.Workload, sp.Synth)
+	if err != nil {
+		for _, i := range miss {
+			out[i].Err = err
+		}
+		return
+	}
+	s.runGroup(ctx, c, cells, miss, out)
+}
+
+// runRemote computes a unit's misses through the session's runner, as one
+// RunShards call. A runner that answers with the wrong number of outcomes
+// fails every member it was sent.
+func (s *Session) runRemote(ctx context.Context, cells []gridCell, miss []int, out []Outcome) {
+	send := make([]ShardSpec, len(miss))
+	for k, i := range miss {
+		send[k] = cells[i].spec
+	}
+	res, err := s.runner.RunShards(ctx, send)
+	if err == nil && len(res) != len(send) {
+		err = fmt.Errorf("sim: runner answered %d outcomes for %d shards", len(res), len(send))
+	}
+	for k, i := range miss {
+		if err != nil {
+			out[i].Err = err
+		} else {
+			out[i] = res[k]
+		}
+	}
 }
 
 // runGroup is the one shard execution path: every shard the session
 // computes — pooled grid cells and worker-protocol members alike — is a
-// member of a group that shares one trace coordinate, and runs here. Each
-// member is first resolved against the result cache; the coordinate's
-// stream is then opened once (see stream) and fed, in a single pass, to the
-// fresh observers of the unresolved members only — lane consumers behind one
-// feed, the plain bpred members sharing a simulator (see groupObservers).
-// Shards are therefore order-independent and the grid is deterministic up to
-// timing fields. Each member's outcome lands at its grid index in out;
-// computed shards are written back, each under its own key.
+// member of a group that shares one trace coordinate, and runs here, once
+// resolve has left it to be computed. The coordinate's stream is opened
+// once (see stream) and fed, in a single pass, to every member's fresh
+// observers — lane consumers behind one feed, the plain bpred members
+// sharing a simulator (see groupObservers). Shards are therefore
+// order-independent and the grid is deterministic up to timing fields. Each
+// member's outcome lands at its grid index in out.
 func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridCell, group []int, out []Outcome) {
-	pending := make([]pendingShard, 0, len(group))
-	if s.cache == nil {
-		for _, i := range group {
-			pending = append(pending, pendingShard{idx: i})
-		}
-	} else {
-		type keyed struct {
-			idx int
-			key string
-		}
-		ks := make([]keyed, len(group))
-		for k, i := range group {
-			ks[k] = keyed{i, ShardCacheKey(cells[i].spec, cells[i].cfg)}
-		}
-		// A group may lead several keys at once; ascending key order is the
-		// cache's rule for that (two runs over overlapping grids then cannot
-		// wait on each other).
-		slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
-		for _, k := range ks {
-			sh, hit, land, err := ResolveShard(ctx, s.cache, k.key, cells[k.idx].spec, cells[k.idx].cfg)
-			if err == nil && !hit {
-				pending = append(pending, pendingShard{idx: k.idx, land: land})
-				continue
-			}
-			out[k.idx] = Outcome{Shard: sh, Err: err}
-		}
-	}
-	if len(pending) == 0 {
-		return
-	}
-
-	cfgs := make([]ObserverConfig, len(pending))
-	for k := range pending {
-		cfgs[k] = cells[pending[k].idx].cfg
+	cfgs := make([]ObserverConfig, len(group))
+	for k, i := range group {
+		cfgs[k] = cells[i].cfg
 	}
 	feed, finish := groupObservers(cfgs, c.Program())
 	// Release observer-owned goroutines even when the pass errors mid-stream.
 	defer feed.Close()
 	// The pass is shared, so every shard of the group reports the same
 	// instruction count and elapsed time: the one walk that fed them all.
-	insts, elapsed, err := s.stream(ctx, c, &cells[pending[0].idx].spec, feed)
-	for k, p := range pending {
-		cell := &cells[p.idx]
+	insts, elapsed, err := s.stream(ctx, c, &cells[group[0]].spec, feed)
+	for k, i := range group {
+		cell := &cells[i]
 		var sh Shard
 		perr := err
 		if perr == nil {
@@ -193,10 +240,7 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridC
 				}
 			}
 		}
-		out[p.idx] = Outcome{Shard: sh, Attempts: 1, Err: perr}
-		if p.land != nil {
-			p.land(sh, perr)
-		}
+		out[i] = Outcome{Shard: sh, Attempts: 1, Err: perr}
 	}
 }
 

@@ -20,12 +20,15 @@ func cellOf(workload string, cfg ObserverConfig, seed uint64, insts int64) gridC
 	return gridCells(norm, []ObserverConfig{cfg}, nil)[0]
 }
 
-// runJob runs one cell as a group of one on s — the tests' direct line
-// into the group executor, for configurations that must stay out of the
+// runJob runs one cell as a unit of one on s — resolved against the
+// session's result cache, then computed by the group executor — the tests'
+// direct line into both, for configurations that must stay out of the
 // observer registry and for driving a bare (cacheless, storeless) session.
 func (s *Session) runJob(ctx context.Context, c *trace.Compiled, cell gridCell) (Shard, error) {
 	var out [1]Outcome
-	s.runGroup(ctx, c, []gridCell{cell}, []int{0}, out[:])
+	s.resolve(ctx, []gridCell{cell}, []int{0}, out[:], func(ctx context.Context, cells []gridCell, miss []int, out []Outcome) {
+		s.runGroup(ctx, c, cells, miss, out)
+	})
 	return out[0].Shard, out[0].Err
 }
 
@@ -42,15 +45,6 @@ func gridOf(t *testing.T, spec *Spec) []gridCell {
 		t.Fatal(err)
 	}
 	return gridCells(norm, configs, nil)
-}
-
-// specsOf is the portable half of a grid, what PlanShards and a runner see.
-func specsOf(cells []gridCell) []ShardSpec {
-	specs := make([]ShardSpec, len(cells))
-	for i := range cells {
-		specs[i] = cells[i].spec
-	}
-	return specs
 }
 
 // TestWorkersFollowThePlan: plan has one rule — a unit per (workload, seed)
@@ -89,7 +83,7 @@ func TestWorkersFollowThePlan(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			jobs := gridOf(t, tc.spec)
 			plain, stored := NewSession(tc.workers), newReplaySession(t, tc.workers, replay.Options{})
-			units := PlanShards(specsOf(jobs), tc.workers)
+			units := planShards(jobs, tc.workers)
 			if len(units) != tc.units {
 				t.Fatalf("plan yields %d units, want %d", len(units), tc.units)
 			}
@@ -147,7 +141,7 @@ func TestWorkersFollowThePlan(t *testing.T) {
 // both finish, agree shard for shard, and between them compute each
 // distinct shard exactly once: whichever run leads a key, the other is
 // served by its flight or its write-back. (Leading several keys at once is
-// why runGroup takes them in ascending key order rather than grid order.)
+// why resolve takes them in ascending key order rather than grid order.)
 // A group leads several keys with or without a trace store — cache on,
 // store off is simd's default — so both session shapes are driven.
 func TestOverlappingGroupsComputeOnce(t *testing.T) {
@@ -203,11 +197,28 @@ func TestOverlappingGroupsComputeOnce(t *testing.T) {
 	}
 }
 
-// TestPartialHitGroupComputesOnlyItsMisses: a group that is partly
-// result-cache hits feeds the stream to — and fuses — only its misses. Four
+// recordingRunner is a LocalBackend without the dispatch package: another
+// session's RunShards, recording the specs of every call.
+type recordingRunner struct {
+	sess  *Session
+	mu    sync.Mutex
+	calls [][]ShardSpec
+}
+
+func (r *recordingRunner) RunShards(ctx context.Context, specs []ShardSpec) ([]Outcome, error) {
+	r.mu.Lock()
+	r.calls = append(r.calls, specs)
+	r.mu.Unlock()
+	return r.sess.RunShards(ctx, specs)
+}
+
+// TestPartialHitGroupComputesOnlyItsMisses: a unit that is partly
+// result-cache hits computes — streams to, and fuses — only its misses. Four
 // of a coordinate's nine bpred shards are pre-filled; the grid run must
 // serve those four as Cached, compute and write back exactly the other
-// five, and report all nine byte-equal to shards executed alone.
+// five, and report all nine byte-equal to shards executed alone. Routed
+// over a runner (a session of its own, without the cache), the five cold
+// members travel as the unit's one call and the report is the local one.
 func TestPartialHitGroupComputesOnlyItsMisses(t *testing.T) {
 	ctx := context.Background()
 	spec := &Spec{Workloads: []string{"comd-lite"}, Seeds: []uint64{1}, Insts: 30_000, Observers: []ObserverSpec{{Kind: "bpred"}}}
@@ -215,43 +226,69 @@ func TestPartialHitGroupComputesOnlyItsMisses(t *testing.T) {
 	if len(jobs) != 9 {
 		t.Fatalf("default bpred grid has %d configs, want the nine of Figure 5", len(jobs))
 	}
-
-	// One worker, so the coordinate is one group of nine.
-	sess := newCachedSession(t, 1, "")
-	c, err := sess.Compiled("comd-lite")
-	if err != nil {
-		t.Fatal(err)
-	}
 	prefilled := map[int]bool{1: true, 3: true, 4: true, 7: true}
-	for i := range prefilled {
-		if _, err := sess.runJob(ctx, c, jobs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := sess.Cache().Stats()
-	rep, err := sess.Run(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Workers != 1 {
-		t.Fatalf("run reports %d workers; the test needs the coordinate in one group", rep.Workers)
-	}
-	after := sess.Cache().Stats()
-	if hits, misses, landed := after.Hits-before.Hits, after.Misses-before.Misses, after.Entries-before.Entries; hits != 4 || misses != 5 || landed != 5 {
-		t.Errorf("grid run: %d hits, %d misses, %d write-backs; want 4, 5, 5", hits, misses, landed)
-	}
 	bare := NewSession(1)
-	for i, sh := range rep.Shards {
-		if sh.Cached != prefilled[i] {
-			t.Errorf("shard %s: Cached = %v, want %v", sh.Observer, sh.Cached, prefilled[i])
-		}
-		alone, err := bare.runJob(ctx, c, jobs[i])
+	rendered := map[bool]string{}
+	for _, dispatched := range []bool{false, true} {
+		// One worker, so the coordinate is one unit of nine.
+		sess := newCachedSession(t, 1, "")
+		c, err := sess.Compiled("comd-lite")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := encode(t, sh.Result), encode(t, alone.Result); got != want {
-			t.Errorf("shard %s differs from the same shard executed alone:\n got: %s\nwant: %s", sh.Observer, got, want)
+		for i := range prefilled {
+			if _, err := sess.runJob(ctx, c, jobs[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
+		backend := &recordingRunner{sess: NewSession(1)}
+		if dispatched {
+			sess.SetRunner(backend)
+		}
+		before := sess.Cache().Stats()
+		rep, err := sess.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dispatched && rep.Workers != 1 {
+			t.Fatalf("run reports %d workers; the test needs the coordinate in one unit", rep.Workers)
+		}
+		after := sess.Cache().Stats()
+		if hits, misses, landed := after.Hits-before.Hits, after.Misses-before.Misses, after.Entries-before.Entries; hits != 4 || misses != 5 || landed != 5 {
+			t.Errorf("dispatched=%v: %d hits, %d misses, %d write-backs; want 4, 5, 5", dispatched, hits, misses, landed)
+		}
+		if dispatched {
+			cold := map[string]bool{}
+			for i := range jobs {
+				if !prefilled[i] {
+					cold[jobs[i].cfg.Key()] = true
+				}
+			}
+			if len(backend.calls) != 1 || len(backend.calls[0]) != len(cold) {
+				t.Fatalf("runner calls carried %v; want one call of the %d cold members", backend.calls, len(cold))
+			}
+			for _, sp := range backend.calls[0] {
+				if cfg, err := sp.Config(); err != nil || !cold[cfg.Key()] {
+					t.Errorf("runner was sent %s, a pre-filled member", sp.Observer.Kind)
+				}
+			}
+		}
+		for i, sh := range rep.Shards {
+			if sh.Cached != prefilled[i] {
+				t.Errorf("dispatched=%v: shard %s: Cached = %v, want %v", dispatched, sh.Observer, sh.Cached, prefilled[i])
+			}
+			alone, err := bare.runJob(ctx, c, jobs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := encode(t, sh.Result), encode(t, alone.Result); got != want {
+				t.Errorf("dispatched=%v: shard %s differs from the same shard executed alone:\n got: %s\nwant: %s", dispatched, sh.Observer, got, want)
+			}
+		}
+		rendered[dispatched] = string(renderGolden(t, rep))
+	}
+	if rendered[true] != rendered[false] {
+		t.Errorf("dispatched report differs from the local one:\n got: %s\nwant: %s", rendered[true], rendered[false])
 	}
 }
 
@@ -275,7 +312,11 @@ func TestRunShardsKeepsCoordinatesApart(t *testing.T) {
 		{Workload: "no-such", Seed: 1, Insts: 5_000, Observer: obs("bbl")},
 		{Workload: "comd-lite", Seed: 1, Insts: 40_000, Observer: obs("branch-mix")},
 	}
-	if units := PlanShards(specs, 0); len(units) != 5 {
+	cells := make([]gridCell, len(specs))
+	for i := range specs {
+		cells[i].spec = specs[i]
+	}
+	if units := planShards(cells, 0); len(units) != 5 {
 		t.Fatalf("plan groups the array into %d units, want 5 (four coordinates and the unrunnable member's): %v", len(units), units)
 	}
 	sess := newReplaySession(t, 2, replay.Options{})

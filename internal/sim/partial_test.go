@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -20,16 +21,31 @@ import (
 	"rebalance/internal/registry"
 )
 
-// scriptedRunner answers RunShards with fixed outcomes, one scripted per
-// spec, and records the specs it was handed.
+// scriptedRunner answers each RunShards call with the outcomes scripted for
+// the cells it was sent — out[s-1] is seed s's, partialSpec's grid order —
+// and records the specs it was handed.
 type scriptedRunner struct {
 	out   []Outcome
+	mu    sync.Mutex
 	specs []ShardSpec
 }
 
 func (r *scriptedRunner) RunShards(_ context.Context, specs []ShardSpec) ([]Outcome, error) {
-	r.specs = specs
-	return r.out, nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.specs = append(r.specs, specs...)
+	out := make([]Outcome, len(specs))
+	for k := range specs {
+		out[k] = r.out[specs[k].Seed-1]
+	}
+	return out, nil
+}
+
+// runnerFunc is a ShardRunner written as a function.
+type runnerFunc func(context.Context, []ShardSpec) ([]Outcome, error)
+
+func (f runnerFunc) RunShards(ctx context.Context, specs []ShardSpec) ([]Outcome, error) {
+	return f(ctx, specs)
 }
 
 // runScripted runs partialSpec(allowPartial) through a runner scripted with
@@ -87,7 +103,7 @@ func TestPartialRunBuildsFailedShards(t *testing.T) {
 		t.Fatalf("failed shards = %+v, want exactly 1", rep.FailedShards)
 	}
 	fs := rep.FailedShards[0]
-	want := FailedShard{Workload: "comd-lite", Seed: 2, Observer: "bbl", Attempts: 4, Error: scriptErr.Error()}
+	want := FailedShard{Workload: "comd-lite", Seed: 2, Observer: "bbl", Attempts: 4, Error: "sim: shard {comd-lite bbl seed 2}: " + scriptErr.Error()}
 	if fs != want {
 		t.Errorf("failed shard = %+v, want %+v", fs, want)
 	}
@@ -119,16 +135,22 @@ func TestPartialAllFailedIsAFailedRun(t *testing.T) {
 	}
 }
 
-// TestRunnerOutcomeCountMismatch: outcomes are index-aligned with the grid
-// by construction, so the one way a runner can misalign them is by count —
-// an error under either policy, never an index panic in the report loop.
+// TestRunnerOutcomeCountMismatch: outcomes are index-aligned with the specs
+// of a call by construction, so the one way a runner can misalign them is
+// by count — which fails every member of that call, named, under either
+// policy (both of partialSpec's cells, one call each: all failed), never an
+// index panic in the report loop.
 func TestRunnerOutcomeCountMismatch(t *testing.T) {
-	full := localShards(t, partialSpec(false))
 	for _, allowPartial := range []bool{false, true} {
-		for _, out := range [][]Outcome{nil, {{Shard: full[0]}}, {{Shard: full[0]}, {Shard: full[1]}, {Shard: full[1]}}} {
-			_, _, err := runScripted(allowPartial, out...)
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d outcomes for 2 shards", len(out))) {
-				t.Errorf("allow_partial=%v, %d outcomes: Run = %v, want the count rejection", allowPartial, len(out), err)
+		for _, n := range []int{0, 2} {
+			sess := NewSession(2)
+			sess.SetRunner(runnerFunc(func(context.Context, []ShardSpec) ([]Outcome, error) {
+				return make([]Outcome, n), nil
+			}))
+			_, err := sess.Run(context.Background(), partialSpec(allowPartial))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("sim: runner answered %d outcomes for 1 shards", n)) ||
+				!strings.Contains(err.Error(), "sim: shard {comd-lite bbl seed") {
+				t.Errorf("allow_partial=%v, %d outcomes: Run = %v, want the named count rejection", allowPartial, n, err)
 			}
 		}
 	}
@@ -152,14 +174,14 @@ func TestRunUnitsCancelledMidGrid(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran []int
-	out, err := RunUnits(ctx, 4, 1, [][]int{{0}, {1}, {2, 3}}, func(unit []int, out []Outcome) {
+	out, err := runUnits(ctx, make([]Outcome, 4), 1, [][]int{{0}, {1}, {2, 3}}, func(unit []int, out []Outcome) {
 		ran = append(ran, unit...)
 		if unit[0] == 1 {
 			cancel()
 		}
 	})
 	if !errors.Is(err, context.Canceled) || out != nil {
-		t.Fatalf("RunUnits = (%v, %v), want no outcomes and context.Canceled", out, err)
+		t.Fatalf("runUnits = (%v, %v), want no outcomes and context.Canceled", out, err)
 	}
 	if len(ran) != 2 {
 		t.Fatalf("units ran over cells %v, want only 0 and 1", ran)

@@ -10,8 +10,8 @@ import (
 // a strict run the first such outcome is the last one delivered: the
 // session cancels the rest of the grid). It receives the completed shard
 // (zero-valued when err is non-nil) and must be safe for concurrent
-// calls: the session's local pool and the dispatch layer both deliver
-// completions from multiple worker goroutines at once.
+// calls: the session delivers completions from multiple worker goroutines
+// at once.
 type ShardDoneFunc func(sh Shard, err error)
 
 // shardDoneKey is the context key WithShardDone stores the hook under.
@@ -24,10 +24,9 @@ type shardDoneKey struct{}
 // cancelled are not delivered — they have no outcome, terminal or
 // otherwise. A nil fn returns ctx unchanged.
 //
-// This is the seam a sweep coordinator hangs live progress on: the hook
-// travels through the context into the local pool and, because the same
-// context flows into ShardRunner.RunShards, through the dispatch layer to
-// remote completions as well.
+// This is the seam a sweep coordinator hangs live progress on: the session
+// that owns the grid delivers every outcome, computed locally, through its
+// runner or from its result cache.
 func WithShardDone(ctx context.Context, fn ShardDoneFunc) context.Context {
 	if fn == nil {
 		return ctx
@@ -35,14 +34,13 @@ func WithShardDone(ctx context.Context, fn ShardDoneFunc) context.Context {
 	return context.WithValue(ctx, shardDoneKey{}, fn)
 }
 
-// ShardDone invokes ctx's shard-completion hook, if any. It is exported
-// for ShardRunner implementations (the dispatch layer) that execute
-// shards outside the session's local pool; the session calls it for local
-// shards itself. Callers deliver each shard's outcome exactly once. An
-// outcome that is a context error is dropped here: the pass was cancelled
-// and the shard skipped, not completed. That is a filter on what progress
-// reports, not a verdict on the run — RunUnits reads that off the run's
-// own context.
+// ShardDone invokes ctx's shard-completion hook, if any. The session calls
+// it for every shard of a grid it owns; it is exported for hooks that
+// chain to the one they wrap. Callers deliver each shard's outcome exactly
+// once. An outcome that is a context error is dropped here: the pass was
+// cancelled and the shard skipped, not completed. That is a filter on what
+// progress reports, not a verdict on the run — runUnits reads that off the
+// run's own context.
 func ShardDone(ctx context.Context, sh Shard, err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return

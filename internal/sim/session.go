@@ -58,13 +58,15 @@ func NewSession(workers int) *Session {
 // is enforced before the grid is built and violations report ErrInvalidSpec.
 func (s *Session) SetMaxShards(n int) { s.maxShards = n }
 
-// SetRunner routes every subsequent Run's shard grid through r instead of
-// the session's in-process worker pool — the seam the dispatch layer plugs
-// into to spread a grid across local and remote backends. A nil r restores
-// the built-in local pool. Shard results and their merge order are
-// runner-independent, so a Report is bit-identical (up to timing fields)
-// whichever runner produced it. Set before the first Run; the field is not
-// synchronized against concurrent Runs.
+// SetRunner has every subsequent Run compute its shards through r instead
+// of the session's in-process worker pool — the seam the dispatch layer
+// plugs into to spread a grid across local and remote backends. The
+// session still plans the grid, resolves it against its result cache and
+// owns every outcome; r receives each unit's misses as one RunShards call.
+// A nil r restores the built-in local pool. Shard results and their merge
+// order are runner-independent, so a Report is bit-identical (up to timing
+// fields) whichever runner produced it. Set before the first Run; the field
+// is not synchronized against concurrent Runs.
 func (s *Session) SetRunner(r ShardRunner) { s.runner = r }
 
 // Compiled returns the session-cached compiled program for the named
@@ -96,6 +98,15 @@ func (s *Session) CompiledSynth(p *synth.Params) (*trace.Compiled, error) {
 	key := "synth\x00" + string(canon)
 	params := *p
 	return s.compile(key, true, func() (*program.Program, error) { return synth.Build(params) })
+}
+
+// compiledFor returns the session-cached compiled program of a shard's
+// workload: its inline scenario p, or else the registered workload w.
+func (s *Session) compiledFor(w string, p *synth.Params) (*trace.Compiled, error) {
+	if p != nil {
+		return s.CompiledSynth(p)
+	}
+	return s.Compiled(w)
 }
 
 // compile is the shared once-per-key compilation cache behind Compiled
@@ -154,64 +165,52 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 
 	cells := gridCells(norm, configs, synthByName)
 
-	// Compile before starting the wall clock, so WallNS (and the derived
-	// sweep throughput) measures execution, not a cold compile cache.
-	// Dispatched runs skip local compilation: each worker compiles from
-	// the wire bytes against its own cache.
-	var compiled map[string]*trace.Compiled
+	// A local run computes its misses on the session pool, compiling before
+	// the wall clock starts, so WallNS (and the derived sweep throughput)
+	// measures execution, not a cold compile cache. A dispatched run hands
+	// each unit's misses to the runner as one call and skips local
+	// compilation: each worker compiles from the wire bytes against its own
+	// cache. Remote results were already decoded to concrete types by the
+	// backend, so the merge phase cannot tell them from local ones.
+	compute := s.runRemote
 	if s.runner == nil {
-		compiled = make(map[string]*trace.Compiled, len(norm.Workloads))
+		compute = s.runLocal
 		for _, w := range norm.Workloads {
-			var c *trace.Compiled
-			var err error
-			if p := synthByName[w]; p != nil {
-				c, err = s.CompiledSynth(p)
-			} else {
-				c, err = s.Compiled(w)
-			}
-			if err != nil {
+			if _, err := s.compiledFor(w, synthByName[w]); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 			}
-			compiled[w] = c
 		}
-	}
-	specs := make([]ShardSpec, len(cells))
-	for i := range cells {
-		specs[i] = cells[i].spec
 	}
 	start := time.Now() //repolint:allow nodeterminism Report.WallNS wall-clock timing field, excluded from goldens
-	// Workers reports the local pool concurrency, which the plan bounds (a
-	// grid of fewer units than session workers cannot use them all); a
-	// dispatched run's concurrency belongs to the runner, so the field is
-	// 0 there rather than a fabricated figure. Remote results were already
-	// decoded to concrete types by the backend, so the merge phase cannot
-	// tell them from local ones.
-	workers := 0
-	run := func(ctx context.Context) ([]Outcome, error) { return s.runner.RunShards(ctx, specs) }
-	if s.runner == nil {
-		groups := PlanShards(specs, s.workers)
-		workers = min(s.workers, len(groups))
-		run = func(ctx context.Context) ([]Outcome, error) {
-			return RunUnits(ctx, len(cells), workers, groups, func(group []int, out []Outcome) {
-				s.runGroup(ctx, compiled[cells[group[0]].spec.Workload], cells, group, out)
-				// Name each failure by its cell and deliver every outcome to
-				// the context's progress hook (a no-op without one; ShardDone
-				// drops the members of a cancelled pass).
-				for _, i := range group {
-					if out[i].Err != nil {
-						out[i].Err = fmt.Errorf("sim: shard {%s %s seed %d}: %w",
-							cells[i].spec.Workload, cells[i].cfg.Key(), cells[i].spec.Seed, out[i].Err)
-					}
-					ShardDone(ctx, out[i].Shard, out[i].Err)
+	// One plan and one loop for either compute: resolve each unit against
+	// the result cache, compute its misses, then name each failure by its
+	// cell and deliver every outcome to the context's progress hook (a no-op
+	// without one; ShardDone drops the members of a cancelled pass).
+	units := planShards(cells, s.workers)
+	workers := min(s.workers, len(units))
+	out, err := decide(ctx, norm, cells, func(ctx context.Context) ([]Outcome, error) {
+		return runUnits(ctx, make([]Outcome, len(cells)), workers, units, func(unit []int, out []Outcome) {
+			s.resolve(ctx, cells, unit, out, compute)
+			for _, i := range unit {
+				if out[i].Err != nil {
+					out[i].Err = fmt.Errorf("sim: shard {%s %s seed %d}: %w",
+						cells[i].spec.Workload, cells[i].cfg.Key(), cells[i].spec.Seed, out[i].Err)
 				}
-			})
-		}
-	}
-	out, err := decide(ctx, norm, cells, run)
+				ShardDone(ctx, out[i].Shard, out[i].Err)
+			}
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
 	wall := time.Since(start) //repolint:allow nodeterminism Report.WallNS wall-clock timing field, excluded from goldens
+	// Workers reports the local pool concurrency, which the plan bounds (a
+	// grid of fewer units than session workers cannot use them all); a
+	// dispatched run's concurrency belongs to the runner, so the field is
+	// 0 there rather than a fabricated figure.
+	if s.runner != nil {
+		workers = 0
+	}
 
 	// A cell with an Err is only ever present under AllowPartial: it is
 	// recorded in failed_shards and excluded from the report and the merge.
@@ -301,9 +300,8 @@ func gridCells(norm *Spec, configs []ObserverConfig, synthByName map[string]*syn
 // nothing, with the first failed outcome's). Under AllowPartial the grid
 // runs to the end and failures stay in the outcomes — unless every shard
 // failed, which stays an error: an empty report is not a degraded one.
-// Cancellation aborts either way. What a runner hands back is
-// cross-checked against the grid that was sent: one outcome per cell,
-// identity fields matching.
+// Cancellation aborts either way. Every completed shard's identity fields
+// are cross-checked against its cell.
 func decide(ctx context.Context, norm *Spec, cells []gridCell, run func(context.Context) ([]Outcome, error)) ([]Outcome, error) {
 	var abort atomic.Pointer[error]
 	rctx := ctx
@@ -323,9 +321,6 @@ func decide(ctx context.Context, norm *Spec, cells []gridCell, run func(context.
 	}
 	if err != nil {
 		return nil, err
-	}
-	if len(out) != len(cells) {
-		return nil, fmt.Errorf("sim: runner returned %d outcomes for %d shards", len(out), len(cells))
 	}
 	var firstErr error
 	failed := 0

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"rebalance/internal/trace"
 	"rebalance/internal/wire"
 	"rebalance/internal/workload/synth"
 )
@@ -105,19 +104,18 @@ type Outcome struct {
 	Err      error
 }
 
-// ShardRunner executes an expanded shard grid and reports what happened:
-// one Outcome per spec, index-aligned. The Session's built-in runner is
-// RunUnits over its planned units; SetRunner swaps in the dispatch
-// layer's Dispatcher, which plans the same grid the same way (PlanShards)
-// and sends each unit to a local or remote backend — itself a ShardRunner,
-// Session.RunShards at the far end. A runner holds no failure policy: it
-// runs every shard it can and records a failure as that cell's Err. The
-// returned error is only ever "ctx ended before the grid did". Whether a
-// failure aborts or degrades the run is the Session's decision
-// (Spec.AllowPartial), taken in one place. The runner a Session hands its
-// grid to owns it: it names each failure by its cell and delivers each
-// outcome to the context's ShardDone hook; a runner beneath it does
-// neither.
+// ShardRunner computes shards and reports what happened: one Outcome per
+// spec, index-aligned. A Session that owns a grid plans it, resolves it
+// against its result cache and hands each unit's misses to its runner (see
+// SetRunner) as one call: the dispatch layer's Dispatcher, which retries,
+// fails over and hedges that unit across local and remote backends — each
+// itself a ShardRunner, Session.RunShards at the far end. A runner holds no
+// failure policy: it runs every shard it can and records a failure as that
+// spec's Err. The returned error is only ever "ctx ended before the call
+// did". Whether a failure aborts or degrades the run is the Session's
+// decision (Spec.AllowPartial), taken in one place, and the grid's owner
+// alone names each failure by its cell and delivers each outcome to the
+// context's ShardDone hook; a runner beneath it does neither.
 type ShardRunner interface {
 	RunShards(ctx context.Context, shards []ShardSpec) ([]Outcome, error)
 }
@@ -125,54 +123,29 @@ type ShardRunner interface {
 // RunShards is the session as a ShardRunner, the execution half of the
 // worker protocol (cmd/simd's POST /v1/shards, the dispatch layer's
 // LocalBackend). Each spec is expanded — an invalid member fails alone with
-// ErrInvalidSpec — and the rest run on the session pool grouped by trace
-// coordinate, uncut: whoever owns the whole grid planned it, and cutting an
-// arriving unit again would have each of a busy worker's concurrent units
-// regenerate its stream workers times. Being a runner beneath the grid's
-// owner, the session neither names its failures nor delivers to ShardDone
-// here (a LocalBackend under a Dispatcher would otherwise do both twice).
-// The context is polled during execution, so a cancelled array aborts
-// promptly.
+// ErrInvalidSpec — and the rest are grouped by trace coordinate, uncut
+// (whoever owns the whole grid planned it, and cutting an arriving unit
+// again would have each of a busy worker's concurrent units regenerate its
+// stream workers times), resolved against the session's result cache by
+// the step Run uses, and computed on the session pool. Being a runner
+// beneath the grid's owner, the session neither names its failures nor
+// delivers to ShardDone here (a LocalBackend under a Dispatcher would
+// otherwise do both twice). The context is polled during execution, so a
+// cancelled array aborts promptly.
 func (s *Session) RunShards(ctx context.Context, specs []ShardSpec) ([]Outcome, error) {
 	cells := make([]gridCell, len(specs))
-	invalid := make([]error, len(specs))
+	out := make([]Outcome, len(specs))
 	for i := range specs {
 		cells[i].spec = specs[i]
-		cells[i].cfg, invalid[i] = specs[i].Config()
+		cells[i].cfg, out[i].Err = specs[i].Config()
 	}
-	groups := PlanShards(specs, 0)
+	groups := planShards(cells, 0)
 	for g := range groups {
 		groups[g] = slices.DeleteFunc(groups[g], func(i int) bool { return cells[i].cfg == nil })
 	}
-	out, err := RunUnits(ctx, len(specs), s.workers, groups, func(group []int, out []Outcome) {
-		if len(group) == 0 {
-			return
-		}
-		spec := &cells[group[0]].spec
-		var c *trace.Compiled
-		var err error
-		if spec.Synth != nil {
-			c, err = s.CompiledSynth(spec.Synth)
-		} else {
-			c, err = s.Compiled(spec.Workload)
-		}
-		if err != nil {
-			for _, i := range group {
-				out[i].Err = err
-			}
-			return
-		}
-		s.runGroup(ctx, c, cells, group, out)
+	return runUnits(ctx, out, s.workers, groups, func(group []int, out []Outcome) {
+		s.resolve(ctx, cells, group, out, s.runLocal)
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, err := range invalid {
-		if err != nil {
-			out[i].Err = err
-		}
-	}
-	return out, nil
 }
 
 // RunOne is r.RunShards for a single spec: its shard, or whichever error —
