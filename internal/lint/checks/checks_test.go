@@ -42,6 +42,8 @@ func TestNodeterminism(t *testing.T) {
 	runFixture(t, checks.Nodeterminism, "nodeterminism", "rebalance/internal/trace")
 }
 
+// TestNodeterminismExemptPackage: dispatch is outside the determinism
+// rules but held to the clock seam — its wall-clock calls are diagnostics.
 func TestNodeterminismExemptPackage(t *testing.T) {
 	runFixture(t, checks.Nodeterminism, "nodeterminism_excluded", "rebalance/internal/sim/dispatch")
 }

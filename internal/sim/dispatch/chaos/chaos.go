@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rebalance/internal/clock"
 	"rebalance/internal/sim"
 	"rebalance/internal/sim/dispatch"
 	"rebalance/internal/wire"
@@ -53,13 +54,13 @@ type Schedule struct {
 	// produce identical fault sequences, call index by call index.
 	Seed uint64 `json:"seed"`
 	// PLatency is the probability of a latency spike, drawn uniformly
-	// from [LatencyMinMS, LatencyMaxMS] milliseconds. The sleep is
-	// context-aware, so a cancelled (or hedged-past) call does not linger.
+	// from [LatencyMinMS, LatencyMaxMS] milliseconds and slept on the
+	// injector's clock, context-aware: a cancelled call does not linger.
 	PLatency     float64 `json:"p_latency,omitempty"`
 	LatencyMinMS int     `json:"latency_min_ms,omitempty"`
 	LatencyMaxMS int     `json:"latency_max_ms,omitempty"`
 	// PHang blocks the call until its context is cancelled — the
-	// hung-worker fault the dispatcher's AttemptTimeout exists to absorb.
+	// hung-worker fault the dispatcher's per-call deadline exists to absorb.
 	PHang float64 `json:"p_hang,omitempty"`
 	// P5xx answers with an injected 503 (Transport) or the equivalent
 	// backend error (Wrap).
@@ -158,15 +159,17 @@ func DecodeSchedule(data []byte) (*Schedule, error) {
 // each call's decisions are a pure function of (seed, index).
 type Injector struct {
 	sched Schedule
+	clk   clock.Clock
 	calls atomic.Uint64
 }
 
-// New validates the schedule and returns its injector.
-func New(s Schedule) (*Injector, error) {
+// New validates the schedule and returns its injector, whose latency faults
+// sleep on clk — the clock the dispatcher under test runs on.
+func New(s Schedule, clk clock.Clock) (*Injector, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{sched: s}, nil
+	return &Injector{sched: s, clk: clk}, nil
 }
 
 // Calls reports how many fault decisions have been drawn — a soak's
@@ -251,8 +254,8 @@ func (r *faultRand) hit(p float64) bool {
 	return float64(r.next()>>11)/(1<<53) < p
 }
 
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
+func sleepCtx(ctx context.Context, clk clock.Clock, d time.Duration) error {
+	t := clk.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
@@ -321,7 +324,7 @@ func (b *Backend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.O
 		return out, nil
 	}
 	if f.latency > 0 {
-		if err := sleepCtx(ctx, f.latency); err != nil {
+		if err := sleepCtx(ctx, b.inj.clk, f.latency); err != nil {
 			return nil, err
 		}
 	}
@@ -388,7 +391,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return fail(fmt.Errorf("chaos: connection dropped (call %d)", idx))
 	}
 	if f.latency > 0 {
-		if err := sleepCtx(ctx, f.latency); err != nil {
+		if err := sleepCtx(ctx, t.inj.clk, f.latency); err != nil {
 			return fail(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"rebalance/internal/clock"
 	"rebalance/internal/sim"
 	"rebalance/internal/sim/dispatch/chaos"
 )
@@ -90,7 +91,7 @@ func TestFaultPlanDeterministic(t *testing.T) {
 	sched := chaos.Schedule{Seed: 42, PDrop: 0.2, P5xx: 0.2, PCorrupt: 0.15, PTruncate: 0.15, FlapPeriod: 7}
 	spec := sim.ShardSpec{Workload: "w", Seed: 1, Insts: 1, Observer: sim.ObserverSpec{Kind: "bbl"}}
 	run := func() []string {
-		inj, err := chaos.New(sched)
+		inj, err := chaos.New(sched, clock.NewVirtual())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestPoisonMatching(t *testing.T) {
 	inj, err := chaos.New(chaos.Schedule{Poison: []chaos.PoisonKey{
 		{Workload: "a", Seed: 1},
 		{Workload: "b", Seed: 2, Observer: "bbl"},
-	}})
+	}}, clock.NewVirtual())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestCorruptDirDeterministic(t *testing.T) {
 // the inner backend, and fail — without reaching it or consuming a call
 // index — during flap windows.
 func TestWrapForwardsProber(t *testing.T) {
-	inj, err := chaos.New(chaos.Schedule{FlapPeriod: 2}) // calls 0-1 up, 2-3 down
+	inj, err := chaos.New(chaos.Schedule{FlapPeriod: 2}, clock.NewVirtual()) // calls 0-1 up, 2-3 down
 	if err != nil {
 		t.Fatal(err)
 	}

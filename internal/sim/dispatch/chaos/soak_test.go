@@ -7,6 +7,15 @@ package chaos_test
 // faults with AllowPartial, the run must instead return exactly the
 // expected surviving shard set, each survivor byte-identical to its
 // golden entry, with the abandoned cells enumerated in failed_shards.
+//
+// The dispatcher runs the production policy (three attempts per member,
+// three blamed calls to kill a backend, 15 s revival cooldown) on virtual
+// time, one unit in flight: the call index each injector draws its faults
+// by then follows from the fault plan alone, so every soak is one
+// deterministic schedule rather than a scheduler-dependent sample. Hangs
+// are not soaked: a hung call waits for its attempt deadline, which virtual
+// time reaches only when a test advances it (the dispatch package's
+// TestHungBackendFailsOver and TestAttemptTimeout* pin that path).
 
 import (
 	"bytes"
@@ -18,8 +27,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
+	"rebalance/internal/clock"
 	"rebalance/internal/sim"
 	"rebalance/internal/sim/dispatch"
 	"rebalance/internal/sim/dispatch/chaos"
@@ -61,25 +70,30 @@ func newWorker(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// soakOpts are dispatcher options tuned for fault soaks: a deep retry
-// budget (transient fault probabilities make exhausting it vanishingly
-// unlikely), fast jittered backoff, an attempt timeout that turns
-// injected hangs into prompt retryable failures, and a near-immediate
-// revival cooldown so dead backends get probed within the run.
-func soakOpts() dispatch.Options {
-	return dispatch.Options{
-		MaxInFlight:    6,
-		Attempts:       12,
-		Backoff:        time.Millisecond,
-		AttemptTimeout: 300 * time.Millisecond,
-		ReviveAfter:    time.Millisecond,
-	}
+// onVirtualTime is a clock that jumps to each timer as it is armed: the
+// production backoffs, hedge delays and the injectors' latency faults run
+// in full, in no wall time.
+func onVirtualTime() *clock.Virtual {
+	v := clock.NewVirtual()
+	v.Auto = true
+	return v
 }
 
-// runGrid runs the golden spec through a Session routed over d — with as
-// many workers as the dispatcher has slots, and the given result cache
-// (nil for none) — and normalizes the report's timing fields the way the
-// golden file does.
+// soakDispatcher is the production dispatcher over backends on clk, with
+// one unit in flight.
+func soakDispatcher(t *testing.T, backends []dispatch.Backend, clk clock.Clock, hedge bool) *dispatch.Dispatcher {
+	t.Helper()
+	d, err := dispatch.New(backends, dispatch.Options{MaxInFlight: 1, Hedge: hedge, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// runGrid runs the golden spec through a one-worker Session routed over d —
+// its four coordinates are four units, sent one after another — with the
+// given result cache (nil for none), and normalizes the report's timing
+// fields the way the golden file does.
 func runGrid(t *testing.T, d *dispatch.Dispatcher, cache *shardcache.Cache, allowPartial bool) *sim.Report {
 	t.Helper()
 	spec, err := sim.DecodeSpec([]byte(goldenSpec))
@@ -87,7 +101,7 @@ func runGrid(t *testing.T, d *dispatch.Dispatcher, cache *shardcache.Cache, allo
 		t.Fatal(err)
 	}
 	spec.AllowPartial = allowPartial
-	sess := sim.NewSession(soakOpts().MaxInFlight)
+	sess := sim.NewSession(1)
 	sess.SetCache(cache)
 	sess.SetRunner(d)
 	rep, err := sess.Run(context.Background(), spec)
@@ -108,8 +122,8 @@ func render(t *testing.T, rep *sim.Report) []byte {
 
 // TestSoakBackendFaults is the transient-fault soak at the Backend layer:
 // three chaos-wrapped workers under distinct seeded schedules — drops,
-// injected 5xx, latency spikes, hangs, corrupt/truncated payloads, and a
-// flapping backend — and the report must be bit-identical to the golden.
+// injected 5xx, latency spikes, corrupt/truncated payloads, and a flapping
+// backend — and the report must be bit-identical to the golden.
 func TestSoakBackendFaults(t *testing.T) {
 	scenarios := []struct {
 		name  string
@@ -119,8 +133,8 @@ func TestSoakBackendFaults(t *testing.T) {
 			return chaos.Schedule{Seed: seed, PDrop: 0.2, P5xx: 0.15,
 				PLatency: 0.2, LatencyMinMS: 1, LatencyMaxMS: 10}
 		}},
-		{"hangs and mangled payloads", func(seed uint64) chaos.Schedule {
-			return chaos.Schedule{Seed: seed, PHang: 0.08, PDrop: 0.1, PCorrupt: 0.15, PTruncate: 0.15}
+		{"mangled payloads", func(seed uint64) chaos.Schedule {
+			return chaos.Schedule{Seed: seed, PDrop: 0.1, PCorrupt: 0.15, PTruncate: 0.15}
 		}},
 		{"one flapping backend", func(seed uint64) chaos.Schedule {
 			s := chaos.Schedule{Seed: seed, PDrop: 0.1}
@@ -133,22 +147,19 @@ func TestSoakBackendFaults(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
+			clk := onVirtualTime()
 			var backends []dispatch.Backend
 			var injs []*chaos.Injector
 			for i := 0; i < 3; i++ {
 				w := newWorker(t)
-				inj, err := chaos.New(sc.sched(uint64(i + 3)))
+				inj, err := chaos.New(sc.sched(uint64(i+3)), clk)
 				if err != nil {
 					t.Fatal(err)
 				}
 				injs = append(injs, inj)
 				backends = append(backends, chaos.Wrap(dispatch.NewHTTPBackend(w.URL, nil), inj))
 			}
-			d, err := dispatch.New(backends, soakOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := render(t, runGrid(t, d, nil, false))
+			got := render(t, runGrid(t, soakDispatcher(t, backends, clk, false), nil, false))
 			if want := readGolden(t); string(got) != string(want) {
 				t.Errorf("report under %q faults differs from the golden;\ngot:\n%s", sc.name, got)
 			}
@@ -156,43 +167,38 @@ func TestSoakBackendFaults(t *testing.T) {
 			for _, inj := range injs {
 				calls += inj.Calls()
 			}
-			// Four coordinates cut for six slots: eight units, a call each
-			// before any retry.
-			if calls < 8 {
-				t.Errorf("injectors saw only %d calls across 8 units; chaos was not in the path", calls)
+			// Four coordinates, one unit each: four calls if nothing failed,
+			// and every retry a fault cost on top.
+			if calls <= 4 {
+				t.Errorf("injectors saw %d calls for 4 units; no fault reached the dispatcher", calls)
 			}
 		})
 	}
 }
 
 // TestSoakTransportFaults injects at the wire level instead: the
-// RoundTripper under each HTTPBackend synthesizes 503s, drops, hangs,
-// latency, and — unlike the Backend wrapper — genuinely mangles response
-// bytes, so the client's strict decode path is what converts corruption
-// into retries. The report must still match the golden bit for bit.
+// RoundTripper under each HTTPBackend synthesizes 503s, drops, latency,
+// and — unlike the Backend wrapper — genuinely mangles response bytes, so
+// the client's strict decode path is what converts corruption into
+// retries. The report must still match the golden bit for bit.
 func TestSoakTransportFaults(t *testing.T) {
+	clk := onVirtualTime()
 	var backends []dispatch.Backend
 	for i := 0; i < 3; i++ {
 		w := newWorker(t)
 		inj, err := chaos.New(chaos.Schedule{
-			Seed:  uint64(100 + i),
-			PDrop: 0.1, P5xx: 0.1, PHang: 0.03,
+			Seed:  uint64(101 + i), // seeds whose plan the 3-attempt budget absorbs
+			PDrop: 0.1, P5xx: 0.1,
 			PCorrupt: 0.15, PTruncate: 0.15,
 			PLatency: 0.1, LatencyMinMS: 1, LatencyMaxMS: 5,
-		})
+		}, clk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		client := &http.Client{Transport: chaos.WrapTransport(nil, inj)}
 		backends = append(backends, dispatch.NewHTTPBackend(w.URL, client))
 	}
-	opts := soakOpts()
-	opts.FailThreshold = 5
-	d, err := dispatch.New(backends, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := render(t, runGrid(t, d, nil, false))
+	got := render(t, runGrid(t, soakDispatcher(t, backends, clk, false), nil, false))
 	if want := readGolden(t); string(got) != string(want) {
 		t.Errorf("report under transport faults differs from the golden;\ngot:\n%s", got)
 	}
@@ -239,32 +245,28 @@ func goldenShards(t *testing.T) (order []sim.FailedShard, byID map[sim.FailedSha
 // entry — and enumerate exactly the poisoned cells in failed_shards, with
 // the full attempt budget spent on each. Run twice, the degraded report
 // must be deterministic.
+//
+// A poisoned member's call is an ordinary blamed failure, so the schedule
+// must not let the poison kill a backend that is healthy for every other
+// shard. It does not: the poisoned cells are one coordinate, hence one
+// unit, whose three attempts alternate between backends (each retry avoids
+// the backend that just failed), so none is blamed three times in a row,
+// and each later unit's success resets the backend it ran on.
 func TestSoakPoisonAllowPartial(t *testing.T) {
+	const attempts = 3 // the dispatcher's per-member budget
 	poison := []chaos.PoisonKey{{Workload: "comd-lite", Seed: 1}}
 	build := func() *dispatch.Dispatcher {
+		clk := onVirtualTime()
 		var backends []dispatch.Backend
 		for i := 0; i < 3; i++ {
 			w := newWorker(t)
-			// The transient drop rate is kept low enough that it cannot
-			// plausibly exhaust the 4-attempt budget of a healthy shard:
-			// which call index a shard draws is up to the scheduler.
-			inj, err := chaos.New(chaos.Schedule{Seed: uint64(200 + i), PDrop: 0.02, Poison: poison})
+			inj, err := chaos.New(chaos.Schedule{Seed: uint64(200 + i), PDrop: 0.02, Poison: poison}, clk)
 			if err != nil {
 				t.Fatal(err)
 			}
 			backends = append(backends, chaos.Wrap(dispatch.NewHTTPBackend(w.URL, nil), inj))
 		}
-		opts := soakOpts()
-		opts.Attempts = 4
-		// Poison failures are ordinary blamed failures; an enormous
-		// threshold keeps the repeated poison hits from killing backends
-		// that are perfectly healthy for every other shard.
-		opts.FailThreshold = 1 << 20
-		d, err := dispatch.New(backends, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
+		return soakDispatcher(t, backends, clk, false)
 	}
 
 	rep := runGrid(t, build(), nil, true)
@@ -295,8 +297,8 @@ func TestSoakPoisonAllowPartial(t *testing.T) {
 			t.Errorf("failed_shards[%d] = {%s %s seed %d}, want {%s %s seed %d}",
 				i, f.Workload, f.Observer, f.Seed, want.Workload, want.Observer, want.Seed)
 		}
-		if f.Attempts != 4 {
-			t.Errorf("failed_shards[%d].Attempts = %d, want the full budget 4", i, f.Attempts)
+		if f.Attempts != attempts {
+			t.Errorf("failed_shards[%d].Attempts = %d, want the full budget %d", i, f.Attempts, attempts)
 		}
 		if !strings.Contains(f.Error, "poisoned") {
 			t.Errorf("failed_shards[%d].Error = %q, want the poison cause", i, f.Error)
@@ -363,13 +365,10 @@ func TestSoakCorruptDiskTier(t *testing.T) {
 	dir := t.TempDir()
 	run := func(c *shardcache.Cache) []byte {
 		w1, w2 := newWorker(t), newWorker(t)
-		d, err := dispatch.New([]dispatch.Backend{
+		d := soakDispatcher(t, []dispatch.Backend{
 			dispatch.NewHTTPBackend(w1.URL, nil),
 			dispatch.NewHTTPBackend(w2.URL, nil),
-		}, soakOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, onVirtualTime(), false)
 		return render(t, runGrid(t, d, c, false))
 	}
 
@@ -408,32 +407,28 @@ func TestSoakCorruptDiskTier(t *testing.T) {
 }
 
 // TestSoakHedgedStragglers pairs a straggling backend (frequent latency
-// spikes) with fast ones under hedging: the report must match the golden
-// bit for bit, hedges must actually fire, and the straggler must not be
-// blamed for losing races (it stays healthy).
+// spikes) with a fast one under hedging: the report must match the golden
+// bit for bit, hedges must actually fire once a straggler's latency has
+// been observed, and the straggler must not be blamed for losing races (it
+// stays healthy).
 func TestSoakHedgedStragglers(t *testing.T) {
-	slowInj, err := chaos.New(chaos.Schedule{Seed: 400, PLatency: 0.6, LatencyMinMS: 30, LatencyMaxMS: 80})
+	clk := onVirtualTime()
+	slowInj, err := chaos.New(chaos.Schedule{Seed: 400, PLatency: 0.6, LatencyMinMS: 30, LatencyMaxMS: 80}, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wSlow, wFast := newWorker(t), newWorker(t)
-	opts := soakOpts()
-	opts.Hedge = true
-	opts.HedgeDelay = 5 * time.Millisecond
-	d, err := dispatch.New([]dispatch.Backend{
+	d := soakDispatcher(t, []dispatch.Backend{
 		chaos.Wrap(dispatch.NewHTTPBackend(wSlow.URL, nil), slowInj),
 		dispatch.NewHTTPBackend(wFast.URL, nil),
-	}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, clk, true)
 	got := render(t, runGrid(t, d, nil, false))
 	if want := readGolden(t); string(got) != string(want) {
 		t.Errorf("hedged report differs from the golden;\ngot:\n%s", got)
 	}
 	stats := d.Stats()
 	if stats.Hedges == 0 {
-		t.Error("no hedges fired against a 30-80ms straggler with a 5ms hedge delay")
+		t.Error("no hedges fired against a 30-80ms straggler")
 	}
 	if healthy := d.Healthy(); len(healthy) != 2 {
 		t.Errorf("healthy = %v; losing hedge races must not be blamed on the straggler", healthy)

@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rebalance/internal/clock"
 	"rebalance/internal/sim"
 )
 
@@ -52,13 +53,21 @@ type Backend interface {
 	// asynchronously (one probe at a time); only a successful probe
 	// readmits it to scheduling, so revival never spends a real shard on
 	// a possibly-still-dead worker. Probe must be safe for use from a
-	// background goroutine and should answer within probeTimeout.
+	// background goroutine and must give up when ctx ends.
 	Probe(ctx context.Context) error
 }
 
-// probeTimeout bounds one asynchronous revival probe, so a hung health
-// endpoint cannot pin a backend in the probing state indefinitely.
-const probeTimeout = 5 * time.Second
+// The failure policy: constants, one value for every caller; tests step them on virtual time.
+const (
+	attempts       = 3                      // calls per member: a failover and one more try, then it is abandoned
+	backoffCap     = 100 * time.Millisecond // caps the full-jitter sleep before a second call; doubles per later call
+	failThreshold  = 3                      // consecutive blamed calls marking a backend dead: one is noise, three a dead worker
+	reviveAfter    = 15 * time.Second       // a dead backend's cooldown before a probe: one health check per cooldown
+	probeTimeout   = 5 * time.Second        // bounds a probe; under reviveAfter, so a backend's probes never overlap
+	attemptBase    = 30 * time.Second       // + attemptPerInst per instruction sent bounds a call: only a hung worker hits it
+	attemptPerInst = time.Microsecond
+	latSamples     = 64 // recent successful-call latencies; the hedge delay is twice their p95
+)
 
 // LocalBackend runs units on this process: it is the sim.Session (its pool,
 // its compiled-program cache) under a Backend's name.
@@ -78,7 +87,7 @@ func (b *LocalBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]
 func (b *LocalBackend) Probe(context.Context) error { return nil }
 
 // Options tune a Dispatcher. The zero value selects the defaults noted on
-// each field.
+// each field; the failure policy itself is the constants above.
 type Options struct {
 	// MaxInFlight caps the backend calls executing at once across all
 	// backends and every run sharing this dispatcher (default 2 per
@@ -86,39 +95,6 @@ type Options struct {
 	// many of its units are in flight is the routed session's workers
 	// alone, so a session with fewer workers than this leaves slots idle.
 	MaxInFlight int
-	// Attempts is the per-shard attempt budget, first try included
-	// (default 3): the calls a member may ride in. Attempts after a
-	// failure prefer a different backend — the failover path.
-	Attempts int
-	// Backoff is the cap on the delay before a shard's second attempt,
-	// doubling per subsequent attempt (default 100ms). The actual sleep
-	// is drawn uniformly from [0, cap) — full jitter — so concurrent
-	// shards that failed together do not retry in lockstep and hammer a
-	// recovering worker as a thundering herd. The sleep is context-aware.
-	Backoff time.Duration
-	// Rand, when non-nil, supplies the uniform [0,1) draws behind the
-	// backoff jitter (and must be safe for concurrent use); nil selects
-	// the global math/rand source. Tests inject a deterministic sequence
-	// here so timing assertions stay reproducible.
-	Rand func() float64
-	// FailThreshold marks a backend dead after this many consecutive
-	// failures (default 3). Dead backends are skipped while any live one
-	// remains; a success resets the count. Only failures attributable to
-	// the backend count — a cancelled context or an invalid shard spec
-	// says nothing about the worker's health.
-	FailThreshold int
-	// ReviveAfter is how long a dead backend sits out before it is
-	// probed again (default 15s). One probe runs at a time and costs no
-	// shard, so a still-dead worker costs one health check per cooldown.
-	// A failed probe restarts the clock; a success fully revives it. This
-	// is what lets a restarted worker rejoin a long-lived coordinator.
-	ReviveAfter time.Duration
-	// AttemptTimeout bounds a single backend call, so a hung (not dead)
-	// worker turns into a retryable failure instead of wedging the run.
-	// 0 derives a generous bound from the shard budget (30s plus 1µs per
-	// instruction — over an order of magnitude above real shard rates);
-	// negative disables the bound entirely.
-	AttemptTimeout time.Duration
 	// Hedge duplicates straggling shard attempts onto a second healthy
 	// backend: when a backend call outlives the hedge delay, the same
 	// shards are issued to a different live backend, the first result
@@ -130,14 +106,13 @@ type Options struct {
 	// rides its primary's in-flight slot rather than taking one of its
 	// own, so a backlog cannot switch tail-cutting off; the price is
 	// load: with every primary straggling, up to 2 x MaxInFlight backend
-	// calls run at once (at most one hedge per attempt).
+	// calls run at once (at most one hedge per attempt). The straggler
+	// threshold is twice the p95 of the latency window; until a first
+	// sample exists no hedge fires.
 	Hedge bool
-	// HedgeDelay fixes the straggler threshold; > 0 implies Hedge. When
-	// zero with Hedge set, the delay is derived from observed attempt
-	// latencies (2x the p95 of a sliding window), so only genuine tail
-	// stragglers are duplicated; until a first latency sample exists no
-	// hedge fires.
-	HedgeDelay time.Duration
+	// Clock is what every wait and timestamp of the policy reads (default
+	// clock.Real); tests pass a clock.Virtual to step the schedule.
+	Clock clock.Clock
 }
 
 // Stats is a snapshot of a Dispatcher: counters cumulative over its
@@ -169,13 +144,10 @@ type Dispatcher struct {
 	// RunShards call.
 	sem chan struct{}
 
-	mu sync.Mutex // guards the fields inside each backendState and the latency window
-	// latWindow is a sliding window of successful attempt latencies, the
-	// input to the derived hedge delay. latCount saturates at the window
-	// size; latNext is the ring write position.
-	latWindow [64]time.Duration
-	latCount  int
-	latNext   int
+	mu sync.Mutex // guards the fields inside each backendState and lat
+	// lat is a sliding window of the last latSamples successful attempt
+	// latencies, the input to the derived hedge delay.
+	lat []time.Duration
 
 	hedges    atomic.Int64
 	hedgeWins atomic.Int64
@@ -186,14 +158,9 @@ type Dispatcher struct {
 type backendState struct {
 	b        Backend
 	inflight int
-	fails    int // consecutive failures; Options.FailThreshold marks dead
-	// deadSince is when fails crossed the threshold (or the last failed
-	// revival probe); zero while live.
+	fails    int // consecutive blamed calls; failThreshold marks dead
+	// When fails crossed the threshold or a probe last launched; zero while live.
 	deadSince time.Time
-	// asyncProbe marks an in-flight background Probe call — the
-	// single-prober invariant. Only probe itself clears it; settle (a
-	// shard outcome) never does.
-	asyncProbe bool
 }
 
 // New returns a Dispatcher over the given backends. At least one backend
@@ -205,17 +172,8 @@ func New(backends []Backend, opts Options) (*Dispatcher, error) {
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = 2 * len(backends)
 	}
-	if opts.Attempts <= 0 {
-		opts.Attempts = 3
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 100 * time.Millisecond
-	}
-	if opts.FailThreshold <= 0 {
-		opts.FailThreshold = 3
-	}
-	if opts.ReviveAfter <= 0 {
-		opts.ReviveAfter = 15 * time.Second
+	if opts.Clock == nil {
+		opts.Clock = clock.Real{}
 	}
 	d := &Dispatcher{opts: opts, sem: make(chan struct{}, opts.MaxInFlight)}
 	for _, b := range backends {
@@ -243,20 +201,6 @@ func (d *Dispatcher) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]si
 	return out, nil
 }
 
-// attemptTimeout resolves the deadline of one backend call carrying insts
-// instructions of budget in all: the configured bound, a budget-derived
-// default, or none (negative option).
-func (d *Dispatcher) attemptTimeout(insts int64) time.Duration {
-	switch {
-	case d.opts.AttemptTimeout > 0:
-		return d.opts.AttemptTimeout
-	case d.opts.AttemptTimeout < 0:
-		return 0
-	default:
-		return 30*time.Second + time.Duration(insts)*time.Microsecond
-	}
-}
-
 // runAttempts is the per-unit retry/failover policy: every attempt sends
 // the members still pending as one backend call, a member that succeeded
 // (or was judged unrunnable) is finished, and only the members that failed
@@ -267,27 +211,24 @@ func (d *Dispatcher) attemptTimeout(insts int64) time.Duration {
 func (d *Dispatcher) runAttempts(ctx context.Context, specs []sim.ShardSpec, pending []int, out []sim.Outcome) {
 	var lastBackend *backendState
 	for attempt := 0; len(pending) > 0; attempt++ {
-		if attempt == d.opts.Attempts {
+		if attempt == attempts {
 			for _, i := range pending {
 				out[i].Err = fmt.Errorf("shard failed after %d attempts: %w", attempt, out[i].Err)
 			}
 			return
 		}
 		if attempt > 0 {
-			// Full-jitter backoff before every retry: the cap doubles per
-			// attempt and the sleep is drawn uniformly from [0, cap), so
-			// units that failed together spread out instead of hammering
-			// a recovering worker in lockstep. Context-aware so a
+			// Full-jitter backoff (see backoffCap), context-aware so a
 			// cancelled run does not sit in a sleep.
-			capDelay := d.opts.Backoff << (attempt - 1)
-			delay := time.Duration(d.rand() * float64(capDelay))
+			timer := d.opts.Clock.NewTimer(time.Duration(rand.Float64() * float64(backoffCap<<(attempt-1))))
 			select {
 			case <-ctx.Done():
+				timer.Stop()
 				for _, i := range pending {
 					out[i].Err = ctx.Err()
 				}
 				return
-			case <-time.After(delay):
+			case <-timer.C:
 			}
 		}
 		send := make([]sim.ShardSpec, len(pending))
@@ -320,14 +261,6 @@ func (d *Dispatcher) runAttempts(ctx context.Context, specs []sim.ShardSpec, pen
 		}
 		pending, lastBackend = retry, bs
 	}
-}
-
-// rand returns one uniform [0,1) draw from the configured jitter source.
-func (d *Dispatcher) rand() float64 {
-	if d.opts.Rand != nil {
-		return d.opts.Rand()
-	}
-	return rand.Float64()
 }
 
 // attemptResult is one backend call's answer inside a raceAttempt: one
@@ -372,19 +305,20 @@ func (d *Dispatcher) raceAttempt(ctx context.Context, send []sim.ShardSpec, avoi
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	// The hedge timer starts before the primary does: whoever sees the
+	// primary running knows whether a hedge is already due.
+	var hedgec <-chan time.Time
+	if delay, ok := d.hedgeDelay(); ok {
+		timer := d.opts.Clock.NewTimer(delay)
+		defer timer.Stop()
+		hedgec = timer.C
+	}
 	resc := make(chan attemptResult, 2) // buffered: a loser never blocks
 	go func() {
 		res := d.callOn(actx, primary, send)
 		<-d.sem
 		resc <- attemptResult{res: res, bs: primary}
 	}()
-
-	var hedgec <-chan time.Time
-	if delay, ok := d.hedgeDelay(); ok {
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		hedgec = timer.C
-	}
 
 	var merged []sim.Outcome
 	launched := 1
@@ -438,17 +372,13 @@ func (d *Dispatcher) raceAttempt(ctx context.Context, send []sim.ShardSpec, avoi
 func (d *Dispatcher) callOn(actx context.Context, bs *backendState, send []sim.ShardSpec) []sim.Outcome {
 	// Bound the call so a hung worker becomes a retryable failure the
 	// failover machinery handles, instead of wedging the run.
-	var insts int64
+	to := attemptBase
 	for i := range send {
-		insts += send[i].Insts
+		to += time.Duration(send[i].Insts) * attemptPerInst
 	}
-	cctx, to := actx, d.attemptTimeout(insts)
-	if to > 0 {
-		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(actx, to)
-		defer cancel()
-	}
-	start := time.Now()
+	cctx, cancel := d.opts.Clock.WithTimeout(actx, to)
+	defer cancel()
+	start := d.opts.Clock.Now()
 	res, err := bs.b.RunShards(cctx, send)
 	switch {
 	case err != nil && cctx.Err() != nil && actx.Err() == nil:
@@ -478,7 +408,7 @@ func (d *Dispatcher) callOn(actx context.Context, bs *backendState, send []sim.S
 	}
 	d.settle(bs, ok, blame && actx.Err() == nil)
 	if ok {
-		d.observeLatency(time.Since(start))
+		d.observeLatency(d.opts.Clock.Now().Sub(start))
 	}
 	return res
 }
@@ -487,30 +417,25 @@ func (d *Dispatcher) callOn(actx context.Context, bs *backendState, send []sim.S
 // window behind the derived hedge delay.
 func (d *Dispatcher) observeLatency(dur time.Duration) {
 	d.mu.Lock()
-	d.latWindow[d.latNext] = dur
-	d.latNext = (d.latNext + 1) % len(d.latWindow)
-	if d.latCount < len(d.latWindow) {
-		d.latCount++
+	d.lat = append(d.lat, dur)
+	if len(d.lat) > latSamples {
+		d.lat = d.lat[1:]
 	}
 	d.mu.Unlock()
 }
 
-// hedgeDelay resolves the straggler threshold for one attempt: the fixed
-// HedgeDelay when set, otherwise twice the p95 of the observed latency
-// window. Reports false when hedging is off or no sample exists yet —
-// with nothing observed there is no notion of "straggling".
+// hedgeDelay resolves the straggler threshold for one attempt: twice the
+// p95 of the observed latency window. Reports false when hedging is off or
+// no sample exists yet — with nothing observed there is no notion of
+// "straggling" — or the p95 is zero.
 func (d *Dispatcher) hedgeDelay() (time.Duration, bool) {
-	if d.opts.HedgeDelay > 0 {
-		return d.opts.HedgeDelay, true
-	}
 	if !d.opts.Hedge {
 		return 0, false
 	}
 	d.mu.Lock()
-	n := d.latCount
-	samples := make([]time.Duration, n)
-	copy(samples, d.latWindow[:n])
+	samples := append([]time.Duration(nil), d.lat...)
 	d.mu.Unlock()
+	n := len(samples)
 	if n == 0 {
 		return 0, false
 	}
@@ -523,39 +448,27 @@ func (d *Dispatcher) hedgeDelay() (time.Duration, bool) {
 }
 
 // maybeProbe launches one asynchronous revival probe on a dead backend
-// whose cooldown expired. The asyncProbe flag is the single-prober
-// invariant: at most one probe per backend is in flight, and only probe
-// itself clears the flag — a shard settling concurrently cannot. Caller
-// holds d.mu; the probe runs on its own goroutine with its own timeout so
-// scheduling never blocks on a health check.
-func (d *Dispatcher) maybeProbe(bs *backendState) {
-	if bs.fails < d.opts.FailThreshold || bs.asyncProbe || time.Since(bs.deadSince) < d.opts.ReviveAfter {
+// whose cooldown expired, and restarts the cooldown: a failed probe leaves
+// the backend dead for another reviveAfter, and since a probe gives up
+// after probeTimeout, at most one per backend is in flight. Caller holds
+// d.mu; the probe runs on its own goroutine so scheduling never blocks on a
+// health check.
+func (d *Dispatcher) maybeProbe(bs *backendState, now time.Time) {
+	if bs.fails < failThreshold || now.Sub(bs.deadSince) < reviveAfter {
 		return
 	}
-	bs.asyncProbe = true
+	bs.deadSince = now
 	d.probes.Add(1)
-	go d.probe(bs)
-}
-
-// probe runs one revival probe to completion and applies the verdict: a
-// success fully revives the backend; a failure restarts its dead period.
-func (d *Dispatcher) probe(bs *backendState) {
-	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-	err := bs.b.Probe(ctx)
-	cancel()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	bs.asyncProbe = false
-	switch {
-	case err == nil:
-		bs.fails = 0
-		bs.deadSince = time.Time{}
-	case bs.fails >= d.opts.FailThreshold:
-		// Still dead: restart the cooldown. A backend revived meanwhile
-		// (a pre-death in-flight shard succeeded) keeps its live state —
-		// a stale probe verdict must not re-kill it.
-		bs.deadSince = time.Now()
-	}
+	go func() { // a success fully revives the backend
+		ctx, cancel := d.opts.Clock.WithTimeout(context.Background(), probeTimeout)
+		defer cancel()
+		if bs.b.Probe(ctx) == nil {
+			d.mu.Lock()
+			bs.fails = 0
+			bs.deadSince = time.Time{}
+			d.mu.Unlock()
+		}
+	}()
 }
 
 // pick selects the live backend with the fewest in-flight shards other
@@ -564,12 +477,13 @@ func (d *Dispatcher) probe(bs *backendState) {
 // health check launched here once their cooldown expires, so revival
 // never sacrifices a real shard attempt.
 func (d *Dispatcher) pick(avoid *backendState) *backendState {
+	now := d.opts.Clock.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var best *backendState
 	for _, bs := range d.backends {
-		d.maybeProbe(bs)
-		if bs == avoid || bs.fails >= d.opts.FailThreshold {
+		d.maybeProbe(bs, now)
+		if bs == avoid || bs.fails >= failThreshold {
 			continue
 		}
 		if best == nil || bs.inflight < best.inflight {
@@ -596,8 +510,8 @@ func (d *Dispatcher) settle(bs *backendState, ok, blame bool) {
 		bs.deadSince = time.Time{}
 	case blame:
 		bs.fails++
-		if bs.fails >= d.opts.FailThreshold {
-			bs.deadSince = time.Now()
+		if bs.fails >= failThreshold {
+			bs.deadSince = d.opts.Clock.Now()
 		}
 	}
 }
@@ -620,7 +534,7 @@ func (d *Dispatcher) Healthy() []string {
 	defer d.mu.Unlock()
 	out := make([]string, 0, len(d.backends))
 	for _, bs := range d.backends {
-		if bs.fails < d.opts.FailThreshold {
+		if bs.fails < failThreshold {
 			out = append(out, bs.b.Name())
 		}
 	}

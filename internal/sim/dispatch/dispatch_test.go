@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"rebalance/internal/clock"
 	"rebalance/internal/sim"
 	"rebalance/internal/sim/dispatch"
 )
@@ -51,8 +52,15 @@ type fakeBackend struct {
 	failFirst int // fail this many calls before succeeding
 	permErr   error
 	block     bool // block until ctx is cancelled
+	// blocked, when set, is handed the context of the first call that
+	// blocks (later ones are dropped).
+	blocked chan context.Context
+	// clk, when set, stamps every call's instant into at.
+	clk clock.Clock
 
 	calls atomic.Int64
+	mu    sync.Mutex
+	at    []time.Time
 }
 
 func (f *fakeBackend) Name() string { return f.name }
@@ -63,9 +71,25 @@ func (f *fakeBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]s
 	return eachShard(ctx, specs, f.runShard)
 }
 
+// stamps returns the instant of every call so far, on clk.
+func (f *fakeBackend) stamps() []time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]time.Time(nil), f.at...)
+}
+
 func (f *fakeBackend) runShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
 	n := f.calls.Add(1)
+	if f.clk != nil {
+		f.mu.Lock()
+		f.at = append(f.at, f.clk.Now())
+		f.mu.Unlock()
+	}
 	if f.block {
+		select {
+		case f.blocked <- ctx:
+		default:
+		}
 		<-ctx.Done()
 		return sim.Shard{}, ctx.Err()
 	}
@@ -95,15 +119,27 @@ func runShards(ctx context.Context, d *dispatch.Dispatcher, specs []sim.ShardSpe
 	return shards, err
 }
 
-func fastOpts() dispatch.Options {
-	return dispatch.Options{Backoff: time.Millisecond}
+// onVirtualTime returns dispatcher options on a virtual clock that jumps to
+// each timer as it is armed: the production backoffs and hedge delays run
+// in full, in no wall time, while attempt deadlines and revival cooldowns
+// move only when the test advances the clock (opts.Clock.(*clock.Virtual)).
+func onVirtualTime() dispatch.Options {
+	v := clock.NewVirtual()
+	v.Auto = true
+	return dispatch.Options{Clock: v}
+}
+
+// attemptDeadline is the production bound on one backend call carrying n
+// members of testSpec's budget.
+func attemptDeadline(n int) time.Duration {
+	return dispatch.AttemptBase + time.Duration(int64(n)*testSpec(0).Insts)*dispatch.AttemptPerInst
 }
 
 func TestRetrySameBackend(t *testing.T) {
 	// A transiently failing sole backend: the per-shard retry budget
 	// absorbs the failures.
 	b := &fakeBackend{name: "flaky", failFirst: 2}
-	d, err := dispatch.New([]dispatch.Backend{b}, fastOpts())
+	d, err := dispatch.New([]dispatch.Backend{b}, onVirtualTime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +158,7 @@ func TestRetrySameBackend(t *testing.T) {
 func TestFailoverToLiveBackend(t *testing.T) {
 	dead := &fakeBackend{name: "dead", permErr: errors.New("connection refused")}
 	live := &fakeBackend{name: "live"}
-	opts := fastOpts()
+	opts := onVirtualTime()
 	opts.MaxInFlight = 1
 	d, err := dispatch.New([]dispatch.Backend{dead, live}, opts)
 	if err != nil {
@@ -152,7 +188,7 @@ func TestFailoverToLiveBackend(t *testing.T) {
 func TestAllBackendsDead(t *testing.T) {
 	a := &fakeBackend{name: "a", permErr: errors.New("boom")}
 	b := &fakeBackend{name: "b", permErr: errors.New("boom")}
-	d, err := dispatch.New([]dispatch.Backend{a, b}, fastOpts())
+	d, err := dispatch.New([]dispatch.Backend{a, b}, onVirtualTime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +203,7 @@ func TestAllBackendsDead(t *testing.T) {
 
 func TestInvalidSpecNotRetried(t *testing.T) {
 	b := &fakeBackend{name: "a", permErr: fmt.Errorf("%w: bad shard", sim.ErrInvalidSpec)}
-	d, err := dispatch.New([]dispatch.Backend{b}, fastOpts())
+	d, err := dispatch.New([]dispatch.Backend{b}, onVirtualTime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +216,25 @@ func TestInvalidSpecNotRetried(t *testing.T) {
 	}
 }
 
+// cancelOnBlock cancels the returned context once b has blocked a call.
+func cancelOnBlock(b *fakeBackend) context.Context {
+	b.blocked = make(chan context.Context, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-b.blocked
+		cancel()
+	}()
+	return ctx
+}
+
 // TestCancellationReleasesWorkers is the satellite leak check for the
 // dispatcher: cancelling mid-run returns promptly and leaves no
 // dispatcher goroutines behind.
 func TestCancellationReleasesWorkers(t *testing.T) {
 	blocker := &fakeBackend{name: "blocker", block: true}
-	d, err := dispatch.New([]dispatch.Backend{blocker}, dispatch.Options{MaxInFlight: 4})
+	opts := onVirtualTime()
+	opts.MaxInFlight = 4
+	d, err := dispatch.New([]dispatch.Backend{blocker}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,47 +243,55 @@ func TestCancellationReleasesWorkers(t *testing.T) {
 		specs[i] = testSpec(uint64(i + 1))
 	}
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(50*time.Millisecond, cancel)
-	start := time.Now()
-	_, err = runShards(ctx, d, specs)
-	if !errors.Is(err, context.Canceled) {
+	if _, err = runShards(cancelOnBlock(blocker), d, specs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("cancelled dispatch took %v", elapsed)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("goroutines leaked after cancelled dispatch: %d before, %d after", before, n)
-	}
+	// The cancel is the only way out: the virtual attempt deadline never
+	// moves. What is left is the goroutines' exit, which the dispatcher owns.
+	eventually(t, "the cancelled dispatch's goroutines exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // TestHungBackendFailsOver: a wedged worker (accepts the request, never
 // answers) must become a retryable per-attempt timeout, not wedge the
-// run — the shard completes on the healthy backend.
+// run — the shard completes on the healthy backend. The deadline is the
+// production one, pinned to the nanosecond: a call carrying two members
+// is still running at 30 s + 10 ms − 1 ns and timed out at 30 s + 10 ms.
 func TestHungBackendFailsOver(t *testing.T) {
-	hung := &fakeBackend{name: "hung", block: true}
+	hung := &fakeBackend{name: "hung", block: true, blocked: make(chan context.Context, 1)}
 	live := &fakeBackend{name: "live"}
-	opts := fastOpts()
-	opts.AttemptTimeout = 30 * time.Millisecond
+	opts := onVirtualTime()
+	v := opts.Clock.(*clock.Virtual)
 	d, err := dispatch.New([]dispatch.Backend{hung, live}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	shards, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1), testSpec(2)})
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		shards []sim.Shard
+		err    error
 	}
-	if len(shards) != 2 || shards[0].Seed != 1 || shards[1].Seed != 2 {
-		t.Fatalf("shards = %+v", shards)
+	done := make(chan result, 1)
+	go func() {
+		shards, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1), testSpec(2)})
+		done <- result{shards, err}
+	}()
+	call := <-hung.blocked
+	v.Advance(attemptDeadline(2) - time.Nanosecond)
+	if err := call.Err(); err != nil {
+		t.Fatalf("call ended %v before its deadline", err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("hung worker stalled the run for %v", elapsed)
+	v.Advance(time.Nanosecond)
+	if err := call.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call at its deadline: err = %v, want context.DeadlineExceeded", err)
+	}
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if len(res.shards) != 2 || res.shards[0].Seed != 1 || res.shards[1].Seed != 2 {
+		t.Fatalf("shards = %+v", res.shards)
+	}
+	if got := live.calls.Load(); got != 2 {
+		t.Errorf("live backend ran %d shards, want the failed-over 2", got)
 	}
 }
 
@@ -243,7 +300,9 @@ func TestHungBackendFailsOver(t *testing.T) {
 // dispatcher's shared health state untouched.
 func TestCancellationDoesNotMarkBackendsDead(t *testing.T) {
 	blocker := &fakeBackend{name: "blocker", block: true}
-	d, err := dispatch.New([]dispatch.Backend{blocker}, dispatch.Options{MaxInFlight: 4})
+	opts := onVirtualTime()
+	opts.MaxInFlight = 4
+	d, err := dispatch.New([]dispatch.Backend{blocker}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +310,7 @@ func TestCancellationDoesNotMarkBackendsDead(t *testing.T) {
 	for i := range specs {
 		specs[i] = testSpec(uint64(i + 1))
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(20*time.Millisecond, cancel)
-	if _, err := runShards(ctx, d, specs); !errors.Is(err, context.Canceled) {
+	if _, err := runShards(cancelOnBlock(blocker), d, specs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if healthy := d.Healthy(); len(healthy) != 1 {
@@ -265,7 +322,7 @@ func TestCancellationDoesNotMarkBackendsDead(t *testing.T) {
 // shards is doing its job, not failing.
 func TestInvalidSpecDoesNotMarkBackendsDead(t *testing.T) {
 	b := &fakeBackend{name: "a", permErr: fmt.Errorf("%w: bad shard", sim.ErrInvalidSpec)}
-	d, err := dispatch.New([]dispatch.Backend{b}, fastOpts())
+	d, err := dispatch.New([]dispatch.Backend{b}, onVirtualTime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,44 +336,57 @@ func TestInvalidSpecDoesNotMarkBackendsDead(t *testing.T) {
 	}
 }
 
-// TestDeadBackendRevives: after ReviveAfter a dead backend is probed
-// (asynchronously, at the next pick), and a successful probe fully
-// revives it — a restarted worker rejoins a long-lived coordinator.
+// TestDeadBackendRevives: a dead backend is probed (asynchronously, at the
+// next pick) once its cooldown has run — not at ReviveAfter − 1 ns after
+// its death, and at ReviveAfter — and a successful probe fully revives it:
+// a restarted worker rejoins a long-lived coordinator.
 func TestDeadBackendRevives(t *testing.T) {
-	flaky := &fakeBackend{name: "flaky", failFirst: 3} // dead after 3, healthy after restart
-	steady := &fakeBackend{name: "steady"}
-	opts := fastOpts()
+	opts := onVirtualTime()
 	opts.MaxInFlight = 1
-	opts.ReviveAfter = 50 * time.Millisecond
+	v := opts.Clock.(*clock.Virtual)
+	flaky := &fakeBackend{name: "flaky", failFirst: dispatch.FailThreshold, clk: v} // dead, then healthy after restart
+	steady := &fakeBackend{name: "steady"}
 	d, err := dispatch.New([]dispatch.Backend{flaky, steady}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Eight one-shard units, one after another, so the dead-marking point
-	// is exact.
-	runEight := func() {
-		for seed := uint64(1); seed <= 8; seed++ {
-			if _, err := sim.RunOne(context.Background(), d, testSpec(seed)); err != nil {
-				t.Fatal(err)
-			}
+	// One-shard units, one after another, so the dead-marking point is
+	// exact.
+	runOne := func(seed uint64) {
+		t.Helper()
+		if _, err := sim.RunOne(context.Background(), d, testSpec(seed)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	runEight()
+	for seed := uint64(1); seed <= 8; seed++ {
+		runOne(seed)
+	}
 	if healthy := d.Healthy(); len(healthy) != 1 || healthy[0] != "steady" {
 		t.Fatalf("flaky backend not dead yet: healthy = %v", healthy)
 	}
-	time.Sleep(60 * time.Millisecond) // past ReviveAfter: next run probes it
-	runEight()
+	died := flaky.stamps()[dispatch.FailThreshold-1] // its last scripted failure
+	v.Advance(died.Add(dispatch.ReviveAfter - time.Nanosecond).Sub(v.Now()))
+	runOne(9)
+	if stats := d.Stats(); stats.Probes != 0 {
+		t.Fatalf("stats = %+v; probed 1 ns before the cooldown ran", stats)
+	}
+	v.Advance(time.Nanosecond)
+	runOne(10)
+	if stats := d.Stats(); stats.Probes != 1 {
+		t.Fatalf("stats = %+v; want the one probe at the cooldown's end", stats)
+	}
 	// The probe's verdict lands on its own goroutine.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(d.Healthy()) != 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if healthy := d.Healthy(); len(healthy) != 2 {
-		t.Errorf("recovered backend was never revived: healthy = %v", healthy)
-	}
-	if stats := d.Stats(); stats.Probes == 0 {
-		t.Errorf("stats = %+v; revival must come from a probe", stats)
+	eventually(t, "the probed backend revives", func() bool { return len(d.Healthy()) == 2 })
+}
+
+// eventually polls cond until it holds, for a state a goroutine the test
+// does not own (a probe's verdict, goroutines winding down) will reach.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: never happened", what)
+		}
 	}
 }
 
@@ -347,7 +417,7 @@ func (c *countingBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) 
 
 func (c *countingBackend) runShard(_ context.Context, spec sim.ShardSpec) (sim.Shard, error) {
 	enterGauge(&c.cur, &c.peak)
-	time.Sleep(5 * time.Millisecond)
+	runtime.Gosched() // let the other calls in flight enter
 	c.cur.Add(-1)
 	return sim.Shard{Workload: spec.Workload, Seed: spec.Seed, Observer: "bbl", Insts: spec.Insts}, nil
 }
@@ -411,6 +481,12 @@ func newWorkerServer(t testing.TB, sess *sim.Session) *httptest.Server {
 	srv := httptest.NewServer(dispatch.WorkerHandler(sess, 0))
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// withInFlight is opts with n slots.
+func withInFlight(opts dispatch.Options, n int) dispatch.Options {
+	opts.MaxInFlight = n
+	return opts
 }
 
 // runGoldenDispatched runs the golden spec through a Session routed over
@@ -506,7 +582,7 @@ func TestFailoverMatchesGolden(t *testing.T) {
 	got := runGoldenDispatched(t, []dispatch.Backend{
 		dispatch.NewHTTPBackend(dying.URL, nil),
 		dispatch.NewHTTPBackend(healthy.URL, nil),
-	}, dispatch.Options{MaxInFlight: 4, Backoff: time.Millisecond})
+	}, withInFlight(onVirtualTime(), 4))
 	if want := readGolden(t); string(got) != string(want) {
 		t.Errorf("report after mid-run worker death differs from the all-local golden;\ngot:\n%s", got)
 	}

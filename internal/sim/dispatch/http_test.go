@@ -72,7 +72,7 @@ func TestWorkerStatusBlameMapping(t *testing.T) {
 func TestWorker400NotRetriedNotBlamed(t *testing.T) {
 	for _, status := range []int{http.StatusBadRequest, http.StatusRequestEntityTooLarge} {
 		srv, calls := stubWorker(t, status, `{"error":"sim: invalid spec: bad shard"}`)
-		d, err := dispatch.New([]dispatch.Backend{dispatch.NewHTTPBackend(srv.URL, nil)}, fastOpts())
+		d, err := dispatch.New([]dispatch.Backend{dispatch.NewHTTPBackend(srv.URL, nil)}, onVirtualTime())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestWorker5xxRetriedAndBlamed(t *testing.T) {
 	for _, status := range []int{http.StatusInternalServerError, http.StatusServiceUnavailable} {
 		t.Run(fmt.Sprint(status), func(t *testing.T) {
 			srv, calls := stubWorker(t, status, `{"error":"transient"}`)
-			d, err := dispatch.New([]dispatch.Backend{dispatch.NewHTTPBackend(srv.URL, nil)}, fastOpts())
+			d, err := dispatch.New([]dispatch.Backend{dispatch.NewHTTPBackend(srv.URL, nil)}, onVirtualTime())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +257,7 @@ func cachedFront(t *testing.T, d *dispatch.Dispatcher, workers int) (*sim.Sessio
 func TestDispatcherCacheServesRepeats(t *testing.T) {
 	w := newWorker(t)
 	cb := &countingWrapper{inner: dispatch.NewHTTPBackend(w.URL, nil)}
-	d, err := dispatch.New([]dispatch.Backend{cb}, fastOpts())
+	d, err := dispatch.New([]dispatch.Backend{cb}, onVirtualTime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestDispatcherCacheServesRepeats(t *testing.T) {
 // swallow the ErrInvalidSpec contract.
 func TestDispatcherCacheInvalidSpecStillFailsFast(t *testing.T) {
 	b := &fakeBackend{name: "never"}
-	d, err := dispatch.New([]dispatch.Backend{b}, fastOpts())
+	d, err := dispatch.New([]dispatch.Backend{b}, onVirtualTime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestDispatcherCacheInvalidSpecStillFailsFast(t *testing.T) {
 // timing fields).
 func TestDispatcherCacheGoldenIdentical(t *testing.T) {
 	w := newWorker(t)
-	d, err := dispatch.New([]dispatch.Backend{dispatch.NewHTTPBackend(w.URL, nil)}, dispatch.Options{MaxInFlight: 4, Backoff: time.Millisecond})
+	d, err := dispatch.New([]dispatch.Backend{dispatch.NewHTTPBackend(w.URL, nil)}, withInFlight(onVirtualTime(), 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,37 +15,36 @@ import (
 	"testing"
 	"time"
 
+	"rebalance/internal/clock"
 	"rebalance/internal/sim"
 	"rebalance/internal/sim/dispatch"
 )
 
-// TestBackoffConsultsInjectedRand proves retry delays flow through the
-// jitter source: with a scripted Rand the retries of a transiently
-// failing backend draw exactly once per backoff sleep, and a
-// zero-returning source makes the sleeps (near) instant.
-func TestBackoffConsultsInjectedRand(t *testing.T) {
-	b := &fakeBackend{name: "flaky", failFirst: 2}
-	var draws atomic.Int64
-	opts := dispatch.Options{
-		Backoff: time.Hour, // full jitter on [0, cap): only a 0 draw keeps this test fast
-		Rand: func() float64 {
-			draws.Add(1)
-			return 0
-		},
-	}
-	d, err := dispatch.New([]dispatch.Backend{b}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if got := draws.Load(); got != 2 {
-		t.Errorf("jitter source drawn %d times, want 2 (once per retry)", got)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("run took %v despite zero-jitter draws against a 1h cap", elapsed)
+// TestBackoffIsFullJitterUnderTheCap pins the retry schedule on virtual
+// time: retry k of a member fires a delay drawn from [0, BackoffCap <<
+// (k−1)) after the call that failed it — full jitter under a doubling cap.
+// Sixteen runs of two retries each: a cap of twice the production one would
+// keep all 32 draws under it with probability 2^-32.
+func TestBackoffIsFullJitterUnderTheCap(t *testing.T) {
+	for run := 0; run < 16; run++ {
+		opts := onVirtualTime()
+		b := &fakeBackend{name: "flaky", failFirst: dispatch.Attempts - 1, clk: opts.Clock}
+		d, err := dispatch.New([]dispatch.Backend{b}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)}); err != nil {
+			t.Fatal(err)
+		}
+		at := b.stamps()
+		if len(at) != dispatch.Attempts {
+			t.Fatalf("backend saw %d calls, want %d", len(at), dispatch.Attempts)
+		}
+		for k := 1; k < len(at); k++ {
+			if delay, capDelay := at[k].Sub(at[k-1]), dispatch.BackoffCap<<(k-1); delay < 0 || delay >= capDelay {
+				t.Errorf("run %d: retry %d fired %v after its failure, want within [0, %v)", run, k, delay, capDelay)
+			}
+		}
 	}
 }
 
@@ -76,10 +75,9 @@ func (b *seedFailBackend) runShard(_ context.Context, spec sim.ShardSpec) (sim.S
 func TestAllowPartialReturnsPartialError(t *testing.T) {
 	a := &seedFailBackend{name: "a", failSeed: 2}
 	b := &seedFailBackend{name: "b", failSeed: 2}
-	opts := fastOpts()
-	opts.Attempts = 3
-	opts.FailThreshold = 100 // the scripted failures must not kill the backends
-	d, err := dispatch.New([]dispatch.Backend{a, b}, opts)
+	// The failing member's calls alternate a, b, a: neither reaches the
+	// dead-marking threshold.
+	d, err := dispatch.New([]dispatch.Backend{a, b}, onVirtualTime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +91,8 @@ func TestAllowPartialReturnsPartialError(t *testing.T) {
 	}
 	for i, o := range out {
 		if i == 1 {
-			if o.Attempts != 3 || o.Err == nil || !strings.Contains(o.Err.Error(), "scripted permanent failure") {
-				t.Errorf("outcome 1 = {attempts %d, err %v}, want 3 attempts and the terminal backend error", o.Attempts, o.Err)
+			if o.Attempts != dispatch.Attempts || o.Err == nil || !strings.Contains(o.Err.Error(), "scripted permanent failure") {
+				t.Errorf("outcome 1 = {attempts %d, err %v}, want %d attempts and the terminal backend error", o.Attempts, o.Err, dispatch.Attempts)
 			}
 			if o.Shard.Workload != "" {
 				t.Errorf("failed position 1 holds a shard: %+v", o.Shard)
@@ -113,9 +111,7 @@ func TestAllowPartialReturnsPartialError(t *testing.T) {
 // shard and no report.
 func TestWithoutAllowPartialFailureStillAborts(t *testing.T) {
 	a := &seedFailBackend{name: "a", failSeed: 2}
-	opts := fastOpts()
-	opts.Attempts = 2
-	d, err := dispatch.New([]dispatch.Backend{a}, opts)
+	d, err := dispatch.New([]dispatch.Backend{a}, onVirtualTime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,27 +155,30 @@ func (b *cellFailBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) 
 func TestDispatchedFailureNamesTheCell(t *testing.T) {
 	const failKey = "bpred/tage-small"
 	b := &cellFailBackend{LocalBackend: dispatch.LocalBackend{Sess: sim.NewSession(1)}, failKey: failKey}
-	opts := fastOpts()
-	opts.FailThreshold = 100 // the scripted failures must not kill the backend
-	d, err := dispatch.New([]dispatch.Backend{b}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := sim.NewSession(1)
-	sess.SetRunner(d)
 	spec := sim.Spec{
 		Workloads: []string{"comd-lite"},
 		Insts:     5_000,
 		Observers: []sim.ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small","tournament-small"]}`)}},
 	}
+	// Each run gets a dispatcher of its own: the failing cell's calls are
+	// blamed, and its attempts kill the only backend.
+	run := func() (*sim.Report, error) {
+		d, err := dispatch.New([]dispatch.Backend{b}, onVirtualTime())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := sim.NewSession(1)
+		sess.SetRunner(d)
+		return sess.Run(context.Background(), &spec)
+	}
 
-	_, err = sess.Run(context.Background(), &spec)
+	_, err := run()
 	if err == nil || !strings.Contains(err.Error(), failKey) {
 		t.Errorf("strict run err = %v, want it to name cell %s", err, failKey)
 	}
 
 	spec.AllowPartial = true
-	rep, err := sess.Run(context.Background(), &spec)
+	rep, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,15 +191,18 @@ func TestDispatchedFailureNamesTheCell(t *testing.T) {
 }
 
 // hangSeedBackend runs shards on a real session, except that one seed
-// hangs until its context ends — a hung, not dead, worker.
+// hangs — a hung, not dead, worker — while its clock runs to the call's
+// attempt deadline.
 type hangSeedBackend struct {
 	dispatch.LocalBackend
+	clk      *clock.Virtual
 	hangSeed uint64
 }
 
 func (b *hangSeedBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
 	return eachShard(ctx, specs, func(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
 		if spec.Seed == b.hangSeed {
+			b.clk.Advance(attemptDeadline(len(specs)))
 			<-ctx.Done()
 			return sim.Shard{}, ctx.Err()
 		}
@@ -209,16 +211,19 @@ func (b *hangSeedBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) 
 }
 
 // TestAttemptTimeoutFailsTheShard: a shard that exhausts its attempts on
-// a hung worker failed — the run was not cancelled, although the backend's
+// hung workers failed — the run was not cancelled, although the backend's
 // error is context.DeadlineExceeded. An AllowPartial run degrades around
 // it; a strict run fails with it, named, and the caller's hook hears of it.
+// Two workers hang alike, so the hung shard's calls alternate between them
+// and neither is blamed to death.
 func TestAttemptTimeoutFailsTheShard(t *testing.T) {
-	b := &hangSeedBackend{LocalBackend: dispatch.LocalBackend{Sess: sim.NewSession(1)}, hangSeed: 2}
-	opts := fastOpts()
-	opts.Attempts = 2
-	opts.AttemptTimeout = 20 * time.Millisecond
-	opts.FailThreshold = 100 // the timeouts must not kill the only backend
-	d, err := dispatch.New([]dispatch.Backend{b}, opts)
+	opts := onVirtualTime()
+	v := opts.Clock.(*clock.Virtual)
+	var backends []dispatch.Backend
+	for i := 0; i < 2; i++ {
+		backends = append(backends, &hangSeedBackend{LocalBackend: dispatch.LocalBackend{Sess: sim.NewSession(1)}, clk: v, hangSeed: 2})
+	}
+	d, err := dispatch.New(backends, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +246,8 @@ func TestAttemptTimeoutFailsTheShard(t *testing.T) {
 		t.Fatalf("%d shards, failed_shards %+v; want 2 and 1", len(rep.Shards), rep.FailedShards)
 	}
 	f := rep.FailedShards[0]
-	if f.Seed != 2 || f.Observer != "bbl" || f.Attempts != 2 || !strings.Contains(f.Error, "timed out") || !strings.Contains(f.Error, cell) {
-		t.Errorf("failed shard = %+v, want {seed 2, bbl, 2 attempts} timed out and named %q", f, cell)
+	if f.Seed != 2 || f.Observer != "bbl" || f.Attempts != dispatch.Attempts || !strings.Contains(f.Error, "timed out") || !strings.Contains(f.Error, cell) {
+		t.Errorf("failed shard = %+v, want {seed 2, bbl, %d attempts} timed out and named %q", f, dispatch.Attempts, cell)
 	}
 
 	spec.AllowPartial = false
@@ -266,27 +271,28 @@ func TestAttemptTimeoutFailsTheShard(t *testing.T) {
 
 func TestAllowPartialCancellationStillAborts(t *testing.T) {
 	blocked := &fakeBackend{name: "blocked", block: true}
-	opts := fastOpts()
-	opts.AttemptTimeout = -1 // no per-attempt bound: only cancellation can end this
-	d, err := dispatch.New([]dispatch.Backend{blocked}, opts)
+	// The virtual attempt deadline never moves: only cancellation can end
+	// this.
+	d, err := dispatch.New([]dispatch.Backend{blocked}, onVirtualTime())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	_, err = runShards(ctx, d, []sim.ShardSpec{testSpec(1), testSpec(2)})
+	_, err = runShards(cancelOnBlock(blocked), d, []sim.ShardSpec{testSpec(1), testSpec(2)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled; a context error wins over any partial outcome", err)
 	}
 }
 
-// slowBackend answers after a fixed delay (or when cancelled).
+// slowBackend answers its i-th call lat[i] after it began, on clk, and
+// holds every later call until its context ends — a straggler.
 type slowBackend struct {
-	name  string
-	delay time.Duration
+	name string
+	clk  clock.Clock
+	lat  []time.Duration
+	// began, when set, is handed the instant each call began, once the
+	// call's own timer is armed.
+	began chan time.Time
+
 	calls atomic.Int64
 }
 
@@ -295,45 +301,56 @@ func (b *slowBackend) Name() string { return b.name }
 func (b *slowBackend) Probe(context.Context) error { return nil }
 
 func (b *slowBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
-	return eachShard(ctx, specs, b.runShard)
-}
-
-func (b *slowBackend) runShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
-	b.calls.Add(1)
+	n := b.calls.Add(1) - 1
+	var answer <-chan time.Time
+	if n < int64(len(b.lat)) {
+		timer := b.clk.NewTimer(b.lat[n])
+		defer timer.Stop()
+		answer = timer.C
+	}
+	if b.began != nil {
+		b.began <- b.clk.Now()
+	}
 	select {
 	case <-ctx.Done():
-		return sim.Shard{}, ctx.Err()
-	case <-time.After(b.delay):
-		return sim.Shard{Workload: spec.Workload, Seed: spec.Seed, Observer: "bbl", Insts: spec.Insts}, nil
+		return nil, ctx.Err()
+	case <-answer:
+		return eachShard(ctx, specs, func(_ context.Context, spec sim.ShardSpec) (sim.Shard, error) {
+			return sim.Shard{Workload: spec.Workload, Seed: spec.Seed, Observer: "bbl", Insts: spec.Insts}, nil
+		})
 	}
 }
 
-// TestHedgeWinsWithoutBlame pins the hedge contract: a straggling primary
-// is raced by a duplicate on the second backend, the duplicate's result
-// is served, and the cancelled straggler is not blamed (both backends
-// stay healthy).
+// hedgedOn returns hedging options with inFlight slots on virtual time (see
+// onVirtualTime).
+func hedgedOn(inFlight int) dispatch.Options {
+	opts := withInFlight(onVirtualTime(), inFlight)
+	opts.Hedge = true
+	return opts
+}
+
+// TestHedgeWinsWithoutBlame pins the hedge contract: once a latency sample
+// exists, a straggling primary is raced by a duplicate on the second
+// backend, the duplicate's result is served, and the cancelled straggler is
+// not blamed (both backends stay healthy).
 func TestHedgeWinsWithoutBlame(t *testing.T) {
-	slow := &slowBackend{name: "slow", delay: 2 * time.Second}
+	opts := hedgedOn(4)
+	slow := &slowBackend{name: "slow", clk: opts.Clock, lat: []time.Duration{10 * time.Millisecond}}
 	fast := &fakeBackend{name: "fast"}
-	opts := fastOpts()
-	opts.MaxInFlight = 4
-	opts.HedgeDelay = 5 * time.Millisecond
 	// Backends are picked least-inflight with slice order breaking ties,
-	// so the lone shard's primary is deterministically "slow".
+	// so every lone unit's primary is deterministically "slow".
 	d, err := dispatch.New([]dispatch.Backend{slow, fast}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	shards, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 1 || shards[0].Seed != 1 {
-		t.Fatalf("shards = %+v", shards)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("hedged shard took %v; the fast duplicate's result must win", elapsed)
+	for seed := uint64(1); seed <= 2; seed++ { // a sample, then a straggler
+		shards, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shards) != 1 || shards[0].Seed != seed {
+			t.Fatalf("shards = %+v", shards)
+		}
 	}
 	stats := d.Stats()
 	if stats.Hedges != 1 || stats.HedgeWins != 1 {
@@ -347,21 +364,22 @@ func TestHedgeWinsWithoutBlame(t *testing.T) {
 // TestHedgeNeedsASecondBackend: with one backend there is nowhere to
 // duplicate to, so no hedge fires however slow the attempt is.
 func TestHedgeNeedsASecondBackend(t *testing.T) {
-	slow := &slowBackend{name: "slow", delay: 50 * time.Millisecond}
-	opts := fastOpts()
-	opts.HedgeDelay = time.Millisecond
+	opts := hedgedOn(2)
+	slow := &slowBackend{name: "slow", clk: opts.Clock, lat: []time.Duration{10 * time.Millisecond, 50 * time.Millisecond}}
 	d, err := dispatch.New([]dispatch.Backend{slow}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)}); err != nil {
-		t.Fatal(err)
+	for seed := uint64(1); seed <= 2; seed++ { // the second outlives its 20 ms hedge delay
+		if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(seed)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if stats := d.Stats(); stats.Hedges != 0 {
 		t.Errorf("stats = %+v; a lone backend must never be hedged against itself", stats)
 	}
-	if got := slow.calls.Load(); got != 1 {
-		t.Errorf("backend saw %d calls, want 1", got)
+	if got := slow.calls.Load(); got != 2 {
+		t.Errorf("backend saw %d calls, want 2", got)
 	}
 }
 
@@ -380,16 +398,15 @@ func (g gaugedBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]
 
 // TestHedgeFiresWhenPoolSaturated: a hedge rides its primary's in-flight
 // slot, so a saturated pool — one slot, held by the straggling primary —
-// still cuts the tail. Every unit is hedged exactly once, the hedge wins,
-// the cancelled straggler is not blamed, and the load bound holds: never
-// more than 2 x MaxInFlight backend calls at once.
+// still cuts the tail. Once a first unit has left a latency sample, every
+// unit is hedged exactly once, the hedge wins, the cancelled straggler is
+// not blamed, and the load bound holds: never more than 2 x MaxInFlight
+// backend calls at once.
 func TestHedgeFiresWhenPoolSaturated(t *testing.T) {
 	var cur, peak atomic.Int64
-	slow := &slowBackend{name: "slow", delay: 60 * time.Millisecond}
+	opts := hedgedOn(1) // the primary holds the only slot
+	slow := &slowBackend{name: "slow", clk: opts.Clock, lat: []time.Duration{10 * time.Millisecond}}
 	fast := &fakeBackend{name: "fast"}
-	opts := fastOpts()
-	opts.MaxInFlight = 1 // the primary holds the only slot
-	opts.HedgeDelay = time.Millisecond
 	// Ties break by slice order, so every primary lands on "slow".
 	d, err := dispatch.New([]dispatch.Backend{
 		gaugedBackend{slow, &cur, &peak},
@@ -398,14 +415,14 @@ func TestHedgeFiresWhenPoolSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three one-shard units, one after another.
-	for seed := uint64(1); seed <= 3; seed++ {
+	// A sample, then three stragglers, one after another.
+	for seed := uint64(0); seed <= 3; seed++ {
 		if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(seed)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if stats := d.Stats(); stats.Hedges != 3 || stats.HedgeWins != 3 {
-		t.Errorf("stats = %+v, want one winning hedge per shard despite the full slot pool", stats)
+		t.Errorf("stats = %+v, want one winning hedge per straggler despite the full slot pool", stats)
 	}
 	if got := fast.calls.Load(); got != 3 {
 		t.Errorf("hedge backend saw %d calls, want 3", got)
@@ -418,15 +435,13 @@ func TestHedgeFiresWhenPoolSaturated(t *testing.T) {
 	}
 }
 
-// TestDerivedHedgeDelayNeedsSamples: with Hedge on but no fixed delay,
-// nothing hedges until a latency sample exists — there is no notion of
-// "straggling" before anything has been observed.
+// TestDerivedHedgeDelayNeedsSamples: nothing hedges until a latency sample
+// exists — there is no notion of "straggling" before anything has been
+// observed — however long the first-ever attempt takes.
 func TestDerivedHedgeDelayNeedsSamples(t *testing.T) {
-	slow := &slowBackend{name: "slow", delay: 40 * time.Millisecond}
+	opts := hedgedOn(4)
+	slow := &slowBackend{name: "slow", clk: opts.Clock, lat: []time.Duration{time.Second}}
 	fast := &fakeBackend{name: "fast"}
-	opts := fastOpts()
-	opts.MaxInFlight = 4
-	opts.Hedge = true // no HedgeDelay: derived from (so far empty) observations
 	d, err := dispatch.New([]dispatch.Backend{slow, fast}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -434,8 +449,66 @@ func TestDerivedHedgeDelayNeedsSamples(t *testing.T) {
 	if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if stats := d.Stats(); stats.Hedges != 0 {
+	if stats := d.Stats(); stats.Hedges != 0 || fast.calls.Load() != 0 {
 		t.Errorf("stats = %+v; the first-ever attempt has no latency window to judge stragglers by", stats)
+	}
+}
+
+// TestDerivedHedgeFiresAtTwiceP95 pins the derivation on virtual time: over
+// 21 observed latencies — one of 30 ms, one of 50 ms, nineteen of 10 ms —
+// the p95 is the 20th smallest, 30 ms (not the maximum), and a straggler is
+// hedged exactly 60 ms after its unit was sent, not 1 ns earlier or later.
+// Each sample's primary answers before the hedge delay then in force.
+func TestDerivedHedgeFiresAtTwiceP95(t *testing.T) {
+	v := clock.NewVirtual()
+	lat := []time.Duration{30 * time.Millisecond, 50 * time.Millisecond}
+	for len(lat) < 21 {
+		lat = append(lat, 10*time.Millisecond)
+	}
+	slow := &slowBackend{name: "slow", clk: v, lat: lat, began: make(chan time.Time)}
+	fast := &fakeBackend{name: "fast", clk: v}
+	d, err := dispatch.New([]dispatch.Backend{slow, fast}, dispatch.Options{MaxInFlight: 4, Hedge: true, Clock: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// send runs one unit; its primary's begin instant arrives on slow.began
+	// once the call's timers — the hedge's is armed before the primary
+	// starts — are all armed.
+	send := func(seed uint64) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(seed)})
+			done <- err
+		}()
+		return done
+	}
+	for i, l := range lat {
+		done := send(uint64(i + 1))
+		<-slow.began
+		v.Advance(l)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if stats := d.Stats(); stats.Hedges != 0 {
+		t.Fatalf("stats = %+v; a sample answered before the hedge delay was hedged", stats)
+	}
+	// The straggler: with Auto set (no call is in flight to race it), the
+	// clock moves to the hedge timer as it is armed — before the primary
+	// begins, and by nothing else — so the hedge's call reads the instant it
+	// fired.
+	v.Auto = true
+	sent := v.Now()
+	done := send(100)
+	<-slow.began
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if at := fast.stamps(); len(at) != 1 || at[0].Sub(sent) != 60*time.Millisecond {
+		t.Errorf("hedge calls at %v, unit sent at %v; want one hedge exactly 60ms after it", at, sent)
+	}
+	if stats := d.Stats(); stats.Hedges != 1 || stats.HedgeWins != 1 {
+		t.Errorf("stats = %+v, want the straggler hedged once, and the hedge to win", stats)
 	}
 }
 
@@ -446,13 +519,16 @@ func TestDerivedHedgeDelayNeedsSamples(t *testing.T) {
 type probeBackend struct {
 	name      string
 	failFirst int64
+	clk       clock.Clock
+	// gate, when set, holds every probe until it is closed.
+	gate chan struct{}
 
 	calls      atomic.Int64
+	lastFail   atomic.Int64 // UnixNano on clk of the last scripted failure
 	probes     atomic.Int64
 	probeOK    atomic.Bool
 	inProbe    atomic.Int64
 	probePeak  atomic.Int64
-	probeDelay time.Duration
 	sacrificed atomic.Bool
 }
 
@@ -465,6 +541,7 @@ func (b *probeBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]
 func (b *probeBackend) runShard(_ context.Context, spec sim.ShardSpec) (sim.Shard, error) {
 	n := b.calls.Add(1)
 	if n <= b.failFirst {
+		b.lastFail.Store(b.clk.Now().UnixNano())
 		return sim.Shard{}, fmt.Errorf("%s: scripted failure %d", b.name, n)
 	}
 	if !b.probeOK.Load() {
@@ -476,101 +553,111 @@ func (b *probeBackend) runShard(_ context.Context, spec sim.ShardSpec) (sim.Shar
 	return sim.Shard{Workload: spec.Workload, Seed: spec.Seed, Observer: "bbl", Insts: spec.Insts}, nil
 }
 
-func (b *probeBackend) Probe(context.Context) error {
+func (b *probeBackend) Probe(ctx context.Context) error {
 	enterGauge(&b.inProbe, &b.probePeak)
-	if b.probeDelay > 0 {
-		time.Sleep(b.probeDelay)
-	}
-	b.inProbe.Add(-1)
+	defer b.inProbe.Add(-1)
 	b.probes.Add(1)
+	if b.gate != nil {
+		select {
+		case <-b.gate:
+		case <-ctx.Done():
+		}
+	}
 	if !b.probeOK.Load() {
 		return errors.New("still down")
 	}
 	return nil
 }
 
+// killProbed sends one-shard units through d until a's scripted failures
+// have marked it dead — every one completes by failover — and returns the
+// instant it died.
+func killProbed(t *testing.T, d *dispatch.Dispatcher, a *probeBackend) time.Time {
+	t.Helper()
+	for seed := uint64(1); a.calls.Load() < a.failFirst; seed++ {
+		if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(seed)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if healthy := d.Healthy(); len(healthy) != 1 || healthy[0] == a.name {
+		t.Fatalf("healthy = %v, want %s dead after its scripted failures", healthy, a.name)
+	}
+	return time.Unix(0, a.lastFail.Load())
+}
+
 // TestProbeRevivalWithoutSacrifice: a dead probe-capable backend is
-// revived by a cheap health probe — never by feeding it a real shard.
+// revived by a cheap health probe — never by feeding it a real shard — and
+// each probe restarts the cooldown: one that fails at ReviveAfter leaves the
+// backend unprobed at 2 x ReviveAfter − 1 ns and probed again at
+// 2 x ReviveAfter.
 func TestProbeRevivalWithoutSacrifice(t *testing.T) {
-	a := &probeBackend{name: "a", failFirst: 3}
+	opts := withInFlight(onVirtualTime(), 1)
+	v := opts.Clock.(*clock.Virtual)
+	a := &probeBackend{name: "a", failFirst: dispatch.FailThreshold, clk: v}
 	b := &fakeBackend{name: "b"}
-	opts := fastOpts()
-	opts.FailThreshold = 3
-	opts.ReviveAfter = time.Millisecond
-	opts.MaxInFlight = 1
 	d, err := dispatch.New([]dispatch.Backend{a, b}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-
-	// Drive shards until a's three scripted failures mark it dead; every
-	// shard still completes via failover to b.
-	for seed := uint64(1); a.calls.Load() < 3; seed++ {
-		if _, err := runShards(ctx, d, []sim.ShardSpec{testSpec(seed)}); err != nil {
+	died := killProbed(t, d, a)
+	seed := uint64(100)
+	// at moves the clock to died+offset and runs one unit: every pick looks
+	// at the dead backend's cooldown. It reports the probes launched so far.
+	at := func(offset time.Duration) int64 {
+		t.Helper()
+		v.Advance(died.Add(offset).Sub(v.Now()))
+		seed++
+		if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(seed)}); err != nil {
 			t.Fatal(err)
 		}
+		return d.Stats().Probes
 	}
-	if healthy := d.Healthy(); len(healthy) != 1 || healthy[0] != "b" {
-		t.Fatalf("healthy = %v, want [b] after a's scripted failures", healthy)
+	if got := at(dispatch.ReviveAfter); got != 1 {
+		t.Fatalf("%d probes when the cooldown ran out, want 1", got)
 	}
-
-	// a stays dead (probes fail) while work keeps flowing: no shard may
-	// reach it, however many cooldowns expire.
-	for seed := uint64(100); seed < 120; seed++ {
-		if _, err := runShards(ctx, d, []sim.ShardSpec{testSpec(seed)}); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
+	if got := at(2*dispatch.ReviveAfter - time.Nanosecond); got != 1 {
+		t.Fatalf("%d probes 1 ns before the restarted cooldown ran out, want still 1", got)
 	}
-	if got := a.calls.Load(); got != 3 {
-		t.Fatalf("dead backend saw %d calls, want 3; revival must not sacrifice shards", got)
+	if got := at(2 * dispatch.ReviveAfter); got != 2 {
+		t.Fatalf("%d probes when the restarted cooldown ran out, want 2", got)
+	}
+	if got := a.calls.Load(); got != dispatch.FailThreshold {
+		t.Fatalf("dead backend saw %d calls, want %d; revival must not sacrifice shards", got, dispatch.FailThreshold)
 	}
 
-	// Flip the backend healthy: the next successful probe revives it, and
-	// only then does it see shards again.
+	// Flip the backend healthy: the next probe revives it, and only then
+	// does it see shards again.
 	a.probeOK.Store(true)
-	deadline := time.Now().Add(5 * time.Second)
-	for a.calls.Load() == 3 && time.Now().Before(deadline) {
-		seed := uint64(1000 + a.probes.Load())
-		if _, err := runShards(ctx, d, []sim.ShardSpec{testSpec(seed), testSpec(seed + 5000)}); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
+	if got := at(3 * dispatch.ReviveAfter); got != 3 {
+		t.Fatalf("%d probes, want the third at the third cooldown's end", got)
 	}
-	if a.calls.Load() == 3 {
-		t.Fatal("backend never revived after probes were allowed to succeed")
+	eventually(t, "the probed backend revives", func() bool { return len(d.Healthy()) == 2 })
+	if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1000)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.calls.Load(); got != dispatch.FailThreshold+1 {
+		t.Fatalf("revived backend saw %d calls, want the next unit (%d)", got, dispatch.FailThreshold+1)
 	}
 	if a.sacrificed.Load() {
 		t.Error("a shard reached the dead backend before a successful probe")
-	}
-	if got := a.probes.Load(); got == 0 {
-		t.Error("backend revived without any probe")
-	}
-	if stats := d.Stats(); stats.Probes == 0 {
-		t.Errorf("stats = %+v, want probes > 0", stats)
 	}
 }
 
 // TestSingleProberInvariant: however many shards observe an expired
 // cooldown concurrently, at most one probe per backend is in flight.
 func TestSingleProberInvariant(t *testing.T) {
-	a := &probeBackend{name: "a", failFirst: 1 << 30, probeDelay: 10 * time.Millisecond}
+	opts := withInFlight(onVirtualTime(), 8)
+	v := opts.Clock.(*clock.Virtual)
+	a := &probeBackend{name: "a", failFirst: dispatch.FailThreshold, clk: v, gate: make(chan struct{})}
 	b := &fakeBackend{name: "b"}
-	opts := fastOpts()
-	opts.FailThreshold = 1
-	opts.ReviveAfter = time.Nanosecond // every pick is tempted to probe
-	opts.MaxInFlight = 8
 	d, err := dispatch.New([]dispatch.Backend{a, b}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	// Kill a.
-	if _, err := runShards(ctx, d, []sim.ShardSpec{testSpec(1)}); err != nil {
-		t.Fatal(err)
-	}
-	// Hammer the dispatcher from many goroutines while probes crawl.
+	defer close(a.gate)
+	died := killProbed(t, d, a)
+	v.Advance(died.Add(dispatch.ReviveAfter).Sub(v.Now()))
+	// Hammer the dispatcher from many goroutines while the probe is held.
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -578,7 +665,7 @@ func TestSingleProberInvariant(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				specs := []sim.ShardSpec{testSpec(uint64(g*1000 + i + 10))}
-				if _, err := runShards(ctx, d, specs); err != nil {
+				if _, err := runShards(context.Background(), d, specs); err != nil {
 					t.Error(err)
 				}
 			}
@@ -587,5 +674,8 @@ func TestSingleProberInvariant(t *testing.T) {
 	wg.Wait()
 	if peak := a.probePeak.Load(); peak > 1 {
 		t.Errorf("saw %d concurrent probes; the single-prober invariant is broken", peak)
+	}
+	if stats := d.Stats(); stats.Probes != 1 {
+		t.Errorf("stats = %+v; want one probe for one expired cooldown", stats)
 	}
 }

@@ -17,9 +17,11 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rebalance/internal/clock"
 	"rebalance/internal/sim"
 	"rebalance/internal/sim/dispatch"
 	"rebalance/internal/sim/shardcache"
@@ -163,7 +165,7 @@ func TestFailedMemberIsResentAlone(t *testing.T) {
 		LocalBackend: dispatch.LocalBackend{Sess: sim.NewSession(1)}, t: t,
 		failErr: errors.New("scripted transient failure"), fail: map[string]int{flaky: 1},
 	}
-	opts := fastOpts()
+	opts := onVirtualTime()
 	opts.MaxInFlight = 1 // one coordinate, one slot: one unit of nine
 	d, err := dispatch.New([]dispatch.Backend{b}, opts)
 	if err != nil {
@@ -193,9 +195,9 @@ func TestFailedMemberIsResentAlone(t *testing.T) {
 
 // TestInvalidMemberFailsAlone: a member a backend judges unrunnable fails
 // with ErrInvalidSpec on the spot — not retried, its unit-mates unharmed,
-// the backend not blamed (FailThreshold 1 would kill it on any blame) —
-// both from a scripted backend under the dispatcher and across the wire,
-// where the worker's verdict is an {"error", "invalid": true} record.
+// the backend not blamed (FailThreshold such calls would kill it on any
+// blame) — both from a scripted backend under the dispatcher and across the
+// wire, where the worker's verdict is an {"error", "invalid": true} record.
 func TestInvalidMemberFailsAlone(t *testing.T) {
 	check := func(t *testing.T, out []sim.Outcome, bad int) {
 		t.Helper()
@@ -215,19 +217,19 @@ func TestInvalidMemberFailsAlone(t *testing.T) {
 			LocalBackend: dispatch.LocalBackend{Sess: sim.NewSession(1)}, t: t,
 			failErr: fmt.Errorf("%w: scripted rejection", sim.ErrInvalidSpec), fail: map[string]int{memberID(t, specs[1]): 1 << 30},
 		}
-		opts := fastOpts()
-		opts.MaxInFlight, opts.FailThreshold = 1, 1
-		d, err := dispatch.New([]dispatch.Backend{b}, opts)
+		d, err := dispatch.New([]dispatch.Backend{b}, withInFlight(onVirtualTime(), 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := d.RunShards(context.Background(), specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, out, 1)
-		if len(b.calls) != 1 || out[1].Attempts != 1 {
-			t.Errorf("%d backend calls, failed member at %d attempts; an unrunnable member is never re-sent", len(b.calls), out[1].Attempts)
+		for n := 1; n <= dispatch.FailThreshold; n++ {
+			out, err := d.RunShards(context.Background(), specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, out, 1)
+			if len(b.calls) != n || out[1].Attempts != 1 {
+				t.Errorf("%d backend calls for %d units, failed member at %d attempts; an unrunnable member is never re-sent", len(b.calls), n, out[1].Attempts)
+			}
 		}
 		if healthy := d.Healthy(); len(healthy) != 1 {
 			t.Errorf("healthy = %v; rejecting an unrunnable member is the backend doing its job", healthy)
@@ -275,7 +277,9 @@ func tamperingWorker(t *testing.T, tamper func(status int, body []byte) (int, []
 // the connection, the status, an answer array that is short, long, trailed
 // by garbage, or holds a record answering another shard — fails every member
 // the call carried, retryably and blamed on the worker once; the dispatcher
-// then completes them all on the healthy backend with Attempts 2.
+// then completes them all on the healthy backend with Attempts 2. Once per
+// call: the broken worker survives FailThreshold − 1 such units and dies of
+// the next.
 func TestBrokenAnswerFailsTheCall(t *testing.T) {
 	records := func(t *testing.T, body []byte) []json.RawMessage {
 		t.Helper()
@@ -337,38 +341,43 @@ func TestBrokenAnswerFailsTheCall(t *testing.T) {
 				}
 			}
 
-			opts := fastOpts()
-			opts.MaxInFlight, opts.FailThreshold = 1, 1
-			d, err := dispatch.New([]dispatch.Backend{broken, dispatch.NewHTTPBackend(newWorker(t).URL, nil)}, opts)
+			d, err := dispatch.New([]dispatch.Backend{broken, dispatch.NewHTTPBackend(newWorker(t).URL, nil)}, withInFlight(onVirtualTime(), 1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err = d.RunShards(context.Background(), specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, o := range out {
-				if o.Err != nil || o.Attempts != 2 {
-					t.Errorf("member %d: {attempts %d, err %v}, want it completed by the failover call", i, o.Attempts, o.Err)
+			for n := 1; n <= dispatch.FailThreshold; n++ {
+				// Ties break by slice order: while it lives, the broken
+				// worker takes each unit first.
+				out, err = d.RunShards(context.Background(), specs)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if healthy := d.Healthy(); len(healthy) != 1 || healthy[0] == broken.Name() {
-				t.Errorf("healthy = %v; one blamed call at FailThreshold 1 must leave only the good worker", healthy)
+				for i, o := range out {
+					if o.Err != nil || o.Attempts != 2 {
+						t.Errorf("unit %d, member %d: {attempts %d, err %v}, want it completed by the failover call", n, i, o.Attempts, o.Err)
+					}
+				}
+				if dead := n == dispatch.FailThreshold; (len(d.Healthy()) == 1) != dead {
+					t.Errorf("healthy = %v after %d broken calls; want the broken worker dead exactly at the %dth", d.Healthy(), n, dispatch.FailThreshold)
+				}
 			}
 		})
 	}
 }
 
 // hangUnitBackend runs units on a real session, except that a call carrying
-// any member of one seed hangs until its context ends.
+// any member of one seed hangs while its clock runs to the call's attempt
+// deadline.
 type hangUnitBackend struct {
 	dispatch.LocalBackend
+	clk      *clock.Virtual
 	hangSeed uint64
 }
 
 func (b *hangUnitBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
 	for i := range specs {
 		if specs[i].Seed == b.hangSeed {
+			b.clk.Advance(attemptDeadline(len(specs)))
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
@@ -380,14 +389,16 @@ func (b *hangUnitBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) 
 // unit of several members: the coordinate whose calls hang exhausts its
 // attempts as a whole, an AllowPartial run degrades around it naming every
 // member — each with the calls it rode in — and the other coordinates'
-// shards are all there.
+// shards are all there. Two workers hang alike, so the hung unit's calls
+// alternate between them and neither is blamed to death.
 func TestAttemptTimeoutFailsTheUnit(t *testing.T) {
-	b := &hangUnitBackend{LocalBackend: dispatch.LocalBackend{Sess: sim.NewSession(1)}, hangSeed: 2}
-	opts := fastOpts()
-	opts.Attempts = 2
-	opts.AttemptTimeout = 20 * time.Millisecond
-	opts.FailThreshold = 100 // the timeouts must not kill the only backend
-	d, err := dispatch.New([]dispatch.Backend{b}, opts)
+	opts := onVirtualTime()
+	v := opts.Clock.(*clock.Virtual)
+	var backends []dispatch.Backend
+	for i := 0; i < 2; i++ {
+		backends = append(backends, &hangUnitBackend{LocalBackend: dispatch.LocalBackend{Sess: sim.NewSession(1)}, clk: v, hangSeed: 2})
+	}
+	d, err := dispatch.New(backends, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,28 +420,30 @@ func TestAttemptTimeoutFailsTheUnit(t *testing.T) {
 	for i, kind := range []string{"bbl", "branch-mix", "bias"} {
 		f := rep.FailedShards[i]
 		cell := fmt.Sprintf("sim: shard {comd-lite %s seed 2}", kind)
-		if f.Seed != 2 || f.Observer != kind || f.Attempts != 2 || !strings.Contains(f.Error, "timed out") || !strings.Contains(f.Error, cell) {
-			t.Errorf("failed_shards[%d] = %+v, want {seed 2, %s, 2 attempts} timed out and named %q", i, f, kind, cell)
+		if f.Seed != 2 || f.Observer != kind || f.Attempts != dispatch.Attempts || !strings.Contains(f.Error, "timed out") || !strings.Contains(f.Error, cell) {
+			t.Errorf("failed_shards[%d] = %+v, want {seed 2, %s, %d attempts} timed out and named %q", i, f, kind, dispatch.Attempts, cell)
 		}
 	}
 }
 
-// delayedBackend answers a real session's outcomes after a fixed delay (or
-// gives up when cancelled).
+// delayedBackend answers its first call with a real session's outcomes
+// 10 ms after it began, on clk, and holds every later call until its
+// context ends — a straggler, once a latency sample exists to judge it by.
 type delayedBackend struct {
 	dispatch.LocalBackend
-	delay time.Duration
+	clk   clock.Clock
+	calls atomic.Int64
 }
 
 func (b *delayedBackend) Name() string { return "delayed" }
 
 func (b *delayedBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-time.After(b.delay):
+	if b.calls.Add(1) == 1 {
+		<-b.clk.NewTimer(10 * time.Millisecond).C
 		return b.LocalBackend.RunShards(ctx, specs)
 	}
+	<-ctx.Done()
+	return nil, ctx.Err()
 }
 
 // TestHedgedUnitWritesBackOnce: a straggling unit is hedged as a whole, the
@@ -442,14 +455,18 @@ func TestHedgedUnitWritesBackOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := &delayedBackend{LocalBackend: dispatch.LocalBackend{Sess: sim.NewSession(1)}, delay: 2 * time.Second}
+	opts := withInFlight(onVirtualTime(), 1)
+	opts.Hedge = true
+	slow := &delayedBackend{LocalBackend: dispatch.LocalBackend{Sess: sim.NewSession(1)}, clk: opts.Clock}
 	fast := &countingWrapper{inner: &dispatch.LocalBackend{Sess: sim.NewSession(1)}}
-	opts := fastOpts()
-	opts.MaxInFlight = 1
-	opts.HedgeDelay = 5 * time.Millisecond
 	// Ties break by slice order, so the unit's primary is the straggler.
 	d, err := dispatch.New([]dispatch.Backend{slow, fast}, opts)
 	if err != nil {
+		t.Fatal(err)
+	}
+	// A first unit, answered in 10 ms, is the sample the hedge delay is
+	// derived from.
+	if _, err := d.RunShards(context.Background(), []sim.ShardSpec{testSpec(1)}); err != nil {
 		t.Fatal(err)
 	}
 	sess := sim.NewSession(1) // one slot: the coordinate is one unit of nine

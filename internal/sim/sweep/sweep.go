@@ -8,7 +8,7 @@
 //
 //   - Per-tenant fair queueing. Each tenant has its own FIFO, and a
 //     scheduler goroutine serves tenants by deficit round-robin: every
-//     visit grants a tenant Quantum shard-credits, and a queued sweep
+//     visit grants a tenant quantum shard-credits, and a queued sweep
 //     starts only when the tenant's accumulated deficit covers its cost
 //     (its grid size in shards). A tenant submitting a thousand sweeps
 //     therefore cannot starve another tenant's single job — backlogged
@@ -22,7 +22,7 @@
 //     sim.ErrInvalidSpec (HTTP 400) before they ever occupy a queue slot.
 //
 //   - Bounded retention. Terminal sweeps (done, failed, cancelled) are
-//     kept for polling, but only MaxRetained of them and only for Retain;
+//     kept for polling, but only maxRetained of them and only for Retain;
 //     beyond either bound the oldest-finished are evicted — lazily, by
 //     every call that could see them and after every finished run, so no
 //     timer is involved and an expired sweep is never visible. Queued and
@@ -50,6 +50,7 @@ import (
 	"sync"
 	"time"
 
+	"rebalance/internal/clock"
 	"rebalance/internal/sim"
 )
 
@@ -97,6 +98,12 @@ var (
 // progress hook, and implementations must honor both.
 type RunFunc func(ctx context.Context, spec *sim.Spec) (*sim.Report, error)
 
+// The scheduler's and retention's numbers: constants, one value for every caller.
+const (
+	quantum     = 64  // DRR credit per tenant visit, in shards: a costlier sweep waits rounds
+	maxRetained = 256 // terminal sweeps held at once, however young: memory bounded by config
+)
+
 // Options tune a Coordinator. Run is required; every other zero field
 // takes the default noted on it.
 type Options struct {
@@ -110,23 +117,15 @@ type Options struct {
 	// MaxRunning bounds concurrently executing sweeps coordinator-wide
 	// (default 2). Sweeps beyond it wait in their tenant queues.
 	MaxRunning int
-	// Quantum is the deficit round-robin credit, in shards, granted per
-	// tenant visit (default 64). Smaller quanta interleave tenants more
-	// finely; a sweep costing more than the quantum waits multiple rounds
-	// while other tenants are served.
-	Quantum int
 	// MaxShards rejects sweeps whose grid expands past it (0 = unlimited).
 	// Serving front-ends mirror their session's shard limit here so an
 	// oversized spec is a 400 at submit, not a failure after queueing.
 	MaxShards int
 	// Retain is how long terminal sweeps stay pollable (default 15m).
 	Retain time.Duration
-	// MaxRetained bounds the terminal sweeps held at once (default 256);
-	// beyond it the oldest-finished are evicted even inside Retain.
-	MaxRetained int
-	// Now substitutes the clock (default time.Now) — a test hook for
-	// deterministic retention expiry.
-	Now func() time.Time
+	// Clock stamps submissions, starts and finishes and ages retention
+	// (default clock.Real); tests pass a clock.Virtual.
+	Clock clock.Clock
 }
 
 // Progress counts a sweep's shard-level advancement, fed by the
@@ -257,17 +256,11 @@ func New(opts Options) (*Coordinator, error) {
 	if opts.MaxRunning <= 0 {
 		opts.MaxRunning = 2
 	}
-	if opts.Quantum <= 0 {
-		opts.Quantum = 64
-	}
 	if opts.Retain <= 0 {
 		opts.Retain = 15 * time.Minute
 	}
-	if opts.MaxRetained <= 0 {
-		opts.MaxRetained = 256
-	}
-	if opts.Now == nil {
-		opts.Now = time.Now
+	if opts.Clock == nil {
+		opts.Clock = clock.Real{}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
@@ -295,7 +288,7 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
-	now := c.opts.Now()
+	now := c.opts.Clock.Now()
 	for _, tq := range c.tenants {
 		for _, j := range tq.queue {
 			c.finishLocked(j, tq, StateCancelled, errors.New("sweep: coordinator closed"), now)
@@ -361,7 +354,7 @@ func (c *Coordinator) Submit(tenant string, spec *sim.Spec) (Status, error) {
 		spec:      spec,
 		cost:      cost,
 		state:     StateQueued,
-		submitted: c.opts.Now(),
+		submitted: c.opts.Clock.Now(),
 	}
 	c.sweeps[j.id] = j
 	tq.queue = append(tq.queue, j)
@@ -449,7 +442,7 @@ func (c *Coordinator) Cancel(id string) (Status, error) {
 		if len(tq.queue) == 0 {
 			c.deactivateLocked(tq)
 		}
-		c.finishLocked(j, tq, StateCancelled, errors.New("sweep: cancelled while queued"), c.opts.Now())
+		c.finishLocked(j, tq, StateCancelled, errors.New("sweep: cancelled while queued"), c.opts.Clock.Now())
 	case StateRunning:
 		if !j.cancelRequested {
 			j.cancelRequested = true
@@ -533,7 +526,7 @@ func (c *Coordinator) scheduler() {
 }
 
 // dispatchLocked runs the deficit round-robin over the active tenants:
-// the front tenant is granted Quantum shard-credits (once per visit) and
+// the front tenant is granted quantum shard-credits (once per visit) and
 // its queued sweeps start in FIFO order while the deficit covers their
 // cost; a tenant whose head sweep is too expensive rotates to the back
 // keeping its deficit, so it accumulates credit across rounds instead of
@@ -545,7 +538,7 @@ func (c *Coordinator) dispatchLocked() {
 	for c.running < c.opts.MaxRunning && len(c.active) > 0 {
 		tq := c.active[0]
 		if !tq.charged {
-			tq.deficit += c.opts.Quantum
+			tq.deficit += quantum
 			tq.charged = true
 		}
 		for len(tq.queue) > 0 && c.running < c.opts.MaxRunning && tq.queue[0].cost <= tq.deficit {
@@ -587,7 +580,7 @@ func (c *Coordinator) deactivateLocked(tq *tenantQueue) {
 // goroutine.
 func (c *Coordinator) startLocked(j *job, tq *tenantQueue) {
 	j.state = StateRunning
-	j.started = c.opts.Now()
+	j.started = c.opts.Clock.Now()
 	ctx, cancel := context.WithCancel(c.baseCtx)
 	j.cancel = cancel
 	c.running++
@@ -625,11 +618,11 @@ func (c *Coordinator) run(j *job, ctx context.Context) {
 	switch {
 	case err == nil:
 		j.report = rep
-		c.finishLocked(j, tq, StateDone, nil, c.opts.Now())
+		c.finishLocked(j, tq, StateDone, nil, c.opts.Clock.Now())
 	case j.cancelRequested || errors.Is(err, context.Canceled):
-		c.finishLocked(j, tq, StateCancelled, err, c.opts.Now())
+		c.finishLocked(j, tq, StateCancelled, err, c.opts.Clock.Now())
 	default:
-		c.finishLocked(j, tq, StateFailed, err, c.opts.Now())
+		c.finishLocked(j, tq, StateFailed, err, c.opts.Clock.Now())
 	}
 	c.evictLocked()
 	c.mu.Unlock()
@@ -659,19 +652,19 @@ func (c *Coordinator) finishLocked(j *job, tq *tenantQueue, st State, err error,
 }
 
 // evictLocked enforces retention over the terminal list: beyond
-// MaxRetained, or past the Retain TTL, the oldest-finished sweeps are
+// maxRetained, or past the Retain TTL, the oldest-finished sweeps are
 // forgotten. Only terminal sweeps are ever in the list, so a queued or
 // running sweep is structurally unevictable. A tenant goes with its last
 // retained sweep unless it still has work queued or running, so the tenant
 // table is bounded by the same limits as the sweeps.
 func (c *Coordinator) evictLocked() {
-	now := c.opts.Now()
+	now := c.opts.Clock.Now()
 	for len(c.done) > 0 {
 		j := c.done[0]
 		if !j.state.Terminal() {
 			panic("sweep: non-terminal sweep on the retention list")
 		}
-		if len(c.done) > c.opts.MaxRetained || now.Sub(j.finished) > c.opts.Retain {
+		if len(c.done) > maxRetained || now.Sub(j.finished) > c.opts.Retain {
 			delete(c.sweeps, j.id)
 			c.done = c.done[1:]
 			tq := c.tenants[j.tenant]

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"rebalance/internal/clock"
 	"rebalance/internal/sim"
 )
 
@@ -27,23 +28,29 @@ func specN(n int) *sim.Spec {
 	}
 }
 
-// waitState polls until the sweep reaches want or the deadline passes.
+// waitFor polls cond until it holds, for a state the coordinator's own
+// goroutines (its scheduler, a sweep's run) will reach.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: never happened", what)
+		}
+	}
+}
+
+// waitState waits until the sweep reaches want.
 func waitState(t *testing.T, c *Coordinator, id string, want State) Status {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		st, ok := c.Get(id)
-		if !ok {
+	var st Status
+	waitFor(t, fmt.Sprintf("sweep %s reaches %s", id, want), func() bool {
+		var ok bool
+		if st, ok = c.Get(id); !ok {
 			t.Fatalf("sweep %s vanished while waiting for %s", id, want)
 		}
-		if st.State == want {
-			return st
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st, _ := c.Get(id)
-	t.Fatalf("sweep %s stuck in %s, want %s", id, st.State, want)
-	return Status{}
+		return st.State == want
+	})
+	return st
 }
 
 // TestLifecycleRealRun drives a real sim.Session through the coordinator:
@@ -211,10 +218,7 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := c.Submit("a", specN(1)); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for c.Stats().Running == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the first sweep runs", func() bool { return c.Stats().Running == 1 })
 	// Fill tenant a's queue to exactly K.
 	for i := 0; i < k; i++ {
 		if _, err := c.Submit("a", specN(1)); err != nil {
@@ -243,9 +247,10 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestFairnessDRR is the fairness property: tenant A pre-loads a deep
-// backlog, tenant B then submits one sweep; with deficit round-robin B's
-// sweep must complete while most of A's backlog is still queued —
-// concretely, within the first few completions, not after A drains.
+// backlog of sweeps costing a quantum each, tenant B then submits one
+// small sweep; with deficit round-robin B's sweep must complete while most
+// of A's backlog is still queued — concretely, within the first few
+// completions, not after A drains.
 func TestFairnessDRR(t *testing.T) {
 	const backlog = 12
 	b := newBlockingRun()
@@ -259,10 +264,9 @@ func TestFairnessDRR(t *testing.T) {
 		}
 	}
 	// Dispatch by tenant: the coordinator calls one RunFunc, so tag runs
-	// by grid size (A=1 shard, B=2 shards).
+	// by grid size (A = a quantum of shards, B = 2).
 	c, err := New(Options{
 		MaxRunning: 1,
-		Quantum:    2, // covers either tenant's head sweep each visit
 		QueueDepth: backlog + 1,
 		Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
 			name := "A"
@@ -278,7 +282,7 @@ func TestFairnessDRR(t *testing.T) {
 	defer c.Close()
 
 	for i := 0; i < backlog; i++ {
-		if _, err := c.Submit("A", specN(1)); err != nil {
+		if _, err := c.Submit("A", specN(quantum)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -309,7 +313,7 @@ func TestFairnessDRR(t *testing.T) {
 	}
 	// DRR bound: B was submitted behind A's full backlog, but must be
 	// served within the first round of the rotation — at worst after the
-	// A sweep already running plus one quantum's worth (2 shards) of A.
+	// A sweeps one quantum covers.
 	if pos > 3 {
 		t.Errorf("B completed at position %d of %v; DRR should interleave it within the first round", pos, order)
 	}
@@ -320,59 +324,51 @@ func TestFairnessDRR(t *testing.T) {
 	close(b.release)
 }
 
-// TestRetention pins the eviction contract: terminal sweeps are evicted
-// past MaxRetained (oldest-finished first) and past the Retain TTL, and
-// a running sweep is never evicted however small the bounds.
+// TestRetention pins the eviction contract on virtual time: a terminal
+// sweep survives Retain and is gone at Retain + 1 ns; beyond maxRetained
+// the oldest-finished are evicted even inside Retain; and a running sweep
+// is never evicted, however far past Retain the clock runs.
 func TestRetention(t *testing.T) {
-	var (
-		clockMu sync.Mutex
-		now     = time.Unix(1_000_000, 0)
-	)
-	advance := func(d time.Duration) {
-		clockMu.Lock()
-		now = now.Add(d)
-		clockMu.Unlock()
-	}
+	const retain = time.Hour
+	v := clock.NewVirtual()
 	b := newBlockingRun()
-	c, err := New(Options{
-		MaxRunning:  1,
-		MaxRetained: 2,
-		Retain:      time.Hour,
-		Run:         b.run("x"),
-		Now: func() time.Time {
-			clockMu.Lock()
-			defer clockMu.Unlock()
-			return now
-		},
-	})
+	c, err := New(Options{MaxRunning: 1, Retain: retain, Run: b.run("x"), Clock: v})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	finish := func() { b.release <- struct{}{} }
 
-	finish := func() {
-		b.release <- struct{}{}
+	st, err := c.Submit("t", specN(1))
+	if err != nil {
+		t.Fatal(err)
 	}
+	finish()
+	waitState(t, c, st.ID, StateDone) // finished now, on the virtual clock
+	v.Advance(retain)
+	if _, ok := c.Get(st.ID); !ok {
+		t.Fatal("sweep evicted at exactly Retain")
+	}
+	v.Advance(time.Nanosecond)
+	if _, ok := c.Get(st.ID); ok {
+		t.Fatal("sweep still retained at Retain + 1 ns")
+	}
+
 	var ids []string
-	for i := 0; i < 4; i++ {
+	for i := 0; i < maxRetained+2; i++ {
 		st, err := c.Submit("t", specN(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, st.ID)
 		finish()
-		waitState(t, c, st.ID, StateDone)
-		advance(time.Minute)
 	}
-	// MaxRetained=2: the two oldest are gone, the two newest pollable.
-	for _, id := range ids[:2] {
-		if _, ok := c.Get(id); ok {
-			t.Errorf("sweep %s retained beyond MaxRetained", id)
-		}
-	}
-	for _, id := range ids[2:] {
-		if _, ok := c.Get(id); !ok {
-			t.Errorf("sweep %s evicted while within both bounds", id)
+	waitState(t, c, ids[len(ids)-1], StateDone)
+	// One tenant, one run at a time: sweeps finish in submission order, so
+	// the two oldest are the ones past maxRetained.
+	for i, id := range ids {
+		if _, ok := c.Get(id); ok != (i >= 2) {
+			t.Errorf("sweep %d of %d: retained = %v with maxRetained %d", i, len(ids), ok, maxRetained)
 		}
 	}
 
@@ -381,11 +377,8 @@ func TestRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for c.Stats().Running == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	advance(2 * time.Hour) // everything terminal is now past the TTL
+	waitState(t, c, runningSt.ID, StateRunning)
+	v.Advance(2 * retain) // everything terminal is now past the TTL
 	if st := c.Stats(); st.Retained != 0 {
 		t.Errorf("%d terminal sweeps retained past TTL", st.Retained)
 	}
@@ -438,9 +431,8 @@ func TestListAndStats(t *testing.T) {
 // tenant name per submit cannot grow the table (or /v1/stats) past the
 // retention limit plus the work in hand.
 func TestTenantTableBounded(t *testing.T) {
-	const retained = 4
+	const retained = maxRetained
 	c, err := New(Options{
-		MaxRetained: retained,
 		Run: func(context.Context, *sim.Spec) (*sim.Report, error) {
 			return &sim.Report{Schema: sim.SchemaV1}, nil
 		},
@@ -464,24 +456,29 @@ func TestTenantTableBounded(t *testing.T) {
 		}
 		observe()
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for st := observe(); st.Queued+st.Running > 0; st = observe() {
-		if time.Now().After(deadline) {
-			t.Fatalf("sweeps never drained: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the sweeps drain", func() bool {
+		st := observe()
+		return st.Queued+st.Running == 0
+	})
 	if st := observe(); len(st.Tenants) != retained || st.Retained != retained {
 		t.Errorf("drained coordinator tracks %d tenants over %d retained sweeps, want %d of each", len(st.Tenants), st.Retained, retained)
 	}
 
-	// A dropped tenant that comes back starts from zero.
-	st, err := c.Submit("tenant-0", specN(1))
+	// A dropped tenant that comes back starts from zero. Which tenants were
+	// dropped is up to the finish order of the runs two slots interleave.
+	dropped := ""
+	for i := 0; dropped == ""; i++ {
+		name := fmt.Sprintf("tenant-%d", i)
+		if _, kept := observe().Tenants[name]; !kept {
+			dropped = name
+		}
+	}
+	st, err := c.Submit(dropped, specN(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, c, st.ID, StateDone)
-	if got := observe().Tenants["tenant-0"]; got.Done != 1 {
+	if got := observe().Tenants[dropped]; got.Done != 1 {
 		t.Errorf("returning tenant's counters = %+v, want a fresh entry with done=1", got)
 	}
 }
