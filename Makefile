@@ -26,15 +26,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs the wire- and disk-surface fuzzers and the two lane
-# differentials — the consumers against their per-instruction models, and
-# (in FuzzDecodeDeliver) the trr1 lane decoder against its instruction model
-# — for a short budget (CI uses the same targets); FUZZTIME=5m for a longer
-# local session.
+# fuzz runs the wire- and disk-surface fuzzers and the three differentials
+# — the one-pass shard record decode against the two-level one it replaced
+# (FuzzDecodeShard), the lane consumers against their per-instruction
+# models, and (in FuzzDecodeDeliver) the trr1 lane decoder against its
+# instruction model — for a short budget (CI uses the same targets);
+# FUZZTIME=5m for a longer local session.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeShardResult$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/dispatch -run '^$$' -fuzz '^FuzzDecodeAnswer$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzLaneMatchesPerInstruction$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tiercache -run '^$$' -fuzz '^FuzzDiskEntryCorruption$$' -fuzztime $(FUZZTIME)

@@ -105,7 +105,7 @@ func (r *BBLResult) Merge(other any) error {
 }
 
 // bblWire is the canonical JSON shape of a BBLResult: the Figure 4
-// artifact plus the raw sums behind it, so DecodeBBLResult rebuilds an
+// artifact plus the raw sums behind it, so NewBBLTarget rebuilds an
 // identical result. The sums are integer-valued (block bytes and gaps are
 // whole bytes), so they survive the JSON float round-trip exactly.
 type bblWire struct {
@@ -137,18 +137,12 @@ func (r *BBLResult) EncodeJSON() ([]byte, error) {
 	return json.Marshal(&out)
 }
 
-// DecodeBBLResult parses a BBLResult from its canonical JSON artifact.
-// Unknown fields are rejected; derived averages are recomputed from the
-// raw sums on re-encode.
-func DecodeBBLResult(data []byte) (*BBLResult, error) {
-	var w bblWire
-	if err := wire.StrictUnmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("analysis: decoding bbl result: %w", err)
-	}
-	return &BBLResult{
-		BlockSum: w.Counters.BlockSum,
-		BlockN:   w.Counters.BlockN,
-		GapSum:   w.Counters.GapSum,
-		GapN:     w.Counters.GapN,
-	}, nil
+// NewBBLTarget is the one decode path of a BBLResult's canonical JSON
+// artifact, as a wire.Target; wire.Decode parses one alone. Derived
+// averages are recomputed from the raw sums on re-encode.
+func NewBBLTarget() (ptr any, build func() (*BBLResult, error)) {
+	return wire.Target(func(w *bblWire) (*BBLResult, error) {
+		c := &w.Counters
+		return &BBLResult{BlockSum: c.BlockSum, BlockN: c.BlockN, GapSum: c.GapSum, GapN: c.GapN}, nil
+	})
 }

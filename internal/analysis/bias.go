@@ -133,7 +133,7 @@ func (r *BiasResult) TakenDirection(p Phase) (backward, forward int64) {
 
 // biasWire is the canonical JSON shape of a BiasResult: the Figure 2 +
 // Table I artifact plus the raw per-site counters behind it, so
-// DecodeBiasResult rebuilds an identical result. Sites are sorted by PC
+// NewBiasTarget rebuilds an identical result. Sites are sorted by PC
 // so the encoding is deterministic regardless of map iteration order.
 type biasWire struct {
 	Sites       int                    `json:"sites"`
@@ -191,25 +191,24 @@ func (r *BiasResult) EncodeJSON() ([]byte, error) {
 	return json.Marshal(&out)
 }
 
-// DecodeBiasResult parses a BiasResult from its canonical JSON artifact.
-// Unknown fields are rejected; a duplicated site PC means the artifact was
-// not produced by EncodeJSON and is an error.
-func DecodeBiasResult(data []byte) (*BiasResult, error) {
-	var w biasWire
-	if err := wire.StrictUnmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("analysis: decoding bias result: %w", err)
-	}
-	r := &BiasResult{
-		Sites: make(map[isa.Addr]SiteBias, len(w.Counters.Sites)),
-		Dirs:  w.Counters.Dirs,
-		Conds: w.Counters.Conds,
-	}
-	for _, s := range w.Counters.Sites {
-		pc := isa.Addr(s.PC)
-		if _, dup := r.Sites[pc]; dup {
-			return nil, fmt.Errorf("analysis: decoding bias result: duplicate site pc %#x", s.PC)
+// NewBiasTarget is the one decode path of a BiasResult's canonical JSON
+// artifact, as a wire.Target; wire.Decode parses one alone. A duplicated
+// site PC means the artifact was not produced by EncodeJSON and is an
+// error.
+func NewBiasTarget() (ptr any, build func() (*BiasResult, error)) {
+	return wire.Target(func(w *biasWire) (*BiasResult, error) {
+		r := &BiasResult{
+			Sites: make(map[isa.Addr]SiteBias, len(w.Counters.Sites)),
+			Dirs:  w.Counters.Dirs,
+			Conds: w.Counters.Conds,
 		}
-		r.Sites[pc] = SiteBias{Exec: s.Exec, Taken: s.Taken}
-	}
-	return r, nil
+		for _, s := range w.Counters.Sites {
+			pc := isa.Addr(s.PC)
+			if _, dup := r.Sites[pc]; dup {
+				return nil, fmt.Errorf("duplicate site pc %#x", s.PC)
+			}
+			r.Sites[pc] = SiteBias{Exec: s.Exec, Taken: s.Taken}
+		}
+		return r, nil
+	})
 }

@@ -99,7 +99,7 @@ func (r *MixResult) Merge(other any) error {
 // mixWire is the canonical JSON shape of a MixResult: the Figure 1
 // artifact (derived percentages per aggregation phase) plus the raw
 // per-phase counters the derivation and merging work from, so
-// DecodeMixResult rebuilds an identical result from the counters alone.
+// NewMixTarget rebuilds an identical result from the counters alone.
 type mixWire struct {
 	Insts     [NumPhases]int64              `json:"insts"`
 	BranchPct [NumPhases]float64            `json:"branch_pct"`
@@ -138,13 +138,11 @@ func (r *MixResult) EncodeJSON() ([]byte, error) {
 	return json.Marshal(&out)
 }
 
-// DecodeMixResult parses a MixResult from its canonical JSON artifact.
-// Unknown fields are rejected; derived percentages are recomputed from the
-// raw counters on re-encode.
-func DecodeMixResult(data []byte) (*MixResult, error) {
-	var w mixWire
-	if err := wire.StrictUnmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("analysis: decoding mix result: %w", err)
-	}
-	return &MixResult{Insts: w.Counters.Insts, Kinds: w.Counters.Kinds}, nil
+// NewMixTarget is the one decode path of a MixResult's canonical JSON
+// artifact, as a wire.Target; wire.Decode parses one alone. Derived
+// percentages are recomputed from the raw counters on re-encode.
+func NewMixTarget() (ptr any, build func() (*MixResult, error)) {
+	return wire.Target(func(w *mixWire) (*MixResult, error) {
+		return &MixResult{Insts: w.Counters.Insts, Kinds: w.Counters.Kinds}, nil
+	})
 }

@@ -131,7 +131,7 @@ func (r *FootprintResult) DynamicBytes(p Phase, coverage float64) int64 {
 
 // footprintWire is the canonical JSON shape of a FootprintResult: the
 // Figure 3 artifact plus the raw per-phase chunk heat maps behind it, so
-// DecodeFootprintResult rebuilds an identical result. Chunks are sorted so
+// NewFootprintTarget rebuilds an identical result. Chunks are sorted so
 // the encoding is deterministic regardless of map iteration order.
 type footprintWire struct {
 	StaticKB  float64            `json:"static_kb"`
@@ -176,22 +176,21 @@ func (r *FootprintResult) EncodeJSON() ([]byte, error) {
 	return json.Marshal(&out)
 }
 
-// DecodeFootprintResult parses a FootprintResult from its canonical JSON
-// artifact. Unknown fields and duplicate chunks are rejected.
-func DecodeFootprintResult(data []byte) (*FootprintResult, error) {
-	var w footprintWire
-	if err := wire.StrictUnmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("analysis: decoding footprint result: %w", err)
-	}
-	r := &FootprintResult{StaticBytes: w.Counters.StaticBytes}
-	for i := 0; i < 2; i++ {
-		r.Chunks[i] = make(map[uint64]int64, len(w.Counters.Chunks[i]))
-		for _, c := range w.Counters.Chunks[i] {
-			if _, dup := r.Chunks[i][c.Chunk]; dup {
-				return nil, fmt.Errorf("analysis: decoding footprint result: duplicate chunk %#x", c.Chunk)
+// NewFootprintTarget is the one decode path of a FootprintResult's
+// canonical JSON artifact, as a wire.Target; wire.Decode parses one alone.
+// Duplicate chunks are rejected.
+func NewFootprintTarget() (ptr any, build func() (*FootprintResult, error)) {
+	return wire.Target(func(w *footprintWire) (*FootprintResult, error) {
+		r := &FootprintResult{StaticBytes: w.Counters.StaticBytes}
+		for i := 0; i < 2; i++ {
+			r.Chunks[i] = make(map[uint64]int64, len(w.Counters.Chunks[i]))
+			for _, c := range w.Counters.Chunks[i] {
+				if _, dup := r.Chunks[i][c.Chunk]; dup {
+					return nil, fmt.Errorf("duplicate chunk %#x", c.Chunk)
+				}
+				r.Chunks[i][c.Chunk] = c.Weight
 			}
-			r.Chunks[i][c.Chunk] = c.Weight
 		}
-	}
-	return r, nil
+		return r, nil
+	})
 }

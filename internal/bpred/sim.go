@@ -329,7 +329,7 @@ func (r *Result) Merge(other any) error {
 
 // resultWire is the canonical JSON shape of a Result: the raw counters
 // (exact, mergeable by consumers) plus the derived paper metrics. The
-// derived fields are pure functions of the counters, so DecodeResult
+// derived fields are pure functions of the counters, so NewTarget
 // reconstructs a Result from the counters alone and re-encoding yields
 // byte-identical JSON.
 type resultWire struct {
@@ -367,22 +367,16 @@ func (r *Result) EncodeJSON() ([]byte, error) {
 	})
 }
 
-// DecodeResult parses a Result from its canonical JSON artifact — the other
-// half of the wire contract, so a coordinator can fold shards produced by a
-// remote worker. Unknown fields are rejected; derived metrics are ignored
-// and recomputed from the raw counters on re-encode.
-func DecodeResult(data []byte) (*Result, error) {
-	var w resultWire
-	if err := wire.StrictUnmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("bpred: decoding result: %w", err)
-	}
-	return &Result{
-		Name:     w.Name,
-		CostBits: w.CostBits,
-		Insts:    w.Insts,
-		Branches: w.Branches,
-		Miss:     w.Miss,
-	}, nil
+// NewTarget is the one decode path of a Result's canonical JSON artifact —
+// the other half of the wire contract, so a coordinator can fold shards
+// produced by a remote worker — as a wire.Target: a document that embeds
+// the artifact (a shard record) parses it in the same pass as itself, and
+// wire.Decode parses it alone. Derived metrics are ignored and recomputed
+// from the raw counters on re-encode.
+func NewTarget() (ptr any, build func() (*Result, error)) {
+	return wire.Target(func(w *resultWire) (*Result, error) {
+		return &Result{Name: w.Name, CostBits: w.CostBits, Insts: w.Insts, Branches: w.Branches, Miss: w.Miss}, nil
+	})
 }
 
 // Results returns the per-predictor results with instruction counts filled

@@ -193,7 +193,7 @@ func (r *Result) Merge(other any) error {
 }
 
 // resultWire is the canonical JSON shape: raw counters plus metrics
-// derived from them, so DecodeResult rebuilds a Result from the counters
+// derived from them, so NewTarget rebuilds a Result from the counters
 // alone and re-encoding is byte-identical.
 type resultWire struct {
 	Name         string   `json:"name"`
@@ -215,20 +215,13 @@ func (r *Result) EncodeJSON() ([]byte, error) {
 		MPKI: r.MPKI(), MPKISerial: r.MPKISerial(), MPKIParallel: r.MPKIParallel(), MissRate: r.MissRate()})
 }
 
-// DecodeResult parses a Result from its canonical JSON artifact, so a
-// coordinator can fold shards produced by a remote worker. Unknown fields
-// are rejected; derived metrics are recomputed from the counters.
-func DecodeResult(data []byte) (*Result, error) {
-	var w resultWire
-	if err := wire.StrictUnmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("btb: decoding result: %w", err)
-	}
-	return &Result{
-		Name:    w.Name,
-		Entries: w.Entries,
-		Ways:    w.Ways,
-		Insts:   w.Insts,
-		Lookups: w.Lookups,
-		Misses:  w.Misses,
-	}, nil
+// NewTarget is the one decode path of a Result's canonical JSON artifact,
+// so a coordinator can fold shards produced by a remote worker, as a
+// wire.Target: a document that embeds the artifact (a shard record) parses
+// it in the same pass as itself, and wire.Decode parses it alone. Derived
+// metrics are recomputed from the counters.
+func NewTarget() (ptr any, build func() (*Result, error)) {
+	return wire.Target(func(w *resultWire) (*Result, error) {
+		return &Result{Name: w.Name, Entries: w.Entries, Ways: w.Ways, Insts: w.Insts, Lookups: w.Lookups, Misses: w.Misses}, nil
+	})
 }

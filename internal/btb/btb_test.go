@@ -6,6 +6,7 @@ import (
 
 	"rebalance/internal/isa"
 	"rebalance/internal/trace"
+	"rebalance/internal/wire"
 )
 
 // takenBranch is a taken direct branch at pc, the only instruction class
@@ -81,7 +82,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeResult(enc)
+	dec, err := wire.Decode(enc, NewTarget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestDecodeRejectsMangledArtifacts(t *testing.T) {
 		"malformed":     `{"name":`,
 		"wrong shape":   `[1,2,3]`,
 	} {
-		if _, err := DecodeResult([]byte(in)); err == nil {
+		if _, err := wire.Decode([]byte(in), NewTarget); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -134,7 +135,7 @@ func TestMergeAfterDecodeEqualsInProcessMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := DecodeResult(enc)
+		dec, err := wire.Decode(enc, NewTarget)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,11 @@ type Cache struct {
 	clock uint32
 
 	lastLine uint64 // last line address fetched from, +1 (0 = none)
-	lastPtr  *line  // resident entry of lastLine, for O(1) usage marking
+	// lastIdx indexes lastLine's resident entry in lines, for O(1) usage
+	// marking; ConsumeLane marks through a local pointer to it. An index,
+	// not a *line field: a heap pointer stored on every probe pays a GC
+	// write barrier each time while the collector marks.
+	lastIdx int
 
 	// res accumulates the run's counters; Result() snapshots it.
 	res Result
@@ -105,29 +109,31 @@ func (c *Cache) ConsumeLane(l *isa.Lane) {
 	p := l.Phase
 	c.res.Insts[p] += int64(l.Insts)
 	lineBytes := uint64(c.res.LineBytes)
+	cur := &c.lines[c.lastIdx]
 	for i := range l.Runs {
 		r := &l.Runs[i]
 		lo, hi := uint64(r.Start), uint64(r.Start)+uint64(r.Bytes)
 		ln := lo / lineBytes
 		for base := ln * lineBytes; lo < hi; ln, base = ln+1, base+lineBytes {
 			if ln+1 != c.lastLine {
-				c.lastPtr = c.access(ln, p)
+				c.lastIdx = c.access(ln, p)
 				c.lastLine = ln + 1
+				cur = &c.lines[c.lastIdx]
 			}
 			end := min(hi, base+lineBytes)
 			first, last := (lo-base)/sectorBytes, (end-1-base)/sectorBytes
-			c.lastPtr.used |= uint16(uint32(1)<<(last+1) - uint32(1)<<first)
+			cur.used |= uint16(uint32(1)<<(last+1) - uint32(1)<<first)
 			lo = end
 		}
 		if r.Taken {
-			c.lastLine, c.lastPtr = 0, nil
+			c.lastLine = 0
 		}
 	}
 }
 
 // access looks up a line address, updating LRU and miss counters, and
-// returns the resident entry (after fill on a miss).
-func (c *Cache) access(lineAddr uint64, phase int) *line {
+// returns the index of the resident entry (after fill on a miss).
+func (c *Cache) access(lineAddr uint64, phase int) int {
 	c.res.Accesses[phase]++
 	c.clock++
 	ways := c.res.Ways
@@ -138,7 +144,7 @@ func (c *Cache) access(lineAddr uint64, phase int) *line {
 		l := &c.lines[base+w]
 		if l.valid && l.tag == tag {
 			l.lru = c.clock
-			return l
+			return base + w
 		}
 	}
 	c.res.Misses[phase]++
@@ -155,7 +161,7 @@ func (c *Cache) access(lineAddr uint64, phase int) *line {
 	}
 	c.res.retire(&c.lines[victim])
 	c.lines[victim] = line{valid: true, tag: tag, lru: c.clock}
-	return &c.lines[victim]
+	return victim
 }
 
 // retire folds a line's usage since fill into the usefulness accumulators.
@@ -261,7 +267,7 @@ func (r *Result) Merge(other any) error {
 }
 
 // resultWire is the canonical JSON shape: raw counters plus metrics
-// derived from them, so DecodeResult rebuilds a Result from the counters
+// derived from them, so NewTarget rebuilds a Result from the counters
 // alone and re-encoding is byte-identical.
 type resultWire struct {
 	Name         string   `json:"name"`
@@ -292,17 +298,17 @@ func (r *Result) EncodeJSON() ([]byte, error) {
 	})
 }
 
-// DecodeResult parses a Result from its canonical JSON artifact, so a
-// coordinator can fold shards produced by a remote worker. Unknown fields
-// are rejected; derived metrics are recomputed from the counters.
-func DecodeResult(data []byte) (*Result, error) {
-	var w resultWire
-	if err := wire.StrictUnmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("icache: decoding result: %w", err)
-	}
-	return &Result{
-		Name: w.Name, SizeBytes: w.SizeBytes, LineBytes: w.LineBytes, Ways: w.Ways,
-		Insts: w.Insts, Accesses: w.Accesses, Misses: w.Misses,
-		UsedSectors: w.UsedSectors, TotalSectors: w.TotalSectors,
-	}, nil
+// NewTarget is the one decode path of a Result's canonical JSON artifact,
+// so a coordinator can fold shards produced by a remote worker, as a
+// wire.Target: a document that embeds the artifact (a shard record) parses
+// it in the same pass as itself, and wire.Decode parses it alone. Derived
+// metrics are recomputed from the counters.
+func NewTarget() (ptr any, build func() (*Result, error)) {
+	return wire.Target(func(w *resultWire) (*Result, error) {
+		return &Result{
+			Name: w.Name, SizeBytes: w.SizeBytes, LineBytes: w.LineBytes, Ways: w.Ways,
+			Insts: w.Insts, Accesses: w.Accesses, Misses: w.Misses,
+			UsedSectors: w.UsedSectors, TotalSectors: w.TotalSectors,
+		}, nil
+	})
 }

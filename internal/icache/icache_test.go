@@ -6,6 +6,7 @@ import (
 
 	"rebalance/internal/isa"
 	"rebalance/internal/trace"
+	"rebalance/internal/wire"
 )
 
 func inst(pc isa.Addr, serial bool) isa.Inst {
@@ -88,7 +89,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeResult(enc)
+	dec, err := wire.Decode(enc, NewTarget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestDecodeRejectsMangledArtifacts(t *testing.T) {
 		"malformed":     `{"name":`,
 		"wrong shape":   `"just a string"`,
 	} {
-		if _, err := DecodeResult([]byte(in)); err == nil {
+		if _, err := wire.Decode([]byte(in), NewTarget); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -141,7 +142,7 @@ func TestMergeAfterDecodeEqualsInProcessMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := DecodeResult(enc)
+		dec, err := wire.Decode(enc, NewTarget)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -165,3 +165,74 @@ func BenchmarkMixed9Pass(b *testing.B) {
 		})
 	}
 }
+
+// mixed9Records is a mixed9 sweep's report at the bench harness's grid
+// shape (2 workloads x 4 seeds x the nine configurations) as the 90 shard
+// records a cached rerun of it moves: the 72 shards and the 18 merged folds,
+// each a Shard with the spec DecodeShard checks it against. A result's size
+// does not grow with the budget, so a short one serves.
+func mixed9Records(b *testing.B) (*Report, []Shard, []ShardSpec, []ObserverConfig) {
+	b.Helper()
+	spec := benchSweepSpec(20_000)
+	spec.SeedCount = 4
+	rep, err := NewSession(2).Run(context.Background(), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfgs, err := expandObservers(spec.Observers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	byKey := map[string]ObserverConfig{}
+	for _, cfg := range cfgs {
+		byKey[cfg.Key()] = cfg
+	}
+	shards := append([]Shard(nil), rep.Shards...)
+	for _, m := range rep.Merged {
+		shards = append(shards, Shard{Workload: m.Workload, Observer: m.Observer, Insts: spec.Insts, Result: m.Result})
+	}
+	specs := make([]ShardSpec, len(shards))
+	cfgOf := make([]ObserverConfig, len(shards))
+	for i, sh := range shards {
+		specs[i] = ShardSpec{Workload: sh.Workload, Seed: sh.Seed, Insts: sh.Insts}
+		cfgOf[i] = byKey[sh.Observer]
+	}
+	return rep, shards, specs, cfgOf
+}
+
+// BenchmarkShardRecordCodec is the record layer of a cached rerun: each of
+// the 90 mixed9 records encoded (EncodeShard, what a worker answers and a
+// cache stores) and decoded (DecodeShard, what a cache hit and a dispatched
+// answer cost). ns/op covers all 90.
+func BenchmarkShardRecordCodec(b *testing.B) {
+	_, shards, specs, cfgs := mixed9Records(b)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i := range shards {
+			rec, err := EncodeShard(shards[i])
+			if err == nil {
+				shardSink, err = DecodeShard(rec, specs[i], cfgs[i])
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// shardSink keeps the benchmarked decode's result live.
+var shardSink Shard
+
+// BenchmarkReportEncode is the report layer of every sweep: json.Marshal of
+// the mixed9 report, as bench/'s timed sweep and simd's answer write it.
+func BenchmarkReportEncode(b *testing.B) {
+	rep, _, _, _ := mixed9Records(b)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		enc, err := json.Marshal(rep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(enc)))
+	}
+}

@@ -234,9 +234,11 @@ func (c badEncCfg) Key() string { return "cache-test-badenc" }
 func (c badEncCfg) NewObserver(p *program.Program) ShardObserver {
 	return badEncObs{c.inner.NewObserver(p)}
 }
-func (c badEncCfg) NewResult() Result                      { return badEncResult{c.inner.NewResult()} }
-func (c badEncCfg) Spec() ObserverSpec                     { return ObserverSpec{Kind: "cache-test-badenc"} }
-func (c badEncCfg) Decode(json.RawMessage) (Result, error) { return nil, errBadEnc }
+func (c badEncCfg) NewResult() Result  { return badEncResult{c.inner.NewResult()} }
+func (c badEncCfg) Spec() ObserverSpec { return ObserverSpec{Kind: "cache-test-badenc"} }
+func (c badEncCfg) DecodeTarget() (any, func() (Result, error)) {
+	return new(any), func() (Result, error) { return nil, errBadEnc }
+}
 
 type badEncObs struct{ ShardObserver }
 

@@ -114,8 +114,8 @@ type cancelAfterCfg struct {
 func (c cancelAfterCfg) Key() string        { return "cancel-test-after" }
 func (c cancelAfterCfg) NewResult() Result  { return nil }
 func (c cancelAfterCfg) Spec() ObserverSpec { return ObserverSpec{Kind: "cancel-test-after"} }
-func (c cancelAfterCfg) Decode(json.RawMessage) (Result, error) {
-	return nil, errors.New("cancel-test: no wire form")
+func (c cancelAfterCfg) DecodeTarget() (any, func() (Result, error)) {
+	return new(any), func() (Result, error) { return nil, errors.New("cancel-test: no wire form") }
 }
 func (c cancelAfterCfg) NewObserver(*program.Program) ShardObserver {
 	return &cancelAfterObs{cancelAfterCfg: c, left: c.after}

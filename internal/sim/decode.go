@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"rebalance/internal/wire"
@@ -10,14 +11,22 @@ import (
 // stay raw until the echoed spec's observer configurations say how to
 // parse them.
 type reportWire struct {
-	Schema       string        `json:"schema"`
-	Spec         *Spec         `json:"spec"`
-	Workers      int           `json:"workers"`
-	Shards       []shardWire   `json:"shards"`
-	FailedShards []FailedShard `json:"failed_shards,omitempty"`
-	Merged       []mergedWire  `json:"merged"`
-	TotalInsts   int64         `json:"total_insts"`
-	WallNS       int64         `json:"wall_ns"`
+	Schema       string                         `json:"schema"`
+	Spec         *Spec                          `json:"spec"`
+	Workers      int                            `json:"workers"`
+	Shards       []shardRecord[json.RawMessage] `json:"shards"`
+	FailedShards []FailedShard                  `json:"failed_shards,omitempty"`
+	Merged       []mergedRecord                 `json:"merged"`
+	TotalInsts   int64                          `json:"total_insts"`
+	WallNS       int64                          `json:"wall_ns"`
+}
+
+// mergedRecord is a merged entry's wire record as DecodeReport reads it.
+type mergedRecord struct {
+	Workload string          `json:"workload"`
+	Observer string          `json:"observer"`
+	Seeds    int             `json:"seeds"`
+	Result   json.RawMessage `json:"result"`
 }
 
 // DecodeReport parses a sim/v1 report produced by another process — the
@@ -58,14 +67,17 @@ func DecodeReport(data []byte) (*Report, error) {
 		WallNS:       w.WallNS,
 	}
 	rep.Shards = make([]Shard, len(w.Shards))
-	for i, sh := range w.Shards {
+	for i := range w.Shards {
+		sh := &w.Shards[i]
 		cfg := byKey[sh.Observer]
 		if cfg == nil {
 			return nil, fmt.Errorf("sim: decoding report: shard %d names observer %q, not in the report's spec", i, sh.Observer)
 		}
-		if rep.Shards[i], err = sh.shard(cfg); err != nil {
+		res, err := decodeResult(sh.Result, cfg)
+		if err != nil {
 			return nil, fmt.Errorf("sim: decoding report: shard {%s %s seed %d}: %w", sh.Workload, sh.Observer, sh.Seed, err)
 		}
+		rep.Shards[i] = sh.shard(res)
 	}
 	rep.Merged = make([]Merged, len(w.Merged))
 	for i, m := range w.Merged {
@@ -73,7 +85,7 @@ func DecodeReport(data []byte) (*Report, error) {
 		if cfg == nil {
 			return nil, fmt.Errorf("sim: decoding report: merged %d names observer %q, not in the report's spec", i, m.Observer)
 		}
-		res, err := cfg.Decode(m.Result)
+		res, err := decodeResult(m.Result, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sim: decoding report: merged %s/%s: %w", m.Workload, m.Observer, err)
 		}

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rebalance/internal/wire"
 )
 
 // goldenSeeds extracts seed corpus entries from the golden report file:
@@ -71,6 +74,21 @@ func FuzzDecodeSpec(f *testing.F) {
 	})
 }
 
+// fuzzConfigs are every registered kind's default configurations plus a
+// grouped bpred one. Configurations are immutable value types; a fuzzer
+// expands them once and reuses them across iterations.
+func fuzzConfigs(f *testing.F) []ObserverConfig {
+	specs := []ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small"],"grouped":true}`)}}
+	for _, kind := range ObserverKinds() {
+		specs = append(specs, ObserverSpec{Kind: kind})
+	}
+	configs, err := expandObservers(specs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return configs
+}
+
 // FuzzDecodeShardResult is the satellite fuzzer for the response surface:
 // every registered configuration's result decoder must never panic on
 // arbitrary bytes, and anything it accepts must re-encode and re-decode
@@ -85,29 +103,10 @@ func FuzzDecodeShardResult(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
-
-	// Configurations are immutable value types; expand once, reuse across
-	// iterations.
-	var specs []ObserverSpec
-	for _, kind := range ObserverKinds() {
-		specs = append(specs, ObserverSpec{Kind: kind})
-	}
-	configs, err := expandObservers(specs)
-	if err != nil {
-		f.Fatal(err)
-	}
-	grouped, err := expandObservers([]ObserverSpec{{
-		Kind:    "bpred",
-		Options: json.RawMessage(`{"configs":["gshare-small","tage-small"],"grouped":true}`),
-	}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	configs = append(configs, grouped...)
-
+	configs := fuzzConfigs(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, cfg := range configs {
-			res, err := cfg.Decode(data)
+			res, err := decodeResult(data, cfg)
 			if err != nil {
 				continue // rejection is fine; panicking is not
 			}
@@ -115,7 +114,7 @@ func FuzzDecodeShardResult(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: accepted input fails to re-encode: %v", cfg.Key(), err)
 			}
-			again, err := cfg.Decode(enc)
+			again, err := decodeResult(enc, cfg)
 			if err != nil {
 				t.Fatalf("%s: re-encoded result fails to decode: %v\nencoded: %s", cfg.Key(), err, enc)
 			}
@@ -124,6 +123,84 @@ func FuzzDecodeShardResult(f *testing.F) {
 				t.Fatal(err)
 			}
 			if string(enc) != string(enc2) {
+				t.Fatalf("%s: decode/encode not a fixed point:\nfirst:  %s\nsecond: %s", cfg.Key(), enc, enc2)
+			}
+		}
+	})
+}
+
+// FuzzDecodeShard holds the one-pass DecodeShard to decodeShardTwoLevel,
+// the decode it replaced, over whole shard records for every configuration
+// fuzzConfigs names (the seeds are one real record of each): both accept
+// the same records and decode them to the same shard; a record whose result
+// is absent or null is refused; and an accepted record re-encodes to a
+// fixed point. A record naming a configuration is decoded as that one only
+// — any other fails both decodes' identity check. The one divergence
+// allowed is a record that names its result twice: encoding/json fills the
+// one-pass target with each copy in turn, where the oracle keeps only the
+// last raw copy — no writer produces such a record, and both decodes still
+// hold the other three properties on it.
+func FuzzDecodeShard(f *testing.F) {
+	configs := fuzzConfigs(f)
+	byKey := map[string]ObserverConfig{}
+	var specs []ObserverSpec
+	for _, cfg := range configs {
+		byKey[cfg.Key()] = cfg
+		specs = append(specs, cfg.Spec())
+	}
+	rep, err := NewSession(1).Run(context.Background(), &Spec{Workloads: []string{"comd-lite"}, Seeds: []uint64{3}, Insts: 2000, Observers: specs})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, sh := range rep.Shards {
+		rec, err := EncodeShard(sh)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(rec, sh.Workload, sh.Seed, int64(2000))
+	}
+	head := `{"workload":"comd-lite","seed":1,"observer":"bbl","insts":5,"elapsed_ns":0`
+	for _, tail := range []string{`}`, `,"result":null}`, `,"result":{}}`, `,"cached":true,"result":{"counters":{"block_n":[1,2]}},"RESULT":{}}`} {
+		f.Add([]byte(head+tail), "comd-lite", uint64(1), int64(5))
+	}
+	f.Add([]byte(`{"error":"boom","invalid":true}`), "", uint64(0), int64(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, workload string, seed uint64, insts int64) {
+		spec := ShardSpec{Workload: workload, Seed: seed, Insts: insts}
+		var env oracleShardWire
+		parsed := wire.StrictUnmarshal(data, &env) == nil
+		absent := parsed && (env.Result == nil || string(env.Result) == "null")
+		twice := repeatsKey(data, "result")
+		cfgs := configs
+		if cfg := byKey[env.Observer]; parsed && cfg != nil {
+			cfgs = []ObserverConfig{cfg}
+		}
+		for _, cfg := range cfgs {
+			got, err := DecodeShard(data, spec, cfg)
+			want, werr := decodeShardTwoLevel(data, spec, cfg)
+			if err == nil && absent {
+				t.Fatalf("%s: record without a result accepted", cfg.Key())
+			}
+			if !twice && (err == nil) != (werr == nil) {
+				t.Fatalf("%s: one-pass error %v, two-level error %v", cfg.Key(), err, werr)
+			}
+			if err != nil {
+				continue
+			}
+			enc, err := EncodeShard(got)
+			if err != nil {
+				t.Fatalf("%s: accepted record fails to re-encode: %v", cfg.Key(), err)
+			}
+			if !twice {
+				if wantEnc, _ := EncodeShard(want); string(enc) != string(wantEnc) {
+					t.Fatalf("%s: decodes differ:\none-pass:  %s\ntwo-level: %s", cfg.Key(), enc, wantEnc)
+				}
+			}
+			again, err := DecodeShard(enc, spec, cfg)
+			if err != nil {
+				t.Fatalf("%s: re-encoded record fails to decode: %v\nrecord: %s", cfg.Key(), err, enc)
+			}
+			if enc2, _ := EncodeShard(again); string(enc2) != string(enc) {
 				t.Fatalf("%s: decode/encode not a fixed point:\nfirst:  %s\nsecond: %s", cfg.Key(), enc, enc2)
 			}
 		}

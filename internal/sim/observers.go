@@ -11,7 +11,6 @@ import (
 	"rebalance/internal/icache"
 	"rebalance/internal/program"
 	"rebalance/internal/trace"
-	"rebalance/internal/wire"
 )
 
 // mustOptions marshals a config's option struct for Spec(); the structs
@@ -31,23 +30,19 @@ func init() {
 	RegisterObserver("branch-mix", analysisFactory("branch-mix", func(*program.Program) ShardObserver {
 		mix := analysis.NewBranchMix()
 		return newLaneShard(mix, func() Result { return mix.Result() })
-	}, func() Result { return &analysis.MixResult{} },
-		func(data []byte) (Result, error) { return analysis.DecodeMixResult(data) }))
+	}, func() Result { return &analysis.MixResult{} }, analysis.NewMixTarget))
 	RegisterObserver("bias", analysisFactory("bias", func(*program.Program) ShardObserver {
 		bias := analysis.NewBias()
 		return newLaneShard(bias, func() Result { return bias.Result() })
-	}, func() Result { return &analysis.BiasResult{} },
-		func(data []byte) (Result, error) { return analysis.DecodeBiasResult(data) }))
+	}, func() Result { return &analysis.BiasResult{} }, analysis.NewBiasTarget))
 	RegisterObserver("footprint", analysisFactory("footprint", func(p *program.Program) ShardObserver {
 		fp := analysis.NewFootprint()
 		return newLaneShard(fp, func() Result { return fp.Result(p.TextSize) })
-	}, func() Result { return &analysis.FootprintResult{} },
-		func(data []byte) (Result, error) { return analysis.DecodeFootprintResult(data) }))
+	}, func() Result { return &analysis.FootprintResult{} }, analysis.NewFootprintTarget))
 	RegisterObserver("bbl", analysisFactory("bbl", func(*program.Program) ShardObserver {
 		bbl := analysis.NewBBL()
 		return newLaneShard(bbl, func() Result { return bbl.Result() })
-	}, func() Result { return &analysis.BBLResult{} },
-		func(data []byte) (Result, error) { return analysis.DecodeBBLResult(data) }))
+	}, func() Result { return &analysis.BBLResult{} }, analysis.NewBBLTarget))
 }
 
 // laneShard is a lane consumer's lone ShardObserver — what RunShard and
@@ -174,15 +169,13 @@ func (c bpredCfg) Spec() ObserverSpec {
 	return ObserverSpec{Kind: "bpred", Options: mustOptions(bpredOptions{Configs: []string{c.name}})}
 }
 
-func (c bpredCfg) Decode(data json.RawMessage) (Result, error) {
-	r, err := bpred.DecodeResult(data)
-	if err != nil {
-		return nil, err
-	}
-	if r.Name != c.name {
-		return nil, fmt.Errorf("sim: decoded bpred result for %q, want %q", r.Name, c.name)
-	}
-	return r, nil
+func (c bpredCfg) DecodeTarget() (any, func() (Result, error)) {
+	return target(bpred.NewTarget, func(r *bpred.Result) error {
+		if r.Name != c.name {
+			return fmt.Errorf("sim: decoded bpred result for %q, want %q", r.Name, c.name)
+		}
+		return nil
+	})
 }
 
 type bpredGroupCfg struct {
@@ -225,28 +218,29 @@ func (c bpredGroupCfg) Spec() ObserverSpec {
 	})}
 }
 
-// Decode parses the grouped artifact: a JSON array with one bpred result
-// per configured predictor, in configuration order.
-func (c bpredGroupCfg) Decode(data json.RawMessage) (Result, error) {
-	var elems []json.RawMessage
-	if err := wire.StrictUnmarshal(data, &elems); err != nil {
-		return nil, fmt.Errorf("sim: decoding bpred group result: %w", err)
+// DecodeTarget decodes the grouped artifact: a JSON array with one bpred
+// result per configured predictor, in configuration order, each member
+// parsed in place through its own configuration's target.
+func (c bpredGroupCfg) DecodeTarget() (any, func() (Result, error)) {
+	ptrs := make([]any, len(c.names))
+	builds := make([]func() (Result, error), len(c.names))
+	for i, name := range c.names {
+		ptrs[i], builds[i] = bpredCfg{name: name}.DecodeTarget()
 	}
-	if len(elems) != len(c.names) {
-		return nil, fmt.Errorf("sim: bpred group result has %d members, want %d", len(elems), len(c.names))
-	}
-	out := &GroupResult{Results: make([]Result, len(elems))}
-	for i, e := range elems {
-		r, err := bpred.DecodeResult(e)
-		if err != nil {
-			return nil, err
+	return &ptrs, func() (Result, error) {
+		if len(ptrs) != len(builds) {
+			return nil, fmt.Errorf("sim: bpred group result has %d members, want %d", len(ptrs), len(builds))
 		}
-		if r.Name != c.names[i] {
-			return nil, fmt.Errorf("sim: bpred group member %d is %q, want %q", i, r.Name, c.names[i])
+		out := &GroupResult{Results: make([]Result, len(builds))}
+		for i, build := range builds {
+			r, err := build()
+			if err != nil {
+				return nil, fmt.Errorf("sim: bpred group member %d: %w", i, err)
+			}
+			out.Results[i] = r
 		}
-		out.Results[i] = r
+		return out, nil
 	}
-	return out, nil
 }
 
 // --- btb ---
@@ -299,15 +293,13 @@ func (c btbCfg) Spec() ObserverSpec {
 	return ObserverSpec{Kind: "btb", Options: mustOptions(btbOptions{Geometries: []btbGeometry{c.g}})}
 }
 
-func (c btbCfg) Decode(data json.RawMessage) (Result, error) {
-	r, err := btb.DecodeResult(data)
-	if err != nil {
-		return nil, err
-	}
-	if r.Entries != c.g.Entries || r.Ways != c.g.Ways {
-		return nil, fmt.Errorf("sim: decoded btb result for %dx%d, want %dx%d", r.Entries, r.Ways, c.g.Entries, c.g.Ways)
-	}
-	return r, nil
+func (c btbCfg) DecodeTarget() (any, func() (Result, error)) {
+	return target(btb.NewTarget, func(r *btb.Result) error {
+		if r.Entries != c.g.Entries || r.Ways != c.g.Ways {
+			return fmt.Errorf("sim: decoded btb result for %dx%d, want %dx%d", r.Entries, r.Ways, c.g.Entries, c.g.Ways)
+		}
+		return nil
+	})
 }
 
 // --- icache ---
@@ -366,40 +358,38 @@ func (c icacheCfg) Spec() ObserverSpec {
 	return ObserverSpec{Kind: "icache", Options: mustOptions(icacheOptions{Geometries: []icacheGeometry{c.g}})}
 }
 
-func (c icacheCfg) Decode(data json.RawMessage) (Result, error) {
-	r, err := icache.DecodeResult(data)
-	if err != nil {
-		return nil, err
-	}
-	if r.SizeBytes != c.g.SizeKB*1024 || r.LineBytes != c.g.LineBytes || r.Ways != c.g.Ways {
-		return nil, fmt.Errorf("sim: decoded icache result for %s, want %s", r.Name, c.Key())
-	}
-	return r, nil
+func (c icacheCfg) DecodeTarget() (any, func() (Result, error)) {
+	return target(icache.NewTarget, func(r *icache.Result) error {
+		if r.SizeBytes != c.g.SizeKB*1024 || r.LineBytes != c.g.LineBytes || r.Ways != c.g.Ways {
+			return fmt.Errorf("sim: decoded icache result for %s, want %s", r.Name, c.Key())
+		}
+		return nil
+	})
 }
 
 // --- analysis collectors ---
 
 // analysisFactory wraps a single-configuration analysis collector; the
 // collectors take no options, so any options payload is rejected.
-func analysisFactory(key string, newObs func(*program.Program) ShardObserver, newRes func() Result, decode func([]byte) (Result, error)) ObserverFactory {
+func analysisFactory[R Result](key string, newObs func(*program.Program) ShardObserver, newRes func() Result, newTarget func() (any, func() (R, error))) ObserverFactory {
 	return func(opts json.RawMessage) ([]ObserverConfig, error) {
 		if err := strictDecode(opts, &struct{}{}); err != nil {
 			return nil, err
 		}
-		return []ObserverConfig{analysisCfg{key: key, newObs: newObs, newRes: newRes, decode: decode}}, nil
+		return []ObserverConfig{analysisCfg{key: key, newObs: newObs, newRes: newRes,
+			newTarget: func() (any, func() (Result, error)) { return target(newTarget, nil) }}}, nil
 	}
 }
 
 type analysisCfg struct {
-	key    string
-	newObs func(*program.Program) ShardObserver
-	newRes func() Result
-	decode func([]byte) (Result, error)
+	key       string
+	newObs    func(*program.Program) ShardObserver
+	newRes    func() Result
+	newTarget func() (any, func() (Result, error))
 }
 
 func (c analysisCfg) Key() string                                  { return c.key }
 func (c analysisCfg) NewObserver(p *program.Program) ShardObserver { return c.newObs(p) }
 func (c analysisCfg) NewResult() Result                            { return c.newRes() }
 func (c analysisCfg) Spec() ObserverSpec                           { return ObserverSpec{Kind: c.key} }
-
-func (c analysisCfg) Decode(data json.RawMessage) (Result, error) { return c.decode(data) }
+func (c analysisCfg) DecodeTarget() (any, func() (Result, error))  { return c.newTarget() }

@@ -276,8 +276,7 @@ func registerFailFinish(t *testing.T) {
 	RegisterObserver("fail-finish", analysisFactory("fail-finish", func(*program.Program) ShardObserver {
 		bbl := analysis.NewBBL()
 		return failFinishShard{newLaneShard(bbl, func() Result { return bbl.Result() })}
-	}, func() Result { return &analysis.BBLResult{} },
-		func(data []byte) (Result, error) { return analysis.DecodeBBLResult(data) }))
+	}, func() Result { return &analysis.BBLResult{} }, analysis.NewBBLTarget))
 }
 
 // TestLocalFailurePolicy drives the session's one failure policy over the

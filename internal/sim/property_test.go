@@ -101,7 +101,7 @@ func TestResultProperties(t *testing.T) {
 
 				// Decode round-trip: byte-identical re-encode.
 				enc := encode(t, sh.Result)
-				dec, err := cfg.Decode(json.RawMessage(enc))
+				dec, err := decodeResult([]byte(enc), cfg)
 				if err != nil {
 					t.Fatalf("decoding own encoding: %v", err)
 				}

@@ -3,6 +3,8 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"unicode/utf8"
 )
 
 // SchemaV1 is the versioned report schema identifier. Any
@@ -102,68 +104,129 @@ type Merged struct {
 	Result   Result
 }
 
-// shardWire and mergedWire are the JSON shapes; results embed through
-// their canonical EncodeJSON artifact.
-type shardWire struct {
-	Workload  string          `json:"workload"`
-	Seed      uint64          `json:"seed"`
-	Observer  string          `json:"observer"`
-	Insts     int64           `json:"insts"`
-	ElapsedNS int64           `json:"elapsed_ns"`
-	Cached    bool            `json:"cached,omitempty"`
-	Result    json.RawMessage `json:"result"`
-}
+// MarshalJSON implements json.Marshaler.
+func (sh Shard) MarshalJSON() ([]byte, error) { return sh.appendJSON(nil) }
 
-// shard is the one wire-to-Shard conversion: the embedded result decodes
-// through cfg, the configuration the record's observer key names.
-func (w shardWire) shard(cfg ObserverConfig) (Shard, error) {
-	res, err := cfg.Decode(w.Result)
+// MarshalJSON implements json.Marshaler.
+func (m Merged) MarshalJSON() ([]byte, error) { return m.appendJSON(nil) }
+
+// MarshalJSON implements json.Marshaler: the sim/v1 document with every
+// shard and merged entry appended in place, so each result's artifact is
+// copied once and compacted only by whoever marshals the report.
+func (r Report) MarshalJSON() ([]byte, error) {
+	spec, err := json.Marshal(r.Spec)
 	if err != nil {
-		return Shard{}, err
+		return nil, err
 	}
-	return Shard{
-		Workload:  w.Workload,
-		Seed:      w.Seed,
-		Observer:  w.Observer,
-		Insts:     w.Insts,
-		ElapsedNS: w.ElapsedNS,
-		Cached:    w.Cached,
-		Result:    res,
-	}, nil
+	// A record of the built-in kinds is about half a KiB; a footprint or
+	// bias record is larger and the buffer grows.
+	b := appendString(append(make([]byte, 0, 512*(len(r.Shards)+len(r.Merged)+1)), `{"schema":`...), r.Schema)
+	b = append(append(b, `,"spec":`...), spec...)
+	b = strconv.AppendInt(append(b, `,"workers":`...), int64(r.Workers), 10)
+	if b, err = appendAll(append(b, `,"shards":`...), r.Shards, Shard.appendJSON); err != nil {
+		return nil, err
+	}
+	if len(r.FailedShards) > 0 {
+		failed, err := json.Marshal(r.FailedShards)
+		if err != nil {
+			return nil, err
+		}
+		b = append(append(b, `,"failed_shards":`...), failed...)
+	}
+	if b, err = appendAll(append(b, `,"merged":`...), r.Merged, Merged.appendJSON); err != nil {
+		return nil, err
+	}
+	b = strconv.AppendInt(append(b, `,"total_insts":`...), r.TotalInsts, 10)
+	b = strconv.AppendInt(append(b, `,"wall_ns":`...), r.WallNS, 10)
+	return append(b, '}'), nil
 }
 
-type mergedWire struct {
-	Workload string          `json:"workload"`
-	Observer string          `json:"observer"`
-	Seeds    int             `json:"seeds"`
-	Result   json.RawMessage `json:"result"`
+// appendJSON appends the shard's wire record to b, the one writer of it —
+// report entries, worker answers and cache entries alike: the fields in
+// wire order, and the result's EncodeJSON artifact as it is.
+func (sh Shard) appendJSON(b []byte) ([]byte, error) {
+	b = appendString(append(b, `{"workload":`...), sh.Workload)
+	b = strconv.AppendUint(append(b, `,"seed":`...), sh.Seed, 10)
+	b = appendString(append(b, `,"observer":`...), sh.Observer)
+	b = strconv.AppendInt(append(b, `,"insts":`...), sh.Insts, 10)
+	b = strconv.AppendInt(append(b, `,"elapsed_ns":`...), sh.ElapsedNS, 10)
+	if sh.Cached {
+		b = append(b, `,"cached":true`...)
+	}
+	return appendResult(append(b, `,"result":`...), sh.Result)
 }
 
-func encodeResult(r Result) (json.RawMessage, error) {
+// appendJSON appends the merged entry's wire record to b, as Shard's.
+func (m Merged) appendJSON(b []byte) ([]byte, error) {
+	b = appendString(append(b, `{"workload":`...), m.Workload)
+	b = appendString(append(b, `,"observer":`...), m.Observer)
+	b = strconv.AppendInt(append(b, `,"seeds":`...), int64(m.Seeds), 10)
+	return appendResult(append(b, `,"result":`...), m.Result)
+}
+
+// appendResult appends r's artifact and closes the record around it.
+func appendResult(b []byte, r Result) ([]byte, error) {
 	if r == nil {
-		return json.RawMessage("null"), nil
+		return append(b, "null}"...), nil
 	}
 	enc, err := r.EncodeJSON()
 	if err != nil {
 		return nil, fmt.Errorf("sim: encoding %T: %w", r, err)
 	}
-	return enc, nil
+	return append(append(b, enc...), '}'), nil
 }
 
-// MarshalJSON implements json.Marshaler.
-func (sh Shard) MarshalJSON() ([]byte, error) {
-	res, err := encodeResult(sh.Result)
-	if err != nil {
-		return nil, err
+// appendAll appends xs as a JSON array through appendOne — null for a nil
+// slice, as encoding/json writes one.
+func appendAll[T any](b []byte, xs []T, appendOne func(T, []byte) ([]byte, error)) ([]byte, error) {
+	if xs == nil {
+		return append(b, "null"...), nil
 	}
-	return json.Marshal(shardWire{Workload: sh.Workload, Seed: sh.Seed, Observer: sh.Observer, Insts: sh.Insts, ElapsedNS: sh.ElapsedNS, Cached: sh.Cached, Result: res})
+	b = append(b, '[')
+	for i := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = appendOne(xs[i], b); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, ']'), nil
 }
 
-// MarshalJSON implements json.Marshaler.
-func (m Merged) MarshalJSON() ([]byte, error) {
-	res, err := encodeResult(m.Result)
-	if err != nil {
-		return nil, err
+// appendString appends s as a JSON string escaped exactly as encoding/json
+// escapes it: a name of plain printable ASCII — every name the registries
+// and the grid produce — is copied between quotes, and anything else
+// (quotes, backslashes, control characters, <, >, &, non-ASCII, invalid
+// UTF-8; synth scenario names are user input) is json.Marshal's to write.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, _ := json.Marshal(s) // a string always marshals
+			return append(b, enc...)
+		}
 	}
-	return json.Marshal(mergedWire{Workload: m.Workload, Observer: m.Observer, Seeds: m.Seeds, Result: res})
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// shardRecord is a shard's wire record as it decodes. DecodeShard holds its
+// configuration's decode target in Result (R = any), so the envelope and the
+// typed result parse in one pass. A report's records name their own
+// configuration, so DecodeReport reads each result raw (R =
+// json.RawMessage) until the record's observer key says which target
+// decodes it.
+type shardRecord[R any] struct {
+	Workload  string `json:"workload"`
+	Seed      uint64 `json:"seed"`
+	Observer  string `json:"observer"`
+	Insts     int64  `json:"insts"`
+	ElapsedNS int64  `json:"elapsed_ns"`
+	Cached    bool   `json:"cached,omitempty"`
+	Result    R      `json:"result"`
+}
+
+// shard is the record as a Shard, res being its decoded result.
+func (w *shardRecord[R]) shard(res Result) Shard {
+	return Shard{Workload: w.Workload, Seed: w.Seed, Observer: w.Observer, Insts: w.Insts, ElapsedNS: w.ElapsedNS, Cached: w.Cached, Result: res}
 }

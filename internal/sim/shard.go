@@ -71,12 +71,14 @@ func DecodeShardSpec(data []byte) (*ShardSpec, error) {
 func EncodeShard(sh Shard) ([]byte, error) { return sh.MarshalJSON() }
 
 // DecodeShard parses a shard wire record produced by EncodeShard (possibly
-// on another machine), decoding the embedded result through cfg — the
-// configuration the shard was dispatched for. The record's identity fields
-// must match the expectation: a worker echoing the wrong shard is a
-// protocol violation, not data.
+// on another machine) in one pass: the record's result field holds cfg's
+// decode target — cfg being the configuration the shard was dispatched
+// for — so the envelope and the typed result are read together. The
+// record's identity fields must match the expectation: a worker echoing the
+// wrong shard is a protocol violation, not data.
 func DecodeShard(data []byte, spec ShardSpec, cfg ObserverConfig) (Shard, error) {
-	var w shardWire
+	ptr, build := cfg.DecodeTarget()
+	w := shardRecord[any]{Result: ptr}
 	if err := wire.StrictUnmarshal(data, &w); err != nil {
 		return Shard{}, fmt.Errorf("sim: decoding shard: %w", err)
 	}
@@ -88,11 +90,11 @@ func DecodeShard(data []byte, spec ShardSpec, cfg ObserverConfig) (Shard, error)
 		return Shard{}, fmt.Errorf("sim: shard {%s %s seed %d} emitted %d < budget %d",
 			w.Workload, w.Observer, w.Seed, w.Insts, spec.Insts)
 	}
-	sh, err := w.shard(cfg)
+	res, err := build()
 	if err != nil {
 		return Shard{}, fmt.Errorf("sim: decoding shard {%s %s seed %d} result: %w", w.Workload, w.Observer, w.Seed, err)
 	}
-	return sh, nil
+	return w.shard(res), nil
 }
 
 // Outcome is the one shape of a grid cell's fate: the completed shard, or

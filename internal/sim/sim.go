@@ -35,7 +35,9 @@ type Result interface {
 	// configuration into the receiver. The parameter is typed any so
 	// implementations need not import this package.
 	Merge(other any) error
-	// EncodeJSON renders the result as its canonical JSON artifact.
+	// EncodeJSON renders the result as its canonical JSON artifact, compact
+	// and escaped as json.Marshal writes it: shard records and reports embed
+	// these bytes as they are.
 	EncodeJSON() ([]byte, error)
 }
 
@@ -56,9 +58,9 @@ type ShardObserver interface {
 // ObserverConfig is one expanded observer configuration — one axis value of
 // the {workload x seed x observer-config} shard grid. A configuration is
 // both executable (NewObserver) and portable: Spec re-describes it as data
-// a remote worker re-expands, and Decode parses the result artifact that
-// worker sends back — together the two halves of the shard wire contract
-// the dispatch layer runs on.
+// a remote worker re-expands, and DecodeTarget parses the result artifact
+// that worker sends back — together the two halves of the shard wire
+// contract the dispatch layer runs on.
 type ObserverConfig interface {
 	// Key uniquely identifies the configuration within a report, e.g.
 	// "bpred/gshare-big" or "btb/512x4".
@@ -72,12 +74,40 @@ type ObserverConfig interface {
 	// (through the registry, on any process) to exactly this configuration —
 	// how a single shard of the grid is named on the wire.
 	Spec() ObserverSpec
-	// Decode parses a Result of this configuration from its canonical JSON
-	// artifact (the bytes EncodeJSON produced, possibly on another
-	// machine). Decode(EncodeJSON(r)) must round-trip exactly: re-encoding
-	// the decoded result yields byte-identical JSON, and merging decoded
-	// results equals merging the in-process originals.
-	Decode(data json.RawMessage) (Result, error)
+	// DecodeTarget returns a fresh decode target (see wire.Target) for one
+	// Result of this configuration's canonical JSON artifact — the bytes
+	// EncodeJSON produced, possibly on another machine. ptr is the result
+	// package's wire shape behind a pointer to a nil pointer: a record that
+	// holds it as the value of its `any` result field parses the envelope
+	// and the typed result in one pass. build, called once that decode is
+	// done, makes the Result and applies the configuration's identity
+	// checks; it fails when the record held no result (absent or null). The
+	// round trip must be exact: re-encoding the decoded result yields
+	// byte-identical JSON, and merging decoded results equals merging the
+	// in-process originals.
+	DecodeTarget() (ptr any, build func() (Result, error))
+}
+
+// target lifts a result package's typed decode target (its NewTarget) to a
+// DecodeTarget, check being the configuration's identity test on what it
+// builds.
+func target[R Result](newTarget func() (any, func() (R, error)), check func(R) error) (any, func() (Result, error)) {
+	ptr, build := newTarget()
+	return ptr, func() (Result, error) {
+		r, err := build()
+		if err == nil && check != nil {
+			err = check(r)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
+}
+
+// decodeResult parses one result artifact on its own through cfg's target.
+func decodeResult(data []byte, cfg ObserverConfig) (Result, error) {
+	return wire.Decode(data, cfg.DecodeTarget)
 }
 
 // ObserverFactory expands one ObserverSpec's options into concrete

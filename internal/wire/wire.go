@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,6 +29,41 @@ func StrictUnmarshal(data []byte, v any) error {
 		return fmt.Errorf("trailing data after JSON value")
 	}
 	return nil
+}
+
+// ErrAbsent is what a Target's build reports when the document it was
+// decoded with held no value for it: the field was absent, or null.
+var ErrAbsent = errors.New("no value")
+
+// Target makes a decode target for one value of wire shape W inside a
+// larger document. ptr is what encoding/json fills: a pointer to a nil *W.
+// A document struct that holds ptr as the value of an `any` field decodes
+// the value in place, in the same pass as the document around it —
+// encoding/json fills a non-nil pointer an interface holds, and
+// DisallowUnknownFields reaches inside it. build, called once that decode
+// is done, makes the value from what was filled, or fails with ErrAbsent
+// when the document held none, so a missing value is never built from
+// zeroes.
+func Target[W, R any](from func(*W) (R, error)) (ptr any, build func() (R, error)) {
+	var w *W
+	return &w, func() (R, error) {
+		if w == nil {
+			var zero R
+			return zero, ErrAbsent
+		}
+		return from(w)
+	}
+}
+
+// Decode strictly decodes data, a document that is exactly one target's
+// value, through the target newTarget makes, and builds the value.
+func Decode[R any](data []byte, newTarget func() (any, func() (R, error))) (R, error) {
+	ptr, build := newTarget()
+	if err := StrictUnmarshal(data, ptr); err != nil {
+		var zero R
+		return zero, err
+	}
+	return build()
 }
 
 // StrictDecode decodes exactly one JSON document from r into v with the

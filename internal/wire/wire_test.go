@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -61,6 +62,46 @@ func TestStrictUnmarshalNeverPanics(t *testing.T) {
 	for _, in := range []string{"null", "[]", `"str"`, "{", "}", "\x00\xff", "123"} {
 		var p payload
 		_ = StrictUnmarshal([]byte(in), &p) // must not panic
+	}
+}
+
+// TestTargetDecodesInPlace: a target held in an `any` field is filled in the
+// same strict pass as the document around it — an unknown field inside it
+// fails the document — and an absent or null value builds to ErrAbsent, not
+// to a zero value.
+func TestTargetDecodesInPlace(t *testing.T) {
+	newTarget := func() (any, func() (payload, error)) {
+		return Target(func(p *payload) (payload, error) { return *p, nil })
+	}
+	for in, want := range map[string]string{
+		`{"name":"doc","count":1}`:                                      "absent",
+		`{"name":"doc","count":1,"value":null}`:                         "absent",
+		`{"name":"doc","count":1,"value":{"name":"v","count":7}}`:       "v/7",
+		`{"name":"doc","count":1,"value":{"name":"v","counter":7}}`:     "error",
+		`{"name":"doc","count":1,"value":{"name":"v","count":"seven"}}`: "error",
+	} {
+		ptr, build := newTarget()
+		doc := struct {
+			payload
+			Value any `json:"value"`
+		}{Value: ptr}
+		got := "error"
+		if StrictUnmarshal([]byte(in), &doc) == nil {
+			if v, err := build(); errors.Is(err, ErrAbsent) {
+				got = "absent"
+			} else if err == nil {
+				got = v.Name + "/" + strconv.FormatInt(v.Count, 10)
+			}
+		}
+		if got != want {
+			t.Errorf("%s: got %s, want %s", in, got, want)
+		}
+	}
+	if v, err := Decode([]byte(`{"name":"alone","count":2}`), newTarget); err != nil || v.Name != "alone" || v.Count != 2 {
+		t.Errorf("Decode = %+v, %v", v, err)
+	}
+	if _, err := Decode([]byte(`null`), newTarget); !errors.Is(err, ErrAbsent) {
+		t.Errorf("Decode(null) error = %v, want ErrAbsent", err)
 	}
 }
 
