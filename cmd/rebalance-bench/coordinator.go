@@ -4,9 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"strings"
 	"time"
 
@@ -33,11 +33,11 @@ type sweepStatus struct {
 // runCoordinatorSweep executes one sweep through a simd coordinator's
 // async API: submit the spec under the tenant, poll the sweep's progress
 // at the given interval, and fetch and decode the final report once the
-// sweep lands. The decoded report re-marshals to the bytes the coordinator
-// served. Cancellation of ctx abandons the sweep and attempts a
-// best-effort DELETE so the coordinator stops working on a sweep nobody
-// will collect.
-func runCoordinatorSweep(ctx context.Context, base, tenant string, spec *sim.Spec, poll time.Duration) (*sim.Report, error) {
+// sweep lands, logging submission and progress to log. The decoded report
+// re-marshals to the bytes the coordinator served. Cancellation of ctx
+// abandons the sweep and attempts a best-effort DELETE so the coordinator
+// stops working on a sweep nobody will collect.
+func runCoordinatorSweep(ctx context.Context, base, tenant string, spec *sim.Spec, poll time.Duration, log io.Writer) (*sim.Report, error) {
 	base = strings.TrimRight(base, "/")
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -55,11 +55,11 @@ func runCoordinatorSweep(ctx context.Context, base, tenant string, spec *sim.Spe
 	if err := wire.StrictUnmarshal(data, &st); err != nil || st.ID == "" {
 		return nil, fmt.Errorf("coordinator submit response is not a sweep status: %v (%s)", err, data)
 	}
-	fmt.Fprintf(os.Stderr, "rebalance-bench: sweep %s submitted (%d shards) to %s as tenant %q\n",
+	fmt.Fprintf(log, "rebalance-bench: sweep %s submitted (%d shards) to %s as tenant %q\n",
 		st.ID, st.Progress.TotalShards, base, tenant)
 
 	statusURL := base + "/v1/sweeps/" + st.ID
-	rep, err := awaitSweep(ctx, statusURL, st.ID, poll)
+	rep, err := awaitSweep(ctx, statusURL, st.ID, poll, log)
 	if err != nil && ctx.Err() != nil {
 		// Nobody will collect the result; ask the coordinator to stop. ctx
 		// is already dead, so the DELETE gets its own bounded one: a dead
@@ -74,7 +74,7 @@ func runCoordinatorSweep(ctx context.Context, base, tenant string, spec *sim.Spe
 
 // awaitSweep polls the sweep at statusURL — at once, then every poll —
 // until it is terminal, and returns the report of a done one.
-func awaitSweep(ctx context.Context, statusURL, id string, poll time.Duration) (*sim.Report, error) {
+func awaitSweep(ctx context.Context, statusURL, id string, poll time.Duration, log io.Writer) (*sim.Report, error) {
 	lastDone := -1
 	for {
 		data, status, err := coordDo(ctx, http.MethodGet, statusURL, nil)
@@ -90,7 +90,7 @@ func awaitSweep(ctx context.Context, statusURL, id string, poll time.Duration) (
 		}
 		if st.Progress.DoneShards != lastDone {
 			lastDone = st.Progress.DoneShards
-			fmt.Fprintf(os.Stderr, "rebalance-bench: sweep %s: %s, %d/%d shards (%d cached)\n",
+			fmt.Fprintf(log, "rebalance-bench: sweep %s: %s, %d/%d shards (%d cached)\n",
 				id, st.State, st.Progress.DoneShards, st.Progress.TotalShards, st.Progress.CachedShards)
 		}
 		switch st.State {

@@ -4,39 +4,51 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rebalance/internal/sim"
+	"rebalance/internal/wire"
 )
 
-// fakeCoord is the fake coordinator's server plus what it saw: status
-// polls and DELETEs. onPoll, when set, runs inside every status poll
-// before it is answered.
+// fakeCoord is the fake coordinator's server plus what it saw: the
+// submitted spec, the report it served, status polls and DELETEs. onPoll,
+// when set, runs inside every status poll before it is answered.
 type fakeCoord struct {
 	*httptest.Server
 	polls, deletes atomic.Int32
 	onPoll         func()
+
+	mu     sync.Mutex
+	spec   *sim.Spec
+	total  int
+	served []byte
+	err    error // the run's, for a sweep that lands failed
+}
+
+// submitted returns the spec the client submitted and the report bytes the
+// coordinator served for it.
+func (fc *fakeCoord) submitted() (*sim.Spec, []byte) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	return fc.spec, fc.served
 }
 
 // fakeCoordinator serves the subset of the simd sweep API the client
-// needs: submit returns an ID, the status endpoint reports running for a
-// few polls before landing done, the result endpoint serves a real
-// marshalled report, and DELETE is counted. Faking the server (rather than
-// standing up simd) keeps this a test of the client's protocol handling
-// alone.
-func fakeCoordinator(t *testing.T, rep *sim.Report, pollsUntilDone int32) *fakeCoord {
+// needs: submit runs the submitted spec on sess and returns an ID, the
+// status endpoint reports running for a few polls before landing done (or
+// failed, with the run's error), the result endpoint serves the marshalled
+// report, and DELETE is counted. Faking the server (rather than standing
+// up simd) keeps this a test of the client's protocol handling alone.
+func fakeCoordinator(t *testing.T, sess *sim.Session, pollsUntilDone int32) *fakeCoord {
 	t.Helper()
-	enc, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const id = "sw-000001-0123456789ab"
-	total := len(rep.Shards)
 	fc := &fakeCoord{}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
@@ -44,9 +56,20 @@ func fakeCoordinator(t *testing.T, rep *sim.Report, pollsUntilDone int32) *fakeC
 			t.Errorf("submit tenant %q, want bench-test", got)
 		}
 		var spec sim.Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		if err := wire.StrictDecode(r.Body, &spec); err != nil {
 			t.Errorf("submit body does not decode as a spec: %v", err)
 		}
+		total, _ := spec.GridSize()
+		rep, err := sess.Run(context.Background(), &spec)
+		var enc []byte
+		if err == nil {
+			if enc, err = json.Marshal(rep); err != nil {
+				t.Error(err)
+			}
+		}
+		fc.mu.Lock()
+		fc.spec, fc.total, fc.served, fc.err = &spec, total, enc, err
+		fc.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
 		json.NewEncoder(w).Encode(map[string]any{
@@ -59,15 +82,20 @@ func fakeCoordinator(t *testing.T, rep *sim.Report, pollsUntilDone int32) *fakeC
 		if fc.onPoll != nil {
 			fc.onPoll()
 		}
-		state, done := "running", int(n)
-		if n >= pollsUntilDone {
-			state, done = "done", total
+		fc.mu.Lock()
+		total, runErr := fc.total, fc.err
+		fc.mu.Unlock()
+		st := map[string]any{"id": id, "tenant": "bench-test", "state": "running",
+			"progress": map[string]int{"total_shards": total, "done_shards": int(n)}}
+		switch {
+		case n < pollsUntilDone:
+		case runErr != nil:
+			st["state"], st["error"] = "failed", runErr.Error()
+		default:
+			st["state"], st["progress"] = "done", map[string]int{"total_shards": total, "done_shards": total}
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{
-			"id": id, "tenant": "bench-test", "state": state,
-			"progress": map[string]int{"total_shards": total, "done_shards": done},
-		})
+		json.NewEncoder(w).Encode(st)
 	})
 	mux.HandleFunc("GET /v1/sweeps/"+id+"/result", func(w http.ResponseWriter, r *http.Request) {
 		if fc.polls.Load() < pollsUntilDone {
@@ -76,8 +104,9 @@ func fakeCoordinator(t *testing.T, rep *sim.Report, pollsUntilDone int32) *fakeC
 			json.NewEncoder(w).Encode(map[string]any{"error": "not terminal", "code": 409})
 			return
 		}
+		_, served := fc.submitted()
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(enc)
+		w.Write(served)
 	})
 	mux.HandleFunc("DELETE /v1/sweeps/"+id, func(w http.ResponseWriter, r *http.Request) {
 		fc.deletes.Add(1)
@@ -103,13 +132,9 @@ func coordSpec() *sim.Spec {
 // the result, and hands back the coordinator's report unchanged — it
 // re-marshals to the bytes the coordinator served.
 func TestRunCoordinatorSweep(t *testing.T) {
-	simRep, err := sim.NewSession(2).Run(context.Background(), coordSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := fakeCoordinator(t, simRep, 3)
+	coord := fakeCoordinator(t, sim.NewSession(2), 3)
 
-	got, err := runCoordinatorSweep(context.Background(), coord.URL, "bench-test", coordSpec(), time.Millisecond)
+	got, err := runCoordinatorSweep(context.Background(), coord.URL, "bench-test", coordSpec(), time.Millisecond, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +148,7 @@ func TestRunCoordinatorSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(simRep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
+	if _, b := coord.submitted(); string(a) != string(b) {
 		t.Errorf("coordinator-fetched report is not the served one:\n got: %s\nwant: %s", a, b)
 	}
 }
@@ -136,14 +157,10 @@ func TestRunCoordinatorSweep(t *testing.T) {
 // the interval is waited only between polls — so a sweep the coordinator
 // has already landed (a cached rerun) costs no poll interval at all.
 func TestRunCoordinatorSweepPollsFirst(t *testing.T) {
-	simRep, err := sim.NewSession(2).Run(context.Background(), coordSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := fakeCoordinator(t, simRep, 1)
+	coord := fakeCoordinator(t, sim.NewSession(2), 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := runCoordinatorSweep(ctx, coord.URL, "bench-test", coordSpec(), time.Hour); err != nil {
+	if _, err := runCoordinatorSweep(ctx, coord.URL, "bench-test", coordSpec(), time.Hour, io.Discard); err != nil {
 		t.Fatalf("sweep done at the first poll returned %v; the client waited out an interval first", err)
 	}
 }
@@ -153,11 +170,7 @@ func TestRunCoordinatorSweepPollsFirst(t *testing.T) {
 // stop working on it — exactly one DELETE, sent although the client's own
 // context is already dead.
 func TestRunCoordinatorSweepCancel(t *testing.T) {
-	simRep, err := sim.NewSession(2).Run(context.Background(), coordSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := fakeCoordinator(t, simRep, 1<<30) // never lands
+	coord := fakeCoordinator(t, sim.NewSession(2), 1<<30) // never lands
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	coord.onPoll = func() {
@@ -165,7 +178,7 @@ func TestRunCoordinatorSweepCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	rep, err := runCoordinatorSweep(ctx, coord.URL, "bench-test", coordSpec(), time.Millisecond)
+	rep, err := runCoordinatorSweep(ctx, coord.URL, "bench-test", coordSpec(), time.Millisecond, io.Discard)
 	if rep != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned (%v, %v), want context.Canceled", rep, err)
 	}
@@ -187,7 +200,7 @@ func TestRunCoordinatorSweepFailures(t *testing.T) {
 		json.NewEncoder(w).Encode(map[string]any{"error": "tenant queue full", "code": 429})
 	}))
 	defer rejecting.Close()
-	if _, err := runCoordinatorSweep(context.Background(), rejecting.URL, "t", spec, time.Millisecond); err == nil || !strings.Contains(err.Error(), "tenant queue full") {
+	if _, err := runCoordinatorSweep(context.Background(), rejecting.URL, "t", spec, time.Millisecond, io.Discard); err == nil || !strings.Contains(err.Error(), "tenant queue full") {
 		t.Errorf("429 submit: error %v, want the envelope message surfaced", err)
 	}
 
@@ -205,7 +218,7 @@ func TestRunCoordinatorSweepFailures(t *testing.T) {
 	})
 	failing := httptest.NewServer(mux)
 	defer failing.Close()
-	if _, err := runCoordinatorSweep(context.Background(), failing.URL, "t", spec, time.Millisecond); err == nil ||
+	if _, err := runCoordinatorSweep(context.Background(), failing.URL, "t", spec, time.Millisecond, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "failed") || !strings.Contains(err.Error(), "engine exploded") {
 		t.Errorf("failed sweep: error %v, want terminal state and message", err)
 	}

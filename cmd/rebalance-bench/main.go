@@ -1,47 +1,43 @@
 // Command rebalance-bench is the command-line sweep client, a thin client
 // of the declarative run layer (internal/sim): its flags build one sim.Spec
-// for the {workload x seed x predictor-config} grid, one of three executors
-// answers it with a *sim.Report, and that report is written out as the
-// sim/v1 document — the same document simd's POST /v1/runs and
-// GET /v1/sweeps/{id}/result serve, which sim.DecodeReport reads back and
-// re-marshals byte for byte. Performance measurement lives in the bench/
-// harness (`go run ./bench`), not here.
+// for the {workload x seed x predictor-config} grid, and the sweep runs in
+// one of two places — this process's local pool, or a simd front door —
+// whose *sim.Report is written out as the sim/v1 document: the same
+// document simd's POST /v1/runs and GET /v1/sweeps/{id}/result serve,
+// which sim.DecodeReport reads back and re-marshals byte for byte.
+// Performance measurement lives in the bench/ harness (`go run ./bench`),
+// not here.
 //
-// By default the grid runs on this process's local pool (`workers` in the
-// report is the pool the plan sized).
+// By default the grid runs on this process's local pool of -workers
+// goroutines (`workers` in the report is the pool the plan sized).
 //
-// With -backends the sweep's shard grid is dispatched to remote simd
-// worker processes (started with `simd -worker`) instead of the local
-// pool: the grid is planned into units (a coordinate's shards, one worker
-// call each), at most -workers units are in flight, a unit's failed
-// members retry with backoff and failover, and the report is bit-identical (up to the fields
-// (*sim.Report).Stripped clears) to the same sweep run locally. A
-// dispatched report carries `workers: 0`: the concurrency belongs to the
-// backends.
+// With -coordinator the sweep is submitted asynchronously to a simd front
+// door's /v1/sweeps API instead of executing anywhere in this process: the
+// client submits the spec (tagged with -tenant), polls the sweep's
+// progress, fetches the final report when it lands and writes it out
+// unchanged. A worker fleet is the front door's: `simd -backends w1,w2`
+// dispatches the grid to `simd -worker` processes (with -hedge, if asked),
+// resolves it against its shared result cache first, and answers with a
+// report bit-identical, up to the fields (*sim.Report).Stripped clears, to
+// the same sweep run locally — with `workers: 0`, the concurrency being the
+// backends'. SIGINT/SIGTERM cancels a local sweep, and asks the front door
+// to cancel a submitted one.
 //
 // With -synth the sweep additionally (or, when -workloads is omitted,
 // exclusively) covers a grid of synthetic scenarios: ';'-separated knob
 // axes of ','-separated values expand by cross product into synth/v1
-// parameter sets that travel inline in the spec — and, with -backends,
-// over the worker protocol, so remote workers build the exact same
-// programs. `-synth bias=0.6,0.8,0.95` sweeps the biased-branch fraction
-// over three scenarios; see parseSynthGrid for the axis list.
-//
-// With -coordinator the sweep is submitted asynchronously to a simd
-// coordinator's /v1/sweeps API instead of executing anywhere in this
-// process: the client submits the spec (tagged with -tenant), polls the
-// sweep's progress, fetches the final report when it lands and writes it
-// out unchanged. SIGINT/SIGTERM cancels a local or dispatched sweep, and
-// asks the coordinator to cancel a submitted one.
+// parameter sets that travel inline in the spec — to a front door and on
+// to its workers, which build the exact same programs.
+// `-synth bias=0.6,0.8,0.95` sweeps the biased-branch fraction over three
+// scenarios; see parseSynthGrid for the axis list.
 //
 // Usage:
 //
 //	rebalance-bench [-workloads comd-lite,xalan-lite] [-seeds 4]
 //	                [-synth "bias=0.6,0.8,0.95;hot=0.25,0.75"]
 //	                [-insts 2000000] [-workers N]
-//	                [-backends http://host1:8080,http://host2:8080]
 //	                [-coordinator http://front:8080] [-tenant bench]
-//	                [-allow-partial] [-hedge] [-out report.json]
+//	                [-allow-partial] [-out report.json]
 package main
 
 import (
@@ -49,6 +45,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -57,28 +54,35 @@ import (
 	"time"
 
 	"rebalance/internal/sim"
-	"rebalance/internal/sim/dispatch"
 	"rebalance/internal/workload"
 	"rebalance/internal/workload/synth"
 )
 
+// options are one invocation's flag values.
+type options struct {
+	workloads, synth    string
+	seeds               int
+	insts               int64
+	workers             int
+	coordinator, tenant string
+	allowPartial        bool
+	out                 string
+}
+
 func main() {
-	var (
-		workloadsFlag = flag.String("workloads", "", "comma-separated workload names (default: every registered workload, or none when -synth is given)")
-		synthFlag     = flag.String("synth", "", "synthetic-scenario grid: ';'-separated axes of ','-separated values, e.g. \"bias=0.6,0.8,0.95;hot=0.25,0.75\"")
-		seedsFlag     = flag.Int("seeds", 4, "seeds per {workload, predictor} pair")
-		instsFlag     = flag.Int64("insts", 2_000_000, "dynamic instructions per shard")
-		workersFlag   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines: local pool size, units in flight with -backends")
-		backendsFlag  = flag.String("backends", "", "comma-separated simd worker URLs; dispatch shards remotely instead of running locally")
-		coordFlag     = flag.String("coordinator", "", "simd coordinator URL; submit the sweep asynchronously to its /v1/sweeps API and poll for the result")
-		tenantFlag    = flag.String("tenant", "bench", "tenant name submitted with -coordinator sweeps")
-		partialFlag   = flag.Bool("allow-partial", false, "degrade instead of failing when shards exhaust their retries: completed shards are reported, abandoned ones become failed_shards entries")
-		hedgeFlag     = flag.Bool("hedge", false, "with -backends, duplicate straggling units onto a second healthy worker after a latency-derived delay; first result wins")
-		outFlag       = flag.String("out", "", "write the JSON report to this file (default stdout)")
-	)
+	var o options
+	flag.StringVar(&o.workloads, "workloads", "", "comma-separated workload names (default: every registered workload, or none when -synth is given)")
+	flag.StringVar(&o.synth, "synth", "", "synthetic-scenario grid: ';'-separated axes of ','-separated values, e.g. \"bias=0.6,0.8,0.95;hot=0.25,0.75\"")
+	flag.IntVar(&o.seeds, "seeds", 4, "seeds per {workload, predictor} pair")
+	flag.Int64Var(&o.insts, "insts", 2_000_000, "dynamic instructions per shard")
+	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "local pool size")
+	flag.StringVar(&o.coordinator, "coordinator", "", "simd front door URL; submit the sweep asynchronously to its /v1/sweeps API and poll for the result")
+	flag.StringVar(&o.tenant, "tenant", "bench", "tenant name submitted with -coordinator sweeps")
+	flag.BoolVar(&o.allowPartial, "allow-partial", false, "degrade instead of failing when shards exhaust their retries: completed shards are reported, abandoned ones become failed_shards entries")
+	flag.StringVar(&o.out, "out", "", "write the JSON report to this file (default stdout)")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	err := run(ctx, *workloadsFlag, *synthFlag, *seedsFlag, *instsFlag, *workersFlag, *backendsFlag, *coordFlag, *tenantFlag, *partialFlag, *hedgeFlag, *outFlag)
+	err := run(ctx, o, os.Stderr)
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rebalance-bench:", err)
@@ -106,33 +110,28 @@ func parseWorkloads(csv string) ([]string, error) {
 	return names, nil
 }
 
-// run builds the sweep's Spec from the flag values, executes it on the
-// selected executor, and writes the resulting report as indented sim/v1
-// JSON to out (stdout when empty).
-func run(ctx context.Context, workloadsCSV, synthCSV string, seeds int, insts int64, workers int, backendsCSV, coordinator, tenant string, allowPartial, hedge bool, out string) error {
-	if seeds < 1 || insts < 1 || workers < 1 {
+// run builds the sweep's Spec from the flag values, runs it on the local
+// pool or through the -coordinator front door, and writes the resulting
+// report as indented sim/v1 JSON to o.out (stdout when empty). Progress and
+// warnings go to log.
+func run(ctx context.Context, o options, log io.Writer) error {
+	if o.seeds < 1 || o.insts < 1 || o.workers < 1 {
 		return fmt.Errorf("seeds, insts, and workers must be positive")
 	}
-	if hedge && backendsCSV == "" {
-		return fmt.Errorf("-hedge needs -backends: a local pool has no second worker to duplicate stragglers onto")
-	}
-	if coordinator != "" && backendsCSV != "" {
-		return fmt.Errorf("-coordinator and -backends are mutually exclusive: the coordinator owns its own worker fleet")
-	}
-	if coordinator != "" && tenant == "" {
+	if o.coordinator != "" && o.tenant == "" {
 		return fmt.Errorf("-coordinator needs a non-empty -tenant")
 	}
 	var names []string
 	var err error
-	if workloadsCSV != "" {
-		names, err = parseWorkloads(workloadsCSV)
+	if o.workloads != "" {
+		names, err = parseWorkloads(o.workloads)
 		if err != nil {
 			return err
 		}
 	}
 	var synthSets []synth.Params
-	if synthCSV != "" {
-		synthSets, err = parseSynthGrid(synthCSV)
+	if o.synth != "" {
+		synthSets, err = parseSynthGrid(o.synth)
 		if err != nil {
 			return err
 		}
@@ -153,34 +152,22 @@ func run(ctx context.Context, workloadsCSV, synthCSV string, seeds int, insts in
 	spec := &sim.Spec{
 		Workloads:    specWorkloads,
 		Synth:        synthSets,
-		SeedCount:    seeds,
-		Insts:        insts,
+		SeedCount:    o.seeds,
+		Insts:        o.insts,
 		Observers:    []sim.ObserverSpec{{Kind: "bpred"}},
-		AllowPartial: allowPartial,
+		AllowPartial: o.allowPartial,
 	}
 	var rep *sim.Report
-	if coordinator != "" {
-		rep, err = runCoordinatorSweep(ctx, coordinator, tenant, spec, 200*time.Millisecond)
+	if o.coordinator != "" {
+		rep, err = runCoordinatorSweep(ctx, o.coordinator, o.tenant, spec, 200*time.Millisecond, log)
 	} else {
-		sess := sim.NewSession(workers)
-		if backendsCSV != "" {
-			backends, err := dispatch.ParseBackends(backendsCSV, dispatch.DefaultClient())
-			if err != nil {
-				return err
-			}
-			d, err := dispatch.New(backends, dispatch.Options{MaxInFlight: workers, Hedge: hedge})
-			if err != nil {
-				return err
-			}
-			sess.SetRunner(d)
-		}
-		rep, err = sess.Run(ctx, spec)
+		rep, err = sim.NewSession(o.workers).Run(ctx, spec)
 	}
 	if err != nil {
 		return err
 	}
 	if n := len(rep.FailedShards); n > 0 {
-		fmt.Fprintf(os.Stderr, "rebalance-bench: warning: degraded sweep: %d of %d shards abandoned after retries; merged results cover survivors only\n",
+		fmt.Fprintf(log, "rebalance-bench: warning: degraded sweep: %d of %d shards abandoned after retries; merged results cover survivors only\n",
 			n, n+len(rep.Shards))
 	}
 
@@ -189,9 +176,9 @@ func run(ctx context.Context, workloadsCSV, synthCSV string, seeds int, insts in
 		return err
 	}
 	enc = append(enc, '\n')
-	if out == "" {
+	if o.out == "" {
 		_, err = os.Stdout.Write(enc)
 		return err
 	}
-	return os.WriteFile(out, enc, 0o644)
+	return os.WriteFile(o.out, enc, 0o644)
 }

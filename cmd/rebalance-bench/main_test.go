@@ -1,30 +1,36 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"rebalance/internal/sim"
-	"rebalance/internal/sim/dispatch"
 )
 
-// runSweep runs the client with the given flag values, writing to a fresh
-// file, and returns the file's bytes and the report they decode to.
-func runSweep(t *testing.T, workloadsCSV, synthCSV, backendsCSV, coordinator string, allowPartial bool) ([]byte, *sim.Report) {
+// testOptions is the small sweep the tests run: 2 seeds x 20k insts on a
+// 2-goroutine pool, submitted as tenant bench-test when a coordinator is
+// set.
+func testOptions(workloadsCSV, synthCSV, coordinator string, allowPartial bool) options {
+	return options{workloads: workloadsCSV, synth: synthCSV, seeds: 2, insts: 20_000, workers: 2,
+		coordinator: coordinator, tenant: "bench-test", allowPartial: allowPartial}
+}
+
+// runSweep runs the client with o, writing to a fresh file, and returns the
+// file's bytes, the report they decode to, and what the client logged.
+func runSweep(t *testing.T, o options) ([]byte, *sim.Report, string) {
 	t.Helper()
-	out := filepath.Join(t.TempDir(), "report.json")
-	if err := run(context.Background(), workloadsCSV, synthCSV, 2, 20_000, 2, backendsCSV, coordinator, "bench-test", allowPartial, false, out); err != nil {
+	o.out = filepath.Join(t.TempDir(), "report.json")
+	var log strings.Builder
+	if err := run(context.Background(), o, &log); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(out)
+	data, err := os.ReadFile(o.out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +38,7 @@ func runSweep(t *testing.T, workloadsCSV, synthCSV, backendsCSV, coordinator str
 	if err != nil {
 		t.Fatalf("written file is not a sim/v1 report: %v", err)
 	}
-	return data, rep
+	return data, rep, log.String()
 }
 
 // render marshals a report the way run writes it.
@@ -43,23 +49,6 @@ func render(t *testing.T, rep *sim.Report) string {
 		t.Fatal(err)
 	}
 	return string(enc) + "\n"
-}
-
-// twoWorkers stands up two in-process simd workers and returns their URLs
-// as a -backends value.
-func twoWorkers(t *testing.T, wrap func(http.Handler) http.Handler) string {
-	t.Helper()
-	var urls []string
-	for i := 0; i < 2; i++ {
-		h := dispatch.WorkerHandler(sim.NewSession(1), 0)
-		if wrap != nil {
-			h = wrap(h)
-		}
-		srv := httptest.NewServer(h)
-		t.Cleanup(srv.Close)
-		urls = append(urls, srv.URL)
-	}
-	return strings.Join(urls, ",")
 }
 
 func TestParseWorkloads(t *testing.T) {
@@ -88,7 +77,7 @@ func TestParseWorkloads(t *testing.T) {
 // sim.DecodeReport byte for byte, covers the full bpred grid, and equals
 // what Session.Run answers for the Spec the flags describe.
 func TestReportGolden(t *testing.T) {
-	data, rep := runSweep(t, "comd-lite,xalan-lite", "", "", "", false)
+	data, rep, _ := runSweep(t, testOptions("comd-lite,xalan-lite", "", "", false))
 	if rep.Schema != sim.SchemaV1 {
 		t.Errorf("schema %q, want %q", rep.Schema, sim.SchemaV1)
 	}
@@ -111,36 +100,6 @@ func TestReportGolden(t *testing.T) {
 	}
 	if got, want := render(t, rep.Stripped()), render(t, direct.Stripped()); got != want {
 		t.Errorf("client report differs from Session.Run of the same spec:\n got: %s\nwant: %s", got, want)
-	}
-}
-
-// TestBackendsDispatchMatchesLocal runs the same small sweep on all three
-// executors — the local pool, two in-process simd workers (-backends) and
-// a coordinator (-coordinator) — and checks the written reports agree on
-// every deterministic field. A dispatched run is the one with workers: 0.
-func TestBackendsDispatchMatchesLocal(t *testing.T) {
-	_, local := runSweep(t, "comd-lite", "", "", "", false)
-	_, remote := runSweep(t, "comd-lite", "", twoWorkers(t, nil), "", false)
-	want := render(t, local.Stripped())
-	if got := render(t, remote.Stripped()); got != want {
-		t.Errorf("dispatched sweep differs from local sweep:\nlocal:\n%s\nremote:\n%s", want, got)
-	}
-	if local.Workers < 1 {
-		t.Errorf("local sweep reports a pool of %d", local.Workers)
-	}
-	if remote.Workers != 0 {
-		t.Errorf("dispatched sweep reports workers=%d, want 0 (the concurrency belongs to the backends)", remote.Workers)
-	}
-
-	// The coordinator answers with its own run of the same spec.
-	coordRep, err := sim.NewSession(2).Run(context.Background(), local.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := fakeCoordinator(t, coordRep, 2)
-	_, viaCoord := runSweep(t, "comd-lite", "", "", coord.URL, false)
-	if got := render(t, viaCoord.Stripped()); got != want {
-		t.Errorf("coordinator sweep differs from local sweep:\nlocal:\n%s\ncoordinator:\n%s", want, got)
 	}
 }
 
@@ -198,13 +157,16 @@ func TestParseSynthGrid(t *testing.T) {
 
 // TestSynthSweepDispatchedAndDeterministic is the acceptance sweep in
 // miniature: >= 3 synth parameter sets x 2 seeds, run twice locally from
-// fresh processes' worth of state (fresh sessions) and once dispatched to
-// in-process simd workers — all byte-identical on deterministic fields.
+// fresh processes' worth of state (fresh sessions) and once through a
+// coordinator that runs the spec it was sent — the parameter sets travel
+// inline in it — on a session of its own: all byte-identical on
+// deterministic fields.
 func TestSynthSweepDispatchedAndDeterministic(t *testing.T) {
 	const grid = "bias=0.6,0.8,0.95"
-	_, cold1 := runSweep(t, "", grid, "", "", false)
-	_, cold2 := runSweep(t, "", grid, "", "", false)
-	_, dispatched := runSweep(t, "", grid, twoWorkers(t, nil), "", false)
+	_, cold1, _ := runSweep(t, testOptions("", grid, "", false))
+	_, cold2, _ := runSweep(t, testOptions("", grid, "", false))
+	coord := fakeCoordinator(t, sim.NewSession(2), 2)
+	_, viaCoord, _ := runSweep(t, testOptions("", grid, coord.URL, false))
 
 	if want := 3 * 2 * 9; len(cold1.Shards) != want {
 		t.Fatalf("synth sweep has %d shards, want %d (3 scenarios x 2 seeds x 9 predictors)", len(cold1.Shards), want)
@@ -212,12 +174,15 @@ func TestSynthSweepDispatchedAndDeterministic(t *testing.T) {
 	if w := cold1.Spec.Workloads; len(w) != 3 || !strings.HasPrefix(w[0], "synth-") {
 		t.Fatalf("sweep workloads = %v, want the synth grid only", w)
 	}
+	if spec, _ := coord.submitted(); len(spec.Synth) != 3 {
+		t.Fatalf("submitted spec carries %d synth parameter sets, want 3", len(spec.Synth))
+	}
 	want := render(t, cold1.Stripped())
 	if render(t, cold2.Stripped()) != want {
 		t.Error("two cold synth sweeps differ on deterministic fields")
 	}
-	if render(t, dispatched.Stripped()) != want {
-		t.Error("dispatched synth sweep differs from local sweep on deterministic fields")
+	if render(t, viaCoord.Stripped()) != want {
+		t.Error("synth sweep through the coordinator differs from local sweep on deterministic fields")
 	}
 }
 
@@ -227,33 +192,36 @@ func TestParseSynthGridRejectsRepeatedAxis(t *testing.T) {
 	}
 }
 
-// TestAllowPartialDegradedSweep drives the -allow-partial path end to end:
-// two workers that deterministically reject every seed-2 shard (with a
-// 400, so the rejection is never retried and never blamed). The degraded
-// sweep must report exactly the seed-1 survivors, list the seed-2 cells
-// as failed_shards, and merge over one seed — while the same sweep
-// without -allow-partial stays all-or-nothing and fails.
-func TestAllowPartialDegradedSweep(t *testing.T) {
-	rejectSeed2 := func(inner http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			if bytes.Contains(body, []byte(`"seed":2`)) || bytes.Contains(body, []byte(`"seed": 2`)) {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusBadRequest)
-				_, _ = w.Write([]byte(`{"error": "scripted rejection of seed 2"}`))
-				return
-			}
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			inner.ServeHTTP(w, r)
-		})
-	}
-	backends := twoWorkers(t, rejectSeed2)
+// rejectSeed2 is a shard runner that rejects every seed-2 shard with a
+// scripted error and computes the rest on its own session.
+type rejectSeed2 struct{ inner *sim.Session }
 
-	_, rep := runSweep(t, "comd-lite", "", backends, "", true)
+func (r rejectSeed2) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
+	out, err := r.inner.RunShards(ctx, specs)
+	for i := range out {
+		if specs[i].Seed == 2 {
+			out[i] = sim.Outcome{Attempts: 1, Err: errors.New("scripted rejection of seed 2")}
+		}
+	}
+	return out, err
+}
+
+// TestAllowPartialDegradedSweep drives -allow-partial through a coordinator
+// whose fleet deterministically rejects every seed-2 shard: the flag reaches
+// the submitted spec, and the degraded report — the seed-1 survivors, the
+// seed-2 cells as failed_shards — is written out with a warning naming how
+// many shards were abandoned. Without the flag the sweep lands failed and
+// the client fails with it. How a run degrades is pinned where it happens:
+// cmd/simd's TestDispatchedRunHonoursAllowPartial and internal/sim.
+func TestAllowPartialDegradedSweep(t *testing.T) {
+	fleet := sim.NewSession(2)
+	fleet.SetRunner(rejectSeed2{sim.NewSession(2)})
+
+	coord := fakeCoordinator(t, fleet, 1)
+	_, rep, log := runSweep(t, testOptions("comd-lite", "", coord.URL, true))
+	if spec, _ := coord.submitted(); !spec.AllowPartial {
+		t.Error("-allow-partial did not reach the submitted spec as allow_partial: true")
+	}
 	if want := 1 * 1 * 9; len(rep.Shards) != want {
 		t.Fatalf("degraded sweep has %d shards, want %d seed-1 survivors", len(rep.Shards), want)
 	}
@@ -266,28 +234,19 @@ func TestAllowPartialDegradedSweep(t *testing.T) {
 		t.Fatalf("failed_shards has %d entries, want %d (every seed-2 cell)", len(rep.FailedShards), want)
 	}
 	for _, f := range rep.FailedShards {
-		if f.Workload != "comd-lite" || f.Seed != 2 {
-			t.Errorf("failed shard = %+v, want a comd-lite seed-2 cell", f)
-		}
-		if !strings.Contains(f.Error, "scripted rejection") {
-			t.Errorf("failed shard error = %q, want the worker's own message", f.Error)
+		if f.Workload != "comd-lite" || f.Seed != 2 || !strings.Contains(f.Error, "scripted rejection") {
+			t.Errorf("failed shard = %+v, want a comd-lite seed-2 cell carrying the fleet's message", f)
 		}
 	}
-	for _, m := range rep.Merged {
-		if m.Seeds != 1 {
-			t.Errorf("%s/%s merges %d seeds, want 1 (survivors only)", m.Workload, m.Observer, m.Seeds)
-		}
+	if want := "warning: degraded sweep: 9 of 18 shards abandoned"; !strings.Contains(log, want) {
+		t.Errorf("client log %q does not carry %q", log, want)
 	}
 
 	// All-or-nothing remains the default contract.
-	if err := run(context.Background(), "comd-lite", "", 2, 20_000, 2, backends, "", "bench", false, false, filepath.Join(t.TempDir(), "strict.json")); err == nil {
-		t.Fatal("sweep with a permanently failing cell succeeded without -allow-partial")
-	}
-}
-
-func TestHedgeNeedsBackends(t *testing.T) {
-	err := run(context.Background(), "comd-lite", "", 1, 1000, 1, "", "", "bench", false, true, filepath.Join(t.TempDir(), "x.json"))
-	if err == nil || !strings.Contains(err.Error(), "-backends") {
-		t.Fatalf("run with -hedge and no -backends = %v, want refusal", err)
+	strict := fakeCoordinator(t, fleet, 1)
+	o := testOptions("comd-lite", "", strict.URL, false)
+	o.out = filepath.Join(t.TempDir(), "strict.json")
+	if err := run(context.Background(), o, io.Discard); err == nil || !strings.Contains(err.Error(), "scripted rejection") {
+		t.Fatalf("sweep with a permanently failing cell = %v without -allow-partial, want the sweep's failure", err)
 	}
 }

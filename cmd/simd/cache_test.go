@@ -53,7 +53,8 @@ func TestCacheStatsDisabled(t *testing.T) {
 // TestWorkerShardCacheWarmPass drives the worker protocol twice with one
 // shard spec: the second response must be served from the cache (marked
 // "cached", byte-identical result) and /v1/stats must account for the
-// hit — the exact loop the CI cache smoke runs across processes.
+// hit. No CI smoke repeats this across processes: there a front door
+// resolves every grid before a worker sees it.
 func TestWorkerShardCacheWarmPass(t *testing.T) {
 	srv, _ := cachedServer(t, true)
 	spec := `{"workload":"comd-lite","seed":3,"insts":20000,"observer":{"kind":"bbl"}}`

@@ -7,10 +7,10 @@
 // The process is also the worker half of the dispatch layer: POST
 // /v1/shards runs one unit of an expanded grid — an array of shard specs,
 // streamed once per trace coordinate for all its members — and returns one
-// wire record per member, which a coordinator (another simd,
-// rebalance-bench -backends, or any sim.Session routed through a
-// dispatch.Dispatcher) decodes and folds into the same bit-identical
-// Report an all-local run produces. -worker
+// wire record per member, which a front door (a simd started with
+// -backends, or any sim.Session routed through a dispatch.Dispatcher)
+// decodes and folds into the same bit-identical Report an all-local run
+// produces. -worker
 // trims the surface to exactly that role: the run and sweep endpoints are
 // withheld so a fleet worker cannot be used as an accidental coordinator.
 //

@@ -3,7 +3,7 @@
 // for drilling a coordinator against the failure modes the retry,
 // failover, hedging, and partial-result machinery claims to absorb.
 //
-// A Schedule is a declarative, JSON-encodable fault plan: per-call
+// A Schedule is a declarative fault plan, written as a Go literal: per-call
 // probabilities for latency spikes, hangs, injected 5xx answers,
 // connection drops, and corrupted or truncated payloads; a flapping
 // window that takes the whole backend down periodically; and a poison
@@ -42,7 +42,6 @@ import (
 	"rebalance/internal/clock"
 	"rebalance/internal/sim"
 	"rebalance/internal/sim/dispatch"
-	"rebalance/internal/wire"
 )
 
 // Schedule is a declarative fault plan. All probabilities are per backend
@@ -139,19 +138,6 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	return nil
-}
-
-// DecodeSchedule parses and validates a Schedule from JSON, rejecting
-// unknown fields so a typoed fault name cannot silently disable a drill.
-func DecodeSchedule(data []byte) (*Schedule, error) {
-	var s Schedule
-	if err := wire.StrictUnmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("chaos: decoding schedule: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }
 
 // Injector turns a Schedule into per-call fault decisions. Safe for

@@ -251,7 +251,7 @@ func WorkerHandler(sess *sim.Session, maxInsts int64) http.Handler {
 }
 
 // ParseBackends builds HTTP backends from a comma-separated URL list (the
-// shape of rebalance-bench's -backends flag), rejecting empty and
+// shape of simd's -backends flag), rejecting empty and
 // duplicate entries. A nil client selects http.DefaultClient.
 func ParseBackends(csv string, client *http.Client) ([]Backend, error) {
 	parts := strings.Split(csv, ",")

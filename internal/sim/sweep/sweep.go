@@ -387,6 +387,7 @@ func (c *Coordinator) Get(id string) (Status, bool) {
 // returns nil.
 func (c *Coordinator) Partial(id string) ([]sim.Shard, bool) {
 	c.mu.Lock()
+	c.evictLocked()
 	j, ok := c.sweeps[id]
 	c.mu.Unlock()
 	if !ok {
@@ -424,6 +425,7 @@ func (c *Coordinator) Report(id string) (*sim.Report, error) {
 // ~100ms). Cancelling a terminal sweep reports ErrTerminal.
 func (c *Coordinator) Cancel(id string) (Status, error) {
 	c.mu.Lock()
+	c.evictLocked()
 	j, ok := c.sweeps[id]
 	if !ok {
 		c.mu.Unlock()

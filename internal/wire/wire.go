@@ -104,7 +104,8 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 
 // Do is the one JSON round trip every client shares: body (nil for none)
 // goes out as application/json, and the response comes back as its status
-// and at most limit bytes of its body. Transport errors are returned as
+// and its body. A body longer than limit bytes is an error naming the
+// limit, never a silently cut prefix. Transport errors are returned as
 // they are; what a status means is the caller's to say.
 func Do(ctx context.Context, client *http.Client, method, url string, body []byte, limit int64) ([]byte, int, error) {
 	var rd io.Reader
@@ -123,9 +124,12 @@ func Do(ctx context.Context, client *http.Client, method, url string, body []byt
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return nil, 0, fmt.Errorf("reading response body: %w", err)
+	}
+	if int64(len(data)) > limit {
+		return nil, 0, fmt.Errorf("response body exceeds %d bytes", limit)
 	}
 	return data, resp.StatusCode, nil
 }

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -102,6 +104,26 @@ func TestTargetDecodesInPlace(t *testing.T) {
 	}
 	if _, err := Decode([]byte(`null`), newTarget); !errors.Is(err, ErrAbsent) {
 		t.Errorf("Decode(null) error = %v, want ErrAbsent", err)
+	}
+}
+
+// TestDoRefusesAnOverLimitBody: a body of exactly limit bytes comes back
+// whole, and one byte more is an error naming the limit — not a prefix
+// that fails later as malformed JSON and blames the peer for it.
+func TestDoRefusesAnOverLimitBody(t *testing.T) {
+	const limit = 64
+	for _, n := range []int{limit, limit + 1} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			_, _ = w.Write([]byte(strings.Repeat("x", n)))
+		}))
+		data, status, err := Do(context.Background(), srv.Client(), http.MethodGet, srv.URL, nil, limit)
+		srv.Close()
+		if n == limit && (err != nil || status != http.StatusOK || len(data) != limit) {
+			t.Errorf("%d-byte body under a %d-byte limit: %d bytes, status %d, err %v; want it whole", n, limit, len(data), status, err)
+		}
+		if want := "response body exceeds 64 bytes"; n > limit && (err == nil || err.Error() != want || data != nil) {
+			t.Errorf("%d-byte body under a %d-byte limit: %d bytes, err %v; want %q", n, limit, len(data), err, want)
+		}
 	}
 }
 
