@@ -26,9 +26,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs the wire- and disk-surface fuzzers and the three differentials
+# fuzz runs the wire- and disk-surface fuzzers and the four differentials
 # — the one-pass shard record decode against the two-level one it replaced
-# (FuzzDecodeShard), the lane consumers against their per-instruction
+# (FuzzDecodeShard), the appended sc2-/tr1- keys against json.Marshal's
+# (FuzzShardCacheKey), the lane consumers against their per-instruction
 # models, and (in FuzzDecodeDeliver) the trr1 lane decoder against its
 # instruction model — for a short budget (CI uses the same targets);
 # FUZZTIME=5m for a longer local session.
@@ -37,6 +38,7 @@ fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeShardResult$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzShardCacheKey$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/dispatch -run '^$$' -fuzz '^FuzzDecodeAnswer$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzLaneMatchesPerInstruction$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tiercache -run '^$$' -fuzz '^FuzzDiskEntryCorruption$$' -fuzztime $(FUZZTIME)

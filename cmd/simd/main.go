@@ -356,8 +356,12 @@ func newServer(cfg serverConfig) http.Handler {
 // cache ("cache") or the materialized-trace store ("traces"): whether the
 // tier is configured, and its hit/miss/eviction counters and resident
 // bytes, the gauges the CI smokes cross-check against shard counts.
-func statsSection[V any](c *tiercache.Cache[V]) map[string]any {
-	if c == nil {
+func statsSection[C interface {
+	comparable
+	Stats() tiercache.Stats
+}](c C) map[string]any {
+	var none C
+	if c == none {
 		return map[string]any{"enabled": false, "stats": tiercache.Stats{}}
 	}
 	return map[string]any{"enabled": true, "stats": c.Stats()}

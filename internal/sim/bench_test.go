@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"rebalance/internal/sim/shardcache"
 	"rebalance/internal/trace"
 	"rebalance/internal/trace/replay"
 )
@@ -163,6 +164,38 @@ func BenchmarkMixed9Pass(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
 		})
+	}
+}
+
+// BenchmarkCachedRerun is the bench harness's mixed9-cached-rerun at its
+// grid shape (2 workloads x 4 seeds x the nine configurations, 2M insts a
+// shard): every shard a hit in a warm memory tier, so an op is key, lookup,
+// merge and the report's json.Marshal — spec in, report bytes out. The
+// session runs GOMAXPROCS workers, so -cpu prices the all-hits plan's fan-out.
+func BenchmarkCachedRerun(b *testing.B) {
+	spec := benchSweepSpec(2_000_000)
+	spec.SeedCount = 4
+	cache, err := shardcache.New(shardcache.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess := NewSession(0)
+	sess.SetCache(cache)
+	ctx := context.Background()
+	for i := 0; i < 2; i++ { // fill the cache, then decode every record once
+		if _, err := sess.Run(ctx, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := sess.Run(ctx, spec)
+		if err == nil {
+			_, err = json.Marshal(rep)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -3,8 +3,11 @@ package sim
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"unicode/utf8"
 
 	"rebalance/internal/sim/shardcache"
 	"rebalance/internal/trace/replay"
@@ -44,47 +47,60 @@ func (sp ShardSpec) CacheKey() (string, error) {
 
 // ShardCacheKey is CacheKey for callers that already expanded the spec's
 // observer configuration (and thereby validated the spec), sparing a
-// second expansion.
+// second expansion. It appends, in one pass, the bytes json.Marshal writes
+// for the canonical ShardSpec (cache_test.go holds it to that oracle).
 func ShardCacheKey(sp ShardSpec, cfg ObserverConfig) string {
-	canon := ShardSpec{
-		Workload: sp.Workload,
-		Synth:    canonSynth(sp.Synth),
-		Seed:     sp.Seed,
-		Insts:    sp.Insts,
-		Engine:   sp.Engine,
-		Observer: cfg.Spec(),
+	engine, obs := sp.Engine, cfg.Spec()
+	if engine == "" {
+		engine = EngineCompiled
 	}
-	if canon.Engine == "" {
-		canon.Engine = EngineCompiled
+	b := appendCoord(make([]byte, 0, 256), sp.Workload, sp.Synth, sp.Seed, sp.Insts)
+	b = appendString(append(b, `,"engine":`...), engine)
+	b = appendString(append(b, `,"observer":{"kind":`...), obs.Kind)
+	if len(obs.Options) > 0 {
+		b = appendRaw(append(b, `,"options":`...), obs.Options)
 	}
-	return contentKey(cacheKeyVersion, canon)
+	return contentKey(cacheKeyVersion, append(b, "}}"...))
 }
 
 // contentKey is the one content-address recipe, shared by the sc2- shard
-// keys and the tr1- trace keys: the version, then the SHA-256 of the
+// keys and the tr1- trace keys: the version, then the hex SHA-256 of the
 // canonical form's JSON.
-func contentKey(version string, canon any) string {
-	data, err := json.Marshal(canon)
-	if err != nil {
-		// A canonical form is plain data its caller just assembled; it
-		// cannot fail to marshal.
-		panic(fmt.Sprintf("sim: marshalling canonical %s form: %v", version, err))
-	}
-	return fmt.Sprintf("%s-%x", version, sha256.Sum256(data))
+func contentKey(version string, canon []byte) string {
+	sum := sha256.Sum256(canon)
+	return version + "-" + hex.EncodeToString(sum[:])
 }
 
-// canonSynth canonicalizes the inline scenario of an already-validated
-// spec (the contract of both key entry points) for its key's canonical
-// form; nil, a registered workload, stays nil.
-func canonSynth(p *synth.Params) *synth.Params {
-	if p == nil {
-		return nil
+// appendCoord opens both canonical forms: {workload, synth (absent for a
+// registered workload; its CanonicalJSON, which json.Marshal still writes,
+// as no benchmarked grid is synthetic), seed, insts.
+func appendCoord(b []byte, workload string, p *synth.Params, seed uint64, insts int64) []byte {
+	b = appendString(append(b, `{"workload":`...), workload)
+	if p != nil {
+		canon, err := p.CanonicalJSON()
+		if err != nil {
+			panic(fmt.Sprintf("sim: canonicalizing validated synth params: %v", err))
+		}
+		b = append(append(b, `,"synth":`...), canon...)
 	}
-	c, err := p.Canonical()
-	if err != nil {
-		panic(fmt.Sprintf("sim: canonicalizing validated synth params: %v", err))
+	b = strconv.AppendUint(append(b, `,"seed":`...), seed, 10)
+	return strconv.AppendInt(append(b, `,"insts":`...), insts, 10)
+}
+
+// appendRaw appends JSON as encoding/json writes a RawMessage: compacted,
+// HTML characters escaped. Plain printable ASCII without spaces — every
+// registered kind's options — is that already; the rest is json.Marshal's.
+func appendRaw(b, raw []byte) []byte {
+	for _, c := range raw {
+		if c <= ' ' || c >= utf8.RuneSelf || c == '<' || c == '>' || c == '&' {
+			enc, err := json.Marshal(json.RawMessage(raw))
+			if err != nil {
+				panic(fmt.Sprintf("sim: observer options are not JSON: %v", err))
+			}
+			return append(b, enc...)
+		}
 	}
-	return &c
+	return append(b, raw...)
 }
 
 // SetCache routes every shard this session resolves — the grids it runs,
@@ -127,27 +143,29 @@ func (s *Session) SetTraceStore(st *replay.Store) { s.traces = st }
 func (s *Session) TraceStore() *replay.Store { return s.traces }
 
 // resolveShard is the result-cache protocol for one key, behind resolve's
-// unit loop. It serves the shard stored
-// under key (hit; decoded through the same DecodeShard path remote results
-// take, so a cached shard is bit-identical, up to timing fields and the
-// Cached mark, to a cold one) or elects the caller to compute it, handing
-// back land, which the caller must call exactly once with the outcome: a
+// unit loop. It serves the shard stored under key (hit) or elects the
+// caller to compute it, handing back land, which the caller must call
+// exactly once with the outcome: a
 // computed shard is written back as its canonical cold record (Cached
 // stripped, so stored bytes are identical whichever tier produced them),
 // a failure releases the key. Concurrent callers for one key are
 // deduplicated to one compute (the cache's singleflight), the followers
 // served as hits; err is only ever the follower's own cancelled context.
 //
-// A stored record that no longer decodes (e.g. written by an incompatible
-// build) must degrade to a recompute, never fail the run: the entry is
-// dropped and the key re-entered. A second decode failure means the cache
-// is being poisoned faster than it can be cleared (a shared disk dir and a
-// writer on different semantics) — the caller then computes with the cache
-// left out of it. An encoding failure leaves the cache unpopulated; the
-// computed shard is still good.
+// A record's first hit decodes it through the same DecodeShard path remote
+// results take, so a cached shard is bit-identical, up to timing fields and
+// the Cached mark, to a cold one, and encodes its result's artifact beside
+// it; every later hit on the record shares both, and still checks the shard
+// against its own cell. A stored record that no longer decodes (e.g.
+// written by an incompatible build) must degrade to a recompute, never fail
+// the run: the entry is dropped and the key re-entered. A second decode
+// failure means the cache is being poisoned faster than it can be cleared
+// (a shared disk dir and a writer on different semantics) — the caller then
+// computes with the cache left out of it. An encoding failure leaves the
+// cache unpopulated; the computed shard is still good.
 func resolveShard(ctx context.Context, cache *shardcache.Cache, key string, spec ShardSpec, cfg ObserverConfig) (sh Shard, hit bool, land func(Shard, error), err error) {
 	for attempt := 0; attempt < 2; attempt++ {
-		data, hit, finish, err := cache.Lead(ctx, key)
+		rec, hit, finish, err := cache.Lead(ctx, key)
 		if err != nil {
 			return Shard{}, false, nil, err
 		}
@@ -161,7 +179,14 @@ func resolveShard(ctx context.Context, cache *shardcache.Cache, key string, spec
 				finish(data, err)
 			}, nil
 		}
-		if sh, err := DecodeShard(data, spec, cfg); err == nil {
+		v, err := rec.Decoded(func(data []byte) (any, error) {
+			sh, err := DecodeShard(data, spec, cfg)
+			if err == nil {
+				sh.keepArtifact()
+			}
+			return sh, err
+		})
+		if sh := v.(Shard); err == nil && sh.matches(spec, cfg) == nil {
 			sh.Cached = true
 			return sh, true, nil, nil
 		}

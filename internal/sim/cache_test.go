@@ -1,17 +1,22 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rebalance/internal/program"
 	"rebalance/internal/sim/shardcache"
+	"rebalance/internal/workload/synth"
 )
 
 func newCachedSession(t *testing.T, workers int, dir string) *Session {
@@ -348,4 +353,317 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 			t.Errorf("invalid %s produced a key (err = %v)", name, err)
 		}
 	}
+}
+
+// The oracle of the key appenders is the recipe they replaced: json.Marshal
+// of the canonical struct — a ShardSpec, or the trace coordinate below —
+// with each registered configuration re-described through its options
+// struct, then the hex SHA-256 behind the version.
+
+type oracleTraceCoord struct {
+	Workload string        `json:"workload"`
+	Synth    *synth.Params `json:"synth,omitempty"`
+	Seed     uint64        `json:"seed"`
+	Insts    int64         `json:"insts"`
+}
+
+func oracleContentKey(t testing.TB, version string, canon any) string {
+	t.Helper()
+	data, err := json.Marshal(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s-%x", version, sha256.Sum256(data))
+}
+
+// oracleObserverSpec is cfg.Spec() as json.Marshal of the configuration's
+// options struct wrote it; a configuration outside the registry is taken at
+// its word.
+func oracleObserverSpec(t testing.TB, cfg ObserverConfig) ObserverSpec {
+	t.Helper()
+	spec := cfg.Spec()
+	var opts any
+	switch c := cfg.(type) {
+	case bpredCfg:
+		opts = bpredOptions{Configs: []string{c.name}}
+	case bpredGroupCfg:
+		opts = bpredOptions{Configs: c.names, Grouped: true, Parallel: c.parallel}
+	case btbCfg:
+		opts = btbOptions{Geometries: []btbGeometry{c.g}}
+	case icacheCfg:
+		opts = icacheOptions{Geometries: []icacheGeometry{c.g}}
+	default:
+		return spec
+	}
+	var err error
+	if spec.Options, err = json.Marshal(opts); err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+func oracleCanonSynth(t testing.TB, p *synth.Params) *synth.Params {
+	if p == nil {
+		return nil
+	}
+	c, err := p.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &c
+}
+
+func oracleShardKey(t testing.TB, sp ShardSpec, cfg ObserverConfig) string {
+	canon := ShardSpec{Workload: sp.Workload, Synth: oracleCanonSynth(t, sp.Synth), Seed: sp.Seed, Insts: sp.Insts,
+		Engine: sp.Engine, Observer: oracleObserverSpec(t, cfg)}
+	if canon.Engine == "" {
+		canon.Engine = EngineCompiled
+	}
+	return oracleContentKey(t, cacheKeyVersion, canon)
+}
+
+func oracleTraceKey(t testing.TB, sp ShardSpec) string {
+	return oracleContentKey(t, traceKeyVersion, oracleTraceCoord{Workload: sp.Workload, Synth: oracleCanonSynth(t, sp.Synth), Seed: sp.Seed, Insts: sp.Insts})
+}
+
+// keyCfg is a configuration that re-describes itself as any ObserverSpec,
+// so the key's observer half meets kinds and options no registered
+// configuration writes. It is never run.
+type keyCfg struct{ spec ObserverSpec }
+
+func (c keyCfg) Key() string                                 { return "key-test/" + c.spec.Kind }
+func (c keyCfg) NewObserver(*program.Program) ShardObserver  { panic("keyCfg is never run") }
+func (c keyCfg) NewResult() Result                           { panic("keyCfg is never run") }
+func (c keyCfg) Spec() ObserverSpec                          { return c.spec }
+func (c keyCfg) DecodeTarget() (any, func() (Result, error)) { panic("keyCfg is never run") }
+
+// keySynths are scenarios that exercise the synth knobs: defaults made
+// explicit, every knob set, and a zero fraction omitted.
+func keySynths(t testing.TB) []*synth.Params {
+	out := []*synth.Params{{Name: "defaults"}, {Name: "full.knobs_1", Seed: 42, BiasedFrac: 0.6, CorrelatedFrac: 0.25,
+		NoisyFrac: 0.15, Bias: 0.93, BlockLen: 5, LoopDepth: 3, TripCounts: []int{12, 30, 1024}, Funcs: 10,
+		CallFanout: 3, IndirectFanout: 8, Dispatch: synth.DispatchWeighted, HotFrac: 0.5},
+		{Name: "uncorrelated", BiasedFrac: 0.9, NoisyFrac: 0.1}}
+	for _, p := range out {
+		if _, err := p.Canonical(); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+	}
+	return out
+}
+
+// TestShardCacheKeyMatchesMarshal holds the one-pass sc2- and tr1- keys to
+// the json.Marshal recipe they replaced, byte for byte: every registered
+// kind's default configurations plus grouped and parallel bpred, registered
+// and synth workloads under names encoding/json must escape, the engine
+// empty and explicit, and observer specs outside the registry whose kind and
+// options need escaping or compacting.
+func TestShardCacheKeyMatchesMarshal(t *testing.T) {
+	specs := []ObserverSpec{
+		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small"],"grouped":true}`)},
+		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-big","tournament-big","tage-big"],"parallel":true}`)},
+	}
+	for _, kind := range ObserverKinds() {
+		specs = append(specs, ObserverSpec{Kind: kind})
+	}
+	cfgs, err := expandObservers(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range []string{"{ \"a\" : [1, 2] ,\n\t\"b\": \"x y\" }", `{"html":"<a>&amp;</a>"}`, `{ "spaced" : 1 }`, `{"amp":"&"}`, `{"gt":">"}`, "[\"sep\u2028para\u2029\"]", `"ünï"`, `{}`, ``} {
+		cfgs = append(cfgs, keyCfg{ObserverSpec{Kind: "opts", Options: json.RawMessage(raw)}})
+	}
+	for _, kind := range awkwardNames {
+		cfgs = append(cfgs, keyCfg{ObserverSpec{Kind: kind}})
+	}
+
+	var cells []ShardSpec
+	for _, engine := range []string{"", EngineCompiled} {
+		for _, sp := range append([]*synth.Params{nil}, keySynths(t)...) {
+			for _, name := range append([]string{"comd-lite"}, awkwardNames...) {
+				cells = append(cells, ShardSpec{Workload: name, Synth: sp, Seed: 7, Insts: 1000, Engine: engine})
+			}
+		}
+	}
+	cells = append(cells, ShardSpec{Workload: "xalan-lite", Seed: math.MaxUint64, Insts: math.MaxInt64})
+	for _, sp := range cells {
+		if got, want := traceKey(sp.Workload, sp.Synth, sp.Seed, sp.Insts), oracleTraceKey(t, sp); got != want {
+			t.Errorf("traceKey(%q, synth %v) = %s, want %s", sp.Workload, sp.Synth != nil, got, want)
+		}
+		for _, cfg := range cfgs {
+			if got, want := ShardCacheKey(sp, cfg), oracleShardKey(t, sp, cfg); got != want {
+				t.Errorf("ShardCacheKey(%q, synth %v, engine %q, %s %q) = %s, want %s",
+					sp.Workload, sp.Synth != nil, sp.Engine, cfg.Key(), cfg.Spec().Options, got, want)
+			}
+		}
+	}
+}
+
+// countingCfg is a configuration whose DecodeTarget counts its calls: one
+// call is one decode of a stored record.
+type countingCfg struct {
+	ObserverConfig
+	decodes *atomic.Int64
+}
+
+func (c countingCfg) DecodeTarget() (any, func() (Result, error)) {
+	c.decodes.Add(1)
+	return c.ObserverConfig.DecodeTarget()
+}
+
+// TestCachedRecordDecodesOnce: concurrent and repeated hits on one stored
+// record decode it once; a Put, an eviction (served again by disk
+// promotion) and a fresh cache's disk promotion each start a record that
+// decodes again; and a decoded record still refuses a cell it does not name.
+func TestCachedRecordDecodesOnce(t *testing.T) {
+	ctx := context.Background()
+	inner, err := expandObservers([]ObserverSpec{{Kind: "bbl"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decodes atomic.Int64
+	cfg := countingCfg{inner[0], &decodes}
+	spec := ShardSpec{Workload: "comd-lite", Seed: 3, Insts: 5_000, Observer: cfg.Spec()}
+	sh, err := NewSession(1).RunShard(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := EncodeShard(sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, dir := ShardCacheKey(spec, cfg), t.TempDir()
+	cache, err := shardcache.New(shardcache.Options{MaxEntries: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := func(what string, want int64) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, hit, _, err := resolveShard(ctx, cache, key, spec, cfg)
+				if err != nil || !hit || !got.Cached || got.Result == nil {
+					t.Errorf("%s: hit=%v cached=%v err=%v", what, hit, got.Cached, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if n := decodes.Load(); n != want {
+			t.Fatalf("%s: %d decodes in all, want %d", what, n, want)
+		}
+	}
+	cache.Put(key, rec)
+	hits("eight hits on one record", 1)
+	cache.Put(key, rec)
+	hits("a Put", 2)
+	cache.Put("other-1", rec)
+	cache.Put("other-2", rec)
+	if st := cache.Stats(); st.Evictions == 0 {
+		t.Fatalf("no eviction: %+v", st)
+	}
+	hits("an eviction and its disk promotion", 3)
+	if cache, err = shardcache.New(shardcache.Options{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	hits("a fresh cache's disk promotion", 4)
+
+	other := spec
+	other.Seed++
+	_, hit, land, err := resolveShard(ctx, cache, key, other, cfg)
+	if err != nil || hit {
+		t.Fatalf("a decoded record served a cell it does not name (hit=%v err=%v)", hit, err)
+	}
+	land(Shard{}, errors.New("not computed"))
+}
+
+// TestConcurrentWarmRunsShareReadOnlyResults: two Runs over one warm cache,
+// each marshalling its report, produce the cold run's report; their cached
+// shards share the results the records decoded, and those results encode
+// exactly as before the runs merged them.
+func TestConcurrentWarmRunsShareReadOnlyResults(t *testing.T) {
+	ctx := context.Background()
+	sess := newCachedSession(t, 2, "")
+	cold, err := sess.Run(ctx, goldenRunSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := sess.Run(ctx, goldenRunSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]byte, len(warm.Shards))
+	for i, sh := range warm.Shards {
+		if before[i], err = sh.Result.EncodeJSON(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reps := make([]*Report, 2)
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := sess.Run(ctx, goldenRunSpec())
+			if err == nil {
+				_, err = json.Marshal(rep)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			reps[i] = rep
+		}()
+	}
+	wg.Wait()
+	want := renderGolden(t, cold)
+	for _, rep := range reps {
+		if rep == nil {
+			t.FailNow()
+		}
+		if got := renderGolden(t, rep); !bytes.Equal(got, want) {
+			t.Errorf("concurrent warm report differs from the cold one:\n%s", got)
+		}
+		for i, sh := range rep.Shards {
+			if !sh.Cached || sh.Result != warm.Shards[i].Result {
+				t.Errorf("shard %d: cached=%v, result shared with the earlier warm run: %v", i, sh.Cached, sh.Result == warm.Shards[i].Result)
+			}
+		}
+	}
+	for i, sh := range warm.Shards {
+		if after, _ := sh.Result.EncodeJSON(); !bytes.Equal(after, before[i]) {
+			t.Errorf("shard %d's cached result changed under the merges:\nbefore: %s\nafter:  %s", i, before[i], after)
+		}
+	}
+}
+
+// TestReplacedResultIsEncodedAfresh: a cached shard copies its record's
+// artifact only while its Result is the result that artifact encodes.
+func TestReplacedResultIsEncodedAfresh(t *testing.T) {
+	sess := newCachedSession(t, 1, "")
+	var warm *Report
+	for range 2 {
+		var err error
+		if warm, err = sess.Run(context.Background(), goldenRunSpec()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh := warm.Shards[0]
+	if sh.enc == nil {
+		t.Fatal("a cached shard carries no artifact")
+	}
+	check := func(what string, sh Shard) {
+		t.Helper()
+		want, _ := json.Marshal(oracleShard(t, sh))
+		if got, err := EncodeShard(sh); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: EncodeShard = %s (err %v), want %s", what, got, err, want)
+		}
+	}
+	check("as served", sh)
+	sh.Result = warm.Shards[len(warm.Shards)-1].Result
+	check("result replaced", sh)
+	sh.Result = nil
+	check("result dropped", sh)
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"rebalance/internal/wire"
+	"rebalance/internal/workload/synth"
 )
 
 // goldenSeeds extracts seed corpus entries from the golden report file:
@@ -203,6 +205,44 @@ func FuzzDecodeShard(f *testing.F) {
 			if enc2, _ := EncodeShard(again); string(enc2) != string(enc) {
 				t.Fatalf("%s: decode/encode not a fixed point:\nfirst:  %s\nsecond: %s", cfg.Key(), enc, enc2)
 			}
+		}
+	})
+}
+
+// FuzzShardCacheKey holds the one-pass sc2- and tr1- keys to the
+// json.Marshal recipe they replaced (oracleShardKey, oracleTraceKey) over
+// arbitrary names, engines, budgets, synth knobs and observer specs: a
+// registered configuration (cfg indexes fuzzConfigs) or any kind with any
+// valid JSON options (keyCfg). Knobs that do not canonicalize leave the
+// workload registered, as a validated spec would be.
+func FuzzShardCacheKey(f *testing.F) {
+	configs := fuzzConfigs(f)
+	f.Add("comd-lite", "", uint64(1), int64(1000), uint8(0), "bbl", []byte(nil), false, uint64(0), 0.0, 0, 0, false)
+	f.Add("a<b>&c", "compiled", uint64(7), int64(-1), uint8(255), "k ", []byte("{ \"a\" : [1, 2] }"), true, uint64(42), 0.93, 5, 12, true)
+	f.Add("bad\xff", "x", ^uint64(0), int64(1)<<62, uint8(255), "", []byte(`{"h":"<&>"}`), true, uint64(0), 1.0, 64, 1024, false)
+	f.Fuzz(func(t *testing.T, workload, engine string, seed uint64, insts int64, cfgIdx uint8, kind string, options []byte,
+		useSynth bool, synthSeed uint64, bias float64, blockLen, trip int, weighted bool) {
+		cfg := ObserverConfig(keyCfg{ObserverSpec{Kind: kind, Options: options}})
+		if int(cfgIdx) < len(configs) {
+			cfg = configs[cfgIdx]
+		} else if len(options) > 0 && !json.Valid(options) {
+			return // no observer spec carries invalid options
+		}
+		sp := ShardSpec{Workload: workload, Seed: seed, Insts: insts, Engine: engine}
+		if useSynth && !math.IsNaN(bias) { // synth.Canonical admits a NaN bias, which no JSON spec carries
+			p := synth.Params{Name: "fuzz", Seed: synthSeed, Bias: bias, BlockLen: blockLen, TripCounts: []int{trip, 20}, Dispatch: synth.DispatchPeriodic}
+			if weighted {
+				p.Dispatch = synth.DispatchWeighted
+			}
+			if _, err := p.Canonical(); err == nil {
+				sp.Synth = &p
+			}
+		}
+		if got, want := ShardCacheKey(sp, cfg), oracleShardKey(t, sp, cfg); got != want {
+			t.Fatalf("ShardCacheKey = %s, want %s (spec %+v, observer %+v)", got, want, sp, cfg.Spec())
+		}
+		if got, want := traceKey(sp.Workload, sp.Synth, sp.Seed, sp.Insts), oracleTraceKey(t, sp); got != want {
+			t.Fatalf("traceKey = %s, want %s (spec %+v)", got, want, sp)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"rebalance/internal/analysis"
@@ -12,16 +13,6 @@ import (
 	"rebalance/internal/program"
 	"rebalance/internal/trace"
 )
-
-// mustOptions marshals a config's option struct for Spec(); the structs
-// are plain data, so a marshal failure is a programming error.
-func mustOptions(v any) json.RawMessage {
-	enc, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("sim: marshalling observer options: %v", err))
-	}
-	return enc
-}
 
 func init() {
 	RegisterObserver("bpred", bpredFactory)
@@ -165,8 +156,18 @@ func bpredSim(names ...string) *bpred.Sim {
 
 func (c bpredCfg) NewResult() Result { return &bpred.Result{} }
 
-func (c bpredCfg) Spec() ObserverSpec {
-	return ObserverSpec{Kind: "bpred", Options: mustOptions(bpredOptions{Configs: []string{c.name}})}
+func (c bpredCfg) Spec() ObserverSpec { return bpredSpec([]string{c.name}, false, false) }
+
+// bpredSpec re-describes predictor configurations as the bytes json.Marshal
+// writes for their bpredOptions. Every cache key reads a Spec (see
+// ShardCacheKey), so each kind's is written by hand.
+func bpredSpec(names []string, grouped, parallel bool) ObserverSpec {
+	b, _ := appendAll(append(make([]byte, 0, 64), `{"configs":`...), names, func(name string, b []byte) ([]byte, error) {
+		return appendString(b, name), nil
+	})
+	b = strconv.AppendBool(append(b, `,"grouped":`...), grouped)
+	b = strconv.AppendBool(append(b, `,"parallel":`...), parallel)
+	return ObserverSpec{Kind: "bpred", Options: append(b, '}')}
 }
 
 func (c bpredCfg) DecodeTarget() (any, func() (Result, error)) {
@@ -212,11 +213,7 @@ func (c bpredGroupCfg) NewResult() Result {
 	return &GroupResult{Results: rs}
 }
 
-func (c bpredGroupCfg) Spec() ObserverSpec {
-	return ObserverSpec{Kind: "bpred", Options: mustOptions(bpredOptions{
-		Configs: c.names, Grouped: true, Parallel: c.parallel,
-	})}
-}
+func (c bpredGroupCfg) Spec() ObserverSpec { return bpredSpec(c.names, true, c.parallel) }
 
 // DecodeTarget decodes the grouped artifact: a JSON array with one bpred
 // result per configured predictor, in configuration order, each member
@@ -290,7 +287,7 @@ func (c btbCfg) NewObserver(*program.Program) ShardObserver {
 func (c btbCfg) NewResult() Result { return &btb.Result{} }
 
 func (c btbCfg) Spec() ObserverSpec {
-	return ObserverSpec{Kind: "btb", Options: mustOptions(btbOptions{Geometries: []btbGeometry{c.g}})}
+	return ObserverSpec{Kind: "btb", Options: fmt.Appendf(nil, `{"geometries":[{"entries":%d,"ways":%d}]}`, c.g.Entries, c.g.Ways)}
 }
 
 func (c btbCfg) DecodeTarget() (any, func() (Result, error)) {
@@ -355,7 +352,8 @@ func (c icacheCfg) NewObserver(*program.Program) ShardObserver {
 func (c icacheCfg) NewResult() Result { return &icache.Result{} }
 
 func (c icacheCfg) Spec() ObserverSpec {
-	return ObserverSpec{Kind: "icache", Options: mustOptions(icacheOptions{Geometries: []icacheGeometry{c.g}})}
+	return ObserverSpec{Kind: "icache", Options: fmt.Appendf(nil, `{"geometries":[{"size_kb":%d,"line_bytes":%d,"ways":%d}]}`,
+		c.g.SizeKB, c.g.LineBytes, c.g.Ways)}
 }
 
 func (c icacheCfg) DecodeTarget() (any, func() (Result, error)) {

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 	"unicode/utf8"
 )
@@ -85,6 +86,9 @@ type FailedShard struct {
 // reports that walk's duration, so per-shard times overlap and do not sum
 // to the sweep's wall. A cached shard carries the time of the pass that
 // first computed it.
+//
+// Result is read-only: a cached shard's result is its cache record's, shared
+// by every run the record serves (Merge only reads its argument).
 type Shard struct {
 	Workload  string
 	Seed      uint64
@@ -93,6 +97,39 @@ type Shard struct {
 	ElapsedNS int64
 	Cached    bool
 	Result    Result
+	// enc is a cached result's artifact, encoded once per cache record.
+	enc *artifact
+}
+
+// artifact is a result's EncodeJSON bytes, tied to the result they encode.
+type artifact struct {
+	of   Result
+	json []byte
+}
+
+// keepArtifact encodes sh's result once, for every report to copy. Only a
+// result held by pointer gets one, so telling a replaced result apart is a
+// pointer comparison, which cannot panic.
+func (sh *Shard) keepArtifact() {
+	if reflect.TypeOf(sh.Result).Kind() != reflect.Pointer {
+		return
+	}
+	if enc, err := sh.Result.EncodeJSON(); err == nil {
+		sh.enc = &artifact{of: sh.Result, json: enc}
+	}
+}
+
+// matches checks sh is the cell spec names, run to its budget.
+func (sh *Shard) matches(spec ShardSpec, cfg ObserverConfig) error {
+	if sh.Workload != spec.Workload || sh.Seed != spec.Seed || sh.Observer != cfg.Key() {
+		return fmt.Errorf("sim: shard identity mismatch: got {%s %s seed %d}, want {%s %s seed %d}",
+			sh.Workload, sh.Observer, sh.Seed, spec.Workload, cfg.Key(), spec.Seed)
+	}
+	if sh.Insts < spec.Insts {
+		return fmt.Errorf("sim: shard {%s %s seed %d} emitted %d < budget %d",
+			sh.Workload, sh.Observer, sh.Seed, sh.Insts, spec.Insts)
+	}
+	return nil
 }
 
 // Merged is one observer configuration's result folded across a workload's
@@ -143,7 +180,8 @@ func (r Report) MarshalJSON() ([]byte, error) {
 
 // appendJSON appends the shard's wire record to b, the one writer of it —
 // report entries, worker answers and cache entries alike: the fields in
-// wire order, and the result's EncodeJSON artifact as it is.
+// wire order, and the result's EncodeJSON artifact as it is — copied from
+// the cache record's encoding while Result is still the result it encodes.
 func (sh Shard) appendJSON(b []byte) ([]byte, error) {
 	b = appendString(append(b, `{"workload":`...), sh.Workload)
 	b = strconv.AppendUint(append(b, `,"seed":`...), sh.Seed, 10)
@@ -152,6 +190,9 @@ func (sh Shard) appendJSON(b []byte) ([]byte, error) {
 	b = strconv.AppendInt(append(b, `,"elapsed_ns":`...), sh.ElapsedNS, 10)
 	if sh.Cached {
 		b = append(b, `,"cached":true`...)
+	}
+	if a := sh.enc; a != nil && a.of == sh.Result {
+		return append(append(append(b, `,"result":`...), a.json...), '}'), nil
 	}
 	return appendResult(append(b, `,"result":`...), sh.Result)
 }

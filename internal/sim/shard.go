@@ -82,19 +82,15 @@ func DecodeShard(data []byte, spec ShardSpec, cfg ObserverConfig) (Shard, error)
 	if err := wire.StrictUnmarshal(data, &w); err != nil {
 		return Shard{}, fmt.Errorf("sim: decoding shard: %w", err)
 	}
-	if w.Workload != spec.Workload || w.Seed != spec.Seed || w.Observer != cfg.Key() {
-		return Shard{}, fmt.Errorf("sim: shard identity mismatch: got {%s %s seed %d}, want {%s %s seed %d}",
-			w.Workload, w.Observer, w.Seed, spec.Workload, cfg.Key(), spec.Seed)
+	sh := w.shard(nil)
+	if err := sh.matches(spec, cfg); err != nil {
+		return Shard{}, err
 	}
-	if w.Insts < spec.Insts {
-		return Shard{}, fmt.Errorf("sim: shard {%s %s seed %d} emitted %d < budget %d",
-			w.Workload, w.Observer, w.Seed, w.Insts, spec.Insts)
-	}
-	res, err := build()
-	if err != nil {
+	var err error
+	if sh.Result, err = build(); err != nil {
 		return Shard{}, fmt.Errorf("sim: decoding shard {%s %s seed %d} result: %w", w.Workload, w.Observer, w.Seed, err)
 	}
-	return w.shard(res), nil
+	return sh, nil
 }
 
 // Outcome is the one shape of a grid cell's fate: the completed shard, or

@@ -10,17 +10,6 @@ import "rebalance/internal/workload/synth"
 // spaces are disjoint by construction even in a shared directory.
 const traceKeyVersion = "tr1"
 
-// traceCoord is the canonicalized trace coordinate: everything that
-// determines the emitted instruction stream, and nothing else. The
-// observer is deliberately absent — the stream does not depend on who
-// watches it, which is the entire point of stream-once/observe-many.
-type traceCoord struct {
-	Workload string        `json:"workload"`
-	Synth    *synth.Params `json:"synth,omitempty"`
-	Seed     uint64        `json:"seed"`
-	Insts    int64         `json:"insts"`
-}
-
 // TraceKey returns the shard's trace coordinate content address: a
 // versioned hash of the canonicalized {workload, synth-params, seed,
 // insts}. Every shard of one (workload, seed) sweep, whatever its observer,
@@ -35,7 +24,11 @@ func (sp ShardSpec) TraceKey() (string, error) {
 }
 
 // traceKey is TraceKey for pre-validated coordinates (the session's
-// internal path, where the spec was validated at normalization).
+// internal path, where the spec was validated at normalization). The
+// canonical form is the trace coordinate: everything that determines the
+// emitted instruction stream, and nothing else. The observer is
+// deliberately absent — the stream does not depend on who watches it,
+// which is the entire point of stream-once/observe-many.
 func traceKey(workload string, sp *synth.Params, seed uint64, insts int64) string {
-	return contentKey(traceKeyVersion, traceCoord{Workload: workload, Synth: canonSynth(sp), Seed: seed, Insts: insts})
+	return contentKey(traceKeyVersion, append(appendCoord(nil, workload, sp, seed, insts), '}'))
 }

@@ -3,7 +3,7 @@
 // singleflight deduplication of concurrent computes. It is generic over
 // the value type; a Codec says how a value is sized in memory and how it
 // crosses the disk boundary. The two instantiations are
-// internal/sim/shardcache (encoded shard results, identity codec) and
+// internal/sim/shardcache (shard records, decoded on first use) and
 // internal/trace/replay's Store (materialized traces, trr1 codec).
 //
 // Every cached value is a pure function of its key (callers key by a
@@ -11,12 +11,13 @@
 // makes serving a stored entry indistinguishable from recomputing it and
 // makes concurrent writers of one key idempotent.
 //
-// The memory tier is bounded by entry count and by the codec's Size. The
-// disk tier keeps one file per key — sha256(payload) followed by the
-// codec's payload — written atomically (temp file + rename), so a torn,
-// truncated, bit-rotted or undecodable file degrades to a self-deleting
-// miss instead of poisoning a run. The package depends only on the
-// standard library.
+// The memory tier is bounded by entry count and by the codec's Size (what
+// a value holds beyond it, as a shard record's decoded form, by the count
+// alone). The disk tier keeps one file per key — sha256(payload) followed
+// by the codec's payload — written atomically (temp file + rename), so a
+// torn, truncated, bit-rotted or undecodable file degrades to a
+// self-deleting miss instead of poisoning a run. The package depends only
+// on the standard library.
 package tiercache
 
 import (
@@ -41,14 +42,6 @@ type Codec[V any] interface {
 	Encode(v V) []byte
 	Decode(data []byte) (V, error)
 }
-
-// Bytes is the identity codec: an opaque byte string is its own disk
-// payload, charged at its length.
-type Bytes struct{}
-
-func (Bytes) Size(v []byte) int64                { return int64(len(v)) }
-func (Bytes) Encode(v []byte) []byte             { return v }
-func (Bytes) Decode(data []byte) ([]byte, error) { return data, nil }
 
 // Options bound a Cache. Instantiating packages fill in their own defaults
 // for the two bounds; New itself requires both to be positive.

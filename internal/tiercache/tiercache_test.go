@@ -1,10 +1,11 @@
 package tiercache
 
 // The one test wall for the tiered cache. Every behaviour is checked once,
-// in wall, and run over two codecs: the identity bytes codec shard results
-// use, and a strict-decoding codec shaped like the trace store's — a
-// pointer value whose memory charge differs from its encoded length and
-// whose Decode rejects anything Encode could not have written.
+// in wall, and run over two codecs: an identity bytes codec, shaped like the
+// shard result cache's (a record is stored and charged as its bytes), and a
+// strict-decoding codec shaped like the trace store's — a pointer value
+// whose memory charge differs from its encoded length and whose Decode
+// rejects anything Encode could not have written.
 
 import (
 	"bytes"
@@ -19,6 +20,14 @@ import (
 	"sync/atomic"
 	"testing"
 )
+
+// Bytes is the identity codec: an opaque byte string is its own disk
+// payload, charged at its length.
+type Bytes struct{}
+
+func (Bytes) Size(v []byte) int64                { return int64(len(v)) }
+func (Bytes) Encode(v []byte) []byte             { return v }
+func (Bytes) Decode(data []byte) ([]byte, error) { return data, nil }
 
 // rec is the strict codec's value: charged recCharge bytes per body byte
 // in memory, framed as "rec1" + one length byte + body on disk.
