@@ -26,13 +26,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs the wire- and disk-surface fuzzers and the four differentials
+# fuzz runs the wire- and disk-surface fuzzers and the five differentials
 # — the one-pass shard record decode against the two-level one it replaced
 # (FuzzDecodeShard), the appended sc2-/tr1- keys against json.Marshal's
 # (FuzzShardCacheKey), the lane consumers against their per-instruction
-# models, and (in FuzzDecodeDeliver) the trr1 lane decoder against its
-# instruction model — for a short budget (CI uses the same targets);
-# FUZZTIME=5m for a longer local session.
+# models, (in FuzzDecodeDeliver) the trr1 lane decoder against its
+# instruction model, and TAGE over random geometries against its reference
+# model (FuzzTAGEMatchesReference) — for a short budget (CI uses the same
+# targets); FUZZTIME=5m for a longer local session.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime $(FUZZTIME)
@@ -44,6 +45,7 @@ fuzz:
 	$(GO) test ./internal/tiercache -run '^$$' -fuzz '^FuzzDiskEntryCorruption$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/replay -run '^$$' -fuzz '^FuzzTraceDiskCorruption$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/replay -run '^$$' -fuzz '^FuzzDecodeDeliver$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bpred -run '^$$' -fuzz '^FuzzTAGEMatchesReference$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the seeded fault-injection soak suite race-instrumented: the
 # golden grid through a 3-backend dispatcher under transient faults must

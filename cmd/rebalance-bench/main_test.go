@@ -186,6 +186,18 @@ func TestSynthSweepDispatchedAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestNonFiniteSynthKnobIsAnError: `-synth bias=NaN` (and the other float
+// axes at NaN or ±Inf) is a usage error the command reports, not a panic
+// while the spec is keyed.
+func TestNonFiniteSynthKnobIsAnError(t *testing.T) {
+	for _, grid := range []string{"bias=NaN", "taken=NaN", "hot=NaN", "bias=+Inf", "taken=-Inf", "hot=Inf"} {
+		o := options{synth: grid, seeds: 1, insts: 1000, workers: 1, out: filepath.Join(t.TempDir(), "report.json")}
+		if err := run(context.Background(), o, io.Discard); err == nil || !strings.Contains(err.Error(), "invalid params") {
+			t.Errorf("-synth %s: err = %v, want the scenario rejected as invalid params", grid, err)
+		}
+	}
+}
+
 func TestParseSynthGridRejectsRepeatedAxis(t *testing.T) {
 	if _, err := parseSynthGrid("bias=0.6,0.8;bias=0.9"); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("repeated axis: err = %v, want rejection (later values would silently overwrite earlier ones)", err)

@@ -40,8 +40,11 @@ func BenchmarkSimNinePredictors(b *testing.B) {
 	}
 }
 
-// BenchmarkTAGEAccess measures the big TAGE configuration's Access path on
-// a realistic stream (it dominates the nine-predictor cost).
+// BenchmarkTAGEAccess measures the big TAGE configuration's Access path on a
+// synthetic loop, not a realistic stream: 512 random sites visited in turn,
+// where the taken pattern (i&3 != 0) repeats with the site, so three sites in
+// four are always taken and the rest never. It prices Access in isolation; the
+// cost on a real stream is BenchmarkComponentWalk's tage-big row.
 func BenchmarkTAGEAccess(b *testing.B) {
 	t := bpred.NewTAGEBig()
 	r := rng.New(7)

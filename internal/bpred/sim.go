@@ -95,7 +95,10 @@ func (r *Result) MissRate() float64 {
 // L-gshare-small is bit for bit the plain gshare-small beside it, and every
 // "L-" loop table is bit for bit every other. A batch walks each distinct
 // base once and the one loop table once, each writing a prediction byte per
-// record, and a configuration's miss counters are composed from those bytes
+// record. A walk switches on the component's concrete type once per batch,
+// so a built-in predictor's Access is a direct call per branch, not an
+// interface call; a Predictor Sim does not know is walked through the
+// interface. A configuration's miss counters are composed from those bytes
 // the way WithLoop.Access composes one branch: Figure 5's nine configurations
 // are six base walks, one loop walk and nine counting loops, and
 // configurations with nothing in common take the same path and share
@@ -144,6 +147,16 @@ type condRec struct {
 	dir   uint8
 }
 
+// appendConds appends the lane's conditional branches to recs.
+func appendConds(recs []condRec, l *isa.Lane) []condRec {
+	for i := range l.Runs {
+		if r := &l.Runs[i]; r.Kind.IsConditional() {
+			recs = append(recs, condRec{pc: r.PC, taken: uint8(b2u(r.Taken)), dir: uint8(r.BranchDirection())})
+		}
+	}
+	return recs
+}
+
 // NewSim returns a simulator for the given configurations, which it takes
 // over: they must be fresh power-on instances, and one whose state another's
 // walk stands for is never accessed.
@@ -184,20 +197,37 @@ func NewSim(preds ...Predictor) *Sim {
 	return s
 }
 
-// walk runs the component over a round's conditional branches.
+// walk runs the component over a round's conditional branches, writing one
+// prediction byte per record (see Sim for why it switches on the type).
 func (c *component) walk(recs []condRec) {
-	out := c.out[:0]
-	for j := range recs {
-		pc, taken := recs[j].pc, recs[j].taken != 0
-		if c.loop == nil {
-			out = append(out, uint8(b2u(c.base.Access(pc, taken))))
-		} else if pred, confident := c.loop.Access(pc, taken); confident {
-			out = append(out, 2|uint8(b2u(pred)))
-		} else {
-			out = append(out, 0)
+	if cap(c.out) < len(recs) {
+		c.out = make([]uint8, len(recs))
+	}
+	out := c.out[:len(recs)]
+	c.out = out
+	switch p := c.base.(type) {
+	case nil:
+		for j, r := range recs {
+			pred, confident := c.loop.Access(r.pc, r.taken != 0)
+			out[j] = uint8(b2u(confident)<<1 | b2u(confident && pred))
+		}
+	case *TAGE:
+		for j, r := range recs {
+			out[j] = uint8(b2u(p.Access(r.pc, r.taken != 0)))
+		}
+	case *Tournament:
+		for j, r := range recs {
+			out[j] = uint8(b2u(p.Access(r.pc, r.taken != 0)))
+		}
+	case *Gshare:
+		for j, r := range recs {
+			out[j] = uint8(b2u(p.Access(r.pc, r.taken != 0)))
+		}
+	default:
+		for j, r := range recs {
+			out[j] = uint8(b2u(p.Access(r.pc, r.taken != 0)))
 		}
 	}
-	c.out = out
 }
 
 // Parallelize switches the simulator to one worker goroutine per component
@@ -248,17 +278,21 @@ func (s *Sim) drain() {
 	recs, p := s.pending, s.pendingPhase
 	s.pending = nil
 	for i, c := range s.cfgs {
-		base, loop := s.comps[c.base].out, []uint8(nil)
-		if c.loop {
-			loop = s.comps[len(s.comps)-1].out
-		}
+		base := s.comps[c.base].out[:len(recs)]
 		var miss [4]int64 // by direction, padded so the index needs no bounds check
-		for j := range recs {
-			pred := base[j]
-			if loop != nil && loop[j] != 0 {
-				pred = loop[j] & 1
+		if !c.loop {
+			for j, r := range recs {
+				miss[r.dir&3] += int64(base[j] ^ r.taken)
 			}
-			miss[recs[j].dir&3] += int64(pred ^ recs[j].taken)
+		} else {
+			loop := s.comps[len(s.comps)-1].out[:len(recs)]
+			for j, r := range recs {
+				pred := base[j]
+				if l := loop[j]; l != 0 {
+					pred = l & 1
+				}
+				miss[r.dir&3] += int64(pred ^ r.taken)
+			}
 		}
 		r := &s.results[i]
 		r.Branches[p] += int64(len(recs))
@@ -275,12 +309,7 @@ func (s *Sim) drain() {
 // only synchronization is one WaitGroup cycle per batch.
 func (s *Sim) ConsumeLane(l *isa.Lane) {
 	s.insts[l.Phase] += int64(l.Insts)
-	recs := s.recs[s.cur][:0]
-	for i := range l.Runs {
-		if r := &l.Runs[i]; r.Kind.IsConditional() {
-			recs = append(recs, condRec{pc: r.PC, taken: uint8(b2u(r.Taken)), dir: uint8(r.BranchDirection())})
-		}
-	}
+	recs := appendConds(s.recs[s.cur][:0], l)
 	s.recs[s.cur] = recs // keep grown capacity for the next batch
 	// Settle the previous round: after this the workers are idle, so handing
 	// them new records and reusing the other buffer next time is race-free.

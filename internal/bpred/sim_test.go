@@ -221,3 +221,58 @@ func TestSimParallelUnderRace(t *testing.T) {
 		})
 	}
 }
+
+// condRounds collects each lane's conditional branches the way Sim compacts
+// them: one round per lane.
+type condRounds [][]condRec
+
+func (c *condRounds) ConsumeLane(l *isa.Lane) {
+	if recs := appendConds(nil, l); len(recs) > 0 {
+		*c = append(*c, recs)
+	}
+}
+
+// BenchmarkComponentWalk prices each Figure-5 component alone — both sizes
+// of gshare, tournament and TAGE, and the loop table — as Sim walks it, round
+// by round, over the conditional branches of the first 2M instructions of
+// each built-in workload. An op walks a fresh instance over the whole
+// stream; ns/branch is the figure to read.
+func BenchmarkComponentWalk(b *testing.B) {
+	components := []struct {
+		name string
+		new  func() component
+	}{
+		{"gshare-big", func() component { return component{base: NewGshareBig()} }},
+		{"gshare-small", func() component { return component{base: NewGshareSmall()} }},
+		{"tournament-big", func() component { return component{base: NewTournamentBig()} }},
+		{"tournament-small", func() component { return component{base: NewTournamentSmall()} }},
+		{"tage-big", func() component { return component{base: NewTAGEBig()} }},
+		{"tage-small", func() component { return component{base: NewTAGESmall()} }},
+		{"loop", func() component { return component{loop: NewLoopPredictor()} }},
+	}
+	for _, wl := range []string{"comd-lite", "xalan-lite"} {
+		var rounds condRounds
+		e := trace.NewExecutor(workload.MustBuild(wl), 1)
+		e.Attach(trace.NewFeed(&rounds))
+		if err := e.Run(2_000_000); err != nil {
+			b.Fatal(err)
+		}
+		branches := 0
+		for _, recs := range rounds {
+			branches += len(recs)
+		}
+		for _, c := range components {
+			b.Run(wl+"/"+c.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					comp := c.new()
+					b.StartTimer()
+					for _, recs := range rounds {
+						comp.walk(recs)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*branches), "ns/branch")
+			})
+		}
+	}
+}

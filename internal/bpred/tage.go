@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rebalance/internal/isa"
 )
@@ -21,12 +22,24 @@ type TAGE struct {
 	geom string // the constructor's base size and table specs
 
 	base   *Bimodal
-	tables []*tageTable
+	tables []tageTable
+
+	// uniform is set when every table has the same logSize (both built-in
+	// configurations): the address and path part of an index is then the
+	// same for all tables and is computed once per access.
+	uniform bool
 
 	// Global history as a circular bit buffer; long enough for the longest
 	// geometric history length. The length is a power of two so position
-	// arithmetic is a mask instead of a modulo — histBit runs a dozen times
-	// per access, and integer division dominated the profile before.
+	// arithmetic is a mask instead of a modulo (negative positions wrap
+	// through it) — a bit is read per table per access, and integer division
+	// dominated the profile before.
+	//
+	// Between accesses the tables' folded histories lag ghist by its most
+	// recent bit: Access folds that bit in on the same walk over the tables
+	// that hashes their indices, so an access visits each table once. (At
+	// power-on ghist and every fold are zero, and folding in a zero bit while
+	// a zero bit leaves keeps a zero fold zero.)
 	ghist     []uint8
 	ghistMask int
 	ghistPos  int // position of the most recent bit
@@ -49,26 +62,31 @@ type TAGE struct {
 	scratchTag []uint16
 }
 
+// tageTable is one tagged table. The tables are held by value in one slice,
+// so the per-access walk over them follows no pointers.
 type tageTable struct {
 	histLen int
 	logSize uint
 	tagBits uint
+	idxMask uint64 // 1<<logSize - 1
+	tagMask uint64 // 1<<tagBits - 1
 	tag     []uint16
 	ctr     []int8  // 3-bit signed, taken when >= 0
 	useful  []uint8 // 2-bit
-	// Folded histories are stored by value: the three folds update on every
-	// access, and keeping them on the table struct (instead of behind three
-	// heap pointers) keeps the per-access history maintenance in two cache
-	// lines instead of five.
-	foldIdx  folded
-	foldTag1 folded
-	foldTag2 folded
+	// The folded histories update on every access. foldTag1 folds the same
+	// history to tagBits bits as foldIdx does to logSize bits, so where the
+	// two widths are equal the registers start equal and stay equal:
+	// sharedFold then keeps only foldIdx, and foldTag1 is unused.
+	sharedFold bool
+	foldIdx    folded
+	foldTag1   folded
+	foldTag2   folded
 }
 
 // folded maintains an incrementally folded (compressed) copy of the global
 // history, as in Seznec's reference implementation. The struct is kept to
 // one-and-a-half words of hot state with precomputed mask and shift so the
-// three updates per table per access stay a handful of ALU ops each.
+// updates per table per access stay a handful of ALU ops each.
 type folded struct {
 	comp    uint64
 	mask    uint64 // (1 << compLen) - 1
@@ -84,10 +102,13 @@ func newFolded(histLen int, compLen uint) folded {
 	}
 }
 
+// update shifts newBit in and oldBit, the bit leaving the history, out. Both
+// shift counts are below 64; masking them says so to the compiler, which then
+// emits a bare shift.
 func (f *folded) update(newBit, oldBit uint64) {
 	c := (f.comp << 1) | newBit
-	c ^= oldBit << f.outPt
-	c ^= c >> f.compLen
+	c ^= oldBit << (f.outPt & 63)
+	c ^= c >> (f.compLen & 63)
 	f.comp = c & f.mask
 }
 
@@ -103,28 +124,35 @@ type tageSpec struct {
 // length.
 func NewTAGE(name string, baseLog uint, specs []tageSpec) *TAGE {
 	t := &TAGE{
-		name: name,
-		geom: fmt.Sprint("tage/", baseLog, specs),
-		base: NewBimodal(name+"-base", baseLog),
-		lfsr: 0xACE1,
+		name:    name,
+		geom:    fmt.Sprint("tage/", baseLog, specs),
+		base:    NewBimodal(name+"-base", baseLog),
+		uniform: len(specs) > 0,
+		lfsr:    0xACE1,
+	}
+	if len(specs) > 64 { // Access keeps one hit bit per table in a uint64
+		panic(fmt.Sprintf("bpred: TAGE has at most 64 tables, got %d", len(specs)))
 	}
 	maxHist := 0
 	for i, s := range specs {
 		if s.HistLen <= 0 || (i > 0 && s.HistLen <= specs[i-1].HistLen) {
 			panic(fmt.Sprintf("bpred: TAGE specs must have increasing history lengths, got %v", specs))
 		}
-		tb := &tageTable{
-			histLen:  s.HistLen,
-			logSize:  s.LogSize,
-			tagBits:  s.TagBits,
-			tag:      make([]uint16, 1<<s.LogSize),
-			ctr:      make([]int8, 1<<s.LogSize),
-			useful:   make([]uint8, 1<<s.LogSize),
-			foldIdx:  newFolded(s.HistLen, s.LogSize),
-			foldTag1: newFolded(s.HistLen, s.TagBits),
-			foldTag2: newFolded(s.HistLen, s.TagBits-1),
-		}
-		t.tables = append(t.tables, tb)
+		t.tables = append(t.tables, tageTable{
+			histLen:    s.HistLen,
+			logSize:    s.LogSize,
+			tagBits:    s.TagBits,
+			idxMask:    uint64(1)<<s.LogSize - 1,
+			tagMask:    uint64(1)<<s.TagBits - 1,
+			tag:        make([]uint16, 1<<s.LogSize),
+			ctr:        make([]int8, 1<<s.LogSize),
+			useful:     make([]uint8, 1<<s.LogSize),
+			sharedFold: s.TagBits == s.LogSize,
+			foldIdx:    newFolded(s.HistLen, s.LogSize),
+			foldTag1:   newFolded(s.HistLen, s.TagBits),
+			foldTag2:   newFolded(s.HistLen, s.TagBits-1),
+		})
+		t.uniform = t.uniform && s.LogSize == specs[0].LogSize
 		if s.HistLen > maxHist {
 			maxHist = s.HistLen
 		}
@@ -166,22 +194,18 @@ func NewTAGEBig() *TAGE {
 	return NewTAGE("tage-big", 13, specs)
 }
 
-// histBit returns the history bit age steps in the past (0 = most recent).
-// Negative positions wrap correctly through the mask (two's complement).
-func (t *TAGE) histBit(age int) uint64 {
-	return uint64(t.ghist[(t.ghistPos-age)&t.ghistMask])
+// mix is the address and path part of the table's index hash; the index is
+// mix ^ foldIdx.comp, which is already below 1<<logSize.
+func (tb *tageTable) mix(p, path uint64) uint64 {
+	return (p ^ p>>(tb.logSize-2) ^ path) & tb.idxMask
 }
 
-func (tb *tageTable) index(pc isa.Addr, path uint64) uint64 {
-	mask := uint64(1)<<tb.logSize - 1
-	p := pcIndexBits(pc)
-	return (p ^ (p >> (tb.logSize - 2)) ^ tb.foldIdx.comp ^ (path & mask)) & mask
-}
-
-func (tb *tageTable) tagOf(pc isa.Addr) uint16 {
-	mask := uint64(1)<<tb.tagBits - 1
-	p := pcIndexBits(pc)
-	return uint16((p ^ tb.foldTag1.comp ^ (tb.foldTag2.comp << 1)) & mask)
+func (tb *tageTable) tagOf(p uint64) uint16 {
+	t1 := tb.foldTag1.comp
+	if tb.sharedFold {
+		t1 = tb.foldIdx.comp
+	}
+	return uint16((p ^ t1 ^ tb.foldTag2.comp<<1) & tb.tagMask)
 }
 
 func (t *TAGE) rand() uint32 {
@@ -199,25 +223,43 @@ func (t *TAGE) rand() uint32 {
 func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 	t.accesses++
 
-	// Compute per-table index and tag; find provider and alternate.
+	// Catch each table's folded histories up with the last outcome, compute
+	// its index and tag, and note whether it hits; the provider is the
+	// longest-history hit and the alternate the next longest. The loop reads
+	// the predictor's fields through locals: its stores to the folds would
+	// otherwise force a reload of each field per table.
+	tables, uniform, path := t.tables, t.uniform, t.pathHist
+	idxs, tags := t.scratchIdx[:len(tables)], t.scratchTag[:len(tables)]
+	ghist, ghistMask, ghistPos := t.ghist, t.ghistMask, t.ghistPos
+	p := pcIndexBits(pc)
+	newBit := uint64(ghist[ghistPos])
+	var mix, hits uint64
+	if uniform {
+		mix = tables[0].mix(p, path)
+	}
+	for i := range tables {
+		tb := &tables[i]
+		old := uint64(ghist[(ghistPos-tb.histLen)&ghistMask]) // the bit leaving the table's history
+		tb.foldIdx.update(newBit, old)
+		if !tb.sharedFold {
+			tb.foldTag1.update(newBit, old)
+		}
+		tb.foldTag2.update(newBit, old)
+		if !uniform {
+			mix = tb.mix(p, path)
+		}
+		idx, tag := mix^tb.foldIdx.comp, tb.tagOf(p)
+		idxs[i], tags[i] = idx, tag
+		hits |= b2u(tb.tag[idx] == tag) << (i & 63)
+	}
 	provider, altProvider := -1, -1
 	var provIdx, altIdx uint64
-	idxs := t.scratchIdx
-	tags := t.scratchTag
-	for i, tb := range t.tables {
-		idxs[i] = tb.index(pc, t.pathHist)
-		tags[i] = tb.tagOf(pc)
-	}
-	for i := len(t.tables) - 1; i >= 0; i-- {
-		if t.tables[i].tag[idxs[i]] == tags[i] {
-			if provider < 0 {
-				provider = i
-				provIdx = idxs[i]
-			} else {
-				altProvider = i
-				altIdx = idxs[i]
-				break
-			}
+	if hits != 0 {
+		provider = bits.Len64(hits) - 1
+		provIdx = idxs[provider]
+		if rest := hits &^ (1 << provider); rest != 0 {
+			altProvider = bits.Len64(rest) - 1
+			altIdx = idxs[altProvider]
 		}
 	}
 
@@ -242,7 +284,7 @@ func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 	// --- Update ---
 	correct := pred == taken
 	if provider >= 0 {
-		tb := t.tables[provider]
+		tb := &t.tables[provider]
 		provPred := tb.ctr[provIdx] >= 0
 		if providerWeak && provPred != altPred {
 			// Track whether the alternate beats newly allocated entries.
@@ -269,7 +311,7 @@ func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 		// Also train the alternate when the provider entry is still weak.
 		if providerWeak {
 			if altProvider >= 0 {
-				atb := t.tables[altProvider]
+				atb := &t.tables[altProvider]
 				atb.ctr[altIdx] = ctr3Update(atb.ctr[altIdx], taken)
 			} else {
 				t.base.update(pc, taken)
@@ -289,7 +331,7 @@ func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 		}
 		allocated := false
 		for i := start; i < len(t.tables); i++ {
-			tb := t.tables[i]
+			tb := &t.tables[i]
 			if tb.useful[idxs[i]] == 0 {
 				tb.tag[idxs[i]] = tags[i]
 				if taken {
@@ -306,7 +348,7 @@ func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 			// All candidates useful: age them so future allocations can
 			// succeed.
 			for i := provider + 1; i < len(t.tables); i++ {
-				tb := t.tables[i]
+				tb := &t.tables[i]
 				if tb.useful[idxs[i]] > 0 {
 					tb.useful[idxs[i]]--
 				}
@@ -316,26 +358,18 @@ func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 
 	// Periodic aging of useful bits.
 	if t.accesses&(1<<18-1) == 0 {
-		for _, tb := range t.tables {
-			for i := range tb.useful {
-				tb.useful[i] >>= 1
+		for i := range t.tables {
+			u := t.tables[i].useful
+			for j := range u {
+				u[j] >>= 1
 			}
 		}
 	}
 
-	// Advance global, folded, and path histories.
+	// Advance the global and path histories; the folds follow on the next
+	// access.
 	t.ghistPos = (t.ghistPos + 1) & t.ghistMask
-	bit := uint8(0)
-	if taken {
-		bit = 1
-	}
-	t.ghist[t.ghistPos] = bit
-	for _, tb := range t.tables {
-		old := t.histBit(tb.histLen)
-		tb.foldIdx.update(uint64(bit), old)
-		tb.foldTag1.update(uint64(bit), old)
-		tb.foldTag2.update(uint64(bit), old)
-	}
+	t.ghist[t.ghistPos] = uint8(b2u(taken))
 	t.pathHist = (t.pathHist << 1) | (uint64(pc) >> 2 & 1)
 
 	return pred
@@ -362,8 +396,8 @@ func (t *TAGE) Name() string { return t.name }
 // 2-bit useful; the base costs 2 bits per entry.
 func (t *TAGE) CostBits() int {
 	bits := t.base.CostBits()
-	for _, tb := range t.tables {
-		bits += len(tb.tag) * (int(tb.tagBits) + 3 + 2)
+	for i := range t.tables {
+		bits += len(t.tables[i].tag) * (int(t.tables[i].tagBits) + 3 + 2)
 	}
 	return bits
 }

@@ -220,6 +220,7 @@ func FuzzShardCacheKey(f *testing.F) {
 	f.Add("comd-lite", "", uint64(1), int64(1000), uint8(0), "bbl", []byte(nil), false, uint64(0), 0.0, 0, 0, false)
 	f.Add("a<b>&c", "compiled", uint64(7), int64(-1), uint8(255), "k ", []byte("{ \"a\" : [1, 2] }"), true, uint64(42), 0.93, 5, 12, true)
 	f.Add("bad\xff", "x", ^uint64(0), int64(1)<<62, uint8(255), "", []byte(`{"h":"<&>"}`), true, uint64(0), 1.0, 64, 1024, false)
+	f.Add("comd-lite", "", uint64(3), int64(5000), uint8(0), "", []byte(nil), true, uint64(9), math.NaN(), 5, 12, false)
 	f.Fuzz(func(t *testing.T, workload, engine string, seed uint64, insts int64, cfgIdx uint8, kind string, options []byte,
 		useSynth bool, synthSeed uint64, bias float64, blockLen, trip int, weighted bool) {
 		cfg := ObserverConfig(keyCfg{ObserverSpec{Kind: kind, Options: options}})
@@ -229,7 +230,7 @@ func FuzzShardCacheKey(f *testing.F) {
 			return // no observer spec carries invalid options
 		}
 		sp := ShardSpec{Workload: workload, Seed: seed, Insts: insts, Engine: engine}
-		if useSynth && !math.IsNaN(bias) { // synth.Canonical admits a NaN bias, which no JSON spec carries
+		if useSynth {
 			p := synth.Params{Name: "fuzz", Seed: synthSeed, Bias: bias, BlockLen: blockLen, TripCounts: []int{trip, 20}, Dispatch: synth.DispatchPeriodic}
 			if weighted {
 				p.Dispatch = synth.DispatchWeighted

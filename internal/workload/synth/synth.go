@@ -207,7 +207,10 @@ func (p Params) Canonical() (Params, error) {
 		{"correlated_frac", c.CorrelatedFrac},
 		{"noisy_frac", c.NoisyFrac},
 	} {
-		if f.v < 0 || f.v > 1 {
+		// Each range check is written to fail for NaN as well (every
+		// comparison with NaN is false), so a non-finite knob is rejected
+		// here rather than reaching CanonicalJSON, which cannot encode it.
+		if !(f.v >= 0 && f.v <= 1) {
 			return Params{}, errf("%s %v outside [0, 1]", f.name, f.v)
 		}
 	}
@@ -217,7 +220,7 @@ func (p Params) Canonical() (Params, error) {
 	if c.Bias == 0 {
 		c.Bias = defaultBias
 	}
-	if c.Bias < 0.9 || c.Bias > 1 {
+	if !(c.Bias >= 0.9 && c.Bias <= 1) {
 		return Params{}, errf("bias %v outside [0.9, 1] (a biased site must be decided >=90%% one way)", c.Bias)
 	}
 	if c.BlockLen == 0 {
@@ -263,7 +266,7 @@ func (p Params) Canonical() (Params, error) {
 	if c.HotFrac == 0 {
 		c.HotFrac = defaultHotFrac
 	}
-	if c.HotFrac < 0 || c.HotFrac > 1 {
+	if !(c.HotFrac >= 0 && c.HotFrac <= 1) {
 		return Params{}, errf("hot_frac %v outside (0, 1]", c.HotFrac)
 	}
 	if c.hotFuncs() < 1 {

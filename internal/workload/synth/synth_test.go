@@ -3,6 +3,7 @@ package synth
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -87,6 +88,21 @@ func TestParamValidation(t *testing.T) {
 		// contribute biased and mid mass the mixture cannot go below.
 		{"biased floor", Params{Name: "x", BiasedFrac: 0.02, CorrelatedFrac: 0.49, NoisyFrac: 0.49}, "structural floor"},
 		{"noisy floor", Params{Name: "x", BiasedFrac: 0.6, CorrelatedFrac: 0.3999, NoisyFrac: 0.0001}, "structural floor"},
+	}
+	// Non-finite knobs: NaN fails every comparison, so each range check must
+	// reject it too.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cases = append(cases, []struct {
+			name string
+			p    Params
+			want string
+		}{
+			{fmt.Sprint("biased_frac ", v), Params{Name: "x", BiasedFrac: v, CorrelatedFrac: 0.2, NoisyFrac: 0.1}, "biased_frac"},
+			{fmt.Sprint("correlated_frac ", v), Params{Name: "x", BiasedFrac: 0.7, CorrelatedFrac: v, NoisyFrac: 0.1}, "correlated_frac"},
+			{fmt.Sprint("noisy_frac ", v), Params{Name: "x", BiasedFrac: 0.7, CorrelatedFrac: 0.2, NoisyFrac: v}, "noisy_frac"},
+			{fmt.Sprint("bias ", v), Params{Name: "x", Bias: v}, "bias"},
+			{fmt.Sprint("hot_frac ", v), Params{Name: "x", HotFrac: v}, "hot_frac"},
+		}...)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
