@@ -26,13 +26,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs the wire- and disk-surface fuzzers and the five differentials
+# fuzz runs the wire- and disk-surface fuzzers and the six differentials
 # — the one-pass shard record decode against the two-level one it replaced
 # (FuzzDecodeShard), the appended sc2-/tr1- keys against json.Marshal's
 # (FuzzShardCacheKey), the lane consumers against their per-instruction
 # models, (in FuzzDecodeDeliver) the trr1 lane decoder against its
-# instruction model, and TAGE over random geometries against its reference
-# model (FuzzTAGEMatchesReference) — for a short budget (CI uses the same
+# instruction model, and TAGE and Tournament over random geometries against
+# their reference models (FuzzTAGEMatchesReference,
+# FuzzTournamentMatchesReference) — for a short budget (CI uses the same
 # targets); FUZZTIME=5m for a longer local session.
 FUZZTIME ?= 30s
 fuzz:
@@ -46,6 +47,7 @@ fuzz:
 	$(GO) test ./internal/trace/replay -run '^$$' -fuzz '^FuzzTraceDiskCorruption$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/replay -run '^$$' -fuzz '^FuzzDecodeDeliver$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bpred -run '^$$' -fuzz '^FuzzTAGEMatchesReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bpred -run '^$$' -fuzz '^FuzzTournamentMatchesReference$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the seeded fault-injection soak suite race-instrumented: the
 # golden grid through a 3-backend dispatcher under transient faults must

@@ -334,6 +334,28 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestHugeGeometriesAreRejected: a BTB too big to allocate and an I-cache
+// size_kb that overflows to 1 KB are a 400 envelope on the coordinator's run
+// and sweep endpoints and an invalid member on a worker's — never a run that
+// takes the process down or simulates the wrong cache.
+func TestHugeGeometriesAreRejected(t *testing.T) {
+	srv := testServer(t)
+	worker := httptest.NewServer(newServer(serverConfig{sess: sim.NewSession(1), maxInsts: 1_000_000, worker: true}))
+	defer worker.Close()
+	for _, obs := range []string{
+		`{"kind":"btb","options":{"geometries":[{"entries":1099511627776,"ways":1}]}}`,
+		`{"kind":"icache","options":{"geometries":[{"size_kb":18014398509481985,"ways":1}]}}`,
+	} {
+		spec := `{"workloads":["comd-lite"],"insts":1000,"observers":[` + obs + `]}`
+		decodeEnvelope(t, doReq(t, http.MethodPost, srv.URL+"/v1/runs", spec), http.StatusBadRequest)
+		decodeEnvelope(t, doReq(t, http.MethodPost, srv.URL+"/v1/sweeps?tenant=a", spec), http.StatusBadRequest)
+		shard := `{"workload":"comd-lite","seed":1,"insts":1000,"observer":` + obs + `}`
+		if rec := postShard(t, worker.URL, shard); string(rec["invalid"]) != "true" {
+			t.Errorf("worker answered %s with %v, want an invalid member", obs, rec)
+		}
+	}
+}
+
 // TestSynthEndpointAndRun covers the synthetic-workload surface: the
 // grammar endpoint serves the canonical defaults, the coordinator runs an
 // inline scenario, and the worker protocol executes a synth shard from

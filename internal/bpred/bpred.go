@@ -36,17 +36,18 @@ type counter2 = uint8
 
 func ctrTaken(c counter2) bool { return c >= 2 }
 
+// ctrNext is the 2-bit counter's transition table, indexed by state |
+// taken<<2: the low half steps down and saturates at 0, the high half steps up
+// and saturates at 3.
+var ctrNext = [8]counter2{0, 0, 1, 2, 1, 2, 3, 3}
+
+// ctrUpdate moves a 2-bit counter toward the outcome. It is a table lookup,
+// not a branch on taken: the outcome is what the predictor simulates, so a
+// branch on it would make the host mispredict about as often as the simulated
+// predictor does. Every 2-bit update in the package goes through it and every
+// 3-bit one through ctr3Update.
 func ctrUpdate(c counter2, taken bool) counter2 {
-	if taken {
-		if c < 3 {
-			return c + 1
-		}
-		return c
-	}
-	if c > 0 {
-		return c - 1
-	}
-	return c
+	return ctrNext[(c|uint8(b2u(taken))<<2)&7]
 }
 
 // pcIndexBits extracts branch-address bits for table indexing. The low two

@@ -94,23 +94,17 @@ func (e *loopEntry) train(actualTaken bool) {
 		if e.currentIt == 0 { // overflow: not a countable loop
 			e.valid = false
 		}
-		if e.age < 3 {
-			e.age++
-		}
+		e.age = ctrUpdate(e.age, true)
 		return
 	}
 	// Loop exit: the completed streak is a trip-count observation.
 	trip := e.currentIt
 	if trip == e.prevTrip && trip > 0 {
-		if e.confidence < 3 {
-			e.confidence++
-		}
-		e.tripCount = trip
+		e.confidence = ctrUpdate(e.confidence, true)
 	} else {
 		e.confidence = 0
-		e.tripCount = trip
 	}
-	e.prevTrip = trip
+	e.tripCount, e.prevTrip = trip, trip
 	e.currentIt = 0
 }
 

@@ -3,6 +3,7 @@ package bpred
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"rebalance/internal/isa"
@@ -104,6 +105,12 @@ func (r *Result) MissRate() float64 {
 // configurations with nothing in common take the same path and share
 // nothing. Each configuration counts what a lone power-on instance driven
 // through Predictor.Access would, however the stream was cut into batches.
+//
+// The pass computes from each branch's outcome instead of branching on it:
+// the compaction, every counter update and all of gshare's and Tournament's
+// Access are straight-line code, so a stream the simulated predictors find
+// hard does not make the host mispredict as often (see ctrUpdate). TAGE
+// branches on its hits and its allocation, the loop table on its tags.
 type Sim struct {
 	cfgs    []simCfg
 	comps   []component // the distinct bases, then the loop table if any overlay
@@ -147,14 +154,21 @@ type condRec struct {
 	dir   uint8
 }
 
-// appendConds appends the lane's conditional branches to recs.
+// appendConds appends the lane's conditional branches to recs. It writes a
+// record for every run and advances past it only if the run ends in a
+// conditional branch, and a record's Figure 6 direction is taken << (Target >=
+// PC) — isa's not-taken, taken-backward and taken-forward — so nothing in it
+// branches on a run's kind or outcome.
 func appendConds(recs []condRec, l *isa.Lane) []condRec {
-	for i := range l.Runs {
-		if r := &l.Runs[i]; r.Kind.IsConditional() {
-			recs = append(recs, condRec{pc: r.PC, taken: uint8(b2u(r.Taken)), dir: uint8(r.BranchDirection())})
-		}
+	runs, n := l.Runs, len(recs)
+	recs = slices.Grow(recs, len(runs))[:n+len(runs)]
+	for i := range runs {
+		r := &runs[i]
+		taken := uint8(b2u(r.Taken))
+		recs[n] = condRec{pc: r.PC, taken: taken, dir: taken << b2u(r.Target >= r.PC)}
+		n += int(b2u(r.Kind.IsConditional()))
 	}
-	return recs
+	return recs[:n]
 }
 
 // NewSim returns a simulator for the given configurations, which it takes

@@ -3,6 +3,7 @@ package bpred
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rebalance/internal/isa"
@@ -222,21 +223,60 @@ func TestSimParallelUnderRace(t *testing.T) {
 	}
 }
 
-// condRounds collects each lane's conditional branches the way Sim compacts
-// them: one round per lane.
-type condRounds [][]condRec
-
-func (c *condRounds) ConsumeLane(l *isa.Lane) {
-	if recs := appendConds(nil, l); len(recs) > 0 {
-		*c = append(*c, recs)
+// refAppendConds is the filter loop appendConds replaced, kept verbatim.
+func refAppendConds(recs []condRec, l *isa.Lane) []condRec {
+	for i := range l.Runs {
+		if r := &l.Runs[i]; r.Kind.IsConditional() {
+			recs = append(recs, condRec{pc: r.PC, taken: uint8(b2u(r.Taken)), dir: uint8(r.BranchDirection())})
+		}
 	}
+	return recs
+}
+
+// TestAppendCondsMatchesFilter: on lanes of every kind, outcome and target —
+// below, at and above the branch, a target on a not-taken run included — and
+// on empty lanes, appendConds appends what the filter loop did, after
+// records already in recs, whether or not recs has room for every run.
+func TestAppendCondsMatchesFilter(t *testing.T) {
+	var every []isa.Run
+	for k := isa.Kind(0); int(k) < isa.NumKinds; k++ {
+		for _, taken := range []bool{false, true} {
+			for _, off := range []int64{-64, 0, 64} {
+				pc := isa.Addr(0x400000 + 4*len(every))
+				every = append(every, isa.Run{Start: pc - 8, PC: pc, Target: isa.Addr(int64(pc) + off), Kind: k, Taken: taken})
+			}
+		}
+	}
+	lanes := []isa.Lane{{}, {Runs: every}, {Runs: every[:1]}, {Runs: every[3:9]}, {Runs: every[len(every)-5:]}}
+	prefix := []condRec{{pc: 0x1000, taken: 1, dir: uint8(isa.DirTakenForward)}, {pc: 0x2000}}
+	for li := range lanes {
+		l := &lanes[li]
+		for _, pre := range [][]condRec{nil, prefix[:1], prefix} {
+			for _, room := range []int{0, 1, len(l.Runs)} {
+				recs := append(make([]condRec, 0, len(pre)+room), pre...)
+				want := refAppendConds(append([]condRec(nil), pre...), l)
+				if got := appendConds(recs, l); !slices.Equal(got, want) {
+					t.Errorf("lane %d, %d records before, room for %d more:\n got %v\nwant %v", li, len(pre), room, got, want)
+				}
+			}
+		}
+	}
+}
+
+// lanesOf keeps every lane it is handed, its runs copied out of the source's
+// reused buffer.
+type lanesOf []isa.Lane
+
+func (c *lanesOf) ConsumeLane(l *isa.Lane) {
+	*c = append(*c, isa.Lane{Runs: slices.Clone(l.Runs), Insts: l.Insts, Phase: l.Phase})
 }
 
 // BenchmarkComponentWalk prices each Figure-5 component alone — both sizes
 // of gshare, tournament and TAGE, and the loop table — as Sim walks it, round
 // by round, over the conditional branches of the first 2M instructions of
 // each built-in workload. An op walks a fresh instance over the whole
-// stream; ns/branch is the figure to read.
+// stream; ns/branch is the figure to read. The appendConds row prices the
+// compaction that builds those rounds from the same lanes, in ns/run.
 func BenchmarkComponentWalk(b *testing.B) {
 	components := []struct {
 		name string
@@ -251,16 +291,30 @@ func BenchmarkComponentWalk(b *testing.B) {
 		{"loop", func() component { return component{loop: NewLoopPredictor()} }},
 	}
 	for _, wl := range []string{"comd-lite", "xalan-lite"} {
-		var rounds condRounds
+		var lanes lanesOf
 		e := trace.NewExecutor(workload.MustBuild(wl), 1)
-		e.Attach(trace.NewFeed(&rounds))
+		e.Attach(trace.NewFeed(&lanes))
 		if err := e.Run(2_000_000); err != nil {
 			b.Fatal(err)
 		}
-		branches := 0
-		for _, recs := range rounds {
-			branches += len(recs)
+		var rounds [][]condRec
+		branches, runs := 0, 0
+		for i := range lanes {
+			if recs := appendConds(nil, &lanes[i]); len(recs) > 0 {
+				rounds = append(rounds, recs)
+				branches += len(recs)
+			}
+			runs += len(lanes[i].Runs)
 		}
+		b.Run(wl+"/appendConds", func(b *testing.B) {
+			var recs []condRec
+			for i := 0; i < b.N; i++ {
+				for j := range lanes {
+					recs = appendConds(recs[:0], &lanes[j])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*runs), "ns/run")
+		})
 		for _, c := range components {
 			b.Run(wl+"/"+c.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -296,16 +296,10 @@ func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 				t.useAltOnNA--
 			}
 		}
-		// Useful bit: provider differed from alternate and was right.
-		if provPred != altPred {
-			if provPred == taken {
-				if tb.useful[provIdx] < 3 {
-					tb.useful[provIdx]++
-				}
-			} else if tb.useful[provIdx] > 0 {
-				tb.useful[provIdx]--
-			}
-		}
+		// Useful bit: moves toward whether the provider was right, where it
+		// differed from the alternate — always computed, stored under that mask.
+		u := tb.useful[provIdx]
+		tb.useful[provIdx] = u ^ (u^ctrUpdate(u, provPred == taken))&-uint8(b2u(provPred != altPred))
 		// Train the provider counter.
 		tb.ctr[provIdx] = ctr3Update(tb.ctr[provIdx], taken)
 		// Also train the alternate when the provider entry is still weak.
@@ -334,11 +328,7 @@ func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 			tb := &t.tables[i]
 			if tb.useful[idxs[i]] == 0 {
 				tb.tag[idxs[i]] = tags[i]
-				if taken {
-					tb.ctr[idxs[i]] = 0
-				} else {
-					tb.ctr[idxs[i]] = -1
-				}
+				tb.ctr[idxs[i]] = int8(b2u(taken)) - 1 // weak toward the outcome
 				tb.useful[idxs[i]] = 0
 				allocated = true
 				break
@@ -348,10 +338,8 @@ func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 			// All candidates useful: age them so future allocations can
 			// succeed.
 			for i := provider + 1; i < len(t.tables); i++ {
-				tb := &t.tables[i]
-				if tb.useful[idxs[i]] > 0 {
-					tb.useful[idxs[i]]--
-				}
+				u := t.tables[i].useful
+				u[idxs[i]] = ctrUpdate(u[idxs[i]], false)
 			}
 		}
 	}
@@ -375,18 +363,13 @@ func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 	return pred
 }
 
+// ctr3Next is the 3-bit counter's transition table, indexed by (state+4) |
+// taken<<3 (see ctrUpdate for why it is a table).
+var ctr3Next = [16]int8{-4, -4, -3, -2, -1, 0, 1, 2, -3, -2, -1, 0, 1, 2, 3, 3}
+
 // ctr3Update moves a 3-bit signed counter (-4..3) toward the outcome.
 func ctr3Update(c int8, taken bool) int8 {
-	if taken {
-		if c < 3 {
-			return c + 1
-		}
-		return c
-	}
-	if c > -4 {
-		return c - 1
-	}
-	return c
+	return ctr3Next[(uint8(c+4)|uint8(b2u(taken))<<3)&15]
 }
 
 // Name implements Predictor.

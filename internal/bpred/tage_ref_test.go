@@ -15,10 +15,11 @@ import (
 // implementation TAGE replaced, kept verbatim but for its names (and its own
 // copies of the folded register and counter helper), so that a rewrite of
 // TAGE is compared against an independent model rather than against itself.
+// Its base is refBimodal, so no counter update is shared with TAGE either.
 type refTAGE struct {
 	name string
 
-	base   *Bimodal
+	base   *refBimodal
 	tables []*refTageTable
 
 	ghist     []uint8
@@ -74,7 +75,7 @@ func (f *refFolded) update(newBit, oldBit uint64) {
 func newRefTAGE(name string, baseLog uint, specs []tageSpec) *refTAGE {
 	t := &refTAGE{
 		name: name,
-		base: NewBimodal(name+"-base", baseLog),
+		base: newRefBimodal(baseLog),
 		lfsr: 0xACE1,
 	}
 	maxHist := 0
@@ -305,7 +306,7 @@ func matchReference(tb testing.TB, got *TAGE, want *refTAGE, n int, branch func(
 			tb.Fatalf("%s: access %d (pc %#x, taken %v) predicted %v, reference %v", got.geometry(), i, pc, taken, g, w)
 		}
 	}
-	if !reflect.DeepEqual(got.base, want.base) {
+	if !reflect.DeepEqual(got.base.tab, want.base.tab) {
 		tb.Fatalf("%s: base tables differ after %d accesses", got.geometry(), n)
 	}
 	for i := range want.tables {

@@ -47,10 +47,12 @@ func NewTournamentSmall() *Tournament { return NewTournament("tournament-small",
 // NewTournamentBig returns the paper's ~16KB configuration (n=12, m=14).
 func NewTournamentBig() *Tournament { return NewTournament("tournament-big", 12, 14) }
 
-// Access implements Predictor.
+// Access implements Predictor. It is straight-line code — nothing in it
+// branches on the outcome or on a prediction (see ctrUpdate for why).
 func (t *Tournament) Access(pc isa.Addr, taken bool) bool {
 	nMask := uint64(1)<<t.n - 1
 	mMask := uint64(1)<<t.m - 1
+	bit := b2u(taken)
 
 	li := pcIndexBits(pc) & nMask
 	lhist := t.localHist[li]
@@ -58,30 +60,23 @@ func (t *Tournament) Access(pc isa.Addr, taken bool) bool {
 	// with its own local history, so repeating per-branch patterns map to
 	// stable counters.
 	lci := (li ^ lhist) & nMask
-	localPred := ctrTaken(t.localCtr[lci])
-
 	gi := (pcIndexBits(pc) ^ t.ghist) & mMask
-	globalPred := ctrTaken(t.globalCtr[gi])
-
 	ci := t.ghist & mMask
-	useGlobal := ctrTaken(t.choiceCtr[ci])
+	lc, gc, cc := t.localCtr[lci], t.globalCtr[gi], t.choiceCtr[ci]
 
-	pred := localPred
-	if useGlobal {
-		pred = globalPred
-	}
+	// Each prediction is bit 1 of its counter; the choice picks global's.
+	local, global, useGlobal := lc>>1, gc>>1, cc>>1
+	pred := local ^ (local^global)&useGlobal
 
-	// Train: choice moves toward the component that was right (only when
-	// they disagree, as in the 21264).
-	if localPred != globalPred {
-		t.choiceCtr[ci] = ctrUpdate(t.choiceCtr[ci], globalPred == taken)
-	}
-	t.localCtr[lci] = ctrUpdate(t.localCtr[lci], taken)
-	t.globalCtr[gi] = ctrUpdate(t.globalCtr[gi], taken)
+	// Train: choice moves toward the component that was right, stored only
+	// where they disagree, as in the 21264.
+	t.choiceCtr[ci] = cc ^ (cc^ctrUpdate(cc, uint64(global) == bit))&-(local^global)
+	t.localCtr[lci] = ctrUpdate(lc, taken)
+	t.globalCtr[gi] = ctrUpdate(gc, taken)
 
-	t.localHist[li] = ((lhist << 1) | b2u(taken)) & (uint64(1)<<t.m - 1)
-	t.ghist = ((t.ghist << 1) | b2u(taken)) & mMask
-	return pred
+	t.localHist[li] = (lhist<<1 | bit) & mMask
+	t.ghist = (t.ghist<<1 | bit) & mMask
+	return pred != 0
 }
 
 // Name implements Predictor.

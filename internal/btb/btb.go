@@ -40,10 +40,14 @@ type BTB struct {
 	res Result
 }
 
+// MaxEntries bounds a BTB's size: over 1000x the paper's largest, and small
+// enough that a geometry taken from a request cannot exhaust memory.
+const MaxEntries = 1 << 20
+
 // GeometryError reports why a geometry is invalid, or nil if it is usable.
 func GeometryError(entries, ways int) error {
-	if entries <= 0 || ways <= 0 || entries%ways != 0 {
-		return fmt.Errorf("btb: invalid geometry %d entries, %d ways", entries, ways)
+	if entries <= 0 || ways <= 0 || entries%ways != 0 || entries > MaxEntries {
+		return fmt.Errorf("btb: invalid geometry %d entries, %d ways (at most %d entries)", entries, ways, MaxEntries)
 	}
 	return nil
 }

@@ -37,6 +37,24 @@ func TestObserveCountersAndRepeatHit(t *testing.T) {
 	}
 }
 
+// TestGeometryError: a geometry is usable only with positive sizes, whole
+// sets and at most MaxEntries entries — a request cannot ask for a table the
+// process cannot allocate.
+func TestGeometryError(t *testing.T) {
+	for _, tc := range []struct {
+		entries, ways int
+		ok            bool
+	}{
+		{256, 2, true}, {1024, 8, true}, {MaxEntries, 1, true}, {MaxEntries, MaxEntries, true},
+		{0, 1, false}, {-256, 2, false}, {256, 0, false}, {256, -2, false}, {100, 3, false},
+		{MaxEntries + 1, 1, false}, {MaxEntries * 2, 2, false}, {1 << 40, 1, false},
+	} {
+		if err := GeometryError(tc.entries, tc.ways); (err == nil) != tc.ok {
+			t.Errorf("GeometryError(%d, %d) = %v, want ok %v", tc.entries, tc.ways, err, tc.ok)
+		}
+	}
+}
+
 func TestResultMerge(t *testing.T) {
 	a := &Result{Name: "256-entry, 2-way", Entries: 256, Ways: 2, Insts: [2]int64{100, 10}, Lookups: [2]int64{20, 2}, Misses: [2]int64{5, 1}}
 	b := &Result{Name: "256-entry, 2-way", Entries: 256, Ways: 2, Insts: [2]int64{50, 5}, Lookups: [2]int64{10, 1}, Misses: [2]int64{2, 0}}

@@ -63,10 +63,14 @@ const sectorBytes = 8
 // is 1..15, as on x86).
 const maxInstBytes = 15
 
+// MaxSizeBytes bounds a cache's size: over 1000x the paper's largest, and
+// small enough that a geometry taken from a request cannot exhaust memory.
+const MaxSizeBytes = 64 << 20
+
 // GeometryError reports why a geometry is invalid, or nil if it is usable.
 func GeometryError(sizeBytes, lineBytes, ways int) error {
-	if sizeBytes <= 0 || lineBytes <= 0 || ways <= 0 {
-		return fmt.Errorf("icache: invalid geometry size=%d line=%d ways=%d", sizeBytes, lineBytes, ways)
+	if sizeBytes <= 0 || lineBytes <= 0 || ways <= 0 || sizeBytes > MaxSizeBytes {
+		return fmt.Errorf("icache: invalid geometry size=%d line=%d ways=%d (at most %d bytes)", sizeBytes, lineBytes, ways, MaxSizeBytes)
 	}
 	if lineBytes%sectorBytes != 0 || lineBytes > 16*sectorBytes {
 		return fmt.Errorf("icache: line width %dB unsupported", lineBytes)

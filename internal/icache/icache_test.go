@@ -44,6 +44,25 @@ func TestObserveCountersAndUsefulness(t *testing.T) {
 	}
 }
 
+// TestGeometryError: a geometry is usable only with positive sizes, lines of
+// 16 to 128 bytes in whole sectors, whole sets and at most MaxSizeBytes — a
+// request cannot ask for a cache the process cannot allocate.
+func TestGeometryError(t *testing.T) {
+	for _, tc := range []struct {
+		size, line, ways int
+		ok               bool
+	}{
+		{8 << 10, 64, 2, true}, {32 << 10, 128, 8, true}, {MaxSizeBytes, 64, 1, true}, {MaxSizeBytes, 16, 4, true},
+		{0, 64, 2, false}, {-8 << 10, 64, 2, false}, {8 << 10, 0, 2, false}, {8 << 10, 64, 0, false},
+		{8 << 10, 8, 2, false}, {8 << 10, 256, 2, false}, {8 << 10, 60, 2, false}, {192, 64, 2, false},
+		{MaxSizeBytes + 64, 64, 1, false}, {MaxSizeBytes * 2, 64, 2, false}, {1 << 50, 64, 1, false},
+	} {
+		if err := GeometryError(tc.size, tc.line, tc.ways); (err == nil) != tc.ok {
+			t.Errorf("GeometryError(%d, %d, %d) = %v, want ok %v", tc.size, tc.line, tc.ways, err, tc.ok)
+		}
+	}
+}
+
 func TestResultMerge(t *testing.T) {
 	a := &Result{Name: "8KB, 64B-line, 2-way", SizeBytes: 8192, LineBytes: 64, Ways: 2,
 		Insts: [2]int64{100, 10}, Accesses: [2]int64{30, 3}, Misses: [2]int64{5, 1}, UsedSectors: 8, TotalSectors: 16}

@@ -330,6 +330,9 @@ func icacheFactory(opts json.RawMessage) ([]ObserverConfig, error) {
 		if g.LineBytes == 0 {
 			g.LineBytes = 64
 		}
+		if g.SizeKB <= 0 || g.SizeKB > icache.MaxSizeBytes/1024 { // before SizeKB*1024 can overflow
+			return nil, fmt.Errorf("icache: size %dKB outside 1..%dKB", g.SizeKB, icache.MaxSizeBytes/1024)
+		}
 		if err := icache.GeometryError(g.SizeKB*1024, g.LineBytes, g.Ways); err != nil {
 			return nil, err
 		}

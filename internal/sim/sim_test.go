@@ -71,6 +71,18 @@ func TestSpecValidation(t *testing.T) {
 		{"bad btb geometry", func(s *Spec) {
 			s.Observers = []ObserverSpec{{Kind: "btb", Options: json.RawMessage(`{"geometries":[{"entries":100,"ways":3}]}`)}}
 		}, "invalid geometry"},
+		{"btb too big to allocate", func(s *Spec) {
+			s.Observers = []ObserverSpec{{Kind: "btb", Options: json.RawMessage(`{"geometries":[{"entries":1099511627776,"ways":1}]}`)}}
+		}, "invalid geometry"},
+		{"icache size_kb overflows", func(s *Spec) {
+			s.Observers = []ObserverSpec{{Kind: "icache", Options: json.RawMessage(`{"geometries":[{"size_kb":18014398509481985,"ways":1}]}`)}}
+		}, "outside 1.."},
+		{"icache negative size_kb overflows", func(s *Spec) {
+			s.Observers = []ObserverSpec{{Kind: "icache", Options: json.RawMessage(`{"geometries":[{"size_kb":-18014398509481983,"ways":1}]}`)}}
+		}, "outside 1.."},
+		{"icache too big to allocate", func(s *Spec) {
+			s.Observers = []ObserverSpec{{Kind: "icache", Options: json.RawMessage(`{"geometries":[{"size_kb":65537,"ways":1}]}`)}}
+		}, "outside 1.."},
 		{"duplicate config", func(s *Spec) {
 			s.Observers = []ObserverSpec{{Kind: "branch-mix"}, {Kind: "branch-mix"}}
 		}, "duplicate observer"},

@@ -366,12 +366,16 @@ func (e *Executor) emitBranchBatch(br *program.Branch, taken bool, target isa.Ad
 	e.lane.Sizes = append(e.lane.Sizes, br.Size)
 	e.emitted++
 	if br.Kind == isa.KindCondDirect {
-		e.hist <<= 1
-		if taken {
-			e.hist |= 1
-		}
+		e.hist = e.hist<<1 | b2u(taken) // a shift, not a host branch on a hard-to-predict outcome
 	}
 	e.siteCount[br.ID]++
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // runOps drives the threaded code from start until the region's opHalt.
