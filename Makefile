@@ -26,15 +26,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs the wire- and disk-surface fuzzers and the six differentials
+# fuzz runs the wire- and disk-surface fuzzers and the seven differentials
 # — the one-pass shard record decode against the two-level one it replaced
 # (FuzzDecodeShard), the appended sc2-/tr1- keys against json.Marshal's
 # (FuzzShardCacheKey), the lane consumers against their per-instruction
 # models, (in FuzzDecodeDeliver) the trr1 lane decoder against its
-# instruction model, and TAGE and Tournament over random geometries against
+# instruction model, TAGE and Tournament over random geometries against
 # their reference models (FuzzTAGEMatchesReference,
-# FuzzTournamentMatchesReference) — for a short budget (CI uses the same
-# targets); FUZZTIME=5m for a longer local session.
+# FuzzTournamentMatchesReference), and TAGE's AVX2 stage against its Go
+# stage and the reference folds and hashes (FuzzTAGEStage) — for a short
+# budget (CI uses the same targets); FUZZTIME=5m for a longer local session.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime $(FUZZTIME)
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/trace/replay -run '^$$' -fuzz '^FuzzDecodeDeliver$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bpred -run '^$$' -fuzz '^FuzzTAGEMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bpred -run '^$$' -fuzz '^FuzzTournamentMatchesReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bpred -run '^$$' -fuzz '^FuzzTAGEStage$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the seeded fault-injection soak suite race-instrumented: the
 # golden grid through a 3-backend dispatcher under transient faults must

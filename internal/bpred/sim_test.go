@@ -275,13 +275,16 @@ func (c *lanesOf) ConsumeLane(l *isa.Lane) {
 // of gshare, tournament and TAGE, and the loop table — as Sim walks it, round
 // by round, over the conditional branches of the first 2M instructions of
 // each built-in workload. An op walks a fresh instance over the whole
-// stream; ns/branch is the figure to read. The appendConds row prices the
-// compaction that builds those rounds from the same lanes, in ns/run.
+// stream; ns/branch is the figure to read. The tage-big and tage-small rows
+// run the stage NewTAGE selects; the rows suffixed /go and /avx2 force each
+// stage this host offers. The appendConds row prices the compaction that
+// builds those rounds from the same lanes, in ns/run.
 func BenchmarkComponentWalk(b *testing.B) {
-	components := []struct {
+	type row struct {
 		name string
 		new  func() component
-	}{
+	}
+	components := []row{
 		{"gshare-big", func() component { return component{base: NewGshareBig()} }},
 		{"gshare-small", func() component { return component{base: NewGshareSmall()} }},
 		{"tournament-big", func() component { return component{base: NewTournamentBig()} }},
@@ -289,6 +292,18 @@ func BenchmarkComponentWalk(b *testing.B) {
 		{"tage-big", func() component { return component{base: NewTAGEBig()} }},
 		{"tage-small", func() component { return component{base: NewTAGESmall()} }},
 		{"loop", func() component { return component{loop: NewLoopPredictor()} }},
+	}
+	for _, tage := range []struct {
+		build  func() *TAGE
+		stages []bool
+	}{{NewTAGEBig, tageStages(b)}, {NewTAGESmall, []bool{false}}} {
+		t := tage.build()
+		baseLog, specs := tageSpecs(b, t)
+		for _, avx2 := range tage.stages {
+			components = append(components, row{t.name + "/" + stageName(avx2), func() component {
+				return component{base: newTAGE(t.name, baseLog, specs, avx2)}
+			}})
+		}
 	}
 	for _, wl := range []string{"comd-lite", "xalan-lite"} {
 		var lanes lanesOf

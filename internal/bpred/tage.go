@@ -24,28 +24,34 @@ type TAGE struct {
 	base   *Bimodal
 	tables []tageTable
 
-	// uniform is set when every table has the same logSize (both built-in
-	// configurations): the address and path part of an index is then the
-	// same for all tables and is computed once per access.
-	uniform bool
+	// k is the per-table stage's state: every table's folded histories and
+	// hash constants, and the index and tag the last access computed (see
+	// tageKernel). avx2 selects the stage that runs it, once, in newTAGE.
+	k    tageKernel
+	avx2 bool
+
+	// tags is every table's tags in one slab, table after table, padded by
+	// one entry; each tageTable.tag is its table's sub-slice.
+	tags []uint16
 
 	// Global history as a circular bit buffer; long enough for the longest
 	// geometric history length. The length is a power of two so position
 	// arithmetic is a mask instead of a modulo (negative positions wrap
-	// through it) — a bit is read per table per access, and integer division
-	// dominated the profile before.
+	// through it). The buffer is padded by 3 bytes past ghistMask, so a
+	// dword read at any position stays inside it.
 	//
 	// Between accesses the tables' folded histories lag ghist by its most
-	// recent bit: Access folds that bit in on the same walk over the tables
-	// that hashes their indices, so an access visits each table once. (At
-	// power-on ghist and every fold are zero, and folding in a zero bit while
-	// a zero bit leaves keeps a zero fold zero.)
+	// recent bit: the stage folds that bit in right before it hashes each
+	// table's index, so an access runs each table once. (At power-on
+	// ghist and every fold are zero, and folding in a zero bit while a zero
+	// bit leaves keeps a zero fold zero.)
 	ghist     []uint8
-	ghistMask int
-	ghistPos  int // position of the most recent bit
+	ghistMask uint32
+	ghistPos  uint32 // position of the most recent bit
 
-	// pathHist folds low PC bits of recent branches into index hashes.
-	pathHist uint64
+	// pathHist folds low PC bits of recent branches into index hashes; an
+	// index reads at most its low 16 bits.
+	pathHist uint32
 
 	// useAltOnNA biases toward the alternate prediction when the provider
 	// entry is newly allocated (weak); 4-bit signed counter.
@@ -56,60 +62,82 @@ type TAGE struct {
 
 	// accesses triggers the periodic useful-bit aging.
 	accesses uint64
-
-	// Per-access scratch, preallocated to keep Access allocation-free.
-	scratchIdx []uint64
-	scratchTag []uint16
 }
 
-// tageTable is one tagged table. The tables are held by value in one slice,
-// so the per-access walk over them follows no pointers.
+// tageTable is one tagged table's entries; its geometry and folded histories
+// are its lane of TAGE.k.
 type tageTable struct {
-	histLen int
-	logSize uint
-	tagBits uint
-	idxMask uint64 // 1<<logSize - 1
-	tagMask uint64 // 1<<tagBits - 1
-	tag     []uint16
-	ctr     []int8  // 3-bit signed, taken when >= 0
-	useful  []uint8 // 2-bit
-	// The folded histories update on every access. foldTag1 folds the same
-	// history to tagBits bits as foldIdx does to logSize bits, so where the
-	// two widths are equal the registers start equal and stay equal:
-	// sharedFold then keeps only foldIdx, and foldTag1 is unused.
-	sharedFold bool
-	foldIdx    folded
-	foldTag1   folded
-	foldTag2   folded
+	tag    []uint16
+	ctr    []int8  // 3-bit signed, taken when >= 0
+	useful []uint8 // 2-bit
 }
 
-// folded maintains an incrementally folded (compressed) copy of the global
-// history, as in Seznec's reference implementation. The struct is kept to
-// one-and-a-half words of hot state with precomputed mask and shift so the
-// updates per table per access stay a handful of ALU ops each.
-type folded struct {
-	comp    uint64
-	mask    uint64 // (1 << compLen) - 1
-	compLen uint8
-	outPt   uint8
+// tageLanes is the most tables a TAGE has: one lane of tageKernel each.
+const tageLanes = 16
+
+// tageKernel is the per-table stage of a TAGE access as data, one 32-bit lane
+// per table (lanes past the table count stay zero), so that one loop or two
+// 8-lane AVX2 vectors run every table. Each table keeps three of Seznec's
+// folded histories: fold 0 to its index width, folds 1 and 2 to its tag
+// width and one bit less.
+//
+// 32-bit lanes are exact for any 64-bit PC and path: index bits below
+// logSize read PC bits (after the alignment shift) only below 2*logSize-2 <=
+// 30 and path bits below logSize; tag bits read PC bits below tagBits <= 16;
+// a fold holds at most 16 bits. NewTAGE enforces the bounds.
+type tageKernel struct {
+	fold  [3][tageLanes]uint32
+	outPt [3][tageLanes]uint32 // histLen % the fold's width
+	width [3][tageLanes]uint32 // index width, tag width, tag width - 1
+	fmask [3][tageLanes]uint32 // 1<<width - 1
+
+	histLen [tageLanes]uint32
+	shift   [tageLanes]uint32 // logSize - 2, the PC's second index term
+	idxMask [tageLanes]uint32
+	tagMask [tageLanes]uint32
+	tagOff  [tageLanes]uint32 // the table's first entry in TAGE.tags
+
+	// What the last access computed: each table's index and tag.
+	idx [tageLanes]uint32
+	tag [tageLanes]uint32
 }
 
-func newFolded(histLen int, compLen uint) folded {
-	return folded{
-		mask:    uint64(1)<<compLen - 1,
-		compLen: uint8(compLen),
-		outPt:   uint8(uint(histLen) % compLen),
+// tageStage is the per-table stage in Go, and the AVX2 kernel's spec: for
+// each of the first n lanes, fold in newBit (ghist at pos) and the bit leaving
+// the table's history, hash the index and tag of p (the PC's index bits) and
+// path, and set hit bit i where table i's stored tag matches. It makes two
+// passes, folds then hashes: one pass spilled its state per table. Where a
+// tag is as wide as its index (tage-small's tables, six of tage-big's), fold 1
+// is fold 0 by construction and is copied.
+func tageStage(k *tageKernel, ghist []uint8, tags []uint16, p, path, newBit, pos, mask uint32, n int) (hits uint32) {
+	for i := range k.histLen[:n] {
+		old := uint32(ghist[(pos-k.histLen[i])&mask])
+		f0 := foldIn(k.fold[0][i], newBit, old, k.outPt[0][i], k.width[0][i], k.fmask[0][i])
+		f1 := f0
+		if k.width[1][i] != k.width[0][i] {
+			f1 = foldIn(k.fold[1][i], newBit, old, k.outPt[1][i], k.width[1][i], k.fmask[1][i])
+		}
+		k.fold[0][i], k.fold[1][i] = f0, f1
+		k.fold[2][i] = foldIn(k.fold[2][i], newBit, old, k.outPt[2][i], k.width[2][i], k.fmask[2][i])
 	}
+	pp := p ^ path
+	for i := range k.histLen[:n] {
+		idx := (pp ^ p>>(k.shift[i]&31) ^ k.fold[0][i]) & k.idxMask[i]
+		tag := (p ^ k.fold[1][i] ^ k.fold[2][i]<<1) & k.tagMask[i]
+		k.idx[i], k.tag[i] = idx, tag
+		hits |= uint32(b2u(uint32(tags[k.tagOff[i]+idx]) == tag)) << i
+	}
+	return hits
 }
 
-// update shifts newBit in and oldBit, the bit leaving the history, out. Both
-// shift counts are below 64; masking them says so to the compiler, which then
-// emits a bare shift.
-func (f *folded) update(newBit, oldBit uint64) {
-	c := (f.comp << 1) | newBit
-	c ^= oldBit << (f.outPt & 63)
-	c ^= c >> (f.compLen & 63)
-	f.comp = c & f.mask
+// foldIn shifts newBit into the fold f and old, the bit leaving its history,
+// out. Both shift counts are below 32; masking them says so to the compiler,
+// which then emits a bare shift.
+func foldIn(f, newBit, old, outPt, width, mask uint32) uint32 {
+	c := f<<1 | newBit
+	c ^= old << (outPt & 31)
+	c ^= c >> (width & 31)
+	return c & mask
 }
 
 // tageSpec describes one tagged table.
@@ -121,50 +149,59 @@ type tageSpec struct {
 
 // NewTAGE builds a TAGE predictor from explicit table specs and a bimodal
 // base of 2^baseLog entries. Specs must be ordered by increasing history
-// length.
+// length; there are at most 16, of 2^2 to 2^16 entries and 2- to 16-bit tags.
+// It runs the AVX2 stage where the CPU has AVX2 and there are over 8 tables
+// (on fewer its fixed cost exceeds what it saves), the Go stage otherwise.
 func NewTAGE(name string, baseLog uint, specs []tageSpec) *TAGE {
+	return newTAGE(name, baseLog, specs, haveAVX2 && len(specs) > tageLanes/2)
+}
+
+// newTAGE is NewTAGE with the stage chosen by the caller: the AVX2 kernel
+// (which needs haveAVX2) or the Go stage.
+func newTAGE(name string, baseLog uint, specs []tageSpec, avx2 bool) *TAGE {
 	t := &TAGE{
-		name:    name,
-		geom:    fmt.Sprint("tage/", baseLog, specs),
-		base:    NewBimodal(name+"-base", baseLog),
-		uniform: len(specs) > 0,
-		lfsr:    0xACE1,
+		name: name,
+		geom: fmt.Sprint("tage/", baseLog, specs),
+		base: NewBimodal(name+"-base", baseLog),
+		avx2: avx2,
+		lfsr: 0xACE1,
 	}
-	if len(specs) > 64 { // Access keeps one hit bit per table in a uint64
-		panic(fmt.Sprintf("bpred: TAGE has at most 64 tables, got %d", len(specs)))
+	if len(specs) > tageLanes {
+		panic(fmt.Sprintf("bpred: TAGE has at most %d tables, got %d", tageLanes, len(specs)))
 	}
-	maxHist := 0
+	entries := 1 // the slab's padding
 	for i, s := range specs {
 		if s.HistLen <= 0 || (i > 0 && s.HistLen <= specs[i-1].HistLen) {
 			panic(fmt.Sprintf("bpred: TAGE specs must have increasing history lengths, got %v", specs))
 		}
-		t.tables = append(t.tables, tageTable{
-			histLen:    s.HistLen,
-			logSize:    s.LogSize,
-			tagBits:    s.TagBits,
-			idxMask:    uint64(1)<<s.LogSize - 1,
-			tagMask:    uint64(1)<<s.TagBits - 1,
-			tag:        make([]uint16, 1<<s.LogSize),
-			ctr:        make([]int8, 1<<s.LogSize),
-			useful:     make([]uint8, 1<<s.LogSize),
-			sharedFold: s.TagBits == s.LogSize,
-			foldIdx:    newFolded(s.HistLen, s.LogSize),
-			foldTag1:   newFolded(s.HistLen, s.TagBits),
-			foldTag2:   newFolded(s.HistLen, s.TagBits-1),
-		})
-		t.uniform = t.uniform && s.LogSize == specs[0].LogSize
-		if s.HistLen > maxHist {
-			maxHist = s.HistLen
+		if s.LogSize < 2 || s.LogSize > 16 || s.TagBits < 2 || s.TagBits > 16 {
+			panic(fmt.Sprintf("bpred: TAGE table %+v: LogSize and TagBits must be 2..16", s))
 		}
+		entries += 1 << s.LogSize
+	}
+	t.tags = make([]uint16, entries)
+	k, off, maxHist := &t.k, 0, 0
+	for i, s := range specs {
+		size := 1 << s.LogSize
+		t.tables = append(t.tables, tageTable{
+			tag:    t.tags[off : off+size : off+size],
+			ctr:    make([]int8, size),
+			useful: make([]uint8, size),
+		})
+		for j, w := range [3]uint32{uint32(s.LogSize), uint32(s.TagBits), uint32(s.TagBits - 1)} {
+			k.outPt[j][i], k.width[j][i], k.fmask[j][i] = uint32(s.HistLen)%w, w, 1<<w-1
+		}
+		k.histLen[i], k.shift[i] = uint32(s.HistLen), uint32(s.LogSize-2)
+		k.idxMask[i], k.tagMask[i], k.tagOff[i] = 1<<s.LogSize-1, 1<<s.TagBits-1, uint32(off)
+		off += size
+		maxHist = max(maxHist, s.HistLen)
 	}
 	ghistLen := 1
 	for ghistLen < maxHist+1 {
 		ghistLen <<= 1
 	}
-	t.ghist = make([]uint8, ghistLen)
-	t.ghistMask = ghistLen - 1
-	t.scratchIdx = make([]uint64, len(t.tables))
-	t.scratchTag = make([]uint16, len(t.tables))
+	t.ghist = make([]uint8, ghistLen+3)
+	t.ghistMask = uint32(ghistLen - 1)
 	return t
 }
 
@@ -194,20 +231,6 @@ func NewTAGEBig() *TAGE {
 	return NewTAGE("tage-big", 13, specs)
 }
 
-// mix is the address and path part of the table's index hash; the index is
-// mix ^ foldIdx.comp, which is already below 1<<logSize.
-func (tb *tageTable) mix(p, path uint64) uint64 {
-	return (p ^ p>>(tb.logSize-2) ^ path) & tb.idxMask
-}
-
-func (tb *tageTable) tagOf(p uint64) uint16 {
-	t1 := tb.foldTag1.comp
-	if tb.sharedFold {
-		t1 = tb.foldIdx.comp
-	}
-	return uint16((p ^ t1 ^ tb.foldTag2.comp<<1) & tb.tagMask)
-}
-
 func (t *TAGE) rand() uint32 {
 	// 16-bit Galois LFSR: deterministic, cheap, good enough for the
 	// allocation tie-break.
@@ -225,41 +248,23 @@ func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 
 	// Catch each table's folded histories up with the last outcome, compute
 	// its index and tag, and note whether it hits; the provider is the
-	// longest-history hit and the alternate the next longest. The loop reads
-	// the predictor's fields through locals: its stores to the folds would
-	// otherwise force a reload of each field per table.
-	tables, uniform, path := t.tables, t.uniform, t.pathHist
-	idxs, tags := t.scratchIdx[:len(tables)], t.scratchTag[:len(tables)]
-	ghist, ghistMask, ghistPos := t.ghist, t.ghistMask, t.ghistPos
-	p := pcIndexBits(pc)
-	newBit := uint64(ghist[ghistPos])
-	var mix, hits uint64
-	if uniform {
-		mix = tables[0].mix(p, path)
-	}
-	for i := range tables {
-		tb := &tables[i]
-		old := uint64(ghist[(ghistPos-tb.histLen)&ghistMask]) // the bit leaving the table's history
-		tb.foldIdx.update(newBit, old)
-		if !tb.sharedFold {
-			tb.foldTag1.update(newBit, old)
-		}
-		tb.foldTag2.update(newBit, old)
-		if !uniform {
-			mix = tb.mix(p, path)
-		}
-		idx, tag := mix^tb.foldIdx.comp, tb.tagOf(p)
-		idxs[i], tags[i] = idx, tag
-		hits |= b2u(tb.tag[idx] == tag) << (i & 63)
+	// longest-history hit and the alternate the next longest. The index and
+	// tag hashes read the PC's low 32 bits (see tageKernel).
+	k, p, pos := &t.k, uint32(pcIndexBits(pc)), t.ghistPos
+	var hits uint32
+	if t.avx2 {
+		hits = tageStageAVX2(k, t.ghist, t.tags, p, t.pathHist, uint32(t.ghist[pos]), pos, t.ghistMask, len(t.tables))
+	} else {
+		hits = tageStage(k, t.ghist, t.tags, p, t.pathHist, uint32(t.ghist[pos]), pos, t.ghistMask, len(t.tables))
 	}
 	provider, altProvider := -1, -1
-	var provIdx, altIdx uint64
+	var provIdx, altIdx uint32
 	if hits != 0 {
-		provider = bits.Len64(hits) - 1
-		provIdx = idxs[provider]
+		provider = bits.Len32(hits) - 1
+		provIdx = k.idx[provider]
 		if rest := hits &^ (1 << provider); rest != 0 {
-			altProvider = bits.Len64(rest) - 1
-			altIdx = idxs[altProvider]
+			altProvider = bits.Len32(rest) - 1
+			altIdx = k.idx[altProvider]
 		}
 	}
 
@@ -325,11 +330,11 @@ func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 		}
 		allocated := false
 		for i := start; i < len(t.tables); i++ {
-			tb := &t.tables[i]
-			if tb.useful[idxs[i]] == 0 {
-				tb.tag[idxs[i]] = tags[i]
-				tb.ctr[idxs[i]] = int8(b2u(taken)) - 1 // weak toward the outcome
-				tb.useful[idxs[i]] = 0
+			tb, idx := &t.tables[i], k.idx[i]
+			if tb.useful[idx] == 0 {
+				tb.tag[idx] = uint16(k.tag[i])
+				tb.ctr[idx] = int8(b2u(taken)) - 1 // weak toward the outcome
+				tb.useful[idx] = 0
 				allocated = true
 				break
 			}
@@ -339,7 +344,7 @@ func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 			// succeed.
 			for i := provider + 1; i < len(t.tables); i++ {
 				u := t.tables[i].useful
-				u[idxs[i]] = ctrUpdate(u[idxs[i]], false)
+				u[k.idx[i]] = ctrUpdate(u[k.idx[i]], false)
 			}
 		}
 	}
@@ -358,7 +363,7 @@ func (t *TAGE) Access(pc isa.Addr, taken bool) bool {
 	// access.
 	t.ghistPos = (t.ghistPos + 1) & t.ghistMask
 	t.ghist[t.ghistPos] = uint8(b2u(taken))
-	t.pathHist = (t.pathHist << 1) | (uint64(pc) >> 2 & 1)
+	t.pathHist = t.pathHist<<1 | uint32(pc)>>2&1
 
 	return pred
 }
@@ -380,7 +385,7 @@ func (t *TAGE) Name() string { return t.name }
 func (t *TAGE) CostBits() int {
 	bits := t.base.CostBits()
 	for i := range t.tables {
-		bits += len(t.tables[i].tag) * (int(t.tables[i].tagBits) + 3 + 2)
+		bits += len(t.tables[i].tag) * (int(t.k.width[1][i]) + 3 + 2)
 	}
 	return bits
 }

@@ -280,19 +280,52 @@ func refCtr3Update(c int8, taken bool) int8 {
 	return c
 }
 
-// refFor returns a power-on reference model of t's geometry. The geometry is
-// read back from t's tables and checked against the specs t was built from.
-func refFor(tb testing.TB, t *TAGE) *refTAGE {
+// tageSpecs reads t's geometry back from its base and its stage layout and
+// checks it against the specs t was built from.
+func tageSpecs(tb testing.TB, t *TAGE) (baseLog uint, specs []tageSpec) {
 	tb.Helper()
-	specs := make([]tageSpec, len(t.tables))
-	for i := range t.tables {
-		specs[i] = tageSpec{HistLen: t.tables[i].histLen, LogSize: t.tables[i].logSize, TagBits: t.tables[i].tagBits}
+	specs = make([]tageSpec, len(t.tables))
+	for i := range specs {
+		specs[i] = tageSpec{HistLen: int(t.k.histLen[i]), LogSize: uint(t.k.width[0][i]), TagBits: uint(t.k.width[1][i])}
 	}
-	baseLog := uint(bits.TrailingZeros(uint(len(t.base.tab))))
+	baseLog = uint(bits.TrailingZeros(uint(len(t.base.tab))))
 	if g := fmt.Sprint("tage/", baseLog, specs); g != t.geometry() {
 		tb.Fatalf("tables read back as %s, built as %s", g, t.geometry())
 	}
+	return baseLog, specs
+}
+
+// refFor returns a power-on reference model of t's geometry.
+func refFor(tb testing.TB, t *TAGE) *refTAGE {
+	tb.Helper()
+	baseLog, specs := tageSpecs(tb, t)
 	return newRefTAGE(t.name, baseLog, specs)
+}
+
+// tageStages lists the stages this host runs, as newTAGE's avx2 argument: the
+// Go stage, and the AVX2 kernel where the CPU has AVX2.
+func tageStages(tb testing.TB) []bool {
+	if !haveAVX2 {
+		tb.Log("no AVX2 on this host: the kernel leg is skipped")
+		return []bool{false}
+	}
+	return []bool{false, true}
+}
+
+// restage returns a power-on TAGE of t's geometry on the given stage.
+func restage(tb testing.TB, t *TAGE, avx2 bool) *TAGE {
+	tb.Helper()
+	baseLog, specs := tageSpecs(tb, t)
+	return newTAGE(t.name, baseLog, specs, avx2)
+}
+
+// stageName names a stage, given as newTAGE's avx2 argument, in test and
+// benchmark output.
+func stageName(avx2 bool) string {
+	if avx2 {
+		return "avx2"
+	}
+	return "go"
 }
 
 // matchReference drives got and its reference model over the same
@@ -303,24 +336,24 @@ func matchReference(tb testing.TB, got *TAGE, want *refTAGE, n int, branch func(
 	for i := 0; i < n; i++ {
 		pc, taken := branch(i)
 		if g, w := got.Access(pc, taken), want.Access(pc, taken); g != w {
-			tb.Fatalf("%s: access %d (pc %#x, taken %v) predicted %v, reference %v", got.geometry(), i, pc, taken, g, w)
+			tb.Fatalf("%s on the %s stage: access %d (pc %#x, taken %v) predicted %v, reference %v", got.geometry(), stageName(got.avx2), i, pc, taken, g, w)
 		}
 	}
 	if !reflect.DeepEqual(got.base.tab, want.base.tab) {
-		tb.Fatalf("%s: base tables differ after %d accesses", got.geometry(), n)
+		tb.Fatalf("%s on the %s stage: base tables differ after %d accesses", got.geometry(), stageName(got.avx2), n)
 	}
 	for i := range want.tables {
 		g, w := &got.tables[i], want.tables[i]
 		if !reflect.DeepEqual(g.tag, w.tag) || !reflect.DeepEqual(g.ctr, w.ctr) || !reflect.DeepEqual(g.useful, w.useful) {
-			tb.Fatalf("%s: table %d differs after %d accesses", got.geometry(), i, n)
+			tb.Fatalf("%s on the %s stage: table %d differs after %d accesses", got.geometry(), stageName(got.avx2), i, n)
 		}
 	}
 }
 
-// TestTAGEMatchesReference holds both built-in TAGEs to the reference model,
-// prediction by prediction, on the conditional branches of 200k instructions
-// of each built-in workload — cycled past the first useful-bit aging at
-// 2^18 accesses, which no shorter stream reaches.
+// TestTAGEMatchesReference holds both built-in TAGEs, on each stage the host
+// runs, to the reference model, prediction by prediction, on the conditional
+// branches of 200k instructions of each built-in workload — cycled past the
+// first useful-bit aging at 2^18 accesses, which no shorter stream reaches.
 func TestTAGEMatchesReference(t *testing.T) {
 	for _, wl := range []string{"comd-lite", "xalan-lite"} {
 		var conds []isa.Inst
@@ -333,21 +366,23 @@ func TestTAGEMatchesReference(t *testing.T) {
 			t.Fatalf("%s: stream has no conditional branches", wl)
 		}
 		for _, build := range []func() *TAGE{NewTAGEBig, NewTAGESmall} {
-			got := build()
-			matchReference(t, got, refFor(t, got), 1<<18+4096, func(i int) (isa.Addr, bool) {
-				in := &conds[i%len(conds)]
-				return in.PC, in.Taken
-			})
+			for _, avx2 := range tageStages(t) {
+				got := restage(t, build(), avx2)
+				matchReference(t, got, refFor(t, got), 1<<18+4096, func(i int) (isa.Addr, bool) {
+					in := &conds[i%len(conds)]
+					return in.PC, in.Taken
+				})
+			}
 		}
 	}
 }
 
-// FuzzTAGEMatchesReference holds TAGE to the reference model over random
-// geometries — 1 to 16 tables with strictly increasing history lengths up to
-// 1024, table sizes 2^4 to 2^12 shared by every table or drawn per table, tag
-// widths 4 to 15 equal to the table's index width or not — and a (pc, taken)
-// sequence drawn from the fuzz input, repeated to 4096 accesses so the
-// longest histories fill.
+// FuzzTAGEMatchesReference holds TAGE, on each stage the host runs, to the
+// reference model over random geometries — 1 to 16 tables with strictly
+// increasing history lengths up to 1024, table sizes 2^4 to 2^12 shared by
+// every table or drawn per table, tag widths 4 to 15 equal to the table's
+// index width or not — and a (pc, taken) sequence drawn from the fuzz input,
+// repeated to 4096 accesses so the longest histories fill.
 func FuzzTAGEMatchesReference(f *testing.F) {
 	// A shape is: table count - 1, 0 for one table size (then that size - 4)
 	// or 1 for one per table, base size - 4, then per table the history
@@ -396,9 +431,11 @@ func FuzzTAGEMatchesReference(f *testing.F) {
 			specs[i] = tageSpec{HistLen: hist, LogSize: logSize, TagBits: tagBits}
 		}
 		branches := len(seq) / 2
-		matchReference(t, NewTAGE("fuzz", baseLog, specs), newRefTAGE("fuzz", baseLog, specs), 4096, func(i int) (isa.Addr, bool) {
-			b := seq[2*(i%branches):]
-			return isa.Addr(0x400000 + 4*uint64(b[0]) + uint64(b[1]>>1)<<10), b[1]&1 == 1
-		})
+		for _, avx2 := range tageStages(t) {
+			matchReference(t, newTAGE("fuzz", baseLog, specs, avx2), newRefTAGE("fuzz", baseLog, specs), 4096, func(i int) (isa.Addr, bool) {
+				b := seq[2*(i%branches):]
+				return isa.Addr(0x400000 + 4*uint64(b[0]) + uint64(b[1]>>1)<<10), b[1]&1 == 1
+			})
+		}
 	})
 }
