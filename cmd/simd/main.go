@@ -126,7 +126,7 @@ func main() {
 	var (
 		addrFlag      = flag.String("addr", ":8080", "listen address")
 		workerFlag    = flag.Bool("worker", false, "worker mode: serve only the shard protocol (no /v1/runs, no /v1/sweeps)")
-		workersFlag   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines per run: local pool size, units in flight with -backends")
+		workersFlag   = flag.Int("workers", runtime.GOMAXPROCS(0), "slots a run's grid is planned for and local pool size; with -backends, also the cap on backend calls in flight")
 		maxInstsFlag  = flag.Int64("max-insts", 100_000_000, "reject specs with a larger per-shard instruction budget (0 = unlimited)")
 		maxShardsFlag = flag.Int("max-shards", 4096, "reject specs expanding to more shards than this (0 = unlimited)")
 		drainFlag     = flag.Duration("drain", 30*time.Second, "in-flight drain budget on SIGINT/SIGTERM")

@@ -171,7 +171,8 @@ func BenchmarkMixed9Pass(b *testing.B) {
 // grid shape (2 workloads x 4 seeds x the nine configurations, 2M insts a
 // shard): every shard a hit in a warm memory tier, so an op is key, lookup,
 // merge and the report's json.Marshal — spec in, report bytes out. The
-// session runs GOMAXPROCS workers, so -cpu prices the all-hits plan's fan-out.
+// session runs GOMAXPROCS workers, but an all-hits grid plans no unit and
+// starts no goroutine, so -cpu should not move it.
 func BenchmarkCachedRerun(b *testing.B) {
 	spec := benchSweepSpec(2_000_000)
 	spec.SeedCount = 4

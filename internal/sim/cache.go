@@ -142,8 +142,8 @@ func (s *Session) SetTraceStore(st *replay.Store) { s.traces = st }
 // TraceStore returns the session's materialized-trace store, or nil.
 func (s *Session) TraceStore() *replay.Store { return s.traces }
 
-// resolveShard is the result-cache protocol for one key, behind resolve's
-// unit loop. It serves the shard stored under key (hit) or elects the
+// resolveShard is the result-cache protocol for one key, behind runGrid's
+// resolve step. It serves the shard stored under key (hit) or elects the
 // caller to compute it, handing back land, which the caller must call
 // exactly once with the outcome: a
 // computed shard is written back as its canonical cold record (Cached

@@ -10,9 +10,10 @@ package chaos_test
 //
 // The dispatcher runs the production policy (three attempts per member,
 // three blamed calls to kill a backend, 15 s revival cooldown) on virtual
-// time, one unit in flight: the call index each injector draws its faults
-// by then follows from the fault plan alone, so every soak is one
-// deterministic schedule rather than a scheduler-dependent sample. Hangs
+// time, one unit at a time and one call in flight: the call index each
+// injector draws its faults by then follows from the fault plan alone (a
+// transient fault fails whichever unit draws it alike), so every soak is
+// one deterministic schedule rather than a scheduler-dependent sample. Hangs
 // are not soaked: a hung call waits for its attempt deadline, which virtual
 // time reaches only when a test advances it (the dispatch package's
 // TestHungBackendFailsOver and TestAttemptTimeout* pin that path).
@@ -26,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"rebalance/internal/clock"
@@ -80,7 +82,7 @@ func onVirtualTime() *clock.Virtual {
 }
 
 // soakDispatcher is the production dispatcher over backends on clk, with
-// one unit in flight.
+// one backend call in flight.
 func soakDispatcher(t *testing.T, backends []dispatch.Backend, clk clock.Clock, hedge bool) *dispatch.Dispatcher {
 	t.Helper()
 	d, err := dispatch.New(backends, dispatch.Options{MaxInFlight: 1, Hedge: hedge, Clock: clk})
@@ -88,6 +90,21 @@ func soakDispatcher(t *testing.T, backends []dispatch.Backend, clk clock.Clock, 
 		t.Fatal(err)
 	}
 	return d
+}
+
+// oneUnitAtATime hands d a session's units one after another. The session
+// gives its runner every unit of the grid at once; a soak needs each unit's
+// attempts to be consecutive calls, so that the fault plan, not the
+// scheduler, decides how many attempts each unit takes.
+type oneUnitAtATime struct {
+	mu sync.Mutex
+	d  *dispatch.Dispatcher
+}
+
+func (o *oneUnitAtATime) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.d.RunShards(ctx, specs)
 }
 
 // runGrid runs the golden spec through a one-worker Session routed over d —
@@ -103,7 +120,7 @@ func runGrid(t *testing.T, d *dispatch.Dispatcher, cache *shardcache.Cache, allo
 	spec.AllowPartial = allowPartial
 	sess := sim.NewSession(1)
 	sess.SetCache(cache)
-	sess.SetRunner(d)
+	sess.SetRunner(&oneUnitAtATime{d: d})
 	rep, err := sess.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)

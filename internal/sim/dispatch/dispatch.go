@@ -3,13 +3,13 @@
 // without re-deriving" promise. A Backend is a sim.ShardRunner with a name
 // and a liveness probe: LocalBackend is a sim.Session, and HTTPBackend
 // speaks the simd worker protocol (POST /v1/shards). The Dispatcher is one
-// unit's retry policy: a sim.Session routed through it (SetRunner) plans
-// its grid, resolves it against its result cache and hands each unit's
-// misses — a trace coordinate's shards, so a worker streams the coordinate
-// once for all of them — to Dispatcher.RunShards as one call, which sends
-// them to a backend under a dispatcher-wide in-flight bound, re-sends the
-// members that failed retryably with exponential backoff, fails over to
-// the remaining backends when one dies, and hedges stragglers. It only
+// unit's retry policy: a sim.Session routed through it (SetRunner) resolves
+// its grid against its result cache, plans the misses into units and hands
+// each unit — a trace coordinate's shards, so a worker streams the
+// coordinate once for all of them — to Dispatcher.RunShards as one call,
+// all at once. It sends a unit to a backend under its in-flight bound (the
+// grid's only one), re-sends the members that failed retryably with backoff,
+// fails over when a backend dies, and hedges stragglers. It only
 // reports: one sim.Outcome per spec — a shard it had to abandon is a value,
 // with the attempts spent and the terminal error. Naming failures,
 // progress and abort-versus-degrade are the Session's.
@@ -91,9 +91,9 @@ func (b *LocalBackend) Probe(context.Context) error { return nil }
 type Options struct {
 	// MaxInFlight caps the backend calls executing at once across all
 	// backends and every run sharing this dispatcher (default 2 per
-	// backend). It is only that cross-run cap: how a grid is cut and how
-	// many of its units are in flight is the routed session's workers
-	// alone, so a session with fewer workers than this leaves slots idle.
+	// backend). It is the one bound on a dispatched grid's units: a routed
+	// session hands over every unit at once, its workers deciding only how
+	// the grid is cut.
 	MaxInFlight int
 	// Hedge duplicates straggling shard attempts onto a second healthy
 	// backend: when a backend call outlives the hedge delay, the same
@@ -134,8 +134,8 @@ type Stats struct {
 
 // Dispatcher runs units over a fixed set of backends. It implements
 // sim.ShardRunner, so a sim.Session routes through it via SetRunner. Safe
-// for concurrent RunShards calls — a session issues one per unit in
-// flight; backend health is shared across them, which is what lets a
+// for concurrent RunShards calls — a session issues one per unit, all at
+// once; backend health is shared across them, which is what lets a
 // serving coordinator stop hammering a worker that died.
 type Dispatcher struct {
 	backends []*backendState

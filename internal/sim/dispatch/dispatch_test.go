@@ -123,10 +123,13 @@ func runShards(ctx context.Context, d *dispatch.Dispatcher, specs []sim.ShardSpe
 // each timer as it is armed: the production backoffs and hedge delays run
 // in full, in no wall time, while attempt deadlines and revival cooldowns
 // move only when the test advances the clock (opts.Clock.(*clock.Virtual)).
+// One backend call is in flight at a time: a session hands the dispatcher
+// every unit of its grid at once, and a hung call's clock advance must not
+// time out a concurrent call's attempt.
 func onVirtualTime() dispatch.Options {
 	v := clock.NewVirtual()
 	v.Auto = true
-	return dispatch.Options{Clock: v}
+	return dispatch.Options{MaxInFlight: 1, Clock: v}
 }
 
 // attemptDeadline is the production bound on one backend call carrying n
@@ -579,10 +582,13 @@ func TestFailoverMatchesGolden(t *testing.T) {
 	}))
 	t.Cleanup(dying.Close)
 
+	// One call in flight: every unit's first call goes to the dying worker
+	// (ties break by slice order), so its second request — the kill — comes
+	// whatever the scheduler does.
 	got := runGoldenDispatched(t, []dispatch.Backend{
 		dispatch.NewHTTPBackend(dying.URL, nil),
 		dispatch.NewHTTPBackend(healthy.URL, nil),
-	}, withInFlight(onVirtualTime(), 4))
+	}, onVirtualTime())
 	if want := readGolden(t); string(got) != string(want) {
 		t.Errorf("report after mid-run worker death differs from the all-local golden;\ngot:\n%s", got)
 	}

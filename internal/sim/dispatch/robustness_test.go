@@ -108,10 +108,13 @@ func TestAllowPartialReturnsPartialError(t *testing.T) {
 // TestWithoutAllowPartialFailureStillAborts is aimed at the layer that
 // owns the rule: the dispatcher only reports, and a strict Session.Run
 // over a failing dispatcher is all-or-nothing — a plain error naming the
-// shard and no report.
+// shard and no report. Both units reach the dispatcher at once; the
+// failing member's calls alternate a, b, a, so no backend dies and the
+// healthy unit succeeds whichever runs first.
 func TestWithoutAllowPartialFailureStillAborts(t *testing.T) {
 	a := &seedFailBackend{name: "a", failSeed: 2}
-	d, err := dispatch.New([]dispatch.Backend{a}, onVirtualTime())
+	b := &seedFailBackend{name: "b", failSeed: 2}
+	d, err := dispatch.New([]dispatch.Backend{a, b}, onVirtualTime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +629,9 @@ func TestProbeRevivalWithoutSacrifice(t *testing.T) {
 	}
 
 	// Flip the backend healthy: the next probe revives it, and only then
-	// does it see shards again.
+	// does it see shards again. The second probe runs on its own goroutine;
+	// it must have read its verdict (still down) before the flip.
+	eventually(t, "the second probe answers", func() bool { return a.probes.Load() == 2 && a.inProbe.Load() == 0 })
 	a.probeOK.Store(true)
 	if got := at(3 * dispatch.ReviveAfter); got != 3 {
 		t.Fatalf("%d probes, want the third at the third cooldown's end", got)

@@ -22,12 +22,12 @@ type gridCell struct {
 	cfg  ObserverConfig
 }
 
-// planShards partitions a shard grid into scheduling units, as index groups
-// into cells — the one plan, made by the session that owns the grid
-// (slots = its workers, whether the units then run on its local pool or go
-// to its runner one call each) and, uncut, by Session.RunShards for an
-// arriving array. The choice is granularity only — results stay
-// index-aligned with cells, so the report is plan-independent.
+// planShards partitions a grid's members (indices into cells in grid order:
+// the misses runGrid left to compute) into scheduling units — the one plan,
+// made by the session that owns the grid (slots = its workers, whether the
+// units then run on its local pool or go to its runner one call each) and,
+// uncut, by Session.RunShards for an arriving array. It sets granularity
+// only: results stay index-aligned with cells, the report plan-independent.
 // There is one rule, with or without a trace store: the shards of a trace
 // coordinate (workload, canonical synth scenario, seed, budget — the tr1-
 // key's fields, since an array off the wire need not come from one Spec)
@@ -40,7 +40,7 @@ type gridCell struct {
 // parallel, and contiguity keeps a coordinate's plain bpred configurations
 // together for runGroup to fuse. slots < 1 never cuts. A scenario that does
 // not canonicalize is invalid wherever it runs: a coordinate of its own.
-func planShards(cells []gridCell, slots int) [][]int {
+func planShards(cells []gridCell, members []int, slots int) [][]int {
 	type coord struct {
 		workload, synth string
 		seed            uint64
@@ -49,7 +49,7 @@ func planShards(cells []gridCell, slots int) [][]int {
 	var groups [][]int
 	at := map[coord]int{}
 	canon := map[*synth.Params]string{} // one Spec's cells share their scenario
-	for i := range cells {
+	for _, i := range members {
 		sp := &cells[i].spec
 		k := coord{workload: sp.Workload, seed: sp.Seed, insts: sp.Insts}
 		if sp.Synth != nil {
@@ -84,22 +84,61 @@ func planShards(cells []gridCell, slots int) [][]int {
 	return units
 }
 
-// runUnits is the one grid loop, shared by Session.Run and
-// Session.RunShards: at most workers goroutines take units (index groups
-// into the grid out is aligned with) off a pre-filled queue and hand each
-// to exec, which records every member's fate at its index of out. ctx is
-// checked between units, and cancellation is decided once, here, from ctx
-// itself and never from an outcome's error chain: if ctx ended, that is the
-// run's error and the outcomes are dropped; otherwise every failure is a
-// value in out, which is returned.
-func runUnits(ctx context.Context, out []Outcome, workers int, units [][]int, exec func(unit []int, out []Outcome)) ([]Outcome, error) {
+// runGrid is the one shard execution path of Session.Run and RunShards:
+// resolve, plan the misses, compute, land. Each cell without an error yet
+// (an invalid array member has one) has its key led once (resolveShard), in
+// ascending key order across the grid — the cache's rule for leading several
+// keys, so overlapping grids cannot wait on each other; a repeated key (an
+// array may name a shard twice) takes its leader's outcome when the grid
+// ends. Hits go to out and done at once. planShards sees only the misses, in
+// grid order, so an all-hits grid starts no goroutine; at most workers
+// goroutines compute the units, landing each member and passing it to done
+// as its unit ends. Cancellation is read off ctx alone, between units: if
+// ctx ended, each key led for a unit that never ran is landed with its cause
+// (released, nothing stored) and ctx's error is the run's; otherwise every
+// failure is a value in out. It returns how many goroutines computed.
+func (s *Session) runGrid(ctx context.Context, cells []gridCell, out []Outcome, slots, workers int,
+	compute func(ctx context.Context, cells []gridCell, miss []int, out []Outcome), done func(i int)) (int, error) {
+	type keyed struct {
+		idx int
+		key string
+	}
+	var ks []keyed
+	var miss []int
+	lands := make([]func(Shard, error), len(cells))
+	for i := range cells {
+		switch {
+		case out[i].Err != nil:
+		case s.cache == nil:
+			miss = append(miss, i)
+		default:
+			ks = append(ks, keyed{i, ShardCacheKey(cells[i].spec, cells[i].cfg)})
+		}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for k, m := range ks {
+		if k > 0 && m.key == ks[k-1].key {
+			continue
+		}
+		sh, hit, land, err := resolveShard(ctx, s.cache, m.key, cells[m.idx].spec, cells[m.idx].cfg)
+		if err == nil && !hit {
+			miss, lands[m.idx] = append(miss, m.idx), land
+			continue
+		}
+		out[m.idx] = Outcome{Shard: sh, Err: err}
+		done(m.idx)
+	}
+	slices.Sort(miss)
+
+	units := planShards(cells, miss, slots)
 	next := make(chan []int, len(units))
 	for _, u := range units {
 		next <- u
 	}
 	close(next)
+	pool := min(workers, len(units))
 	var wg sync.WaitGroup
-	for w := min(workers, len(units)); w > 0; w-- {
+	for w := pool; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -107,65 +146,33 @@ func runUnits(ctx context.Context, out []Outcome, workers int, units [][]int, ex
 				if ctx.Err() != nil {
 					return
 				}
-				exec(unit, out)
+				compute(ctx, cells, unit, out)
+				for _, i := range unit {
+					if land := lands[i]; land != nil {
+						land(out[i].Shard, out[i].Err)
+						lands[i] = nil
+					}
+					done(i)
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// resolve is the one result-cache step, taken by every unit of a grid the
-// session owns and of an array it is sent: each member is resolved under
-// its sc2- key (resolveShard) in ascending key order — a unit may lead
-// several keys at once, and that order is the cache's rule for it, so two
-// runs over overlapping grids cannot wait on each other. Hits are served
-// into out, compute runs on the misses alone, and each computed miss is
-// written back once. A member whose key equals the one before it is not
-// led again — a second lead would wait on the first for good, and an array
-// off the wire may name one shard twice — but takes that member's outcome.
-// Without a cache every member is a miss.
-func (s *Session) resolve(ctx context.Context, cells []gridCell, unit []int, out []Outcome, compute func(ctx context.Context, cells []gridCell, miss []int, out []Outcome)) {
-	type keyed struct {
-		idx int
-		key string
-	}
-	miss := unit
-	var ks []keyed
-	var lands []func(Shard, error)
-	if s.cache != nil {
-		ks = make([]keyed, len(unit))
-		for k, i := range unit {
-			ks[k] = keyed{i, ShardCacheKey(cells[i].spec, cells[i].cfg)}
-		}
-		slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
-		miss = make([]int, 0, len(unit))
-		for k, m := range ks {
-			if k > 0 && m.key == ks[k-1].key {
-				continue
+		for _, land := range lands {
+			if land != nil {
+				land(Shard{}, context.Cause(ctx))
 			}
-			sh, hit, land, err := resolveShard(ctx, s.cache, m.key, cells[m.idx].spec, cells[m.idx].cfg)
-			if err == nil && !hit {
-				miss, lands = append(miss, m.idx), append(lands, land)
-				continue
-			}
-			out[m.idx] = Outcome{Shard: sh, Err: err}
 		}
-	}
-	if len(miss) > 0 {
-		compute(ctx, cells, miss, out)
-	}
-	for k, land := range lands {
-		land(out[miss[k]].Shard, out[miss[k]].Err)
+		return 0, err
 	}
 	for k := 1; k < len(ks); k++ {
 		if ks[k].key == ks[k-1].key {
 			out[ks[k].idx] = out[ks[k-1].idx]
+			done(ks[k].idx)
 		}
 	}
+	return pool, nil
 }
 
 // runLocal computes a unit's misses on this process: its coordinate's
@@ -206,7 +213,7 @@ func (s *Session) runRemote(ctx context.Context, cells []gridCell, miss []int, o
 // runGroup is the one shard execution path: every shard the session
 // computes — pooled grid cells and worker-protocol members alike — is a
 // member of a group that shares one trace coordinate, and runs here, once
-// resolve has left it to be computed. The coordinate's stream is opened
+// runGrid has left it to be computed. The coordinate's stream is opened
 // once (see stream) and fed, in a single pass, to every member's fresh
 // observers — lane consumers behind one feed, the plain bpred members
 // sharing a simulator (see groupObservers). Shards are therefore

@@ -166,22 +166,24 @@ func TestRunnerOutcomeIdentityMismatch(t *testing.T) {
 	}
 }
 
-// TestRunUnitsCancelledMidGrid: cancellation is read off the run's own
+// TestRunGridCancelledMidGrid: cancellation is read off the run's own
 // context, between units — the unit that was executing finishes, no
 // further unit starts, and the context's error is the run's, whatever the
 // outcomes recorded so far say.
-func TestRunUnitsCancelledMidGrid(t *testing.T) {
+func TestRunGridCancelledMidGrid(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// Three coordinates on one slot: three units of one cell each.
+	cells := gridOf(t, &Spec{Workloads: []string{"comd-lite"}, SeedCount: 3, Insts: 5_000, Observers: []ObserverSpec{{Kind: "bbl"}}})
 	var ran []int
-	out, err := runUnits(ctx, make([]Outcome, 4), 1, [][]int{{0}, {1}, {2, 3}}, func(unit []int, out []Outcome) {
+	_, err := NewSession(1).runGrid(ctx, cells, make([]Outcome, len(cells)), 1, 1, func(_ context.Context, _ []gridCell, unit []int, _ []Outcome) {
 		ran = append(ran, unit...)
 		if unit[0] == 1 {
 			cancel()
 		}
-	})
-	if !errors.Is(err, context.Canceled) || out != nil {
-		t.Fatalf("runUnits = (%v, %v), want no outcomes and context.Canceled", out, err)
+	}, func(int) {})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("runGrid = %v, want context.Canceled", err)
 	}
 	if len(ran) != 2 {
 		t.Fatalf("units ran over cells %v, want only 0 and 1", ran)

@@ -39,7 +39,7 @@ func WithShardDone(ctx context.Context, fn ShardDoneFunc) context.Context {
 // chain to the one they wrap. Callers deliver each shard's outcome exactly
 // once. An outcome that is a context error is dropped here: the pass was
 // cancelled and the shard skipped, not completed. That is a filter on what
-// progress reports, not a verdict on the run — runUnits reads that off the
+// progress reports, not a verdict on the run — runGrid reads that off the
 // run's own context.
 func ShardDone(ctx context.Context, sh Shard, err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -20,8 +20,8 @@ type Report struct {
 	Schema string `json:"schema"`
 	// Spec is the normalized spec (seeds expanded, engine defaulted).
 	Spec *Spec `json:"spec"`
-	// Workers is the local pool concurrency the run used; 0 when the
-	// grid was dispatched through a runner, whose concurrency is its own.
+	// Workers is the local pool concurrency the run used; 0 when no shard
+	// was computed locally (all were cache hits, or went to a runner).
 	Workers int `json:"workers"`
 	// Shards are in deterministic order: workload-major, then observer
 	// configuration (spec order), then seed. With AllowPartial, shards

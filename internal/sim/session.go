@@ -61,8 +61,8 @@ func (s *Session) SetMaxShards(n int) { s.maxShards = n }
 // SetRunner has every subsequent Run compute its shards through r instead
 // of the session's in-process worker pool — the seam the dispatch layer
 // plugs into to spread a grid across local and remote backends. The
-// session still plans the grid, resolves it against its result cache and
-// owns every outcome; r receives each unit's misses as one RunShards call.
+// session still resolves the grid against its result cache, plans its
+// misses and owns every outcome; r receives each unit as one RunShards call.
 // A nil r restores the built-in local pool. Shard results and their merge
 // order are runner-independent, so a Report is bit-identical (up to timing
 // fields) whichever runner produced it. Set before the first Run; the field
@@ -168,13 +168,13 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	// A local run computes its misses on the session pool, compiling before
 	// the wall clock starts, so WallNS (and the derived sweep throughput)
 	// measures execution, not a cold compile cache. A dispatched run hands
-	// each unit's misses to the runner as one call and skips local
-	// compilation: each worker compiles from the wire bytes against its own
-	// cache. Remote results were already decoded to concrete types by the
-	// backend, so the merge phase cannot tell them from local ones.
-	compute := s.runRemote
+	// each unit's misses to the runner as one call, all units at once (the
+	// Dispatcher's MaxInFlight is the one bound), and skips local compilation:
+	// each worker compiles from the wire bytes against its own cache. Remote
+	// results come decoded, so the merge phase cannot tell them from local ones.
+	compute, pool := s.runRemote, len(cells)
 	if s.runner == nil {
-		compute = s.runLocal
+		compute, pool = s.runLocal, s.workers
 		for _, w := range norm.Workloads {
 			if _, err := s.compiledFor(w, synthByName[w]); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
@@ -182,32 +182,30 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 		}
 	}
 	start := time.Now() //repolint:allow nodeterminism Report.WallNS wall-clock timing field, excluded from goldens
-	// One plan and one loop for either compute: resolve each unit against
-	// the result cache, compute its misses, then name each failure by its
-	// cell and deliver every outcome to the context's progress hook (a no-op
+	// One path for either compute (runGrid), which names each failure by its
+	// cell and delivers every outcome to the context's progress hook (a no-op
 	// without one; ShardDone drops the members of a cancelled pass).
-	units := planShards(cells, s.workers)
-	workers := min(s.workers, len(units))
+	var workers int
 	out, err := decide(ctx, norm, cells, func(ctx context.Context) ([]Outcome, error) {
-		return runUnits(ctx, make([]Outcome, len(cells)), workers, units, func(unit []int, out []Outcome) {
-			s.resolve(ctx, cells, unit, out, compute)
-			for _, i := range unit {
-				if out[i].Err != nil {
-					out[i].Err = fmt.Errorf("sim: shard {%s %s seed %d}: %w",
-						cells[i].spec.Workload, cells[i].cfg.Key(), cells[i].spec.Seed, out[i].Err)
-				}
-				ShardDone(ctx, out[i].Shard, out[i].Err)
+		out := make([]Outcome, len(cells))
+		var err error
+		workers, err = s.runGrid(ctx, cells, out, s.workers, pool, compute, func(i int) {
+			if out[i].Err != nil {
+				out[i].Err = fmt.Errorf("sim: shard {%s %s seed %d}: %w",
+					cells[i].spec.Workload, cells[i].cfg.Key(), cells[i].spec.Seed, out[i].Err)
 			}
+			ShardDone(ctx, out[i].Shard, out[i].Err)
 		})
+		return out, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	wall := time.Since(start) //repolint:allow nodeterminism Report.WallNS wall-clock timing field, excluded from goldens
-	// Workers reports the local pool concurrency, which the plan bounds (a
-	// grid of fewer units than session workers cannot use them all); a
-	// dispatched run's concurrency belongs to the runner, so the field is
-	// 0 there rather than a fabricated figure.
+	// Workers reports the local pool concurrency, which the plan bounds (0
+	// for an all-hits grid, fewer than the session's workers for a grid of
+	// fewer units); a dispatched run's concurrency belongs to the runner, so
+	// the field is 0 there rather than a fabricated figure.
 	if s.runner != nil {
 		workers = 0
 	}

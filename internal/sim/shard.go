@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"rebalance/internal/wire"
 	"rebalance/internal/workload/synth"
@@ -103,8 +102,8 @@ type Outcome struct {
 }
 
 // ShardRunner computes shards and reports what happened: one Outcome per
-// spec, index-aligned. A Session that owns a grid plans it, resolves it
-// against its result cache and hands each unit's misses to its runner (see
+// spec, index-aligned. A Session that owns a grid resolves it against its
+// result cache, plans its misses and hands each unit to its runner (see
 // SetRunner) as one call: the dispatch layer's Dispatcher, which retries,
 // fails over and hedges that unit across local and remote backends — each
 // itself a ShardRunner, Session.RunShards at the far end. A runner holds no
@@ -121,15 +120,14 @@ type ShardRunner interface {
 // RunShards is the session as a ShardRunner, the execution half of the
 // worker protocol (cmd/simd's POST /v1/shards, the dispatch layer's
 // LocalBackend). Each spec is expanded — an invalid member fails alone with
-// ErrInvalidSpec — and the rest are grouped by trace coordinate, uncut
-// (whoever owns the whole grid planned it, and cutting an arriving unit
-// again would have each of a busy worker's concurrent units regenerate its
-// stream workers times), resolved against the session's result cache by
-// the step Run uses, and computed on the session pool. Being a runner
-// beneath the grid's owner, the session neither names its failures nor
-// delivers to ShardDone here (a LocalBackend under a Dispatcher would
-// otherwise do both twice). The context is polled during execution, so a
-// cancelled array aborts promptly.
+// ErrInvalidSpec — and the rest take Run's path, runGrid, on the session
+// pool, with the misses grouped by trace coordinate but uncut (whoever owns
+// the whole grid planned it, and cutting an arriving unit again would have
+// each of a busy worker's concurrent units regenerate its stream workers
+// times). Being a runner beneath the grid's owner, the session neither
+// names its failures nor delivers to ShardDone here (a LocalBackend under a
+// Dispatcher would otherwise do both twice). The context is polled during
+// execution, so a cancelled array aborts promptly.
 func (s *Session) RunShards(ctx context.Context, specs []ShardSpec) ([]Outcome, error) {
 	cells := make([]gridCell, len(specs))
 	out := make([]Outcome, len(specs))
@@ -137,13 +135,10 @@ func (s *Session) RunShards(ctx context.Context, specs []ShardSpec) ([]Outcome, 
 		cells[i].spec = specs[i]
 		cells[i].cfg, out[i].Err = specs[i].Config()
 	}
-	groups := planShards(cells, 0)
-	for g := range groups {
-		groups[g] = slices.DeleteFunc(groups[g], func(i int) bool { return cells[i].cfg == nil })
+	if _, err := s.runGrid(ctx, cells, out, 0, s.workers, s.runLocal, func(int) {}); err != nil {
+		return nil, err
 	}
-	return runUnits(ctx, out, s.workers, groups, func(group []int, out []Outcome) {
-		s.resolve(ctx, cells, group, out, s.runLocal)
-	})
+	return out, nil
 }
 
 // RunOne is r.RunShards for a single spec: its shard, or whichever error —
