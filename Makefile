@@ -35,7 +35,8 @@ race:
 # their reference models (FuzzTAGEMatchesReference,
 # FuzzTournamentMatchesReference), and TAGE's AVX2 stage against its Go
 # stage and the reference folds and hashes (FuzzTAGEStage) — for a short
-# budget (CI uses the same targets); FUZZTIME=5m for a longer local session.
+# budget (CI's fuzz job runs this target, so a new fuzzer is added here
+# only); FUZZTIME=5m for a longer local session.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime $(FUZZTIME)

@@ -53,7 +53,7 @@ func TestCacheStatsDisabled(t *testing.T) {
 // TestWorkerShardCacheWarmPass drives the worker protocol twice with one
 // shard spec: the second response must be served from the cache (marked
 // "cached", byte-identical result) and /v1/stats must account for the
-// hit. No CI smoke repeats this across processes: there a front door
+// hit. No TestFleet leg repeats this across processes: there a front door
 // resolves every grid before a worker sees it.
 func TestWorkerShardCacheWarmPass(t *testing.T) {
 	srv, _ := cachedServer(t, true)

@@ -64,7 +64,7 @@
 // characterization sweeps that revisit {workload x seed x config} grids —
 // serves the stored record and marks the shard "cached" in responses.
 // -cache-entries/-cache-bytes bound the in-memory tier (0 entries disables
-// caching); -cache-dir adds a disk tier that survives restarts.
+// caching and refuses -cache-dir); -cache-dir adds a disk tier that survives restarts.
 //
 // -trace-entries/-trace-dir enable the materialized trace store
 // (internal/trace/replay): each (workload, seed, insts) coordinate's
@@ -147,6 +147,9 @@ func main() {
 	}
 	if *hedgeFlag && *backendsFlag == "" {
 		log.Fatalf("simd: -hedge needs -backends: the local pool has no second worker to duplicate stragglers onto")
+	}
+	if *cacheEntsFlag <= 0 && *cacheDirFlag != "" {
+		log.Fatalf("simd: -cache-dir needs -cache-entries above 0: the disk tier sits beneath the memory tier, which 0 entries disables")
 	}
 	sess := sim.NewSession(*workersFlag)
 	sess.SetMaxShards(*maxShardsFlag)
@@ -355,7 +358,7 @@ func newServer(cfg serverConfig) http.Handler {
 // statsSection is one tiered cache's block of /v1/stats — the shard result
 // cache ("cache") or the materialized-trace store ("traces"): whether the
 // tier is configured, and its hit/miss/eviction counters and resident
-// bytes, the gauges the CI smokes cross-check against shard counts.
+// bytes, the gauges TestFleet cross-checks against shard counts.
 func statsSection[C interface {
 	comparable
 	Stats() tiercache.Stats

@@ -89,10 +89,21 @@ func pollSweep(t *testing.T, base, id string) map[string]json.RawMessage {
 // fields so async and sync runs compare byte-for-byte.
 func normalizeReport(t *testing.T, raw []byte) string {
 	t.Helper()
+	return render(t, decodeReport(t, raw))
+}
+
+func decodeReport(t *testing.T, raw []byte) *sim.Report {
+	t.Helper()
 	rep, err := sim.DecodeReport(raw)
 	if err != nil {
 		t.Fatalf("body does not decode as a sim/v1 report: %v", err)
 	}
+	return rep
+}
+
+// render is a report as normalizeReport compares it: Stripped, marshalled.
+func render(t *testing.T, rep *sim.Report) string {
+	t.Helper()
 	out, err := json.Marshal(rep.Stripped())
 	if err != nil {
 		t.Fatal(err)
@@ -234,10 +245,15 @@ func stubServer(t *testing.T, opts sweep.Options) *httptest.Server {
 func TestSweepAdmission429(t *testing.T) {
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
+	started := make(chan struct{}, 1)
 	srv := stubServer(t, sweep.Options{
 		QueueDepth: 2,
 		MaxRunning: 1,
 		Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
@@ -257,7 +273,7 @@ func TestSweepAdmission429(t *testing.T) {
 		}
 		resp.Body.Close()
 		if i == 0 {
-			waitRunning(t, srv.URL, 1)
+			<-started // out of the queue: the coordinator dequeues a sweep before running it
 		}
 	}
 	resp := doReq(t, http.MethodPost, srv.URL+"/v1/sweeps?tenant=a", spec)
@@ -272,25 +288,6 @@ func TestSweepAdmission429(t *testing.T) {
 		t.Errorf("tenant b: status %d, want 202", bResp.StatusCode)
 	}
 	bResp.Body.Close()
-}
-
-// waitRunning polls /v1/stats until the sweep running gauge reaches n.
-func waitRunning(t *testing.T, base string, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		var stats struct {
-			Sweeps struct {
-				Running int `json:"running"`
-			} `json:"sweeps"`
-		}
-		getJSON(t, base+"/v1/stats", &stats)
-		if stats.Sweeps.Running >= n {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("running gauge never reached %d", n)
 }
 
 // TestSweepLifecycleEndpoints drives the non-happy surface with a stub

@@ -13,7 +13,7 @@ import (
 
 // tracedServer stands up a simd worker whose session has a materialized
 // trace store and no result cache, the way main wires -trace-entries with
-// -cache-entries 0 — the isolation the replay CI smoke runs under.
+// -cache-entries 0 — the isolation TestFleet's replay leg runs under.
 func tracedServer(t *testing.T, dir string) (*httptest.Server, *replay.Store) {
 	t.Helper()
 	traces, err := replay.New(replay.Options{Dir: dir})
@@ -78,7 +78,7 @@ func TestTraceStatsDisabled(t *testing.T) {
 // different observers over one (workload, seed, insts) coordinate: the
 // stream is generated exactly once, the second observer replays it, and
 // the /v1/stats trace gauges account for both — the cross-check the
-// replay CI smoke performs over a real process.
+// replay leg of TestFleet performs over real processes.
 func TestWorkerTraceStoreObserveMany(t *testing.T) {
 	srv, _ := tracedServer(t, "")
 	plain := testServer(t)
