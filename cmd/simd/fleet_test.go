@@ -289,10 +289,6 @@ type fleetStats struct {
 	Cache struct {
 		Stats tiercache.Stats `json:"stats"`
 	} `json:"cache"`
-	Traces struct {
-		Enabled bool            `json:"enabled"`
-		Stats   tiercache.Stats `json:"stats"`
-	} `json:"traces"`
 	Dispatch struct {
 		Healthy []string `json:"healthy"`
 	} `json:"dispatch"`
@@ -346,7 +342,7 @@ const sevenKinds = `{"workloads": ["comd-lite", "xalan-lite"], "seed_count": 1, 
 // binary, the front door reaching each worker through a relay. A spec's
 // report is the same, after Stripped, however it runs: local, dispatched,
 // cached, from a restarted front door's disk tier, with a worker killed
-// mid-sweep, degraded, or replayed from a worker's trace store.
+// mid-sweep, or degraded.
 //
 // The subtests after refusals share one fleet and run in order: counters
 // and restart read what grids and kinds left in the front door's cache, so
@@ -520,44 +516,6 @@ func TestFleet(t *testing.T) {
 			t.Errorf("survivors and failed shards cover %d of the grid's %d cells", len(seen), len(want))
 		}
 		t.Logf("%d survivors, %d failed of %d after two kills", len(rep.Shards), len(rep.FailedShards), len(want))
-	})
-
-	t.Run("replay", func(t *testing.T) {
-		// A worker with the result cache off and the trace store on, behind
-		// a front door that caches nothing, driven twice: the stream is
-		// generated once per (workload, seed) coordinate however many
-		// observers, units and passes consume it.
-		traceDir := t.TempDir()
-		workerArgs := []string{"-worker", "-cache-entries", "0", "-trace-entries", "16", "-trace-dir", traceDir}
-		r := newRelay(t, startSimd(t, workerArgs...))
-		door := startSimd(t, "-backends", r.URL, "-cache-entries", "0")
-		coords := int64(len(workload.Names()) * 2)
-
-		cold := decodeReport(t, sweepVia(t, door.URL, "bench", registered(2)))
-		warm := decodeReport(t, sweepVia(t, door.URL, "bench", registered(2)))
-		if cold.Workers != 0 {
-			t.Error("front-door run not marked by workers: 0")
-		}
-		if render(t, cold) != localReg || render(t, warm) != localReg {
-			t.Error("a replayed sweep differs from the local sweep")
-		}
-		tr := statsOf(t, r.worker).Traces
-		// The store holds each coordinate as its trr1 records: at most 4
-		// bytes per instruction held.
-		if s := tr.Stats; !tr.Enabled || s.Misses != coords || s.Hits < coords || int64(s.Entries) != coords || s.Bytes > 4*coords*50_000 {
-			t.Errorf("trace stats %+v (enabled %v); want %d misses and entries, at least as many hits, at most %d bytes", s, tr.Enabled, coords, 4*coords*50_000)
-		}
-
-		// A fresh worker over the same -trace-dir serves every coordinate
-		// from the disk tier, regenerating nothing.
-		r.worker.stop(t)
-		r.point(t, startSimd(t, workerArgs...))
-		if normalizeReport(t, sweepVia(t, door.URL, "bench", registered(2))) != localReg {
-			t.Error("the disk-warm restarted sweep differs from the local sweep")
-		}
-		if s := statsOf(t, r.worker).Traces.Stats; s.Misses != 0 || s.DiskHits != coords {
-			t.Errorf("restarted worker's trace stats %+v; want misses 0 and disk hits %d", s, coords)
-		}
 	})
 }
 

@@ -40,7 +40,7 @@
 //	GET    /v1/sweeps/{id}/result  the final report; 409 until the sweep is terminal (coordinator mode only)
 //	DELETE /v1/sweeps/{id}      cancel a queued or running sweep (coordinator mode only)
 //	POST   /v1/shards           execute one unit (an array of ShardSpecs), respond with one record per member
-//	GET    /v1/stats            unified counters: shard cache, trace store, dispatcher (hedges, hedge_wins, probes, healthy backends), sweep queues
+//	GET    /v1/stats            unified counters: shard cache, dispatcher (hedges, hedge_wins, probes, healthy backends), sweep queues
 //	GET    /v1/workloads        enumerate the workload registry
 //	GET    /v1/predictors       enumerate the predictor-config registry with costs
 //	GET    /v1/observers        enumerate the observer-kind registry
@@ -66,13 +66,6 @@
 // -cache-entries/-cache-bytes bound the in-memory tier (0 entries disables
 // caching and refuses -cache-dir); -cache-dir adds a disk tier that survives restarts.
 //
-// -trace-entries/-trace-dir enable the materialized trace store
-// (internal/trace/replay): each (workload, seed, insts) coordinate's
-// instruction stream is generated once and replayed through every further
-// observer that asks for it, so a multi-observer sweep pays generation
-// once per coordinate instead of once per shard. -trace-dir persists the
-// encoded streams across restarts, the same shape as -cache-dir.
-//
 // On SIGINT/SIGTERM the server stops accepting connections and drains
 // in-flight runs (http.Server.Shutdown) before exiting, so killing a
 // worker never truncates a shard response mid-body — a coordinator either
@@ -87,7 +80,6 @@
 //	     [-queue-depth 64] [-max-running 2] [-retain 15m]
 //	     [-backends http://w1:8081,http://w2:8082] [-hedge]
 //	     [-cache-entries 4096] [-cache-bytes 268435456] [-cache-dir DIR]
-//	     [-trace-entries 64] [-trace-dir DIR]
 package main
 
 import (
@@ -111,8 +103,6 @@ import (
 	"rebalance/internal/sim/dispatch"
 	"rebalance/internal/sim/shardcache"
 	"rebalance/internal/sim/sweep"
-	"rebalance/internal/tiercache"
-	"rebalance/internal/trace/replay"
 	"rebalance/internal/wire"
 	"rebalance/internal/workload"
 	"rebalance/internal/workload/synth"
@@ -138,8 +128,6 @@ func main() {
 		cacheEntsFlag = flag.Int("cache-entries", 4096, "shard result cache: max in-memory entries (0 disables the cache)")
 		cacheByteFlag = flag.Int64("cache-bytes", 256<<20, "shard result cache: max in-memory payload bytes")
 		cacheDirFlag  = flag.String("cache-dir", "", "shard result cache: directory for the persistent disk tier (empty = memory only)")
-		traceEntsFlag = flag.Int("trace-entries", 0, "materialized trace store: max in-memory traces, ≈ 2.5 B/inst each under a fixed 1 GiB total (0 disables replay; -trace-dir alone enables it with the default of 64)")
-		traceDirFlag  = flag.String("trace-dir", "", "materialized trace store: directory for the persistent disk tier (empty = memory only)")
 	)
 	flag.Parse()
 	if *workerFlag && *backendsFlag != "" {
@@ -163,16 +151,6 @@ func main() {
 			log.Fatalf("simd: %v", err)
 		}
 		sess.SetCache(cache)
-	}
-	if *traceEntsFlag > 0 || *traceDirFlag != "" {
-		traces, err := replay.New(replay.Options{
-			MaxEntries: *traceEntsFlag,
-			Dir:        *traceDirFlag,
-		})
-		if err != nil {
-			log.Fatalf("simd: %v", err)
-		}
-		sess.SetTraceStore(traces)
 	}
 	cfg := serverConfig{sess: sess, maxInsts: *maxInstsFlag, worker: *workerFlag}
 	if *backendsFlag != "" {
@@ -272,7 +250,7 @@ func newServer(cfg serverConfig) http.Handler {
 	sess := cfg.sess
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		out := map[string]any{"cache": statsSection(sess.Cache()), "traces": statsSection(sess.TraceStore())}
+		out := map[string]any{"cache": cacheStats(sess.Cache())}
 		if cfg.dispatcher != nil {
 			out["dispatch"] = cfg.dispatcher.Stats()
 		}
@@ -355,17 +333,12 @@ func newServer(cfg serverConfig) http.Handler {
 	return envelope(mux)
 }
 
-// statsSection is one tiered cache's block of /v1/stats — the shard result
-// cache ("cache") or the materialized-trace store ("traces"): whether the
-// tier is configured, and its hit/miss/eviction counters and resident
+// cacheStats is the shard result cache's block of /v1/stats: whether the
+// cache is configured, and its hit/miss/eviction counters and resident
 // bytes, the gauges TestFleet cross-checks against shard counts.
-func statsSection[C interface {
-	comparable
-	Stats() tiercache.Stats
-}](c C) map[string]any {
-	var none C
-	if c == none {
-		return map[string]any{"enabled": false, "stats": tiercache.Stats{}}
+func cacheStats(c *shardcache.Cache) map[string]any {
+	if c == nil {
+		return map[string]any{"enabled": false, "stats": shardcache.Stats{}}
 	}
 	return map[string]any{"enabled": true, "stats": c.Stats()}
 }

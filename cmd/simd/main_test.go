@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,6 +48,28 @@ func getJSON(t *testing.T, url string, into any) {
 	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
 		t.Fatalf("GET %s: decoding: %v", url, err)
 	}
+}
+
+// postShard posts spec to the worker protocol as a one-member array and
+// returns the member's record: the shard, or its {"error", "invalid"}.
+func postShard(t *testing.T, url, spec string) map[string]json.RawMessage {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/shards", "application/json", bytes.NewReader([]byte("["+spec+"]")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/shards: status %d", resp.StatusCode)
+	}
+	var recs []map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("POST /v1/shards answered %d records for one member", len(recs))
+	}
+	return recs[0]
 }
 
 func TestRegistryEndpoints(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -353,10 +354,20 @@ func TestSweepLifecycleEndpoints(t *testing.T) {
 	decodeEnvelope(t, doReq(t, http.MethodDelete, srv.URL+"/v1/sweeps/"+st.ID, ""), http.StatusConflict)
 }
 
-// TestStatsEndpoint checks the unified /v1/stats shape: the cache block
-// always present, the sweeps block present in coordinator mode with
-// per-tenant gauges, and the dispatch block — exactly hedges, hedge_wins,
-// probes, healthy — with -backends only.
+// blocks is the set of /v1/stats's top-level keys.
+func blocks(stats map[string]json.RawMessage) []string {
+	var keys []string
+	for k := range stats {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// TestStatsEndpoint checks the unified /v1/stats shape: exactly the cache
+// and sweeps blocks on a coordinator, the dispatch block — exactly hedges,
+// hedge_wins, probes, healthy — beside them with -backends, and the cache
+// block alone on a -worker. The sweeps block carries per-tenant gauges.
 func TestStatsEndpoint(t *testing.T) {
 	srv := testServer(t)
 	spec := `{"workloads": ["comd-lite"], "insts": 5000, "observers": [{"kind": "bbl"}]}`
@@ -375,11 +386,8 @@ func TestStatsEndpoint(t *testing.T) {
 
 	var stats map[string]json.RawMessage
 	getJSON(t, srv.URL+"/v1/stats", &stats)
-	if _, ok := stats["cache"]; !ok {
-		t.Error("/v1/stats misses the cache block")
-	}
-	if _, ok := stats["dispatch"]; ok {
-		t.Error("/v1/stats carries a dispatch block without -backends")
+	if got, want := blocks(stats), []string{"cache", "sweeps"}; !slices.Equal(got, want) {
+		t.Errorf("coordinator /v1/stats blocks %v, want %v", got, want)
 	}
 	var sw struct {
 		Tenants map[string]struct {
@@ -395,7 +403,11 @@ func TestStatsEndpoint(t *testing.T) {
 
 	// With -backends the dispatch block is there, in the wire's dialect:
 	// exactly these snake_case keys, healthy listing both workers.
+	stats = nil
 	getJSON(t, partialCoordinator(t).URL+"/v1/stats", &stats)
+	if got, want := blocks(stats), []string{"cache", "dispatch", "sweeps"}; !slices.Equal(got, want) {
+		t.Errorf("-backends coordinator /v1/stats blocks %v, want %v", got, want)
+	}
 	var disp map[string]json.RawMessage
 	if err := json.Unmarshal(stats["dispatch"], &disp); err != nil {
 		t.Fatalf("dispatch block %s: %v", stats["dispatch"], err)
@@ -414,6 +426,14 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if err := json.Unmarshal(stats["dispatch"], &healthy); err != nil || len(healthy.Healthy) != 2 {
 		t.Errorf("dispatch.healthy = %v (err %v), want both backends", healthy.Healthy, err)
+	}
+
+	worker := httptest.NewServer(newServer(serverConfig{sess: sim.NewSession(2), maxInsts: 1_000_000, worker: true}))
+	t.Cleanup(worker.Close)
+	stats = nil
+	getJSON(t, worker.URL+"/v1/stats", &stats)
+	if got, want := blocks(stats), []string{"cache"}; !slices.Equal(got, want) {
+		t.Errorf("-worker /v1/stats blocks %v, want %v", got, want)
 	}
 }
 

@@ -137,10 +137,11 @@ func (s *Session) Cache() *shardcache.Cache { return s.cache }
 // result cache short-circuits whole shards, and only the shards it misses
 // reach the trace store. A multi-observer sweep with both warm costs no
 // generation at all.
+//
+// No entrypoint serves a store: this package's tests and bench's
+// mixed9-replay-* workloads and replay.* layer rows are the callers, and
+// each reads the store it built.
 func (s *Session) SetTraceStore(st *replay.Store) { s.traces = st }
-
-// TraceStore returns the session's materialized-trace store, or nil.
-func (s *Session) TraceStore() *replay.Store { return s.traces }
 
 // resolveShard is the result-cache protocol for one key, behind runGrid's
 // resolve step. It serves the shard stored under key (hit) or elects the

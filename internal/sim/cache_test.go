@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -577,6 +578,70 @@ func TestCachedRecordDecodesOnce(t *testing.T) {
 		t.Fatalf("a decoded record served a cell it does not name (hit=%v err=%v)", hit, err)
 	}
 	land(Shard{}, errors.New("not computed"))
+}
+
+// decodedPerStoredByte is k in shardcache.Options' doc: the most bytes a
+// record's first warm hit allocates decoding it, per stored byte. The worst
+// kind measures ≈ 18.5 (footprint, whose chunk maps decode to several
+// times their JSON); the rest headroom is for another Go release's maps.
+const decodedPerStoredByte = 20
+
+// TestDecodedRecordWithinBound measures, for every observer kind's default
+// configurations on both built-in workloads, the bytes a record's first
+// warm hit allocates: the decoded shard and its result's artifact, which
+// the record holds beside its bytes. A cache at MaxBytes then holds at most
+// (1 + decodedPerStoredByte)·MaxBytes. The minimum of a few fresh records
+// is taken, so a stray allocation elsewhere in the process cannot fail it.
+func TestDecodedRecordWithinBound(t *testing.T) {
+	ctx := context.Background()
+	sess := NewSession(1)
+	kinds := ObserverKinds()
+	if len(kinds) != 7 {
+		t.Errorf("%d observer kinds %v, want the seven the bound was measured on", len(kinds), kinds)
+	}
+	for _, kind := range kinds {
+		cfgs, err := expandObservers([]ObserverSpec{{Kind: kind}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst := 0.0
+		for _, w := range []string{"comd-lite", "xalan-lite"} {
+			for _, cfg := range cfgs {
+				spec := ShardSpec{Workload: w, Seed: 1, Insts: 50_000, Observer: cfg.Spec()}
+				sh, err := sess.RunShard(ctx, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, err := EncodeShard(sh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := ShardCacheKey(spec, cfg)
+				alloc := uint64(math.MaxUint64)
+				for range 3 {
+					cache, err := shardcache.New(shardcache.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					cache.Put(key, rec)
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					_, hit, _, err := resolveShard(ctx, cache, key, spec, cfg)
+					runtime.ReadMemStats(&after)
+					if err != nil || !hit {
+						t.Fatalf("%s/%s: hit=%v err=%v", w, cfg.Key(), hit, err)
+					}
+					alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+				}
+				ratio := float64(alloc) / float64(len(rec))
+				t.Logf("%s %s: %d B record, %d B decoded, %.2f", w, cfg.Key(), len(rec), alloc, ratio)
+				worst = max(worst, ratio)
+			}
+		}
+		if worst > decodedPerStoredByte {
+			t.Errorf("%s: a record's first hit allocates %.2f bytes per stored byte, over the documented %d", kind, worst, decodedPerStoredByte)
+		}
+	}
 }
 
 // TestConcurrentWarmRunsShareReadOnlyResults: two Runs over one warm cache,

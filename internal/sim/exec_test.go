@@ -104,7 +104,8 @@ func TestWorkersFollowThePlan(t *testing.T) {
 					misses = append(misses, i)
 				}
 			}
-			plain, stored := NewSession(tc.workers), newReplaySession(t, tc.workers, replay.Options{})
+			plain := NewSession(tc.workers)
+			stored, _ := newReplaySession(t, tc.workers, replay.Options{})
 			units := planShards(jobs, misses, tc.workers)
 			if len(units) != tc.units {
 				t.Fatalf("plan yields %d units, want %d", len(units), tc.units)
@@ -182,8 +183,8 @@ func TestWorkersFollowThePlan(t *testing.T) {
 // third caller, concurrent with both, is a worker-protocol array that names
 // one of those shards twice — a duplicate key inside one grid, led once —
 // and it too is served by the same single computes. A grid leads several
-// keys with or without a trace store — cache on, store off is simd's
-// default — so both session shapes are driven.
+// keys with or without a trace store — cache on, store off is how simd
+// serves — so both session shapes are driven.
 func TestOverlappingGroupsComputeOnce(t *testing.T) {
 	forward := []ObserverSpec{{Kind: "bbl"}, {Kind: "bias"}, {Kind: "branch-mix"}, {Kind: "footprint"}}
 	backward := []ObserverSpec{forward[3], forward[2], forward[1], forward[0]}
@@ -191,7 +192,7 @@ func TestOverlappingGroupsComputeOnce(t *testing.T) {
 		return &Spec{Workloads: []string{"comd-lite"}, Seeds: []uint64{1, 2}, Insts: 30_000, Observers: obs}
 	}
 	sessions := map[string]func() *Session{
-		"cache+store": func() *Session { return newReplaySession(t, 2, replay.Options{}) },
+		"cache+store": func() *Session { sess, _ := newReplaySession(t, 2, replay.Options{}); return sess },
 		"cache-only":  func() *Session { return NewSession(2) },
 	}
 	for name, newSession := range sessions {
@@ -486,7 +487,7 @@ func TestRunShardsKeepsCoordinatesApart(t *testing.T) {
 	if units := planShards(cells, []int{0, 1, 2, 3, 4, 5, 6}, 0); len(units) != 5 {
 		t.Fatalf("plan groups the array into %d units, want 5 (four coordinates and the unrunnable member's): %v", len(units), units)
 	}
-	sess := newReplaySession(t, 2, replay.Options{})
+	sess, traces := newReplaySession(t, 2, replay.Options{})
 	out, err := sess.RunShards(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +518,7 @@ func TestRunShardsKeepsCoordinatesApart(t *testing.T) {
 	if encode(t, out[3].Shard.Result) == encode(t, out[4].Shard.Result) {
 		t.Error("two scenarios under one name produced one result; they were fused into one pass")
 	}
-	if st := sess.TraceStore().Stats(); st.Misses != 4 || st.Hits != 0 {
+	if st := traces.Stats(); st.Misses != 4 || st.Hits != 0 {
 		t.Errorf("trace store saw %d misses, %d hits; want one pass per distinct coordinate (4) and none shared twice", st.Misses, st.Hits)
 	}
 }

@@ -357,7 +357,7 @@ func TestGroupScansOncePerBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	replaying := newReplaySession(t, 1, replay.Options{})
+	replaying, traces := newReplaySession(t, 1, replay.Options{})
 	for _, pass := range []struct {
 		name string
 		sess *Session
@@ -380,7 +380,7 @@ func TestGroupScansOncePerBatch(t *testing.T) {
 			}
 		}
 	}
-	if st := replaying.TraceStore().Stats(); st.Misses != 1 || st.Hits != 1 {
+	if st := traces.Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("the two store passes made %d misses and %d hits, want the cold one and the warm one", st.Misses, st.Hits)
 	}
 }

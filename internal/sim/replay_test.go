@@ -17,15 +17,15 @@ import (
 	"rebalance/internal/workload/synth"
 )
 
-func newReplaySession(t *testing.T, workers int, opts replay.Options) *Session {
+func newReplaySession(t *testing.T, workers int, opts replay.Options) (*Session, *replay.Store) {
 	t.Helper()
-	store, err := replay.New(opts)
+	traces, err := replay.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess := NewSession(workers)
-	sess.SetTraceStore(store)
-	return sess
+	sess.SetTraceStore(traces)
+	return sess, traces
 }
 
 // replayPropertyConfigs covers every registered observer kind, plus the
@@ -160,7 +160,8 @@ func TestGroupedShardsBitIdenticalToAlone(t *testing.T) {
 		}
 		alone[i] = encode(t, sh.Result)
 	}
-	for name, sess := range map[string]*Session{"live": bare, "replayed": newReplaySession(t, 1, replay.Options{})} {
+	replayed, _ := newReplaySession(t, 1, replay.Options{})
+	for name, sess := range map[string]*Session{"live": bare, "replayed": replayed} {
 		out := make([]Outcome, len(cells))
 		sess.runGroup(ctx, c, cells, group, out)
 		for i := range cells {
@@ -181,7 +182,7 @@ func TestGroupedShardsBitIdenticalToAlone(t *testing.T) {
 // excludes), and a second run — served from the warm store — must match
 // again while generating nothing new.
 func TestReplayRunBitIdenticalToGolden(t *testing.T) {
-	sess := newReplaySession(t, 2, replay.Options{})
+	sess, traces := newReplaySession(t, 2, replay.Options{})
 	cold, err := sess.Run(context.Background(), goldenRunSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +193,7 @@ func TestReplayRunBitIdenticalToGolden(t *testing.T) {
 	}
 
 	coordinates := 2 * 2 // workloads x seeds in the golden grid
-	st := sess.TraceStore().Stats()
+	st := traces.Stats()
 	if int(st.Misses) != coordinates {
 		t.Errorf("trace store generated %d times, want once per coordinate (%d)", st.Misses, coordinates)
 	}
@@ -222,7 +223,7 @@ func TestReplayRunBitIdenticalToGolden(t *testing.T) {
 // run (one store lookup feeds every observer of the coordinate), and a
 // second run hits the warm store once per coordinate.
 func TestReplaySecondObserverNeverRegenerates(t *testing.T) {
-	sess := newReplaySession(t, 4, replay.Options{})
+	sess, traces := newReplaySession(t, 4, replay.Options{})
 	spec := &Spec{
 		Workloads: []string{"comd-lite", "xalan-lite"},
 		Seeds:     []uint64{1, 2, 3},
@@ -237,7 +238,7 @@ func TestReplaySecondObserverNeverRegenerates(t *testing.T) {
 	if perCoord := len(rep.Shards) / coordinates; perCoord < 2 {
 		t.Fatalf("grid has %d observers per coordinate, need at least 2 for the test to mean anything", perCoord)
 	}
-	st := sess.TraceStore().Stats()
+	st := traces.Stats()
 	if int(st.Misses) != coordinates {
 		t.Errorf("%d generations for %d coordinates; a coordinate's stream must be generated exactly once", st.Misses, coordinates)
 	}
@@ -247,7 +248,7 @@ func TestReplaySecondObserverNeverRegenerates(t *testing.T) {
 	if _, err := sess.Run(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	st = sess.TraceStore().Stats()
+	st = traces.Stats()
 	if int(st.Misses) != coordinates || int(st.Hits) != coordinates {
 		t.Errorf("after a warm run: misses = %d, hits = %d; want %d and %d (no regeneration, one hit per coordinate)",
 			st.Misses, st.Hits, coordinates, coordinates)
@@ -258,7 +259,7 @@ func TestReplaySecondObserverNeverRegenerates(t *testing.T) {
 // short-circuits whole shards, so a second run touches the trace store
 // not at all.
 func TestReplayComposesWithResultCache(t *testing.T) {
-	sess := newReplaySession(t, 2, replay.Options{})
+	sess, traces := newReplaySession(t, 2, replay.Options{})
 	cache, err := shardcache.New(shardcache.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +269,7 @@ func TestReplayComposesWithResultCache(t *testing.T) {
 	if _, err := sess.Run(context.Background(), goldenRunSpec()); err != nil {
 		t.Fatal(err)
 	}
-	before := sess.TraceStore().Stats()
+	before := traces.Stats()
 	warm, err := sess.Run(context.Background(), goldenRunSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +279,7 @@ func TestReplayComposesWithResultCache(t *testing.T) {
 			t.Errorf("shard %d not served from the result cache", i)
 		}
 	}
-	after := sess.TraceStore().Stats()
+	after := traces.Stats()
 	if after.Hits != before.Hits || after.Misses != before.Misses {
 		t.Errorf("result-cache-served run touched the trace store: before %+v, after %+v", before, after)
 	}
@@ -298,7 +299,7 @@ func TestReplayRunShardWorkerPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := newReplaySession(t, 1, replay.Options{})
+	sess, traces := newReplaySession(t, 1, replay.Options{})
 	replayed, err := sess.RunShard(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +315,7 @@ func TestReplayRunShardWorkerPath(t *testing.T) {
 	if _, err := sess.RunShard(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	st := sess.TraceStore().Stats()
+	st := traces.Stats()
 	if st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("worker-path stats = %+v, want 1 generation and 1 replay for two observers of one coordinate", st)
 	}
@@ -342,7 +343,7 @@ func TestTraceStoreHoldsStreamsAtTrr1Size(t *testing.T) {
 		Workload: "resident-synth", Synth: &synth.Params{Name: "resident-synth", BlockLen: 1}, // the branchiest stream synth builds
 		Seed: 1, Insts: insts, Observer: ObserverSpec{Kind: "bbl"},
 	})
-	sess := newReplaySession(t, 1, replay.Options{})
+	sess, traces := newReplaySession(t, 1, replay.Options{})
 	var held int64
 	for _, sp := range specs {
 		if _, err := sess.RunShard(context.Background(), sp); err != nil {
@@ -352,7 +353,7 @@ func TestTraceStoreHoldsStreamsAtTrr1Size(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, ok := sess.TraceStore().Get(key)
+		tr, ok := traces.Get(key)
 		if !ok {
 			t.Fatalf("%s: recorded coordinate was not admitted to the memory tier", sp.Workload)
 		}
@@ -361,7 +362,7 @@ func TestTraceStoreHoldsStreamsAtTrr1Size(t *testing.T) {
 		}
 		held += tr.MemBytes()
 	}
-	if st := sess.TraceStore().Stats(); st.Entries != len(specs) || st.Bytes != held {
+	if st := traces.Stats(); st.Entries != len(specs) || st.Bytes != held {
 		t.Errorf("store stats %+v, want %d entries charged the %d bytes their traces hold", st, len(specs), held)
 	}
 }
@@ -372,7 +373,7 @@ func TestTraceStoreHoldsStreamsAtTrr1Size(t *testing.T) {
 // per instruction of expanded stream.
 func TestColdReplayAllocatesTheStreamNotItsExpansion(t *testing.T) {
 	const insts = 200_000
-	sess := newReplaySession(t, 1, replay.Options{})
+	sess, _ := newReplaySession(t, 1, replay.Options{})
 	if _, err := sess.Compiled("comd-lite"); err != nil {
 		t.Fatal(err)
 	}
@@ -409,20 +410,21 @@ func TestStorelessShardAllocatesNoInstructionBatch(t *testing.T) {
 	}
 }
 
-// TestReplayDiskTierWarmRestart is the -trace-dir restart story at the
+// TestReplayDiskTierWarmRestart is the disk tier's restart story at the
 // session level: a fresh session over the same directory serves every
 // coordinate from disk and generates nothing.
 func TestReplayDiskTierWarmRestart(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := newReplaySession(t, 2, replay.Options{Dir: dir}).Run(context.Background(), goldenRunSpec()); err != nil {
+	first, _ := newReplaySession(t, 2, replay.Options{Dir: dir})
+	if _, err := first.Run(context.Background(), goldenRunSpec()); err != nil {
 		t.Fatal(err)
 	}
-	sess := newReplaySession(t, 2, replay.Options{Dir: dir})
+	sess, traces := newReplaySession(t, 2, replay.Options{Dir: dir})
 	rep, err := sess.Run(context.Background(), goldenRunSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := sess.TraceStore().Stats()
+	st := traces.Stats()
 	if st.Misses != 0 {
 		t.Errorf("restarted session regenerated %d coordinates; the disk tier must serve them all", st.Misses)
 	}
@@ -441,7 +443,7 @@ func TestReplayDiskTierWarmRestart(t *testing.T) {
 }
 
 func TestReplayCancellation(t *testing.T) {
-	sess := newReplaySession(t, 2, replay.Options{})
+	sess, _ := newReplaySession(t, 2, replay.Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := sess.Run(ctx, goldenRunSpec())

@@ -20,6 +20,10 @@ import (
 // Options and Stats are the tiered cache's. A zero MaxEntries selects 4096
 // and a zero MaxBytes 256 MiB (a shard record is a few KB). MaxBytes bounds
 // stored bytes; a record's decoded form counts against MaxEntries only.
+// That form, the decoded shard plus its result's artifact, is at most
+// k = 20 bytes per stored byte — the first hit's whole allocation, footprint
+// the worst kind at ≈ 18.5 — so a cache at MaxBytes holds at most
+// (1 + k)·MaxBytes (sim's TestDecodedRecordWithinBound).
 type (
 	Options = tiercache.Options
 	Stats   = tiercache.Stats
