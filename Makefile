@@ -58,7 +58,8 @@ fuzz:
 # -allow-partial must degrade to exactly the expected survivors, and a
 # corrupted disk tier of the dispatching session's result cache must heal
 # by recompute. Deterministic by construction — a failure is a bug, not
-# noise.
+# noise. None of these tests has a skip gate, so CI's race job (make race)
+# already runs them; this target is the shortcut to run them alone.
 chaos:
 	$(GO) test -race -v -run '^TestSoak' ./internal/sim/dispatch/chaos
 	$(GO) test -race -run 'TestWall|Corrupt' ./internal/tiercache ./internal/sim/dispatch/chaos

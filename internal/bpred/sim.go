@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sync"
 
 	"rebalance/internal/isa"
 	"rebalance/internal/registry"
@@ -116,20 +115,7 @@ type Sim struct {
 	comps   []component // the distinct bases, then the loop table if any overlay
 	results []Result
 	insts   [2]int64
-
-	// recs alternate as the per-batch compaction of conditional branches;
-	// pending is the round the components have been (or, parallelized, are
-	// being) walked over and compose has not yet counted.
-	recs         [2][]condRec
-	cur          int
-	pending      []condRec
-	pendingPhase int
-
-	// Parallel-mode state (see Parallelize): one worker goroutine per
-	// component, fed the shared compacted record slice; jobs is nil on a
-	// serial simulator and wg counts the walks of the round in flight.
-	jobs []chan []condRec
-	wg   sync.WaitGroup
+	recs    []condRec // the batch's conditional branches, reused across batches
 }
 
 // simCfg is one configuration resolved to its components.
@@ -139,7 +125,7 @@ type simCfg struct {
 }
 
 // component is one distinct piece of predictor state and its predictions for
-// the pending round: 0/1 from a base; from the loop table 0 when it is not
+// the current batch: 0/1 from a base; from the loop table 0 when it is not
 // confident, else 2|taken.
 type component struct {
 	base Predictor      // nil for the loop table
@@ -211,7 +197,7 @@ func NewSim(preds ...Predictor) *Sim {
 	return s
 }
 
-// walk runs the component over a round's conditional branches, writing one
+// walk runs the component over a batch's conditional branches, writing one
 // prediction byte per record (see Sim for why it switches on the type).
 func (c *component) walk(recs []condRec) {
 	if cap(c.out) < len(recs) {
@@ -244,53 +230,10 @@ func (c *component) walk(recs []condRec) {
 	}
 }
 
-// Parallelize switches the simulator to one worker goroutine per component
-// and returns s. A component's state is a function of the branch sequence
-// alone, so each worker replays exactly the Access sequence of the serial
-// path — results stay bit-identical — while the batch pipelines: the
-// executor emits and the feed scans batch N+1 while the workers are still
-// chewing batch N, whose counters are composed once the round has drained.
-// It is opt-in because the sweep harness already saturates cores with one
-// executor per coordinate.
-//
-// Call Close when done to stop the workers.
-func (s *Sim) Parallelize() *Sim {
-	if s.jobs != nil {
-		return s
-	}
-	s.jobs = make([]chan []condRec, len(s.comps))
-	for i := range s.comps {
-		ch := make(chan []condRec, 1)
-		s.jobs[i] = ch
-		go func(c *component, ch chan []condRec) {
-			for recs := range ch {
-				c.walk(recs)
-				s.wg.Done()
-			}
-		}(&s.comps[i], ch)
-	}
-	return s
-}
-
-// Close drains any in-flight round and stops the parallel workers. The
-// simulator must not consume lanes afterwards; Results remains valid. Close
-// on a serial simulator is a no-op.
-func (s *Sim) Close() {
-	s.drain()
-	for _, ch := range s.jobs {
-		close(ch)
-	}
-	s.jobs = nil
-}
-
-// drain waits for the in-flight parallel round, if any, and composes the
-// pending round's predictions into every configuration's counters: the base's
-// prediction, overridden where the configuration has the overlay and the loop
-// table was confident.
-func (s *Sim) drain() {
-	s.wg.Wait()
-	recs, p := s.pending, s.pendingPhase
-	s.pending = nil
+// compose counts the batch's predictions into every configuration's counters:
+// the base's prediction, overridden where the configuration has the overlay
+// and the loop table was confident.
+func (s *Sim) compose(recs []condRec, p int) {
 	for i, c := range s.cfgs {
 		base := s.comps[c.base].out[:len(recs)]
 		var miss [4]int64 // by direction, padded so the index needs no bounds check
@@ -317,32 +260,17 @@ func (s *Sim) drain() {
 }
 
 // ConsumeLane implements trace.LaneConsumer: compact, walk each component,
-// compose. On a parallelized simulator the walk is the workers' and the
-// compose waits for the next call (or Results, or Close): while they consume
-// round N the caller compacts round N+1 into the other record buffer, and the
-// only synchronization is one WaitGroup cycle per batch.
+// compose.
 func (s *Sim) ConsumeLane(l *isa.Lane) {
 	s.insts[l.Phase] += int64(l.Insts)
-	recs := appendConds(s.recs[s.cur][:0], l)
-	s.recs[s.cur] = recs // keep grown capacity for the next batch
-	// Settle the previous round: after this the workers are idle, so handing
-	// them new records and reusing the other buffer next time is race-free.
-	s.drain()
-	if len(recs) == 0 {
-		return
-	}
-	s.pending, s.pendingPhase, s.cur = recs, l.Phase, s.cur^1
-	if s.jobs != nil {
-		s.wg.Add(len(s.jobs))
-		for _, ch := range s.jobs {
-			ch <- recs
-		}
+	s.recs = appendConds(s.recs[:0], l)
+	if len(s.recs) == 0 {
 		return
 	}
 	for i := range s.comps {
-		s.comps[i].walk(recs)
+		s.comps[i].walk(s.recs)
 	}
-	s.drain()
+	s.compose(s.recs, l.Phase)
 }
 
 // Merge accumulates another *Result's counters into r, folding per-seed
@@ -423,9 +351,8 @@ func NewTarget() (ptr any, build func() (*Result, error)) {
 }
 
 // Results returns the per-predictor results with instruction counts filled
-// in. On a parallelized simulator it first drains the in-flight round.
+// in.
 func (s *Sim) Results() []Result {
-	s.drain()
 	out := make([]Result, len(s.results))
 	copy(out, s.results)
 	for i := range out {

@@ -1,7 +1,6 @@
 package bpred
 
 import (
-	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -195,31 +194,6 @@ func TestSimIdentityIsGeometryNotName(t *testing.T) {
 	}
 	if want[0] == want[1] {
 		t.Error("the two gshares under one name are indistinguishable on this stream: the test shows nothing")
-	}
-}
-
-// TestSimParallelUnderRace drives the parallelized nine-configuration Sim —
-// one worker per component, round N+1 compacted while round N is walked,
-// counters composed after the drain — with Results taken mid-stream and
-// after Close. Run under -race (CI and `make race` do).
-func TestSimParallelUnderRace(t *testing.T) {
-	stream := recordStream(t, "xalan-lite", 40_000)
-	half := len(stream) / 2
-	for _, size := range []int{1, 33, trace.BatchSize} {
-		t.Run(fmt.Sprint(size), func(t *testing.T) {
-			s := NewSim(StandardConfigs()...).Parallelize()
-			defer s.Close()
-			deliver(s, stream[:half], size)
-			if got, want := s.Results(), loneResults(stream[:half], StandardConfigs()...); !reflect.DeepEqual(got, want) {
-				t.Fatalf("mid-stream:\n got %+v\nwant %+v", got, want)
-			}
-			deliver(s, stream[half:], size)
-			s.Close()
-			s.Close() // a second Close is a no-op
-			if got, want := s.Results(), loneResults(stream, StandardConfigs()...); !reflect.DeepEqual(got, want) {
-				t.Fatalf("after Close:\n got %+v\nwant %+v", got, want)
-			}
-		})
 	}
 }
 

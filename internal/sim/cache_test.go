@@ -388,7 +388,7 @@ func oracleObserverSpec(t testing.TB, cfg ObserverConfig) ObserverSpec {
 	case bpredCfg:
 		opts = bpredOptions{Configs: []string{c.name}}
 	case bpredGroupCfg:
-		opts = bpredOptions{Configs: c.names, Grouped: true, Parallel: c.parallel}
+		opts = bpredOptions{Configs: c.names, Grouped: true}
 	case btbCfg:
 		opts = btbOptions{Geometries: []btbGeometry{c.g}}
 	case icacheCfg:
@@ -458,7 +458,8 @@ func keySynths(t testing.TB) []*synth.Params {
 // kind's default configurations plus grouped and parallel bpred, registered
 // and synth workloads under names encoding/json must escape, the engine
 // empty and explicit, and observer specs outside the registry whose kind and
-// options need escaping or compacting.
+// options need escaping or compacting. Parallel is a synonym for grouped:
+// both expand to one configuration with one Key, Spec and cache key.
 func TestShardCacheKeyMatchesMarshal(t *testing.T) {
 	specs := []ObserverSpec{
 		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small"],"grouped":true}`)},
@@ -487,6 +488,21 @@ func TestShardCacheKeyMatchesMarshal(t *testing.T) {
 		}
 	}
 	cells = append(cells, ShardSpec{Workload: "xalan-lite", Seed: math.MaxUint64, Insts: math.MaxInt64})
+
+	var synonyms []ObserverConfig
+	for _, opts := range []string{`{"configs":["gshare-small","tage-small"],"parallel":true}`, `{"configs":["gshare-small","tage-small"],"grouped":true}`} {
+		cfg, err := expandObservers([]ObserverSpec{{Kind: "bpred", Options: json.RawMessage(opts)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		synonyms = append(synonyms, cfg...)
+	}
+	par, grp := synonyms[0], synonyms[1]
+	ps, gs := par.Spec(), grp.Spec()
+	if par.Key() != grp.Key() || ps.Kind != gs.Kind || !bytes.Equal(ps.Options, gs.Options) || ShardCacheKey(cells[0], par) != ShardCacheKey(cells[0], grp) {
+		t.Errorf("parallel is not grouped: Key %s vs %s, Spec %s vs %s", par.Key(), grp.Key(), ps.Options, gs.Options)
+	}
+
 	for _, sp := range cells {
 		if got, want := traceKey(sp.Workload, sp.Synth, sp.Seed, sp.Insts), oracleTraceKey(t, sp); got != want {
 			t.Errorf("traceKey(%q, synth %v) = %s, want %s", sp.Workload, sp.Synth != nil, got, want)

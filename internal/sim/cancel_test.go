@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,8 +24,7 @@ func awaitGoroutines(baseline int, deadline time.Duration) int {
 
 // TestRunCancellation is the satellite contract: cancelling the context
 // mid-Run must return promptly — aborting shards already executing, not
-// just pending ones — leak no goroutines (including the parallelized
-// predictor simulation's workers), and leave the Session reusable.
+// just pending ones — leak no goroutines, and leave the Session reusable.
 func TestRunCancellation(t *testing.T) {
 	sess := NewSession(2)
 	// Warm the compile cache so the measured interval is execution only.
@@ -42,7 +40,7 @@ func TestRunCancellation(t *testing.T) {
 		Workloads: []string{"comd-lite"},
 		Seeds:     []uint64{1, 2},
 		Insts:     2_000_000_000,
-		Observers: []ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"parallel":true}`)}},
+		Observers: []ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"grouped":true}`)}},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(100*time.Millisecond, cancel)
@@ -103,12 +101,10 @@ func TestRunShardCancellation(t *testing.T) {
 
 // cancelAfterCfg is a test-only configuration whose observer cancels the
 // run's context once it has seen a set number of instructions — a
-// cancellation that is mid-stream by construction — and records that the
-// group executor closed it.
+// cancellation that is mid-stream by construction.
 type cancelAfterCfg struct {
 	after  int64
 	cancel context.CancelFunc
-	closed *atomic.Bool
 }
 
 func (c cancelAfterCfg) Key() string        { return "cancel-test-after" }
@@ -128,7 +124,6 @@ type cancelAfterObs struct {
 
 func (o *cancelAfterObs) Observe(isa.Inst)        { o.saw(1) }
 func (o *cancelAfterObs) ConsumeLane(l *isa.Lane) { o.saw(int64(l.Insts)) }
-func (o *cancelAfterObs) Close()                  { o.closed.Store(true) }
 
 func (o *cancelAfterObs) saw(n int64) {
 	if o.left -= n; o.left <= 0 {
@@ -141,15 +136,14 @@ func (o *cancelAfterObs) Finish() (Result, error) {
 }
 
 // TestFusedGroupCancellation: a group cancelled mid-stream — two plain
-// bpred members fused into one Sim, a parallelized bpred group that owns
-// worker goroutines, and the member that pulls the plug — reports the
-// context error for every member, closes every Close-able observer, and
-// leaks no goroutine. The budget is one no machine finishes, so only the
-// cancellation can end the pass.
+// bpred members fused into one Sim, a grouped bpred member, and the member
+// that pulls the plug — reports the context error for every member. The
+// budget is one no machine finishes, so only the cancellation can end the
+// pass.
 func TestFusedGroupCancellation(t *testing.T) {
 	cfgs, err := expandObservers([]ObserverSpec{
 		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small"]}`)},
-		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tournament-small"],"parallel":true}`)},
+		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tournament-small"],"grouped":true}`)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,11 +155,9 @@ func TestFusedGroupCancellation(t *testing.T) {
 	}
 	// One leg, named for the one engine a session runs.
 	t.Run(EngineCompiled, func(t *testing.T) {
-		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		var closed atomic.Bool
-		members := append(cfgs[:len(cfgs):len(cfgs)], cancelAfterCfg{after: 100_000, cancel: cancel, closed: &closed})
+		members := append(cfgs[:len(cfgs):len(cfgs)], cancelAfterCfg{after: 100_000, cancel: cancel})
 		cells := make([]gridCell, len(members))
 		group := make([]int, len(members))
 		for i, cfg := range members {
@@ -181,12 +173,6 @@ func TestFusedGroupCancellation(t *testing.T) {
 			if out[i].Shard.Result != nil {
 				t.Errorf("member %s of a cancelled group carries a result", members[i].Key())
 			}
-		}
-		if !closed.Load() {
-			t.Error("the cancelled group did not close its Close-able observer")
-		}
-		if n := awaitGoroutines(before, 5*time.Second); n > before {
-			t.Errorf("goroutines leaked after the cancelled group: %d before, %d after", before, n)
 		}
 	})
 }

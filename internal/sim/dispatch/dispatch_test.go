@@ -597,18 +597,17 @@ func TestFailoverMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestGroupedParallelRemote runs a grouped, parallelized bpred shard
-// through a worker and checks the decoded group result matches the same
-// shard run locally — covering the GroupResult wire path and the worker's
-// goroutine-owning observer teardown.
-func TestGroupedParallelRemote(t *testing.T) {
+// TestGroupedRemote runs a grouped bpred shard through a worker and checks
+// the decoded group result matches the same shard run locally — covering
+// the GroupResult wire path.
+func TestGroupedRemote(t *testing.T) {
 	spec := sim.ShardSpec{
 		Workload: "xalan-lite",
 		Seed:     7,
 		Insts:    30_000,
 		Observer: sim.ObserverSpec{
 			Kind:    "bpred",
-			Options: json.RawMessage(`{"configs":["gshare-small","tage-small","L-tournament-small"],"parallel":true}`),
+			Options: json.RawMessage(`{"configs":["gshare-small","tage-small","L-tournament-small"],"grouped":true}`),
 		},
 	}
 	local, err := sim.NewSession(1).RunShard(context.Background(), spec)

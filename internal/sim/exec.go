@@ -225,8 +225,6 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridC
 		cfgs[k] = cells[i].cfg
 	}
 	feed, finish := groupObservers(cfgs, c.Program())
-	// Release observer-owned goroutines even when the pass errors mid-stream.
-	defer feed.Close()
 	// The pass is shared, so every shard of the group reports the same
 	// instruction count and elapsed time: the one walk that fed them all.
 	insts, elapsed, err := s.stream(ctx, c, &cells[group[0]].spec, feed)

@@ -38,7 +38,7 @@ func init() {
 
 // laneShard is a lane consumer's lone ShardObserver — what RunShard and
 // bench/ get: a feed with one consumer, which takes a source's lanes and
-// scans what arrives as instructions. Close comes with the feed.
+// scans what arrives as instructions.
 type laneShard struct {
 	*trace.Feed
 	result func() Result
@@ -63,7 +63,7 @@ func (s laneShard) Finish() (Result, error) { return s.result(), nil }
 // and the branch sequence alone, so the one walked for several members is
 // the one each would have walked alone: a member's result is bit-identical
 // to a lone NewObserver's; the shards stay separate results under separate
-// keys. Closing the feed closes every member that owns goroutines.
+// keys.
 func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed *trace.Feed, finish []func() (Result, error)) {
 	finish = make([]func() (Result, error), len(cfgs))
 	var lanes []trace.LaneConsumer
@@ -90,18 +90,16 @@ func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed *trace.Feed
 
 // --- bpred ---
 
-// bpredOptions selects predictor configurations by registry name. The two
-// flags choose the report shape and the fan-out, not whether predictors
-// share a pass — the executor shares one among a coordinate's plain
-// configurations on its own (see groupObservers). With Grouped false
+// bpredOptions selects predictor configurations by registry name. Grouped
+// chooses the report shape, not whether predictors share a pass — the
+// executor shares one among a coordinate's plain configurations on its own
+// (see groupObservers). With Grouped false
 // (default) every configuration is its own shard: separately keyed, cached,
 // dispatched and reported, the sweep-grid shape rebalance-bench uses. With
 // Grouped true the configurations are one shard whose result is the array
 // of theirs (the paper's several-pintools-one-run shape, as one cache and
-// dispatch unit); Parallel additionally fans that shard's simulation out to
-// one worker goroutine per component — each distinct base predictor and the
-// shared loop table, seven for Figure 5's nine configurations (implies
-// Grouped).
+// dispatch unit). Parallel is read as Grouped; it is accepted so specs that
+// name it keep decoding.
 type bpredOptions struct {
 	Configs  []string `json:"configs"`
 	Grouped  bool     `json:"grouped"`
@@ -122,7 +120,7 @@ func bpredFactory(opts json.RawMessage) ([]ObserverConfig, error) {
 		}
 	}
 	if o.Grouped || o.Parallel {
-		return []ObserverConfig{bpredGroupCfg{names: o.Configs, parallel: o.Parallel}}, nil
+		return []ObserverConfig{bpredGroupCfg{names: o.Configs}}, nil
 	}
 	cfgs := make([]ObserverConfig, len(o.Configs))
 	for i, name := range o.Configs {
@@ -156,18 +154,21 @@ func bpredSim(names ...string) *bpred.Sim {
 
 func (c bpredCfg) NewResult() Result { return &bpred.Result{} }
 
-func (c bpredCfg) Spec() ObserverSpec { return bpredSpec([]string{c.name}, false, false) }
+func (c bpredCfg) Spec() ObserverSpec { return bpredSpec([]string{c.name}, false) }
 
 // bpredSpec re-describes predictor configurations as the bytes json.Marshal
 // writes for their bpredOptions. Every cache key reads a Spec (see
-// ShardCacheKey), so each kind's is written by hand.
-func bpredSpec(names []string, grouped, parallel bool) ObserverSpec {
+// ShardCacheKey), so each kind's is written by hand. Parallel is always
+// written false: every cached bpred key was computed with the field in place,
+// so keeping it keeps those keys byte-identical, and a spec that sets it
+// takes the grouped shard's key — an entry cached under the old parallel key
+// is missed and recomputed, never served in place of another.
+func bpredSpec(names []string, grouped bool) ObserverSpec {
 	b, _ := appendAll(append(make([]byte, 0, 64), `{"configs":`...), names, func(name string, b []byte) ([]byte, error) {
 		return appendString(b, name), nil
 	})
 	b = strconv.AppendBool(append(b, `,"grouped":`...), grouped)
-	b = strconv.AppendBool(append(b, `,"parallel":`...), parallel)
-	return ObserverSpec{Kind: "bpred", Options: append(b, '}')}
+	return ObserverSpec{Kind: "bpred", Options: append(b, `,"parallel":false}`...)}
 }
 
 func (c bpredCfg) DecodeTarget() (any, func() (Result, error)) {
@@ -179,20 +180,12 @@ func (c bpredCfg) DecodeTarget() (any, func() (Result, error)) {
 	})
 }
 
-type bpredGroupCfg struct {
-	names    []string
-	parallel bool
-}
+type bpredGroupCfg struct{ names []string }
 
 func (c bpredGroupCfg) Key() string { return "bpred/" + strings.Join(c.names, "+") }
 
-// A parallelized simulator owns worker goroutines; the feed it sits behind
-// closes it.
 func (c bpredGroupCfg) NewObserver(*program.Program) ShardObserver {
 	sim := bpredSim(c.names...)
-	if c.parallel {
-		sim.Parallelize()
-	}
 	return newLaneShard(sim, func() Result { return bpredGroup(sim.Results()) })
 }
 
@@ -213,7 +206,7 @@ func (c bpredGroupCfg) NewResult() Result {
 	return &GroupResult{Results: rs}
 }
 
-func (c bpredGroupCfg) Spec() ObserverSpec { return bpredSpec(c.names, true, c.parallel) }
+func (c bpredGroupCfg) Spec() ObserverSpec { return bpredSpec(c.names, true) }
 
 // DecodeTarget decodes the grouped artifact: a JSON array with one bpred
 // result per configured predictor, in configuration order, each member

@@ -10,7 +10,7 @@ import (
 // propertyConfigs expands every registered observer kind's default
 // configuration set — driven by the registry, not a hand-maintained list,
 // so a newly registered kind is automatically covered — plus a grouped
-// parallel bpred configuration to cover the GroupResult wire path.
+// bpred configuration to cover the GroupResult wire path.
 func propertyConfigs(t *testing.T) []ObserverConfig {
 	t.Helper()
 	var specs []ObserverSpec

@@ -28,8 +28,8 @@ func newReplaySession(t *testing.T, workers int, opts replay.Options) (*Session,
 	return sess, traces
 }
 
-// replayPropertyConfigs covers every registered observer kind, plus the
-// grouped and parallel bpred shapes, with small configurations; two plain
+// replayPropertyConfigs covers every registered observer kind, plus two
+// grouped bpred shapes, with small configurations; two plain
 // bpred configurations, so a group of them all has members to fuse. It
 // fails the test if a future kind registers without being added here.
 func replayPropertyConfigs(t *testing.T) []ObserverConfig {
@@ -37,7 +37,7 @@ func replayPropertyConfigs(t *testing.T) []ObserverConfig {
 	specs := []ObserverSpec{
 		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small"]}`)},
 		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tournament-small"],"grouped":true}`)},
-		{Kind: "bpred", Options: json.RawMessage(`{"configs":["tage-small","tournament-small"],"parallel":true}`)},
+		{Kind: "bpred", Options: json.RawMessage(`{"configs":["tage-small","tournament-small"],"grouped":true}`)},
 		{Kind: "btb", Options: json.RawMessage(`{"geometries":[{"entries":512,"ways":4}]}`)},
 		{Kind: "icache", Options: json.RawMessage(`{"geometries":[{"size_kb":16,"line_bytes":64,"ways":4}]}`)},
 		{Kind: "branch-mix"},
@@ -63,7 +63,7 @@ func replayPropertyConfigs(t *testing.T) []ObserverConfig {
 
 // TestReplayedResultsBitIdenticalAcrossRegistry is the registry-driven
 // property test behind the trace store's correctness claim: for every
-// registered observer kind — including grouped and parallel bpred — a
+// registered observer kind — including grouped bpred — a
 // result computed by replaying the materialized stream is byte-identical
 // to one computed on the live generation path, across replay batch sizes
 // 1/7/4096 and two recordings of the stream: the session's own and the
@@ -110,9 +110,6 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 				for _, batchSize := range []int{1, 7, 4096} {
 					func() {
 						obs := cfg.NewObserver(c.Program())
-						if cl, ok := obs.(interface{ Close() }); ok {
-							defer cl.Close()
-						}
 						if err := replay.Deliver(ctx, traces[recording], batchSize, obs); err != nil {
 							t.Fatal(err)
 						}
@@ -135,11 +132,11 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 }
 
 // TestGroupedShardsBitIdenticalToAlone is the property behind the plan's
-// one rule: for every registered observer kind plus the grouped and
-// parallel bpred shapes, a shard executed as a member of its coordinate's
-// group — one shared pass, its plain bpred members fused into one
-// multi-predictor Sim — is byte-identical to the same shard executed alone,
-// on a live executor and on a replayed trace.
+// one rule: for every registered observer kind plus the grouped bpred
+// shapes, a shard executed as a member of its coordinate's group — one
+// shared pass, its plain bpred members fused into one multi-predictor Sim —
+// is byte-identical to the same shard executed alone, on a live executor
+// and on a replayed trace.
 func TestGroupedShardsBitIdenticalToAlone(t *testing.T) {
 	cfgs := replayPropertyConfigs(t)
 	ctx := context.Background()

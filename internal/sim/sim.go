@@ -44,10 +44,7 @@ type Result interface {
 // ShardObserver is a fresh per-shard observer instance: it watches one
 // seeded stream — as lanes from the session's sources, instruction by
 // instruction from the reference engine — and then seals its measurement
-// into a Result. Instances that additionally implement interface{ Close() }
-// (e.g. a parallelized bpred.Sim owning worker goroutines) are closed by the
-// Session via defer, so goroutines are released even when a run errors
-// mid-stream.
+// into a Result.
 type ShardObserver interface {
 	trace.Observer
 	trace.LaneConsumer

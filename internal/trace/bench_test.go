@@ -21,17 +21,6 @@ func BenchmarkExecutorEmit(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("compiled", func(b *testing.B) {
-		sim := bpred.NewSim(bpred.StandardConfigs()...).Parallelize()
-		defer sim.Close()
-		e := trace.NewCompiledExecutor(c, 1)
-		e.Attach(trace.NewFeed(sim))
-		b.ResetTimer()
-		if err := e.Run(int64(b.N)); err != nil {
-			b.Fatal(err)
-		}
-		sim.Results() // drain the last round inside the timed region
-	})
-	b.Run("compiled-serial", func(b *testing.B) {
 		e := trace.NewCompiledExecutor(c, 1)
 		e.Attach(trace.NewFeed(bpred.NewSim(bpred.StandardConfigs()...)))
 		b.ResetTimer()

@@ -67,11 +67,7 @@ type observerSet struct {
 func newObserverSet() *observerSet {
 	return &observerSet{
 		hash: newStreamHash(),
-		sim: bpred.NewSim(
-			bpred.NewGshareSmall(),
-			bpred.NewTAGESmall(),
-			bpred.NewWithLoop(bpred.NewTournamentSmall()),
-		),
+		sim:  bpred.NewSim(bpred.StandardConfigs()...),
 		btb:  btb.New(512, 4),
 		ic:   icache.New(16*1024, 64, 4),
 		mix:  analysis.NewBranchMix(),
@@ -135,47 +131,6 @@ func TestCompiledMatchesReference(t *testing.T) {
 					t.Errorf("%s/%#x: %s results differ:\nreference: %+v\ncompiled:  %+v", name, seed, r.what, r.ref, r.cmp)
 				}
 			}
-		}
-	}
-}
-
-// TestParallelSimEquivalence checks that the parallelized nine-predictor
-// simulation produces bit-identical results to both the serial batch path
-// and the per-instruction reference engine, whose every instruction reaches
-// the simulator as a one-run lane.
-func TestParallelSimEquivalence(t *testing.T) {
-	const target = 300_000
-	for _, name := range workload.Names() {
-		prog := workload.MustBuild(name)
-
-		ref := bpred.NewSim(bpred.StandardConfigs()...)
-		re := trace.NewExecutor(prog, 21)
-		re.Attach(trace.NewFeed(ref))
-		if err := re.RunReference(target); err != nil {
-			t.Fatal(err)
-		}
-
-		ser := bpred.NewSim(bpred.StandardConfigs()...)
-		se := trace.NewExecutor(prog, 21)
-		se.Attach(trace.NewFeed(ser))
-		if err := se.Run(target); err != nil {
-			t.Fatal(err)
-		}
-
-		par := bpred.NewSim(bpred.StandardConfigs()...).Parallelize()
-		pe := trace.NewExecutor(prog, 21)
-		pe.Attach(trace.NewFeed(par))
-		if err := pe.Run(target); err != nil {
-			t.Fatal(err)
-		}
-		parRes := par.Results()
-		par.Close()
-
-		if !reflect.DeepEqual(ref.Results(), ser.Results()) {
-			t.Errorf("%s: serial batch results differ from reference", name)
-		}
-		if !reflect.DeepEqual(ref.Results(), parRes) {
-			t.Errorf("%s: parallel batch results differ from reference", name)
 		}
 	}
 }

@@ -115,13 +115,3 @@ func (f *Feed) ObserveBatch(batch []isa.Inst) {
 	}
 	f.ConsumeLane(&f.lane)
 }
-
-// Close releases the goroutines of consumers that own any (a parallelized
-// bpred.Sim); the feed must not observe afterwards.
-func (f *Feed) Close() {
-	for _, c := range f.consumers {
-		if cl, ok := c.(interface{ Close() }); ok {
-			cl.Close()
-		}
-	}
-}
