@@ -95,9 +95,15 @@ lint-extra:
 		fi; \
 	done
 
-# test runs the analyzer wall with everything else, so ci adds only the
-# external linters.
-ci: fmt vet lint-extra build test bench-go-smoke
+# ci runs what the workflow's test job runs, so a local pass means a CI
+# pass: the arm64 fallback (TAGE's Go stage without the AVX2 kernel), the
+# grid path and the fleet on one P, and the full suite twice in one
+# process. The suite runs the analyzer wall, so ci adds only the external
+# linters to it.
+ci: fmt vet lint-extra build bench-go-smoke
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
+	GOMAXPROCS=1 $(GO) test ./internal/sim/... ./cmd/simd
+	$(GO) test -count=2 ./...
 
 # bench runs the repository benchmark declared in BENCHMARK.json: the
 # bench/ harness's five sweep workloads, end to end and layer by layer.

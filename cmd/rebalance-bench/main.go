@@ -71,7 +71,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.workloads, "workloads", "", "comma-separated workload names (default: every registered workload, or none when -synth is given)")
+	flag.StringVar(&o.workloads, "workloads", "", "comma-separated workload names (default: every built-in workload, or none when -synth is given)")
 	flag.StringVar(&o.synth, "synth", "", "synthetic-scenario grid: ';'-separated axes of ','-separated values, e.g. \"bias=0.6,0.8,0.95;hot=0.25,0.75\"")
 	flag.IntVar(&o.seeds, "seeds", 4, "seeds per {workload, predictor} pair")
 	flag.Int64Var(&o.insts, "insts", 2_000_000, "dynamic instructions per shard")
@@ -136,7 +136,7 @@ func run(ctx context.Context, o options, log io.Writer) error {
 			return err
 		}
 	}
-	// No explicit selection: sweep every registered workload. An
+	// No explicit selection: sweep every built-in workload. An
 	// explicit -synth without -workloads sweeps only the synth grid.
 	if len(names) == 0 && len(synthSets) == 0 {
 		names = workload.Names()
@@ -147,8 +147,8 @@ func run(ctx context.Context, o options, log io.Writer) error {
 	}
 
 	// The whole sweep is one declarative Spec: the grid of every
-	// registered predictor configuration over every workload (registered
-	// and synthetic) and seed.
+	// predictor configuration over every workload (built-in and
+	// synthetic) and seed.
 	spec := &sim.Spec{
 		Workloads:    specWorkloads,
 		Synth:        synthSets,

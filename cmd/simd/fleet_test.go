@@ -305,7 +305,7 @@ func statsOf(t *testing.T, p *simd) fleetStats {
 }
 
 // registered is the grid `rebalance-bench -seeds N -insts 50000` sweeps:
-// every registered workload, every predictor configuration.
+// every built-in workload, every predictor configuration.
 func registered(seeds int) *sim.Spec {
 	return &sim.Spec{
 		Workloads: workload.Names(),

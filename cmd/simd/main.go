@@ -41,9 +41,9 @@
 //	DELETE /v1/sweeps/{id}      cancel a queued or running sweep (coordinator mode only)
 //	POST   /v1/shards           execute one unit (an array of ShardSpecs), respond with one record per member
 //	GET    /v1/stats            unified counters: shard cache, dispatcher (hedges, hedge_wins, probes, healthy backends), sweep queues
-//	GET    /v1/workloads        enumerate the workload registry
-//	GET    /v1/predictors       enumerate the predictor-config registry with costs
-//	GET    /v1/observers        enumerate the observer-kind registry
+//	GET    /v1/workloads        list the built-in workloads
+//	GET    /v1/predictors       list the predictor configurations with costs
+//	GET    /v1/observers        list the observer kinds
 //	GET    /v1/synth            the synth/v1 parameter grammar version and canonical defaults
 //	GET    /healthz             liveness probe
 //
@@ -54,10 +54,10 @@
 // may be omitted or "compiled", and anything else is a 400 — the tree-walk
 // reference engine is the tests' oracle, not a request option.
 //
-// Synthetic workloads need no registration: a Spec (or ShardSpec) carries
-// synth/v1 parameter sets inline, and both run endpoints build the exact
-// program those canonical params describe. GET /v1/synth documents the
-// knob defaults clients sweep from.
+// Synthetic workloads need no server-side definition: a Spec (or
+// ShardSpec) carries synth/v1 parameter sets inline, and both run
+// endpoints build the exact program those canonical params describe.
+// GET /v1/synth documents the knob defaults clients sweep from.
 //
 // Shard results are cached by content address (see internal/sim/shardcache):
 // re-requesting a shard the process has already computed — common in
@@ -244,7 +244,7 @@ type serverConfig struct {
 
 // newServer builds the simd handler. Worker mode withholds the
 // coordinator surfaces (/v1/runs, /v1/sweeps) and serves only the shard
-// protocol plus the registry listings and stats. Split from main so tests
+// protocol plus the name listings and stats. Split from main so tests
 // drive it through httptest.
 func newServer(cfg serverConfig) http.Handler {
 	sess := cfg.sess
@@ -303,20 +303,15 @@ func newServer(cfg serverConfig) http.Handler {
 	mux.HandleFunc("GET /v1/workloads", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"workloads": workload.Names()})
 	})
-	// The predictor listing is static registry metadata; compute it once
-	// at startup instead of instantiating full prediction tables per
-	// request.
+	// The predictor listing is static; compute it once at startup instead
+	// of instantiating full prediction tables per request.
 	type pred struct {
 		Name     string `json:"name"`
 		CostBits int    `json:"cost_bits"`
 	}
 	var preds []pred
-	for _, name := range bpred.ConfigNames() {
-		p, err := bpred.NewByName(name)
-		if err != nil {
-			panic(err) // registry listed the name a moment ago
-		}
-		preds = append(preds, pred{Name: name, CostBits: p.CostBits()})
+	for _, p := range bpred.StandardConfigs() {
+		preds = append(preds, pred{Name: p.Name(), CostBits: p.CostBits()})
 	}
 	mux.HandleFunc("GET /v1/predictors", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"predictors": preds})

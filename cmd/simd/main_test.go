@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -72,6 +73,8 @@ func postShard(t *testing.T, url, spec string) map[string]json.RawMessage {
 	return recs[0]
 }
 
+// TestRegistryEndpoints pins the three name listings exactly: the name
+// sets are fixed, so any change to them is a change to the service.
 func TestRegistryEndpoints(t *testing.T) {
 	srv := testServer(t)
 
@@ -79,14 +82,8 @@ func TestRegistryEndpoints(t *testing.T) {
 		Workloads []string `json:"workloads"`
 	}
 	getJSON(t, srv.URL+"/v1/workloads", &wl)
-	for _, want := range []string{"comd-lite", "xalan-lite"} {
-		found := false
-		for _, w := range wl.Workloads {
-			found = found || w == want
-		}
-		if !found {
-			t.Errorf("/v1/workloads missing %q: %v", want, wl.Workloads)
-		}
+	if want := []string{"comd-lite", "xalan-lite"}; !slices.Equal(wl.Workloads, want) {
+		t.Errorf("/v1/workloads = %v, want %v", wl.Workloads, want)
 	}
 
 	var preds struct {
@@ -96,21 +93,25 @@ func TestRegistryEndpoints(t *testing.T) {
 		} `json:"predictors"`
 	}
 	getJSON(t, srv.URL+"/v1/predictors", &preds)
-	if len(preds.Predictors) < 9 {
-		t.Errorf("/v1/predictors returned %d configs, want >= 9", len(preds.Predictors))
-	}
+	var names []string
 	for _, p := range preds.Predictors {
-		if p.Name == "" || p.CostBits <= 0 {
-			t.Errorf("/v1/predictors entry %+v incomplete", p)
+		names = append(names, p.Name)
+		if p.CostBits <= 0 {
+			t.Errorf("/v1/predictors entry %+v has no cost", p)
 		}
+	}
+	figure5 := []string{"gshare-big", "tournament-big", "tage-big", "gshare-small", "tournament-small",
+		"tage-small", "L-gshare-small", "L-tournament-small", "L-tage-small"}
+	if !slices.Equal(names, figure5) {
+		t.Errorf("/v1/predictors names = %v, want %v", names, figure5)
 	}
 
 	var obs struct {
 		Observers []string `json:"observers"`
 	}
 	getJSON(t, srv.URL+"/v1/observers", &obs)
-	if len(obs.Observers) < 7 {
-		t.Errorf("/v1/observers returned %v, want at least the 7 built-ins", obs.Observers)
+	if want := []string{"bbl", "bias", "bpred", "branch-mix", "btb", "footprint", "icache"}; !slices.Equal(obs.Observers, want) {
+		t.Errorf("/v1/observers = %v, want %v", obs.Observers, want)
 	}
 }
 
@@ -188,7 +189,7 @@ func TestRunRoundTrip(t *testing.T) {
 }
 
 // TestWorkerMode checks the trimmed -worker surface: the shard protocol
-// and registry listings are served, the coordinator run endpoint is not.
+// and name listings are served, the coordinator run endpoint is not.
 func TestWorkerMode(t *testing.T) {
 	sess := sim.NewSession(2)
 	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000, worker: true}))

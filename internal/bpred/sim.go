@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"rebalance/internal/isa"
-	"rebalance/internal/registry"
 	"rebalance/internal/wire"
 )
 
@@ -361,73 +360,64 @@ func (s *Sim) Results() []Result {
 	return out
 }
 
-// standardFactories builds the nine Figure 5 configurations, in the
-// figure's order: gshare-big, tournament-big, tage-big, gshare-small,
-// tournament-small, tage-small, L-gshare-small, L-tournament-small,
-// L-tage-small.
-var standardFactories = []func() Predictor{
-	func() Predictor { return NewGshareBig() },
-	func() Predictor { return NewTournamentBig() },
-	func() Predictor { return NewTAGEBig() },
-	func() Predictor { return NewGshareSmall() },
-	func() Predictor { return NewTournamentSmall() },
-	func() Predictor { return NewTAGESmall() },
-	func() Predictor { return NewWithLoop(NewGshareSmall()) },
-	func() Predictor { return NewWithLoop(NewTournamentSmall()) },
-	func() Predictor { return NewWithLoop(NewTAGESmall()) },
+// standardConfigs is the nine Figure 5 configurations in the figure's
+// order; each new returns a fresh power-on instance whose Name() is name.
+var standardConfigs = []struct {
+	name string
+	new  func() Predictor
+}{
+	{"gshare-big", func() Predictor { return NewGshareBig() }},
+	{"tournament-big", func() Predictor { return NewTournamentBig() }},
+	{"tage-big", func() Predictor { return NewTAGEBig() }},
+	{"gshare-small", func() Predictor { return NewGshareSmall() }},
+	{"tournament-small", func() Predictor { return NewTournamentSmall() }},
+	{"tage-small", func() Predictor { return NewTAGESmall() }},
+	{"L-gshare-small", func() Predictor { return NewWithLoop(NewGshareSmall()) }},
+	{"L-tournament-small", func() Predictor { return NewWithLoop(NewTournamentSmall()) }},
+	{"L-tage-small", func() Predictor { return NewWithLoop(NewTAGESmall()) }},
 }
 
 // StandardConfigs returns fresh instances of the nine Figure 5 predictor
 // configurations, in the figure's order.
 func StandardConfigs() []Predictor {
-	out := make([]Predictor, len(standardFactories))
-	for i, f := range standardFactories {
-		out[i] = f()
+	out := make([]Predictor, len(standardConfigs))
+	for i, c := range standardConfigs {
+		out[i] = c.new()
 	}
 	return out
 }
 
-// The configuration registry lets run specifications name predictors as
-// data: the nine Figure 5 configurations register themselves below, and
-// new scenarios add entries with RegisterConfig instead of new code paths.
-var configs = registry.New[func() Predictor]("predictor config")
-
-func init() {
-	for i := range standardFactories {
-		f := standardFactories[i]
-		RegisterConfig(f().Name(), f)
+// ConfigNames returns the configuration names run specifications may
+// name, in figure order.
+func ConfigNames() []string {
+	out := make([]string, len(standardConfigs))
+	for i, c := range standardConfigs {
+		out[i] = c.name
 	}
+	return out
 }
 
-// RegisterConfig adds a named predictor configuration to the registry. The
-// factory must return a fresh power-on instance whose Name() equals name.
-// Registering an empty or duplicate name panics: registration happens at
-// init time and a collision is a programming error.
-func RegisterConfig(name string, factory func() Predictor) {
-	if factory == nil {
-		panic("bpred: RegisterConfig with nil factory")
+// lookup returns the named configuration's constructor, or nil.
+func lookup(name string) func() Predictor {
+	for _, c := range standardConfigs {
+		if c.name == name {
+			return c.new
+		}
 	}
-	configs.Register(name, factory)
+	return nil
 }
 
-// ConfigNames returns the registered configuration names in registration
-// order (the nine standard configurations first, in figure order).
-func ConfigNames() []string { return configs.Names() }
-
-// HasConfig reports whether the named configuration is registered, without
-// instantiating it — spec validation uses this so checking a name does not
-// allocate the predictor's tables.
-func HasConfig(name string) bool {
-	_, ok := configs.Lookup(name)
-	return ok
-}
+// HasConfig reports whether name is a configuration, without instantiating
+// it — spec validation uses this so checking a name does not allocate the
+// predictor's tables.
+func HasConfig(name string) bool { return lookup(name) != nil }
 
 // NewByName returns a fresh (power-on state) instance of the named
-// registered configuration.
+// configuration.
 func NewByName(name string) (Predictor, error) {
-	f, err := configs.Get(name)
-	if err != nil {
-		return nil, fmt.Errorf("bpred: %w", err)
+	f := lookup(name)
+	if f == nil {
+		return nil, fmt.Errorf("bpred: unknown predictor config %q (have %v)", name, ConfigNames())
 	}
 	return f(), nil
 }

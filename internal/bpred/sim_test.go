@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -72,6 +73,36 @@ func byName(t *testing.T, names ...string) []Predictor {
 		preds[i] = p
 	}
 	return preds
+}
+
+// TestConfigTable pins the configuration table: every entry builds a
+// predictor of its own name, no name repeats, ConfigNames lists
+// StandardConfigs' order, HasConfig allocates nothing, and an unknown name
+// is refused with the listing.
+func TestConfigTable(t *testing.T) {
+	names := ConfigNames()
+	for i, p := range StandardConfigs() {
+		if p.Name() != names[i] {
+			t.Errorf("ConfigNames()[%d] = %q, StandardConfigs()[%d] is %q", i, names[i], i, p.Name())
+		}
+	}
+	seen := map[string]bool{}
+	for _, c := range standardConfigs {
+		if got := c.new().Name(); got != c.name {
+			t.Errorf("entry %q builds a predictor named %q", c.name, got)
+		}
+		if seen[c.name] {
+			t.Errorf("entry %q listed twice", c.name)
+		}
+		seen[c.name] = true
+	}
+	if n := testing.AllocsPerRun(10, func() { HasConfig("L-tage-small") }); n != 0 {
+		t.Errorf("HasConfig allocates %v times", n)
+	}
+	_, err := NewByName("no-such")
+	if want := `bpred: unknown predictor config "no-such" (have ` + fmt.Sprint(names) + ")"; err == nil || err.Error() != want {
+		t.Errorf("NewByName(no-such) = %v, want %s", err, want)
+	}
 }
 
 // TestSimMatchesLonePredictors: whatever a Sim's configurations share — all

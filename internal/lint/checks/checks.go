@@ -1,8 +1,7 @@
 // Package checks holds the repository's custom analyzers: the
 // invariants every correctness claim rests on (deterministic streams,
-// strict wire decoding, init-time registration, total Merge contracts,
-// cancellation-bound loops), enforced at analysis time instead of
-// discovered by golden diff. See DESIGN.md "Static-analysis wall".
+// strict wire decoding, total Merge contracts, cancellation-bound loops),
+// enforced at analysis time instead of discovered by golden diff. See DESIGN.md "Static-analysis wall".
 package checks
 
 import (
@@ -21,7 +20,6 @@ func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		Nodeterminism,
 		Strictwire,
-		Registryinit,
 		Mergecontract,
 		Ctxpoll,
 	}
@@ -92,17 +90,6 @@ func inspectStack(files []*ast.File, fn func(n ast.Node, stack []ast.Node) bool)
 			return recurse
 		})
 	}
-}
-
-// outermostFunc returns the top-level function declaration enclosing the
-// stack, or nil for package-level contexts (var initializers).
-func outermostFunc(stack []ast.Node) *ast.FuncDecl {
-	for _, n := range stack {
-		if fd, ok := n.(*ast.FuncDecl); ok {
-			return fd
-		}
-	}
-	return nil
 }
 
 // namedFromContext reports whether t is the named type context.name

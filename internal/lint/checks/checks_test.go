@@ -64,10 +64,6 @@ func TestStrictwireReplayPackage(t *testing.T) {
 	runFixture(t, checks.Strictwire, "strictwire_replay", "rebalance/internal/trace/replay")
 }
 
-func TestRegistryinit(t *testing.T) {
-	runFixture(t, checks.Registryinit, "registryinit", "rebalance/internal/regfix")
-}
-
 func TestMergecontract(t *testing.T) {
 	runFixture(t, checks.Mergecontract, "mergecontract", "rebalance/internal/mergefix")
 }

@@ -117,7 +117,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File) (allowSet, []Diagnost
 // surviving diagnostics (allowlisted ones removed), sorted by position.
 // Diagnostics positioned inside _test.go files are dropped: the
 // invariants govern shipped code, and tests legitimately use wall
-// clocks, raw decodes, and late registration.
+// clocks and raw decodes.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {

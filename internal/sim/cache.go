@@ -21,7 +21,7 @@ import (
 //
 // sc1 -> sc2: the canonical spec grew the inline synth/v1 parameter set.
 // The version bump guarantees records written by sc1 builds (which could
-// not distinguish a synth scenario from a registered workload of the same
+// not distinguish a synth scenario from a built-in workload of the same
 // name) can never alias an sc2 shard in a shared cache directory, and
 // vice versa — the prefixes differ, so the key spaces are disjoint by
 // construction.
@@ -72,7 +72,7 @@ func contentKey(version string, canon []byte) string {
 }
 
 // appendCoord opens both canonical forms: {workload, synth (absent for a
-// registered workload; its CanonicalJSON, which json.Marshal still writes,
+// built-in workload; its CanonicalJSON, which json.Marshal still writes,
 // as no benchmarked grid is synthetic), seed, insts.
 func appendCoord(b []byte, workload string, p *synth.Params, seed uint64, insts int64) []byte {
 	b = appendString(append(b, `{"workload":`...), workload)
@@ -89,7 +89,7 @@ func appendCoord(b []byte, workload string, p *synth.Params, seed uint64, insts 
 
 // appendRaw appends JSON as encoding/json writes a RawMessage: compacted,
 // HTML characters escaped. Plain printable ASCII without spaces — every
-// registered kind's options — is that already; the rest is json.Marshal's.
+// built-in kind's options — is that already; the rest is json.Marshal's.
 func appendRaw(b, raw []byte) []byte {
 	for _, c := range raw {
 		if c <= ' ' || c >= utf8.RuneSelf || c == '<' || c == '>' || c == '&' {

@@ -262,9 +262,9 @@ func (badEncResult) EncodeJSON() ([]byte, error) { return nil, errBadEnc }
 // TestEncodeFailureServesComputedShard: when the simulation succeeds but
 // the result cannot be encoded for the cache, the shard is still served
 // (uncached) instead of failing the run. The contract-violating config
-// is driven through runJob directly — it must not enter the global
-// observer registry, whose property tests rightly require a working
-// wire algebra from every registered kind.
+// is driven through runJob directly — it must not enter observerKinds,
+// whose property tests rightly require a working wire algebra from every
+// kind.
 func TestEncodeFailureServesComputedShard(t *testing.T) {
 	inner, err := expandObservers([]ObserverSpec{{Kind: "bbl"}})
 	if err != nil {
@@ -358,7 +358,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 
 // The oracle of the key appenders is the recipe they replaced: json.Marshal
 // of the canonical struct — a ShardSpec, or the trace coordinate below —
-// with each registered configuration re-described through its options
+// with each built-in configuration re-described through its options
 // struct, then the hex SHA-256 behind the version.
 
 type oracleTraceCoord struct {
@@ -378,7 +378,7 @@ func oracleContentKey(t testing.TB, version string, canon any) string {
 }
 
 // oracleObserverSpec is cfg.Spec() as json.Marshal of the configuration's
-// options struct wrote it; a configuration outside the registry is taken at
+// options struct wrote it; a configuration of no built-in kind is taken at
 // its word.
 func oracleObserverSpec(t testing.TB, cfg ObserverConfig) ObserverSpec {
 	t.Helper()
@@ -428,7 +428,7 @@ func oracleTraceKey(t testing.TB, sp ShardSpec) string {
 }
 
 // keyCfg is a configuration that re-describes itself as any ObserverSpec,
-// so the key's observer half meets kinds and options no registered
+// so the key's observer half meets kinds and options no built-in
 // configuration writes. It is never run.
 type keyCfg struct{ spec ObserverSpec }
 
@@ -454,10 +454,10 @@ func keySynths(t testing.TB) []*synth.Params {
 }
 
 // TestShardCacheKeyMatchesMarshal holds the one-pass sc2- and tr1- keys to
-// the json.Marshal recipe they replaced, byte for byte: every registered
-// kind's default configurations plus grouped and parallel bpred, registered
-// and synth workloads under names encoding/json must escape, the engine
-// empty and explicit, and observer specs outside the registry whose kind and
+// the json.Marshal recipe they replaced, byte for byte: every kind's
+// default configurations plus grouped and parallel bpred, built-in and
+// synth workloads under names encoding/json must escape, the engine
+// empty and explicit, and observer specs of no built-in kind whose kind and
 // options need escaping or compacting. Parallel is a synonym for grouped:
 // both expand to one configuration with one Key, Spec and cache key.
 func TestShardCacheKeyMatchesMarshal(t *testing.T) {

@@ -14,8 +14,8 @@ import (
 	"rebalance/internal/workload/synth"
 )
 
-// cellOf is the grid cell Session.Run builds for one shard of a registered
-// workload under cfg, which need not come from the observer registry.
+// cellOf is the grid cell Session.Run builds for one shard of a built-in
+// workload under cfg, which need not be of a built-in kind.
 func cellOf(workload string, cfg ObserverConfig, seed uint64, insts int64) gridCell {
 	norm := &Spec{Workloads: []string{workload}, Seeds: []uint64{seed}, Insts: insts, Engine: EngineCompiled}
 	return gridCells(norm, []ObserverConfig{cfg}, nil)[0]
@@ -23,8 +23,8 @@ func cellOf(workload string, cfg ObserverConfig, seed uint64, insts int64) gridC
 
 // runJob runs one cell as a grid of one on s — resolved against the
 // session's result cache, then computed by the group executor — the tests'
-// direct line into both, for configurations that must stay out of the
-// observer registry and for driving a bare (cacheless, storeless) session.
+// direct line into both, for configurations that must stay out of
+// observerKinds and for driving a bare (cacheless, storeless) session.
 func (s *Session) runJob(ctx context.Context, c *trace.Compiled, cell gridCell) (Shard, error) {
 	out := make([]Outcome, 1)
 	_, err := s.runGrid(ctx, []gridCell{cell}, out, 0, 1, func(ctx context.Context, cells []gridCell, miss []int, out []Outcome) {

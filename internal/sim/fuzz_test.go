@@ -76,7 +76,7 @@ func FuzzDecodeSpec(f *testing.F) {
 	})
 }
 
-// fuzzConfigs are every registered kind's default configurations plus a
+// fuzzConfigs are every kind's default configurations plus a
 // grouped bpred one. Configurations are immutable value types; a fuzzer
 // expands them once and reuses them across iterations.
 func fuzzConfigs(f *testing.F) []ObserverConfig {
@@ -92,7 +92,7 @@ func fuzzConfigs(f *testing.F) []ObserverConfig {
 }
 
 // FuzzDecodeShardResult is the satellite fuzzer for the response surface:
-// every registered configuration's result decoder must never panic on
+// every built-in configuration's result decoder must never panic on
 // arbitrary bytes, and anything it accepts must re-encode and re-decode
 // to a fixed point — otherwise two coordinators could disagree about the
 // same shard.
@@ -212,9 +212,9 @@ func FuzzDecodeShard(f *testing.F) {
 // FuzzShardCacheKey holds the one-pass sc2- and tr1- keys to the
 // json.Marshal recipe they replaced (oracleShardKey, oracleTraceKey) over
 // arbitrary names, engines, budgets, synth knobs and observer specs: a
-// registered configuration (cfg indexes fuzzConfigs) or any kind with any
+// built-in configuration (cfg indexes fuzzConfigs) or any kind with any
 // valid JSON options (keyCfg). Knobs that do not canonicalize leave the
-// workload registered, as a validated spec would be.
+// workload built-in, as a validated spec would be.
 func FuzzShardCacheKey(f *testing.F) {
 	configs := fuzzConfigs(f)
 	f.Add("comd-lite", "", uint64(1), int64(1000), uint8(0), "bbl", []byte(nil), false, uint64(0), 0.0, 0, 0, false)

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -14,27 +15,26 @@ import (
 	"rebalance/internal/trace"
 )
 
-func init() {
-	RegisterObserver("bpred", bpredFactory)
-	RegisterObserver("btb", btbFactory)
-	RegisterObserver("icache", icacheFactory)
-	RegisterObserver("branch-mix", analysisFactory("branch-mix", func(*program.Program) ShardObserver {
+// The analysis collectors' factories: each kind is one configuration
+// whose shard observer wraps a fresh collector.
+var (
+	branchMixFactory = analysisFactory("branch-mix", func(*program.Program) ShardObserver {
 		mix := analysis.NewBranchMix()
 		return newLaneShard(mix, func() Result { return mix.Result() })
-	}, func() Result { return &analysis.MixResult{} }, analysis.NewMixTarget))
-	RegisterObserver("bias", analysisFactory("bias", func(*program.Program) ShardObserver {
+	}, func() Result { return &analysis.MixResult{} }, analysis.NewMixTarget)
+	biasFactory = analysisFactory("bias", func(*program.Program) ShardObserver {
 		bias := analysis.NewBias()
 		return newLaneShard(bias, func() Result { return bias.Result() })
-	}, func() Result { return &analysis.BiasResult{} }, analysis.NewBiasTarget))
-	RegisterObserver("footprint", analysisFactory("footprint", func(p *program.Program) ShardObserver {
+	}, func() Result { return &analysis.BiasResult{} }, analysis.NewBiasTarget)
+	footprintFactory = analysisFactory("footprint", func(p *program.Program) ShardObserver {
 		fp := analysis.NewFootprint()
 		return newLaneShard(fp, func() Result { return fp.Result(p.TextSize) })
-	}, func() Result { return &analysis.FootprintResult{} }, analysis.NewFootprintTarget))
-	RegisterObserver("bbl", analysisFactory("bbl", func(*program.Program) ShardObserver {
+	}, func() Result { return &analysis.FootprintResult{} }, analysis.NewFootprintTarget)
+	bblFactory = analysisFactory("bbl", func(*program.Program) ShardObserver {
 		bbl := analysis.NewBBL()
 		return newLaneShard(bbl, func() Result { return bbl.Result() })
-	}, func() Result { return &analysis.BBLResult{} }, analysis.NewBBLTarget))
-}
+	}, func() Result { return &analysis.BBLResult{} }, analysis.NewBBLTarget)
+)
 
 // laneShard is a lane consumer's lone ShardObserver — what RunShard and
 // bench/ get: a feed with one consumer, which takes a source's lanes and
@@ -90,16 +90,16 @@ func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed *trace.Feed
 
 // --- bpred ---
 
-// bpredOptions selects predictor configurations by registry name. Grouped
-// chooses the report shape, not whether predictors share a pass — the
-// executor shares one among a coordinate's plain configurations on its own
-// (see groupObservers). With Grouped false
-// (default) every configuration is its own shard: separately keyed, cached,
-// dispatched and reported, the sweep-grid shape rebalance-bench uses. With
-// Grouped true the configurations are one shard whose result is the array
-// of theirs (the paper's several-pintools-one-run shape, as one cache and
-// dispatch unit). Parallel is read as Grouped; it is accepted so specs that
-// name it keep decoding.
+// bpredOptions selects predictor configurations by name, each at most
+// once. Grouped chooses the report shape, not whether predictors share a
+// pass — the executor shares one among a coordinate's plain configurations
+// on its own (see groupObservers). With Grouped false (default) every
+// configuration is its own shard: separately keyed, cached, dispatched and
+// reported, the sweep-grid shape rebalance-bench uses. With Grouped true
+// the configurations are one shard whose result is the array of theirs
+// (the paper's several-pintools-one-run shape, as one cache and dispatch
+// unit). Parallel is read as Grouped; it is accepted so specs that name it
+// keep decoding.
 type bpredOptions struct {
 	Configs  []string `json:"configs"`
 	Grouped  bool     `json:"grouped"`
@@ -114,9 +114,12 @@ func bpredFactory(opts json.RawMessage) ([]ObserverConfig, error) {
 	if len(o.Configs) == 0 {
 		o.Configs = bpred.ConfigNames()
 	}
-	for _, name := range o.Configs {
+	for i, name := range o.Configs {
 		if !bpred.HasConfig(name) {
 			return nil, fmt.Errorf("unknown predictor config %q (have %v)", name, bpred.ConfigNames())
+		}
+		if slices.Contains(o.Configs[:i], name) {
+			return nil, fmt.Errorf("duplicate predictor config %q", name)
 		}
 	}
 	if o.Grouped || o.Parallel {
@@ -138,8 +141,8 @@ func (c bpredCfg) NewObserver(*program.Program) ShardObserver {
 	return newLaneShard(sim, func() Result { return &sim.Results()[0] })
 }
 
-// bpredSim returns a fresh simulator over the named registered
-// configurations, in order.
+// bpredSim returns a fresh simulator over the named configurations, in
+// order.
 func bpredSim(names ...string) *bpred.Sim {
 	preds := make([]bpred.Predictor, len(names))
 	for i, name := range names {
@@ -365,7 +368,7 @@ func (c icacheCfg) DecodeTarget() (any, func() (Result, error)) {
 
 // analysisFactory wraps a single-configuration analysis collector; the
 // collectors take no options, so any options payload is rejected.
-func analysisFactory[R Result](key string, newObs func(*program.Program) ShardObserver, newRes func() Result, newTarget func() (any, func() (R, error))) ObserverFactory {
+func analysisFactory[R Result](key string, newObs func(*program.Program) ShardObserver, newRes func() Result, newTarget func() (any, func() (R, error))) observerFactory {
 	return func(opts json.RawMessage) ([]ObserverConfig, error) {
 		if err := strictDecode(opts, &struct{}{}); err != nil {
 			return nil, err

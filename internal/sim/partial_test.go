@@ -18,7 +18,6 @@ import (
 
 	"rebalance/internal/analysis"
 	"rebalance/internal/program"
-	"rebalance/internal/registry"
 )
 
 // scriptedRunner answers each RunShards call with the outcomes scripted for
@@ -268,17 +267,19 @@ func (s failFinishShard) Finish() (Result, error) {
 	return s.laneShard.Finish()
 }
 
-// registerFailFinish makes the "fail-finish" kind nameable for the length
-// of one test, in a registry of its own: the registry-driven property
-// tests must keep seeing exactly the production kinds.
+// registerFailFinish makes "fail-finish" the one nameable kind for the
+// length of one test: the property tests that walk ObserverKinds must keep
+// seeing exactly the production kinds.
 func registerFailFinish(t *testing.T) {
-	saved := obsRegistry
-	t.Cleanup(func() { obsRegistry = saved })
-	obsRegistry = registry.New[ObserverFactory]("observer kind")
-	RegisterObserver("fail-finish", analysisFactory("fail-finish", func(*program.Program) ShardObserver {
+	saved := observerKinds
+	t.Cleanup(func() { observerKinds = saved })
+	observerKinds = []struct {
+		kind string
+		new  observerFactory
+	}{{"fail-finish", analysisFactory("fail-finish", func(*program.Program) ShardObserver {
 		bbl := analysis.NewBBL()
 		return failFinishShard{newLaneShard(bbl, func() Result { return bbl.Result() })}
-	}, func() Result { return &analysis.BBLResult{} }, analysis.NewBBLTarget))
+	}, func() Result { return &analysis.BBLResult{} }, analysis.NewBBLTarget)}}
 }
 
 // TestLocalFailurePolicy drives the session's one failure policy over the

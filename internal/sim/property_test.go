@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// propertyConfigs expands every registered observer kind's default
-// configuration set — driven by the registry, not a hand-maintained list,
-// so a newly registered kind is automatically covered — plus a grouped
-// bpred configuration to cover the GroupResult wire path.
+// propertyConfigs expands every observer kind's default configuration set
+// — driven by ObserverKinds, not a hand-maintained list, so a new kind is
+// automatically covered — plus a grouped bpred configuration to cover the
+// GroupResult wire path.
 func propertyConfigs(t *testing.T) []ObserverConfig {
 	t.Helper()
 	var specs []ObserverSpec
@@ -42,7 +42,7 @@ func encode(t *testing.T, r Result) string {
 	return string(enc)
 }
 
-// TestResultProperties checks, for every registered observer
+// TestResultProperties checks, for every observer
 // configuration over randomized shards:
 //
 //   - Decode(EncodeJSON(r)) round-trips exactly (re-encoding is

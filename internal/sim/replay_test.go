@@ -28,10 +28,10 @@ func newReplaySession(t *testing.T, workers int, opts replay.Options) (*Session,
 	return sess, traces
 }
 
-// replayPropertyConfigs covers every registered observer kind, plus two
+// replayPropertyConfigs covers every observer kind, plus two
 // grouped bpred shapes, with small configurations; two plain
 // bpred configurations, so a group of them all has members to fuse. It
-// fails the test if a future kind registers without being added here.
+// fails the test if a future kind is added without a spec here.
 func replayPropertyConfigs(t *testing.T) []ObserverConfig {
 	t.Helper()
 	specs := []ObserverSpec{
@@ -51,7 +51,7 @@ func replayPropertyConfigs(t *testing.T) []ObserverConfig {
 	}
 	for _, kind := range ObserverKinds() {
 		if !covered[kind] {
-			t.Fatalf("registered observer kind %q is not covered by the replay and group property tests; add a spec for it", kind)
+			t.Fatalf("observer kind %q is not covered by the replay and group property tests; add a spec for it", kind)
 		}
 	}
 	cfgs, err := expandObservers(specs)
@@ -61,9 +61,9 @@ func replayPropertyConfigs(t *testing.T) []ObserverConfig {
 	return cfgs
 }
 
-// TestReplayedResultsBitIdenticalAcrossRegistry is the registry-driven
+// TestReplayedResultsBitIdenticalAcrossRegistry is the ObserverKinds-driven
 // property test behind the trace store's correctness claim: for every
-// registered observer kind — including grouped bpred — a
+// observer kind — including grouped bpred — a
 // result computed by replaying the materialized stream is byte-identical
 // to one computed on the live generation path, across replay batch sizes
 // 1/7/4096 and two recordings of the stream: the session's own and the
@@ -132,7 +132,7 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 }
 
 // TestGroupedShardsBitIdenticalToAlone is the property behind the plan's
-// one rule: for every registered observer kind plus the grouped bpred
+// one rule: for every observer kind plus the grouped bpred
 // shapes, a shard executed as a member of its coordinate's group — one
 // shared pass, its plain bpred members fused into one multi-predictor Sim —
 // is byte-identical to the same shard executed alone, on a live executor
@@ -318,10 +318,6 @@ func TestReplayRunShardWorkerPath(t *testing.T) {
 	}
 }
 
-// shippedWorkloads is the workload registry as the process starts, before
-// any test registers a scenario of its own.
-var shippedWorkloads = workload.Names()
-
 // TestTraceStoreHoldsStreamsAtTrr1Size pins the admission arithmetic of the
 // default store: a recorded coordinate is resident at its trr1 size — at
 // most 4 bytes per instruction, Session.stream's Reserve included — so a
@@ -333,7 +329,7 @@ var shippedWorkloads = workload.Names()
 func TestTraceStoreHoldsStreamsAtTrr1Size(t *testing.T) {
 	const insts = 200_000
 	var specs []ShardSpec
-	for _, w := range shippedWorkloads {
+	for _, w := range workload.Names() {
 		specs = append(specs, ShardSpec{Workload: w, Seed: 1, Insts: insts, Observer: ObserverSpec{Kind: "bbl"}})
 	}
 	specs = append(specs, ShardSpec{

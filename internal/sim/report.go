@@ -237,8 +237,8 @@ func appendAll[T any](b []byte, xs []T, appendOne func(T, []byte) ([]byte, error
 }
 
 // appendString appends s as a JSON string escaped exactly as encoding/json
-// escapes it: a name of plain printable ASCII — every name the registries
-// and the grid produce — is copied between quotes, and anything else
+// escapes it: a name of plain printable ASCII — every built-in name and
+// every name the grid produces — is copied between quotes, and anything else
 // (quotes, backslashes, control characters, <, >, &, non-ASCII, invalid
 // UTF-8; synth scenario names are user input) is json.Marshal's to write.
 func appendString(b []byte, s string) []byte {

@@ -70,13 +70,13 @@ func (s *Session) SetMaxShards(n int) { s.maxShards = n }
 func (s *Session) SetRunner(r ShardRunner) { s.runner = r }
 
 // Compiled returns the session-cached compiled program for the named
-// registered workload, building and compiling it on first use.
+// built-in workload, building and compiling it on first use.
 func (s *Session) Compiled(name string) (*trace.Compiled, error) {
 	return s.compile(name, false, func() (*program.Program, error) { return workload.Build(name) })
 }
 
 // maxSynthCompiled bounds how many distinct inline scenarios a session
-// keeps compiled at once. Registered workloads are a fixed set, but the
+// keeps compiled at once. Built-in workloads are a fixed set, but the
 // synth key space is open-ended — a long-lived simd worker serving knob
 // sweeps must not grow its compile cache without bound — so the synth
 // entries evict FIFO past this limit (a compile is milliseconds; an
@@ -93,7 +93,7 @@ func (s *Session) CompiledSynth(p *synth.Params) (*trace.Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-	// Registered workload names cannot contain NUL, so the key space
+	// Built-in workload names cannot contain NUL, so the key space
 	// cannot collide with Compiled's.
 	key := "synth\x00" + string(canon)
 	params := *p
@@ -101,7 +101,7 @@ func (s *Session) CompiledSynth(p *synth.Params) (*trace.Compiled, error) {
 }
 
 // compiledFor returns the session-cached compiled program of a shard's
-// workload: its inline scenario p, or else the registered workload w.
+// workload: its inline scenario p, or else the built-in workload w.
 func (s *Session) compiledFor(w string, p *synth.Params) (*trace.Compiled, error) {
 	if p != nil {
 		return s.CompiledSynth(p)

@@ -7,19 +7,18 @@
 // This is the paper's "one instrumented run, many observers" methodology
 // turned into an API: every entrypoint — cmd/rebalance-bench, cmd/simd,
 // tests, future remote workers — expresses a run as data instead of
-// hand-building shard grids. New scenarios are additions to registries
-// (RegisterObserver here, bpred.RegisterConfig, workload.Register), not
-// new code paths.
+// hand-building shard grids. The names a Spec may use are closed sets —
+// the observer kinds here, bpred's predictor configurations, the workload
+// package's profiles — and a new scenario is data: inline synth/v1 params,
+// geometries and config lists as observer options.
 package sim
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"rebalance/internal/program"
-	"rebalance/internal/registry"
 	"rebalance/internal/trace"
 	"rebalance/internal/wire"
 )
@@ -68,7 +67,7 @@ type ObserverConfig interface {
 	// configuration's per-seed shard results into.
 	NewResult() Result
 	// Spec re-describes the configuration as an ObserverSpec that expands
-	// (through the registry, on any process) to exactly this configuration —
+	// (through observerKinds, on any process) to exactly this configuration —
 	// how a single shard of the grid is named on the wire.
 	Spec() ObserverSpec
 	// DecodeTarget returns a fresh decode target (see wire.Target) for one
@@ -107,38 +106,48 @@ func decodeResult(data []byte, cfg ObserverConfig) (Result, error) {
 	return wire.Decode(data, cfg.DecodeTarget)
 }
 
-// ObserverFactory expands one ObserverSpec's options into concrete
+// observerFactory expands one ObserverSpec's options into concrete
 // configurations. A nil/absent options payload must select a sensible
-// default set (e.g. every registered predictor, the standard geometries).
-type ObserverFactory func(opts json.RawMessage) ([]ObserverConfig, error)
+// default set (e.g. every predictor configuration, the standard geometries).
+type observerFactory func(opts json.RawMessage) ([]ObserverConfig, error)
 
-var obsRegistry = registry.New[ObserverFactory]("observer kind")
-
-// RegisterObserver adds an observer kind to the registry, making it
-// nameable from any Spec. Registering an empty or duplicate kind panics:
-// registration happens at init time and a collision is a programming error.
-func RegisterObserver(kind string, factory ObserverFactory) {
-	if factory == nil {
-		panic("sim: RegisterObserver with nil factory")
-	}
-	obsRegistry.Register(kind, factory)
+// observerKinds is every observer kind a Spec may name, sorted by kind.
+var observerKinds = []struct {
+	kind string
+	new  observerFactory
+}{
+	{"bbl", bblFactory},
+	{"bias", biasFactory},
+	{"bpred", bpredFactory},
+	{"branch-mix", branchMixFactory},
+	{"btb", btbFactory},
+	{"footprint", footprintFactory},
+	{"icache", icacheFactory},
 }
 
-// ObserverKinds returns the registered observer kinds, sorted.
+// ObserverKinds returns the observer kinds, sorted.
 func ObserverKinds() []string {
-	out := obsRegistry.Names()
-	sort.Strings(out)
+	out := make([]string, len(observerKinds))
+	for i, k := range observerKinds {
+		out[i] = k.kind
+	}
 	return out
 }
 
-// expandObservers resolves every ObserverSpec through the registry and
+// expandObservers resolves every ObserverSpec through observerKinds and
 // checks the resulting configuration keys are unique.
 func expandObservers(specs []ObserverSpec) ([]ObserverConfig, error) {
 	var out []ObserverConfig
 	seen := map[string]bool{}
 	for _, os := range specs {
-		f, ok := obsRegistry.Lookup(os.Kind)
-		if !ok {
+		var f observerFactory
+		for _, k := range observerKinds {
+			if k.kind == os.Kind {
+				f = k.new
+				break
+			}
+		}
+		if f == nil {
 			return nil, fmt.Errorf("%w: unknown observer kind %q (have %v)", ErrInvalidSpec, os.Kind, ObserverKinds())
 		}
 		cfgs, err := f(os.Options)

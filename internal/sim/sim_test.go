@@ -63,6 +63,12 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown predictor", func(s *Spec) {
 			s.Observers = []ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"configs":["no-such"]}`)}}
 		}, "unknown predictor"},
+		{"duplicate predictor", func(s *Spec) {
+			s.Observers = []ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-big","gshare-big"]}`)}}
+		}, "duplicate predictor config"},
+		{"duplicate grouped predictor", func(s *Spec) {
+			s.Observers = []ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-big","gshare-big"],"grouped":true}`)}}
+		}, "duplicate predictor config"},
 		{"bad option field", func(s *Spec) {
 			s.Observers = []ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"cfgs":["gshare-small"]}`)}}
 		}, "unknown field"},
@@ -101,6 +107,29 @@ func TestSpecValidation(t *testing.T) {
 				t.Errorf("Validate err = %v, Run err = %v; want both ErrInvalidSpec", verr, err)
 			}
 		})
+	}
+}
+
+// TestObserverKindsTable pins the kind table: ObserverKinds is sorted and
+// unique, and every configuration of a kind's default expansion
+// re-describes itself as that kind.
+func TestObserverKindsTable(t *testing.T) {
+	kinds := ObserverKinds()
+	for i := 1; i < len(kinds); i++ {
+		if kinds[i-1] >= kinds[i] {
+			t.Errorf("ObserverKinds() = %v, want sorted and unique", kinds)
+		}
+	}
+	for _, kind := range kinds {
+		cfgs, err := expandObservers([]ObserverSpec{{Kind: kind}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cfgs {
+			if got := c.Spec().Kind; got != kind {
+				t.Errorf("kind %q: configuration %s re-describes itself as %q", kind, c.Key(), got)
+			}
+		}
 	}
 }
 
@@ -213,37 +242,40 @@ func TestGroupedParallelEquivalence(t *testing.T) {
 	}
 }
 
-// registerRecursive registers (once) a workload whose model recurses, so
-// the executor fails mid-stream with a call-depth error.
-var registerRecursive = sync.OnceFunc(func() {
-	workload.Register("sim-test-recursive", func() (*program.Program, int) {
-		rec := &program.Func{Name: "rec", Ret: &program.Branch{Size: 1, Kind: isa.KindReturn}}
-		rec.Body = &program.Seq{Nodes: []program.Node{
-			&program.Straight{Block: program.NewBlock([]uint8{4, 4, 4})},
-			&program.Call{Site: &program.Branch{Size: 5}, Callee: rec},
-		}}
-		return &program.Program{
-			Name:  "sim-test-recursive",
-			Funcs: []*program.Func{rec},
-			Regions: []*program.Region{{
-				Name:   "main",
-				Serial: true,
-				Weight: 1,
-				Body: &program.Seq{Nodes: []program.Node{
-					&program.Straight{Block: program.NewBlock([]uint8{4})},
-					&program.Call{Site: &program.Branch{Size: 5}, Callee: rec},
-				}},
+// recursiveProgram builds a model that recurses without bound, so the
+// executor fails mid-stream with a call-depth error.
+func recursiveProgram() (*program.Program, error) {
+	rec := &program.Func{Name: "rec", Ret: &program.Branch{Size: 1, Kind: isa.KindReturn}}
+	rec.Body = &program.Seq{Nodes: []program.Node{
+		&program.Straight{Block: program.NewBlock([]uint8{4, 4, 4})},
+		&program.Call{Site: &program.Branch{Size: 5}, Callee: rec},
+	}}
+	p := &program.Program{
+		Name:  "recursive",
+		Funcs: []*program.Func{rec},
+		Regions: []*program.Region{{
+			Name:   "main",
+			Serial: true,
+			Weight: 1,
+			Body: &program.Seq{Nodes: []program.Node{
+				&program.Straight{Block: program.NewBlock([]uint8{4})},
+				&program.Call{Site: &program.Branch{Size: 5}, Callee: rec},
 			}},
-		}, 0
-	})
-})
+		}},
+	}
+	return p, program.Layout(p, 0)
+}
 
 // TestRunErrorMidStream: a stream that fails mid-pass fails the run with
-// the executor's call-depth error, not a result.
+// the executor's call-depth error, not a result. The session's compile
+// cache holds the recursive program under comd-lite's name.
 func TestRunErrorMidStream(t *testing.T) {
-	registerRecursive()
-	_, err := NewSession(1).Run(context.Background(), &Spec{
-		Workloads: []string{"sim-test-recursive"},
+	sess := NewSession(1)
+	if _, err := sess.compile("comd-lite", false, recursiveProgram); err != nil {
+		t.Fatal(err)
+	}
+	_, err := sess.Run(context.Background(), &Spec{
+		Workloads: []string{"comd-lite"},
 		Seeds:     []uint64{1},
 		Insts:     1_000_000,
 		Observers: []ObserverSpec{{Kind: "bpred", Options: json.RawMessage(`{"grouped":true}`)}},

@@ -41,7 +41,7 @@ func checkEngine(e string) error {
 // checkWorkload is the one workload-identity check, shared by Spec and
 // ShardSpec validation: name must be non-empty and resolve either to the
 // inline scenario p — which must canonicalize, carry that name, and not
-// shadow a registered workload — or, with p nil, to a registered workload.
+// shadow a built-in workload — or, with p nil, to a built-in workload.
 // It returns p's canonical form; every failure wraps ErrInvalidSpec.
 func checkWorkload(name string, p *synth.Params) (*synth.Params, error) {
 	switch {
@@ -67,21 +67,22 @@ func checkWorkload(name string, p *synth.Params) (*synth.Params, error) {
 
 // Spec declaratively describes one run: which workload streams to emit,
 // with which seeds and instruction budget, on which engine, watched by
-// which observer configurations. Every name resolves through a registry
-// (workload.Register, RegisterObserver, bpred.RegisterConfig), so a Spec
-// serialized as JSON is a complete, portable description of an experiment.
+// which observer configurations. Every name is one of a fixed set
+// (workload.Names, ObserverKinds, bpred.ConfigNames) or an inline synth
+// scenario, so a Spec serialized as JSON is a complete, portable
+// description of an experiment.
 type Spec struct {
-	// Workloads names the workload models to run: registered names
-	// (workload.Names lists the registry) and the names of any inline
+	// Workloads names the workload models to run: built-in names
+	// (workload.Names lists them) and the names of any inline
 	// Synth scenarios. Every observer configuration runs over every
 	// workload.
 	Workloads []string `json:"workloads"`
 	// Synth defines synthetic workloads inline as synth/v1 parameter
 	// sets, making the workload axis data the way the observer axis
-	// already is: no registration, no deploy — the params travel with
+	// already is: no code change, no deploy — the params travel with
 	// the spec (and over the worker protocol, so remote workers build
 	// the exact same program). Each entry's Name must appear in
-	// Workloads and must not collide with a registered workload
+	// Workloads and must not collide with a built-in workload
 	// (ambiguous addressing). Normalization canonicalizes the entries.
 	Synth []synth.Params `json:"synth,omitempty"`
 	// Seeds are the explicit per-stream seeds. Leave empty and set
@@ -97,7 +98,7 @@ type Spec struct {
 	// echo and the canonical keys always spell it out.
 	Engine string `json:"engine,omitempty"`
 	// Observers is the typed observer set; each entry expands through the
-	// observer registry into one or more shard configurations.
+	// kind's factory into one or more shard configurations.
 	Observers []ObserverSpec `json:"observers"`
 	// AllowPartial degrades shard failures instead of failing the run:
 	// a shard whose execution is abandoned (locally errored, or — through

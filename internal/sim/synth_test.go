@@ -4,11 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"rebalance/internal/workload/synth"
@@ -145,7 +143,7 @@ func TestSynthReportGolden(t *testing.T) {
 
 // TestSynthCacheKey pins the sc2 content-address semantics for inline
 // scenarios: spelling-invariant, knob-sensitive, and disjoint from both
-// the registered-workload key space and the retired sc1 key space.
+// the built-in-workload key space and the retired sc1 key space.
 func TestSynthCacheKey(t *testing.T) {
 	base := func() ShardSpec {
 		p := synth.Params{Name: "synth-a"}
@@ -222,7 +220,7 @@ func TestSynthCacheKey(t *testing.T) {
 		}
 	}
 	if key(registered) == ref {
-		t.Error("registered and synth shard share a key")
+		t.Error("built-in and synth shard share a key")
 	}
 
 	// Invalid synth params are keyless with a typed error, same as any
@@ -345,39 +343,9 @@ func TestSynthShardRoundTrip(t *testing.T) {
 	}
 }
 
-// familySeq numbers the synth families this package's tests register.
-var familySeq atomic.Int64
-
-// TestSynthFamilyRegistrationRejectsInlineParams: registering a synth
-// family makes its name a registered workload; inline params reusing the
-// name become ambiguous addressing and must be rejected.
-func TestSynthFamilyRegistrationRejectsInlineParams(t *testing.T) {
-	// The workload registry is process-global and has no unregister, so the
-	// name is unique per invocation: go test -count=N re-runs this test in
-	// one process.
-	name := fmt.Sprintf("sim-test-synth-family-%d", familySeq.Add(1))
-	synth.RegisterFamily(name, synth.Params{})
-
-	// By name alone the family runs like any registered workload.
-	spec := &Spec{
-		Workloads: []string{name},
-		SeedCount: 1,
-		Insts:     5_000,
-		Observers: []ObserverSpec{{Kind: "branch-mix"}},
-	}
-	if err := spec.Validate(); err != nil {
-		t.Fatalf("registered family not runnable by name: %v", err)
-	}
-	// With inline params on the same name, addressing is ambiguous.
-	spec.Synth = []synth.Params{{Name: name}}
-	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "ambiguous addressing") {
-		t.Errorf("inline params naming a registered family: err = %v, want ambiguous-addressing rejection", err)
-	}
-}
-
 // TestCompiledSynthBounded: the open-ended synth key space must not grow
 // a long-lived session's compile cache without bound; past the cap the
-// oldest synth entries evict while registered workloads stay resident.
+// oldest synth entries evict while built-in workloads stay resident.
 func TestCompiledSynthBounded(t *testing.T) {
 	sess := NewSession(1)
 	if _, err := sess.Compiled("comd-lite"); err != nil {
@@ -394,11 +362,11 @@ func TestCompiledSynthBounded(t *testing.T) {
 	_, registeredKept := sess.compiled["comd-lite"]
 	sess.mu.Unlock()
 	if tracked != maxSynthCompiled || entries != maxSynthCompiled+1 {
-		t.Errorf("compile cache holds %d entries (%d synth), want %d synth + 1 registered",
+		t.Errorf("compile cache holds %d entries (%d synth), want %d synth + 1 built-in",
 			entries, tracked, maxSynthCompiled)
 	}
 	if !registeredKept {
-		t.Error("registered workload evicted by synth pressure")
+		t.Error("built-in workload evicted by synth pressure")
 	}
 	// An evicted scenario recompiles transparently.
 	p := synth.Params{Name: "bound", Seed: 1}

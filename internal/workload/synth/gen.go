@@ -257,7 +257,7 @@ func (g *gen) workerFunc(name string, hot bool, kinds []siteKind, leaf *program.
 
 // generate synthesizes the pre-layout program for canonical params c,
 // returning it with its librarySplit. It must be called with a canonical
-// parameter set; Build and RegisterFamily guarantee that.
+// parameter set; Build guarantees that.
 func generate(c Params) (*program.Program, int) {
 	canon, err := json.Marshal(c)
 	if err != nil {

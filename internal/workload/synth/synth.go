@@ -44,7 +44,6 @@ import (
 	"math"
 
 	"rebalance/internal/program"
-	"rebalance/internal/workload"
 )
 
 // Version is the parameter-grammar version. It participates in the shard
@@ -69,7 +68,7 @@ type Params struct {
 	// Name addresses the scenario everywhere a workload is named: spec
 	// workload lists, shard records, reports. Lowercase [a-z0-9._-],
 	// starting alphanumeric, at most 64 bytes. A name that collides with
-	// a registered workload is rejected by the sim layer (ambiguous
+	// a built-in workload is rejected by the sim layer (ambiguous
 	// addressing).
 	Name string `json:"name"`
 	// Seed varies the generator's structural choices (block sizes,
@@ -352,21 +351,4 @@ func MustBuild(p Params) *program.Program {
 		panic(err)
 	}
 	return prog
-}
-
-// RegisterFamily validates p under the given name and registers it as a
-// named workload family, addressable by name alone wherever workloads are
-// named as data (spec workload lists, -workloads flags, /v1/workloads).
-// Names() lists families after the built-in profiles, in registration
-// order. Registration happens at init time: invalid params and duplicate
-// names panic (the latter via workload.Register). A registered family
-// name becomes a *registered* workload, so inline synth params using that
-// name are rejected by the sim layer as ambiguous addressing.
-func RegisterFamily(name string, p Params) {
-	p.Name = name
-	c, err := p.Canonical()
-	if err != nil {
-		panic(fmt.Sprintf("synth: RegisterFamily(%q): %v", name, err))
-	}
-	workload.Register(name, func() (*program.Program, int) { return generate(c) })
 }

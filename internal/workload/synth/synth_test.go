@@ -6,12 +6,10 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"rebalance/internal/isa"
 	"rebalance/internal/trace"
-	"rebalance/internal/workload"
 )
 
 func TestCanonicalDefaults(t *testing.T) {
@@ -203,60 +201,4 @@ func TestAssignKindsErrorDiffusion(t *testing.T) {
 			}
 		}
 	}
-}
-
-// familySeq numbers the families this package's tests register.
-var familySeq atomic.Int64
-
-// TestRegisterFamily pins the workload-registry contract for synth
-// families: a family registers under its name, appended after the
-// built-ins in Names() (registration order), builds through the plain
-// workload path, and a duplicate registration panics naming the family.
-func TestRegisterFamily(t *testing.T) {
-	// The workload registry is process-global and has no unregister, so the
-	// name is unique per invocation: go test -count=N re-runs this test in
-	// one process.
-	name := fmt.Sprintf("synth-test-family-%d", familySeq.Add(1))
-	before := workload.Names()
-	RegisterFamily(name, Params{BiasedFrac: 0.8, CorrelatedFrac: 0.15, NoisyFrac: 0.05})
-
-	names := workload.Names()
-	if len(names) != len(before)+1 || names[len(names)-1] != name {
-		t.Fatalf("Names() = %v, want %v with %q appended", names, before, name)
-	}
-	if !workload.Has(name) {
-		t.Fatal("registered family not visible through Has")
-	}
-	p, err := workload.Build(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name != name {
-		t.Errorf("built program named %q, want %q", p.Name, name)
-	}
-
-	func() {
-		defer func() {
-			r := recover()
-			msg, ok := r.(string)
-			if !ok || !strings.Contains(msg, `"`+name+`"`) {
-				t.Fatalf("duplicate RegisterFamily panic = %v, want a message naming %q", r, name)
-			}
-		}()
-		RegisterFamily(name, Params{})
-		t.Fatal("duplicate RegisterFamily did not panic")
-	}()
-	// The original family still builds after the rejected duplicate.
-	if _, err := workload.Build(name); err != nil {
-		t.Errorf("family lost after rejected duplicate: %v", err)
-	}
-}
-
-func TestRegisterFamilyInvalidParamsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid family params did not panic")
-		}
-	}()
-	RegisterFamily("synth-test-bad-family", Params{Bias: 0.2})
 }

@@ -5,7 +5,8 @@
 // the paper measures on real HPC proxy apps and SPEC codes; the models are
 // deterministic, laid out, and validated, ready for trace.Compile.
 //
-// Two profiles ship today:
+// Two profiles ship, and they are the whole set of workload names; any
+// other scenario travels as inline synth/v1 parameters (package synth):
 //
 //   - "comd-lite": an HPC timestep code in the style of CoMD — serial setup
 //     between wide parallel force/neighbor kernels, long unrolled basic
@@ -27,58 +28,52 @@ import (
 
 	"rebalance/internal/isa"
 	"rebalance/internal/program"
-	"rebalance/internal/registry"
 	"rebalance/internal/rng"
 )
 
-// Builder synthesizes one workload's program model (pre-layout) and returns
-// it with its librarySplit (see program.Layout). Builders must be
-// deterministic: the same name always produces an identical program.
-type Builder func() (*program.Program, int)
-
-var builders = registry.New[Builder]("workload")
-
-func init() {
-	Register("comd-lite", buildCoMDLite)
-	Register("xalan-lite", buildXalanLite)
+// builtins is the two profiles, in listing order. Each build synthesizes
+// the workload's program model (pre-layout) and returns it with its
+// librarySplit (see program.Layout); builds are deterministic, so the same
+// name always produces an identical program.
+var builtins = []struct {
+	name  string
+	build func() (*program.Program, int)
+}{
+	{"comd-lite", buildCoMDLite},
+	{"xalan-lite", buildXalanLite},
 }
 
-// Register adds a named workload model to the registry, making it available
-// to every experiment driver that names workloads as data (the sim Spec,
-// rebalance-bench, simd). Registering an empty or duplicate name panics with
-// a message naming the collision: registration happens at init time and a
-// collision is a programming error. This holds for synth-registered
-// families (synth.RegisterFamily) exactly as for hand-built profiles — and
-// because a registered name is the authoritative meaning of that workload,
-// the sim layer rejects inline synth parameter sets that reuse one
-// (ambiguous addressing).
-func Register(name string, build Builder) {
-	if build == nil {
-		panic("workload: Register with nil builder")
+// Names lists the workload models in a fixed order, comd-lite first.
+// Drivers that default to "all workloads" (rebalance-bench, /v1/workloads
+// listings) inherit it.
+func Names() []string {
+	out := make([]string, len(builtins))
+	for i, b := range builtins {
+		out[i] = b.name
 	}
-	builders.Register(name, build)
+	return out
 }
 
-// Names lists the registered workload models in registration order: the
-// built-in profiles first (in init order), then every later registration —
-// synth families included — in the order it happened. The ordering is a
-// contract: drivers that default to "all workloads" (rebalance-bench,
-// /v1/workloads listings) inherit it, and the workload/synth tests pin it.
-func Names() []string { return builders.Names() }
-
-// Has reports whether the named workload is registered, without building
-// it — spec validation uses this so checking a name costs nothing.
-func Has(name string) bool {
-	_, ok := builders.Lookup(name)
-	return ok
+// lookup returns the named workload's build, or nil.
+func lookup(name string) func() (*program.Program, int) {
+	for _, b := range builtins {
+		if b.name == name {
+			return b.build
+		}
+	}
+	return nil
 }
+
+// Has reports whether name is a workload model, without building it —
+// spec validation uses this so checking a name costs nothing.
+func Has(name string) bool { return lookup(name) != nil }
 
 // Build synthesizes, lays out, and validates the named workload. The same
 // name always produces an identical program.
 func Build(name string) (*program.Program, error) {
-	build, err := builders.Get(name)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
+	build := lookup(name)
+	if build == nil {
+		return nil, fmt.Errorf("workload: unknown workload %q (have %v)", name, Names())
 	}
 	p, librarySplit := build()
 	if err := program.Layout(p, librarySplit); err != nil {

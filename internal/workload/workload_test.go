@@ -1,12 +1,10 @@
 package workload_test
 
 import (
-	"strings"
 	"testing"
 
 	"rebalance/internal/analysis"
 	"rebalance/internal/isa"
-	"rebalance/internal/program"
 	"rebalance/internal/trace"
 	"rebalance/internal/workload"
 )
@@ -60,31 +58,25 @@ func TestStreamCoverage(t *testing.T) {
 	}
 }
 
-// TestRegisterDuplicatePanics pins the registry contract for workload
-// models: a duplicate name must fail loudly with the name, never silently
-// shadow a built-in profile.
-func TestRegisterDuplicatePanics(t *testing.T) {
-	name := workload.Names()[0] // a built-in registered at init
-	defer func() {
-		r := recover()
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, `"`+name+`"`) {
-			t.Fatalf("panic = %v, want a message naming the duplicate workload %q", r, name)
+// TestNamesBuildThemselves pins the workload table: every listed name is
+// listed once and builds a program of that name, and an unlisted one is
+// refused with the listing.
+func TestNamesBuildThemselves(t *testing.T) {
+	seen := map[string]bool{}
+	for _, name := range workload.Names() {
+		if seen[name] {
+			t.Errorf("%q listed twice", name)
 		}
-		// The original must still build.
-		if _, err := workload.Build(name); err != nil {
-			t.Errorf("original workload lost after rejected duplicate: %v", err)
+		seen[name] = true
+		if !workload.Has(name) {
+			t.Errorf("Has(%q) = false for a listed name", name)
 		}
-	}()
-	workload.Register(name, func() (*program.Program, int) { return nil, 0 })
-	t.Fatal("duplicate Register did not panic")
-}
-
-func TestRegisterNilBuilderPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil builder did not panic")
+		if p := workload.MustBuild(name); p.Name != name {
+			t.Errorf("Build(%q) built a program named %q", name, p.Name)
 		}
-	}()
-	workload.Register("workload-test-nil-builder", nil)
+	}
+	_, err := workload.Build("no-such")
+	if want := `workload: unknown workload "no-such" (have [comd-lite xalan-lite])`; err == nil || err.Error() != want {
+		t.Errorf("Build(no-such) = %v, want %s", err, want)
+	}
 }
