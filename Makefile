@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_VERSION ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all build loc test race fuzz chaos vet fmt lint lint-wall lint-extra ci bench bench-go bench-go-smoke
+.PHONY: all build loc test race fuzz chaos vet fmt lint lint-wall lint-extra ci ci-test bench bench-go bench-go-smoke bench-smoke
 
 all: build
 
@@ -95,15 +95,25 @@ lint-extra:
 		fi; \
 	done
 
-# ci runs what the workflow's test job runs, so a local pass means a CI
-# pass: the arm64 fallback (TAGE's Go stage without the AVX2 kernel), the
-# grid path and the fleet on one P, and the full suite twice in one
-# process. The suite runs the analyzer wall, so ci adds only the external
-# linters to it.
-ci: fmt vet lint-extra build bench-go-smoke
+# ci-test is the workflow's test job, the one list of its steps: gofmt,
+# vet and build; the non-amd64 fallback compiles (TAGE's Go stage without
+# the AVX2 kernel; on amd64, vet's asmdecl checks the kernel); the
+# non-test line count ROADMAP's deletion ledger quotes; the grid path and
+# the fleet on one P (a grid-wide lead set, a dispatcher-only in-flight
+# bound and cmd/simd's TestFleet need no second P to make progress); the
+# full suite twice in one process (no test may leave process-global state
+# behind); every Go micro-benchmark once; and the bench harness smoke.
+ci-test: fmt vet build
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
+	@$(MAKE) --no-print-directory loc
 	GOMAXPROCS=1 $(GO) test ./internal/sim/... ./cmd/simd
 	$(GO) test -count=2 ./...
+	@$(MAKE) --no-print-directory bench-go-smoke bench-smoke
+
+# ci runs what the workflow's test and lint jobs run, so a local pass means
+# a CI pass. The suite runs the analyzer wall, so ci adds only the external
+# linters to the test job.
+ci: ci-test lint-extra
 
 # bench runs the repository benchmark declared in BENCHMARK.json: the
 # bench/ harness's five sweep workloads, end to end and layer by layer.
@@ -118,3 +128,23 @@ bench-go:
 
 bench-go-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
+# bench-smoke runs the real harness for a second per workload: every
+# sweep's report digest is checked against bench/golden.json at the
+# default seed, so a plan, fusion or lane-consumer bug that moves a
+# simulated counter — or, on mixed9-replay-cold, a record -> deliver round
+# trip that changes one instruction — fails here, not only in a local
+# bench run. mixed9-replay-warm is the workload whose nine observers all
+# ride one scanned lane per batch; mixed9-cached-rerun serves every shard
+# from a warm memory tier (key, decoded record, copied artifact);
+# coord-dispatch-small is the one workload whose counters cross the wire
+# and the coordinator. The last stdout line of a run is its summary, which
+# must say correct, no failed shard and at least one attempted.
+BENCH_WORKLOADS = fig5-generate mixed9-replay-warm mixed9-replay-cold mixed9-cached-rerun coord-dispatch-small
+bench-smoke:
+	@for w in $(BENCH_WORKLOADS); do \
+		out=$$($(GO) run ./bench -workload $$w -seconds 1) || exit 1; \
+		echo "$$out" | tail -n 1 | python3 -c 'import json, sys; s = json.load(sys.stdin); \
+assert s["correct"] is True, s; assert s["failed"] == 0 and s["attempted"] > 0, s; \
+print("bench harness smoke ok:", sys.argv[1], s["attempted"], "shards, digests match")' $$w || exit 1; \
+	done

@@ -17,7 +17,8 @@
 // Coordinator mode additionally serves the async sweep API
 // (internal/sim/sweep): POST /v1/sweeps returns a sweep ID immediately,
 // the sweep executes in the background under per-tenant deficit
-// round-robin fair queueing, and clients poll progress and fetch the
+// round-robin fair queueing, and clients poll progress (each poll one
+// snapshot of the status and the shards landed so far) and fetch the
 // final report — byte-identical to what POST /v1/runs would have returned
 // for the same spec, up to timing fields. Admission control bounds each
 // tenant's queue depth (-queue-depth; beyond it submits get 429 with
@@ -36,7 +37,7 @@
 //	POST   /v1/runs             execute a Spec synchronously, respond with the report (coordinator mode only)
 //	POST   /v1/sweeps           submit a Spec asynchronously, respond 202 with the sweep status (coordinator mode only)
 //	GET    /v1/sweeps           list sweeps, optionally filtered by ?tenant= (coordinator mode only)
-//	GET    /v1/sweeps/{id}      sweep status: state, progress, shards landed so far (coordinator mode only)
+//	GET    /v1/sweeps/{id}      sweep status: state, progress, shards landed so far, read as one snapshot (coordinator mode only)
 //	GET    /v1/sweeps/{id}/result  the final report; 409 until the sweep is terminal (coordinator mode only)
 //	DELETE /v1/sweeps/{id}      cancel a queued or running sweep (coordinator mode only)
 //	POST   /v1/shards           execute one unit (an array of ShardSpecs), respond with one record per member
@@ -273,13 +274,12 @@ func newServer(cfg serverConfig) http.Handler {
 		})
 		mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 			id := r.PathValue("id")
-			st, ok := cfg.coord.Get(id)
+			st, shards, ok := cfg.coord.Snapshot(id)
 			if !ok {
 				wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no sweep %q", id))
 				return
 			}
-			partial, _ := cfg.coord.Partial(id)
-			writeJSON(w, http.StatusOK, sweepView{Status: st, ShardsSoFar: partial})
+			writeJSON(w, http.StatusOK, sweepView{Status: st, ShardsSoFar: shards})
 		})
 		mux.HandleFunc("GET /v1/sweeps/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 			handleSweepResult(w, r, cfg.coord)
@@ -338,9 +338,9 @@ func cacheStats(c *shardcache.Cache) map[string]any {
 	return map[string]any{"enabled": true, "stats": c.Stats()}
 }
 
-// sweepView is the GET /v1/sweeps/{id} body: the status snapshot plus the
-// shards that have landed so far (the report-so-far; empty once the sweep
-// is terminal, when the final report supersedes it).
+// sweepView is the GET /v1/sweeps/{id} body: the status plus the shards
+// that have landed so far (the report-so-far; empty once the sweep is
+// terminal, when the final report supersedes it), read as one snapshot.
 type sweepView struct {
 	sweep.Status
 	ShardsSoFar []sim.Shard `json:"shards_so_far,omitempty"`
@@ -399,14 +399,12 @@ func handleSweepResult(w http.ResponseWriter, r *http.Request, coord *sweep.Coor
 	case errors.Is(err, sweep.ErrNotTerminal):
 		w.Header().Set("Retry-After", "1")
 		wire.WriteError(w, http.StatusConflict, fmt.Errorf("sweep %q has not finished", id))
-	default:
+	case errors.Is(err, sweep.ErrCancelled):
 		// Terminal without a report: cancelled is the resource being gone,
 		// anything else is the sweep's own failure.
-		status := http.StatusInternalServerError
-		if st, ok := coord.Get(id); ok && st.State == sweep.StateCancelled {
-			status = http.StatusGone
-		}
-		wire.WriteError(w, status, err)
+		wire.WriteError(w, http.StatusGone, err)
+	default:
+		wire.WriteError(w, http.StatusInternalServerError, err)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package btb implements the branch target buffer simulator of Section IV-B:
 // a set-associative cache, indexed by branch address with simple modulo
 // indexing (the paper points to this as the source of aliasing that makes
-// high associativity matter for ExMatEx), storing the target of taken
-// branches. A BTB miss is a taken branch whose entry is absent at fetch.
+// high associativity matter for ExMatEx). A BTB miss is a taken branch
+// whose entry is absent at fetch, so an entry records only which branch
+// holds it: the target a real BTB stores never decides a hit or a miss.
 //
 // Following the paper, only branches resolved taken are allocated: not-taken
 // branches continue fetching from the next sequential instruction and need
@@ -19,22 +20,20 @@ import (
 	"rebalance/internal/wire"
 )
 
-// tagShift drops the index bits when forming tags; a full tag is kept so
-// aliased hits cannot occur (as in a real BTB with complete tags).
+// entry is one way: a full tag, so aliased hits cannot occur (as in a real
+// BTB with complete tags), and the probe clock at its last use, 0 while
+// the way is empty. The clock is 64-bit so it never wraps: a wrapped stamp
+// would make the most recently used way the least.
 type entry struct {
-	valid bool
-	tag   uint64
-	// target is stored for interface completeness; the simulator only
-	// needs presence to decide hit/miss.
-	target isa.Addr
-	lru    uint32
+	tag uint64
+	lru uint64
 }
 
 // BTB is a set-associative branch target buffer with true-LRU replacement.
 type BTB struct {
 	sets  int
 	data  []entry
-	clock uint32
+	clock uint64
 
 	// res accumulates the run's counters; Result() snapshots it.
 	res Result
@@ -82,13 +81,13 @@ func (b *BTB) ConsumeLane(l *isa.Lane) {
 	b.res.Insts[p] += int64(l.Insts)
 	for i := range l.Runs {
 		if r := &l.Runs[i]; r.Taken {
-			b.probe(r.PC, r.Target, p)
+			b.probe(r.PC, p)
 		}
 	}
 }
 
 // probe looks up the taken branch at pc, allocating its entry on a miss.
-func (b *BTB) probe(pc, target isa.Addr, p int) {
+func (b *BTB) probe(pc isa.Addr, p int) {
 	b.res.Lookups[p]++
 	b.clock++
 	ways := b.res.Ways
@@ -97,25 +96,20 @@ func (b *BTB) probe(pc, target isa.Addr, p int) {
 	base := set * ways
 	for w := 0; w < ways; w++ {
 		e := &b.data[base+w]
-		if e.valid && e.tag == tag {
+		if e.lru != 0 && e.tag == tag {
 			e.lru = b.clock
-			e.target = target
 			return // hit
 		}
 	}
 	b.res.Misses[p]++
+	// The least stamp is the LRU way, or the first empty one.
 	victim := base
-	for w := 0; w < ways; w++ {
-		e := &b.data[base+w]
-		if !e.valid {
-			victim = base + w
-			break
-		}
-		if e.lru < b.data[victim].lru {
+	for w := 1; w < ways; w++ {
+		if b.data[base+w].lru < b.data[victim].lru {
 			victim = base + w
 		}
 	}
-	b.data[victim] = entry{valid: true, tag: tag, target: target, lru: b.clock}
+	b.data[victim] = entry{tag: tag, lru: b.clock}
 }
 
 // Result snapshots the run's counters as a mergeable, encodable record.

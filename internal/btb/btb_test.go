@@ -37,6 +37,23 @@ func TestObserveCountersAndRepeatHit(t *testing.T) {
 	}
 }
 
+// TestLRUAcrossTheClock32Boundary: one 2-way set probed A, B, A, C, A
+// misses on A, B and C only — C evicts B, the least recently used — from a
+// clock of 0 and from one three probes short of 2^32, where a 32-bit clock
+// would wrap and stamp the most recent use of A the least.
+func TestLRUAcrossTheClock32Boundary(t *testing.T) {
+	for _, start := range []uint64{0, 1<<32 - 3} {
+		b := New(2, 2)
+		b.clock = start
+		for _, pc := range []isa.Addr{0x1000, 0x2000, 0x1000, 0x3000, 0x1000} {
+			b.probe(pc, 0)
+		}
+		if got := b.Result().Misses[0]; got != 3 {
+			t.Errorf("clock from %d: %d misses, want 3", start, got)
+		}
+	}
+}
+
 // TestGeometryError: a geometry is usable only with positive sizes, whole
 // sets and at most MaxEntries entries — a request cannot ask for a table the
 // process cannot allocate.

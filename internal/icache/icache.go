@@ -30,10 +30,12 @@ import (
 	"rebalance/internal/wire"
 )
 
+// line is one way: its tag, the probe clock at its last use (0 while the
+// way is empty; 64-bit, so it never wraps and a recent stamp is never the
+// least) and its consumed sectors.
 type line struct {
-	valid bool
-	tag   uint64
-	lru   uint32
+	tag uint64
+	lru uint64
 	// used tracks which 8-byte sectors of the line were consumed since
 	// fill, for the usefulness metric; 16 sectors cover lines up to 128B.
 	used uint16
@@ -43,7 +45,7 @@ type line struct {
 type Cache struct {
 	sets  int
 	lines []line
-	clock uint32
+	clock uint64
 
 	lastLine uint64 // last line address fetched from, +1 (0 = none)
 	// lastIdx indexes lastLine's resident entry in lines, for O(1) usage
@@ -78,8 +80,10 @@ func GeometryError(sizeBytes, lineBytes, ways int) error {
 	if lineBytes <= maxInstBytes {
 		return fmt.Errorf("icache: line width %dB unsupported: an instruction is up to %d bytes and may span at most two lines", lineBytes, maxInstBytes)
 	}
-	nLines := sizeBytes / lineBytes
-	if nLines == 0 || nLines%ways != 0 {
+	if sizeBytes%lineBytes != 0 {
+		return fmt.Errorf("icache: size %dB is not a whole number of %dB lines", sizeBytes, lineBytes)
+	}
+	if (sizeBytes/lineBytes)%ways != 0 {
 		return fmt.Errorf("icache: size %dB / line %dB not divisible into %d ways", sizeBytes, lineBytes, ways)
 	}
 	return nil
@@ -146,31 +150,27 @@ func (c *Cache) access(lineAddr uint64, phase int) int {
 	base := set * ways
 	for w := 0; w < ways; w++ {
 		l := &c.lines[base+w]
-		if l.valid && l.tag == tag {
+		if l.lru != 0 && l.tag == tag {
 			l.lru = c.clock
 			return base + w
 		}
 	}
 	c.res.Misses[phase]++
+	// The least stamp is the LRU way, or the first empty one.
 	victim := base
-	for w := 0; w < ways; w++ {
-		l := &c.lines[base+w]
-		if !l.valid {
-			victim = base + w
-			break
-		}
-		if l.lru < c.lines[victim].lru {
+	for w := 1; w < ways; w++ {
+		if c.lines[base+w].lru < c.lines[victim].lru {
 			victim = base + w
 		}
 	}
 	c.res.retire(&c.lines[victim])
-	c.lines[victim] = line{valid: true, tag: tag, lru: c.clock}
+	c.lines[victim] = line{tag: tag, lru: c.clock}
 	return victim
 }
 
 // retire folds a line's usage since fill into the usefulness accumulators.
 func (r *Result) retire(l *line) {
-	if !l.valid {
+	if l.lru == 0 {
 		return
 	}
 	r.TotalSectors += int64(r.LineBytes / sectorBytes)

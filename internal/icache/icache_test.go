@@ -44,9 +44,27 @@ func TestObserveCountersAndUsefulness(t *testing.T) {
 	}
 }
 
+// TestLRUAcrossTheClock32Boundary: one 2-way set probed A, B, A, C, A
+// misses on A, B and C only — C evicts B, the least recently used — from a
+// clock of 0 and from one three probes short of 2^32, where a 32-bit clock
+// would wrap and stamp the most recent use of A the least.
+func TestLRUAcrossTheClock32Boundary(t *testing.T) {
+	for _, start := range []uint64{0, 1<<32 - 3} {
+		c := New(128, 64, 2)
+		c.clock = start
+		for _, lineAddr := range []uint64{1, 2, 1, 3, 1} {
+			c.access(lineAddr, 0)
+		}
+		if got := c.Result().Misses[0]; got != 3 {
+			t.Errorf("clock from %d: %d misses, want 3", start, got)
+		}
+	}
+}
+
 // TestGeometryError: a geometry is usable only with positive sizes, lines of
-// 16 to 128 bytes in whole sectors, whole sets and at most MaxSizeBytes — a
-// request cannot ask for a cache the process cannot allocate.
+// 16 to 128 bytes in whole sectors, a size of whole lines, whole sets and at
+// most MaxSizeBytes — a request cannot ask for a cache the process cannot
+// allocate, nor one it would report under a size it does not have.
 func TestGeometryError(t *testing.T) {
 	for _, tc := range []struct {
 		size, line, ways int
@@ -55,6 +73,7 @@ func TestGeometryError(t *testing.T) {
 		{8 << 10, 64, 2, true}, {32 << 10, 128, 8, true}, {MaxSizeBytes, 64, 1, true}, {MaxSizeBytes, 16, 4, true},
 		{0, 64, 2, false}, {-8 << 10, 64, 2, false}, {8 << 10, 0, 2, false}, {8 << 10, 64, 0, false},
 		{8 << 10, 8, 2, false}, {8 << 10, 256, 2, false}, {8 << 10, 60, 2, false}, {192, 64, 2, false},
+		{3 << 10, 24, 2, true}, {1 << 10, 24, 2, false},
 		{MaxSizeBytes + 64, 64, 1, false}, {MaxSizeBytes * 2, 64, 2, false}, {1 << 50, 64, 1, false},
 	} {
 		if err := GeometryError(tc.size, tc.line, tc.ways); (err == nil) != tc.ok {

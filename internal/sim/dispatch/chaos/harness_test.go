@@ -1,7 +1,9 @@
-// Package chaos injects deterministic, seeded faults into the dispatch
-// layer — the harness behind the chaos soak suite, and a reusable tool
-// for drilling a coordinator against the failure modes the retry,
-// failover, hedging, and partial-result machinery claims to absorb.
+// Package chaos is test code: it injects deterministic, seeded faults into
+// the dispatch layer — the harness behind the chaos soak suite, which
+// drills a coordinator against the failure modes the retry, failover,
+// hedging, and partial-result machinery claims to absorb. The harness is
+// this file, compiled only into the package's tests, so neither binary
+// links it.
 //
 // A Schedule is a declarative fault plan, written as a Go literal: per-call
 // probabilities for latency spikes, hangs, injected 5xx answers,

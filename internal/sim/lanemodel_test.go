@@ -32,7 +32,7 @@ type icacheModel struct {
 	res      icache.Result
 	sets     int
 	lines    []modelLine
-	clock    uint32
+	clock    uint64
 	lastLine uint64 // last line address fetched from, +1 (0 = none)
 	lastPtr  *modelLine
 }
@@ -40,7 +40,7 @@ type icacheModel struct {
 type modelLine struct {
 	valid bool
 	tag   uint64
-	lru   uint32
+	lru   uint64
 	used  uint16 // consumed 8-byte sectors since fill
 }
 
@@ -134,13 +134,13 @@ type btbModel struct {
 	res   btb.Result
 	sets  int
 	data  []modelEntry
-	clock uint32
+	clock uint64
 }
 
 type modelEntry struct {
 	valid bool
 	tag   uint64
-	lru   uint32
+	lru   uint64
 }
 
 func newBTBModel(entries, ways int) *btbModel {

@@ -87,6 +87,9 @@ func TestSpecValidation(t *testing.T) {
 		{"icache too big to allocate", func(s *Spec) {
 			s.Observers = []ObserverSpec{{Kind: "icache", Options: json.RawMessage(`{"geometries":[{"size_kb":65537,"ways":1}]}`)}}
 		}, "outside 1.."},
+		{"icache size not whole lines", func(s *Spec) {
+			s.Observers = []ObserverSpec{{Kind: "icache", Options: json.RawMessage(`{"geometries":[{"size_kb":1,"line_bytes":24,"ways":2}]}`)}}
+		}, "not a whole number of 24B lines"},
 		{"duplicate config", func(s *Spec) {
 			s.Observers = []ObserverSpec{{Kind: "branch-mix"}, {Kind: "branch-mix"}}
 		}, "duplicate observer"},

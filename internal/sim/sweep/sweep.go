@@ -6,11 +6,10 @@
 //
 // Three mechanisms keep a shared coordinator fair and bounded:
 //
-//   - Per-tenant fair queueing. Each tenant has its own FIFO, and a
-//     scheduler goroutine serves tenants by deficit round-robin: every
-//     visit grants a tenant quantum shard-credits, and a queued sweep
-//     starts only when the tenant's accumulated deficit covers its cost
-//     (its grid size in shards). A tenant submitting a thousand sweeps
+//   - Per-tenant fair queueing. Each tenant has its own FIFO, served by
+//     deficit round-robin: every visit grants a tenant quantum
+//     shard-credits, and a queued sweep starts only when the tenant's
+//     accumulated deficit covers its cost (its grid size in shards). A tenant submitting a thousand sweeps
 //     therefore cannot starve another tenant's single job — backlogged
 //     tenants take turns, weighted by how much work they ask for, not by
 //     how often they ask.
@@ -38,6 +37,11 @@
 // popular grid cells through one shard cache. Progress is observed
 // through the sim.WithShardDone context hook, so the final report stays
 // byte-identical to a synchronous run of the same spec.
+//
+// Submit, the Cancel of a queued sweep and a run's landing each run the
+// round-robin under the lock they already hold, so a sweep submitted with
+// a run slot free is running when Submit returns, and the coordinator's
+// only goroutines are its running sweeps.
 package sweep
 
 import (
@@ -88,6 +92,9 @@ var (
 	ErrNotTerminal = errors.New("sweep: not terminal yet")
 	// ErrTerminal rejects cancelling a sweep that already finished.
 	ErrTerminal = errors.New("sweep: already terminal")
+	// ErrCancelled marks the error Report returns for a cancelled sweep —
+	// the 410 — whose text stays the sweep's own.
+	ErrCancelled = errors.New("sweep: cancelled")
 	// ErrClosed rejects submits to a closed coordinator.
 	ErrClosed = errors.New("sweep: coordinator closed")
 )
@@ -98,7 +105,7 @@ var (
 // progress hook, and implementations must honor both.
 type RunFunc func(ctx context.Context, spec *sim.Spec) (*sim.Report, error)
 
-// The scheduler's and retention's numbers: constants, one value for every caller.
+// The round-robin's and retention's numbers: constants, one value for every caller.
 const (
 	quantum     = 64  // DRR credit per tenant visit, in shards: a costlier sweep waits rounds
 	maxRetained = 256 // terminal sweeps held at once, however young: memory bounded by config
@@ -140,7 +147,8 @@ type Progress struct {
 }
 
 // Status is the externally visible snapshot of one sweep — what
-// GET /v1/sweeps/{id} serves (plus partial shards) and listings embed.
+// GET /v1/sweeps/{id} serves (with Snapshot's landed shards) and listings
+// embed.
 type Status struct {
 	ID          string     `json:"id"`
 	Tenant      string     `json:"tenant"`
@@ -196,9 +204,7 @@ type job struct {
 
 	// Guarded by pmu.
 	pmu     sync.Mutex
-	done    int
-	cached  int
-	failed  int
+	prog    Progress
 	partial []sim.Shard
 }
 
@@ -238,14 +244,13 @@ type Coordinator struct {
 	seq     uint64
 	closed  bool
 
-	wake       chan struct{}
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	wg         sync.WaitGroup
+	wg         sync.WaitGroup // the running sweeps
 }
 
-// New returns a started Coordinator; its scheduler goroutine runs until
-// Close.
+// New returns a Coordinator ready for submits. It starts no goroutine of
+// its own: each running sweep is one, until Close.
 func New(opts Options) (*Coordinator, error) {
 	if opts.Run == nil {
 		return nil, errors.New("sweep: Options.Run is required")
@@ -267,19 +272,15 @@ func New(opts Options) (*Coordinator, error) {
 		opts:       opts,
 		tenants:    map[string]*tenantQueue{},
 		sweeps:     map[string]*job{},
-		wake:       make(chan struct{}, 1),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
-	c.wg.Add(1)
-	go c.scheduler()
 	return c, nil
 }
 
 // Close stops the coordinator: queued sweeps are cancelled, running
-// sweeps' contexts are cancelled, and Close blocks until the scheduler
-// and every run goroutine have exited. Submits after Close report
-// ErrClosed.
+// sweeps' contexts are cancelled, and Close blocks until every run
+// goroutine has exited. Submits after Close report ErrClosed.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -316,14 +317,15 @@ func (c *Coordinator) newID() string {
 }
 
 // Submit validates and enqueues a sweep for tenant, returning its status
-// (with the minted ID) immediately. Invalid specs report
-// sim.ErrInvalidSpec; a full tenant queue reports ErrQueueFull.
+// as admitted — queued, with the minted ID — and then starts whatever the
+// round-robin lets start. Invalid specs report sim.ErrInvalidSpec; a full
+// tenant queue reports ErrQueueFull.
 func (c *Coordinator) Submit(tenant string, spec *sim.Spec) (Status, error) {
 	if tenant == "" {
 		return Status{}, fmt.Errorf("%w: empty tenant", sim.ErrInvalidSpec)
 	}
 	// Validation happens before any queue state is touched: a malformed
-	// spec must never occupy a slot or wake the scheduler.
+	// spec must never occupy a slot.
 	cost, err := spec.GridSize()
 	if err != nil {
 		return Status{}, err
@@ -332,8 +334,8 @@ func (c *Coordinator) Submit(tenant string, spec *sim.Spec) (Status, error) {
 		return Status{}, fmt.Errorf("%w: %d shards exceed the coordinator's shard limit %d", sim.ErrInvalidSpec, cost, c.opts.MaxShards)
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return Status{}, ErrClosed
 	}
 	c.evictLocked()
@@ -343,7 +345,6 @@ func (c *Coordinator) Submit(tenant string, spec *sim.Spec) (Status, error) {
 		c.tenants[tenant] = tq
 	}
 	if len(tq.queue) >= c.opts.QueueDepth {
-		c.mu.Unlock()
 		return Status{}, fmt.Errorf("%w: tenant %q has %d sweeps queued", ErrQueueFull, tenant, c.opts.QueueDepth)
 	}
 	c.seq++
@@ -353,6 +354,7 @@ func (c *Coordinator) Submit(tenant string, spec *sim.Spec) (Status, error) {
 		seq:       c.seq,
 		spec:      spec,
 		cost:      cost,
+		prog:      Progress{TotalShards: cost},
 		state:     StateQueued,
 		submitted: c.opts.Clock.Now(),
 	}
@@ -363,9 +365,8 @@ func (c *Coordinator) Submit(tenant string, spec *sim.Spec) (Status, error) {
 		tq.active = true
 		c.active = append(c.active, tq)
 	}
-	st := c.statusLocked(j)
-	c.mu.Unlock()
-	c.kick()
+	st := c.statusLocked(j, nil)
+	c.dispatchLocked()
 	return st, nil
 }
 
@@ -378,29 +379,31 @@ func (c *Coordinator) Get(id string) (Status, bool) {
 	if !ok {
 		return Status{}, false
 	}
-	return c.statusLocked(j), true
+	return c.statusLocked(j, nil), true
 }
 
-// Partial returns a copy of the shards that have landed so far — the
-// report-so-far a progress poll serves. Once a sweep is terminal the
-// partial list is released (the final report supersedes it) and Partial
-// returns nil.
-func (c *Coordinator) Partial(id string) ([]sim.Shard, bool) {
+// Snapshot returns a sweep's status and a copy of the shards that have
+// landed so far — the report-so-far a progress poll serves — read at one
+// moment, so the shards agree with the status's state and progress. Once
+// a sweep is terminal its landed shards are released (the final report
+// supersedes them) and Snapshot returns none.
+func (c *Coordinator) Snapshot(id string) (Status, []sim.Shard, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.evictLocked()
 	j, ok := c.sweeps[id]
-	c.mu.Unlock()
 	if !ok {
-		return nil, false
+		return Status{}, nil, false
 	}
-	j.pmu.Lock()
-	defer j.pmu.Unlock()
-	return append([]sim.Shard(nil), j.partial...), true
+	var shards []sim.Shard
+	st := c.statusLocked(j, &shards)
+	return st, shards, true
 }
 
 // Report returns a done sweep's final report. ErrNotFound for unknown
 // IDs, ErrNotTerminal while queued or running, and the sweep's terminal
-// error for failed or cancelled sweeps.
+// error for failed or cancelled sweeps; a cancelled sweep's satisfies
+// errors.Is(err, ErrCancelled).
 func (c *Coordinator) Report(id string) (*sim.Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -412,23 +415,25 @@ func (c *Coordinator) Report(id string) (*sim.Report, error) {
 	switch j.state {
 	case StateDone:
 		return j.report, nil
-	case StateFailed, StateCancelled:
+	case StateFailed:
 		return nil, j.err
+	case StateCancelled:
+		return nil, cancelledError{j.err}
 	default:
 		return nil, ErrNotTerminal
 	}
 }
 
 // Cancel requests a sweep's cancellation: a queued sweep lands cancelled
-// immediately; a running sweep's context is cancelled and it lands
-// cancelled once execution unwinds (PR 3 proved dispatch aborts in
-// ~100ms). Cancelling a terminal sweep reports ErrTerminal.
+// immediately and the round-robin runs again; a running sweep's context
+// is cancelled and it lands cancelled once execution unwinds. Cancelling
+// a terminal sweep reports ErrTerminal.
 func (c *Coordinator) Cancel(id string) (Status, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.evictLocked()
 	j, ok := c.sweeps[id]
 	if !ok {
-		c.mu.Unlock()
 		return Status{}, ErrNotFound
 	}
 	switch j.state {
@@ -445,20 +450,16 @@ func (c *Coordinator) Cancel(id string) (Status, error) {
 			c.deactivateLocked(tq)
 		}
 		c.finishLocked(j, tq, StateCancelled, errors.New("sweep: cancelled while queued"), c.opts.Clock.Now())
+		c.dispatchLocked()
 	case StateRunning:
 		if !j.cancelRequested {
 			j.cancelRequested = true
 			j.cancel()
 		}
 	default:
-		st := c.statusLocked(j)
-		c.mu.Unlock()
-		return st, ErrTerminal
+		return c.statusLocked(j, nil), ErrTerminal
 	}
-	st := c.statusLocked(j)
-	c.mu.Unlock()
-	c.kick()
-	return st, nil
+	return c.statusLocked(j, nil), nil
 }
 
 // List returns the status of every retained sweep, newest submission
@@ -472,7 +473,7 @@ func (c *Coordinator) List(tenant string) []Status {
 		if tenant != "" && j.tenant != tenant {
 			continue
 		}
-		out = append(out, c.statusLocked(j))
+		out = append(out, c.statusLocked(j, nil))
 	}
 	sort.Slice(out, func(a, b int) bool { return c.sweeps[out[a].ID].seq > c.sweeps[out[b].ID].seq })
 	return out
@@ -499,32 +500,6 @@ func (c *Coordinator) Stats() Stats {
 		}
 	}
 	return s
-}
-
-// kick wakes the scheduler; a pending wake coalesces.
-func (c *Coordinator) kick() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
-// scheduler is the dispatch loop: woken on every submit, completion, and
-// cancellation, it starts queued sweeps under the DRR policy while
-// capacity allows.
-func (c *Coordinator) scheduler() {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.baseCtx.Done():
-			return
-		case <-c.wake:
-		}
-		c.mu.Lock()
-		c.evictLocked()
-		c.dispatchLocked()
-		c.mu.Unlock()
-	}
 }
 
 // dispatchLocked runs the deficit round-robin over the active tenants:
@@ -601,12 +576,12 @@ func (c *Coordinator) run(j *job, ctx context.Context) {
 		j.pmu.Lock()
 		defer j.pmu.Unlock()
 		if err != nil {
-			j.failed++
+			j.prog.FailedShards++
 			return
 		}
-		j.done++
+		j.prog.DoneShards++
 		if sh.Cached {
-			j.cached++
+			j.prog.CachedShards++
 		}
 		j.partial = append(j.partial, sh)
 	})
@@ -627,8 +602,8 @@ func (c *Coordinator) run(j *job, ctx context.Context) {
 		c.finishLocked(j, tq, StateFailed, err, c.opts.Clock.Now())
 	}
 	c.evictLocked()
+	c.dispatchLocked()
 	c.mu.Unlock()
-	c.kick()
 }
 
 // finishLocked lands a sweep in a terminal state, appends it to the
@@ -681,14 +656,13 @@ func (c *Coordinator) evictLocked() {
 }
 
 // statusLocked snapshots a job. Caller holds c.mu; the progress lock
-// nests inside it (the documented order).
-func (c *Coordinator) statusLocked(j *job) Status {
+// nests inside it (the documented order). A non-nil shards receives a copy
+// of the landed shards, read in the same progress section as the counters.
+func (c *Coordinator) statusLocked(j *job, shards *[]sim.Shard) Status {
 	j.pmu.Lock()
-	prog := Progress{
-		TotalShards:  j.cost,
-		DoneShards:   j.done,
-		CachedShards: j.cached,
-		FailedShards: j.failed,
+	prog := j.prog
+	if shards != nil {
+		*shards = append([]sim.Shard(nil), j.partial...)
 	}
 	j.pmu.Unlock()
 	st := Status{
@@ -711,3 +685,10 @@ func (c *Coordinator) statusLocked(j *job) Status {
 	}
 	return st
 }
+
+// cancelledError is a cancelled sweep's terminal error as Report returns
+// it: the sweep's own text, marked ErrCancelled.
+type cancelledError struct{ error }
+
+func (e cancelledError) Is(target error) bool { return target == ErrCancelled }
+func (e cancelledError) Unwrap() error        { return e.error }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -28,11 +29,11 @@ func specN(n int) *sim.Spec {
 	}
 }
 
-// waitFor polls cond until it holds, for a state the coordinator's own
-// goroutines (its scheduler, a sweep's run) will reach.
+// waitFor yields until cond holds, for a state a sweep's run goroutine
+// will reach; it spins on Gosched, never sleeps.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s: never happened", what)
 		}
@@ -84,6 +85,11 @@ func TestLifecycleRealRun(t *testing.T) {
 	}
 	if final.StartedAt == nil || final.FinishedAt == nil {
 		t.Errorf("terminal status missing timestamps: %+v", final)
+	}
+	// A landed sweep's snapshot is its terminal status; the final report
+	// supersedes the shards it had landed.
+	if snap, shards, ok := c.Snapshot(st.ID); !ok || snap.State != StateDone || len(shards) != 0 {
+		t.Errorf("Snapshot of a done sweep = (%s, %d shards, %v), want done with none", snap.State, len(shards), ok)
 	}
 
 	rep, err := c.Report(st.ID)
@@ -139,8 +145,8 @@ func (b *blockingRun) run(name string) RunFunc {
 // TestCancelQueuedAndRunning pins the two cancellation paths: a queued
 // sweep lands cancelled without ever running, and cancelling a running
 // sweep propagates ctx cancellation, releases its slot (the next sweep
-// starts), and lands cancelled. Cancelling a terminal sweep is
-// ErrTerminal.
+// starts), and lands cancelled. Either way Report's error is
+// ErrCancelled. Cancelling a terminal sweep is ErrTerminal.
 func TestCancelQueuedAndRunning(t *testing.T) {
 	started := make(chan string, 8)
 	c, err := New(Options{
@@ -174,6 +180,9 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if st.StartedAt != nil {
 		t.Errorf("queued sweep reports a start time after cancel: %+v", st)
 	}
+	if _, err := c.Report(second.ID); !errors.Is(err, ErrCancelled) {
+		t.Errorf("Report of a sweep cancelled while queued: %v, want ErrCancelled", err)
+	}
 
 	// A third sweep queues; cancelling the running first must free its
 	// slot so the third starts.
@@ -193,8 +202,8 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelling the running sweep did not release its slot")
 	}
-	if _, err := c.Report(first.ID); err == nil {
-		t.Error("cancelled sweep served a report")
+	if _, err := c.Report(first.ID); !errors.Is(err, ErrCancelled) {
+		t.Errorf("Report of a sweep cancelled while running: %v, want ErrCancelled", err)
 	}
 	if _, err := c.Cancel(first.ID); !errors.Is(err, ErrTerminal) {
 		t.Errorf("re-cancel terminal sweep: %v, want ErrTerminal", err)
@@ -214,11 +223,14 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	defer func() { close(b.release); c.Close() }()
 
-	// One sweep occupies the running slot; it has left the queue.
+	// One sweep occupies the running slot; it left the queue before
+	// Submit returned.
 	if _, err := c.Submit("a", specN(1)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the first sweep runs", func() bool { return c.Stats().Running == 1 })
+	if st := c.Stats(); st.Running != 1 || st.Queued != 0 {
+		t.Fatalf("after the first submit %d running, %d queued; want 1, 0", st.Running, st.Queued)
+	}
 	// Fill tenant a's queue to exactly K.
 	for i := 0; i < k; i++ {
 		if _, err := c.Submit("a", specN(1)); err != nil {
@@ -372,12 +384,18 @@ func TestRetention(t *testing.T) {
 		}
 	}
 
-	// A running sweep is never evicted, whatever the pressure.
+	// A running sweep is never evicted, whatever the pressure. Submitted
+	// with the slot free, it answers queued and is running on return.
 	runningSt, err := c.Submit("t", specN(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, c, runningSt.ID, StateRunning)
+	if runningSt.State != StateQueued {
+		t.Fatalf("submit answered %s, want queued", runningSt.State)
+	}
+	if st, _ := c.Get(runningSt.ID); st.State != StateRunning {
+		t.Fatalf("sweep %s after Submit returned, want running", st.State)
+	}
 	v.Advance(2 * retain) // everything terminal is now past the TTL
 	if st := c.Stats(); st.Retained != 0 {
 		t.Errorf("%d terminal sweeps retained past TTL", st.Retained)
