@@ -140,9 +140,8 @@ bench-go-smoke:
 # coord-dispatch-small is the one workload whose counters cross the wire
 # and the coordinator. The last stdout line of a run is its summary, which
 # must say correct, no failed shard and at least one attempted.
-BENCH_WORKLOADS = fig5-generate mixed9-replay-warm mixed9-replay-cold mixed9-cached-rerun coord-dispatch-small
 bench-smoke:
-	@for w in $(BENCH_WORKLOADS); do \
+	@for w in fig5-generate mixed9-replay-warm mixed9-replay-cold mixed9-cached-rerun coord-dispatch-small; do \
 		out=$$($(GO) run ./bench -workload $$w -seconds 1) || exit 1; \
 		echo "$$out" | tail -n 1 | python3 -c 'import json, sys; s = json.load(sys.stdin); \
 assert s["correct"] is True, s; assert s["failed"] == 0 and s["attempted"] > 0, s; \
