@@ -20,16 +20,6 @@ import (
 // ceiling rather than the tiny spec/status bodies.
 const maxCoordRespBytes = 64 << 20
 
-// sweepStatus mirrors simd's sweep view byte for byte: the
-// coordinator's status snapshot plus the incremental shard results the
-// GET endpoint attaches. Decoding it strictly means the bench client
-// fails loudly the moment the coordinator's wire surface drifts,
-// instead of silently ignoring fields.
-type sweepStatus struct {
-	sweep.Status
-	ShardsSoFar json.RawMessage `json:"shards_so_far"`
-}
-
 // runCoordinatorSweep executes one sweep through a simd coordinator's
 // async API: submit the spec under the tenant, poll the sweep's progress
 // at the given interval, and fetch and decode the final report once the
@@ -51,7 +41,8 @@ func runCoordinatorSweep(ctx context.Context, base, tenant string, spec *sim.Spe
 	if status != http.StatusAccepted {
 		return nil, coordError("submitting sweep", status, data)
 	}
-	var st sweepStatus
+	// Strict decoding fails loudly the moment the status wire drifts.
+	var st sweep.Status
 	if err := wire.StrictUnmarshal(data, &st); err != nil || st.ID == "" {
 		return nil, fmt.Errorf("coordinator submit response is not a sweep status: %v (%s)", err, data)
 	}
@@ -84,7 +75,7 @@ func awaitSweep(ctx context.Context, statusURL, id string, poll time.Duration, l
 		if status != http.StatusOK {
 			return nil, coordError("polling sweep "+id, status, data)
 		}
-		var st sweepStatus
+		var st sweep.Status
 		if err := wire.StrictUnmarshal(data, &st); err != nil {
 			return nil, fmt.Errorf("decoding sweep status: %w", err)
 		}

@@ -188,8 +188,9 @@ func TestRunCoordinatorSweepCancel(t *testing.T) {
 }
 
 // TestRunCoordinatorSweepFailures: submit rejections surface the
-// envelope's message, and a sweep landing failed is an error naming the
-// terminal state.
+// envelope's message, a sweep landing failed is an error naming the
+// terminal state, and a status body carrying a field sweep.Status lacks is
+// an error naming that field.
 func TestRunCoordinatorSweepFailures(t *testing.T) {
 	spec := &sim.Spec{Workloads: []string{"comd-lite"}, Insts: 1000, Observers: []sim.ObserverSpec{{Kind: "bbl"}}}
 
@@ -221,5 +222,24 @@ func TestRunCoordinatorSweepFailures(t *testing.T) {
 	if _, err := runCoordinatorSweep(context.Background(), failing.URL, "t", spec, time.Millisecond, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "failed") || !strings.Contains(err.Error(), "engine exploded") {
 		t.Errorf("failed sweep: error %v, want terminal state and message", err)
+	}
+
+	mux = http.NewServeMux()
+	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(map[string]any{"id": "sw-000003-0123456789ab", "state": "queued"})
+	})
+	mux.HandleFunc("GET /v1/sweeps/sw-000003-0123456789ab", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(map[string]any{
+			"id": "sw-000003-0123456789ab", "state": "done", "shards_so_far": []any{},
+		})
+	})
+	drifted := httptest.NewServer(mux)
+	defer drifted.Close()
+	if _, err := runCoordinatorSweep(context.Background(), drifted.URL, "t", spec, time.Millisecond, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "shards_so_far"`) {
+		t.Errorf("status with an unknown field: error %v, want it named", err)
 	}
 }

@@ -245,8 +245,8 @@ func submitSweep(t *testing.T, base, tenant, spec string) string {
 // sweepResult waits for sweep id to land done and returns its report body.
 func sweepResult(t *testing.T, base, id string) []byte {
 	t.Helper()
-	if st := pollSweep(t, base, id); string(st["state"]) != `"done"` {
-		t.Fatalf("sweep %s landed %s: %s", id, st["state"], st["error"])
+	if st := pollSweep(t, base, id); st.State != sweep.StateDone {
+		t.Fatalf("sweep %s landed %s: %s", id, st.State, st.Error)
 	}
 	resp := doReq(t, http.MethodGet, base+"/v1/sweeps/"+id+"/result", "")
 	defer resp.Body.Close()

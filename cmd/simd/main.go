@@ -17,10 +17,10 @@
 // Coordinator mode additionally serves the async sweep API
 // (internal/sim/sweep): POST /v1/sweeps returns a sweep ID immediately,
 // the sweep executes in the background under per-tenant deficit
-// round-robin fair queueing, and clients poll progress (each poll one
-// snapshot of the status and the shards landed so far) and fetch the
-// final report — byte-identical to what POST /v1/runs would have returned
-// for the same spec, up to timing fields. Admission control bounds each
+// round-robin fair queueing, and clients poll its status (state and shard
+// counts; the shards themselves arrive only in the final report) and fetch
+// the final report — byte-identical to what POST /v1/runs would have
+// returned for the same spec, up to timing fields. Admission control bounds each
 // tenant's queue depth (-queue-depth; beyond it submits get 429 with
 // Retry-After) and coordinator-wide concurrency (-max-running); terminal
 // sweeps stay pollable for -retain. The tenant is named by the ?tenant=
@@ -37,7 +37,7 @@
 //	POST   /v1/runs             execute a Spec synchronously, respond with the report (coordinator mode only)
 //	POST   /v1/sweeps           submit a Spec asynchronously, respond 202 with the sweep status (coordinator mode only)
 //	GET    /v1/sweeps           list sweeps, optionally filtered by ?tenant= (coordinator mode only)
-//	GET    /v1/sweeps/{id}      sweep status: state, progress, shards landed so far, read as one snapshot (coordinator mode only)
+//	GET    /v1/sweeps/{id}      sweep status: state, timestamps, shard progress counts (coordinator mode only)
 //	GET    /v1/sweeps/{id}/result  the final report; 409 until the sweep is terminal (coordinator mode only)
 //	DELETE /v1/sweeps/{id}      cancel a queued or running sweep (coordinator mode only)
 //	POST   /v1/shards           execute one unit (an array of ShardSpecs), respond with one record per member
@@ -274,12 +274,12 @@ func newServer(cfg serverConfig) http.Handler {
 		})
 		mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 			id := r.PathValue("id")
-			st, shards, ok := cfg.coord.Snapshot(id)
+			st, ok := cfg.coord.Get(id)
 			if !ok {
 				wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no sweep %q", id))
 				return
 			}
-			writeJSON(w, http.StatusOK, sweepView{Status: st, ShardsSoFar: shards})
+			writeJSON(w, http.StatusOK, st)
 		})
 		mux.HandleFunc("GET /v1/sweeps/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 			handleSweepResult(w, r, cfg.coord)
@@ -336,14 +336,6 @@ func cacheStats(c *shardcache.Cache) map[string]any {
 		return map[string]any{"enabled": false, "stats": shardcache.Stats{}}
 	}
 	return map[string]any{"enabled": true, "stats": c.Stats()}
-}
-
-// sweepView is the GET /v1/sweeps/{id} body: the status plus the shards
-// that have landed so far (the report-so-far; empty once the sweep is
-// terminal, when the final report supersedes it), read as one snapshot.
-type sweepView struct {
-	sweep.Status
-	ShardsSoFar []sim.Shard `json:"shards_so_far,omitempty"`
 }
 
 // tenantOf names the requesting tenant: ?tenant= wins, then the X-Tenant

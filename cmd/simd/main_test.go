@@ -623,8 +623,8 @@ func TestDispatchedRunHonoursAllowPartial(t *testing.T) {
 			t.Fatalf("submit: status %d, decode %v", resp.StatusCode, err)
 		}
 		resp.Body.Close()
-		if final := pollSweep(t, srv.URL, st.ID); string(final["state"]) != `"done"` {
-			t.Fatalf("sweep landed %s: %s", final["state"], final["error"])
+		if final := pollSweep(t, srv.URL, st.ID); final.State != sweep.StateDone {
+			t.Fatalf("sweep landed %s: %s", final.State, final.Error)
 		}
 		check(t, doReq(t, http.MethodGet, srv.URL+"/v1/sweeps/"+st.ID+"/result", ""))
 	})

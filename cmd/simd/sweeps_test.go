@@ -3,10 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -14,6 +16,7 @@ import (
 
 	"rebalance/internal/sim"
 	"rebalance/internal/sim/sweep"
+	"rebalance/internal/wire"
 )
 
 // errEnvelope is the JSON body every simd 4xx/5xx must carry.
@@ -61,29 +64,35 @@ func doReq(t *testing.T, method, url string, body string) *http.Response {
 	return resp
 }
 
+// getSweep is one GET /v1/sweeps/{id}, its body strictly decoded: a poll
+// is exactly a sweep.Status, so any field beyond it fails the test.
+func getSweep(t *testing.T, base, id string) sweep.Status {
+	t.Helper()
+	resp := doReq(t, http.MethodGet, base+"/v1/sweeps/"+id, "")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("poll status %d", resp.StatusCode)
+	}
+	var st sweep.Status
+	if err := wire.StrictDecode(resp.Body, &st); err != nil {
+		t.Fatalf("poll body is not a sweep status: %v", err)
+	}
+	return st
+}
+
 // pollSweep polls GET /v1/sweeps/{id} until the state is terminal,
-// returning the last status body.
-func pollSweep(t *testing.T, base, id string) map[string]json.RawMessage {
+// returning the last status.
+func pollSweep(t *testing.T, base, id string) sweep.Status {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp := doReq(t, http.MethodGet, base+"/v1/sweeps/"+id, "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("poll status %d", resp.StatusCode)
-		}
-		var st map[string]json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		switch string(st["state"]) {
-		case `"done"`, `"failed"`, `"cancelled"`:
+		if st := getSweep(t, base, id); st.State.Terminal() {
 			return st
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("sweep did not reach a terminal state")
-	return nil
+	return sweep.Status{}
 }
 
 // normalizeReport strips a served sim/v1 report of its run-dependent
@@ -147,17 +156,10 @@ func TestSweepAsyncMatchesSyncRun(t *testing.T) {
 	}
 
 	final := pollSweep(t, srv.URL, st.ID)
-	if string(final["state"]) != `"done"` {
-		t.Fatalf("sweep landed %s", final["state"])
+	if final.State != sweep.StateDone {
+		t.Fatalf("sweep landed %s", final.State)
 	}
-	var prog struct {
-		Done  int `json:"done_shards"`
-		Total int `json:"total_shards"`
-	}
-	if err := json.Unmarshal(final["progress"], &prog); err != nil {
-		t.Fatal(err)
-	}
-	if prog.Done != 4 || prog.Total != 4 {
+	if prog := final.Progress; prog.DoneShards != 4 || prog.TotalShards != 4 {
 		t.Errorf("terminal progress %+v, want 4/4", prog)
 	}
 
@@ -346,12 +348,49 @@ func TestSweepLifecycleEndpoints(t *testing.T) {
 		t.Fatalf("cancel: status %d", del.StatusCode)
 	}
 	del.Body.Close()
-	final := pollSweep(t, srv.URL, st.ID)
-	if string(final["state"]) != `"cancelled"` {
-		t.Errorf("state after cancel %s", final["state"])
+	if final := pollSweep(t, srv.URL, st.ID); final.State != sweep.StateCancelled {
+		t.Errorf("state after cancel %s", final.State)
 	}
 	decodeEnvelope(t, doReq(t, http.MethodGet, srv.URL+"/v1/sweeps/"+st.ID+"/result", ""), http.StatusGone)
 	decodeEnvelope(t, doReq(t, http.MethodDelete, srv.URL+"/v1/sweeps/"+st.ID, ""), http.StatusConflict)
+}
+
+// TestSweepPollIsStatus: GET /v1/sweeps/{id} serves exactly a
+// sweep.Status — no landed shards — while the sweep is queued, while it
+// runs with shard outcomes already counted, and once it is terminal.
+func TestSweepPollIsStatus(t *testing.T) {
+	srv := stubServer(t, sweep.Options{
+		MaxRunning: 1,
+		Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
+			sim.ShardDone(ctx, sim.Shard{Workload: "comd-lite", Seed: 1, Observer: "bbl", Insts: 1000, Cached: true}, nil)
+			sim.ShardDone(ctx, sim.Shard{Workload: "comd-lite", Seed: 2, Observer: "bbl", Insts: 1000}, nil)
+			sim.ShardDone(ctx, sim.Shard{}, errors.New("sim: shard {comd-lite 3 bbl}: rejected"))
+			<-ctx.Done()
+			return nil, ctx.Err()
+		},
+	})
+	spec := `{"workloads": ["comd-lite"], "seed_count": 3, "insts": 1000, "observers": [{"kind": "bbl"}]}`
+	running := submitSweep(t, srv.URL, "a", spec)
+	queued := submitSweep(t, srv.URL, "a", spec)
+
+	if st := getSweep(t, srv.URL, queued); st.State != sweep.StateQueued {
+		t.Errorf("second sweep under MaxRunning 1 is %s, want queued", st.State)
+	}
+	want := sweep.Progress{TotalShards: 3, DoneShards: 2, CachedShards: 1, FailedShards: 1}
+	deadline := time.Now().Add(10 * time.Second)
+	for st := getSweep(t, srv.URL, running); st.Progress != want; st = getSweep(t, srv.URL, running) {
+		if st.State != sweep.StateRunning || time.Now().After(deadline) {
+			t.Fatalf("running sweep polled %s %+v, want running %+v", st.State, st.Progress, want)
+		}
+		runtime.Gosched()
+	}
+	for _, id := range []string{running, queued} {
+		del := doReq(t, http.MethodDelete, srv.URL+"/v1/sweeps/"+id, "")
+		del.Body.Close()
+		if st := pollSweep(t, srv.URL, id); st.State != sweep.StateCancelled {
+			t.Errorf("sweep %s landed %s after DELETE, want cancelled", id, st.State)
+		}
+	}
 }
 
 // blocks is the set of /v1/stats's top-level keys.

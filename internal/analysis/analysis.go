@@ -52,15 +52,6 @@ func (p Phase) String() string {
 // Phases lists the aggregation phases in figure order.
 var Phases = [NumPhases]Phase{Total, Serial, Parallel}
 
-// phaseIdx is the counter index of an instruction's code section: results
-// keep every counter as a [serial, parallel] pair.
-func phaseIdx(serial bool) int {
-	if serial {
-		return 0
-	}
-	return 1
-}
-
 // phaseRange maps a Phase to the counter indices it spans.
 func phaseRange(p Phase) []int {
 	switch p {

@@ -20,9 +20,10 @@ const wirePkg = module + "/internal/wire"
 //     wire.StrictDecode (or a Decode* wrapper built on them), so unknown
 //     fields and trailing garbage fail loudly at every process boundary.
 //   - A struct with any json-tagged field is a wire struct: every
-//     exported non-embedded field must carry an explicit json tag, so a
-//     field addition cannot silently ship under a default name the other
-//     side does not strict-decode.
+//     exported field and every embedded one must carry an explicit json
+//     tag, so a field addition cannot silently ship under a default name
+//     (or flattened in by an embed) that the other side does not
+//     strict-decode.
 //   - Composite literals of wire structs must be keyed: an unkeyed
 //     literal binds by position, so inserting a field reorders every
 //     value after it without a compile error.
@@ -60,18 +61,20 @@ func runStrictwire(pass *lint.Pass) error {
 	return nil
 }
 
-// checkWireTags flags exported fields missing a json tag in structs
-// that have at least one json-tagged field. Embedded fields are exempt:
-// an untagged embed flattens its fields into the parent document, which
-// is the idiom wire views rely on (simd's sweepView embeds
-// sweep.Status); unexported fields never marshal.
+// checkWireTags flags exported and embedded fields missing a json tag in
+// structs that have at least one json-tagged field. An untagged embed
+// flattens its type's fields into the parent document, whatever its own
+// name's case; unexported named fields never marshal.
 func checkWireTags(pass *lint.Pass, st *ast.StructType) {
 	if !isWireStructAST(st) {
 		return
 	}
 	for _, f := range st.Fields.List {
-		if len(f.Names) == 0 || hasJSONTag(f) {
+		if hasJSONTag(f) {
 			continue
+		}
+		if len(f.Names) == 0 {
+			pass.Reportf(f.Type.Pos(), "embedded field of a wire struct has no json tag; an untagged embed flattens its fields into the document under names nobody declared here, so name it with a tag (or json:\"-\")")
 		}
 		for _, name := range f.Names {
 			if !name.IsExported() {

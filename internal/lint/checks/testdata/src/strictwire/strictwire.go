@@ -45,11 +45,17 @@ type missingTag struct {
 	Count int    // want "field Count of a wire struct has no json tag"
 }
 
-// embedded wire views flatten a struct into the parent document; the
-// untagged embed is the idiom, not a violation.
+// an untagged embed flattens a struct into the parent document, so the
+// fields it ships are not named in the wire struct itself.
 type embeddedView struct {
-	fullyTagged
-	Extra string `json:"extra"`
+	fullyTagged        // want "embedded field of a wire struct has no json tag"
+	Extra       string `json:"extra"`
+}
+
+// a tagged embed is a named field like any other.
+type taggedEmbed struct {
+	fullyTagged `json:"inner"`
+	Extra       string `json:"extra"`
 }
 
 // plain structs without json tags are not wire structs; no tags needed.

@@ -426,7 +426,7 @@ func (h *harness) close() {
 }
 
 // check holds the coordinator to the model. Before any other call has
-// evicted, it asks Cancel and Snapshot about a finished or forgotten sweep —
+// evicted, it asks Cancel and Get about a finished or forgotten sweep —
 // an expired sweep must be gone to those too — then compares the gauges,
 // the tenant table, the visible set and one sweep's report.
 func (h *harness) check(step int, what string) {
@@ -451,8 +451,8 @@ func (h *harness) check(step int, what string) {
 					}
 				},
 				func() {
-					if _, _, ok := h.c.Snapshot(id); ok != (s != nil) {
-						fail("Snapshot of %s sweep %s: visible = %v", stateOf(s), id, ok)
+					if _, ok := h.c.Get(id); ok != (s != nil) {
+						fail("Get of %s sweep %s: visible = %v", stateOf(s), id, ok)
 					}
 				},
 			}

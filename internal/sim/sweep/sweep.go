@@ -1,6 +1,6 @@
 // Package sweep is the async multi-tenant job service that turns the
 // stateless run API into a front door: clients submit a sim.Spec and get
-// a sweep ID back immediately, then poll progress and fetch the final
+// a sweep ID back immediately, then poll its status and fetch the final
 // report when the sweep lands. It is the coordinator subsystem behind
 // simd's /v1/sweeps surface.
 //
@@ -34,9 +34,10 @@
 // Execution itself is delegated to a RunFunc — in production
 // sim.Session.Run, optionally routed through a shared dispatch.Dispatcher
 // so concurrent sweeps fan out over one worker fleet and deduplicate
-// popular grid cells through one shard cache. Progress is observed
-// through the sim.WithShardDone context hook, so the final report stays
-// byte-identical to a synchronous run of the same spec.
+// popular grid cells through one shard cache. Progress is counted
+// through the observational sim.WithShardDone context hook, so the final
+// report stays byte-identical to a synchronous run of the same spec; a
+// sweep's shards are served only in that report.
 //
 // Submit, the Cancel of a queued sweep and a run's landing each run the
 // round-robin under the lock they already hold, so a sweep submitted with
@@ -146,9 +147,8 @@ type Progress struct {
 	FailedShards int `json:"failed_shards"`
 }
 
-// Status is the externally visible snapshot of one sweep — what
-// GET /v1/sweeps/{id} serves (with Snapshot's landed shards) and listings
-// embed.
+// Status is the externally visible snapshot of one sweep — the body of
+// GET /v1/sweeps/{id} and of each listing entry.
 type Status struct {
 	ID          string     `json:"id"`
 	Tenant      string     `json:"tenant"`
@@ -181,10 +181,8 @@ type Stats struct {
 	Tenants  map[string]TenantStats `json:"tenants"`
 }
 
-// job is one sweep's full record. Lifecycle fields are guarded by the
-// coordinator's mutex; progress fields are guarded by pmu because the
-// shard-done hook fires from the run's worker goroutines while the
-// coordinator lock is busy elsewhere. Lock order is always mu before pmu.
+// job is one sweep's full record. Every mutable field, progress included,
+// is guarded by the coordinator's mutex.
 type job struct {
 	id     string
 	tenant string
@@ -192,7 +190,6 @@ type job struct {
 	spec   *sim.Spec
 	cost   int
 
-	// Guarded by Coordinator.mu.
 	state           State
 	submitted       time.Time
 	started         time.Time
@@ -201,11 +198,7 @@ type job struct {
 	cancel          context.CancelFunc
 	report          *sim.Report
 	err             error
-
-	// Guarded by pmu.
-	pmu     sync.Mutex
-	prog    Progress
-	partial []sim.Shard
+	prog            Progress
 }
 
 // tenantQueue is one tenant's scheduling state.
@@ -365,7 +358,7 @@ func (c *Coordinator) Submit(tenant string, spec *sim.Spec) (Status, error) {
 		tq.active = true
 		c.active = append(c.active, tq)
 	}
-	st := c.statusLocked(j, nil)
+	st := c.statusLocked(j)
 	c.dispatchLocked()
 	return st, nil
 }
@@ -379,25 +372,7 @@ func (c *Coordinator) Get(id string) (Status, bool) {
 	if !ok {
 		return Status{}, false
 	}
-	return c.statusLocked(j, nil), true
-}
-
-// Snapshot returns a sweep's status and a copy of the shards that have
-// landed so far — the report-so-far a progress poll serves — read at one
-// moment, so the shards agree with the status's state and progress. Once
-// a sweep is terminal its landed shards are released (the final report
-// supersedes them) and Snapshot returns none.
-func (c *Coordinator) Snapshot(id string) (Status, []sim.Shard, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.evictLocked()
-	j, ok := c.sweeps[id]
-	if !ok {
-		return Status{}, nil, false
-	}
-	var shards []sim.Shard
-	st := c.statusLocked(j, &shards)
-	return st, shards, true
+	return c.statusLocked(j), true
 }
 
 // Report returns a done sweep's final report. ErrNotFound for unknown
@@ -457,9 +432,9 @@ func (c *Coordinator) Cancel(id string) (Status, error) {
 			j.cancel()
 		}
 	default:
-		return c.statusLocked(j, nil), ErrTerminal
+		return c.statusLocked(j), ErrTerminal
 	}
-	return c.statusLocked(j, nil), nil
+	return c.statusLocked(j), nil
 }
 
 // List returns the status of every retained sweep, newest submission
@@ -473,7 +448,7 @@ func (c *Coordinator) List(tenant string) []Status {
 		if tenant != "" && j.tenant != tenant {
 			continue
 		}
-		out = append(out, c.statusLocked(j, nil))
+		out = append(out, c.statusLocked(j))
 	}
 	sort.Slice(out, func(a, b int) bool { return c.sweeps[out[a].ID].seq > c.sweeps[out[b].ID].seq })
 	return out
@@ -567,14 +542,15 @@ func (c *Coordinator) startLocked(j *job, tq *tenantQueue) {
 }
 
 // run executes one sweep to a terminal state. The shard-done hook feeds
-// the job's progress counters and partial-shard accumulator; the final
-// report is whatever RunFunc returned, untouched — byte-identity with a
-// synchronous run is inherited, not re-established.
+// the job's progress counters under c.mu, which is safe because the hook
+// fires only on the session's goroutines inside RunFunc, while run holds
+// no lock; the final report is whatever RunFunc returned, untouched —
+// byte-identity with a synchronous run is inherited, not re-established.
 func (c *Coordinator) run(j *job, ctx context.Context) {
 	defer c.wg.Done()
 	pctx := sim.WithShardDone(ctx, func(sh sim.Shard, err error) {
-		j.pmu.Lock()
-		defer j.pmu.Unlock()
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		if err != nil {
 			j.prog.FailedShards++
 			return
@@ -583,7 +559,6 @@ func (c *Coordinator) run(j *job, ctx context.Context) {
 		if sh.Cached {
 			j.prog.CachedShards++
 		}
-		j.partial = append(j.partial, sh)
 	})
 	rep, err := c.opts.Run(pctx, j.spec)
 	j.cancel() // release the context's resources whatever the outcome
@@ -606,9 +581,8 @@ func (c *Coordinator) run(j *job, ctx context.Context) {
 	c.mu.Unlock()
 }
 
-// finishLocked lands a sweep in a terminal state, appends it to the
-// retention list, and drops its partial accumulator (the final report —
-// or the terminal error — supersedes it).
+// finishLocked lands a sweep in a terminal state and appends it to the
+// retention list.
 func (c *Coordinator) finishLocked(j *job, tq *tenantQueue, st State, err error, now time.Time) {
 	j.state = st
 	j.finished = now
@@ -623,9 +597,6 @@ func (c *Coordinator) finishLocked(j *job, tq *tenantQueue, st State, err error,
 	}
 	c.done = append(c.done, j)
 	tq.retained++
-	j.pmu.Lock()
-	j.partial = nil
-	j.pmu.Unlock()
 }
 
 // evictLocked enforces retention over the terminal list: beyond
@@ -655,22 +626,14 @@ func (c *Coordinator) evictLocked() {
 	}
 }
 
-// statusLocked snapshots a job. Caller holds c.mu; the progress lock
-// nests inside it (the documented order). A non-nil shards receives a copy
-// of the landed shards, read in the same progress section as the counters.
-func (c *Coordinator) statusLocked(j *job, shards *[]sim.Shard) Status {
-	j.pmu.Lock()
-	prog := j.prog
-	if shards != nil {
-		*shards = append([]sim.Shard(nil), j.partial...)
-	}
-	j.pmu.Unlock()
+// statusLocked snapshots a job. Caller holds c.mu.
+func (c *Coordinator) statusLocked(j *job) Status {
 	st := Status{
 		ID:          j.id,
 		Tenant:      j.tenant,
 		State:       j.state,
 		SubmittedAt: j.submitted,
-		Progress:    prog,
+		Progress:    j.prog,
 	}
 	if !j.started.IsZero() {
 		t := j.started

@@ -86,11 +86,6 @@ func TestLifecycleRealRun(t *testing.T) {
 	if final.StartedAt == nil || final.FinishedAt == nil {
 		t.Errorf("terminal status missing timestamps: %+v", final)
 	}
-	// A landed sweep's snapshot is its terminal status; the final report
-	// supersedes the shards it had landed.
-	if snap, shards, ok := c.Snapshot(st.ID); !ok || snap.State != StateDone || len(shards) != 0 {
-		t.Errorf("Snapshot of a done sweep = (%s, %d shards, %v), want done with none", snap.State, len(shards), ok)
-	}
 
 	rep, err := c.Report(st.ID)
 	if err != nil {
@@ -110,6 +105,59 @@ func TestLifecycleRealRun(t *testing.T) {
 	if norm(rep) != norm(sync) {
 		t.Errorf("async report differs from synchronous run:\nasync: %s\n sync: %s", norm(rep), norm(sync))
 	}
+}
+
+// TestProgressCountsShardOutcomes: a running sweep's status counts the
+// outcomes the session delivers through sim.ShardDone — a cached shard is
+// done and cached, a computed one done, a failed one failed. The three
+// arrive from their own goroutines while the test polls Get, so under
+// -race the hook's writes and the status reads meet on the coordinator's
+// one mutex.
+func TestProgressCountsShardOutcomes(t *testing.T) {
+	c, err := New(Options{
+		Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
+			var wg sync.WaitGroup
+			for _, out := range []struct {
+				sh  sim.Shard
+				err error
+			}{
+				{sim.Shard{Workload: "comd-lite", Seed: 1, Observer: "bbl", Cached: true}, nil},
+				{sim.Shard{Workload: "comd-lite", Seed: 2, Observer: "bbl"}, nil},
+				{sim.Shard{}, errors.New("sim: shard {comd-lite 3 bbl}: rejected")},
+			} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sim.ShardDone(ctx, out.sh, out.err)
+				}()
+			}
+			wg.Wait()
+			<-ctx.Done()
+			return nil, ctx.Err()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	sub, err := c.Submit("t", specN(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Status
+	waitFor(t, "three shard outcomes counted", func() bool {
+		st, _ = c.Get(sub.ID)
+		return st.Progress.DoneShards+st.Progress.FailedShards == 3
+	})
+	want := Progress{TotalShards: 3, DoneShards: 2, CachedShards: 1, FailedShards: 1}
+	if st.State != StateRunning || st.Progress != want {
+		t.Errorf("Get = %s %+v, want running %+v", st.State, st.Progress, want)
+	}
+	if _, err := c.Cancel(sub.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, sub.ID, StateCancelled)
 }
 
 // blockingRun returns a RunFunc whose executions block until released
