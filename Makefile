@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/sim/dispatch -run '^$$' -fuzz '^FuzzDecodeAnswer$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzLaneMatchesPerInstruction$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tiercache -run '^$$' -fuzz '^FuzzDiskEntryCorruption$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim/shardcache -run '^$$' -fuzz '^FuzzDiskEntryCorruption$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/replay -run '^$$' -fuzz '^FuzzTraceDiskCorruption$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/replay -run '^$$' -fuzz '^FuzzDecodeDeliver$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bpred -run '^$$' -fuzz '^FuzzTAGEMatchesReference$$' -fuzztime $(FUZZTIME)
