@@ -55,8 +55,12 @@ func fakeCoordinator(t *testing.T, sess *sim.Session, pollsUntilDone int32) *fak
 		if got := r.URL.Query().Get("tenant"); got != "bench-test" {
 			t.Errorf("submit tenant %q, want bench-test", got)
 		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
 		var spec sim.Spec
-		if err := wire.StrictDecode(r.Body, &spec); err != nil {
+		if err := wire.StrictUnmarshal(body, &spec); err != nil {
 			t.Errorf("submit body does not decode as a spec: %v", err)
 		}
 		total, _ := spec.GridSize()

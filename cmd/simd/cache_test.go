@@ -20,9 +20,8 @@ func cachedServer(t *testing.T, worker bool) (*httptest.Server, *shardcache.Cach
 		t.Fatal(err)
 	}
 	sess := sim.NewSession(2)
-	sess.SetMaxShards(256)
 	sess.SetCache(cache)
-	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000, worker: worker}))
+	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000, maxShards: 256, worker: worker}))
 	t.Cleanup(srv.Close)
 	return srv, cache
 }

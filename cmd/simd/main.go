@@ -51,6 +51,12 @@
 // Every 4xx/5xx response carries the same JSON envelope:
 // {"error": "...", "code": N} with the code mirroring the HTTP status.
 //
+// Both submit endpoints admit a spec through one step: a body over 1 MiB
+// is a 413, and a spec that does not decode or validate, asks for a
+// per-shard budget over -max-insts or expands to more shards than
+// -max-shards is a 400. The serving limits are simd's alone: the session
+// and the sweep coordinator see only admitted specs and impose none.
+//
 // Every shard runs the compiled engine: a Spec's or ShardSpec's "engine"
 // may be omitted or "compiled", and anything else is a 400 — the tree-walk
 // reference engine is the tests' oracle, not a request option.
@@ -90,9 +96,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
+	"os"
 	"os/signal"
 	"runtime"
 	"strings"
@@ -114,34 +122,50 @@ import (
 const maxSpecBytes = 1 << 20
 
 func main() {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "simd: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is simd from its arguments to its drained exit: every startup
+// failure — a flag conflict, a cache or backend that cannot be built, a
+// listener that cannot bind — is its returned error, and main prints it
+// and exits non-zero in one place.
+func run(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("simd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addrFlag      = flag.String("addr", ":8080", "listen address")
-		workerFlag    = flag.Bool("worker", false, "worker mode: serve only the shard protocol (no /v1/runs, no /v1/sweeps)")
-		workersFlag   = flag.Int("workers", runtime.GOMAXPROCS(0), "slots a run's grid is planned for and local pool size; with -backends, also the cap on backend calls in flight")
-		maxInstsFlag  = flag.Int64("max-insts", 100_000_000, "reject specs with a larger per-shard instruction budget (0 = unlimited)")
-		maxShardsFlag = flag.Int("max-shards", 4096, "reject specs expanding to more shards than this (0 = unlimited)")
-		drainFlag     = flag.Duration("drain", 30*time.Second, "in-flight drain budget on SIGINT/SIGTERM")
-		queueFlag     = flag.Int("queue-depth", 64, "sweep coordinator: max queued sweeps per tenant (beyond it submits get 429)")
-		maxRunFlag    = flag.Int("max-running", 2, "sweep coordinator: max concurrently executing sweeps")
-		retainFlag    = flag.Duration("retain", 15*time.Minute, "sweep coordinator: how long finished sweeps stay pollable")
-		backendsFlag  = flag.String("backends", "", "comma-separated simd worker URLs; dispatch shard grids to them instead of the local pool")
-		hedgeFlag     = flag.Bool("hedge", false, "with -backends, duplicate straggling units onto a second healthy worker; first result wins")
-		cacheEntsFlag = flag.Int("cache-entries", 4096, "shard result cache: max in-memory entries (0 disables the cache)")
-		cacheByteFlag = flag.Int64("cache-bytes", 256<<20, "shard result cache: max in-memory payload bytes")
-		cacheDirFlag  = flag.String("cache-dir", "", "shard result cache: directory for the persistent disk tier (empty = memory only)")
+		addrFlag      = fs.String("addr", ":8080", "listen address")
+		workerFlag    = fs.Bool("worker", false, "worker mode: serve only the shard protocol (no /v1/runs, no /v1/sweeps)")
+		workersFlag   = fs.Int("workers", runtime.GOMAXPROCS(0), "slots a run's grid is planned for and local pool size; with -backends, also the cap on backend calls in flight")
+		maxInstsFlag  = fs.Int64("max-insts", 100_000_000, "reject specs with a larger per-shard instruction budget (0 = unlimited)")
+		maxShardsFlag = fs.Int("max-shards", 4096, "reject specs expanding to more shards than this (0 = unlimited)")
+		drainFlag     = fs.Duration("drain", 30*time.Second, "in-flight drain budget on SIGINT/SIGTERM")
+		queueFlag     = fs.Int("queue-depth", 64, "sweep coordinator: max queued sweeps per tenant (beyond it submits get 429)")
+		maxRunFlag    = fs.Int("max-running", 2, "sweep coordinator: max concurrently executing sweeps")
+		retainFlag    = fs.Duration("retain", 15*time.Minute, "sweep coordinator: how long finished sweeps stay pollable")
+		backendsFlag  = fs.String("backends", "", "comma-separated simd worker URLs; dispatch shard grids to them instead of the local pool")
+		hedgeFlag     = fs.Bool("hedge", false, "with -backends, duplicate straggling units onto a second healthy worker; first result wins")
+		cacheEntsFlag = fs.Int("cache-entries", 4096, "shard result cache: max in-memory entries (0 disables the cache)")
+		cacheByteFlag = fs.Int64("cache-bytes", 256<<20, "shard result cache: max in-memory payload bytes")
+		cacheDirFlag  = fs.String("cache-dir", "", "shard result cache: directory for the persistent disk tier (empty = memory only)")
 	)
-	flag.Parse()
-	if *workerFlag && *backendsFlag != "" {
-		log.Fatalf("simd: -worker and -backends are mutually exclusive: a fleet worker runs shards itself")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
 	}
-	if *hedgeFlag && *backendsFlag == "" {
-		log.Fatalf("simd: -hedge needs -backends: the local pool has no second worker to duplicate stragglers onto")
-	}
-	if *cacheEntsFlag <= 0 && *cacheDirFlag != "" {
-		log.Fatalf("simd: -cache-dir needs -cache-entries above 0: the disk tier sits beneath the memory tier, which 0 entries disables")
+	switch {
+	case *workerFlag && *backendsFlag != "":
+		return errors.New("-worker and -backends are mutually exclusive: a fleet worker runs shards itself")
+	case *hedgeFlag && *backendsFlag == "":
+		return errors.New("-hedge needs -backends: the local pool has no second worker to duplicate stragglers onto")
+	case *cacheEntsFlag <= 0 && *cacheDirFlag != "":
+		return errors.New("-cache-dir needs -cache-entries above 0: the disk tier sits beneath the memory tier, which 0 entries disables")
 	}
 	sess := sim.NewSession(*workersFlag)
-	sess.SetMaxShards(*maxShardsFlag)
 	if *cacheEntsFlag > 0 {
 		cache, err := shardcache.New(shardcache.Options{
 			MaxEntries: *cacheEntsFlag,
@@ -149,15 +173,15 @@ func main() {
 			Dir:        *cacheDirFlag,
 		})
 		if err != nil {
-			log.Fatalf("simd: %v", err)
+			return err
 		}
 		sess.SetCache(cache)
 	}
-	cfg := serverConfig{sess: sess, maxInsts: *maxInstsFlag, worker: *workerFlag}
+	cfg := serverConfig{sess: sess, maxInsts: *maxInstsFlag, maxShards: *maxShardsFlag, worker: *workerFlag}
 	if *backendsFlag != "" {
 		backends, err := dispatch.ParseBackends(*backendsFlag, dispatch.DefaultClient())
 		if err != nil {
-			log.Fatalf("simd: %v", err)
+			return err
 		}
 		// The session resolves every grid against the process's shard cache
 		// before its runner sees a unit, so a dispatched run's results are
@@ -169,7 +193,7 @@ func main() {
 			Hedge:       *hedgeFlag,
 		})
 		if err != nil {
-			log.Fatalf("simd: %v", err)
+			return err
 		}
 		sess.SetRunner(d)
 		cfg.dispatcher = d
@@ -180,32 +204,30 @@ func main() {
 			QueueDepth: *queueFlag,
 			MaxRunning: *maxRunFlag,
 			Retain:     *retainFlag,
-			MaxShards:  *maxShardsFlag,
 		})
 		if err != nil {
-			log.Fatalf("simd: %v", err)
+			return err
 		}
+		defer coord.Close()
 		cfg.coord = coord
 	}
 	ln, err := net.Listen("tcp", *addrFlag)
 	if err != nil {
-		log.Fatalf("simd: %v", err)
+		return err
 	}
 	mode := "coordinator"
 	if *workerFlag {
 		mode = "worker"
 	}
-	log.Printf("simd: %s listening on %s (%d workers)", mode, ln.Addr(), *workersFlag)
+	logger := log.New(stderr, "", log.LstdFlags)
+	logger.Printf("simd: %s listening on %s (%d workers)", mode, ln.Addr(), *workersFlag)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	srv := &http.Server{Handler: newServer(cfg)}
-	if err := serve(ctx, srv, ln, *drainFlag); err != nil {
-		log.Fatalf("simd: %v", err)
+	if err := serve(ctx, &http.Server{Handler: newServer(cfg)}, ln, *drainFlag); err != nil {
+		return err
 	}
-	if cfg.coord != nil {
-		cfg.coord.Close()
-	}
-	log.Printf("simd: drained, exiting")
+	logger.Printf("simd: drained, exiting")
+	return nil
 }
 
 // serve runs srv on ln until ctx is cancelled (a shutdown signal), then
@@ -231,13 +253,15 @@ func serve(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Du
 	return nil
 }
 
-// serverConfig wires the simd handler's collaborators. sess and maxInsts
-// are always set; coord is the async sweep coordinator (nil in worker
-// mode), and dispatcher is the shared remote-shard dispatcher (nil
-// without -backends).
+// serverConfig wires the simd handler's collaborators. sess is always
+// set; maxInsts and maxShards are the serving limits -max-insts and
+// -max-shards (0 = unlimited); coord is the async sweep coordinator (nil
+// in worker mode), and dispatcher is the shared remote-shard dispatcher
+// (nil without -backends).
 type serverConfig struct {
 	sess       *sim.Session
 	maxInsts   int64
+	maxShards  int
 	worker     bool
 	coord      *sweep.Coordinator
 	dispatcher *dispatch.Dispatcher
@@ -248,10 +272,9 @@ type serverConfig struct {
 // protocol plus the name listings and stats. Split from main so tests
 // drive it through httptest.
 func newServer(cfg serverConfig) http.Handler {
-	sess := cfg.sess
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		out := map[string]any{"cache": cacheStats(sess.Cache())}
+		out := map[string]any{"cache": cacheStats(cfg.sess.Cache())}
 		if cfg.dispatcher != nil {
 			out["dispatch"] = cfg.dispatcher.Stats()
 		}
@@ -261,14 +284,10 @@ func newServer(cfg serverConfig) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 	if !cfg.worker {
-		mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
-			handleRun(w, r, sess, cfg.maxInsts)
-		})
+		mux.HandleFunc("POST /v1/runs", cfg.handleRun)
 	}
 	if cfg.coord != nil {
-		mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-			handleSweepSubmit(w, r, cfg.coord, cfg.maxInsts)
-		})
+		mux.HandleFunc("POST /v1/sweeps", cfg.handleSweepSubmit)
 		mux.HandleFunc("GET /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, map[string]any{"sweeps": cfg.coord.List(r.URL.Query().Get("tenant"))})
 		})
@@ -299,7 +318,7 @@ func newServer(cfg serverConfig) http.Handler {
 			}
 		})
 	}
-	mux.Handle("POST "+dispatch.ShardsPath, dispatch.WorkerHandler(sess, cfg.maxInsts))
+	mux.Handle("POST "+dispatch.ShardsPath, dispatch.WorkerHandler(cfg.sess, cfg.maxInsts))
 	mux.HandleFunc("GET /v1/workloads", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"workloads": workload.Names()})
 	})
@@ -350,17 +369,16 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
-// handleSweepSubmit is POST /v1/sweeps: decode and validate exactly like
-// the synchronous run endpoint, then enqueue instead of executing. The
-// 202 body is the initial status snapshot (carrying the sweep ID the
-// client polls). Admission failures map to 429 + Retry-After; invalid
-// specs to 400 before they ever occupy a queue slot.
-func handleSweepSubmit(w http.ResponseWriter, r *http.Request, coord *sweep.Coordinator, maxInsts int64) {
-	spec := decodeSpec(w, r, maxInsts)
+// handleSweepSubmit is POST /v1/sweeps: the spec admit lets through is
+// enqueued instead of executed. The 202 body is the initial status
+// snapshot (carrying the sweep ID the client polls). A full tenant queue
+// maps to 429 + Retry-After.
+func (cfg serverConfig) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
+	spec := cfg.admit(w, r)
 	if spec == nil {
 		return
 	}
-	st, err := coord.Submit(tenantOf(r), spec)
+	st, err := cfg.coord.Submit(tenantOf(r), spec)
 	switch {
 	case errors.Is(err, sim.ErrInvalidSpec):
 		wire.WriteError(w, http.StatusBadRequest, err)
@@ -400,29 +418,43 @@ func handleSweepResult(w http.ResponseWriter, r *http.Request, coord *sweep.Coor
 	}
 }
 
-// decodeSpec reads a request's sim.Spec for both submit endpoints: a
-// bounded body, strictly decoded, with the per-shard budget held to
-// -max-insts. On failure it has already written the 400 envelope and
-// returns nil.
-func decodeSpec(w http.ResponseWriter, r *http.Request, maxInsts int64) *sim.Spec {
-	var spec sim.Spec
-	if err := wire.StrictDecode(http.MaxBytesReader(w, r.Body, maxSpecBytes), &spec); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+// admit is the one admission step of both submit endpoints: it reads the
+// bounded body, decodes and validates the spec, and holds it to the
+// serving limits. GridSize counts the grid without building it, so an
+// oversize spec allocates nothing before it is refused. On failure admit
+// has already answered — 413 for an oversize body, 400 for a spec that is
+// invalid or over a limit — and returns nil.
+func (cfg serverConfig) admit(w http.ResponseWriter, r *http.Request) *sim.Spec {
+	body, ok := wire.ReadBody(w, r, maxSpecBytes)
+	if !ok {
 		return nil
 	}
-	if maxInsts > 0 && spec.Insts > maxInsts {
-		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("per-shard budget %d exceeds server limit %d", spec.Insts, maxInsts))
-		return nil
+	spec, err := sim.DecodeSpec(body)
+	var shards int
+	if err == nil {
+		shards, err = spec.GridSize()
 	}
-	return &spec
+	switch {
+	case err != nil:
+		wire.WriteError(w, http.StatusBadRequest, err)
+	case cfg.maxInsts > 0 && spec.Insts > cfg.maxInsts:
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("per-shard budget %d exceeds server limit %d", spec.Insts, cfg.maxInsts))
+	case cfg.maxShards > 0 && shards > cfg.maxShards:
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("%d shards exceed server limit %d", shards, cfg.maxShards))
+	default:
+		return spec
+	}
+	return nil
 }
 
-func handleRun(w http.ResponseWriter, r *http.Request, sess *sim.Session, maxInsts int64) {
-	spec := decodeSpec(w, r, maxInsts)
+// handleRun is POST /v1/runs: the spec admit lets through, executed
+// synchronously.
+func (cfg serverConfig) handleRun(w http.ResponseWriter, r *http.Request) {
+	spec := cfg.admit(w, r)
 	if spec == nil {
 		return
 	}
-	rep, err := sess.Run(r.Context(), spec)
+	rep, err := cfg.sess.Run(r.Context(), spec)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, sim.ErrInvalidSpec) {
@@ -448,8 +480,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // envelope wraps a handler so error responses produced outside our own
-// wire.WriteError calls — ServeMux's plain-text 404s and 405s,
-// MaxBytesReader's 413s — carry the same JSON envelope as everything else. Any 4xx/5xx
+// wire.WriteError calls — ServeMux's plain-text 404s and 405s — carry the
+// same JSON envelope as everything else. Any 4xx/5xx
 // whose Content-Type is not already JSON has its body replaced with
 // {"error": <status text>, "code": N}; headers the original handler set
 // (Allow on a 405, for instance) pass through untouched.

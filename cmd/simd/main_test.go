@@ -25,13 +25,12 @@ import (
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	sess := sim.NewSession(2)
-	sess.SetMaxShards(256)
-	coord, err := sweep.New(sweep.Options{Run: sess.Run, MaxShards: 256})
+	coord, err := sweep.New(sweep.Options{Run: sess.Run})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000, coord: coord}))
+	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000, maxShards: 256, coord: coord}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -355,6 +354,46 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			decodeEnvelope(t, doReq(t, http.MethodPost, srv.URL+"/v1/runs", tc.body), http.StatusBadRequest)
 		})
+	}
+}
+
+// TestOversizeSpecBodyIs413: a spec body over the 1 MiB request limit is
+// a 413 naming the limit on both submit endpoints, as it is on the
+// worker's (dispatch's TestWorkerOversizeBodyIs413). The spec itself is
+// valid: only its trailing whitespace is too much.
+func TestOversizeSpecBodyIs413(t *testing.T) {
+	srv := testServer(t)
+	body := `{"workloads": ["comd-lite"], "insts": 1000, "observers": [{"kind": "bbl"}]}` + strings.Repeat(" ", 1<<20)
+	for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
+		env := decodeEnvelope(t, doReq(t, http.MethodPost, srv.URL+path, body), http.StatusRequestEntityTooLarge)
+		if !strings.Contains(env.Error, "1048576-byte") {
+			t.Errorf("POST %s answered %q, want the 1048576-byte limit named", path, env.Error)
+		}
+	}
+}
+
+// TestRunRefusesToStart: each startup conflict, and a -backends list that
+// does not parse, is run's error before anything listens. The address
+// does not parse either, so a refusal that went missing fails at Listen
+// with another message instead of serving.
+func TestRunRefusesToStart(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-worker", "-backends", "http://127.0.0.1:1"}, "-worker and -backends are mutually exclusive"},
+		{[]string{"-hedge"}, "-hedge needs -backends"},
+		{[]string{"-cache-entries", "0", "-cache-dir", t.TempDir()}, "-cache-dir needs -cache-entries"},
+		{[]string{"-backends", "127.0.0.1:1"}, "is not an http(s) URL"},
+	} {
+		var stderr strings.Builder
+		err := run(append([]string{"-addr", "no-port"}, tc.args...), &stderr)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error naming %q", tc.args, err, tc.want)
+		}
+		if strings.Contains(stderr.String(), "listening") {
+			t.Errorf("run(%v) listened: %s", tc.args, stderr.String())
+		}
 	}
 }
 

@@ -73,8 +73,12 @@ func getSweep(t *testing.T, base, id string) sweep.Status {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("poll status %d", resp.StatusCode)
 	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var st sweep.Status
-	if err := wire.StrictDecode(resp.Body, &st); err != nil {
+	if err := wire.StrictUnmarshal(body, &st); err != nil {
 		t.Fatalf("poll body is not a sweep status: %v", err)
 	}
 	return st

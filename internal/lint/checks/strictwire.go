@@ -16,9 +16,9 @@ const wirePkg = module + "/internal/wire"
 // Strictwire enforces the wire-boundary discipline:
 //
 //   - json.Unmarshal / json.NewDecoder outside internal/wire are
-//     errors — every decode goes through wire.StrictUnmarshal /
-//     wire.StrictDecode (or a Decode* wrapper built on them), so unknown
-//     fields and trailing garbage fail loudly at every process boundary.
+//     errors — every decode goes through wire.StrictUnmarshal (or a
+//     Decode* wrapper built on it), so unknown fields and trailing
+//     garbage fail loudly at every process boundary.
 //   - A struct with any json-tagged field is a wire struct: every
 //     exported field and every embedded one must carry an explicit json
 //     tag, so a field addition cannot silently ship under a default name
@@ -49,7 +49,7 @@ func runStrictwire(pass *lint.Pass) error {
 				pass.Reportf(n.Pos(), "raw json.Unmarshal outside internal/wire: use wire.StrictUnmarshal (or a Decode* wrapper) so unknown fields and trailing data are rejected")
 			}
 			if isPkgFunc(pass.Info, n, "encoding/json", "NewDecoder") {
-				pass.Reportf(n.Pos(), "raw json.NewDecoder outside internal/wire: use wire.StrictDecode (or a Decode* wrapper) so unknown fields and trailing data are rejected")
+				pass.Reportf(n.Pos(), "raw json.NewDecoder outside internal/wire: use wire.StrictUnmarshal (or a Decode* wrapper) so unknown fields and trailing data are rejected")
 			}
 		case *ast.StructType:
 			checkWireTags(pass, n)

@@ -25,10 +25,7 @@ func sanctionedDecodes(data []byte) error {
 	var v struct {
 		Name string `json:"name"`
 	}
-	if err := wire.StrictUnmarshal(data, &v); err != nil {
-		return err
-	}
-	return wire.StrictDecode(bytes.NewReader(data), &v)
+	return wire.StrictUnmarshal(data, &v)
 }
 
 // fullyTagged is a well-formed wire struct: every exported field named.

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -195,18 +194,11 @@ func (b *HTTPBackend) Probe(ctx context.Context) error {
 func WorkerHandler(sess *sim.Session, maxInsts int64) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+ShardsPath, func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxShardSpecBytes))
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			wire.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("shard array exceeds the worker's %d-byte request limit", tooBig.Limit))
-			return
-		}
-		if err != nil {
-			// A failed body read is a transport problem, not a judgment on
-			// the specs. It must NOT be a 400: the coordinator maps 400 to
-			// sim.ErrInvalidSpec and permanently fails the shards, whereas a
-			// 500 is retried and failed over like any backend fault.
-			wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("reading shard array: %w", err))
+		// A failed read that is not an oversize body is ReadBody's 500, not
+		// a 400: the coordinator maps 400 to sim.ErrInvalidSpec and fails
+		// the shards for good, whereas a 500 is retried and failed over.
+		body, ok := wire.ReadBody(w, r, maxShardSpecBytes)
+		if !ok {
 			return
 		}
 		var specs []sim.ShardSpec

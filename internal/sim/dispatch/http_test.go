@@ -48,7 +48,7 @@ func TestWorkerStatusBlameMapping(t *testing.T) {
 	}{
 		{"400 json error", http.StatusBadRequest, `{"error":"sim: invalid spec: no workload"}`, true},
 		{"400 opaque body", http.StatusBadRequest, `not json at all`, true},
-		{"413", http.StatusRequestEntityTooLarge, `{"error":"shard array exceeds the worker's 1048576-byte request limit"}`, true},
+		{"413", http.StatusRequestEntityTooLarge, `{"error":"request body exceeds the 1048576-byte limit"}`, true},
 		{"500", http.StatusInternalServerError, `{"error":"executor exploded"}`, false},
 		{"503", http.StatusServiceUnavailable, `overloaded`, false},
 	}

@@ -40,7 +40,7 @@ func (s *Session) runJob(ctx context.Context, c *trace.Compiled, cell gridCell) 
 // or runGroup over a real grid.
 func gridOf(t *testing.T, spec *Spec) []gridCell {
 	t.Helper()
-	norm, err := spec.normalized(0)
+	norm, err := spec.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,11 +37,14 @@ func goldenSeeds(f *testing.F) (spec []byte, results [][]byte) {
 	return rep.Spec, results
 }
 
-// FuzzDecodeSpec is the satellite fuzzer for the request surface: spec
-// JSON must never panic the decoder, and every rejection must map to
-// ErrInvalidSpec (the contract simd relies on to answer 400 instead of
-// 500). The shard-spec decoder shares the contract, so it is fuzzed with
-// the same inputs.
+// FuzzDecodeSpec fuzzes the two request decodes the servers run, on the
+// same inputs: simd's admission step decodes a spec with DecodeSpec, and
+// the worker protocol (dispatch.WorkerHandler into Session.RunShards)
+// strict-decodes a shard array and validates each member with Config.
+// Neither may panic, and every rejection of a decoded value must wrap
+// ErrInvalidSpec — the contract that makes it a 400 or an invalid member,
+// never a 500 or a retried one. (The worker answers a body that does not
+// decode as an array with its own 400.)
 func FuzzDecodeSpec(f *testing.F) {
 	spec, _ := goldenSeeds(f)
 	f.Add(spec)
@@ -55,23 +58,26 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"workloads":["comd-lite"],"insts":1000,"observers":[{"kind":"bbl"}]} trailing`))
 	f.Add([]byte(`{"workload":"comd-lite","seed":1,"insts":1000,"observer":{"kind":"bbl"}}`))
+	f.Add([]byte(`[{"workload":"comd-lite","seed":1,"insts":1000,"observer":{"kind":"bbl"}},{"workload":"no-such","seed":1,"insts":1000,"observer":{"kind":"bbl"}}]`))
+	f.Add([]byte(`[{"workload":"comd-lite","seed":1,"insts":1000,"engine":"reference","observer":{"kind":"bpred","options":{"configs":["gshare-small","tage-small"]}}},null]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := DecodeSpec(data)
 		if err != nil {
 			if !errors.Is(err, ErrInvalidSpec) {
 				t.Fatalf("DecodeSpec error does not wrap ErrInvalidSpec: %v", err)
 			}
-		} else if err := spec.Validate(); err != nil {
+		} else if _, err := spec.GridSize(); err != nil {
 			t.Fatalf("decoded spec fails its own validation: %v", err)
 		}
 
-		sp, err := DecodeShardSpec(data)
-		if err != nil {
-			if !errors.Is(err, ErrInvalidSpec) {
-				t.Fatalf("DecodeShardSpec error does not wrap ErrInvalidSpec: %v", err)
+		var specs []ShardSpec
+		if wire.StrictUnmarshal(data, &specs) != nil {
+			return
+		}
+		for i := range specs {
+			if _, err := specs[i].Config(); err != nil && !errors.Is(err, ErrInvalidSpec) {
+				t.Fatalf("member %d: Config error does not wrap ErrInvalidSpec: %v", i, err)
 			}
-		} else if _, err := sp.Config(); err != nil {
-			t.Fatalf("decoded shard spec fails its own validation: %v", err)
 		}
 	})
 }

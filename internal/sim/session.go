@@ -21,11 +21,10 @@ import (
 // (trace.Compiled is immutable), which is what lets a serving front-end
 // like cmd/simd run many requests against one warm cache.
 type Session struct {
-	workers   int
-	maxShards int
-	runner    ShardRunner
-	cache     *shardcache.Cache
-	traces    *replay.Store
+	workers int
+	runner  ShardRunner
+	cache   *shardcache.Cache
+	traces  *replay.Store
 
 	mu       sync.Mutex
 	compiled map[string]*compileEntry
@@ -51,12 +50,6 @@ func NewSession(workers int) *Session {
 	}
 	return &Session{workers: workers, compiled: map[string]*compileEntry{}}
 }
-
-// SetMaxShards bounds how many {workload x seed x observer-config} shards
-// one Run may expand to (0 = unlimited, the default). Serving front-ends
-// set it so a single request cannot allocate an unbounded grid; the limit
-// is enforced before the grid is built and violations report ErrInvalidSpec.
-func (s *Session) SetMaxShards(n int) { s.maxShards = n }
 
 // SetRunner has every subsequent Run compute its shards through r instead
 // of the session's in-process worker pool — the seam the dispatch layer
@@ -143,18 +136,13 @@ func (s *Session) compile(key string, isSynth bool, build func() (*program.Progr
 // configuration, then seed) regardless of scheduling. The context is
 // checked between shards; an already-running shard completes.
 func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
-	norm, err := spec.normalized(s.maxShards)
+	norm, err := spec.normalized()
 	if err != nil {
 		return nil, err
 	}
 	configs, err := expandObservers(norm.Observers)
 	if err != nil {
 		return nil, err
-	}
-	nShards := len(norm.Workloads) * len(configs) * len(norm.Seeds)
-	if s.maxShards > 0 && nShards > s.maxShards {
-		return nil, fmt.Errorf("%w: %d shards ({%d workloads x %d observer configs x %d seeds}) exceed the session's shard limit %d",
-			ErrInvalidSpec, nShards, len(norm.Workloads), len(configs), len(norm.Seeds), s.maxShards)
 	}
 
 	// Inline synth scenarios, by (canonical) name.

@@ -51,19 +51,6 @@ func (sp *ShardSpec) Config() (ObserverConfig, error) {
 	return cfgs[0], nil
 }
 
-// DecodeShardSpec parses and validates a ShardSpec from JSON. Unknown
-// fields, malformed JSON, and invalid shards all report ErrInvalidSpec.
-func DecodeShardSpec(data []byte) (*ShardSpec, error) {
-	var sp ShardSpec
-	if err := wire.StrictUnmarshal(data, &sp); err != nil {
-		return nil, fmt.Errorf("%w: decoding shard spec: %v", ErrInvalidSpec, err)
-	}
-	if _, err := sp.Config(); err != nil {
-		return nil, err
-	}
-	return &sp, nil
-}
-
 // EncodeShard renders one shard as its wire record — a member of the
 // worker protocol's answer, identical to the shard entries of a sim/v1
 // report.

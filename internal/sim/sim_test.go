@@ -106,8 +106,8 @@ func TestSpecValidation(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got %v", tc.want, err)
 			}
-			if verr := spec.Validate(); !errors.Is(verr, ErrInvalidSpec) || !errors.Is(err, ErrInvalidSpec) {
-				t.Errorf("Validate err = %v, Run err = %v; want both ErrInvalidSpec", verr, err)
+			if _, verr := spec.GridSize(); !errors.Is(verr, ErrInvalidSpec) || !errors.Is(err, ErrInvalidSpec) {
+				t.Errorf("GridSize err = %v, Run err = %v; want both ErrInvalidSpec", verr, err)
 			}
 		})
 	}

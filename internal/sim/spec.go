@@ -14,12 +14,12 @@ import (
 // requests to 400s while genuine execution failures stay 500s.
 var ErrInvalidSpec = errors.New("sim: invalid spec")
 
-// maxSeedExpansion is the absolute ceiling on seed_count expansion,
-// applied even when no session shard limit is configured: normalization
+// maxSeedExpansion is the ceiling on seed_count expansion: normalization
 // materializes the seed list (the Report echoes it), so the ceiling is
 // what keeps a tiny hostile spec from allocating an enormous slice or
 // burning arbitrary CPU in validation. 64Ki seeds is far beyond any
-// statistically useful sweep; explicit seed lists are unaffected.
+// statistically useful sweep; explicit seed lists are unaffected. It is a
+// validation rule, not a serving limit: those are the server's to apply.
 const maxSeedExpansion = 1 << 16
 
 // EngineCompiled is the one value Spec.Engine and ShardSpec.Engine accept
@@ -123,9 +123,7 @@ type ObserverSpec struct {
 
 // normalized validates the spec and returns a canonical copy: seeds
 // expanded, engine defaulted. The copy is what a Report echoes back.
-// maxSeeds > 0 bounds the seed list (checked before expansion, so an
-// absurd seed_count cannot allocate first and fail later).
-func (s *Spec) normalized(maxSeeds int) (*Spec, error) {
+func (s *Spec) normalized() (*Spec, error) {
 	if s == nil {
 		return nil, fmt.Errorf("%w: nil spec", ErrInvalidSpec)
 	}
@@ -180,13 +178,9 @@ func (s *Spec) normalized(maxSeeds int) (*Spec, error) {
 		if n < 0 {
 			return nil, fmt.Errorf("%w: negative seed_count %d", ErrInvalidSpec, n)
 		}
-		if maxSeeds > 0 && n > maxSeeds {
-			return nil, fmt.Errorf("%w: seed_count %d exceeds the session's shard limit %d", ErrInvalidSpec, n, maxSeeds)
-		}
-		// Reject absurd expansions before allocating, even with no
-		// session limit: a few bytes of JSON must not be able to
-		// materialize a multi-gigabyte seed slice (DecodeSpec feeds this
-		// path with untrusted input).
+		// Reject absurd expansions before allocating: a few bytes of JSON
+		// must not be able to materialize a multi-gigabyte seed slice
+		// (DecodeSpec feeds this path with untrusted input).
 		if n > maxSeedExpansion {
 			return nil, fmt.Errorf("%w: seed_count %d exceeds the expansion limit %d", ErrInvalidSpec, n, maxSeedExpansion)
 		}
@@ -195,9 +189,6 @@ func (s *Spec) normalized(maxSeeds int) (*Spec, error) {
 		}
 	} else if s.SeedCount != 0 {
 		return nil, fmt.Errorf("%w: set either seeds or seed_count, not both", ErrInvalidSpec)
-	}
-	if maxSeeds > 0 && len(out.Seeds) > maxSeeds {
-		return nil, fmt.Errorf("%w: %d seeds exceed the session's shard limit %d", ErrInvalidSpec, len(out.Seeds), maxSeeds)
 	}
 	seenS := map[uint64]bool{}
 	for _, sd := range out.Seeds {
@@ -219,26 +210,15 @@ func (s *Spec) normalized(maxSeeds int) (*Spec, error) {
 	return out, nil
 }
 
-// Validate checks the spec without executing it: workload names, seeds,
-// budget, engine, and the full observer expansion. Every failure wraps
-// ErrInvalidSpec. It applies no shard limit; a Session enforces its own
-// limit on Run.
-func (s *Spec) Validate() error {
-	norm, err := s.normalized(0)
-	if err != nil {
-		return err
-	}
-	_, err = expandObservers(norm.Observers)
-	return err
-}
-
-// GridSize validates the spec and returns the number of shards it
-// expands to: {workloads x observer-configs x seeds}. It is the admission
+// GridSize validates the spec without executing it — workload names,
+// seeds, budget, engine, and the full observer expansion — and returns
+// the number of shards it expands to: {workloads x observer-configs x
+// seeds}. It imposes no limit on that number. It is the admission
 // currency of the sweep coordinator — a sweep's scheduling cost is its
-// shard count — computed without building the grid. Every failure wraps
-// ErrInvalidSpec.
+// shard count — and of simd's -max-shards, computed without building the
+// grid. Every failure wraps ErrInvalidSpec.
 func (s *Spec) GridSize() (int, error) {
-	norm, err := s.normalized(0)
+	norm, err := s.normalized()
 	if err != nil {
 		return 0, err
 	}
@@ -257,7 +237,7 @@ func DecodeSpec(data []byte) (*Spec, error) {
 	if err := wire.StrictUnmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("%w: decoding spec: %v", ErrInvalidSpec, err)
 	}
-	if err := s.Validate(); err != nil {
+	if _, err := s.GridSize(); err != nil {
 		return nil, err
 	}
 	return &s, nil

@@ -15,10 +15,11 @@
 //     how often they ask.
 //
 //   - Admission control. Each tenant may hold at most QueueDepth queued
-//     sweeps (ErrQueueFull — HTTP 429 — beyond it), at most MaxRunning
-//     sweeps execute at once coordinator-wide, and a sweep's grid may not
-//     exceed MaxShards. Malformed specs are rejected at submit with
-//     sim.ErrInvalidSpec (HTTP 400) before they ever occupy a queue slot.
+//     sweeps (ErrQueueFull — HTTP 429 — beyond it), and at most MaxRunning
+//     sweeps execute at once coordinator-wide. Malformed specs are
+//     rejected at submit with sim.ErrInvalidSpec (HTTP 400) before they
+//     ever occupy a queue slot. How large a grid may be is the serving
+//     front-end's limit (simd's -max-shards), applied before Submit.
 //
 //   - Bounded retention. Terminal sweeps (done, failed, cancelled) are
 //     kept for polling, but only maxRetained of them and only for Retain;
@@ -125,10 +126,6 @@ type Options struct {
 	// MaxRunning bounds concurrently executing sweeps coordinator-wide
 	// (default 2). Sweeps beyond it wait in their tenant queues.
 	MaxRunning int
-	// MaxShards rejects sweeps whose grid expands past it (0 = unlimited).
-	// Serving front-ends mirror their session's shard limit here so an
-	// oversized spec is a 400 at submit, not a failure after queueing.
-	MaxShards int
 	// Retain is how long terminal sweeps stay pollable (default 15m).
 	Retain time.Duration
 	// Clock stamps submissions, starts and finishes and ages retention
@@ -322,9 +319,6 @@ func (c *Coordinator) Submit(tenant string, spec *sim.Spec) (Status, error) {
 	cost, err := spec.GridSize()
 	if err != nil {
 		return Status{}, err
-	}
-	if c.opts.MaxShards > 0 && cost > c.opts.MaxShards {
-		return Status{}, fmt.Errorf("%w: %d shards exceed the coordinator's shard limit %d", sim.ErrInvalidSpec, cost, c.opts.MaxShards)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"rebalance/internal/wire"
 	"rebalance/internal/workload/synth"
 )
 
@@ -48,7 +49,7 @@ func TestSynthSpecValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := synthGridSpec()
 			tc.mut(spec)
-			err := spec.Validate()
+			_, err := spec.GridSize()
 			if err == nil {
 				t.Fatalf("want error containing %q, got nil", tc.want)
 			}
@@ -323,8 +324,11 @@ func TestSynthShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeShardSpec(data)
-	if err != nil {
+	var back ShardSpec
+	if err := wire.StrictUnmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := back.Config(); err != nil {
 		t.Fatal(err)
 	}
 	if back.Synth == nil || back.Synth.Name != "synth-wire" {

@@ -1,9 +1,9 @@
 // Package wire holds the JSON conventions every process boundary shares:
-// strict unmarshalling and the error envelope. Result artifacts travel
-// between processes (the dispatch layer folds shards produced by remote
-// simd workers), so a decoder must reject unknown fields and trailing
-// garbage — a mangled or mis-routed artifact has to fail loudly instead of
-// silently dropping counters.
+// strict unmarshalling, the bounded request-body read and the error
+// envelope. Result artifacts travel between processes (the dispatch layer
+// folds shards produced by remote simd workers), so a decoder must reject
+// unknown fields and trailing garbage — a mangled or mis-routed artifact
+// has to fail loudly instead of silently dropping counters.
 package wire
 
 import (
@@ -66,24 +66,23 @@ func Decode[R any](data []byte, newTarget func() (any, func() (R, error))) (R, e
 	return build()
 }
 
-// StrictDecode decodes exactly one JSON document from r into v with the
-// same strictness as StrictUnmarshal: unknown fields and trailing data
-// are errors. It is the streaming entry point for HTTP request bodies,
-// so every wire boundary — client and server side — rejects drift the
-// same way.
-func StrictDecode(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
+// ReadBody reads a request body of at most limit bytes, the one bounded
+// read every JSON endpoint shares. On failure it has already answered —
+// 413 naming the limit for an oversize body, 500 for any other read
+// failure, which is a transport fault and not a judgment on the request —
+// and returns false.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", tooBig.Limit))
+	case err != nil:
+		WriteError(w, http.StatusInternalServerError, fmt.Errorf("reading request body: %w", err))
+	default:
+		return body, true
 	}
-	// A second Decode distinguishes clean EOF from trailing garbage
-	// without buffering the whole body.
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err != io.EOF {
-		return fmt.Errorf("trailing data after JSON value")
-	}
-	return nil
+	return nil, false
 }
 
 // errorEnvelope is the body of every 4xx/5xx the services answer with:

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -123,6 +124,37 @@ func TestDoRefusesAnOverLimitBody(t *testing.T) {
 		}
 		if want := "response body exceeds 64 bytes"; n > limit && (err == nil || err.Error() != want || data != nil) {
 			t.Errorf("%d-byte body under a %d-byte limit: %d bytes, err %v; want %q", n, limit, len(data), err, want)
+		}
+	}
+}
+
+// failingReader is a request body whose read breaks partway, the way a
+// client that drops its connection mid-body looks to a handler.
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, errors.New("connection reset") }
+
+// TestReadBody: a body of exactly limit bytes is read whole; one byte more
+// is a 413 naming the limit; any other read failure is a 500, a transport
+// fault the peer may retry, never a 400 that judges the request.
+func TestReadBody(t *testing.T) {
+	const limit = 64
+	for _, tc := range []struct {
+		body   io.Reader
+		status int
+		want   string
+	}{
+		{strings.NewReader(strings.Repeat("x", limit)), http.StatusOK, ""},
+		{strings.NewReader(strings.Repeat("x", limit+1)), http.StatusRequestEntityTooLarge, "request body exceeds the 64-byte limit"},
+		{failingReader{}, http.StatusInternalServerError, "reading request body: connection reset"},
+	} {
+		rec := httptest.NewRecorder()
+		body, ok := ReadBody(rec, httptest.NewRequest(http.MethodPost, "/", tc.body), limit)
+		if ok != (tc.status == http.StatusOK) || rec.Code != tc.status || (ok && len(body) != limit) {
+			t.Errorf("ReadBody = %d bytes, %v; answered %d, want %d", len(body), ok, rec.Code, tc.status)
+		}
+		if got := ErrorMessage(rec.Body.Bytes()); got != tc.want {
+			t.Errorf("ReadBody answered %q, want %q", got, tc.want)
 		}
 	}
 }
