@@ -23,8 +23,12 @@ loc:
 test:
 	$(GO) test ./...
 
+# race is CI's race job: the whole suite once, then the two packages whose
+# concurrency is the sweep lifecycle — Run's wait racing a landing, a Cancel
+# or a Close, and a client hanging up on a queued /v1/runs — five times more.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=5 ./internal/sim/sweep ./cmd/simd
 
 # fuzz runs the wire- and disk-surface fuzzers and the seven differentials
 # — the one-pass shard record decode against the two-level one it replaced

@@ -9,10 +9,12 @@ import (
 
 	"rebalance/internal/sim"
 	"rebalance/internal/sim/shardcache"
+	"rebalance/internal/sim/sweep"
 )
 
 // cachedServer stands up a simd handler whose session has a shard result
-// cache, the way main wires it with -cache-entries > 0.
+// cache, the way main wires it with -cache-entries > 0: a -worker, or a
+// front door with its coordinator.
 func cachedServer(t *testing.T, worker bool) (*httptest.Server, *shardcache.Cache) {
 	t.Helper()
 	cache, err := shardcache.New(shardcache.Options{})
@@ -21,7 +23,11 @@ func cachedServer(t *testing.T, worker bool) (*httptest.Server, *shardcache.Cach
 	}
 	sess := sim.NewSession(2)
 	sess.SetCache(cache)
-	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000, maxShards: 256, worker: worker}))
+	cfg := serverConfig{sess: sess, maxInsts: 1_000_000, maxShards: 256}
+	if !worker {
+		cfg.coord = newCoord(t, sweep.Options{Run: sess.Run})
+	}
+	srv := httptest.NewServer(newServer(cfg))
 	t.Cleanup(srv.Close)
 	return srv, cache
 }

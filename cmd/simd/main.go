@@ -4,43 +4,43 @@
 // concurrent runs execute against the same warm cache — the serving shape
 // the ROADMAP's production-scale target builds on.
 //
-// The process is also the worker half of the dispatch layer: POST
-// /v1/shards runs one unit of an expanded grid — an array of shard specs,
-// streamed once per trace coordinate for all its members — and returns one
-// wire record per member, which a front door (a simd started with
-// -backends, or any sim.Session routed through a dispatch.Dispatcher)
-// decodes and folds into the same bit-identical Report an all-local run
-// produces. -worker
-// trims the surface to exactly that role: the run and sweep endpoints are
-// withheld so a fleet worker cannot be used as an accidental coordinator.
-//
-// Coordinator mode additionally serves the async sweep API
-// (internal/sim/sweep): POST /v1/sweeps returns a sweep ID immediately,
-// the sweep executes in the background under per-tenant deficit
-// round-robin fair queueing, and clients poll its status (state and shard
-// counts; the shards themselves arrive only in the final report) and fetch
-// the final report — byte-identical to what POST /v1/runs would have
-// returned for the same spec, up to timing fields. Admission control bounds each
+// A server plays one of two roles. A front door (the default) owns a sweep
+// coordinator (internal/sim/sweep), and every spec it runs goes through
+// it: POST /v1/sweeps returns a sweep ID immediately, the sweep executes
+// in the background under per-tenant deficit round-robin fair queueing,
+// and clients poll its status (state and shard counts; the shards
+// themselves arrive only in the final report) and fetch the final report.
+// POST /v1/runs is the same submit, waited on in the request: it queues
+// behind -max-running like any sweep and is listed like one until it
+// answers; a client that hangs up cancels it. Admission control bounds each
 // tenant's queue depth (-queue-depth; beyond it submits get 429 with
 // Retry-After) and coordinator-wide concurrency (-max-running); terminal
 // sweeps stay pollable for -retain. The tenant is named by the ?tenant=
 // query parameter or X-Tenant header ("default" when absent).
 //
-// With -backends the coordinator's shard grids are computed on remote simd
+// A -worker has no coordinator and serves the worker half of the dispatch
+// layer instead: POST /v1/shards runs one unit of an expanded grid — an
+// array of shard specs, streamed once per trace coordinate for all its
+// members — and returns one wire record per member, which a front door
+// started with -backends (or any sim.Session routed through a
+// dispatch.Dispatcher) decodes and folds into the same bit-identical
+// Report an all-local run produces.
+//
+// With -backends the front door's shard grids are computed on remote simd
 // workers instead of the local pool, sharing one dispatcher across all
-// sweeps and runs; the session resolves every grid against its one shard
-// cache first, so concurrent tenants sweeping overlapping grids
-// deduplicate each other's work and only misses travel.
+// sweeps; the session resolves every grid against its one shard cache
+// first, so concurrent tenants sweeping overlapping grids deduplicate each
+// other's work and only misses travel.
 //
 // Endpoints:
 //
-//	POST   /v1/runs             execute a Spec synchronously, respond with the report (coordinator mode only)
-//	POST   /v1/sweeps           submit a Spec asynchronously, respond 202 with the sweep status (coordinator mode only)
-//	GET    /v1/sweeps           list sweeps, optionally filtered by ?tenant= (coordinator mode only)
-//	GET    /v1/sweeps/{id}      sweep status: state, timestamps, shard progress counts (coordinator mode only)
-//	GET    /v1/sweeps/{id}/result  the final report; 409 until the sweep is terminal (coordinator mode only)
-//	DELETE /v1/sweeps/{id}      cancel a queued or running sweep (coordinator mode only)
-//	POST   /v1/shards           execute one unit (an array of ShardSpecs), respond with one record per member
+//	POST   /v1/runs             submit a Spec as a sweep and wait on it, respond with the report (front door only)
+//	POST   /v1/sweeps           submit a Spec asynchronously, respond 202 with the sweep status (front door only)
+//	GET    /v1/sweeps           list sweeps, optionally filtered by ?tenant= (front door only)
+//	GET    /v1/sweeps/{id}      sweep status: state, timestamps, shard progress counts (front door only)
+//	GET    /v1/sweeps/{id}/result  the final report; 409 until the sweep is terminal (front door only)
+//	DELETE /v1/sweeps/{id}      cancel a queued or running sweep (front door only)
+//	POST   /v1/shards           execute one unit (an array of ShardSpecs), respond with one record per member (-worker only)
 //	GET    /v1/stats            unified counters: shard cache, dispatcher (hedges, hedge_wins, probes, healthy backends), sweep queues
 //	GET    /v1/workloads        list the built-in workloads
 //	GET    /v1/predictors       list the predictor configurations with costs
@@ -62,8 +62,8 @@
 // reference engine is the tests' oracle, not a request option.
 //
 // Synthetic workloads need no server-side definition: a Spec (or
-// ShardSpec) carries synth/v1 parameter sets inline, and both run
-// endpoints build the exact program those canonical params describe.
+// ShardSpec) carries synth/v1 parameter sets inline, and both roles build
+// the exact program those canonical params describe.
 // GET /v1/synth documents the knob defaults clients sweep from.
 //
 // Shard results are cached by content address (see internal/sim/shardcache):
@@ -74,11 +74,12 @@
 // caching and refuses -cache-dir); -cache-dir adds a disk tier that survives restarts.
 //
 // On SIGINT/SIGTERM the server stops accepting connections and drains
-// in-flight runs (http.Server.Shutdown) before exiting, so killing a
-// worker never truncates a shard response mid-body — a coordinator either
-// gets a complete record or a connection error it fails over from. The
-// sweep coordinator closes after the drain: queued sweeps land cancelled,
-// running sweeps abort through context cancellation.
+// in-flight requests (http.Server.Shutdown) before exiting, so killing a
+// worker never truncates a shard response mid-body — a front door either
+// gets a complete record or a connection error it fails over from — and a
+// waiting /v1/runs request still gets its report. The sweep coordinator
+// closes after the drain: queued sweeps land cancelled, running sweeps
+// abort through context cancellation.
 //
 // Usage:
 //
@@ -143,7 +144,7 @@ func run(args []string, stderr io.Writer) error {
 		maxShardsFlag = fs.Int("max-shards", 4096, "reject specs expanding to more shards than this (0 = unlimited)")
 		drainFlag     = fs.Duration("drain", 30*time.Second, "in-flight drain budget on SIGINT/SIGTERM")
 		queueFlag     = fs.Int("queue-depth", 64, "sweep coordinator: max queued sweeps per tenant (beyond it submits get 429)")
-		maxRunFlag    = fs.Int("max-running", 2, "sweep coordinator: max concurrently executing sweeps")
+		maxRunFlag    = fs.Int("max-running", 2, "sweep coordinator: max concurrently executing sweeps, sync runs included")
 		retainFlag    = fs.Duration("retain", 15*time.Minute, "sweep coordinator: how long finished sweeps stay pollable")
 		backendsFlag  = fs.String("backends", "", "comma-separated simd worker URLs; dispatch shard grids to them instead of the local pool")
 		hedgeFlag     = fs.Bool("hedge", false, "with -backends, duplicate straggling units onto a second healthy worker; first result wins")
@@ -177,7 +178,7 @@ func run(args []string, stderr io.Writer) error {
 		}
 		sess.SetCache(cache)
 	}
-	cfg := serverConfig{sess: sess, maxInsts: *maxInstsFlag, maxShards: *maxShardsFlag, worker: *workerFlag}
+	cfg := serverConfig{sess: sess, maxInsts: *maxInstsFlag, maxShards: *maxShardsFlag}
 	if *backendsFlag != "" {
 		backends, err := dispatch.ParseBackends(*backendsFlag, dispatch.DefaultClient())
 		if err != nil {
@@ -255,22 +256,21 @@ func serve(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Du
 
 // serverConfig wires the simd handler's collaborators. sess is always
 // set; maxInsts and maxShards are the serving limits -max-insts and
-// -max-shards (0 = unlimited); coord is the async sweep coordinator (nil
-// in worker mode), and dispatcher is the shared remote-shard dispatcher
-// (nil without -backends).
+// -max-shards (0 = unlimited); coord, the sweep coordinator, makes the
+// server a front door (nil on a -worker); dispatcher is the shared
+// remote-shard dispatcher (nil without -backends).
 type serverConfig struct {
 	sess       *sim.Session
 	maxInsts   int64
 	maxShards  int
-	worker     bool
 	coord      *sweep.Coordinator
 	dispatcher *dispatch.Dispatcher
 }
 
-// newServer builds the simd handler. Worker mode withholds the
-// coordinator surfaces (/v1/runs, /v1/sweeps) and serves only the shard
-// protocol plus the name listings and stats. Split from main so tests
-// drive it through httptest.
+// newServer builds the simd handler. A front door (coord set) serves the
+// run and sweep endpoints, a worker the shard protocol; both serve the
+// name listings and stats. Split from main so tests drive it through
+// httptest.
 func newServer(cfg serverConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
@@ -283,11 +283,21 @@ func newServer(cfg serverConfig) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, out)
 	})
-	if !cfg.worker {
-		mux.HandleFunc("POST /v1/runs", cfg.handleRun)
-	}
-	if cfg.coord != nil {
-		mux.HandleFunc("POST /v1/sweeps", cfg.handleSweepSubmit)
+	if cfg.coord == nil {
+		mux.Handle("POST "+dispatch.ShardsPath, dispatch.WorkerHandler(cfg.sess, cfg.maxInsts))
+	} else {
+		mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
+			if spec := cfg.admit(w, r); spec != nil {
+				rep, err := cfg.coord.Run(r.Context(), tenantOf(r), spec)
+				writeOutcome(w, http.StatusOK, rep, err)
+			}
+		})
+		mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+			if spec := cfg.admit(w, r); spec != nil {
+				st, err := cfg.coord.Submit(tenantOf(r), spec)
+				writeOutcome(w, http.StatusAccepted, st, err)
+			}
+		})
 		mux.HandleFunc("GET /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, map[string]any{"sweeps": cfg.coord.List(r.URL.Query().Get("tenant"))})
 		})
@@ -301,7 +311,8 @@ func newServer(cfg serverConfig) http.Handler {
 			writeJSON(w, http.StatusOK, st)
 		})
 		mux.HandleFunc("GET /v1/sweeps/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-			handleSweepResult(w, r, cfg.coord)
+			rep, err := cfg.coord.Report(r.PathValue("id"))
+			writeOutcome(w, http.StatusOK, rep, err)
 		})
 		mux.HandleFunc("DELETE /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 			id := r.PathValue("id")
@@ -318,7 +329,6 @@ func newServer(cfg serverConfig) http.Handler {
 			}
 		})
 	}
-	mux.Handle("POST "+dispatch.ShardsPath, dispatch.WorkerHandler(cfg.sess, cfg.maxInsts))
 	mux.HandleFunc("GET /v1/workloads", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"workloads": workload.Names()})
 	})
@@ -369,53 +379,32 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
-// handleSweepSubmit is POST /v1/sweeps: the spec admit lets through is
-// enqueued instead of executed. The 202 body is the initial status
-// snapshot (carrying the sweep ID the client polls). A full tenant queue
-// maps to 429 + Retry-After.
-func (cfg serverConfig) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	spec := cfg.admit(w, r)
-	if spec == nil {
-		return
-	}
-	st, err := cfg.coord.Submit(tenantOf(r), spec)
-	switch {
-	case errors.Is(err, sim.ErrInvalidSpec):
-		wire.WriteError(w, http.StatusBadRequest, err)
-	case errors.Is(err, sweep.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		wire.WriteError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, sweep.ErrClosed):
-		wire.WriteError(w, http.StatusServiceUnavailable, err)
-	case err != nil:
-		wire.WriteError(w, http.StatusInternalServerError, err)
-	default:
-		writeJSON(w, http.StatusAccepted, st)
-	}
-}
-
-// handleSweepResult is GET /v1/sweeps/{id}/result: the final report of a
-// done sweep, 409 + Retry-After while the sweep is still queued or
-// running (the poll loop's signal to come back), 410 for a cancelled
-// sweep, and the terminal error as a 500 for a failed one.
-func handleSweepResult(w http.ResponseWriter, r *http.Request, coord *sweep.Coordinator) {
-	id := r.PathValue("id")
-	rep, err := coord.Report(id)
+// writeOutcome is the one answer of every endpoint that submits a sweep or
+// serves its outcome: v with status ok, or the coordinator's error as its
+// status (409 + Retry-After is the poll loop's signal to come back; a sweep
+// that failed on an invalid spec, a worker's rejection say, is a 400).
+func writeOutcome(w http.ResponseWriter, ok int, v any, err error) {
+	status := http.StatusInternalServerError
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, rep)
+		writeJSON(w, ok, v)
+		return
+	case errors.Is(err, sim.ErrInvalidSpec):
+		status = http.StatusBadRequest
+	case errors.Is(err, sweep.ErrQueueFull):
+		w.Header().Set("Retry-After", "1")
+		status = http.StatusTooManyRequests
 	case errors.Is(err, sweep.ErrNotFound):
-		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no sweep %q", id))
+		status = http.StatusNotFound
 	case errors.Is(err, sweep.ErrNotTerminal):
 		w.Header().Set("Retry-After", "1")
-		wire.WriteError(w, http.StatusConflict, fmt.Errorf("sweep %q has not finished", id))
+		status = http.StatusConflict
 	case errors.Is(err, sweep.ErrCancelled):
-		// Terminal without a report: cancelled is the resource being gone,
-		// anything else is the sweep's own failure.
-		wire.WriteError(w, http.StatusGone, err)
-	default:
-		wire.WriteError(w, http.StatusInternalServerError, err)
+		status = http.StatusGone
+	case errors.Is(err, sweep.ErrClosed):
+		status = http.StatusServiceUnavailable
 	}
+	wire.WriteError(w, status, err)
 }
 
 // admit is the one admission step of both submit endpoints: it reads the
@@ -445,25 +434,6 @@ func (cfg serverConfig) admit(w http.ResponseWriter, r *http.Request) *sim.Spec 
 		return spec
 	}
 	return nil
-}
-
-// handleRun is POST /v1/runs: the spec admit lets through, executed
-// synchronously.
-func (cfg serverConfig) handleRun(w http.ResponseWriter, r *http.Request) {
-	spec := cfg.admit(w, r)
-	if spec == nil {
-		return
-	}
-	rep, err := cfg.sess.Run(r.Context(), spec)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, sim.ErrInvalidSpec) {
-			status = http.StatusBadRequest
-		}
-		wire.WriteError(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

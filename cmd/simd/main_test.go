@@ -22,17 +22,34 @@ import (
 	"rebalance/internal/workload/synth"
 )
 
+// testServer stands up a front door: a session of two workers and its
+// sweep coordinator.
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	sess := sim.NewSession(2)
-	coord, err := sweep.New(sweep.Options{Run: sess.Run})
+	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000, maxShards: 256,
+		coord: newCoord(t, sweep.Options{Run: sess.Run})}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// workerServer stands up a -worker: a session and no coordinator.
+func workerServer(t *testing.T, maxInsts int64) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(newServer(serverConfig{sess: sim.NewSession(2), maxInsts: maxInsts}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// newCoord is a sweep coordinator closed when the test ends.
+func newCoord(t *testing.T, opts sweep.Options) *sweep.Coordinator {
+	t.Helper()
+	coord, err := sweep.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000, maxShards: 256, coord: coord}))
-	t.Cleanup(srv.Close)
-	return srv
+	return coord
 }
 
 func getJSON(t *testing.T, url string, into any) {
@@ -187,12 +204,12 @@ func TestRunRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWorkerMode checks the trimmed -worker surface: the shard protocol
-// and name listings are served, the coordinator run endpoint is not.
+// TestWorkerMode checks the two roles' surfaces: a -worker serves the
+// shard protocol and the name listings but neither submit endpoint, and a
+// front door serves no shard protocol. Each withheld endpoint is the
+// mux's 404 envelope.
 func TestWorkerMode(t *testing.T) {
-	sess := sim.NewSession(2)
-	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000, worker: true}))
-	defer srv.Close()
+	srv := workerServer(t, 1_000_000)
 
 	shard := `{
 		"workload": "comd-lite", "seed": 3, "insts": 20000,
@@ -239,16 +256,11 @@ func TestWorkerMode(t *testing.T) {
 		decodeEnvelope(t, doReq(t, http.MethodPost, srv.URL+"/v1/shards", bad), http.StatusBadRequest)
 	}
 
-	// The coordinator endpoint is withheld in worker mode.
-	resp, err := http.Post(srv.URL+"/v1/runs", "application/json",
-		strings.NewReader(`{"workloads":["comd-lite"],"insts":1000,"observers":[{"kind":"bbl"}]}`))
-	if err != nil {
-		t.Fatal(err)
+	spec := `{"workloads":["comd-lite"],"insts":1000,"observers":[{"kind":"bbl"}]}`
+	for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
+		decodeEnvelope(t, doReq(t, http.MethodPost, srv.URL+path, spec), http.StatusNotFound)
 	}
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Errorf("worker mode served /v1/runs")
-	}
+	decodeEnvelope(t, doReq(t, http.MethodPost, testServer(t).URL+"/v1/shards", "["+shard+"]"), http.StatusNotFound)
 }
 
 // TestGracefulShutdown is the satellite regression test: once the signal
@@ -256,7 +268,7 @@ func TestWorkerMode(t *testing.T) {
 // response, stop accepting new connections, and return.
 func TestGracefulShutdown(t *testing.T) {
 	sess := sim.NewSession(1)
-	inner := newServer(serverConfig{sess: sess})
+	inner := newServer(serverConfig{sess: sess, coord: newCoord(t, sweep.Options{Run: sess.Run})})
 	started := make(chan struct{})
 	var once sync.Once
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -402,9 +414,7 @@ func TestRunRefusesToStart(t *testing.T) {
 // and sweep endpoints and an invalid member on a worker's — never a run that
 // takes the process down or simulates the wrong cache.
 func TestHugeGeometriesAreRejected(t *testing.T) {
-	srv := testServer(t)
-	worker := httptest.NewServer(newServer(serverConfig{sess: sim.NewSession(1), maxInsts: 1_000_000, worker: true}))
-	defer worker.Close()
+	srv, worker := testServer(t), workerServer(t, 1_000_000)
 	for _, obs := range []string{
 		`{"kind":"btb","options":{"geometries":[{"entries":1099511627776,"ways":1}]}}`,
 		`{"kind":"icache","options":{"geometries":[{"size_kb":18014398509481985,"ways":1}]}}`,
@@ -420,9 +430,9 @@ func TestHugeGeometriesAreRejected(t *testing.T) {
 }
 
 // TestSynthEndpointAndRun covers the synthetic-workload surface: the
-// grammar endpoint serves the canonical defaults, the coordinator runs an
-// inline scenario, and the worker protocol executes a synth shard from
-// its wire bytes.
+// grammar endpoint serves the canonical defaults, a front door runs an
+// inline scenario, and a worker executes a synth shard from its wire
+// bytes.
 func TestSynthEndpointAndRun(t *testing.T) {
 	srv := testServer(t)
 
@@ -500,7 +510,7 @@ func TestSynthEndpointAndRun(t *testing.T) {
 		"insts": 10000,
 		"observer": {"kind": "bias"}
 	}`
-	body, err := json.Marshal(postShard(t, srv.URL, shardSpec))
+	body, err := json.Marshal(postShard(t, workerServer(t, 1_000_000).URL, shardSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,8 +591,14 @@ func partialCoordinator(t *testing.T) *httptest.Server {
 		worker.ServeHTTP(w, r)
 	}))
 	t.Cleanup(healthy.Close)
+	return dispatchingFrontDoor(t, healthy.URL+","+bad.URL)
+}
 
-	backends, err := dispatch.ParseBackends(healthy.URL+","+bad.URL, dispatch.DefaultClient())
+// dispatchingFrontDoor stands up a front door whose dispatcher is built
+// exactly as main builds it for -backends over the comma-separated URLs.
+func dispatchingFrontDoor(t *testing.T, urls string) *httptest.Server {
+	t.Helper()
+	backends, err := dispatch.ParseBackends(urls, dispatch.DefaultClient())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,14 +608,27 @@ func partialCoordinator(t *testing.T) *httptest.Server {
 	}
 	sess := sim.NewSession(2)
 	sess.SetRunner(d)
-	coord, err := sweep.New(sweep.Options{Run: sess.Run})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
-	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000, coord: coord, dispatcher: d}))
+	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000,
+		coord: newCoord(t, sweep.Options{Run: sess.Run}), dispatcher: d}))
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// TestWorkerRejectionIs400Everywhere: a sweep that fails with
+// sim.ErrInvalidSpec gets one answer on both endpoints that serve its
+// outcome. A worker whose -max-insts is below the front door's rejects
+// every unit with a 400, which the dispatcher maps to ErrInvalidSpec and
+// does not retry: POST /v1/runs and GET /v1/sweeps/{id}/result both
+// answer 400.
+func TestWorkerRejectionIs400Everywhere(t *testing.T) {
+	srv := dispatchingFrontDoor(t, workerServer(t, 1000).URL)
+	const spec = `{"workloads": ["comd-lite"], "insts": 5000, "observers": [{"kind": "bbl"}]}`
+	decodeEnvelope(t, doReq(t, http.MethodPost, srv.URL+"/v1/runs", spec), http.StatusBadRequest)
+	id := submitSweep(t, srv.URL, "a", spec)
+	if st := pollSweep(t, srv.URL, id); st.State != sweep.StateFailed {
+		t.Fatalf("sweep landed %s, want failed", st.State)
+	}
+	decodeEnvelope(t, doReq(t, http.MethodGet, srv.URL+"/v1/sweeps/"+id+"/result", ""), http.StatusBadRequest)
 }
 
 // TestDispatchedRunHonoursAllowPartial: the abort-vs-degrade policy lives

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -236,13 +237,7 @@ func TestSweepSubmitRejections(t *testing.T) {
 // tests that must not depend on real simulation timing.
 func stubServer(t *testing.T, opts sweep.Options) *httptest.Server {
 	t.Helper()
-	sess := sim.NewSession(1)
-	coord, err := sweep.New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
-	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000, coord: coord}))
+	srv := httptest.NewServer(newServer(serverConfig{sess: sim.NewSession(1), maxInsts: 1_000_000, coord: newCoord(t, opts)}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -471,10 +466,8 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("dispatch.healthy = %v (err %v), want both backends", healthy.Healthy, err)
 	}
 
-	worker := httptest.NewServer(newServer(serverConfig{sess: sim.NewSession(2), maxInsts: 1_000_000, worker: true}))
-	t.Cleanup(worker.Close)
 	stats = nil
-	getJSON(t, worker.URL+"/v1/stats", &stats)
+	getJSON(t, workerServer(t, 1_000_000).URL+"/v1/stats", &stats)
 	if got, want := blocks(stats), []string{"cache"}; !slices.Equal(got, want) {
 		t.Errorf("-worker /v1/stats blocks %v, want %v", got, want)
 	}
@@ -512,5 +505,138 @@ func TestSweepIDShape(t *testing.T) {
 			t.Fatalf("duplicate sweep ID %q", st.ID)
 		}
 		seen[st.ID] = true
+	}
+}
+
+// listedOnce polls GET /v1/sweeps?tenant= until it lists one sweep and
+// returns it. Each poll is a request, so the test yields to the server on
+// every turn without sleeping.
+func listedOnce(t *testing.T, base, tenant string) sweep.Status {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		var list struct {
+			Sweeps []sweep.Status `json:"sweeps"`
+		}
+		if getJSON(t, base+"/v1/sweeps?tenant="+tenant, &list); len(list.Sweeps) == 1 {
+			return list.Sweeps[0]
+		}
+	}
+	t.Fatalf("tenant %s never listed one sweep", tenant)
+	return sweep.Status{}
+}
+
+// TestSyncRunIsAQueuedSweep: POST /v1/runs is a sweep the request waits
+// on. While a held sweep fills MaxRunning 1, a sync run queues behind it
+// and is listed under its tenant; once the hold lifts it answers 200 with
+// the report a direct Session.Run gives, and its sweep is no longer
+// retained. A client that abandons its queued sync run leaves that sweep
+// cancelled.
+func TestSyncRunIsAQueuedSweep(t *testing.T) {
+	sess := sim.NewSession(2)
+	gate := make(chan struct{})
+	var first sync.Once
+	coord := newCoord(t, sweep.Options{MaxRunning: 1, Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
+		held := false
+		first.Do(func() { held = true })
+		if held {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return sess.Run(ctx, spec)
+	}})
+	// handled names the tenant of each /v1/runs request as its handler
+	// returns, so the test learns what a hang-up did without sleeping.
+	handled := make(chan string, 4)
+	h := newServer(serverConfig{sess: sess, maxInsts: 1_000_000, coord: coord})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.URL.Path == "/v1/runs" {
+			handled <- tenantOf(r)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	// Closing the coordinator first lands every waiting run, so a failed
+	// check never leaves srv.Close waiting on a handler.
+	t.Cleanup(coord.Close)
+	const spec = `{"workloads": ["comd-lite"], "seed_count": 2, "insts": 20000, "observers": [{"kind": "bbl"}]}`
+	submitSweep(t, srv.URL, "hold", spec)
+
+	// post is POST /v1/runs as tenant on ctx, answered on the channel.
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	post := func(ctx context.Context, tenant string) <-chan answer {
+		out := make(chan answer, 1)
+		go func() {
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/runs?tenant="+tenant, strings.NewReader(spec))
+			if err != nil {
+				out <- answer{err: err}
+				return
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				out <- answer{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			out <- answer{resp.StatusCode, body, err}
+		}()
+		return out
+	}
+
+	ran := post(context.Background(), "sync")
+	synced := listedOnce(t, srv.URL, "sync")
+	if synced.State != sweep.StateQueued {
+		t.Errorf("sync run listed %s behind the held sweep, want queued", synced.State)
+	}
+	if st := coord.Stats(); st.Running != 1 || st.Queued != 1 {
+		t.Errorf("coordinator holds %d running, %d queued; want 1, 1", st.Running, st.Queued)
+	}
+
+	hangUp, cancel := context.WithCancel(context.Background())
+	abandoned := post(hangUp, "gone")
+	gone := listedOnce(t, srv.URL, "gone")
+	cancel()
+	if a := <-abandoned; a.err == nil {
+		t.Errorf("the abandoning client got an answer: %d %s", a.status, a.body)
+	}
+	// A handler the hang-up did not reach would wait on the held slot: the
+	// bound turns that into a failure instead of a hung test.
+	select {
+	case tenant := <-handled:
+		if tenant != "gone" {
+			t.Fatalf("tenant %s's sync run returned first, want the abandoned one", tenant)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the abandoned sync run's handler never returned")
+	}
+	if st, ok := coord.Get(gone.ID); !ok || st.State != sweep.StateCancelled || coord.Stats().Retained != 1 {
+		t.Errorf("abandoned sync run's sweep: %+v (found %v, %d retained), want it retained cancelled", st, ok, coord.Stats().Retained)
+	}
+
+	close(gate)
+	a := <-ran
+	if a.err != nil || a.status != http.StatusOK {
+		t.Fatalf("sync run answered %d %s (%v), want 200", a.status, a.body, a.err)
+	}
+	if st, ok := coord.Get(synced.ID); ok {
+		t.Errorf("answered sync run still retained: %+v", st)
+	}
+	parsed, err := sim.DecodeSpec([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sess.Run(context.Background(), parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := normalizeReport(t, a.body), render(t, direct); got != want {
+		t.Errorf("sync run differs from a direct Session.Run:\n run: %s\nwant: %s", got, want)
 	}
 }

@@ -187,10 +187,11 @@ func (b *HTTPBackend) Probe(ctx context.Context) error {
 
 // WorkerHandler serves the worker protocol over sess: POST /v1/shards runs
 // one unit — an array of shard specs — on the session's pool and
-// compiled-program cache, as sess.RunShards plans it. cmd/simd mounts it in
-// both modes; tests drive it through httptest to stand up in-process
-// workers. maxInsts > 0 rejects arrays holding a larger instruction budget,
-// mirroring the coordinator endpoint's guard.
+// compiled-program cache, as sess.RunShards plans it. cmd/simd mounts it
+// only on a -worker (a server without a sweep coordinator); tests drive it
+// through httptest to stand up in-process workers. maxInsts > 0 rejects
+// arrays holding a larger instruction budget, mirroring the front door's
+// guard.
 func WorkerHandler(sess *sim.Session, maxInsts int64) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+ShardsPath, func(w http.ResponseWriter, r *http.Request) {

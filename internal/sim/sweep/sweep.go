@@ -1,8 +1,8 @@
 // Package sweep is the async multi-tenant job service that turns the
 // stateless run API into a front door: clients submit a sim.Spec and get
 // a sweep ID back immediately, then poll its status and fetch the final
-// report when the sweep lands. It is the coordinator subsystem behind
-// simd's /v1/sweeps surface.
+// report when the sweep lands, or submit and wait in one call (Run). It is
+// the coordinator behind every spec simd's front door runs.
 //
 // Three mechanisms keep a shared coordinator fair and bounded:
 //
@@ -21,26 +21,26 @@
 //     ever occupy a queue slot. How large a grid may be is the serving
 //     front-end's limit (simd's -max-shards), applied before Submit.
 //
-//   - Bounded retention. Terminal sweeps (done, failed, cancelled) are
-//     kept for polling, but only maxRetained of them and only for Retain;
-//     beyond either bound the oldest-finished are evicted — lazily, by
-//     every call that could see them and after every finished run, so no
-//     timer is involved and an expired sweep is never visible. Queued and
-//     running sweeps are never evicted — only the terminal list is
-//     subject to retention — and a tenant's own entry goes with its last
-//     retained sweep, so a long-lived coordinator's memory stays
-//     proportional to its configured bounds, not its uptime or the number
-//     of tenant names it has ever seen.
+//   - Bounded retention. Terminal sweeps (done, failed, cancelled) are kept
+//     for polling, but only maxRetained of them and only for Retain; a sweep
+//     Run waits on takes no slot and goes once answered. Beyond either bound
+//     the oldest-finished are evicted — lazily, by every call that could see
+//     them and after every finished run, so no timer is involved and an
+//     expired sweep is never visible. Queued and running sweeps are never
+//     evicted — only the terminal list is subject to retention — and a
+//     tenant's own entry goes with its last retained sweep, so a long-lived
+//     coordinator's memory stays proportional to its configured bounds, not
+//     its uptime or the number of tenant names it has ever seen.
 //
 // Execution itself is delegated to a RunFunc — in production
 // sim.Session.Run, optionally routed through a shared dispatch.Dispatcher
 // so concurrent sweeps fan out over one worker fleet and deduplicate
 // popular grid cells through one shard cache. Progress is counted
 // through the observational sim.WithShardDone context hook, so the final
-// report stays byte-identical to a synchronous run of the same spec; a
+// report stays byte-identical to a direct Session.Run of the same spec; a
 // sweep's shards are served only in that report.
 //
-// Submit, the Cancel of a queued sweep and a run's landing each run the
+// Submit, cancelling a queued sweep and a run's landing each run the
 // round-robin under the lock they already hold, so a sweep submitted with
 // a run slot free is running when Submit returns, and the coordinator's
 // only goroutines are its running sweeps.
@@ -196,6 +196,8 @@ type job struct {
 	report          *sim.Report
 	err             error
 	prog            Progress
+	landed          chan struct{} // closed by finishLocked: state, report and err are final
+	waited          bool          // Run holds it: landed, it stays off the retention list
 }
 
 // tenantQueue is one tenant's scheduling state.
@@ -311,19 +313,25 @@ func (c *Coordinator) newID() string {
 // round-robin lets start. Invalid specs report sim.ErrInvalidSpec; a full
 // tenant queue reports ErrQueueFull.
 func (c *Coordinator) Submit(tenant string, spec *sim.Spec) (Status, error) {
+	_, st, err := c.submit(tenant, spec, false)
+	return st, err
+}
+
+// submit is Submit, also handing back the job; waited marks it as Run's.
+func (c *Coordinator) submit(tenant string, spec *sim.Spec, waited bool) (*job, Status, error) {
 	if tenant == "" {
-		return Status{}, fmt.Errorf("%w: empty tenant", sim.ErrInvalidSpec)
+		return nil, Status{}, fmt.Errorf("%w: empty tenant", sim.ErrInvalidSpec)
 	}
 	// Validation happens before any queue state is touched: a malformed
 	// spec must never occupy a slot.
 	cost, err := spec.GridSize()
 	if err != nil {
-		return Status{}, err
+		return nil, Status{}, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return Status{}, ErrClosed
+		return nil, Status{}, ErrClosed
 	}
 	c.evictLocked()
 	tq := c.tenants[tenant]
@@ -332,7 +340,7 @@ func (c *Coordinator) Submit(tenant string, spec *sim.Spec) (Status, error) {
 		c.tenants[tenant] = tq
 	}
 	if len(tq.queue) >= c.opts.QueueDepth {
-		return Status{}, fmt.Errorf("%w: tenant %q has %d sweeps queued", ErrQueueFull, tenant, c.opts.QueueDepth)
+		return nil, Status{}, fmt.Errorf("%w: tenant %q has %d sweeps queued", ErrQueueFull, tenant, c.opts.QueueDepth)
 	}
 	c.seq++
 	j := &job{
@@ -344,6 +352,8 @@ func (c *Coordinator) Submit(tenant string, spec *sim.Spec) (Status, error) {
 		prog:      Progress{TotalShards: cost},
 		state:     StateQueued,
 		submitted: c.opts.Clock.Now(),
+		landed:    make(chan struct{}),
+		waited:    waited,
 	}
 	c.sweeps[j.id] = j
 	tq.queue = append(tq.queue, j)
@@ -354,7 +364,7 @@ func (c *Coordinator) Submit(tenant string, spec *sim.Spec) (Status, error) {
 	}
 	st := c.statusLocked(j)
 	c.dispatchLocked()
-	return st, nil
+	return j, st, nil
 }
 
 // Get returns a sweep's status snapshot.
@@ -381,16 +391,37 @@ func (c *Coordinator) Report(id string) (*sim.Report, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	switch j.state {
-	case StateDone:
-		return j.report, nil
-	case StateFailed:
-		return nil, j.err
-	case StateCancelled:
-		return nil, cancelledError{j.err}
-	default:
-		return nil, ErrNotTerminal
+	return j.outcome()
+}
+
+// Run submits spec as Submit does, waits on that sweep, returns what Report
+// would and forgets it: it never takes a retention slot from a sweep still
+// to be fetched. If ctx ends first, Run cancels the sweep, retained like any
+// cancelled one, and returns ctx.Err(); a sweep landed by the time Run
+// looks is returned even when ctx has ended too.
+func (c *Coordinator) Run(ctx context.Context, tenant string, spec *sim.Spec) (*sim.Report, error) {
+	j, _, err := c.submit(tenant, spec, true)
+	if err != nil {
+		return nil, err
 	}
+	return c.await(ctx, j)
+}
+
+// await is Run's wait on the job it submitted.
+func (c *Coordinator) await(ctx context.Context, j *job) (*sim.Report, error) {
+	select {
+	case <-j.landed:
+	case <-ctx.Done():
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !j.state.Terminal() {
+		j.waited = false // no one will read its answer: retain it
+		c.cancelLocked(j)
+		return nil, ctx.Err()
+	}
+	c.dropLocked(j)
+	return j.outcome()
 }
 
 // Cancel requests a sweep's cancellation: a queued sweep lands cancelled
@@ -405,30 +436,35 @@ func (c *Coordinator) Cancel(id string) (Status, error) {
 	if !ok {
 		return Status{}, ErrNotFound
 	}
-	switch j.state {
-	case StateQueued:
-		tq := c.tenants[j.tenant]
-		for i, q := range tq.queue {
-			if q == j {
-				tq.queue = append(tq.queue[:i], tq.queue[i+1:]...)
-				break
-			}
-		}
-		c.queued--
-		if len(tq.queue) == 0 {
-			c.deactivateLocked(tq)
-		}
-		c.finishLocked(j, tq, StateCancelled, errors.New("sweep: cancelled while queued"), c.opts.Clock.Now())
-		c.dispatchLocked()
-	case StateRunning:
+	if j.state.Terminal() {
+		return c.statusLocked(j), ErrTerminal
+	}
+	c.cancelLocked(j)
+	return c.statusLocked(j), nil
+}
+
+// cancelLocked cancels a queued or running sweep, as Cancel documents.
+func (c *Coordinator) cancelLocked(j *job) {
+	if j.state == StateRunning {
 		if !j.cancelRequested {
 			j.cancelRequested = true
 			j.cancel()
 		}
-	default:
-		return c.statusLocked(j), ErrTerminal
+		return
 	}
-	return c.statusLocked(j), nil
+	tq := c.tenants[j.tenant]
+	for i, q := range tq.queue {
+		if q == j {
+			tq.queue = append(tq.queue[:i], tq.queue[i+1:]...)
+			break
+		}
+	}
+	c.queued--
+	if len(tq.queue) == 0 {
+		c.deactivateLocked(tq)
+	}
+	c.finishLocked(j, tq, StateCancelled, errors.New("sweep: cancelled while queued"), c.opts.Clock.Now())
+	c.dispatchLocked()
 }
 
 // List returns the status of every retained sweep, newest submission
@@ -539,7 +575,7 @@ func (c *Coordinator) startLocked(j *job, tq *tenantQueue) {
 // the job's progress counters under c.mu, which is safe because the hook
 // fires only on the session's goroutines inside RunFunc, while run holds
 // no lock; the final report is whatever RunFunc returned, untouched —
-// byte-identity with a synchronous run is inherited, not re-established.
+// byte-identity with a direct Session.Run is inherited, not re-established.
 func (c *Coordinator) run(j *job, ctx context.Context) {
 	defer c.wg.Done()
 	pctx := sim.WithShardDone(ctx, func(sh sim.Shard, err error) {
@@ -575,8 +611,8 @@ func (c *Coordinator) run(j *job, ctx context.Context) {
 	c.mu.Unlock()
 }
 
-// finishLocked lands a sweep in a terminal state and appends it to the
-// retention list.
+// finishLocked lands a sweep in a terminal state, appends it to the
+// retention list unless Run holds it, and wakes Run.
 func (c *Coordinator) finishLocked(j *job, tq *tenantQueue, st State, err error, now time.Time) {
 	j.state = st
 	j.finished = now
@@ -589,8 +625,11 @@ func (c *Coordinator) finishLocked(j *job, tq *tenantQueue, st State, err error,
 	case StateCancelled:
 		tq.canc++
 	}
-	c.done = append(c.done, j)
-	tq.retained++
+	if !j.waited {
+		c.done = append(c.done, j)
+		tq.retained++
+	}
+	close(j.landed)
 }
 
 // evictLocked enforces retention over the terminal list: beyond
@@ -607,16 +646,21 @@ func (c *Coordinator) evictLocked() {
 			panic("sweep: non-terminal sweep on the retention list")
 		}
 		if len(c.done) > maxRetained || now.Sub(j.finished) > c.opts.Retain {
-			delete(c.sweeps, j.id)
 			c.done = c.done[1:]
-			tq := c.tenants[j.tenant]
-			tq.retained--
-			if tq.retained == 0 && len(tq.queue) == 0 && tq.running == 0 {
-				delete(c.tenants, j.tenant)
-			}
+			c.tenants[j.tenant].retained--
+			c.dropLocked(j)
 			continue
 		}
 		break
+	}
+}
+
+// dropLocked forgets a terminal sweep off the retention list, and its tenant
+// if that has nothing retained, queued or running (or is gone already).
+func (c *Coordinator) dropLocked(j *job) {
+	delete(c.sweeps, j.id)
+	if tq := c.tenants[j.tenant]; tq != nil && tq.retained == 0 && len(tq.queue) == 0 && tq.running == 0 {
+		delete(c.tenants, j.tenant)
 	}
 }
 
@@ -641,6 +685,20 @@ func (c *Coordinator) statusLocked(j *job) Status {
 		st.Error = j.err.Error()
 	}
 	return st
+}
+
+// outcome is a sweep's answer as Report and Run give it; caller holds c.mu.
+func (j *job) outcome() (*sim.Report, error) {
+	switch j.state {
+	case StateDone:
+		return j.report, nil
+	case StateFailed:
+		return nil, j.err
+	case StateCancelled:
+		return nil, cancelledError{j.err}
+	default:
+		return nil, ErrNotTerminal
+	}
 }
 
 // cancelledError is a cancelled sweep's terminal error as Report returns

@@ -569,3 +569,155 @@ func TestSubmitAfterClose(t *testing.T) {
 		}
 	}
 }
+
+// TestRun pins Run's answers and what it leaves retained. Under
+// MaxRunning 1 a one-seed sweep lands at once, done or failed as the row
+// says, and a two-seed sweep holds the slot until its context ends. Rows
+// that need the sweep's handle before the wait submit and await it
+// themselves, as Run does. No row sleeps: where the wait races a cancel or
+// a Close, every interleaving has the one answer the row expects.
+func TestRun(t *testing.T) {
+	report := &sim.Report{Schema: sim.SchemaV1}
+	boom := errors.New("sweep test: the run failed")
+	bg := context.Background()
+	ended, end := context.WithCancel(bg)
+	end()
+	const retain = time.Minute
+	submit := func(t *testing.T, c *Coordinator, seeds int) *job {
+		t.Helper()
+		j, _, err := c.submit("t", specN(seeds), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	for _, tc := range []struct {
+		name string
+		fail error // what a one-seed sweep's run returns
+		// wait submits what the row needs and waits on one sweep, returning
+		// its ID ("" from Run, which hands back none) with the answer.
+		wait    func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error)
+		wantErr error // nil: the answer is the run's report
+		// wantKept is the state the sweep is retained in once the wait
+		// returns; "" when it is dropped.
+		wantKept State
+	}{
+		{"done", nil, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
+			rep, err := c.Run(bg, "t", specN(1))
+			return "", rep, err
+		}, nil, ""},
+		{"failed", boom, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
+			rep, err := c.Run(bg, "t", specN(1))
+			return "", rep, err
+		}, boom, ""},
+		{"cancelled while queued", nil, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
+			submit(t, c, 2)
+			j := submit(t, c, 1)
+			if _, err := c.Cancel(j.id); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := c.await(bg, j)
+			return j.id, rep, err
+		}, ErrCancelled, ""},
+		{"ctx ends while queued", nil, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
+			submit(t, c, 2)
+			j := submit(t, c, 1)
+			ctx, cancel := context.WithCancel(bg)
+			go cancel()
+			rep, err := c.await(ctx, j)
+			return j.id, rep, err
+		}, context.Canceled, StateCancelled},
+		{"Close while waiting", nil, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
+			j := submit(t, c, 2)
+			go c.Close()
+			rep, err := c.await(bg, j)
+			return j.id, rep, err
+		}, ErrCancelled, ""},
+		{"landed before ctx ended", nil, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
+			j := submit(t, c, 1)
+			<-j.landed
+			rep, err := c.await(ended, j)
+			return j.id, rep, err
+		}, nil, ""},
+		{"landed past Retain", nil, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
+			async, err := c.Submit("t", specN(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, c, async.ID, StateDone)
+			j := submit(t, c, 1)
+			<-j.landed
+			if st := c.Stats(); st.Retained != 1 {
+				t.Fatalf("%d sweeps retained, want the async one alone", st.Retained)
+			}
+			// Evicting the async sweep takes the tenant's entry with it.
+			v.Advance(retain + time.Nanosecond)
+			if _, ok := c.Stats().Tenants["t"]; ok {
+				t.Fatal("tenant outlived its last retained sweep")
+			}
+			rep, err := c.await(bg, j)
+			return j.id, rep, err
+		}, nil, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := clock.NewVirtual()
+			c, err := New(Options{MaxRunning: 1, Retain: retain, Clock: v, Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
+				if len(spec.Seeds) == 1 {
+					if tc.fail != nil {
+						return nil, tc.fail
+					}
+					return report, nil
+				}
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			id, rep, err := tc.wait(t, c, v)
+			if tc.wantErr == nil {
+				if err != nil || rep != report {
+					t.Errorf("answer = %v, %v; want the run's report", rep, err)
+				}
+			} else if rep != nil || !errors.Is(err, tc.wantErr) {
+				t.Errorf("answer = %v, %v; want %v", rep, err, tc.wantErr)
+			}
+			if tc.wantKept != "" {
+				if st, ok := c.Get(id); !ok || st.State != tc.wantKept || c.Stats().Retained != 1 {
+					t.Errorf("sweep after the wait: %+v (found %v, %d retained), want it retained %s", st, ok, c.Stats().Retained, tc.wantKept)
+				}
+			} else if st, ok := c.Get(id); ok || id == "" && len(c.List("")) != 0 {
+				t.Errorf("sweep after the wait: %+v (%d listed), want it dropped", st, len(c.List("")))
+			}
+		})
+	}
+}
+
+// TestRunKeepsAsyncResults: sync runs leave the retention list as they
+// answer, so any number of them never evicts a landed async sweep whose
+// client has yet to fetch it.
+func TestRunKeepsAsyncResults(t *testing.T) {
+	report := &sim.Report{Schema: sim.SchemaV1}
+	c, err := New(Options{Run: func(context.Context, *sim.Spec) (*sim.Report, error) { return report, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	async, err := c.Submit("async", specN(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, async.ID, StateDone)
+	for i := 0; i <= maxRetained; i++ {
+		if rep, err := c.Run(context.Background(), "sync", specN(1)); err != nil || rep != report {
+			t.Fatalf("sync run %d: %v, %v", i, rep, err)
+		}
+	}
+	if rep, err := c.Report(async.ID); err != nil || rep != report {
+		t.Errorf("async result after %d sync runs: %v, %v", maxRetained+1, rep, err)
+	}
+	if st := c.Stats(); st.Retained != 1 {
+		t.Errorf("retained %d sweeps, want the async one alone", st.Retained)
+	}
+}
