@@ -23,12 +23,13 @@ loc:
 test:
 	$(GO) test ./...
 
-# race is CI's race job: the whole suite once, then the two packages whose
+# race is CI's race job: the whole suite once, then the three packages whose
 # concurrency is the sweep lifecycle — Run's wait racing a landing, a Cancel
-# or a Close, and a client hanging up on a queued /v1/runs — five times more.
+# or a Close, and a client hanging up on a queued or running /v1/runs (the
+# CLI's tests hang up on a real coordinator) — five times more.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 ./internal/sim/sweep ./cmd/simd
+	$(GO) test -race -count=5 ./internal/sim/sweep ./cmd/simd ./cmd/rebalance-bench
 
 # fuzz runs the wire- and disk-surface fuzzers and the seven differentials
 # — the one-pass shard record decode against the two-level one it replaced
@@ -103,15 +104,16 @@ lint-extra:
 # ci-test is the workflow's test job, the one list of its steps: gofmt,
 # vet and build; the non-amd64 fallback compiles (TAGE's Go stage without
 # the AVX2 kernel; on amd64, vet's asmdecl checks the kernel); the
-# non-test line count ROADMAP's deletion ledger quotes; the grid path and
-# the fleet on one P (a grid-wide lead set, a dispatcher-only in-flight
-# bound and cmd/simd's TestFleet need no second P to make progress); the
-# full suite twice in one process (no test may leave process-global state
-# behind); every Go micro-benchmark once; and the bench harness smoke.
+# non-test line count ROADMAP's deletion ledger quotes; the grid path, the
+# fleet and the CLI on one P (a grid-wide lead set, a dispatcher-only
+# in-flight bound, cmd/simd's TestFleet and the CLI hanging up on a running
+# sweep need no second P to make progress); the full suite twice in one
+# process (no test may leave process-global state behind); every Go
+# micro-benchmark once; and the bench harness smoke.
 ci-test: fmt vet build
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 	@$(MAKE) --no-print-directory loc
-	GOMAXPROCS=1 $(GO) test ./internal/sim/... ./cmd/simd
+	GOMAXPROCS=1 $(GO) test ./internal/sim/... ./cmd/simd ./cmd/rebalance-bench
 	$(GO) test -count=2 ./...
 	@$(MAKE) --no-print-directory bench-go-smoke bench-smoke
 

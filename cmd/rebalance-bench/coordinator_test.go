@@ -4,125 +4,88 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"rebalance/internal/sim"
+	"rebalance/internal/sim/sweep"
 	"rebalance/internal/wire"
 )
 
-// fakeCoord is the fake coordinator's server plus what it saw: the
-// submitted spec, the report it served, status polls and DELETEs. onPoll,
-// when set, runs inside every status poll before it is answered.
-type fakeCoord struct {
+// frontDoor is a real sweep coordinator behind the one endpoint the client
+// calls, answered the way simd's front door answers POST /v1/runs: the spec
+// runs as a sweep the request waits on, the answer is its report or the
+// error envelope, and a client that hangs up cancels the sweep. It keeps
+// the tenant and spec of the last run it was sent and the bytes it served.
+type frontDoor struct {
 	*httptest.Server
-	polls, deletes atomic.Int32
-	onPoll         func()
+	coord *sweep.Coordinator
 
 	mu     sync.Mutex
+	tenant string
 	spec   *sim.Spec
-	total  int
 	served []byte
-	err    error // the run's, for a sweep that lands failed
 }
 
-// submitted returns the spec the client submitted and the report bytes the
-// coordinator served for it.
-func (fc *fakeCoord) submitted() (*sim.Spec, []byte) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.spec, fc.served
-}
-
-// fakeCoordinator serves the subset of the simd sweep API the client
-// needs: submit runs the submitted spec on sess and returns an ID, the
-// status endpoint reports running for a few polls before landing done (or
-// failed, with the run's error), the result endpoint serves the marshalled
-// report, and DELETE is counted. Faking the server (rather than standing
-// up simd) keeps this a test of the client's protocol handling alone.
-func fakeCoordinator(t *testing.T, sess *sim.Session, pollsUntilDone int32) *fakeCoord {
+func newFrontDoor(t *testing.T, opts sweep.Options) *frontDoor {
 	t.Helper()
-	const id = "sw-000001-0123456789ab"
-	fc := &fakeCoord{}
+	coord, err := sweep.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := &frontDoor{coord: coord}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		if got := r.URL.Query().Get("tenant"); got != "bench-test" {
-			t.Errorf("submit tenant %q, want bench-test", got)
-		}
+	mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
+		tenant := r.URL.Query().Get("tenant")
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
 			t.Error(err)
 		}
-		var spec sim.Spec
-		if err := wire.StrictUnmarshal(body, &spec); err != nil {
-			t.Errorf("submit body does not decode as a spec: %v", err)
+		spec, err := sim.DecodeSpec(body)
+		var rep *sim.Report
+		if err == nil {
+			rep, err = coord.Run(r.Context(), tenant, spec)
 		}
-		total, _ := spec.GridSize()
-		rep, err := sess.Run(context.Background(), &spec)
 		var enc []byte
 		if err == nil {
-			if enc, err = json.Marshal(rep); err != nil {
-				t.Error(err)
-			}
+			enc, err = json.Marshal(rep)
 		}
-		fc.mu.Lock()
-		fc.spec, fc.total, fc.served, fc.err = &spec, total, enc, err
-		fc.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]any{
-			"id": id, "tenant": "bench-test", "state": "queued",
-			"progress": map[string]int{"total_shards": total},
-		})
-	})
-	mux.HandleFunc("GET /v1/sweeps/"+id, func(w http.ResponseWriter, r *http.Request) {
-		n := fc.polls.Add(1)
-		if fc.onPoll != nil {
-			fc.onPoll()
-		}
-		fc.mu.Lock()
-		total, runErr := fc.total, fc.err
-		fc.mu.Unlock()
-		st := map[string]any{"id": id, "tenant": "bench-test", "state": "running",
-			"progress": map[string]int{"total_shards": total, "done_shards": int(n)}}
+		fd.mu.Lock()
+		fd.tenant, fd.spec, fd.served = tenant, spec, enc
+		fd.mu.Unlock()
 		switch {
-		case n < pollsUntilDone:
-		case runErr != nil:
-			st["state"], st["error"] = "failed", runErr.Error()
+		case errors.Is(err, sweep.ErrQueueFull):
+			wire.WriteError(w, http.StatusTooManyRequests, err)
+		case err != nil:
+			wire.WriteError(w, http.StatusInternalServerError, err)
 		default:
-			st["state"], st["progress"] = "done", map[string]int{"total_shards": total, "done_shards": total}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(st)
-	})
-	mux.HandleFunc("GET /v1/sweeps/"+id+"/result", func(w http.ResponseWriter, r *http.Request) {
-		if fc.polls.Load() < pollsUntilDone {
 			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusConflict)
-			json.NewEncoder(w).Encode(map[string]any{"error": "not terminal", "code": 409})
-			return
+			w.Write(enc)
 		}
-		_, served := fc.submitted()
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(served)
 	})
-	mux.HandleFunc("DELETE /v1/sweeps/"+id, func(w http.ResponseWriter, r *http.Request) {
-		fc.deletes.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"id": id, "tenant": "bench-test", "state": "cancelled"})
-	})
-	fc.Server = httptest.NewServer(mux)
-	t.Cleanup(fc.Close)
-	return fc
+	fd.Server = httptest.NewServer(mux)
+	t.Cleanup(fd.Close)
+	// Closing the coordinator first lands every waiting run, so a failed
+	// check never leaves fd.Close waiting on a handler.
+	t.Cleanup(coord.Close)
+	return fd
 }
 
-// coordSpec is the small sweep the coordinator tests submit.
+// sent returns the tenant and spec of the last run the front door was sent
+// and the report bytes it served for it.
+func (fd *frontDoor) sent() (string, *sim.Spec, []byte) {
+	fd.mu.Lock()
+	defer fd.mu.Unlock()
+	return fd.tenant, fd.spec, fd.served
+}
+
+// coordSpec is the small sweep the coordinator tests submit: 4 shards.
 func coordSpec() *sim.Spec {
 	return &sim.Spec{
 		Workloads: []string{"comd-lite"},
@@ -132,118 +95,106 @@ func coordSpec() *sim.Spec {
 	}
 }
 
-// TestRunCoordinatorSweep: the client submits, polls until done, fetches
-// the result, and hands back the coordinator's report unchanged — it
-// re-marshals to the bytes the coordinator served.
+// TestRunCoordinatorSweep: the client runs the sweep with one POST
+// /v1/runs and writes out the front door's report unchanged — it
+// re-marshals to the bytes served. It logs one line, naming where progress
+// can be read, and the answered sweep takes no retention slot.
 func TestRunCoordinatorSweep(t *testing.T) {
-	coord := fakeCoordinator(t, sim.NewSession(2), 3)
+	fd := newFrontDoor(t, sweep.Options{Run: sim.NewSession(2).Run})
+	o := testOptions("comd-lite", "", fd.URL+"/", false)
+	_, rep, log := runSweep(t, o)
 
-	got, err := runCoordinatorSweep(context.Background(), coord.URL, "bench-test", coordSpec(), time.Millisecond, io.Discard)
+	got, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := coord.polls.Load(); n < 3 {
-		t.Errorf("client fetched the result after %d polls, before the sweep was done", n)
+	tenant, _, served := fd.sent()
+	if string(got) != string(served) {
+		t.Errorf("written report is not the served one:\n got: %s\nwant: %s", got, served)
 	}
-	if n := coord.deletes.Load(); n != 0 {
-		t.Errorf("client sent %d DELETEs for a sweep it collected", n)
+	if tenant != "bench-test" {
+		t.Errorf("front door ran the sweep as tenant %q, want bench-test", tenant)
 	}
-	a, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
+	want := fmt.Sprintf("rebalance-bench: running 18 shards on %s as tenant \"bench-test\"; progress: GET %s/v1/sweeps?tenant=bench-test\n", fd.URL, fd.URL)
+	if log != want {
+		t.Errorf("client logged %q, want %q", log, want)
 	}
-	if _, b := coord.submitted(); string(a) != string(b) {
-		t.Errorf("coordinator-fetched report is not the served one:\n got: %s\nwant: %s", a, b)
-	}
-}
-
-// TestRunCoordinatorSweepPollsFirst: the first status read is immediate —
-// the interval is waited only between polls — so a sweep the coordinator
-// has already landed (a cached rerun) costs no poll interval at all.
-func TestRunCoordinatorSweepPollsFirst(t *testing.T) {
-	coord := fakeCoordinator(t, sim.NewSession(2), 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := runCoordinatorSweep(ctx, coord.URL, "bench-test", coordSpec(), time.Hour, io.Discard); err != nil {
-		t.Fatalf("sweep done at the first poll returned %v; the client waited out an interval first", err)
+	if l := fd.coord.List(""); len(l) != 0 {
+		t.Errorf("front door still lists %v after answering", l)
 	}
 }
 
-// TestRunCoordinatorSweepCancel: cancelling the client mid-poll (Ctrl-C)
-// abandons the sweep with context.Canceled and tells the coordinator to
-// stop working on it — exactly one DELETE, sent although the client's own
-// context is already dead.
+// TestRunCoordinatorSweepCancel: cancelling the client (Ctrl-C) while the
+// front door runs its sweep returns context.Canceled, and the hang-up
+// reaches the sweep: its run sees its context end, and it lands cancelled.
 func TestRunCoordinatorSweepCancel(t *testing.T) {
-	coord := fakeCoordinator(t, sim.NewSession(2), 1<<30) // never lands
+	started, ended := make(chan struct{}), make(chan struct{})
+	fd := newFrontDoor(t, sweep.Options{Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
+		close(started)
+		<-ctx.Done()
+		close(ended)
+		return nil, ctx.Err()
+	}})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	coord.onPoll = func() {
-		if coord.polls.Load() == 2 {
+	go func() {
+		select {
+		case <-started:
 			cancel()
+		case <-ctx.Done():
 		}
-	}
-	rep, err := runCoordinatorSweep(ctx, coord.URL, "bench-test", coordSpec(), time.Millisecond, io.Discard)
+	}()
+	rep, err := runCoordinatorSweep(ctx, fd.URL, "bench-test", coordSpec(), io.Discard)
 	if rep != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned (%v, %v), want context.Canceled", rep, err)
 	}
-	if n := coord.deletes.Load(); n != 1 {
-		t.Errorf("coordinator saw %d DELETEs for the abandoned sweep, want exactly 1", n)
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the front door's sweep still runs 10s after the client hung up")
+	}
+	fd.coord.Close()
+	if l := fd.coord.List(""); len(l) != 1 || l[0].State != sweep.StateCancelled || l[0].Tenant != "bench-test" {
+		t.Errorf("front door lists %+v, want the one bench-test sweep cancelled", l)
 	}
 }
 
-// TestRunCoordinatorSweepFailures: submit rejections surface the
-// envelope's message, a sweep landing failed is an error naming the
-// terminal state, and a status body carrying a field sweep.Status lacks is
-// an error naming that field.
+// TestRunCoordinatorSweepFailures: a 429 surfaces the envelope's message,
+// a sweep that lands failed surfaces its error, and a 200 body carrying a
+// field a report lacks is an error naming that field.
 func TestRunCoordinatorSweepFailures(t *testing.T) {
-	spec := &sim.Spec{Workloads: []string{"comd-lite"}, Insts: 1000, Observers: []sim.ObserverSpec{{Kind: "bbl"}}}
+	// One sweep held running and one queued fill tenant t's queue of 1; a
+	// run as tenant u queues behind them and fails like every run here.
+	gate := make(chan struct{})
+	fd := newFrontDoor(t, sweep.Options{MaxRunning: 1, QueueDepth: 1, Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+		}
+		return nil, errors.New("engine exploded")
+	}})
+	for range 2 {
+		if _, err := fd.coord.Submit("t", coordSpec()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := runCoordinatorSweep(context.Background(), fd.URL, "t", coordSpec(), io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "429") || !strings.Contains(err.Error(), "tenant queue full") {
+		t.Errorf("full queue: error %v, want the 429 envelope's message surfaced", err)
+	}
+	close(gate)
+	if _, err := runCoordinatorSweep(context.Background(), fd.URL, "u", coordSpec(), io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "engine exploded") {
+		t.Errorf("failed sweep: error %v, want its error surfaced", err)
+	}
 
-	rejecting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	drifted := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusTooManyRequests)
-		json.NewEncoder(w).Encode(map[string]any{"error": "tenant queue full", "code": 429})
+		w.Write([]byte(`{"schema": "sim/v1", "shards_so_far": []}`))
 	}))
-	defer rejecting.Close()
-	if _, err := runCoordinatorSweep(context.Background(), rejecting.URL, "t", spec, time.Millisecond, io.Discard); err == nil || !strings.Contains(err.Error(), "tenant queue full") {
-		t.Errorf("429 submit: error %v, want the envelope message surfaced", err)
-	}
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]any{"id": "sw-000002-0123456789ab", "state": "queued"})
-	})
-	mux.HandleFunc("GET /v1/sweeps/sw-000002-0123456789ab", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{
-			"id": "sw-000002-0123456789ab", "state": "failed", "error": "engine exploded",
-		})
-	})
-	failing := httptest.NewServer(mux)
-	defer failing.Close()
-	if _, err := runCoordinatorSweep(context.Background(), failing.URL, "t", spec, time.Millisecond, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "failed") || !strings.Contains(err.Error(), "engine exploded") {
-		t.Errorf("failed sweep: error %v, want terminal state and message", err)
-	}
-
-	mux = http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]any{"id": "sw-000003-0123456789ab", "state": "queued"})
-	})
-	mux.HandleFunc("GET /v1/sweeps/sw-000003-0123456789ab", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{
-			"id": "sw-000003-0123456789ab", "state": "done", "shards_so_far": []any{},
-		})
-	})
-	drifted := httptest.NewServer(mux)
 	defer drifted.Close()
-	if _, err := runCoordinatorSweep(context.Background(), drifted.URL, "t", spec, time.Millisecond, io.Discard); err == nil ||
+	if _, err := runCoordinatorSweep(context.Background(), drifted.URL, "t", coordSpec(), io.Discard); err == nil ||
 		!strings.Contains(err.Error(), `unknown field "shards_so_far"`) {
-		t.Errorf("status with an unknown field: error %v, want it named", err)
+		t.Errorf("report with an unknown field: error %v, want it named", err)
 	}
 }

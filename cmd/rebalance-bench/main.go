@@ -3,25 +3,26 @@
 // for the {workload x seed x predictor-config} grid, and the sweep runs in
 // one of two places — this process's local pool, or a simd front door —
 // whose *sim.Report is written out as the sim/v1 document: the same
-// document simd's POST /v1/runs and GET /v1/sweeps/{id}/result serve,
-// which sim.DecodeReport reads back and re-marshals byte for byte.
+// document simd's POST /v1/runs serves, which sim.DecodeReport reads back
+// and re-marshals byte for byte.
 // Performance measurement lives in the bench/ harness (`go run ./bench`),
 // not here.
 //
 // By default the grid runs on this process's local pool of -workers
 // goroutines (`workers` in the report is the pool the plan sized).
 //
-// With -coordinator the sweep is submitted asynchronously to a simd front
-// door's /v1/sweeps API instead of executing anywhere in this process: the
-// client submits the spec (tagged with -tenant), polls the sweep's
-// progress, fetches the final report when it lands and writes it out
-// unchanged. A worker fleet is the front door's: `simd -backends w1,w2`
-// dispatches the grid to `simd -worker` processes (with -hedge, if asked),
-// resolves it against its shared result cache first, and answers with a
-// report bit-identical, up to the fields (*sim.Report).Stripped clears, to
-// the same sweep run locally — with `workers: 0`, the concurrency being the
-// backends'. SIGINT/SIGTERM cancels a local sweep, and asks the front door
-// to cancel a submitted one.
+// With -coordinator the sweep runs on a simd front door instead, with one
+// POST /v1/runs tagged with -tenant: the front door queues the spec as a
+// sweep, waits on it and answers with its report, which the client writes
+// out unchanged. Before it waits, the client logs one line naming where
+// the sweep's progress can be read (GET /v1/sweeps?tenant=). A worker
+// fleet is the front door's: `simd -backends w1,w2` dispatches the grid to
+// `simd -worker` processes (with -hedge, if asked), resolves it against
+// its shared result cache first, and answers with a report bit-identical,
+// up to the fields (*sim.Report).Stripped clears, to the same sweep run
+// locally — with `workers: 0`, the concurrency being the backends'.
+// SIGINT/SIGTERM cancels a local sweep; on a front door it hangs up, and
+// the front door cancels the sweep.
 //
 // With -synth the sweep additionally (or, when -workloads is omitted,
 // exclusively) covers a grid of synthetic scenarios: ';'-separated knob
@@ -46,14 +47,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
 	"strings"
 	"syscall"
-	"time"
 
 	"rebalance/internal/sim"
+	"rebalance/internal/wire"
 	"rebalance/internal/workload"
 	"rebalance/internal/workload/synth"
 )
@@ -76,7 +79,7 @@ func main() {
 	flag.IntVar(&o.seeds, "seeds", 4, "seeds per {workload, predictor} pair")
 	flag.Int64Var(&o.insts, "insts", 2_000_000, "dynamic instructions per shard")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "local pool size")
-	flag.StringVar(&o.coordinator, "coordinator", "", "simd front door URL; submit the sweep asynchronously to its /v1/sweeps API and poll for the result")
+	flag.StringVar(&o.coordinator, "coordinator", "", "simd front door URL; run the sweep there with one POST /v1/runs and write the report it answers")
 	flag.StringVar(&o.tenant, "tenant", "bench", "tenant name submitted with -coordinator sweeps")
 	flag.BoolVar(&o.allowPartial, "allow-partial", false, "degrade instead of failing when shards exhaust their retries: completed shards are reported, abandoned ones become failed_shards entries")
 	flag.StringVar(&o.out, "out", "", "write the JSON report to this file (default stdout)")
@@ -159,7 +162,7 @@ func run(ctx context.Context, o options, log io.Writer) error {
 	}
 	var rep *sim.Report
 	if o.coordinator != "" {
-		rep, err = runCoordinatorSweep(ctx, o.coordinator, o.tenant, spec, 200*time.Millisecond, log)
+		rep, err = runCoordinatorSweep(ctx, o.coordinator, o.tenant, spec, log)
 	} else {
 		rep, err = sim.NewSession(o.workers).Run(ctx, spec)
 	}
@@ -181,4 +184,38 @@ func run(ctx context.Context, o options, log io.Writer) error {
 		return err
 	}
 	return os.WriteFile(o.out, enc, 0o644)
+}
+
+// maxCoordRespBytes bounds the front door's answer. A report scales with
+// the grid, so the bound matches the dispatch layer's shard ceiling rather
+// than a spec's.
+const maxCoordRespBytes = 64 << 20
+
+// runCoordinatorSweep runs spec on a simd front door as tenant with one
+// POST /v1/runs: the front door queues it as a sweep, waits on it and
+// answers with its report, which decodes here to a report that re-marshals
+// to the bytes served. Before it waits it logs one line naming where the
+// sweep's progress can be read. Cancelling ctx hangs up, and the front door
+// cancels the sweep.
+func runCoordinatorSweep(ctx context.Context, base, tenant string, spec *sim.Spec, log io.Writer) (*sim.Report, error) {
+	shards, err := spec.GridSize()
+	if err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		return nil, fmt.Errorf("marshalling spec: %w", err)
+	}
+	base = strings.TrimRight(base, "/")
+	query := "?tenant=" + url.QueryEscape(tenant)
+	fmt.Fprintf(log, "rebalance-bench: running %d shards on %s as tenant %q; progress: GET %s/v1/sweeps%s\n",
+		shards, base, tenant, base, query)
+	data, status, err := wire.Do(ctx, http.DefaultClient, http.MethodPost, base+"/v1/runs"+query, body, maxCoordRespBytes)
+	if err != nil {
+		return nil, err
+	}
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("front door status %d: %s", status, wire.ErrorMessage(data))
+	}
+	return sim.DecodeReport(data)
 }

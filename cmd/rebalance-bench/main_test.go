@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"rebalance/internal/sim"
+	"rebalance/internal/sim/sweep"
 )
 
 // testOptions is the small sweep the tests run: 2 seeds x 20k insts on a
@@ -165,7 +166,7 @@ func TestSynthSweepDispatchedAndDeterministic(t *testing.T) {
 	const grid = "bias=0.6,0.8,0.95"
 	_, cold1, _ := runSweep(t, testOptions("", grid, "", false))
 	_, cold2, _ := runSweep(t, testOptions("", grid, "", false))
-	coord := fakeCoordinator(t, sim.NewSession(2), 2)
+	coord := newFrontDoor(t, sweep.Options{Run: sim.NewSession(2).Run})
 	_, viaCoord, _ := runSweep(t, testOptions("", grid, coord.URL, false))
 
 	if want := 3 * 2 * 9; len(cold1.Shards) != want {
@@ -174,7 +175,7 @@ func TestSynthSweepDispatchedAndDeterministic(t *testing.T) {
 	if w := cold1.Spec.Workloads; len(w) != 3 || !strings.HasPrefix(w[0], "synth-") {
 		t.Fatalf("sweep workloads = %v, want the synth grid only", w)
 	}
-	if spec, _ := coord.submitted(); len(spec.Synth) != 3 {
+	if _, spec, _ := coord.sent(); len(spec.Synth) != 3 {
 		t.Fatalf("submitted spec carries %d synth parameter sets, want 3", len(spec.Synth))
 	}
 	want := render(t, cold1.Stripped())
@@ -229,9 +230,9 @@ func TestAllowPartialDegradedSweep(t *testing.T) {
 	fleet := sim.NewSession(2)
 	fleet.SetRunner(rejectSeed2{sim.NewSession(2)})
 
-	coord := fakeCoordinator(t, fleet, 1)
+	coord := newFrontDoor(t, sweep.Options{Run: fleet.Run})
 	_, rep, log := runSweep(t, testOptions("comd-lite", "", coord.URL, true))
-	if spec, _ := coord.submitted(); !spec.AllowPartial {
+	if _, spec, _ := coord.sent(); !spec.AllowPartial {
 		t.Error("-allow-partial did not reach the submitted spec as allow_partial: true")
 	}
 	if want := 1 * 1 * 9; len(rep.Shards) != want {
@@ -255,8 +256,7 @@ func TestAllowPartialDegradedSweep(t *testing.T) {
 	}
 
 	// All-or-nothing remains the default contract.
-	strict := fakeCoordinator(t, fleet, 1)
-	o := testOptions("comd-lite", "", strict.URL, false)
+	o := testOptions("comd-lite", "", coord.URL, false)
 	o.out = filepath.Join(t.TempDir(), "strict.json")
 	if err := run(context.Background(), o, io.Discard); err == nil || !strings.Contains(err.Error(), "scripted rejection") {
 		t.Fatalf("sweep with a permanently failing cell = %v without -allow-partial, want the sweep's failure", err)

@@ -223,8 +223,8 @@ func (tr *trap) killMidSweep() *relay {
 	return tr.victim
 }
 
-// submitSweep posts a spec to the front door's async API as tenant, the
-// way rebalance-bench -coordinator does, and returns the sweep ID.
+// submitSweep posts a spec to the front door's async API as tenant and
+// returns the sweep ID.
 func submitSweep(t *testing.T, base, tenant, spec string) string {
 	t.Helper()
 	resp := doReq(t, http.MethodPost, base+"/v1/sweeps?tenant="+tenant, spec)

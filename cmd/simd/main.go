@@ -16,7 +16,7 @@
 // tenant's queue depth (-queue-depth; beyond it submits get 429 with
 // Retry-After) and coordinator-wide concurrency (-max-running); terminal
 // sweeps stay pollable for -retain. The tenant is named by the ?tenant=
-// query parameter or X-Tenant header ("default" when absent).
+// query parameter ("default" when absent).
 //
 // A -worker has no coordinator and serves the worker half of the dispatch
 // layer instead: POST /v1/shards runs one unit of an expanded grid — an
@@ -24,7 +24,9 @@
 // members — and returns one wire record per member, which a front door
 // started with -backends (or any sim.Session routed through a
 // dispatch.Dispatcher) decodes and folds into the same bit-identical
-// Report an all-local run produces.
+// Report an all-local run produces. A -worker given a flag only a front
+// door reads (-backends, -hedge, -max-shards, -queue-depth, -max-running,
+// -retain) refuses to start and names it.
 //
 // With -backends the front door's shard grids are computed on remote simd
 // workers instead of the local pool, sharing one dispatcher across all
@@ -158,9 +160,17 @@ func run(args []string, stderr io.Writer) error {
 		}
 		return err
 	}
+	// A -worker refuses by name every flag only a front door reads, rather
+	// than ignore it; Visit sees only the flags given, so a default is
+	// never refused.
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	for _, name := range []string{"backends", "hedge", "max-shards", "queue-depth", "max-running", "retain"} {
+		if *workerFlag && given[name] {
+			return fmt.Errorf("-worker does not take -%s: only a front door reads it", name)
+		}
+	}
 	switch {
-	case *workerFlag && *backendsFlag != "":
-		return errors.New("-worker and -backends are mutually exclusive: a fleet worker runs shards itself")
 	case *hedgeFlag && *backendsFlag == "":
 		return errors.New("-hedge needs -backends: the local pool has no second worker to duplicate stragglers onto")
 	case *cacheEntsFlag <= 0 && *cacheDirFlag != "":
@@ -367,13 +377,10 @@ func cacheStats(c *shardcache.Cache) map[string]any {
 	return map[string]any{"enabled": true, "stats": c.Stats()}
 }
 
-// tenantOf names the requesting tenant: ?tenant= wins, then the X-Tenant
-// header, then "default". Single-tenant clients never need to say it.
+// tenantOf names the requesting tenant: ?tenant=, or "default" when it is
+// absent. Single-tenant clients never need to say it.
 func tenantOf(r *http.Request) string {
 	if t := r.URL.Query().Get("tenant"); t != "" {
-		return t
-	}
-	if t := r.Header.Get("X-Tenant"); t != "" {
 		return t
 	}
 	return "default"

@@ -384,19 +384,27 @@ func TestOversizeSpecBodyIs413(t *testing.T) {
 	}
 }
 
-// TestRunRefusesToStart: each startup conflict, and a -backends list that
-// does not parse, is run's error before anything listens. The address
-// does not parse either, so a refusal that went missing fails at Listen
-// with another message instead of serving.
+// TestRunRefusesToStart: each startup conflict — a -worker given any flag
+// only a front door reads among them — and a -backends list that does not
+// parse, is run's error before anything listens. The address does not
+// parse either, so a refusal that went missing fails at Listen with
+// another message instead of serving; the last row is a -worker given only
+// flags it reads, which gets that far.
 func TestRunRefusesToStart(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-worker", "-backends", "http://127.0.0.1:1"}, "-worker and -backends are mutually exclusive"},
+		{[]string{"-worker", "-backends", "http://127.0.0.1:1"}, "-worker does not take -backends"},
+		{[]string{"-worker", "-hedge"}, "-worker does not take -hedge"},
+		{[]string{"-worker", "-max-shards", "4096"}, "-worker does not take -max-shards"},
+		{[]string{"-worker", "-queue-depth", "64"}, "-worker does not take -queue-depth"},
+		{[]string{"-worker", "-max-running", "2"}, "-worker does not take -max-running"},
+		{[]string{"-worker", "-retain", "15m"}, "-worker does not take -retain"},
 		{[]string{"-hedge"}, "-hedge needs -backends"},
 		{[]string{"-cache-entries", "0", "-cache-dir", t.TempDir()}, "-cache-dir needs -cache-entries"},
 		{[]string{"-backends", "127.0.0.1:1"}, "is not an http(s) URL"},
+		{[]string{"-worker", "-workers", "1", "-max-insts", "1000", "-cache-entries", "0"}, "missing port in address"},
 	} {
 		var stderr strings.Builder
 		err := run(append([]string{"-addr", "no-port"}, tc.args...), &stderr)

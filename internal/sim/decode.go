@@ -36,9 +36,9 @@ type mergedRecord struct {
 // report's own normalized spec names for it, so the round trip is exact:
 // re-marshalling the decoded report (with the writer's indentation)
 // yields byte-identical JSON, and its results merge like the in-process
-// originals. This is what lets an async client (rebalance-bench
-// -coordinator) hand on a fetched report exactly as if it had run the
-// sweep itself.
+// originals. This is what lets a client of a front door (rebalance-bench
+// -coordinator) hand on the report it was served exactly as if it had run
+// the sweep itself.
 func DecodeReport(data []byte) (*Report, error) {
 	var w reportWire
 	if err := wire.StrictUnmarshal(data, &w); err != nil {
