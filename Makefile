@@ -25,11 +25,13 @@ test:
 
 # race is CI's race job: the whole suite once, then the three packages whose
 # concurrency is the sweep lifecycle — Run's wait racing a landing, a Cancel
-# or a Close, and a client hanging up on a queued or running /v1/runs (the
-# CLI's tests hang up on a real coordinator) — five times more.
+# or a Close, and a client hanging up on a running /v1/runs (the CLI's tests
+# hang up on a real coordinator) — and the session gate's tests, whose
+# units wait on and hand over slots across goroutines, five times more.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/sim/sweep ./cmd/simd ./cmd/rebalance-bench
+	$(GO) test -race -count=5 -run Gate ./internal/sim
 
 # fuzz runs the wire- and disk-surface fuzzers and the seven differentials
 # — the one-pass shard record decode against the two-level one it replaced

@@ -20,9 +20,10 @@ import (
 
 // frontDoor is a real sweep coordinator behind the one endpoint the client
 // calls, answered the way simd's front door answers POST /v1/runs: the spec
-// runs as a sweep the request waits on, the answer is its report or the
-// error envelope, and a client that hangs up cancels the sweep. It keeps
-// the tenant and spec of the last run it was sent and the bytes it served.
+// runs as a sweep the request waits on, a 103 names the sweep, the answer
+// is its report or the error envelope, and a client that hangs up cancels
+// the sweep. It keeps the tenant, spec and sweep ID of the last run it was
+// sent and the bytes it served.
 type frontDoor struct {
 	*httptest.Server
 	coord *sweep.Coordinator
@@ -30,6 +31,7 @@ type frontDoor struct {
 	mu     sync.Mutex
 	tenant string
 	spec   *sim.Spec
+	id     string
 	served []byte
 }
 
@@ -50,7 +52,14 @@ func newFrontDoor(t *testing.T, opts sweep.Options) *frontDoor {
 		spec, err := sim.DecodeSpec(body)
 		var rep *sim.Report
 		if err == nil {
-			rep, err = coord.Run(r.Context(), tenant, spec)
+			rep, err = coord.Run(r.Context(), tenant, spec, func(st sweep.Status) {
+				fd.mu.Lock()
+				fd.id = st.ID
+				fd.mu.Unlock()
+				w.Header().Set("Location", "/v1/sweeps/"+st.ID)
+				w.WriteHeader(http.StatusEarlyHints)
+				w.Header().Del("Location")
+			})
 		}
 		var enc []byte
 		if err == nil {
@@ -77,12 +86,12 @@ func newFrontDoor(t *testing.T, opts sweep.Options) *frontDoor {
 	return fd
 }
 
-// sent returns the tenant and spec of the last run the front door was sent
-// and the report bytes it served for it.
-func (fd *frontDoor) sent() (string, *sim.Spec, []byte) {
+// sent returns the tenant, spec and sweep ID of the last run the front door
+// was sent and the report bytes it served for it.
+func (fd *frontDoor) sent() (string, *sim.Spec, string, []byte) {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
-	return fd.tenant, fd.spec, fd.served
+	return fd.tenant, fd.spec, fd.id, fd.served
 }
 
 // coordSpec is the small sweep the coordinator tests submit: 4 shards.
@@ -97,8 +106,9 @@ func coordSpec() *sim.Spec {
 
 // TestRunCoordinatorSweep: the client runs the sweep with one POST
 // /v1/runs and writes out the front door's report unchanged — it
-// re-marshals to the bytes served. It logs one line, naming where progress
-// can be read, and the answered sweep takes no retention slot.
+// re-marshals to the bytes served. On the front door's 103 it logs one
+// line, naming the sweep whose progress can be read, and the answered
+// sweep takes no retention slot.
 func TestRunCoordinatorSweep(t *testing.T) {
 	fd := newFrontDoor(t, sweep.Options{Run: sim.NewSession(2).Run})
 	o := testOptions("comd-lite", "", fd.URL+"/", false)
@@ -108,14 +118,14 @@ func TestRunCoordinatorSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tenant, _, served := fd.sent()
+	tenant, _, id, served := fd.sent()
 	if string(got) != string(served) {
 		t.Errorf("written report is not the served one:\n got: %s\nwant: %s", got, served)
 	}
 	if tenant != "bench-test" {
 		t.Errorf("front door ran the sweep as tenant %q, want bench-test", tenant)
 	}
-	want := fmt.Sprintf("rebalance-bench: running 18 shards on %s as tenant \"bench-test\"; progress: GET %s/v1/sweeps?tenant=bench-test\n", fd.URL, fd.URL)
+	want := fmt.Sprintf("rebalance-bench: running 18 shards on %s as tenant \"bench-test\"; progress: GET %s/v1/sweeps/%s\n", fd.URL, fd.URL, id)
 	if log != want {
 		t.Errorf("client logged %q, want %q", log, want)
 	}
@@ -163,20 +173,18 @@ func TestRunCoordinatorSweepCancel(t *testing.T) {
 // a sweep that lands failed surfaces its error, and a 200 body carrying a
 // field a report lacks is an error naming that field.
 func TestRunCoordinatorSweepFailures(t *testing.T) {
-	// One sweep held running and one queued fill tenant t's queue of 1; a
-	// run as tenant u queues behind them and fails like every run here.
+	// One sweep held running fills tenant t's queue of 1; a run as tenant u
+	// fails like every run here.
 	gate := make(chan struct{})
-	fd := newFrontDoor(t, sweep.Options{MaxRunning: 1, QueueDepth: 1, Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
+	fd := newFrontDoor(t, sweep.Options{QueueDepth: 1, Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
 		select {
 		case <-gate:
 		case <-ctx.Done():
 		}
 		return nil, errors.New("engine exploded")
 	}})
-	for range 2 {
-		if _, err := fd.coord.Submit("t", coordSpec()); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := fd.coord.Submit("t", coordSpec()); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := runCoordinatorSweep(context.Background(), fd.URL, "t", coordSpec(), io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "429") || !strings.Contains(err.Error(), "tenant queue full") {

@@ -12,15 +12,16 @@
 // goroutines (`workers` in the report is the pool the plan sized).
 //
 // With -coordinator the sweep runs on a simd front door instead, with one
-// POST /v1/runs tagged with -tenant: the front door queues the spec as a
+// POST /v1/runs tagged with -tenant: the front door runs the spec as a
 // sweep, waits on it and answers with its report, which the client writes
-// out unchanged. Before it waits, the client logs one line naming where
-// the sweep's progress can be read (GET /v1/sweeps?tenant=). A worker
-// fleet is the front door's: `simd -backends w1,w2` dispatches the grid to
-// `simd -worker` processes (with -hedge, if asked), resolves it against
-// its shared result cache first, and answers with a report bit-identical,
-// up to the fields (*sim.Report).Stripped clears, to the same sweep run
-// locally — with `workers: 0`, the concurrency being the backends'.
+// out unchanged; on the interim 103 naming the sweep, the client logs one
+// line naming where its progress can be read (GET /v1/sweeps/{id}). A
+// worker fleet is the front door's: `simd -backends w1,w2` dispatches the
+// grid to `simd -worker` processes (with -hedge, if asked), resolves it
+// against its shared result cache first, and answers with a report
+// bit-identical, up to the fields (*sim.Report).Stripped clears, to the
+// same sweep run locally — with `workers: 0`, the concurrency being the
+// backends'.
 // SIGINT/SIGTERM cancels a local sweep; on a front door it hangs up, and
 // the front door cancels the sweep.
 //
@@ -48,6 +49,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptrace"
+	"net/textproto"
 	"net/url"
 	"os"
 	"os/signal"
@@ -192,11 +195,11 @@ func run(ctx context.Context, o options, log io.Writer) error {
 const maxCoordRespBytes = 64 << 20
 
 // runCoordinatorSweep runs spec on a simd front door as tenant with one
-// POST /v1/runs: the front door queues it as a sweep, waits on it and
-// answers with its report, which decodes here to a report that re-marshals
-// to the bytes served. Before it waits it logs one line naming where the
-// sweep's progress can be read. Cancelling ctx hangs up, and the front door
-// cancels the sweep.
+// POST /v1/runs: the front door runs it as a sweep, waits on it and answers
+// with its report, which decodes here to a report that re-marshals to the
+// bytes served. On the interim 103, whose Location is the sweep, it logs
+// one line naming where its progress can be read. Cancelling ctx hangs up,
+// and the front door cancels the sweep.
 func runCoordinatorSweep(ctx context.Context, base, tenant string, spec *sim.Spec, log io.Writer) (*sim.Report, error) {
 	shards, err := spec.GridSize()
 	if err != nil {
@@ -207,10 +210,14 @@ func runCoordinatorSweep(ctx context.Context, base, tenant string, spec *sim.Spe
 		return nil, fmt.Errorf("marshalling spec: %w", err)
 	}
 	base = strings.TrimRight(base, "/")
-	query := "?tenant=" + url.QueryEscape(tenant)
-	fmt.Fprintf(log, "rebalance-bench: running %d shards on %s as tenant %q; progress: GET %s/v1/sweeps%s\n",
-		shards, base, tenant, base, query)
-	data, status, err := wire.Do(ctx, http.DefaultClient, http.MethodPost, base+"/v1/runs"+query, body, maxCoordRespBytes)
+	ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{Got1xxResponse: func(code int, h textproto.MIMEHeader) error {
+		if loc := h.Get("Location"); code == http.StatusEarlyHints && loc != "" {
+			fmt.Fprintf(log, "rebalance-bench: running %d shards on %s as tenant %q; progress: GET %s%s\n",
+				shards, base, tenant, base, loc)
+		}
+		return nil
+	}})
+	data, status, err := wire.Do(ctx, http.DefaultClient, http.MethodPost, base+"/v1/runs?tenant="+url.QueryEscape(tenant), body, maxCoordRespBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -175,7 +175,7 @@ func TestSynthSweepDispatchedAndDeterministic(t *testing.T) {
 	if w := cold1.Spec.Workloads; len(w) != 3 || !strings.HasPrefix(w[0], "synth-") {
 		t.Fatalf("sweep workloads = %v, want the synth grid only", w)
 	}
-	if _, spec, _ := coord.sent(); len(spec.Synth) != 3 {
+	if _, spec, _, _ := coord.sent(); len(spec.Synth) != 3 {
 		t.Fatalf("submitted spec carries %d synth parameter sets, want 3", len(spec.Synth))
 	}
 	want := render(t, cold1.Stripped())
@@ -232,7 +232,7 @@ func TestAllowPartialDegradedSweep(t *testing.T) {
 
 	coord := newFrontDoor(t, sweep.Options{Run: fleet.Run})
 	_, rep, log := runSweep(t, testOptions("comd-lite", "", coord.URL, true))
-	if _, spec, _ := coord.sent(); !spec.AllowPartial {
+	if _, spec, _, _ := coord.sent(); !spec.AllowPartial {
 		t.Error("-allow-partial did not reach the submitted spec as allow_partial: true")
 	}
 	if want := 1 * 1 * 9; len(rep.Shards) != want {

@@ -374,7 +374,7 @@ func TestFleet(t *testing.T) {
 	}
 	fleet := strings.Join(backends, ",")
 	cacheDir := t.TempDir()
-	front := startSimd(t, "-backends", fleet, "-max-running", "1", "-cache-dir", cacheDir)
+	front := startSimd(t, "-backends", fleet, "-cache-dir", cacheDir)
 	localReg := render(t, localRun(t, registered(2)))
 
 	t.Run("grids", func(t *testing.T) {

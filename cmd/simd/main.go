@@ -6,17 +6,15 @@
 //
 // A server plays one of two roles. A front door (the default) owns a sweep
 // coordinator (internal/sim/sweep), and every spec it runs goes through
-// it: POST /v1/sweeps returns a sweep ID immediately, the sweep executes
-// in the background under per-tenant deficit round-robin fair queueing,
-// and clients poll its status (state and shard counts; the shards
-// themselves arrive only in the final report) and fetch the final report.
-// POST /v1/runs is the same submit, waited on in the request: it queues
-// behind -max-running like any sweep and is listed like one until it
-// answers; a client that hangs up cancels it. Admission control bounds each
-// tenant's queue depth (-queue-depth; beyond it submits get 429 with
-// Retry-After) and coordinator-wide concurrency (-max-running); terminal
-// sweeps stay pollable for -retain. The tenant is named by the ?tenant=
-// query parameter ("default" when absent).
+// it: POST /v1/sweeps starts a sweep and returns its ID, and clients poll
+// its status (state and shard counts; the shards arrive only in the final
+// report) and fetch the report. POST /v1/runs is the same submit, waited
+// on in the request: an interim 103 names the sweep (Location:
+// /v1/sweeps/{id}), and a client that hangs up cancels it. Every sweep's
+// units share the session's -workers slots, granted in deficit round-robin
+// over tenants. A tenant running -queue-depth sweeps gets 429 with
+// Retry-After; terminal sweeps stay pollable for -retain. The tenant is
+// named by the ?tenant= query parameter ("default" when absent).
 //
 // A -worker has no coordinator and serves the worker half of the dispatch
 // layer instead: POST /v1/shards runs one unit of an expanded grid — an
@@ -25,8 +23,8 @@
 // started with -backends (or any sim.Session routed through a
 // dispatch.Dispatcher) decodes and folds into the same bit-identical
 // Report an all-local run produces. A -worker given a flag only a front
-// door reads (-backends, -hedge, -max-shards, -queue-depth, -max-running,
-// -retain) refuses to start and names it.
+// door reads (-backends, -hedge, -max-shards, -queue-depth, -retain) refuses
+// to start and names it.
 //
 // With -backends the front door's shard grids are computed on remote simd
 // workers instead of the local pool, sharing one dispatcher across all
@@ -41,9 +39,9 @@
 //	GET    /v1/sweeps           list sweeps, optionally filtered by ?tenant= (front door only)
 //	GET    /v1/sweeps/{id}      sweep status: state, timestamps, shard progress counts (front door only)
 //	GET    /v1/sweeps/{id}/result  the final report; 409 until the sweep is terminal (front door only)
-//	DELETE /v1/sweeps/{id}      cancel a queued or running sweep (front door only)
+//	DELETE /v1/sweeps/{id}      cancel a running sweep (front door only)
 //	POST   /v1/shards           execute one unit (an array of ShardSpecs), respond with one record per member (-worker only)
-//	GET    /v1/stats            unified counters: shard cache, dispatcher (hedges, hedge_wins, probes, healthy backends), sweep queues
+//	GET    /v1/stats            unified counters: shard cache, dispatcher (hedges, hedge_wins, probes, healthy backends), sweep gauges
 //	GET    /v1/workloads        list the built-in workloads
 //	GET    /v1/predictors       list the predictor configurations with costs
 //	GET    /v1/observers        list the observer kinds
@@ -80,14 +78,14 @@
 // worker never truncates a shard response mid-body — a front door either
 // gets a complete record or a connection error it fails over from — and a
 // waiting /v1/runs request still gets its report. The sweep coordinator
-// closes after the drain: queued sweeps land cancelled, running sweeps
-// abort through context cancellation.
+// closes after the drain: running sweeps abort through context
+// cancellation.
 //
 // Usage:
 //
 //	simd [-addr :8080] [-worker] [-workers N] [-max-insts 100000000]
 //	     [-max-shards 4096] [-drain 30s]
-//	     [-queue-depth 64] [-max-running 2] [-retain 15m]
+//	     [-queue-depth 64] [-retain 15m]
 //	     [-backends http://w1:8081,http://w2:8082] [-hedge]
 //	     [-cache-entries 4096] [-cache-bytes 268435456] [-cache-dir DIR]
 package main
@@ -141,12 +139,11 @@ func run(args []string, stderr io.Writer) error {
 	var (
 		addrFlag      = fs.String("addr", ":8080", "listen address")
 		workerFlag    = fs.Bool("worker", false, "worker mode: serve only the shard protocol (no /v1/runs, no /v1/sweeps)")
-		workersFlag   = fs.Int("workers", runtime.GOMAXPROCS(0), "slots a run's grid is planned for and local pool size; with -backends, also the cap on backend calls in flight")
+		workersFlag   = fs.Int("workers", runtime.GOMAXPROCS(0), "units in flight across all runs, local or dispatched, granted to tenants in turn; also the slots a run's grid is planned for")
 		maxInstsFlag  = fs.Int64("max-insts", 100_000_000, "reject specs with a larger per-shard instruction budget (0 = unlimited)")
 		maxShardsFlag = fs.Int("max-shards", 4096, "reject specs expanding to more shards than this (0 = unlimited)")
 		drainFlag     = fs.Duration("drain", 30*time.Second, "in-flight drain budget on SIGINT/SIGTERM")
-		queueFlag     = fs.Int("queue-depth", 64, "sweep coordinator: max queued sweeps per tenant (beyond it submits get 429)")
-		maxRunFlag    = fs.Int("max-running", 2, "sweep coordinator: max concurrently executing sweeps, sync runs included")
+		queueFlag     = fs.Int("queue-depth", 64, "sweep coordinator: max running sweeps per tenant, sync runs included (beyond it submits get 429)")
 		retainFlag    = fs.Duration("retain", 15*time.Minute, "sweep coordinator: how long finished sweeps stay pollable")
 		backendsFlag  = fs.String("backends", "", "comma-separated simd worker URLs; dispatch shard grids to them instead of the local pool")
 		hedgeFlag     = fs.Bool("hedge", false, "with -backends, duplicate straggling units onto a second healthy worker; first result wins")
@@ -165,7 +162,7 @@ func run(args []string, stderr io.Writer) error {
 	// never refused.
 	given := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
-	for _, name := range []string{"backends", "hedge", "max-shards", "queue-depth", "max-running", "retain"} {
+	for _, name := range []string{"backends", "hedge", "max-shards", "queue-depth", "retain"} {
 		if *workerFlag && given[name] {
 			return fmt.Errorf("-worker does not take -%s: only a front door reads it", name)
 		}
@@ -213,7 +210,6 @@ func run(args []string, stderr io.Writer) error {
 		coord, err := sweep.New(sweep.Options{
 			Run:        sess.Run,
 			QueueDepth: *queueFlag,
-			MaxRunning: *maxRunFlag,
 			Retain:     *retainFlag,
 		})
 		if err != nil {
@@ -298,7 +294,12 @@ func newServer(cfg serverConfig) http.Handler {
 	} else {
 		mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
 			if spec := cfg.admit(w, r); spec != nil {
-				rep, err := cfg.coord.Run(r.Context(), tenantOf(r), spec)
+				// The 103 names the sweep; the final answer's headers do not.
+				rep, err := cfg.coord.Run(r.Context(), tenantOf(r), spec, func(st sweep.Status) {
+					w.Header().Set("Location", "/v1/sweeps/"+st.ID)
+					w.WriteHeader(http.StatusEarlyHints)
+					w.Header().Del("Location")
+				})
 				writeOutcome(w, http.StatusOK, rep, err)
 			}
 		})
@@ -475,6 +476,10 @@ type envelopeWriter struct {
 }
 
 func (w *envelopeWriter) WriteHeader(status int) {
+	if status < http.StatusOK { // an interim 1xx: the final status is still to come
+		w.ResponseWriter.WriteHeader(status)
+		return
+	}
 	if w.wroteHeader {
 		return
 	}

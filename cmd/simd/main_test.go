@@ -399,7 +399,8 @@ func TestRunRefusesToStart(t *testing.T) {
 		{[]string{"-worker", "-hedge"}, "-worker does not take -hedge"},
 		{[]string{"-worker", "-max-shards", "4096"}, "-worker does not take -max-shards"},
 		{[]string{"-worker", "-queue-depth", "64"}, "-worker does not take -queue-depth"},
-		{[]string{"-worker", "-max-running", "2"}, "-worker does not take -max-running"},
+		{[]string{"-max-running", "2"}, "flag provided but not defined: -max-running"},
+		{[]string{"-worker", "-max-running", "2"}, "flag provided but not defined: -max-running"},
 		{[]string{"-worker", "-retain", "15m"}, "-worker does not take -retain"},
 		{[]string{"-hedge"}, "-hedge needs -backends"},
 		{[]string{"-cache-entries", "0", "-cache-dir", t.TempDir()}, "-cache-dir needs -cache-entries"},

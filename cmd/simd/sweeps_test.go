@@ -7,11 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"net/textproto"
 	"regexp"
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -242,20 +243,15 @@ func stubServer(t *testing.T, opts sweep.Options) *httptest.Server {
 	return srv
 }
 
-// TestSweepAdmission429 saturates one tenant's queue and pins the 429 +
-// Retry-After contract, while a second tenant's submit is still admitted.
+// TestSweepAdmission429 fills one tenant's queue with running sweeps and
+// pins the 429 + Retry-After contract, while a second tenant's submit is
+// still admitted.
 func TestSweepAdmission429(t *testing.T) {
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
-	started := make(chan struct{}, 1)
 	srv := stubServer(t, sweep.Options{
 		QueueDepth: 2,
-		MaxRunning: 1,
 		Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
-			select {
-			case started <- struct{}{}:
-			default:
-			}
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
@@ -266,17 +262,14 @@ func TestSweepAdmission429(t *testing.T) {
 	})
 	spec := `{"workloads": ["comd-lite"], "insts": 1000, "observers": [{"kind": "bbl"}]}`
 
-	// One running + 2 queued fills tenant a; the queue drains only when
-	// release closes, so the 3rd queued submit must bounce.
-	for i := 0; i < 3; i++ {
+	// Two running sweeps fill tenant a's queue; they end only when release
+	// closes, so the 3rd submit must bounce.
+	for i := 0; i < 2; i++ {
 		resp := doReq(t, http.MethodPost, srv.URL+"/v1/sweeps?tenant=a", spec)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
 		}
 		resp.Body.Close()
-		if i == 0 {
-			<-started // out of the queue: the coordinator dequeues a sweep before running it
-		}
 	}
 	resp := doReq(t, http.MethodPost, srv.URL+"/v1/sweeps?tenant=a", spec)
 	decodeEnvelope(t, resp, http.StatusTooManyRequests)
@@ -299,7 +292,6 @@ func TestSweepAdmission429(t *testing.T) {
 func TestSweepLifecycleEndpoints(t *testing.T) {
 	started := make(chan struct{}, 4)
 	srv := stubServer(t, sweep.Options{
-		MaxRunning: 1,
 		Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
 			started <- struct{}{}
 			<-ctx.Done()
@@ -355,11 +347,10 @@ func TestSweepLifecycleEndpoints(t *testing.T) {
 }
 
 // TestSweepPollIsStatus: GET /v1/sweeps/{id} serves exactly a
-// sweep.Status — no landed shards — while the sweep is queued, while it
-// runs with shard outcomes already counted, and once it is terminal.
+// sweep.Status — no landed shards — while the sweep runs with shard
+// outcomes already counted, and once it is terminal.
 func TestSweepPollIsStatus(t *testing.T) {
 	srv := stubServer(t, sweep.Options{
-		MaxRunning: 1,
 		Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
 			sim.ShardDone(ctx, sim.Shard{Workload: "comd-lite", Seed: 1, Observer: "bbl", Insts: 1000, Cached: true}, nil)
 			sim.ShardDone(ctx, sim.Shard{Workload: "comd-lite", Seed: 2, Observer: "bbl", Insts: 1000}, nil)
@@ -370,11 +361,6 @@ func TestSweepPollIsStatus(t *testing.T) {
 	})
 	spec := `{"workloads": ["comd-lite"], "seed_count": 3, "insts": 1000, "observers": [{"kind": "bbl"}]}`
 	running := submitSweep(t, srv.URL, "a", spec)
-	queued := submitSweep(t, srv.URL, "a", spec)
-
-	if st := getSweep(t, srv.URL, queued); st.State != sweep.StateQueued {
-		t.Errorf("second sweep under MaxRunning 1 is %s, want queued", st.State)
-	}
 	want := sweep.Progress{TotalShards: 3, DoneShards: 2, CachedShards: 1, FailedShards: 1}
 	deadline := time.Now().Add(10 * time.Second)
 	for st := getSweep(t, srv.URL, running); st.Progress != want; st = getSweep(t, srv.URL, running) {
@@ -383,12 +369,10 @@ func TestSweepPollIsStatus(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	for _, id := range []string{running, queued} {
-		del := doReq(t, http.MethodDelete, srv.URL+"/v1/sweeps/"+id, "")
-		del.Body.Close()
-		if st := pollSweep(t, srv.URL, id); st.State != sweep.StateCancelled {
-			t.Errorf("sweep %s landed %s after DELETE, want cancelled", id, st.State)
-		}
+	del := doReq(t, http.MethodDelete, srv.URL+"/v1/sweeps/"+running, "")
+	del.Body.Close()
+	if st := pollSweep(t, srv.URL, running); st.State != sweep.StateCancelled {
+		t.Errorf("sweep landed %s after DELETE, want cancelled", st.State)
 	}
 }
 
@@ -508,48 +492,26 @@ func TestSweepIDShape(t *testing.T) {
 	}
 }
 
-// listedOnce polls GET /v1/sweeps?tenant= until it lists one sweep and
-// returns it. Each poll is a request, so the test yields to the server on
-// every turn without sleeping.
-func listedOnce(t *testing.T, base, tenant string) sweep.Status {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		var list struct {
-			Sweeps []sweep.Status `json:"sweeps"`
-		}
-		if getJSON(t, base+"/v1/sweeps?tenant="+tenant, &list); len(list.Sweeps) == 1 {
-			return list.Sweeps[0]
-		}
-	}
-	t.Fatalf("tenant %s never listed one sweep", tenant)
-	return sweep.Status{}
-}
-
-// TestSyncRunIsAQueuedSweep: POST /v1/runs is a sweep the request waits
-// on. While a held sweep fills MaxRunning 1, a sync run queues behind it
-// and is listed under its tenant; once the hold lifts it answers 200 with
-// the report a direct Session.Run gives, and its sweep is no longer
-// retained. A client that abandons its queued sync run leaves that sweep
-// cancelled.
-func TestSyncRunIsAQueuedSweep(t *testing.T) {
+// TestSyncRunIsASweep: POST /v1/runs is a sweep the request waits on. Its
+// interim 103 names the sweep (Location: /v1/sweeps/{id}), which is listed
+// under its tenant while the run is held; once the hold lifts it answers a
+// 200, with no Location of its own, and the report a direct Session.Run
+// gives, and its sweep is no longer retained. A client that hangs up on its
+// sync run leaves that sweep cancelled, read once it has landed.
+func TestSyncRunIsASweep(t *testing.T) {
 	sess := sim.NewSession(2)
-	gate := make(chan struct{})
-	var first sync.Once
-	coord := newCoord(t, sweep.Options{MaxRunning: 1, Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
-		held := false
-		first.Do(func() { held = true })
-		if held {
-			select {
-			case <-gate:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+	hold := make(chan struct{})
+	coord := newCoord(t, sweep.Options{Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
+		select {
+		case <-hold:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 		return sess.Run(ctx, spec)
 	}})
 	// handled names the tenant of each /v1/runs request as its handler
 	// returns, so the test learns what a hang-up did without sleeping.
-	handled := make(chan string, 4)
+	handled := make(chan string, 2)
 	h := newServer(serverConfig{sess: sess, maxInsts: 1_000_000, coord: coord})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h.ServeHTTP(w, r)
@@ -562,16 +524,25 @@ func TestSyncRunIsAQueuedSweep(t *testing.T) {
 	// check never leaves srv.Close waiting on a handler.
 	t.Cleanup(coord.Close)
 	const spec = `{"workloads": ["comd-lite"], "seed_count": 2, "insts": 20000, "observers": [{"kind": "bbl"}]}`
-	submitSweep(t, srv.URL, "hold", spec)
 
-	// post is POST /v1/runs as tenant on ctx, answered on the channel.
+	// post is POST /v1/runs as tenant on ctx: the 103's Location on the
+	// first channel, the final answer on the second.
 	type answer struct {
-		status int
-		body   []byte
-		err    error
+		status   int
+		location string
+		body     []byte
+		err      error
 	}
-	post := func(ctx context.Context, tenant string) <-chan answer {
-		out := make(chan answer, 1)
+	post := func(ctx context.Context, tenant string) (<-chan string, <-chan answer) {
+		loc, out := make(chan string, 1), make(chan answer, 1)
+		ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+			Got1xxResponse: func(code int, h textproto.MIMEHeader) error {
+				if code == http.StatusEarlyHints {
+					loc <- h.Get("Location")
+				}
+				return nil
+			},
+		})
 		go func() {
 			req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/runs?tenant="+tenant, strings.NewReader(spec))
 			if err != nil {
@@ -585,29 +556,38 @@ func TestSyncRunIsAQueuedSweep(t *testing.T) {
 			}
 			defer resp.Body.Close()
 			body, err := io.ReadAll(resp.Body)
-			out <- answer{resp.StatusCode, body, err}
+			out <- answer{resp.StatusCode, resp.Header.Get("Location"), body, err}
 		}()
-		return out
+		return loc, out
+	}
+	idOf := func(location string) string {
+		t.Helper()
+		id, ok := strings.CutPrefix(location, "/v1/sweeps/")
+		if !ok {
+			t.Fatalf("103 Location %q does not name a sweep", location)
+		}
+		return id
 	}
 
-	ran := post(context.Background(), "sync")
-	synced := listedOnce(t, srv.URL, "sync")
-	if synced.State != sweep.StateQueued {
-		t.Errorf("sync run listed %s behind the held sweep, want queued", synced.State)
+	loc, ran := post(context.Background(), "sync")
+	synced := idOf(<-loc)
+	var list struct {
+		Sweeps []sweep.Status `json:"sweeps"`
 	}
-	if st := coord.Stats(); st.Running != 1 || st.Queued != 1 {
-		t.Errorf("coordinator holds %d running, %d queued; want 1, 1", st.Running, st.Queued)
+	if getJSON(t, srv.URL+"/v1/sweeps?tenant=sync", &list); len(list.Sweeps) != 1 ||
+		list.Sweeps[0].ID != synced || list.Sweeps[0].State != sweep.StateRunning {
+		t.Errorf("tenant sync lists %+v, want its held sync run %s running", list.Sweeps, synced)
 	}
 
 	hangUp, cancel := context.WithCancel(context.Background())
-	abandoned := post(hangUp, "gone")
-	gone := listedOnce(t, srv.URL, "gone")
+	loc, abandoned := post(hangUp, "gone")
+	gone := idOf(<-loc)
 	cancel()
 	if a := <-abandoned; a.err == nil {
 		t.Errorf("the abandoning client got an answer: %d %s", a.status, a.body)
 	}
-	// A handler the hang-up did not reach would wait on the held slot: the
-	// bound turns that into a failure instead of a hung test.
+	// A handler the hang-up did not reach would wait on the hold: the bound
+	// turns that into a failure instead of a hung test.
 	select {
 	case tenant := <-handled:
 		if tenant != "gone" {
@@ -616,16 +596,13 @@ func TestSyncRunIsAQueuedSweep(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the abandoned sync run's handler never returned")
 	}
-	if st, ok := coord.Get(gone.ID); !ok || st.State != sweep.StateCancelled || coord.Stats().Retained != 1 {
-		t.Errorf("abandoned sync run's sweep: %+v (found %v, %d retained), want it retained cancelled", st, ok, coord.Stats().Retained)
-	}
 
-	close(gate)
+	close(hold)
 	a := <-ran
-	if a.err != nil || a.status != http.StatusOK {
-		t.Fatalf("sync run answered %d %s (%v), want 200", a.status, a.body, a.err)
+	if a.err != nil || a.status != http.StatusOK || a.location != "" {
+		t.Fatalf("sync run answered %d (Location %q) %s (%v), want a 200 without one", a.status, a.location, a.body, a.err)
 	}
-	if st, ok := coord.Get(synced.ID); ok {
+	if st, ok := coord.Get(synced); ok {
 		t.Errorf("answered sync run still retained: %+v", st)
 	}
 	parsed, err := sim.DecodeSpec([]byte(spec))
@@ -638,5 +615,11 @@ func TestSyncRunIsAQueuedSweep(t *testing.T) {
 	}
 	if got, want := normalizeReport(t, a.body), render(t, direct); got != want {
 		t.Errorf("sync run differs from a direct Session.Run:\n run: %s\nwant: %s", got, want)
+	}
+
+	// Close lands the abandoned sweep, if its cancel has not yet.
+	coord.Close()
+	if st, ok := coord.Get(gone); !ok || st.State != sweep.StateCancelled || coord.Stats().Retained != 1 {
+		t.Errorf("abandoned sync run's sweep: %+v (found %v, %d retained), want it retained cancelled", st, ok, coord.Stats().Retained)
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"rebalance/internal/clock"
@@ -92,23 +91,10 @@ func soakDispatcher(t *testing.T, backends []dispatch.Backend, clk clock.Clock, 
 	return d
 }
 
-// oneUnitAtATime hands d a session's units one after another. The session
-// gives its runner every unit of the grid at once; a soak needs each unit's
-// attempts to be consecutive calls, so that the fault plan, not the
-// scheduler, decides how many attempts each unit takes.
-type oneUnitAtATime struct {
-	mu sync.Mutex
-	d  *dispatch.Dispatcher
-}
-
-func (o *oneUnitAtATime) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.d.RunShards(ctx, specs)
-}
-
 // runGrid runs the golden spec through a one-worker Session routed over d —
-// its four coordinates are four units, sent one after another — with the
+// its four coordinates are four units, which the session's one slot sends
+// one after another, so each unit's attempts are consecutive calls and the
+// fault plan, not the scheduler, decides how many each takes — with the
 // given result cache (nil for none), and normalizes the report's timing
 // fields the way the golden file does.
 func runGrid(t *testing.T, d *dispatch.Dispatcher, cache *shardcache.Cache, allowPartial bool) *sim.Report {
@@ -120,7 +106,7 @@ func runGrid(t *testing.T, d *dispatch.Dispatcher, cache *shardcache.Cache, allo
 	spec.AllowPartial = allowPartial
 	sess := sim.NewSession(1)
 	sess.SetCache(cache)
-	sess.SetRunner(&oneUnitAtATime{d: d})
+	sess.SetRunner(d)
 	rep, err := sess.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)

@@ -7,9 +7,10 @@
 // its grid against its result cache, plans the misses into units and hands
 // each unit — a trace coordinate's shards, so a worker streams the
 // coordinate once for all of them — to Dispatcher.RunShards as one call,
-// all at once. It sends a unit to a backend under its in-flight bound (the
-// grid's only one), re-sends the members that failed retryably with backoff,
-// fails over when a backend dies, and hedges stragglers. It only
+// while the unit holds one of the session's slots. It sends a unit to a
+// backend under its own in-flight bound, which a session's gate of as many
+// slots keeps from binding, re-sends the members that failed retryably
+// with backoff, fails over when a backend dies, and hedges stragglers. It only
 // reports: one sim.Outcome per spec — a shard it had to abandon is a value,
 // with the attempts spent and the terminal error. Naming failures,
 // progress and abort-versus-degrade are the Session's.
@@ -91,9 +92,8 @@ func (b *LocalBackend) Probe(context.Context) error { return nil }
 type Options struct {
 	// MaxInFlight caps the backend calls executing at once across all
 	// backends and every run sharing this dispatcher (default 2 per
-	// backend). It is the one bound on a dispatched grid's units: a routed
-	// session hands over every unit at once, its workers deciding only how
-	// the grid is cut.
+	// backend). A routed session already holds its units to its workers
+	// slots, so a MaxInFlight of at least as many never binds.
 	MaxInFlight int
 	// Hedge duplicates straggling shard attempts onto a second healthy
 	// backend: when a backend call outlives the hedge delay, the same

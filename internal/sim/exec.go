@@ -91,13 +91,15 @@ func planShards(cells []gridCell, members []int, slots int) [][]int {
 // keys, so overlapping grids cannot wait on each other; a repeated key (an
 // array may name a shard twice) takes its leader's outcome when the grid
 // ends. Hits go to out and done at once. planShards sees only the misses, in
-// grid order, so an all-hits grid starts no goroutine; at most workers
-// goroutines compute the units, landing each member and passing it to done
-// as its unit ends. Cancellation is read off ctx alone, between units: if
-// ctx ended, each key led for a unit that never ran is landed with its cause
-// (released, nothing stored) and ctx's error is the run's; otherwise every
-// failure is a value in out. It returns how many goroutines computed.
-func (s *Session) runGrid(ctx context.Context, cells []gridCell, out []Outcome, slots, workers int,
+// grid order, cut for slots, so an all-hits grid starts no goroutine; at
+// most the session's workers goroutines take the units, and each unit holds
+// a slot of the session's gate while it computes, landing each member and
+// passing it to done as its unit ends. Cancellation is read off ctx alone,
+// between units: if ctx ended, each key led for a unit that never ran is
+// landed with its cause (released, nothing stored) and ctx's error is the
+// run's; otherwise every failure is a value in out. It returns how many
+// goroutines computed.
+func (s *Session) runGrid(ctx context.Context, cells []gridCell, out []Outcome, slots int,
 	compute func(ctx context.Context, cells []gridCell, miss []int, out []Outcome), done func(i int)) (int, error) {
 	type keyed struct {
 		idx int
@@ -136,17 +138,18 @@ func (s *Session) runGrid(ctx context.Context, cells []gridCell, out []Outcome, 
 		next <- u
 	}
 	close(next)
-	pool := min(workers, len(units))
+	pool := min(s.workers, len(units))
 	var wg sync.WaitGroup
 	for w := pool; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for unit := range next {
-				if ctx.Err() != nil {
+				if ctx.Err() != nil || s.gate.acquire(ctx, len(unit)) != nil {
 					return
 				}
 				compute(ctx, cells, unit, out)
+				s.gate.release()
 				for _, i := range unit {
 					if land := lands[i]; land != nil {
 						land(out[i].Shard, out[i].Err)

@@ -27,7 +27,7 @@ func cellOf(workload string, cfg ObserverConfig, seed uint64, insts int64) gridC
 // observerKinds and for driving a bare (cacheless, storeless) session.
 func (s *Session) runJob(ctx context.Context, c *trace.Compiled, cell gridCell) (Shard, error) {
 	out := make([]Outcome, 1)
-	_, err := s.runGrid(ctx, []gridCell{cell}, out, 0, 1, func(ctx context.Context, cells []gridCell, miss []int, out []Outcome) {
+	_, err := s.runGrid(ctx, []gridCell{cell}, out, 0, func(ctx context.Context, cells []gridCell, miss []int, out []Outcome) {
 		s.runGroup(ctx, c, cells, miss, out)
 	}, func(int) {})
 	if err != nil {

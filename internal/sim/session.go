@@ -22,6 +22,7 @@ import (
 // like cmd/simd run many requests against one warm cache.
 type Session struct {
 	workers int
+	gate    *gate
 	runner  ShardRunner
 	cache   *shardcache.Cache
 	traces  *replay.Store
@@ -42,21 +43,23 @@ type compileEntry struct {
 	err  error
 }
 
-// NewSession returns a session running up to workers shards concurrently;
-// workers < 1 selects GOMAXPROCS.
+// NewSession returns a session computing up to workers units at once,
+// across all its runs, local or dispatched; workers < 1 selects GOMAXPROCS.
 func NewSession(workers int) *Session {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Session{workers: workers, compiled: map[string]*compileEntry{}}
+	return &Session{workers: workers, gate: &gate{free: workers}, compiled: map[string]*compileEntry{}}
 }
 
 // SetRunner has every subsequent Run compute its shards through r instead
 // of the session's in-process worker pool — the seam the dispatch layer
 // plugs into to spread a grid across local and remote backends. The
 // session still resolves the grid against its result cache, plans its
-// misses and owns every outcome; r receives each unit as one RunShards call.
-// A nil r restores the built-in local pool. Shard results and their merge
+// misses and owns every outcome; r receives each unit as one RunShards call,
+// and the unit holds one of the session's slots until that call returns. A
+// LocalBackend over this same session would wait on its own gate: give the
+// backend a session of its own. A nil r restores the built-in local pool. Shard results and their merge
 // order are runner-independent, so a Report is bit-identical (up to timing
 // fields) whichever runner produced it. Set before the first Run; the field
 // is not synchronized against concurrent Runs.
@@ -156,13 +159,14 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	// A local run computes its misses on the session pool, compiling before
 	// the wall clock starts, so WallNS (and the derived sweep throughput)
 	// measures execution, not a cold compile cache. A dispatched run hands
-	// each unit's misses to the runner as one call, all units at once (the
-	// Dispatcher's MaxInFlight is the one bound), and skips local compilation:
-	// each worker compiles from the wire bytes against its own cache. Remote
-	// results come decoded, so the merge phase cannot tell them from local ones.
-	compute, pool := s.runRemote, len(cells)
+	// each unit's misses to the runner as one call, from a pool of the same
+	// size (the session's gate bounds the units in flight either way), and
+	// skips local compilation: each worker compiles from the wire bytes
+	// against its own cache. Remote results come decoded, so the merge phase
+	// cannot tell them from local ones.
+	compute := s.runRemote
 	if s.runner == nil {
-		compute, pool = s.runLocal, s.workers
+		compute = s.runLocal
 		for _, w := range norm.Workloads {
 			if _, err := s.compiledFor(w, synthByName[w]); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
@@ -177,7 +181,7 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	out, err := decide(ctx, norm, cells, func(ctx context.Context) ([]Outcome, error) {
 		out := make([]Outcome, len(cells))
 		var err error
-		workers, err = s.runGrid(ctx, cells, out, s.workers, pool, compute, func(i int) {
+		workers, err = s.runGrid(ctx, cells, out, s.workers, compute, func(i int) {
 			if out[i].Err != nil {
 				out[i].Err = fmt.Errorf("sim: shard {%s %s seed %d}: %w",
 					cells[i].spec.Workload, cells[i].cfg.Key(), cells[i].spec.Seed, out[i].Err)

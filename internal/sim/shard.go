@@ -108,10 +108,11 @@ type ShardRunner interface {
 // worker protocol (cmd/simd's POST /v1/shards, the dispatch layer's
 // LocalBackend). Each spec is expanded — an invalid member fails alone with
 // ErrInvalidSpec — and the rest take Run's path, runGrid, on the session
-// pool, with the misses grouped by trace coordinate but uncut (whoever owns
-// the whole grid planned it, and cutting an arriving unit again would have
-// each of a busy worker's concurrent units regenerate its stream workers
-// times). Being a runner beneath the grid's owner, the session neither
+// pool, their units taking the session's slots like any run's (so every
+// worker-protocol call shares the process's one budget), with the misses
+// grouped by trace coordinate but uncut (whoever owns the whole grid
+// planned it, and cutting an arriving unit again would have each of a busy
+// worker's concurrent units regenerate its stream workers times). Being a runner beneath the grid's owner, the session neither
 // names its failures nor delivers to ShardDone here (a LocalBackend under a
 // Dispatcher would otherwise do both twice). The context is polled during
 // execution, so a cancelled array aborts promptly.
@@ -122,7 +123,7 @@ func (s *Session) RunShards(ctx context.Context, specs []ShardSpec) ([]Outcome, 
 		cells[i].spec = specs[i]
 		cells[i].cfg, out[i].Err = specs[i].Config()
 	}
-	if _, err := s.runGrid(ctx, cells, out, 0, s.workers, s.runLocal, func(int) {}); err != nil {
+	if _, err := s.runGrid(ctx, cells, out, 0, s.runLocal, func(int) {}); err != nil {
 		return nil, err
 	}
 	return out, nil

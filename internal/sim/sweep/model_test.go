@@ -16,54 +16,53 @@ import (
 // The sweep state machine against a reference model. Random sequences of
 // submit, cancel, run-finish (ok, error or cancelled), Advance and Close
 // over three tenants drive a Coordinator on a virtual clock whose runs the
-// test releases one at a time; after every step the coordinator must agree
-// with the model on every sweep's state, the queued and running gauges,
-// the tenant table and its counters, and which sweeps are still visible —
-// and the next run to start must be the one deficit round-robin picks.
+// test releases; after every step the coordinator must agree with the
+// model on every sweep's state, the running and retained gauges, the
+// tenant table and its counters, and which sweeps are still visible — and
+// every admitted sweep's run must have started by the time Submit
+// returned. Which units of the running sweeps compute is the session
+// gate's concern, modelled by the sim package's TestGateMatchesDRR.
 
 var errModelRun = errors.New("model: scripted run failure")
 
 // mSweep is the model's record of one sweep.
 type mSweep struct {
 	id, tenant string
-	seq, cost  int
+	seq        int
 	spec       *sim.Spec
 	state      State
 	finished   time.Time
-	finish     chan error // the running stub's release, once started
+	finish     chan error // the running stub's release
 }
 
 func (s *mSweep) String() string {
 	if s == nil {
 		return "an unknown sweep"
 	}
-	return fmt.Sprintf("sweep %s (tenant %s, cost %d)", s.id, s.tenant, s.cost)
+	return fmt.Sprintf("sweep %s (tenant %s)", s.id, s.tenant)
 }
 
 // mTenant is the model's record of one tenant.
 type mTenant struct {
-	queue              []*mSweep
-	deficit            int
-	charged            bool
 	running, retained  int
 	done, failed, canc int64
 }
 
-// model is the coordinator's contract, restated: DRR over FIFO tenant
-// queues, MaxRunning, per-tenant QueueDepth, and retention by count and age.
+// model is the coordinator's contract, restated: every admitted sweep runs
+// at once, per-tenant QueueDepth bounds running sweeps, and retention goes
+// by count and age.
 type model struct {
-	maxRunning, depth int
-	retain            time.Duration
-	now               time.Time
-	tenants           map[string]*mTenant
-	active            []string // the DRR rotation
-	visible           map[string]*mSweep
-	done              []*mSweep // the retention list, in finish order
-	running, queued   int
-	closed            bool
+	depth   int
+	retain  time.Duration
+	now     time.Time
+	tenants map[string]*mTenant
+	visible map[string]*mSweep
+	done    []*mSweep // the retention list, in finish order
+	running int
+	closed  bool
 
 	// What the sequence exercised, so a run of the test cannot pass vacuously.
-	countEvicted, ageEvicted, tenantsDropped, extraRounds int
+	countEvicted, ageEvicted, tenantsDropped int
 }
 
 func (m *model) tenant(name string) *mTenant {
@@ -77,8 +76,8 @@ func (m *model) tenant(name string) *mTenant {
 
 // evict forgets the oldest-finished sweeps while more than maxRetained are
 // held or the oldest is older than retain, and a tenant with its last one
-// unless it has work in hand. Every coordinator call that can see a sweep
-// evicts first, so the model evicts before every comparison.
+// unless it has a sweep running. Every coordinator call that can see a
+// sweep evicts first, so the model evicts before every comparison.
 func (m *model) evict() {
 	for len(m.done) > 0 {
 		s := m.done[0]
@@ -94,20 +93,18 @@ func (m *model) evict() {
 		m.done = m.done[1:]
 		delete(m.visible, s.id)
 		tq := m.tenants[s.tenant]
-		if tq.retained--; tq.retained == 0 && len(tq.queue) == 0 && tq.running == 0 {
+		if tq.retained--; tq.retained == 0 && tq.running == 0 {
 			delete(m.tenants, s.tenant)
 			m.tenantsDropped++
 		}
 	}
 }
 
-// land moves s to a terminal state.
+// land moves a running s to a terminal state.
 func (m *model) land(s *mSweep, st State) {
 	tq := m.tenants[s.tenant]
-	if s.state == StateRunning {
-		m.running--
-		tq.running--
-	}
+	m.running--
+	tq.running--
 	s.state, s.finished = st, m.now
 	switch st {
 	case StateDone:
@@ -119,59 +116,6 @@ func (m *model) land(s *mSweep, st State) {
 	}
 	m.done = append(m.done, s)
 	tq.retained++
-}
-
-// deactivate takes a tenant whose queue emptied out of the rotation; its
-// credit goes with it.
-func (m *model) deactivate(name string) {
-	tq := m.tenants[name]
-	tq.deficit, tq.charged = 0, false
-	for i, a := range m.active {
-		if a == name {
-			m.active = append(m.active[:i:i], m.active[i+1:]...)
-			return
-		}
-	}
-}
-
-// dispatch starts what deficit round-robin starts while capacity allows:
-// the tenant at the front of the rotation is granted a quantum once per
-// visit and starts its head sweeps while its credit covers them; one whose
-// head costs more than its credit goes to the back and keeps the credit; a
-// capacity stall leaves the front tenant where it is, already charged.
-func (m *model) dispatch() []*mSweep {
-	var started []*mSweep
-	for m.running < m.maxRunning && len(m.active) > 0 {
-		name := m.active[0]
-		tq := m.tenants[name]
-		if !tq.charged {
-			tq.deficit += quantum
-			tq.charged = true
-		}
-		for len(tq.queue) > 0 && m.running < m.maxRunning && tq.queue[0].cost <= tq.deficit {
-			s := tq.queue[0]
-			tq.queue = tq.queue[1:]
-			tq.deficit -= s.cost
-			if s.cost > quantum {
-				m.extraRounds++
-			}
-			s.state = StateRunning
-			m.queued--
-			m.running++
-			tq.running++
-			started = append(started, s)
-		}
-		switch {
-		case len(tq.queue) == 0:
-			m.deactivate(name)
-		case m.running >= m.maxRunning:
-			return started
-		default:
-			tq.charged = false
-			m.active = append(m.active[1:], name)
-		}
-	}
-	return started
 }
 
 // started is one run the stub RunFunc began: its spec, and the channel the
@@ -190,26 +134,27 @@ type harness struct {
 	v      *clock.Virtual
 	c      *Coordinator
 	m      *model
+	burst  int // how many running sweeps one finish step lands
 	starts chan started
 	ids    []string // every sweep ever submitted, in submission order
 	byID   map[string]*mSweep
 }
 
-func newHarness(t *testing.T, seed int64, maxRunning, depth int) *harness {
+func newHarness(t *testing.T, seed int64, burst, depth int) *harness {
 	h := &harness{
-		t:   t,
-		rng: rand.New(rand.NewSource(seed)),
-		v:   clock.NewVirtual(),
+		t:     t,
+		rng:   rand.New(rand.NewSource(seed)),
+		v:     clock.NewVirtual(),
+		burst: burst,
 		// Room for runs the model never started, so a stray start waits in
 		// the buffer for the final check instead of blocking Close.
 		starts: make(chan started, 64),
 		byID:   map[string]*mSweep{},
 	}
-	h.m = &model{maxRunning: maxRunning, depth: depth, retain: time.Hour, now: h.v.Now(),
+	h.m = &model{depth: depth, retain: time.Hour, now: h.v.Now(),
 		tenants: map[string]*mTenant{}, visible: map[string]*mSweep{}}
 	c, err := New(Options{
 		QueueDepth: depth,
-		MaxRunning: maxRunning,
 		Retain:     h.m.retain,
 		Clock:      h.v,
 		Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
@@ -233,26 +178,17 @@ func newHarness(t *testing.T, seed int64, maxRunning, depth int) *harness {
 	return h
 }
 
-// expectStarts receives the runs the model says the scheduler starts, in
-// order, and checks each is the sweep the model picked.
-func (h *harness) expectStarts(want []*mSweep) {
+// expectStart receives the run Submit started and checks it is s's.
+func (h *harness) expectStart(s *mSweep) {
 	h.t.Helper()
-	for _, s := range want {
-		select {
-		case got := <-h.starts:
-			if got.spec != s.spec {
-				var other *mSweep
-				for _, o := range h.byID {
-					if o.spec == got.spec {
-						other = o
-					}
-				}
-				h.t.Fatalf("scheduler started %s, want %s", other, s)
-			}
-			s.finish = got.finish
-		case <-time.After(10 * time.Second):
-			h.t.Fatalf("%s never started", s)
+	select {
+	case got := <-h.starts:
+		if got.spec != s.spec {
+			h.t.Fatalf("Submit of %s started another sweep's run", s)
 		}
+		s.finish = got.finish
+	case <-time.After(10 * time.Second):
+		h.t.Fatalf("%s never started", s)
 	}
 }
 
@@ -270,9 +206,8 @@ func (h *harness) awaitLanded(id string) {
 	}
 }
 
-// modelCosts are the grid sizes sweeps are drawn from: below, at and above
-// one quantum, so some heads wait one or more rounds for credit.
-var modelCosts = []int{1, 8, quantum, quantum + 1, 3 * quantum}
+// modelCosts are the grid sizes sweeps are drawn from.
+var modelCosts = []int{1, 8, 64, 200}
 
 func (h *harness) submit() {
 	tenant := string(rune('a' + h.rng.Intn(3)))
@@ -287,58 +222,56 @@ func (h *harness) submit() {
 			h.t.Fatalf("submit after Close: %v, want ErrClosed", err)
 		}
 		return
-	case tq != nil && len(tq.queue) >= m.depth:
+	case tq != nil && tq.running >= m.depth:
 		if !errors.Is(err, ErrQueueFull) {
-			h.t.Fatalf("submit to tenant %s holding %d queued (depth %d): %v, want ErrQueueFull", tenant, m.depth, m.depth, err)
+			h.t.Fatalf("submit to tenant %s running %d sweeps (depth %d): %v, want ErrQueueFull", tenant, tq.running, m.depth, err)
 		}
 		return
 	case err != nil:
 		h.t.Fatalf("submit: %v", err)
 	}
-	s := &mSweep{id: st.ID, tenant: tenant, seq: len(h.ids), cost: cost, spec: spec, state: StateQueued}
+	s := &mSweep{id: st.ID, tenant: tenant, seq: len(h.ids), spec: spec, state: StateRunning}
 	h.ids = append(h.ids, s.id)
 	h.byID[s.id] = s
 	m.visible[s.id] = s
-	tq := m.tenant(tenant)
-	tq.queue = append(tq.queue, s)
-	m.queued++
-	if len(tq.queue) == 1 {
-		m.active = append(m.active, tenant)
+	m.tenant(tenant).running++
+	m.running++
+	if st.State != StateRunning || st.StartedAt == nil || !st.StartedAt.Equal(st.SubmittedAt) || st.Progress.TotalShards != cost {
+		h.t.Fatalf("submit answered %+v, want running since submission with %d shards", st, cost)
 	}
-	if st.State != StateQueued {
-		h.t.Fatalf("submit answered state %s, want queued", st.State)
-	}
-	h.expectStarts(m.dispatch())
+	h.expectStart(s)
 }
 
-// finishOne releases a random running sweep with a random outcome.
+// finishOne releases up to burst random running sweeps, one after another,
+// each with a random outcome.
 func (h *harness) finishOne() {
-	var running []*mSweep
-	for _, id := range h.ids {
-		if s := h.byID[id]; s.state == StateRunning {
-			running = append(running, s)
+	for range h.burst {
+		var running []*mSweep
+		for _, id := range h.ids {
+			if s := h.byID[id]; s.state == StateRunning {
+				running = append(running, s)
+			}
 		}
+		if len(running) == 0 {
+			return
+		}
+		s := running[h.rng.Intn(len(running))]
+		outcome, st := []error{nil, errModelRun, context.Canceled}[h.rng.Intn(3)], StateDone
+		switch outcome {
+		case errModelRun:
+			st = StateFailed
+		case context.Canceled:
+			st = StateCancelled
+		}
+		s.finish <- outcome
+		h.awaitLanded(s.id)
+		h.m.land(s, st)
+		h.m.evict()
 	}
-	if len(running) == 0 {
-		return
-	}
-	s := running[h.rng.Intn(len(running))]
-	outcome, st := []error{nil, errModelRun, context.Canceled}[h.rng.Intn(3)], StateDone
-	switch outcome {
-	case errModelRun:
-		st = StateFailed
-	case context.Canceled:
-		st = StateCancelled
-	}
-	s.finish <- outcome
-	h.awaitLanded(s.id)
-	h.m.land(s, st)
-	h.m.evict()
-	h.expectStarts(h.m.dispatch())
 }
 
-// cancel cancels a random sweep from the whole history: queued, running,
-// terminal or long evicted.
+// cancel cancels a random sweep from the whole history: running, terminal
+// or long evicted.
 func (h *harness) cancel() {
 	if len(h.ids) == 0 {
 		return
@@ -359,31 +292,13 @@ func (h *harness) cancel() {
 		}
 	case err != nil:
 		h.t.Fatalf("cancel of %s sweep %s: %v", s.state, id, err)
-	case s.state == StateQueued:
-		tq := m.tenants[s.tenant]
-		for i, q := range tq.queue {
-			if q == s {
-				tq.queue = append(tq.queue[:i:i], tq.queue[i+1:]...)
-				break
-			}
-		}
-		m.queued--
-		if len(tq.queue) == 0 {
-			m.deactivate(s.tenant)
-		}
-		m.land(s, StateCancelled)
-		if st.State != StateCancelled {
-			h.t.Fatalf("cancel of queued sweep %s answered %s, want cancelled", id, st.State)
-		}
-		h.expectStarts(m.dispatch())
-	default: // running: its context ends and the run lands cancelled
+	default: // its context ends and the run lands cancelled
 		if st.State != StateRunning {
 			h.t.Fatalf("cancel of running sweep %s answered %s, want running until it unwinds", id, st.State)
 		}
 		h.awaitLanded(id)
 		m.land(s, StateCancelled)
 		m.evict()
-		h.expectStarts(m.dispatch())
 	}
 }
 
@@ -399,9 +314,8 @@ func (h *harness) advance(ages bool) {
 	h.m.now = h.m.now.Add(d)
 }
 
-// close closes the coordinator: every queued sweep lands cancelled, then
-// every running one does as its context ends. Close returns only once they
-// all have.
+// close closes the coordinator: every running sweep lands cancelled as its
+// context ends, and Close returns only once they all have.
 func (h *harness) close() {
 	h.c.Close()
 	m := h.m
@@ -410,19 +324,10 @@ func (h *harness) close() {
 	}
 	m.closed = true
 	for _, id := range h.ids {
-		if s := h.byID[id]; s.state == StateQueued {
-			m.land(s, StateCancelled)
-		}
-	}
-	for _, id := range h.ids {
 		if s := h.byID[id]; s.state == StateRunning {
 			m.land(s, StateCancelled)
 		}
 	}
-	for _, tq := range m.tenants {
-		tq.queue = nil
-	}
-	m.active, m.queued = nil, 0
 }
 
 // check holds the coordinator to the model. Before any other call has
@@ -464,23 +369,19 @@ func (h *harness) check(step int, what string) {
 	}
 
 	st := h.c.Stats()
-	if st.Running > m.maxRunning {
-		fail("%d sweeps running, MaxRunning %d", st.Running, m.maxRunning)
-	}
-	if st.Queued != m.queued || st.Running != m.running || st.Retained != len(m.done) {
-		fail("gauges queued/running/retained = %d/%d/%d, model %d/%d/%d",
-			st.Queued, st.Running, st.Retained, m.queued, m.running, len(m.done))
+	if st.Running != m.running || st.Retained != len(m.done) {
+		fail("gauges running/retained = %d/%d, model %d/%d", st.Running, st.Retained, m.running, len(m.done))
 	}
 	if len(st.Tenants) != len(m.tenants) {
 		fail("tenant table %v, model holds %d tenants", st.Tenants, len(m.tenants))
 	}
 	for name, tq := range m.tenants {
-		want := TenantStats{Queued: len(tq.queue), Running: tq.running, Done: tq.done, Failed: tq.failed, Cancelled: tq.canc}
+		want := TenantStats{Running: tq.running, Done: tq.done, Failed: tq.failed, Cancelled: tq.canc}
 		if got, ok := st.Tenants[name]; !ok || got != want {
 			fail("tenant %s = %+v (listed %v), model %+v", name, got, ok, want)
 		}
-		if got := st.Tenants[name].Queued; got > m.depth {
-			fail("tenant %s holds %d queued, QueueDepth %d", name, got, m.depth)
+		if got := st.Tenants[name].Running; got > m.depth {
+			fail("tenant %s runs %d sweeps, QueueDepth %d", name, got, m.depth)
 		}
 	}
 
@@ -531,24 +432,24 @@ func stateOf(s *mSweep) State {
 	return s.state
 }
 
-// TestModel runs the random sequences: each picks MaxRunning and
-// QueueDepth, drives two thousand steps with a Close late among them, and
-// checks no run started that the model did not start. Half the sequences
-// age sweeps out; the other half keep the clock short of Retain so the
-// retention list fills past maxRetained.
+// TestModel runs the random sequences: each picks how many running sweeps
+// a finish step lands (run) and QueueDepth, drives two thousand steps with
+// a Close late among them, and checks no run started that the model did
+// not start. Half the sequences age sweeps out; the other half keep the
+// clock short of Retain so the retention list fills past maxRetained.
 func TestModel(t *testing.T) {
 	var covered model
 	var queueFull, closedSubmits int
 	for _, tc := range []struct {
-		seed              int64
-		maxRunning, depth int
-		ages              bool
+		seed         int64
+		burst, depth int
+		ages         bool
 	}{
 		{1, 1, 1, true}, {2, 2, 3, false}, {3, 3, 2, true},
 		{4, 1, 4, false}, {5, 2, 2, true}, {6, 3, 1, false},
 	} {
-		t.Run(fmt.Sprintf("seed%d-run%d-depth%d-ages%v", tc.seed, tc.maxRunning, tc.depth, tc.ages), func(t *testing.T) {
-			h := newHarness(t, tc.seed, tc.maxRunning, tc.depth)
+		t.Run(fmt.Sprintf("seed%d-run%d-depth%d-ages%v", tc.seed, tc.burst, tc.depth, tc.ages), func(t *testing.T) {
+			h := newHarness(t, tc.seed, tc.burst, tc.depth)
 			defer h.c.Close()
 			const steps = 2000
 			// Close comes once, late, and a few hundred steps run against
@@ -586,19 +487,17 @@ func TestModel(t *testing.T) {
 			if n := len(h.starts); n != 0 {
 				t.Fatalf("%d runs started that the model never started", n)
 			}
-			t.Logf("%d steps, %d sweeps; evicted %d by count, %d by age; %d tenants dropped; %d starts after extra rounds",
-				steps, len(h.ids), h.m.countEvicted, h.m.ageEvicted, h.m.tenantsDropped, h.m.extraRounds)
+			t.Logf("%d steps, %d sweeps; evicted %d by count, %d by age; %d tenants dropped",
+				steps, len(h.ids), h.m.countEvicted, h.m.ageEvicted, h.m.tenantsDropped)
 			covered.countEvicted += h.m.countEvicted
 			covered.ageEvicted += h.m.ageEvicted
 			covered.tenantsDropped += h.m.tenantsDropped
-			covered.extraRounds += h.m.extraRounds
 		})
 	}
 	for what, n := range map[string]int{
 		"evictions past maxRetained": covered.countEvicted,
 		"evictions past Retain":      covered.ageEvicted,
 		"tenants dropped":            covered.tenantsDropped,
-		"starts after extra rounds":  covered.extraRounds,
 		"ErrQueueFull submits":       queueFull,
 		"submits after Close":        closedSubmits,
 	} {

@@ -55,12 +55,12 @@ func waitState(t *testing.T, c *Coordinator, id string, want State) Status {
 }
 
 // TestLifecycleRealRun drives a real sim.Session through the coordinator:
-// submit returns queued immediately, the sweep lands done with full
+// submit returns running immediately, the sweep lands done with full
 // progress, and the final report is byte-identical to a synchronous run
 // of the same spec (modulo the documented timing fields).
 func TestLifecycleRealRun(t *testing.T) {
 	sess := sim.NewSession(2)
-	c, err := New(Options{Run: sess.Run, MaxRunning: 1})
+	c, err := New(Options{Run: sess.Run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,18 +190,17 @@ func (b *blockingRun) run(name string) RunFunc {
 	}
 }
 
-// TestCancelQueuedAndRunning pins the two cancellation paths: a queued
-// sweep lands cancelled without ever running, and cancelling a running
-// sweep propagates ctx cancellation, releases its slot (the next sweep
-// starts), and lands cancelled. Either way Report's error is
-// ErrCancelled. Cancelling a terminal sweep is ErrTerminal.
-func TestCancelQueuedAndRunning(t *testing.T) {
-	started := make(chan string, 8)
+// TestCancelRunning pins the one cancellation path: cancelling a running
+// sweep answers running, ends its context, and the sweep lands cancelled
+// once the run unwinds; Report's error is then ErrCancelled, and
+// cancelling the terminal sweep is ErrTerminal.
+func TestCancelRunning(t *testing.T) {
+	started, unwound := make(chan struct{}), make(chan struct{})
 	c, err := New(Options{
-		MaxRunning: 1,
 		Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
-			started <- fmt.Sprint(len(spec.Seeds))
+			close(started)
 			<-ctx.Done()
+			<-unwound
 			return nil, ctx.Err()
 		},
 	})
@@ -210,76 +209,43 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 	defer c.Close()
 
-	first, err := c.Submit("t", specN(1))
+	sub, err := c.Submit("t", specN(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.Submit("t", specN(2))
-	if err != nil {
-		t.Fatal(err)
+	<-started
+	// The run is held past its context's end, so the cancel cannot have
+	// landed when Cancel answers.
+	if st, err := c.Cancel(sub.ID); err != nil || st.State != StateRunning {
+		t.Fatalf("cancel: (%s, %v), want running until the run unwinds", st.State, err)
 	}
-	<-started // first is running; second queued behind MaxRunning=1
-
-	// Cancel the queued sweep: immediate terminal state, never runs.
-	if _, err := c.Cancel(second.ID); err != nil {
-		t.Fatalf("cancel queued: %v", err)
+	if _, err := c.Report(sub.ID); !errors.Is(err, ErrNotTerminal) {
+		t.Errorf("Report before the cancel landed: %v, want ErrNotTerminal", err)
 	}
-	st := waitState(t, c, second.ID, StateCancelled)
-	if st.StartedAt != nil {
-		t.Errorf("queued sweep reports a start time after cancel: %+v", st)
+	close(unwound)
+	waitState(t, c, sub.ID, StateCancelled)
+	if _, err := c.Report(sub.ID); !errors.Is(err, ErrCancelled) {
+		t.Errorf("Report of a cancelled sweep: %v, want ErrCancelled", err)
 	}
-	if _, err := c.Report(second.ID); !errors.Is(err, ErrCancelled) {
-		t.Errorf("Report of a sweep cancelled while queued: %v, want ErrCancelled", err)
-	}
-
-	// A third sweep queues; cancelling the running first must free its
-	// slot so the third starts.
-	third, err := c.Submit("t", specN(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Cancel(first.ID); err != nil {
-		t.Fatalf("cancel running: %v", err)
-	}
-	waitState(t, c, first.ID, StateCancelled)
-	select {
-	case got := <-started:
-		if got != "3" {
-			t.Errorf("slot went to spec with %s seeds, want 3", got)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelling the running sweep did not release its slot")
-	}
-	if _, err := c.Report(first.ID); !errors.Is(err, ErrCancelled) {
-		t.Errorf("Report of a sweep cancelled while running: %v, want ErrCancelled", err)
-	}
-	if _, err := c.Cancel(first.ID); !errors.Is(err, ErrTerminal) {
+	if _, err := c.Cancel(sub.ID); !errors.Is(err, ErrTerminal) {
 		t.Errorf("re-cancel terminal sweep: %v, want ErrTerminal", err)
 	}
-	_ = third
 }
 
-// TestAdmissionControl pins the queue-depth contract: the bound is per
-// tenant (the K+1th queued submit is ErrQueueFull while another tenant
-// still submits freely), and invalid specs are rejected before queueing.
+// TestAdmissionControl pins the queue-depth contract: the bound is on a
+// tenant's running sweeps (the K+1th submit is ErrQueueFull while another
+// tenant still submits freely), and invalid specs are rejected before they
+// run.
 func TestAdmissionControl(t *testing.T) {
 	const k = 3
 	b := newBlockingRun()
-	c, err := New(Options{QueueDepth: k, MaxRunning: 1, Run: b.run("x")})
+	c, err := New(Options{QueueDepth: k, Run: b.run("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { close(b.release); c.Close() }()
 
-	// One sweep occupies the running slot; it left the queue before
-	// Submit returned.
-	if _, err := c.Submit("a", specN(1)); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Running != 1 || st.Queued != 0 {
-		t.Fatalf("after the first submit %d running, %d queued; want 1, 0", st.Running, st.Queued)
-	}
-	// Fill tenant a's queue to exactly K.
+	// Fill tenant a's queue to exactly K running sweeps.
 	for i := 0; i < k; i++ {
 		if _, err := c.Submit("a", specN(1)); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -292,7 +258,7 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := c.Submit("b", specN(1)); err != nil {
 		t.Errorf("tenant b rejected while only a is over quota: %v", err)
 	}
-	// Malformed specs are 400-class rejections before queueing, even
+	// Malformed specs are 400-class rejections before they run, even
 	// with a full queue they would never have entered.
 	if _, err := c.Submit("a", &sim.Spec{}); !errors.Is(err, sim.ErrInvalidSpec) {
 		t.Errorf("invalid spec: %v, want ErrInvalidSpec", err)
@@ -301,87 +267,9 @@ func TestAdmissionControl(t *testing.T) {
 		t.Errorf("empty tenant: %v, want ErrInvalidSpec", err)
 	}
 	st := c.Stats()
-	if st.Tenants["a"].Queued != k || st.Tenants["b"].Queued != 1 {
-		t.Errorf("stats %+v", st.Tenants)
+	if st.Running != k+1 || st.Tenants["a"].Running != k || st.Tenants["b"].Running != 1 {
+		t.Errorf("stats %+v", st)
 	}
-}
-
-// TestFairnessDRR is the fairness property: tenant A pre-loads a deep
-// backlog of sweeps costing a quantum each, tenant B then submits one
-// small sweep; with deficit round-robin B's sweep must complete while most
-// of A's backlog is still queued — concretely, within the first few
-// completions, not after A drains.
-func TestFairnessDRR(t *testing.T) {
-	const backlog = 12
-	b := newBlockingRun()
-	done := make(chan struct{}, backlog+1)
-	run := func(name string) RunFunc {
-		inner := b.run(name)
-		return func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
-			rep, err := inner(ctx, spec)
-			done <- struct{}{}
-			return rep, err
-		}
-	}
-	// Dispatch by tenant: the coordinator calls one RunFunc, so tag runs
-	// by grid size (A = a quantum of shards, B = 2).
-	c, err := New(Options{
-		MaxRunning: 1,
-		QueueDepth: backlog + 1,
-		Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
-			name := "A"
-			if len(spec.Seeds) == 2 {
-				name = "B"
-			}
-			return run(name)(ctx, spec)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	for i := 0; i < backlog; i++ {
-		if _, err := c.Submit("A", specN(quantum)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bst, err := c.Submit("B", specN(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Release runs one at a time and watch the completion order.
-	var order []string
-	for i := 0; i < backlog+1; i++ {
-		b.release <- struct{}{}
-		<-done
-		b.mu.Lock()
-		order = append([]string(nil), b.finished...)
-		b.mu.Unlock()
-		if len(order) > 0 && order[len(order)-1] == "B" {
-			break
-		}
-	}
-	pos := -1
-	for i, name := range order {
-		if name == "B" {
-			pos = i
-		}
-	}
-	if pos == -1 {
-		t.Fatalf("B never completed; order %v", order)
-	}
-	// DRR bound: B was submitted behind A's full backlog, but must be
-	// served within the first round of the rotation — at worst after the
-	// A sweeps one quantum covers.
-	if pos > 3 {
-		t.Errorf("B completed at position %d of %v; DRR should interleave it within the first round", pos, order)
-	}
-	waitState(t, c, bst.ID, StateDone)
-	if st := c.Stats(); st.Tenants["A"].Queued == 0 {
-		t.Error("A's backlog drained before the fairness check observed it")
-	}
-	close(b.release)
 }
 
 // TestRetention pins the eviction contract on virtual time: a terminal
@@ -392,7 +280,7 @@ func TestRetention(t *testing.T) {
 	const retain = time.Hour
 	v := clock.NewVirtual()
 	b := newBlockingRun()
-	c, err := New(Options{MaxRunning: 1, Retain: retain, Run: b.run("x"), Clock: v})
+	c, err := New(Options{Retain: retain, Run: b.run("x"), Clock: v})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,27 +310,23 @@ func TestRetention(t *testing.T) {
 		}
 		ids = append(ids, st.ID)
 		finish()
+		waitState(t, c, st.ID, StateDone)
 	}
-	waitState(t, c, ids[len(ids)-1], StateDone)
-	// One tenant, one run at a time: sweeps finish in submission order, so
-	// the two oldest are the ones past maxRetained.
+	// Each sweep landed before the next was submitted, so the two oldest
+	// are the ones past maxRetained.
 	for i, id := range ids {
 		if _, ok := c.Get(id); ok != (i >= 2) {
 			t.Errorf("sweep %d of %d: retained = %v with maxRetained %d", i, len(ids), ok, maxRetained)
 		}
 	}
 
-	// A running sweep is never evicted, whatever the pressure. Submitted
-	// with the slot free, it answers queued and is running on return.
+	// A running sweep is never evicted, whatever the pressure.
 	runningSt, err := c.Submit("t", specN(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runningSt.State != StateQueued {
-		t.Fatalf("submit answered %s, want queued", runningSt.State)
-	}
-	if st, _ := c.Get(runningSt.ID); st.State != StateRunning {
-		t.Fatalf("sweep %s after Submit returned, want running", st.State)
+	if runningSt.State != StateRunning {
+		t.Fatalf("submit answered %s, want running", runningSt.State)
 	}
 	v.Advance(2 * retain) // everything terminal is now past the TTL
 	if st := c.Stats(); st.Retained != 0 {
@@ -510,9 +394,9 @@ func TestTenantTableBounded(t *testing.T) {
 
 	observe := func() Stats {
 		st := c.Stats()
-		if bound := retained + st.Queued + st.Running; len(st.Tenants) > bound {
-			t.Fatalf("%d tenants tracked with %d queued, %d running, %d retained: want <= %d",
-				len(st.Tenants), st.Queued, st.Running, st.Retained, bound)
+		if bound := retained + st.Running; len(st.Tenants) > bound {
+			t.Fatalf("%d tenants tracked with %d running, %d retained: want <= %d",
+				len(st.Tenants), st.Running, st.Retained, bound)
 		}
 		return st
 	}
@@ -524,14 +408,14 @@ func TestTenantTableBounded(t *testing.T) {
 	}
 	waitFor(t, "the sweeps drain", func() bool {
 		st := observe()
-		return st.Queued+st.Running == 0
+		return st.Running == 0
 	})
 	if st := observe(); len(st.Tenants) != retained || st.Retained != retained {
 		t.Errorf("drained coordinator tracks %d tenants over %d retained sweeps, want %d of each", len(st.Tenants), st.Retained, retained)
 	}
 
 	// A dropped tenant that comes back starts from zero. Which tenants were
-	// dropped is up to the finish order of the runs two slots interleave.
+	// dropped is up to the finish order of the concurrent runs.
 	dropped := ""
 	for i := 0; dropped == ""; i++ {
 		name := fmt.Sprintf("tenant-%d", i)
@@ -549,33 +433,33 @@ func TestTenantTableBounded(t *testing.T) {
 	}
 }
 
-// TestSubmitAfterClose: a closed coordinator refuses work and leaves
-// queued sweeps cancelled.
+// TestSubmitAfterClose: a closed coordinator refuses work, and Close
+// returns with every running sweep landed cancelled.
 func TestSubmitAfterClose(t *testing.T) {
 	b := newBlockingRun()
-	c, err := New(Options{MaxRunning: 1, Run: b.run("x")})
+	c, err := New(Options{Run: b.run("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	running, _ := c.Submit("t", specN(1))
-	queued, _ := c.Submit("t", specN(1))
+	first, _ := c.Submit("t", specN(1))
+	second, _ := c.Submit("t", specN(1))
 	c.Close()
 	if _, err := c.Submit("t", specN(1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after close: %v, want ErrClosed", err)
 	}
-	for _, id := range []string{running.ID, queued.ID} {
+	for _, id := range []string{first.ID, second.ID} {
 		if st, ok := c.Get(id); !ok || st.State != StateCancelled {
 			t.Errorf("sweep %s after close: %+v, want cancelled", id, st)
 		}
 	}
 }
 
-// TestRun pins Run's answers and what it leaves retained. Under
-// MaxRunning 1 a one-seed sweep lands at once, done or failed as the row
-// says, and a two-seed sweep holds the slot until its context ends. Rows
-// that need the sweep's handle before the wait submit and await it
-// themselves, as Run does. No row sleeps: where the wait races a cancel or
-// a Close, every interleaving has the one answer the row expects.
+// TestRun pins Run's answers and what it leaves retained. A one-seed sweep
+// lands at once, done or failed as the row says, and a two-seed sweep runs
+// until its context ends. Rows that need the sweep's handle before the wait
+// submit and await it themselves, as Run does. No row sleeps: where the
+// wait races a cancel or a Close, every interleaving has the one answer the
+// row expects, and a sweep cancelled under a wait is read once it landed.
 func TestRun(t *testing.T) {
 	report := &sim.Report{Schema: sim.SchemaV1}
 	boom := errors.New("sweep test: the run failed")
@@ -603,28 +487,27 @@ func TestRun(t *testing.T) {
 		wantKept State
 	}{
 		{"done", nil, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
-			rep, err := c.Run(bg, "t", specN(1))
+			rep, err := c.Run(bg, "t", specN(1), nil)
 			return "", rep, err
 		}, nil, ""},
 		{"failed", boom, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
-			rep, err := c.Run(bg, "t", specN(1))
+			rep, err := c.Run(bg, "t", specN(1), nil)
 			return "", rep, err
 		}, boom, ""},
-		{"cancelled while queued", nil, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
-			submit(t, c, 2)
-			j := submit(t, c, 1)
+		{"cancelled while running", nil, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
+			j := submit(t, c, 2)
 			if _, err := c.Cancel(j.id); err != nil {
 				t.Fatal(err)
 			}
 			rep, err := c.await(bg, j)
 			return j.id, rep, err
 		}, ErrCancelled, ""},
-		{"ctx ends while queued", nil, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
-			submit(t, c, 2)
-			j := submit(t, c, 1)
+		{"ctx ends while running", nil, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
+			j := submit(t, c, 2)
 			ctx, cancel := context.WithCancel(bg)
 			go cancel()
 			rep, err := c.await(ctx, j)
+			<-j.landed
 			return j.id, rep, err
 		}, context.Canceled, StateCancelled},
 		{"Close while waiting", nil, func(t *testing.T, c *Coordinator, v *clock.Virtual) (string, *sim.Report, error) {
@@ -661,7 +544,7 @@ func TestRun(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			v := clock.NewVirtual()
-			c, err := New(Options{MaxRunning: 1, Retain: retain, Clock: v, Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
+			c, err := New(Options{Retain: retain, Clock: v, Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
 				if len(spec.Seeds) == 1 {
 					if tc.fail != nil {
 						return nil, tc.fail
@@ -710,7 +593,7 @@ func TestRunKeepsAsyncResults(t *testing.T) {
 	}
 	waitState(t, c, async.ID, StateDone)
 	for i := 0; i <= maxRetained; i++ {
-		if rep, err := c.Run(context.Background(), "sync", specN(1)); err != nil || rep != report {
+		if rep, err := c.Run(context.Background(), "sync", specN(1), nil); err != nil || rep != report {
 			t.Fatalf("sync run %d: %v, %v", i, rep, err)
 		}
 	}
