@@ -26,12 +26,15 @@ test:
 # race is CI's race job: the whole suite once, then the three packages whose
 # concurrency is the sweep lifecycle — Run's wait racing a landing, a Cancel
 # or a Close, and a client hanging up on a running /v1/runs (the CLI's tests
-# hang up on a real coordinator) — and the session gate's tests, whose
-# units wait on and hand over slots across goroutines, five times more.
+# hang up on a real coordinator) — the session gate's tests, whose units
+# wait on and hand over slots across goroutines, and the dispatcher's, whose
+# model races a hedge's backend call against its primary's and lands probe
+# verdicts on their own goroutines, five times more.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/sim/sweep ./cmd/simd ./cmd/rebalance-bench
 	$(GO) test -race -count=5 -run Gate ./internal/sim
+	$(GO) test -race -count=5 ./internal/sim/dispatch
 
 # fuzz runs the wire- and disk-surface fuzzers and the seven differentials
 # — the one-pass shard record decode against the two-level one it replaced

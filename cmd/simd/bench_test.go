@@ -28,7 +28,7 @@ func BenchmarkFrontDoorFleet(b *testing.B) {
 		worker.ServeHTTP(w, r)
 	}))
 	defer delayed.Close()
-	d, err := dispatch.New([]dispatch.Backend{dispatch.NewHTTPBackend(delayed.URL, dispatch.DefaultClient())},
+	d, err := dispatch.New([]dispatch.Backend{dispatch.NewHTTPBackend(delayed.URL, dispatch.DefaultClient(16))},
 		dispatch.Options{MaxInFlight: 16})
 	if err != nil {
 		b.Fatal(err)

@@ -187,7 +187,7 @@ func run(args []string, stderr io.Writer) error {
 	}
 	cfg := serverConfig{sess: sess, maxInsts: *maxInstsFlag, maxShards: *maxShardsFlag}
 	if *backendsFlag != "" {
-		backends, err := dispatch.ParseBackends(*backendsFlag, dispatch.DefaultClient())
+		backends, err := dispatch.ParseBackends(*backendsFlag, dispatch.DefaultClient(*workersFlag))
 		if err != nil {
 			return err
 		}

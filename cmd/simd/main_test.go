@@ -607,7 +607,7 @@ func partialCoordinator(t *testing.T) *httptest.Server {
 // exactly as main builds it for -backends over the comma-separated URLs.
 func dispatchingFrontDoor(t *testing.T, urls string) *httptest.Server {
 	t.Helper()
-	backends, err := dispatch.ParseBackends(urls, dispatch.DefaultClient())
+	backends, err := dispatch.ParseBackends(urls, dispatch.DefaultClient(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -602,13 +603,29 @@ func TestCachedRecordDecodesOnce(t *testing.T) {
 // times their JSON); the rest headroom is for another Go release's maps.
 const decodedPerStoredByte = 20
 
+// measureAloneEnv, set, marks the process TestDecodedRecordWithinBound
+// re-runs itself in.
+const measureAloneEnv = "SIM_TEST_MEASURE_ALONE"
+
 // TestDecodedRecordWithinBound measures, for every observer kind's default
 // configurations on both built-in workloads, the bytes a record's first
 // warm hit allocates: the decoded shard and its result's artifact, which
 // the record holds beside its bytes. A cache at MaxBytes then holds at most
-// (1 + decodedPerStoredByte)·MaxBytes. The minimum of a few fresh records
-// is taken, so a stray allocation elsewhere in the process cannot fail it.
+// (1 + decodedPerStoredByte)·MaxBytes. TotalAlloc is process-wide, so the
+// windows are taken in a process of their own — the test binary re-run with
+// this test alone, where no earlier test's goroutine can allocate in them —
+// and the minimum of a few fresh records is taken in each.
 func TestDecodedRecordWithinBound(t *testing.T) {
+	if os.Getenv(measureAloneEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestDecodedRecordWithinBound$", "-test.v")
+		cmd.Env = append(os.Environ(), measureAloneEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		t.Logf("%s", out)
+		if err != nil {
+			t.Fatalf("the measuring process: %v", err)
+		}
+		return
+	}
 	ctx := context.Background()
 	sess := NewSession(1)
 	kinds := ObserverKinds()

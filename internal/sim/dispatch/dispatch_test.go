@@ -3,14 +3,11 @@ package dispatch_test
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,63 +40,6 @@ func eachShard(ctx context.Context, specs []sim.ShardSpec, run func(context.Cont
 		return nil, err
 	}
 	return out, nil
-}
-
-// fakeBackend scripts a Backend: failures before the first success, an
-// optional permanent error, an optional block-until-cancel.
-type fakeBackend struct {
-	name      string
-	failFirst int // fail this many calls before succeeding
-	permErr   error
-	block     bool // block until ctx is cancelled
-	// blocked, when set, is handed the context of the first call that
-	// blocks (later ones are dropped).
-	blocked chan context.Context
-	// clk, when set, stamps every call's instant into at.
-	clk clock.Clock
-
-	calls atomic.Int64
-	mu    sync.Mutex
-	at    []time.Time
-}
-
-func (f *fakeBackend) Name() string { return f.name }
-
-func (f *fakeBackend) Probe(context.Context) error { return nil }
-
-func (f *fakeBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
-	return eachShard(ctx, specs, f.runShard)
-}
-
-// stamps returns the instant of every call so far, on clk.
-func (f *fakeBackend) stamps() []time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]time.Time(nil), f.at...)
-}
-
-func (f *fakeBackend) runShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
-	n := f.calls.Add(1)
-	if f.clk != nil {
-		f.mu.Lock()
-		f.at = append(f.at, f.clk.Now())
-		f.mu.Unlock()
-	}
-	if f.block {
-		select {
-		case f.blocked <- ctx:
-		default:
-		}
-		<-ctx.Done()
-		return sim.Shard{}, ctx.Err()
-	}
-	if f.permErr != nil {
-		return sim.Shard{}, f.permErr
-	}
-	if n <= int64(f.failFirst) {
-		return sim.Shard{}, fmt.Errorf("%s: scripted failure %d", f.name, n)
-	}
-	return sim.Shard{Workload: spec.Workload, Seed: spec.Seed, Observer: "bbl", Insts: spec.Insts}, nil
 }
 
 // runShards flattens d.RunShards to the shape most tests want: the shards
@@ -136,321 +76,6 @@ func onVirtualTime() dispatch.Options {
 // members of testSpec's budget.
 func attemptDeadline(n int) time.Duration {
 	return dispatch.AttemptBase + time.Duration(int64(n)*testSpec(0).Insts)*dispatch.AttemptPerInst
-}
-
-func TestRetrySameBackend(t *testing.T) {
-	// A transiently failing sole backend: the per-shard retry budget
-	// absorbs the failures.
-	b := &fakeBackend{name: "flaky", failFirst: 2}
-	d, err := dispatch.New([]dispatch.Backend{b}, onVirtualTime())
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 1 || shards[0].Seed != 1 {
-		t.Fatalf("shards = %+v", shards)
-	}
-	if got := b.calls.Load(); got != 3 {
-		t.Errorf("backend saw %d calls, want 3", got)
-	}
-}
-
-func TestFailoverToLiveBackend(t *testing.T) {
-	dead := &fakeBackend{name: "dead", permErr: errors.New("connection refused")}
-	live := &fakeBackend{name: "live"}
-	opts := onVirtualTime()
-	opts.MaxInFlight = 1
-	d, err := dispatch.New([]dispatch.Backend{dead, live}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Eight one-shard units, one after another, so the dead backend's call
-	// count is exact.
-	for seed := uint64(1); seed <= 8; seed++ {
-		sh, err := sim.RunOne(context.Background(), d, testSpec(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sh.Seed != seed {
-			t.Errorf("unit of seed %d answered seed %d", seed, sh.Seed)
-		}
-	}
-	// The dead backend is marked dead after FailThreshold consecutive
-	// failures and stops receiving work.
-	if healthy := d.Healthy(); len(healthy) != 1 || healthy[0] != "live" {
-		t.Errorf("healthy = %v, want [live]", healthy)
-	}
-	if got := dead.calls.Load(); got > 3 {
-		t.Errorf("dead backend kept receiving shards: %d calls", got)
-	}
-}
-
-func TestAllBackendsDead(t *testing.T) {
-	a := &fakeBackend{name: "a", permErr: errors.New("boom")}
-	b := &fakeBackend{name: "b", permErr: errors.New("boom")}
-	d, err := dispatch.New([]dispatch.Backend{a, b}, onVirtualTime())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = runShards(context.Background(), d, []sim.ShardSpec{testSpec(1), testSpec(2)})
-	if err == nil {
-		t.Fatal("want error when every backend is dead")
-	}
-	if !strings.Contains(err.Error(), "boom") {
-		t.Errorf("error does not surface the backend failure: %v", err)
-	}
-}
-
-func TestInvalidSpecNotRetried(t *testing.T) {
-	b := &fakeBackend{name: "a", permErr: fmt.Errorf("%w: bad shard", sim.ErrInvalidSpec)}
-	d, err := dispatch.New([]dispatch.Backend{b}, onVirtualTime())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)})
-	if !errors.Is(err, sim.ErrInvalidSpec) {
-		t.Fatalf("want ErrInvalidSpec, got %v", err)
-	}
-	if got := b.calls.Load(); got != 1 {
-		t.Errorf("invalid spec was retried: %d calls", got)
-	}
-}
-
-// cancelOnBlock cancels the returned context once b has blocked a call.
-func cancelOnBlock(b *fakeBackend) context.Context {
-	b.blocked = make(chan context.Context, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		<-b.blocked
-		cancel()
-	}()
-	return ctx
-}
-
-// TestCancellationReleasesWorkers is the satellite leak check for the
-// dispatcher: cancelling mid-run returns promptly and leaves no
-// dispatcher goroutines behind.
-func TestCancellationReleasesWorkers(t *testing.T) {
-	blocker := &fakeBackend{name: "blocker", block: true}
-	opts := onVirtualTime()
-	opts.MaxInFlight = 4
-	d, err := dispatch.New([]dispatch.Backend{blocker}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := make([]sim.ShardSpec, 16)
-	for i := range specs {
-		specs[i] = testSpec(uint64(i + 1))
-	}
-	before := runtime.NumGoroutine()
-	if _, err = runShards(cancelOnBlock(blocker), d, specs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	// The cancel is the only way out: the virtual attempt deadline never
-	// moves. What is left is the goroutines' exit, which the dispatcher owns.
-	eventually(t, "the cancelled dispatch's goroutines exit", func() bool { return runtime.NumGoroutine() <= before })
-}
-
-// TestHungBackendFailsOver: a wedged worker (accepts the request, never
-// answers) must become a retryable per-attempt timeout, not wedge the
-// run — the shard completes on the healthy backend. The deadline is the
-// production one, pinned to the nanosecond: a call carrying two members
-// is still running at 30 s + 10 ms − 1 ns and timed out at 30 s + 10 ms.
-func TestHungBackendFailsOver(t *testing.T) {
-	hung := &fakeBackend{name: "hung", block: true, blocked: make(chan context.Context, 1)}
-	live := &fakeBackend{name: "live"}
-	opts := onVirtualTime()
-	v := opts.Clock.(*clock.Virtual)
-	d, err := dispatch.New([]dispatch.Backend{hung, live}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type result struct {
-		shards []sim.Shard
-		err    error
-	}
-	done := make(chan result, 1)
-	go func() {
-		shards, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1), testSpec(2)})
-		done <- result{shards, err}
-	}()
-	call := <-hung.blocked
-	v.Advance(attemptDeadline(2) - time.Nanosecond)
-	if err := call.Err(); err != nil {
-		t.Fatalf("call ended %v before its deadline", err)
-	}
-	v.Advance(time.Nanosecond)
-	if err := call.Err(); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("call at its deadline: err = %v, want context.DeadlineExceeded", err)
-	}
-	res := <-done
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	if len(res.shards) != 2 || res.shards[0].Seed != 1 || res.shards[1].Seed != 2 {
-		t.Fatalf("shards = %+v", res.shards)
-	}
-	if got := live.calls.Load(); got != 2 {
-		t.Errorf("live backend ran %d shards, want the failed-over 2", got)
-	}
-}
-
-// TestCancellationDoesNotMarkBackendsDead: failures caused by a
-// cancelled context are not the backend's fault and must leave the
-// dispatcher's shared health state untouched.
-func TestCancellationDoesNotMarkBackendsDead(t *testing.T) {
-	blocker := &fakeBackend{name: "blocker", block: true}
-	opts := onVirtualTime()
-	opts.MaxInFlight = 4
-	d, err := dispatch.New([]dispatch.Backend{blocker}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := make([]sim.ShardSpec, 8)
-	for i := range specs {
-		specs[i] = testSpec(uint64(i + 1))
-	}
-	if _, err := runShards(cancelOnBlock(blocker), d, specs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if healthy := d.Healthy(); len(healthy) != 1 {
-		t.Errorf("cancelled run marked the backend dead: healthy = %v", healthy)
-	}
-}
-
-// TestInvalidSpecDoesNotMarkBackendsDead: a worker rejecting unrunnable
-// shards is doing its job, not failing.
-func TestInvalidSpecDoesNotMarkBackendsDead(t *testing.T) {
-	b := &fakeBackend{name: "a", permErr: fmt.Errorf("%w: bad shard", sim.ErrInvalidSpec)}
-	d, err := dispatch.New([]dispatch.Backend{b}, onVirtualTime())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := runShards(context.Background(), d, []sim.ShardSpec{testSpec(1)}); !errors.Is(err, sim.ErrInvalidSpec) {
-			t.Fatalf("want ErrInvalidSpec, got %v", err)
-		}
-	}
-	if healthy := d.Healthy(); len(healthy) != 1 {
-		t.Errorf("invalid specs marked the backend dead: healthy = %v", healthy)
-	}
-}
-
-// TestDeadBackendRevives: a dead backend is probed (asynchronously, at the
-// next pick) once its cooldown has run — not at ReviveAfter − 1 ns after
-// its death, and at ReviveAfter — and a successful probe fully revives it:
-// a restarted worker rejoins a long-lived coordinator.
-func TestDeadBackendRevives(t *testing.T) {
-	opts := onVirtualTime()
-	opts.MaxInFlight = 1
-	v := opts.Clock.(*clock.Virtual)
-	flaky := &fakeBackend{name: "flaky", failFirst: dispatch.FailThreshold, clk: v} // dead, then healthy after restart
-	steady := &fakeBackend{name: "steady"}
-	d, err := dispatch.New([]dispatch.Backend{flaky, steady}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One-shard units, one after another, so the dead-marking point is
-	// exact.
-	runOne := func(seed uint64) {
-		t.Helper()
-		if _, err := sim.RunOne(context.Background(), d, testSpec(seed)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for seed := uint64(1); seed <= 8; seed++ {
-		runOne(seed)
-	}
-	if healthy := d.Healthy(); len(healthy) != 1 || healthy[0] != "steady" {
-		t.Fatalf("flaky backend not dead yet: healthy = %v", healthy)
-	}
-	died := flaky.stamps()[dispatch.FailThreshold-1] // its last scripted failure
-	v.Advance(died.Add(dispatch.ReviveAfter - time.Nanosecond).Sub(v.Now()))
-	runOne(9)
-	if stats := d.Stats(); stats.Probes != 0 {
-		t.Fatalf("stats = %+v; probed 1 ns before the cooldown ran", stats)
-	}
-	v.Advance(time.Nanosecond)
-	runOne(10)
-	if stats := d.Stats(); stats.Probes != 1 {
-		t.Fatalf("stats = %+v; want the one probe at the cooldown's end", stats)
-	}
-	// The probe's verdict lands on its own goroutine.
-	eventually(t, "the probed backend revives", func() bool { return len(d.Healthy()) == 2 })
-}
-
-// eventually polls cond until it holds, for a state a goroutine the test
-// does not own (a probe's verdict, goroutines winding down) will reach.
-func eventually(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: never happened", what)
-		}
-	}
-}
-
-// countingBackend records the peak number of concurrent shards in flight.
-type countingBackend struct {
-	cur, peak atomic.Int64
-}
-
-func (c *countingBackend) Name() string { return "counting" }
-
-func (c *countingBackend) Probe(context.Context) error { return nil }
-
-// enterGauge counts one more call in flight and folds the new level into
-// peak; the caller decrements cur when the call ends.
-func enterGauge(cur, peak *atomic.Int64) {
-	n := cur.Add(1)
-	for {
-		p := peak.Load()
-		if n <= p || peak.CompareAndSwap(p, n) {
-			break
-		}
-	}
-}
-
-func (c *countingBackend) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
-	return eachShard(ctx, specs, c.runShard)
-}
-
-func (c *countingBackend) runShard(_ context.Context, spec sim.ShardSpec) (sim.Shard, error) {
-	enterGauge(&c.cur, &c.peak)
-	runtime.Gosched() // let the other calls in flight enter
-	c.cur.Add(-1)
-	return sim.Shard{Workload: spec.Workload, Seed: spec.Seed, Observer: "bbl", Insts: spec.Insts}, nil
-}
-
-// TestMaxInFlightIsDispatcherWide: concurrent RunShards calls share one
-// slot pool instead of multiplying the bound.
-func TestMaxInFlightIsDispatcherWide(t *testing.T) {
-	cb := &countingBackend{}
-	d, err := dispatch.New([]dispatch.Backend{cb}, dispatch.Options{MaxInFlight: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			specs := make([]sim.ShardSpec, 6)
-			for i := range specs {
-				specs[i] = testSpec(uint64(g*100 + i + 1))
-			}
-			if _, err := runShards(context.Background(), d, specs); err != nil {
-				t.Error(err)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if p := cb.peak.Load(); p > 2 {
-		t.Errorf("saw %d concurrent shards across runs; MaxInFlight 2 must be dispatcher-wide", p)
-	}
 }
 
 // goldenSpec is the exact Spec the sim package's golden-file test runs, as

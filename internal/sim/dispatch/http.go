@@ -267,16 +267,20 @@ func ParseBackends(csv string, client *http.Client) ([]Backend, error) {
 	return out, nil
 }
 
-// DefaultClient returns an http.Client suitable for shard traffic: no
-// overall timeout (shards legitimately run for a while, and the response
-// header only arrives when the shard finishes; cancellation flows through
-// the request context) but a bounded connect phase so a dead worker fails
-// fast instead of hanging a dispatcher slot.
-func DefaultClient() *http.Client {
+// DefaultClient returns an http.Client suitable for shard traffic from a
+// front door with the given workers: no overall timeout (shards
+// legitimately run for a while, and the response header only arrives when
+// the shard finishes; cancellation flows through the request context) but
+// a bounded connect phase so a dead worker fails fast instead of hanging a
+// dispatcher slot. It keeps 2 x workers idle connections per worker: each
+// unit holds one of the workers slots and makes one call at a time, plus
+// at most one hedge, so every call finds a connection to reuse.
+func DefaultClient(workers int) *http.Client {
 	return &http.Client{
 		Transport: &http.Transport{
-			DialContext:     (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
-			IdleConnTimeout: 90 * time.Second,
+			DialContext:         (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
+			IdleConnTimeout:     90 * time.Second,
+			MaxIdleConnsPerHost: 2 * workers,
 		},
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -217,6 +219,52 @@ func TestWorkerServesADuplicateMemberOnce(t *testing.T) {
 	}
 }
 
+// TestDefaultClientReusesConnections: a front door's client keeps an idle
+// connection for every call its workers can have in flight to one worker,
+// so ten rounds of eight concurrent calls — each round held at the worker
+// until all eight have arrived — dial at most 16 connections, not most of
+// every round again.
+func TestDefaultClientReusesConnections(t *testing.T) {
+	inner := dispatch.WorkerHandler(sim.NewSession(1), 0)
+	arrived, proceed := make(chan struct{}), make(chan struct{}, 8)
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		<-proceed
+		inner.ServeHTTP(w, r)
+	}))
+	var dials atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	b := dispatch.NewHTTPBackend(srv.URL, dispatch.DefaultClient(8))
+	for round := 0; round < 10; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := b.RunShard(context.Background(), testSpec(uint64(i+1))); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		for i := 0; i < 8; i++ {
+			<-arrived
+		}
+		for i := 0; i < 8; i++ {
+			proceed <- struct{}{}
+		}
+		wg.Wait()
+	}
+	if n := dials.Load(); n > 16 {
+		t.Errorf("80 calls in rounds of 8 dialled %d connections, want at most 16", n)
+	}
+}
+
 type errReader struct{}
 
 func (errReader) Read([]byte) (int, error) { return 0, fmt.Errorf("connection reset") }
@@ -303,7 +351,7 @@ func TestDispatcherCacheServesRepeats(t *testing.T) {
 // TestDispatcherCacheInvalidSpecStillFailsFast: the cache path must not
 // swallow the ErrInvalidSpec contract.
 func TestDispatcherCacheInvalidSpecStillFailsFast(t *testing.T) {
-	b := &fakeBackend{name: "never"}
+	b := &countingWrapper{inner: &dispatch.LocalBackend{Sess: sim.NewSession(1)}}
 	d, err := dispatch.New([]dispatch.Backend{b}, onVirtualTime())
 	if err != nil {
 		t.Fatal(err)

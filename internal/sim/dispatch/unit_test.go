@@ -14,9 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -50,47 +48,6 @@ func mixed9Members(t testing.TB, workload string, seed uint64, insts int64) []si
 		specs = append(specs, spec)
 	}
 	return specs
-}
-
-// memberID names a shard spec the way failures do.
-func memberID(t testing.TB, spec sim.ShardSpec) string {
-	t.Helper()
-	cfg, err := spec.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("%s %s seed %d", spec.Workload, cfg.Key(), spec.Seed)
-}
-
-// unitRecorder runs units on a real session, recording each call's member
-// list, and overrides scripted members' outcomes: fail[id] is how many of
-// that member's answers to replace with failErr.
-type unitRecorder struct {
-	dispatch.LocalBackend
-	t       testing.TB
-	failErr error
-
-	mu    sync.Mutex
-	fail  map[string]int
-	calls [][]string
-}
-
-func (b *unitRecorder) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]sim.Outcome, error) {
-	ids := make([]string, len(specs))
-	for i := range specs {
-		ids[i] = memberID(b.t, specs[i])
-	}
-	out, err := b.LocalBackend.RunShards(ctx, specs)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.calls = append(b.calls, ids)
-	for i, id := range ids {
-		if err == nil && b.fail[id] > 0 {
-			b.fail[id]--
-			out[i] = sim.Outcome{Err: b.failErr}
-		}
-	}
-	return out, err
 }
 
 // stripped renders a report up to timing fields.
@@ -154,50 +111,11 @@ func TestCleanGridCallsEqualUnits(t *testing.T) {
 	}
 }
 
-// TestFailedMemberIsResentAlone: one member of a nine-member unit fails
-// transiently. The second call carries that member only, its eight
-// unit-mates are finished by the first (Attempts 1), and it completes with
-// Attempts 2 — the calls it rode in.
-func TestFailedMemberIsResentAlone(t *testing.T) {
-	specs := mixed9Members(t, "comd-lite", 1, 5_000)
-	flaky := memberID(t, specs[2])
-	b := &unitRecorder{
-		LocalBackend: dispatch.LocalBackend{Sess: sim.NewSession(1)}, t: t,
-		failErr: errors.New("scripted transient failure"), fail: map[string]int{flaky: 1},
-	}
-	opts := onVirtualTime()
-	opts.MaxInFlight = 1 // one coordinate, one slot: one unit of nine
-	d, err := dispatch.New([]dispatch.Backend{b}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := d.RunShards(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all []string
-	for _, spec := range specs {
-		all = append(all, memberID(t, spec))
-	}
-	if want := [][]string{all, {flaky}}; !reflect.DeepEqual(b.calls, want) {
-		t.Errorf("backend calls carried\n%v\nwant the whole unit, then the failed member alone:\n%v", b.calls, want)
-	}
-	for i, o := range out {
-		want := 1
-		if i == 2 {
-			want = 2
-		}
-		if o.Err != nil || o.Attempts != want || memberID(t, specs[i]) != fmt.Sprintf("%s %s seed %d", o.Shard.Workload, o.Shard.Observer, o.Shard.Seed) {
-			t.Errorf("member %d (%s): {attempts %d, err %v, shard %s/%s}, want it done in %d", i, all[i], o.Attempts, o.Err, o.Shard.Workload, o.Shard.Observer, want)
-		}
-	}
-}
-
-// TestInvalidMemberFailsAlone: a member a backend judges unrunnable fails
-// with ErrInvalidSpec on the spot — not retried, its unit-mates unharmed,
-// the backend not blamed (FailThreshold such calls would kill it on any
-// blame) — both from a scripted backend under the dispatcher and across the
-// wire, where the worker's verdict is an {"error", "invalid": true} record.
+// TestInvalidMemberFailsAlone: a worker's verdict that one member is
+// unrunnable — an {"error", "invalid": true} record — reaches the client as
+// that member's ErrInvalidSpec, its unit-mates unharmed; under the
+// dispatcher, as a script against the model, such a member is never re-sent
+// and the backend not blamed.
 func TestInvalidMemberFailsAlone(t *testing.T) {
 	check := func(t *testing.T, out []sim.Outcome, bad int) {
 		t.Helper()
@@ -212,28 +130,7 @@ func TestInvalidMemberFailsAlone(t *testing.T) {
 		}
 	}
 	t.Run("dispatcher", func(t *testing.T) {
-		specs := mixed9Members(t, "comd-lite", 1, 5_000)[:3]
-		b := &unitRecorder{
-			LocalBackend: dispatch.LocalBackend{Sess: sim.NewSession(1)}, t: t,
-			failErr: fmt.Errorf("%w: scripted rejection", sim.ErrInvalidSpec), fail: map[string]int{memberID(t, specs[1]): 1 << 30},
-		}
-		d, err := dispatch.New([]dispatch.Backend{b}, withInFlight(onVirtualTime(), 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n := 1; n <= dispatch.FailThreshold; n++ {
-			out, err := d.RunShards(context.Background(), specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(t, out, 1)
-			if len(b.calls) != n || out[1].Attempts != 1 {
-				t.Errorf("%d backend calls for %d units, failed member at %d attempts; an unrunnable member is never re-sent", len(b.calls), n, out[1].Attempts)
-			}
-		}
-		if healthy := d.Healthy(); len(healthy) != 1 {
-			t.Errorf("healthy = %v; rejecting an unrunnable member is the backend doing its job", healthy)
-		}
+		runScript(t, "oio0", "3*3", "calls [3] healthy [a] hedges 0/0 probes 0 delay 0s: o1 i1 o1", false)
 	})
 	t.Run("wire", func(t *testing.T) {
 		// The worker's verdict on member 1, as its record says it.
