@@ -27,18 +27,21 @@ test:
 # concurrency is the sweep lifecycle — Run's wait racing a landing, a Cancel
 # or a Close, and a client hanging up on a running /v1/runs (the CLI's tests
 # hang up on a real coordinator) — the session gate's tests, whose units
-# wait on and hand over slots across goroutines, and the dispatcher's, whose
+# wait on and hand over slots across goroutines, and the unit-state reuse
+# test (TestReusedUnitMatchesFresh), whose concurrent units take and keep
+# the session's kept states, and the dispatcher's, whose
 # model races a hedge's backend call against its primary's and lands probe
 # verdicts on their own goroutines, five times more.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/sim/sweep ./cmd/simd ./cmd/rebalance-bench
-	$(GO) test -race -count=5 -run Gate ./internal/sim
+	$(GO) test -race -count=5 -run 'Gate|TestReusedUnitMatchesFresh' ./internal/sim
 	$(GO) test -race -count=5 ./internal/sim/dispatch
 
-# fuzz runs the wire- and disk-surface fuzzers and the seven differentials
+# fuzz runs the wire- and disk-surface fuzzers and the eight differentials
 # — the one-pass shard record decode against the two-level one it replaced
-# (FuzzDecodeShard), the appended sc2-/tr1- keys against json.Marshal's
+# (FuzzDecodeShard), the record scanner against StrictUnmarshal of the old
+# wire structs (FuzzDecodeRecord), the appended sc2-/tr1- keys against json.Marshal's
 # (FuzzShardCacheKey), the lane consumers against their per-instruction
 # models, (in FuzzDecodeDeliver) the trr1 lane decoder against its
 # instruction model, TAGE and Tournament over random geometries against
@@ -52,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeShardResult$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzShardCacheKey$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/dispatch -run '^$$' -fuzz '^FuzzDecodeAnswer$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzLaneMatchesPerInstruction$$' -fuzztime $(FUZZTIME)

@@ -19,6 +19,11 @@
 // methods — so a test asserts on exactly the number a report carries.
 package analysis
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Phase selects which code sections a metric aggregates over.
 type Phase int
 
@@ -74,4 +79,15 @@ func over(v [2]int64, p Phase) int64 {
 	default:
 		return v[0] + v[1]
 	}
+}
+
+// sortedKeys returns m's keys in order, the order an artifact lists its
+// sites and chunks in.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m { //repolint:allow nodeterminism appended then sorted before use
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

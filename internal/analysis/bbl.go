@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"rebalance/internal/isa"
@@ -22,6 +21,9 @@ type BBL struct {
 
 // NewBBL returns a fresh basic-block analyzer.
 func NewBBL() *BBL { return &BBL{} }
+
+// Reset restores the fresh analyzer NewBBL returned, in place.
+func (a *BBL) Reset() { *a = BBL{} }
 
 // ConsumeLane implements trace.LaneConsumer: a run's bytes extend the open
 // block and the open taken-branch gap, and the branch that ends it closes
@@ -104,45 +106,43 @@ func (r *BBLResult) Merge(other any) error {
 	return nil
 }
 
-// bblWire is the canonical JSON shape of a BBLResult: the Figure 4
-// artifact plus the raw sums behind it, so NewBBLTarget rebuilds an
+// AppendJSON appends the Figure 4 artifact per aggregation phase to b,
+// plus the raw [serial, parallel] sums behind it, so ScanBBL rebuilds an
 // identical result. The sums are integer-valued (block bytes and gaps are
 // whole bytes), so they survive the JSON float round-trip exactly.
-type bblWire struct {
-	Blocks        [NumPhases]int64   `json:"blocks"`
-	AvgBlockB     [NumPhases]float64 `json:"avg_block_bytes"`
-	AvgTakenDistB [NumPhases]float64 `json:"avg_taken_dist_bytes"`
-	Counters      bblCounters        `json:"counters"`
-}
-
-// bblCounters are the raw [serial, parallel] accumulators behind the
-// artifact.
-type bblCounters struct {
-	BlockSum [2]float64 `json:"block_sum"`
-	BlockN   [2]int64   `json:"block_n"`
-	GapSum   [2]float64 `json:"gap_sum"`
-	GapN     [2]int64   `json:"gap_n"`
-}
-
-// EncodeJSON renders the Figure 4 artifact per aggregation phase, plus the
-// raw counters remote coordinators decode and merge.
-func (r *BBLResult) EncodeJSON() ([]byte, error) {
-	var out bblWire
-	out.Counters = bblCounters{BlockSum: r.BlockSum, BlockN: r.BlockN, GapSum: r.GapSum, GapN: r.GapN}
+func (r *BBLResult) AppendJSON(b []byte) ([]byte, error) {
+	var blocks [NumPhases]int64
+	var avgBlock, avgGap [NumPhases]float64
 	for pi, p := range Phases {
-		out.Blocks[pi] = r.Blocks(p)
-		out.AvgBlockB[pi] = r.AvgBlockBytes(p)
-		out.AvgTakenDistB[pi] = r.AvgTakenDistance(p)
+		blocks[pi], avgBlock[pi], avgGap[pi] = r.Blocks(p), r.AvgBlockBytes(p), r.AvgTakenDistance(p)
 	}
-	return json.Marshal(&out)
+	for _, fs := range [...][]float64{avgBlock[:], avgGap[:], r.BlockSum[:], r.GapSum[:]} {
+		if err := wire.CheckFinite(fs...); err != nil {
+			return nil, err
+		}
+	}
+	b = wire.AppendInts(append(b, `{"blocks":`...), blocks[:]...)
+	b = wire.AppendFloats(append(b, `,"avg_block_bytes":`...), avgBlock[:]...)
+	b = wire.AppendFloats(append(b, `,"avg_taken_dist_bytes":`...), avgGap[:]...)
+	b = wire.AppendFloats(append(b, `,"counters":{"block_sum":`...), r.BlockSum[:]...)
+	b = wire.AppendInts(append(b, `,"block_n":`...), r.BlockN[:]...)
+	b = wire.AppendFloats(append(b, `,"gap_sum":`...), r.GapSum[:]...)
+	b = wire.AppendInts(append(b, `,"gap_n":`...), r.GapN[:]...)
+	return append(b, "}}"...), nil
 }
 
-// NewBBLTarget is the one decode path of a BBLResult's canonical JSON
-// artifact, as a wire.Target; wire.Decode parses one alone. Derived
-// averages are recomputed from the raw sums on re-encode.
-func NewBBLTarget() (ptr any, build func() (*BBLResult, error)) {
-	return wire.Target(func(w *bblWire) (*BBLResult, error) {
-		c := &w.Counters
-		return &BBLResult{BlockSum: c.BlockSum, BlockN: c.BlockN, GapSum: c.GapSum, GapN: c.GapN}, nil
-	})
+// EncodeJSON renders the result as its canonical JSON artifact.
+func (r *BBLResult) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
+
+// ScanBBL is the one decode path of a BBLResult's canonical JSON artifact,
+// read in place from the record that embeds it. Derived averages are read
+// as numbers and recomputed from the raw sums on re-encode.
+func ScanBBL(sc *wire.Scanner) (*BBLResult, error) {
+	r := &BBLResult{}
+	var blocks [NumPhases]int64
+	sc.Open('{').Key("blocks").Ints(blocks[:])
+	sc.Key("avg_block_bytes").SkipFloats(NumPhases).Key("avg_taken_dist_bytes").SkipFloats(NumPhases)
+	sc.Key("counters").Open('{').Key("block_sum").Floats(r.BlockSum[:]).Key("block_n").Ints(r.BlockN[:])
+	sc.Key("gap_sum").Floats(r.GapSum[:]).Key("gap_n").Ints(r.GapN[:])
+	return wire.Scanned(sc.Close('}').Close('}'), r)
 }

@@ -1,10 +1,8 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
-
-	"sort"
+	"strconv"
 
 	"rebalance/internal/isa"
 	"rebalance/internal/stats"
@@ -131,84 +129,81 @@ func (r *BiasResult) TakenDirection(p Phase) (backward, forward int64) {
 	return backward, forward
 }
 
-// biasWire is the canonical JSON shape of a BiasResult: the Figure 2 +
-// Table I artifact plus the raw per-site counters behind it, so
-// NewBiasTarget rebuilds an identical result. Sites are sorted by PC
-// so the encoding is deterministic regardless of map iteration order.
-type biasWire struct {
-	Sites       int                    `json:"sites"`
-	Buckets     [NumPhases][10]float64 `json:"buckets_pct"`
-	BiasedPct   [NumPhases]float64     `json:"biased_pct"`
-	BackwardPct [NumPhases]float64     `json:"backward_pct"`
-	ForwardPct  [NumPhases]float64     `json:"forward_pct"`
-	TakenPct    [NumPhases]float64     `json:"taken_pct"`
-	Counters    biasCounters           `json:"counters"`
-}
-
-// biasCounters are the raw [serial, parallel] counters behind the artifact.
-type biasCounters struct {
-	Sites []siteWire                  `json:"sites"`
-	Dirs  [2][isa.NumDirections]int64 `json:"dirs"`
-	Conds [2]int64                    `json:"conds"`
-}
-
-// siteWire is one branch site's direction counters, keyed by code address.
-type siteWire struct {
-	PC    uint64   `json:"pc"`
-	Exec  [2]int64 `json:"exec"`
-	Taken [2]int64 `json:"taken"`
-}
-
-// EncodeJSON renders the Figure 2 + Table I artifact per aggregation
-// phase, plus the raw counters remote coordinators decode and merge.
-func (r *BiasResult) EncodeJSON() ([]byte, error) {
-	var out biasWire
-	out.Counters.Dirs = r.Dirs
-	out.Counters.Conds = r.Conds
-	out.Counters.Sites = make([]siteWire, 0, len(r.Sites))
-	for pc, s := range r.Sites { //repolint:allow nodeterminism appended then sorted before encoding
-		out.Counters.Sites = append(out.Counters.Sites, siteWire{PC: uint64(pc), Exec: s.Exec, Taken: s.Taken})
-	}
-	sort.Slice(out.Counters.Sites, func(i, j int) bool {
-		return out.Counters.Sites[i].PC < out.Counters.Sites[j].PC
-	})
-	out.Sites = len(r.Sites)
+// AppendJSON appends the Figure 2 + Table I artifact per aggregation phase
+// to b, plus the raw [serial, parallel] counters behind it — every site's,
+// in PC order — so ScanBias rebuilds an identical result.
+func (r *BiasResult) AppendJSON(b []byte) ([]byte, error) {
+	var buckets [NumPhases][10]float64
+	var biased, backward, forward, taken [NumPhases]float64
 	for pi, p := range Phases {
 		h := r.Histogram(p)
-		for b := 0; b < 10; b++ {
-			out.Buckets[pi][b] = 100 * h.Fraction(b)
+		for k := range buckets[pi] {
+			buckets[pi][k] = 100 * h.Fraction(k)
 		}
-		out.BiasedPct[pi] = 100 * (h.Fraction(0) + h.Fraction(h.Buckets()-1))
+		biased[pi] = 100 * (h.Fraction(0) + h.Fraction(h.Buckets()-1))
 		back, fwd := r.TakenDirection(p)
 		if back+fwd > 0 {
-			out.BackwardPct[pi] = 100 * float64(back) / float64(back+fwd)
-			out.ForwardPct[pi] = 100 * float64(fwd) / float64(back+fwd)
+			backward[pi] = 100 * float64(back) / float64(back+fwd)
+			forward[pi] = 100 * float64(fwd) / float64(back+fwd)
 		}
 		if conds := over(r.Conds, p); conds > 0 {
-			out.TakenPct[pi] = 100 * float64(back+fwd) / float64(conds)
+			taken[pi] = 100 * float64(back+fwd) / float64(conds)
 		}
 	}
-	return json.Marshal(&out)
+	b = strconv.AppendInt(append(b, `{"sites":`...), int64(len(r.Sites)), 10)
+	b = append(b, `,"buckets_pct":[`...)
+	for pi := range buckets {
+		if pi > 0 {
+			b = append(b, ',')
+		}
+		b = wire.AppendFloats(b, buckets[pi][:]...)
+	}
+	b = wire.AppendFloats(append(b, `],"biased_pct":`...), biased[:]...)
+	b = wire.AppendFloats(append(b, `,"backward_pct":`...), backward[:]...)
+	b = wire.AppendFloats(append(b, `,"forward_pct":`...), forward[:]...)
+	b = wire.AppendFloats(append(b, `,"taken_pct":`...), taken[:]...)
+	b = append(b, `,"counters":{"sites":[`...)
+	for i, pc := range sortedKeys(r.Sites) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		s := r.Sites[pc]
+		b = strconv.AppendUint(append(b, `{"pc":`...), uint64(pc), 10)
+		b = wire.AppendInts(append(b, `,"exec":`...), s.Exec[:]...)
+		b = wire.AppendInts(append(b, `,"taken":`...), s.Taken[:]...)
+		b = append(b, '}')
+	}
+	b = wire.AppendInts(append(b, `],"dirs":[`...), r.Dirs[0][:]...)
+	b = wire.AppendInts(append(b, ','), r.Dirs[1][:]...)
+	b = wire.AppendInts(append(b, `],"conds":`...), r.Conds[:]...)
+	return append(b, "}}"...), nil
 }
 
-// NewBiasTarget is the one decode path of a BiasResult's canonical JSON
-// artifact, as a wire.Target; wire.Decode parses one alone. A duplicated
-// site PC means the artifact was not produced by EncodeJSON and is an
-// error.
-func NewBiasTarget() (ptr any, build func() (*BiasResult, error)) {
-	return wire.Target(func(w *biasWire) (*BiasResult, error) {
-		r := &BiasResult{
-			Sites: make(map[isa.Addr]SiteBias, len(w.Counters.Sites)),
-			Dirs:  w.Counters.Dirs,
-			Conds: w.Counters.Conds,
+// EncodeJSON renders the result as its canonical JSON artifact.
+func (r *BiasResult) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
+
+// ScanBias is the one decode path of a BiasResult's canonical JSON
+// artifact, read in place from the record that embeds it. Derived figures
+// are read as numbers and recomputed on re-encode. A duplicated site PC
+// means the artifact was not produced by AppendJSON and is an error.
+func ScanBias(sc *wire.Scanner) (*BiasResult, error) {
+	r := &BiasResult{Sites: map[isa.Addr]SiteBias{}}
+	sc.Open('{').Key("sites").Int()
+	sc.Key("buckets_pct").Open('[').SkipFloats(10).SkipFloats(10).SkipFloats(10).Close(']')
+	for _, derived := range [...]string{"biased_pct", "backward_pct", "forward_pct", "taken_pct"} {
+		sc.Key(derived).SkipFloats(NumPhases)
+	}
+	sc.Key("counters").Open('{').Key("sites").Open('[')
+	for sc.More() {
+		var s SiteBias
+		pc := isa.Addr(sc.Open('{').Key("pc").Uint())
+		sc.Key("exec").Ints(s.Exec[:]).Key("taken").Ints(s.Taken[:]).Close('}')
+		if _, dup := r.Sites[pc]; dup {
+			sc.Fail(fmt.Errorf("duplicate site pc %#x", uint64(pc)))
 		}
-		for _, s := range w.Counters.Sites {
-			pc := isa.Addr(s.PC)
-			if _, dup := r.Sites[pc]; dup {
-				return nil, fmt.Errorf("duplicate site pc %#x", s.PC)
-			}
-			r.Sites[pc] = SiteBias{Exec: s.Exec, Taken: s.Taken}
-		}
-		return r, nil
-	})
+		r.Sites[pc] = s
+	}
+	sc.Close(']').Key("dirs").Open('[').Ints(r.Dirs[0][:]).Ints(r.Dirs[1][:]).Close(']')
+	sc.Key("conds").Ints(r.Conds[:])
+	return wire.Scanned(sc.Close('}').Close('}'), r)
 }

@@ -1,8 +1,9 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 
 	"rebalance/internal/isa"
 	"rebalance/internal/wire"
@@ -17,6 +18,9 @@ type BranchMix struct {
 
 // NewBranchMix returns a fresh branch-mix analyzer.
 func NewBranchMix() *BranchMix { return &BranchMix{} }
+
+// Reset restores the fresh analyzer NewBranchMix returned, in place.
+func (a *BranchMix) Reset() { *a = BranchMix{} }
 
 // ConsumeLane implements trace.LaneConsumer. A run's last instruction has
 // the run's kind (KindOther when no branch ended it) and every instruction
@@ -96,53 +100,69 @@ func (r *MixResult) Merge(other any) error {
 	return nil
 }
 
-// mixWire is the canonical JSON shape of a MixResult: the Figure 1
-// artifact (derived percentages per aggregation phase) plus the raw
-// per-phase counters the derivation and merging work from, so
-// NewMixTarget rebuilds an identical result from the counters alone.
-type mixWire struct {
-	Insts     [NumPhases]int64              `json:"insts"`
-	BranchPct [NumPhases]float64            `json:"branch_pct"`
-	KindPct   map[string][NumPhases]float64 `json:"kind_pct"`
-	Counters  mixCounters                   `json:"counters"`
-}
-
-// mixCounters are the raw [serial, parallel] counters behind the artifact.
-type mixCounters struct {
-	Insts [2]int64               `json:"insts"`
-	Kinds [2][isa.NumKinds]int64 `json:"kinds"`
-}
-
-// EncodeJSON renders the Figure 1 artifact: per aggregation phase (total,
-// serial, parallel), the dynamic instruction count, each kind's percentage
-// share, and the total branch percentage, plus the raw counters remote
-// coordinators decode and merge. A result that saw no instruction carries
-// no kind rows.
-func (r *MixResult) EncodeJSON() ([]byte, error) {
-	var out mixWire
-	out.Counters = mixCounters{Insts: r.Insts, Kinds: r.Kinds}
-	for pi, p := range Phases {
-		out.Insts[pi] = r.InstCount(p)
-		out.BranchPct[pi] = r.BranchPct(p)
+// kindsByName are the kinds in the order of their names, the order
+// encoding/json wrote the artifact's kind_pct map in.
+var kindsByName = func() []isa.Kind {
+	ks := make([]isa.Kind, isa.NumKinds)
+	for k := range ks {
+		ks[k] = isa.Kind(k)
 	}
-	out.KindPct = make(map[string][NumPhases]float64, isa.NumKinds)
-	if r.Insts != [2]int64{} {
-		for k := 0; k < isa.NumKinds; k++ {
-			var pcts [NumPhases]float64
-			for pi, p := range Phases {
-				pcts[pi] = r.KindPct(p, isa.Kind(k))
-			}
-			out.KindPct[isa.Kind(k).String()] = pcts
+	slices.SortFunc(ks, func(a, b isa.Kind) int { return strings.Compare(a.String(), b.String()) })
+	return ks
+}()
+
+// AppendJSON appends the Figure 1 artifact to b: per aggregation phase
+// (total, serial, parallel), the dynamic instruction count, each kind's
+// percentage share (by kind name) and the total branch percentage, plus the
+// raw [serial, parallel] counters remote coordinators decode and merge, so
+// ScanMix rebuilds an identical result from the counters alone. A result
+// that saw no instruction carries no kind rows.
+func (r *MixResult) AppendJSON(b []byte) ([]byte, error) {
+	var insts [NumPhases]int64
+	var branch, pcts [NumPhases]float64
+	for pi, p := range Phases {
+		insts[pi], branch[pi] = r.InstCount(p), r.BranchPct(p)
+	}
+	b = wire.AppendInts(append(b, `{"insts":`...), insts[:]...)
+	b = wire.AppendFloats(append(b, `,"branch_pct":`...), branch[:]...)
+	b = append(b, `,"kind_pct":{`...)
+	kinds := kindsByName
+	if r.Insts == [2]int64{} {
+		kinds = nil
+	}
+	for i, k := range kinds {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		for pi, p := range Phases {
+			pcts[pi] = r.KindPct(p, k)
+		}
+		b = wire.AppendFloats(append(wire.AppendString(b, k.String()), ':'), pcts[:]...)
+	}
+	b = wire.AppendInts(append(b, `},"counters":{"insts":`...), r.Insts[:]...)
+	b = wire.AppendInts(append(b, `,"kinds":[`...), r.Kinds[0][:]...)
+	b = wire.AppendInts(append(b, ','), r.Kinds[1][:]...)
+	return append(b, "]}}"...), nil
+}
+
+// EncodeJSON renders the result as its canonical JSON artifact.
+func (r *MixResult) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
+
+// ScanMix is the one decode path of a MixResult's canonical JSON artifact,
+// read in place from the record that embeds it. Derived percentages are
+// read as numbers and recomputed from the raw counters on re-encode; kind
+// rows are read in name order, each one optional.
+func ScanMix(sc *wire.Scanner) (*MixResult, error) {
+	r := &MixResult{}
+	var insts [NumPhases]int64
+	sc.Open('{').Key("insts").Ints(insts[:]).Key("branch_pct").SkipFloats(NumPhases)
+	sc.Key("kind_pct").Open('{')
+	for _, k := range kindsByName {
+		if sc.Field(k.String()) {
+			sc.SkipFloats(NumPhases)
 		}
 	}
-	return json.Marshal(&out)
-}
-
-// NewMixTarget is the one decode path of a MixResult's canonical JSON
-// artifact, as a wire.Target; wire.Decode parses one alone. Derived
-// percentages are recomputed from the raw counters on re-encode.
-func NewMixTarget() (ptr any, build func() (*MixResult, error)) {
-	return wire.Target(func(w *mixWire) (*MixResult, error) {
-		return &MixResult{Insts: w.Counters.Insts, Kinds: w.Counters.Kinds}, nil
-	})
+	sc.Close('}').Key("counters").Open('{').Key("insts").Ints(r.Insts[:])
+	sc.Key("kinds").Open('[').Ints(r.Kinds[0][:]).Ints(r.Kinds[1][:]).Close(']')
+	return wire.Scanned(sc.Close('}').Close('}'), r)
 }

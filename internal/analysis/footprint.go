@@ -1,10 +1,8 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
-
-	"sort"
+	"strconv"
 
 	"rebalance/internal/isa"
 	"rebalance/internal/stats"
@@ -129,68 +127,63 @@ func (r *FootprintResult) DynamicBytes(p Phase, coverage float64) int64 {
 	return stats.FootprintForCoverage(items, coverage)
 }
 
-// footprintWire is the canonical JSON shape of a FootprintResult: the
-// Figure 3 artifact plus the raw per-phase chunk heat maps behind it, so
-// NewFootprintTarget rebuilds an identical result. Chunks are sorted so
-// the encoding is deterministic regardless of map iteration order.
-type footprintWire struct {
-	StaticKB  float64            `json:"static_kb"`
-	Dyn99KB   [NumPhases]float64 `json:"dyn99_kb"`
-	TouchedKB [NumPhases]float64 `json:"touched_kb"`
-	Counters  footprintCounters  `json:"counters"`
-}
-
-// footprintCounters are the raw counters behind the artifact: the static
-// text size and, per phase (0 serial, 1 parallel), the instruction weight
-// of every touched code chunk.
-type footprintCounters struct {
-	StaticBytes int64          `json:"static_bytes"`
-	Chunks      [2][]chunkWire `json:"chunks"`
-}
-
-// chunkWire is one touched code chunk and its dynamic instruction weight.
-type chunkWire struct {
-	Chunk  uint64 `json:"chunk"`
-	Weight int64  `json:"weight"`
-}
-
-// EncodeJSON renders the Figure 3 artifact per aggregation phase — static,
-// 99%-dynamic, and touched footprints in KB — plus the raw counters remote
-// coordinators decode and merge.
-func (r *FootprintResult) EncodeJSON() ([]byte, error) {
-	var out footprintWire
-	out.Counters.StaticBytes = r.StaticBytes
-	for i := 0; i < 2; i++ {
-		cs := make([]chunkWire, 0, len(r.Chunks[i]))
-		for c, w := range r.Chunks[i] { //repolint:allow nodeterminism appended then sorted before encoding
-			cs = append(cs, chunkWire{Chunk: c, Weight: w})
-		}
-		sort.Slice(cs, func(a, b int) bool { return cs[a].Chunk < cs[b].Chunk })
-		out.Counters.Chunks[i] = cs
-	}
-	out.StaticKB = float64(r.StaticBytes) / 1024
+// AppendJSON appends the Figure 3 artifact per aggregation phase to b —
+// static, 99%-dynamic, and touched footprints in KB — plus the raw counters
+// behind it: the static text size and, per phase (0 serial, 1 parallel),
+// the instruction weight of every touched code chunk, in chunk order, so
+// ScanFootprint rebuilds an identical result.
+func (r *FootprintResult) AppendJSON(b []byte) ([]byte, error) {
+	var dyn, touched [NumPhases]float64
 	for pi, p := range Phases {
-		out.Dyn99KB[pi] = float64(r.DynamicBytes(p, 0.99)) / 1024
-		out.TouchedKB[pi] = float64(r.DynamicBytes(p, 1.0)) / 1024
+		dyn[pi] = float64(r.DynamicBytes(p, 0.99)) / 1024
+		touched[pi] = float64(r.DynamicBytes(p, 1.0)) / 1024
 	}
-	return json.Marshal(&out)
+	b = wire.AppendFloat(append(b, `{"static_kb":`...), float64(r.StaticBytes)/1024)
+	b = wire.AppendFloats(append(b, `,"dyn99_kb":`...), dyn[:]...)
+	b = wire.AppendFloats(append(b, `,"touched_kb":`...), touched[:]...)
+	b = strconv.AppendInt(append(b, `,"counters":{"static_bytes":`...), r.StaticBytes, 10)
+	b = append(b, `,"chunks":[`...)
+	for i, chunks := range r.Chunks {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for j, c := range sortedKeys(chunks) {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendUint(append(b, `{"chunk":`...), c, 10)
+			b = strconv.AppendInt(append(b, `,"weight":`...), chunks[c], 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, "]}}"...), nil
 }
 
-// NewFootprintTarget is the one decode path of a FootprintResult's
-// canonical JSON artifact, as a wire.Target; wire.Decode parses one alone.
-// Duplicate chunks are rejected.
-func NewFootprintTarget() (ptr any, build func() (*FootprintResult, error)) {
-	return wire.Target(func(w *footprintWire) (*FootprintResult, error) {
-		r := &FootprintResult{StaticBytes: w.Counters.StaticBytes}
-		for i := 0; i < 2; i++ {
-			r.Chunks[i] = make(map[uint64]int64, len(w.Counters.Chunks[i]))
-			for _, c := range w.Counters.Chunks[i] {
-				if _, dup := r.Chunks[i][c.Chunk]; dup {
-					return nil, fmt.Errorf("duplicate chunk %#x", c.Chunk)
-				}
-				r.Chunks[i][c.Chunk] = c.Weight
+// EncodeJSON renders the result as its canonical JSON artifact.
+func (r *FootprintResult) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
+
+// ScanFootprint is the one decode path of a FootprintResult's canonical
+// JSON artifact, read in place from the record that embeds it. Duplicate
+// chunks are rejected.
+func ScanFootprint(sc *wire.Scanner) (*FootprintResult, error) {
+	r := &FootprintResult{}
+	sc.Open('{').SkipKeys("static_kb").Key("dyn99_kb").SkipFloats(NumPhases).Key("touched_kb").SkipFloats(NumPhases)
+	r.StaticBytes = sc.Key("counters").Open('{').Key("static_bytes").Int()
+	sc.Key("chunks").Open('[')
+	for i := range r.Chunks {
+		r.Chunks[i] = map[uint64]int64{}
+		sc.Open('[')
+		for sc.More() {
+			c := sc.Open('{').Key("chunk").Uint()
+			if _, dup := r.Chunks[i][c]; dup {
+				sc.Fail(fmt.Errorf("duplicate chunk %#x", c))
 			}
+			r.Chunks[i][c] = sc.Key("weight").Int()
+			sc.Close('}')
 		}
-		return r, nil
-	})
+		sc.Close(']')
+	}
+	return wire.Scanned(sc.Close(']').Close('}').Close('}'), r)
 }

@@ -95,6 +95,8 @@ func (b *Bimodal) update(pc isa.Addr, taken bool) {
 // Name implements Predictor.
 func (b *Bimodal) Name() string { return b.name }
 
+func (b *Bimodal) reset() { clear(b.tab) }
+
 // CostBits implements Predictor: 2 bits per entry.
 func (b *Bimodal) CostBits() int { return 2 * len(b.tab) }
 
@@ -137,6 +139,8 @@ func (g *Gshare) Access(pc isa.Addr, taken bool) bool {
 
 // Name implements Predictor.
 func (g *Gshare) Name() string { return g.name }
+
+func (g *Gshare) reset() { g.hist = 0; clear(g.tab) }
 
 // CostBits implements Predictor: 2^(m+1) bits (2 bits x 2^m entries).
 func (g *Gshare) CostBits() int { return 2 * len(g.tab) }

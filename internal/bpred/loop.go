@@ -42,6 +42,8 @@ func NewLoopPredictor() *LoopPredictor {
 	return &LoopPredictor{entries: make([]loopEntry, entries), ways: ways, setMask: uint64(sets - 1)}
 }
 
+func (l *LoopPredictor) reset() { clear(l.entries) }
+
 // entryCost is the per-entry storage in bits: tag(14) + trip(16) +
 // current(16) + prev(16) + confidence(2) + age(2) ≈ 66 bits; 64 entries ≈
 // 528 bytes, matching the paper's "approximate hardware budget of 512B".

@@ -1,9 +1,9 @@
 package bpred
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"rebalance/internal/isa"
 	"rebalance/internal/wire"
@@ -196,6 +196,28 @@ func NewSim(preds ...Predictor) *Sim {
 	return s
 }
 
+// Reset restores the simulator to the power-on state NewSim built, in
+// place: every component's tables and histories and every configuration's
+// counters zero, the buffers it has grown kept. Its predictors must be
+// built-in configurations (NewByName's); Reset panics on any other.
+func (s *Sim) Reset() {
+	for _, c := range s.comps {
+		if c.loop != nil {
+			c.loop.reset()
+			continue
+		}
+		r, ok := c.base.(interface{ reset() })
+		if !ok {
+			panic(fmt.Sprintf("bpred: Sim.Reset of a %T, which has no power-on reset", c.base))
+		}
+		r.reset()
+	}
+	for i := range s.results {
+		s.results[i] = Result{Name: s.results[i].Name, CostBits: s.results[i].CostBits}
+	}
+	s.insts = [2]int64{}
+}
+
 // walk runs the component over a batch's conditional branches, writing one
 // prediction byte per record (see Sim for why it switches on the type).
 func (c *component) walk(recs []condRec) {
@@ -297,56 +319,44 @@ func (r *Result) Merge(other any) error {
 	return nil
 }
 
-// resultWire is the canonical JSON shape of a Result: the raw counters
-// (exact, mergeable by consumers) plus the derived paper metrics. The
-// derived fields are pure functions of the counters, so NewTarget
-// reconstructs a Result from the counters alone and re-encoding yields
-// byte-identical JSON.
-type resultWire struct {
-	Name         string                      `json:"name"`
-	CostBits     int                         `json:"cost_bits"`
-	Insts        [2]int64                    `json:"insts"`
-	Branches     [2]int64                    `json:"branches"`
-	Miss         [2][isa.NumDirections]int64 `json:"miss"`
-	MPKI         float64                     `json:"mpki"`
-	MPKISerial   float64                     `json:"mpki_serial"`
-	MPKIParallel float64                     `json:"mpki_parallel"`
-	MissRate     float64                     `json:"miss_rate"`
-	MPKIByDir    [isa.NumDirections]float64  `json:"mpki_by_direction"`
+// AppendJSON appends the result's canonical JSON artifact to b: the raw
+// counters (exact, mergeable by consumers) plus the derived paper metrics,
+// which are pure functions of the counters, so ScanResult rebuilds a Result
+// from the counters alone and re-encoding yields identical bytes.
+// Array-valued counters are indexed [serial, parallel]; miss rows are
+// indexed [not-taken, taken-backward, taken-forward].
+func (r *Result) AppendJSON(b []byte) ([]byte, error) {
+	b = wire.AppendString(append(b, `{"name":`...), r.Name)
+	b = strconv.AppendInt(append(b, `,"cost_bits":`...), int64(r.CostBits), 10)
+	b = wire.AppendInts(append(b, `,"insts":`...), r.Insts[:]...)
+	b = wire.AppendInts(append(b, `,"branches":`...), r.Branches[:]...)
+	b = wire.AppendInts(append(b, `,"miss":[`...), r.Miss[0][:]...)
+	b = wire.AppendInts(append(b, ','), r.Miss[1][:]...)
+	b = wire.AppendFloat(append(b, `],"mpki":`...), r.MPKI())
+	b = wire.AppendFloat(append(b, `,"mpki_serial":`...), r.MPKISerial())
+	b = wire.AppendFloat(append(b, `,"mpki_parallel":`...), r.MPKIParallel())
+	b = wire.AppendFloat(append(b, `,"miss_rate":`...), r.MissRate())
+	b = wire.AppendFloats(append(b, `,"mpki_by_direction":`...), r.MPKIByDirection(isa.DirNotTaken),
+		r.MPKIByDirection(isa.DirTakenBackward), r.MPKIByDirection(isa.DirTakenForward))
+	return append(b, '}'), nil
 }
 
 // EncodeJSON renders the result as its canonical JSON artifact.
-// Array-valued counters are indexed [serial, parallel]; miss rows are
-// indexed [not-taken, taken-backward, taken-forward].
-func (r *Result) EncodeJSON() ([]byte, error) {
-	return json.Marshal(resultWire{
-		Name:         r.Name,
-		CostBits:     r.CostBits,
-		Insts:        r.Insts,
-		Branches:     r.Branches,
-		Miss:         r.Miss,
-		MPKI:         r.MPKI(),
-		MPKISerial:   r.MPKISerial(),
-		MPKIParallel: r.MPKIParallel(),
-		MissRate:     r.MissRate(),
-		MPKIByDir: [isa.NumDirections]float64{
-			r.MPKIByDirection(isa.DirNotTaken),
-			r.MPKIByDirection(isa.DirTakenBackward),
-			r.MPKIByDirection(isa.DirTakenForward),
-		},
-	})
-}
+func (r *Result) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
 
-// NewTarget is the one decode path of a Result's canonical JSON artifact —
+// ScanResult is the one decode path of a Result's canonical JSON artifact —
 // the other half of the wire contract, so a coordinator can fold shards
-// produced by a remote worker — as a wire.Target: a document that embeds
-// the artifact (a shard record) parses it in the same pass as itself, and
-// wire.Decode parses it alone. Derived metrics are ignored and recomputed
-// from the raw counters on re-encode.
-func NewTarget() (ptr any, build func() (*Result, error)) {
-	return wire.Target(func(w *resultWire) (*Result, error) {
-		return &Result{Name: w.Name, CostBits: w.CostBits, Insts: w.Insts, Branches: w.Branches, Miss: w.Miss}, nil
-	})
+// produced by a remote worker — read in place from the record that embeds
+// it. Derived metrics are read as numbers and dropped: re-encoding
+// recomputes them from the raw counters.
+func ScanResult(sc *wire.Scanner) (*Result, error) {
+	r := &Result{}
+	r.Name = sc.Open('{').Key("name").String()
+	r.CostBits = int(sc.Key("cost_bits").Int())
+	sc.Key("insts").Ints(r.Insts[:]).Key("branches").Ints(r.Branches[:])
+	sc.Key("miss").Open('[').Ints(r.Miss[0][:]).Ints(r.Miss[1][:]).Close(']')
+	sc.SkipKeys("mpki", "mpki_serial", "mpki_parallel", "miss_rate").Key("mpki_by_direction").SkipFloats(isa.NumDirections)
+	return wire.Scanned(sc.Close('}'), r)
 }
 
 // Results returns the per-predictor results with instruction counts filled

@@ -140,6 +140,9 @@ func foldIn(f, newBit, old, outPt, width, mask uint32) uint32 {
 	return c & mask
 }
 
+// tageLFSRSeed is the allocation LFSR's power-on state.
+const tageLFSRSeed = 0xACE1
+
 // tageSpec describes one tagged table.
 type tageSpec struct {
 	HistLen int
@@ -164,7 +167,7 @@ func newTAGE(name string, baseLog uint, specs []tageSpec, avx2 bool) *TAGE {
 		geom: fmt.Sprint("tage/", baseLog, specs),
 		base: NewBimodal(name+"-base", baseLog),
 		avx2: avx2,
-		lfsr: 0xACE1,
+		lfsr: tageLFSRSeed,
 	}
 	if len(specs) > tageLanes {
 		panic(fmt.Sprintf("bpred: TAGE has at most %d tables, got %d", tageLanes, len(specs)))
@@ -379,6 +382,20 @@ func ctr3Update(c int8, taken bool) int8 {
 
 // Name implements Predictor.
 func (t *TAGE) Name() string { return t.name }
+
+// reset restores the power-on state newTAGE built: every table, history and
+// fold zero, the allocation LFSR at its seed.
+func (t *TAGE) reset() {
+	t.base.reset()
+	clear(t.tags)
+	for i := range t.tables {
+		clear(t.tables[i].ctr)
+		clear(t.tables[i].useful)
+	}
+	t.k.fold, t.k.idx, t.k.tag = [3][tageLanes]uint32{}, [tageLanes]uint32{}, [tageLanes]uint32{}
+	clear(t.ghist)
+	t.ghistPos, t.pathHist, t.useAltOnNA, t.lfsr, t.accesses = 0, 0, 0, tageLFSRSeed, 0
+}
 
 // CostBits implements Predictor: tagged entries cost tag + 3-bit counter +
 // 2-bit useful; the base costs 2 bits per entry.

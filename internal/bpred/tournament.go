@@ -82,6 +82,14 @@ func (t *Tournament) Access(pc isa.Addr, taken bool) bool {
 // Name implements Predictor.
 func (t *Tournament) Name() string { return t.name }
 
+func (t *Tournament) reset() {
+	t.ghist = 0
+	clear(t.localHist)
+	clear(t.localCtr)
+	clear(t.globalCtr)
+	clear(t.choiceCtr)
+}
+
 // CostBits implements Predictor per Table II: 2^n(m+2) + 2^(m+2).
 func (t *Tournament) CostBits() int {
 	return (1<<t.n)*(int(t.m)+2) + (1 << (t.m + 2))

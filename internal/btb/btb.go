@@ -13,8 +13,8 @@
 package btb
 
 import (
-	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"rebalance/internal/isa"
 	"rebalance/internal/wire"
@@ -64,6 +64,14 @@ func New(entries, ways int) *BTB {
 	b.res = Result{Entries: entries, Ways: ways}
 	b.res.Name = b.res.geometryName()
 	return b
+}
+
+// Reset restores the power-on state New built, in place: every way empty
+// and every counter zero.
+func (b *BTB) Reset() {
+	clear(b.data)
+	b.clock = 0
+	b.res = Result{Name: b.res.Name, Entries: b.res.Entries, Ways: b.res.Ways}
 }
 
 // index computes the set index from the branch address: the paper's
@@ -190,36 +198,37 @@ func (r *Result) Merge(other any) error {
 	return nil
 }
 
-// resultWire is the canonical JSON shape: raw counters plus metrics
-// derived from them, so NewTarget rebuilds a Result from the counters
-// alone and re-encoding is byte-identical.
-type resultWire struct {
-	Name         string   `json:"name"`
-	Entries      int      `json:"entries"`
-	Ways         int      `json:"ways"`
-	Insts        [2]int64 `json:"insts"`
-	Lookups      [2]int64 `json:"lookups"`
-	Misses       [2]int64 `json:"misses"`
-	MPKI         float64  `json:"mpki"`
-	MPKISerial   float64  `json:"mpki_serial"`
-	MPKIParallel float64  `json:"mpki_parallel"`
-	MissRate     float64  `json:"miss_rate"`
+// AppendJSON appends the result's canonical JSON artifact to b: raw
+// counters plus metrics derived from them, so ScanResult rebuilds a Result
+// from the counters alone and re-encoding is byte-identical. Array counters
+// are indexed [serial, parallel].
+func (r *Result) AppendJSON(b []byte) ([]byte, error) {
+	b = wire.AppendString(append(b, `{"name":`...), r.Name)
+	b = strconv.AppendInt(append(b, `,"entries":`...), int64(r.Entries), 10)
+	b = strconv.AppendInt(append(b, `,"ways":`...), int64(r.Ways), 10)
+	b = wire.AppendInts(append(b, `,"insts":`...), r.Insts[:]...)
+	b = wire.AppendInts(append(b, `,"lookups":`...), r.Lookups[:]...)
+	b = wire.AppendInts(append(b, `,"misses":`...), r.Misses[:]...)
+	b = wire.AppendFloat(append(b, `,"mpki":`...), r.MPKI())
+	b = wire.AppendFloat(append(b, `,"mpki_serial":`...), r.MPKISerial())
+	b = wire.AppendFloat(append(b, `,"mpki_parallel":`...), r.MPKIParallel())
+	b = wire.AppendFloat(append(b, `,"miss_rate":`...), r.MissRate())
+	return append(b, '}'), nil
 }
 
-// EncodeJSON renders the result as its canonical JSON artifact. Array
-// counters are indexed [serial, parallel].
-func (r *Result) EncodeJSON() ([]byte, error) {
-	return json.Marshal(resultWire{Name: r.Name, Entries: r.Entries, Ways: r.Ways, Insts: r.Insts, Lookups: r.Lookups, Misses: r.Misses,
-		MPKI: r.MPKI(), MPKISerial: r.MPKISerial(), MPKIParallel: r.MPKIParallel(), MissRate: r.MissRate()})
-}
+// EncodeJSON renders the result as its canonical JSON artifact.
+func (r *Result) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
 
-// NewTarget is the one decode path of a Result's canonical JSON artifact,
-// so a coordinator can fold shards produced by a remote worker, as a
-// wire.Target: a document that embeds the artifact (a shard record) parses
-// it in the same pass as itself, and wire.Decode parses it alone. Derived
-// metrics are recomputed from the counters.
-func NewTarget() (ptr any, build func() (*Result, error)) {
-	return wire.Target(func(w *resultWire) (*Result, error) {
-		return &Result{Name: w.Name, Entries: w.Entries, Ways: w.Ways, Insts: w.Insts, Lookups: w.Lookups, Misses: w.Misses}, nil
-	})
+// ScanResult is the one decode path of a Result's canonical JSON artifact,
+// so a coordinator can fold shards produced by a remote worker, read in
+// place from the record that embeds it. Derived metrics are read as numbers
+// and recomputed from the counters on re-encode.
+func ScanResult(sc *wire.Scanner) (*Result, error) {
+	r := &Result{}
+	r.Name = sc.Open('{').Key("name").String()
+	r.Entries = int(sc.Key("entries").Int())
+	r.Ways = int(sc.Key("ways").Int())
+	sc.Key("insts").Ints(r.Insts[:]).Key("lookups").Ints(r.Lookups[:]).Key("misses").Ints(r.Misses[:])
+	sc.SkipKeys("mpki", "mpki_serial", "mpki_parallel", "miss_rate")
+	return wire.Scanned(sc.Close('}'), r)
 }

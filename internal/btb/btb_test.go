@@ -117,7 +117,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := wire.Decode(enc, NewTarget)
+	dec, err := wire.Decode(enc, ScanResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestDecodeRejectsMangledArtifacts(t *testing.T) {
 		"malformed":     `{"name":`,
 		"wrong shape":   `[1,2,3]`,
 	} {
-		if _, err := wire.Decode([]byte(in), NewTarget); err == nil {
+		if _, err := wire.Decode([]byte(in), ScanResult); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -170,7 +170,7 @@ func TestMergeAfterDecodeEqualsInProcessMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := wire.Decode(enc, NewTarget)
+		dec, err := wire.Decode(enc, ScanResult)
 		if err != nil {
 			t.Fatal(err)
 		}

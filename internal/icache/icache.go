@@ -22,9 +22,9 @@
 package icache
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"rebalance/internal/isa"
 	"rebalance/internal/wire"
@@ -103,6 +103,14 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	c.res = Result{SizeBytes: sizeBytes, LineBytes: lineBytes, Ways: ways}
 	c.res.Name = c.res.geometryName()
 	return c
+}
+
+// Reset restores the power-on state New built, in place: every way empty,
+// no line being fetched from and every counter zero.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.clock, c.lastLine, c.lastIdx = 0, 0, 0
+	c.res = Result{Name: c.res.Name, SizeBytes: c.res.SizeBytes, LineBytes: c.res.LineBytes, Ways: c.res.Ways}
 }
 
 // ConsumeLane implements trace.LaneConsumer. A run is a contiguous byte
@@ -270,49 +278,44 @@ func (r *Result) Merge(other any) error {
 	return nil
 }
 
-// resultWire is the canonical JSON shape: raw counters plus metrics
-// derived from them, so NewTarget rebuilds a Result from the counters
-// alone and re-encoding is byte-identical.
-type resultWire struct {
-	Name         string   `json:"name"`
-	SizeBytes    int      `json:"size_bytes"`
-	LineBytes    int      `json:"line_bytes"`
-	Ways         int      `json:"ways"`
-	Insts        [2]int64 `json:"insts"`
-	Accesses     [2]int64 `json:"accesses"`
-	Misses       [2]int64 `json:"misses"`
-	UsedSectors  int64    `json:"used_sectors"`
-	TotalSectors int64    `json:"total_sectors"`
-	MPKI         float64  `json:"mpki"`
-	MPKISerial   float64  `json:"mpki_serial"`
-	MPKIParallel float64  `json:"mpki_parallel"`
-	MissRate     float64  `json:"miss_rate"`
-	Usefulness   float64  `json:"usefulness"`
+// AppendJSON appends the result's canonical JSON artifact to b: raw
+// counters plus metrics derived from them, so ScanResult rebuilds a Result
+// from the counters alone and re-encoding is byte-identical. Array counters
+// are indexed [serial, parallel].
+func (r *Result) AppendJSON(b []byte) ([]byte, error) {
+	b = wire.AppendString(append(b, `{"name":`...), r.Name)
+	b = strconv.AppendInt(append(b, `,"size_bytes":`...), int64(r.SizeBytes), 10)
+	b = strconv.AppendInt(append(b, `,"line_bytes":`...), int64(r.LineBytes), 10)
+	b = strconv.AppendInt(append(b, `,"ways":`...), int64(r.Ways), 10)
+	b = wire.AppendInts(append(b, `,"insts":`...), r.Insts[:]...)
+	b = wire.AppendInts(append(b, `,"accesses":`...), r.Accesses[:]...)
+	b = wire.AppendInts(append(b, `,"misses":`...), r.Misses[:]...)
+	b = strconv.AppendInt(append(b, `,"used_sectors":`...), r.UsedSectors, 10)
+	b = strconv.AppendInt(append(b, `,"total_sectors":`...), r.TotalSectors, 10)
+	b = wire.AppendFloat(append(b, `,"mpki":`...), r.MPKI())
+	b = wire.AppendFloat(append(b, `,"mpki_serial":`...), r.MPKISerial())
+	b = wire.AppendFloat(append(b, `,"mpki_parallel":`...), r.MPKIParallel())
+	b = wire.AppendFloat(append(b, `,"miss_rate":`...), r.MissRate())
+	b = wire.AppendFloat(append(b, `,"usefulness":`...), r.Usefulness())
+	return append(b, '}'), nil
 }
 
-// EncodeJSON renders the result as its canonical JSON artifact. Array
-// counters are indexed [serial, parallel].
-func (r *Result) EncodeJSON() ([]byte, error) {
-	return json.Marshal(resultWire{
-		Name: r.Name, SizeBytes: r.SizeBytes, LineBytes: r.LineBytes, Ways: r.Ways,
-		Insts: r.Insts, Accesses: r.Accesses, Misses: r.Misses,
-		UsedSectors: r.UsedSectors, TotalSectors: r.TotalSectors,
-		MPKI: r.MPKI(), MPKISerial: r.MPKISerial(), MPKIParallel: r.MPKIParallel(),
-		MissRate: r.MissRate(), Usefulness: r.Usefulness(),
-	})
-}
+// EncodeJSON renders the result as its canonical JSON artifact.
+func (r *Result) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
 
-// NewTarget is the one decode path of a Result's canonical JSON artifact,
-// so a coordinator can fold shards produced by a remote worker, as a
-// wire.Target: a document that embeds the artifact (a shard record) parses
-// it in the same pass as itself, and wire.Decode parses it alone. Derived
-// metrics are recomputed from the counters.
-func NewTarget() (ptr any, build func() (*Result, error)) {
-	return wire.Target(func(w *resultWire) (*Result, error) {
-		return &Result{
-			Name: w.Name, SizeBytes: w.SizeBytes, LineBytes: w.LineBytes, Ways: w.Ways,
-			Insts: w.Insts, Accesses: w.Accesses, Misses: w.Misses,
-			UsedSectors: w.UsedSectors, TotalSectors: w.TotalSectors,
-		}, nil
-	})
+// ScanResult is the one decode path of a Result's canonical JSON artifact,
+// so a coordinator can fold shards produced by a remote worker, read in
+// place from the record that embeds it. Derived metrics are read as numbers
+// and recomputed from the counters on re-encode.
+func ScanResult(sc *wire.Scanner) (*Result, error) {
+	r := &Result{}
+	r.Name = sc.Open('{').Key("name").String()
+	r.SizeBytes = int(sc.Key("size_bytes").Int())
+	r.LineBytes = int(sc.Key("line_bytes").Int())
+	r.Ways = int(sc.Key("ways").Int())
+	sc.Key("insts").Ints(r.Insts[:]).Key("accesses").Ints(r.Accesses[:]).Key("misses").Ints(r.Misses[:])
+	r.UsedSectors = sc.Key("used_sectors").Int()
+	r.TotalSectors = sc.Key("total_sectors").Int()
+	sc.SkipKeys("mpki", "mpki_serial", "mpki_parallel", "miss_rate", "usefulness")
+	return wire.Scanned(sc.Close('}'), r)
 }

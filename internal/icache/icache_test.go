@@ -127,7 +127,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := wire.Decode(enc, NewTarget)
+	dec, err := wire.Decode(enc, ScanResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDecodeRejectsMangledArtifacts(t *testing.T) {
 		"malformed":     `{"name":`,
 		"wrong shape":   `"just a string"`,
 	} {
-		if _, err := wire.Decode([]byte(in), NewTarget); err == nil {
+		if _, err := wire.Decode([]byte(in), ScanResult); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -180,7 +180,7 @@ func TestMergeAfterDecodeEqualsInProcessMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := wire.Decode(enc, NewTarget)
+		dec, err := wire.Decode(enc, ScanResult)
 		if err != nil {
 			t.Fatal(err)
 		}

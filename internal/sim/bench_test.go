@@ -132,7 +132,7 @@ func BenchmarkRunOneCoordinateGrid(b *testing.B) {
 }
 
 // BenchmarkMixed9Pass is one coordinate's pass as runGroup makes it: the
-// nine mixed9 configurations built by groupObservers and fed one recorded
+// nine mixed9 configurations' unit state, built afresh, fed one recorded
 // stream. ns/inst is the whole pass — the lane decode and nine consumptions
 // — per instruction of the stream, the layer figure behind the two mixed9
 // replay workloads.
@@ -149,15 +149,15 @@ func BenchmarkMixed9Pass(b *testing.B) {
 				b.Fatal(err)
 			}
 			rec := replay.NewRecorder()
-			if _, err := generate(ctx, c, &ShardSpec{Seed: 1, Insts: 2_000_000}, rec); err != nil {
+			if _, err := generate(ctx, new(trace.Executor), c, &ShardSpec{Seed: 1, Insts: 2_000_000}, rec); err != nil {
 				b.Fatal(err)
 			}
 			tr := rec.Trace()
 			var insts int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				feed, _ := groupObservers(cfgs, c.Program())
-				if err := replay.Deliver(ctx, tr, trace.BatchSize, feed); err != nil {
+				u := newUnitState(cfgs, nil, c.Program())
+				if err := replay.Deliver(ctx, tr, trace.BatchSize, u.feed); err != nil {
 					b.Fatal(err)
 				}
 				insts += int64(tr.Len())
@@ -234,25 +234,54 @@ func mixed9Records(b *testing.B) (*Report, []Shard, []ShardSpec, []ObserverConfi
 	return rep, shards, specs, cfgOf
 }
 
-// BenchmarkShardRecordCodec is the record layer of a cached rerun: each of
-// the 90 mixed9 records encoded (EncodeShard, what a worker answers and a
-// cache stores) and decoded (DecodeShard, what a cache hit and a dispatched
-// answer cost). ns/op covers all 90.
+// BenchmarkShardRecordCodec is the record layer of a cached rerun and of
+// a dispatched unit: each of the 90 mixed9 records encoded (EncodeShard,
+// what a worker answers and a cache stores) and decoded (DecodeShard, what
+// a cache hit and a dispatched answer cost) — both, then each alone. ns/op
+// covers all 90; MB/s is record bytes.
 func BenchmarkShardRecordCodec(b *testing.B) {
 	_, shards, specs, cfgs := mixed9Records(b)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		for i := range shards {
-			rec, err := EncodeShard(shards[i])
-			if err == nil {
-				shardSink, err = DecodeShard(rec, specs[i], cfgs[i])
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
+	recs := make([][]byte, len(shards))
+	var size int64
+	for i := range shards {
+		var err error
+		if recs[i], err = EncodeShard(shards[i]); err != nil {
+			b.Fatal(err)
 		}
+		size += int64(len(recs[i]))
 	}
+	run := func(name string, op func(i int) error) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				for i := range shards {
+					if err := op(i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+	run("both", func(i int) error {
+		rec, err := EncodeShard(shards[i])
+		if err == nil {
+			shardSink, err = DecodeShard(rec, specs[i], cfgs[i])
+		}
+		return err
+	})
+	run("encode", func(i int) (err error) {
+		recSink, err = EncodeShard(shards[i])
+		return err
+	})
+	run("decode", func(i int) (err error) {
+		shardSink, err = DecodeShard(recs[i], specs[i], cfgs[i])
+		return err
+	})
 }
+
+// recSink keeps the benchmarked encode's record live.
+var recSink []byte
 
 // shardSink keeps the benchmarked decode's result live.
 var shardSink Shard

@@ -11,6 +11,7 @@ import (
 
 	"rebalance/internal/sim/shardcache"
 	"rebalance/internal/trace/replay"
+	"rebalance/internal/wire"
 	"rebalance/internal/workload/synth"
 )
 
@@ -55,8 +56,8 @@ func ShardCacheKey(sp ShardSpec, cfg ObserverConfig) string {
 		engine = EngineCompiled
 	}
 	b := appendCoord(make([]byte, 0, 256), sp.Workload, sp.Synth, sp.Seed, sp.Insts)
-	b = appendString(append(b, `,"engine":`...), engine)
-	b = appendString(append(b, `,"observer":{"kind":`...), obs.Kind)
+	b = wire.AppendString(append(b, `,"engine":`...), engine)
+	b = wire.AppendString(append(b, `,"observer":{"kind":`...), obs.Kind)
 	if len(obs.Options) > 0 {
 		b = appendRaw(append(b, `,"options":`...), obs.Options)
 	}
@@ -75,7 +76,7 @@ func contentKey(version string, canon []byte) string {
 // built-in workload; its CanonicalJSON, which json.Marshal still writes,
 // as no benchmarked grid is synthetic), seed, insts.
 func appendCoord(b []byte, workload string, p *synth.Params, seed uint64, insts int64) []byte {
-	b = appendString(append(b, `{"workload":`...), workload)
+	b = wire.AppendString(append(b, `{"workload":`...), workload)
 	if p != nil {
 		canon, err := p.CanonicalJSON()
 		if err != nil {

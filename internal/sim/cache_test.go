@@ -18,6 +18,7 @@ import (
 
 	"rebalance/internal/program"
 	"rebalance/internal/sim/shardcache"
+	"rebalance/internal/wire"
 	"rebalance/internal/workload/synth"
 )
 
@@ -243,8 +244,9 @@ func (c badEncCfg) NewObserver(p *program.Program) ShardObserver {
 }
 func (c badEncCfg) NewResult() Result  { return badEncResult{c.inner.NewResult()} }
 func (c badEncCfg) Spec() ObserverSpec { return ObserverSpec{Kind: "cache-test-badenc"} }
-func (c badEncCfg) DecodeTarget() (any, func() (Result, error)) {
-	return new(any), func() (Result, error) { return nil, errBadEnc }
+func (c badEncCfg) ScanResult(sc *wire.Scanner) (Result, error) {
+	sc.Fail(errBadEnc)
+	return nil, errBadEnc
 }
 
 type badEncObs struct{ ShardObserver }
@@ -433,11 +435,11 @@ func oracleTraceKey(t testing.TB, sp ShardSpec) string {
 // configuration writes. It is never run.
 type keyCfg struct{ spec ObserverSpec }
 
-func (c keyCfg) Key() string                                 { return "key-test/" + c.spec.Kind }
-func (c keyCfg) NewObserver(*program.Program) ShardObserver  { panic("keyCfg is never run") }
-func (c keyCfg) NewResult() Result                           { panic("keyCfg is never run") }
-func (c keyCfg) Spec() ObserverSpec                          { return c.spec }
-func (c keyCfg) DecodeTarget() (any, func() (Result, error)) { panic("keyCfg is never run") }
+func (c keyCfg) Key() string                                { return "key-test/" + c.spec.Kind }
+func (c keyCfg) NewObserver(*program.Program) ShardObserver { panic("keyCfg is never run") }
+func (c keyCfg) NewResult() Result                          { panic("keyCfg is never run") }
+func (c keyCfg) Spec() ObserverSpec                         { return c.spec }
+func (c keyCfg) ScanResult(*wire.Scanner) (Result, error)   { panic("keyCfg is never run") }
 
 // keySynths are scenarios that exercise the synth knobs: defaults made
 // explicit, every knob set, and a zero fraction omitted.
@@ -517,16 +519,16 @@ func TestShardCacheKeyMatchesMarshal(t *testing.T) {
 	}
 }
 
-// countingCfg is a configuration whose DecodeTarget counts its calls: one
+// countingCfg is a configuration whose ScanResult counts its calls: one
 // call is one decode of a stored record.
 type countingCfg struct {
 	ObserverConfig
 	decodes *atomic.Int64
 }
 
-func (c countingCfg) DecodeTarget() (any, func() (Result, error)) {
+func (c countingCfg) ScanResult(sc *wire.Scanner) (Result, error) {
 	c.decodes.Add(1)
-	return c.ObserverConfig.DecodeTarget()
+	return c.ObserverConfig.ScanResult(sc)
 }
 
 // TestCachedRecordDecodesOnce: concurrent and repeated hits on one stored

@@ -10,6 +10,7 @@ import (
 
 	"rebalance/internal/isa"
 	"rebalance/internal/program"
+	"rebalance/internal/wire"
 )
 
 // awaitGoroutines polls until the goroutine count drops back to the
@@ -110,8 +111,10 @@ type cancelAfterCfg struct {
 func (c cancelAfterCfg) Key() string        { return "cancel-test-after" }
 func (c cancelAfterCfg) NewResult() Result  { return nil }
 func (c cancelAfterCfg) Spec() ObserverSpec { return ObserverSpec{Kind: "cancel-test-after"} }
-func (c cancelAfterCfg) DecodeTarget() (any, func() (Result, error)) {
-	return new(any), func() (Result, error) { return nil, errors.New("cancel-test: no wire form") }
+func (c cancelAfterCfg) ScanResult(sc *wire.Scanner) (Result, error) {
+	err := errors.New("cancel-test: no wire form")
+	sc.Fail(err)
+	return nil, err
 }
 func (c cancelAfterCfg) NewObserver(*program.Program) ShardObserver {
 	return &cancelAfterObs{cancelAfterCfg: c, left: c.after}

@@ -39,6 +39,7 @@ func BenchmarkDispatchLoopbackGrid(b *testing.B) {
 	ctx := context.Background()
 	sweep := func(b *testing.B, sess *sim.Session) {
 		b.Helper()
+		b.ReportAllocs()
 		for b.Loop() {
 			if _, err := sess.Run(ctx, spec); err != nil {
 				b.Fatal(err)

@@ -1,13 +1,13 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -45,10 +45,15 @@ const maxShardRespBytes = 16 << 20
 // a few hundred bytes (a few KB with an inline synth scenario).
 const maxShardSpecBytes = 1 << 20
 
-// memberError is the record of a member that failed, in place of its shard.
-type memberError struct {
-	Error   string `json:"error"`
-	Invalid bool   `json:"invalid,omitempty"`
+// appendMemberError appends the record of a member that failed, in place
+// of its shard: {"error": its message, "invalid": true for an unrunnable
+// spec, omitted otherwise}.
+func appendMemberError(b []byte, err error) []byte {
+	b = wire.AppendString(append(b, `{"error":`...), err.Error())
+	if errors.Is(err, sim.ErrInvalidSpec) {
+		b = append(b, `,"invalid":true`...)
+	}
+	return append(b, '}')
 }
 
 // HTTPBackend runs shards on a remote simd worker process.
@@ -132,34 +137,43 @@ func (b *HTTPBackend) post(ctx context.Context, send []sim.ShardSpec, cfgs []sim
 	}
 }
 
-// decodeAnswer reads a worker's 200 body against the specs it answers: one
-// outcome per spec — the shard asked for, or the member's own failure — or
-// the error of an answer that is not exactly that (wrong length, a record
-// that is neither, a shard answering another spec), which is the worker's
-// failure and never a member's.
+// decodeAnswer reads a worker's 200 body against the specs it answers, in
+// one pass of the record scanner: one outcome per spec — the shard asked
+// for, or the member's own failure — or the error of an answer that is not
+// exactly that (wrong length, a record that is neither, a shard answering
+// another spec), which is the worker's failure and never a member's.
 func decodeAnswer(data []byte, specs []sim.ShardSpec, cfgs []sim.ObserverConfig) ([]sim.Outcome, error) {
-	var recs []json.RawMessage
-	if err := wire.StrictUnmarshal(data, &recs); err != nil {
-		return nil, fmt.Errorf("decoding answer: %w", err)
-	}
-	if len(recs) != len(specs) {
-		return nil, fmt.Errorf("answered %d records for %d shards", len(recs), len(specs))
-	}
-	out := make([]sim.Outcome, len(recs))
-	for k, rec := range recs {
-		sh, err := sim.DecodeShard(rec, specs[k], cfgs[k])
-		if err == nil {
-			out[k].Shard = sh
+	sc := wire.NewScanner(data)
+	out := make([]sim.Outcome, len(specs))
+	k := 0
+	for sc.Open('['); sc.More() && k < len(specs); k++ {
+		// A member's failure in place of its shard: {"error", "invalid"}.
+		if rec := *sc; rec.Open('{').Field("error") {
+			*sc = rec
+			msg := sc.String()
+			invalid := sc.Field("invalid") && sc.Bool()
+			if sc.Close('}'); msg == "" {
+				sc.Fail(errors.New("a member error without a message"))
+			}
+			if out[k].Err = errors.New(msg); invalid {
+				out[k].Err = fmt.Errorf("%w: worker rejected shard: %s", sim.ErrInvalidSpec, msg)
+			}
 			continue
 		}
-		var me memberError
-		if wire.StrictUnmarshal(rec, &me) != nil || me.Error == "" {
+		var err error
+		if out[k].Shard, err = sim.ScanShard(sc, specs[k], cfgs[k]); err != nil {
 			return nil, err
 		}
-		out[k].Err = errors.New(me.Error)
-		if me.Invalid {
-			out[k].Err = fmt.Errorf("%w: worker rejected shard: %s", sim.ErrInvalidSpec, me.Error)
-		}
+	}
+	switch {
+	case sc.Err() != nil:
+	case k < len(specs):
+		return nil, fmt.Errorf("answered %d records for %d shards", k, len(specs))
+	case sc.More():
+		return nil, fmt.Errorf("answered more than %d records for %d shards", k, len(specs))
+	}
+	if err := sc.Close(']').End(); err != nil {
+		return nil, fmt.Errorf("decoding answer: %w", err)
 	}
 	return out, nil
 }
@@ -220,19 +234,29 @@ func WorkerHandler(sess *sim.Session, maxInsts int64) http.Handler {
 			wire.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
-		recs := make([][]byte, len(out))
+		// The answer is appended into one buffer, record after record.
+		ans := append(make([]byte, 0, 512*len(out)), '[')
 		for i := range out {
+			if i > 0 {
+				ans = append(ans, ',')
+			}
 			err := out[i].Err
 			if err == nil {
-				recs[i], err = sim.EncodeShard(out[i].Shard)
+				var rec []byte
+				if rec, err = sim.AppendShard(ans, out[i].Shard); err == nil {
+					ans = rec
+				}
 			}
 			if err != nil {
-				// A string and a bool cannot fail to marshal.
-				recs[i], _ = json.Marshal(memberError{Error: err.Error(), Invalid: errors.Is(err, sim.ErrInvalidSpec)})
+				ans = appendMemberError(ans, err)
 			}
 		}
+		ans = append(ans, ']')
+		// The announced length lets the front door read the answer into one
+		// buffer of its size (see wire.Do).
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(append(append([]byte{'['}, bytes.Join(recs, []byte{','})...), ']'))
+		w.Header().Set("Content-Length", strconv.Itoa(len(ans)))
+		_, _ = w.Write(ans)
 	})
 	// Serve the liveness endpoint here too, so every mounted worker —
 	// including in-process test workers — answers revival probes.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"rebalance/internal/program"
 	"rebalance/internal/trace"
 	"rebalance/internal/trace/replay"
 	"rebalance/internal/workload/synth"
@@ -217,31 +218,33 @@ func (s *Session) runRemote(ctx context.Context, cells []gridCell, miss []int, o
 // computes — pooled grid cells and worker-protocol members alike — is a
 // member of a group that shares one trace coordinate, and runs here, once
 // runGrid has left it to be computed. The coordinate's stream is opened
-// once (see stream) and fed, in a single pass, to every member's fresh
-// observers — lane consumers behind one feed, the plain bpred members
-// sharing a simulator (see groupObservers). Shards are therefore
+// once (see stream) and fed, in a single pass, to every member's power-on
+// observers (see unitState), on a state the session kept from an earlier
+// unit of the same members where it has one. Shards are therefore
 // order-independent and the grid is deterministic up to timing fields. Each
 // member's outcome lands at its grid index in out.
 func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridCell, group []int, out []Outcome) {
 	cfgs := make([]ObserverConfig, len(group))
+	keys := make([]string, len(group))
 	for k, i := range group {
-		cfgs[k] = cells[i].cfg
+		cfgs[k], keys[k] = cells[i].cfg, cells[i].cfg.Key()
 	}
-	feed, finish := groupObservers(cfgs, c.Program())
+	u := s.takeState(cfgs, keys, c.Program())
+	defer s.keepState(u)
 	// The pass is shared, so every shard of the group reports the same
 	// instruction count and elapsed time: the one walk that fed them all.
-	insts, elapsed, err := s.stream(ctx, c, &cells[group[0]].spec, feed)
+	insts, elapsed, err := s.stream(ctx, &u.exec, c, &cells[group[0]].spec, u.feed)
 	for k, i := range group {
 		cell := &cells[i]
 		var sh Shard
 		perr := err
 		if perr == nil {
 			var res Result
-			if res, perr = finish[k](); perr == nil {
+			if res, perr = u.finish[k](); perr == nil {
 				sh = Shard{
 					Workload:  cell.spec.Workload,
 					Seed:      cell.spec.Seed,
-					Observer:  cell.cfg.Key(),
+					Observer:  keys[k],
 					Insts:     insts,
 					ElapsedNS: elapsed.Nanoseconds(),
 					Result:    res,
@@ -250,6 +253,33 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridC
 		}
 		out[i] = Outcome{Shard: sh, Attempts: 1, Err: perr}
 	}
+}
+
+// takeState returns a unit's state: a kept one with the unit's member keys,
+// reset for it, or else a new one.
+func (s *Session) takeState(cfgs []ObserverConfig, keys []string, p *program.Program) *unitState {
+	s.statesMu.Lock()
+	for i, u := range s.states {
+		if slices.Equal(u.keys, keys) {
+			s.states = slices.Delete(s.states, i, i+1)
+			s.statesMu.Unlock()
+			u.reset(cfgs, p)
+			return u
+		}
+	}
+	s.statesMu.Unlock()
+	return newUnitState(cfgs, keys, p)
+}
+
+// keepState keeps a unit's state for a later unit, dropping the one kept
+// longest when the session already keeps one per worker slot.
+func (s *Session) keepState(u *unitState) {
+	s.statesMu.Lock()
+	defer s.statesMu.Unlock()
+	if len(s.states) == s.workers {
+		s.states = slices.Delete(s.states, 0, 1)
+	}
+	s.states = append(s.states, u)
 }
 
 // stream is the seam every computed shard's instructions come through: it
@@ -262,10 +292,10 @@ func (s *Session) runGroup(ctx context.Context, c *trace.Compiled, cells []gridC
 // streams are deterministic per coordinate, observer results do not depend
 // on where lanes and runs are cut, and replay preserves phase boundaries.
 // elapsed covers the observed pass only, not a trace fetch.
-func (s *Session) stream(ctx context.Context, c *trace.Compiled, spec *ShardSpec, obs trace.Observer) (insts int64, elapsed time.Duration, err error) {
+func (s *Session) stream(ctx context.Context, e *trace.Executor, c *trace.Compiled, spec *ShardSpec, obs trace.Observer) (insts int64, elapsed time.Duration, err error) {
 	if s.traces == nil {
 		start := time.Now() //repolint:allow nodeterminism shard elapsed_ns timing field, excluded from goldens
-		insts, err = generate(ctx, c, spec, obs)
+		insts, err = generate(ctx, e, c, spec, obs)
 		return insts, time.Since(start), err //repolint:allow nodeterminism shard elapsed_ns timing field, excluded from goldens
 	}
 	tr, _, err := s.traces.Do(ctx, traceKey(spec.Workload, spec.Synth, spec.Seed, spec.Insts), func() (*replay.Trace, error) {
@@ -273,7 +303,7 @@ func (s *Session) stream(ctx context.Context, c *trace.Compiled, spec *ShardSpec
 		// every emitted lane in program order.
 		rec := replay.NewRecorder()
 		rec.Reserve(int(spec.Insts))
-		if _, err := generate(ctx, c, spec, rec); err != nil {
+		if _, err := generate(ctx, e, c, spec, rec); err != nil {
 			return nil, err
 		}
 		return rec.Trace(), nil
@@ -286,11 +316,11 @@ func (s *Session) stream(ctx context.Context, c *trace.Compiled, spec *ShardSpec
 	return int64(tr.Len()), time.Since(start), err //repolint:allow nodeterminism shard elapsed_ns timing field, excluded from goldens
 }
 
-// generate runs one live generation pass for the spec's coordinate, with
-// a fresh compiled executor, and returns the instructions emitted. The
-// context is polled at region granularity.
-func generate(ctx context.Context, c *trace.Compiled, spec *ShardSpec, obs trace.Observer) (int64, error) {
-	e := trace.NewCompiledExecutor(c, spec.Seed)
+// generate runs one live generation pass for the spec's coordinate on e,
+// reset for it as a fresh compiled executor, and returns the instructions
+// emitted. The context is polled at region granularity.
+func generate(ctx context.Context, e *trace.Executor, c *trace.Compiled, spec *ShardSpec, obs trace.Observer) (int64, error) {
+	e.Reset(c, spec.Seed)
 	e.SetContext(ctx)
 	e.Attach(obs)
 	err := e.Run(spec.Insts)

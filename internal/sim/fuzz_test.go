@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"rebalance/internal/wire"
@@ -137,18 +138,10 @@ func FuzzDecodeShardResult(f *testing.F) {
 	})
 }
 
-// FuzzDecodeShard holds the one-pass DecodeShard to decodeShardTwoLevel,
-// the decode it replaced, over whole shard records for every configuration
-// fuzzConfigs names (the seeds are one real record of each): both accept
-// the same records and decode them to the same shard; a record whose result
-// is absent or null is refused; and an accepted record re-encodes to a
-// fixed point. A record naming a configuration is decoded as that one only
-// — any other fails both decodes' identity check. The one divergence
-// allowed is a record that names its result twice: encoding/json fills the
-// one-pass target with each copy in turn, where the oracle keeps only the
-// last raw copy — no writer produces such a record, and both decodes still
-// hold the other three properties on it.
-func FuzzDecodeShard(f *testing.F) {
+// shardCorpus seeds f with whole shard records for every configuration
+// fuzzConfigs names — one real record of each, and a few a writer never
+// makes — and returns the configurations, by key too.
+func shardCorpus(f *testing.F) ([]ObserverConfig, map[string]ObserverConfig) {
 	configs := fuzzConfigs(f)
 	byKey := map[string]ObserverConfig{}
 	var specs []ObserverSpec
@@ -172,6 +165,21 @@ func FuzzDecodeShard(f *testing.F) {
 		f.Add([]byte(head+tail), "comd-lite", uint64(1), int64(5))
 	}
 	f.Add([]byte(`{"error":"boom","invalid":true}`), "", uint64(0), int64(0))
+	return configs, byKey
+}
+
+// FuzzDecodeShard holds the one-pass DecodeShard to decodeShardTwoLevel —
+// the record strict-decoded with its result left raw, then the result read
+// alone — over shardCorpus's records for every configuration: what the
+// one-pass decode accepts, the two-level one accepts and decodes to the
+// same shard (the scanner accepts less than encoding/json, so the converse
+// does not hold); a record whose result is absent or null is refused; and
+// an accepted record re-encodes to a fixed point. A record naming a
+// configuration is decoded as that one only — any other fails both
+// decodes' identity check. A record that names its result twice is held
+// to the other properties only.
+func FuzzDecodeShard(f *testing.F) {
+	configs, byKey := shardCorpus(f)
 
 	f.Fuzz(func(t *testing.T, data []byte, workload string, seed uint64, insts int64) {
 		spec := ShardSpec{Workload: workload, Seed: seed, Insts: insts}
@@ -189,8 +197,8 @@ func FuzzDecodeShard(f *testing.F) {
 			if err == nil && absent {
 				t.Fatalf("%s: record without a result accepted", cfg.Key())
 			}
-			if !twice && (err == nil) != (werr == nil) {
-				t.Fatalf("%s: one-pass error %v, two-level error %v", cfg.Key(), err, werr)
+			if !twice && err == nil && werr != nil {
+				t.Fatalf("%s: one-pass accepted a record the two-level decode refuses: %v", cfg.Key(), werr)
 			}
 			if err != nil {
 				continue
@@ -211,6 +219,40 @@ func FuzzDecodeShard(f *testing.F) {
 			if enc2, _ := EncodeShard(again); string(enc2) != string(enc) {
 				t.Fatalf("%s: decode/encode not a fixed point:\nfirst:  %s\nsecond: %s", cfg.Key(), enc, enc2)
 			}
+		}
+	})
+}
+
+// FuzzDecodeRecord holds the record scanner to the strict decode it
+// replaced — StrictUnmarshal of the whole record, its result typed by its
+// kind's old wire struct (oracleDecodeRecord) — over shardCorpus's records:
+// whatever DecodeShard accepts, the oracle accepts with the same shard, and
+// what the appenders write of it is accepted again, to the same shard.
+func FuzzDecodeRecord(f *testing.F) {
+	_, byKey := shardCorpus(f)
+	f.Fuzz(func(t *testing.T, data []byte, workload string, seed uint64, insts int64) {
+		// Only the configuration the record names can accept it: any other
+		// fails the identity check, and a record whose envelope does not
+		// scan is refused by all.
+		sc := wire.NewScanner(data)
+		cfg := byKey[scanEnvelope(sc).Observer]
+		if sc.Err() != nil || cfg == nil {
+			return
+		}
+		spec := ShardSpec{Workload: workload, Seed: seed, Insts: insts}
+		got, err := DecodeShard(data, spec, cfg)
+		if err != nil {
+			return
+		}
+		if want, err := oracleDecodeRecord(t, data, cfg); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: scanned %+v, StrictUnmarshal %+v (err %v)\nrecord: %s", cfg.Key(), got, want, err, data)
+		}
+		enc, err := EncodeShard(got)
+		if err != nil {
+			t.Fatalf("%s: accepted record fails to re-encode: %v", cfg.Key(), err)
+		}
+		if again, err := DecodeShard(enc, spec, cfg); err != nil || !reflect.DeepEqual(again, got) {
+			t.Fatalf("%s: appended record %s decodes to %+v (err %v), want %+v", cfg.Key(), enc, again, err, got)
 		}
 	})
 }

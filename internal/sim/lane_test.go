@@ -362,11 +362,12 @@ func TestGroupScansOncePerBatch(t *testing.T) {
 		name string
 		sess *Session
 	}{{"storeless", alone}, {"store-cold", replaying}, {"store-warm", replaying}} {
-		feed, finish := groupObservers(cfgs, c.Program())
+		u := newUnitState(cfgs, nil, c.Program())
+		feed, finish := u.feed, u.finish
 		if len(finish) != len(cfgs) {
 			t.Fatalf("%d results for %d members", len(finish), len(cfgs))
 		}
-		insts, _, err := pass.sess.stream(ctx, c, &spec, lanesOnly{t, feed})
+		insts, _, err := pass.sess.stream(ctx, &u.exec, c, &spec, lanesOnly{t, feed})
 		if err != nil || insts < spec.Insts {
 			t.Fatalf("%s: streamed %d instructions, err %v", pass.name, insts, err)
 		}

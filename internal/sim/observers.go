@@ -13,6 +13,7 @@ import (
 	"rebalance/internal/icache"
 	"rebalance/internal/program"
 	"rebalance/internal/trace"
+	"rebalance/internal/wire"
 )
 
 // The analysis collectors' factories: each kind is one configuration
@@ -21,19 +22,19 @@ var (
 	branchMixFactory = analysisFactory("branch-mix", func(*program.Program) ShardObserver {
 		mix := analysis.NewBranchMix()
 		return newLaneShard(mix, func() Result { return mix.Result() })
-	}, func() Result { return &analysis.MixResult{} }, analysis.NewMixTarget)
+	}, func() Result { return &analysis.MixResult{} }, analysis.ScanMix)
 	biasFactory = analysisFactory("bias", func(*program.Program) ShardObserver {
 		bias := analysis.NewBias()
 		return newLaneShard(bias, func() Result { return bias.Result() })
-	}, func() Result { return &analysis.BiasResult{} }, analysis.NewBiasTarget)
+	}, func() Result { return &analysis.BiasResult{} }, analysis.ScanBias)
 	footprintFactory = analysisFactory("footprint", func(p *program.Program) ShardObserver {
 		fp := analysis.NewFootprint()
 		return newLaneShard(fp, func() Result { return fp.Result(p.TextSize) })
-	}, func() Result { return &analysis.FootprintResult{} }, analysis.NewFootprintTarget)
+	}, func() Result { return &analysis.FootprintResult{} }, analysis.ScanFootprint)
 	bblFactory = analysisFactory("bbl", func(*program.Program) ShardObserver {
 		bbl := analysis.NewBBL()
 		return newLaneShard(bbl, func() Result { return bbl.Result() })
-	}, func() Result { return &analysis.BBLResult{} }, analysis.NewBBLTarget)
+	}, func() Result { return &analysis.BBLResult{} }, analysis.ScanBBL)
 )
 
 // laneShard is a lane consumer's lone ShardObserver — what RunShard and
@@ -42,50 +43,93 @@ var (
 type laneShard struct {
 	*trace.Feed
 	result func() Result
+	reset  func() // the consumer's power-on reset, nil if it has none
 }
 
 func newLaneShard(c trace.LaneConsumer, result func() Result) laneShard {
-	return laneShard{trace.NewFeed(c), result}
+	s := laneShard{Feed: trace.NewFeed(c), result: result}
+	if r, ok := c.(interface{ Reset() }); ok {
+		s.reset = r.Reset
+	}
+	return s
 }
 
 func (s laneShard) Finish() (Result, error) { return s.result(), nil }
 
-// groupObservers builds the fresh power-on observers of one group's pending
-// members, cfgs[k] being member k's configuration: feed is what the
-// coordinate's stream is delivered to — one lane consumer, so nothing is
-// scanned or expanded on the way — and finish[k] takes member k's result
-// once the pass is over.
-// The plain bpred members share one multi-predictor bpred.Sim — the paper's
-// several-configurations-one-pintool shape — which compacts the lane's
-// conditional branches once and walks each distinct component (base
-// predictor, the one loop table) once. Lane consumers share no state with one
-// another, and a predictor component's state is a function of its geometry
-// and the branch sequence alone, so the one walked for several members is
-// the one each would have walked alone: a member's result is bit-identical
-// to a lone NewObserver's; the shards stay separate results under separate
-// keys.
-func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed *trace.Feed, finish []func() (Result, error)) {
-	finish = make([]func() (Result, error), len(cfgs))
-	var lanes []trace.LaneConsumer
-	var names []string // the plain bpred members, and where each sits in cfgs
-	var at []int
+// unitState is one unit's simulator state: the executor that produces its
+// coordinate's stream, and its members' power-on observers behind the one
+// feed the stream is delivered to — lane consumers, so nothing is scanned
+// or expanded on the way — with finish[k] taking member k's result once the
+// pass is over. The plain bpred members share one multi-predictor bpred.Sim
+// — the paper's several-configurations-one-pintool shape — which compacts
+// the lane's conditional branches once and walks each distinct component
+// (base predictor, the one loop table) once. Lane consumers share no state
+// with one another, and a predictor component's state is a function of its
+// geometry and the branch sequence alone, so the one walked for several
+// members is the one each would have walked alone: a member's result is
+// bit-identical to a lone NewObserver's; the shards stay separate results
+// under separate keys.
+//
+// A session keeps at most one state per worker slot between units
+// (takeState, keepState). A unit whose members have a kept state's keys
+// resets it in place — the executor's lane and per-site slices, the
+// predictor tables, the BTB and I-cache ways — to exactly the fresh state,
+// instead of allocating it again. Every result is a copy of its observer's
+// counters, so a result handed out is never touched by a later unit.
+type unitState struct {
+	keys   []string // the members' configuration keys, in unit order
+	exec   trace.Executor
+	feed   *trace.Feed
+	finish []func() (Result, error)
+	// lanes are feed's consumers (NewFeed keeps this very slice): the
+	// members' own observers, in member order, then the bpred simulator.
+	lanes []trace.LaneConsumer
+	obs   []ShardObserver // member k's own observer, nil for a plain bpred member
+	sim   *bpred.Sim      // the plain bpred members', nil if there are none
+}
+
+func newUnitState(cfgs []ObserverConfig, keys []string, p *program.Program) *unitState {
+	u := &unitState{keys: keys, finish: make([]func() (Result, error), len(cfgs)), obs: make([]ShardObserver, len(cfgs))}
+	var names []string // the plain bpred members, in order
 	for k, cfg := range cfgs {
 		if c, ok := cfg.(bpredCfg); ok {
-			names, at = append(names, c.name), append(at, k)
+			i := len(names)
+			names = append(names, c.name)
+			u.finish[k] = func() (Result, error) { return &u.sim.Results()[i], nil }
 			continue
 		}
-		obs := cfg.NewObserver(p)
-		finish[k] = obs.Finish
-		lanes = append(lanes, obs)
+		u.obs[k] = cfg.NewObserver(p)
+		u.finish[k] = func() (Result, error) { return u.obs[k].Finish() }
+		u.lanes = append(u.lanes, u.obs[k])
 	}
 	if len(names) > 0 {
-		sim := bpredSim(names...)
-		lanes = append(lanes, sim)
-		for i, k := range at {
-			finish[k] = func() (Result, error) { return &sim.Results()[i], nil }
-		}
+		u.sim = bpredSim(names...)
+		u.lanes = append(u.lanes, u.sim)
 	}
-	return trace.NewFeed(lanes...), finish
+	u.feed = trace.NewFeed(u.lanes...)
+	return u
+}
+
+// reset restores a kept state to power-on for a unit with its member keys
+// over p, cfgs being that unit's configurations: a member whose consumer
+// has a reset is reset in place, any other is made afresh.
+func (u *unitState) reset(cfgs []ObserverConfig, p *program.Program) {
+	l := 0
+	for k, o := range u.obs {
+		if o == nil {
+			continue
+		}
+		if ls, ok := o.(laneShard); ok && ls.reset != nil {
+			ls.reset()
+		} else {
+			u.obs[k] = cfgs[k].NewObserver(p)
+			u.lanes[l] = u.obs[k]
+		}
+		l++
+	}
+	if u.sim != nil {
+		u.sim.Reset()
+	}
 }
 
 // --- bpred ---
@@ -93,7 +137,7 @@ func groupObservers(cfgs []ObserverConfig, p *program.Program) (feed *trace.Feed
 // bpredOptions selects predictor configurations by name, each at most
 // once. Grouped chooses the report shape, not whether predictors share a
 // pass — the executor shares one among a coordinate's plain configurations
-// on its own (see groupObservers). With Grouped false (default) every
+// on its own (see unitState). With Grouped false (default) every
 // configuration is its own shard: separately keyed, cached, dispatched and
 // reported, the sweep-grid shape rebalance-bench uses. With Grouped true
 // the configurations are one shard whose result is the array of theirs
@@ -168,14 +212,14 @@ func (c bpredCfg) Spec() ObserverSpec { return bpredSpec([]string{c.name}, false
 // is missed and recomputed, never served in place of another.
 func bpredSpec(names []string, grouped bool) ObserverSpec {
 	b, _ := appendAll(append(make([]byte, 0, 64), `{"configs":`...), names, func(name string, b []byte) ([]byte, error) {
-		return appendString(b, name), nil
+		return wire.AppendString(b, name), nil
 	})
 	b = strconv.AppendBool(append(b, `,"grouped":`...), grouped)
 	return ObserverSpec{Kind: "bpred", Options: append(b, `,"parallel":false}`...)}
 }
 
-func (c bpredCfg) DecodeTarget() (any, func() (Result, error)) {
-	return target(bpred.NewTarget, func(r *bpred.Result) error {
+func (c bpredCfg) ScanResult(sc *wire.Scanner) (Result, error) {
+	return scanned(sc, bpred.ScanResult, func(r *bpred.Result) error {
 		if r.Name != c.name {
 			return fmt.Errorf("sim: decoded bpred result for %q, want %q", r.Name, c.name)
 		}
@@ -211,29 +255,20 @@ func (c bpredGroupCfg) NewResult() Result {
 
 func (c bpredGroupCfg) Spec() ObserverSpec { return bpredSpec(c.names, true) }
 
-// DecodeTarget decodes the grouped artifact: a JSON array with one bpred
-// result per configured predictor, in configuration order, each member
-// parsed in place through its own configuration's target.
-func (c bpredGroupCfg) DecodeTarget() (any, func() (Result, error)) {
-	ptrs := make([]any, len(c.names))
-	builds := make([]func() (Result, error), len(c.names))
+// ScanResult reads the grouped artifact: a JSON array with one bpred result
+// per configured predictor, in configuration order, each read in place
+// through its own configuration's.
+func (c bpredGroupCfg) ScanResult(sc *wire.Scanner) (Result, error) {
+	out := &GroupResult{Results: make([]Result, len(c.names))}
+	sc.Open('[')
 	for i, name := range c.names {
-		ptrs[i], builds[i] = bpredCfg{name: name}.DecodeTarget()
-	}
-	return &ptrs, func() (Result, error) {
-		if len(ptrs) != len(builds) {
-			return nil, fmt.Errorf("sim: bpred group result has %d members, want %d", len(ptrs), len(builds))
+		r, err := bpredCfg{name: name}.ScanResult(sc)
+		if err != nil {
+			return nil, fmt.Errorf("sim: bpred group member %d: %w", i, err)
 		}
-		out := &GroupResult{Results: make([]Result, len(builds))}
-		for i, build := range builds {
-			r, err := build()
-			if err != nil {
-				return nil, fmt.Errorf("sim: bpred group member %d: %w", i, err)
-			}
-			out.Results[i] = r
-		}
-		return out, nil
+		out.Results[i] = r
 	}
+	return wire.Scanned[Result](sc.Close(']'), out)
 }
 
 // --- btb ---
@@ -286,8 +321,8 @@ func (c btbCfg) Spec() ObserverSpec {
 	return ObserverSpec{Kind: "btb", Options: fmt.Appendf(nil, `{"geometries":[{"entries":%d,"ways":%d}]}`, c.g.Entries, c.g.Ways)}
 }
 
-func (c btbCfg) DecodeTarget() (any, func() (Result, error)) {
-	return target(btb.NewTarget, func(r *btb.Result) error {
+func (c btbCfg) ScanResult(sc *wire.Scanner) (Result, error) {
+	return scanned(sc, btb.ScanResult, func(r *btb.Result) error {
 		if r.Entries != c.g.Entries || r.Ways != c.g.Ways {
 			return fmt.Errorf("sim: decoded btb result for %dx%d, want %dx%d", r.Entries, r.Ways, c.g.Entries, c.g.Ways)
 		}
@@ -355,8 +390,8 @@ func (c icacheCfg) Spec() ObserverSpec {
 		c.g.SizeKB, c.g.LineBytes, c.g.Ways)}
 }
 
-func (c icacheCfg) DecodeTarget() (any, func() (Result, error)) {
-	return target(icache.NewTarget, func(r *icache.Result) error {
+func (c icacheCfg) ScanResult(sc *wire.Scanner) (Result, error) {
+	return scanned(sc, icache.ScanResult, func(r *icache.Result) error {
 		if r.SizeBytes != c.g.SizeKB*1024 || r.LineBytes != c.g.LineBytes || r.Ways != c.g.Ways {
 			return fmt.Errorf("sim: decoded icache result for %s, want %s", r.Name, c.Key())
 		}
@@ -368,25 +403,25 @@ func (c icacheCfg) DecodeTarget() (any, func() (Result, error)) {
 
 // analysisFactory wraps a single-configuration analysis collector; the
 // collectors take no options, so any options payload is rejected.
-func analysisFactory[R Result](key string, newObs func(*program.Program) ShardObserver, newRes func() Result, newTarget func() (any, func() (R, error))) observerFactory {
+func analysisFactory[R Result](key string, newObs func(*program.Program) ShardObserver, newRes func() Result, scan func(*wire.Scanner) (R, error)) observerFactory {
 	return func(opts json.RawMessage) ([]ObserverConfig, error) {
 		if err := strictDecode(opts, &struct{}{}); err != nil {
 			return nil, err
 		}
 		return []ObserverConfig{analysisCfg{key: key, newObs: newObs, newRes: newRes,
-			newTarget: func() (any, func() (Result, error)) { return target(newTarget, nil) }}}, nil
+			scan: func(sc *wire.Scanner) (Result, error) { return scanned(sc, scan, nil) }}}, nil
 	}
 }
 
 type analysisCfg struct {
-	key       string
-	newObs    func(*program.Program) ShardObserver
-	newRes    func() Result
-	newTarget func() (any, func() (Result, error))
+	key    string
+	newObs func(*program.Program) ShardObserver
+	newRes func() Result
+	scan   func(*wire.Scanner) (Result, error)
 }
 
 func (c analysisCfg) Key() string                                  { return c.key }
 func (c analysisCfg) NewObserver(p *program.Program) ShardObserver { return c.newObs(p) }
 func (c analysisCfg) NewResult() Result                            { return c.newRes() }
 func (c analysisCfg) Spec() ObserverSpec                           { return ObserverSpec{Kind: c.key} }
-func (c analysisCfg) DecodeTarget() (any, func() (Result, error))  { return c.newTarget() }
+func (c analysisCfg) ScanResult(sc *wire.Scanner) (Result, error)  { return c.scan(sc) }

@@ -279,7 +279,7 @@ func registerFailFinish(t *testing.T) {
 	}{{"fail-finish", analysisFactory("fail-finish", func(*program.Program) ShardObserver {
 		bbl := analysis.NewBBL()
 		return failFinishShard{newLaneShard(bbl, func() Result { return bbl.Result() })}
-	}, func() Result { return &analysis.BBLResult{} }, analysis.NewBBLTarget)}}
+	}, func() Result { return &analysis.BBLResult{} }, analysis.ScanBBL)}}
 }
 
 // TestLocalFailurePolicy drives the session's one failure policy over the

@@ -83,7 +83,7 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 	// oracle's recording of the same coordinate, driven directly — the
 	// tree-walk engine is no request option. The two must be byte-identical.
 	compiled, reference := replay.NewRecorder(), replay.NewRecorder()
-	if _, err := generate(ctx, c, &ShardSpec{Seed: seed, Insts: insts}, compiled); err != nil {
+	if _, err := generate(ctx, new(trace.Executor), c, &ShardSpec{Seed: seed, Insts: insts}, compiled); err != nil {
 		t.Fatal(err)
 	}
 	oracle := trace.NewExecutor(c.Program(), seed)

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"strconv"
-	"unicode/utf8"
+
+	"rebalance/internal/wire"
 )
 
 // SchemaV1 is the versioned report schema identifier. Any
@@ -157,7 +158,7 @@ func (r Report) MarshalJSON() ([]byte, error) {
 	}
 	// A record of the built-in kinds is about half a KiB; a footprint or
 	// bias record is larger and the buffer grows.
-	b := appendString(append(make([]byte, 0, 512*(len(r.Shards)+len(r.Merged)+1)), `{"schema":`...), r.Schema)
+	b := wire.AppendString(append(make([]byte, 0, 512*(len(r.Shards)+len(r.Merged)+1)), `{"schema":`...), r.Schema)
 	b = append(append(b, `,"spec":`...), spec...)
 	b = strconv.AppendInt(append(b, `,"workers":`...), int64(r.Workers), 10)
 	if b, err = appendAll(append(b, `,"shards":`...), r.Shards, Shard.appendJSON); err != nil {
@@ -183,9 +184,9 @@ func (r Report) MarshalJSON() ([]byte, error) {
 // wire order, and the result's EncodeJSON artifact as it is — copied from
 // the cache record's encoding while Result is still the result it encodes.
 func (sh Shard) appendJSON(b []byte) ([]byte, error) {
-	b = appendString(append(b, `{"workload":`...), sh.Workload)
+	b = wire.AppendString(append(b, `{"workload":`...), sh.Workload)
 	b = strconv.AppendUint(append(b, `,"seed":`...), sh.Seed, 10)
-	b = appendString(append(b, `,"observer":`...), sh.Observer)
+	b = wire.AppendString(append(b, `,"observer":`...), sh.Observer)
 	b = strconv.AppendInt(append(b, `,"insts":`...), sh.Insts, 10)
 	b = strconv.AppendInt(append(b, `,"elapsed_ns":`...), sh.ElapsedNS, 10)
 	if sh.Cached {
@@ -199,8 +200,8 @@ func (sh Shard) appendJSON(b []byte) ([]byte, error) {
 
 // appendJSON appends the merged entry's wire record to b, as Shard's.
 func (m Merged) appendJSON(b []byte) ([]byte, error) {
-	b = appendString(append(b, `{"workload":`...), m.Workload)
-	b = appendString(append(b, `,"observer":`...), m.Observer)
+	b = wire.AppendString(append(b, `{"workload":`...), m.Workload)
+	b = wire.AppendString(append(b, `,"observer":`...), m.Observer)
 	b = strconv.AppendInt(append(b, `,"seeds":`...), int64(m.Seeds), 10)
 	return appendResult(append(b, `,"result":`...), m.Result)
 }
@@ -210,11 +211,11 @@ func appendResult(b []byte, r Result) ([]byte, error) {
 	if r == nil {
 		return append(b, "null}"...), nil
 	}
-	enc, err := r.EncodeJSON()
+	b, err := appendArtifact(b, r)
 	if err != nil {
 		return nil, fmt.Errorf("sim: encoding %T: %w", r, err)
 	}
-	return append(append(b, enc...), '}'), nil
+	return append(b, '}'), nil
 }
 
 // appendAll appends xs as a JSON array through appendOne — null for a nil
@@ -234,40 +235,4 @@ func appendAll[T any](b []byte, xs []T, appendOne func(T, []byte) ([]byte, error
 		}
 	}
 	return append(b, ']'), nil
-}
-
-// appendString appends s as a JSON string escaped exactly as encoding/json
-// escapes it: a name of plain printable ASCII — every built-in name and
-// every name the grid produces — is copied between quotes, and anything else
-// (quotes, backslashes, control characters, <, >, &, non-ASCII, invalid
-// UTF-8; synth scenario names are user input) is json.Marshal's to write.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, _ := json.Marshal(s) // a string always marshals
-			return append(b, enc...)
-		}
-	}
-	return append(append(append(b, '"'), s...), '"')
-}
-
-// shardRecord is a shard's wire record as it decodes. DecodeShard holds its
-// configuration's decode target in Result (R = any), so the envelope and the
-// typed result parse in one pass. A report's records name their own
-// configuration, so DecodeReport reads each result raw (R =
-// json.RawMessage) until the record's observer key says which target
-// decodes it.
-type shardRecord[R any] struct {
-	Workload  string `json:"workload"`
-	Seed      uint64 `json:"seed"`
-	Observer  string `json:"observer"`
-	Insts     int64  `json:"insts"`
-	ElapsedNS int64  `json:"elapsed_ns"`
-	Cached    bool   `json:"cached,omitempty"`
-	Result    R      `json:"result"`
-}
-
-// shard is the record as a Shard, res being its decoded result.
-func (w *shardRecord[R]) shard(res Result) Shard {
-	return Shard{Workload: w.Workload, Seed: w.Seed, Observer: w.Observer, Insts: w.Insts, ElapsedNS: w.ElapsedNS, Cached: w.Cached, Result: res}
 }

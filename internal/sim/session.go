@@ -27,6 +27,11 @@ type Session struct {
 	cache   *shardcache.Cache
 	traces  *replay.Store
 
+	// states are the unit states kept between units, at most one per
+	// worker slot (see unitState).
+	statesMu sync.Mutex
+	states   []*unitState
+
 	mu       sync.Mutex
 	compiled map[string]*compileEntry
 	// synthKeys tracks the compiled map's synth entries in insertion
@@ -272,6 +277,7 @@ func gridCells(norm *Spec, configs []ObserverConfig, synthByName map[string]*syn
 				Insts:    norm.Insts,
 				Engine:   norm.Engine,
 				Observer: cfg.Spec(),
+				cfg:      cfg,
 			}
 			for _, seed := range norm.Seeds {
 				spec.Seed = seed

@@ -24,13 +24,23 @@ type ShardSpec struct {
 	Insts    int64         `json:"insts"`
 	Engine   string        `json:"engine,omitempty"`
 	Observer ObserverSpec  `json:"observer"`
+	// cfg is the configuration of a cell the session expanded from a
+	// validated Spec, carried so a runner need not expand it again; a spec
+	// off the wire has none. It is not data: neither JSON nor the cache key
+	// reads it.
+	cfg ObserverConfig
 }
 
 // Config validates the shard spec and expands its observer to the single
-// configuration it names. Every failure wraps ErrInvalidSpec.
+// configuration it names — at once for a grid cell a session expanded from
+// a validated Spec, which carries its configuration. Every failure wraps
+// ErrInvalidSpec.
 func (sp *ShardSpec) Config() (ObserverConfig, error) {
 	if sp == nil {
 		return nil, fmt.Errorf("%w: nil shard spec", ErrInvalidSpec)
+	}
+	if sp.cfg != nil {
+		return sp.cfg, nil
 	}
 	if _, err := checkWorkload(sp.Workload, sp.Synth); err != nil {
 		return nil, err
@@ -54,29 +64,52 @@ func (sp *ShardSpec) Config() (ObserverConfig, error) {
 // EncodeShard renders one shard as its wire record — a member of the
 // worker protocol's answer, identical to the shard entries of a sim/v1
 // report.
-func EncodeShard(sh Shard) ([]byte, error) { return sh.MarshalJSON() }
+func EncodeShard(sh Shard) ([]byte, error) { return sh.appendJSON(make([]byte, 0, 512)) }
+
+// AppendShard appends the shard's wire record to b, as EncodeShard writes
+// it.
+func AppendShard(b []byte, sh Shard) ([]byte, error) { return sh.appendJSON(b) }
 
 // DecodeShard parses a shard wire record produced by EncodeShard (possibly
 // on another machine) in one pass: the record's result field holds cfg's
-// decode target — cfg being the configuration the shard was dispatched
-// for — so the envelope and the typed result are read together. The
-// record's identity fields must match the expectation: a worker echoing the
-// wrong shard is a protocol violation, not data.
+// artifact — cfg being the configuration the shard was dispatched for — so
+// the envelope and the typed result are read together. The record's
+// identity fields must match the expectation: a worker echoing the wrong
+// shard is a protocol violation, not data.
 func DecodeShard(data []byte, spec ShardSpec, cfg ObserverConfig) (Shard, error) {
-	ptr, build := cfg.DecodeTarget()
-	w := shardRecord[any]{Result: ptr}
-	if err := wire.StrictUnmarshal(data, &w); err != nil {
-		return Shard{}, fmt.Errorf("sim: decoding shard: %w", err)
+	sc := wire.NewScanner(data)
+	sh, err := ScanShard(sc, spec, cfg)
+	if err == nil && sc.End() != nil {
+		err = fmt.Errorf("sim: decoding shard: %w", sc.Err())
 	}
-	sh := w.shard(nil)
+	return sh, err
+}
+
+// ScanShard is DecodeShard for the record at sc's position, so a document
+// holding several (a worker's answer) is read in one pass.
+func ScanShard(sc *wire.Scanner, spec ShardSpec, cfg ObserverConfig) (Shard, error) {
+	sh := scanEnvelope(sc)
+	res, _ := cfg.ScanResult(sc) // a failure sticks in sc
+	if sc.Close('}'); sc.Err() != nil {
+		return Shard{}, fmt.Errorf("sim: decoding shard: %w", sc.Err())
+	}
+	sh.Result = res
 	if err := sh.matches(spec, cfg); err != nil {
 		return Shard{}, err
 	}
-	var err error
-	if sh.Result, err = build(); err != nil {
-		return Shard{}, fmt.Errorf("sim: decoding shard {%s %s seed %d} result: %w", w.Workload, w.Observer, w.Seed, err)
-	}
 	return sh, nil
+}
+
+// scanEnvelope reads a shard record's fields in wire order up to the
+// result's, which the caller reads through the record's configuration and
+// then closes the record.
+func scanEnvelope(sc *wire.Scanner) Shard {
+	sh := Shard{Workload: sc.Open('{').Key("workload").String(), Seed: sc.Key("seed").Uint()}
+	sh.Observer = sc.Key("observer").String()
+	sh.Insts, sh.ElapsedNS = sc.Key("insts").Int(), sc.Key("elapsed_ns").Int()
+	sh.Cached = sc.Field("cached") && sc.Bool()
+	sc.Key("result")
+	return sh
 }
 
 // Outcome is the one shape of a grid cell's fate: the completed shard, or

@@ -54,7 +54,7 @@ type ShardObserver interface {
 // ObserverConfig is one expanded observer configuration — one axis value of
 // the {workload x seed x observer-config} shard grid. A configuration is
 // both executable (NewObserver) and portable: Spec re-describes it as data
-// a remote worker re-expands, and DecodeTarget parses the result artifact
+// a remote worker re-expands, and ScanResult reads the result artifact
 // that worker sends back — together the two halves of the shard wire
 // contract the dispatch layer runs on.
 type ObserverConfig interface {
@@ -70,40 +70,34 @@ type ObserverConfig interface {
 	// (through observerKinds, on any process) to exactly this configuration —
 	// how a single shard of the grid is named on the wire.
 	Spec() ObserverSpec
-	// DecodeTarget returns a fresh decode target (see wire.Target) for one
-	// Result of this configuration's canonical JSON artifact — the bytes
-	// EncodeJSON produced, possibly on another machine. ptr is the result
-	// package's wire shape behind a pointer to a nil pointer: a record that
-	// holds it as the value of its `any` result field parses the envelope
-	// and the typed result in one pass. build, called once that decode is
-	// done, makes the Result and applies the configuration's identity
-	// checks; it fails when the record held no result (absent or null). The
-	// round trip must be exact: re-encoding the decoded result yields
-	// byte-identical JSON, and merging decoded results equals merging the
-	// in-process originals.
-	DecodeTarget() (ptr any, build func() (Result, error))
+	// ScanResult reads one Result of this configuration's canonical JSON
+	// artifact — the bytes EncodeJSON produced, possibly on another
+	// machine — at sc's position, in place inside the record around it, and
+	// applies the configuration's identity checks. The round trip must be
+	// exact: re-encoding the decoded result yields byte-identical JSON, and
+	// merging decoded results equals merging the in-process originals.
+	ScanResult(sc *wire.Scanner) (Result, error)
 }
 
-// target lifts a result package's typed decode target (its NewTarget) to a
-// DecodeTarget, check being the configuration's identity test on what it
-// builds.
-func target[R Result](newTarget func() (any, func() (R, error)), check func(R) error) (any, func() (Result, error)) {
-	ptr, build := newTarget()
-	return ptr, func() (Result, error) {
-		r, err := build()
-		if err == nil && check != nil {
-			err = check(r)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return r, nil
+// scanned lifts a result package's typed scan (its ScanResult) to a
+// configuration's, check being the configuration's identity test on what
+// it read.
+func scanned[R Result](sc *wire.Scanner, scan func(*wire.Scanner) (R, error), check func(R) error) (Result, error) {
+	r, err := scan(sc)
+	if err == nil && check != nil {
+		err = check(r)
 	}
+	if err != nil {
+		sc.Fail(err)
+		return nil, err
+	}
+	return r, nil
 }
 
-// decodeResult parses one result artifact on its own through cfg's target.
-func decodeResult(data []byte, cfg ObserverConfig) (Result, error) {
-	return wire.Decode(data, cfg.DecodeTarget)
+// appender is a Result that appends its artifact in place — every
+// built-in's — so a record is written into one buffer.
+type appender interface {
+	AppendJSON(b []byte) ([]byte, error)
 }
 
 // observerFactory expands one ObserverSpec's options into concrete
@@ -190,21 +184,31 @@ func (g *GroupResult) Merge(other any) error {
 }
 
 // EncodeJSON implements Result.
-func (g *GroupResult) EncodeJSON() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte('[')
+func (g *GroupResult) EncodeJSON() ([]byte, error) { return g.AppendJSON(nil) }
+
+// AppendJSON appends the group's artifact, its members' in order, to b.
+func (g *GroupResult) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, '[')
 	for i, r := range g.Results {
 		if i > 0 {
-			buf.WriteByte(',')
+			b = append(b, ',')
 		}
-		enc, err := r.EncodeJSON()
-		if err != nil {
+		var err error
+		if b, err = appendArtifact(b, r); err != nil {
 			return nil, err
 		}
-		buf.Write(enc)
 	}
-	buf.WriteByte(']')
-	return buf.Bytes(), nil
+	return append(b, ']'), nil
+}
+
+// appendArtifact appends r's artifact to b: in place for an appender, else
+// its EncodeJSON bytes.
+func appendArtifact(b []byte, r Result) ([]byte, error) {
+	if a, ok := r.(appender); ok {
+		return a.AppendJSON(b)
+	}
+	enc, err := r.EncodeJSON()
+	return append(b, enc...), err
 }
 
 // strictDecode unmarshals opts into v, rejecting unknown fields so typos in

@@ -213,10 +213,10 @@ func (s *Spec) normalized() (*Spec, error) {
 // GridSize validates the spec without executing it — workload names,
 // seeds, budget, engine, and the full observer expansion — and returns
 // the number of shards it expands to: {workloads x observer-configs x
-// seeds}. It imposes no limit on that number. It is the admission
-// currency of the sweep coordinator — a sweep's scheduling cost is its
-// shard count — and of simd's -max-shards, computed without building the
-// grid. Every failure wraps ErrInvalidSpec.
+// seeds}, computed without building the grid. It imposes no limit on that
+// number; simd's -max-shards is the limit a server applies to it. (What a
+// unit costs at the session's gate is its member count, not its grid's
+// size.) Every failure wraps ErrInvalidSpec.
 func (s *Spec) GridSize() (int, error) {
 	norm, err := s.normalized()
 	if err != nil {

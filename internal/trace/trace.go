@@ -94,10 +94,11 @@ type Executor struct {
 	seed      uint64
 	observers []Observer
 
-	// Per-branch-site private RNG streams, created lazily. Keyed by the
-	// dense site ID so the stream a site sees is independent of every
-	// other site's consumption.
-	siteRNG []*rng.RNG
+	// Per-branch-site private RNG streams, seeded lazily (a zero RNG is
+	// one not yet seeded: a seeded one is never zero). Keyed by the dense
+	// site ID so the stream a site sees is independent of every other
+	// site's consumption.
+	siteRNG []rng.RNG
 	// Per-site dynamic execution counts (input to Behavior models).
 	siteCount []uint64
 	// Per-loop execution counts, keyed by the loop back-edge's site ID.
@@ -139,13 +140,9 @@ type frame struct {
 // NewExecutor builds an executor for a laid-out program. The seed isolates
 // the run's stochastic choices; use the same seed to replay a stream.
 func NewExecutor(p *program.Program, seed uint64) *Executor {
-	return &Executor{
-		prog:      p,
-		seed:      seed,
-		siteRNG:   make([]*rng.RNG, p.NumSites),
-		siteCount: make([]uint64, p.NumSites),
-		loopCount: make([]uint64, p.NumSites),
-	}
+	e := &Executor{}
+	e.reset(p, nil, seed)
+	return e
 }
 
 // NewCompiledExecutor builds an executor that reuses an already-compiled
@@ -153,9 +150,50 @@ func NewExecutor(p *program.Program, seed uint64) *Executor {
 // executors (across goroutines) can share one — the sweep harness compiles
 // each workload once and fans out.
 func NewCompiledExecutor(c *Compiled, seed uint64) *Executor {
-	e := NewExecutor(c.prog, seed)
-	e.compiled = c
+	e := &Executor{}
+	e.Reset(c, seed)
 	return e
+}
+
+// Reset readies the executor, whatever it ran before (a cancelled run
+// too), to run c at seed exactly as NewCompiledExecutor(c, seed) would:
+// no observers, nothing emitted, every site and loop at its first visit.
+// The buffers it grew — the lane, the per-site and per-loop slices, the
+// call frames — are kept, so a worker that runs stream after stream
+// allocates them once.
+func (e *Executor) Reset(c *Compiled, seed uint64) { e.reset(c.prog, c, seed) }
+
+func (e *Executor) reset(p *program.Program, c *Compiled, seed uint64) {
+	clear(e.observers)
+	clear(e.laneObs)
+	clear(e.batchObs)
+	*e = Executor{
+		prog:      p,
+		seed:      seed,
+		siteRNG:   zeroed(e.siteRNG, p.NumSites),
+		siteCount: zeroed(e.siteCount, p.NumSites),
+		loopCount: zeroed(e.loopCount, p.NumSites),
+		compiled:  c,
+		observers: e.observers[:0],
+		laneObs:   e.laneObs[:0],
+		batchObs:  e.batchObs[:0],
+		lane:      isa.Lane{Runs: e.lane.Runs[:0], Sizes: e.lane.Sizes[:0]},
+		batch:     e.batch[:0],
+		loopLeft:  e.loopLeft[:0],
+		frames:    e.frames[:0],
+		stack:     e.stack[:0],
+	}
+}
+
+// zeroed returns s resized to n zero elements, reusing its array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Attach registers observers for subsequent runs. On the compiled path an
@@ -230,7 +268,7 @@ func (e *Executor) Run(target int64) error {
 		e.compiled = c
 	}
 	if len(e.loopLeft) < e.compiled.numLoops {
-		e.loopLeft = make([]int64, e.compiled.numLoops)
+		e.loopLeft = zeroed(e.loopLeft, e.compiled.numLoops)
 	}
 	if e.lane.Sizes == nil {
 		// A lane holds one run per 7 to 10 instructions on the built-in
@@ -322,10 +360,9 @@ func (e *Executor) RunReference(target int64) error {
 // through rng.NewStream's SplitMix64 mixing so nearby site IDs cannot
 // produce correlated streams.
 func (e *Executor) rngFor(id int) *rng.RNG {
-	r := e.siteRNG[id]
-	if r == nil {
-		r = rng.NewStream(e.seed, uint64(id))
-		e.siteRNG[id] = r
+	r := &e.siteRNG[id]
+	if *r == (rng.RNG{}) {
+		*r = *rng.NewStream(e.seed, uint64(id))
 	}
 	return r
 }

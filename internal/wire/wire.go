@@ -1,5 +1,6 @@
 // Package wire holds the JSON conventions every process boundary shares:
-// strict unmarshalling, the bounded request-body read and the error
+// strict unmarshalling, the one-pass Scanner and the appenders records
+// are read and written with, the bounded request-body read and the error
 // envelope. Result artifacts travel between processes (the dispatch layer
 // folds shards produced by remote simd workers), so a decoder must reject
 // unknown fields and trailing garbage — a mangled or mis-routed artifact
@@ -29,41 +30,6 @@ func StrictUnmarshal(data []byte, v any) error {
 		return fmt.Errorf("trailing data after JSON value")
 	}
 	return nil
-}
-
-// ErrAbsent is what a Target's build reports when the document it was
-// decoded with held no value for it: the field was absent, or null.
-var ErrAbsent = errors.New("no value")
-
-// Target makes a decode target for one value of wire shape W inside a
-// larger document. ptr is what encoding/json fills: a pointer to a nil *W.
-// A document struct that holds ptr as the value of an `any` field decodes
-// the value in place, in the same pass as the document around it —
-// encoding/json fills a non-nil pointer an interface holds, and
-// DisallowUnknownFields reaches inside it. build, called once that decode
-// is done, makes the value from what was filled, or fails with ErrAbsent
-// when the document held none, so a missing value is never built from
-// zeroes.
-func Target[W, R any](from func(*W) (R, error)) (ptr any, build func() (R, error)) {
-	var w *W
-	return &w, func() (R, error) {
-		if w == nil {
-			var zero R
-			return zero, ErrAbsent
-		}
-		return from(w)
-	}
-}
-
-// Decode strictly decodes data, a document that is exactly one target's
-// value, through the target newTarget makes, and builds the value.
-func Decode[R any](data []byte, newTarget func() (any, func() (R, error))) (R, error) {
-	ptr, build := newTarget()
-	if err := StrictUnmarshal(data, ptr); err != nil {
-		var zero R
-		return zero, err
-	}
-	return build()
 }
 
 // ReadBody reads a request body of at most limit bytes, the one bounded
@@ -123,11 +89,21 @@ func Do(ctx context.Context, client *http.Client, method, url string, body []byt
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	// A body of announced length is read into one buffer of that size;
+	// the transport holds it to the announcement.
+	var data []byte
+	switch n := resp.ContentLength; {
+	case n > limit:
+	case n >= 0:
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	default:
+		data, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("reading response body: %w", err)
 	}
-	if int64(len(data)) > limit {
+	if resp.ContentLength > limit || int64(len(data)) > limit {
 		return nil, 0, fmt.Errorf("response body exceeds %d bytes", limit)
 	}
 	return data, resp.StatusCode, nil

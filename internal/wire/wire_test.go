@@ -2,8 +2,10 @@ package wire
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -68,43 +70,93 @@ func TestStrictUnmarshalNeverPanics(t *testing.T) {
 	}
 }
 
-// TestTargetDecodesInPlace: a target held in an `any` field is filled in the
-// same strict pass as the document around it — an unknown field inside it
-// fails the document — and an absent or null value builds to ErrAbsent, not
-// to a zero value.
-func TestTargetDecodesInPlace(t *testing.T) {
-	newTarget := func() (any, func() (payload, error)) {
-		return Target(func(p *payload) (payload, error) { return *p, nil })
+// scanPayload reads a payload as its appender would write it, with an
+// optional nested value.
+func scanPayload(sc *Scanner) (payload, error) {
+	var p payload
+	sc.Open('{')
+	sc.Key("name")
+	p.Name = sc.String()
+	sc.Key("count")
+	p.Count = sc.Int()
+	if sc.Field("value") {
+		v, _ := scanPayload(sc)
+		p.Name += "+" + v.Name
 	}
+	sc.Close('}')
+	return p, sc.Err()
+}
+
+// TestScannerReadsFieldsInOrder: the scanner reads a document in its
+// writer's field order, skipping whitespace, and refuses what it was not
+// written as — a null, absent or out-of-order field, an unknown one, a
+// value of the wrong type, a malformed number, trailing data — and whatever
+// it accepts, StrictUnmarshal accepts with the same value.
+func TestScannerReadsFieldsInOrder(t *testing.T) {
 	for in, want := range map[string]string{
-		`{"name":"doc","count":1}`:                                      "absent",
-		`{"name":"doc","count":1,"value":null}`:                         "absent",
-		`{"name":"doc","count":1,"value":{"name":"v","count":7}}`:       "v/7",
-		`{"name":"doc","count":1,"value":{"name":"v","counter":7}}`:     "error",
-		`{"name":"doc","count":1,"value":{"name":"v","count":"seven"}}`: "error",
+		`{"name":"doc","count":1}`:                                      "doc/1",
+		" {\"name\" : \"d\\u00f6c\" ,\n\"count\":-0 } \t":               "döc/0",
+		`{"name":"doc","count":1,"value":{"name":"v","count":7}}`:       "doc+v/1",
+		`{"name":"doc","count":1,"value":null}`:                         "error",
+		`{"name":"doc"}`:                                                "error",
+		`{"count":1,"name":"doc"}`:                                      "error",
+		`{"name":"doc","Count":1}`:                                      "error",
+		`{"name":"doc","count":1,"counter":7}`:                          "error",
+		`{"name":"doc","count":"seven"}`:                                "error",
+		`{"name":"doc","count":1.0}`:                                    "error",
+		`{"name":"doc","count":01}`:                                     "error",
+		`{"name":"doc","count":1}}`:                                     "error",
+		`{"name":"doc","count":1} garbage`:                              "error",
+		`{"name":"doc","count":9223372036854775808}`:                    "error",
+		`{"name":"doc\x01","count":1}`:                                  "error",
+		`{"name":"doc","count":1,"value":{"name":"v","count":7,"x":1}}`: "error",
 	} {
-		ptr, build := newTarget()
-		doc := struct {
-			payload
-			Value any `json:"value"`
-		}{Value: ptr}
 		got := "error"
-		if StrictUnmarshal([]byte(in), &doc) == nil {
-			if v, err := build(); errors.Is(err, ErrAbsent) {
-				got = "absent"
-			} else if err == nil {
-				got = v.Name + "/" + strconv.FormatInt(v.Count, 10)
+		if p, err := Decode([]byte(in), scanPayload); err == nil {
+			got = p.Name + "/" + strconv.FormatInt(p.Count, 10)
+			var oracle payload
+			if !strings.Contains(in, "value") && (StrictUnmarshal([]byte(in), &oracle) != nil || oracle != p) {
+				t.Errorf("%s: scanned %+v, StrictUnmarshal %+v", in, p, oracle)
 			}
 		}
 		if got != want {
 			t.Errorf("%s: got %s, want %s", in, got, want)
 		}
 	}
-	if v, err := Decode([]byte(`{"name":"alone","count":2}`), newTarget); err != nil || v.Name != "alone" || v.Count != 2 {
-		t.Errorf("Decode = %+v, %v", v, err)
+}
+
+// TestScannerFloatsMatchStrictUnmarshal: a number Float reads or
+// SkipFloat drops is one StrictUnmarshal reads into a float64, to the same
+// value, and one it refuses both refuse; the scanner refuses a null too.
+func TestScannerFloatsMatchStrictUnmarshal(t *testing.T) {
+	for _, in := range []string{"1.5", "-0", "0.000001", "1e308", "1E+2", "-2.5e-400", "1e309", "1" + strings.Repeat("0", 310),
+		"0." + strings.Repeat("0", 320) + "1", "1.", ".5", "01", "+1", "-", "1e", "NaN", "0x10", "1_000", `"1"`, "null"} {
+		var want float64
+		werr := StrictUnmarshal([]byte(in), &want)
+		got, err := Decode([]byte(in), func(sc *Scanner) (float64, error) { return sc.Float(), sc.Err() })
+		_, serr := Decode([]byte(in), func(sc *Scanner) (any, error) { sc.SkipFloat(); return nil, sc.Err() })
+		accepted := werr == nil && in != "null" // a null the scanner refuses by design
+		if (err == nil) != accepted || (serr == nil) != accepted || (accepted && got != want) {
+			t.Errorf("%.40s: Float %v (err %v), SkipFloat err %v; StrictUnmarshal %v (err %v)", in, got, err, serr, want, werr)
+		}
 	}
-	if _, err := Decode([]byte(`null`), newTarget); !errors.Is(err, ErrAbsent) {
-		t.Errorf("Decode(null) error = %v, want ErrAbsent", err)
+}
+
+// TestAppendFloatMatchesMarshal: AppendFloat writes what json.Marshal
+// writes for a float64, across both notations and their boundaries.
+func TestAppendFloatMatchesMarshal(t *testing.T) {
+	for _, f := range []float64{0, math.Copysign(0, -1), 1, -1.5, 0.1, 1.0 / 3, 1e-6, 9.999999e-7, 1e-7, 1.5e-300,
+		1e20, 1e21, 123456789012345678901234.0, math.MaxFloat64, math.SmallestNonzeroFloat64, 100 * 2.0 / 3} {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendFloat(nil, f); string(got) != string(want) {
+			t.Errorf("AppendFloat(%v) = %s, want %s", f, got, want)
+		}
+	}
+	if CheckFinite(1, math.Inf(1)) == nil || CheckFinite(math.NaN()) == nil || CheckFinite(0, -1) != nil {
+		t.Error("CheckFinite does not single out NaN and the infinities")
 	}
 }
 
