@@ -112,7 +112,10 @@ lint-extra:
 
 # ci-test is the workflow's test job, the one list of its steps: gofmt,
 # vet and build; the non-amd64 fallback compiles (TAGE's Go stage without
-# the AVX2 kernel; on amd64, vet's asmdecl checks the kernel); the
+# the AVX2 kernel; on amd64, vet's asmdecl checks the kernel); the suite
+# on a 32-bit host (a request's geometry and a record's int fields must be
+# refused, not wrapped, past 32 bits; 386 runs natively on an x86-64 host,
+# and elsewhere vet type-checks the suite for it instead); the
 # non-test line count ROADMAP's deletion ledger quotes; the grid path, the
 # fleet and the CLI on one P (a grid-wide lead set, a dispatcher-only
 # in-flight bound, cmd/simd's TestFleet and the CLI hanging up on a running
@@ -121,6 +124,8 @@ lint-extra:
 # micro-benchmark once; and the bench harness smoke.
 ci-test: fmt vet build
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
+	if [ "$$($(GO) env GOHOSTARCH)" = amd64 ]; then GOARCH=386 $(GO) test ./...; \
+	else GOARCH=386 $(GO) vet ./...; fi
 	@$(MAKE) --no-print-directory loc
 	GOMAXPROCS=1 $(GO) test ./internal/sim/... ./cmd/simd ./cmd/rebalance-bench
 	$(GO) test -count=2 ./...

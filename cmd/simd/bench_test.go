@@ -12,6 +12,7 @@ import (
 
 	"rebalance/internal/sim"
 	"rebalance/internal/sim/dispatch"
+	"rebalance/internal/sim/shardcache"
 	"rebalance/internal/sim/sweep"
 )
 
@@ -85,4 +86,45 @@ func frontDoorRuns(b *testing.B, cfg serverConfig) {
 	}
 	wg.Wait()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "runs/s")
+}
+
+// BenchmarkRunsCachedHTTP is a warm POST /v1/runs on a front door with a
+// result cache: comd-lite and xalan-lite, 4 seeds, 200k instructions, all
+// seven observer kinds at their defaults — 248 shards, every one a cache
+// hit after the warm-up, so an op is admission, lookup, merge and the
+// report's encoding onto the wire, read in full by the client.
+func BenchmarkRunsCachedHTTP(b *testing.B) {
+	cache, err := shardcache.New(shardcache.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess := sim.NewSession(2)
+	sess.SetCache(cache)
+	coord, err := sweep.New(sweep.Options{Run: sess.Run})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer coord.Close()
+	front := httptest.NewServer(newServer(serverConfig{sess: sess, coord: coord}))
+	defer front.Close()
+	const spec = `{"workloads": ["comd-lite", "xalan-lite"], "seed_count": 4, "insts": 200000, "observers": [
+		{"kind": "bpred"}, {"kind": "btb"}, {"kind": "icache"}, {"kind": "branch-mix"},
+		{"kind": "bias"}, {"kind": "footprint"}, {"kind": "bbl"}]}`
+	run := func() int64 {
+		resp, err := http.Post(front.URL+"/v1/runs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("run: status %d, %v", resp.StatusCode, err)
+		}
+		return n
+	}
+	b.SetBytes(run()) // the warm-up fills the cache
+	b.ResetTimer()
+	for range b.N {
+		run()
+	}
 }

@@ -13,7 +13,10 @@
 // /v1/sweeps/{id}), and a client that hangs up cancels it. Every sweep's
 // units share the session's -workers slots, granted in deficit round-robin
 // over tenants. A tenant running -queue-depth sweeps gets 429 with
-// Retry-After; terminal sweeps stay pollable for -retain. The tenant is
+// Retry-After; terminal sweeps stay pollable for -retain. A done sweep's
+// report is fetched once: the front door lets go of it then, or earlier
+// when uncollected reports outgrow one fixed budget, and a client that
+// lost it re-submits the spec, which the shard cache serves. The tenant is
 // named by the ?tenant= query parameter ("default" when absent).
 //
 // A -worker has no coordinator and serves the worker half of the dispatch
@@ -38,7 +41,7 @@
 //	POST   /v1/sweeps           submit a Spec asynchronously, respond 202 with the sweep status (front door only)
 //	GET    /v1/sweeps           list sweeps, optionally filtered by ?tenant= (front door only)
 //	GET    /v1/sweeps/{id}      sweep status: state, timestamps, shard progress counts (front door only)
-//	GET    /v1/sweeps/{id}/result  the final report; 409 until the sweep is terminal (front door only)
+//	GET    /v1/sweeps/{id}/result  the final report, handed over once; 409 until the sweep is terminal, 410 once collected or released; a HEAD is 405 (front door only)
 //	DELETE /v1/sweeps/{id}      cancel a running sweep (front door only)
 //	POST   /v1/shards           execute one unit (an array of ShardSpecs), respond with one record per member (-worker only)
 //	GET    /v1/stats            unified counters: shard cache, dispatcher (hedges, hedge_wins, probes, healthy backends), sweep gauges
@@ -321,9 +324,17 @@ func newServer(cfg serverConfig) http.Handler {
 			}
 			writeJSON(w, http.StatusOK, st)
 		})
+		// Only a GET hands the report over; an encoding failure, a 500,
+		// would recur on every fetch, so the hand-over loses nothing. A
+		// HEAD, which the GET pattern would match, cannot answer without
+		// taking the report, so it is refused and the status route serves.
 		mux.HandleFunc("GET /v1/sweeps/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 			rep, err := cfg.coord.Report(r.PathValue("id"))
 			writeOutcome(w, http.StatusOK, rep, err)
+		})
+		mux.HandleFunc("HEAD /v1/sweeps/{id}/result", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Allow", http.MethodGet)
+			wire.WriteError(w, http.StatusMethodNotAllowed, errors.New("a result is handed over once, by GET; GET /v1/sweeps/{id} polls its state"))
 		})
 		mux.HandleFunc("DELETE /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 			id := r.PathValue("id")
@@ -390,7 +401,8 @@ func tenantOf(r *http.Request) string {
 // writeOutcome is the one answer of every endpoint that submits a sweep or
 // serves its outcome: v with status ok, or the coordinator's error as its
 // status (409 + Retry-After is the poll loop's signal to come back; a sweep
-// that failed on an invalid spec, a worker's rejection say, is a 400).
+// that failed on an invalid spec, a worker's rejection say, is a 400; a
+// report already handed over or released is a 410).
 func writeOutcome(w http.ResponseWriter, ok int, v any, err error) {
 	status := http.StatusInternalServerError
 	switch {
@@ -407,7 +419,7 @@ func writeOutcome(w http.ResponseWriter, ok int, v any, err error) {
 	case errors.Is(err, sweep.ErrNotTerminal):
 		w.Header().Set("Retry-After", "1")
 		status = http.StatusConflict
-	case errors.Is(err, sweep.ErrCancelled):
+	case errors.Is(err, sweep.ErrCancelled), errors.Is(err, sweep.ErrReportGone):
 		status = http.StatusGone
 	case errors.Is(err, sweep.ErrClosed):
 		status = http.StatusServiceUnavailable

@@ -169,6 +169,13 @@ func TestSweepAsyncMatchesSyncRun(t *testing.T) {
 		t.Errorf("terminal progress %+v, want 4/4", prog)
 	}
 
+	// A HEAD, say a proxy's probe, is refused and takes nothing: the GET
+	// after it still gets the report.
+	headResp := doReq(t, http.MethodHead, srv.URL+"/v1/sweeps/"+st.ID+"/result", "")
+	headResp.Body.Close()
+	if headResp.StatusCode != http.StatusMethodNotAllowed || headResp.Header.Get("Allow") != http.MethodGet {
+		t.Errorf("HEAD result: status %d, Allow %q; want 405 allowing GET", headResp.StatusCode, headResp.Header.Get("Allow"))
+	}
 	resResp := doReq(t, http.MethodGet, srv.URL+"/v1/sweeps/"+st.ID+"/result", "")
 	if resResp.StatusCode != http.StatusOK {
 		t.Fatalf("result: status %d", resResp.StatusCode)
@@ -177,6 +184,11 @@ func TestSweepAsyncMatchesSyncRun(t *testing.T) {
 	resResp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The fetch handed the report over: a second one is a 410 saying so,
+	// and the sweep stays listed as its status.
+	if env := decodeEnvelope(t, doReq(t, http.MethodGet, srv.URL+"/v1/sweeps/"+st.ID+"/result", ""), http.StatusGone); !strings.Contains(env.Error, "collected") {
+		t.Errorf("second result fetch: %q, want a 410 naming the earlier collection", env.Error)
 	}
 	syncResp := doReq(t, http.MethodPost, srv.URL+"/v1/runs", spec)
 	if syncResp.StatusCode != http.StatusOK {

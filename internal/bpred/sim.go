@@ -352,7 +352,7 @@ func (r *Result) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
 func ScanResult(sc *wire.Scanner) (*Result, error) {
 	r := &Result{}
 	r.Name = sc.Open('{').Key("name").String()
-	r.CostBits = int(sc.Key("cost_bits").Int())
+	r.CostBits = sc.Key("cost_bits").HostInt()
 	sc.Key("insts").Ints(r.Insts[:]).Key("branches").Ints(r.Branches[:])
 	sc.Key("miss").Open('[').Ints(r.Miss[0][:]).Ints(r.Miss[1][:]).Close(']')
 	sc.SkipKeys("mpki", "mpki_serial", "mpki_parallel", "miss_rate").Key("mpki_by_direction").SkipFloats(isa.NumDirections)

@@ -1,13 +1,17 @@
 package bpred
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 
 	"rebalance/internal/isa"
 	"rebalance/internal/trace"
+	"rebalance/internal/wire"
 	"rebalance/internal/workload"
 )
 
@@ -348,5 +352,24 @@ func BenchmarkComponentWalk(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*branches), "ns/branch")
 			})
 		}
+	}
+}
+
+// TestScanResultRefusesCostPastInt: a result's cost_bits round-trips, and
+// one past the host's int is refused, not wrapped — on a 32-bit host, a
+// value that fits 64 bits.
+func TestScanResultRefusesCostPastInt(t *testing.T) {
+	r := &Result{Name: "gshare-small", CostBits: math.MaxInt}
+	enc, err := r.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := wire.Decode(enc, ScanResult); err != nil || got.CostBits != math.MaxInt {
+		t.Fatalf("cost_bits %d round-trips as %v (err %v)", r.CostBits, got, err)
+	}
+	past := strconv.FormatUint(uint64(math.MaxInt)+1, 10)
+	enc = bytes.Replace(enc, []byte(strconv.Itoa(math.MaxInt)), []byte(past), 1)
+	if got, err := wire.Decode(enc, ScanResult); err == nil {
+		t.Errorf("cost_bits %s decoded as %d", past, got.CostBits)
 	}
 }

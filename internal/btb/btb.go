@@ -44,7 +44,9 @@ type BTB struct {
 const MaxEntries = 1 << 20
 
 // GeometryError reports why a geometry is invalid, or nil if it is usable.
-func GeometryError(entries, ways int) error {
+// It takes the geometry as a request carries it, in 64 bits: one that
+// passes fits an int on every host.
+func GeometryError(entries, ways int64) error {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 || entries > MaxEntries {
 		return fmt.Errorf("btb: invalid geometry %d entries, %d ways (at most %d entries)", entries, ways, MaxEntries)
 	}
@@ -54,7 +56,7 @@ func GeometryError(entries, ways int) error {
 // New returns a BTB with the given total entries and associativity.
 // Entries must be divisible by ways.
 func New(entries, ways int) *BTB {
-	if err := GeometryError(entries, ways); err != nil {
+	if err := GeometryError(int64(entries), int64(ways)); err != nil {
 		panic(err.Error())
 	}
 	b := &BTB{
@@ -226,8 +228,8 @@ func (r *Result) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
 func ScanResult(sc *wire.Scanner) (*Result, error) {
 	r := &Result{}
 	r.Name = sc.Open('{').Key("name").String()
-	r.Entries = int(sc.Key("entries").Int())
-	r.Ways = int(sc.Key("ways").Int())
+	r.Entries = sc.Key("entries").HostInt()
+	r.Ways = sc.Key("ways").HostInt()
 	sc.Key("insts").Ints(r.Insts[:]).Key("lookups").Ints(r.Lookups[:]).Key("misses").Ints(r.Misses[:])
 	sc.SkipKeys("mpki", "mpki_serial", "mpki_parallel", "miss_rate")
 	return wire.Scanned(sc.Close('}'), r)

@@ -1,6 +1,8 @@
 package btb
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -59,7 +61,7 @@ func TestLRUAcrossTheClock32Boundary(t *testing.T) {
 // process cannot allocate.
 func TestGeometryError(t *testing.T) {
 	for _, tc := range []struct {
-		entries, ways int
+		entries, ways int64
 		ok            bool
 	}{
 		{256, 2, true}, {1024, 8, true}, {MaxEntries, 1, true}, {MaxEntries, MaxEntries, true},
@@ -138,6 +140,8 @@ func TestDecodeRejectsMangledArtifacts(t *testing.T) {
 		"unknown field": `{"name":"x","entries":256,"ways":2,"insts":[1,0],"lookups":[1,0],"misses":[0,0],"mpki":0,"mpki_serial":0,"mpki_parallel":0,"miss_rate":0,"extra":1}`,
 		"malformed":     `{"name":`,
 		"wrong shape":   `[1,2,3]`,
+		// One past the host's int, which a 32-bit host would have wrapped.
+		"ways past int": `{"name":"x","entries":256,"ways":` + strconv.FormatUint(uint64(math.MaxInt)+1, 10) + `,"insts":[1,0],"lookups":[1,0],"misses":[0,0],"mpki":0,"mpki_serial":0,"mpki_parallel":0,"miss_rate":0}`,
 	} {
 		if _, err := wire.Decode([]byte(in), ScanResult); err == nil {
 			t.Errorf("%s: decoded without error", name)

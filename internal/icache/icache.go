@@ -70,7 +70,9 @@ const maxInstBytes = 15
 const MaxSizeBytes = 64 << 20
 
 // GeometryError reports why a geometry is invalid, or nil if it is usable.
-func GeometryError(sizeBytes, lineBytes, ways int) error {
+// It takes the geometry as a request carries it, in 64 bits: one that
+// passes fits an int on every host.
+func GeometryError(sizeBytes, lineBytes, ways int64) error {
 	if sizeBytes <= 0 || lineBytes <= 0 || ways <= 0 || sizeBytes > MaxSizeBytes {
 		return fmt.Errorf("icache: invalid geometry size=%d line=%d ways=%d (at most %d bytes)", sizeBytes, lineBytes, ways, MaxSizeBytes)
 	}
@@ -93,7 +95,7 @@ func GeometryError(sizeBytes, lineBytes, ways int) error {
 // associativity. Panics on inconsistent geometry, which is a programming
 // error in experiment setup.
 func New(sizeBytes, lineBytes, ways int) *Cache {
-	if err := GeometryError(sizeBytes, lineBytes, ways); err != nil {
+	if err := GeometryError(int64(sizeBytes), int64(lineBytes), int64(ways)); err != nil {
 		panic(err.Error())
 	}
 	c := &Cache{
@@ -310,9 +312,9 @@ func (r *Result) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
 func ScanResult(sc *wire.Scanner) (*Result, error) {
 	r := &Result{}
 	r.Name = sc.Open('{').Key("name").String()
-	r.SizeBytes = int(sc.Key("size_bytes").Int())
-	r.LineBytes = int(sc.Key("line_bytes").Int())
-	r.Ways = int(sc.Key("ways").Int())
+	r.SizeBytes = sc.Key("size_bytes").HostInt()
+	r.LineBytes = sc.Key("line_bytes").HostInt()
+	r.Ways = sc.Key("ways").HostInt()
 	sc.Key("insts").Ints(r.Insts[:]).Key("accesses").Ints(r.Accesses[:]).Key("misses").Ints(r.Misses[:])
 	r.UsedSectors = sc.Key("used_sectors").Int()
 	r.TotalSectors = sc.Key("total_sectors").Int()

@@ -1,6 +1,8 @@
 package icache
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -67,7 +69,7 @@ func TestLRUAcrossTheClock32Boundary(t *testing.T) {
 // allocate, nor one it would report under a size it does not have.
 func TestGeometryError(t *testing.T) {
 	for _, tc := range []struct {
-		size, line, ways int
+		size, line, ways int64
 		ok               bool
 	}{
 		{8 << 10, 64, 2, true}, {32 << 10, 128, 8, true}, {MaxSizeBytes, 64, 1, true}, {MaxSizeBytes, 16, 4, true},
@@ -148,6 +150,8 @@ func TestDecodeRejectsMangledArtifacts(t *testing.T) {
 		"unknown field": `{"name":"x","size_bytes":8192,"line_bytes":64,"ways":2,"insts":[1,0],"accesses":[1,0],"misses":[0,0],"used_sectors":0,"total_sectors":0,"mpki":0,"mpki_serial":0,"mpki_parallel":0,"miss_rate":0,"usefulness":0,"bogus":true}`,
 		"malformed":     `{"name":`,
 		"wrong shape":   `"just a string"`,
+		// One past the host's int, which a 32-bit host would have wrapped.
+		"size past int": `{"name":"x","size_bytes":` + strconv.FormatUint(uint64(math.MaxInt)+1, 10) + `,"line_bytes":64,"ways":2,"insts":[1,0],"accesses":[1,0],"misses":[0,0],"used_sectors":0,"total_sectors":0,"mpki":0,"mpki_serial":0,"mpki_parallel":0,"miss_rate":0,"usefulness":0}`,
 	} {
 		if _, err := wire.Decode([]byte(in), ScanResult); err == nil {
 			t.Errorf("%s: decoded without error", name)

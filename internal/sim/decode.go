@@ -50,7 +50,7 @@ func DecodeReport(data []byte) (*Report, error) {
 		sc.Close('}')
 		return res
 	}
-	rep.Workers = int(sc.Key("workers").Int())
+	rep.Workers = sc.Key("workers").HostInt()
 	rep.Shards = []Shard{}
 	sc.Key("shards").Open('[')
 	for sc.More() {
@@ -67,7 +67,7 @@ func DecodeReport(data []byte) (*Report, error) {
 	sc.Key("merged").Open('[')
 	for sc.More() {
 		m := Merged{Workload: sc.Open('{').Key("workload").String(), Observer: sc.Key("observer").String()}
-		m.Seeds = int(sc.Key("seeds").Int())
+		m.Seeds = sc.Key("seeds").HostInt()
 		sc.Key("result")
 		m.Result = result(m.Observer, "merged", len(rep.Merged))
 		rep.Merged = append(rep.Merged, m)

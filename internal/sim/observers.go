@@ -279,9 +279,11 @@ type btbOptions struct {
 	Geometries []btbGeometry `json:"geometries"`
 }
 
+// btbGeometry is a geometry as a request carries it: 64 bits on every host,
+// range-checked (btb.GeometryError) before New narrows it to int.
 type btbGeometry struct {
-	Entries int `json:"entries"`
-	Ways    int `json:"ways"`
+	Entries int64 `json:"entries"`
+	Ways    int64 `json:"ways"`
 }
 
 func btbFactory(opts json.RawMessage) ([]ObserverConfig, error) {
@@ -290,8 +292,8 @@ func btbFactory(opts json.RawMessage) ([]ObserverConfig, error) {
 		return nil, err
 	}
 	if len(o.Geometries) == 0 {
-		for _, entries := range []int{256, 512, 1024} {
-			for _, ways := range []int{2, 4, 8} {
+		for _, entries := range []int64{256, 512, 1024} {
+			for _, ways := range []int64{2, 4, 8} {
 				o.Geometries = append(o.Geometries, btbGeometry{Entries: entries, Ways: ways})
 			}
 		}
@@ -311,7 +313,7 @@ type btbCfg struct{ g btbGeometry }
 func (c btbCfg) Key() string { return fmt.Sprintf("btb/%dx%d", c.g.Entries, c.g.Ways) }
 
 func (c btbCfg) NewObserver(*program.Program) ShardObserver {
-	b := btb.New(c.g.Entries, c.g.Ways)
+	b := btb.New(int(c.g.Entries), int(c.g.Ways))
 	return newLaneShard(b, func() Result { return b.Result() })
 }
 
@@ -323,7 +325,7 @@ func (c btbCfg) Spec() ObserverSpec {
 
 func (c btbCfg) ScanResult(sc *wire.Scanner) (Result, error) {
 	return scanned(sc, btb.ScanResult, func(r *btb.Result) error {
-		if r.Entries != c.g.Entries || r.Ways != c.g.Ways {
+		if int64(r.Entries) != c.g.Entries || int64(r.Ways) != c.g.Ways {
 			return fmt.Errorf("sim: decoded btb result for %dx%d, want %dx%d", r.Entries, r.Ways, c.g.Entries, c.g.Ways)
 		}
 		return nil
@@ -338,10 +340,11 @@ type icacheOptions struct {
 	Geometries []icacheGeometry `json:"geometries"`
 }
 
+// icacheGeometry is a geometry as a request carries it, as btbGeometry.
 type icacheGeometry struct {
-	SizeKB    int `json:"size_kb"`
-	LineBytes int `json:"line_bytes"`
-	Ways      int `json:"ways"`
+	SizeKB    int64 `json:"size_kb"`
+	LineBytes int64 `json:"line_bytes"`
+	Ways      int64 `json:"ways"`
 }
 
 func icacheFactory(opts json.RawMessage) ([]ObserverConfig, error) {
@@ -350,8 +353,8 @@ func icacheFactory(opts json.RawMessage) ([]ObserverConfig, error) {
 		return nil, err
 	}
 	if len(o.Geometries) == 0 {
-		for _, kb := range []int{8, 16, 32} {
-			for _, ways := range []int{2, 4, 8} {
+		for _, kb := range []int64{8, 16, 32} {
+			for _, ways := range []int64{2, 4, 8} {
 				o.Geometries = append(o.Geometries, icacheGeometry{SizeKB: kb, LineBytes: 64, Ways: ways})
 			}
 		}
@@ -379,7 +382,7 @@ func (c icacheCfg) Key() string {
 }
 
 func (c icacheCfg) NewObserver(*program.Program) ShardObserver {
-	ic := icache.New(c.g.SizeKB*1024, c.g.LineBytes, c.g.Ways)
+	ic := icache.New(int(c.g.SizeKB*1024), int(c.g.LineBytes), int(c.g.Ways))
 	return newLaneShard(ic, func() Result { return ic.Result() })
 }
 
@@ -392,7 +395,7 @@ func (c icacheCfg) Spec() ObserverSpec {
 
 func (c icacheCfg) ScanResult(sc *wire.Scanner) (Result, error) {
 	return scanned(sc, icache.ScanResult, func(r *icache.Result) error {
-		if r.SizeBytes != c.g.SizeKB*1024 || r.LineBytes != c.g.LineBytes || r.Ways != c.g.Ways {
+		if int64(r.SizeBytes) != c.g.SizeKB*1024 || int64(r.LineBytes) != c.g.LineBytes || int64(r.Ways) != c.g.Ways {
 			return fmt.Errorf("sim: decoded icache result for %s, want %s", r.Name, c.Key())
 		}
 		return nil

@@ -259,12 +259,13 @@ func TestRecordAppendersMatchEncodingJSON(t *testing.T) {
 // beyond json's reach, and names encoding/json escapes.
 func edgeResults() []Result {
 	const big = math.MaxInt64
+	const bigInt = math.MaxInt // the int fields' largest on the host
 	out := []Result{&bpred.Result{}, &btb.Result{}, &icache.Result{}, &analysis.MixResult{}, &analysis.BBLResult{},
 		&analysis.BiasResult{}, &analysis.FootprintResult{}, &GroupResult{Results: []Result{}}}
 	for _, name := range awkwardNames {
 		out = append(out,
-			&bpred.Result{Name: name, CostBits: big, Insts: [2]int64{big, 3}, Branches: [2]int64{big, 1}, Miss: [2][isa.NumDirections]int64{{1, 0, big}, {1, 2, 0}}},
-			&btb.Result{Name: name, Entries: 1, Ways: big, Insts: [2]int64{1, 0}, Lookups: [2]int64{0, big}, Misses: [2]int64{big / 2, 7}},
+			&bpred.Result{Name: name, CostBits: bigInt, Insts: [2]int64{big, 3}, Branches: [2]int64{big, 1}, Miss: [2][isa.NumDirections]int64{{1, 0, big}, {1, 2, 0}}},
+			&btb.Result{Name: name, Entries: 1, Ways: bigInt, Insts: [2]int64{1, 0}, Lookups: [2]int64{0, big}, Misses: [2]int64{big / 2, 7}},
 			&icache.Result{Name: name, Insts: [2]int64{3, 0}, Accesses: [2]int64{big, 0}, Misses: [2]int64{1, big}, UsedSectors: 1, TotalSectors: big})
 	}
 	for _, sums := range [][2]float64{{1e-7, 9.999999e-7}, {1e21, 1e20}, {5e-324, 0.1}, {math.MaxFloat64, 1}, {math.MaxFloat64, math.MaxFloat64}, {math.Inf(1), 0}, {math.NaN(), 1}} {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -54,7 +55,7 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown workload", func(s *Spec) { s.Workloads = []string{"no-such"} }, "unknown workload"},
 		{"both seeds", func(s *Spec) { s.Seeds = []uint64{1} }, "not both"},
 		{"duplicate seed", func(s *Spec) { s.SeedCount = 0; s.Seeds = []uint64{3, 3} }, "duplicate seed"},
-		{"seed_count bomb", func(s *Spec) { s.SeedCount = 1 << 40 }, "expansion limit"},
+		{"seed_count bomb", func(s *Spec) { s.SeedCount = math.MaxInt }, "expansion limit"},
 		{"zero insts", func(s *Spec) { s.Insts = 0 }, "instruction budget"},
 		{"bad engine", func(s *Spec) { s.Engine = "warp" }, "unknown engine"},
 		{"reference engine", func(s *Spec) { s.Engine = "reference" }, "unknown engine"},

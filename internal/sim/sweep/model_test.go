@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,8 +21,13 @@ import (
 // model on every sweep's state, the running and retained gauges, the
 // tenant table and its counters, and which sweeps are still visible — and
 // every admitted sweep's run must have started by the time Submit
-// returned. Which units of the running sweeps compute is the session
-// gate's concern, modelled by the sim package's TestGateMatchesDRR.
+// returned. A done sweep's report is handed over by the first Report and
+// is ErrReportGone after, and the reports nobody has fetched stay within
+// maxHeldShards entries, the oldest released first, though a landing
+// report is never released by its own landing: the model holds the
+// coordinator's held count and which reports are gone, and why, to that
+// rule. Which units of the running sweeps compute is the session gate's
+// concern, modelled by the sim package's TestGateMatchesDRR.
 
 var errModelRun = errors.New("model: scripted run failure")
 
@@ -30,9 +36,13 @@ type mSweep struct {
 	id, tenant string
 	seq        int
 	spec       *sim.Spec
+	cost       int // its report's entries, one per seed
 	state      State
 	finished   time.Time
 	finish     chan error // the running stub's release
+	// gone is why a done sweep's report is no longer held: "" while it is,
+	// then goneCollected or goneReleased.
+	gone string
 }
 
 func (s *mSweep) String() string {
@@ -49,8 +59,9 @@ type mTenant struct {
 }
 
 // model is the coordinator's contract, restated: every admitted sweep runs
-// at once, per-tenant QueueDepth bounds running sweeps, and retention goes
-// by count and age.
+// at once, per-tenant QueueDepth bounds running sweeps, retention goes by
+// count and age, and a report is held until fetched once or released past
+// maxHeldShards.
 type model struct {
 	depth   int
 	retain  time.Duration
@@ -58,11 +69,30 @@ type model struct {
 	tenants map[string]*mTenant
 	visible map[string]*mSweep
 	done    []*mSweep // the retention list, in finish order
+	held    int       // the entries of the retention list's held reports
 	running int
 	closed  bool
 
 	// What the sequence exercised, so a run of the test cannot pass vacuously.
-	countEvicted, ageEvicted, tenantsDropped int
+	countEvicted, ageEvicted, tenantsDropped, collected, released, refetched, oversizeCollected int
+}
+
+// heldCost is what s's report counts against maxHeldShards while held.
+func (s *mSweep) heldCost() int {
+	if s.state != StateDone || s.gone != "" {
+		return 0
+	}
+	return s.cost
+}
+
+// letGo drops s's report for why, reporting whether s still held one.
+func (m *model) letGo(s *mSweep, why string) bool {
+	if s.heldCost() == 0 {
+		return false
+	}
+	m.held -= s.cost
+	s.gone = why
+	return true
 }
 
 func (m *model) tenant(name string) *mTenant {
@@ -91,6 +121,7 @@ func (m *model) evict() {
 			m.ageEvicted++
 		}
 		m.done = m.done[1:]
+		m.held -= s.heldCost()
 		delete(m.visible, s.id)
 		tq := m.tenants[s.tenant]
 		if tq.retained--; tq.retained == 0 && tq.running == 0 {
@@ -115,7 +146,28 @@ func (m *model) land(s *mSweep, st State) {
 		tq.canc++
 	}
 	m.done = append(m.done, s)
+	m.held += s.heldCost()
 	tq.retained++
+	// Older reports go, oldest first, until the rest fit the budget; the
+	// landing one is its client's to fetch, however large.
+	for _, old := range m.done[:len(m.done)-1] {
+		if m.held <= maxHeldShards {
+			break
+		}
+		if m.letGo(old, goneReleased) {
+			m.released++
+		}
+	}
+}
+
+// heldReports counts the retention list's reports still held.
+func (m *model) heldReports() (n int) {
+	for _, s := range m.done {
+		if s.heldCost() > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // started is one run the stub RunFunc began: its spec, and the channel the
@@ -167,7 +219,7 @@ func newHarness(t *testing.T, seed int64, burst, depth int) *harness {
 				if err != nil {
 					return nil, err
 				}
-				return &sim.Report{Schema: sim.SchemaV1}, nil
+				return &sim.Report{Schema: sim.SchemaV1, Shards: make([]sim.Shard, len(spec.Seeds))}, nil
 			}
 		},
 	})
@@ -207,7 +259,8 @@ func (h *harness) awaitLanded(id string) {
 }
 
 // modelCosts are the grid sizes sweeps are drawn from.
-var modelCosts = []int{1, 8, 64, 200}
+// The largest alone exceeds maxHeldShards.
+var modelCosts = []int{1, 8, 64, 200, 3000, 9000}
 
 func (h *harness) submit() {
 	tenant := string(rune('a' + h.rng.Intn(3)))
@@ -230,7 +283,7 @@ func (h *harness) submit() {
 	case err != nil:
 		h.t.Fatalf("submit: %v", err)
 	}
-	s := &mSweep{id: st.ID, tenant: tenant, seq: len(h.ids), spec: spec, state: StateRunning}
+	s := &mSweep{id: st.ID, tenant: tenant, seq: len(h.ids), spec: spec, cost: cost, state: StateRunning}
 	h.ids = append(h.ids, s.id)
 	h.byID[s.id] = s
 	m.visible[s.id] = s
@@ -333,7 +386,8 @@ func (h *harness) close() {
 // check holds the coordinator to the model. Before any other call has
 // evicted, it asks Cancel and Get about a finished or forgotten sweep —
 // an expired sweep must be gone to those too — then compares the gauges,
-// the tenant table, the visible set and one sweep's report.
+// the held entries, the tenant table, the visible set and one sweep's
+// report.
 func (h *harness) check(step int, what string) {
 	h.t.Helper()
 	m := h.m
@@ -371,6 +425,12 @@ func (h *harness) check(step int, what string) {
 	st := h.c.Stats()
 	if st.Running != m.running || st.Retained != len(m.done) {
 		fail("gauges running/retained = %d/%d, model %d/%d", st.Running, st.Retained, m.running, len(m.done))
+	}
+	h.c.mu.Lock()
+	held := h.c.held
+	h.c.mu.Unlock()
+	if held != m.held || held > maxHeldShards && m.heldReports() > 1 {
+		fail("%d report entries held in %d reports, model %d (budget %d, which only a lone report may exceed)", held, m.heldReports(), m.held, maxHeldShards)
 	}
 	if len(st.Tenants) != len(m.tenants) {
 		fail("tenant table %v, model holds %d tenants", st.Tenants, len(m.tenants))
@@ -411,7 +471,17 @@ func (h *harness) check(step int, what string) {
 		case "evicted":
 			ok = errors.Is(err, ErrNotFound)
 		case StateDone:
-			ok = err == nil && rep != nil
+			if s.gone == "" {
+				ok = err == nil && heldShards(rep) == s.cost
+				m.letGo(s, goneCollected)
+				m.collected++
+				if s.cost > maxHeldShards {
+					m.oversizeCollected++
+				}
+			} else {
+				ok = errors.Is(err, ErrReportGone) && strings.Contains(err.Error(), s.gone)
+				m.refetched++
+			}
 		case StateFailed:
 			ok = errors.Is(err, errModelRun)
 		case StateCancelled:
@@ -487,17 +557,25 @@ func TestModel(t *testing.T) {
 			if n := len(h.starts); n != 0 {
 				t.Fatalf("%d runs started that the model never started", n)
 			}
-			t.Logf("%d steps, %d sweeps; evicted %d by count, %d by age; %d tenants dropped",
-				steps, len(h.ids), h.m.countEvicted, h.m.ageEvicted, h.m.tenantsDropped)
+			t.Logf("%d steps, %d sweeps; evicted %d by count, %d by age; %d tenants dropped; reports: %d handed over, %d released, %d gone when fetched",
+				steps, len(h.ids), h.m.countEvicted, h.m.ageEvicted, h.m.tenantsDropped, h.m.collected, h.m.released, h.m.refetched)
 			covered.countEvicted += h.m.countEvicted
 			covered.ageEvicted += h.m.ageEvicted
 			covered.tenantsDropped += h.m.tenantsDropped
+			covered.collected += h.m.collected
+			covered.released += h.m.released
+			covered.refetched += h.m.refetched
+			covered.oversizeCollected += h.m.oversizeCollected
 		})
 	}
 	for what, n := range map[string]int{
 		"evictions past maxRetained": covered.countEvicted,
 		"evictions past Retain":      covered.ageEvicted,
 		"tenants dropped":            covered.tenantsDropped,
+		"reports handed over":        covered.collected,
+		"reports released unfetched": covered.released,
+		"fetches of a gone report":   covered.refetched,
+		"hand-overs past the budget": covered.oversizeCollected,
 		"ErrQueueFull submits":       queueFull,
 		"submits after Close":        closedSubmits,
 	} {

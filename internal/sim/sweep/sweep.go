@@ -22,7 +22,13 @@
 //     them and after every finished run, so no timer is involved and an
 //     expired sweep is never visible. A tenant's entry goes with its last
 //     retained sweep, so memory stays proportional to the configured
-//     bounds, not to uptime or the tenant names ever seen.
+//     bounds, not to uptime or the tenant names ever seen. A done sweep's
+//     report is held only until the first Report hands it over; the sweep
+//     stays listed as its status. Reports nobody has collected share one
+//     budget of maxHeldShards entries, past which a landing sweep releases
+//     the oldest before it, never its own. A report handed over or
+//     released is ErrReportGone: its client re-submits the spec, which the
+//     session's result cache serves.
 //
 // Execution is delegated to a RunFunc — in production sim.Session.Run,
 // optionally routed through a shared dispatch.Dispatcher. Progress is
@@ -78,6 +84,10 @@ var (
 	// ErrCancelled marks the error Report returns for a cancelled sweep —
 	// the 410 — whose text stays the sweep's own.
 	ErrCancelled = errors.New("sweep: cancelled")
+	// ErrReportGone rejects fetching a done sweep's report once an earlier
+	// Report handed it over or the held-report budget released it — the
+	// other 410, whose text says which.
+	ErrReportGone = errors.New("sweep: report gone")
 	// ErrClosed rejects submits to a closed coordinator.
 	ErrClosed = errors.New("sweep: coordinator closed")
 )
@@ -91,6 +101,23 @@ type RunFunc func(ctx context.Context, spec *sim.Spec) (*sim.Report, error)
 // maxRetained is how many terminal sweeps are held at once, however young:
 // memory bounded by config, one value for every caller.
 const maxRetained = 256
+
+// maxHeldShards bounds the reports landed and not yet collected, counted in
+// entries (shards plus merged; heldShards). An entry of the built-in
+// workloads keeps at most 4 KiB live (footprint's, the largest kind,
+// ≈ 2.8 KB), so a full budget is at most 32 MiB (TestHeldReportsWithinBudget).
+// A landing sweep releases older reports only, never its own, so the held
+// total exceeds the budget by at most the newest report, which admission
+// bounds (TestOversizeReportIsFetched).
+const maxHeldShards = 8192
+
+// heldShards is what a report counts against maxHeldShards.
+func heldShards(rep *sim.Report) int {
+	if rep == nil {
+		return 0
+	}
+	return len(rep.Shards) + len(rep.Merged)
+}
 
 // Options tune a Coordinator. Run is required; every other zero field
 // takes the default noted on it.
@@ -166,10 +193,11 @@ type job struct {
 	finished        time.Time
 	cancelRequested bool
 	cancel          context.CancelFunc
-	report          *sim.Report
+	report          *sim.Report // a done sweep's, until handed over or released
+	gone            string      // why a done sweep's report is no longer held
 	err             error
 	prog            Progress
-	landed          chan struct{} // closed by run: state, report and err are final
+	landed          chan struct{} // closed by run: state and err are final
 	waited          bool          // Run holds it: landed, it stays off the retention list
 }
 
@@ -193,6 +221,7 @@ type Coordinator struct {
 	tenants map[string]*tenant
 	sweeps  map[string]*job
 	done    []*job // terminal sweeps in finish order — the retention list
+	held    int    // heldShards summed over the retention list's reports
 	seq     uint64
 	closed  bool
 
@@ -318,10 +347,12 @@ func (c *Coordinator) Get(id string) (Status, bool) {
 	return c.statusLocked(j), true
 }
 
-// Report returns a done sweep's final report. ErrNotFound for unknown
-// IDs, ErrNotTerminal while running, and the sweep's terminal error for
-// failed or cancelled sweeps; a cancelled sweep's satisfies
-// errors.Is(err, ErrCancelled).
+// Report hands over a done sweep's final report: the first call returns
+// it and the coordinator lets go of it, keeping the sweep's status, and
+// every later one is ErrReportGone, as is a report the held-report budget
+// released before anyone asked. ErrNotFound for unknown IDs, ErrNotTerminal
+// while running, and the sweep's terminal error for failed or cancelled
+// sweeps; a cancelled sweep's satisfies errors.Is(err, ErrCancelled).
 func (c *Coordinator) Report(id string) (*sim.Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -330,7 +361,9 @@ func (c *Coordinator) Report(id string) (*sim.Report, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return j.outcome()
+	rep, err := j.outcome()
+	c.letGoLocked(j, goneCollected)
+	return rep, err
 }
 
 // Run submits spec as Submit does, hands the admitted status to admitted
@@ -450,6 +483,7 @@ func (c *Coordinator) run(j *job, ctx context.Context) {
 	defer c.mu.Unlock()
 	tq := c.tenants[j.tenant]
 	tq.running--
+	j.spec, j.cancel = nil, nil // a landed sweep is kept as its status
 	j.finished, j.err = c.opts.Clock.Now(), err
 	switch {
 	case err == nil:
@@ -464,7 +498,11 @@ func (c *Coordinator) run(j *job, ctx context.Context) {
 	}
 	if !j.waited {
 		c.done = append(c.done, j)
+		c.held += heldShards(j.report)
 		tq.retained++
+		for i := 0; c.held > maxHeldShards && i < len(c.done)-1; i++ {
+			c.letGoLocked(c.done[i], goneReleased)
+		}
 	}
 	close(j.landed)
 	c.evictLocked()
@@ -485,6 +523,7 @@ func (c *Coordinator) evictLocked() {
 		}
 		if len(c.done) > maxRetained || now.Sub(j.finished) > c.opts.Retain {
 			c.done = c.done[1:]
+			c.held -= heldShards(j.report)
 			c.tenants[j.tenant].retained--
 			c.dropLocked(j)
 			continue
@@ -500,6 +539,23 @@ func (c *Coordinator) dropLocked(j *job) {
 	if tq := c.tenants[j.tenant]; tq != nil && tq.retained == 0 && tq.running == 0 {
 		delete(c.tenants, j.tenant)
 	}
+}
+
+// Why a done sweep's report is gone, as ErrReportGone's text says it.
+const (
+	goneCollected = "collected by an earlier fetch"
+	goneReleased  = "released uncollected past the held-report budget"
+)
+
+// letGoLocked drops a retained sweep's report, if it still holds one, for
+// the reason a later Report gives; the sweep stays as its status. The
+// report of a sweep Run waits on is Run's to return, never let go.
+func (c *Coordinator) letGoLocked(j *job, why string) {
+	if j.report == nil || j.waited {
+		return
+	}
+	c.held -= heldShards(j.report)
+	j.report, j.gone = nil, why
 }
 
 // statusLocked snapshots a job. Caller holds c.mu.
@@ -527,6 +583,9 @@ func (c *Coordinator) statusLocked(j *job) Status {
 func (j *job) outcome() (*sim.Report, error) {
 	switch j.state {
 	case StateDone:
+		if j.report == nil {
+			return nil, fmt.Errorf("%w: %s; re-submit its spec", ErrReportGone, j.gone)
+		}
 		return j.report, nil
 	case StateFailed:
 		return nil, j.err

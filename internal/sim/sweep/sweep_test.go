@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rebalance/internal/clock"
 	"rebalance/internal/sim"
+	"rebalance/internal/workload"
 )
 
 // specN builds a valid spec expanding to exactly n shards (n seeds of one
@@ -602,5 +604,175 @@ func TestRunKeepsAsyncResults(t *testing.T) {
 	}
 	if st := c.Stats(); st.Retained != 1 {
 		t.Errorf("retained %d sweeps, want the async one alone", st.Retained)
+	}
+}
+
+// heldEntryBytes is the per-entry bound maxHeldShards' doc states: what one
+// shard or merged entry of a held report of the built-in workloads keeps
+// live, footprint's being the largest.
+const heldEntryBytes = 4 << 10
+
+// footprintReport is the encoding of a real report of footprint, the kind
+// whose entries are the largest, over every built-in workload and seeds
+// seeds: each DecodeReport of it is a fresh report with every result its
+// own, as a front door's dispatched report is.
+func footprintReport(t *testing.T, seeds int) []byte {
+	t.Helper()
+	rep, err := sim.NewSession(2).Run(context.Background(), &sim.Spec{
+		Workloads: workload.Names(),
+		SeedCount: seeds,
+		Insts:     100_000,
+		Observers: []sim.ObserverSpec{{Kind: "footprint"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// liveHeap is the heap a collection leaves live.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// landAll submits n sweeps one after another, each waited on until done
+// and then handed to landed; it returns their IDs in order.
+func landAll(t *testing.T, c *Coordinator, n int, landed func(id string)) []string {
+	t.Helper()
+	ids := make([]string, n)
+	for i := range ids {
+		st, err := c.Submit("t", specN(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+		waitState(t, c, st.ID, StateDone)
+		landed(st.ID)
+	}
+	return ids
+}
+
+// decodingRun is a RunFunc answering every sweep with a fresh decode of enc.
+func decodingRun(enc []byte) RunFunc {
+	return func(context.Context, *sim.Spec) (*sim.Report, error) { return sim.DecodeReport(enc) }
+}
+
+// TestHeldReportsWithinBudget lands uncollected sweeps totalling twice
+// maxHeldShards entries, each sweep large enough that far fewer than
+// maxRetained of them fill the budget: the held entries stay within the
+// budget, the live heap within the budget times heldEntryBytes, the newest
+// reports are the ones held, and a released one is ErrReportGone saying so.
+func TestHeldReportsWithinBudget(t *testing.T) {
+	enc := footprintReport(t, 63)
+	probe, err := sim.DecodeReport(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := heldShards(probe)
+	if maxHeldShards/per >= maxRetained/2 {
+		t.Fatalf("a sweep of %d entries is too small: %d of them fit the budget, which maxRetained (%d) would bound alone", per, maxHeldShards/per, maxRetained)
+	}
+	probe = nil
+	c, err := New(Options{Run: decodingRun(enc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	before := liveHeap()
+	ids := landAll(t, c, 2*maxHeldShards/per+1, func(string) {})
+	grown := liveHeap() - before
+	c.mu.Lock()
+	held := c.held
+	c.mu.Unlock()
+	t.Logf("%d sweeps of %d entries landed: %d entries held, live heap +%d B (%.0f B per held entry)",
+		len(ids), per, held, grown, float64(grown)/float64(held))
+	if held > maxHeldShards || held < maxHeldShards-per {
+		t.Errorf("%d entries held, want the budget's %d filled to within one sweep", held, maxHeldShards)
+	}
+	if bound := int64(maxHeldShards) * heldEntryBytes; grown > bound {
+		t.Errorf("held reports grew the live heap by %d B, over the budget's %d B", grown, bound)
+	}
+	if rep, err := c.Report(ids[len(ids)-1]); err != nil || heldShards(rep) != per {
+		t.Errorf("newest report: %d entries, %v; want it held", heldShards(rep), err)
+	}
+	if _, err := c.Report(ids[0]); !errors.Is(err, ErrReportGone) || !strings.Contains(err.Error(), "released") {
+		t.Errorf("oldest report: %v, want ErrReportGone for a release", err)
+	}
+	if st, ok := c.Get(ids[0]); !ok || st.State != StateDone {
+		t.Errorf("a released report's sweep: %+v (found %v), want it still listed done", st, ok)
+	}
+}
+
+// TestCollectedSweepsKeepOnlyStatuses fetches every report of twice
+// maxRetained sweeps as it lands: the coordinator keeps maxRetained of them
+// as statuses, and the live heap grows by those alone, not by a report.
+func TestCollectedSweepsKeepOnlyStatuses(t *testing.T) {
+	const statusBytes = 1 << 10 // what one retained sweep's record may keep live
+	enc := footprintReport(t, 2)
+	c, err := New(Options{Run: decodingRun(enc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	before := liveHeap()
+	landAll(t, c, 2*maxRetained, func(id string) {
+		if _, err := c.Report(id); err != nil {
+			t.Fatal(err)
+		}
+	})
+	grown := liveHeap() - before
+	t.Logf("%d sweeps retained after every report was fetched: live heap +%d B (%.0f B each)",
+		c.Stats().Retained, grown, float64(grown)/maxRetained)
+	if bound := int64(maxRetained) * statusBytes; grown > bound {
+		t.Errorf("collected sweeps grew the live heap by %d B, over %d statuses' %d B", grown, maxRetained, bound)
+	}
+}
+
+// TestOversizeReportIsFetched lands a sweep whose report alone exceeds
+// maxHeldShards: its landing releases the older uncollected report, never
+// its own, so its first Report succeeds; left uncollected, it goes when the
+// next sweep lands.
+func TestOversizeReportIsFetched(t *testing.T) {
+	c, err := New(Options{Run: func(_ context.Context, spec *sim.Spec) (*sim.Report, error) {
+		n, err := spec.GridSize()
+		return &sim.Report{Shards: make([]sim.Shard, n)}, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	land := func(n int) string {
+		t.Helper()
+		st, err := c.Submit("t", specN(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, c, st.ID, StateDone)
+		return st.ID
+	}
+	const big = maxHeldShards + 1
+	older, oversize := land(1), land(big)
+	if _, err := c.Report(older); !errors.Is(err, ErrReportGone) {
+		t.Errorf("the report landed before the oversize one: %v, want it released", err)
+	}
+	if rep, err := c.Report(oversize); err != nil || heldShards(rep) != big {
+		t.Errorf("oversize report: %d entries, %v; want its %d handed over", heldShards(rep), err, big)
+	}
+	oversize = land(big)
+	newest := land(1)
+	if _, err := c.Report(oversize); !errors.Is(err, ErrReportGone) {
+		t.Errorf("uncollected oversize report after a later landing: %v, want it released", err)
+	}
+	if _, err := c.Report(newest); err != nil {
+		t.Errorf("newest report: %v, want it held", err)
 	}
 }

@@ -221,6 +221,15 @@ func (s *Scanner) Int() int64 {
 	return v
 }
 
+// HostInt reads an integer into an int, refusing one the host's int
+// cannot hold — beyond ±2^31 on a 32-bit host — rather than wrapping it,
+// as encoding/json refuses it for an int field.
+func (s *Scanner) HostInt() int {
+	v, err := strconv.ParseInt(string(s.number()), 10, strconv.IntSize)
+	s.check(err)
+	return int(v)
+}
+
 // Uint reads an unsigned integer.
 func (s *Scanner) Uint() uint64 {
 	v, err := strconv.ParseUint(string(s.number()), 10, 64)

@@ -142,6 +142,23 @@ func TestScannerFloatsMatchStrictUnmarshal(t *testing.T) {
 	}
 }
 
+// TestScannerHostIntMatchesStrictUnmarshal: HostInt reads what
+// StrictUnmarshal reads into an int on the host running the test, to the
+// same value, and refuses what it refuses — an integer past the host's
+// int included, which on a 32-bit host is one that fits 64 bits.
+func TestScannerHostIntMatchesStrictUnmarshal(t *testing.T) {
+	past := strconv.FormatUint(uint64(math.MaxInt)+1, 10)
+	for _, in := range []string{"0", "-7", strconv.Itoa(math.MaxInt), strconv.Itoa(math.MinInt), past, "-" + past + "1",
+		"4294967296", "9223372036854775808", "1.0", "1e3", `"1"`} {
+		var want int
+		werr := StrictUnmarshal([]byte(in), &want)
+		got, err := Decode([]byte(in), func(sc *Scanner) (int, error) { return sc.HostInt(), sc.Err() })
+		if (err == nil) != (werr == nil) || got != want {
+			t.Errorf("%s: HostInt %d (err %v); StrictUnmarshal %d (err %v)", in, got, err, want, werr)
+		}
+	}
+}
+
 // TestAppendFloatMatchesMarshal: AppendFloat writes what json.Marshal
 // writes for a float64, across both notations and their boundaries.
 func TestAppendFloatMatchesMarshal(t *testing.T) {

@@ -108,10 +108,14 @@ type mixture struct {
 func (p Params) mixtureFractions() (mixture, error) {
 	mix, biased, mid := p.masses()
 	total := mix + biased + mid
+	// An explicit float64(x*y) rounds the product before the sum, which
+	// the Go spec forbids fusing into an FMA: every GOARCH (arm64, ppc64le
+	// and s390x fuse otherwise) builds the same program. So below and in
+	// the generator.
 	m := mixture{
-		biased:     (p.BiasedFrac*total - biased) / mix,
+		biased:     (float64(p.BiasedFrac*total) - biased) / mix,
 		correlated: p.CorrelatedFrac * total / mix,
-		noisy:      (p.NoisyFrac*total - mid) / mix,
+		noisy:      (float64(p.NoisyFrac*total) - mid) / mix,
 	}
 	if m.biased < -1e-9 {
 		return mixture{}, errf("biased_frac %.3f below the structural floor %.3f (loop back-edges and guards)", p.BiasedFrac, biased/total)
@@ -146,7 +150,7 @@ func assignKinds(m mixture, n int) []siteKind {
 	for i := 0; i < n; i++ {
 		best, bestDeficit := 0, math.Inf(-1)
 		for k, t := range targets {
-			if deficit := t*float64(i+1) - float64(placed[k]); deficit > bestDeficit {
+			if deficit := float64(t*float64(i+1)) - float64(placed[k]); deficit > bestDeficit {
 				best, bestDeficit = k, deficit
 			}
 		}
@@ -222,10 +226,10 @@ func (g *gen) behavior(k siteKind) program.Behavior {
 		return program.CorrelatedBehavior{
 			HistBits: uint(8 + g.r.Intn(5)),
 			Salt:     g.r.Uint64(),
-			Bias:     0.45 + 0.1*g.r.Float64(),
+			Bias:     0.45 + float64(0.1*g.r.Float64()),
 		}
 	default:
-		return program.BiasedBehavior{P: 0.35 + 0.3*g.r.Float64()}
+		return program.BiasedBehavior{P: 0.35 + float64(0.3*g.r.Float64())}
 	}
 }
 

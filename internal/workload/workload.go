@@ -171,7 +171,7 @@ func buildCoMDLite() (*program.Program, int) {
 				loop(program.FixedIters{N: 14 + i%3}, seq(
 					b.block(18),
 					call(dot3),
-					ifThen(program.BiasedBehavior{P: 0.02 + 0.01*float64(i)}, seq( // cutoff test
+					ifThen(program.BiasedBehavior{P: 0.02 + float64(0.01*float64(i))}, seq( // cutoff test; float64(...) forbids an FMA
 						b.block(5),
 						call(expApprox),
 					)),
