@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -69,6 +70,8 @@ func newFrontDoor(t *testing.T, opts sweep.Options) *frontDoor {
 		fd.tenant, fd.spec, fd.served = tenant, spec, enc
 		fd.mu.Unlock()
 		switch {
+		case errors.Is(err, sim.ErrInvalidSpec):
+			wire.WriteError(w, http.StatusBadRequest, err)
 		case errors.Is(err, sweep.ErrQueueFull):
 			wire.WriteError(w, http.StatusTooManyRequests, err)
 		case err != nil:
@@ -169,28 +172,40 @@ func TestRunCoordinatorSweepCancel(t *testing.T) {
 	}
 }
 
-// TestRunCoordinatorSweepFailures: a 429 surfaces the envelope's message,
-// a sweep that lands failed surfaces its error, and a 200 body carrying a
-// field a report lacks is an error naming that field.
+// TestRunCoordinatorSweepFailures: the coordinator's 429 and 400 surface
+// their envelopes' messages, a sweep that lands failed surfaces its error,
+// and a 200 body carrying a field a report lacks is an error naming that
+// field.
 func TestRunCoordinatorSweepFailures(t *testing.T) {
-	// One sweep held running fills tenant t's queue of 1; a run as tenant u
-	// fails like every run here.
+	// One sweep held running, 4 shards and 2 merged entries charged 38,
+	// leaves no room for another in tenant t's share of 2 × 4 + 32 = 40; a
+	// run as tenant u, once it has landed, fails like every run here.
 	gate := make(chan struct{})
-	fd := newFrontDoor(t, sweep.Options{QueueDepth: 1, Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
+	fd := newFrontDoor(t, sweep.Options{MaxShards: 4, Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
 		select {
 		case <-gate:
 		case <-ctx.Done():
 		}
 		return nil, errors.New("engine exploded")
 	}})
-	if _, err := fd.coord.Submit("t", coordSpec()); err != nil {
+	held, err := fd.coord.Submit("t", coordSpec())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := runCoordinatorSweep(context.Background(), fd.URL, "t", coordSpec(), io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "429") || !strings.Contains(err.Error(), "tenant queue full") {
-		t.Errorf("full queue: error %v, want the 429 envelope's message surfaced", err)
+		!strings.Contains(err.Error(), "429") || !strings.Contains(err.Error(), `tenant "t" runs 38 of its 40`) {
+		t.Errorf("full share: error %v, want the 429 envelope's message surfaced", err)
+	}
+	over := coordSpec()
+	over.SeedCount = 3
+	if _, err := runCoordinatorSweep(context.Background(), fd.URL, "u", over, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "6 shards exceed the limit 4") {
+		t.Errorf("grid over MaxShards: error %v, want the 400 envelope's message surfaced", err)
 	}
 	close(gate)
+	for st, _ := fd.coord.Get(held.ID); !st.State.Terminal(); st, _ = fd.coord.Get(held.ID) {
+		runtime.Gosched()
+	}
 	if _, err := runCoordinatorSweep(context.Background(), fd.URL, "u", coordSpec(), io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "engine exploded") {
 		t.Errorf("failed sweep: error %v, want its error surfaced", err)

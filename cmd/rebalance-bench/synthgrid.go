@@ -11,7 +11,7 @@ import (
 
 // maxSynthGrid bounds the -synth cross product so a typo'd axis list
 // cannot expand into thousands of workloads: a local run has no shard
-// limit, and a coordinator's -max-shards sees only the built spec.
+// limit, and a coordinator's MaxShards sees only the built spec.
 const maxSynthGrid = 64
 
 // synthAxes maps -synth grid keys to parameter-set mutations. Each axis

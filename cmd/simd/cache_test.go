@@ -23,9 +23,9 @@ func cachedServer(t *testing.T, worker bool) (*httptest.Server, *shardcache.Cach
 	}
 	sess := sim.NewSession(2)
 	sess.SetCache(cache)
-	cfg := serverConfig{sess: sess, maxInsts: 1_000_000, maxShards: 256}
+	cfg := serverConfig{sess: sess, maxInsts: 1_000_000}
 	if !worker {
-		cfg.coord = newCoord(t, sweep.Options{Run: sess.Run})
+		cfg.coord = newCoord(t, sweep.Options{Run: sess.Run, MaxShards: 256})
 	}
 	srv := httptest.NewServer(newServer(cfg))
 	t.Cleanup(srv.Close)

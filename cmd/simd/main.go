@@ -12,12 +12,14 @@
 // on in the request: an interim 103 names the sweep (Location:
 // /v1/sweeps/{id}), and a client that hangs up cancels it. Every sweep's
 // units share the session's -workers slots, granted in deficit round-robin
-// over tenants. A tenant running -queue-depth sweeps gets 429 with
-// Retry-After; terminal sweeps stay pollable for -retain. A done sweep's
-// report is fetched once: the front door lets go of it then, or earlier
-// when uncollected reports outgrow one fixed budget, and a client that
-// lost it re-submits the spec, which the shard cache serves. The tenant is
-// named by the ?tenant= query parameter ("default" when absent).
+// over tenants. A running sweep is charged its report's entries plus 32, a
+// tenant's sweeps at most 2 × -max-shards + 32 and everything held twice
+// that: a submit past either gets 429 with Retry-After. Terminal sweeps
+// stay pollable for -retain. A done sweep's report is fetched once: the
+// front door lets go of it then, or when a submit needs its room, and a
+// client that lost it re-submits the spec, which the shard cache serves.
+// The tenant is named by the ?tenant= query parameter ("default" when
+// absent).
 //
 // A -worker has no coordinator and serves the worker half of the dispatch
 // layer instead: POST /v1/shards runs one unit of an expanded grid — an
@@ -26,8 +28,8 @@
 // started with -backends (or any sim.Session routed through a
 // dispatch.Dispatcher) decodes and folds into the same bit-identical
 // Report an all-local run produces. A -worker given a flag only a front
-// door reads (-backends, -hedge, -max-shards, -queue-depth, -retain) refuses
-// to start and names it.
+// door reads (-backends, -hedge, -max-shards, -retain) refuses to start and
+// names it.
 //
 // With -backends the front door's shard grids are computed on remote simd
 // workers instead of the local pool, sharing one dispatcher across all
@@ -55,10 +57,9 @@
 // {"error": "...", "code": N} with the code mirroring the HTTP status.
 //
 // Both submit endpoints admit a spec through one step: a body over 1 MiB
-// is a 413, and a spec that does not decode or validate, asks for a
-// per-shard budget over -max-insts or expands to more shards than
-// -max-shards is a 400. The serving limits are simd's alone: the session
-// and the sweep coordinator see only admitted specs and impose none.
+// is a 413, and a spec that does not decode or validate or asks for a
+// per-shard budget over -max-insts is a 400. The coordinator then refuses
+// a grid of more than -max-shards shards, a 400 as well.
 //
 // Every shard runs the compiled engine: a Spec's or ShardSpec's "engine"
 // may be omitted or "compiled", and anything else is a 400 — the tree-walk
@@ -87,8 +88,7 @@
 // Usage:
 //
 //	simd [-addr :8080] [-worker] [-workers N] [-max-insts 100000000]
-//	     [-max-shards 4096] [-drain 30s]
-//	     [-queue-depth 64] [-retain 15m]
+//	     [-max-shards 4096] [-drain 30s] [-retain 15m]
 //	     [-backends http://w1:8081,http://w2:8082] [-hedge]
 //	     [-cache-entries 4096] [-cache-bytes 268435456] [-cache-dir DIR]
 package main
@@ -144,9 +144,8 @@ func run(args []string, stderr io.Writer) error {
 		workerFlag    = fs.Bool("worker", false, "worker mode: serve only the shard protocol (no /v1/runs, no /v1/sweeps)")
 		workersFlag   = fs.Int("workers", runtime.GOMAXPROCS(0), "units in flight across all runs, local or dispatched, granted to tenants in turn; also the slots a run's grid is planned for")
 		maxInstsFlag  = fs.Int64("max-insts", 100_000_000, "reject specs with a larger per-shard instruction budget (0 = unlimited)")
-		maxShardsFlag = fs.Int("max-shards", 4096, "reject specs expanding to more shards than this (0 = unlimited)")
+		maxShardsFlag = fs.Int("max-shards", 4096, "reject specs expanding to more shards than this; it sizes a tenant's share of the front door's entry budget and the budget, twice that")
 		drainFlag     = fs.Duration("drain", 30*time.Second, "in-flight drain budget on SIGINT/SIGTERM")
-		queueFlag     = fs.Int("queue-depth", 64, "sweep coordinator: max running sweeps per tenant, sync runs included (beyond it submits get 429)")
 		retainFlag    = fs.Duration("retain", 15*time.Minute, "sweep coordinator: how long finished sweeps stay pollable")
 		backendsFlag  = fs.String("backends", "", "comma-separated simd worker URLs; dispatch shard grids to them instead of the local pool")
 		hedgeFlag     = fs.Bool("hedge", false, "with -backends, duplicate straggling units onto a second healthy worker; first result wins")
@@ -165,7 +164,7 @@ func run(args []string, stderr io.Writer) error {
 	// never refused.
 	given := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
-	for _, name := range []string{"backends", "hedge", "max-shards", "queue-depth", "retain"} {
+	for _, name := range []string{"backends", "hedge", "max-shards", "retain"} {
 		if *workerFlag && given[name] {
 			return fmt.Errorf("-worker does not take -%s: only a front door reads it", name)
 		}
@@ -175,6 +174,8 @@ func run(args []string, stderr io.Writer) error {
 		return errors.New("-hedge needs -backends: the local pool has no second worker to duplicate stragglers onto")
 	case *cacheEntsFlag <= 0 && *cacheDirFlag != "":
 		return errors.New("-cache-dir needs -cache-entries above 0: the disk tier sits beneath the memory tier, which 0 entries disables")
+	case *maxShardsFlag <= 0:
+		return errors.New("-max-shards must be at least 1: it sizes the front door's shard budget, so no grid is unlimited")
 	}
 	sess := sim.NewSession(*workersFlag)
 	if *cacheEntsFlag > 0 {
@@ -188,7 +189,7 @@ func run(args []string, stderr io.Writer) error {
 		}
 		sess.SetCache(cache)
 	}
-	cfg := serverConfig{sess: sess, maxInsts: *maxInstsFlag, maxShards: *maxShardsFlag}
+	cfg := serverConfig{sess: sess, maxInsts: *maxInstsFlag}
 	if *backendsFlag != "" {
 		backends, err := dispatch.ParseBackends(*backendsFlag, dispatch.DefaultClient(*workersFlag))
 		if err != nil {
@@ -211,9 +212,9 @@ func run(args []string, stderr io.Writer) error {
 	}
 	if !*workerFlag {
 		coord, err := sweep.New(sweep.Options{
-			Run:        sess.Run,
-			QueueDepth: *queueFlag,
-			Retain:     *retainFlag,
+			Run:       sess.Run,
+			MaxShards: *maxShardsFlag,
+			Retain:    *retainFlag,
 		})
 		if err != nil {
 			return err
@@ -264,14 +265,13 @@ func serve(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Du
 }
 
 // serverConfig wires the simd handler's collaborators. sess is always
-// set; maxInsts and maxShards are the serving limits -max-insts and
-// -max-shards (0 = unlimited); coord, the sweep coordinator, makes the
-// server a front door (nil on a -worker); dispatcher is the shared
-// remote-shard dispatcher (nil without -backends).
+// set; maxInsts is the serving limit -max-insts (0 = unlimited); coord,
+// the sweep coordinator, makes the server a front door (nil on a -worker)
+// and holds -max-shards; dispatcher is the shared remote-shard dispatcher
+// (nil without -backends).
 type serverConfig struct {
 	sess       *sim.Session
 	maxInsts   int64
-	maxShards  int
 	coord      *sweep.Coordinator
 	dispatcher *dispatch.Dispatcher
 }
@@ -428,28 +428,21 @@ func writeOutcome(w http.ResponseWriter, ok int, v any, err error) {
 }
 
 // admit is the one admission step of both submit endpoints: it reads the
-// bounded body, decodes and validates the spec, and holds it to the
-// serving limits. GridSize counts the grid without building it, so an
-// oversize spec allocates nothing before it is refused. On failure admit
-// has already answered — 413 for an oversize body, 400 for a spec that is
-// invalid or over a limit — and returns nil.
+// bounded body, decodes and validates the spec, and holds it to
+// -max-insts; the coordinator's Submit holds its grid to -max-shards. On
+// failure admit has already answered — 413 for an oversize body, 400 for
+// a spec that is invalid or over the limit — and returns nil.
 func (cfg serverConfig) admit(w http.ResponseWriter, r *http.Request) *sim.Spec {
 	body, ok := wire.ReadBody(w, r, maxSpecBytes)
 	if !ok {
 		return nil
 	}
 	spec, err := sim.DecodeSpec(body)
-	var shards int
-	if err == nil {
-		shards, err = spec.GridSize()
-	}
 	switch {
 	case err != nil:
 		wire.WriteError(w, http.StatusBadRequest, err)
 	case cfg.maxInsts > 0 && spec.Insts > cfg.maxInsts:
 		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("per-shard budget %d exceeds server limit %d", spec.Insts, cfg.maxInsts))
-	case cfg.maxShards > 0 && shards > cfg.maxShards:
-		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("%d shards exceed server limit %d", shards, cfg.maxShards))
 	default:
 		return spec
 	}

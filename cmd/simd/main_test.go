@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -27,8 +29,8 @@ import (
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	sess := sim.NewSession(2)
-	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000, maxShards: 256,
-		coord: newCoord(t, sweep.Options{Run: sess.Run})}))
+	srv := httptest.NewServer(newServer(serverConfig{sess: sess, maxInsts: 1_000_000,
+		coord: newCoord(t, sweep.Options{Run: sess.Run, MaxShards: 256})}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -385,8 +387,9 @@ func TestOversizeSpecBodyIs413(t *testing.T) {
 }
 
 // TestRunRefusesToStart: each startup conflict — a -worker given any flag
-// only a front door reads among them — and a -backends list that does not
-// parse, is run's error before anything listens. The address does not
+// only a front door reads among them, and a -max-shards that bounds
+// nothing or whose budget overflows — and a -backends list that does not parse, is run's error
+// before anything listens; a flag that is gone is the flag package's. The address does not
 // parse either, so a refusal that went missing fails at Listen with
 // another message instead of serving; the last row is a -worker given only
 // flags it reads, which gets that far.
@@ -398,7 +401,9 @@ func TestRunRefusesToStart(t *testing.T) {
 		{[]string{"-worker", "-backends", "http://127.0.0.1:1"}, "-worker does not take -backends"},
 		{[]string{"-worker", "-hedge"}, "-worker does not take -hedge"},
 		{[]string{"-worker", "-max-shards", "4096"}, "-worker does not take -max-shards"},
-		{[]string{"-worker", "-queue-depth", "64"}, "-worker does not take -queue-depth"},
+		{[]string{"-worker", "-queue-depth", "64"}, "flag provided but not defined: -queue-depth"},
+		{[]string{"-max-shards", "0"}, "-max-shards must be at least 1"},
+		{[]string{"-max-shards", strconv.Itoa(math.MaxInt/8 + 1)}, "budget overflows an int"},
 		{[]string{"-max-running", "2"}, "flag provided but not defined: -max-running"},
 		{[]string{"-worker", "-max-running", "2"}, "flag provided but not defined: -max-running"},
 		{[]string{"-worker", "-retain", "15m"}, "-worker does not take -retain"},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -223,9 +224,10 @@ func TestSweepAsyncMatchesSyncRun(t *testing.T) {
 	}
 }
 
-// TestSweepSubmitRejections pins the 400 mapping: malformed JSON, unknown
-// fields, semantically invalid specs, and over-budget specs are all 400
-// envelopes before any queueing.
+// TestSweepSubmitRejections pins the 400 mapping on both submit
+// endpoints: malformed JSON, unknown fields, semantically invalid specs,
+// and specs over -max-insts or the coordinator's -max-shards are all 400
+// envelopes before anything runs.
 func TestSweepSubmitRejections(t *testing.T) {
 	srv := testServer(t)
 	for name, body := range map[string]string{
@@ -237,10 +239,11 @@ func TestSweepSubmitRejections(t *testing.T) {
 		"over max-insts":   `{"workloads": ["comd-lite"], "insts": 100000000, "observers": [{"kind": "bbl"}]}`,
 		"over max-shards":  `{"workloads": ["comd-lite"], "seed_count": 1000, "insts": 1000, "observers": [{"kind": "bbl"}]}`,
 	} {
-		resp := doReq(t, http.MethodPost, srv.URL+"/v1/sweeps", body)
-		env := decodeEnvelope(t, resp, http.StatusBadRequest)
-		if env.Error == "" {
-			t.Errorf("%s: empty error message", name)
+		for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
+			env := decodeEnvelope(t, doReq(t, http.MethodPost, srv.URL+path, body), http.StatusBadRequest)
+			if env.Error == "" {
+				t.Errorf("%s to %s: empty error message", name, path)
+			}
 		}
 	}
 }
@@ -255,42 +258,61 @@ func stubServer(t *testing.T, opts sweep.Options) *httptest.Server {
 	return srv
 }
 
-// TestSweepAdmission429 fills one tenant's queue with running sweeps and
-// pins the 429 + Retry-After contract, while a second tenant's submit is
-// still admitted.
+// TestSweepAdmission429 pins admission against the shard budget at
+// MaxShards 8: a share of 2 × 8 + 32 = 48 entries, the charge of the
+// largest sweep (one seed over eight BTB geometries), and a budget of 96.
+// The stub runs that sweep until the test ends and lands every other at
+// once. Uncollected reports filling the budget refuse no submit: the
+// oldest are released, and a released result is a 410 saying so. Tenant
+// a's largest sweep fills its share, so its next submit is a 429 +
+// Retry-After naming it, while tenant b's small submit is admitted.
 func TestSweepAdmission429(t *testing.T) {
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	srv := stubServer(t, sweep.Options{
-		QueueDepth: 2,
+		MaxShards: 8,
 		Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
+			if n, err := spec.GridSize(); err != nil || spec.Observers[0].Kind != "btb" {
+				return &sim.Report{Schema: sim.SchemaV1, Shards: make([]sim.Shard, n), Merged: make([]sim.Merged, 1)}, err
+			}
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			case <-release:
-				return &sim.Report{Schema: sim.SchemaV1}, nil
+				return nil, errors.New("released")
 			}
 		},
 	})
-	spec := `{"workloads": ["comd-lite"], "insts": 1000, "observers": [{"kind": "bbl"}]}`
-
-	// Two running sweeps fill tenant a's queue; they end only when release
-	// closes, so the 3rd submit must bounce.
-	for i := 0; i < 2; i++ {
-		resp := doReq(t, http.MethodPost, srv.URL+"/v1/sweeps?tenant=a", spec)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
-		}
-		resp.Body.Close()
+	one := `{"workloads": ["comd-lite"], "insts": 1000, "observers": [{"kind": "bbl"}]}`
+	eight := `{"workloads": ["comd-lite"], "seed_count": 8, "insts": 1000, "observers": [{"kind": "bbl"}]}`
+	geoms := make([]string, 8)
+	for i := range geoms {
+		geoms[i] = fmt.Sprintf(`{"entries": %d, "ways": 1}`, i+1)
 	}
-	resp := doReq(t, http.MethodPost, srv.URL+"/v1/sweeps?tenant=a", spec)
-	decodeEnvelope(t, resp, http.StatusTooManyRequests)
+	largest := `{"workloads": ["comd-lite"], "insts": 1000, "observers": [{"kind": "btb", "options": {"geometries": [` + strings.Join(geoms, ",") + `]}}]}`
+
+	// Ten landed reports of 9 entries hold 90 of the budget's 96 uncollected.
+	var landed []string
+	for range 10 {
+		id := submitSweep(t, srv.URL, "c", eight)
+		pollSweep(t, srv.URL, id)
+		landed = append(landed, id)
+	}
+	submitSweep(t, srv.URL, "a", largest)
+	if env := decodeEnvelope(t, doReq(t, http.MethodGet, srv.URL+"/v1/sweeps/"+landed[0]+"/result", ""), http.StatusGone); !strings.Contains(env.Error, "released uncollected") {
+		t.Errorf("oldest uncollected result: %q, want a 410 naming its release", env.Error)
+	}
+
+	resp := doReq(t, http.MethodPost, srv.URL+"/v1/sweeps?tenant=a", one)
+	if env := decodeEnvelope(t, resp, http.StatusTooManyRequests); !strings.Contains(env.Error, `tenant "a" runs 48 of its 48`) {
+		t.Errorf("429 reads %q, want it to name a's running entries and share", env.Error)
+	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Error("429 carries no Retry-After header")
 	}
 
-	// Admission is per tenant: b submits freely past a's saturation.
-	bResp := doReq(t, http.MethodPost, srv.URL+"/v1/sweeps?tenant=b", spec)
+	// Admission is per tenant: b submits beside a's full share.
+	bResp := doReq(t, http.MethodPost, srv.URL+"/v1/sweeps?tenant=b", one)
 	if bResp.StatusCode != http.StatusAccepted {
 		t.Errorf("tenant b: status %d, want 202", bResp.StatusCode)
 	}
@@ -424,15 +446,25 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("coordinator /v1/stats blocks %v, want %v", got, want)
 	}
 	var sw struct {
-		Tenants map[string]struct {
-			Done int64 `json:"done"`
+		Budget          int `json:"budget"`
+		HeldRunning     int `json:"held_running"`
+		HeldUncollected int `json:"held_uncollected"`
+		Tenants         map[string]struct {
+			HeldRunning *int  `json:"held_running"`
+			Done        int64 `json:"done"`
 		} `json:"tenants"`
 	}
 	if err := json.Unmarshal(stats["sweeps"], &sw); err != nil {
 		t.Fatalf("sweeps block: %v", err)
 	}
-	if sw.Tenants["statseer"].Done != 1 {
-		t.Errorf("tenant gauges %+v, want statseer done=1", sw.Tenants)
+	if tq := sw.Tenants["statseer"]; tq.Done != 1 || tq.HeldRunning == nil || *tq.HeldRunning != 0 {
+		t.Errorf("tenant gauges %+v, want statseer done=1 with 0 entries running", sw.Tenants)
+	}
+	// The landed sweep's report, 1 shard and 1 merged entry, is held
+	// uncollected against two shares of the largest sweep at the front
+	// door's 256 max shards: 2 × 256 entries and 32 for the sweep itself.
+	if sw.Budget != 1088 || sw.HeldRunning != 0 || sw.HeldUncollected != 2 {
+		t.Errorf("budget gauges %s, want 2 of 1088 entries held uncollected", stats["sweeps"])
 	}
 
 	// With -backends the dispatch block is there, in the wire's dialect:

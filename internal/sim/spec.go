@@ -214,7 +214,7 @@ func (s *Spec) normalized() (*Spec, error) {
 // seeds, budget, engine, and the full observer expansion — and returns
 // the number of shards it expands to: {workloads x observer-configs x
 // seeds}, computed without building the grid. It imposes no limit on that
-// number; simd's -max-shards is the limit a server applies to it. (What a
+// number; a sweep coordinator's MaxShards is the limit applied to it. (What a
 // unit costs at the session's gate is its member count, not its grid's
 // size.) Every failure wraps ErrInvalidSpec.
 func (s *Spec) GridSize() (int, error) {

@@ -21,11 +21,14 @@ import (
 // model on every sweep's state, the running and retained gauges, the
 // tenant table and its counters, and which sweeps are still visible — and
 // every admitted sweep's run must have started by the time Submit
-// returned. A done sweep's report is handed over by the first Report and
-// is ErrReportGone after, and the reports nobody has fetched stay within
-// maxHeldShards entries, the oldest released first, though a landing
-// report is never released by its own landing: the model holds the
-// coordinator's held count and which reports are gone, and why, to that
+// returned. Admission is the budget rule at a small MaxShards, so the
+// sequences reach its edges: a grid over MaxShards is invalid, a tenant's
+// running charges stay within its share, the largest sweep's charge, and
+// running sweeps' charges plus uncollected reports stay within the budget
+// of two shares at every step, a submit releasing the oldest uncollected
+// reports to fit and refused only when running sweeps alone leave no room. A done sweep's report is handed
+// over by the first Report and is ErrReportGone after: the model holds the
+// coordinator's held counts and which reports are gone, and why, to that
 // rule. Which units of the running sweeps compute is the session gate's
 // concern, modelled by the sim package's TestGateMatchesDRR.
 
@@ -36,7 +39,8 @@ type mSweep struct {
 	id, tenant string
 	seq        int
 	spec       *sim.Spec
-	cost       int // its report's entries, one per seed
+	shards     int // its grid
+	entries    int // its report's, shards plus merged
 	state      State
 	finished   time.Time
 	finish     chan error // the running stub's release
@@ -54,35 +58,50 @@ func (s *mSweep) String() string {
 
 // mTenant is the model's record of one tenant.
 type mTenant struct {
-	running, retained  int
-	done, failed, canc int64
+	running, charged, retained int
+	done, failed, canc         int64
 }
 
+// modelMaxShards is the sequences' MaxShards: small, so a few sweeps reach
+// a tenant's share and the budget. A share is the charge of the largest
+// sweep, one seed over MaxShards shards, and the budget two shares.
+const (
+	modelMaxShards = 64
+	modelShare     = 2*modelMaxShards + sweepCost
+	modelBudget    = 2 * modelShare
+)
+
 // model is the coordinator's contract, restated: every admitted sweep runs
-// at once, per-tenant QueueDepth bounds running sweeps, retention goes by
-// count and age, and a report is held until fetched once or released past
-// maxHeldShards.
+// at once, charged its report's entries and sweepCost; admission holds each
+// tenant's running charges to a share and everything held to the budget,
+// releasing uncollected reports oldest first to fit; retention goes by
+// count and age; and a report is held until fetched once or released.
 type model struct {
-	depth   int
 	retain  time.Duration
 	now     time.Time
 	tenants map[string]*mTenant
 	visible map[string]*mSweep
 	done    []*mSweep // the retention list, in finish order
+	charged int       // the running sweeps' charges
 	held    int       // the entries of the retention list's held reports
 	running int
 	closed  bool
 
 	// What the sequence exercised, so a run of the test cannot pass vacuously.
-	countEvicted, ageEvicted, tenantsDropped, collected, released, refetched, oversizeCollected int
+	countEvicted, ageEvicted, tenantsDropped, collected, released, refetched int
+	invalid, shareFull, budgetFull, fullSize                                 int
 }
 
-// heldCost is what s's report counts against maxHeldShards while held.
+// charge is what s holds against the budget while running: its report's
+// entries and sweepCost.
+func (s *mSweep) charge() int { return s.entries + sweepCost }
+
+// heldCost is what s's report counts against the budget while held.
 func (s *mSweep) heldCost() int {
 	if s.state != StateDone || s.gone != "" {
 		return 0
 	}
-	return s.cost
+	return s.entries
 }
 
 // letGo drops s's report for why, reporting whether s still held one.
@@ -90,9 +109,22 @@ func (m *model) letGo(s *mSweep, why string) bool {
 	if s.heldCost() == 0 {
 		return false
 	}
-	m.held -= s.cost
+	m.held -= s.entries
 	s.gone = why
 	return true
+}
+
+// release lets go of held reports, oldest first, until need more entries
+// fit the budget.
+func (m *model) release(need int) {
+	for _, old := range m.done {
+		if m.charged+m.held+need <= modelBudget {
+			return
+		}
+		if m.letGo(old, goneReleased) {
+			m.released++
+		}
+	}
 }
 
 func (m *model) tenant(name string) *mTenant {
@@ -136,6 +168,8 @@ func (m *model) land(s *mSweep, st State) {
 	tq := m.tenants[s.tenant]
 	m.running--
 	tq.running--
+	tq.charged -= s.charge()
+	m.charged -= s.charge()
 	s.state, s.finished = st, m.now
 	switch st {
 	case StateDone:
@@ -146,18 +180,8 @@ func (m *model) land(s *mSweep, st State) {
 		tq.canc++
 	}
 	m.done = append(m.done, s)
-	m.held += s.heldCost()
+	m.held += s.heldCost() // no more than it was charged running
 	tq.retained++
-	// Older reports go, oldest first, until the rest fit the budget; the
-	// landing one is its client's to fetch, however large.
-	for _, old := range m.done[:len(m.done)-1] {
-		if m.held <= maxHeldShards {
-			break
-		}
-		if m.letGo(old, goneReleased) {
-			m.released++
-		}
-	}
 }
 
 // heldReports counts the retention list's reports still held.
@@ -192,7 +216,7 @@ type harness struct {
 	byID   map[string]*mSweep
 }
 
-func newHarness(t *testing.T, seed int64, burst, depth int) *harness {
+func newHarness(t *testing.T, seed int64, burst int) *harness {
 	h := &harness{
 		t:     t,
 		rng:   rand.New(rand.NewSource(seed)),
@@ -203,12 +227,12 @@ func newHarness(t *testing.T, seed int64, burst, depth int) *harness {
 		starts: make(chan started, 64),
 		byID:   map[string]*mSweep{},
 	}
-	h.m = &model{depth: depth, retain: time.Hour, now: h.v.Now(),
+	h.m = &model{retain: time.Hour, now: h.v.Now(),
 		tenants: map[string]*mTenant{}, visible: map[string]*mSweep{}}
 	c, err := New(Options{
-		QueueDepth: depth,
-		Retain:     h.m.retain,
-		Clock:      h.v,
+		MaxShards: modelMaxShards,
+		Retain:    h.m.retain,
+		Clock:     h.v,
 		Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
 			fin := make(chan error, 1)
 			h.starts <- started{spec, fin}
@@ -219,7 +243,8 @@ func newHarness(t *testing.T, seed int64, burst, depth int) *harness {
 				if err != nil {
 					return nil, err
 				}
-				return &sim.Report{Schema: sim.SchemaV1, Shards: make([]sim.Shard, len(spec.Seeds))}, nil
+				n, err := spec.GridSize()
+				return &sim.Report{Schema: sim.SchemaV1, Shards: make([]sim.Shard, n), Merged: make([]sim.Merged, n/max(len(spec.Seeds), 1))}, err
 			}
 		},
 	})
@@ -258,39 +283,70 @@ func (h *harness) awaitLanded(id string) {
 	}
 }
 
-// modelCosts are the grid sizes sweeps are drawn from.
-// The largest alone exceeds maxHeldShards.
-var modelCosts = []int{1, 8, 64, 200, 3000, 9000}
+// modelGrids are the sweeps drawn from: grids of one shard per seed up to
+// a full MaxShards and one over it, and the largest sweep, one seed over
+// MaxShards shards, whose charge is a whole share.
+var modelGrids = []struct {
+	shards  int
+	oneSeed bool
+}{{1, false}, {8, false}, {31, false}, {modelMaxShards, false}, {modelMaxShards + 1, false}, {modelMaxShards, true}}
 
 func (h *harness) submit() {
 	tenant := string(rune('a' + h.rng.Intn(3)))
-	cost := modelCosts[h.rng.Intn(len(modelCosts))]
-	spec := specN(cost)
-	st, err := h.c.Submit(tenant, spec)
+	g := modelGrids[h.rng.Intn(len(modelGrids))]
+	s := &mSweep{tenant: tenant, seq: len(h.ids), shards: g.shards, entries: g.shards + 1, spec: specN(g.shards), state: StateRunning}
+	if g.oneSeed {
+		s.entries, s.spec = 2*g.shards, oneSeed(g.shards)
+	}
+	st, err := h.c.Submit(tenant, s.spec)
 	m := h.m
 	m.evict()
-	switch tq := m.tenants[tenant]; {
+	running := 0 // the tenant's running charges
+	if tq := m.tenants[tenant]; tq != nil {
+		running = tq.charged
+	}
+	switch {
+	case s.shards > modelMaxShards:
+		if !errors.Is(err, sim.ErrInvalidSpec) {
+			h.t.Fatalf("submit of %d shards over MaxShards %d: %v, want ErrInvalidSpec", s.shards, modelMaxShards, err)
+		}
+		m.invalid++
+		return
 	case m.closed:
 		if !errors.Is(err, ErrClosed) {
 			h.t.Fatalf("submit after Close: %v, want ErrClosed", err)
 		}
 		return
-	case tq != nil && tq.running >= m.depth:
+	case running+s.charge() > modelShare:
 		if !errors.Is(err, ErrQueueFull) {
-			h.t.Fatalf("submit to tenant %s running %d sweeps (depth %d): %v, want ErrQueueFull", tenant, tq.running, m.depth, err)
+			h.t.Fatalf("submit charging %d to tenant %s running %d: %v, want ErrQueueFull", s.charge(), tenant, running, err)
 		}
+		m.shareFull++
+		return
+	case m.charged+s.charge() > modelBudget:
+		if !errors.Is(err, ErrQueueFull) {
+			h.t.Fatalf("submit charging %d beside %d running: %v, want ErrQueueFull", s.charge(), m.charged, err)
+		}
+		m.budgetFull++
 		return
 	case err != nil:
 		h.t.Fatalf("submit: %v", err)
 	}
-	s := &mSweep{id: st.ID, tenant: tenant, seq: len(h.ids), spec: spec, cost: cost, state: StateRunning}
+	if s.charge() == modelShare {
+		m.fullSize++
+	}
+	m.release(s.charge())
+	s.id = st.ID
 	h.ids = append(h.ids, s.id)
 	h.byID[s.id] = s
 	m.visible[s.id] = s
-	m.tenant(tenant).running++
+	tq := m.tenant(tenant)
+	tq.running++
+	tq.charged += s.charge()
+	m.charged += s.charge()
 	m.running++
-	if st.State != StateRunning || st.StartedAt == nil || !st.StartedAt.Equal(st.SubmittedAt) || st.Progress.TotalShards != cost {
-		h.t.Fatalf("submit answered %+v, want running since submission with %d shards", st, cost)
+	if st.State != StateRunning || st.StartedAt == nil || !st.StartedAt.Equal(st.SubmittedAt) || st.Progress.TotalShards != s.shards {
+		h.t.Fatalf("submit answered %+v, want running since submission with %d shards", st, s.shards)
 	}
 	h.expectStart(s)
 }
@@ -426,22 +482,19 @@ func (h *harness) check(step int, what string) {
 	if st.Running != m.running || st.Retained != len(m.done) {
 		fail("gauges running/retained = %d/%d, model %d/%d", st.Running, st.Retained, m.running, len(m.done))
 	}
-	h.c.mu.Lock()
-	held := h.c.held
-	h.c.mu.Unlock()
-	if held != m.held || held > maxHeldShards && m.heldReports() > 1 {
-		fail("%d report entries held in %d reports, model %d (budget %d, which only a lone report may exceed)", held, m.heldReports(), m.held, maxHeldShards)
+	if st.Budget != modelBudget || st.HeldRunning != m.charged || st.HeldUncollected != m.held || m.charged+m.held > st.Budget {
+		fail("%d running and %d uncollected entries held of %d, model %d and %d in %d reports", st.HeldRunning, st.HeldUncollected, st.Budget, m.charged, m.held, m.heldReports())
 	}
 	if len(st.Tenants) != len(m.tenants) {
 		fail("tenant table %v, model holds %d tenants", st.Tenants, len(m.tenants))
 	}
 	for name, tq := range m.tenants {
-		want := TenantStats{Running: tq.running, Done: tq.done, Failed: tq.failed, Cancelled: tq.canc}
+		want := TenantStats{Running: tq.running, HeldRunning: tq.charged, Done: tq.done, Failed: tq.failed, Cancelled: tq.canc}
 		if got, ok := st.Tenants[name]; !ok || got != want {
 			fail("tenant %s = %+v (listed %v), model %+v", name, got, ok, want)
 		}
-		if got := st.Tenants[name].Running; got > m.depth {
-			fail("tenant %s runs %d sweeps, QueueDepth %d", name, got, m.depth)
+		if tq.charged > modelShare {
+			fail("tenant %s runs %d entries, its share %d", name, tq.charged, modelShare)
 		}
 	}
 
@@ -472,12 +525,9 @@ func (h *harness) check(step int, what string) {
 			ok = errors.Is(err, ErrNotFound)
 		case StateDone:
 			if s.gone == "" {
-				ok = err == nil && heldShards(rep) == s.cost
+				ok = err == nil && heldShards(rep) == s.entries
 				m.letGo(s, goneCollected)
 				m.collected++
-				if s.cost > maxHeldShards {
-					m.oversizeCollected++
-				}
 			} else {
 				ok = errors.Is(err, ErrReportGone) && strings.Contains(err.Error(), s.gone)
 				m.refetched++
@@ -503,23 +553,23 @@ func stateOf(s *mSweep) State {
 }
 
 // TestModel runs the random sequences: each picks how many running sweeps
-// a finish step lands (run) and QueueDepth, drives two thousand steps with
-// a Close late among them, and checks no run started that the model did
-// not start. Half the sequences age sweeps out; the other half keep the
-// clock short of Retain so the retention list fills past maxRetained.
+// a finish step lands (run), drives two thousand steps with a Close late
+// among them, and checks no run started that the model did not start. Half
+// the sequences age sweeps out; the other half keep the clock short of
+// Retain so the retention list fills past maxRetained.
 func TestModel(t *testing.T) {
 	var covered model
-	var queueFull, closedSubmits int
+	var closedSubmits int
 	for _, tc := range []struct {
-		seed         int64
-		burst, depth int
-		ages         bool
+		seed  int64
+		burst int
+		ages  bool
 	}{
-		{1, 1, 1, true}, {2, 2, 3, false}, {3, 3, 2, true},
-		{4, 1, 4, false}, {5, 2, 2, true}, {6, 3, 1, false},
+		{1, 1, true}, {2, 2, false}, {3, 3, true},
+		{4, 1, false}, {5, 2, true}, {6, 3, false},
 	} {
-		t.Run(fmt.Sprintf("seed%d-run%d-depth%d-ages%v", tc.seed, tc.burst, tc.depth, tc.ages), func(t *testing.T) {
-			h := newHarness(t, tc.seed, tc.burst, tc.depth)
+		t.Run(fmt.Sprintf("seed%d-run%d-ages%v", tc.seed, tc.burst, tc.ages), func(t *testing.T) {
+			h := newHarness(t, tc.seed, tc.burst)
 			defer h.c.Close()
 			const steps = 2000
 			// Close comes once, late, and a few hundred steps run against
@@ -535,12 +585,8 @@ func TestModel(t *testing.T) {
 					what = "submit"
 					before := len(h.ids)
 					h.submit()
-					if len(h.ids) == before {
-						if h.m.closed {
-							closedSubmits++
-						} else {
-							queueFull++
-						}
+					if len(h.ids) == before && h.m.closed {
+						closedSubmits++
 					}
 				case r < 750:
 					what = "finish"
@@ -557,15 +603,18 @@ func TestModel(t *testing.T) {
 			if n := len(h.starts); n != 0 {
 				t.Fatalf("%d runs started that the model never started", n)
 			}
-			t.Logf("%d steps, %d sweeps; evicted %d by count, %d by age; %d tenants dropped; reports: %d handed over, %d released, %d gone when fetched",
-				steps, len(h.ids), h.m.countEvicted, h.m.ageEvicted, h.m.tenantsDropped, h.m.collected, h.m.released, h.m.refetched)
+			t.Logf("%d steps, %d sweeps (%d full-size); refused: %d invalid, %d past a share, %d past the budget; evicted %d by count, %d by age; %d tenants dropped; reports: %d handed over, %d released, %d gone when fetched",
+				steps, len(h.ids), h.m.fullSize, h.m.invalid, h.m.shareFull, h.m.budgetFull, h.m.countEvicted, h.m.ageEvicted, h.m.tenantsDropped, h.m.collected, h.m.released, h.m.refetched)
 			covered.countEvicted += h.m.countEvicted
 			covered.ageEvicted += h.m.ageEvicted
 			covered.tenantsDropped += h.m.tenantsDropped
 			covered.collected += h.m.collected
 			covered.released += h.m.released
 			covered.refetched += h.m.refetched
-			covered.oversizeCollected += h.m.oversizeCollected
+			covered.invalid += h.m.invalid
+			covered.shareFull += h.m.shareFull
+			covered.budgetFull += h.m.budgetFull
+			covered.fullSize += h.m.fullSize
 		})
 	}
 	for what, n := range map[string]int{
@@ -573,10 +622,12 @@ func TestModel(t *testing.T) {
 		"evictions past Retain":      covered.ageEvicted,
 		"tenants dropped":            covered.tenantsDropped,
 		"reports handed over":        covered.collected,
-		"reports released unfetched": covered.released,
+		"reports released to admit":  covered.released,
 		"fetches of a gone report":   covered.refetched,
-		"hand-overs past the budget": covered.oversizeCollected,
-		"ErrQueueFull submits":       queueFull,
+		"grids over MaxShards":       covered.invalid,
+		"submits past a full share":  covered.shareFull,
+		"submits past a full budget": covered.budgetFull,
+		"sweeps of a whole share":    covered.fullSize,
 		"submits after Close":        closedSubmits,
 	} {
 		if n == 0 {

@@ -10,10 +10,12 @@
 // tenants. The coordinator's only goroutines are its running sweeps, and
 // two mechanisms bound it:
 //
-//   - Admission control. Each tenant may hold at most QueueDepth running
-//     sweeps (ErrQueueFull — HTTP 429 — beyond it). Malformed specs are
-//     rejected at submit with sim.ErrInvalidSpec (HTTP 400). How large a
-//     grid may be is the serving front-end's limit (simd's -max-shards).
+//   - Admission against one budget. A grid over MaxShards shards, or a
+//     malformed spec, is sim.ErrInvalidSpec (HTTP 400). A running sweep is
+//     charged its report's entries and sweepCost; a tenant's hold at most
+//     a share, everything held two: past either, once the oldest
+//     uncollected reports are released, a submit is ErrQueueFull (HTTP
+//     429), so memory and goroutines follow from MaxShards alone.
 //
 //   - Bounded retention. Terminal sweeps (done, failed, cancelled) are kept
 //     for polling, but only maxRetained of them and only for Retain; a sweep
@@ -21,14 +23,9 @@
 //     the oldest-finished are evicted — lazily, by every call that could see
 //     them and after every finished run, so no timer is involved and an
 //     expired sweep is never visible. A tenant's entry goes with its last
-//     retained sweep, so memory stays proportional to the configured
-//     bounds, not to uptime or the tenant names ever seen. A done sweep's
-//     report is held only until the first Report hands it over; the sweep
-//     stays listed as its status. Reports nobody has collected share one
-//     budget of maxHeldShards entries, past which a landing sweep releases
-//     the oldest before it, never its own. A report handed over or
-//     released is ErrReportGone: its client re-submits the spec, which the
-//     session's result cache serves.
+//     retained sweep. A done sweep's report is held until the first Report
+//     hands it over or the budget releases it, and then ErrReportGone: its
+//     client re-submits the spec, which the session's result cache serves.
 //
 // Execution is delegated to a RunFunc — in production sim.Session.Run,
 // optionally routed through a shared dispatch.Dispatcher. Progress is
@@ -43,6 +40,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -71,9 +69,9 @@ func (s State) Terminal() bool {
 
 // Sentinel errors the HTTP layer maps to status codes.
 var (
-	// ErrQueueFull rejects a submit beyond the tenant's QueueDepth running
-	// sweeps — the admission-control signal behind 429 + Retry-After.
-	ErrQueueFull = errors.New("sweep: tenant queue full")
+	// ErrQueueFull rejects a submit past the tenant's share or the budget —
+	// the admission-control signal behind 429 + Retry-After.
+	ErrQueueFull = errors.New("sweep: shard budget full")
 	// ErrNotFound reports an unknown (or already evicted) sweep ID.
 	ErrNotFound = errors.New("sweep: no such sweep")
 	// ErrNotTerminal rejects a result fetch before the sweep finished —
@@ -85,7 +83,7 @@ var (
 	// the 410 — whose text stays the sweep's own.
 	ErrCancelled = errors.New("sweep: cancelled")
 	// ErrReportGone rejects fetching a done sweep's report once an earlier
-	// Report handed it over or the held-report budget released it — the
+	// Report handed it over or the budget released it — the
 	// other 410, whose text says which.
 	ErrReportGone = errors.New("sweep: report gone")
 	// ErrClosed rejects submits to a closed coordinator.
@@ -102,16 +100,11 @@ type RunFunc func(ctx context.Context, spec *sim.Spec) (*sim.Report, error)
 // memory bounded by config, one value for every caller.
 const maxRetained = 256
 
-// maxHeldShards bounds the reports landed and not yet collected, counted in
-// entries (shards plus merged; heldShards). An entry of the built-in
-// workloads keeps at most 4 KiB live (footprint's, the largest kind,
-// ≈ 2.8 KB), so a full budget is at most 32 MiB (TestHeldReportsWithinBudget).
-// A landing sweep releases older reports only, never its own, so the held
-// total exceeds the budget by at most the newest report, which admission
-// bounds (TestOversizeReportIsFetched).
-const maxHeldShards = 8192
+// sweepCost is a running sweep's charge beyond its report's entries: its
+// job, context and goroutines, ≈ 15 KB (TestBudgetBoundsMintedTenants).
+const sweepCost = 32
 
-// heldShards is what a report counts against maxHeldShards.
+// heldShards is a report's entries, shards plus merged.
 func heldShards(rep *sim.Report) int {
 	if rep == nil {
 		return 0
@@ -124,11 +117,12 @@ func heldShards(rep *sim.Report) int {
 type Options struct {
 	// Run executes one sweep (required).
 	Run RunFunc
-	// QueueDepth bounds each tenant's running sweeps (default 64). The
-	// bound is per tenant, not global: one tenant flooding its queue gets
-	// ErrQueueFull while every other tenant still submits freely —
-	// admission is itself tenant-fair.
-	QueueDepth int
+	// MaxShards is the largest grid one sweep may expand to (default 4096,
+	// at most math.MaxInt/8). A tenant's share is a one-seed MaxShards
+	// grid's charge, 2 × MaxShards + sweepCost entries, the budget twice
+	// that. A charged entry keeps ≤ 1 KiB running (TestGateBacklogBound),
+	// ≤ 4 KiB uncollected (TestHeldReportsWithinBudget): ≤ 16 or 64 MiB.
+	MaxShards int
 	// Retain is how long terminal sweeps stay pollable (default 15m).
 	Retain time.Duration
 	// Clock stamps submissions and finishes and ages retention (default
@@ -162,22 +156,28 @@ type Status struct {
 	Error string `json:"error,omitempty"`
 }
 
-// TenantStats are one tenant's running gauge and cumulative outcome
-// counters. A tenant is listed while it has a sweep running or retained;
-// once its last retained sweep is evicted its entry is dropped, and the
-// counters restart from zero if the name comes back.
+// TenantStats are one tenant's running sweeps and the entries they hold
+// of its share, and cumulative outcome counters. A tenant is listed while
+// it has a sweep running or retained; once its last retained sweep is
+// evicted its entry is dropped, and the counters restart from zero if the
+// name comes back.
 type TenantStats struct {
-	Running   int   `json:"running"`
-	Done      int64 `json:"done"`
-	Failed    int64 `json:"failed"`
-	Cancelled int64 `json:"cancelled"`
+	Running     int   `json:"running"`
+	HeldRunning int   `json:"held_running"`
+	Done        int64 `json:"done"`
+	Failed      int64 `json:"failed"`
+	Cancelled   int64 `json:"cancelled"`
 }
 
-// Stats is the coordinator-wide snapshot /v1/stats embeds.
+// Stats is the coordinator-wide snapshot /v1/stats embeds: the Budget of
+// entries, two tenants' shares, and what is held running and uncollected.
 type Stats struct {
-	Running  int                    `json:"running"`
-	Retained int                    `json:"retained"`
-	Tenants  map[string]TenantStats `json:"tenants"`
+	Running         int                    `json:"running"`
+	Retained        int                    `json:"retained"`
+	Budget          int                    `json:"budget"`
+	HeldRunning     int                    `json:"held_running"`
+	HeldUncollected int                    `json:"held_uncollected"`
+	Tenants         map[string]TenantStats `json:"tenants"`
 }
 
 // job is one sweep's full record. Every mutable field, progress included,
@@ -199,17 +199,16 @@ type job struct {
 	prog            Progress
 	landed          chan struct{} // closed by run: state and err are final
 	waited          bool          // Run holds it: landed, it stays off the retention list
+	charge          int           // entries held: its report-to-be and sweepCost while running, its report while uncollected
 }
 
 // tenant is one tenant's gauge and counters.
 type tenant struct {
-	running int
+	running, charged int // its running sweeps and their charges, held to the share
 	// retained counts the tenant's sweeps on the retention list; with
 	// nothing running, zero means the entry can go.
-	retained int
-	done     int64
-	failed   int64
-	canc     int64
+	retained           int
+	done, failed, canc int64
 }
 
 // Coordinator is the async job service. All methods are safe for
@@ -221,7 +220,10 @@ type Coordinator struct {
 	tenants map[string]*tenant
 	sweeps  map[string]*job
 	done    []*job // terminal sweeps in finish order — the retention list
-	held    int    // heldShards summed over the retention list's reports
+	charged int    // the running sweeps' charges
+	held    int    // the retention list's charges: its uncollected reports
+	share   int    // the entries a tenant's running sweeps may hold
+	budget  int    // the entries everything held may: two shares
 	seq     uint64
 	closed  bool
 
@@ -236,8 +238,11 @@ func New(opts Options) (*Coordinator, error) {
 	if opts.Run == nil {
 		return nil, errors.New("sweep: Options.Run is required")
 	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 64
+	if opts.MaxShards <= 0 {
+		opts.MaxShards = 4096
+	}
+	if opts.MaxShards > math.MaxInt/8 {
+		return nil, fmt.Errorf("sweep: MaxShards %d is past %d, where its budget overflows an int", opts.MaxShards, math.MaxInt/8)
 	}
 	if opts.Retain <= 0 {
 		opts.Retain = 15 * time.Minute
@@ -248,6 +253,8 @@ func New(opts Options) (*Coordinator, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		opts:       opts,
+		share:      2*opts.MaxShards + sweepCost,
+		budget:     4*opts.MaxShards + 2*sweepCost,
 		tenants:    map[string]*tenant{},
 		sweeps:     map[string]*job{},
 		baseCtx:    ctx,
@@ -280,9 +287,9 @@ func (c *Coordinator) newID() string {
 }
 
 // Submit validates and starts a sweep for tenant, returning its status as
-// admitted: running, with the minted ID. Invalid specs report
-// sim.ErrInvalidSpec; a tenant already running QueueDepth sweeps gets
-// ErrQueueFull.
+// admitted: running, with the minted ID. Invalid specs, and grids over
+// MaxShards, report sim.ErrInvalidSpec; a sweep past the tenant's share or
+// the budget gets ErrQueueFull.
 func (c *Coordinator) Submit(tenant string, spec *sim.Spec) (Status, error) {
 	_, st, err := c.submit(tenant, spec, false)
 	return st, err
@@ -294,12 +301,17 @@ func (c *Coordinator) submit(name string, spec *sim.Spec, waited bool) (*job, St
 	if name == "" {
 		return nil, Status{}, fmt.Errorf("%w: empty tenant", sim.ErrInvalidSpec)
 	}
-	// Validation happens before any state is touched: a malformed spec
-	// must never occupy a slot.
+	// Validation touches no state; GridSize counts the grid without
+	// building it, so an oversize spec allocates nothing.
 	cost, err := spec.GridSize()
 	if err != nil {
 		return nil, Status{}, err
 	}
+	if cost > c.opts.MaxShards {
+		return nil, Status{}, fmt.Errorf("%w: %d shards exceed the limit %d", sim.ErrInvalidSpec, cost, c.opts.MaxShards)
+	}
+	// Shards, a merged entry per seed group and the sweep: no landing grows it.
+	charge := cost + cost/max(len(spec.Seeds), spec.SeedCount, 1) + sweepCost
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -308,12 +320,14 @@ func (c *Coordinator) submit(name string, spec *sim.Spec, waited bool) (*job, St
 	c.evictLocked()
 	tq := c.tenants[name]
 	if tq == nil {
-		tq = &tenant{}
-		c.tenants[name] = tq
+		tq = &tenant{} // listed only once admitted
 	}
-	if tq.running >= c.opts.QueueDepth {
-		return nil, Status{}, fmt.Errorf("%w: tenant %q has %d sweeps running", ErrQueueFull, name, c.opts.QueueDepth)
+	if tq.charged+charge > c.share || c.charged+charge > c.budget {
+		return nil, Status{}, fmt.Errorf("%w: a sweep of %d entries does not fit: tenant %q runs %d of its %d, and %d of %d are held",
+			ErrQueueFull, charge, name, tq.charged, c.share, c.charged+c.held, c.budget)
 	}
+	c.tenants[name] = tq
+	c.releaseLocked(charge)
 	c.seq++
 	ctx, cancel := context.WithCancel(sim.WithTenant(c.baseCtx, name))
 	j := &job{
@@ -327,9 +341,12 @@ func (c *Coordinator) submit(name string, spec *sim.Spec, waited bool) (*job, St
 		cancel:    cancel,
 		landed:    make(chan struct{}),
 		waited:    waited,
+		charge:    charge,
 	}
 	c.sweeps[j.id] = j
+	c.charged += charge
 	tq.running++
+	tq.charged += charge
 	c.wg.Add(1)
 	go c.run(j, ctx)
 	return j, c.statusLocked(j), nil
@@ -349,8 +366,8 @@ func (c *Coordinator) Get(id string) (Status, bool) {
 
 // Report hands over a done sweep's final report: the first call returns
 // it and the coordinator lets go of it, keeping the sweep's status, and
-// every later one is ErrReportGone, as is a report the held-report budget
-// released before anyone asked. ErrNotFound for unknown IDs, ErrNotTerminal
+// every later one is ErrReportGone, as is a report the budget released
+// before anyone asked. ErrNotFound for unknown IDs, ErrNotTerminal
 // while running, and the sweep's terminal error for failed or cancelled
 // sweeps; a cancelled sweep's satisfies errors.Is(err, ErrCancelled).
 func (c *Coordinator) Report(id string) (*sim.Report, error) {
@@ -442,14 +459,15 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.evictLocked()
-	s := Stats{Retained: len(c.done), Tenants: map[string]TenantStats{}}
+	s := Stats{Retained: len(c.done), Budget: c.budget, HeldRunning: c.charged, HeldUncollected: c.held, Tenants: map[string]TenantStats{}}
 	for name, tq := range c.tenants {
 		s.Running += tq.running
 		s.Tenants[name] = TenantStats{
-			Running:   tq.running,
-			Done:      tq.done,
-			Failed:    tq.failed,
-			Cancelled: tq.canc,
+			Running:     tq.running,
+			HeldRunning: tq.charged,
+			Done:        tq.done,
+			Failed:      tq.failed,
+			Cancelled:   tq.canc,
 		}
 	}
 	return s
@@ -483,6 +501,8 @@ func (c *Coordinator) run(j *job, ctx context.Context) {
 	defer c.mu.Unlock()
 	tq := c.tenants[j.tenant]
 	tq.running--
+	tq.charged -= j.charge
+	c.charged -= j.charge
 	j.spec, j.cancel = nil, nil // a landed sweep is kept as its status
 	j.finished, j.err = c.opts.Clock.Now(), err
 	switch {
@@ -498,11 +518,10 @@ func (c *Coordinator) run(j *job, ctx context.Context) {
 	}
 	if !j.waited {
 		c.done = append(c.done, j)
-		c.held += heldShards(j.report)
 		tq.retained++
-		for i := 0; c.held > maxHeldShards && i < len(c.done)-1; i++ {
-			c.letGoLocked(c.done[i], goneReleased)
-		}
+		// Never over its running charge, so a landing releases nothing.
+		j.charge = min(heldShards(j.report), j.charge)
+		c.held += j.charge
 	}
 	close(j.landed)
 	c.evictLocked()
@@ -523,7 +542,7 @@ func (c *Coordinator) evictLocked() {
 		}
 		if len(c.done) > maxRetained || now.Sub(j.finished) > c.opts.Retain {
 			c.done = c.done[1:]
-			c.held -= heldShards(j.report)
+			c.held -= j.charge
 			c.tenants[j.tenant].retained--
 			c.dropLocked(j)
 			continue
@@ -544,8 +563,16 @@ func (c *Coordinator) dropLocked(j *job) {
 // Why a done sweep's report is gone, as ErrReportGone's text says it.
 const (
 	goneCollected = "collected by an earlier fetch"
-	goneReleased  = "released uncollected past the held-report budget"
+	goneReleased  = "released uncollected to make room in the shard budget"
 )
+
+// releaseLocked lets go of uncollected reports, oldest first, until need
+// more entries fit the budget; running sweeps stay, so admission checks first.
+func (c *Coordinator) releaseLocked(need int) {
+	for i := 0; c.charged+c.held+need > c.budget && i < len(c.done); i++ {
+		c.letGoLocked(c.done[i], goneReleased)
+	}
+}
 
 // letGoLocked drops a retained sweep's report, if it still holds one, for
 // the reason a later Report gives; the sweep stays as its status. The
@@ -554,8 +581,8 @@ func (c *Coordinator) letGoLocked(j *job, why string) {
 	if j.report == nil || j.waited {
 		return
 	}
-	c.held -= heldShards(j.report)
-	j.report, j.gone = nil, why
+	c.held -= j.charge
+	j.report, j.gone, j.charge = nil, why, 0
 }
 
 // statusLocked snapshots a job. Caller holds c.mu.

@@ -13,21 +13,40 @@ import (
 
 	"rebalance/internal/clock"
 	"rebalance/internal/sim"
+	"rebalance/internal/sim/shardcache"
 	"rebalance/internal/workload"
 )
 
 // specN builds a valid spec expanding to exactly n shards (n seeds of one
-// single-config observer over one workload).
-func specN(n int) *sim.Spec {
+// single-config observer over one workload), whose report holds n + 1
+// entries.
+func specN(n int) *sim.Spec { return specFrom(1, n) }
+
+// specFrom is specN with seeds from first on.
+func specFrom(first uint64, n int) *sim.Spec {
 	seeds := make([]uint64, n)
 	for i := range seeds {
-		seeds[i] = uint64(i + 1)
+		seeds[i] = first + uint64(i)
 	}
 	return &sim.Spec{
 		Workloads: []string{"comd-lite"},
 		Seeds:     seeds,
 		Insts:     1000,
 		Observers: []sim.ObserverSpec{{Kind: "bbl"}},
+	}
+}
+
+// oneSeed builds a valid spec of n shards over one seed (n BTB
+// geometries), whose report holds 2n entries.
+func oneSeed(n int) *sim.Spec {
+	geoms := make([]string, n)
+	for i := range geoms {
+		geoms[i] = fmt.Sprintf(`{"entries":%d,"ways":1}`, i+1)
+	}
+	return &sim.Spec{
+		Workloads: []string{"comd-lite"},
+		Insts:     1000,
+		Observers: []sim.ObserverSpec{{Kind: "btb", Options: json.RawMessage(`{"geometries":[` + strings.Join(geoms, ",") + `]}`)}},
 	}
 }
 
@@ -234,34 +253,44 @@ func TestCancelRunning(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl pins the queue-depth contract: the bound is on a
-// tenant's running sweeps (the K+1th submit is ErrQueueFull while another
-// tenant still submits freely), and invalid specs are rejected before they
-// run.
+// TestAdmissionControl pins the budget's admission at MaxShards 8: a
+// share of 2 × 8 + sweepCost = 48 entries, a budget of 96. A grid over
+// MaxShards is ErrInvalidSpec before it touches any state. Tenant a running
+// the largest sweep, one seed over 8 shards, holds its whole share: its
+// next submit is ErrQueueFull, whose text names what a runs, its share and
+// what is held, while tenant b's small submit is admitted beside it. A
+// submit past the budget is ErrQueueFull for a tenant with an empty share,
+// and every refusal leaves the tenant table as it was.
 func TestAdmissionControl(t *testing.T) {
-	const k = 3
+	const maxShards, share = 8, 2*8 + sweepCost
 	b := newBlockingRun()
-	c, err := New(Options{QueueDepth: k, Run: b.run("x")})
+	c, err := New(Options{MaxShards: maxShards, Run: b.run("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { close(b.release); c.Close() }()
 
-	// Fill tenant a's queue to exactly K running sweeps.
-	for i := 0; i < k; i++ {
-		if _, err := c.Submit("a", specN(1)); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
+	if _, err := c.Submit("a", specN(maxShards+1)); !errors.Is(err, sim.ErrInvalidSpec) {
+		t.Errorf("a grid over MaxShards: %v, want ErrInvalidSpec", err)
 	}
-	if _, err := c.Submit("a", specN(1)); !errors.Is(err, ErrQueueFull) {
-		t.Errorf("K+1th submit: %v, want ErrQueueFull", err)
+	if _, err := c.Submit("a", oneSeed(maxShards)); err != nil {
+		t.Fatal(err)
 	}
-	// Admission is per tenant: b is unaffected by a's full queue.
+	if _, err := c.Submit("a", specN(1)); !errors.Is(err, ErrQueueFull) ||
+		!strings.Contains(err.Error(), `sweep of 34 entries does not fit: tenant "a" runs 48 of its 48, and 48 of 96 are held`) {
+		t.Errorf("submit past a full share: %v, want ErrQueueFull naming the share", err)
+	}
 	if _, err := c.Submit("b", specN(1)); err != nil {
-		t.Errorf("tenant b rejected while only a is over quota: %v", err)
+		t.Errorf("tenant b's small submit refused while only a's share is full: %v", err)
+	}
+	// c's share is empty, but its 34 entries pass the budget's 96 beside
+	// the 82 running.
+	if _, err := c.Submit("c", specN(1)); !errors.Is(err, ErrQueueFull) ||
+		!strings.Contains(err.Error(), `tenant "c" runs 0 of its 48, and 82 of 96 are held`) {
+		t.Errorf("a new tenant's submit past the budget: %v, want ErrQueueFull", err)
 	}
 	// Malformed specs are 400-class rejections before they run, even
-	// with a full queue they would never have entered.
+	// with a full share they would never have entered.
 	if _, err := c.Submit("a", &sim.Spec{}); !errors.Is(err, sim.ErrInvalidSpec) {
 		t.Errorf("invalid spec: %v, want ErrInvalidSpec", err)
 	}
@@ -269,8 +298,95 @@ func TestAdmissionControl(t *testing.T) {
 		t.Errorf("empty tenant: %v, want ErrInvalidSpec", err)
 	}
 	st := c.Stats()
-	if st.Running != k+1 || st.Tenants["a"].Running != k || st.Tenants["b"].Running != 1 {
+	if st.Running != 2 || st.Budget != 2*share || st.HeldRunning != 82 || len(st.Tenants) != 2 ||
+		st.Tenants["a"].HeldRunning != share || st.Tenants["b"].HeldRunning != 34 {
 		t.Errorf("stats %+v", st)
+	}
+}
+
+// stuckRunner is a sim.ShardRunner whose calls return only once their
+// context ends: a session behind it holds every grid it admits.
+type stuckRunner struct{}
+
+func (stuckRunner) RunShards(ctx context.Context, _ []sim.ShardSpec) ([]sim.Outcome, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestBudgetBoundsMintedTenants submits to a real cached one-slot session
+// whose runner never returns, one sweep of disjoint seeds per submit,
+// until admission refuses: from a thousand minted tenant names, with
+// sweeps of 1,023 seeds and of one, and from one name with one-seed
+// sweeps, the smallest and so the most sweeps a budget admits. Admission
+// stops at the budget (the share, for one name), and a refused name is
+// not listed. Once every admitted sweep waits at the session's gate with
+// its grid expanded (its one pool goroutine started), the live heap plus
+// the goroutine stacks grow by at most 1 KiB a charged entry plus 1 MiB
+// for the session and the coordinator's records, and the goroutines by two
+// per admitted sweep (its run and its pool goroutine) plus two. Not
+// parallel: it reads the process's heap, stacks and goroutine counts.
+func TestBudgetBoundsMintedTenants(t *testing.T) {
+	const names, perEntry, slack = 1000, 1 << 10, 1 << 20
+	for _, tc := range []struct {
+		name   string
+		seeds  int
+		tenant func(i int) string
+	}{
+		{"minted-1023-seeds", 1023, func(i int) string { return fmt.Sprint("minted-", i) }},
+		{"minted-1-seed", 1, func(i int) string { return fmt.Sprint("minted-", i) }},
+		{"one-name-1-seed", 1, func(int) string { return "one" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache, err := shardcache.New(shardcache.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := sim.NewSession(1)
+			sess.SetCache(cache)
+			sess.SetRunner(stuckRunner{})
+			c, err := New(Options{Run: sess.Run})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			before := liveBytes()
+			goroutines := runtime.NumGoroutine()
+			admitted, tenants := 0, map[string]bool{}
+			for i := range names {
+				_, err := c.Submit(tc.tenant(i), specFrom(uint64(i*tc.seeds+1), tc.seeds))
+				switch {
+				case err == nil:
+					admitted++
+					tenants[tc.tenant(i)] = true
+				case !errors.Is(err, ErrQueueFull):
+					t.Fatalf("submit %d: %v", i, err)
+				}
+				if st := c.Stats(); st.HeldRunning+st.HeldUncollected > st.Budget || len(st.Tenants) != len(tenants) {
+					t.Fatalf("after %d submits: %d sweeps admitted hold %d entries of %d, %d tenants listed",
+						i+1, admitted, st.HeldRunning+st.HeldUncollected, st.Budget, len(st.Tenants))
+				}
+			}
+			st, charge, limit := c.Stats(), tc.seeds+1+sweepCost, c.Stats().Budget
+			if len(tenants) == 1 {
+				limit = st.Budget / 2 // a share
+			}
+			if admitted != limit/charge {
+				t.Fatalf("%d sweeps of %d entries admitted, want the %d that fill %d", admitted, charge, limit/charge, limit)
+			}
+			waitFor(t, "every admitted grid waits at the gate", func() bool {
+				return runtime.NumGoroutine()-goroutines >= 2*admitted
+			})
+			grown, live := liveBytes()-before, runtime.NumGoroutine()-goroutines
+			t.Logf("%d sweeps admitted: live heap and stacks +%d B (%.0f B per charged entry, %.0f B per sweep), %d goroutines",
+				admitted, grown, float64(grown)/float64(st.HeldRunning), float64(grown)/float64(admitted), live)
+			if bound := int64(st.HeldRunning)*perEntry + slack; grown > bound {
+				t.Errorf("admitted sweeps grew the live heap and stacks by %d B, over %d B", grown, bound)
+			}
+			if bound := 2*admitted + 2; live > bound {
+				t.Errorf("%d goroutines beyond the baseline, want at most %d", live, bound)
+			}
+		})
 	}
 }
 
@@ -342,12 +458,18 @@ func TestRetention(t *testing.T) {
 	close(b.release)
 }
 
-// TestListAndStats covers the listing surface: tenant filtering and
-// newest-first order.
+// TestListAndStats covers the listing surface: tenant filtering,
+// newest-first order, and the budget's gauges: the budget and a tenant's
+// share of it, the entries charged to a running sweep, in total and to its
+// tenant, and the uncollected reports' entries, which a Report hands back.
 func TestListAndStats(t *testing.T) {
-	b := newBlockingRun()
-	close(b.release) // runs complete immediately
-	c, err := New(Options{Run: b.run("x")})
+	c, err := New(Options{Run: func(ctx context.Context, spec *sim.Spec) (*sim.Report, error) {
+		if len(spec.Seeds) > 1 {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return &sim.Report{Shards: make([]sim.Shard, 1), Merged: make([]sim.Merged, 1)}, nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,6 +497,18 @@ func TestListAndStats(t *testing.T) {
 	st := c.Stats()
 	if st.Tenants["a"].Done != 2 || st.Tenants["b"].Done != 1 {
 		t.Errorf("stats %+v", st.Tenants)
+	}
+
+	if _, err := c.Submit("b", specN(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Report(a1.ID); err != nil {
+		t.Fatal(err)
+	}
+	st = c.Stats()
+	if st.Budget != 2*(2*4096+sweepCost) || st.HeldRunning != 4+sweepCost || st.HeldUncollected != 4 ||
+		st.Tenants["b"].Running != 1 || st.Tenants["b"].HeldRunning != 4+sweepCost || st.Tenants["a"].HeldRunning != 0 {
+		t.Errorf("with b running 3 shards and two 2-entry reports uncollected: %+v", st)
 	}
 }
 
@@ -607,23 +741,24 @@ func TestRunKeepsAsyncResults(t *testing.T) {
 	}
 }
 
-// heldEntryBytes is the per-entry bound maxHeldShards' doc states: what one
+// heldEntryBytes is the per-entry bound Options.MaxShards' doc states: what one
 // shard or merged entry of a held report of the built-in workloads keeps
 // live, footprint's being the largest.
 const heldEntryBytes = 4 << 10
 
-// footprintReport is the encoding of a real report of footprint, the kind
-// whose entries are the largest, over every built-in workload and seeds
-// seeds: each DecodeReport of it is a fresh report with every result its
-// own, as a front door's dispatched report is.
-func footprintReport(t *testing.T, seeds int) []byte {
+// footprintReport is a spec of footprint, the kind whose entries are the
+// largest, over every built-in workload and seeds seeds, and the encoding
+// of its report: each DecodeReport of it is a fresh report with every
+// result its own, as a front door's dispatched report is.
+func footprintReport(t *testing.T, seeds int) (*sim.Spec, []byte) {
 	t.Helper()
-	rep, err := sim.NewSession(2).Run(context.Background(), &sim.Spec{
+	spec := &sim.Spec{
 		Workloads: workload.Names(),
 		SeedCount: seeds,
 		Insts:     100_000,
 		Observers: []sim.ObserverSpec{{Kind: "footprint"}},
-	})
+	}
+	rep, err := sim.NewSession(2).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,7 +766,7 @@ func footprintReport(t *testing.T, seeds int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return enc
+	return spec, enc
 }
 
 // liveHeap is the heap a collection leaves live.
@@ -642,13 +777,21 @@ func liveHeap() int64 {
 	return int64(m.HeapAlloc)
 }
 
-// landAll submits n sweeps one after another, each waited on until done
-// and then handed to landed; it returns their IDs in order.
-func landAll(t *testing.T, c *Coordinator, n int, landed func(id string)) []string {
+// liveBytes is liveHeap plus the goroutine stacks in use.
+func liveBytes() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc + m.StackInuse)
+}
+
+// landAll submits n sweeps of spec one after another, each waited on until
+// done and then handed to landed; it returns their IDs in order.
+func landAll(t *testing.T, c *Coordinator, n int, spec *sim.Spec, landed func(id string)) []string {
 	t.Helper()
 	ids := make([]string, n)
 	for i := range ids {
-		st, err := c.Submit("t", specN(1))
+		st, err := c.Submit("t", spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -664,40 +807,40 @@ func decodingRun(enc []byte) RunFunc {
 	return func(context.Context, *sim.Spec) (*sim.Report, error) { return sim.DecodeReport(enc) }
 }
 
-// TestHeldReportsWithinBudget lands uncollected sweeps totalling twice
-// maxHeldShards entries, each sweep large enough that far fewer than
-// maxRetained of them fill the budget: the held entries stay within the
-// budget, the live heap within the budget times heldEntryBytes, the newest
-// reports are the ones held, and a released one is ErrReportGone saying so.
+// TestHeldReportsWithinBudget lands uncollected sweeps totalling twice the
+// default budget's entries, each sweep large enough that far fewer than
+// maxRetained of them fill it. Each is admitted by releasing the oldest
+// reports: the held entries stay within the budget, the live heap within
+// the budget times heldEntryBytes, the newest reports are the ones held,
+// and a released one is ErrReportGone saying so.
 func TestHeldReportsWithinBudget(t *testing.T) {
-	enc := footprintReport(t, 63)
+	spec, enc := footprintReport(t, 127)
 	probe, err := sim.DecodeReport(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	per := heldShards(probe)
-	if maxHeldShards/per >= maxRetained/2 {
-		t.Fatalf("a sweep of %d entries is too small: %d of them fit the budget, which maxRetained (%d) would bound alone", per, maxHeldShards/per, maxRetained)
-	}
 	probe = nil
 	c, err := New(Options{Run: decodingRun(enc)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	budget := c.Stats().Budget
+	if budget/per >= maxRetained/2 {
+		t.Fatalf("a sweep of %d entries is too small: %d of them fit the budget, which maxRetained (%d) would bound alone", per, budget/per, maxRetained)
+	}
 
 	before := liveHeap()
-	ids := landAll(t, c, 2*maxHeldShards/per+1, func(string) {})
+	ids := landAll(t, c, 2*budget/per+1, spec, func(string) {})
 	grown := liveHeap() - before
-	c.mu.Lock()
-	held := c.held
-	c.mu.Unlock()
+	held := c.Stats().HeldUncollected
 	t.Logf("%d sweeps of %d entries landed: %d entries held, live heap +%d B (%.0f B per held entry)",
 		len(ids), per, held, grown, float64(grown)/float64(held))
-	if held > maxHeldShards || held < maxHeldShards-per {
-		t.Errorf("%d entries held, want the budget's %d filled to within one sweep", held, maxHeldShards)
+	if held > budget || held < budget-per-sweepCost {
+		t.Errorf("%d entries held, want the budget's %d filled to within one sweep", held, budget)
 	}
-	if bound := int64(maxHeldShards) * heldEntryBytes; grown > bound {
+	if bound := int64(budget) * heldEntryBytes; grown > bound {
 		t.Errorf("held reports grew the live heap by %d B, over the budget's %d B", grown, bound)
 	}
 	if rep, err := c.Report(ids[len(ids)-1]); err != nil || heldShards(rep) != per {
@@ -716,7 +859,7 @@ func TestHeldReportsWithinBudget(t *testing.T) {
 // as statuses, and the live heap grows by those alone, not by a report.
 func TestCollectedSweepsKeepOnlyStatuses(t *testing.T) {
 	const statusBytes = 1 << 10 // what one retained sweep's record may keep live
-	enc := footprintReport(t, 2)
+	spec, enc := footprintReport(t, 2)
 	c, err := New(Options{Run: decodingRun(enc)})
 	if err != nil {
 		t.Fatal(err)
@@ -724,7 +867,7 @@ func TestCollectedSweepsKeepOnlyStatuses(t *testing.T) {
 	defer c.Close()
 
 	before := liveHeap()
-	landAll(t, c, 2*maxRetained, func(id string) {
+	landAll(t, c, 2*maxRetained, spec, func(id string) {
 		if _, err := c.Report(id); err != nil {
 			t.Fatal(err)
 		}
@@ -737,42 +880,77 @@ func TestCollectedSweepsKeepOnlyStatuses(t *testing.T) {
 	}
 }
 
-// TestOversizeReportIsFetched lands a sweep whose report alone exceeds
-// maxHeldShards: its landing releases the older uncollected report, never
-// its own, so its first Report succeeds; left uncollected, it goes when the
-// next sweep lands.
+// TestOversizeReportIsFetched lands the largest sweep admission allows on
+// an idle coordinator: MaxShards shards of one seed, whose report of
+// 2 × MaxShards entries fills a share but for sweepCost. It is admitted,
+// and its first Report hands it over. Two more landed uncollected fill the
+// budget but for two sweepCosts, so a third is admitted by releasing the
+// oldest, not refused, and every held entry is the two newest reports'.
 func TestOversizeReportIsFetched(t *testing.T) {
-	c, err := New(Options{Run: func(_ context.Context, spec *sim.Spec) (*sim.Report, error) {
+	const maxShards = 64
+	c, err := New(Options{MaxShards: maxShards, Run: func(_ context.Context, spec *sim.Spec) (*sim.Report, error) {
 		n, err := spec.GridSize()
-		return &sim.Report{Shards: make([]sim.Shard, n)}, err
+		return &sim.Report{Shards: make([]sim.Shard, n), Merged: make([]sim.Merged, n)}, err
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	land := func(n int) string {
+	land := func() string {
 		t.Helper()
-		st, err := c.Submit("t", specN(n))
+		st, err := c.Submit("t", oneSeed(maxShards))
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitState(t, c, st.ID, StateDone)
 		return st.ID
 	}
-	const big = maxHeldShards + 1
-	older, oversize := land(1), land(big)
-	if _, err := c.Report(older); !errors.Is(err, ErrReportGone) {
-		t.Errorf("the report landed before the oversize one: %v, want it released", err)
+	full := land()
+	if rep, err := c.Report(full); err != nil || heldShards(rep) != 2*maxShards {
+		t.Errorf("full-size report: %d entries, %v; want its %d handed over", heldShards(rep), err, 2*maxShards)
 	}
-	if rep, err := c.Report(oversize); err != nil || heldShards(rep) != big {
-		t.Errorf("oversize report: %d entries, %v; want its %d handed over", heldShards(rep), err, big)
+	if _, err := c.Report(full); !errors.Is(err, ErrReportGone) {
+		t.Errorf("second fetch: %v, want ErrReportGone", err)
 	}
-	oversize = land(big)
-	newest := land(1)
-	if _, err := c.Report(oversize); !errors.Is(err, ErrReportGone) {
-		t.Errorf("uncollected oversize report after a later landing: %v, want it released", err)
+	oldest, older, newest := land(), land(), land()
+	if _, err := c.Report(oldest); !errors.Is(err, ErrReportGone) || !strings.Contains(err.Error(), "released") {
+		t.Errorf("oldest uncollected full-size report after a later submit: %v, want it released", err)
 	}
-	if _, err := c.Report(newest); err != nil {
-		t.Errorf("newest report: %v, want it held", err)
+	if st := c.Stats(); st.HeldUncollected != 4*maxShards || st.HeldUncollected > st.Budget {
+		t.Errorf("%d entries held, want the two newest reports' %d", st.HeldUncollected, 4*maxShards)
+	}
+	for _, id := range []string{older, newest} {
+		if _, err := c.Report(id); err != nil {
+			t.Errorf("a newer report: %v, want it held", err)
+		}
+	}
+}
+
+// TestOutgrownReportIsFetched lands a sweep whose RunFunc answers with a
+// report larger than the whole budget, far past its spec's charge: the
+// report is held at that charge, so its landing releases nothing, and its
+// first Report hands it over whole.
+func TestOutgrownReportIsFetched(t *testing.T) {
+	const entries = 1000
+	c, err := New(Options{MaxShards: 8, Run: func(context.Context, *sim.Spec) (*sim.Report, error) {
+		return &sim.Report{Shards: make([]sim.Shard, entries)}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Submit("t", specN(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, st.ID, StateDone)
+	if held := c.Stats().HeldUncollected; held != 2+sweepCost {
+		t.Errorf("%d entries held, want the sweep's charge of %d", held, 2+sweepCost)
+	}
+	if rep, err := c.Report(st.ID); err != nil || heldShards(rep) != entries {
+		t.Errorf("outgrown report: %d entries, %v; want its %d handed over", heldShards(rep), err, entries)
+	}
+	if _, err := c.Report(st.ID); !errors.Is(err, ErrReportGone) || !strings.Contains(err.Error(), "collected") {
+		t.Errorf("second fetch: %v, want ErrReportGone for a collection", err)
 	}
 }
