@@ -29,13 +29,15 @@ test:
 # hang up on a real coordinator) — the session gate's tests, whose units
 # wait on and hand over slots across goroutines, and the unit-state reuse
 # test (TestReusedUnitMatchesFresh), whose concurrent units take and keep
-# the session's kept states, and the dispatcher's, whose
+# the session's kept states, the shared-plan test
+# (TestConcurrentRunsShareAPlan), whose concurrent runs of one spec plan it
+# and read the kept plan, and the dispatcher's, whose
 # model races a hedge's backend call against its primary's and lands probe
 # verdicts on their own goroutines, five times more.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/sim/sweep ./cmd/simd ./cmd/rebalance-bench
-	$(GO) test -race -count=5 -run 'Gate|TestReusedUnitMatchesFresh' ./internal/sim
+	$(GO) test -race -count=5 -run 'Gate|TestReusedUnitMatchesFresh|TestConcurrentRunsShareAPlan' ./internal/sim
 	$(GO) test -race -count=5 ./internal/sim/dispatch
 
 # fuzz runs the wire- and disk-surface fuzzers and the eight differentials
@@ -138,17 +140,19 @@ ci: ci-test lint-extra
 
 # bench runs the repository benchmark declared in BENCHMARK.json: the
 # bench/ harness's five sweep workloads, end to end and layer by layer.
-# bench-go prints the Go micro-benchmarks for the hot paths; bench-go-smoke
-# runs each for one iteration (seconds in all), so CI notices one that no
-# longer builds or fails — the numbers of a single iteration mean nothing.
+# bench-go prints the Go micro-benchmarks for the hot paths, the library's
+# and the entrypoints' (cmd/simd's front door and HTTP report path);
+# bench-go-smoke runs each for one iteration (seconds in all), so CI notices
+# one that no longer builds or fails — the numbers of a single iteration
+# mean nothing.
 bench:
 	$(GO) run ./bench
 
 bench-go:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/... ./cmd/...
 
 bench-go-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/... ./cmd/...
 
 # bench-smoke runs the real harness for a second per workload: every
 # sweep's report digest is checked against bench/golden.json at the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -21,6 +20,7 @@ import (
 type gridCell struct {
 	spec ShardSpec
 	cfg  ObserverConfig
+	key  string // the sc2- key, once keyCells wrote it
 }
 
 // planShards partitions a grid's members (indices into cells in grid order:
@@ -86,50 +86,44 @@ func planShards(cells []gridCell, members []int, slots int) [][]int {
 }
 
 // runGrid is the one shard execution path of Session.Run and RunShards:
-// resolve, plan the misses, compute, land. Each cell without an error yet
-// (an invalid array member has one) has its key led once (resolveShard), in
-// ascending key order across the grid — the cache's rule for leading several
-// keys, so overlapping grids cannot wait on each other; a repeated key (an
-// array may name a shard twice) takes its leader's outcome when the grid
-// ends. Hits go to out and done at once. planShards sees only the misses, in
-// grid order, cut for slots, so an all-hits grid starts no goroutine; at
-// most the session's workers goroutines take the units, and each unit holds
-// a slot of the session's gate while it computes, landing each member and
-// passing it to done as its unit ends. Cancellation is read off ctx alone,
-// between units: if ctx ended, each key led for a unit that never ran is
-// landed with its cause (released, nothing stored) and ctx's error is the
-// run's; otherwise every failure is a value in out. It returns how many
-// goroutines computed.
-func (s *Session) runGrid(ctx context.Context, cells []gridCell, out []Outcome, slots int,
+// resolve, plan the misses, compute, land. With a result cache, each cell
+// in lead — the keyed cells without an error yet (an invalid array member
+// has one), in ascending key order across the grid (keyCells), the cache's
+// rule for leading several keys, so overlapping grids cannot wait on each
+// other — has its key led once (resolveShard); a repeated key (an array may
+// name a shard twice) takes its leader's outcome when the grid ends.
+// Without one, every cell without an error is a miss. Hits go to out and
+// done at once. planShards sees only the misses, in grid order, cut for
+// slots, so an all-hits grid starts no goroutine; at most the session's
+// workers goroutines take the units, and each unit holds a slot of the
+// session's gate while it computes, landing each member and passing it to
+// done as its unit ends. Cancellation is read off ctx alone, between units:
+// if ctx ended, each key led for a unit that never ran is landed with its
+// cause (released, nothing stored) and ctx's error is the run's; otherwise
+// every failure is a value in out. It returns how many goroutines computed.
+func (s *Session) runGrid(ctx context.Context, cells []gridCell, lead []int, out []Outcome, slots int,
 	compute func(ctx context.Context, cells []gridCell, miss []int, out []Outcome), done func(i int)) (int, error) {
-	type keyed struct {
-		idx int
-		key string
-	}
-	var ks []keyed
 	var miss []int
-	lands := make([]func(Shard, error), len(cells))
-	for i := range cells {
-		switch {
-		case out[i].Err != nil:
-		case s.cache == nil:
-			miss = append(miss, i)
-		default:
-			ks = append(ks, keyed{i, ShardCacheKey(cells[i].spec, cells[i].cfg)})
+	if s.cache == nil {
+		lead = nil
+		for i := range cells {
+			if out[i].Err == nil {
+				miss = append(miss, i)
+			}
 		}
 	}
-	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
-	for k, m := range ks {
-		if k > 0 && m.key == ks[k-1].key {
+	lands := make([]func(Shard, error), len(cells))
+	for k, i := range lead {
+		if k > 0 && cells[i].key == cells[lead[k-1]].key {
 			continue
 		}
-		sh, hit, land, err := resolveShard(ctx, s.cache, m.key, cells[m.idx].spec, cells[m.idx].cfg)
+		sh, hit, land, err := resolveShard(ctx, s.cache, cells[i].key, cells[i].spec, cells[i].cfg)
 		if err == nil && !hit {
-			miss, lands[m.idx] = append(miss, m.idx), land
+			miss, lands[i] = append(miss, i), land
 			continue
 		}
-		out[m.idx] = Outcome{Shard: sh, Err: err}
-		done(m.idx)
+		out[i] = Outcome{Shard: sh, Err: err}
+		done(i)
 	}
 	slices.Sort(miss)
 
@@ -170,10 +164,10 @@ func (s *Session) runGrid(ctx context.Context, cells []gridCell, out []Outcome, 
 		}
 		return 0, err
 	}
-	for k := 1; k < len(ks); k++ {
-		if ks[k].key == ks[k-1].key {
-			out[ks[k].idx] = out[ks[k-1].idx]
-			done(ks[k].idx)
+	for k := 1; k < len(lead); k++ {
+		if i, prev := lead[k], lead[k-1]; cells[i].key == cells[prev].key {
+			out[i] = out[prev]
+			done(i)
 		}
 	}
 	return pool, nil

@@ -26,8 +26,8 @@ func cellOf(workload string, cfg ObserverConfig, seed uint64, insts int64) gridC
 // direct line into both, for configurations that must stay out of
 // observerKinds and for driving a bare (cacheless, storeless) session.
 func (s *Session) runJob(ctx context.Context, c *trace.Compiled, cell gridCell) (Shard, error) {
-	out := make([]Outcome, 1)
-	_, err := s.runGrid(ctx, []gridCell{cell}, out, 0, func(ctx context.Context, cells []gridCell, miss []int, out []Outcome) {
+	out, cells := make([]Outcome, 1), []gridCell{cell}
+	_, err := s.runGrid(ctx, cells, keyCells(cells, nil), out, 0, func(ctx context.Context, cells []gridCell, miss []int, out []Outcome) {
 		s.runGroup(ctx, c, cells, miss, out)
 	}, func(int) {})
 	if err != nil {
@@ -44,11 +44,11 @@ func gridOf(t *testing.T, spec *Spec) []gridCell {
 	if err != nil {
 		t.Fatal(err)
 	}
-	configs, err := expandObservers(norm.Observers)
+	p, err := newPlan(norm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gridCells(norm, configs, nil)
+	return p.cells
 }
 
 // TestWorkersFollowThePlan: plan has one rule — a unit per (workload, seed)

@@ -167,18 +167,20 @@ func bpredFactory(opts json.RawMessage) ([]ObserverConfig, error) {
 		}
 	}
 	if o.Grouped || o.Parallel {
-		return []ObserverConfig{bpredGroupCfg{names: o.Configs}}, nil
+		return []ObserverConfig{bpredGroupCfg{names: o.Configs, key: "bpred/" + strings.Join(o.Configs, "+")}}, nil
 	}
 	cfgs := make([]ObserverConfig, len(o.Configs))
 	for i, name := range o.Configs {
-		cfgs[i] = bpredCfg{name: name}
+		cfgs[i] = bpredCfg{name: name, key: "bpred/" + name}
 	}
 	return cfgs, nil
 }
 
-type bpredCfg struct{ name string }
+// Each kind's configuration carries its Key, written once at expansion: a
+// warm run reads it on every cell's identity check and merge.
+type bpredCfg struct{ name, key string }
 
-func (c bpredCfg) Key() string { return "bpred/" + c.name }
+func (c bpredCfg) Key() string { return c.key }
 
 func (c bpredCfg) NewObserver(*program.Program) ShardObserver {
 	sim := bpredSim(c.name)
@@ -227,9 +229,12 @@ func (c bpredCfg) ScanResult(sc *wire.Scanner) (Result, error) {
 	})
 }
 
-type bpredGroupCfg struct{ names []string }
+type bpredGroupCfg struct {
+	names []string
+	key   string
+}
 
-func (c bpredGroupCfg) Key() string { return "bpred/" + strings.Join(c.names, "+") }
+func (c bpredGroupCfg) Key() string { return c.key }
 
 func (c bpredGroupCfg) NewObserver(*program.Program) ShardObserver {
 	sim := bpredSim(c.names...)
@@ -303,14 +308,17 @@ func btbFactory(opts json.RawMessage) ([]ObserverConfig, error) {
 		if err := btb.GeometryError(g.Entries, g.Ways); err != nil {
 			return nil, err
 		}
-		cfgs[i] = btbCfg{g}
+		cfgs[i] = btbCfg{g, "btb/" + strconv.FormatInt(g.Entries, 10) + "x" + strconv.FormatInt(g.Ways, 10)}
 	}
 	return cfgs, nil
 }
 
-type btbCfg struct{ g btbGeometry }
+type btbCfg struct {
+	g   btbGeometry
+	key string
+}
 
-func (c btbCfg) Key() string { return fmt.Sprintf("btb/%dx%d", c.g.Entries, c.g.Ways) }
+func (c btbCfg) Key() string { return c.key }
 
 func (c btbCfg) NewObserver(*program.Program) ShardObserver {
 	b := btb.New(int(c.g.Entries), int(c.g.Ways))
@@ -370,16 +378,18 @@ func icacheFactory(opts json.RawMessage) ([]ObserverConfig, error) {
 		if err := icache.GeometryError(g.SizeKB*1024, g.LineBytes, g.Ways); err != nil {
 			return nil, err
 		}
-		cfgs[i] = icacheCfg{g}
+		cfgs[i] = icacheCfg{g, "icache/" + strconv.FormatInt(g.SizeKB, 10) + "KB-" +
+			strconv.FormatInt(g.LineBytes, 10) + "B-" + strconv.FormatInt(g.Ways, 10) + "w"}
 	}
 	return cfgs, nil
 }
 
-type icacheCfg struct{ g icacheGeometry }
-
-func (c icacheCfg) Key() string {
-	return fmt.Sprintf("icache/%dKB-%dB-%dw", c.g.SizeKB, c.g.LineBytes, c.g.Ways)
+type icacheCfg struct {
+	g   icacheGeometry
+	key string
 }
+
+func (c icacheCfg) Key() string { return c.key }
 
 func (c icacheCfg) NewObserver(*program.Program) ShardObserver {
 	ic := icache.New(int(c.g.SizeKB*1024), int(c.g.LineBytes), int(c.g.Ways))

@@ -175,7 +175,7 @@ func TestRunGridCancelledMidGrid(t *testing.T) {
 	// Three coordinates on one slot: three units of one cell each.
 	cells := gridOf(t, &Spec{Workloads: []string{"comd-lite"}, SeedCount: 3, Insts: 5_000, Observers: []ObserverSpec{{Kind: "bbl"}}})
 	var ran []int
-	_, err := NewSession(1).runGrid(ctx, cells, make([]Outcome, len(cells)), 1, func(_ context.Context, _ []gridCell, unit []int, _ []Outcome) {
+	_, err := NewSession(1).runGrid(ctx, cells, nil, make([]Outcome, len(cells)), 1, func(_ context.Context, _ []gridCell, unit []int, _ []Outcome) {
 		ran = append(ran, unit...)
 		if unit[0] == 1 {
 			cancel()

@@ -2,8 +2,12 @@ package sim
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +41,15 @@ type Session struct {
 	// synthKeys tracks the compiled map's synth entries in insertion
 	// order, the FIFO behind maxSynthCompiled.
 	synthKeys []string
+
+	// plans are the grids Run has planned, by the SHA-256 of their
+	// normalized spec (see plan); planOrder holds those sums in insertion
+	// order, the FIFO behind maxPlanBytes, and planBytes what the kept
+	// plans are charged.
+	planMu    sync.Mutex
+	plans     map[[sha256.Size]byte]*gridPlan
+	planOrder [][sha256.Size]byte
+	planBytes int
 }
 
 // compileEntry caches one workload's compilation; the once gate means
@@ -54,7 +67,7 @@ func NewSession(workers int) *Session {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Session{workers: workers, gate: &gate{free: workers}, compiled: map[string]*compileEntry{}}
+	return &Session{workers: workers, gate: &gate{free: workers}, compiled: map[string]*compileEntry{}, plans: map[[sha256.Size]byte]*gridPlan{}}
 }
 
 // SetRunner has every subsequent Run compute its shards through r instead
@@ -148,18 +161,11 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	configs, err := expandObservers(norm.Observers)
+	p, err := s.plan(norm)
 	if err != nil {
 		return nil, err
 	}
-
-	// Inline synth scenarios, by (canonical) name.
-	synthByName := make(map[string]*synth.Params, len(norm.Synth))
-	for i := range norm.Synth {
-		synthByName[norm.Synth[i].Name] = &norm.Synth[i]
-	}
-
-	cells := gridCells(norm, configs, synthByName)
+	configs, cells := p.configs, p.cells
 
 	// A local run computes its misses on the session pool, compiling before
 	// the wall clock starts, so WallNS (and the derived sweep throughput)
@@ -173,7 +179,7 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	if s.runner == nil {
 		compute = s.runLocal
 		for _, w := range norm.Workloads {
-			if _, err := s.compiledFor(w, synthByName[w]); err != nil {
+			if _, err := s.compiledFor(w, p.synth[w]); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 			}
 		}
@@ -186,7 +192,7 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	out, err := decide(ctx, norm, cells, func(ctx context.Context) ([]Outcome, error) {
 		out := make([]Outcome, len(cells))
 		var err error
-		workers, err = s.runGrid(ctx, cells, out, s.workers, compute, func(i int) {
+		workers, err = s.runGrid(ctx, cells, p.lead, out, s.workers, compute, func(i int) {
 			if out[i].Err != nil {
 				out[i].Err = fmt.Errorf("sim: shard {%s %s seed %d}: %w",
 					cells[i].spec.Workload, cells[i].cfg.Key(), cells[i].spec.Seed, out[i].Err)
@@ -263,6 +269,89 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	return rep, nil
 }
 
+// gridPlan is what a normalized spec fixes about its grid, derived once:
+// the expanded configurations, the inline scenarios by name, the cells
+// (each with its sc2- key) and the order runGrid leads their keys in. A
+// plan is shared by every run of its spec and read only: it owns its
+// scenarios, so nothing a report hands out (its own normalized spec)
+// reaches it, and no path writes into its cells.
+type gridPlan struct {
+	configs []ObserverConfig
+	synth   map[string]*synth.Params
+	cells   []gridCell
+	lead    []int
+}
+
+// A session keeps its plans within maxPlanBytes, charging each one
+// planBaseBytes plus planCellBytes a cell: more than a plan and its entry
+// hold, as TestPlanBound measures. A plan holds no bytes of its spec
+// (its key is their SHA-256), and its configurations and scenarios number
+// at most its cells, so what it holds grows with its cells alone. The
+// paper's grids are tens of cells; a grid over the bound is planned on
+// every run.
+const (
+	maxPlanBytes  = 1 << 20
+	planBaseBytes = 1024
+	planCellBytes = 768
+)
+
+// charge is what keeping p counts against maxPlanBytes.
+func (p *gridPlan) charge() int { return planBaseBytes + planCellBytes*len(p.cells) }
+
+// plan returns the grid of norm: planned once per distinct normalized spec,
+// found by the SHA-256 of its canonical bytes (what a report echoes as
+// spec) and kept, FIFO, within maxPlanBytes. A rerun therefore re-derives
+// nothing — expansion, cells and keys are lookups. Spellings that differ
+// in those bytes but not in meaning (an option's field order, say) plan
+// apart and run alike.
+func (s *Session) plan(norm *Spec) (*gridPlan, error) {
+	canon, err := json.Marshal(norm)
+	if err != nil { // observer options that are not JSON fail expansion
+		return newPlan(norm)
+	}
+	sum := sha256.Sum256(canon)
+	s.planMu.Lock()
+	p := s.plans[sum]
+	s.planMu.Unlock()
+	if p != nil {
+		return p, nil
+	}
+	if p, err = newPlan(norm); err != nil || p.charge() > maxPlanBytes {
+		return p, err
+	}
+	s.planMu.Lock()
+	defer s.planMu.Unlock()
+	if s.plans[sum] == nil { // else a concurrent run kept its plan first
+		for s.planBytes+p.charge() > maxPlanBytes {
+			s.planBytes -= s.plans[s.planOrder[0]].charge()
+			delete(s.plans, s.planOrder[0])
+			s.planOrder = slices.Delete(s.planOrder, 0, 1)
+		}
+		s.plans[sum] = p
+		s.planOrder = append(s.planOrder, sum)
+		s.planBytes += p.charge()
+	}
+	return p, nil
+}
+
+// newPlan expands a normalized spec into its plan. The scenarios are copied
+// out of norm, which the run's report echoes.
+func newPlan(norm *Spec) (*gridPlan, error) {
+	configs, err := expandObservers(norm.Observers)
+	if err != nil {
+		return nil, err
+	}
+	p := &gridPlan{configs: configs, synth: make(map[string]*synth.Params, len(norm.Synth))}
+	for i := range norm.Synth {
+		sc := norm.Synth[i]
+		sc.TripCounts = slices.Clone(sc.TripCounts)
+		p.synth[sc.Name] = &sc
+	}
+	p.cells = gridCells(norm, configs, p.synth)
+	p.lead = keyCells(p.cells, nil)
+	return p, nil
+}
+
 // gridCells expands a normalized spec into its shard grid — workload-major,
 // then observer configuration, then seed: the order the report, the merge
 // and every runner's index alignment share. Each cell is built once, as
@@ -286,6 +375,21 @@ func gridCells(norm *Spec, configs []ObserverConfig, synthByName map[string]*syn
 		}
 	}
 	return cells
+}
+
+// keyCells writes the sc2- key of every cell out has not failed (out nil:
+// every cell) and returns their indices in ascending key order — the
+// cache's rule for leading several keys (see runGrid).
+func keyCells(cells []gridCell, out []Outcome) []int {
+	lead := make([]int, 0, len(cells))
+	for i := range cells {
+		if out == nil || out[i].Err == nil {
+			cells[i].key = ShardCacheKey(cells[i].spec, cells[i].cfg)
+			lead = append(lead, i)
+		}
+	}
+	slices.SortFunc(lead, func(a, b int) int { return strings.Compare(cells[a].key, cells[b].key) })
+	return lead
 }
 
 // decide runs the grid and applies the run's failure policy — the one

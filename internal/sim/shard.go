@@ -156,7 +156,11 @@ func (s *Session) RunShards(ctx context.Context, specs []ShardSpec) ([]Outcome, 
 		cells[i].spec = specs[i]
 		cells[i].cfg, out[i].Err = specs[i].Config()
 	}
-	if _, err := s.runGrid(ctx, cells, out, 0, s.runLocal, func(int) {}); err != nil {
+	var lead []int
+	if s.cache != nil {
+		lead = keyCells(cells, out)
+	}
+	if _, err := s.runGrid(ctx, cells, lead, out, 0, s.runLocal, func(int) {}); err != nil {
 		return nil, err
 	}
 	return out, nil
