@@ -15,7 +15,7 @@
 //
 // Observers only accumulate: an analyzer's surface is its constructor, its
 // one consumer method (ConsumeLane) and Result. Every figure value is derived once, by an exported method on the
-// mergeable *Result type, and EncodeJSON fills the wire from those same
+// mergeable *Result type, and AppendJSON fills the wire from those same
 // methods — so a test asserts on exactly the number a report carries.
 package analysis
 

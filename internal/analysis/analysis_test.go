@@ -159,11 +159,11 @@ func TestBiasSites(t *testing.T) {
 	if err := merged.Merge(a.Result()); err != nil {
 		t.Fatal(err)
 	}
-	enc1, err := a.Result().EncodeJSON()
+	enc1, err := a.Result().AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc2, err := merged.EncodeJSON()
+	enc2, err := merged.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,9 +131,6 @@ func (r *BBLResult) AppendJSON(b []byte) ([]byte, error) {
 	return append(b, "}}"...), nil
 }
 
-// EncodeJSON renders the result as its canonical JSON artifact.
-func (r *BBLResult) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
-
 // ScanBBL is the one decode path of a BBLResult's canonical JSON artifact,
 // read in place from the record that embeds it. Derived averages are read
 // as numbers and recomputed from the raw sums on re-encode.

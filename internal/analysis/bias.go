@@ -179,9 +179,6 @@ func (r *BiasResult) AppendJSON(b []byte) ([]byte, error) {
 	return append(b, "}}"...), nil
 }
 
-// EncodeJSON renders the result as its canonical JSON artifact.
-func (r *BiasResult) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
-
 // ScanBias is the one decode path of a BiasResult's canonical JSON
 // artifact, read in place from the record that embeds it. Derived figures
 // are read as numbers and recomputed on re-encode. A duplicated site PC

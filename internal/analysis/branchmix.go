@@ -42,7 +42,7 @@ func (a *BranchMix) Result() *MixResult {
 
 // MixResult is the mergeable Figure 1 record: dynamic instruction and
 // per-kind counts per phase (0 serial, 1 parallel). It implements the sim
-// result contract (Merge, EncodeJSON).
+// result contract (Merge, AppendJSON).
 type MixResult struct {
 	Insts [2]int64
 	Kinds [2][isa.NumKinds]int64
@@ -144,9 +144,6 @@ func (r *MixResult) AppendJSON(b []byte) ([]byte, error) {
 	b = wire.AppendInts(append(b, ','), r.Kinds[1][:]...)
 	return append(b, "]}}"...), nil
 }
-
-// EncodeJSON renders the result as its canonical JSON artifact.
-func (r *MixResult) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
 
 // ScanMix is the one decode path of a MixResult's canonical JSON artifact,
 // read in place from the record that embeds it. Derived percentages are

@@ -161,9 +161,6 @@ func (r *FootprintResult) AppendJSON(b []byte) ([]byte, error) {
 	return append(b, "]}}"...), nil
 }
 
-// EncodeJSON renders the result as its canonical JSON artifact.
-func (r *FootprintResult) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
-
 // ScanFootprint is the one decode path of a FootprintResult's canonical
 // JSON artifact, read in place from the record that embeds it. Duplicate
 // chunks are rejected.

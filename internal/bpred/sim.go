@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"rebalance/internal/isa"
+	"rebalance/internal/stats"
 	"rebalance/internal/wire"
 )
 
@@ -20,66 +21,44 @@ type Result struct {
 	CostBits int
 	// Insts counts all dynamic instructions per phase (0 serial, 1
 	// parallel); the MPKI denominator.
-	Insts [2]int64
+	Insts stats.Phases
 	// Branches counts conditional branches per phase.
-	Branches [2]int64
+	Branches stats.Phases
 	// Miss counts mispredictions per phase and actual direction.
 	Miss [2][isa.NumDirections]int64
 }
 
-// Mispredicts returns total mispredictions over both phases.
-func (r *Result) Mispredicts() int64 {
-	var m int64
-	for p := 0; p < 2; p++ {
-		for d := 0; d < isa.NumDirections; d++ {
-			m += r.Miss[p][d]
+// misses returns mispredictions per phase, over every direction.
+func (r *Result) misses() stats.Phases {
+	var m stats.Phases
+	for p := range m {
+		for _, n := range r.Miss[p] {
+			m[p] += n
 		}
 	}
 	return m
 }
 
+// Mispredicts returns total mispredictions over both phases.
+func (r *Result) Mispredicts() int64 { return r.misses().Total() }
+
 // MPKI returns mispredictions per kilo-instruction over the whole stream.
-func (r *Result) MPKI() float64 { return r.mpkiPhases(0, 1) }
+func (r *Result) MPKI() float64 { return stats.PerKilo(r.Mispredicts(), r.Insts.Total()) }
 
 // MPKISerial returns MPKI over serial sections only.
-func (r *Result) MPKISerial() float64 { return r.mpkiPhases(0) }
+func (r *Result) MPKISerial() float64 { return stats.PerKilo(r.misses()[0], r.Insts[0]) }
 
 // MPKIParallel returns MPKI over parallel sections only.
-func (r *Result) MPKIParallel() float64 { return r.mpkiPhases(1) }
-
-func (r *Result) mpkiPhases(phases ...int) float64 {
-	var insts, miss int64
-	for _, p := range phases {
-		insts += r.Insts[p]
-		for d := 0; d < isa.NumDirections; d++ {
-			miss += r.Miss[p][d]
-		}
-	}
-	if insts == 0 {
-		return 0
-	}
-	return 1000 * float64(miss) / float64(insts)
-}
+func (r *Result) MPKIParallel() float64 { return stats.PerKilo(r.misses()[1], r.Insts[1]) }
 
 // MPKIByDirection returns the Figure 6 breakdown: the MPKI contribution of
 // mispredictions on branches whose actual outcome was the given direction.
 func (r *Result) MPKIByDirection(d isa.Direction) float64 {
-	insts := r.Insts[0] + r.Insts[1]
-	if insts == 0 {
-		return 0
-	}
-	miss := r.Miss[0][d] + r.Miss[1][d]
-	return 1000 * float64(miss) / float64(insts)
+	return stats.PerKilo(r.Miss[0][d]+r.Miss[1][d], r.Insts.Total())
 }
 
 // MissRate returns mispredictions per conditional branch.
-func (r *Result) MissRate() float64 {
-	b := r.Branches[0] + r.Branches[1]
-	if b == 0 {
-		return 0
-	}
-	return float64(r.Mispredicts()) / float64(b)
-}
+func (r *Result) MissRate() float64 { return stats.Ratio(r.Mispredicts(), r.Branches.Total()) }
 
 // Sim drives one or more predictor configurations over a single instruction
 // stream, the way the paper's branch-prediction pintool evaluates several in
@@ -113,7 +92,7 @@ type Sim struct {
 	cfgs    []simCfg
 	comps   []component // the distinct bases, then the loop table if any overlay
 	results []Result
-	insts   [2]int64
+	insts   stats.Phases
 	recs    []condRec // the batch's conditional branches, reused across batches
 }
 
@@ -215,7 +194,7 @@ func (s *Sim) Reset() {
 	for i := range s.results {
 		s.results[i] = Result{Name: s.results[i].Name, CostBits: s.results[i].CostBits}
 	}
-	s.insts = [2]int64{}
+	s.insts = stats.Phases{}
 }
 
 // walk runs the component over a batch's conditional branches, writing one
@@ -309,10 +288,10 @@ func (r *Result) Merge(other any) error {
 	} else if o.Name != "" && o.Name != r.Name {
 		return fmt.Errorf("bpred: cannot merge result for %q into %q", o.Name, r.Name)
 	}
-	for p := 0; p < 2; p++ {
-		r.Insts[p] += o.Insts[p]
-		r.Branches[p] += o.Branches[p]
-		for d := 0; d < isa.NumDirections; d++ {
+	r.Insts.Add(o.Insts)
+	r.Branches.Add(o.Branches)
+	for p := range r.Miss {
+		for d := range r.Miss[p] {
 			r.Miss[p][d] += o.Miss[p][d]
 		}
 	}
@@ -340,9 +319,6 @@ func (r *Result) AppendJSON(b []byte) ([]byte, error) {
 		r.MPKIByDirection(isa.DirTakenBackward), r.MPKIByDirection(isa.DirTakenForward))
 	return append(b, '}'), nil
 }
-
-// EncodeJSON renders the result as its canonical JSON artifact.
-func (r *Result) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
 
 // ScanResult is the one decode path of a Result's canonical JSON artifact —
 // the other half of the wire contract, so a coordinator can fold shards

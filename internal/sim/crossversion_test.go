@@ -56,13 +56,13 @@ func TestParentWrittenDiskTiersStillServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON, err := want.Result.EncodeJSON()
+	wantJSON, err := want.Result.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult := func(t *testing.T, sh Shard) {
 		t.Helper()
-		got, err := sh.Result.EncodeJSON()
+		got, err := sh.Result.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

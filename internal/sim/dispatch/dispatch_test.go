@@ -244,8 +244,8 @@ func TestGroupedRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	le, err1 := local.Result.EncodeJSON()
-	re, err2 := remote.Result.EncodeJSON()
+	le, err1 := local.Result.AppendJSON(nil)
+	re, err2 := remote.Result.AppendJSON(nil)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}

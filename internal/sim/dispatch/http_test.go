@@ -171,8 +171,8 @@ func TestWorkerKeepsCoordinatesApart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err1 := o.Shard.Result.EncodeJSON()
-		want, err2 := alone.Result.EncodeJSON()
+		got, err1 := o.Shard.Result.AppendJSON(nil)
+		want, err2 := alone.Result.AppendJSON(nil)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -334,8 +334,8 @@ func TestDispatcherCacheServesRepeats(t *testing.T) {
 		if cold.Shards[i].Cached {
 			t.Errorf("cold shard %d marked cached", i)
 		}
-		a, err1 := cold.Shards[i].Result.EncodeJSON()
-		b, err2 := warm.Shards[i].Result.EncodeJSON()
+		a, err1 := cold.Shards[i].Result.AppendJSON(nil)
+		b, err2 := warm.Shards[i].Result.AppendJSON(nil)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}

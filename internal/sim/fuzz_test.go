@@ -119,7 +119,7 @@ func FuzzDecodeShardResult(f *testing.F) {
 			if err != nil {
 				continue // rejection is fine; panicking is not
 			}
-			enc, err := res.EncodeJSON()
+			enc, err := res.AppendJSON(nil)
 			if err != nil {
 				t.Fatalf("%s: accepted input fails to re-encode: %v", cfg.Key(), err)
 			}
@@ -127,7 +127,7 @@ func FuzzDecodeShardResult(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: re-encoded result fails to decode: %v\nencoded: %s", cfg.Key(), err, enc)
 			}
-			enc2, err := again.EncodeJSON()
+			enc2, err := again.AppendJSON(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

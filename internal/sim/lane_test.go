@@ -22,7 +22,7 @@ import (
 )
 
 // lanePair is one lane consumer and the per-instruction model it must agree
-// with, byte for byte of EncodeJSON.
+// with, byte for byte of AppendJSON.
 type lanePair struct {
 	name      string
 	lane      trace.LaneConsumer
@@ -83,11 +83,11 @@ func laneDiff(pass func(obs ...trace.Observer) error) string {
 		return err.Error()
 	}
 	for _, p := range pairs {
-		got, err := p.got().EncodeJSON()
+		got, err := p.got().AppendJSON(nil)
 		if err != nil {
 			return err.Error()
 		}
-		want, err := p.want().EncodeJSON()
+		want, err := p.want().AppendJSON(nil)
 		if err != nil {
 			return err.Error()
 		}
@@ -353,7 +353,7 @@ func TestGroupScansOncePerBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want[k], err = sh.Result.EncodeJSON(); err != nil {
+		if want[k], err = sh.Result.AppendJSON(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -376,7 +376,7 @@ func TestGroupScansOncePerBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, err := res.EncodeJSON(); err != nil || !bytes.Equal(got, want[k]) {
+			if got, err := res.AppendJSON(nil); err != nil || !bytes.Equal(got, want[k]) {
 				t.Errorf("%s: %s fed lanes in the group reports %s (err %v), alone %s", pass.name, cfg.Key(), got, err, want[k])
 			}
 		}

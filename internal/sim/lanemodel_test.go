@@ -15,7 +15,7 @@ import (
 // differential tests in lane_test.go hold the consumers to. They share no
 // code with the simulators — the set-associative arrays are their own — and
 // fill the simulators' exported result types, so agreement is checked on the
-// EncodeJSON bytes a report carries.
+// AppendJSON bytes a report carries.
 
 func phaseOf(in *isa.Inst) int {
 	if in.Serial {

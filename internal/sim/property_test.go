@@ -35,7 +35,7 @@ func propertyConfigs(t *testing.T) []ObserverConfig {
 // terse.
 func encode(t *testing.T, r Result) string {
 	t.Helper()
-	enc, err := r.EncodeJSON()
+	enc, err := r.AppendJSON(nil)
 	if err != nil {
 		t.Fatalf("encoding %T: %v", r, err)
 	}
@@ -45,7 +45,7 @@ func encode(t *testing.T, r Result) string {
 // TestResultProperties checks, for every observer
 // configuration over randomized shards:
 //
-//   - Decode(EncodeJSON(r)) round-trips exactly (re-encoding is
+//   - Decode(AppendJSON(r)) round-trips exactly (re-encoding is
 //     byte-identical),
 //   - Merge is commutative and associative on shard results,
 //   - merging decoded (remote) shards equals merging the in-process

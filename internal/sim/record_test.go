@@ -58,7 +58,7 @@ func oracleResult(t testing.TB, r Result) json.RawMessage {
 	if r == nil {
 		return json.RawMessage("null")
 	}
-	enc, err := r.EncodeJSON()
+	enc, err := r.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestRecordAppendersMatchEncodingJSON(t *testing.T) {
 	t.Run("artifacts", func(t *testing.T) {
 		for _, r := range append(results, edgeResults()...) {
 			want, werr := json.Marshal(oracleWire(t, r))
-			got, err := r.EncodeJSON()
+			got, err := r.AppendJSON(nil)
 			if (err != nil) != (werr != nil) || !bytes.Equal(got, want) {
 				t.Errorf("%T appends %s (err %v), json.Marshal of its wire struct %s (err %v)", r, got, err, want, werr)
 			}

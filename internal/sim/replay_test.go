@@ -103,7 +103,7 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := generated.Result.EncodeJSON()
+				want, err := generated.Result.AppendJSON(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +117,7 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := res.EncodeJSON()
+						got, err := res.AppendJSON(nil)
 						if err != nil {
 							t.Fatal(err)
 						}

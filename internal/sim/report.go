@@ -102,7 +102,7 @@ type Shard struct {
 	enc *artifact
 }
 
-// artifact is a result's EncodeJSON bytes, tied to the result they encode.
+// artifact is a result's AppendJSON bytes, tied to the result they encode.
 type artifact struct {
 	of   Result
 	json []byte
@@ -115,7 +115,7 @@ func (sh *Shard) keepArtifact() {
 	if reflect.TypeOf(sh.Result).Kind() != reflect.Pointer {
 		return
 	}
-	if enc, err := sh.Result.EncodeJSON(); err == nil {
+	if enc, err := sh.Result.AppendJSON(nil); err == nil {
 		sh.enc = &artifact{of: sh.Result, json: enc}
 	}
 }
@@ -181,7 +181,7 @@ func (r Report) MarshalJSON() ([]byte, error) {
 
 // appendJSON appends the shard's wire record to b, the one writer of it —
 // report entries, worker answers and cache entries alike: the fields in
-// wire order, and the result's EncodeJSON artifact as it is — copied from
+// wire order, and the result's AppendJSON artifact as it is — copied from
 // the cache record's encoding while Result is still the result it encodes.
 func (sh Shard) appendJSON(b []byte) ([]byte, error) {
 	b = wire.AppendString(append(b, `{"workload":`...), sh.Workload)
@@ -211,7 +211,7 @@ func appendResult(b []byte, r Result) ([]byte, error) {
 	if r == nil {
 		return append(b, "null}"...), nil
 	}
-	b, err := appendArtifact(b, r)
+	b, err := r.AppendJSON(b)
 	if err != nil {
 		return nil, fmt.Errorf("sim: encoding %T: %w", r, err)
 	}

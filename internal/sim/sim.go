@@ -34,10 +34,10 @@ type Result interface {
 	// configuration into the receiver. The parameter is typed any so
 	// implementations need not import this package.
 	Merge(other any) error
-	// EncodeJSON renders the result as its canonical JSON artifact, compact
-	// and escaped as json.Marshal writes it: shard records and reports embed
-	// these bytes as they are.
-	EncodeJSON() ([]byte, error)
+	// AppendJSON appends the result's canonical JSON artifact to b, compact
+	// and escaped as json.Marshal writes it, in place: shard records and
+	// reports embed these bytes as they are.
+	AppendJSON(b []byte) ([]byte, error)
 }
 
 // ShardObserver is a fresh per-shard observer instance: it watches one
@@ -71,7 +71,7 @@ type ObserverConfig interface {
 	// how a single shard of the grid is named on the wire.
 	Spec() ObserverSpec
 	// ScanResult reads one Result of this configuration's canonical JSON
-	// artifact — the bytes EncodeJSON produced, possibly on another
+	// artifact — the bytes AppendJSON produced, possibly on another
 	// machine — at sc's position, in place inside the record around it, and
 	// applies the configuration's identity checks. The round trip must be
 	// exact: re-encoding the decoded result yields byte-identical JSON, and
@@ -92,12 +92,6 @@ func scanned[R Result](sc *wire.Scanner, scan func(*wire.Scanner) (R, error), ch
 		return nil, err
 	}
 	return r, nil
-}
-
-// appender is a Result that appends its artifact in place — every
-// built-in's — so a record is written into one buffer.
-type appender interface {
-	AppendJSON(b []byte) ([]byte, error)
 }
 
 // observerFactory expands one ObserverSpec's options into concrete
@@ -183,10 +177,8 @@ func (g *GroupResult) Merge(other any) error {
 	return nil
 }
 
-// EncodeJSON implements Result.
-func (g *GroupResult) EncodeJSON() ([]byte, error) { return g.AppendJSON(nil) }
-
-// AppendJSON appends the group's artifact, its members' in order, to b.
+// AppendJSON implements Result: the group's artifact is its members', in
+// order.
 func (g *GroupResult) AppendJSON(b []byte) ([]byte, error) {
 	b = append(b, '[')
 	for i, r := range g.Results {
@@ -194,21 +186,11 @@ func (g *GroupResult) AppendJSON(b []byte) ([]byte, error) {
 			b = append(b, ',')
 		}
 		var err error
-		if b, err = appendArtifact(b, r); err != nil {
+		if b, err = r.AppendJSON(b); err != nil {
 			return nil, err
 		}
 	}
 	return append(b, ']'), nil
-}
-
-// appendArtifact appends r's artifact to b: in place for an appender, else
-// its EncodeJSON bytes.
-func appendArtifact(b []byte, r Result) ([]byte, error) {
-	if a, ok := r.(appender); ok {
-		return a.AppendJSON(b)
-	}
-	enc, err := r.EncodeJSON()
-	return append(b, enc...), err
 }
 
 // strictDecode unmarshals opts into v, rejecting unknown fields so typos in

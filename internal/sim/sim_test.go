@@ -173,8 +173,8 @@ func TestSessionRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range rep.Shards {
-		a, err1 := rep.Shards[i].Result.EncodeJSON()
-		b, err2 := again.Shards[i].Result.EncodeJSON()
+		a, err1 := rep.Shards[i].Result.AppendJSON(nil)
+		b, err2 := again.Shards[i].Result.AppendJSON(nil)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -237,8 +237,8 @@ func TestGroupedParallelEquivalence(t *testing.T) {
 			t.Fatalf("grouped run %d: %d members, want %d", gi, len(group.Results), len(split.Shards))
 		}
 		for i := range group.Results {
-			a, _ := group.Results[i].EncodeJSON()
-			b, _ := split.Shards[i].Result.EncodeJSON()
+			a, _ := group.Results[i].AppendJSON(nil)
+			b, _ := split.Shards[i].Result.AppendJSON(nil)
 			if string(a) != string(b) {
 				t.Errorf("grouped run %d, member %d: differs from per-config shard:\n%s\n%s", gi, i, a, b)
 			}
@@ -431,7 +431,7 @@ func TestConcurrentRuns(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			enc, err := rep.Shards[0].Result.EncodeJSON()
+			enc, err := rep.Shards[0].Result.AppendJSON(nil)
 			if err != nil {
 				errs[i] = err
 				return

@@ -537,7 +537,16 @@ func TestTenantTableBounded(t *testing.T) {
 		return st
 	}
 	for i := 0; i < 1000; i++ {
-		if _, err := c.Submit(fmt.Sprintf("tenant-%d", i), specN(1)); err != nil {
+		tenant := fmt.Sprintf("tenant-%d", i)
+		_, err := c.Submit(tenant, specN(1))
+		// On one P the submits can outrun the sweeps landing until the
+		// running ones fill the budget: wait for one to land and resubmit.
+		for errors.Is(err, ErrQueueFull) {
+			running := observe().Running
+			waitFor(t, "a running sweep lands", func() bool { return observe().Running < running })
+			_, err = c.Submit(tenant, specN(1))
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		observe()

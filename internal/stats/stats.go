@@ -1,13 +1,45 @@
 // Package stats provides the small statistical toolkit shared by the
-// characterization analyzers: histograms with fixed bucket boundaries
-// (Figure 2 uses ten 10%-wide buckets) and weighted footprint percentiles
-// (Figure 3 uses the smallest memory holding 99% of dynamic instructions).
+// simulators and the characterization analyzers: per-phase counters and the
+// rates derived from them (every figure splits serial from parallel
+// sections), histograms with fixed bucket boundaries (Figure 2 uses ten
+// 10%-wide buckets) and weighted footprint percentiles (Figure 3 uses the
+// smallest memory holding 99% of dynamic instructions).
 package stats
 
 import (
 	"math"
 	"sort"
 )
+
+// Phases is one counter per code section, indexed as every result keeps its
+// counters: 0 serial, 1 parallel.
+type Phases [2]int64
+
+// Total returns the count over both phases.
+func (c Phases) Total() int64 { return c[0] + c[1] }
+
+// Add folds o's counts into c.
+func (c *Phases) Add(o Phases) {
+	c[0] += o[0]
+	c[1] += o[1]
+}
+
+// PerKilo returns n per thousand d, or 0 when d is 0: an MPKI when n counts
+// misses and d instructions.
+func PerKilo(n, d int64) float64 {
+	if d == 0 {
+		return 0
+	}
+	return 1000 * float64(n) / float64(d)
+}
+
+// Ratio returns n/d, or 0 when d is 0.
+func Ratio(n, d int64) float64 {
+	if d == 0 {
+		return 0
+	}
+	return float64(n) / float64(d)
+}
 
 // Histogram is a fixed-boundary bucket histogram over [0, 1].
 // Bucket i of k spans [i/k, (i+1)/k), with the final bucket closed at 1.
