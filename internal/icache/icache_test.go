@@ -46,6 +46,28 @@ func TestObserveCountersAndUsefulness(t *testing.T) {
 	}
 }
 
+// TestLRUAcrossTheClock32Boundary: one 2-way set probed A, B, A, C, A
+// misses on A, B and C only — C evicts B, the least recently used — from a
+// clock of 0 and from one three probes short of 2^32, where a 32-bit clock
+// would wrap and stamp the most recent use of A the least.
+func TestLRUAcrossTheClock32Boundary(t *testing.T) {
+	for _, start := range []uint64{0, 1<<32 - 3} {
+		c := New(128, 64, 2)
+		c.lines.Advance(start)
+		var l isa.Lane
+		for _, lineAddr := range []isa.Addr{1, 2, 1, 3, 1} {
+			pc := lineAddr * 64
+			l.Runs = append(l.Runs, isa.Run{Start: pc, PC: pc, Bytes: 4, Insts: 1, Taken: true})
+			l.Sizes = append(l.Sizes, 4)
+		}
+		l.Insts = len(l.Sizes)
+		c.ConsumeLane(&l)
+		if got := c.Result().Misses[0]; got != 3 {
+			t.Errorf("clock from %d: %d misses, want 3", start, got)
+		}
+	}
+}
+
 // TestGeometryError: a geometry is usable only with positive sizes, lines of
 // 16 to 128 bytes in whole sectors, a size of whole lines, whole sets and at
 // most MaxSizeBytes — a request cannot ask for a cache the process cannot
